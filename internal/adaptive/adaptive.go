@@ -429,13 +429,8 @@ func (z *Zonemap) appendZones(codes []int64, nulls *bitvec.BitVec, from, to int)
 			hi = to
 		}
 		nz := zone{lo: lo, hi: hi, heat: 0.5}
-		min, max, ok := scan.MinMaxRange(codes, lo, hi, nulls, 0)
-		if ok {
-			nz.min, nz.max = min, max
-			nz.nonNull = hi - lo
-			if nulls != nil {
-				nz.nonNull -= nulls.CountRange(lo, hi)
-			}
+		if min, max, nonNull := scan.MinMaxRange(codes, lo, hi, nulls, 0); nonNull > 0 {
+			nz.min, nz.max, nz.nonNull = min, max, nonNull
 		}
 		z.zones = append(z.zones, nz)
 	}

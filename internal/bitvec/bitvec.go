@@ -57,6 +57,17 @@ func (v *BitVec) Grow(n int) {
 // word's bits beyond Len are always zero.
 func (v *BitVec) Words() []uint64 { return v.words }
 
+// Word returns the i-th backing word, or 0 when v is nil or i lies past its
+// end, so a consumer that walks a row window word by word (the scan kernels
+// over a null bitmap that may be absent or shorter than the column) treats
+// the rows the vector does not reach as unset without a length check.
+func (v *BitVec) Word(i int) uint64 {
+	if v == nil || uint(i) >= uint(len(v.words)) {
+		return 0
+	}
+	return v.words[i]
+}
+
 // Get reports whether bit i is set.
 func (v *BitVec) Get(i int) bool {
 	return v.words[i/wordBits]&(1<<uint(i%wordBits)) != 0

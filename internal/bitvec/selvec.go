@@ -1,9 +1,11 @@
 package bitvec
 
+import "slices"
+
 // SelVec is a selection vector: an ordered list of qualifying row indices.
-// Scan kernels can emit either a BitVec or a SelVec; SelVec is preferred for
-// low selectivities where materializing positions is cheaper than walking a
-// mostly-zero bitmap.
+// It is what the filter kernels emit and the refine kernels narrow in
+// place: materialized positions are cheaper to consume than a mostly-zero
+// bitmap at the selectivities skipping leaves behind.
 type SelVec struct {
 	rows []uint32
 }
@@ -23,6 +25,18 @@ func (s *SelVec) AppendRange(lo, hi uint32) {
 		s.rows = append(s.rows, r)
 	}
 }
+
+// Reserve returns n writable slots past the end of the selection, growing
+// the backing array as append would when fewer are spare. Compress-store
+// kernels write every candidate there and then Extend by the match count;
+// the slots are not part of the selection until then.
+func (s *SelVec) Reserve(n int) []uint32 {
+	s.rows = slices.Grow(s.rows, n)
+	return s.rows[len(s.rows) : len(s.rows)+n]
+}
+
+// Extend adds the first n slots of the preceding Reserve to the selection.
+func (s *SelVec) Extend(n int) { s.rows = s.rows[:len(s.rows)+n] }
 
 // Len returns the number of selected rows.
 func (s *SelVec) Len() int { return len(s.rows) }

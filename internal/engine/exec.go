@@ -728,43 +728,10 @@ func (e *Engine) emitRow(qc *qctx, res *Result, accs []*aggAcc, projCols []*stor
 // refineSel keeps only selected rows matching plan p's predicate; returns
 // the surviving count.
 func refineSel(sel *bitvec.SelVec, p *colPlan) int {
-	rows := sel.Rows()
-	codes := p.col.Codes()
-	nulls := p.col.Nulls()
-	kept := rows[:0]
 	if p.pred.NullOnly {
-		for _, row := range rows {
-			if nulls != nil && int(row) < nulls.Len() && nulls.Get(int(row)) {
-				kept = append(kept, row)
-			}
-		}
-		sel.Truncate(len(kept))
-		return len(kept)
+		return scan.RefineNullSel(p.col.Nulls(), sel)
 	}
-	single := p.pred.R.Len() == 1
-	var rlo, rhi int64
-	if single {
-		rlo, rhi = p.pred.R.Lo[0], p.pred.R.Hi[0]
-	}
-	for _, row := range rows {
-		if nulls != nil && nulls.Get(int(row)) {
-			continue
-		}
-		c := codes[row]
-		var ok bool
-		if single {
-			ok = c >= rlo && c <= rhi
-		} else {
-			ok = p.pred.R.Contains(c)
-		}
-		if ok {
-			kept = append(kept, row)
-		}
-	}
-	// kept aliases the selection's backing array (in-place filter); shrink
-	// the selection to the surviving prefix.
-	sel.Truncate(len(kept))
-	return len(kept)
+	return scan.RefineSel(p.col.Codes(), p.pred.R, p.col.Nulls(), sel)
 }
 
 // intersectPlan intersects the current segment list with one plan's

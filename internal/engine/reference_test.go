@@ -106,11 +106,56 @@ func referenceEval(t *testing.T, tb *table.Table, where expr.Conj) []int {
 	return rows
 }
 
-// randomPred builds a random predicate over the test schema.
+// buildRefTable is buildTable plus a nullable Float64 column g whose values
+// span the whole float domain: every eighth row NULL, the rest a mix of
+// ordinary negatives and positives, ±1e300-scale magnitudes and zeros.
+// Float codes of negatives sit at the far end of int64 from those of
+// positives, so predicates over g drive the filter and refine kernels with
+// intervals that the small-int columns never produce.
+func buildRefTable(t testing.TB, n int, seed int64) *table.Table {
+	t.Helper()
+	src := buildTable(t, n, seed)
+	tb := table.MustNew("t", append(testSchema(), table.ColumnSpec{Name: "g", Type: storage.Float64}))
+	rng := rand.New(rand.NewSource(seed + 1))
+	for r := 0; r < n; r++ {
+		row, err := src.Row(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.AppendRow(append(row, randomG(rng, true))...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb
+}
+
+// randomG draws a value of column g, or (never NULL) a predicate argument
+// from the same distribution so that bounds land on stored values.
+func randomG(rng *rand.Rand, nullable bool) storage.Value {
+	switch k := rng.Intn(8); {
+	case k == 0 && nullable:
+		return storage.NullValue(storage.Float64)
+	case k == 1:
+		return storage.FloatValue(float64(rng.Intn(5)-2) * 1e300)
+	case k == 2:
+		return storage.FloatValue(0)
+	}
+	return storage.FloatValue(float64(rng.Intn(41)-20) * 2.5)
+}
+
+// randomPred builds a random predicate over buildRefTable's schema.
 func randomPred(rng *rand.Rand) expr.Pred {
 	words := []string{"ant", "bee", "cat", "dog", "elk", "fox", "gnu"}
 	iv := func() storage.Value { return storage.IntValue(rng.Int63n(1200) - 100) }
-	switch rng.Intn(10) {
+	switch rng.Intn(14) {
+	case 10:
+		return expr.MustPred("g", expr.Op(rng.Intn(6)), randomG(rng, false)) // EQ..GE
+	case 11:
+		return expr.MustPred("g", expr.Between, randomG(rng, false), randomG(rng, false))
+	case 12:
+		return expr.MustPred("g", expr.In, randomG(rng, false), randomG(rng, false), randomG(rng, false))
+	case 13:
+		return expr.MustPred("g", []expr.Op{expr.IsNull, expr.IsNotNull}[rng.Intn(2)])
 	case 0:
 		return expr.MustPred("a", expr.Between, storage.IntValue(rng.Int63n(800)), storage.IntValue(rng.Int63n(800)+200))
 	case 1:
@@ -140,7 +185,7 @@ func randomPred(rng *rand.Rand) expr.Pred {
 // counts and projected row sets must match a naive per-row evaluation —
 // while adaptive metadata keeps reshaping between queries.
 func TestQuickEngineMatchesReference(t *testing.T) {
-	tb := buildTable(t, 800, 60)
+	tb := buildRefTable(t, 800, 60)
 	engines := map[string]*Engine{
 		"none":     newEngine(t, tb, PolicyNone),
 		"static":   newEngine(t, tb, PolicyStatic),
@@ -193,7 +238,7 @@ func TestQuickEngineMatchesReference(t *testing.T) {
 // TestQuickGroupByMatchesReference checks GROUP BY output against naive
 // group computation for random predicates.
 func TestQuickGroupByMatchesReference(t *testing.T) {
-	tb := buildTable(t, 600, 61)
+	tb := buildRefTable(t, 600, 61)
 	e := newEngine(t, tb, PolicyAdaptive)
 	colS, _ := tb.Column("s")
 	colB, _ := tb.Column("b")

@@ -1,0 +1,150 @@
+package scan
+
+import (
+	"math/rand"
+	"testing"
+
+	"adskip/internal/bitvec"
+	"adskip/internal/expr"
+)
+
+// The kernel micro-benchmarks scan seeded random codes, so no branch in a
+// kernel can be learned by the predictor (a periodic column such as
+// i*7%1000 hides a data-dependent branch completely). Each predicate is run
+// at two positions of the domain and two selectivities: a branch-free
+// kernel costs the same in all four, a branchy one does not. BenchmarkCopy
+// is the memory roofline the others are read against.
+
+const (
+	benchRows   = 2 << 20
+	benchDomain = 1 << 20
+)
+
+var benchPreds = []struct {
+	name     string
+	rlo, rhi int64
+}{
+	{"low/sel1", 0, benchDomain/100 - 1},
+	{"mid/sel1", benchDomain / 2, benchDomain/2 + benchDomain/100 - 1},
+	{"low/sel50", 0, benchDomain/2 - 1},
+	{"mid/sel50", benchDomain / 4, 3*benchDomain/4 - 1},
+}
+
+var (
+	benchCodes []int64
+	benchNulls *bitvec.BitVec
+	benchSink  int
+)
+
+// benchData returns the shared 2 Mi-row column and a 5%-NULL bitmap.
+func benchData() ([]int64, *bitvec.BitVec) {
+	if benchCodes == nil {
+		rng := rand.New(rand.NewSource(1))
+		benchCodes = seq(benchRows, func(int) int64 { return rng.Int63n(benchDomain) })
+		benchNulls = bitvec.New(benchRows)
+		for i := 0; i < benchRows/20; i++ {
+			benchNulls.Set(rng.Intn(benchRows))
+		}
+	}
+	return benchCodes, benchNulls
+}
+
+// benchKernel times one full pass of kernel over the column per iteration
+// and reports ns/row beside the MB/s that SetBytes derives.
+func benchKernel(b *testing.B, kernel func() int) {
+	b.SetBytes(8 * benchRows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += kernel()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+}
+
+func benchPerPred(b *testing.B, kernel func(rlo, rhi int64) int) {
+	for _, p := range benchPreds {
+		b.Run(p.name, func(b *testing.B) {
+			benchKernel(b, func() int { return kernel(p.rlo, p.rhi) })
+		})
+	}
+}
+
+func BenchmarkCopy(b *testing.B) {
+	codes, _ := benchData()
+	dst := make([]int64, len(codes))
+	benchKernel(b, func() int { return copy(dst, codes) })
+}
+
+func BenchmarkCountRangeDense(b *testing.B) {
+	codes, _ := benchData()
+	benchPerPred(b, func(rlo, rhi int64) int {
+		return CountRanges(codes, 0, len(codes), oneRange(rlo, rhi), nil, 0)
+	})
+}
+
+func BenchmarkCountRangeNulls(b *testing.B) {
+	codes, nulls := benchData()
+	benchPerPred(b, func(rlo, rhi int64) int {
+		return CountRanges(codes, 0, len(codes), oneRange(rlo, rhi), nulls, 0)
+	})
+}
+
+// BenchmarkCountRanges3 is a three-interval set (an IN list or an OR of
+// ranges) around the predicate's position.
+func BenchmarkCountRanges3(b *testing.B) {
+	codes, _ := benchData()
+	benchPerPred(b, func(rlo, rhi int64) int {
+		w := (rhi - rlo + 1) / 5
+		r := expr.Ranges{Lo: []int64{rlo, rlo + 2*w, rlo + 4*w}, Hi: []int64{rlo + w - 1, rlo + 3*w - 1, rhi}}
+		return CountRanges(codes, 0, len(codes), r, nil, 0)
+	})
+}
+
+func BenchmarkCountWithStats(b *testing.B) {
+	codes, _ := benchData()
+	benchPerPred(b, func(rlo, rhi int64) int {
+		n, _ := CountWithStats(codes, 0, len(codes), oneRange(rlo, rhi), nil, 0, 16)
+		return n
+	})
+}
+
+func BenchmarkCountWithStatsNulls(b *testing.B) {
+	codes, nulls := benchData()
+	benchPerPred(b, func(rlo, rhi int64) int {
+		n, _ := CountWithStats(codes, 0, len(codes), oneRange(rlo, rhi), nulls, 0, 16)
+		return n
+	})
+}
+
+func BenchmarkFilterSel(b *testing.B) {
+	codes, _ := benchData()
+	sel := bitvec.NewSelVec(benchRows)
+	benchPerPred(b, func(rlo, rhi int64) int {
+		sel.Reset()
+		return FilterSel(codes, 0, len(codes), oneRange(rlo, rhi), nil, 0, sel)
+	})
+}
+
+func BenchmarkFilterSelNulls(b *testing.B) {
+	codes, nulls := benchData()
+	sel := bitvec.NewSelVec(benchRows)
+	benchPerPred(b, func(rlo, rhi int64) int {
+		sel.Reset()
+		return FilterSel(codes, 0, len(codes), oneRange(rlo, rhi), nulls, 0, sel)
+	})
+}
+
+func BenchmarkMinMaxRange(b *testing.B) {
+	codes, nulls := benchData()
+	for _, c := range []struct {
+		name  string
+		nulls *bitvec.BitVec
+	}{{"dense", nil}, {"nulls", nulls}} {
+		b.Run(c.name, func(b *testing.B) {
+			benchKernel(b, func() int {
+				lo, hi, _ := MinMaxRange(codes, 0, len(codes), c.nulls, 0)
+				return int(lo + hi)
+			})
+		})
+	}
+}

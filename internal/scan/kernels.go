@@ -3,11 +3,28 @@
 // The paper's substrate is a main-memory column store whose scans are fast
 // enough that any index must justify its metadata-read cost — that ratio is
 // what makes adaptive data skipping interesting. These kernels are the Go
-// stand-in for the paper's SIMD scans: word-at-a-time loops, unrolled by
-// four, with comparison results converted to 0/1 without data-dependent
-// branches in the hot path (the Go compiler lowers the b2i pattern to
-// SETcc/CSEL). Absolute throughput differs from hand-written SIMD; the
-// scan-vs-probe cost ratio that drives the paper's results is preserved.
+// stand-in for the paper's SIMD scans, and their cost must not depend on
+// the data or on where a predicate sits in the domain, so their loops hold
+// no data-dependent branch, and no bounds check except where the index is
+// itself data (the compress-store cursor, the refine gather):
+//
+//   - the range test is one unsigned compare, uint64(c)-uint64(lo) <=
+//     uint64(hi)-uint64(lo), exact over all of int64 (Float64 codes and the
+//     MinInt64 NULL slot included). A two-sided c >= lo && c <= hi is a
+//     short-circuit the compiler keeps as a branch on every element; the
+//     single compare lowers to SETcc, and builtin min/max lower to CMOV;
+//   - loops walk re-sliced fixed-size blocks, which the compiler can prove
+//     in bounds;
+//   - NULL-aware and multi-interval scans build a 64-row match word, mask
+//     it with the null-bitmap word and popcount it (filters walk its set
+//     bits, one iteration per match);
+//   - the dense filter and the refine step compress-store: every row id is
+//     written, the output cursor advances by the 0/1 match.
+//
+// scripts/check_kernels.sh checks the compiler's output for both halves on
+// every build; the bench_test.go sub-benchmarks (low-end against mid-domain
+// predicates on random codes) measure them, and EXPERIMENTS.md records the
+// result against a copy roofline.
 //
 // All kernels operate on a column's physical []int64 codes (see package
 // storage) against inclusive code intervals, and optionally mask NULL rows.
@@ -15,13 +32,14 @@ package scan
 
 import (
 	"math"
+	"math/bits"
 
 	"adskip/internal/bitvec"
 	"adskip/internal/expr"
 )
 
-// b2i converts a bool to 0/1; the compiler emits branch-free code for this
-// pattern on amd64/arm64.
+// b2i converts a bool to 0/1. For a single comparison the compiler emits
+// SETcc; callers never pass a && or || of comparisons, which would branch.
 func b2i(b bool) int {
 	if b {
 		return 1
@@ -29,81 +47,100 @@ func b2i(b bool) int {
 	return 0
 }
 
-// CountRange returns how many codes in codes[lo:hi] fall inside the
-// inclusive interval [rlo, rhi]. nulls, when non-nil, is the column's null
-// bitmap (indexed by absolute row = base+i) and null rows never match.
-// base is the absolute row index of codes[0].
-func CountRange(codes []int64, lo, hi int, rlo, rhi int64, nulls *bitvec.BitVec, base int) int {
-	if nulls == nil {
-		return countRangeDense(codes[lo:hi], rlo, rhi)
+// offsetForm rewrites the inclusive interval [lo, hi], lo <= hi, so that c
+// lies inside it iff uint64(c)-base <= span.
+func offsetForm(lo, hi int64) (base, span uint64) {
+	return uint64(lo), uint64(hi) - uint64(lo)
+}
+
+// countDense counts the codes inside one interval in offset form: four
+// independent counters over four-element blocks.
+func countDense(codes []int64, base, span uint64) int {
+	var n0, n1, n2, n3 int
+	for ; len(codes) >= 4; codes = codes[4:] {
+		b := (*[4]int64)(codes)
+		n0 += b2i(uint64(b[0])-base <= span)
+		n1 += b2i(uint64(b[1])-base <= span)
+		n2 += b2i(uint64(b[2])-base <= span)
+		n3 += b2i(uint64(b[3])-base <= span)
 	}
-	n := 0
-	for i := lo; i < hi; i++ {
-		c := codes[i]
-		if c >= rlo && c <= rhi && !nullAt(nulls, base+i) {
-			n++
+	for _, c := range codes {
+		n0 += b2i(uint64(c)-base <= span)
+	}
+	return n0 + n1 + n2 + n3
+}
+
+// matchWord returns the match bits of up to 64 codes against one interval
+// in offset form: bit j is set iff codes[j] lies inside it.
+func matchWord(codes []int64, base, span uint64) (w uint64) {
+	for j := len(codes) - 1; j >= 0; j-- {
+		w = w<<1 | uint64(b2i(uint64(codes[j])-base <= span))
+	}
+	return w
+}
+
+// maxOrIntervals is the largest interval set evaluated as an OR of one
+// matchWord per interval, at a cost per row that grows with the interval
+// count and not with the data. Longer sets (big IN lists) binary-search
+// each code with Ranges.Contains.
+const maxOrIntervals = 16
+
+// matchBlock evaluates r over the rows from absolute row `row` up to the
+// next multiple of 64 or the end of codes, k rows in all. Bit i of m stands
+// for row row&^63+i and is set iff that row's code lies in some interval of
+// r and the row is not NULL.
+func matchBlock(codes []int64, row int, r expr.Ranges, nulls *bitvec.BitVec) (m uint64, k int) {
+	off := row & 63
+	k = min(64-off, len(codes))
+	if r.Len() > maxOrIntervals {
+		for j, c := range codes[:k] {
+			m |= uint64(b2i(r.Contains(c))) << j
 		}
-	}
-	return n
-}
-
-// countRangeDense is the null-free hot loop, unrolled by four.
-func countRangeDense(codes []int64, rlo, rhi int64) int {
-	n := 0
-	i := 0
-	for ; i+4 <= len(codes); i += 4 {
-		c0, c1, c2, c3 := codes[i], codes[i+1], codes[i+2], codes[i+3]
-		n += b2i(c0 >= rlo && c0 <= rhi)
-		n += b2i(c1 >= rlo && c1 <= rhi)
-		n += b2i(c2 >= rlo && c2 <= rhi)
-		n += b2i(c3 >= rlo && c3 <= rhi)
-	}
-	for ; i < len(codes); i++ {
-		c := codes[i]
-		n += b2i(c >= rlo && c <= rhi)
-	}
-	return n
-}
-
-// CountRanges counts codes in codes[lo:hi] matching any interval of r.
-// Specializes the common one-interval case to the dense kernel.
-func CountRanges(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) int {
-	switch r.Len() {
-	case 0:
-		return 0
-	case 1:
-		return CountRange(codes, lo, hi, r.Lo[0], r.Hi[0], nulls, base)
-	}
-	n := 0
-	for i := lo; i < hi; i++ {
-		if r.Contains(codes[i]) && !nullAt(nulls, base+i) {
-			n++
-		}
-	}
-	return n
-}
-
-// FilterBitmap sets out's bit for every row in [lo, hi) whose code matches
-// any interval of r (and is not NULL). out is indexed by absolute row;
-// bits outside [lo, hi) are left untouched. Returns the match count.
-func FilterBitmap(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int, out *bitvec.BitVec) int {
-	n := 0
-	if r.Len() == 1 {
-		rlo, rhi := r.Lo[0], r.Hi[0]
-		for i := lo; i < hi; i++ {
-			c := codes[i]
-			if c >= rlo && c <= rhi && !nullAt(nulls, base+i) {
-				out.Set(base + i)
-				n++
+	} else {
+		for i, lo := range r.Lo {
+			if hi := r.Hi[i]; lo <= hi {
+				base, span := offsetForm(lo, hi)
+				m |= matchWord(codes[:k], base, span)
 			}
 		}
-		return n
 	}
-	for i := lo; i < hi; i++ {
-		if r.Contains(codes[i]) && !nullAt(nulls, base+i) {
-			out.Set(base + i)
-			n++
-		}
+	return m << off &^ nulls.Word(row>>6), k
+}
+
+// CountRanges counts the codes in codes[lo:hi] matching any interval of r.
+// nulls, when non-nil, is the column's null bitmap (indexed by absolute row
+// = base+i) and NULL rows never match.
+func CountRanges(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) int {
+	w := codes[lo:hi]
+	if nulls == nil && r.Len() == 1 && r.Lo[0] <= r.Hi[0] {
+		b, span := offsetForm(r.Lo[0], r.Hi[0])
+		return countDense(w, b, span)
+	}
+	n := 0
+	for row := base + lo; len(w) > 0; {
+		m, k := matchBlock(w, row, r, nulls)
+		n += bits.OnesCount64(m)
+		w, row = w[k:], row+k
+	}
+	return n
+}
+
+// selBlock is how many rows the dense filter compresses per reservation.
+// The selection holds at most this much slack beyond its matches, so it
+// outgrows the engine's initial 1024-row vectors about when append would.
+const selBlock = 256
+
+// compressDense writes the row id of every code and advances the output
+// cursor by the 0/1 match, so matching ids end up packed at the front of
+// out; len(out) >= len(codes). It returns the match count. The store keeps
+// its bounds check — the compiler cannot know the cursor trails the rows
+// consumed — which costs less than masking the index would.
+func compressDense(out []uint32, codes []int64, row uint32, base, span uint64) int {
+	n := 0
+	for _, c := range codes {
+		out[n] = row
+		row++
+		n += b2i(uint64(c)-base <= span)
 	}
 	return n
 }
@@ -111,113 +148,71 @@ func FilterBitmap(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec
 // FilterSel appends the absolute row indices in [lo, hi) whose codes match
 // r (and are not NULL) to sel, in ascending order. Returns the match count.
 func FilterSel(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int, sel *bitvec.SelVec) int {
+	before := sel.Len()
+	if nulls == nil && r.Len() == 1 && r.Lo[0] <= r.Hi[0] {
+		b, span := offsetForm(r.Lo[0], r.Hi[0])
+		for ; lo < hi; lo += selBlock {
+			w := codes[lo:min(lo+selBlock, hi)]
+			sel.Extend(compressDense(sel.Reserve(len(w)), w, uint32(base+lo), b, span))
+		}
+		return sel.Len() - before
+	}
+	w := codes[lo:hi]
+	for row := base + lo; len(w) > 0; {
+		m, k := matchBlock(w, row, r, nulls)
+		for ; m != 0; m &= m - 1 { // one iteration per match
+			sel.Append(uint32(row&^63 + bits.TrailingZeros64(m)))
+		}
+		w, row = w[k:], row+k
+	}
+	return sel.Len() - before
+}
+
+// RefineSel keeps the rows of sel whose codes match r and are not NULL,
+// returning how many survive. It is the gather form of the compress-store:
+// each row id is written back in place and the cursor advances by the 0/1
+// match, so the cost does not depend on which rows survive.
+func RefineSel(codes []int64, r expr.Ranges, nulls *bitvec.BitVec, sel *bitvec.SelVec) int {
+	rows := sel.Rows()
 	n := 0
-	if r.Len() == 1 {
-		rlo, rhi := r.Lo[0], r.Hi[0]
-		for i := lo; i < hi; i++ {
-			c := codes[i]
-			if c >= rlo && c <= rhi && !nullAt(nulls, base+i) {
-				sel.Append(uint32(base + i))
-				n++
-			}
+	if r.Len() == 1 && r.Lo[0] <= r.Hi[0] {
+		b, span := offsetForm(r.Lo[0], r.Hi[0])
+		for _, row := range rows {
+			rows[n] = row
+			n += b2i(uint64(codes[row])-b <= span) &^ nullBit(nulls, row)
 		}
-		return n
-	}
-	for i := lo; i < hi; i++ {
-		if r.Contains(codes[i]) && !nullAt(nulls, base+i) {
-			sel.Append(uint32(base + i))
-			n++
+	} else {
+		for _, row := range rows {
+			rows[n] = row
+			n += b2i(r.Contains(codes[row])) &^ nullBit(nulls, row)
 		}
 	}
+	sel.Truncate(n)
 	return n
 }
 
-// RefineBitmap clears bits of out in [lo, hi) whose codes do NOT match r
-// (or are NULL). This is the conjunction step: after the first column
-// produces a bitmap, each further column refines it. Only rows whose bit
-// is currently set are examined. Returns the number of surviving rows in
-// the window.
-func RefineBitmap(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int, out *bitvec.BitVec) int {
-	n := 0
-	single := r.Len() == 1
-	var rlo, rhi int64
-	if single {
-		rlo, rhi = r.Lo[0], r.Hi[0]
+// MinMaxRange returns the min and max code among the non-NULL rows of
+// codes[lo:hi] and how many such rows there are; the bounds are valid iff
+// nonNull > 0. Used by metadata builders and by CountWithStats.
+func MinMaxRange(codes []int64, lo, hi int, nulls *bitvec.BitVec, base int) (mn, mx int64, nonNull int) {
+	if nulls != nil {
+		return minMaxNulls(codes[lo:hi], base+lo, nulls)
 	}
-	for i := out.NextSet(base + lo); i >= 0 && i < base+hi; i = out.NextSet(i + 1) {
-		c := codes[i-base]
-		var match bool
-		if single {
-			match = c >= rlo && c <= rhi
-		} else {
-			match = r.Contains(c)
-		}
-		if !match || nullAt(nulls, i) {
-			out.Clear(i)
-		} else {
-			n++
-		}
-	}
-	return n
+	mn, mx = minMaxDense(codes[lo:hi])
+	return mn, mx, hi - lo
 }
 
-// SumRange returns the sum of codes in codes[lo:hi] whose code matches r,
-// along with the match count. The caller interprets the sum (valid for
-// Int64 columns; Float64 aggregation decodes per-row elsewhere).
-func SumRange(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) (sum int64, n int) {
-	if r.Len() == 1 {
-		rlo, rhi := r.Lo[0], r.Hi[0]
-		for i := lo; i < hi; i++ {
-			c := codes[i]
-			if c >= rlo && c <= rhi && !nullAt(nulls, base+i) {
-				sum += c
-				n++
-			}
-		}
-		return sum, n
+// minMaxDense folds codes into two independent min/max pairs.
+func minMaxDense(codes []int64) (mn, mx int64) {
+	mn, mx = math.MaxInt64, math.MinInt64
+	mn1, mx1 := mn, mx
+	for ; len(codes) >= 2; codes = codes[2:] {
+		b := (*[2]int64)(codes)
+		mn, mx = min(mn, b[0]), max(mx, b[0])
+		mn1, mx1 = min(mn1, b[1]), max(mx1, b[1])
 	}
-	for i := lo; i < hi; i++ {
-		c := codes[i]
-		if r.Contains(c) && !nullAt(nulls, base+i) {
-			sum += c
-			n++
-		}
+	for _, c := range codes {
+		mn, mx = min(mn, c), max(mx, c)
 	}
-	return sum, n
-}
-
-// MinMaxRange returns the min and max code among non-null rows of
-// codes[lo:hi]. ok is false when every row in the window is NULL (or the
-// window is empty). Used by metadata builders and by zone re-tightening.
-func MinMaxRange(codes []int64, lo, hi int, nulls *bitvec.BitVec, base int) (min, max int64, ok bool) {
-	min, max = math.MaxInt64, math.MinInt64
-	if nulls == nil {
-		for _, c := range codes[lo:hi] {
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		return min, max, hi > lo
-	}
-	for i := lo; i < hi; i++ {
-		if nullAt(nulls, base+i) {
-			continue
-		}
-		c := codes[i]
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-		ok = true
-	}
-	return min, max, ok
-}
-
-func nullAt(nulls *bitvec.BitVec, row int) bool {
-	return nulls != nil && row < nulls.Len() && nulls.Get(row)
+	return min(mn, mn1), max(mx, mx1)
 }

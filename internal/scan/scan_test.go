@@ -3,11 +3,12 @@ package scan
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"adskip/internal/bitvec"
 	"adskip/internal/expr"
+	"adskip/internal/storage"
 )
 
 func seq(n int, f func(i int) int64) []int64 {
@@ -22,59 +23,59 @@ func oneRange(lo, hi int64) expr.Ranges {
 	return expr.Ranges{Lo: []int64{lo}, Hi: []int64{hi}}
 }
 
-func naiveCount(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) int {
-	n := 0
-	for i := lo; i < hi; i++ {
-		if nulls != nil && nulls.Get(base+i) {
-			continue
-		}
-		if r.Contains(codes[i]) {
-			n++
+// naiveMatch is the reference predicate: a two-sided compare per interval,
+// independent of the interval set being normalized.
+func naiveMatch(c int64, r expr.Ranges) bool {
+	for i := range r.Lo {
+		if r.Lo[i] <= c && c <= r.Hi[i] {
+			return true
 		}
 	}
-	return n
+	return false
 }
 
-func TestCountRangeDense(t *testing.T) {
+// naiveNull is the bitmap contract: nil means no NULLs, and rows past the
+// bitmap's end are not NULL.
+func naiveNull(nulls *bitvec.BitVec, row int) bool {
+	return nulls != nil && row < nulls.Len() && nulls.Get(row)
+}
+
+func TestCountRangesDense(t *testing.T) {
 	codes := seq(103, func(i int) int64 { return int64(i) }) // 0..102
-	got := CountRange(codes, 0, len(codes), 10, 20, nil, 0)
-	if got != 11 {
-		t.Fatalf("CountRange=%d want 11", got)
+	count := func(lo, hi int, rlo, rhi int64) int {
+		return CountRanges(codes, lo, hi, oneRange(rlo, rhi), nil, 0)
 	}
-	// Sub-window.
-	got = CountRange(codes, 15, 30, 10, 20, nil, 0)
-	if got != 6 { // 15..20
-		t.Fatalf("sub-window CountRange=%d want 6", got)
+	if got := count(0, len(codes), 10, 20); got != 11 {
+		t.Fatalf("CountRanges=%d want 11", got)
 	}
-	// Empty predicate range.
-	if CountRange(codes, 0, len(codes), 50, 40, nil, 0) != 0 {
+	if got := count(15, 30, 10, 20); got != 6 { // 15..20
+		t.Fatalf("sub-window CountRanges=%d want 6", got)
+	}
+	if count(0, len(codes), 50, 40) != 0 {
 		t.Fatal("inverted range should match nothing")
 	}
-	// Full range.
-	if CountRange(codes, 0, len(codes), math.MinInt64, math.MaxInt64, nil, 0) != 103 {
+	if count(0, len(codes), math.MinInt64, math.MaxInt64) != 103 {
 		t.Fatal("full range should match all")
 	}
 }
 
-func TestCountRangeWithNulls(t *testing.T) {
+func TestCountRangesWithNulls(t *testing.T) {
 	codes := seq(10, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(10)
 	nulls.Set(3)
 	nulls.Set(7)
-	got := CountRange(codes, 0, 10, 0, 9, nulls, 0)
-	if got != 8 {
-		t.Fatalf("with nulls CountRange=%d want 8", got)
+	if got := CountRanges(codes, 0, 10, oneRange(0, 9), nulls, 0); got != 8 {
+		t.Fatalf("with nulls CountRanges=%d want 8", got)
 	}
 	// Base offset: codes window is rows 100.. in the table.
 	big := bitvec.New(110)
 	big.Set(102)
-	got = CountRange(codes, 0, 10, 0, 9, big, 100)
-	if got != 9 {
-		t.Fatalf("base-offset nulls CountRange=%d want 9", got)
+	if got := CountRanges(codes, 0, 10, oneRange(0, 9), big, 100); got != 9 {
+		t.Fatalf("base-offset nulls CountRanges=%d want 9", got)
 	}
 }
 
-func TestCountRanges(t *testing.T) {
+func TestCountRangesIntervalSets(t *testing.T) {
 	codes := seq(100, func(i int) int64 { return int64(i) })
 	r := expr.Ranges{Lo: []int64{5, 90}, Hi: []int64{9, 94}}
 	if got := CountRanges(codes, 0, 100, r, nil, 0); got != 10 {
@@ -83,128 +84,57 @@ func TestCountRanges(t *testing.T) {
 	if got := CountRanges(codes, 0, 100, expr.Ranges{}, nil, 0); got != 0 {
 		t.Fatalf("empty ranges=%d want 0", got)
 	}
-	if got := CountRanges(codes, 0, 100, oneRange(50, 59), nil, 0); got != 10 {
-		t.Fatalf("single range=%d want 10", got)
+	// More intervals than the OR-of-words path takes.
+	var many expr.Ranges
+	for i := 0; i < maxOrIntervals+3; i++ {
+		many.Lo = append(many.Lo, int64(4*i))
+		many.Hi = append(many.Hi, int64(4*i+1))
 	}
-}
-
-func TestFilterBitmap(t *testing.T) {
-	codes := seq(64, func(i int) int64 { return int64(i % 8) })
-	out := bitvec.New(64)
-	n := FilterBitmap(codes, 0, 64, oneRange(2, 3), nil, 0, out)
-	if n != 16 || out.Count() != 16 {
-		t.Fatalf("FilterBitmap n=%d count=%d want 16", n, out.Count())
-	}
-	out.ForEachSet(func(i int) {
-		if codes[i] < 2 || codes[i] > 3 {
-			t.Fatalf("bit %d set for code %d", i, codes[i])
-		}
-	})
-	// Multi-interval path.
-	out2 := bitvec.New(64)
-	r := expr.Ranges{Lo: []int64{0, 7}, Hi: []int64{0, 7}}
-	n = FilterBitmap(codes, 0, 64, r, nil, 0, out2)
-	if n != 16 {
-		t.Fatalf("multi FilterBitmap n=%d want 16", n)
+	if got, want := CountRanges(codes, 0, 100, many, nil, 0), 2*(maxOrIntervals+3); got != want {
+		t.Fatalf("many intervals=%d want %d", got, want)
 	}
 }
 
 func TestFilterSel(t *testing.T) {
 	codes := []int64{5, 1, 9, 3, 7, 3}
 	sel := bitvec.NewSelVec(0)
-	n := FilterSel(codes, 0, len(codes), oneRange(3, 5), nil, 0, sel)
-	if n != 3 {
+	if n := FilterSel(codes, 0, len(codes), oneRange(3, 5), nil, 0, sel); n != 3 {
 		t.Fatalf("FilterSel n=%d want 3", n)
 	}
-	want := []uint32{0, 3, 5}
-	for i, r := range sel.Rows() {
-		if r != want[i] {
-			t.Fatalf("sel rows=%v want %v", sel.Rows(), want)
-		}
+	if want := []uint32{0, 3, 5}; !slices.Equal(sel.Rows(), want) {
+		t.Fatalf("sel rows=%v want %v", sel.Rows(), want)
 	}
 	// Base offset shifts row ids; multi-interval path.
 	sel.Reset()
 	r := expr.Ranges{Lo: []int64{1, 9}, Hi: []int64{1, 9}}
 	FilterSel(codes, 0, len(codes), r, nil, 100, sel)
-	if rows := sel.Rows(); len(rows) != 2 || rows[0] != 101 || rows[1] != 102 {
-		t.Fatalf("base-offset sel=%v", sel.Rows())
-	}
-}
-
-func TestRefineBitmap(t *testing.T) {
-	a := seq(32, func(i int) int64 { return int64(i) })     // col A: 0..31
-	b := seq(32, func(i int) int64 { return int64(i % 4) }) // col B: 0..3 cycle
-	out := bitvec.New(32)
-	FilterBitmap(a, 0, 32, oneRange(8, 23), nil, 0, out) // rows 8..23
-	n := RefineBitmap(b, 0, 32, oneRange(1, 1), nil, 0, out)
-	if n != 4 || out.Count() != 4 { // rows 9,13,17,21
-		t.Fatalf("RefineBitmap n=%d count=%d want 4", n, out.Count())
-	}
-	out.ForEachSet(func(i int) {
-		if i < 8 || i > 23 || b[i] != 1 {
-			t.Fatalf("row %d should not survive", i)
-		}
-	})
-	// Refine over a sub-window only touches that window.
-	out2 := bitvec.NewSet(32)
-	RefineBitmap(b, 0, 16, expr.Ranges{}, nil, 0, out2)
-	if out2.CountRange(0, 16) != 0 || out2.CountRange(16, 32) != 16 {
-		t.Fatalf("window refine wrong: %s", out2)
-	}
-}
-
-func TestRefineBitmapWithNulls(t *testing.T) {
-	b := seq(8, func(i int) int64 { return 1 })
-	nulls := bitvec.New(8)
-	nulls.Set(2)
-	out := bitvec.NewSet(8)
-	n := RefineBitmap(b, 0, 8, oneRange(1, 1), nulls, 0, out)
-	if n != 7 || out.Get(2) {
-		t.Fatalf("null row survived refine: n=%d", n)
-	}
-}
-
-func TestSumRange(t *testing.T) {
-	codes := []int64{1, 2, 3, 4, 5}
-	sum, n := SumRange(codes, 0, 5, oneRange(2, 4), nil, 0)
-	if sum != 9 || n != 3 {
-		t.Fatalf("SumRange=%d,%d want 9,3", sum, n)
-	}
-	r := expr.Ranges{Lo: []int64{1, 5}, Hi: []int64{1, 5}}
-	sum, n = SumRange(codes, 0, 5, r, nil, 0)
-	if sum != 6 || n != 2 {
-		t.Fatalf("multi SumRange=%d,%d want 6,2", sum, n)
-	}
-	nulls := bitvec.New(5)
-	nulls.Set(1)
-	sum, n = SumRange(codes, 0, 5, oneRange(1, 5), nulls, 0)
-	if sum != 13 || n != 4 {
-		t.Fatalf("null SumRange=%d,%d want 13,4", sum, n)
+	if want := []uint32{101, 102}; !slices.Equal(sel.Rows(), want) {
+		t.Fatalf("base-offset sel=%v want %v", sel.Rows(), want)
 	}
 }
 
 func TestMinMaxRange(t *testing.T) {
 	codes := []int64{5, -2, 9, 0}
-	min, max, ok := MinMaxRange(codes, 0, 4, nil, 0)
-	if !ok || min != -2 || max != 9 {
-		t.Fatalf("MinMax=%d,%d,%v", min, max, ok)
+	min, max, nonNull := MinMaxRange(codes, 0, 4, nil, 0)
+	if nonNull != 4 || min != -2 || max != 9 {
+		t.Fatalf("MinMax=%d,%d,%d", min, max, nonNull)
 	}
-	min, max, ok = MinMaxRange(codes, 1, 2, nil, 0)
-	if !ok || min != -2 || max != -2 {
-		t.Fatalf("single MinMax=%d,%d,%v", min, max, ok)
+	min, max, nonNull = MinMaxRange(codes, 1, 2, nil, 0)
+	if nonNull != 1 || min != -2 || max != -2 {
+		t.Fatalf("single MinMax=%d,%d,%d", min, max, nonNull)
 	}
-	if _, _, ok := MinMaxRange(codes, 2, 2, nil, 0); ok {
-		t.Fatal("empty window should be ok=false")
+	if _, _, nonNull := MinMaxRange(codes, 2, 2, nil, 0); nonNull != 0 {
+		t.Fatal("empty window should have no non-null rows")
 	}
 	nulls := bitvec.New(4)
 	nulls.Set(2) // mask the 9
-	min, max, ok = MinMaxRange(codes, 0, 4, nulls, 0)
-	if !ok || min != -2 || max != 5 {
-		t.Fatalf("null MinMax=%d,%d,%v", min, max, ok)
+	min, max, nonNull = MinMaxRange(codes, 0, 4, nulls, 0)
+	if nonNull != 3 || min != -2 || max != 5 {
+		t.Fatalf("null MinMax=%d,%d,%d", min, max, nonNull)
 	}
 	nulls.SetAll()
-	if _, _, ok := MinMaxRange(codes, 0, 4, nulls, 0); ok {
-		t.Fatal("all-null window should be ok=false")
+	if _, _, nonNull := MinMaxRange(codes, 0, 4, nulls, 0); nonNull != 0 {
+		t.Fatal("all-null window should have no non-null rows")
 	}
 }
 
@@ -272,90 +202,218 @@ func TestCountWithStatsNulls(t *testing.T) {
 	}
 }
 
-// Property: every kernel agrees with the naive reference on random data,
-// random windows, random interval sets, random nulls.
-func TestQuickKernelsAgreeWithNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(400)
-		codes := seq(n, func(int) int64 { return rng.Int63n(200) - 100 })
-		var nulls *bitvec.BitVec
-		if rng.Intn(2) == 0 {
-			nulls = bitvec.New(n)
-			for i := 0; i < n/10; i++ {
-				nulls.Set(rng.Intn(n))
-			}
+// kernelShape is everything about a differential case that is not a random
+// draw; the property test walks a table of shapes and the fuzzer mutates
+// them.
+type kernelShape struct {
+	seed      int64
+	winLen    uint16 // rows in the scanned window
+	lo        uint8  // rows of the column before the window
+	base      uint8  // absolute row of the column's first code
+	intervals uint8  // 0..5 disjoint intervals, or 6 for one inverted interval
+	flavor    uint8  // code pool (low two bits) and null bitmap (next two)
+}
+
+// codePools are where codes and interval bounds are drawn from, so bounds
+// land exactly on codes: small ints, the extremes of int64, and the codes
+// of negative, tiny and huge floats.
+var codePools = [][]int64{
+	nil, // uniform in [-100, 100]
+	{math.MinInt64, math.MinInt64 + 1, -2, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64},
+	{
+		storage.EncodeFloat64(math.Inf(-1)), storage.EncodeFloat64(-1e300), storage.EncodeFloat64(-3.5),
+		storage.EncodeFloat64(-5e-324), storage.EncodeFloat64(0), storage.EncodeFloat64(5e-324),
+		storage.EncodeFloat64(2.5), storage.EncodeFloat64(1e300), storage.EncodeFloat64(math.Inf(1)),
+	},
+}
+
+// checkKernelShape builds the case s describes and compares every kernel
+// with the naive reference.
+func checkKernelShape(t *testing.T, s kernelShape) {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("shape %+v", s)
 		}
-		// Random normalized interval set.
-		r := expr.Ranges{}
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			lo := rng.Int63n(220) - 110
-			r.Lo = append(r.Lo, lo)
-			r.Hi = append(r.Hi, lo+rng.Int63n(60))
+	}()
+	rng := rand.New(rand.NewSource(s.seed))
+	pool := codePools[int(s.flavor&3)%len(codePools)]
+	draw := func() int64 {
+		switch {
+		case pool == nil:
+			return rng.Int63n(201) - 100
+		case rng.Intn(4) == 0:
+			return int64(rng.Uint64())
+		}
+		return pool[rng.Intn(len(pool))]
+	}
+	lo, base := int(s.lo), int(s.base)
+	hi := lo + int(s.winLen)
+	n := hi + rng.Intn(3)
+	codes := seq(n, func(int) int64 { return draw() })
+
+	var nulls *bitvec.BitVec
+	switch s.flavor >> 2 & 3 {
+	case 1: // one row in eight, covering the column
+		nulls = bitvec.New(base + n)
+		for i := 0; i < nulls.Len()/8; i++ {
+			nulls.Set(rng.Intn(nulls.Len()))
+		}
+	case 2: // most rows, and ending inside the window: later rows are not NULL
+		nulls = bitvec.New(base + lo + int(s.winLen)/2)
+		for i := 0; i < nulls.Len(); i++ {
+			nulls.Set(rng.Intn(nulls.Len()))
+		}
+	case 3: // every row
+		nulls = bitvec.NewSet(base + n)
+	}
+
+	var r expr.Ranges
+	switch {
+	case s.intervals%7 == 6: // one inverted (empty) interval
+		rlo := max(draw(), math.MinInt64+1)
+		r = oneRange(rlo, []int64{rlo - 1, math.MinInt64}[rng.Intn(2)])
+	case rng.Intn(8) == 0:
+		r = oneRange(math.MinInt64, math.MaxInt64)
+	default:
+		bounds := seq(2*int(s.intervals%7), func(int) int64 { return draw() })
+		slices.Sort(bounds)
+		for i := 0; i < len(bounds); i += 2 {
+			r.Lo, r.Hi = append(r.Lo, bounds[i]), append(r.Hi, bounds[i+1])
 		}
 		r = r.Normalize()
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo+1)
+	}
 
-		want := naiveCount(codes, lo, hi, r, nulls, 0)
-		if CountRanges(codes, lo, hi, r, nulls, 0) != want {
-			return false
-		}
-		out := bitvec.New(n)
-		if FilterBitmap(codes, lo, hi, r, nulls, 0, out) != want || out.Count() != want {
-			return false
-		}
-		sel := bitvec.NewSelVec(0)
-		if FilterSel(codes, lo, hi, r, nulls, 0, sel) != want || sel.Len() != want {
-			return false
-		}
-		all := bitvec.NewSet(n)
-		if RefineBitmap(codes, lo, hi, r, nulls, 0, all) != want {
-			return false
-		}
-		if all.CountRange(lo, hi) != want {
-			return false
-		}
-		total, stats := CountWithStats(codes, lo, hi, r, nulls, 0, 1+rng.Intn(8))
-		if total != want {
-			return false
-		}
-		sumMatched, sumNonNull := 0, 0
-		for _, s := range stats {
-			sumMatched += s.Matched
-			sumNonNull += s.NonNull
-			// Bounds must enclose all non-null codes in the window.
-			for i := s.Lo; i < s.Hi; i++ {
-				if nulls != nil && nulls.Get(i) {
-					continue
-				}
-				if codes[i] < s.Min || codes[i] > s.Max {
-					return false
-				}
+	// naive evaluates column rows [lo, hi) one by one.
+	type answer struct {
+		rows, nullRows []uint32
+		min, max       int64
+		nonNull        int
+	}
+	naive := func(lo, hi int) answer {
+		a := answer{min: math.MaxInt64, max: math.MinInt64}
+		for i := lo; i < hi; i++ {
+			if naiveNull(nulls, base+i) {
+				a.nullRows = append(a.nullRows, uint32(base+i))
+				continue
+			}
+			a.min, a.max, a.nonNull = min(a.min, codes[i]), max(a.max, codes[i]), a.nonNull+1
+			if naiveMatch(codes[i], r) {
+				a.rows = append(a.rows, uint32(base+i))
 			}
 		}
-		return sumMatched == want && (hi == lo || sumNonNull > 0 || nulls != nil)
+		return a
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
+	want := naive(lo, hi)
+
+	if got := CountRanges(codes, lo, hi, r, nulls, base); got != len(want.rows) {
+		t.Fatalf("CountRanges=%d want %d (r=%v)", got, len(want.rows), r)
+	}
+	const sentinel = math.MaxUint32
+	sel := bitvec.NewSelVec(0)
+	sel.Append(sentinel)
+	if got := FilterSel(codes, lo, hi, r, nulls, base, sel); got != len(want.rows) ||
+		sel.Rows()[0] != sentinel || !slices.Equal(sel.Rows()[1:], want.rows) {
+		t.Fatalf("FilterSel=%d rows %v want %v (r=%v)", got, sel.Rows(), want.rows, r)
+	}
+	mn, mx, nonNull := MinMaxRange(codes, lo, hi, nulls, base)
+	if nonNull != want.nonNull || (nonNull > 0 && (mn != want.min || mx != want.max)) {
+		t.Fatalf("MinMaxRange=%d,%d,%d want %d,%d,%d", mn, mx, nonNull, want.min, want.max, want.nonNull)
+	}
+	if got := CountNulls(nulls, base+lo, base+hi); got != len(want.nullRows) {
+		t.Fatalf("CountNulls=%d want %d", got, len(want.nullRows))
+	}
+	sel.Reset()
+	if got := FilterNullSel(nulls, base+lo, base+hi, sel); got != len(want.nullRows) || !slices.Equal(sel.Rows(), want.nullRows) {
+		t.Fatalf("FilterNullSel=%d rows %v want %v", got, sel.Rows(), want.nullRows)
+	}
+
+	parts := 1 + rng.Intn(8)
+	total, stats := CountWithStats(codes, lo, hi, r, nulls, base, parts)
+	if total != len(want.rows) || len(stats) != min(parts, hi-lo) {
+		t.Fatalf("CountWithStats total=%d parts=%d want %d, %d", total, len(stats), len(want.rows), min(parts, hi-lo))
+	}
+	next := base + lo
+	for _, st := range stats {
+		if st.Lo != next || st.Hi <= st.Lo {
+			t.Fatalf("part window [%d,%d) does not continue at %d", st.Lo, st.Hi, next)
+		}
+		next = st.Hi
+		p := naive(st.Lo-base, st.Hi-base)
+		if st.Matched != len(p.rows) || st.NonNull != p.nonNull || (p.nonNull > 0 && (st.Min != p.min || st.Max != p.max)) {
+			t.Fatalf("part %+v want matched %d bounds %d,%d nonnull %d", st, len(p.rows), p.min, p.max, p.nonNull)
+		}
+	}
+	if len(stats) > 0 && next != base+hi {
+		t.Fatalf("parts end at %d want %d", next, base+hi)
+	}
+
+	if base != 0 {
+		return // the refine kernels index the column by row id
+	}
+	// Refine a random subset of the window's rows, in place.
+	var subset, wantKept, wantKeptNull []uint32
+	for i := lo; i < hi; i++ {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		subset = append(subset, uint32(i))
+		switch {
+		case naiveNull(nulls, i):
+			wantKeptNull = append(wantKeptNull, uint32(i))
+		case naiveMatch(codes[i], r):
+			wantKept = append(wantKept, uint32(i))
+		}
+	}
+	load := func() {
+		sel.Reset()
+		sel.Extend(copy(sel.Reserve(len(subset)), subset))
+	}
+	load()
+	if got := RefineSel(codes, r, nulls, sel); got != len(wantKept) || !slices.Equal(sel.Rows(), wantKept) {
+		t.Fatalf("RefineSel=%d rows %v want %v (r=%v)", got, sel.Rows(), wantKept, r)
+	}
+	load()
+	if got := RefineNullSel(nulls, sel); got != len(wantKeptNull) || !slices.Equal(sel.Rows(), wantKeptNull) {
+		t.Fatalf("RefineNullSel=%d rows %v want %v", got, sel.Rows(), wantKeptNull)
 	}
 }
 
-func BenchmarkCountRangeDense(b *testing.B) {
-	codes := seq(1<<20, func(i int) int64 { return int64(i * 7 % 1000) })
-	b.SetBytes(8 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		CountRange(codes, 0, len(codes), 100, 300, nil, 0)
+// kernelShapes is the table the property test walks and the fuzzer starts
+// from: window lengths 0-9 and around one and two bitmap words, windows
+// that start inside a word, every interval count, every code pool and
+// every kind of null bitmap.
+func kernelShapes() []kernelShape {
+	var out []kernelShape
+	seed := int64(0)
+	for _, winLen := range []uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129, 400, 2100} {
+		for _, off := range [][2]uint8{{0, 0}, {5, 0}, {0, 37}, {61, 64}, {3, 100}} {
+			for intervals := uint8(0); intervals <= 6; intervals++ {
+				seed++
+				out = append(out, kernelShape{seed, winLen, off[0], off[1], intervals, uint8(seed % 16)})
+			}
+		}
+	}
+	return out
+}
+
+// Property: every kernel agrees with the naive reference over the shape
+// table, three seeds a shape.
+func TestQuickKernelsAgreeWithNaive(t *testing.T) {
+	for _, s := range kernelShapes() {
+		for k := int64(0); k < 3; k++ {
+			s.seed += 1000 * k
+			s.flavor += uint8(5 * k)
+			checkKernelShape(t, s)
+		}
 	}
 }
 
-func BenchmarkCountWithStats(b *testing.B) {
-	codes := seq(1<<20, func(i int) int64 { return int64(i * 7 % 1000) })
-	r := oneRange(100, 300)
-	b.SetBytes(8 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		CountWithStats(codes, 0, len(codes), r, nil, 0, 16)
+func FuzzKernelsAgreeWithNaive(f *testing.F) {
+	for _, s := range kernelShapes() {
+		f.Add(s.seed, s.winLen, s.lo, s.base, s.intervals, s.flavor)
 	}
+	f.Fuzz(func(t *testing.T, seed int64, winLen uint16, lo, base, intervals, flavor uint8) {
+		checkKernelShape(t, kernelShape{seed, winLen % 4096, lo, base, intervals, flavor})
+	})
 }

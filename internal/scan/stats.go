@@ -1,6 +1,8 @@
 package scan
 
 import (
+	"math"
+
 	"adskip/internal/bitvec"
 	"adskip/internal/expr"
 )
@@ -17,10 +19,15 @@ type PartStat struct {
 	Matched  int   // rows matching the predicate
 }
 
+// statBlock is how many rows CountWithStats hands to the count kernel and
+// then to the min/max kernel: small enough that the second reads L1.
+const statBlock = 1024
+
 // CountWithStats scans codes[lo:hi] against r, returning the total match
 // count and per-sub-partition statistics for `parts` equal-width
-// sub-windows. It makes a single pass: the marginal cost over CountRanges
-// is the stat bookkeeping, not a second data read.
+// sub-windows. It reads memory once: each block is counted and then folded
+// into the bounds while still cache-resident, so the marginal cost over
+// CountRanges is the stat bookkeeping, not a second data read.
 //
 // parts is clamped to [1, hi-lo]. Row indices in the returned stats are
 // absolute (base-adjusted).
@@ -29,71 +36,19 @@ func CountWithStats(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitV
 	if n <= 0 {
 		return 0, nil
 	}
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n {
-		parts = n
-	}
+	parts = max(1, min(parts, n))
 	stats := make([]PartStat, parts)
 	total := 0
-	single := r.Len() == 1
-	var rlo, rhi int64
-	if single {
-		rlo, rhi = r.Lo[0], r.Hi[0]
-	}
-	for p := 0; p < parts; p++ {
+	for p := range stats {
 		s := &stats[p]
-		pLo := lo + p*n/parts
-		pHi := lo + (p+1)*n/parts
+		pLo, pHi := lo+p*n/parts, lo+(p+1)*n/parts
 		s.Lo, s.Hi = base+pLo, base+pHi
-		if nulls == nil && single && pHi > pLo {
-			// Dense single-interval fast path: locals only, no branches
-			// beyond the comparisons themselves.
-			w := codes[pLo:pHi]
-			cmin, cmax := w[0], w[0]
-			matched := 0
-			for _, c := range w {
-				if c < cmin {
-					cmin = c
-				}
-				if c > cmax {
-					cmax = c
-				}
-				matched += b2i(c >= rlo && c <= rhi)
-			}
-			s.Min, s.Max, s.NonNull, s.Matched = cmin, cmax, len(w), matched
-			total += matched
-			continue
-		}
-		s.Min, s.Max = int64(1)<<62, -(int64(1) << 62) // sentinels; overwritten on first non-null
-		first := true
-		for i := pLo; i < pHi; i++ {
-			if nullAt(nulls, base+i) {
-				continue
-			}
-			c := codes[i]
-			if first {
-				s.Min, s.Max = c, c
-				first = false
-			} else {
-				if c < s.Min {
-					s.Min = c
-				}
-				if c > s.Max {
-					s.Max = c
-				}
-			}
-			s.NonNull++
-			var match bool
-			if single {
-				match = c >= rlo && c <= rhi
-			} else {
-				match = r.Contains(c)
-			}
-			if match {
-				s.Matched++
-			}
+		s.Min, s.Max = math.MaxInt64, math.MinInt64
+		for b := pLo; b < pHi; b += statBlock {
+			e := min(b+statBlock, pHi)
+			s.Matched += CountRanges(codes, b, e, r, nulls, base)
+			mn, mx, nonNull := MinMaxRange(codes, b, e, nulls, base)
+			s.Min, s.Max, s.NonNull = min(s.Min, mn), max(s.Max, mx), s.NonNull+nonNull
 		}
 		total += s.Matched
 	}

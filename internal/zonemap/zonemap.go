@@ -76,14 +76,9 @@ func (m *Map) Extend(codes []int64, nulls *bitvec.BitVec) {
 		if hi > total {
 			hi = total
 		}
-		min, max, ok := scan.MinMaxRange(codes, lo, hi, nulls, 0)
 		z := Zone{}
-		if ok {
-			z.Min, z.Max = min, max
-			z.NonNull = hi - lo
-			if nulls != nil {
-				z.NonNull = hi - lo - nulls.CountRange(lo, hi)
-			}
+		if min, max, nonNull := scan.MinMaxRange(codes, lo, hi, nulls, 0); nonNull > 0 {
+			z.Min, z.Max, z.NonNull = min, max, nonNull
 		}
 		m.zones = append(m.zones, z)
 	}
