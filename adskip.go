@@ -113,17 +113,18 @@ type QueryTrace = obs.QueryTrace
 // telemetry server's /skipmap endpoint and DB.Skipmap.
 type SkipmapTable = obs.SkipmapTable
 
-// AdaptationEvent is one structural or arbitration change to a column's
-// skipping metadata (zone split/merge, skipping disabled/enabled, tail
-// fold, metadata built/loaded, quarantine/rebuild).
-type AdaptationEvent = obs.Event
-
-// AdaptationRecord is one adaptation-ledger entry: a zone-lifecycle
-// event with full provenance — cause, the query template whose feedback
-// triggered it, the affected row window, and the before/after zone
-// counts and value-bound hulls. Retained in a bounded ring; see
-// DB.Adaptation and the telemetry /adaptation endpoint.
+// AdaptationRecord is one adaptation-ledger entry: a structural or
+// arbitration change to a column's skipping metadata (zone split/merge,
+// skipping disabled/enabled, tail fold, widen, metadata built/loaded,
+// quarantine/rebuild) with full provenance — cause, the query template
+// whose feedback triggered it, the affected row window, and the
+// before/after zone counts and value-bound hulls. Retained in a bounded
+// ring; see DB.Adaptation and the telemetry /adaptation endpoint.
 type AdaptationRecord = obs.LedgerRecord
+
+// AdaptationEvent is the older name of AdaptationRecord: the separate
+// event log was folded into the ledger.
+type AdaptationEvent = AdaptationRecord
 
 // AdaptationROI is one column's adaptation return-on-investment row:
 // rows/bytes skipped (credit) against zone probes and structural
@@ -363,12 +364,11 @@ type executor interface {
 }
 
 // DB is a catalog of tables sharing one skipping configuration and one
-// observability plane (metrics registry, adaptation-event log, trace
+// observability plane (metrics registry, adaptation ledger, trace
 // rings, and an optional embedded telemetry server).
 type DB struct {
 	opts      Options
 	reg       *obs.Registry
-	events    *obs.EventLog
 	ledger    *obs.Ledger
 	admission *engine.Admission
 	traces    *obs.TraceRing
@@ -415,7 +415,6 @@ func Open(opts Options) *DB {
 		opts:      opts,
 		engines:   make(map[string]executor),
 		reg:       obs.NewRegistry(),
-		events:    obs.NewEventLog(0),
 		ledger:    obs.NewLedger(0),
 		admission: engine.NewAdmission(opts.MaxConcurrentQueries),
 		traces:    obs.NewTraceRing(opts.TraceRingSize),
@@ -458,7 +457,6 @@ func (db *DB) engineOptions() engine.Options {
 		Adaptive:           db.opts.Adaptive,
 		Parallelism:        db.opts.Parallelism,
 		Metrics:            db.reg,
-		Events:             db.events,
 		Ledger:             db.ledger,
 		Limits:             db.opts.Limits,
 		Admission:          db.admission,
@@ -573,7 +571,6 @@ func (db *DB) StartTelemetry(addr string) (string, error) {
 		Registry:   db.reg,
 		Traces:     db.traces,
 		SlowTraces: db.slow,
-		Events:     db.events.Events,
 		Skipmap:    db.Skipmap,
 		History:    smp,
 	}
@@ -693,7 +690,7 @@ func (db *DB) fillHistory(s *HistorySample) {
 	}
 	s.LatencyP50 = obs.QuantileFromBuckets(bounds, buckets, 0.50)
 	s.LatencyP95 = obs.QuantileFromBuckets(bounds, buckets, 0.95)
-	s.AdaptEvents = int64(db.events.Seq())
+	s.AdaptEvents = int64(db.ledger.Seq())
 	// Worst per-template skip-rate decay vs its learned baseline — the
 	// skip_regression health signal (0 without workload stats).
 	s.SkipRegression = db.stats.RegressionGap()
@@ -753,8 +750,9 @@ func (db *DB) Close() error {
 func (db *DB) Metrics() *Metrics { return db.reg }
 
 // AdaptationEvents returns a chronological copy of the retained
-// adaptation events across all tables (bounded ring; oldest drop first).
-func (db *DB) AdaptationEvents() []AdaptationEvent { return db.events.Events() }
+// adaptation records across all tables (bounded ring; oldest drop
+// first): the Events of DB.Adaptation without the ROI rows.
+func (db *DB) AdaptationEvents() []AdaptationEvent { return db.ledger.Records() }
 
 // ExplainAnalyze parses and executes a SQL SELECT, returning the rendered
 // EXPLAIN ANALYZE plan (phase timings, per-predicate estimated vs actual

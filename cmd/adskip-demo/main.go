@@ -80,8 +80,8 @@ func (r *repl) skipmap(maxZones int) []obs.SkipmapTable {
 }
 
 // adaptation is the telemetry server's /adaptation source: the
-// session-level ledger (it survives \gen/\load engine swaps, like the
-// event log) joined with the current engine's ROI rows.
+// session-level ledger (it survives \gen/\load engine swaps) joined with
+// the current engine's ROI rows.
 func (r *repl) adaptation(maxDead int) obs.AdaptationSnapshot {
 	snap := obs.AdaptationSnapshot{
 		Total:   r.opts.Ledger.Seq(),
@@ -118,7 +118,7 @@ func (r *repl) fillHistory(s *obs.HistorySample) {
 	}
 	s.LatencyP50 = obs.QuantileFromBuckets(bounds, buckets, 0.50)
 	s.LatencyP95 = obs.QuantileFromBuckets(bounds, buckets, 0.95)
-	s.AdaptEvents = int64(r.opts.Events.Seq())
+	s.AdaptEvents = int64(r.opts.Ledger.Seq())
 }
 
 func main() {
@@ -140,11 +140,10 @@ func main() {
 
 	opts := engine.Options{
 		StaticZoneSize: *zone,
-		// One registry, event log, and trace rings for the whole session:
+		// One registry, ledger, and trace rings for the whole session:
 		// \metrics, \events, and the telemetry server survive table
 		// reloads (attach rebuilds the engine).
 		Metrics:            obs.NewRegistry(),
-		Events:             obs.NewEventLog(0),
 		Ledger:             obs.NewLedger(0),
 		Traces:             obs.NewTraceRing(0),
 		SlowTraces:         obs.NewTraceRing(0),
@@ -215,7 +214,6 @@ func main() {
 			Registry:   opts.Metrics,
 			Traces:     opts.Traces,
 			SlowTraces: opts.SlowTraces,
-			Events:     opts.Events.Events,
 			Skipmap:    r.skipmap,
 			History:    sampler,
 			Workload:   opts.Stats,
@@ -518,24 +516,21 @@ func (r *repl) metrics(format string) {
 	}
 }
 
+// events prints the last n adaptation-ledger records: what /events serves.
 func (r *repl) events(n int) {
-	evs := r.opts.Events.Events()
+	evs := r.opts.Ledger.Records()
 	if len(evs) == 0 {
 		fmt.Fprintln(r.out, "no adaptation events yet")
 		return
 	}
-	if dropped := r.opts.Events.Dropped(); dropped > 0 {
+	if dropped := r.opts.Ledger.Dropped(); dropped > 0 {
 		fmt.Fprintf(r.out, "(%d older events dropped from the ring)\n", dropped)
 	}
 	if len(evs) > n {
 		evs = evs[len(evs)-n:]
 	}
 	for _, ev := range evs {
-		fmt.Fprintf(r.out, "#%-5d %s %s.%s %-13s", ev.Seq, ev.Time.Format("15:04:05.000"), ev.Table, ev.Column, ev.Kind)
-		if ev.Delta != 0 {
-			fmt.Fprintf(r.out, " %+d zones", ev.Delta)
-		}
-		fmt.Fprintf(r.out, " (now %d zones)\n", ev.Zones)
+		fmt.Fprintf(r.out, "%s %s\n", ev.Time.Format("15:04:05.000"), ev)
 	}
 }
 

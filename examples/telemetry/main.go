@@ -94,9 +94,7 @@ func main() {
 		info.Zones, info.Bytes, tab.NumRows(), float64(info.Bytes)/float64(tab.NumRows()))
 
 	if evs := db.AdaptationEvents(); len(evs) > 0 {
-		fmt.Printf("\nadaptation events: %d (last: #%d %s on %s.%s, now %d zones)\n",
-			len(evs), evs[len(evs)-1].Seq, evs[len(evs)-1].Kind,
-			evs[len(evs)-1].Table, evs[len(evs)-1].Column, evs[len(evs)-1].Zones)
+		fmt.Printf("\nadaptation events: %d (last: %s)\n", len(evs), evs[len(evs)-1])
 	}
 
 	fmt.Printf("\n-- cumulative metrics (Prometheus text format) --\n")

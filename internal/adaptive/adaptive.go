@@ -204,19 +204,14 @@ type Zonemap struct {
 	lastRanges expr.Ranges // predicate of the in-flight query (Prune→Observe)
 	scratch    []zone      // reusable buffer for structural rebuilds
 
-	// Why-not-skipped classification of the most recent Prune (see
-	// core.PruneReasoner): zones left as candidates because of genuine
-	// bounds overlap, loosened (widened) bounds, or a NULL-blocked
-	// coverage proof.
-	lastOverlap, lastWidened, lastNullStraddle int
-
 	// Cumulative probe accounting for ROI reporting: lifetime rows
 	// skipped and zone probes across all Prune/PruneNulls calls. Two adds
 	// per query, far below the probe work itself.
 	cumRowsSkipped int64
 	cumZoneProbes  int64
-	// maintEvents counts structural/arbitration events (the ledger
-	// debits); maintZones counts the zones those events touched.
+	// maintEvents counts structural/arbitration events (splitting
+	// Observes, merging sweeps, arbitration flips, tail folds);
+	// maintZones counts the zones those events touched.
 	maintEvents int64
 	maintZones  int64
 
@@ -224,8 +219,7 @@ type Zonemap struct {
 	// then declines every probe and ignores maintenance calls.
 	health error
 
-	events func(obs.Event)        // adaptation-event sink; nil = no reporting
-	ledger func(obs.LedgerRecord) // adaptation-ledger sink; nil = no journal
+	journal func(obs.LedgerRecord) // adaptation-journal sink; nil = no journal
 }
 
 // Health implements core.HealthChecker: non-nil once the zonemap has
@@ -239,37 +233,41 @@ func (z *Zonemap) setHealth(err error) {
 	}
 }
 
-// SetEventSink implements core.EventEmitter: structural and arbitration
-// changes are reported through sink. Events fire only on adaptation
-// (splits, merges, arbitration flips, tail folds) — never per probe — so
-// the sink is far off the scan path.
-func (z *Zonemap) SetEventSink(sink func(obs.Event)) { z.events = sink }
+// SetJournal implements core.Journaler: every structural and arbitration
+// change (split, merge, tail fold, first widen, disable, enable) is
+// reported through sink with its cause and before/after shape. Records
+// fire only on such change — never per probe — so the sink is far off
+// the scan path.
+func (z *Zonemap) SetJournal(sink func(obs.LedgerRecord)) { z.journal = sink }
 
-// emit reports one adaptation event if a sink is installed, and counts
-// it as a maintenance debit for ROI accounting.
-func (z *Zonemap) emit(kind obs.EventKind, delta int) {
-	z.maintEvents++
-	if z.events != nil {
-		z.events(obs.Event{Kind: kind, Zones: len(z.zones), Delta: delta})
+// record journals one lifecycle record if a sink is installed.
+func (z *Zonemap) record(rec obs.LedgerRecord) {
+	if z.journal != nil {
+		z.journal(rec)
 	}
 }
 
-// SetLedgerSink implements core.LedgerEmitter: zone-lifecycle records
-// with cause and before/after bounds are journaled through sink. Like
-// the event sink, it fires only on structural change, never per probe.
-func (z *Zonemap) SetLedgerSink(sink func(obs.LedgerRecord)) { z.ledger = sink }
-
-// ledgerEmit journals one lifecycle record if a sink is installed.
-func (z *Zonemap) ledgerEmit(rec obs.LedgerRecord) {
-	if z.ledger != nil {
-		z.ledger(rec)
+// hull returns the value-bound hull of zones: the min and max over every
+// zone that holds a value. ok is false when none does (all-NULL zones
+// carry no bounds).
+func hull(zones []zone) (min, max int64, ok bool) {
+	for i := range zones {
+		zn := &zones[i]
+		if zn.nonNull == 0 {
+			continue
+		}
+		if !ok {
+			min, max, ok = zn.min, zn.max, true
+			continue
+		}
+		if zn.min < min {
+			min = zn.min
+		}
+		if zn.max > max {
+			max = zn.max
+		}
 	}
-}
-
-// LastPruneReasons implements core.PruneReasoner: the miss
-// classification of the most recent Prune call.
-func (z *Zonemap) LastPruneReasons() (overlap, widened, nullStraddle int) {
-	return z.lastOverlap, z.lastWidened, z.lastNullStraddle
+	return min, max, ok
 }
 
 // New builds an adaptive zonemap over the column's current physical state.
@@ -292,28 +290,12 @@ func (z *Zonemap) rebuildBlocks() {
 		z.blocks = z.blocks[:n]
 	}
 	for bi := 0; bi < n; bi++ {
-		b := block{}
 		lo, hi := bi*blockZones, (bi+1)*blockZones
 		if hi > len(z.zones) {
 			hi = len(z.zones)
 		}
-		for i := lo; i < hi; i++ {
-			zn := &z.zones[i]
-			if zn.nonNull == 0 {
-				continue
-			}
-			if !b.hasData {
-				b.min, b.max = zn.min, zn.max
-				b.hasData = true
-				continue
-			}
-			if zn.min < b.min {
-				b.min = zn.min
-			}
-			if zn.max > b.max {
-				b.max = zn.max
-			}
-		}
+		var b block
+		b.min, b.max, b.hasData = hull(z.zones[lo:hi])
 		z.blocks[bi] = b
 	}
 }
@@ -322,7 +304,7 @@ func (z *Zonemap) rebuildBlocks() {
 // zones' hit counters and zeroes the block counters. Must run before any
 // structural change to z.zones (splits, merges, tail folds) — afterwards
 // the block→zone mapping is stale — and before per-zone counters are read
-// (SnapshotZones). O(zones), the same order as the structural operations
+// (Introspect). O(zones), the same order as the structural operations
 // that require it.
 func (z *Zonemap) flushBlockHits() {
 	for bi := range z.blocks {
@@ -341,27 +323,6 @@ func (z *Zonemap) flushBlockHits() {
 	}
 }
 
-// SnapshotZones implements core.ZoneIntrospector: a copy of up to max
-// zones' introspection state (all zones when max <= 0), oldest row range
-// first. Lifetime hit/miss counters include block-level prune credits.
-func (z *Zonemap) SnapshotZones(max int) []obs.SkipmapZone {
-	z.flushBlockHits()
-	n := len(z.zones)
-	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]obs.SkipmapZone, n)
-	for i := 0; i < n; i++ {
-		zn := &z.zones[i]
-		out[i] = obs.SkipmapZone{
-			Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max,
-			NonNull: zn.nonNull, Heat: zn.heat,
-			Hits: zn.hits, Misses: zn.misses,
-		}
-	}
-	return out
-}
-
 // maintCostRows is the assumed cost of one zone's worth of maintenance
 // work (split bound computation, merge bookkeeping, fold recompute) in
 // row-equivalents. Splits piggyback on scans the query already paid for,
@@ -371,38 +332,31 @@ func (z *Zonemap) SnapshotZones(max int) []obs.SkipmapZone {
 // debits this per maintenance-touched zone.
 const maintCostRows = 64
 
-// SnapshotROI implements core.ROIReporter: the column's lifetime
-// adaptation return-on-investment. Credit is rows the metadata pruned;
-// debit is probe work plus maintenance work in row-equivalents under the
-// configured cost model. Dead zones — probed but never once useful — are
-// counted and detailed up to maxDead, so operators can see which row
-// ranges carry metadata that earns nothing.
-func (z *Zonemap) SnapshotROI(maxDead int) obs.ColumnROI {
+// Introspect implements core.Introspector: a copy of every zone's
+// introspection state in row order (lifetime hit/miss counters include
+// block-level prune credits), the cumulative probe and maintenance
+// counters, and the cost constants that weigh them.
+func (z *Zonemap) Introspect() obs.SkipperSnapshot {
 	z.flushBlockHits()
-	md := z.Metadata()
-	roi := obs.ColumnROI{
-		Kind: md.Kind, Zones: md.Zones, Bytes: md.Bytes,
+	snap := obs.SkipperSnapshot{
+		Zones:       make([]obs.SkipmapZone, len(z.zones)),
 		RowsSkipped: z.cumRowsSkipped,
 		ZoneProbes:  z.cumZoneProbes,
 		MaintEvents: z.maintEvents,
 		MaintZones:  z.maintZones,
-		NetRows: z.cfg.RowCost*float64(z.cumRowsSkipped) -
-			z.cfg.ProbeCost*float64(z.cumZoneProbes) -
-			maintCostRows*float64(z.maintZones),
+		RowCost:     z.cfg.RowCost,
+		ProbeCost:   z.cfg.ProbeCost,
+		MaintCost:   maintCostRows,
 	}
 	for i := range z.zones {
 		zn := &z.zones[i]
-		if zn.hits == 0 && zn.misses > 0 {
-			roi.DeadZones++
-			if maxDead > 0 && len(roi.DeadZoneDetail) < maxDead {
-				roi.DeadZoneDetail = append(roi.DeadZoneDetail, obs.ROIZone{
-					Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max,
-					Hits: zn.hits, Misses: zn.misses,
-				})
-			}
+		snap.Zones[i] = obs.SkipmapZone{
+			Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max,
+			NonNull: zn.nonNull, Heat: zn.heat,
+			Hits: zn.hits, Misses: zn.misses,
 		}
 	}
-	return roi
+	return snap
 }
 
 // widenBlock loosens the block containing zone index i to admit code.
@@ -474,7 +428,6 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 		return core.PruneResult{Enabled: false}
 	}
 	z.lastRanges = r
-	z.lastOverlap, z.lastWidened, z.lastNullStraddle = 0, 0, 0
 	if !z.enabled {
 		z.disabledQueries++
 		if z.disabledQueries%z.cfg.ReprobeEvery == 0 {
@@ -560,11 +513,11 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 				}
 				switch {
 				case coversHull:
-					z.lastNullStraddle++
+					res.MissNullStraddle++
 				case zn.widened:
-					z.lastWidened++
+					res.MissWidened++
 				default:
-					z.lastOverlap++
+					res.MissOverlap++
 				}
 				if zn.statSkip > 0 {
 					zn.statSkip--
@@ -683,30 +636,15 @@ func (z *Zonemap) FoldTail(codes []int64, nulls *bitvec.BitVec) {
 	z.tailLo = z.rows
 	z.rebuildBlocks()
 	z.maintZones += int64(len(z.zones) - before)
-	z.emit(obs.EventTailFold, len(z.zones)-before)
-	rec := obs.LedgerRecord{
+	z.maintEvents++
+	// The folded region's hull: the tail had no metadata before.
+	minAfter, maxAfter, _ := hull(z.zones[before:])
+	z.record(obs.LedgerRecord{
 		Kind: obs.EventTailFold, Cause: "append-fold",
 		ZonesBefore: before, ZonesAfter: len(z.zones),
 		RowLo: foldLo, RowHi: z.rows,
-	}
-	// The folded region's hull: the tail had no metadata before.
-	for i := before; i < len(z.zones); i++ {
-		zn := &z.zones[i]
-		if zn.nonNull == 0 {
-			continue
-		}
-		if rec.MinAfter == 0 && rec.MaxAfter == 0 && i == before {
-			rec.MinAfter, rec.MaxAfter = zn.min, zn.max
-			continue
-		}
-		if zn.min < rec.MinAfter {
-			rec.MinAfter = zn.min
-		}
-		if zn.max > rec.MaxAfter {
-			rec.MaxAfter = zn.max
-		}
-	}
-	z.ledgerEmit(rec)
+		MinAfter: minAfter, MaxAfter: maxAfter,
+	})
 }
 
 // Widen implements core.Skipper: loosen the enclosing zone's bounds so an
@@ -743,7 +681,7 @@ func (z *Zonemap) Widen(row int, code int64) {
 	// record per zone generation bounds ledger churn under update floods.
 	if !zn.widened {
 		zn.widened = true
-		z.ledgerEmit(obs.LedgerRecord{
+		z.record(obs.LedgerRecord{
 			Kind: obs.EventWiden, Cause: "update-widen",
 			ZonesBefore: len(z.zones), ZonesAfter: len(z.zones),
 			RowLo: zn.lo, RowHi: zn.hi,
@@ -866,11 +804,8 @@ func (z *Zonemap) DescribeZones(max int) string {
 
 var (
 	_ core.Skipper          = (*Zonemap)(nil)
-	_ core.EventEmitter     = (*Zonemap)(nil)
 	_ core.HealthChecker    = (*Zonemap)(nil)
 	_ core.InvariantChecker = (*Zonemap)(nil)
-	_ core.ZoneIntrospector = (*Zonemap)(nil)
-	_ core.LedgerEmitter    = (*Zonemap)(nil)
-	_ core.PruneReasoner    = (*Zonemap)(nil)
-	_ core.ROIReporter      = (*Zonemap)(nil)
+	_ core.Journaler        = (*Zonemap)(nil)
+	_ core.Introspector     = (*Zonemap)(nil)
 )

@@ -8,6 +8,7 @@ import (
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
 	"adskip/internal/expr"
+	"adskip/internal/obs"
 	"adskip/internal/scan"
 )
 
@@ -319,6 +320,45 @@ func TestExtendAndTailFold(t *testing.T) {
 	// FoldTail on empty tail is a no-op.
 	z.FoldTail(codes, nil)
 	if err := z.CheckInvariants(codes, nil, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFoldTailJournalsHullPastAllNullZone is the regression test for the
+// fold record's hull: when the first folded zone is all NULL it carries
+// no bounds, and the hull must be seeded from the first zone that does —
+// not folded against a zero value (which reported min_after = 0 on
+// all-positive data).
+func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
+	cfg := smallCfg() // 100-row zones
+	codes := seqCodes(100, func(i int) int64 { return int64(i) })
+	nulls := bitvec.New(100)
+	z := New(codes, nulls, cfg)
+	var recs []obs.LedgerRecord
+	z.SetJournal(func(r obs.LedgerRecord) { recs = append(recs, r) })
+
+	// A 300-row tail: all NULL, then [5000,5100), then [7000,7100).
+	codes = append(codes, make([]int64, 100)...)
+	codes = append(codes, seqCodes(100, func(i int) int64 { return int64(5000 + i) })...)
+	codes = append(codes, seqCodes(100, func(i int) int64 { return int64(7000 + i) })...)
+	nulls = bitvec.New(400)
+	for i := 100; i < 200; i++ {
+		nulls.Set(i)
+	}
+	z.Extend(codes, nulls)
+	z.FoldTail(codes, nulls)
+
+	if len(recs) != 1 || recs[0].Kind != obs.EventTailFold {
+		t.Fatalf("journal = %+v, want one tail-fold record", recs)
+	}
+	r := recs[0]
+	if r.RowLo != 100 || r.RowHi != 400 || r.ZonesBefore != 1 || r.ZonesAfter != 4 {
+		t.Fatalf("fold window/zones = %+v", r)
+	}
+	if r.MinAfter != 5000 || r.MaxAfter != 7099 {
+		t.Fatalf("fold hull = [%d,%d], want [5000,7099]", r.MinAfter, r.MaxAfter)
+	}
+	if err := z.CheckInvariants(codes, nulls, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -32,8 +32,8 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 		z.enabled = false
 		z.disabledQueries = 0
 		z.disables++
-		z.emit(obs.EventDisable, 0)
-		z.ledgerEmit(obs.LedgerRecord{
+		z.maintEvents++
+		z.record(obs.LedgerRecord{
 			Kind: obs.EventDisable, Cause: "net-benefit",
 			ZonesBefore: len(z.zones), ZonesAfter: len(z.zones),
 			RowLo: 0, RowHi: z.tailLo,
@@ -73,18 +73,15 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 
 	structural := false
 	if len(plans) > 0 {
-		before := len(z.zones)
 		z.applySplits(plans)
-		z.emit(obs.EventSplit, len(z.zones)-before)
+		z.maintEvents++
 		structural = true
 	}
 	if !z.cfg.DisableMerge && z.queries%z.cfg.MergeSweepEvery == 0 {
-		before := len(z.zones)
-		z.mergeSweep()
-		if removed := before - len(z.zones); removed > 0 {
-			z.emit(obs.EventMerge, removed)
+		if z.mergeSweep() {
+			z.maintEvents++
+			structural = true
 		}
-		structural = structural || len(z.zones) != before
 	}
 	if structural {
 		z.rebuildBlocks()
@@ -169,30 +166,14 @@ func (z *Zonemap) applySplits(plans []splitPlan) {
 			// (possibly loosened) hull before, the children's exact hull
 			// after — the journal shows each split re-tightening metadata.
 			parent := &z.zones[i]
-			rec := obs.LedgerRecord{
+			minAfter, maxAfter, _ := hull(subs)
+			z.record(obs.LedgerRecord{
 				Kind: obs.EventSplit, Cause: "split-gain",
 				ZonesBefore: 1, ZonesAfter: len(subs),
 				RowLo: parent.lo, RowHi: parent.hi,
 				MinBefore: parent.min, MaxBefore: parent.max,
-			}
-			hullSet := false
-			for k := range subs {
-				if subs[k].nonNull == 0 {
-					continue
-				}
-				if !hullSet {
-					rec.MinAfter, rec.MaxAfter = subs[k].min, subs[k].max
-					hullSet = true
-					continue
-				}
-				if subs[k].min < rec.MinAfter {
-					rec.MinAfter = subs[k].min
-				}
-				if subs[k].max > rec.MaxAfter {
-					rec.MaxAfter = subs[k].max
-				}
-			}
-			z.ledgerEmit(rec)
+				MinAfter: minAfter, MaxAfter: maxAfter,
+			})
 			out = append(out, subs...)
 			z.splits += len(subs) - 1
 			z.maintZones += int64(len(subs))
@@ -212,20 +193,15 @@ type splitPlan struct {
 }
 
 // mergeSweep coalesces runs of adjacent cold zones (heat below MergeHeat)
-// whose union stays within MaxZoneRows. Merging a run of k zones removes
-// k−1 probes per future query and (k−1)·zoneBytes of metadata; the union
-// bounds remain sound.
-func (z *Zonemap) mergeSweep() {
+// whose union stays within MaxZoneRows, and reports whether any merged.
+// Merging a run of k zones removes k−1 probes per future query and
+// (k−1)·zoneBytes of metadata; the union bounds remain sound.
+func (z *Zonemap) mergeSweep() bool {
 	z.flushBlockHits()
 	before := len(z.zones)
 	out := z.zones[:0]
-	i := 0
-	// One summary ledger record per sweep covering every coalesced run:
-	// the affected row span and the union hull of the merged zones.
-	spanLo, spanHi := -1, 0
-	var hullMin, hullMax int64
-	hullSet := false
-	for i < len(z.zones) {
+	var merged []zone // the coalesced zones, for the sweep's ledger record
+	for i := 0; i < len(z.zones); {
 		cur := z.zones[i]
 		j := i + 1
 		for j < len(z.zones) &&
@@ -233,43 +209,33 @@ func (z *Zonemap) mergeSweep() {
 			z.zones[j].heat < z.cfg.MergeHeat &&
 			z.zones[j].hi-cur.lo <= z.cfg.MaxZoneRows &&
 			boundsCompatible(&cur, &z.zones[j]) {
-			nxt := z.zones[j]
-			cur = mergeZones(cur, nxt)
+			cur = mergeZones(cur, z.zones[j])
 			j++
 		}
 		if j-i > 1 {
-			if spanLo < 0 {
-				spanLo = cur.lo
-			}
-			spanHi = cur.hi
-			if cur.nonNull > 0 {
-				if !hullSet {
-					hullMin, hullMax, hullSet = cur.min, cur.max, true
-				} else {
-					if cur.min < hullMin {
-						hullMin = cur.min
-					}
-					if cur.max > hullMax {
-						hullMax = cur.max
-					}
-				}
-			}
+			merged = append(merged, cur)
 		}
 		z.merges += j - i - 1
 		out = append(out, cur)
 		i = j
 	}
 	z.zones = out
-	if removed := before - len(out); removed > 0 {
-		z.maintZones += int64(removed)
-		z.ledgerEmit(obs.LedgerRecord{
-			Kind: obs.EventMerge, Cause: "merge-cold",
-			ZonesBefore: before, ZonesAfter: len(out),
-			RowLo: spanLo, RowHi: spanHi,
-			MinBefore: hullMin, MaxBefore: hullMax,
-			MinAfter: hullMin, MaxAfter: hullMax,
-		})
+	if len(merged) == 0 {
+		return false
 	}
+	// One summary ledger record per sweep covering every coalesced run:
+	// the affected row span and the union hull of the merged zones (which
+	// merging leaves unchanged).
+	z.maintZones += int64(before - len(out))
+	hullMin, hullMax, _ := hull(merged)
+	z.record(obs.LedgerRecord{
+		Kind: obs.EventMerge, Cause: "merge-cold",
+		ZonesBefore: before, ZonesAfter: len(out),
+		RowLo: merged[0].lo, RowHi: merged[len(merged)-1].hi,
+		MinBefore: hullMin, MaxBefore: hullMax,
+		MinAfter: hullMin, MaxAfter: hullMax,
+	})
+	return true
 }
 
 // boundsCompatible reports whether merging a and b loses little pruning
@@ -346,8 +312,8 @@ func (z *Zonemap) shadowProbe(r expr.Ranges) {
 	if z.netBenefit > 0 {
 		z.enabled = true
 		z.enables++
-		z.emit(obs.EventEnable, 0)
-		z.ledgerEmit(obs.LedgerRecord{
+		z.maintEvents++
+		z.record(obs.LedgerRecord{
 			Kind: obs.EventEnable, Cause: "shadow-probe",
 			ZonesBefore: len(z.zones), ZonesAfter: len(z.zones),
 			RowLo: 0, RowHi: z.tailLo,

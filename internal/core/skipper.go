@@ -4,6 +4,11 @@
 // policy — the paper's contribution — lives in package adaptive and
 // implements the same contract.
 //
+// The whole contract is Skipper (probe, observe, maintain) plus four
+// optional interfaces the engine asserts once each: Journaler (report
+// structural change) and Introspector (expose state) for observability,
+// HealthChecker and InvariantChecker for fault detection.
+//
 // The framework's shape follows the abstract: data skipping is a *policy*
 // layered on fast scans, fed by per-query observations, so that structures
 // can "respond to a vast array of data distributions and query workloads".
@@ -44,6 +49,12 @@ type PruneResult struct {
 	// for instrumentation and for the adaptive cost model.
 	ZonesProbed int
 	RowsSkipped int
+	// Why zones this probe left as candidates did not prune (skippers
+	// that classify misses; zero otherwise): the value hull genuinely
+	// straddles the predicate, the hull was loosened by an in-place update
+	// since the zone was last rebuilt, or the predicate covers the hull
+	// and only NULL rows blocked the coverage proof.
+	MissOverlap, MissWidened, MissNullStraddle int
 }
 
 // ZoneObservation is per-zone execution feedback the engine hands back to
@@ -113,57 +124,25 @@ type InvariantChecker interface {
 	CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error
 }
 
-// ZoneIntrospector is implemented by skippers that can expose their
-// per-zone state — bounds plus lifetime prune hit/miss counters — for the
-// skipping-effectiveness heatmap (/skipmap). Snapshotting is a cold-path
-// copy; implementations may cap the returned slice at max entries
-// (max <= 0 means all zones).
-type ZoneIntrospector interface {
-	SnapshotZones(max int) []obs.SkipmapZone
+// Journaler is implemented by skippers whose metadata changes over time
+// (splits, merges, arbitration flips, tail folds, widens). The engine
+// installs the sink at registration; each record carries the change's
+// cause and the before/after shape of the affected metadata, and the
+// engine stamps what the skipper cannot know — table/column/shard
+// identity and the triggering query's fingerprint — before appending it
+// to the adaptation ledger. Records are emitted only on structural
+// change, never per probe, so the sink stays off the scan hot path.
+type Journaler interface {
+	SetJournal(sink func(obs.LedgerRecord))
 }
 
-// EventEmitter is implemented by skippers whose metadata changes over time
-// (splits, merges, arbitration flips, tail folds). The engine installs a
-// sink at registration so adaptation events reach the observability
-// layer's event log; the sink fills in table/column identity, which the
-// skipper itself does not know. Emitting is optional: non-adaptive
-// skippers simply do not implement the interface.
-type EventEmitter interface {
-	SetEventSink(sink func(obs.Event))
-}
-
-// LedgerEmitter is implemented by skippers that journal their zone
-// lifecycle with provenance: each record carries the change's cause and
-// the before/after shape of the affected metadata. The engine installs
-// the sink at registration and stamps table/shard identity plus the
-// triggering query fingerprint, none of which the skipper knows.
-// Records are emitted only on structural change — never per probe — so
-// the sink stays off the scan hot path.
-type LedgerEmitter interface {
-	SetLedgerSink(sink func(obs.LedgerRecord))
-}
-
-// PruneReasoner is implemented by skippers that classify why candidate
-// zones failed to prune on the most recent Prune call: genuine value
-// overlap, bounds widened by appends/updates since the zone was last
-// rebuilt, or a coverage proof blocked by NULLs. The engine reads the
-// counts right after Prune (probes are serialized per column) and
-// stamps them into the query's predicate trace.
-type PruneReasoner interface {
-	// LastPruneReasons returns the miss classification of the most recent
-	// Prune: zones left as candidates because of genuine bounds overlap,
-	// because their hull was widened since last rebuild, and because NULL
-	// rows blocked an otherwise-complete coverage proof.
-	LastPruneReasons() (overlap, widened, nullStraddle int)
-}
-
-// ROIReporter is implemented by skippers that can account for their own
-// return on investment: pruning credit versus probe and maintenance
-// debit under the structure's cost model, plus the dead zones whose
-// metadata never pruned. The engine stamps table/shard/column identity.
-// maxDead caps the per-zone dead-zone detail (<= 0 omits detail).
-type ROIReporter interface {
-	SnapshotROI(maxDead int) obs.ColumnROI
+// Introspector is implemented by skippers that can expose their state in
+// one cold-path copy: every zone's bounds, heat and lifetime prune
+// hit/miss counters, the cumulative probe/skip/maintenance counters, and
+// the cost-model constants. The engine derives the /skipmap zone detail,
+// the /adaptation ROI rows and their dead-zone detail from it.
+type Introspector interface {
+	Introspect() obs.SkipperSnapshot
 }
 
 // ---------------------------------------------------------------------------

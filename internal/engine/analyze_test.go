@@ -230,7 +230,7 @@ func TestMetricsUnderConcurrentQueries(t *testing.T) {
 		if err := e.Metrics().WriteJSON(&sb); err != nil {
 			t.Fatal(err)
 		}
-		_ = e.Events()
+		_ = e.Ledger().Records()
 		select {
 		case err := <-errs:
 			t.Fatal(err)

@@ -1,0 +1,238 @@
+package engine
+
+import (
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"testing"
+
+	"adskip/internal/adaptive"
+	"adskip/internal/expr"
+	"adskip/internal/faultinject"
+	"adskip/internal/obs"
+	"adskip/internal/storage"
+	"adskip/internal/telemetry"
+)
+
+// TestOneJournal drives every kind of adaptation the system has — build,
+// splits, a merge sweep, an arbitration disable and re-enable, a tail
+// fold, an update widen, a quarantine and a rebuild — and checks the "one
+// journal" invariant: each change is recorded exactly once, in the
+// ledger; the per-kind counter and both telemetry views are the same
+// records counted or projected, never a second log.
+func TestOneJournal(t *testing.T) {
+	tb := buildTable(t, 4096, 1)
+	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
+		InitialZoneRows: 512, MinZoneRows: 32, SplitParts: 4,
+		Window: 16, MergeSweepEvery: 4, ReprobeEvery: 4, TailFoldRows: 256,
+	}})
+	if err := e.EnableSkipping("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	count := func(col string, lo, hi int64) {
+		t.Helper()
+		q := Query{Where: expr.And(intPred(col, expr.Between, lo, hi)), Aggs: []Agg{{Kind: CountStar}}}
+		if _, err := e.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Splits: a narrow hot range on the sorted column.
+	for i := 0; i < 8; i++ {
+		count("a", 1000, 1040)
+	}
+	// Merge, then disable: on the uniform column no zone ever prunes, so
+	// zones go cold and coalesce, and arbitration then turns probing off.
+	for i := 0; i < 20; i++ {
+		count("b", 400, 420)
+	}
+	// Enable: a predicate outside the domain is one every shadow probe
+	// would have skipped entirely.
+	for i := 0; i < 8; i++ {
+		count("b", 5000, 6000)
+	}
+	// Tail fold: append past TailFoldRows; the next query syncs skippers.
+	rows := make([][]storage.Value, 300)
+	for i := range rows {
+		rows[i] = []storage.Value{storage.IntValue(int64(4096 + i)), storage.IntValue(7),
+			storage.FloatValue(1), storage.StringValue("ant")}
+	}
+	if err := e.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	count("a", 1000, 1040)
+	// Widen: an in-place update outside its zone's hull.
+	if err := e.Update("a", 3000, storage.IntValue(1_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	// Quarantine: one injected layout corruption, detected by the next probe.
+	restore := faultinject.Activate(faultinject.New(5).
+		Set(faultinject.InvariantFlip, faultinject.Rule{Every: 1, Limit: 1}))
+	count("a", 1000, 1040)
+	restore()
+	count("a", 1000, 1040)
+	if len(e.Quarantined()) == 0 {
+		t.Fatal("injected corruption was not quarantined")
+	}
+	if err := e.RebuildSkipping(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs := e.Ledger().Records()
+	perKind := map[obs.EventKind]int64{}
+	type key struct{ col, kind string }
+	perSeries := map[key]int64{}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d: the journal is not one gapless sequence", i, r.Seq)
+		}
+		perKind[r.Kind]++
+		perSeries[key{r.Column, r.Kind.String()}]++
+	}
+	for _, k := range []obs.EventKind{obs.EventSkipperBuilt, obs.EventSplit, obs.EventMerge,
+		obs.EventDisable, obs.EventEnable, obs.EventTailFold, obs.EventWiden,
+		obs.EventQuarantine, obs.EventRebuild} {
+		if perKind[k] == 0 {
+			t.Errorf("no %s record: the scenario never drove it (kinds seen: %v)", k, perKind)
+		}
+	}
+	if perKind[obs.EventSkipperBuilt] != 2 || perKind[obs.EventQuarantine] != 1 || perKind[obs.EventRebuild] != 1 ||
+		perKind[obs.EventDisable] != 1 || perKind[obs.EventEnable] != 1 || perKind[obs.EventWiden] != 1 {
+		t.Errorf("one-off changes recorded more or less than once: %v", perKind)
+	}
+
+	// The per-kind counter is the journal, counted.
+	var counted int64
+	for k, want := range perSeries {
+		got := e.Metrics().Counter("adskip_adapt_events_total", "",
+			obs.L("table", "t"), obs.L("column", k.col), obs.L("kind", k.kind)).Load()
+		if got != want {
+			t.Errorf("adskip_adapt_events_total{column=%q,kind=%q} = %d, ledger holds %d", k.col, k.kind, got, want)
+		}
+		counted += got
+	}
+	if counted != int64(e.Ledger().Seq()) {
+		t.Errorf("per-kind counters sum to %d, Ledger.Seq() = %d", counted, e.Ledger().Seq())
+	}
+
+	// /events and /adaptation are the journal, projected.
+	srv, err := telemetry.Start(telemetry.Options{}, telemetry.Source{
+		Registry: e.Metrics(), Traces: e.Traces(),
+		Adaptation: func(maxDead int) obs.AdaptationSnapshot {
+			return obs.AdaptationSnapshot{
+				Total: e.Ledger().Seq(), Dropped: e.Ledger().Dropped(),
+				Events: e.Ledger().Records(), ROI: e.AdaptationROI(maxDead),
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var events []obs.LedgerRecord
+	var adaptation obs.AdaptationSnapshot
+	getJSON(t, srv.URL()+"/events", &events)
+	getJSON(t, srv.URL()+"/adaptation", &adaptation)
+	if len(events) != len(recs) || len(adaptation.Events) != len(recs) {
+		t.Fatalf("/events has %d records, /adaptation %d, the ledger %d", len(events), len(adaptation.Events), len(recs))
+	}
+	for i := range recs {
+		if events[i].Seq != recs[i].Seq || adaptation.Events[i].Seq != recs[i].Seq ||
+			events[i].Kind != recs[i].Kind || adaptation.Events[i].Kind != recs[i].Kind {
+			t.Fatalf("record %d: /events %v, /adaptation %v, ledger %v", i, events[i], adaptation.Events[i], recs[i])
+		}
+	}
+}
+
+func getJSON(t *testing.T, url string, into any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
+// TestIntrospectDerivationsMatchParent is the differential check on the
+// "one snapshot" collapse: Skipmap's zone detail (with truncation) and
+// AdaptationROI's rows (net benefit, dead zones and their detail) are now
+// derived in the engine from one Introspect() snapshot, and on this fixed
+// seeded run — splits, a widen, a split of the widened zone, a column
+// that never prunes — they must equal, byte for byte, what the skipper's
+// own SnapshotZones/SnapshotROI produced before the collapse. The
+// literals were recorded at the parent commit.
+func TestIntrospectDerivationsMatchParent(t *testing.T) {
+	tb := buildTable(t, 4096, 1)
+	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
+		InitialZoneRows: 1024, MinZoneRows: 128, SplitParts: 4, MergeSweepEvery: 4,
+		DisableArbitration: true,
+	}})
+	if err := e.EnableSkipping("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	count := []Agg{{Kind: CountStar}}
+	for i := 0; i < 40; i++ {
+		lo := 1500 + rng.Int63n(400)
+		if _, err := e.Query(Query{Where: expr.And(intPred("a", expr.Between, lo, lo+60)), Aggs: count}); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			if _, err := e.Query(Query{Where: expr.And(intPred("b", expr.Between, 400, 420)), Aggs: count}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Update("a", 100, storage.IntValue(9000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query(Query{Where: expr.And(intPred("a", expr.Between, 8000, 9500)), Aggs: count}); err != nil {
+		t.Fatal(err)
+	}
+
+	const wantSkipmap = `{"table":"t","rows":4096,"columns":[` +
+		`{"column":"a","kind":"adaptive","zones":13,"bytes":849,"enabled":true,"quarantined":false,` +
+		`"probes":41,"declined":0,"zone_probes":441,"rows_skipped":158464,"candidate_rows":9472,"covered_rows":0,"skip_ratio":0.9435975609756098,` +
+		`"zone_detail":[` +
+		`{"lo":0,"hi":256,"min":0,"max":9000,"non_null":256,"heat":0.5,"hits":0,"misses":0},` +
+		`{"lo":256,"hi":512,"min":256,"max":511,"non_null":256,"heat":0.5,"hits":0,"misses":0},` +
+		`{"lo":512,"hi":768,"min":512,"max":767,"non_null":256,"heat":0.5,"hits":0,"misses":0},` +
+		`{"lo":768,"hi":1024,"min":768,"max":1023,"non_null":256,"heat":0.5,"hits":0,"misses":0},` +
+		`{"lo":1024,"hi":1280,"min":1024,"max":1279,"non_null":256,"heat":0.9999949717074192,"hits":40,"misses":0},` +
+		`{"lo":1280,"hi":1408,"min":1280,"max":1407,"non_null":128,"heat":0.9999932956098923,"hits":39,"misses":0}],` +
+		`"zones_truncated":7},` +
+		`{"column":"b","kind":"adaptive","zones":4,"bytes":273,"enabled":true,"quarantined":false,` +
+		`"probes":10,"declined":0,"zone_probes":50,"rows_skipped":0,"candidate_rows":40960,"covered_rows":0,"skip_ratio":0,` +
+		`"zone_detail":[` +
+		`{"lo":0,"hi":1024,"min":0,"max":998,"non_null":972,"heat":0.028156757354736328,"hits":0,"misses":10},` +
+		`{"lo":1024,"hi":2048,"min":0,"max":999,"non_null":970,"heat":0.028156757354736328,"hits":0,"misses":10},` +
+		`{"lo":2048,"hi":3072,"min":1,"max":999,"non_null":970,"heat":0.028156757354736328,"hits":0,"misses":10},` +
+		`{"lo":3072,"hi":4096,"min":0,"max":999,"non_null":966,"heat":0.028156757354736328,"hits":0,"misses":10}]}]}`
+	const wantROI = `[` +
+		`{"table":"t","column":"a","kind":"adaptive","zones":13,"bytes":849,` +
+		`"rows_skipped":158464,"rows_covered":0,"bytes_skipped":1267712,"candidate_rows":9472,"zone_probes":441,` +
+		`"maintenance_events":4,"maintenance_zones":14,"net_benefit_rows":155804,"dead_zones":0},` +
+		`{"table":"t","column":"b","kind":"adaptive","zones":4,"bytes":273,` +
+		`"rows_skipped":0,"rows_covered":0,"bytes_skipped":0,"candidate_rows":40960,"zone_probes":50,` +
+		`"maintenance_events":0,"maintenance_zones":0,"net_benefit_rows":-200,"dead_zones":4,` +
+		`"dead_zone_detail":[` +
+		`{"lo":0,"hi":1024,"min":0,"max":998,"hits":0,"misses":10},` +
+		`{"lo":1024,"hi":2048,"min":0,"max":999,"hits":0,"misses":10}]}]`
+
+	sm, err := json.Marshal(e.Skipmap(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(sm) != wantSkipmap {
+		t.Errorf("Skipmap(6) drifted from the parent commit:\n got %s\nwant %s", sm, wantSkipmap)
+	}
+	roi, err := json.Marshal(e.AdaptationROI(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(roi) != wantROI {
+		t.Errorf("AdaptationROI(2) drifted from the parent commit:\n got %s\nwant %s", roi, wantROI)
+	}
+}

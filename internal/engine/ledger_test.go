@@ -93,14 +93,14 @@ func TestLedgerSplitProvenance(t *testing.T) {
 		t.Fatalf("LastSplitCause = %q, want the fingerprint", tot.LastSplitCause)
 	}
 
-	// The ledger-records counter tracked every append.
+	// The per-kind counter tracked every append.
 	var counted int64
 	for _, kind := range []string{"skipper-built", "split"} {
-		counted += e.Metrics().Counter("adskip_adapt_ledger_records_total", "",
+		counted += e.Metrics().Counter("adskip_adapt_events_total", "",
 			obs.L("table", "t"), obs.L("column", "a"), obs.L("kind", kind)).Load()
 	}
-	if counted < int64(1+len(splits)) {
-		t.Fatalf("adskip_adapt_ledger_records_total = %d, want >= %d", counted, 1+len(splits))
+	if counted != int64(1+len(splits)) {
+		t.Fatalf("adskip_adapt_events_total = %d, want %d", counted, 1+len(splits))
 	}
 }
 

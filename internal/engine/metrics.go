@@ -150,21 +150,28 @@ func (cm *colMetrics) refreshGauges(s core.Skipper) {
 	}
 }
 
-// eventSink returns the adaptation-event sink installed on a column's
-// skipper: it stamps table/column identity, bumps the per-kind event
-// counter, appends to the shared event log, and (when a logger is
-// configured) emits a structured log line — milestones at info, chatty
-// per-zone structural churn at debug.
-func (e *Engine) eventSink(col string) func(obs.Event) {
+// journal returns the one adaptation sink for a column: installed on the
+// column's skipper (core.Journaler) and called directly for the engine's
+// own lifecycle records. It stamps table/shard/column identity and — when
+// the record arrives mid-query — the fingerprint of the query whose
+// feedback triggered the change, bumps the per-kind counter, appends to
+// the shared ledger, and (when a logger is configured) emits a structured
+// log line: milestones at info, quarantines at warn, chatty per-zone
+// structural churn at debug. Skippers emit only on structural change and
+// are called under the engine mutex, so reading e.trace here is safe.
+func (e *Engine) journal(col string) func(obs.LedgerRecord) {
 	table, shard := e.tbl.Name(), e.opts.Shard
-	return func(ev obs.Event) {
-		ev.Table, ev.Column = table, col
-		e.reg.Counter("adskip_adapt_events_total", "Adaptation events by kind.",
-			metricLabels(table, shard, obs.L("column", col), obs.L("kind", ev.Kind.String()))...).Inc()
-		e.events.Append(ev)
+	return func(rec obs.LedgerRecord) {
+		rec.Table, rec.Column, rec.Shard = table, col, shard
+		if rec.Fingerprint == "" && e.trace != nil {
+			rec.Fingerprint = e.trace.Fingerprint
+		}
+		e.reg.Counter("adskip_adapt_events_total", "Adaptation records by kind.",
+			metricLabels(table, shard, obs.L("column", col), obs.L("kind", rec.Kind.String()))...).Inc()
+		e.ledger.Append(rec)
 		if e.log != nil {
 			lvl := slog.LevelDebug
-			switch ev.Kind {
+			switch rec.Kind {
 			case obs.EventDisable, obs.EventEnable, obs.EventSkipperBuilt,
 				obs.EventSkipperLoad, obs.EventRebuild:
 				lvl = slog.LevelInfo
@@ -172,28 +179,9 @@ func (e *Engine) eventSink(col string) func(obs.Event) {
 				lvl = slog.LevelWarn
 			}
 			e.log.Log(context.Background(), lvl, "adaptation event",
-				"table", table, "column", col, "kind", ev.Kind.String(),
-				"zones", ev.Zones, "delta", ev.Delta)
+				"table", table, "column", col, "kind", rec.Kind.String(), "cause", rec.Cause,
+				"zones_before", rec.ZonesBefore, "zones_after", rec.ZonesAfter)
 		}
-	}
-}
-
-// ledgerSink returns the adaptation-ledger sink installed on a column's
-// skipper: it stamps table/shard/column identity and — when the record
-// arrives mid-query — the fingerprint of the query whose feedback
-// triggered the change, bumps the per-kind record counter, and journals
-// the record. Skippers emit only on structural change and are called
-// under the engine mutex, so reading e.trace here is safe.
-func (e *Engine) ledgerSink(col string) func(obs.LedgerRecord) {
-	table, shard := e.tbl.Name(), e.opts.Shard
-	return func(rec obs.LedgerRecord) {
-		rec.Table, rec.Column, rec.Shard = table, col, shard
-		if rec.Fingerprint == "" && e.trace != nil {
-			rec.Fingerprint = e.trace.Fingerprint
-		}
-		e.reg.Counter("adskip_adapt_ledger_records_total", "Adaptation ledger records by kind.",
-			metricLabels(table, shard, obs.L("column", col), obs.L("kind", rec.Kind.String()))...).Inc()
-		e.ledger.Append(rec)
 	}
 }
 
@@ -218,9 +206,9 @@ func (e *Engine) tracePredicates(tr *obs.QueryTrace, plans []colPlan) {
 		pt.Active = p.active
 		pt.ZonesProbed = p.res.ZonesProbed
 		pt.EstRowsSkipped = p.res.RowsSkipped
-		if pr, ok := p.skipper.(core.PruneReasoner); ok && p.active {
-			pt.NotSkippedOverlap, pt.NotSkippedWidened, pt.NotSkippedNullStraddle = pr.LastPruneReasons()
-		}
+		pt.NotSkippedOverlap = p.res.MissOverlap
+		pt.NotSkippedWidened = p.res.MissWidened
+		pt.NotSkippedNullStraddle = p.res.MissNullStraddle
 		for _, z := range p.res.Zones {
 			pt.Windows++
 			pt.CandidateRows += z.Hi - z.Lo

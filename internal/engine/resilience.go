@@ -293,13 +293,12 @@ func (e *Engine) quarantineLocked(col string, cause error) {
 		defer func() { recover() }() // metadata of a broken skipper may itself panic
 		zones = s.Metadata().Zones
 	}()
-	e.eventSink(col)(obs.Event{Kind: obs.EventQuarantine, Zones: zones})
 	qcause := "corruption"
 	var pe *panicError
 	if errors.As(cause, &pe) {
 		qcause = "panic"
 	}
-	e.ledgerSink(col)(obs.LedgerRecord{Kind: obs.EventQuarantine, Cause: qcause, ZonesBefore: zones})
+	e.journal(col)(obs.LedgerRecord{Kind: obs.EventQuarantine, Cause: qcause, ZonesBefore: zones})
 	if e.log != nil {
 		e.log.Error("skipper quarantined: column falls back to full scans",
 			"table", e.tbl.Name(), "column", col, "cause", cause.Error())

@@ -260,7 +260,7 @@ func installFaulty(e *Engine, f *faultySkipper) {
 
 func quarantineEvents(e *Engine) int {
 	count := 0
-	for _, ev := range e.Events() {
+	for _, ev := range e.Ledger().Records() {
 		if ev.Kind == obs.EventQuarantine {
 			count++
 		}
@@ -429,7 +429,7 @@ func TestRebuildSkippingRestores(t *testing.T) {
 		t.Fatal("no skipper after rebuild")
 	}
 	rebuilds := 0
-	for _, ev := range e.Events() {
+	for _, ev := range e.Ledger().Records() {
 		if ev.Kind == obs.EventRebuild {
 			rebuilds++
 		}

@@ -10,9 +10,10 @@ import (
 // Skipmap assembles the table's skipping-effectiveness snapshot for the
 // telemetry server's /skipmap endpoint: per-column structure state,
 // quarantine status, cumulative prune counters, and (for introspectable
-// skippers) per-zone detail capped at maxZones entries per column
-// (maxZones <= 0 returns every zone). The snapshot is taken under the
-// engine mutex, so it is consistent with respect to in-flight queries.
+// skippers) per-zone detail — oldest row range first — capped at maxZones
+// entries per column (maxZones <= 0 returns every zone). The snapshot is
+// taken under the engine mutex, so it is consistent with respect to
+// in-flight queries.
 func (e *Engine) Skipmap(maxZones int) obs.SkipmapTable {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -38,10 +39,11 @@ func (e *Engine) Skipmap(maxZones int) obs.SkipmapTable {
 		if s, ok := e.skippers[name]; ok {
 			md := s.Metadata()
 			sc.Kind, sc.Zones, sc.Bytes, sc.Enabled = md.Kind, md.Zones, md.Bytes, md.Enabled
-			if zi, ok := s.(core.ZoneIntrospector); ok {
-				sc.ZoneDetail = zi.SnapshotZones(maxZones)
-				if md.Zones > len(sc.ZoneDetail) {
-					sc.ZonesTruncated = md.Zones - len(sc.ZoneDetail)
+			if snap, ok := introspect(s); ok {
+				sc.ZoneDetail = snap.Zones
+				if maxZones > 0 && len(snap.Zones) > maxZones {
+					sc.ZoneDetail = snap.Zones[:maxZones]
+					sc.ZonesTruncated = len(snap.Zones) - maxZones
 				}
 			}
 		}
@@ -60,12 +62,25 @@ func (e *Engine) Skipmap(maxZones int) obs.SkipmapTable {
 	return st
 }
 
+// introspect takes a skipper's cold-path state snapshot; ok is false for
+// skippers that expose none (core.Introspector is optional).
+func introspect(s core.Skipper) (snap obs.SkipperSnapshot, ok bool) {
+	in, ok := s.(core.Introspector)
+	if !ok {
+		return obs.SkipperSnapshot{}, false
+	}
+	return in.Introspect(), true
+}
+
 // AdaptationROI assembles the table's per-column return-on-investment
-// rows for /adaptation: each ROI-reporting skipper's lifetime credit
-// (rows pruned) against its debit (probe and maintenance work), joined
-// with the engine's per-column prune counters. Dead-zone detail is
-// capped at maxDead entries per column. Taken under the engine mutex,
-// like Skipmap, so the view is consistent with in-flight queries.
+// rows for /adaptation from each introspectable skipper's snapshot: its
+// lifetime credit (rows pruned) against its debit (probe and maintenance
+// work) in row-equivalents under the skipper's own cost constants, joined
+// with the engine's per-column prune counters. Dead zones — probed but
+// never once useful — are counted, and detailed up to maxDead entries
+// per column (<= 0 omits the detail), so operators can see which row
+// ranges carry metadata that earns nothing. Taken under the engine
+// mutex, like Skipmap, so the view is consistent with in-flight queries.
 func (e *Engine) AdaptationROI(maxDead int) []obs.ColumnROI {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -76,17 +91,40 @@ func (e *Engine) AdaptationROI(maxDead int) []obs.ColumnROI {
 	sort.Strings(names)
 	var out []obs.ColumnROI
 	for _, name := range names {
-		rr, ok := e.skippers[name].(core.ROIReporter)
+		s := e.skippers[name]
+		snap, ok := introspect(s)
 		if !ok {
 			continue
 		}
-		roi := rr.SnapshotROI(maxDead)
-		roi.Table, roi.Shard, roi.Column = e.tbl.Name(), e.opts.Shard, name
+		md := s.Metadata()
 		cm := e.colMetrics(name)
-		roi.RowsCovered = cm.coveredRows.Load()
-		roi.CandidateRows = cm.candidateRows.Load()
-		// One int64 code per row: the bytes a pruned scan never touched.
-		roi.BytesSkipped = roi.RowsSkipped * 8
+		roi := obs.ColumnROI{
+			Table: e.tbl.Name(), Shard: e.opts.Shard, Column: name,
+			Kind: md.Kind, Zones: md.Zones, Bytes: md.Bytes,
+			RowsSkipped:   snap.RowsSkipped,
+			RowsCovered:   cm.coveredRows.Load(),
+			CandidateRows: cm.candidateRows.Load(),
+			// One int64 code per row: the bytes a pruned scan never touched.
+			BytesSkipped: snap.RowsSkipped * 8,
+			ZoneProbes:   snap.ZoneProbes,
+			MaintEvents:  snap.MaintEvents,
+			MaintZones:   snap.MaintZones,
+			NetRows: snap.RowCost*float64(snap.RowsSkipped) -
+				snap.ProbeCost*float64(snap.ZoneProbes) -
+				snap.MaintCost*float64(snap.MaintZones),
+		}
+		for _, zn := range snap.Zones {
+			if zn.Hits != 0 || zn.Misses == 0 {
+				continue
+			}
+			roi.DeadZones++
+			if len(roi.DeadZoneDetail) < maxDead {
+				roi.DeadZoneDetail = append(roi.DeadZoneDetail, obs.ROIZone{
+					Lo: zn.Lo, Hi: zn.Hi, Min: zn.Min, Max: zn.Max,
+					Hits: zn.Hits, Misses: zn.Misses,
+				})
+			}
+		}
 		out = append(out, roi)
 	}
 	return out

@@ -26,17 +26,13 @@ type Monitor struct {
 	longT    int
 
 	mu      sync.Mutex
-	ticks   *tickRing
+	ticks   *obs.Ring[tickPoint] // capacity: the long window plus one
 	objs    []*objState
 	tickSeq uint64
 	overall Severity
 	since   time.Time
 
-	alerts       []Transition // transition ring, newest at (alertNext-1)
-	alertNext    int
-	alertN       int
-	alertTotal   uint64
-	alertDropped uint64
+	alerts *obs.Ring[Transition]
 
 	latScratch []int64
 
@@ -60,7 +56,7 @@ type Monitor struct {
 // objState is one objective's evaluation state.
 type objState struct {
 	obj   Objective
-	bad   *badRing
+	bad   *obs.Ring[int8] // per-tick verdicts over the long window
 	state Severity
 	since time.Time
 	clear int
@@ -138,11 +134,11 @@ func New(objectives []Objective, interval time.Duration, cfg Config, reg *obs.Re
 		shortT:   windowTicks(cfg.Short, interval),
 		midT:     windowTicks(cfg.Mid, interval),
 		longT:    windowTicks(cfg.Long, interval),
-		alerts:   make([]Transition, cfg.AlertRingSize),
+		alerts:   obs.NewRing[Transition](cfg.AlertRingSize),
 		log:      log,
 		reg:      reg,
 	}
-	m.ticks = newTickRing(m.longT + 1)
+	m.ticks = obs.NewRing[tickPoint](m.longT + 1)
 	m.latScratch = make([]int64, len(m.bounds)+1)
 	for _, o := range objectives {
 		if !o.Signal.valid() {
@@ -154,7 +150,7 @@ func New(objectives []Objective, interval time.Duration, cfg Config, reg *obs.Re
 		if o.Budget <= 0 {
 			o.Budget = DefaultBudget
 		}
-		os := &objState{obj: o, bad: newBadRing(m.longT)}
+		os := &objState{obj: o, bad: obs.NewRing[int8](m.longT)}
 		if reg != nil {
 			os.gauge = reg.Gauge("adskip_objective_state",
 				"Objective alert state: 0 ok, 1 warning, 2 critical.",
@@ -202,7 +198,7 @@ func (m *Monitor) Interval() time.Duration { return m.interval }
 func (m *Monitor) OnSample(s *obs.HistorySample) {
 	t0 := time.Now()
 	m.mu.Lock()
-	m.ticks.push(s)
+	m.ticks.Push().set(s)
 	m.tickSeq++
 	if m.tickSeq == 1 {
 		// First tick is the baseline: deltas need two points.
@@ -256,7 +252,7 @@ func (m *Monitor) evalObjective(os *objState, now time.Time) {
 			verdict = 1
 		}
 	}
-	os.bad.push(verdict)
+	*os.bad.Push() = verdict
 
 	burnS := m.burn(os, m.shortT)
 	burnM := m.burn(os, m.midT)
@@ -300,14 +296,7 @@ func (m *Monitor) transition(os *objState, next Severity, now time.Time, value, 
 		Value:     value,
 		Burn:      burn,
 	}
-	m.alerts[m.alertNext] = tr
-	m.alertNext = (m.alertNext + 1) % len(m.alerts)
-	if m.alertN < len(m.alerts) {
-		m.alertN++
-	} else {
-		m.alertDropped++
-	}
-	m.alertTotal++
+	*m.alerts.Push() = tr
 
 	os.state = next
 	os.since = now
@@ -347,7 +336,7 @@ func breaches(o Objective, value float64) bool {
 // the full window even before it has filled, so a cold monitor (or an
 // idle stretch, whose no-data ticks are not bad) burns conservatively.
 func (m *Monitor) burn(os *objState, w int) float64 {
-	bad, _ := os.bad.counts(w)
+	bad, _ := counts(os.bad, w)
 	return float64(bad) / (float64(w) * os.obj.Budget)
 }
 
@@ -355,7 +344,7 @@ func (m *Monitor) burn(os *objState, w int) float64 {
 // Caller holds m.mu. ok is false when the window carries no data for the
 // signal (no queries completed, no rows probed).
 func (m *Monitor) windowValue(sig Signal, w int) (value float64, ok bool) {
-	now, then, have := m.ticks.span(w)
+	now, then, have := span(m.ticks, w)
 	if !have {
 		return 0, false
 	}
@@ -400,54 +389,32 @@ func (m *Monitor) windowValue(sig Signal, w int) (value float64, ok bool) {
 	case SignalQueueDepth:
 		// Instantaneous for the per-tick verdict; the window aggregate is
 		// the maximum depth seen, which is what an operator wants to know.
-		if w <= 1 {
-			return float64(now.queue), true
-		}
-		if w > m.ticks.n-1 {
-			w = m.ticks.n - 1
-		}
-		max := int64(0)
-		for back := 0; back < w; back++ {
-			if q := m.ticks.at(back).queue; q > max {
-				max = q
-			}
-		}
-		return float64(max), true
+		return m.windowMax(w, func(p *tickPoint) float64 { return float64(p.queue) }), true
 	case SignalWALLag:
-		// Like queue depth: instantaneous per-tick verdict, max over the
-		// window for the aggregate an operator reads.
-		if w <= 1 {
-			return now.walLag, true
-		}
-		if w > m.ticks.n-1 {
-			w = m.ticks.n - 1
-		}
-		max := 0.0
-		for back := 0; back < w; back++ {
-			if lag := m.ticks.at(back).walLag; lag > max {
-				max = lag
-			}
-		}
-		return max, true
+		return m.windowMax(w, func(p *tickPoint) float64 { return p.walLag }), true
 	case SignalSkipRegression:
-		// Instantaneous like queue depth: the stats layer already smooths
-		// the series (fast vs slow EWMA), so the per-tick verdict reads the
-		// tick's value and the window aggregate is the worst gap seen.
-		if w <= 1 {
-			return now.skipReg, true
-		}
-		if w > m.ticks.n-1 {
-			w = m.ticks.n - 1
-		}
-		max := 0.0
-		for back := 0; back < w; back++ {
-			if g := m.ticks.at(back).skipReg; g > max {
-				max = g
-			}
-		}
-		return max, true
+		// The stats layer already smooths the series (fast vs slow EWMA),
+		// so the window aggregate is the worst gap seen.
+		return m.windowMax(w, func(p *tickPoint) float64 { return p.skipReg }), true
 	}
 	return 0, false
+}
+
+// windowMax aggregates an instantaneous (non-cumulative) signal: the
+// largest value over the last w ticks, clamped to the retained ticks less
+// the baseline. w <= 1 reads the newest tick alone. Caller holds m.mu and
+// has checked (via span) that two ticks exist.
+func (m *Monitor) windowMax(w int, value func(*tickPoint) float64) float64 {
+	if n := m.ticks.Len() - 1; w > n {
+		w = n
+	}
+	max := value(m.ticks.At(0))
+	for back := 1; back < w; back++ {
+		if v := value(m.ticks.At(back)); v > max {
+			max = v
+		}
+	}
+	return max
 }
 
 // Snapshot returns the full health picture.
@@ -489,7 +456,7 @@ func (m *Monitor) objectiveStatusLocked(os *objState) ObjectiveStatus {
 		{m.cfg.Long.String(), m.longT},
 	} {
 		value, _ := m.windowValue(os.obj.Signal, w.ticks)
-		bad, data := os.bad.counts(w.ticks)
+		bad, data := counts(os.bad, w.ticks)
 		st.Windows = append(st.Windows, WindowStats{
 			Window:    w.label,
 			Value:     value,
@@ -508,21 +475,14 @@ func (m *Monitor) Alerts() AlertsSnapshot {
 	defer m.mu.Unlock()
 	out := AlertsSnapshot{
 		Active:  []ObjectiveStatus{},
-		History: make([]Transition, 0, m.alertN),
-		Total:   m.alertTotal,
-		Dropped: m.alertDropped,
+		History: m.alerts.AppendTo(make([]Transition, 0, m.alerts.Len())),
+		Total:   m.alerts.Total(),
+		Dropped: m.alerts.Dropped(),
 	}
 	for _, os := range m.objs {
 		if os.state > SevOK {
 			out.Active = append(out.Active, m.objectiveStatusLocked(os))
 		}
-	}
-	for back := m.alertN - 1; back >= 0; back-- {
-		idx := m.alertNext - 1 - back
-		if idx < 0 {
-			idx += len(m.alerts)
-		}
-		out.History = append(out.History, m.alerts[idx])
 	}
 	return out
 }

@@ -127,6 +127,30 @@ func TestBurnRateEscalation(t *testing.T) {
 	}
 }
 
+// TestWarmTickAllocatesNothing: once the tick ring has wrapped, every slot
+// donates its histogram backing array to the tick that overwrites it and
+// the verdict rings hold plain bytes, so steady-state evaluation — the
+// per-second cost of having a health monitor at all — is allocation-free.
+func TestWarmTickAllocatesNothing(t *testing.T) {
+	m, f := testObjectives(t, []Objective{
+		p95Objective(),
+		{Signal: SignalSkipRate, Threshold: 0.5},
+		{Signal: SignalQueueDepth, Threshold: 100},
+	}, testConfig())
+	for i := 0; i < 2*(m.longT+1); i++ {
+		f.tick(fastQueries(10))
+	}
+	s := f.s
+	s.Time = f.t
+	allocs := testing.AllocsPerRun(50, func() {
+		s.Time = s.Time.Add(testInterval)
+		m.OnSample(&s)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm monitor tick allocates %v times, want 0", allocs)
+	}
+}
+
 func TestHysteresisClears(t *testing.T) {
 	m, f := testObjectives(t, []Objective{p95Objective()}, testConfig())
 	f.tick(nil)

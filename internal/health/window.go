@@ -25,90 +25,43 @@ type tickPoint struct {
 	buckets []int64 // cumulative latency histogram; slot slice is reused
 }
 
-// tickRing is a bounded ring of tickPoints, newest-last.
-type tickRing struct {
-	buf  []tickPoint
-	next int
-	n    int
-}
-
-func newTickRing(capacity int) *tickRing {
-	return &tickRing{buf: make([]tickPoint, capacity)}
-}
-
-// push copies s into the next ring slot, reusing the slot's bucket
-// backing array so a warm ring allocates nothing per tick.
-func (r *tickRing) push(s *obs.HistorySample) {
-	slot := &r.buf[r.next]
-	slot.time = s.Time
-	slot.queries = s.Queries
-	slot.errors = s.Errors
-	slot.skipped = s.RowsSkipped
-	slot.scanned = s.RowsScanned
-	slot.queue = s.QueueDepth
-	slot.walLag = s.WALLagSeconds
-	slot.skipReg = s.SkipRegression
-	slot.buckets = append(slot.buckets[:0], s.LatencyBuckets...)
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-// at returns the point back ticks behind the newest (at(0) = newest).
-// back must be < r.n.
-func (r *tickRing) at(back int) *tickPoint {
-	idx := r.next - 1 - back
-	if idx < 0 {
-		idx += len(r.buf)
-	}
-	return &r.buf[idx]
+// set copies s into the point, reusing the point's bucket backing array
+// so a warm ring (whose Push hands back the evicted point) allocates
+// nothing per tick.
+func (p *tickPoint) set(s *obs.HistorySample) {
+	p.time = s.Time
+	p.queries = s.Queries
+	p.errors = s.Errors
+	p.skipped = s.RowsSkipped
+	p.scanned = s.RowsScanned
+	p.queue = s.QueueDepth
+	p.walLag = s.WALLagSeconds
+	p.skipReg = s.SkipRegression
+	p.buckets = append(p.buckets[:0], s.LatencyBuckets...)
 }
 
 // span returns the newest point and the point w ticks behind it (clamped
 // to the oldest retained), so the pair's deltas aggregate the last
 // min(w, n-1) ticks. Returns false until two points exist.
-func (r *tickRing) span(w int) (now, then *tickPoint, ok bool) {
-	if r.n < 2 {
+func span(r *obs.Ring[tickPoint], w int) (now, then *tickPoint, ok bool) {
+	n := r.Len()
+	if n < 2 {
 		return nil, nil, false
 	}
-	if w > r.n-1 {
-		w = r.n - 1
+	if w > n-1 {
+		w = n - 1
 	}
-	return r.at(0), r.at(w), true
+	return r.At(0), r.At(w), true
 }
 
-// badRing tracks one objective's per-tick verdicts: +1 bad, 0 good,
-// -1 no data. Capacity is the long window.
-type badRing struct {
-	buf  []int8
-	next int
-	n    int
-}
-
-func newBadRing(capacity int) *badRing {
-	return &badRing{buf: make([]int8, capacity)}
-}
-
-func (r *badRing) push(v int8) {
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-// counts tallies bad and with-data ticks over the last w verdicts.
-func (r *badRing) counts(w int) (bad, data int) {
-	if w > r.n {
-		w = r.n
+// counts tallies bad and with-data ticks over the last w verdicts of one
+// objective's per-tick verdict ring: +1 bad, 0 good, -1 no data.
+func counts(r *obs.Ring[int8], w int) (bad, data int) {
+	if n := r.Len(); w > n {
+		w = n
 	}
 	for back := 0; back < w; back++ {
-		idx := r.next - 1 - back
-		if idx < 0 {
-			idx += len(r.buf)
-		}
-		switch r.buf[idx] {
+		switch *r.At(back) {
 		case 1:
 			bad++
 			data++

@@ -3,16 +3,14 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
-	"time"
 )
 
-// EventKind classifies one adaptation event.
+// EventKind classifies one adaptation record (see LedgerRecord).
 type EventKind uint8
 
-// Adaptation event kinds. Structural events (split, merge, tail fold) come
-// from the adaptive zonemaps; arbitration events (disable, enable) from
-// their cost model; lifecycle events from the engine.
+// Adaptation event kinds. Structural events (split, merge, tail fold,
+// widen) come from the adaptive zonemaps; arbitration events (disable,
+// enable) from their cost model; lifecycle events from the engine.
 const (
 	EventSplit        EventKind = iota // zones refined from scan statistics
 	EventMerge                         // cold adjacent zones coalesced
@@ -26,7 +24,31 @@ const (
 	EventWiden                         // a zone's value hull loosened in place by an append/update
 )
 
-// MarshalJSON renders the kind by name so event JSON is self-describing.
+// eventKindNames is the one name table behind String, MarshalJSON and
+// UnmarshalJSON: a kind added to the const block gets its name here and
+// then both renders and parses.
+var eventKindNames = [...]string{
+	EventSplit:        "split",
+	EventMerge:        "merge",
+	EventDisable:      "disable",
+	EventEnable:       "enable",
+	EventTailFold:     "tail-fold",
+	EventSkipperBuilt: "skipper-built",
+	EventSkipperLoad:  "skipper-load",
+	EventQuarantine:   "quarantine",
+	EventRebuild:      "rebuild",
+	EventWiden:        "widen",
+}
+
+// String names the kind.
+func (k EventKind) String() string {
+	if int(k) < len(eventKindNames) {
+		return eventKindNames[k]
+	}
+	return fmt.Sprintf("EventKind(%d)", uint8(k))
+}
+
+// MarshalJSON renders the kind by name so record JSON is self-describing.
 func (k EventKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
 // UnmarshalJSON parses the name form, so clients of /events and
@@ -36,133 +58,11 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &name); err != nil {
 		return err
 	}
-	for c := EventSplit; c <= EventWiden; c++ {
-		if c.String() == name {
-			*k = c
+	for c, n := range eventKindNames {
+		if n == name {
+			*k = EventKind(c)
 			return nil
 		}
 	}
 	return fmt.Errorf("unknown event kind %q", name)
-}
-
-// String names the kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventSplit:
-		return "split"
-	case EventMerge:
-		return "merge"
-	case EventDisable:
-		return "disable"
-	case EventEnable:
-		return "enable"
-	case EventTailFold:
-		return "tail-fold"
-	case EventSkipperBuilt:
-		return "skipper-built"
-	case EventSkipperLoad:
-		return "skipper-load"
-	case EventQuarantine:
-		return "quarantine"
-	case EventRebuild:
-		return "rebuild"
-	case EventWiden:
-		return "widen"
-	default:
-		return fmt.Sprintf("EventKind(%d)", uint8(k))
-	}
-}
-
-// Event is one adaptation event: a structural or arbitration change to a
-// column's skipping metadata.
-type Event struct {
-	Seq    uint64    // monotonically increasing per log
-	Time   time.Time // stamped at append
-	Table  string
-	Column string
-	Kind   EventKind
-	Zones  int // zone count after the event
-	Delta  int // zones added (split/fold) or removed (merge); 0 otherwise
-}
-
-// String renders the event on one line.
-func (e Event) String() string {
-	return fmt.Sprintf("#%d %s.%s %s zones=%d delta=%d", e.Seq, e.Table, e.Column, e.Kind, e.Zones, e.Delta)
-}
-
-// EventLog is a bounded, concurrency-safe ring buffer of adaptation
-// events. Appends are O(1); when full, the oldest events are dropped (and
-// counted). Structural adaptation is rare relative to queries, so a small
-// mutex here is far off the scan path.
-type EventLog struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int // ring write position
-	full    bool
-	seq     uint64
-	dropped uint64
-}
-
-// DefaultEventLogSize is the ring capacity used when none is given.
-const DefaultEventLogSize = 1024
-
-// NewEventLog returns a log holding the last capacity events
-// (DefaultEventLogSize when capacity <= 0).
-func NewEventLog(capacity int) *EventLog {
-	if capacity <= 0 {
-		capacity = DefaultEventLogSize
-	}
-	return &EventLog{buf: make([]Event, 0, capacity)}
-}
-
-// Append records one event, stamping its sequence number and time.
-func (l *EventLog) Append(e Event) {
-	l.mu.Lock()
-	l.seq++
-	e.Seq = l.seq
-	e.Time = time.Now()
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, e)
-	} else {
-		l.buf[l.next] = e
-		l.next = (l.next + 1) % cap(l.buf)
-		l.full = true
-		l.dropped++
-	}
-	l.mu.Unlock()
-}
-
-// Events returns a chronological copy of the retained events.
-func (l *EventLog) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.buf))
-	if l.full {
-		out = append(out, l.buf[l.next:]...)
-		out = append(out, l.buf[:l.next]...)
-	} else {
-		out = append(out, l.buf...)
-	}
-	return out
-}
-
-// Len returns the number of retained events.
-func (l *EventLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}
-
-// Seq returns the total number of events ever appended.
-func (l *EventLog) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// Dropped returns how many events the ring has evicted.
-func (l *EventLog) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }

@@ -6,16 +6,16 @@ import (
 	"time"
 )
 
-// The adaptation ledger: a bounded journal of zone-lifecycle events with
-// full provenance — what changed, why, which query template triggered it,
-// and the before/after shape of the affected metadata. Where the
-// EventLog answers "how often does the structure change", the ledger
-// answers "was a specific change worth it": every record carries enough
-// context to credit or debit the adaptation that produced it, and the
-// per-table running totals feed the EXPLAIN ANALYZE footer without a
-// ring scan. Appends happen only on structural change (split, merge,
-// fold, first widen, quarantine, rebuild, build/load), never per probe
-// or per scanned row, so the journal costs the scan hot path nothing.
+// The adaptation ledger: the one bounded journal of zone-lifecycle
+// events, with full provenance — what changed, why, which query template
+// triggered it, and the before/after shape of the affected metadata.
+// Every record carries enough context to credit or debit the adaptation
+// that produced it; /events, \events and the timeline's adapt_events
+// count are projections of it, and the per-table running totals feed the
+// EXPLAIN ANALYZE footer without a ring scan. Appends happen only on
+// structural change (split, merge, fold, first widen, quarantine,
+// rebuild, build/load), never per probe or per scanned row, so the
+// journal costs the scan hot path nothing.
 
 // LedgerRecord is one zone-lifecycle event with provenance. Row bounds
 // ([RowLo,RowHi)) locate the affected region; Min/Max Before/After are
@@ -75,13 +75,9 @@ type LedgerTotals struct {
 // (and every shard) of a DB; records carry their own table/shard stamps
 // so "per-shard ledgers" are a filter, not separate structures.
 type Ledger struct {
-	mu      sync.Mutex
-	buf     []LedgerRecord
-	next    int
-	full    bool
-	seq     uint64
-	dropped uint64
-	totals  map[string]*LedgerTotals // keyed by table
+	mu     sync.Mutex
+	ring   *Ring[LedgerRecord]
+	totals map[string]*LedgerTotals // keyed by table
 }
 
 // DefaultLedgerSize is the ring capacity used when none is given.
@@ -94,7 +90,7 @@ func NewLedger(capacity int) *Ledger {
 		capacity = DefaultLedgerSize
 	}
 	return &Ledger{
-		buf:    make([]LedgerRecord, 0, capacity),
+		ring:   NewRing[LedgerRecord](capacity),
 		totals: make(map[string]*LedgerTotals),
 	}
 }
@@ -103,17 +99,9 @@ func NewLedger(capacity int) *Ledger {
 // folding it into the table's running totals.
 func (l *Ledger) Append(r LedgerRecord) {
 	l.mu.Lock()
-	l.seq++
-	r.Seq = l.seq
+	r.Seq = l.ring.Total() + 1
 	r.Time = time.Now()
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, r)
-	} else {
-		l.buf[l.next] = r
-		l.next = (l.next + 1) % cap(l.buf)
-		l.full = true
-		l.dropped++
-	}
+	*l.ring.Push() = r
 	t := l.totals[r.Table]
 	if t == nil {
 		t = &LedgerTotals{}
@@ -136,14 +124,7 @@ func (l *Ledger) Append(r LedgerRecord) {
 func (l *Ledger) Records() []LedgerRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]LedgerRecord, 0, len(l.buf))
-	if l.full {
-		out = append(out, l.buf[l.next:]...)
-		out = append(out, l.buf[:l.next]...)
-	} else {
-		out = append(out, l.buf...)
-	}
-	return out
+	return l.ring.AppendTo(make([]LedgerRecord, 0, l.ring.Len()))
 }
 
 // Totals returns the running aggregate for one table (zero value when
@@ -161,14 +142,14 @@ func (l *Ledger) Totals(table string) LedgerTotals {
 func (l *Ledger) Seq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.seq
+	return l.ring.Total()
 }
 
 // Dropped returns how many records the ring has evicted.
 func (l *Ledger) Dropped() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped
+	return l.ring.Dropped()
 }
 
 // ROI types: the per-zone return-on-investment view behind /adaptation.

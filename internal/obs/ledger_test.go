@@ -34,26 +34,25 @@ func TestLedgerAppendStampsAndRetains(t *testing.T) {
 	}
 }
 
-func TestLedgerRingEvictsOldestAndCounts(t *testing.T) {
+// TestLedgerEvictionKeepsSeqAndTotals: what the ledger adds on top of
+// Ring (whose wrap arithmetic TestRing covers) — retained records keep
+// the seq stamped at append, and the per-table totals keep counting
+// records the ring has since evicted.
+func TestLedgerEvictionKeepsSeqAndTotals(t *testing.T) {
 	l := NewLedger(4)
 	for i := 0; i < 10; i++ {
 		l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventSplit, Cause: "split-gain"})
 	}
 	recs := l.Records()
-	if len(recs) != 4 {
-		t.Fatalf("retained %d records, want capacity 4", len(recs))
+	if len(recs) != 4 || recs[0].Seq != 7 || recs[3].Seq != 10 {
+		t.Fatalf("retained %d records spanning seq %d..%d, want 4 spanning 7..10",
+			len(recs), recs[0].Seq, recs[len(recs)-1].Seq)
 	}
-	// Oldest-first: the survivors are the last four appends.
-	for i, r := range recs {
-		if want := uint64(7 + i); r.Seq != want {
-			t.Fatalf("recs[%d].Seq = %d, want %d", i, r.Seq, want)
-		}
+	if l.Seq() != 10 || l.Dropped() != 6 {
+		t.Fatalf("Seq/Dropped = %d/%d, want 10/6", l.Seq(), l.Dropped())
 	}
-	if l.Seq() != 10 {
-		t.Fatalf("Seq() = %d, want 10", l.Seq())
-	}
-	if l.Dropped() != 6 {
-		t.Fatalf("Dropped() = %d, want 6", l.Dropped())
+	if tot := l.Totals("data"); tot.Events != 10 || tot.Splits != 10 {
+		t.Fatalf("totals = %+v, want all 10 appends folded in despite eviction", tot)
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -148,41 +149,33 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-func TestEventLogRing(t *testing.T) {
-	l := NewEventLog(4)
-	for i := 0; i < 6; i++ {
-		l.Append(Event{Table: "t", Column: "v", Kind: EventSplit, Zones: i})
-	}
-	if got := l.Seq(); got != 6 {
-		t.Fatalf("seq = %d, want 6", got)
-	}
-	if got := l.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
-	evs := l.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := uint64(i + 3); ev.Seq != want {
-			t.Fatalf("event[%d].Seq = %d, want %d (ring order broken)", i, ev.Seq, want)
-		}
-		if ev.Time.IsZero() {
-			t.Fatalf("event[%d] missing timestamp", i)
-		}
-	}
-}
-
+// TestEventKindStrings: every kind has a name, and the name survives a
+// JSON round trip — String, MarshalJSON and UnmarshalJSON share one table,
+// so a kind added to it cannot render without also parsing.
 func TestEventKindStrings(t *testing.T) {
-	kinds := map[EventKind]string{
-		EventSplit: "split", EventMerge: "merge", EventDisable: "disable",
-		EventEnable: "enable", EventTailFold: "tail-fold",
-		EventSkipperBuilt: "skipper-built", EventSkipperLoad: "skipper-load",
+	if len(eventKindNames) != int(EventWiden)+1 {
+		t.Fatalf("%d names for %d kinds", len(eventKindNames), int(EventWiden)+1)
 	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("EventKind(%d).String() = %q, want %q", k, k.String(), want)
+	for i, want := range eventKindNames {
+		k := EventKind(i)
+		if want == "" || k.String() != want {
+			t.Fatalf("EventKind(%d).String() = %q, table says %q", i, k.String(), want)
 		}
+		b, err := json.Marshal(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back EventKind
+		if err := json.Unmarshal(b, &back); err != nil || back != k {
+			t.Fatalf("%s round-tripped to %v (err %v)", b, back, err)
+		}
+	}
+	if got := EventKind(len(eventKindNames)).String(); !strings.HasPrefix(got, "EventKind(") {
+		t.Fatalf("out-of-range kind renders %q", got)
+	}
+	var k EventKind
+	if err := json.Unmarshal([]byte(`"no-such-kind"`), &k); err == nil {
+		t.Fatal("unknown kind name decoded without error")
 	}
 }
 

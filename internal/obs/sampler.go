@@ -55,8 +55,9 @@ type HistorySample struct {
 	// histograms (merged across tables), in seconds.
 	LatencyP50 float64 `json:"latency_p50_seconds"`
 	LatencyP95 float64 `json:"latency_p95_seconds"`
-	// AdaptEvents is the cumulative adaptation-event count (splits,
-	// merges, arbitration flips, quarantines).
+	// AdaptEvents is the cumulative adaptation-record count: the ledger's
+	// Seq (splits, merges, folds, widens, arbitration flips, quarantines,
+	// builds).
 	AdaptEvents int64 `json:"adapt_events"`
 	// WALLagSeconds is the age of the oldest write-ahead-log record not
 	// yet fsynced (0 when no WAL is configured or nothing is pending).
@@ -93,11 +94,8 @@ type Sampler struct {
 	interval time.Duration
 	fill     func(*HistorySample)
 
-	mu    sync.Mutex
-	buf   []HistorySample
-	next  int
-	full  bool
-	total uint64
+	mu   sync.Mutex
+	ring *Ring[HistorySample]
 
 	// Subscribers are invoked synchronously on the sampler goroutine after
 	// each tick, outside s.mu. subScratch is the reused dispatch list.
@@ -126,7 +124,7 @@ func NewSampler(interval time.Duration, capacity int, fill func(*HistorySample))
 	s := &Sampler{
 		interval: interval,
 		fill:     fill,
-		buf:      make([]HistorySample, 0, capacity),
+		ring:     NewRing[HistorySample](capacity),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -195,15 +193,7 @@ func (s *Sampler) run() {
 // state performs no allocation.
 func (s *Sampler) sample() {
 	s.mu.Lock()
-	var slot *HistorySample
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, HistorySample{})
-		slot = &s.buf[len(s.buf)-1]
-	} else {
-		slot = &s.buf[s.next]
-		s.next = (s.next + 1) % cap(s.buf)
-		s.full = true
-	}
+	slot := s.ring.Push()
 	cols := slot.Columns[:0]
 	lat := slot.LatencyBuckets[:0]
 	*slot = HistorySample{Time: time.Now(), Columns: cols, LatencyBuckets: lat}
@@ -211,7 +201,6 @@ func (s *Sampler) sample() {
 		s.fill(slot)
 	}
 	sortColumns(slot.Columns)
-	s.total++
 	s.mu.Unlock()
 	// Subscribers run outside the ring lock: the slot is only rewritten by
 	// this goroutine, at least a full ring revolution later, so handing
@@ -245,13 +234,7 @@ func columnLess(a, b *HistoryColumn) bool {
 func (s *Sampler) Snapshot() []HistorySample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]HistorySample, 0, len(s.buf))
-	if s.full {
-		out = append(out, s.buf[s.next:]...)
-		out = append(out, s.buf[:s.next]...)
-	} else {
-		out = append(out, s.buf...)
-	}
+	out := s.ring.AppendTo(make([]HistorySample, 0, s.ring.Len()))
 	for i := range out {
 		out[i].Columns = append([]HistoryColumn(nil), out[i].Columns...)
 		out[i].LatencyBuckets = append([]int64(nil), out[i].LatencyBuckets...)
@@ -263,14 +246,14 @@ func (s *Sampler) Snapshot() []HistorySample {
 func (s *Sampler) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.buf)
+	return s.ring.Len()
 }
 
 // Total returns the number of samples ever taken.
 func (s *Sampler) Total() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.total
+	return s.ring.Total()
 }
 
 // Stop shuts the sampling goroutine down and waits for it to exit.

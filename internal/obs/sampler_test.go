@@ -9,47 +9,41 @@ import (
 	"time"
 )
 
-// TestSamplerRingWrap drives the sampler well past its capacity and
-// proves the ring keeps exactly the newest samples, oldest-first, with
-// per-sample columns sorted by (table, column).
-func TestSamplerRingWrap(t *testing.T) {
-	var n atomic.Int64
-	s := NewSampler(time.Millisecond, 4, func(h *HistorySample) {
-		h.Queries = n.Add(1)
+// TestSamplerSlotDonation covers what the sampler adds on top of Ring
+// (whose wrap arithmetic TestRing covers): each tick sorts its columns,
+// a wrapped ring's evicted slot donates its Columns and LatencyBuckets
+// backing arrays so a warm tick allocates nothing, and Snapshot deep-
+// copies so readers never alias a slot the next tick rewrites.
+func TestSamplerSlotDonation(t *testing.T) {
+	var n int64
+	s := NewSampler(time.Hour, 4, func(h *HistorySample) {
+		n++
+		h.Queries = n
 		// Deliberately unsorted: the sampler must sort.
 		h.Columns = append(h.Columns,
 			HistoryColumn{Table: "t", Column: "z"},
 			HistoryColumn{Table: "a", Column: "b"},
 			HistoryColumn{Table: "t", Column: "a"},
 		)
+		h.LatencyBuckets = append(h.LatencyBuckets, 1, 2, 3)
 	})
 	defer s.Stop()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Total() < 10 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sampler took only %d samples in 5s", s.Total())
-		}
-		time.Sleep(time.Millisecond)
+	// The constructor took sample #1; the hour-long ticker never fires, so
+	// every further tick is driven from here.
+	for n < 10 {
+		s.sample()
 	}
-	s.Stop()
-
-	total := s.Total()
-	if got := s.Len(); got != 4 {
-		t.Fatalf("Len = %d after %d samples, want capacity 4", got, total)
+	if s.Len() != 4 || s.Total() != 10 {
+		t.Fatalf("Len/Total = %d/%d, want 4/10", s.Len(), s.Total())
 	}
 	snap := s.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("Snapshot holds %d samples, want 4", len(snap))
-	}
-	// Oldest-first and contiguous: the newest sample is the total'th fill.
 	for i, h := range snap {
-		want := int64(total) - int64(len(snap)-1-i)
-		if h.Queries != want {
-			t.Fatalf("sample %d carries fill #%d, want #%d (ring order broken)", i, h.Queries, want)
+		if want := int64(7 + i); h.Queries != want {
+			t.Fatalf("sample %d carries fill #%d, want #%d", i, h.Queries, want)
 		}
-		if len(h.Columns) != 3 {
-			t.Fatalf("sample %d has %d columns, want 3", i, len(h.Columns))
+		if len(h.Columns) != 3 || len(h.LatencyBuckets) != 3 {
+			t.Fatalf("sample %d: %d columns, %d buckets, want 3 and 3 (stale slot state leaked)",
+				i, len(h.Columns), len(h.LatencyBuckets))
 		}
 		for j := 1; j < len(h.Columns); j++ {
 			if !columnLess(&h.Columns[j-1], &h.Columns[j]) {
@@ -57,11 +51,12 @@ func TestSamplerRingWrap(t *testing.T) {
 			}
 		}
 	}
-
-	// Snapshot must be a deep copy: mutating it cannot reach the ring.
 	snap[0].Columns[0].Table = "mutated"
 	if s.Snapshot()[0].Columns[0].Table == "mutated" {
 		t.Fatal("Snapshot shares column backing arrays with the ring")
+	}
+	if allocs := testing.AllocsPerRun(50, s.sample); allocs != 0 {
+		t.Fatalf("warm sampler tick allocates %v times, want 0", allocs)
 	}
 }
 

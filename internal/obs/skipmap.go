@@ -61,3 +61,24 @@ type SkipmapTable struct {
 	Rows    int             `json:"rows"`
 	Columns []SkipmapColumn `json:"columns"`
 }
+
+// SkipperSnapshot is a skipper's whole introspectable state, copied in
+// one cold-path call (core.Introspector): every zone in row order, the
+// lifetime probe and maintenance counters, and the cost-model constants
+// that weigh them. The engine derives the /skipmap zone detail and the
+// /adaptation ROI rows (net benefit, dead zones) from it.
+type SkipperSnapshot struct {
+	Zones []SkipmapZone
+
+	// Lifetime probe accounting across every Prune/PruneNulls call.
+	RowsSkipped int64
+	ZoneProbes  int64
+	// Maintenance debits: structural/arbitration events, and the zones
+	// they touched.
+	MaintEvents int64
+	MaintZones  int64
+
+	// Cost model, in row-equivalents: one row of scan work avoided, one
+	// zone probe, one zone's worth of maintenance work.
+	RowCost, ProbeCost, MaintCost float64
+}

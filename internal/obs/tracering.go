@@ -11,12 +11,8 @@ const DefaultTraceRingSize = 256
 // retained traces oldest-first, so the telemetry server can serve "the
 // last N queries" without stopping the engine.
 type TraceRing struct {
-	mu      sync.Mutex
-	buf     []*QueryTrace
-	next    int // ring write position once full
-	full    bool
-	total   uint64
-	dropped uint64
+	mu   sync.Mutex
+	ring *Ring[*QueryTrace]
 }
 
 // NewTraceRing returns a ring holding the last capacity traces
@@ -25,7 +21,7 @@ func NewTraceRing(capacity int) *TraceRing {
 	if capacity <= 0 {
 		capacity = DefaultTraceRingSize
 	}
-	return &TraceRing{buf: make([]*QueryTrace, 0, capacity)}
+	return &TraceRing{ring: NewRing[*QueryTrace](capacity)}
 }
 
 // Append records one completed trace. The ring takes ownership of the
@@ -35,15 +31,7 @@ func (r *TraceRing) Append(t *QueryTrace) {
 		return
 	}
 	r.mu.Lock()
-	r.total++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, t)
-	} else {
-		r.buf[r.next] = t
-		r.next = (r.next + 1) % cap(r.buf)
-		r.full = true
-		r.dropped++
-	}
+	*r.ring.Push() = t
 	r.mu.Unlock()
 }
 
@@ -52,33 +40,26 @@ func (r *TraceRing) Append(t *QueryTrace) {
 func (r *TraceRing) Snapshot() []*QueryTrace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*QueryTrace, 0, len(r.buf))
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
+	return r.ring.AppendTo(make([]*QueryTrace, 0, r.ring.Len()))
 }
 
 // Len returns the number of retained traces.
 func (r *TraceRing) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.ring.Len()
 }
 
 // Total returns the number of traces ever appended.
 func (r *TraceRing) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.ring.Total()
 }
 
 // Dropped returns how many traces the ring has evicted.
 func (r *TraceRing) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.ring.Dropped()
 }

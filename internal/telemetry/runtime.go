@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"adskip/internal/obs"
 )
 
 // RuntimeSample is one point-in-time reading of the Go runtime: goroutine
@@ -35,9 +37,7 @@ type Collector struct {
 	interval time.Duration
 
 	mu   sync.Mutex
-	buf  []RuntimeSample
-	next int
-	full bool
+	ring *obs.Ring[RuntimeSample]
 
 	stop chan struct{}
 	done chan struct{}
@@ -56,7 +56,7 @@ func NewCollector(interval time.Duration, capacity int) *Collector {
 	}
 	c := &Collector{
 		interval: interval,
-		buf:      make([]RuntimeSample, 0, capacity),
+		ring:     obs.NewRing[RuntimeSample](capacity),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -95,13 +95,7 @@ func (c *Collector) sample() {
 		GCCPUFraction: ms.GCCPUFraction,
 	}
 	c.mu.Lock()
-	if len(c.buf) < cap(c.buf) {
-		c.buf = append(c.buf, s)
-	} else {
-		c.buf[c.next] = s
-		c.next = (c.next + 1) % cap(c.buf)
-		c.full = true
-	}
+	*c.ring.Push() = s
 	c.mu.Unlock()
 }
 
@@ -109,14 +103,7 @@ func (c *Collector) sample() {
 func (c *Collector) Snapshot() []RuntimeSample {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]RuntimeSample, 0, len(c.buf))
-	if c.full {
-		out = append(out, c.buf[c.next:]...)
-		out = append(out, c.buf[:c.next]...)
-	} else {
-		out = append(out, c.buf...)
-	}
-	return out
+	return c.ring.AppendTo(make([]RuntimeSample, 0, c.ring.Len()))
 }
 
 // Stop shuts the sampling goroutine down and waits for it to exit.

@@ -24,7 +24,6 @@ func testSource() Source {
 	return Source{
 		Registry: reg,
 		Traces:   ring,
-		Events:   func() []obs.Event { return []obs.Event{{Table: "t", Column: "v", Kind: obs.EventSplit}} },
 		Skipmap: func(maxZones int) []obs.SkipmapTable {
 			zones := []obs.SkipmapZone{{Lo: 0, Hi: 64, Min: 1, Max: 9, NonNull: 64, Hits: 3, Misses: 1}}
 			if maxZones == 0 {
@@ -137,7 +136,10 @@ func TestServerOptionalSourcesNil(t *testing.T) {
 	}
 }
 
-func TestCollectorRingAndStop(t *testing.T) {
+// TestCollectorSamplesAndStops covers what the collector adds on top of
+// Ring (whose wrap arithmetic TestRing covers): the goroutine fills
+// readings oldest-first, and Stop joins it so the ring freezes.
+func TestCollectorSamplesAndStops(t *testing.T) {
 	c := NewCollector(time.Millisecond, 4)
 	deadline := time.Now().Add(2 * time.Second)
 	for len(c.Snapshot()) < 4 {
@@ -149,21 +151,11 @@ func TestCollectorRingAndStop(t *testing.T) {
 	c.Stop()
 	c.Stop() // idempotent
 	snap := c.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("ring holds %d samples, want 4", len(snap))
+	if len(snap) != 4 || snap[0].Goroutines <= 0 || snap[3].Time.Before(snap[0].Time) {
+		t.Fatalf("ring after Stop: %+v", snap)
 	}
-	for i := 1; i < len(snap); i++ {
-		if snap[i].Time.Before(snap[i-1].Time) {
-			t.Fatal("samples not oldest-first")
-		}
-	}
-	if snap[0].Goroutines <= 0 {
-		t.Fatalf("sample missing goroutine count: %+v", snap[0])
-	}
-	// After Stop the ring is frozen.
-	n := len(c.Snapshot())
 	time.Sleep(5 * time.Millisecond)
-	if len(c.Snapshot()) != n {
+	if after := c.Snapshot(); after[3].Time != snap[3].Time {
 		t.Fatal("collector kept sampling after Stop")
 	}
 }

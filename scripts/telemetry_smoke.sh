@@ -149,6 +149,23 @@ if [ -z "$ok" ]; then
   exit 1
 fi
 rm -f "$AD"
+
+# /events is a projection of /adaptation — one journal, two views. The
+# REPL is idle between the two fetches, so the record lists must agree
+# seq for seq and kind for kind.
+AD=$(check_status /adaptation)
+EV=$(check_status /events)
+python3 - "$AD" "$EV" <<'PY'
+import json, sys
+a = json.load(open(sys.argv[1]))["events"]
+e = json.load(open(sys.argv[2]))
+assert e, "/events is empty after splits were journaled"
+key = lambda recs: [(r["seq"], r["kind"]) for r in recs]
+assert key(e) == key(a), f"/events {key(e)} != /adaptation.events {key(a)}"
+PY
+rm -f "$AD" "$EV"
+echo "GET /events -> same seqs and kinds as /adaptation.events"
+
 ADCSV=$(check_status '/adaptation?format=csv')
 head -1 "$ADCSV" | grep -q '^table,shard,column,kind,' || {
   echo "/adaptation?format=csv missing header" >&2
