@@ -395,11 +395,18 @@ func (r *repl) gen(dist, rowsStr string) {
 		{Name: "v", Type: storage.Int64},
 		{Name: "seq", Type: storage.Int64},
 	})
-	for i, v := range vals {
-		if err := tbl.AppendRow(storage.IntValue(v), storage.IntValue(int64(i))); err != nil {
-			fmt.Fprintf(r.out, "error: %v\n", err)
-			return
+	load := func() error {
+		batch := table.NewBatcher(tbl)
+		for i, v := range vals {
+			if err := batch.Add(storage.IntValue(v), storage.IntValue(int64(i))); err != nil {
+				return err
+			}
 		}
+		return batch.Flush()
+	}
+	if err := load(); err != nil {
+		fmt.Fprintf(r.out, "error: %v\n", err)
+		return
 	}
 	r.attach(tbl)
 	fmt.Fprintf(r.out, "table \"data\": %d rows, distribution %s, skipping on all columns\n", n, dist)

@@ -85,13 +85,20 @@ func main() {
 		{Name: "seq", Type: storage.Int64},
 		{Name: "noise", Type: storage.Float64},
 	})
-	for i, v := range vals {
-		err := tbl.AppendRow(storage.IntValue(v), storage.IntValue(int64(i)),
-			storage.FloatValue(rng.Float64()*1000))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-gen: %v\n", err)
-			os.Exit(1)
+	load := func() error {
+		batch := table.NewBatcher(tbl)
+		for i, v := range vals {
+			err := batch.Add(storage.IntValue(v), storage.IntValue(int64(i)),
+				storage.FloatValue(rng.Float64()*1000))
+			if err != nil {
+				return err
+			}
 		}
+		return batch.Flush()
+	}
+	if err := load(); err != nil {
+		fmt.Fprintf(os.Stderr, "adskip-gen: %v\n", err)
+		os.Exit(1)
 	}
 
 	if *corrupt {

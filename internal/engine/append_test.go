@@ -1,0 +1,237 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"adskip/internal/dict"
+	"adskip/internal/obs"
+	"adskip/internal/storage"
+	"adskip/internal/table"
+	"adskip/internal/wal"
+)
+
+// benchSchema is the repository benchmark's table: v carries the
+// distribution, seq is the row number, noise is a uniform float.
+func benchSchema() table.Schema {
+	return table.Schema{
+		{Name: "v", Type: storage.Int64},
+		{Name: "seq", Type: storage.Int64},
+		{Name: "noise", Type: storage.Float64},
+	}
+}
+
+// benchBatch builds n rows of benchSchema over one backing array.
+func benchBatch(n int, seed int64) [][]storage.Value {
+	rng := rand.New(rand.NewSource(seed))
+	cells := make([]storage.Value, 3*n)
+	rows := make([][]storage.Value, n)
+	for i := range rows {
+		rows[i] = cells[3*i : 3*i+3 : 3*i+3]
+		rows[i][0] = storage.IntValue(rng.Int63n(1 << 21))
+		rows[i][1] = storage.IntValue(int64(i))
+		rows[i][2] = storage.FloatValue(rng.Float64() * 1000)
+	}
+	return rows
+}
+
+// openWAL opens a log on a fresh temp dir. Syncs are skipped: the
+// benchmark and the tests below measure and check the engine's side of a
+// durable append, not the disk.
+func openWAL(tb testing.TB) (*wal.Log, *obs.Registry) {
+	tb.Helper()
+	reg := obs.NewRegistry()
+	l, _, err := wal.Open(wal.Options{Dir: tb.TempDir(), NoSync: true, Metrics: reg}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { l.Close() })
+	return l, reg
+}
+
+// BenchmarkAppendRows loads the benchmark's 3-column table from empty to
+// 2 Mi rows, over and over, at three batch sizes, with and without a WAL:
+// the load path that setup_s of the repository benchmark spends most of
+// its time in. ns/row and B/row include column growth, as a load does.
+// The durable legs pipeline their commits (one Wait per table, as
+// sustained ingest does), so they time the engine's side of a durable
+// append, not the group-commit window.
+func BenchmarkAppendRows(b *testing.B) {
+	const tableRows = 1 << 21
+	for _, durable := range []bool{false, true} {
+		for _, n := range []int{1, 256, 1 << 16} {
+			b.Run(fmt.Sprintf("wal=%v/batch=%d", durable, n), func(b *testing.B) {
+				batch := benchBatch(n, 1)
+				fresh := func() *Engine {
+					e := New(table.MustNew("data", benchSchema()), Options{})
+					if durable {
+						l, _ := openWAL(b)
+						e.SetWAL(l)
+					}
+					return e
+				}
+				e := fresh()
+				var last wal.Commit
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if e.NumRows() >= tableRows {
+						if err := last.Wait(); err != nil {
+							b.Fatal(err)
+						}
+						b.StopTimer()
+						e = fresh()
+						b.StartTimer()
+					}
+					var err error
+					if last, err = e.AppendRowsAsync(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := last.Wait(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				rows := float64(b.N) * float64(n)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/rows, "B/row")
+			})
+		}
+	}
+}
+
+// TestAppendAllocsIndependentOfBatchLength: a volatile append into a table
+// with spare capacity allocates the same number of objects whatever the
+// batch length — nothing in the path allocates per row or per cell.
+func TestAppendAllocsIndependentOfBatchLength(t *testing.T) {
+	allocs := func(n int) float64 {
+		e := New(table.MustNew("data", benchSchema()), Options{})
+		// Pre-size: a big batch, rolled back, leaves the capacity behind.
+		if err := e.AppendRows(benchBatch(1<<15, 2)); err != nil {
+			t.Fatal(err)
+		}
+		for ci := 0; ci < e.tbl.NumColumns(); ci++ {
+			e.tbl.ColumnAt(ci).Truncate(0)
+		}
+		batch := benchBatch(n, 3)
+		return testing.AllocsPerRun(20, func() {
+			if err := e.AppendRows(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(256)
+	if small != large {
+		t.Fatalf("allocations depend on batch length: %v for 16 rows, %v for 256", small, large)
+	}
+	if large > 2 {
+		t.Fatalf("a warm 256-row append allocates %v objects, want <= 2", large)
+	}
+}
+
+// TestAppendRejectsWholeBatch: a batch with one bad cell — at any row,
+// in any column — leaves every column exactly as it was, and nothing
+// reaches the log, with a WAL armed and without.
+func TestAppendRejectsWholeBatch(t *testing.T) {
+	schema := table.Schema{
+		{Name: "i", Type: storage.Int64},
+		{Name: "f", Type: storage.Float64},
+		{Name: "s", Type: storage.String},
+	}
+	good := func(k int) []storage.Value {
+		return []storage.Value{storage.IntValue(int64(k)), storage.FloatValue(float64(k) / 2), storage.StringValue("b")}
+	}
+	cases := []struct {
+		name   string
+		sealed bool
+		bad    []storage.Value
+		want   error
+	}{
+		{"arity short", false, []storage.Value{storage.IntValue(1), storage.FloatValue(1)}, table.ErrRowArity},
+		{"arity long", false, append(good(1), storage.IntValue(1)), table.ErrRowArity},
+		{"type mismatch", false, []storage.Value{storage.FloatValue(1), storage.FloatValue(1), storage.StringValue("b")}, storage.ErrTypeMismatch},
+		{"NaN", false, []storage.Value{storage.IntValue(1), storage.FloatValue(math.NaN()), storage.StringValue("b")}, storage.ErrNaN},
+		{"sealed dictionary", true, []storage.Value{storage.IntValue(1), storage.FloatValue(1), storage.StringValue("zebra")}, dict.ErrSealed},
+	}
+	for _, tc := range cases {
+		for _, durable := range []bool{false, true} {
+			for _, at := range []int{0, 70, 199} {
+				t.Run(fmt.Sprintf("%s/wal=%v/row=%d", tc.name, durable, at), func(t *testing.T) {
+					tbl := table.MustNew("t", schema)
+					// Base rows with NULLs on both sides of a bitmap word boundary.
+					for k := 0; k < 130; k++ {
+						row := good(k)
+						if k%9 == 0 {
+							row[k%3] = storage.NullValue(schema[k%3].Type)
+						}
+						if err := tbl.AppendRow(row...); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if tc.sealed {
+						tbl.SealDicts()
+					}
+					e := New(tbl, Options{})
+					var reg *obs.Registry
+					if durable {
+						var l *wal.Log
+						l, reg = openWAL(t)
+						e.SetWAL(l)
+					}
+					before := snapshotTable(tbl)
+
+					batch := make([][]storage.Value, 200)
+					for k := range batch {
+						batch[k] = good(k)
+					}
+					batch[at] = tc.bad
+					err := e.AppendRows(batch)
+					if !errors.Is(err, tc.want) {
+						t.Fatalf("AppendRows = %v, want %v", err, tc.want)
+					}
+					if after := snapshotTable(tbl); after != before {
+						t.Fatalf("rejected batch changed the table:\nbefore %s\nafter  %s", before, after)
+					}
+					if durable {
+						if n := reg.Counter("adskip_wal_appends_total", "").Load(); n != 0 {
+							t.Fatalf("rejected batch logged %d records", n)
+						}
+					}
+					// The table still takes a good batch afterwards.
+					batch[at] = good(at)
+					if err := e.AppendRows(batch); err != nil {
+						t.Fatal(err)
+					}
+					if err := tbl.CheckInvariants(); err != nil || tbl.NumRows() != 330 {
+						t.Fatalf("after good batch: %d rows, %v", tbl.NumRows(), err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// snapshotTable renders every column's length, NULL count, cells and
+// dictionary as one comparable string.
+func snapshotTable(tbl *table.Table) string {
+	s := ""
+	for ci := 0; ci < tbl.NumColumns(); ci++ {
+		c := tbl.ColumnAt(ci)
+		s += fmt.Sprintf("[%s len=%d nulls=%d", c.Name(), c.Len(), c.NullCount())
+		for i := 0; i < c.Len(); i++ {
+			s += " " + c.Value(i).String()
+		}
+		if d := c.Dict(); d != nil {
+			s += fmt.Sprintf(" dict=%q", d.Values())
+		}
+		s += "]"
+	}
+	return s
+}

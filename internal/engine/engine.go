@@ -332,9 +332,9 @@ func (e *Engine) NumRows() int {
 	return e.tbl.NumRows()
 }
 
-// AppendRow appends one row, validating types first so a rejected row
-// cannot skew column lengths. Skipper metadata is synchronized lazily at
-// the next query, so bulk ingest pays no per-row metadata cost.
+// AppendRow appends one row: the one-row case of AppendRows. Skipper
+// metadata is synchronized lazily at the next query, so ingest pays no
+// per-row metadata cost.
 func (e *Engine) AppendRow(vals ...storage.Value) error {
 	return e.AppendRows([][]storage.Value{vals})
 }
@@ -361,81 +361,39 @@ func (e *Engine) AppendRows(rows [][]storage.Value) error {
 // fsync absorb many batches. The caller MUST NOT acknowledge the rows to
 // anyone until Wait returns nil; with no WAL armed the zero Commit waits
 // instantly.
+//
+// The order is validate columns -> log -> apply columns: CheckRows rejects
+// every batch the table could refuse (arity, type, NaN, string missing
+// from a sealed dictionary) before anything is logged, so the apply after
+// the log record cannot fail and the table never diverges from the log's
+// BaseRow chain.
 func (e *Engine) AppendRowsAsync(rows [][]storage.Value) (wal.Commit, error) {
 	if len(rows) == 0 {
 		return wal.Commit{}, nil
 	}
 	e.mu.Lock()
-	for _, r := range rows {
-		if err := e.validateDurableRow(r); err != nil {
-			e.mu.Unlock()
-			return wal.Commit{}, err
-		}
+	defer e.mu.Unlock()
+	if err := e.tbl.CheckRows(rows); err != nil {
+		return wal.Commit{}, err
 	}
 	var commit wal.Commit
 	if e.wal != nil {
-		rec := &wal.Record{
+		c, err := e.wal.Append(&wal.Record{
 			Kind:    wal.KindRows,
 			Table:   e.tbl.Name(),
 			Shard:   uint32(e.opts.Shard),
 			BaseRow: uint64(e.tbl.NumRows()),
 			Types:   e.schemaTypes(),
 			Rows:    rows,
-		}
-		c, err := e.wal.Append(rec)
+		})
 		if err != nil {
-			e.mu.Unlock()
 			return wal.Commit{}, fmt.Errorf("engine: durable append: %w", err)
 		}
 		commit = c
 	}
-	base := e.tbl.NumRows()
-	for i, r := range rows {
-		if err := e.tbl.AppendRow(r...); err != nil {
-			// validateDurableRow should make this unreachable; roll the
-			// block back so the table never diverges from the log's
-			// BaseRow chain (replay will fail this record the same way).
-			for ci := 0; ci < e.tbl.NumColumns(); ci++ {
-				e.tbl.ColumnAt(ci).Truncate(base)
-			}
-			e.mu.Unlock()
-			return wal.Commit{}, fmt.Errorf("engine: append row %d: %w", i, err)
-		}
-	}
+	e.tbl.AppendChecked(rows)
 	faultinject.Crash(faultinject.CrashWALAfterApply)
-	e.mu.Unlock()
 	return commit, nil
-}
-
-// validateDurableRow rejects, before anything is logged or applied,
-// every row the table could later refuse: arity or type mismatches, NaN
-// floats, and strings absent from a sealed dictionary. Caller holds e.mu.
-func (e *Engine) validateDurableRow(vals []storage.Value) error {
-	if err := e.tbl.ValidateRow(vals...); err != nil {
-		return err
-	}
-	for i, v := range vals {
-		if v.IsNull() {
-			continue
-		}
-		col := e.tbl.ColumnAt(i)
-		switch col.Type() {
-		case storage.Float64:
-			if _, _, err := col.EncodeValue(v); err != nil {
-				return fmt.Errorf("column %q: %w", col.Name(), err)
-			}
-		case storage.String:
-			if !col.DictSorted() {
-				continue // unsealed dictionary accepts any string
-			}
-			if _, ok, err := col.EncodeValue(v); err != nil {
-				return fmt.Errorf("column %q: %w", col.Name(), err)
-			} else if !ok {
-				return fmt.Errorf("engine: column %q: string %q not in sealed dictionary", col.Name(), v.Str())
-			}
-		}
-	}
-	return nil
 }
 
 // schemaTypes returns the table's column types in schema order.
@@ -565,10 +523,8 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 		if rec.BaseRow+uint64(len(rec.Rows)) <= cur {
 			return nil // fully present already
 		}
-		for _, r := range rec.Rows[cur-rec.BaseRow:] {
-			if err := e.tbl.AppendRow(r...); err != nil {
-				return fmt.Errorf("engine: replay append on %q: %w", e.tbl.Name(), err)
-			}
+		if err := e.tbl.AppendRows(rec.Rows[cur-rec.BaseRow:]); err != nil {
+			return fmt.Errorf("engine: replay append on %q: %w", e.tbl.Name(), err)
 		}
 		return nil
 	case wal.KindUpdate:

@@ -113,22 +113,40 @@ type shardState struct {
 	mRows *obs.Gauge
 }
 
-// widen folds a batch's observed key stats into the shard's bounds.
-func (s *shardState) widen(lo, hi int64, seen bool, nulls int64) {
+// keyStats is what one group of rows adds to a shard's observed key
+// bounds: min/max over its non-NULL key codes and its NULL-key count.
+type keyStats struct {
+	seen   bool
+	lo, hi int64
+	nulls  int64
+}
+
+// add folds one row's key into the stats.
+func (k *keyStats) add(code int64, null bool) {
+	switch {
+	case null:
+		k.nulls++
+	case !k.seen:
+		k.seen, k.lo, k.hi = true, code, code
+	case code < k.lo:
+		k.lo = code
+	case code > k.hi:
+		k.hi = code
+	}
+}
+
+// widen folds a group's observed key stats into the shard's bounds.
+func (s *shardState) widen(k keyStats) {
 	s.mu.Lock()
-	if seen {
+	if k.seen {
 		if !s.seen {
-			s.seen, s.lo, s.hi = true, lo, hi
+			s.seen, s.lo, s.hi = true, k.lo, k.hi
 		} else {
-			if lo < s.lo {
-				s.lo = lo
-			}
-			if hi > s.hi {
-				s.hi = hi
-			}
+			s.lo = min(s.lo, k.lo)
+			s.hi = max(s.hi, k.hi)
 		}
 	}
-	s.nulls += nulls
+	s.nulls += k.nulls
 	s.mu.Unlock()
 }
 
@@ -296,13 +314,9 @@ func NewFromTable(tbl *table.Table, opts Options) (*Manager, error) {
 				m.bounds = equidepthBounds(codes, opts.Shards)
 			}
 		}
-		rows := make([][]storage.Value, 0, n)
-		for i := 0; i < n; i++ {
-			row, err := tbl.Row(i)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+		rows, err := tbl.Rows(0, n)
+		if err != nil {
+			return nil, err
 		}
 		if err := m.AppendRows(rows); err != nil {
 			return nil, err
@@ -405,18 +419,28 @@ func (m *Manager) routeShard(code int64, null bool, bounds []int64) int {
 	return i // i == len(bounds) means the last shard
 }
 
-// route partitions a batch of rows into per-shard groups. In range mode
-// before bounds are learned, a batch carrying at least
-// shards*learnRowsPerShard rows fixes the bounds (equi-depth over the
-// batch); smaller early batches round-robin whole to one shard, which
-// pruning tolerates because it consults observed bounds, not placement
-// intent.
-func (m *Manager) route(rows [][]storage.Value) ([][][]storage.Value, error) {
+// group is the part of a batch routed to one shard, with the key stats
+// that shard's bounds must absorb before the rows are applied.
+type group struct {
+	rows [][]storage.Value
+	keyStats
+}
+
+// route partitions a batch of rows into per-shard groups, extracting each
+// row's key once: the same pass picks the shard and folds the key into
+// the group's stats. In range mode before bounds are learned, a batch
+// carrying at least shards*learnRowsPerShard rows fixes the bounds
+// (equi-depth over the batch — the one batch in a Manager's life whose
+// keys are read twice); smaller early batches round-robin whole to one
+// shard, which pruning tolerates because it consults observed bounds, not
+// placement intent. A bad key rejects the batch on every path.
+func (m *Manager) route(rows [][]storage.Value) ([]group, error) {
 	n := len(m.shards)
-	groups := make([][][]storage.Value, n)
+	groups := make([]group, n)
 
 	m.routeMu.Lock()
 	bounds := m.bounds
+	whole := -1 // round-robin fallback: the shard taking the whole batch
 	if m.mode == ModeRange && bounds == nil {
 		if len(rows) >= n*learnRowsPerShard {
 			codes := make([]int64, 0, len(rows))
@@ -436,18 +460,8 @@ func (m *Manager) route(rows [][]storage.Value) ([][][]storage.Value, error) {
 			}
 		}
 		if bounds == nil {
-			si := m.rr % n
+			whole = m.rr % n
 			m.rr++
-			m.routeMu.Unlock()
-			// Validate key extraction even on the fallback path so bad rows
-			// are rejected identically regardless of timing.
-			for _, r := range rows {
-				if _, _, err := m.keyCode(r); err != nil {
-					return nil, err
-				}
-			}
-			groups[si] = rows
-			return groups, nil
 		}
 	}
 	m.routeMu.Unlock()
@@ -457,8 +471,15 @@ func (m *Manager) route(rows [][]storage.Value) ([][][]storage.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		si := m.routeShard(code, null, bounds)
-		groups[si] = append(groups[si], r)
+		si := whole
+		if si < 0 {
+			si = m.routeShard(code, null, bounds)
+			groups[si].rows = append(groups[si].rows, r)
+		}
+		groups[si].add(code, null)
+	}
+	if whole >= 0 {
+		groups[whole].rows = rows
 	}
 	return groups, nil
 }
@@ -491,32 +512,12 @@ func (m *Manager) AppendRows(rows [][]storage.Value) error {
 	}
 	var parts []part
 	for si, g := range groups {
-		if len(g) == 0 {
+		if len(g.rows) == 0 {
 			continue
 		}
 		s := m.shards[si]
-		var lo, hi int64
-		seen := false
-		var nulls int64
-		for _, r := range g {
-			code, null, _ := m.keyCode(r)
-			if null {
-				nulls++
-				continue
-			}
-			if !seen {
-				lo, hi, seen = code, code, true
-			} else {
-				if code < lo {
-					lo = code
-				}
-				if code > hi {
-					hi = code
-				}
-			}
-		}
-		s.widen(lo, hi, seen, nulls)
-		parts = append(parts, part{s: s, rows: g})
+		s.widen(g.keyStats)
+		parts = append(parts, part{s: s, rows: g.rows})
 	}
 
 	commits := make([]wal.Commit, len(parts))
@@ -580,30 +581,15 @@ func (m *Manager) ReplayRecord(rec *wal.Record) error {
 		// Widen observed bounds from the replayed rows before applying,
 		// mirroring the live append path (replay is idempotent; widening
 		// twice is harmless).
-		var lo, hi int64
-		seen := false
-		var nulls int64
+		var k keyStats
 		for _, r := range rec.Rows {
 			code, null, err := m.keyCode(r)
 			if err != nil {
 				return err
 			}
-			if null {
-				nulls++
-				continue
-			}
-			if !seen {
-				lo, hi, seen = code, code, true
-			} else {
-				if code < lo {
-					lo = code
-				}
-				if code > hi {
-					hi = code
-				}
-			}
+			k.add(code, null)
 		}
-		s.widen(lo, hi, seen, nulls)
+		s.widen(k)
 	}
 	if err := s.eng.ReplayRecord(rec); err != nil {
 		return err
@@ -621,12 +607,12 @@ func (m *Manager) Merged() (*table.Table, error) {
 	}
 	for _, s := range m.shards {
 		st := s.eng.Table()
-		for i := 0; i < st.NumRows(); i++ {
-			row, err := st.Row(i)
+		for lo := 0; lo < st.NumRows(); lo += table.BulkRows {
+			rows, err := st.Rows(lo, min(lo+table.BulkRows, st.NumRows()))
 			if err != nil {
 				return nil, err
 			}
-			if err := out.AppendRow(row...); err != nil {
+			if err := out.AppendRows(rows); err != nil {
 				return nil, err
 			}
 		}

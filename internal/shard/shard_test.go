@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -432,6 +433,53 @@ func TestMergedRoundTrip(t *testing.T) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("row multiset mismatch at %d: %q vs %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestObservedBoundsMatchHeldRows: routing folds each row's key into its
+// group's bounds in the same pass that picks the shard. After mixed
+// appends — a round-robin batch before the bounds are learned, the batch
+// that learns them, single rows, NULL keys — every shard's observed
+// min/max/NULL count must equal a brute-force pass over the rows it holds.
+func TestObservedBoundsMatchHeldRows(t *testing.T) {
+	for _, mode := range []Mode{ModeRange, ModeHash} {
+		for _, key := range []string{"id", "price"} {
+			t.Run(mode.String()+"/"+key, func(t *testing.T) {
+				m, err := New("t", testSchema(), Options{Shards: 3, Key: key, Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := testRows(3000)
+				rng := rand.New(rand.NewSource(11))
+				rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+				for lo, n := 0, 5; lo < len(rows); lo, n = lo+n, 1+rng.Intn(400) {
+					if err := m.AppendRows(rows[lo:min(lo+n, len(rows))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if m.NumRows() != len(rows) {
+					t.Fatalf("manager holds %d rows, want %d", m.NumRows(), len(rows))
+				}
+				for _, s := range m.shards {
+					col, err := s.eng.Table().Column(key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					seen, lo, hi, nulls := false, int64(math.MaxInt64), int64(math.MinInt64), int64(0)
+					for i := 0; i < col.Len(); i++ {
+						if col.IsNull(i) {
+							nulls++
+							continue
+						}
+						seen, lo, hi = true, min(lo, col.Codes()[i]), max(hi, col.Codes()[i])
+					}
+					if s.seen != seen || s.nulls != nulls || (seen && (s.lo != lo || s.hi != hi)) {
+						t.Errorf("shard %d: observed seen=%v %d..%d with %d NULLs; rows held give seen=%v %d..%d with %d NULLs",
+							s.id, s.seen, s.lo, s.hi, s.nulls, seen, lo, hi, nulls)
+					}
+				}
+			})
 		}
 	}
 }

@@ -124,32 +124,126 @@ func (c *Column) AppendString(v string) error {
 func (c *Column) AppendNull() {
 	row := len(c.codes)
 	c.codes = append(c.codes, math.MinInt64)
-	if c.nulls == nil {
-		c.nulls = bitvec.New(0)
-	}
-	c.growNulls(row + 1)
-	c.nulls.Set(row)
-	c.nNull++
+	c.setNull(row)
 }
 
-// AppendValue appends a dynamically typed value.
-func (c *Column) AppendValue(v Value) error {
-	if v.IsNull() {
-		c.AppendNull()
-		return nil
+// CheckRows reports the first reason cell col of rows could not be
+// appended to the column: a non-NULL value of another type, a NaN, or a
+// string a sealed dictionary does not hold. It mutates nothing, so a batch
+// that passes on every column can be logged and then applied without a
+// failure path (see AppendRows). Every row must have more than col cells;
+// the table checks arity before it checks columns.
+func (c *Column) CheckRows(rows [][]Value, col int) error {
+	switch c.typ {
+	case Float64:
+		for i := range rows {
+			v := &rows[i][col]
+			if v.null {
+				continue
+			}
+			if v.typ != Float64 {
+				return c.mismatch(i, v)
+			}
+			if v.f != v.f {
+				return fmt.Errorf("row %d: %w", i, ErrNaN)
+			}
+		}
+	case String:
+		sealed := c.dict.Sealed()
+		for i := range rows {
+			v := &rows[i][col]
+			if v.null {
+				continue
+			}
+			if v.typ != String {
+				return c.mismatch(i, v)
+			}
+			if sealed {
+				if _, ok := c.dict.Code(v.s); !ok {
+					return fmt.Errorf("row %d: string %q: %w", i, v.s, dict.ErrSealed)
+				}
+			}
+		}
+	default:
+		for i := range rows {
+			if v := &rows[i][col]; v.typ != c.typ && !v.null {
+				return c.mismatch(i, v)
+			}
+		}
 	}
-	if v.Type() != c.typ {
-		return fmt.Errorf("%w: %s value into %s column %q", ErrTypeMismatch, v.Type(), c.typ, c.name)
-	}
+	return nil
+}
+
+func (c *Column) mismatch(row int, v *Value) error {
+	return fmt.Errorf("row %d: %w: %s value into %s column %q", row, ErrTypeMismatch, v.typ, c.typ, c.name)
+}
+
+// AppendRows appends cell col of every row: the one append kernel, a typed
+// loop storing into a tail reserved once per batch. The batch must have
+// passed CheckRows since the column last changed: nothing is re-checked,
+// and the one failure still visible here — a string a sealed dictionary
+// lacks — panics. Distinct columns may run AppendRows over the same rows
+// concurrently: a column owns its codes, bitmap and dictionary, and rows
+// are only read.
+func (c *Column) AppendRows(rows [][]Value, col int) {
+	base := len(c.codes)
+	c.codes = growLadder(c.codes, base+len(rows))
+	dst := c.codes[base:][:len(rows)]
 	switch c.typ {
 	case Int64:
-		return c.AppendInt(v.Int())
+		for i, r := range rows {
+			v := &r[col]
+			if v.null {
+				dst[i] = math.MinInt64
+				c.setNull(base + i)
+				continue
+			}
+			dst[i] = v.i
+		}
 	case Float64:
-		return c.AppendFloat(v.Float())
+		for i, r := range rows {
+			v := &r[col]
+			if v.null {
+				dst[i] = math.MinInt64
+				c.setNull(base + i)
+				continue
+			}
+			dst[i] = EncodeFloat64(v.f)
+		}
 	case String:
-		return c.AppendString(v.Str())
+		for i, r := range rows {
+			v := &r[col]
+			if v.null {
+				dst[i] = math.MinInt64
+				c.setNull(base + i)
+				continue
+			}
+			code, err := c.dict.Insert(v.s)
+			if err != nil {
+				panic(fmt.Sprintf("storage: AppendRows on column %q without CheckRows: %v", c.name, err))
+			}
+			dst[i] = code
+		}
 	}
-	return fmt.Errorf("storage: unknown column type %v", c.typ)
+	c.growNulls(len(c.codes))
+}
+
+// growLadder returns s resliced to n elements, reallocating along the
+// capacities that appending one element at a time from empty would have
+// visited. Capacity therefore depends on the row count alone, not on how
+// the rows were batched: a batch-sized reservation (slices.Grow, or
+// append(s, make([]int64, k)...)) puts the first allocation, and so every
+// later growth, on different rungs — measured on the repository benchmark
+// that moved the live heap by +15% on ingest-mixed (147.7 -> 170.0 MB) and
+// +6.5% on served-zipf for the same rows, where this walk leaves every
+// column at exactly the row-at-a-time capacity (heap_mb within 0.05% on all
+// four workloads; EXPERIMENTS.md, "bulk load"). Elements between the old
+// length and n are unspecified; the caller overwrites them.
+func growLadder(s []int64, n int) []int64 {
+	for cap(s) < n {
+		s = append(s[:cap(s)], 0)
+	}
+	return s[:n]
 }
 
 // SetInt overwrites row i with v (Int64 columns). Used by the update path;
@@ -221,22 +315,18 @@ func (c *Column) EncodeValue(v Value) (code int64, ok bool, err error) {
 	return 0, false, fmt.Errorf("storage: unknown column type %v", c.typ)
 }
 
-// Truncate removes rows from the end, keeping the first n. Dictionary
-// entries of removed strings are retained (harmless: unused codes). Used
-// for rolling back partially applied multi-column appends.
+// Truncate removes rows from the end, keeping the first n, in time
+// proportional to the rows dropped; capacity stays. Dictionary entries of
+// removed strings are retained (harmless: unused codes). The append path
+// itself never rolls back — a batch is checked whole before any column
+// changes.
 func (c *Column) Truncate(n int) {
 	if n < 0 || n > len(c.codes) {
 		panic(fmt.Sprintf("storage: Truncate(%d) out of range for %d rows", n, len(c.codes)))
 	}
 	if c.nulls != nil && c.nulls.Len() > n {
 		c.nNull -= c.nulls.CountRange(n, c.nulls.Len())
-		trimmed := bitvec.New(n)
-		for i := 0; i < n; i++ {
-			if c.nulls.Get(i) {
-				trimmed.Set(i)
-			}
-		}
-		c.nulls = trimmed
+		c.nulls.Truncate(n)
 	}
 	c.codes = c.codes[:n]
 }
@@ -273,6 +363,17 @@ func (c *Column) growNulls(n int) {
 		return
 	}
 	c.nulls.Grow(n)
+}
+
+// setNull marks row as NULL, allocating the bitmap at the column's first
+// NULL.
+func (c *Column) setNull(row int) {
+	if c.nulls == nil {
+		c.nulls = bitvec.New(0)
+	}
+	c.nulls.Grow(row + 1)
+	c.nulls.Set(row)
+	c.nNull++
 }
 
 func (c *Column) clearNull(i int) {

@@ -126,8 +126,8 @@ func TestTypeMismatchErrors(t *testing.T) {
 	if err := c.AppendString("x"); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("AppendString on int col: %v", err)
 	}
-	if err := c.AppendValue(FloatValue(1)); !errors.Is(err, ErrTypeMismatch) {
-		t.Fatalf("AppendValue float on int col: %v", err)
+	if err := c.CheckRows([][]Value{{FloatValue(1)}}, 0); !errors.Is(err, ErrTypeMismatch) {
+		t.Fatalf("CheckRows float on int col: %v", err)
 	}
 	f := NewColumn("f", Float64)
 	if err := f.AppendFloat(math.NaN()); !errors.Is(err, ErrNaN) {
@@ -240,30 +240,6 @@ func TestNullsOnlyColumnBitmapNilWhenNone(t *testing.T) {
 	}
 }
 
-func TestAppendValue(t *testing.T) {
-	ci := NewColumn("i", Int64)
-	cf := NewColumn("f", Float64)
-	cs := NewColumn("s", String)
-	if err := ci.AppendValue(IntValue(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cf.AppendValue(FloatValue(2.5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.AppendValue(StringValue("hi")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ci.AppendValue(NullValue(Int64)); err != nil {
-		t.Fatal(err)
-	}
-	if ci.Len() != 2 || !ci.IsNull(1) {
-		t.Fatal("AppendValue null wrong")
-	}
-	if cs.Value(0).Str() != "hi" {
-		t.Fatal("AppendValue string wrong")
-	}
-}
-
 func TestEncodeValue(t *testing.T) {
 	ci := NewColumn("i", Int64)
 	code, ok, err := ci.EncodeValue(IntValue(9))
@@ -326,5 +302,45 @@ func TestQuickColumnRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTruncateNullBitmap is the regression test for rollback: Truncate
+// used to rebuild the null bitmap bit by bit over every kept row. NULLs
+// sit on both sides of a bitmap word boundary and of the cut; after the
+// cut the column must equal one that never held the dropped rows, and
+// appends after it must not see the dropped NULLs.
+func TestTruncateNullBitmap(t *testing.T) {
+	nullAt := func(i int) bool { return i%7 == 0 || i == 63 || i == 64 || i == 127 || i == 128 }
+	build := func(n int) *Column {
+		c := NewColumn("a", Int64)
+		for i := 0; i < n; i++ {
+			if nullAt(i) {
+				c.AppendNull()
+			} else {
+				c.AppendInt(int64(i))
+			}
+		}
+		return c
+	}
+	for _, cut := range []int{0, 1, 63, 64, 65, 100, 128, 129, 199, 200} {
+		c, want := build(200), build(cut)
+		c.Truncate(cut)
+		if c.Len() != want.Len() || c.NullCount() != want.NullCount() {
+			t.Fatalf("cut %d: len %d nulls %d, want %d and %d", cut, c.Len(), c.NullCount(), want.Len(), want.NullCount())
+		}
+		// Refill past the old length: no dropped NULL may reappear.
+		for i := cut; i < 260; i++ {
+			c.AppendInt(int64(-i))
+			want.AppendInt(int64(-i))
+		}
+		if c.NullCount() != want.NullCount() {
+			t.Fatalf("cut %d: %d NULLs after refill, want %d", cut, c.NullCount(), want.NullCount())
+		}
+		for i := 0; i < want.Len(); i++ {
+			if c.IsNull(i) != want.IsNull(i) || (!c.IsNull(i) && c.Codes()[i] != want.Codes()[i]) {
+				t.Fatalf("cut %d: row %d differs after refill (null %v, want %v)", cut, i, c.IsNull(i), want.IsNull(i))
+			}
+		}
 	}
 }

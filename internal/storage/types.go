@@ -12,6 +12,19 @@
 // Because code order always equals value order, a single integer scan
 // kernel and a single zonemap implementation serve all types, mirroring how
 // main-memory column stores normalize storage for fast scans.
+//
+// Rows arrive as batches of dynamic Values and every append path goes
+// through one pair of per-column kernels: Column.CheckRows validates one
+// column of a batch (type, NaN, sealed-dictionary membership) without
+// mutating anything, and Column.AppendRows then stores it in one typed
+// loop into a tail reserved once per batch. The table checks every column
+// before it applies any, so a batch is all or nothing and the engine can
+// log it to the WAL between the two (validate columns -> log -> apply
+// columns); columns share no state, so the table applies a large batch's
+// columns on separate goroutines. Growth follows one capacity ladder
+// whatever the batch size — see growLadder. The typed single-value
+// appenders (AppendInt and friends) remain for loaders that build a column
+// directly from codes: the snapshot codec and the experiment harness.
 package storage
 
 import (

@@ -97,11 +97,12 @@ func ReadCSV(r io.Reader, name string, opts CSVOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	batch := NewBatcher(t)
+	vals := make([]storage.Value, len(schema))
 	appendRec := func(rec []string) error {
 		if len(rec) != len(schema) {
 			return fmt.Errorf("%w: record has %d fields, schema %d", ErrCSV, len(rec), len(schema))
 		}
-		vals := make([]storage.Value, len(rec))
 		for i, cell := range rec {
 			v, err := parseCell(cell, schema[i].Type, opts.NullLiteral)
 			if err != nil {
@@ -109,7 +110,7 @@ func ReadCSV(r io.Reader, name string, opts CSVOptions) (*Table, error) {
 			}
 			vals[i] = v
 		}
-		return t.AppendRow(vals...)
+		return batch.Add(vals...)
 	}
 	for _, rec := range buffered {
 		if err := appendRec(rec); err != nil {
@@ -127,6 +128,9 @@ func ReadCSV(r io.Reader, name string, opts CSVOptions) (*Table, error) {
 		if err := appendRec(rec); err != nil {
 			return nil, err
 		}
+	}
+	if err := batch.Flush(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

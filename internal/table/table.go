@@ -6,6 +6,9 @@ package table
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"adskip/internal/storage"
 )
@@ -96,42 +99,176 @@ func (t *Table) Column(name string) (*storage.Column, error) {
 // ColumnAt returns the i-th column.
 func (t *Table) ColumnAt(i int) *storage.Column { return t.columns[i] }
 
-// AppendRow appends one row; vals must match the schema in order and
-// arity. NULLs are expressed with storage.NullValue. The append is atomic:
-// on any error (type mismatch, sealed dictionary, NaN) columns appended so
-// far are rolled back, so column lengths never skew.
+// BulkRows is the batch size the bulk loaders (CSV, shard merge, the
+// generator commands) hand to AppendRows: large enough that columns are
+// applied in parallel, small enough that a batch of dynamic values stays
+// a few megabytes.
+const BulkRows = 1 << 16
+
+// parallelCells is the batch size, in cells, from which CheckRows and
+// AppendChecked spread the columns over goroutines. Measured on the 2-core
+// box with the benchmark's 3-column schema (EXPERIMENTS.md, "bulk load"):
+// at 256 rows starting and joining the goroutines costs more than the
+// second core saves, from 4 Ki rows up parallel columns win.
+const parallelCells = 3 * 4096
+
+// AppendRow appends one row: the one-row case of AppendRows.
 func (t *Table) AppendRow(vals ...storage.Value) error {
-	if len(vals) != len(t.columns) {
-		return fmt.Errorf("%w: got %d values, schema has %d columns", ErrRowArity, len(vals), len(t.columns))
+	return t.AppendRows([][]storage.Value{vals})
+}
+
+// AppendRows appends a batch; every row must match the schema in order
+// and arity, with NULLs expressed as storage.NullValue. The append is all
+// or nothing: every column is checked before any is changed, so on an
+// error (arity, type mismatch, NaN, string missing from a sealed
+// dictionary) the table is exactly as it was and column lengths never
+// skew.
+func (t *Table) AppendRows(rows [][]storage.Value) error {
+	if err := t.CheckRows(rows); err != nil {
+		return err
 	}
-	n := t.NumRows()
-	for i, v := range vals {
-		if err := t.columns[i].AppendValue(v); err != nil {
-			for j := 0; j < i; j++ {
-				t.columns[j].Truncate(n)
+	t.AppendChecked(rows)
+	return nil
+}
+
+// CheckRows reports why AppendRows would reject the batch, without
+// mutating the table. A caller that must act between validation and apply
+// (the engine logs the batch to its WAL there) calls CheckRows, then
+// AppendChecked.
+func (t *Table) CheckRows(rows [][]storage.Value) error {
+	for i, r := range rows {
+		if len(r) != len(t.columns) {
+			return fmt.Errorf("%w: row %d has %d values, schema has %d columns", ErrRowArity, i, len(r), len(t.columns))
+		}
+	}
+	return t.eachColumn(rows, checkColumn)
+}
+
+// AppendChecked applies a batch that CheckRows accepted since the table
+// last changed. It cannot fail.
+func (t *Table) AppendChecked(rows [][]storage.Value) {
+	_ = t.eachColumn(rows, appendColumn)
+}
+
+func checkColumn(c *storage.Column, rows [][]storage.Value, ci int) error {
+	if err := c.CheckRows(rows, ci); err != nil {
+		return fmt.Errorf("column %q: %w", c.Name(), err)
+	}
+	return nil
+}
+
+func appendColumn(c *storage.Column, rows [][]storage.Value, ci int) error {
+	c.AppendRows(rows, ci)
+	return nil
+}
+
+// eachColumn runs fn once per column and returns the error of the lowest
+// failing column. Columns share nothing, so a batch of parallelCells or
+// more spreads them over up to GOMAXPROCS goroutines (the caller's
+// included) and joins before returning: growth copies and first-touch
+// page faults of different columns then overlap.
+func (t *Table) eachColumn(rows [][]storage.Value, fn func(c *storage.Column, rows [][]storage.Value, ci int) error) error {
+	workers := 1
+	if len(rows)*len(t.columns) >= parallelCells {
+		workers = min(len(t.columns), runtime.GOMAXPROCS(0))
+	}
+	return t.runColumns(workers, rows, fn)
+}
+
+// runColumns is eachColumn at a given worker count.
+func (t *Table) runColumns(workers int, rows [][]storage.Value, fn func(c *storage.Column, rows [][]storage.Value, ci int) error) error {
+	if workers <= 1 {
+		for ci, c := range t.columns {
+			if err := fn(c, rows, ci); err != nil {
+				return err
 			}
-			return fmt.Errorf("column %q: %w", t.columns[i].Name(), err)
+		}
+		return nil
+	}
+	errs := make([]error, len(t.columns))
+	var next atomic.Int32
+	work := func() {
+		for {
+			ci := int(next.Add(1)) - 1
+			if ci >= len(t.columns) {
+				return
+			}
+			errs[ci] = fn(t.columns[ci], rows, ci)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// ValidateRow type-checks a row without mutating the table. Use before
-// AppendRow when ingesting untrusted data so failed appends cannot skew
-// column lengths.
-func (t *Table) ValidateRow(vals ...storage.Value) error {
-	if len(vals) != len(t.columns) {
-		return fmt.Errorf("%w: got %d values, schema has %d columns", ErrRowArity, len(vals), len(t.columns))
+// Batcher buffers rows and appends them to its table BulkRows at a time:
+// the bulk loaders' way onto AppendRows. Rows are copied into one reused
+// cell buffer, so Add's arguments may be reused by the caller. Flush
+// appends what is buffered; a loader calls it once after its last Add.
+type Batcher struct {
+	t     *Table
+	cells []storage.Value   // buffered rows, row-major
+	rows  [][]storage.Value // row headers over cells, rebuilt per flush
+}
+
+// NewBatcher returns an empty Batcher appending to t.
+func NewBatcher(t *Table) *Batcher { return &Batcher{t: t} }
+
+// Add buffers one row, flushing when BulkRows rows are buffered. An error
+// is that of the flush (or the row's arity): the rows buffered with a
+// rejected batch are dropped, none of them applied.
+func (b *Batcher) Add(vals ...storage.Value) error {
+	if len(vals) != len(b.t.columns) {
+		return fmt.Errorf("%w: got %d values, schema has %d columns", ErrRowArity, len(vals), len(b.t.columns))
 	}
-	for i, v := range vals {
-		if v.IsNull() {
-			continue
-		}
-		if v.Type() != t.columns[i].Type() {
-			return fmt.Errorf("column %q: %w", t.columns[i].Name(), storage.ErrTypeMismatch)
-		}
+	b.cells = append(b.cells, vals...)
+	if len(b.cells) >= BulkRows*len(vals) {
+		return b.Flush()
 	}
 	return nil
+}
+
+// Flush appends the buffered rows as one batch and empties the buffer.
+func (b *Batcher) Flush() error {
+	nc := len(b.t.columns)
+	b.rows = b.rows[:0]
+	for off := 0; nc > 0 && off < len(b.cells); off += nc {
+		b.rows = append(b.rows, b.cells[off:off+nc:off+nc])
+	}
+	err := b.t.AppendRows(b.rows)
+	b.cells = b.cells[:0]
+	return err
+}
+
+// Rows materializes rows [lo, hi) as dynamic values in schema order, over
+// one backing array.
+func (t *Table) Rows(lo, hi int) ([][]storage.Value, error) {
+	if lo < 0 || hi > t.NumRows() || lo > hi {
+		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, lo, hi, t.NumRows())
+	}
+	nc := len(t.columns)
+	cells := make([]storage.Value, (hi-lo)*nc)
+	rows := make([][]storage.Value, hi-lo)
+	for i := range rows {
+		rows[i] = cells[i*nc : (i+1)*nc : (i+1)*nc]
+		for ci, c := range t.columns {
+			rows[i][ci] = c.Value(lo + i)
+		}
+	}
+	return rows, nil
 }
 
 // Row materializes row i as dynamic values in schema order.

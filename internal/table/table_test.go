@@ -76,12 +76,15 @@ func TestAppendRowErrors(t *testing.T) {
 		t.Fatalf("arity: %v", err)
 	}
 	bad := []storage.Value{storage.IntValue(1), storage.StringValue("x"), storage.StringValue("y")}
-	if err := tb.ValidateRow(bad...); !errors.Is(err, storage.ErrTypeMismatch) {
-		t.Fatalf("ValidateRow: %v", err)
+	if err := tb.CheckRows([][]storage.Value{bad}); !errors.Is(err, storage.ErrTypeMismatch) {
+		t.Fatalf("CheckRows: %v", err)
 	}
 	good := []storage.Value{storage.IntValue(1), storage.NullValue(storage.Float64), storage.StringValue("y")}
-	if err := tb.ValidateRow(good...); err != nil {
-		t.Fatalf("ValidateRow good row: %v", err)
+	if err := tb.CheckRows([][]storage.Value{good}); err != nil {
+		t.Fatalf("CheckRows good row: %v", err)
+	}
+	if tb.NumRows() != 0 {
+		t.Fatalf("CheckRows mutated the table: %d rows", tb.NumRows())
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 
 // TestConcurrentExecAndAppend hammers one shared DB from many goroutines
 // mixing reads (ExecContext) with appends, the same interleaving a
-// server session pool produces. Run under -race in CI. Afterwards the
-// skipping metadata must still verify and counts must be exact.
+// server session pool produces: single-row appends and bulk batches large
+// enough that the table applies their columns on separate goroutines. Run
+// under -race in CI. Afterwards the skipping metadata must still verify
+// and counts must be exact.
 func TestConcurrentExecAndAppend(t *testing.T) {
 	db := Open(Options{Policy: Adaptive, MaxConcurrentQueries: 8})
 	defer db.Close()
@@ -35,6 +37,10 @@ func TestConcurrentExecAndAppend(t *testing.T) {
 		readsEach      = 150
 		appendsEach    = 1500
 		appendSentinel = 1 << 40 // appended v values, outside the seed domain
+		bulkers        = 2
+		bulksEach      = 4
+		bulkRows       = 1 << 13 // x 2 columns: above the parallel-column threshold
+		bulkSentinel   = 1 << 41
 	)
 	var wg sync.WaitGroup
 	var failures atomic.Int64
@@ -78,16 +84,39 @@ func TestConcurrentExecAndAppend(t *testing.T) {
 			}
 		}(a)
 	}
+	for b := 0; b < bulkers; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			batch := make([][]Value, bulkRows)
+			for i := range batch {
+				batch[i] = []Value{IntValue(int64(bulkSentinel + i)), IntValue(int64(b))}
+			}
+			for i := 0; i < bulksEach; i++ {
+				if err := tbl.AppendBatch(batch); err != nil {
+					fail("bulk appender %d: %v", b, err)
+					return
+				}
+			}
+		}(b)
+	}
 	wg.Wait()
 	if failures.Load() > 0 {
 		t.FailNow()
 	}
 
-	if got, want := tbl.NumRows(), seedRows+appenders*appendsEach; got != want {
+	res, err := db.Exec(fmt.Sprintf("SELECT COUNT(*) FROM data WHERE v >= %d", int64(bulkSentinel)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bulkers * bulksEach * bulkRows; res.Count != want {
+		t.Fatalf("bulk-appended row count %d, want %d", res.Count, want)
+	}
+	if got, want := tbl.NumRows(), seedRows+appenders*appendsEach+bulkers*bulksEach*bulkRows; got != want {
 		t.Fatalf("rows after stress: %d, want %d", got, want)
 	}
 	// Appended rows are queryable and the metadata survived the churn.
-	res, err := db.Exec(fmt.Sprintf("SELECT COUNT(*) FROM data WHERE v BETWEEN %d AND %d",
+	res, err = db.Exec(fmt.Sprintf("SELECT COUNT(*) FROM data WHERE v BETWEEN %d AND %d",
 		int64(appendSentinel), int64(appendSentinel)+appendsEach))
 	if err != nil {
 		t.Fatal(err)
