@@ -125,9 +125,20 @@ func (c *Client) Close() error {
 // failure, but the retry volume is still worth watching.
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
+// response is a response frame as the client decodes it: proto.Response
+// with the result decoded in place. The outer Result shadows the embedded
+// raw one (encoding/json gives a key to the shallowest field carrying its
+// name), so the whole frame — envelope, result, cells — is read in one
+// UseNumber pass and BIGINT cells stay lossless json.Number values rather
+// than float64.
+type response struct {
+	proto.Response
+	Result *proto.Result `json:"result"`
+}
+
 // roundTrip sends one request, retrying retryable refusals per the
 // client's RetryPolicy with full-jitter capped exponential backoff.
-func (c *Client) roundTrip(req proto.Request) (proto.Response, error) {
+func (c *Client) roundTrip(req proto.Request) (response, error) {
 	resp, err := c.roundTripOnce(req)
 	if err == nil || c.opts.Retry.Max <= 0 || !Retryable(err) {
 		return resp, err
@@ -158,38 +169,32 @@ func (c *Client) roundTrip(req proto.Request) (proto.Response, error) {
 }
 
 // roundTripOnce sends one request and reads its response under the mutex.
-func (c *Client) roundTripOnce(req proto.Request) (proto.Response, error) {
+func (c *Client) roundTripOnce(req proto.Request) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.opts.Timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
 	if err := proto.WriteMessage(c.bw, req); err != nil {
-		return proto.Response{}, err
+		return response{}, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return proto.Response{}, err
+		return response{}, err
 	}
-	resp, err := proto.ReadResponse(c.br, c.opts.MaxFrameBytes)
+	payload, err := proto.ReadFrame(c.br, c.opts.MaxFrameBytes)
 	if err != nil {
-		return proto.Response{}, err
+		return response{}, err
+	}
+	var resp response
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.UseNumber()
+	if err := dec.Decode(&resp); err != nil {
+		return response{}, fmt.Errorf("client: bad response frame: %w", err)
 	}
 	if !resp.OK {
 		return resp, &ServerError{Kind: resp.ErrKind, Msg: resp.Error}
 	}
 	return resp, nil
-}
-
-// decodeResult parses a wire result with UseNumber, so BIGINT cells stay
-// lossless json.Number values rather than float64.
-func decodeResult(raw json.RawMessage) (*proto.Result, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var res proto.Result
-	if err := dec.Decode(&res); err != nil {
-		return nil, fmt.Errorf("client: bad result payload: %w", err)
-	}
-	return &res, nil
 }
 
 // Query executes SQL text and returns the decoded result.
@@ -209,7 +214,7 @@ func (c *Client) QueryTraced(sqlText, traceID string) (*proto.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeTimedResult(resp)
+	return timedResult(resp)
 }
 
 // Prepare parses and plans a statement server-side, returning its ID.
@@ -237,18 +242,17 @@ func (c *Client) ExecTraced(stmt uint64, traceID string) (*proto.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return decodeTimedResult(resp)
+	return timedResult(resp)
 }
 
-// decodeTimedResult decodes the result payload and attaches the server's
-// timing breakdown (nil when not requested or the server predates it).
-func decodeTimedResult(resp proto.Response) (*proto.Result, error) {
-	res, err := decodeResult(resp.Result)
-	if err != nil {
-		return nil, err
+// timedResult returns the response's result with the server's timing
+// breakdown attached (nil when not requested or the server predates it).
+func timedResult(resp response) (*proto.Result, error) {
+	if resp.Result == nil {
+		return nil, errors.New("client: response carries no result")
 	}
-	res.Timing = resp.Timing
-	return res, nil
+	resp.Result.Timing = resp.Timing
+	return resp.Result, nil
 }
 
 // Insert appends rows to a table and returns the number of rows the

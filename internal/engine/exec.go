@@ -600,33 +600,10 @@ func (e *Engine) execSegment(qc *qctx, plans []colPlan, res *Result, accs []*agg
 		}
 		return nil
 	}
-	// Evaluate the first needed predicate into a selection, then
-	// refine with the rest.
 	sel.Reset()
-	first := true
-	matched := 0
-	for i := range plans {
-		if s.needEval&(uint64(1)<<uint(i)) == 0 {
-			continue
-		}
-		p := &plans[i]
-		if first {
-			if err := filterSegChunked(tk, p, s, sel); err != nil {
-				return err
-			}
-			matched = sel.Len()
-			res.Stats.RowsScanned += s.hi - s.lo
-			first = false
-			continue
-		}
-		res.Stats.RowsScanned += sel.Len()
-		if err := tk.tick(sel.Len()); err != nil {
-			return err
-		}
-		matched = refineSel(sel, p)
-		if matched == 0 {
-			break
-		}
+	matched, err := filterWindow(tk, plans, res, s, sel)
+	if err != nil {
+		return err
 	}
 	// The matched rows were already charged by the filter passes above;
 	// the consumption loops below only need latency checkpoints
@@ -685,6 +662,38 @@ func (e *Engine) execSegment(qc *qctx, plans []colPlan, res *Result, accs []*agg
 		}
 	}
 	return nil
+}
+
+// filterWindow appends the rows of window s that match every predicate the
+// window still needs evaluated: the first such predicate filters the
+// window into sel, the rest refine the selection. It returns the match
+// count and charges the rows each pass read.
+func filterWindow(tk *ticker, plans []colPlan, res *Result, s seg, sel *bitvec.SelVec) (matched int, err error) {
+	first := true
+	for i := range plans {
+		if s.needEval&(uint64(1)<<uint(i)) == 0 {
+			continue
+		}
+		p := &plans[i]
+		if first {
+			if err := filterSegChunked(tk, p, s, sel); err != nil {
+				return 0, err
+			}
+			matched = sel.Len()
+			res.Stats.RowsScanned += s.hi - s.lo
+			first = false
+			continue
+		}
+		res.Stats.RowsScanned += sel.Len()
+		if err := tk.tick(sel.Len()); err != nil {
+			return 0, err
+		}
+		matched = refineSel(sel, p)
+		if matched == 0 {
+			break
+		}
+	}
+	return matched, nil
 }
 
 // filterSegChunked runs the segment's first predicate filter in

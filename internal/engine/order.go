@@ -1,17 +1,184 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 
 	"adskip/internal/bitvec"
+	"adskip/internal/dict"
 	"adskip/internal/storage"
 )
 
-// execOrdered handles ORDER BY projections: it gathers every qualifying
-// row id (no early exit — ordering needs the full match set), sorts ids by
-// the order column's codes (code order equals value order; NULLs last),
-// truncates to the limit, then materializes. Aggregates, if present, fold
-// over the full match set before truncation.
+// ORDER BY is a bounded selection, not a sort of the match set. The
+// ordering is defined once, in topL.before: non-NULL rows by (key, row id)
+// — the key is the order column's code mapped so that unsigned order is
+// the requested direction, the row id breaks ties the way a stable sort
+// over ascending ids would — followed by the NULL rows in row order (NULLs
+// last in both directions). Candidate windows stream through topL, which
+// retains at most LIMIT rows (every match when there is no limit);
+// aggregates fold as rows pass. Only retained rows are ever materialized.
+
+// topEntry is one retained non-NULL row.
+type topEntry struct {
+	key uint64
+	row uint32
+}
+
+// topL keeps the first limit rows of the ordering out of the rows offered
+// to it. Rows must be offered in ascending row order.
+type topL struct {
+	limit int // 0 = keep every row
+	codes []int64
+	nulls *bitvec.BitVec // nil when the order column has no NULLs
+	flip  uint64         // key = uint64(code) ^ flip
+	// dict is set for an unsealed string dictionary, whose codes are in
+	// insertion order: keys are then raw codes and compare by value.
+	dict *dict.Dict
+	desc bool
+
+	// ents holds the retained non-NULL rows: unordered while fewer than
+	// limit, a heap with the last-ordered entry at the root once full.
+	ents []topEntry
+	// threshold: the heap is full and keys compare as integers (see rejects).
+	threshold bool
+	// nullRows is the ordering's tail: the first NULL rows in row order,
+	// as many as still fit under limit beside ents. A non-NULL row that
+	// arrives later pushes the last of them past the cut; nothing brings
+	// one back.
+	nullRows []uint32
+}
+
+func newTopL(col *storage.Column, desc bool, limit int) *topL {
+	t := &topL{limit: limit, codes: col.Codes(), nulls: col.Nulls(), desc: desc}
+	switch {
+	case col.Type() == storage.String && !col.DictSorted():
+		t.dict = col.Dict()
+	case desc:
+		t.flip = ^uint64(1 << 63) // sign flip, then complement: larger codes first
+	default:
+		t.flip = 1 << 63 // int64 order as unsigned order
+	}
+	if limit > 0 {
+		t.ents = make([]topEntry, 0, min(limit, 1024))
+	}
+	return t
+}
+
+// before is the ORDER BY ordering over non-NULL rows: the one comparator
+// behind the full-heap threshold, the heap and the final sort.
+func (t *topL) before(a, b topEntry) bool {
+	if a.key == b.key {
+		return a.row < b.row
+	}
+	if t.dict != nil {
+		return (t.dict.Value(int64(a.key)) < t.dict.Value(int64(b.key))) != t.desc
+	}
+	return a.key < b.key
+}
+
+// offer feeds one window of matching rows.
+func (t *topL) offer(rows []uint32) {
+	for _, r := range rows {
+		if !t.rejects(r) {
+			t.add(r)
+		}
+	}
+}
+
+// offerRange feeds the window [lo, hi), every row of which matches.
+func (t *topL) offerRange(lo, hi int) {
+	for r := uint32(lo); r < uint32(hi); r++ {
+		if !t.rejects(r) {
+			t.add(r)
+		}
+	}
+}
+
+// rejects is the one compare most rows end at once the heap is full: rows
+// arrive in ascending order, so a row whose key only ties the root's
+// already loses on row id. (A full heap also means no NULL row can make the
+// cut, so whatever code a NULL row carries, add drops it.)
+func (t *topL) rejects(r uint32) bool {
+	return t.threshold && uint64(t.codes[r])^t.flip >= t.ents[0].key
+}
+
+// add offers one row that the threshold did not reject.
+func (t *topL) add(r uint32) {
+	if t.nulls != nil && t.nulls.Get(int(r)) {
+		if t.limit == 0 || t.retained() < t.limit {
+			t.nullRows = append(t.nullRows, r)
+		}
+		return
+	}
+	e := topEntry{key: uint64(t.codes[r]) ^ t.flip, row: r}
+	if t.limit > 0 && len(t.ents) == t.limit {
+		if t.before(e, t.ents[0]) {
+			t.ents[0] = e
+			t.siftDown(0)
+		}
+		return
+	}
+	t.ents = append(t.ents, e)
+	if t.limit > 0 && t.retained() > t.limit {
+		t.nullRows = t.nullRows[:len(t.nullRows)-1] // pushed past the cut
+	}
+	if len(t.ents) == t.limit {
+		for i := len(t.ents)/2 - 1; i >= 0; i-- {
+			t.siftDown(i)
+		}
+		t.threshold = t.dict == nil
+	}
+}
+
+// siftDown restores the heap below i (children ordered before parents).
+func (t *topL) siftDown(i int) {
+	h := t.ents
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && t.before(h[c], h[c+1]) {
+			c++
+		}
+		if !t.before(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// retained is the number of rows currently held, never more than limit:
+// what the result-row budget is charged for.
+func (t *topL) retained() int { return len(t.ents) + len(t.nullRows) }
+
+// rows returns the retained row ids in result order.
+func (t *topL) rows() []uint32 {
+	slices.SortFunc(t.ents, func(a, b topEntry) int {
+		if t.before(a, b) {
+			return -1
+		}
+		return 1
+	})
+	out := make([]uint32, 0, t.retained())
+	for _, e := range t.ents {
+		out = append(out, e.row)
+	}
+	return append(out, t.nullRows...)
+}
+
+// orderWindowRows is how many rows of a candidate window execOrdered
+// filters at a time: the selection vector between the filter kernels and
+// the top-L selection never outgrows its first allocation, and the kernels'
+// per-call cost is still spread over a thousand rows. The ticker checkpoints
+// every checkpointRows rows regardless.
+const orderWindowRows = 1024
+
+// execOrdered handles ORDER BY projections. Candidate windows are filtered
+// orderWindowRows rows at a time; each chunk's matches fold into the
+// aggregates and pass through the top-L selection, so with a LIMIT the
+// match list never exists and the result-row budget is charged for the
+// rows retained, as it is for an unordered LIMIT.
 func (e *Engine) execOrdered(qc *qctx, plans []colPlan, res *Result, accs []*aggAcc, projCols []*storage.Column, orderCol *storage.Column, desc bool, limit, n int) error {
 	segs := []seg{{lo: 0, hi: n}}
 	for i := range plans {
@@ -19,107 +186,60 @@ func (e *Engine) execOrdered(qc *qctx, plans []colPlan, res *Result, accs []*agg
 	}
 
 	tk := &ticker{qc: qc}
-	var rows []uint32
-	sel := bitvec.NewSelVec(1024)
+	top := newTopL(orderCol, desc, limit)
+	sel := bitvec.NewSelVec(orderWindowRows)
 	for _, s := range segs {
 		if err := qc.check(0); err != nil {
 			return err
 		}
-		if s.needEval == 0 {
-			// Covered gather still materializes row ids (and the rows are
-			// read again for sort + projection), so chunk and charge it.
-			for lo := s.lo; lo < s.hi; {
-				end := lo + checkpointRows
-				if end > s.hi {
-					end = s.hi
-				}
-				for r := lo; r < end; r++ {
-					rows = append(rows, uint32(r))
-				}
-				if err := tk.tick(end - lo); err != nil {
+		for w := s; w.lo < s.hi; w.lo = w.hi {
+			w.hi = min(w.lo+orderWindowRows, s.hi)
+			if w.needEval == 0 {
+				// A covered window still has its rows read (ordered,
+				// aggregated, projected), so it is charged like a scan.
+				if err := tk.tick(w.hi - w.lo); err != nil {
 					return err
 				}
-				if err := qc.checkResult(len(rows)); err != nil {
+				for _, a := range accs {
+					a.addWindow(w.lo, w.hi)
+				}
+				top.offerRange(w.lo, w.hi)
+			} else {
+				sel.Reset()
+				if _, err := filterWindow(tk, plans, res, w, sel); err != nil {
 					return err
 				}
-				lo = end
-			}
-			continue
-		}
-		sel.Reset()
-		first := true
-		for i := range plans {
-			if s.needEval&(uint64(1)<<uint(i)) == 0 {
-				continue
-			}
-			p := &plans[i]
-			if first {
-				if err := filterSegChunked(tk, p, s, sel); err != nil {
-					return err
+				for _, a := range accs {
+					for _, r := range sel.Rows() {
+						a.addRow(int(r))
+					}
 				}
-				res.Stats.RowsScanned += s.hi - s.lo
-				first = false
-				continue
+				top.offer(sel.Rows())
 			}
-			res.Stats.RowsScanned += sel.Len()
-			if err := tk.tick(sel.Len()); err != nil {
+			if err := qc.checkResult(top.retained()); err != nil {
 				return err
 			}
-			if refineSel(sel, p) == 0 {
-				break
-			}
-		}
-		rows = append(rows, sel.Rows()...)
-		if err := qc.checkResult(len(rows)); err != nil {
-			return err
 		}
 	}
 
+	// The retained rows are known: one backing array holds all their cells.
+	rows := top.rows()
+	if len(rows) > 0 {
+		res.Rows = make([][]storage.Value, len(rows))
+	}
+	slab := make([]storage.Value, len(rows)*len(projCols))
 	for i, r := range rows {
 		if i%checkpointRows == checkpointRows-1 {
 			if err := qc.check(0); err != nil {
 				return err
 			}
 		}
-		for _, a := range accs {
-			a.addRow(int(r))
-		}
-	}
-
-	codes := orderCol.Codes()
-	isNull := func(r uint32) bool { return orderCol.IsNull(int(r)) }
-	// Code order equals value order except on unsealed string dictionaries,
-	// whose codes are insertion-ordered; compare their values directly.
-	less := func(ri, rj uint32) bool { return codes[ri] < codes[rj] }
-	if orderCol.Type() == storage.String && !orderCol.DictSorted() {
-		d := orderCol.Dict()
-		less = func(ri, rj uint32) bool { return d.Value(codes[ri]) < d.Value(codes[rj]) }
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		ri, rj := rows[i], rows[j]
-		ni, nj := isNull(ri), isNull(rj)
-		if ni || nj {
-			return !ni && nj // NULLs sort last regardless of direction
-		}
-		if desc {
-			return less(rj, ri)
-		}
-		return less(ri, rj)
-	})
-	if limit > 0 && len(rows) > limit {
-		rows = rows[:limit]
-	}
-	for i, r := range rows {
-		if i%checkpointRows == checkpointRows-1 {
-			if err := qc.check(0); err != nil {
-				return err
-			}
-		}
-		vals := make([]storage.Value, len(projCols))
+		vals := slab[:len(projCols):len(projCols)]
+		slab = slab[len(projCols):]
 		for ci, col := range projCols {
 			vals[ci] = col.Value(int(r))
 		}
-		res.Rows = append(res.Rows, vals)
+		res.Rows[i] = vals
 	}
 	res.Count = len(res.Rows)
 	e.feedbackGeneral(plans, segs)

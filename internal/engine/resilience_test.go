@@ -183,6 +183,24 @@ func TestLimitsMaxResultRows(t *testing.T) {
 	if len(res.Rows) != 50 {
 		t.Fatalf("rows=%d want 50", len(res.Rows))
 	}
+
+	// The ordered twin: the cap applies to the rows ORDER BY retains, not to
+	// the 2000 matches it reads. Without a LIMIT it retains every match.
+	q = Query{Where: expr.And(intPred("a", expr.GE, 0)), Select: []string{"a", "b"}, OrderBy: "b", OrderDesc: true}
+	if _, err := e.Query(q); !errors.Is(err, ErrBudget) {
+		t.Fatalf("ordered, no limit: err=%v, want ErrBudget", err)
+	}
+	q.Limit = 50
+	if res, err = e.Query(q); err != nil {
+		t.Fatalf("ordered LIMIT 50 under a cap of 50 over 2000 matches: %v", err)
+	}
+	if len(res.Rows) != 50 || res.Count != 50 {
+		t.Fatalf("ordered rows=%d count=%d want 50", len(res.Rows), res.Count)
+	}
+	q.Limit = 51
+	if _, err := e.Query(q); !errors.Is(err, ErrBudget) {
+		t.Fatalf("ordered LIMIT 51 over the cap: err=%v, want ErrBudget", err)
+	}
 }
 
 func TestAdmissionControl(t *testing.T) {

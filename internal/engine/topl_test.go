@@ -1,0 +1,284 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"adskip/internal/expr"
+	"adskip/internal/faultinject"
+	"adskip/internal/storage"
+	"adskip/internal/table"
+)
+
+// stableSortTwin is the ORDER BY this package used to run, kept as the
+// reference the top-L selection is held to: gather every matching row id,
+// sort.SliceStable by the order column (NULLs last in both directions,
+// values compared directly on an unsealed dictionary), truncate to the
+// limit, materialize; aggregates fold over the whole match set.
+func stableSortTwin(t testing.TB, tb *table.Table, q Query, matches []int) (rows [][]storage.Value, aggs []storage.Value) {
+	t.Helper()
+	orderCol, err := tb.Column(q.OrderBy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := append([]int(nil), matches...)
+	codes := orderCol.Codes()
+	less := func(ri, rj int) bool { return codes[ri] < codes[rj] }
+	if orderCol.Type() == storage.String && !orderCol.DictSorted() {
+		d := orderCol.Dict()
+		less = func(ri, rj int) bool { return d.Value(codes[ri]) < d.Value(codes[rj]) }
+	}
+	sort.SliceStable(ids, func(i, j int) bool {
+		ri, rj := ids[i], ids[j]
+		ni, nj := orderCol.IsNull(ri), orderCol.IsNull(rj)
+		if ni || nj {
+			return !ni && nj
+		}
+		if q.OrderDesc {
+			return less(rj, ri)
+		}
+		return less(ri, rj)
+	})
+	if q.Limit > 0 && len(ids) > q.Limit {
+		ids = ids[:q.Limit]
+	}
+	for _, r := range ids {
+		var vals []storage.Value
+		for _, name := range q.Select {
+			col, err := tb.Column(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals = append(vals, col.Value(r))
+		}
+		rows = append(rows, vals)
+	}
+	for _, a := range q.Aggs {
+		var col *storage.Column
+		if a.Kind != CountStar {
+			if col, err = tb.Column(a.Col); err != nil {
+				t.Fatal(err)
+			}
+		}
+		acc := newAggAcc(a.Kind, col)
+		for _, r := range matches {
+			acc.addRow(r)
+		}
+		aggs = append(aggs, acc.result())
+	}
+	return rows, aggs
+}
+
+// diffOrdered runs q on e and holds the result to the twin. mirror is an
+// engine over the same table with the same policy that has seen the same
+// query stream, unordered: ORDER BY changes neither what is scanned nor
+// what the skippers are told, so the two must report identical Stats.
+func diffOrdered(t *testing.T, tb *table.Table, e, mirror *Engine, q Query) error {
+	t.Helper()
+	matches := referenceEval(t, tb, q.Where)
+	wantRows, wantAggs := stableSortTwin(t, tb, q, matches)
+	res, err := e.Query(q)
+	if err != nil {
+		return err
+	}
+	if res.Count != len(wantRows) || len(res.Rows) != len(wantRows) {
+		return fmt.Errorf("count=%d rows=%d, want %d", res.Count, len(res.Rows), len(wantRows))
+	}
+	for i, want := range wantRows {
+		for c := range want {
+			if !res.Rows[i][c].Equal(want[c]) {
+				return fmt.Errorf("row %d: got %v, want %v", i, res.Rows[i], want)
+			}
+		}
+	}
+	if len(res.Aggs) != len(wantAggs) {
+		return fmt.Errorf("aggs=%v, want %v", res.Aggs, wantAggs)
+	}
+	for i := range wantAggs {
+		if !res.Aggs[i].Equal(wantAggs[i]) {
+			return fmt.Errorf("agg %d: got %v, want %v", i, res.Aggs[i], wantAggs[i])
+		}
+	}
+	if mirror != nil {
+		plain, err := mirror.Query(Query{Where: q.Where, Select: q.Select})
+		if err != nil {
+			return err
+		}
+		if res.Stats != plain.Stats {
+			return fmt.Errorf("stats %+v, unordered twin %+v", res.Stats, plain.Stats)
+		}
+	}
+	return nil
+}
+
+// toplTable is buildRefTable plus u, a string column whose dictionary
+// stays unsealed (skipping is enabled on every other column only), so
+// ordering by it has to compare values; s is the sealed twin.
+func toplTable(t testing.TB, n int, seed int64) *table.Table {
+	t.Helper()
+	src := buildRefTable(t, n, seed)
+	tb := table.MustNew("t", append(testSchema(),
+		table.ColumnSpec{Name: "g", Type: storage.Float64},
+		table.ColumnSpec{Name: "u", Type: storage.String}))
+	rng := rand.New(rand.NewSource(seed + 2))
+	words := []string{"pear", "apple", "zebra", "mango", "fig", "Ünï", "kiwi"}
+	for r := 0; r < n; r++ {
+		row, err := src.Row(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := storage.StringValue(words[rng.Intn(len(words))])
+		if rng.Intn(9) == 0 {
+			u = storage.NullValue(storage.String)
+		}
+		if err := tb.AppendRow(append(row, u)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb
+}
+
+func toplEngine(t testing.TB, tb *table.Table, policy Policy) *Engine {
+	t.Helper()
+	e := New(tb, Options{Policy: policy, StaticZoneSize: 64, Adaptive: smallAdaptive()})
+	if err := e.EnableSkipping("a", "b", "f", "s", "g"); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestTopLMatchesStableSort is the differential table: every order column
+// type, both directions, NULLs on both sides of the cut, duplicate keys
+// decided by row id, limits around the match count, aggregates beside the
+// ORDER BY, several candidate windows, under every policy.
+func TestTopLMatchesStableSort(t *testing.T) {
+	const n = 900
+	tb := toplTable(t, n, 81)
+	if col, _ := tb.Column("u"); col.DictSorted() {
+		t.Fatal("u's dictionary must stay unsealed for this test")
+	}
+	wheres := map[string]expr.Conj{
+		"all":     {},
+		"windows": expr.And(expr.MustPred("a", expr.In, storage.IntValue(3), storage.IntValue(200), storage.IntValue(201), storage.IntValue(640), storage.IntValue(899))),
+		"range":   expr.And(intPred("a", expr.Between, 100, 700), intPred("b", expr.LT, 600)),
+		"nulls":   expr.And(expr.MustPred("b", expr.IsNull)),
+		"floats":  expr.And(expr.MustPred("g", expr.LE, storage.FloatValue(1e300)), intPred("a", expr.GE, 50)),
+		"none":    expr.And(intPred("a", expr.LT, 0)),
+	}
+	aggs := []Agg{{Kind: CountStar}, {Kind: Sum, Col: "f"}, {Kind: Min, Col: "g"}, {Kind: Avg, Col: "b"}, {Kind: Max, Col: "u"}}
+	for _, policy := range []Policy{PolicyNone, PolicyStatic, PolicyAdaptive} {
+		e, mirror := toplEngine(t, tb, policy), toplEngine(t, tb, policy)
+		for name, where := range wheres {
+			m := len(referenceEval(t, tb, where))
+			for _, orderBy := range []string{"a", "b", "f", "s", "g", "u"} {
+				for _, desc := range []bool{false, true} {
+					for _, limit := range []int{0, 1, m - 1, m, m + 1, 7} {
+						if limit < 0 {
+							continue
+						}
+						q := Query{Where: where, Select: []string{"a", orderBy}, OrderBy: orderBy, OrderDesc: desc, Limit: limit}
+						if limit == 7 {
+							q.Aggs = aggs
+						}
+						if err := diffOrdered(t, tb, e, mirror, q); err != nil {
+							t.Fatalf("%v %s ORDER BY %s desc=%v LIMIT %d: %v", policy, name, orderBy, desc, limit, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTopLAcrossCheckpointWindows drives the selection through one
+// candidate window that spans several checkpoints (no skipper: the whole
+// table is one window) and through a full heap that keeps being displaced
+// late in the scan.
+func TestTopLAcrossCheckpointWindows(t *testing.T) {
+	const n = 3*checkpointRows + 123
+	tb := table.MustNew("t", table.Schema{{Name: "k", Type: storage.Int64}, {Name: "v", Type: storage.Float64}})
+	rng := rand.New(rand.NewSource(82))
+	b := table.NewBatcher(tb)
+	for i := 0; i < n; i++ {
+		v := storage.FloatValue(float64(rng.Intn(2001)-1000) * 1e297)
+		if rng.Intn(50) == 0 {
+			v = storage.NullValue(storage.Float64)
+		}
+		// k descends, so ORDER BY k keeps finding better rows to the end.
+		if err := b.Add(storage.IntValue(int64((n-i)/3)), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	e := New(tb, Options{Policy: PolicyNone})
+	where := expr.And(expr.MustPred("v", expr.GE, storage.FloatValue(-5e299)))
+	for _, q := range []Query{
+		{Where: where, Select: []string{"k", "v"}, OrderBy: "k", Limit: 100, Aggs: []Agg{{Kind: Sum, Col: "v"}, {Kind: CountCol, Col: "v"}}},
+		{Where: where, Select: []string{"v"}, OrderBy: "v", OrderDesc: true, Limit: 1000},
+		{Select: []string{"k"}, OrderBy: "v", Limit: n - 1},
+		{Where: where, Select: []string{"k"}, OrderBy: "k", OrderDesc: true},
+	} {
+		if err := diffOrdered(t, tb, e, nil, q); err != nil {
+			t.Fatalf("ORDER BY %s desc=%v LIMIT %d: %v", q.OrderBy, q.OrderDesc, q.Limit, err)
+		}
+	}
+
+	// Cancellation between two chunks of the window still surfaces as
+	// ErrCanceled, with a LIMIT (no match list to abandon) as without one:
+	// every checkpoint sleeps 2ms, the window has four, the deadline is 7ms.
+	restore := faultinject.Activate(faultinject.New(7).
+		Set(faultinject.ScanDelay, faultinject.Rule{Every: 1, Delay: 2 * time.Millisecond}))
+	for _, limit := range []int{100, 0} {
+		ctx, cancel := context.WithTimeout(context.Background(), 7*time.Millisecond)
+		_, err := e.QueryContext(ctx, Query{Where: where, Select: []string{"k"}, OrderBy: "k", Limit: limit})
+		cancel()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("LIMIT %d: err=%v, want ErrCanceled", limit, err)
+		}
+	}
+	restore()
+	slow := New(tb, Options{Policy: PolicyNone, Limits: Limits{MaxRowsScanned: checkpointRows + 1}})
+	if _, err := slow.Query(Query{Where: where, Select: []string{"k"}, OrderBy: "k", Limit: 5}); !errors.Is(err, ErrBudget) {
+		t.Fatalf("rows-scanned budget mid-window: err=%v, want ErrBudget", err)
+	}
+}
+
+// FuzzTopL holds random ORDER BY queries to the stable-sort twin: the
+// fuzzer picks the predicate seed, the order column, the direction and the
+// limit; the three policies' engines keep adapting across inputs.
+func FuzzTopL(f *testing.F) {
+	const n = 700
+	tb := toplTable(f, n, 83)
+	engines := []*Engine{toplEngine(f, tb, PolicyNone), toplEngine(f, tb, PolicyStatic), toplEngine(f, tb, PolicyAdaptive)}
+	cols := []string{"a", "b", "f", "s", "g", "u"}
+	f.Add(int64(1), uint8(0), false, uint16(0), false)
+	f.Add(int64(2), uint8(1), true, uint16(1), true)
+	f.Add(int64(3), uint8(4), true, uint16(n-1), false)
+	f.Add(int64(4), uint8(5), false, uint16(n), true)
+	f.Add(int64(5), uint8(3), true, uint16(n+1), false)
+	f.Add(int64(6), uint8(2), false, uint16(100), true)
+	f.Fuzz(func(t *testing.T, seed int64, col uint8, desc bool, limit uint16, withAggs bool) {
+		rng := rand.New(rand.NewSource(seed))
+		var where expr.Conj
+		for k := rng.Intn(3); k > 0; k-- {
+			where.Preds = append(where.Preds, randomPred(rng))
+		}
+		orderBy := cols[int(col)%len(cols)]
+		q := Query{Where: where, Select: []string{orderBy, "a"}, OrderBy: orderBy, OrderDesc: desc, Limit: int(limit) % (n + 2)}
+		if withAggs {
+			q.Aggs = []Agg{{Kind: CountStar}, {Kind: Sum, Col: "g"}, {Kind: Max, Col: "b"}}
+		}
+		for _, e := range engines {
+			if err := diffOrdered(t, tb, e, nil, q); err != nil {
+				t.Fatalf("%s ORDER BY %s desc=%v LIMIT %d: %v", where, orderBy, desc, q.Limit, err)
+			}
+		}
+	})
+}

@@ -219,13 +219,20 @@ func (c Conj) Validate() error {
 // Columns returns the distinct column names referenced, in first-mention
 // order.
 func (c Conj) Columns() []string {
-	var out []string
-	seen := make(map[string]bool)
+	if len(c.Preds) == 0 {
+		return nil
+	}
+	// A conjunction names a handful of columns: a linear scan of the output
+	// dedupes without the per-call map this sits on every query's plan path.
+	out := make([]string, 0, len(c.Preds))
+preds:
 	for _, p := range c.Preds {
-		if !seen[p.Col] {
-			seen[p.Col] = true
-			out = append(out, p.Col)
+		for _, name := range out {
+			if name == p.Col {
+				continue preds
+			}
 		}
+		out = append(out, p.Col)
 	}
 	return out
 }

@@ -69,6 +69,14 @@ func TestConjHelpers(t *testing.T) {
 	if len(cols) != 2 || cols[0] != "a" || cols[1] != "b" {
 		t.Fatalf("Columns=%v", cols)
 	}
+	// Columns sits on every query's plan path: the output slice is its only
+	// allocation (no dedupe map), and an empty conjunction allocates nothing.
+	if n := testing.AllocsPerRun(100, func() { cols = c.Columns() }); n > 1 {
+		t.Fatalf("Columns allocates %.0f times per call, want at most the output slice", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { cols = And().Columns() }); n != 0 || cols != nil {
+		t.Fatalf("empty Columns: %.0f allocs, %v", n, cols)
+	}
 	by := c.ByColumn()
 	if len(by["a"]) != 2 || len(by["b"]) != 1 {
 		t.Fatalf("ByColumn=%v", by)

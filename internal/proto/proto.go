@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Operations.
@@ -121,7 +122,9 @@ type Request struct {
 	Rows  [][]json.RawMessage `json:"rows,omitempty"`
 }
 
-// Response is one server response frame.
+// Response is one server response frame. writeResponse encodes it by
+// hand: a field added here must be added there too, and
+// TestWriteResponseMatchesJSONMarshal fails until it is.
 type Response struct {
 	OK      bool            `json:"ok"`
 	Error   string          `json:"error,omitempty"`
@@ -179,7 +182,7 @@ func (t *Timing) PhaseSumUS() int64 {
 }
 
 // Column is one result column on the decode side: name plus SQL-ish type
-// (BIGINT, DOUBLE, VARCHAR). Mirrors engine.WireColumn.
+// (BIGINT, DOUBLE, VARCHAR): one element of the wire result's "columns".
 type Column struct {
 	Name string `json:"name"`
 	Type string `json:"type"`
@@ -259,13 +262,72 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteMessage marshals v and writes it as one frame.
+// WriteMessage encodes v and writes it as one frame. A Response takes the
+// append-style encoder below; anything else goes through encoding/json.
+// A Response's Result must already be compact, valid JSON (what
+// engine.Result.AppendJSON or json.Marshal produce): it goes onto the wire
+// as it stands.
 func WriteMessage(w io.Writer, v any) error {
+	switch resp := v.(type) {
+	case Response:
+		return writeResponse(w, &resp)
+	case *Response:
+		return writeResponse(w, resp)
+	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
 	return WriteFrame(w, payload)
+}
+
+// writeResponse builds the frame — length prefix and envelope — in one
+// buffer and writes it once. Result is spliced in as it stands: the server
+// hands over what engine.Result.AppendJSON produced, already compact and
+// valid, so it is not parsed and copied again the way encoding/json treats
+// a RawMessage. The bytes equal json.Marshal(resp) for such a Result; the
+// cold fields (error text, table names, the timing block) are encoded by
+// encoding/json itself.
+func writeResponse(w io.Writer, r *Response) error {
+	b := make([]byte, 4, 4+96+len(r.Error)+len(r.Result))
+	if r.OK {
+		b = append(b, `{"ok":true`...)
+	} else {
+		b = append(b, `{"ok":false`...)
+	}
+	if r.Error != "" {
+		b = appendField(b, `,"error":`, r.Error)
+	}
+	if r.ErrKind != "" {
+		b = appendField(b, `,"error_kind":`, r.ErrKind)
+	}
+	if len(r.Result) > 0 {
+		b = append(append(b, `,"result":`...), r.Result...)
+	}
+	if r.Stmt != 0 {
+		b = strconv.AppendUint(append(b, `,"stmt":`...), r.Stmt, 10)
+	}
+	if len(r.Tables) > 0 {
+		b = appendField(b, `,"tables":`, r.Tables)
+	}
+	if r.Inserted != 0 {
+		b = strconv.AppendInt(append(b, `,"inserted":`...), int64(r.Inserted), 10)
+	}
+	if r.Timing != nil {
+		b = appendField(b, `,"timing":`, r.Timing)
+	}
+	b = append(b, '}')
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	_, err := w.Write(b)
+	return err
+}
+
+// appendField appends key and v's encoding/json form.
+func appendField(b []byte, key string, v any) []byte {
+	// The cold fields are strings, string slices and Timing's integers:
+	// none of them can fail to encode.
+	enc, _ := json.Marshal(v)
+	return append(append(b, key...), enc...)
 }
 
 // ReadRequest reads and decodes one request frame.

@@ -202,3 +202,66 @@ func TestTimingFieldCompat(t *testing.T) {
 		t.Fatal("phase sum exceeds total")
 	}
 }
+
+// TestWriteResponseMatchesJSONMarshal holds the append-style response
+// encoder to encoding/json byte for byte — every field, alone and
+// together, by value and by pointer — and checks the frame goes out as
+// one write with a correct length prefix.
+func TestWriteResponseMatchesJSONMarshal(t *testing.T) {
+	// A result as engine.Result.AppendJSON leaves it: compact, HTML-safe.
+	result := json.RawMessage(`{"count":2,"columns":[{"name":"s","type":"VARCHAR"}],"rows":[["a\u003cb"],[null]],"stats":{"rows_scanned":2,"rows_skipped":0,"rows_covered":0,"zones_probed":0,"skippers_used":0}}`)
+	tm := &Timing{TraceID: "t-9", QueueUS: 1, ParseUS: 2, PlanUS: 3, ShardPruneUS: 4, PruneUS: 5, ScanUS: 6, SerializeUS: 7, TotalUS: 40, RowsSkipped: 1 << 40}
+	cases := []Response{
+		{},
+		{OK: true},
+		{OK: true, Result: result},
+		{OK: true, Result: result, Timing: tm},
+		{OK: true, Timing: &Timing{}},
+		{OK: true, Stmt: 1<<64 - 1},
+		{OK: true, Tables: []string{"a", `b"c`, "<t>", ""}},
+		{OK: true, Inserted: 65536},
+		{Error: "syntax error near \"<\"\n\tline 2   é \xff", ErrKind: ErrKindSyntax},
+		{Error: "only a message"},
+		{OK: true, Error: "e", ErrKind: "k", Result: result, Stmt: 7, Tables: []string{"t"}, Inserted: 3, Timing: tm},
+	}
+	// The last case sets every field, so a field added to Response fails
+	// here until the case — and with it writeResponse — learns about it.
+	all := reflect.ValueOf(cases[len(cases)-1])
+	for i := 0; i < all.NumField(); i++ {
+		if all.Field(i).IsZero() {
+			t.Fatalf("Response.%s is unset in the all-fields case: set it there and encode it in writeResponse", all.Type().Field(i).Name)
+		}
+	}
+	for i, resp := range cases {
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []any{resp, &resp} {
+			w := &countingWriter{}
+			if err := WriteMessage(w, v); err != nil {
+				t.Fatal(err)
+			}
+			if w.writes != 1 {
+				t.Errorf("case %d: frame went out in %d writes, want 1", i, w.writes)
+			}
+			got, err := ReadFrame(&w.buf, MaxFrameDefault)
+			if err != nil {
+				t.Fatalf("case %d: %v", i, err)
+			}
+			if !bytes.Equal(got, want) || w.buf.Len() != 0 {
+				t.Errorf("case %d: envelope drifted from encoding/json\n got: %s\nwant: %s", i, got, want)
+			}
+		}
+	}
+}
+
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}

@@ -578,7 +578,7 @@ func (ss *session) query(ctx context.Context, sqlText string, tm *proto.Timing) 
 		if err != nil {
 			return ss.execFailure(err)
 		}
-		return okResult(s.m, res, tm)
+		return okResult(res, tm)
 	}
 	tPlan := time.Now()
 	q, err := sqlpkg.Plan(stmt, eng.Table())
@@ -639,7 +639,7 @@ func (ss *session) exec(ctx context.Context, ent *stmtEntry, tm *proto.Timing) p
 	if err != nil {
 		return ss.execFailure(err)
 	}
-	return okResult(ss.srv.m, res, tm)
+	return okResult(res, tm)
 }
 
 // execFailure maps an execution error to its stable wire kind.
@@ -667,13 +667,9 @@ func (s *Server) cacheAccount(evicted int) {
 // okResult wire-encodes a successful result and, when timing was
 // requested, fills in the engine-attributed phases from the query's
 // trace plus the serialization cost measured here.
-func okResult(m *srvMetrics, res *engine.Result, tm *proto.Timing) proto.Response {
+func okResult(res *engine.Result, tm *proto.Timing) proto.Response {
 	tSer := time.Now()
-	raw, err := json.Marshal(res)
-	if err != nil {
-		m.failure(proto.ErrKindInternal)
-		return errResp(proto.ErrKindInternal, "encode result: "+err.Error())
-	}
+	raw := res.AppendJSON(nil)
 	if tm != nil {
 		tm.SerializeUS = time.Since(tSer).Microseconds()
 		if tr := res.Trace; tr != nil {

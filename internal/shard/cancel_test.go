@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"adskip/internal/engine"
 	"adskip/internal/expr"
+	"adskip/internal/faultinject"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 )
@@ -19,11 +21,18 @@ import (
 // at least once per 65536 rows).
 func bigManager(t *testing.T, shards, rowsPerShard int) *Manager {
 	t.Helper()
+	return bigManagerLimited(t, shards, rowsPerShard, engine.Limits{})
+}
+
+// bigManagerLimited is bigManager with per-query limits on every shard
+// engine.
+func bigManagerLimited(t *testing.T, shards, rowsPerShard int, limits engine.Limits) *Manager {
+	t.Helper()
 	m, err := New("big", table.Schema{
 		{Name: "id", Type: storage.Int64},
 		{Name: "v", Type: storage.Float64},
 	}, Options{Shards: shards, Key: "id",
-		Engine: engine.Options{Policy: engine.PolicyNone}})
+		Engine: engine.Options{Policy: engine.PolicyNone, Limits: limits}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,5 +241,131 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	}
 	if res.Count != expectedTotal {
 		t.Fatalf("final count = %d, want %d", res.Count, expectedTotal)
+	}
+}
+
+// stackCtx records the stack of every goroutine that looks a value up in
+// it. The shard engines do (trace, session and template ids), including
+// through the contexts the scatter workers derive from it, so it shows
+// which goroutine ran the engine.
+type stackCtx struct {
+	context.Context
+	mu     sync.Mutex
+	stacks []string
+}
+
+func (c *stackCtx) Value(key any) any {
+	buf := make([]byte, 16<<10)
+	buf = buf[:runtime.Stack(buf, false)]
+	c.mu.Lock()
+	c.stacks = append(c.stacks, string(buf))
+	c.mu.Unlock()
+	return c.Context.Value(key)
+}
+
+// engineStacks returns the recorded stacks that passed through a shard
+// engine's query.
+func (c *stackCtx) engineStacks() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for _, s := range c.stacks {
+		if strings.Contains(s, "engine.(*Engine).QueryContext") {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// oneShardQuery is a full scan of the one shard holding ids [lo, hi].
+func oneShardQuery(lo, hi int64) engine.Query {
+	return engine.Query{Where: expr.And(
+		expr.MustPred("id", expr.Between, storage.IntValue(lo), storage.IntValue(hi)),
+		expr.MustPred("v", expr.LT, storage.FloatValue(500)))}
+}
+
+// TestScatterSingleTargetRunsInline: when key bounds leave one shard, its
+// engine runs on the caller's goroutine under the caller's context — no
+// worker, nothing to wait for — while two or more targets still get a
+// worker each. The caller's cancellation and a shard's own failure surface
+// with the same kinds either way, and the scanned counter counts the one
+// completed scan once.
+func TestScatterSingleTargetRunsInline(t *testing.T) {
+	// Range bounds come from the first 65536-row batch: shards 1-3 hold
+	// 16384 ids each, shard 4 everything from 49152 up.
+	m := bigManager(t, 4, 100_000)
+	const self = "shard.TestScatterSingleTargetRunsInline"
+
+	ctx := &stackCtx{Context: context.Background()}
+	base := m.mScanned.Load()
+	res, err := m.QueryContext(ctx, oneShardQuery(10, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ShardsScanned != 1 || res.Stats.ShardsPruned != 3 {
+		t.Fatalf("scanned %d pruned %d shards, want 1 and 3", res.Stats.ShardsScanned, res.Stats.ShardsPruned)
+	}
+	if got := m.mScanned.Load() - base; got != 1 {
+		t.Errorf("scanned counter moved by %d, want 1", got)
+	}
+	stacks := ctx.engineStacks()
+	if len(stacks) == 0 {
+		t.Fatal("the engine never consulted the caller's context")
+	}
+	for _, s := range stacks {
+		if !strings.Contains(s, self) || !strings.Contains(s, "shard.(*Manager).scatter") {
+			t.Fatalf("lone shard ran off the caller's goroutine:\n%s", s)
+		}
+	}
+
+	// Contrast: two surviving shards run on workers.
+	ctx = &stackCtx{Context: context.Background()}
+	if res, err = m.QueryContext(ctx, oneShardQuery(10, 20_000)); err != nil || res.Stats.ShardsScanned != 2 {
+		t.Fatalf("two-shard query: %+v, %v", res, err)
+	}
+	for _, s := range ctx.engineStacks() {
+		if strings.Contains(s, self) {
+			t.Fatalf("a sibling shard ran on the caller's goroutine:\n%s", s)
+		}
+	}
+
+	// No goroutine per query: the count is steady across 1000 of them.
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		if _, err := m.Query(oneShardQuery(10, 20)); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("query %d: %d goroutines, %d before", i, n, before)
+		}
+	}
+
+	// The caller's cancellation reaches the inline scan mid-flight.
+	base = m.mScanned.Load()
+	restore := faultinject.Activate(faultinject.New(7).
+		Set(faultinject.ScanDelay, faultinject.Rule{Every: 1, Delay: 2 * time.Millisecond}))
+	cctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+	_, err = m.QueryContext(cctx, oneShardQuery(300_000, 399_999))
+	cancel()
+	restore()
+	if !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("cancelled lone-shard query: err = %v, want ErrCanceled", err)
+	}
+	if got := m.mScanned.Load() - base; got != 0 {
+		t.Errorf("cancelled scan counted %d times", got)
+	}
+}
+
+// TestScatterSingleTargetError: a lone shard's own failure comes back as
+// it is (same kind as through the workers), counted as no scan.
+func TestScatterSingleTargetError(t *testing.T) {
+	m := bigManagerLimited(t, 2, 100_000, engine.Limits{MaxRowsScanned: 1000})
+	// Shard 2 holds ids from 32768 up: more than one checkpoint interval, so
+	// its scan trips the budget.
+	if _, err := m.Query(oneShardQuery(100_000, 100_010)); !errors.Is(err, engine.ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if n := m.mScanned.Load(); n != 0 {
+		t.Errorf("failed scan counted %d times", n)
 	}
 }

@@ -247,13 +247,24 @@ func (m *Manager) pruneShards(where expr.Conj) (targets []int, pruned int) {
 	return targets, pruned
 }
 
-// scatter fans the per-shard query out to the target shards on parallel
-// workers. Cancellation is cooperative and bidirectional: the caller's
-// context cancels every worker (each shard engine checks at its scan
-// checkpoints), and the first worker error cancels the rest. The
-// shard-scanned counter is incremented per COMPLETED shard scan, so a
-// cancelled gather reports exactly the partial work that ran.
+// scatter runs the per-shard query on the target shards. A lone target —
+// what key-bound pruning usually leaves — runs on the caller's goroutine
+// under the caller's context: there is nothing to wait for and no sibling
+// to cancel. Two or more targets each get a worker, and cancellation is
+// cooperative and bidirectional: the caller's context cancels every worker
+// (each shard engine checks at its scan checkpoints), and the first worker
+// error cancels the rest. The shard-scanned counter is incremented per
+// COMPLETED shard scan, so a cancelled gather reports exactly the partial
+// work that ran.
 func (m *Manager) scatter(ctx context.Context, targets []int, q engine.Query) ([]*engine.Result, error) {
+	if len(targets) == 1 {
+		res, err := m.shards[targets[0]].eng.QueryContext(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		m.mScanned.Inc()
+		return []*engine.Result{res}, nil
+	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]*engine.Result, len(targets))

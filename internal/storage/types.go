@@ -28,10 +28,8 @@
 package storage
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 )
 
 // Type is the logical type of a column.
@@ -141,28 +139,14 @@ func (v Value) String() string {
 	}
 }
 
-// MarshalJSON renders the value as its natural JSON form: NULL as null,
-// Int64 as an integer, Float64 as a number (non-finite floats, which SQL
-// cannot produce but defensive callers may, collapse to null), String as
-// a JSON string. This is the cell encoding of the engine's wire format,
-// so it must stay stable.
+// MarshalJSON renders the value as its natural JSON form (see AppendJSON,
+// the one cell encoder of the engine's wire format, which must stay
+// stable).
 func (v Value) MarshalJSON() ([]byte, error) {
-	if v.null {
-		return []byte("null"), nil
-	}
-	switch v.typ {
-	case Int64:
-		return strconv.AppendInt(nil, v.i, 10), nil
-	case Float64:
-		if math.IsNaN(v.f) || math.IsInf(v.f, 0) {
-			return []byte("null"), nil
-		}
-		return json.Marshal(v.f)
-	case String:
-		return json.Marshal(v.s)
-	default:
+	if !v.null && v.typ > String {
 		return nil, fmt.Errorf("storage: cannot marshal value of type %d", v.typ)
 	}
+	return v.AppendJSON(nil), nil
 }
 
 // Equal reports deep equality of two values (NULL equals NULL here; SQL
