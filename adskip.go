@@ -359,6 +359,10 @@ type executor interface {
 	LoadSkipper(col string, r io.Reader) error
 	SetWAL(l *wal.Log)
 	ReplayRecord(rec *wal.Record) error
+	// ReadTable runs fn over the table's cells as data — the engine's own
+	// table under its mutex, or a merged copy of a sharded table (shard
+	// order; ascending key order in range mode) — for snapshot and export.
+	ReadTable(fn func(*table.Table) error) error
 	FillHistory(s *obs.HistorySample)
 	AccumulateLatency(dst []int64)
 }
@@ -961,16 +965,6 @@ func (db *DB) newExecutor(tbl *table.Table) (executor, error) {
 	return m, nil
 }
 
-// dataTable resolves an executor to a queryable-as-data table: the
-// engine's own table, or — for a sharded table — a merged snapshot in
-// ascending key order (range mode) for export.
-func dataTable(e executor) (*table.Table, error) {
-	if m, ok := e.(*shard.Manager); ok {
-		return m.Merged()
-	}
-	return e.Table(), nil
-}
-
 // Table returns a handle to an existing table.
 func (db *DB) Table(name string) (*Table, error) {
 	e, ok := db.lookup(name)
@@ -1026,12 +1020,10 @@ func (db *DB) SaveTable(name string, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
-	tbl, err := dataTable(e)
-	if err != nil {
+	return e.ReadTable(func(tbl *table.Table) error {
+		_, err := tbl.WriteTo(w)
 		return err
-	}
-	_, err = tbl.WriteTo(w)
-	return err
+	})
 }
 
 // LoadTable reads a table snapshot from r and registers it in the
@@ -1083,11 +1075,9 @@ type Table struct {
 // WriteCSV writes the table's rows as CSV with a header. NULLs render as
 // nullLit. On a sharded table the export is a merged snapshot.
 func (t *Table) WriteCSV(w io.Writer, nullLit string) error {
-	tbl, err := dataTable(t.eng)
-	if err != nil {
-		return err
-	}
-	return tbl.WriteCSV(w, nullLit)
+	return t.eng.ReadTable(func(tbl *table.Table) error {
+		return tbl.WriteCSV(w, nullLit)
+	})
 }
 
 // SaveSkipping serializes a column's learned adaptive zonemap so the

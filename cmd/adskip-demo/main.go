@@ -463,7 +463,11 @@ func (r *repl) save(path string) {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	n, err := r.eng.Table().WriteTo(f)
+	var n int64
+	err = r.eng.ReadTable(func(t *table.Table) (werr error) {
+		n, werr = t.WriteTo(f)
+		return werr
+	})
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

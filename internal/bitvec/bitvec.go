@@ -53,22 +53,6 @@ func (v *BitVec) Grow(n int) {
 	v.n = n
 }
 
-// Truncate shortens the vector to its first n bits (no-op when already
-// that short): the word slice is resliced and the kept part of the last
-// word masked, so the cost is independent of n and the capacity stays for
-// a later Grow.
-func (v *BitVec) Truncate(n int) {
-	if n < 0 {
-		panic("bitvec: negative length")
-	}
-	if n >= v.n {
-		return
-	}
-	v.words = v.words[:(n+wordBits-1)/wordBits]
-	v.n = n
-	v.trimTail()
-}
-
 // Words exposes the backing words for word-at-a-time consumers. The final
 // word's bits beyond Len are always zero.
 func (v *BitVec) Words() []uint64 { return v.words }

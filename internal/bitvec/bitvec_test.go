@@ -364,42 +364,3 @@ func BenchmarkAnd(b *testing.B) {
 		x.And(y)
 	}
 }
-
-// TestTruncate: cuts inside a word, on a word boundary and to zero keep
-// exactly the bits below the cut, and bits dropped by a cut do not come
-// back when the vector grows again.
-func TestTruncate(t *testing.T) {
-	for _, cut := range []int{0, 1, 63, 64, 65, 127, 128, 190, 200} {
-		v := New(200)
-		set := []int{0, 5, 62, 63, 64, 65, 100, 126, 127, 128, 129, 199}
-		for _, i := range set {
-			v.Set(i)
-		}
-		capBefore := cap(v.Words())
-		v.Truncate(cut)
-		want := 0
-		for _, i := range set {
-			if i < cut {
-				want++
-				if !v.Get(i) {
-					t.Fatalf("cut %d: kept bit %d lost", cut, i)
-				}
-			}
-		}
-		if v.Len() != cut || v.Count() != want || len(v.Words()) != (cut+63)/64 {
-			t.Fatalf("cut %d: len %d count %d words %d, want count %d", cut, v.Len(), v.Count(), len(v.Words()), want)
-		}
-		if cap(v.Words()) != capBefore {
-			t.Fatalf("cut %d: capacity %d -> %d", cut, capBefore, cap(v.Words()))
-		}
-		v.Grow(200)
-		if v.Count() != want {
-			t.Fatalf("cut %d: %d bits after regrowing, want %d (dropped bits came back)", cut, v.Count(), want)
-		}
-	}
-	v := New(10)
-	v.Truncate(20) // longer than the vector: no-op
-	if v.Len() != 10 {
-		t.Fatalf("Truncate past the end changed the length to %d", v.Len())
-	}
-}

@@ -195,7 +195,7 @@ func (e *Engine) validateAgg(a Agg) (*storage.Column, error) {
 		}
 		return nil, nil
 	}
-	col, err := e.tbl.Column(a.Col)
+	col, err := e.readColumn(a.Col)
 	if err != nil {
 		return nil, err
 	}

@@ -213,8 +213,22 @@ func New(tbl *table.Table, opts Options) *Engine {
 	return e
 }
 
-// Table returns the underlying table.
+// Table returns the underlying table: its schema is fixed and free to
+// read; its cells are not (see ReadTable).
 func (e *Engine) Table() *table.Table { return e.tbl }
+
+// ReadTable runs fn over the table under the engine mutex: how cells are
+// read from outside a query (snapshot, CSV export, shard merge). Reading a
+// column's cells consolidates the rows appends have staged beside it, which
+// mutates the column; the mutex serialises that with appends, with queries
+// and with other readers, and fn sees a table no append is halfway through.
+// fn must not call back into the engine (the mutex is held) and must not
+// retain the table's slices.
+func (e *Engine) ReadTable(fn func(*table.Table) error) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return fn(e.tbl)
+}
 
 // Metrics returns the engine's metrics registry.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
@@ -468,7 +482,9 @@ func updatableType(t storage.Type) bool {
 
 // applyUpdateLocked performs the in-memory half of Update: the cell
 // overwrite plus the skipper widen. Caller holds e.mu and has validated
-// row bounds and non-NULL.
+// row bounds and non-NULL. A row that is still staged is overwritten like
+// any other: SetInt/SetFloat consolidate the column first, single-threaded
+// because e.mu is held.
 func (e *Engine) applyUpdateLocked(col *storage.Column, colName string, row int, v storage.Value) error {
 	wasNull := col.IsNull(row)
 	switch col.Type() {
@@ -510,6 +526,8 @@ func (e *Engine) applyUpdateLocked(col *storage.Column, colName string, row int,
 // Replay is idempotent over the BaseRow chain: a rows record whose rows
 // are already present is skipped, a partially present record appends only
 // the missing suffix, and a record that would leave a gap errors out.
+// Replayed batches are staged like any append (recovery copies no column);
+// the first query, or an update record's SetInt, consolidates under e.mu.
 func (e *Engine) ReplayRecord(rec *wal.Record) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -589,9 +607,25 @@ func (e *Engine) LoadSkipper(colName string, r io.Reader) error {
 	return nil
 }
 
+// readColumn resolves a column a query is about to read and consolidates
+// the rows appends have staged beside it. Every column of a plan —
+// predicate, aggregate, grouping, projection, ordering — is resolved
+// through it in the query preamble, under e.mu and before any scan worker
+// starts, so workers only ever see a consolidated column, which is safe
+// for concurrent reads; a column no query names is never copied.
+func (e *Engine) readColumn(name string) (*storage.Column, error) {
+	col, err := e.tbl.Column(name)
+	if err != nil {
+		return nil, err
+	}
+	col.Consolidate()
+	return col, nil
+}
+
 // syncSkippers brings every skipper up to date with appended rows. Called
 // at the start of each query so bulk appends amortize metadata
-// maintenance.
+// maintenance (Codes consolidates the column: a skipper's column is copied
+// once per run of appends, here).
 func (e *Engine) syncSkippers() {
 	for name, s := range e.skippers {
 		col, err := e.tbl.Column(name)

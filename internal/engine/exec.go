@@ -206,7 +206,7 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 	}
 	var grp *grouper
 	if q.GroupBy != "" {
-		gcol, err := e.tbl.Column(q.GroupBy)
+		gcol, err := e.readColumn(q.GroupBy)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +220,7 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 	var projCols []*storage.Column
 	if grp == nil {
 		for _, name := range q.Select {
-			col, err := e.tbl.Column(name)
+			col, err := e.readColumn(name)
 			if err != nil {
 				return nil, err
 			}
@@ -238,7 +238,7 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 			return nil, fmt.Errorf("engine: ORDER BY requires a projection")
 		}
 		var err error
-		orderCol, err = e.tbl.Column(q.OrderBy)
+		orderCol, err = e.readColumn(q.OrderBy)
 		if err != nil {
 			return nil, err
 		}
@@ -407,7 +407,7 @@ func (e *Engine) plan(where expr.Conj) ([]colPlan, bool, error) {
 	var plans []colPlan
 	unsat := false
 	for _, name := range where.Columns() {
-		col, err := e.tbl.Column(name)
+		col, err := e.readColumn(name)
 		if err != nil {
 			return nil, false, err
 		}

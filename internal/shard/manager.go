@@ -291,7 +291,9 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 // mode learns equi-depth bounds from the full key column up front, so
 // the placement (and therefore pruning) is as good as it gets. Row order
 // changes: rows are grouped by shard (a later merged snapshot writes
-// them back in shard order).
+// them back in shard order). tbl is the caller's alone — no engine serves
+// it — so reading it here (Codes, Rows: both consolidate what its loader
+// staged) needs no lock.
 func NewFromTable(tbl *table.Table, opts Options) (*Manager, error) {
 	m, err := New(tbl.Name(), tbl.Schema(), opts)
 	if err != nil {
@@ -606,16 +608,32 @@ func (m *Manager) Merged() (*table.Table, error) {
 		return nil, err
 	}
 	for _, s := range m.shards {
-		st := s.eng.Table()
-		for lo := 0; lo < st.NumRows(); lo += table.BulkRows {
-			rows, err := st.Rows(lo, min(lo+table.BulkRows, st.NumRows()))
-			if err != nil {
-				return nil, err
+		// Rows consolidates the shard's columns: under its engine's mutex.
+		err := s.eng.ReadTable(func(st *table.Table) error {
+			for lo := 0; lo < st.NumRows(); lo += table.BulkRows {
+				rows, err := st.Rows(lo, min(lo+table.BulkRows, st.NumRows()))
+				if err != nil {
+					return err
+				}
+				if err := out.AppendRows(rows); err != nil {
+					return err
+				}
 			}
-			if err := out.AppendRows(rows); err != nil {
-				return nil, err
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// ReadTable runs fn over a merged copy of the table (see Merged): the
+// sharded counterpart of engine.Engine.ReadTable.
+func (m *Manager) ReadTable(fn func(*table.Table) error) error {
+	t, err := m.Merged()
+	if err != nil {
+		return err
+	}
+	return fn(t)
 }

@@ -269,6 +269,9 @@ func TestShardedMatchesUnshardedFromTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if got := src.ColumnAt(0).Staged(); got != len(rows) {
+		t.Fatalf("source table has %d of %d rows staged: NewFromTable must be its first reader", got, len(rows))
+	}
 	m, err := NewFromTable(src, Options{Shards: 3, Key: "id",
 		Engine: engine.Options{Policy: engine.PolicyAdaptive}})
 	if err != nil {
@@ -412,9 +415,18 @@ func TestMergedRoundTrip(t *testing.T) {
 	if err := m.AppendRows(rows); err != nil {
 		t.Fatal(err)
 	}
+	// Nothing has queried the shards: Merged is the first reader of rows
+	// AppendRows staged, and hands back a table nobody has read either.
+	held := m.ShardEngine(1).Table().ColumnAt(0)
+	if held.Staged() != held.Len() || held.Len() == 0 {
+		t.Fatalf("shard 1 holds %d rows, %d staged, before Merged", held.Len(), held.Staged())
+	}
 	merged, err := m.Merged()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if held.Staged() != 0 || merged.ColumnAt(0).Staged() != len(rows) {
+		t.Fatalf("after Merged: shard 1 has %d rows staged, the merged table %d of %d", held.Staged(), merged.ColumnAt(0).Staged(), len(rows))
 	}
 	if merged.NumRows() != len(rows) {
 		t.Fatalf("merged %d rows, want %d", merged.NumRows(), len(rows))

@@ -19,15 +19,29 @@ var (
 // is always []int64 codes in value order (see package doc); logical type
 // only affects encode/decode at the boundary.
 //
-// A Column is not safe for concurrent mutation; concurrent reads are safe.
+// A batch that does not fit the spare capacity is staged in pending chunks
+// beside the code vector, and the first reader of codes consolidates the
+// column back into one slice (see Consolidate). So an append and the first
+// read after it both mutate the column and must be serialised by the
+// caller; a consolidated column is safe for concurrent reads. The null
+// bitmap and the dictionary are indexed by row and by value, not through
+// codes: staging does not touch them.
 type Column struct {
-	name  string
-	typ   Type
-	codes []int64
-	nulls *bitvec.BitVec // lazily allocated; set bit = NULL at that row
-	nNull int
-	dict  *dict.Dict // non-nil iff typ == String
+	name    string
+	typ     Type
+	codes   []int64
+	pending [][]int64      // staged rows after codes, in row order; only the last chunk has spare capacity
+	staged  int            // rows in pending
+	nulls   *bitvec.BitVec // lazily allocated; set bit = NULL at that row
+	nNull   int
+	dict    *dict.Dict // non-nil iff typ == String
 }
+
+// chunkFloor is the smallest pending chunk, in rows: one 8 KiB page, so
+// that one-row and 256-row batches share a chunk instead of each leaving
+// an allocation behind, while the spare room staged rows can hold stays
+// under a page per column.
+const chunkFloor = 1024
 
 // NewColumn returns an empty column of the given logical type.
 func NewColumn(name string, typ Type) *Column {
@@ -44,16 +58,61 @@ func (c *Column) Name() string { return c.name }
 // Type returns the column's logical type.
 func (c *Column) Type() Type { return c.typ }
 
-// Len returns the number of rows.
-func (c *Column) Len() int { return len(c.codes) }
+// Len returns the number of rows, staged ones included.
+func (c *Column) Len() int { return len(c.codes) + c.staged }
+
+// Staged returns how many of the rows sit in pending chunks, waiting for a
+// reader to consolidate them.
+func (c *Column) Staged() int { return c.staged }
 
 // NullCount returns the number of NULL rows.
 func (c *Column) NullCount() int { return c.nNull }
 
 // Codes exposes the physical code vector for scan kernels and metadata
-// builders. The slice aliases column storage: callers must treat it as
+// builders, consolidating staged rows first: it is always the whole column
+// as one slice. The slice aliases column storage: callers must treat it as
 // read-only and must not retain it across appends.
-func (c *Column) Codes() []int64 { return c.codes }
+func (c *Column) Codes() []int64 {
+	c.Consolidate()
+	return c.codes
+}
+
+// Consolidate moves staged rows into the code vector; on a column with
+// none it only reads. Every accessor that indexes codes calls it, so
+// correctness never depends on a caller remembering to; the engine calls
+// it under its mutex for the columns a query reads, before any scan worker
+// starts, so workers only ever see consolidated columns.
+//
+// The vector is reallocated once. When one ladder rung could not be relied
+// on to hold the rows (they outgrow the capacity by more than a quarter: a
+// bulk load) the new vector is exactly Len() long: the staged rows pay for
+// the copy of the old ones at most four to one, and no slack is left on a
+// column that was loaded in one go. Otherwise (a trickle of small batches
+// between reads) it grows by one rung of growLadder, the amortised growth
+// of append. Either way a reallocation follows growth of at least 1.25x,
+// and capacity <= max(Len(), one rung above Len()-1).
+func (c *Column) Consolidate() {
+	if len(c.pending) != 0 {
+		c.consolidate()
+	}
+}
+
+// consolidate is Consolidate's slow path, kept apart so that the check
+// inlines into per-row callers of Codes and Value.
+func (c *Column) consolidate() {
+	at, n := len(c.codes), len(c.codes)+c.staged
+	if n-cap(c.codes) > cap(c.codes)/4 {
+		grown := make([]int64, n)
+		copy(grown, c.codes)
+		c.codes = grown
+	} else {
+		c.codes = growLadder(c.codes, n)
+	}
+	for _, chunk := range c.pending {
+		at += copy(c.codes[at:], chunk)
+	}
+	c.pending, c.staged = nil, 0
+}
 
 // Dict returns the string dictionary, or nil for non-string columns.
 func (c *Column) Dict() *dict.Dict { return c.dict }
@@ -80,8 +139,7 @@ func (c *Column) AppendInt(v int64) error {
 	if c.typ != Int64 {
 		return fmt.Errorf("%w: AppendInt on %s column %q", ErrTypeMismatch, c.typ, c.name)
 	}
-	c.codes = append(c.codes, v)
-	c.growNulls(len(c.codes))
+	c.appendCode(v)
 	return nil
 }
 
@@ -95,8 +153,7 @@ func (c *Column) AppendFloat(v float64) error {
 	if math.IsNaN(v) {
 		return ErrNaN
 	}
-	c.codes = append(c.codes, EncodeFloat64(v))
-	c.growNulls(len(c.codes))
+	c.appendCode(EncodeFloat64(v))
 	return nil
 }
 
@@ -112,8 +169,7 @@ func (c *Column) AppendString(v string) error {
 	if err != nil {
 		return err
 	}
-	c.codes = append(c.codes, code)
-	c.growNulls(len(c.codes))
+	c.appendCode(code)
 	return nil
 }
 
@@ -122,9 +178,16 @@ func (c *Column) AppendString(v string) error {
 // and kernels that forget would at worst over-select (they don't: kernels
 // mask nulls).
 func (c *Column) AppendNull() {
-	row := len(c.codes)
-	c.codes = append(c.codes, math.MinInt64)
-	c.setNull(row)
+	c.appendCode(math.MinInt64)
+	c.setNull(len(c.codes) - 1)
+}
+
+// appendCode is the single-value appenders' store: plain append onto the
+// consolidated vector, for loaders that build a column code by code.
+func (c *Column) appendCode(code int64) {
+	c.Consolidate()
+	c.codes = append(c.codes, code)
+	c.growNulls(len(c.codes))
 }
 
 // CheckRows reports the first reason cell col of rows could not be
@@ -179,16 +242,54 @@ func (c *Column) mismatch(row int, v *Value) error {
 }
 
 // AppendRows appends cell col of every row: the one append kernel, a typed
-// loop storing into a tail reserved once per batch. The batch must have
-// passed CheckRows since the column last changed: nothing is re-checked,
-// and the one failure still visible here — a string a sealed dictionary
-// lacks — panics. Distinct columns may run AppendRows over the same rows
-// concurrently: a column owns its codes, bitmap and dictionary, and rows
-// are only read.
+// loop storing into room reserved once per batch — the tail of the code
+// vector when the batch fits its spare capacity, pending chunks when it
+// does not (see reserve). The batch must have passed CheckRows since the
+// column last changed: nothing is re-checked, and the one failure still
+// visible here — a string a sealed dictionary lacks — panics. Distinct
+// columns may run AppendRows over the same rows concurrently: a column owns
+// its codes, chunks, bitmap and dictionary, and rows are only read.
 func (c *Column) AppendRows(rows [][]Value, col int) {
-	base := len(c.codes)
-	c.codes = growLadder(c.codes, base+len(rows))
-	dst := c.codes[base:][:len(rows)]
+	for len(rows) > 0 {
+		base := c.Len()
+		dst := c.reserve(len(rows))
+		c.storeRows(dst, rows[:len(dst)], col, base)
+		rows = rows[len(dst):]
+	}
+	c.growNulls(c.Len())
+}
+
+// reserve makes room at the column's end for up to n more rows (at least
+// one) and returns it; the caller overwrites every element. A batch that
+// fits the spare capacity of a column with nothing staged extends the tail.
+// Any other first fills what the last pending chunk has left and then opens
+// a chunk of exactly the rows that remain — never smaller than chunkFloor —
+// so a bulk load allocates each row's slot once and copies it once, at
+// consolidation, instead of copying the whole column at every rung of a
+// growth ladder; and staged rows never hold more than one chunkFloor of
+// room no row occupies.
+func (c *Column) reserve(n int) []int64 {
+	if len(c.pending) == 0 {
+		if at := len(c.codes); at+n <= cap(c.codes) {
+			c.codes = c.codes[:at+n]
+			return c.codes[at:]
+		}
+	} else if k := len(c.pending) - 1; len(c.pending[k]) < cap(c.pending[k]) {
+		chunk, at := c.pending[k], len(c.pending[k])
+		chunk = chunk[:min(at+n, cap(chunk))]
+		c.pending[k] = chunk
+		c.staged += len(chunk) - at
+		return chunk[at:]
+	}
+	chunk := make([]int64, n, max(n, chunkFloor))
+	c.pending = append(c.pending, chunk)
+	c.staged += n
+	return chunk
+}
+
+// storeRows is AppendRows' typed store loop: cell col of rows into dst,
+// whose first element is row base of the column.
+func (c *Column) storeRows(dst []int64, rows [][]Value, col, base int) {
 	switch c.typ {
 	case Int64:
 		for i, r := range rows {
@@ -225,20 +326,16 @@ func (c *Column) AppendRows(rows [][]Value, col int) {
 			dst[i] = code
 		}
 	}
-	c.growNulls(len(c.codes))
 }
 
-// growLadder returns s resliced to n elements, reallocating along the
-// capacities that appending one element at a time from empty would have
-// visited. Capacity therefore depends on the row count alone, not on how
-// the rows were batched: a batch-sized reservation (slices.Grow, or
-// append(s, make([]int64, k)...)) puts the first allocation, and so every
-// later growth, on different rungs — measured on the repository benchmark
-// that moved the live heap by +15% on ingest-mixed (147.7 -> 170.0 MB) and
-// +6.5% on served-zipf for the same rows, where this walk leaves every
-// column at exactly the row-at-a-time capacity (heap_mb within 0.05% on all
-// four workloads; EXPERIMENTS.md, "bulk load"). Elements between the old
-// length and n are unspecified; the caller overwrites them.
+// growLadder returns s resliced to n elements, reallocated to the next
+// capacity append would give a full s: the trickle rung of Consolidate,
+// which only calls it when n is within a quarter of cap(s), so the loop
+// body runs once. Growing by a rung rather than to n is what keeps small
+// batches between reads at append's amortised cost; sizing each
+// reallocation to the batch instead (slices.Grow) was measured at +15% live
+// heap on ingest-mixed (EXPERIMENTS.md, "bulk load"). Elements between the
+// old length and n are unspecified; the caller overwrites them.
 func growLadder(s []int64, n int) []int64 {
 	for cap(s) < n {
 		s = append(s[:cap(s)], 0)
@@ -253,6 +350,7 @@ func (c *Column) SetInt(i int, v int64) error {
 	if c.typ != Int64 {
 		return fmt.Errorf("%w: SetInt on %s column %q", ErrTypeMismatch, c.typ, c.name)
 	}
+	c.Consolidate()
 	c.clearNull(i)
 	c.codes[i] = v
 	return nil
@@ -266,6 +364,7 @@ func (c *Column) SetFloat(i int, v float64) error {
 	if math.IsNaN(v) {
 		return ErrNaN
 	}
+	c.Consolidate()
 	c.clearNull(i)
 	c.codes[i] = EncodeFloat64(v)
 	return nil
@@ -276,6 +375,7 @@ func (c *Column) Value(i int) Value {
 	if c.IsNull(i) {
 		return NullValue(c.typ)
 	}
+	c.Consolidate()
 	code := c.codes[i]
 	switch c.typ {
 	case Int64:
@@ -315,22 +415,6 @@ func (c *Column) EncodeValue(v Value) (code int64, ok bool, err error) {
 	return 0, false, fmt.Errorf("storage: unknown column type %v", c.typ)
 }
 
-// Truncate removes rows from the end, keeping the first n, in time
-// proportional to the rows dropped; capacity stays. Dictionary entries of
-// removed strings are retained (harmless: unused codes). The append path
-// itself never rolls back — a batch is checked whole before any column
-// changes.
-func (c *Column) Truncate(n int) {
-	if n < 0 || n > len(c.codes) {
-		panic(fmt.Sprintf("storage: Truncate(%d) out of range for %d rows", n, len(c.codes)))
-	}
-	if c.nulls != nil && c.nulls.Len() > n {
-		c.nNull -= c.nulls.CountRange(n, c.nulls.Len())
-		c.nulls.Truncate(n)
-	}
-	c.codes = c.codes[:n]
-}
-
 // SealDict seals a string column's dictionary into order-preserving form,
 // rewriting all stored codes through the remap. Returns the remap (or nil
 // for non-string columns). After sealing, code order equals string order
@@ -340,7 +424,7 @@ func (c *Column) SealDict() []int64 {
 		return nil
 	}
 	remap := c.dict.Seal()
-	for i, code := range c.codes {
+	for i, code := range c.Codes() {
 		if c.IsNull(i) {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -305,42 +306,109 @@ func TestQuickColumnRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTruncateNullBitmap is the regression test for rollback: Truncate
-// used to rebuild the null bitmap bit by bit over every kept row. NULLs
-// sit on both sides of a bitmap word boundary and of the cut; after the
-// cut the column must equal one that never held the dropped rows, and
-// appends after it must not see the dropped NULLs.
-func TestTruncateNullBitmap(t *testing.T) {
-	nullAt := func(i int) bool { return i%7 == 0 || i == 63 || i == 64 || i == 127 || i == 128 }
-	build := func(n int) *Column {
-		c := NewColumn("a", Int64)
+// intBatch builds n single-cell Int64 rows over one backing array, every
+// 500th NULL if nulls is set.
+func intBatch(n int, nulls bool) [][]Value {
+	cells := make([]Value, n)
+	rows := make([][]Value, n)
+	for i := range rows {
+		cells[i] = IntValue(int64(i))
+		if nulls && i%500 == 499 {
+			cells[i] = NullValue(Int64)
+		}
+		rows[i] = cells[i : i+1 : i+1]
+	}
+	return rows
+}
+
+// allocated reports the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCapacityStagedSlack: whatever mix of batch sizes is appended without
+// a read in between, only the last pending chunk has room left, less than
+// one chunkFloor of it; Len counts every staged row; and one Codes() turns
+// the lot into a single exactly-sized vector with every row in place.
+func TestCapacityStagedSlack(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sizes := []int{1, 255, 1024, 1 << 16, 1, 1, 1023, 1025, 300}
+	for k := 0; k < 40; k++ {
+		sizes = append(sizes, 1+rng.Intn(3000))
+	}
+	c := NewColumn("a", Int64)
+	rows := intBatch(1<<16, true)
+	want := 0
+	for _, n := range sizes {
+		c.AppendRows(rows[:n], 0)
+		want += n
+		if c.Len() != want || c.Staged() != want {
+			t.Fatalf("after %d rows: Len %d, Staged %d", want, c.Len(), c.Staged())
+		}
+		for i, chunk := range c.pending {
+			spare := cap(chunk) - len(chunk)
+			if spare >= chunkFloor || (spare > 0 && i != len(c.pending)-1) {
+				t.Fatalf("after %d rows: chunk %d of %d has %d unused slots", want, i, len(c.pending), spare)
+			}
+		}
+	}
+	codes := c.Codes()
+	if len(codes) != want || cap(codes) != want || c.Staged() != 0 || c.pending != nil {
+		t.Fatalf("after Codes(): len %d cap %d staged %d, want %d rows in one exact vector", len(codes), cap(codes), c.Staged(), want)
+	}
+	at := 0
+	for _, n := range sizes {
 		for i := 0; i < n; i++ {
-			if nullAt(i) {
-				c.AppendNull()
-			} else {
-				c.AppendInt(int64(i))
+			if null := i%500 == 499; c.IsNull(at+i) != null || (!null && codes[at+i] != int64(i)) {
+				t.Fatalf("row %d (row %d of its batch): code %d, null %v", at+i, i, codes[at+i], c.IsNull(at+i))
 			}
 		}
-		return c
+		at += n
 	}
-	for _, cut := range []int{0, 1, 63, 64, 65, 100, 128, 129, 199, 200} {
-		c, want := build(200), build(cut)
-		c.Truncate(cut)
-		if c.Len() != want.Len() || c.NullCount() != want.NullCount() {
-			t.Fatalf("cut %d: len %d nulls %d, want %d and %d", cut, c.Len(), c.NullCount(), want.Len(), want.NullCount())
+}
+
+// TestCapacityAllocationAmortised guards the copy amplification of a load
+// with a deterministic count instead of a timing. A 2 Mi-row column loaded
+// in 64 Ki batches and read once allocates each row's slot twice (its chunk,
+// then the consolidated vector) and nothing else of size: the growth ladder
+// this replaced allocated about six times the column. And 256-row batches
+// with a read after each — the trickle that cannot be staged for long —
+// still allocate no more than append's own ladder does for the same rows.
+func TestCapacityAllocationAmortised(t *testing.T) {
+	const bulkRows, bulkBatch = 1 << 21, 1 << 16
+	rows := intBatch(bulkBatch, false)
+	c := NewColumn("a", Int64)
+	bulk := allocated(func() {
+		for c.Len() < bulkRows {
+			c.AppendRows(rows, 0)
 		}
-		// Refill past the old length: no dropped NULL may reappear.
-		for i := cut; i < 260; i++ {
-			c.AppendInt(int64(-i))
-			want.AppendInt(int64(-i))
-		}
-		if c.NullCount() != want.NullCount() {
-			t.Fatalf("cut %d: %d NULLs after refill, want %d", cut, c.NullCount(), want.NullCount())
-		}
-		for i := 0; i < want.Len(); i++ {
-			if c.IsNull(i) != want.IsNull(i) || (!c.IsNull(i) && c.Codes()[i] != want.Codes()[i]) {
-				t.Fatalf("cut %d: row %d differs after refill (null %v, want %v)", cut, i, c.IsNull(i), want.IsNull(i))
-			}
-		}
+		c.Codes()
+	})
+	if limit := uint64(21 * 8 * bulkRows / 10); bulk > limit {
+		t.Errorf("bulk load of %d rows allocated %d bytes, want <= %d (2.1 x 8 B x rows)", bulkRows, bulk, limit)
 	}
+
+	const trickleRows, trickleBatch = 300_000, 256
+	var ladder []int64
+	ladderTotal := allocated(func() {
+		for len(ladder) < trickleRows {
+			ladder = append(ladder[:cap(ladder)], 0)
+		}
+	})
+	c = NewColumn("a", Int64)
+	trickle := allocated(func() {
+		for c.Len() < trickleRows {
+			c.AppendRows(rows[:trickleBatch], 0)
+			c.Codes()
+		}
+	})
+	if trickle > ladderTotal {
+		t.Errorf("%d-row batches with a read after each allocated %d bytes for %d rows, append's ladder %d", trickleBatch, trickle, trickleRows, ladderTotal)
+	}
+	t.Logf("bulk %.2f x column, trickle %.2f x column (append's ladder %.2f x)",
+		float64(bulk)/(8*bulkRows), float64(trickle)/(8*trickleRows), float64(ladderTotal)/(8*trickleRows))
 }

@@ -17,14 +17,32 @@
 // through one pair of per-column kernels: Column.CheckRows validates one
 // column of a batch (type, NaN, sealed-dictionary membership) without
 // mutating anything, and Column.AppendRows then stores it in one typed
-// loop into a tail reserved once per batch. The table checks every column
+// loop into room reserved once per batch. The table checks every column
 // before it applies any, so a batch is all or nothing and the engine can
 // log it to the WAL between the two (validate columns -> log -> apply
 // columns); columns share no state, so the table applies a large batch's
-// columns on separate goroutines. Growth follows one capacity ladder
-// whatever the batch size — see growLadder. The typed single-value
-// appenders (AppendInt and friends) remain for loaders that build a column
-// directly from codes: the snapshot codec and the experiment harness.
+// columns on separate goroutines. The typed single-value appenders
+// (AppendInt and friends) remain for loaders that build a column directly
+// from codes: the snapshot codec and the experiment harness.
+//
+// Readers need the codes as one slice; writers do not, until someone
+// reads. A batch that fits a column's spare capacity extends its tail; one
+// that does not is staged in a pending chunk beside the vector (exactly
+// batch-sized, at least chunkFloor rows; later batches fill a chunk before
+// opening another), and Len counts it. The first reader — Codes, or any
+// accessor that indexes codes — consolidates the column back into one
+// slice with at most one reallocation: exactly Len() long when the rows
+// outgrew the capacity by more than a quarter (a bulk load: the column is
+// copied once instead of at every rung of a growth ladder, and keeps no
+// slack), one rung of append's ladder otherwise (small batches between
+// reads keep append's amortised cost). So after any read capacity is at
+// most max(Len(), one rung above Len()-1), and total copying is linear
+// either way. A column nobody reads is never copied.
+//
+// Concurrency: an append and the first read after it both mutate the
+// column and must be serialised by the caller — the engine does both under
+// its mutex, consolidating the columns a query names before it starts scan
+// workers. A consolidated column is safe for concurrent reads.
 package storage
 
 import (

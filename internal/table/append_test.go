@@ -72,8 +72,32 @@ func randomBatch(rng *rand.Rand, n int) [][]storage.Value {
 	return rows
 }
 
+// ladderRung is the capacity a full column one row short of n takes to hold
+// n rows: one step of append's growth.
+func ladderRung(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return cap(append(make([]int64, n-1), 0))
+}
+
+// requireCapacity holds a column that has just been read to the capacity
+// rule: exactly its length, or at most one ladder rung above it — however
+// its rows were batched, and whenever they were read.
+func requireCapacity(t *testing.T, c *storage.Column) {
+	t.Helper()
+	got, n := cap(c.Codes()), c.Len()
+	if c.Staged() != 0 {
+		t.Fatalf("column %q: %d rows staged after Codes()", c.Name(), c.Staged())
+	}
+	if got > max(n, ladderRung(n)) {
+		t.Fatalf("column %q: capacity %d for %d rows, more than one ladder rung (%d)", c.Name(), got, n, ladderRung(n))
+	}
+}
+
 // requireSameTable compares two tables cell by cell, with NULL counts,
-// code vectors, capacities and dictionary contents.
+// code vectors and dictionary contents, and holds got to the capacity
+// rule. It reads every column of both: nothing is staged afterwards.
 func requireSameTable(t *testing.T, got, want *Table) {
 	t.Helper()
 	if got.NumRows() != want.NumRows() {
@@ -90,13 +114,15 @@ func requireSameTable(t *testing.T, got, want *Table) {
 		if (g.Nulls() == nil) != (w.Nulls() == nil) || (g.Nulls() != nil && !g.Nulls().Equal(w.Nulls())) {
 			t.Fatalf("column %q: null bitmaps differ", w.Name())
 		}
-		if cap(g.Codes()) != cap(w.Codes()) {
-			t.Fatalf("column %q: capacity got %d, want %d", w.Name(), cap(g.Codes()), cap(w.Codes()))
+		requireCapacity(t, g)
+		gc, wc := g.Codes(), w.Codes()
+		if len(gc) != len(wc) {
+			t.Fatalf("column %q: %d codes, want %d", w.Name(), len(gc), len(wc))
 		}
-		for i := 0; i < w.Len(); i++ {
-			if g.Codes()[i] != w.Codes()[i] || !g.Value(i).Equal(w.Value(i)) {
+		for i := range wc {
+			if gc[i] != wc[i] || !g.Value(i).Equal(w.Value(i)) {
 				t.Fatalf("column %q row %d: got %v (code %d), want %v (code %d)",
-					w.Name(), i, g.Value(i), g.Codes()[i], w.Value(i), w.Codes()[i])
+					w.Name(), i, g.Value(i), gc[i], w.Value(i), wc[i])
 			}
 		}
 		if w.Dict() != nil {
@@ -113,20 +139,132 @@ func requireSameTable(t *testing.T, got, want *Table) {
 	}
 }
 
-// appendDifferential feeds the same random batches to AppendRows and to
-// the naive reference and requires identical tables after every batch.
-func appendDifferential(t *testing.T, seed int64, sizes []int) {
+// The reads a differential run interleaves between batches. Each is applied
+// to the table under test and to the reference; all but readNone and
+// readNulls consolidate at least one column, the others must work on
+// staged rows as they are.
+const (
+	readNone   = iota // leave the batch staged
+	readCodes         // Codes of every column: the full comparison
+	readValue         // Value of the newest row, one column only
+	readSet           // SetInt and SetFloat on the newest row
+	readSeal          // SealDicts, later batches draw strings from the dictionary
+	readNulls         // Len, NullCount, IsNull of new rows: no consolidation
+	readRows          // Rows across the boundary between old and new rows
+	readReject        // a batch with one bad cell: refused whole, nothing staged
+	numReads
+)
+
+// appendDifferential feeds the same random batches to AppendRows and to the
+// naive reference, applies reads[k%len(reads)] after batch k to both, and
+// requires identical tables at the end (and wherever a read compares).
+func appendDifferential(t *testing.T, seed int64, sizes, reads []int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	got, want := MustNew("t", mixedSchema()), MustNew("t", mixedSchema())
-	for _, n := range sizes {
+	sealed := false
+	for k, n := range sizes {
+		before := want.NumRows()
 		batch := randomBatch(rng, n)
+		if sealed {
+			useKnownStrings(rng, batch, want.ColumnAt(2))
+		}
 		if err := got.AppendRows(batch); err != nil {
 			t.Fatalf("AppendRows(%d rows): %v", n, err)
 		}
 		if err := naiveAppend(want, batch); err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		requireSameTable(t, got, want)
+		if got.NumRows() != want.NumRows() {
+			t.Fatalf("batch %d: %d rows, want %d", k, got.NumRows(), want.NumRows())
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		last := want.NumRows() - 1
+		switch read := reads[k%len(reads)]; {
+		case read == readCodes:
+			requireSameTable(t, got, want)
+		case read == readSeal:
+			got.SealDicts()
+			want.SealDicts()
+			sealed = true
+		case read == readNulls:
+			for ci := 0; ci < want.NumColumns(); ci++ {
+				g, w := got.ColumnAt(ci), want.ColumnAt(ci)
+				staged := g.Staged()
+				if g.NullCount() != w.NullCount() || g.HasNulls() != w.HasNulls() {
+					t.Fatalf("batch %d column %q: NullCount %d, want %d", k, w.Name(), g.NullCount(), w.NullCount())
+				}
+				for i := before; i <= last; i++ {
+					if g.IsNull(i) != w.IsNull(i) {
+						t.Fatalf("batch %d column %q row %d: IsNull %v", k, w.Name(), i, g.IsNull(i))
+					}
+				}
+				if g.Staged() != staged {
+					t.Fatalf("batch %d column %q: reading NULLs consolidated the column", k, w.Name())
+				}
+			}
+		case read == readReject:
+			bad := randomBatch(rng, 5)
+			if sealed {
+				useKnownStrings(rng, bad, want.ColumnAt(2))
+			}
+			bad[3][2] = storage.IntValue(1)
+			staged := got.ColumnAt(0).Staged()
+			if err := got.AppendRows(bad); !errors.Is(err, storage.ErrTypeMismatch) {
+				t.Fatalf("batch %d: bad batch: %v", k, err)
+			}
+			if got.NumRows() != want.NumRows() || got.ColumnAt(0).Staged() != staged {
+				t.Fatalf("batch %d: rejected batch left rows behind (%d rows, %d staged)", k, got.NumRows(), got.ColumnAt(0).Staged())
+			}
+		case last < 0:
+			// The remaining reads need a row.
+		case read == readValue:
+			ci := k % want.NumColumns()
+			if g, w := got.ColumnAt(ci).Value(last), want.ColumnAt(ci).Value(last); !g.Equal(w) {
+				t.Fatalf("batch %d column %d row %d: Value %v, want %v", k, ci, last, g, w)
+			}
+		case read == readSet:
+			for _, tb := range []*Table{got, want} {
+				if err := tb.ColumnAt(0).SetInt(last, int64(k)-7); err != nil {
+					t.Fatal(err)
+				}
+				if err := tb.ColumnAt(1).SetFloat(last, float64(k)/3); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case read == readRows:
+			lo, hi := max(0, before-3), min(want.NumRows(), before+3)
+			g, err := got.Rows(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, _ := want.Rows(lo, hi)
+			for i := range w {
+				for ci := range w[i] {
+					if !g[i][ci].Equal(w[i][ci]) {
+						t.Fatalf("batch %d: Rows(%d,%d) row %d column %d: %v, want %v", k, lo, hi, lo+i, ci, g[i][ci], w[i][ci])
+					}
+				}
+			}
+		}
+	}
+	requireSameTable(t, got, want)
+}
+
+// useKnownStrings rewrites a batch's string cells to values the column's
+// dictionary holds (NULL when it holds none): what a sealed column accepts.
+func useKnownStrings(rng *rand.Rand, batch [][]storage.Value, c *storage.Column) {
+	known := c.Dict().Values()
+	for _, r := range batch {
+		switch {
+		case r[2].IsNull():
+		case len(known) == 0:
+			r[2] = storage.NullValue(storage.String)
+		default:
+			r[2] = storage.StringValue(known[rng.Intn(len(known))])
+		}
 	}
 }
 
@@ -140,23 +278,40 @@ func TestAppendRowsMatchesRowAtATime(t *testing.T) {
 		{"word boundaries", []int{63, 1, 1, 63, 64, 65, 127}},
 		{"small then parallel", []int{256, parallelCells / 3, 100}},
 		{"parallel first", []int{parallelCells, 1, parallelCells/3 + 7}},
+		{"chunk floor", []int{1, 255, 1024, 1, 1023, 1, 1025, 255}},
+		{"bulk", []int{1 << 16, 255, 1, 1024}},
+	}
+	// Read patterns: after every batch, never before the end, and every
+	// kind of read in two rotations (so each meets staged and consolidated
+	// columns, sealed and unsealed dictionaries).
+	patterns := [][]int{
+		{readCodes},
+		{readNone},
+		{readNulls, readValue, readNone, readSet, readRows, readReject, readSeal, readNone, readValue},
+		{readSeal, readNone, readReject, readRows, readNone, readSet, readNulls},
 	}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
-				appendDifferential(t, seed, tc.sizes)
+				for _, reads := range patterns {
+					appendDifferential(t, seed, tc.sizes, reads)
+				}
 			})
 		}
 	}
 }
 
 func FuzzAppendRows(f *testing.F) {
-	f.Add(int64(1), uint16(1), uint16(300))
-	f.Add(int64(2), uint16(64), uint16(65))
-	f.Add(int64(3), uint16(5000), uint16(1))
-	f.Add(int64(4), uint16(0), uint16(4096))
-	f.Fuzz(func(t *testing.T, seed int64, a, b uint16) {
-		appendDifferential(t, seed, []int{int(a) % 8192, int(b) % 8192, 1})
+	f.Add(int64(1), uint16(1), uint16(300), uint32(0))
+	f.Add(int64(2), uint16(64), uint16(65), uint32(0x111))
+	f.Add(int64(3), uint16(5000), uint16(1), uint32(0x120))
+	f.Add(int64(4), uint16(0), uint16(4096), uint32(0x345))
+	f.Add(int64(5), uint16(1024), uint16(255), uint32(0x264))
+	f.Add(int64(6), uint16(1500), uint16(1023), uint32(0x573))
+	f.Fuzz(func(t *testing.T, seed int64, a, b uint16, reads uint32) {
+		// One read per batch, a nibble each.
+		script := []int{int(reads & 15 % numReads), int(reads >> 4 & 15 % numReads), int(reads >> 8 & 15 % numReads)}
+		appendDifferential(t, seed, []int{int(a) % 8192, int(b) % 8192, 1}, script)
 	})
 }
 
@@ -206,11 +361,13 @@ func TestAppendRowsRejectsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestCapacityDependsOnRowCountOnly: the same rows appended one at a
-// time, 256 at a time and 64 Ki at a time leave every column with the
-// capacity the per-cell reference reaches — what keeps the live heap of a
-// loaded table independent of how it was batched.
-func TestCapacityDependsOnRowCountOnly(t *testing.T) {
+// TestCapacityAfterReads: the same rows appended one at a time, 256 at a
+// time and 64 Ki at a time, read after every batch, every so many or only
+// at the end. Whatever the batching and the reads, a column that has been read
+// holds exactly its rows or at most one ladder rung more; a column loaded
+// from empty and read once holds exactly its rows; and the null bitmap,
+// which is never staged, grows as the row-at-a-time reference's does.
+func TestCapacityAfterReads(t *testing.T) {
 	const n = 300_000
 	rows := make([][]storage.Value, n)
 	cells := make([]storage.Value, 3*n)
@@ -227,17 +384,24 @@ func TestCapacityDependsOnRowCountOnly(t *testing.T) {
 	if err := naiveAppend(ref, rows); err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []int{1, 256, 1 << 16} {
+	for _, tc := range []struct{ batch, readEvery int }{
+		{1, 0}, {1, 9973}, {256, 0}, {256, 1}, {256, 37}, {1 << 16, 0}, {1 << 16, 1}, {1 << 16, 2},
+	} {
+		batch, readEvery := tc.batch, tc.readEvery
 		tb := MustNew("t", mixedSchema())
-		for lo := 0; lo < n; lo += batch {
+		for k, lo := 0, 0; lo < n; k, lo = k+1, lo+batch {
 			if err := tb.AppendRows(rows[lo:min(lo+batch, n)]); err != nil {
 				t.Fatal(err)
 			}
+			if readEvery > 0 && k%readEvery == 0 {
+				requireCapacity(t, tb.ColumnAt(k%3))
+			}
 		}
 		for ci := 0; ci < tb.NumColumns(); ci++ {
-			got, want := cap(tb.ColumnAt(ci).Codes()), cap(ref.ColumnAt(ci).Codes())
-			if got != want {
-				t.Errorf("batch %d, column %q: capacity %d, row-at-a-time reference %d", batch, tb.ColumnAt(ci).Name(), got, want)
+			c := tb.ColumnAt(ci)
+			requireCapacity(t, c)
+			if readEvery == 0 && cap(c.Codes()) != n {
+				t.Errorf("batch %d, column %q: loaded from empty and read once, capacity %d for %d rows", batch, c.Name(), cap(c.Codes()), n)
 			}
 		}
 		if got, want := cap(tb.ColumnAt(0).Nulls().Words()), cap(ref.ColumnAt(0).Nulls().Words()); got != want {
@@ -269,6 +433,9 @@ func TestBatcher(t *testing.T) {
 	}
 	if err := naiveAppend(want, rows); err != nil {
 		t.Fatal(err)
+	}
+	if got.ColumnAt(0).Staged() != len(rows) {
+		t.Fatalf("a loader that never reads left %d of %d rows staged", got.ColumnAt(0).Staged(), len(rows))
 	}
 	requireSameTable(t, got, want)
 

@@ -42,7 +42,9 @@ var (
 const maxSaneLen = 1 << 31 // guards length-prefixed reads against corrupt headers
 
 // WriteTo serializes the table to w. It returns the number of payload
-// bytes written.
+// bytes written. Codes consolidates each column, so the snapshot of a table
+// an engine serves is taken through Engine.ReadTable (under its mutex); a
+// table nothing serves yet is its caller's alone.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	crc := crc32.NewIEEE()
 	cw := &countWriter{w: io.MultiWriter(w, crc)}

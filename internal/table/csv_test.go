@@ -28,6 +28,10 @@ func TestReadCSVInference(t *testing.T) {
 	if tb.NumRows() != 4 {
 		t.Fatalf("rows=%d", tb.NumRows())
 	}
+	// The loader hands the table over unread: Row is the first reader.
+	if got := tb.ColumnAt(0).Staged(); got != 4 {
+		t.Fatalf("%d rows staged after ReadCSV, want 4", got)
+	}
 	row, _ := tb.Row(1)
 	if row[0].Int() != 2 || !row[1].IsNull() || row[2].Str() != "rome" {
 		t.Fatalf("row1=%v", row)

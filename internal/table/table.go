@@ -109,7 +109,11 @@ const BulkRows = 1 << 16
 // AppendChecked spread the columns over goroutines. Measured on the 2-core
 // box with the benchmark's 3-column schema (EXPERIMENTS.md, "bulk load"):
 // at 256 rows starting and joining the goroutines costs more than the
-// second core saves, from 4 Ki rows up parallel columns win.
+// second core saves; 64 Ki-row batches win a quarter. Set when growth
+// copies were most of an apply and 4 Ki rows already won; with batches
+// staged instead (PR 18) two workers cost ~12% at 4 Ki rows, break even at
+// 8-16 Ki and win from 32 Ki — no loader appends batches in that band, so
+// the threshold stays until one does.
 const parallelCells = 3 * 4096
 
 // AppendRow appends one row: the one-row case of AppendRows.
@@ -165,8 +169,8 @@ func appendColumn(c *storage.Column, rows [][]storage.Value, ci int) error {
 // eachColumn runs fn once per column and returns the error of the lowest
 // failing column. Columns share nothing, so a batch of parallelCells or
 // more spreads them over up to GOMAXPROCS goroutines (the caller's
-// included) and joins before returning: growth copies and first-touch
-// page faults of different columns then overlap.
+// included) and joins before returning: the stores and the first-touch
+// page faults of different columns' chunks then overlap.
 func (t *Table) eachColumn(rows [][]storage.Value, fn func(c *storage.Column, rows [][]storage.Value, ci int) error) error {
 	workers := 1
 	if len(rows)*len(t.columns) >= parallelCells {
@@ -217,7 +221,9 @@ func (t *Table) runColumns(workers int, rows [][]storage.Value, fn func(c *stora
 // Batcher buffers rows and appends them to its table BulkRows at a time:
 // the bulk loaders' way onto AppendRows. Rows are copied into one reused
 // cell buffer, so Add's arguments may be reused by the caller. Flush
-// appends what is buffered; a loader calls it once after its last Add.
+// appends what is buffered; a loader calls it once after its last Add. The
+// batches stay staged beside the columns: a loader owns its table until it
+// hands it over, and whoever reads a column first consolidates it.
 type Batcher struct {
 	t     *Table
 	cells []storage.Value   // buffered rows, row-major
@@ -254,7 +260,8 @@ func (b *Batcher) Flush() error {
 }
 
 // Rows materializes rows [lo, hi) as dynamic values in schema order, over
-// one backing array.
+// one backing array. Like every read of cells it consolidates the columns,
+// so a table an engine serves is read through Engine.ReadTable.
 func (t *Table) Rows(lo, hi int) ([][]storage.Value, error) {
 	if lo < 0 || hi > t.NumRows() || lo > hi {
 		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, lo, hi, t.NumRows())

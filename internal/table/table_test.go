@@ -167,6 +167,10 @@ func TestCodecUnsealedDict(t *testing.T) {
 	tb := MustNew("t", Schema{{Name: "s", Type: storage.String}})
 	tb.AppendRow(storage.StringValue("b"))
 	tb.AppendRow(storage.StringValue("a"))
+	// A table that was never read: the snapshot writer is the first reader.
+	if n := tb.ColumnAt(0).Staged(); n != 2 {
+		t.Fatalf("%d rows staged before the snapshot, want 2", n)
+	}
 	got := roundTrip(t, tb)
 	c, _ := got.Column("s")
 	if c.DictSorted() {
