@@ -1,10 +1,12 @@
 package adskip
 
-// One benchmark per reproduced table/figure (see DESIGN.md §4 and
-// EXPERIMENTS.md). Each bench runs the corresponding harness experiment
-// at a reduced scale so `go test -bench=.` completes quickly; use
-// cmd/adskip-bench for paper-scale runs. Per-query microbenchmarks at the
-// bottom give the raw policy comparison behind the figures.
+// One testing.B per entry of the paper's experiment registry
+// (internal/harness; index in DESIGN.md §4, results in EXPERIMENTS.md),
+// run at a reduced scale so `go test -bench=.` completes quickly;
+// cmd/adskip-bench runs the same entries at paper scale and prints their
+// tables. Per-query microbenchmarks at the bottom give the raw policy
+// comparison behind the figures. Neither driver is the performance
+// instrument: claims and the CI counter gate come from benchmark/.
 
 import (
 	"fmt"

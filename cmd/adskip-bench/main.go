@@ -1,15 +1,16 @@
-// Command adskip-bench regenerates the paper's tables and figures.
+// Command adskip-bench regenerates the paper's tables and figures: it
+// runs entries of the internal/harness experiment registry and prints
+// the data series behind the corresponding block of EXPERIMENTS.md.
 //
 // Usage:
 //
+//	adskip-bench -list                           # the registry
 //	adskip-bench -experiment all                 # full suite, default scale
 //	adskip-bench -experiment fig1 -rows 16777216 # paper-scale headline figure
 //	adskip-bench -experiment tab2 -csv           # machine-readable output
-//	adskip-bench -experiment fig1 -json auto     # plus BENCH_<timestamp>.json summary
-//	adskip-bench -baseline BENCH_BASELINE.json   # CI perf gate: exit 1 on regression
 //
-// Each experiment prints the data series behind the corresponding figure
-// or table in EXPERIMENTS.md.
+// It is not the performance instrument: claims and the CI counter gate
+// come from the repository benchmark (benchmark/README.md).
 package main
 
 import (
@@ -17,74 +18,20 @@ import (
 	"fmt"
 	"os"
 
-	"adskip/internal/faultinject"
 	"adskip/internal/harness"
-	"adskip/internal/obs"
-	"adskip/internal/telemetry"
 )
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (fig1..fig7, tab1..tab3, abl1..abl2) or 'all'")
+		experiment = flag.String("experiment", "all", "experiment id (see -list) or 'all'")
 		rows       = flag.Int("rows", 1<<21, "rows in the measured column")
 		queries    = flag.Int("queries", 512, "queries per measured stream")
 		seed       = flag.Int64("seed", 42, "base RNG seed")
 		staticZone = flag.Int("static-zone", 4096, "zone size for the static baseline")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		metrics    = flag.String("metrics", "", "after the run, dump cumulative engine metrics to stderr: prom|json")
-		chaos      = flag.Bool("chaos", false, "run with deterministic fault injection (worker panics + invariant flips); results must still be correct")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "RNG seed for -chaos probability draws")
-		serve      = flag.String("serve", "", "serve live telemetry (metrics, traces, pprof) on this address while the suite runs, e.g. 127.0.0.1:0")
-		addr       = flag.String("addr", "", "replay the figure workload mixes against a remote adskip-server at this address instead of running local experiments")
-		jsonOut    = flag.String("json", "", `also write a machine-readable run summary to this path ("auto" = BENCH_<timestamp>.json)`)
-		baseline   = flag.String("baseline", "", "perf-gate mode: re-run the gate stream at this summary's recorded scale and exit 1 on regression beyond -gate-tolerance")
-		gateTol    = flag.Float64("gate-tolerance", 0.15, "relative regression tolerance for -baseline (0.15 = 15%)")
-		ingest     = flag.Bool("ingest", false, "also run the ingest benchmark (volatile vs WAL group commit vs WAL no-sync) and report the durability slowdown")
-		ingestRows = flag.Int("ingest-rows", 1<<18, "rows per ingest leg (with -ingest)")
 	)
 	flag.Parse()
-
-	if *baseline != "" {
-		os.Exit(runGate(*baseline, *gateTol))
-	}
-
-	sum := &benchSummary{
-		Experiment: *experiment, Rows: *rows, Queries: *queries,
-		Seed: *seed, StaticZone: *staticZone, Chaos: *chaos, RemoteAddr: *addr,
-	}
-
-	if *addr != "" {
-		tbl, err := runRemote(*addr, *queries, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-bench: remote: %v\n", err)
-			os.Exit(1)
-		}
-		if *csv {
-			tbl.CSV(os.Stdout)
-		} else {
-			tbl.Fprint(os.Stdout)
-		}
-		if *jsonOut != "" {
-			sum.Tables = []*harness.Table{tbl}
-			if err := writeSummary(*jsonOut, sum, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "adskip-bench: json summary: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *chaos {
-		// Sparse, seed-deterministic faults: the suite should survive and
-		// produce correct numbers (quarantined columns fall back to full
-		// scans, so timings may degrade — that is the point of the mode).
-		restore := faultinject.Activate(faultinject.New(*chaosSeed).
-			Set(faultinject.WorkerPanic, faultinject.Rule{Prob: 0.001}).
-			Set(faultinject.InvariantFlip, faultinject.Rule{Prob: 0.0005}))
-		defer restore()
-		fmt.Fprintf(os.Stderr, "adskip-bench: chaos mode on (seed %d)\n", *chaosSeed)
-	}
 
 	if *list {
 		for _, ex := range harness.Experiments() {
@@ -93,50 +40,8 @@ func main() {
 		return
 	}
 
-	var reg *obs.Registry
-	switch *metrics {
-	case "":
-	case "prom", "json":
-		reg = obs.NewRegistry()
-	default:
-		fmt.Fprintf(os.Stderr, "adskip-bench: unknown -metrics format %q (want prom or json)\n", *metrics)
-		os.Exit(2)
-	}
-	if *jsonOut != "" && reg == nil {
-		// The JSON summary embeds the cumulative engine metrics (skip
-		// ratios, rows/bytes scanned) even when -metrics is off.
-		reg = obs.NewRegistry()
-	}
-
-	cfg := harness.Config{
-		Rows: *rows, Queries: *queries, Seed: *seed, StaticZoneRows: *staticZone,
-		Metrics: reg,
-	}
-
-	if *serve != "" {
-		// A telemetry endpoint needs a registry and a trace ring; share
-		// them with every engine the experiments build so /metrics and
-		// /traces reflect the suite live.
-		if cfg.Metrics == nil {
-			cfg.Metrics = obs.NewRegistry()
-		}
-		cfg.Traces = obs.NewTraceRing(0)
-		srv, err := telemetry.Start(telemetry.Options{Addr: *serve}, telemetry.Source{
-			Registry: cfg.Metrics,
-			Traces:   cfg.Traces,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "adskip-bench: telemetry at %s\n", srv.URL())
-	}
-
-	var selected []harness.Experiment
-	if *experiment == "all" {
-		selected = harness.Experiments()
-	} else {
+	selected := harness.Experiments()
+	if *experiment != "all" {
 		ex, ok := harness.Lookup(*experiment)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "adskip-bench: unknown experiment %q (try -list)\n", *experiment)
@@ -145,6 +50,7 @@ func main() {
 		selected = []harness.Experiment{ex}
 	}
 
+	cfg := harness.Config{Rows: *rows, Queries: *queries, Seed: *seed, StaticZoneRows: *staticZone}
 	for _, ex := range selected {
 		tbl, err := ex.Run(cfg)
 		if err != nil {
@@ -156,86 +62,5 @@ func main() {
 		} else {
 			tbl.Fprint(os.Stdout)
 		}
-		sum.Tables = append(sum.Tables, tbl)
 	}
-
-	if *metrics != "" {
-		var err error
-		if *metrics == "json" {
-			err = reg.WriteJSON(os.Stderr)
-		} else {
-			err = reg.WritePrometheus(os.Stderr)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-bench: metrics dump: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if *ingest {
-		ist, err := harness.RunIngest(harness.IngestConfig{Rows: *ingestRows, Seed: *seed})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-bench: ingest: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(ist)
-		sum.Ingest = &ist
-	}
-
-	if *jsonOut != "" {
-		// Every JSON summary carries the gate stream's stats, so any
-		// summary can later serve as a perf-gate baseline.
-		g, err := harness.GateRun(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-bench: gate stream: %v\n", err)
-			os.Exit(1)
-		}
-		sum.Gate = &g
-		if err := writeSummary(*jsonOut, sum, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-bench: json summary: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// runGate is -baseline mode: load the committed baseline, re-run the
-// gate stream at its recorded scale and seed, and compare. Returns the
-// process exit code (0 pass, 1 regression or error).
-func runGate(path string, tolerance float64) int {
-	base, err := readBaseline(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adskip-bench: baseline: %v\n", err)
-		return 1
-	}
-	cur, err := harness.GateRun(harness.Config{
-		Rows: base.Gate.Rows, Queries: base.Gate.Queries,
-		Seed: base.Gate.Seed, StaticZoneRows: base.Gate.StaticZone,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adskip-bench: gate stream: %v\n", err)
-		return 1
-	}
-	fmt.Printf("perf gate vs %s (rows %d, queries %d, seed %d, tolerance %.0f%%)\n",
-		path, base.Gate.Rows, base.Gate.Queries, base.Gate.Seed, 100*tolerance)
-	fmt.Printf("  %-12s %12s %12s\n", "metric", "baseline", "current")
-	fmt.Printf("  %-12s %11.0fns %11.0fns\n", "p50", base.Gate.P50NS, cur.P50NS)
-	fmt.Printf("  %-12s %11.0fns %11.0fns\n", "p95", base.Gate.P95NS, cur.P95NS)
-	fmt.Printf("  %-12s %9.0f qps %9.0f qps\n", "throughput", base.Gate.ThroughputQPS, cur.ThroughputQPS)
-	fmt.Printf("  %-12s %12.3f %12.3f\n", "skip ratio", base.Gate.SkipRatio, cur.SkipRatio)
-	violations, skip := harness.CompareGate(*base.Gate, cur, tolerance)
-	if skip != "" {
-		// Not a pass: the run was too short to judge. Exit 0 so tiny local
-		// runs don't fail, but say so unambiguously — CI gates at a scale
-		// where this never triggers.
-		fmt.Printf("perf gate: SKIPPED: %s\n", skip)
-		return 0
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Printf("REGRESSION: %s\n", v)
-		}
-		return 1
-	}
-	fmt.Println("perf gate: PASS")
-	return 0
 }

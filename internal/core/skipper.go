@@ -230,6 +230,11 @@ func (s *StaticSkipper) Metadata() Metadata {
 	return Metadata{Kind: "static", Zones: s.m.NumZones(), Bytes: s.m.MemoryBytes(), Enabled: true}
 }
 
+// CheckInvariants implements InvariantChecker.
+func (s *StaticSkipper) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
+	return s.m.CheckInvariants(codes, nulls, exact)
+}
+
 // ---------------------------------------------------------------------------
 // Policy: column imprints.
 
@@ -239,21 +244,13 @@ func (s *StaticSkipper) Metadata() Metadata {
 // that min/max hulls cannot, at the cost of a histogram learned at build
 // time.
 type ImprintSkipper struct {
-	m interface {
-		Prune(expr.Ranges, []zonemap.Candidate) ([]zonemap.Candidate, zonemap.PruneStats)
-		PruneNulls([]zonemap.Candidate) ([]zonemap.Candidate, zonemap.PruneStats)
-		Extend([]int64, *bitvec.BitVec)
-		Widen(int, int64)
-		NoteNonNull(int)
-		Rows() int
-		NumZones() int
-		MemoryBytes() int
-	}
+	m ImprintMap
 }
 
-// NewImprintSkipper wraps an imprint-like map. (The concrete type lives in
-// package imprint; the indirection keeps core free of that dependency.)
-func NewImprintSkipper(m interface {
+// ImprintMap is what ImprintSkipper needs of an imprint. (The concrete
+// type lives in package imprint; the indirection keeps core free of that
+// dependency.)
+type ImprintMap interface {
 	Prune(expr.Ranges, []zonemap.Candidate) ([]zonemap.Candidate, zonemap.PruneStats)
 	PruneNulls([]zonemap.Candidate) ([]zonemap.Candidate, zonemap.PruneStats)
 	Extend([]int64, *bitvec.BitVec)
@@ -262,9 +259,11 @@ func NewImprintSkipper(m interface {
 	Rows() int
 	NumZones() int
 	MemoryBytes() int
-}) *ImprintSkipper {
-	return &ImprintSkipper{m: m}
+	CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error
 }
+
+// NewImprintSkipper wraps an imprint map.
+func NewImprintSkipper(m ImprintMap) *ImprintSkipper { return &ImprintSkipper{m: m} }
 
 // Prune probes all zone masks.
 func (s *ImprintSkipper) Prune(r expr.Ranges) PruneResult {
@@ -298,6 +297,11 @@ func (s *ImprintSkipper) Metadata() Metadata {
 	return Metadata{Kind: "imprint", Zones: s.m.NumZones(), Bytes: s.m.MemoryBytes(), Enabled: true}
 }
 
+// CheckInvariants implements InvariantChecker.
+func (s *ImprintSkipper) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
+	return s.m.CheckInvariants(codes, nulls, exact)
+}
+
 // convertCandidates adapts zonemap-style candidates to a PruneResult.
 func convertCandidates(cands []zonemap.Candidate, st zonemap.PruneStats) PruneResult {
 	res := PruneResult{
@@ -316,4 +320,7 @@ var (
 	_ Skipper = (*NoSkipper)(nil)
 	_ Skipper = (*StaticSkipper)(nil)
 	_ Skipper = (*ImprintSkipper)(nil)
+
+	_ InvariantChecker = (*StaticSkipper)(nil)
+	_ InvariantChecker = (*ImprintSkipper)(nil)
 )

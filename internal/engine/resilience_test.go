@@ -563,6 +563,53 @@ func TestVerifySkippingDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifySkippingDetectsStaleMetadata overwrites a cell underneath the
+// metadata — no Widen, as a bug in an update path would — under every
+// skipping policy: the verification pass must notice, quarantine the
+// column (queries stay correct by scanning), and a rebuild must clear it.
+func TestVerifySkippingDetectsStaleMetadata(t *testing.T) {
+	for _, policy := range []Policy{PolicyStatic, PolicyImprint, PolicyAdaptive} {
+		t.Run(policy.String(), func(t *testing.T) {
+			tb := buildTable(t, 4000, 17)
+			e := newEngine(t, tb, policy)
+			if err := e.VerifySkipping(); err != nil {
+				t.Fatalf("clean metadata failed verification: %v", err)
+			}
+			col, err := tb.Column("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Column a is sorted 0..3999: 3900 lies outside row 10's zone
+			// hull and in a histogram bin the zone never held.
+			if err := col.SetInt(10, 3900); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.VerifySkipping(); err == nil {
+				t.Fatal("verification passed on stale metadata")
+			}
+			if _, ok := e.Quarantined()["a"]; !ok {
+				t.Fatal("verification did not quarantine the stale column")
+			}
+			q := Query{Where: expr.And(intPred("a", expr.Between, 3000, 3999)), Aggs: []Agg{{Kind: CountStar}}}
+			if res, err := e.Query(q); err != nil || res.Count != 1001 {
+				t.Fatalf("quarantined count=%d err=%v, want 1001", res.Count, err)
+			}
+			if err := e.RebuildSkipping(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.VerifySkipping(); err != nil {
+				t.Fatalf("rebuilt metadata failed verification: %v", err)
+			}
+			if len(e.Quarantined()) != 0 {
+				t.Fatalf("rebuild left quarantine: %v", e.Quarantined())
+			}
+			if res, err := e.Query(q); err != nil || res.Count != 1001 {
+				t.Fatalf("rebuilt count=%d err=%v, want 1001", res.Count, err)
+			}
+		})
+	}
+}
+
 func TestQctxCheckpointBounds(t *testing.T) {
 	e := New(buildIntTable(t, 10), Options{Limits: Limits{MaxRowsScanned: 100_000}})
 	qc := e.newQctx(context.Background())

@@ -44,7 +44,6 @@ func Ext1Parallel(cfg Config) (*Table, error) {
 		}
 		e := engine.New(tbl, engine.Options{
 			Policy: policy, Adaptive: cfg.adaptiveConfig(), Parallelism: workers,
-			Metrics: cfg.Metrics, Traces: cfg.Traces,
 		})
 		if err := e.EnableSkipping("v"); err != nil {
 			panic(err)

@@ -1,7 +1,13 @@
-// Package harness reproduces the paper's evaluation: every figure and
-// table has a function that generates its workload, runs the policies,
-// and emits the series/rows the paper reports. The cmd/adskip-bench CLI
-// and the repository's bench_test.go both drive this package.
+// Package harness is the registry of the paper's reconstructed
+// evaluation — one Experiment per figure, table, ablation and extension
+// (fig1–7, tab1–3, abl1–2, ext1–3) — plus the machinery those entries
+// share: engine builders, timed query streams, and the Table they emit.
+// Each entry generates its workload, runs the policies, and returns the
+// series/rows EXPERIMENTS.md reports. Two drivers run registry entries and
+// nothing else: cmd/adskip-bench (paper scale, prints tables) and the
+// repository's bench_test.go (reduced scale, one testing.B each).
+// Performance claims and CI's counter gate come from benchmark/, not from
+// here.
 package harness
 
 import (
@@ -13,7 +19,6 @@ import (
 	"adskip/internal/adaptive"
 	"adskip/internal/engine"
 	"adskip/internal/expr"
-	"adskip/internal/obs"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 	"adskip/internal/workload"
@@ -27,14 +32,6 @@ type Config struct {
 	Seed    int64 // base RNG seed (default 42)
 	// StaticZoneRows is the static baseline's zone size (default 4096).
 	StaticZoneRows int
-	// Metrics, when set, is shared by every engine the experiments build,
-	// so a run's cumulative counters can be dumped afterwards (bench CLI
-	// -metrics flag). Nil keeps each engine's registry private.
-	Metrics *obs.Registry
-	// Traces, when set, collects every experiment query's trace into one
-	// shared ring, so the bench CLI's -serve telemetry endpoint can show
-	// live traces mid-run. Nil keeps traces per-engine.
-	Traces *obs.TraceRing
 }
 
 // WithDefaults fills unset fields.
@@ -209,8 +206,6 @@ func buildEngineFromValues(cfg Config, vals []int64, policy engine.Policy) *engi
 		Policy:         policy,
 		StaticZoneSize: cfg.StaticZoneRows,
 		Adaptive:       cfg.adaptiveConfig(),
-		Metrics:        cfg.Metrics,
-		Traces:         cfg.Traces,
 	})
 	if err := e.EnableSkipping("v"); err != nil {
 		panic(err)
@@ -230,12 +225,8 @@ func countQuery(r workload.Range) engine.Query {
 // streamResult aggregates one measured query stream.
 type streamResult struct {
 	perQueryNs  []int64
-	totalNs     int64
-	rowsScanned int64
 	rowsSkipped int64
-	rowsCovered int64
 	zonesProbed int64
-	matched     int64
 }
 
 // runStreamAgg executes q queries from gen computing SUM(v) instead of
@@ -259,12 +250,8 @@ func runStreamAgg(e *engine.Engine, gen *workload.Gen, q int) (streamResult, err
 		}
 		ns := time.Since(start).Nanoseconds()
 		sr.perQueryNs = append(sr.perQueryNs, ns)
-		sr.totalNs += ns
-		sr.rowsScanned += int64(res.Stats.RowsScanned)
 		sr.rowsSkipped += int64(res.Stats.RowsSkipped)
-		sr.rowsCovered += int64(res.Stats.RowsCovered)
 		sr.zonesProbed += int64(res.Stats.ZonesProbed)
-		sr.matched += int64(res.Count)
 	}
 	return sr, nil
 }
@@ -282,12 +269,8 @@ func runStream(e *engine.Engine, gen *workload.Gen, q int) (streamResult, error)
 		}
 		ns := time.Since(start).Nanoseconds()
 		sr.perQueryNs = append(sr.perQueryNs, ns)
-		sr.totalNs += ns
-		sr.rowsScanned += int64(res.Stats.RowsScanned)
 		sr.rowsSkipped += int64(res.Stats.RowsSkipped)
-		sr.rowsCovered += int64(res.Stats.RowsCovered)
 		sr.zonesProbed += int64(res.Stats.ZonesProbed)
-		sr.matched += int64(res.Count)
 	}
 	return sr, nil
 }

@@ -41,8 +41,37 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 			if lines != len(tbl.Rows)+1 {
 				t.Fatalf("%s: CSV has %d lines want %d", ex.ID, lines, len(tbl.Rows)+1)
 			}
+			// EXPERIMENTS.md: "runs are deterministic given -seed". Timings
+			// are not, but everything the skipping structures decide is.
+			again, err := ex.Run(tinyConfig())
+			if err != nil {
+				t.Fatalf("%s (second run): %v", ex.ID, err)
+			}
+			for c, h := range tbl.Header {
+				if !deterministicColumn(h) {
+					continue
+				}
+				for r := range tbl.Rows {
+					if tbl.Rows[r][c] != again.Rows[r][c] {
+						t.Errorf("%s row %d, column %q: %q then %q with the same Config",
+							ex.ID, r, h, tbl.Rows[r][c], again.Rows[r][c])
+					}
+				}
+			}
 		})
 	}
+}
+
+// deterministicColumn reports whether a table column holds counts the
+// skipping structures produce (rows skipped, zones, metadata size) rather
+// than a timing.
+func deterministicColumn(header string) bool {
+	for _, s := range []string{"skipped", "zones", "metadata", "bytes/row"} {
+		if strings.Contains(header, s) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestLookup(t *testing.T) {

@@ -47,7 +47,6 @@ func Ext3Sharded(cfg Config) (*Table, error) {
 	}
 	eo := engine.Options{
 		Policy: engine.PolicyAdaptive, Adaptive: cfg.adaptiveConfig(),
-		Metrics: cfg.Metrics, Traces: cfg.Traces,
 	}
 	build := func(shards int) (querier, error) {
 		tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})

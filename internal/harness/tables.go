@@ -139,7 +139,6 @@ func Tab3MultiColumn(cfg Config) (*Table, error) {
 		}
 		e := engine.New(tbl, engine.Options{
 			Policy: policy, StaticZoneSize: cfg.StaticZoneRows, Adaptive: cfg.adaptiveConfig(),
-			Metrics: cfg.Metrics, Traces: cfg.Traces,
 		})
 		if err := e.EnableSkipping(); err != nil {
 			panic(err)
@@ -252,7 +251,7 @@ func Abl1Mechanisms(cfg Config) (*Table, error) {
 					panic(err)
 				}
 			}
-			e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg, Metrics: cfg.Metrics, Traces: cfg.Traces})
+			e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg})
 			if err := e.EnableSkipping("v"); err != nil {
 				panic(err)
 			}
@@ -309,7 +308,7 @@ func Abl2SplitFanout(cfg Config) (*Table, error) {
 				panic(err)
 			}
 		}
-		e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg, Metrics: cfg.Metrics, Traces: cfg.Traces})
+		e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg})
 		if err := e.EnableSkipping("v"); err != nil {
 			panic(err)
 		}

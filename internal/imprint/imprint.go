@@ -126,19 +126,48 @@ func (m *Map) Extend(codes []int64, nulls *bitvec.BitVec) {
 		if hi > total {
 			hi = total
 		}
-		var mask uint64
-		nn := int32(0)
-		for i := lo; i < hi; i++ {
-			if nulls != nil && i < nulls.Len() && nulls.Get(i) {
-				continue
-			}
-			mask |= 1 << uint(m.binOf(codes[i]))
-			nn++
-		}
+		mask, nn := m.summarize(codes, nulls, lo, hi)
 		m.masks = append(m.masks, mask)
 		m.nonNull = append(m.nonNull, nn)
 	}
 	m.n = total
+}
+
+// summarize returns the bin mask and non-null count of rows [lo, hi).
+func (m *Map) summarize(codes []int64, nulls *bitvec.BitVec, lo, hi int) (mask uint64, nonNull int32) {
+	for i := lo; i < hi; i++ {
+		if nulls != nil && i < nulls.Len() && nulls.Get(i) {
+			continue
+		}
+		mask |= 1 << uint(m.binOf(codes[i]))
+		nonNull++
+	}
+	return mask, nonNull
+}
+
+// CheckInvariants re-derives every zone from the column's physical state;
+// codes must be exactly the Rows() rows the imprint covers. A zone's
+// non-null count must equal the column's and its mask must hold every bin
+// present in its rows — and no other when exact, i.e. when no Widen has
+// set a bit since the zone was built.
+func (m *Map) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
+	want := (m.n + m.zoneSize - 1) / m.zoneSize
+	if len(codes) != m.n || len(m.masks) != want || len(m.nonNull) != want {
+		return fmt.Errorf("imprint: %d masks, %d counts over %d rows, want %d zones over the column's %d rows",
+			len(m.masks), len(m.nonNull), m.n, want, len(codes))
+	}
+	for zi, have := range m.masks {
+		lo := zi * m.zoneSize
+		hi := min(lo+m.zoneSize, m.n)
+		mask, nonNull := m.summarize(codes, nulls, lo, hi)
+		if nonNull != m.nonNull[zi] {
+			return fmt.Errorf("imprint: zone %d nonNull=%d, rows [%d,%d) hold %d", zi, m.nonNull[zi], lo, hi, nonNull)
+		}
+		if mask&^have != 0 || exact && mask != have {
+			return fmt.Errorf("imprint: zone %d mask %#x, rows [%d,%d) occupy bins %#x", zi, have, lo, hi, mask)
+		}
+	}
+	return nil
 }
 
 // Widen admits an updated value at row (sets its bin bit), keeping

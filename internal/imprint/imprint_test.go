@@ -265,3 +265,39 @@ func TestQuickExtendSound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCheckInvariants(t *testing.T) {
+	codes := seq(950, func(i int) int64 { return int64(i) })
+	nulls := bitvec.New(950)
+	nulls.Set(7)
+	m := Build(codes, nulls, 100)
+	if err := m.CheckInvariants(codes, nulls, true); err != nil {
+		t.Fatalf("fresh imprint: %v", err)
+	}
+	if err := m.CheckInvariants(codes[:900], nulls, false); err == nil {
+		t.Fatal("a slice shorter than Rows() passed")
+	}
+	// A widen sets a bin bit no row of the zone occupies: sound, not tight.
+	m.Widen(3, 900)
+	if err := m.CheckInvariants(codes, nulls, false); err != nil {
+		t.Fatalf("widened imprint, loose check: %v", err)
+	}
+	if err := m.CheckInvariants(codes, nulls, true); err == nil {
+		t.Fatal("widened imprint passed the exact check")
+	}
+	// A value written under the metadata lands in a bin the mask lacks.
+	codes[420] = 10
+	if err := m.CheckInvariants(codes, nulls, false); err == nil {
+		t.Fatal("a code in a bin missing from its zone's mask passed")
+	}
+	codes[420] = 420
+	// A NULL overwritten without NoteNonNull leaves the count stale.
+	nulls.Clear(7)
+	if err := m.CheckInvariants(codes, nulls, false); err == nil {
+		t.Fatal("a stale non-null count passed")
+	}
+	m.NoteNonNull(7)
+	if err := m.CheckInvariants(codes, nulls, false); err != nil {
+		t.Fatalf("after NoteNonNull: %v", err)
+	}
+}

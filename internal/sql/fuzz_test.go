@@ -1,8 +1,11 @@
 package sql
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"adskip/internal/adaptive"
 	"adskip/internal/engine"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -52,13 +55,27 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzExec drives the full pipeline — lex, parse, plan, execute — with
-// arbitrary SQL against a real engine. Inputs that fail to parse or plan
-// are fine; anything that executes must return without panicking. This is
-// the fuzz-level guarantee behind the engine's panic isolation: malformed
-// metadata access, odd aggregate/projection combinations, and degenerate
-// predicates must surface as errors, never crashes.
-func FuzzExec(f *testing.F) {
+// fuzzExecSeeds add, to the shared seeds, the predicate and result shapes
+// skipping can get wrong on the fuzz table's nullable f and dictionary s
+// columns: range / BETWEEN / IN / IS NULL, ORDER BY … LIMIT, GROUP BY.
+var fuzzExecSeeds = []string{
+	"SELECT COUNT(*) FROM t WHERE f > 10.5 AND f <= 99",
+	"SELECT COUNT(*), SUM(f), MIN(f), MAX(f) FROM t WHERE f BETWEEN 20 AND 60",
+	"SELECT a, f FROM t WHERE f BETWEEN 100 AND 140 AND a IN (3, 5, 96)",
+	"SELECT COUNT(*), MIN(a) FROM t WHERE f IS NULL",
+	"SELECT COUNT(f), AVG(f) FROM t WHERE f IS NOT NULL AND a < 50",
+	"SELECT a, f, s FROM t WHERE s IN ('oslo', 'cairo') AND f < 30 ORDER BY f DESC LIMIT 7",
+	"SELECT a, s FROM t WHERE s BETWEEN 'cairo' AND 'oslo' ORDER BY a LIMIT 20",
+	"SELECT a, f FROM t WHERE f IS NULL OR f > 160 ORDER BY a DESC, f LIMIT 12",
+	"SELECT s, COUNT(*), SUM(a), MAX(f) FROM t WHERE f >= 85.25 GROUP BY s",
+	"SELECT a, COUNT(*) FROM t WHERE s = 'rome' AND f IS NOT NULL GROUP BY a LIMIT 9",
+	"SELECT f FROM t WHERE a = 96 LIMIT 3",
+}
+
+// fuzzEngine loads the fuzz table — a cyclic BIGINT a, a sorted nullable
+// DOUBLE f, a three-word dictionary s, 512 rows — into a fresh engine with
+// skipping enabled on every column.
+func fuzzEngine(f *testing.F, opts engine.Options) *engine.Engine {
 	tb, err := table.New("t", table.Schema{
 		{Name: "a", Type: storage.Int64},
 		{Name: "f", Type: storage.Float64},
@@ -79,12 +96,52 @@ func FuzzExec(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	e := engine.New(tb, engine.Options{Policy: engine.PolicyAdaptive})
-	if err := e.EnableSkipping("a", "f"); err != nil {
+	e := engine.New(tb, opts)
+	if err := e.EnableSkipping(); err != nil {
 		f.Fatal(err)
+	}
+	return e
+}
+
+// describeResult renders what a statement's caller can see of its outcome
+// — the error, or columns, types, count, aggregates and rows in order —
+// so two engines' outcomes compare as strings (NaN included).
+func describeResult(res *engine.Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "columns=%q types=%v count=%d aggs=%v\n", res.Columns, res.Types, res.Count, res.Aggs)
+	for _, row := range res.Rows {
+		fmt.Fprintf(&b, "%v\n", row)
+	}
+	return b.String()
+}
+
+// FuzzExec drives the full pipeline — lex, parse, plan, execute — with
+// arbitrary SQL against the same table under every skipping policy, and
+// holds the three skipping engines to the invariant the system rests on:
+// skipping never changes an answer. PolicyNone is the oracle; whatever a
+// statement does there (an error, or a result) it must do identically on
+// the static, imprint and adaptive engines. Zones are small enough that
+// 512 rows make 8–16 of them, and the adaptive zonemap splits and merges
+// as the fuzzer's statements feed it. EXPLAIN output describes the policy,
+// so only its error-or-not is compared. Nothing may panic.
+func FuzzExec(f *testing.F) {
+	oracle := fuzzEngine(f, engine.Options{Policy: engine.PolicyNone})
+	skipping := map[string]*engine.Engine{}
+	for _, opts := range []engine.Options{
+		{Policy: engine.PolicyStatic, StaticZoneSize: 32},
+		{Policy: engine.PolicyImprint, StaticZoneSize: 32},
+		{Policy: engine.PolicyAdaptive, Adaptive: adaptive.Config{InitialZoneRows: 64, MinZoneRows: 8}},
+	} {
+		skipping[opts.Policy.String()] = fuzzEngine(f, opts)
 	}
 
 	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	for _, s := range fuzzExecSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
@@ -93,16 +150,26 @@ func FuzzExec(f *testing.F) {
 		if len(input) > 1<<12 {
 			input = input[:1<<12]
 		}
-		res, err := Exec(e, input)
+		stmt, err := Parse(input)
 		if err != nil {
 			return
 		}
-		if res == nil {
+		res, err := ExecParsed(oracle, stmt)
+		if err == nil && res == nil {
 			t.Fatalf("nil result with nil error for %q", input)
 		}
-		// Whatever executed, the engine must still be serviceable.
-		if _, err := Exec(e, "SELECT COUNT(*) FROM t"); err != nil {
-			t.Fatalf("engine unusable after %q: %v", input, err)
+		want := describeResult(res, err)
+		for policy, e := range skipping {
+			res, gotErr := ExecParsed(e, stmt)
+			if stmt.Explain {
+				if (gotErr == nil) != (err == nil) {
+					t.Fatalf("%q under %s: err=%v, oracle err=%v", input, policy, gotErr, err)
+				}
+				continue
+			}
+			if got := describeResult(res, gotErr); got != want {
+				t.Fatalf("%q under %s:\n%s\noracle (no skipping):\n%s", input, policy, got, want)
+			}
 		}
 	})
 }

@@ -114,6 +114,34 @@ func (m *Map) NoteNonNull(row int) {
 	m.zones[row/m.zoneSize].NonNull++
 }
 
+// CheckInvariants re-derives every zone from the column's physical state;
+// codes must be exactly the Rows() rows the map covers. A zone's non-null
+// count must equal the column's (Prune's covered proof and PruneNulls read
+// it in both directions) and its [Min, Max] must enclose the rows' hull —
+// and equal it when exact, i.e. when no Widen has loosened the zone since
+// it was built.
+func (m *Map) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
+	if want := (m.n + m.zoneSize - 1) / m.zoneSize; len(codes) != m.n || len(m.zones) != want {
+		return fmt.Errorf("zonemap: %d zones over %d rows, want %d zones over the column's %d rows",
+			len(m.zones), m.n, want, len(codes))
+	}
+	for zi, z := range m.zones {
+		lo := zi * m.zoneSize
+		hi := min(lo+m.zoneSize, m.n)
+		mn, mx, nonNull := scan.MinMaxRange(codes, lo, hi, nulls, 0)
+		if nonNull != z.NonNull {
+			return fmt.Errorf("zonemap: zone %d nonNull=%d, rows [%d,%d) hold %d", zi, z.NonNull, lo, hi, nonNull)
+		}
+		if nonNull == 0 {
+			continue
+		}
+		if mn < z.Min || mx > z.Max || exact && (mn != z.Min || mx != z.Max) {
+			return fmt.Errorf("zonemap: zone %d bounds [%d,%d], rows [%d,%d) span [%d,%d]", zi, z.Min, z.Max, lo, hi, mn, mx)
+		}
+	}
+	return nil
+}
+
 // Candidate is one contiguous row range the scan must visit.
 type Candidate struct {
 	Lo, Hi  int  // row window [Lo, Hi)

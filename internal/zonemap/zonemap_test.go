@@ -320,3 +320,39 @@ func TestQuickPruneNullsSound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCheckInvariants(t *testing.T) {
+	codes := seq(95, func(i int) int64 { return int64(i) })
+	nulls := bitvec.New(95)
+	nulls.Set(7)
+	m := Build(codes, nulls, 10)
+	if err := m.CheckInvariants(codes, nulls, true); err != nil {
+		t.Fatalf("fresh map: %v", err)
+	}
+	if err := m.CheckInvariants(codes[:90], nulls, false); err == nil {
+		t.Fatal("a slice shorter than Rows() passed")
+	}
+	// A widen keeps the map sound but no longer tight.
+	m.Widen(3, 500)
+	if err := m.CheckInvariants(codes, nulls, false); err != nil {
+		t.Fatalf("widened map, loose check: %v", err)
+	}
+	if err := m.CheckInvariants(codes, nulls, true); err == nil {
+		t.Fatal("widened map passed the exact check")
+	}
+	// A value written under the metadata escapes its zone's hull.
+	codes[42] = -1
+	if err := m.CheckInvariants(codes, nulls, false); err == nil {
+		t.Fatal("a code outside its zone's bounds passed")
+	}
+	codes[42] = 42
+	// A NULL overwritten without NoteNonNull leaves the count stale.
+	nulls.Clear(7)
+	if err := m.CheckInvariants(codes, nulls, false); err == nil {
+		t.Fatal("a stale non-null count passed")
+	}
+	m.NoteNonNull(7)
+	if err := m.CheckInvariants(codes, nulls, false); err != nil {
+		t.Fatalf("after NoteNonNull: %v", err)
+	}
+}
