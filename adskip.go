@@ -122,10 +122,6 @@ type SkipmapTable = obs.SkipmapTable
 // ring; see DB.Adaptation and the telemetry /adaptation endpoint.
 type AdaptationRecord = obs.LedgerRecord
 
-// AdaptationEvent is the older name of AdaptationRecord: the separate
-// event log was folded into the ledger.
-type AdaptationEvent = AdaptationRecord
-
 // AdaptationROI is one column's adaptation return-on-investment row:
 // rows/bytes skipped (credit) against zone probes and structural
 // maintenance (debit), plus dead-zone accounting.
@@ -206,8 +202,7 @@ type Limits = engine.Limits
 
 // WorkloadSnapshot is the point-in-time workload-analytics view returned
 // by DB.Workload and served by the telemetry /workload endpoint: per-
-// template call counts, latency quantiles, row/zone/byte totals, and
-// zone-touch sketches.
+// template call counts, latency quantiles and row/zone/byte totals.
 type WorkloadSnapshot = stats.WorkloadSnapshot
 
 // TemplateStats is one query template's aggregate inside a
@@ -293,10 +288,6 @@ type Options struct {
 	// fingerprint attribution and the /workload endpoint reports an
 	// empty table.
 	StatsMaxTemplates int
-	// StatsZoneSketch bounds each template's zone-touch sketch (distinct
-	// zone IDs recorded across all columns; 0 = default 512, negative
-	// disables the sketch). See DESIGN §12.
-	StatsZoneSketch int
 	// Shards partitions every table created on this DB into per-core
 	// shards behind a scatter-gather executor: queries shard-prune by
 	// observed key bounds before any zone metadata is consulted, fan out
@@ -365,6 +356,12 @@ type executor interface {
 	ReadTable(fn func(*table.Table) error) error
 	FillHistory(s *obs.HistorySample)
 	AccumulateLatency(dst []int64)
+	// Shards is the table's shard count (1 when unsharded); Skipmaps and
+	// AdaptationROI report one table entry, and one ROI row per column,
+	// per shard.
+	Shards() int
+	Skipmaps(maxZones int) []obs.SkipmapTable
+	AdaptationROI(maxDead int) []obs.ColumnROI
 }
 
 // DB is a catalog of tables sharing one skipping configuration and one
@@ -426,9 +423,8 @@ func Open(opts Options) *DB {
 	}
 	if opts.StatsMaxTemplates >= 0 {
 		db.stats = stats.New(stats.Options{
-			MaxTemplates:   opts.StatsMaxTemplates,
-			ZoneSketchSize: opts.StatsZoneSketch,
-			Registry:       db.reg,
+			MaxTemplates: opts.StatsMaxTemplates,
+			Registry:     db.reg,
 		})
 	}
 	// A durable DB starts in recovering state: mutations are not durable
@@ -501,12 +497,7 @@ func (db *DB) Skipmap(maxZones int) []SkipmapTable {
 	db.mu.RUnlock()
 	out := make([]SkipmapTable, 0, len(engines))
 	for _, e := range engines {
-		switch x := e.(type) {
-		case *shard.Manager:
-			out = append(out, x.Skipmaps(maxZones)...)
-		case *engine.Engine:
-			out = append(out, x.Skipmap(maxZones))
-		}
+		out = append(out, e.Skipmaps(maxZones)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Table < out[j].Table })
 	return out
@@ -531,12 +522,7 @@ func (db *DB) Adaptation(maxDead int) AdaptationSnapshot {
 		ROI:     []AdaptationROI{},
 	}
 	for _, e := range engines {
-		switch x := e.(type) {
-		case *shard.Manager:
-			snap.ROI = append(snap.ROI, x.AdaptationROI(maxDead)...)
-		case *engine.Engine:
-			snap.ROI = append(snap.ROI, x.AdaptationROI(maxDead)...)
-		}
+		snap.ROI = append(snap.ROI, e.AdaptationROI(maxDead)...)
 	}
 	sort.Slice(snap.ROI, func(i, j int) bool {
 		a, b := snap.ROI[i], snap.ROI[j]
@@ -554,7 +540,7 @@ func (db *DB) Adaptation(maxDead int) AdaptationSnapshot {
 // StartTelemetry starts the embedded telemetry HTTP server on addr
 // ("127.0.0.1:0" when empty — an ephemeral localhost port) and returns
 // the server's base URL. The server exposes /metrics (Prometheus),
-// /metrics.json, /traces, /slow, /skipmap, /events, /runtime, /history,
+// /metrics.json, /traces, /slow, /skipmap, /runtime, /history,
 // /dash, and /debug/pprof/*; it runs until DB.Close. The adaptation-
 // timeline sampler (behind /history and DB.History) starts alongside
 // and also stops at Close. Starting twice is an error.
@@ -756,7 +742,7 @@ func (db *DB) Metrics() *Metrics { return db.reg }
 // AdaptationEvents returns a chronological copy of the retained
 // adaptation records across all tables (bounded ring; oldest drop
 // first): the Events of DB.Adaptation without the ROI rows.
-func (db *DB) AdaptationEvents() []AdaptationEvent { return db.ledger.Records() }
+func (db *DB) AdaptationEvents() []AdaptationRecord { return db.ledger.Records() }
 
 // ExplainAnalyze parses and executes a SQL SELECT, returning the rendered
 // EXPLAIN ANALYZE plan (phase timings, per-predicate estimated vs actual
@@ -1099,12 +1085,7 @@ func (t *Table) Name() string { return t.eng.Table().Name() }
 func (t *Table) NumRows() int { return t.eng.NumRows() }
 
 // Shards returns the table's shard count: 1 for an unsharded table.
-func (t *Table) Shards() int {
-	if m, ok := t.eng.(*shard.Manager); ok {
-		return m.Shards()
-	}
-	return 1
-}
+func (t *Table) Shards() int { return t.eng.Shards() }
 
 // Append ingests one row using native Go values: int/int64 for BIGINT,
 // float64 for DOUBLE, string for VARCHAR, nil for NULL.

@@ -76,7 +76,7 @@ func (r *repl) skipmap(maxZones int) []obs.SkipmapTable {
 	if e == nil {
 		return nil
 	}
-	return []obs.SkipmapTable{e.Skipmap(maxZones)}
+	return e.Skipmaps(maxZones)
 }
 
 // adaptation is the telemetry server's /adaptation source: the
@@ -527,7 +527,7 @@ func (r *repl) metrics(format string) {
 	}
 }
 
-// events prints the last n adaptation-ledger records: what /events serves.
+// events prints the last n adaptation-ledger records: the events of /adaptation.
 func (r *repl) events(n int) {
 	evs := r.opts.Ledger.Records()
 	if len(evs) == 0 {

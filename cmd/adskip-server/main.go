@@ -63,9 +63,9 @@ func main() {
 		shardKey  = flag.String("shard-key", "v", "column sharding partitions on (requires -shards > 1)")
 		shardBy   = flag.String("shard-by", "range", "partitioning scheme: range|hash (requires -shards > 1)")
 
-		walDir    = flag.String("wal-dir", "", "write-ahead log directory: arms durable ingest and crash recovery (empty = volatile)")
-		walWindow = flag.Duration("wal-window", 0, "group-commit linger window (0 = default 2ms; requires -wal-dir)")
-		walNoSync = flag.Bool("wal-no-sync", false, "skip fsync on WAL writes (testing only: crashes lose acked data)")
+		walDir     = flag.String("wal-dir", "", "write-ahead log directory: arms durable ingest and crash recovery (empty = volatile)")
+		walWindow  = flag.Duration("wal-window", 0, "group-commit linger window (0 = default 2ms; requires -wal-dir)")
+		walNoSync  = flag.Bool("wal-no-sync", false, "skip fsync on WAL writes (testing only: crashes lose acked data)")
 		faultCrash = flag.String("fault-crash", "",
 			"arm a deterministic crash as point:N (SIGKILL on the N-th trigger of that WAL injection point), e.g. wal-crash-after-sync:25; points: "+strings.Join(faultinject.Points(), ", "))
 

@@ -222,7 +222,7 @@ type Zonemap struct {
 	journal func(obs.LedgerRecord) // adaptation-journal sink; nil = no journal
 }
 
-// Health implements core.HealthChecker: non-nil once the zonemap has
+// Health implements core.Skipper: non-nil once the zonemap has
 // detected internal corruption and stopped pruning.
 func (z *Zonemap) Health() error { return z.health }
 
@@ -233,7 +233,7 @@ func (z *Zonemap) setHealth(err error) {
 	}
 }
 
-// SetJournal implements core.Journaler: every structural and arbitration
+// SetJournal implements core.Skipper: every structural and arbitration
 // change (split, merge, tail fold, first widen, disable, enable) is
 // reported through sink with its cause and before/after shape. Records
 // fire only on such change — never per probe — so the sink is far off
@@ -332,7 +332,7 @@ func (z *Zonemap) flushBlockHits() {
 // debits this per maintenance-touched zone.
 const maintCostRows = 64
 
-// Introspect implements core.Introspector: a copy of every zone's
+// Introspect implements core.Skipper: a copy of every zone's
 // introspection state in row order (lifetime hit/miss counters include
 // block-level prune credits), the cumulative probe and maintenance
 // counters, and the cost constants that weigh them.
@@ -802,10 +802,4 @@ func (z *Zonemap) DescribeZones(max int) string {
 	return s
 }
 
-var (
-	_ core.Skipper          = (*Zonemap)(nil)
-	_ core.HealthChecker    = (*Zonemap)(nil)
-	_ core.InvariantChecker = (*Zonemap)(nil)
-	_ core.Journaler        = (*Zonemap)(nil)
-	_ core.Introspector     = (*Zonemap)(nil)
-)
+var _ core.Skipper = (*Zonemap)(nil)

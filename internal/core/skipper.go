@@ -1,13 +1,15 @@
 // Package core defines the data-skipping framework of the paper: the
 // Skipper contract between metadata structures and the scan executor, and
-// the non-adaptive policies (no skipping; static zonemaps). The adaptive
-// policy — the paper's contribution — lives in package adaptive and
-// implements the same contract.
+// the null policy (no skipping). The fixed-grid structures — static
+// zonemaps in package zonemap, column imprints in package imprint — and
+// the adaptive policy, the paper's contribution, in package adaptive all
+// implement the same contract.
 //
-// The whole contract is Skipper (probe, observe, maintain) plus four
-// optional interfaces the engine asserts once each: Journaler (report
-// structural change) and Introspector (expose state) for observability,
-// HealthChecker and InvariantChecker for fault detection.
+// The whole contract is Skipper: probe, observe, maintain, and the four
+// cold-path duties every skipper answers (report structural change,
+// expose state, self-report corruption, re-verify against the column). A
+// structure with nothing to say answers with the zero value, so the
+// engine never asks a skipper which interfaces it has.
 //
 // The framework's shape follows the abstract: data skipping is a *policy*
 // layered on fast scans, fed by per-query observations, so that structures
@@ -19,7 +21,6 @@ import (
 	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/scan"
-	"adskip/internal/zonemap"
 )
 
 // CandidateZone is one contiguous row window the executor must scan, as
@@ -73,7 +74,7 @@ type ZoneObservation struct {
 // Metadata summarizes a skipper's current state for introspection and the
 // experiment harness.
 type Metadata struct {
-	Kind    string // "none", "static", "adaptive"
+	Kind    string // "none", "static", "imprint", "adaptive"
 	Zones   int
 	Bytes   int
 	Enabled bool
@@ -104,44 +105,35 @@ type Skipper interface {
 	Rows() int
 	// Metadata reports current structure state.
 	Metadata() Metadata
-}
 
-// HealthChecker is implemented by skippers that can detect their own
-// metadata corruption (e.g. a violated tiling invariant noticed during a
-// probe or a bounds-maintenance call). A non-nil Health means the
-// skipper's metadata can no longer be trusted: it must already have
-// stopped pruning (fail open to full scans), and the engine quarantines
-// it on the next interaction.
-type HealthChecker interface {
+	// Health is non-nil once the skipper has detected corruption of its
+	// own metadata (e.g. a violated tiling invariant noticed during a
+	// probe or a bounds-maintenance call). Such a skipper must already
+	// have stopped pruning (fail open to full scans); the engine
+	// quarantines it on the next interaction.
 	Health() error
-}
-
-// InvariantChecker is implemented by skippers whose full invariants can
-// be re-verified against the column's physical state (an O(rows) pass).
-// The engine uses it for on-demand verification sweeps; failures
-// quarantine the skipper.
-type InvariantChecker interface {
+	// CheckInvariants re-verifies the metadata against the column's
+	// physical state — codes are exactly the Rows() rows covered — in one
+	// O(rows) pass: summaries must admit every row's value, and equal the
+	// re-derived ones when exact (nothing has loosened them since they
+	// were built). The engine runs it for on-demand verification sweeps;
+	// a failure quarantines the skipper.
 	CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error
-}
-
-// Journaler is implemented by skippers whose metadata changes over time
-// (splits, merges, arbitration flips, tail folds, widens). The engine
-// installs the sink at registration; each record carries the change's
-// cause and the before/after shape of the affected metadata, and the
-// engine stamps what the skipper cannot know — table/column/shard
-// identity and the triggering query's fingerprint — before appending it
-// to the adaptation ledger. Records are emitted only on structural
-// change, never per probe, so the sink stays off the scan hot path.
-type Journaler interface {
+	// SetJournal installs the sink for structural change (splits, merges,
+	// arbitration flips, tail folds, widens); structures that never
+	// change shape ignore it. Each record carries the change's cause and
+	// the before/after shape of the affected metadata, and the engine
+	// stamps what the skipper cannot know — table/column/shard identity
+	// and the triggering query's fingerprint — before appending it to the
+	// adaptation ledger. Records are emitted only on structural change,
+	// never per probe, so the sink stays off the scan hot path.
 	SetJournal(sink func(obs.LedgerRecord))
-}
-
-// Introspector is implemented by skippers that can expose their state in
-// one cold-path copy: every zone's bounds, heat and lifetime prune
-// hit/miss counters, the cumulative probe/skip/maintenance counters, and
-// the cost-model constants. The engine derives the /skipmap zone detail,
-// the /adaptation ROI rows and their dead-zone detail from it.
-type Introspector interface {
+	// Introspect copies the skipper's state in one cold-path call: every
+	// zone's bounds, heat and lifetime prune hit/miss counters, the
+	// cumulative probe/skip/maintenance counters, and the cost-model
+	// constants. The engine derives the /skipmap zone detail, the
+	// /adaptation ROI rows and their dead-zone detail from it; a skipper
+	// that keeps none of this returns the zero snapshot.
 	Introspect() obs.SkipperSnapshot
 }
 
@@ -181,146 +173,16 @@ func (s *NoSkipper) Rows() int { return s.rows }
 // Metadata reports zero structure.
 func (s *NoSkipper) Metadata() Metadata { return Metadata{Kind: "none"} }
 
-// ---------------------------------------------------------------------------
-// Policy: static zonemaps.
+// Health reports no corruption: there is no metadata to corrupt.
+func (s *NoSkipper) Health() error { return nil }
 
-// StaticSkipper wraps a fixed-granularity zonemap. It probes every zone on
-// every query and never adapts — the classic design whose overhead on
-// unordered data motivates the paper.
-type StaticSkipper struct {
-	m *zonemap.Map
-}
+// CheckInvariants has nothing to verify.
+func (s *NoSkipper) CheckInvariants([]int64, *bitvec.BitVec, bool) error { return nil }
 
-// NewStaticSkipper builds a static zonemap skipper over the column's
-// current physical state with the given zone size.
-func NewStaticSkipper(codes []int64, nulls *bitvec.BitVec, zoneSize int) *StaticSkipper {
-	return &StaticSkipper{m: zonemap.Build(codes, nulls, zoneSize)}
-}
+// SetJournal ignores the sink: the structure never changes.
+func (s *NoSkipper) SetJournal(func(obs.LedgerRecord)) {}
 
-// Prune probes all zones.
-func (s *StaticSkipper) Prune(r expr.Ranges) PruneResult {
-	cands, st := s.m.Prune(r, nil)
-	return convertCandidates(cands, st)
-}
+// Introspect reports nothing.
+func (s *NoSkipper) Introspect() obs.SkipperSnapshot { return obs.SkipperSnapshot{} }
 
-// PruneNulls probes the per-zone non-null counts: zones with no NULL rows
-// skip, all-NULL zones are covered.
-func (s *StaticSkipper) PruneNulls() PruneResult {
-	cands, st := s.m.PruneNulls(nil)
-	return convertCandidates(cands, st)
-}
-
-// Observe is a no-op: static zonemaps do not learn.
-func (s *StaticSkipper) Observe(PruneResult, []ZoneObservation) {}
-
-// Extend grows the zonemap over appended rows.
-func (s *StaticSkipper) Extend(codes []int64, nulls *bitvec.BitVec) { s.m.Extend(codes, nulls) }
-
-// Widen loosens the enclosing zone's bounds for an updated value.
-func (s *StaticSkipper) Widen(row int, code int64) { s.m.Widen(row, code) }
-
-// NoteNonNull records a NULL row gaining a value.
-func (s *StaticSkipper) NoteNonNull(row int) { s.m.NoteNonNull(row) }
-
-// Rows returns the rows covered by metadata.
-func (s *StaticSkipper) Rows() int { return s.m.Rows() }
-
-// Metadata reports the zonemap's footprint.
-func (s *StaticSkipper) Metadata() Metadata {
-	return Metadata{Kind: "static", Zones: s.m.NumZones(), Bytes: s.m.MemoryBytes(), Enabled: true}
-}
-
-// CheckInvariants implements InvariantChecker.
-func (s *StaticSkipper) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
-	return s.m.CheckInvariants(codes, nulls, exact)
-}
-
-// ---------------------------------------------------------------------------
-// Policy: column imprints.
-
-// ImprintSkipper wraps a column imprint (bin-occurrence masks per zone):
-// a second static skipping structure under the same contract,
-// demonstrating the framework framing. Imprints prune multi-modal zones
-// that min/max hulls cannot, at the cost of a histogram learned at build
-// time.
-type ImprintSkipper struct {
-	m ImprintMap
-}
-
-// ImprintMap is what ImprintSkipper needs of an imprint. (The concrete
-// type lives in package imprint; the indirection keeps core free of that
-// dependency.)
-type ImprintMap interface {
-	Prune(expr.Ranges, []zonemap.Candidate) ([]zonemap.Candidate, zonemap.PruneStats)
-	PruneNulls([]zonemap.Candidate) ([]zonemap.Candidate, zonemap.PruneStats)
-	Extend([]int64, *bitvec.BitVec)
-	Widen(int, int64)
-	NoteNonNull(int)
-	Rows() int
-	NumZones() int
-	MemoryBytes() int
-	CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error
-}
-
-// NewImprintSkipper wraps an imprint map.
-func NewImprintSkipper(m ImprintMap) *ImprintSkipper { return &ImprintSkipper{m: m} }
-
-// Prune probes all zone masks.
-func (s *ImprintSkipper) Prune(r expr.Ranges) PruneResult {
-	cands, st := s.m.Prune(r, nil)
-	return convertCandidates(cands, st)
-}
-
-// PruneNulls probes per-zone null counts.
-func (s *ImprintSkipper) PruneNulls() PruneResult {
-	cands, st := s.m.PruneNulls(nil)
-	return convertCandidates(cands, st)
-}
-
-// Observe is a no-op: imprints do not learn.
-func (s *ImprintSkipper) Observe(PruneResult, []ZoneObservation) {}
-
-// Extend grows the imprint over appended rows.
-func (s *ImprintSkipper) Extend(codes []int64, nulls *bitvec.BitVec) { s.m.Extend(codes, nulls) }
-
-// Widen admits an updated value's bin.
-func (s *ImprintSkipper) Widen(row int, code int64) { s.m.Widen(row, code) }
-
-// NoteNonNull records a NULL row gaining a value.
-func (s *ImprintSkipper) NoteNonNull(row int) { s.m.NoteNonNull(row) }
-
-// Rows returns the rows covered by metadata.
-func (s *ImprintSkipper) Rows() int { return s.m.Rows() }
-
-// Metadata reports the imprint's footprint.
-func (s *ImprintSkipper) Metadata() Metadata {
-	return Metadata{Kind: "imprint", Zones: s.m.NumZones(), Bytes: s.m.MemoryBytes(), Enabled: true}
-}
-
-// CheckInvariants implements InvariantChecker.
-func (s *ImprintSkipper) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
-	return s.m.CheckInvariants(codes, nulls, exact)
-}
-
-// convertCandidates adapts zonemap-style candidates to a PruneResult.
-func convertCandidates(cands []zonemap.Candidate, st zonemap.PruneStats) PruneResult {
-	res := PruneResult{
-		Enabled:     true,
-		ZonesProbed: st.ZonesProbed,
-		RowsSkipped: st.RowsSkipped,
-		Zones:       make([]CandidateZone, len(cands)),
-	}
-	for i, c := range cands {
-		res.Zones[i] = CandidateZone{ID: NoZoneID, Lo: c.Lo, Hi: c.Hi, Covered: c.Covered}
-	}
-	return res
-}
-
-var (
-	_ Skipper = (*NoSkipper)(nil)
-	_ Skipper = (*StaticSkipper)(nil)
-	_ Skipper = (*ImprintSkipper)(nil)
-
-	_ InvariantChecker = (*StaticSkipper)(nil)
-	_ InvariantChecker = (*ImprintSkipper)(nil)
-)
+var _ Skipper = (*NoSkipper)(nil)

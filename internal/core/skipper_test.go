@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"adskip/internal/bitvec"
+	"adskip/internal/core"
 	"adskip/internal/expr"
+	"adskip/internal/zonemap"
 )
 
 func oneRange(lo, hi int64) expr.Ranges {
@@ -12,7 +14,7 @@ func oneRange(lo, hi int64) expr.Ranges {
 }
 
 func TestNoSkipper(t *testing.T) {
-	s := NewNoSkipper(100)
+	s := core.NewNoSkipper(100)
 	res := s.Prune(oneRange(0, 10))
 	if res.Enabled || res.ZonesProbed != 0 || len(res.Zones) != 0 {
 		t.Fatalf("res=%+v", res)
@@ -28,18 +30,24 @@ func TestNoSkipper(t *testing.T) {
 	if md.Kind != "none" || md.Zones != 0 || md.Bytes != 0 {
 		t.Fatalf("metadata=%+v", md)
 	}
-	// No-ops must not panic.
+	// No-ops must not panic, and the cold-path duties answer "nothing".
 	s.Observe(res, nil)
 	s.Widen(3, 9)
 	s.NoteNonNull(3)
+	s.SetJournal(nil)
+	if snap := s.Introspect(); s.Health() != nil || s.CheckInvariants(nil, nil, true) != nil ||
+		snap.Zones != nil || snap.RowCost != 0 {
+		t.Fatalf("health=%v snapshot=%+v", s.Health(), snap)
+	}
 }
 
+// The static policy, driven through the contract alone.
 func TestStaticSkipper(t *testing.T) {
 	codes := make([]int64, 100)
 	for i := range codes {
 		codes[i] = int64(i)
 	}
-	s := NewStaticSkipper(codes, nil, 10)
+	var s core.Skipper = zonemap.Build(codes, nil, 10)
 	if s.Rows() != 100 {
 		t.Fatalf("Rows=%d", s.Rows())
 	}
@@ -52,7 +60,7 @@ func TestStaticSkipper(t *testing.T) {
 	if len(res.Zones) != 3 || res.Zones[0].Lo != 20 || res.Zones[2].Hi != 50 || !res.Zones[1].Covered {
 		t.Fatalf("zones=%v", res.Zones)
 	}
-	if res.Zones[0].ID != NoZoneID || res.Zones[0].WantStats {
+	if res.Zones[0].ID != core.NoZoneID || res.Zones[0].WantStats {
 		t.Fatal("static zones should carry no identity and want no stats")
 	}
 	md := s.Metadata()
@@ -96,7 +104,7 @@ func TestStaticSkipperNulls(t *testing.T) {
 	for i := 10; i < 20; i++ {
 		codes[i] = int64(i)
 	}
-	s := NewStaticSkipper(codes, nulls, 10)
+	var s core.Skipper = zonemap.Build(codes, nulls, 10)
 	res := s.Prune(oneRange(-1000, 1000))
 	if len(res.Zones) != 1 || res.Zones[0].Lo != 10 {
 		t.Fatalf("all-null zone not skipped: %v", res.Zones)

@@ -22,6 +22,7 @@ import (
 	"adskip/internal/storage"
 	"adskip/internal/table"
 	"adskip/internal/wal"
+	"adskip/internal/zonemap"
 )
 
 // Policy selects the data-skipping policy applied to indexed columns.
@@ -281,11 +282,11 @@ func (e *Engine) buildSkipperLocked(name string, kind obs.EventKind) error {
 	case PolicyNone:
 		e.skippers[name] = core.NewNoSkipper(col.Len())
 	case PolicyStatic:
-		e.skippers[name] = core.NewStaticSkipper(col.Codes(), col.Nulls(), e.opts.StaticZoneSize)
+		e.skippers[name] = zonemap.Build(col.Codes(), col.Nulls(), e.opts.StaticZoneSize)
 	case PolicyAdaptive:
 		e.skippers[name] = adaptive.New(col.Codes(), col.Nulls(), e.opts.Adaptive)
 	case PolicyImprint:
-		e.skippers[name] = core.NewImprintSkipper(imprint.Build(col.Codes(), col.Nulls(), e.opts.StaticZoneSize))
+		e.skippers[name] = imprint.Build(col.Codes(), col.Nulls(), e.opts.StaticZoneSize)
 	default:
 		return fmt.Errorf("engine: unknown policy %d", e.opts.Policy)
 	}
@@ -299,9 +300,7 @@ func (e *Engine) buildSkipperLocked(name string, kind obs.EventKind) error {
 func (e *Engine) registerSkipper(name string, kind obs.EventKind) {
 	s := e.skippers[name]
 	journal := e.journal(name)
-	if j, ok := s.(core.Journaler); ok {
-		j.SetJournal(journal)
-	}
+	s.SetJournal(journal)
 	journal(obs.LedgerRecord{
 		Kind: kind, Cause: lifecycleCause(kind),
 		ZonesAfter: s.Metadata().Zones, RowHi: s.Rows(),

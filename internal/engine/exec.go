@@ -336,7 +336,7 @@ func (e *Engine) handleExecPanic(plans []colPlan, pe *panicError) error {
 }
 
 // safeProbe probes a plan's skipper for candidate windows, converting
-// panics and self-reported corruption (core.HealthChecker) into
+// panics and self-reported corruption (Skipper.Health) into
 // quarantine + full-scan fallback. Caller holds e.mu.
 func (e *Engine) safeProbe(p *colPlan) {
 	if p.skipper == nil {

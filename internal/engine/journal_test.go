@@ -114,7 +114,7 @@ func TestOneJournal(t *testing.T) {
 		t.Errorf("per-kind counters sum to %d, Ledger.Seq() = %d", counted, e.Ledger().Seq())
 	}
 
-	// /events and /adaptation are the journal, projected.
+	// /adaptation is the journal, projected.
 	srv, err := telemetry.Start(telemetry.Options{}, telemetry.Source{
 		Registry: e.Metrics(), Traces: e.Traces(),
 		Adaptation: func(maxDead int) obs.AdaptationSnapshot {
@@ -128,17 +128,14 @@ func TestOneJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	var events []obs.LedgerRecord
 	var adaptation obs.AdaptationSnapshot
-	getJSON(t, srv.URL()+"/events", &events)
 	getJSON(t, srv.URL()+"/adaptation", &adaptation)
-	if len(events) != len(recs) || len(adaptation.Events) != len(recs) {
-		t.Fatalf("/events has %d records, /adaptation %d, the ledger %d", len(events), len(adaptation.Events), len(recs))
+	if len(adaptation.Events) != len(recs) {
+		t.Fatalf("/adaptation has %d records, the ledger %d", len(adaptation.Events), len(recs))
 	}
 	for i := range recs {
-		if events[i].Seq != recs[i].Seq || adaptation.Events[i].Seq != recs[i].Seq ||
-			events[i].Kind != recs[i].Kind || adaptation.Events[i].Kind != recs[i].Kind {
-			t.Fatalf("record %d: /events %v, /adaptation %v, ledger %v", i, events[i], adaptation.Events[i], recs[i])
+		if adaptation.Events[i].Seq != recs[i].Seq || adaptation.Events[i].Kind != recs[i].Kind {
+			t.Fatalf("record %d: /adaptation %v, ledger %v", i, adaptation.Events[i], recs[i])
 		}
 	}
 }

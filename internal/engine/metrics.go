@@ -151,7 +151,7 @@ func (cm *colMetrics) refreshGauges(s core.Skipper) {
 }
 
 // journal returns the one adaptation sink for a column: installed on the
-// column's skipper (core.Journaler) and called directly for the engine's
+// column's skipper (Skipper.SetJournal) and called directly for the engine's
 // own lifecycle records. It stamps table/shard/column identity and — when
 // the record arrives mid-query — the fingerprint of the query whose
 // feedback triggered the change, bumps the per-kind counter, appends to

@@ -310,14 +310,9 @@ func (e *Engine) quarantineLocked(col string, cause error) {
 }
 
 // checkSkipperHealth quarantines col when its skipper self-reports
-// corruption (core.HealthChecker); reports whether it did. Caller holds
-// e.mu.
+// corruption (Skipper.Health); reports whether it did. Caller holds e.mu.
 func (e *Engine) checkSkipperHealth(col string, s core.Skipper) bool {
-	hc, ok := s.(core.HealthChecker)
-	if !ok {
-		return false
-	}
-	err := hc.Health()
+	err := s.Health()
 	if err == nil {
 		return false
 	}
@@ -377,10 +372,6 @@ func (e *Engine) VerifySkipping(cols ...string) error {
 		if !ok {
 			continue
 		}
-		ic, ok := s.(core.InvariantChecker)
-		if !ok {
-			continue
-		}
 		col, err := e.tbl.Column(name)
 		if err != nil {
 			errs = append(errs, err)
@@ -392,7 +383,7 @@ func (e *Engine) VerifySkipping(cols ...string) error {
 			if rows > col.Len() {
 				return fmt.Errorf("metadata covers %d rows, column has %d", rows, col.Len())
 			}
-			return ic.CheckInvariants(col.Codes()[:rows], col.Nulls(), false)
+			return s.CheckInvariants(col.Codes()[:rows], col.Nulls(), false)
 		}()
 		if checkErr != nil {
 			e.quarantineLocked(name, checkErr)

@@ -265,7 +265,10 @@ func (f *faultySkipper) Rows() int                              { return f.rows 
 func (f *faultySkipper) Metadata() core.Metadata {
 	return core.Metadata{Kind: "faulty", Zones: 1, Enabled: true}
 }
-func (f *faultySkipper) Health() error { return f.healthErr }
+func (f *faultySkipper) Health() error                                       { return f.healthErr }
+func (f *faultySkipper) CheckInvariants([]int64, *bitvec.BitVec, bool) error { return nil }
+func (f *faultySkipper) SetJournal(func(obs.LedgerRecord))                   {}
+func (f *faultySkipper) Introspect() obs.SkipperSnapshot                     { return obs.SkipperSnapshot{} }
 
 // install registers a faulty skipper on column "a" behind the engine's
 // back (tests only).

@@ -3,7 +3,6 @@ package engine
 import (
 	"sort"
 
-	"adskip/internal/core"
 	"adskip/internal/obs"
 )
 
@@ -39,12 +38,9 @@ func (e *Engine) Skipmap(maxZones int) obs.SkipmapTable {
 		if s, ok := e.skippers[name]; ok {
 			md := s.Metadata()
 			sc.Kind, sc.Zones, sc.Bytes, sc.Enabled = md.Kind, md.Zones, md.Bytes, md.Enabled
-			if snap, ok := introspect(s); ok {
-				sc.ZoneDetail = snap.Zones
-				if maxZones > 0 && len(snap.Zones) > maxZones {
-					sc.ZoneDetail = snap.Zones[:maxZones]
-					sc.ZonesTruncated = len(snap.Zones) - maxZones
-				}
+			sc.ZoneDetail = s.Introspect().Zones
+			if n := len(sc.ZoneDetail); maxZones > 0 && n > maxZones {
+				sc.ZoneDetail, sc.ZonesTruncated = sc.ZoneDetail[:maxZones], n-maxZones
 			}
 		}
 		cm := e.colMetrics(name)
@@ -62,15 +58,14 @@ func (e *Engine) Skipmap(maxZones int) obs.SkipmapTable {
 	return st
 }
 
-// introspect takes a skipper's cold-path state snapshot; ok is false for
-// skippers that expose none (core.Introspector is optional).
-func introspect(s core.Skipper) (snap obs.SkipperSnapshot, ok bool) {
-	in, ok := s.(core.Introspector)
-	if !ok {
-		return obs.SkipperSnapshot{}, false
-	}
-	return in.Introspect(), true
+// Skipmaps is Skipmap in the shape a sharded table reports (one entry
+// per shard): an engine is one unsharded table.
+func (e *Engine) Skipmaps(maxZones int) []obs.SkipmapTable {
+	return []obs.SkipmapTable{e.Skipmap(maxZones)}
 }
+
+// Shards is the number of shards an engine's table has: one.
+func (e *Engine) Shards() int { return 1 }
 
 // AdaptationROI assembles the table's per-column return-on-investment
 // rows for /adaptation from each introspectable skipper's snapshot: its
@@ -92,9 +87,9 @@ func (e *Engine) AdaptationROI(maxDead int) []obs.ColumnROI {
 	var out []obs.ColumnROI
 	for _, name := range names {
 		s := e.skippers[name]
-		snap, ok := introspect(s)
-		if !ok {
-			continue
+		snap := s.Introspect()
+		if snap.RowCost == 0 {
+			continue // the zero snapshot: this skipper keeps no accounts
 		}
 		md := s.Metadata()
 		cm := e.colMetrics(name)

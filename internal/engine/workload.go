@@ -3,7 +3,6 @@ package engine
 import (
 	"time"
 
-	"adskip/internal/core"
 	"adskip/internal/obs"
 	"adskip/internal/stats"
 )
@@ -34,31 +33,14 @@ func (e *Engine) recordWorkload(res *Result, tr *obs.QueryTrace, plans []colPlan
 		RowsSkipped:  int64(res.Stats.RowsSkipped),
 		BytesScanned: int64(res.Stats.RowsScanned) * bytesPerCode,
 	}
-	var zoneIDs map[string][]int
 	for i := range plans {
-		p := &plans[i]
-		if !p.active || len(p.res.Zones) == 0 {
-			continue
-		}
-		var ids []int
-		for _, z := range p.res.Zones {
-			if z.ID == core.NoZoneID {
-				continue
-			}
-			ids = append(ids, z.ID)
-		}
-		s.ZonesRead += int64(len(p.res.Zones))
-		if len(ids) > 0 {
-			if zoneIDs == nil {
-				zoneIDs = make(map[string][]int, len(plans))
-			}
-			zoneIDs[p.name] = ids
+		if plans[i].active {
+			s.ZonesRead += int64(len(plans[i].res.Zones))
 		}
 	}
 	if pruned := int64(res.Stats.ZonesProbed) - s.ZonesRead; pruned > 0 {
 		s.ZonesPruned = pruned
 	}
-	s.ZoneIDs = zoneIDs
 	e.stats.Record(s)
 }
 

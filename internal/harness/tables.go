@@ -5,12 +5,12 @@ import (
 	"time"
 
 	"adskip/internal/adaptive"
-	"adskip/internal/core"
 	"adskip/internal/engine"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 	"adskip/internal/workload"
+	"adskip/internal/zonemap"
 )
 
 // Tab1Metadata reproduces the metadata-cost table: structure size and
@@ -28,7 +28,7 @@ func Tab1Metadata(cfg Config) (*Table, error) {
 	})
 	for zs := 256; zs <= cfg.Rows; zs *= 16 {
 		start := time.Now()
-		s := core.NewStaticSkipper(vals, nil, zs)
+		s := zonemap.Build(vals, nil, zs)
 		build := time.Since(start)
 		md := s.Metadata()
 		t.Rows = append(t.Rows, []string{

@@ -25,11 +25,12 @@ func oneRange(lo, hi int64) expr.Ranges {
 func TestBuildBasics(t *testing.T) {
 	codes := seq(1000, func(i int) int64 { return int64(i) })
 	m := Build(codes, nil, 100)
-	if m.NumZones() != 10 || m.Rows() != 1000 || m.ZoneSize() != 100 {
-		t.Fatalf("zones=%d rows=%d", m.NumZones(), m.Rows())
+	md := m.Metadata()
+	if md.Kind != "imprint" || md.Zones != 10 || !md.Enabled || m.Rows() != 1000 {
+		t.Fatalf("metadata=%+v rows=%d", md, m.Rows())
 	}
-	if m.MemoryBytes() <= 0 {
-		t.Fatal("MemoryBytes")
+	if md.Bytes != 10*12+64*8 {
+		t.Fatalf("Bytes=%d", md.Bytes)
 	}
 }
 
@@ -45,14 +46,12 @@ func TestBuildZeroZoneSizePanics(t *testing.T) {
 func TestPruneSortedData(t *testing.T) {
 	codes := seq(6400, func(i int) int64 { return int64(i) })
 	m := Build(codes, nil, 100)
-	cands, st := m.Prune(oneRange(1000, 1099), nil)
-	if st.RowsSkipped < 6000 {
-		t.Fatalf("sorted data should prune hard: %+v", st)
+	res := m.Prune(oneRange(1000, 1099))
+	if res.RowsSkipped < 6000 {
+		t.Fatalf("sorted data should prune hard: %+v", res)
 	}
 	// All matching rows are inside candidates.
-	for _, c := range cands {
-		_ = c
-	}
+	cands := res.Zones
 	covered := false
 	for _, c := range cands {
 		if c.Lo <= 1000 && 1100 <= c.Hi {
@@ -81,20 +80,16 @@ func TestPruneMultiModalBeatsHull(t *testing.T) {
 	})
 	gap := oneRange(300_000, 800_000)
 
-	zm := zonemap.Build(codes, nil, 64)
-	_, zst := zm.Prune(gap, nil)
-	if zst.RowsSkipped != 0 {
+	if zst := zonemap.Build(codes, nil, 64).Prune(gap); zst.RowsSkipped != 0 {
 		t.Fatalf("hull zonemap unexpectedly pruned the bimodal data: %+v", zst)
 	}
 
 	m := Build(codes, nil, 64)
-	_, st := m.Prune(gap, nil)
-	if st.RowsSkipped < n*9/10 {
+	if st := m.Prune(gap); st.RowsSkipped < n*9/10 {
 		t.Fatalf("imprint should skip >=90%% on mid-gap query: %+v", st)
 	}
 	// Queries at a mode still scan the zones holding it.
-	_, st = m.Prune(oneRange(0, 50), nil)
-	if st.RowsSkipped == n {
+	if st := m.Prune(oneRange(0, 50)); st.RowsSkipped == n {
 		t.Fatalf("mode query should scan something: %+v", st)
 	}
 }
@@ -103,12 +98,18 @@ func TestCoveredDetection(t *testing.T) {
 	// Constant zones inside a wide predicate are covered.
 	codes := seq(1000, func(i int) int64 { return int64(i / 100 * 1000) })
 	m := Build(codes, nil, 100)
-	cands, st := m.Prune(oneRange(-1, 9001), nil)
+	cands := m.Prune(oneRange(-1, 9001)).Zones
 	// All but the top zone are provably covered; the last histogram bin
 	// extends to +inf, so the top zone stays a conservative scan
 	// candidate under any finite upper bound.
-	if st.ZonesCovered < 9 {
-		t.Fatalf("covered=%d want >=9: %v", st.ZonesCovered, cands)
+	coveredRows := 0
+	for _, c := range cands {
+		if c.Covered {
+			coveredRows += c.Hi - c.Lo
+		}
+	}
+	if coveredRows < 9*100 {
+		t.Fatalf("covered rows=%d want >=9 zones: %v", coveredRows, cands)
 	}
 	if !cands[0].Covered || cands[0].Hi < 900 {
 		t.Fatalf("covered run wrong: %v", cands)
@@ -126,13 +127,13 @@ func TestNullsAndPruneNulls(t *testing.T) {
 	}
 	m := Build(codes, nulls, 100)
 	// All-null zone is skipped for value predicates.
-	cands, _ := m.Prune(oneRange(-1<<40, 1<<40), nil)
+	cands := m.Prune(oneRange(-1<<40, 1<<40)).Zones
 	if len(cands) != 1 || cands[0].Lo != 100 {
 		t.Fatalf("cands=%v", cands)
 	}
 	// IS NULL: first zone covered, second skipped.
-	cands, st := m.PruneNulls(nil)
-	if len(cands) != 1 || !cands[0].Covered || cands[0].Hi != 100 {
+	st := m.PruneNulls()
+	if cands = st.Zones; len(cands) != 1 || !cands[0].Covered || cands[0].Hi != 100 {
 		t.Fatalf("null cands=%v", cands)
 	}
 	if st.RowsSkipped != 100 {
@@ -144,16 +145,15 @@ func TestExtendAndWiden(t *testing.T) {
 	codes := seq(150, func(i int) int64 { return int64(i) })
 	m := Build(codes[:75], nil, 50)
 	m.Extend(codes, nil)
-	if m.Rows() != 150 || m.NumZones() != 3 {
-		t.Fatalf("rows=%d zones=%d", m.Rows(), m.NumZones())
+	if m.Rows() != 150 || m.Metadata().Zones != 3 {
+		t.Fatalf("rows=%d zones=%d", m.Rows(), m.Metadata().Zones)
 	}
 	// Update row 10 to a huge value: its bin bit must admit it.
 	codes[10] = 1 << 40
 	m.Widen(10, 1<<40)
-	_, st := m.Prune(oneRange(1<<39, 1<<41), nil)
 	// Zone 0 must be a candidate now.
-	if st.ZonesSkipped == m.NumZones() {
-		t.Fatal("widened zone wrongly skipped")
+	if cands := m.Prune(oneRange(1<<39, 1<<41)).Zones; len(cands) == 0 || cands[0].Lo != 0 {
+		t.Fatalf("widened zone wrongly skipped: %v", cands)
 	}
 	// NoteNonNull does not panic and bumps the counter.
 	m.NoteNonNull(10)
@@ -164,9 +164,9 @@ func TestAllNullColumn(t *testing.T) {
 	nulls := bitvec.New(50)
 	nulls.SetAll()
 	m := Build(codes, nulls, 10)
-	cands, st := m.Prune(oneRange(-1, 1), nil)
-	if len(cands) != 0 || st.RowsSkipped != 50 {
-		t.Fatalf("all-null column: %v %+v", cands, st)
+	st := m.Prune(oneRange(-1, 1))
+	if len(st.Zones) != 0 || st.RowsSkipped != 50 {
+		t.Fatalf("all-null column: %+v", st)
 	}
 }
 
@@ -196,7 +196,8 @@ func TestQuickImprintSound(t *testing.T) {
 		m := Build(codes, nulls, zoneSize)
 		lo := rng.Int63n(2_000_000) - 1000
 		r := oneRange(lo, lo+rng.Int63n(500_000))
-		cands, st := m.Prune(r, nil)
+		st := m.Prune(r)
+		cands := st.Zones
 		inCand := make([]bool, n)
 		covered := make([]bool, n)
 		prevHi := -1
@@ -247,7 +248,7 @@ func TestQuickExtendSound(t *testing.T) {
 		m.Extend(codes, nil)
 		lo := rng.Int63n(10_000)
 		r := oneRange(lo, lo+rng.Int63n(2000))
-		cands, _ := m.Prune(r, nil)
+		cands := m.Prune(r).Zones
 		inCand := make([]bool, n)
 		for _, c := range cands {
 			for i := c.Lo; i < c.Hi; i++ {

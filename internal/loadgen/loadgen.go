@@ -113,12 +113,12 @@ type Report struct {
 	// NOT errors — a request that eventually succeeded is a success).
 	Inserts int64
 	Retries int64
-	Elapsed  time.Duration
-	QPS      float64
-	P50      time.Duration
-	P95      time.Duration
-	P99      time.Duration
-	Max      time.Duration
+	Elapsed time.Duration
+	QPS     float64
+	P50     time.Duration
+	P95     time.Duration
+	P99     time.Duration
+	Max     time.Duration
 
 	// Latency attribution, populated when Options.Timing is set and the
 	// server returns breakdowns. Server is the server-side total (frame

@@ -51,8 +51,8 @@ func (k EventKind) String() string {
 // MarshalJSON renders the kind by name so record JSON is self-describing.
 func (k EventKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// UnmarshalJSON parses the name form, so clients of /events and
-// /adaptation can decode records back into the exported types.
+// UnmarshalJSON parses the name form, so clients of /adaptation
+// can decode records back into the exported types.
 func (k *EventKind) UnmarshalJSON(b []byte) error {
 	var name string
 	if err := json.Unmarshal(b, &name); err != nil {

@@ -10,7 +10,7 @@ import (
 // events, with full provenance — what changed, why, which query template
 // triggered it, and the before/after shape of the affected metadata.
 // Every record carries enough context to credit or debit the adaptation
-// that produced it; /events, \events and the timeline's adapt_events
+// that produced it; /adaptation, \events and the timeline's adapt_events
 // count are projections of it, and the per-table running totals feed the
 // EXPLAIN ANALYZE footer without a ring scan. Appends happen only on
 // structural change (split, merge, fold, first widen, quarantine,

@@ -125,7 +125,7 @@ func TestHistorySampleGoldenJSON(t *testing.T) {
 		// LatencyBuckets is json:"-": raw histogram state stays off the
 		// wire; consumers get the derived quantiles.
 		LatencyBuckets: []int64{1, 2, 3},
-		LatencyP50: 0.0001, LatencyP95: 0.002, AdaptEvents: 17, WALLagSeconds: 0.004,
+		LatencyP50:     0.0001, LatencyP95: 0.002, AdaptEvents: 17, WALLagSeconds: 0.004,
 		Columns: []HistoryColumn{{Table: "data", Column: "v", SkipRatio: 0.9, Zones: 64, Enabled: true}},
 	}
 	got, err := json.MarshalIndent(h, "", "  ")

@@ -63,10 +63,12 @@ type SkipmapTable struct {
 }
 
 // SkipperSnapshot is a skipper's whole introspectable state, copied in
-// one cold-path call (core.Introspector): every zone in row order, the
-// lifetime probe and maintenance counters, and the cost-model constants
-// that weigh them. The engine derives the /skipmap zone detail and the
-// /adaptation ROI rows (net benefit, dead zones) from it.
+// one cold-path call (core.Skipper's Introspect): every zone in row
+// order, the lifetime probe and maintenance counters, and the cost-model
+// constants that weigh them. The engine derives the /skipmap zone detail
+// and the /adaptation ROI rows (net benefit, dead zones) from it. A
+// skipper that keeps no such accounts returns the zero value — no zones,
+// RowCost 0 — and gets neither.
 type SkipperSnapshot struct {
 	Zones []SkipmapZone
 

@@ -274,11 +274,11 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 		eo := opts.Engine
 		eo.Shard = i + 1
 		eo.Metrics = m.reg
-		eo.Stats = nil             // the Manager records the one logical sample
-		eo.Admission = nil         // the Manager admits once per logical query
-		eo.Traces = nil            // private per-shard ring (engine-created)
-		eo.SlowTraces = nil        // merged trace carries slow detection
-		eo.SlowQueryThreshold = 0  // per-shard partials are not "queries"
+		eo.Stats = nil            // the Manager records the one logical sample
+		eo.Admission = nil        // the Manager admits once per logical query
+		eo.Traces = nil           // private per-shard ring (engine-created)
+		eo.SlowTraces = nil       // merged trace carries slow detection
+		eo.SlowQueryThreshold = 0 // per-shard partials are not "queries"
 		s := &shardState{id: i + 1, eng: engine.New(stbl, eo)}
 		s.mRows = m.reg.Gauge("adskip_shard_rows",
 			"Rows currently held by this shard.", tl, obs.L("shard", strconv.Itoa(s.id)))

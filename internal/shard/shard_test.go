@@ -181,7 +181,7 @@ var equivalenceQueries = []struct {
 	{"count_range", engine.Query{Where: expr.And(expr.MustPred("id", expr.Between, storage.IntValue(100), storage.IntValue(400)))}, true},
 	{"count_all", engine.Query{}, true},
 	{"count_point", engine.Query{Where: expr.And(expr.MustPred("id", expr.EQ, storage.IntValue(77)))}, true},
-	{"count_unsat", engine.Query{Where: expr.And(expr.MustPred("id", expr.GT, storage.IntValue(1 << 40)))}, true},
+	{"count_unsat", engine.Query{Where: expr.And(expr.MustPred("id", expr.GT, storage.IntValue(1<<40)))}, true},
 	{"count_null_key", engine.Query{Where: expr.And(expr.MustPred("id", expr.IsNull))}, true},
 	{"count_other_col", engine.Query{Where: expr.And(expr.MustPred("price", expr.LT, storage.FloatValue(25)))}, true},
 	{"count_conj", engine.Query{Where: expr.And(
@@ -211,7 +211,7 @@ var equivalenceQueries = []struct {
 	{"aggs_empty_match", engine.Query{Aggs: []engine.Agg{
 		{Kind: engine.CountStar}, {Kind: engine.Sum, Col: "price"},
 		{Kind: engine.Min, Col: "price"}, {Kind: engine.Avg, Col: "price"}},
-		Where: expr.And(expr.MustPred("id", expr.GT, storage.IntValue(1 << 40)))}, true},
+		Where: expr.And(expr.MustPred("id", expr.GT, storage.IntValue(1<<40)))}, true},
 	{"group_by", engine.Query{GroupBy: "city", Aggs: []engine.Agg{
 		{Kind: engine.CountStar}, {Kind: engine.Sum, Col: "price"}, {Kind: engine.Avg, Col: "price"},
 		{Kind: engine.Min, Col: "id"}, {Kind: engine.Max, Col: "id"}}}, true},
@@ -222,7 +222,7 @@ var equivalenceQueries = []struct {
 		{Kind: engine.CountStar}, {Kind: engine.Sum, Col: "price"}},
 		Where: expr.And(expr.MustPred("id", expr.Between, storage.IntValue(10), storage.IntValue(90)))}, false},
 	{"order_with_aggs_limit", engine.Query{Select: []string{"id"}, OrderBy: "id", Limit: 7,
-		Aggs: []engine.Agg{{Kind: engine.CountStar}, {Kind: engine.Avg, Col: "price"}},
+		Aggs:  []engine.Agg{{Kind: engine.CountStar}, {Kind: engine.Avg, Col: "price"}},
 		Where: expr.And(expr.MustPred("id", expr.Between, storage.IntValue(10), storage.IntValue(90)))}, true},
 	{"in_pred", engine.Query{Where: expr.And(expr.MustPred("id", expr.In,
 		storage.IntValue(3), storage.IntValue(333), storage.IntValue(777)))}, true},
@@ -316,7 +316,7 @@ func TestShardPruning(t *testing.T) {
 	// Unsatisfiable predicate: every shard prunable, one kept for the
 	// correct empty-result shape.
 	res, err = m.Query(engine.Query{Where: expr.And(
-		expr.MustPred("id", expr.GT, storage.IntValue(1 << 40)))})
+		expr.MustPred("id", expr.GT, storage.IntValue(1<<40)))})
 	if err != nil {
 		t.Fatal(err)
 	}

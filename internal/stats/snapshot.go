@@ -2,7 +2,6 @@ package stats
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -58,12 +57,6 @@ type TemplateSnapshot struct {
 	SkipFast       float64 `json:"skip_fast"`
 	SkipBase       float64 `json:"skip_base"`
 	SkipRegression float64 `json:"skip_regression"`
-
-	// ZoneTouch is the bounded zone-touch sketch: per column, the sorted
-	// IDs of zones this template has read. ZoneTouchDropped counts IDs
-	// that did not fit the sketch bound.
-	ZoneTouch        map[string][]int `json:"zone_touch,omitempty"`
-	ZoneTouchDropped int64            `json:"zone_touch_dropped,omitempty"`
 
 	// Shard scatter-gather attribution (sharded tables only, all omitted
 	// otherwise): cumulative shards scanned vs pruned, and the sorted
@@ -144,25 +137,24 @@ func (t *Table) Snapshot(sortBy string, k int) WorkloadSnapshot {
 // Caller holds t.mu.
 func (t *Table) snapshotEntryLocked(e *entry) TemplateSnapshot {
 	ts := TemplateSnapshot{
-		Fingerprint:      e.fp,
-		Table:            e.table,
-		Calls:            e.calls,
-		Errors:           e.errors,
-		CacheHits:        e.cacheHits,
-		TotalSeconds:     e.totalSeconds,
-		P50US:            1e6 * obs.QuantileFromBuckets(t.bounds, e.latBuckets, 0.50),
-		P95US:            1e6 * obs.QuantileFromBuckets(t.bounds, e.latBuckets, 0.95),
-		RowsRead:         e.rowsRead,
-		RowsReturned:     e.rowsReturned,
-		RowsSkipped:      e.rowsSkipped,
-		ZonesRead:        e.zonesRead,
-		ZonesPruned:      e.zonesPruned,
-		BytesScanned:     e.bytesScanned,
-		ZoneTouchDropped: e.zoneDropped,
-		ShardsScanned:    e.shardsScanned,
-		ShardsPruned:     e.shardsPruned,
-		FirstSeen:        e.firstSeen,
-		LastSeen:         e.lastSeen,
+		Fingerprint:   e.fp,
+		Table:         e.table,
+		Calls:         e.calls,
+		Errors:        e.errors,
+		CacheHits:     e.cacheHits,
+		TotalSeconds:  e.totalSeconds,
+		P50US:         1e6 * obs.QuantileFromBuckets(t.bounds, e.latBuckets, 0.50),
+		P95US:         1e6 * obs.QuantileFromBuckets(t.bounds, e.latBuckets, 0.95),
+		RowsRead:      e.rowsRead,
+		RowsReturned:  e.rowsReturned,
+		RowsSkipped:   e.rowsSkipped,
+		ZonesRead:     e.zonesRead,
+		ZonesPruned:   e.zonesPruned,
+		BytesScanned:  e.bytesScanned,
+		ShardsScanned: e.shardsScanned,
+		ShardsPruned:  e.shardsPruned,
+		FirstSeen:     e.firstSeen,
+		LastSeen:      e.lastSeen,
 	}
 	if len(e.shards) > 0 {
 		ts.Shards = make([]int, 0, len(e.shards))
@@ -180,17 +172,6 @@ func (t *Table) snapshotEntryLocked(e *entry) TemplateSnapshot {
 	ts.SkipFast, ts.SkipBase = e.skipFast, e.skipBase
 	if gap := e.skipBase - e.skipFast; gap > 0 {
 		ts.SkipRegression = gap
-	}
-	if len(e.zones) > 0 {
-		ts.ZoneTouch = make(map[string][]int, len(e.zones))
-		for col, ids := range e.zones {
-			out := make([]int, 0, len(ids))
-			for id := range ids {
-				out = append(out, id)
-			}
-			sort.Ints(out)
-			ts.ZoneTouch[col] = out
-		}
 	}
 	return ts
 }
@@ -211,7 +192,7 @@ func (t *Table) Template(fingerprint string) (TemplateSnapshot, bool) {
 }
 
 // WriteCSV writes the snapshot as CSV: one header row, one row per
-// template, zone-touch sketch flattened to "col:id col:id ...".
+// template.
 func (t *Table) WriteCSV(w io.Writer, sortBy string, k int) error {
 	return WriteSnapshotCSV(w, t.Snapshot(sortBy, k))
 }
@@ -225,23 +206,11 @@ func WriteSnapshotCSV(w io.Writer, snap WorkloadSnapshot) error {
 		"total_seconds", "mean_us", "p50_us", "p95_us",
 		"rows_read", "rows_returned", "rows_skipped", "skip_ratio",
 		"zones_read", "zones_pruned", "bytes_scanned",
-		"zone_touch", "zone_touch_dropped",
 		"shards_scanned", "shards_pruned", "shards",
 	}); err != nil {
 		return err
 	}
 	for _, ts := range snap.Templates {
-		var zt []string
-		cols := make([]string, 0, len(ts.ZoneTouch))
-		for col := range ts.ZoneTouch {
-			cols = append(cols, col)
-		}
-		sort.Strings(cols)
-		for _, col := range cols {
-			for _, id := range ts.ZoneTouch[col] {
-				zt = append(zt, fmt.Sprintf("%s:%d", col, id))
-			}
-		}
 		rec := []string{
 			ts.Fingerprint, ts.Table,
 			strconv.FormatInt(ts.Calls, 10),
@@ -258,8 +227,6 @@ func WriteSnapshotCSV(w io.Writer, snap WorkloadSnapshot) error {
 			strconv.FormatInt(ts.ZonesRead, 10),
 			strconv.FormatInt(ts.ZonesPruned, 10),
 			strconv.FormatInt(ts.BytesScanned, 10),
-			strings.Join(zt, " "),
-			strconv.FormatInt(ts.ZoneTouchDropped, 10),
 			strconv.FormatInt(ts.ShardsScanned, 10),
 			strconv.FormatInt(ts.ShardsPruned, 10),
 			strings.Join(shardList(ts.Shards), " "),

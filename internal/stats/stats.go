@@ -3,16 +3,11 @@
 // pg_stat_statements. The engine records one Sample per query under the
 // query's fingerprint (the literal-stripped template rendered by
 // internal/sql); this package aggregates calls, errors, latency
-// histograms, row/zone/byte counts, and a bounded zone-touch sketch —
-// the set of zone IDs each template actually reads, the seed of a
-// provenance-based skipping profile.
+// histograms and row/zone/byte counts.
 //
 // The table is LRU-bounded: when a workload carries more distinct
 // templates than MaxTemplates, the least-recently-called template is
-// evicted (its history is lost and counted in EvictedTemplates). The
-// zone-touch sketch is bounded separately per template; IDs beyond the
-// cap are dropped and counted, never sampled-in, so the sketch is an
-// exact subset of the touched zones.
+// evicted (its history is lost and counted in EvictedTemplates).
 package stats
 
 import (
@@ -24,11 +19,8 @@ import (
 	"adskip/internal/obs"
 )
 
-// Defaults for Options zero values.
-const (
-	DefaultMaxTemplates   = 256
-	DefaultZoneSketchSize = 512
-)
+// DefaultMaxTemplates is the Options.MaxTemplates zero value.
+const DefaultMaxTemplates = 256
 
 // Options configures a stats table.
 type Options struct {
@@ -36,10 +28,6 @@ type Options struct {
 	// the least-recently-called template is evicted beyond it.
 	// 0 means DefaultMaxTemplates.
 	MaxTemplates int
-	// ZoneSketchSize bounds the zone-touch sketch per template (distinct
-	// zone IDs across all columns). 0 means DefaultZoneSketchSize;
-	// negative disables the sketch entirely.
-	ZoneSketchSize int
 	// Registry, when non-nil, receives adskip_stats_* metrics.
 	Registry *obs.Registry
 }
@@ -57,20 +45,17 @@ const (
 // Sample is one executed (or failed) query, already attributed to a
 // template by the caller.
 type Sample struct {
-	Fingerprint string
-	Table       string
-	Err         bool // the query failed; only Latency is aggregated
-	CacheHit    bool // served from a prepared-statement / plan cache
-	Latency     time.Duration
+	Fingerprint  string
+	Table        string
+	Err          bool // the query failed; only Latency is aggregated
+	CacheHit     bool // served from a prepared-statement / plan cache
+	Latency      time.Duration
 	RowsRead     int64 // rows actually examined after pruning
 	RowsReturned int64 // rows (or groups) in the result
 	RowsSkipped  int64 // rows pruned by skipping metadata
 	ZonesRead    int64 // candidate zones scanned
 	ZonesPruned  int64 // zones eliminated by metadata probes
 	BytesScanned int64
-	// ZoneIDs lists the candidate zone IDs read, per column. Synthetic
-	// IDs (< 0) are ignored.
-	ZoneIDs map[string][]int
 	// Shard scatter-gather attribution (sharded tables only; all zero on
 	// unsharded engines). Shards lists the 1-based shard numbers this
 	// query actually scanned, for the /workload?shard=N filter.
@@ -104,10 +89,6 @@ type entry struct {
 	skipFast, skipBase float64
 	skipSeen           bool
 
-	zones       map[string]map[int]struct{} // column -> touched zone IDs
-	zoneCount   int                         // total IDs across columns
-	zoneDropped int64                       // IDs dropped at the sketch cap
-
 	firstSeen, lastSeen time.Time
 }
 
@@ -123,21 +104,17 @@ type Table struct {
 	recorded int64 // samples accepted (lifetime)
 	evicted  int64 // templates evicted (lifetime)
 
-	mTemplates   *obs.Gauge
-	mRecorded    *obs.Counter
-	mErrors      *obs.Counter
-	mEvicted     *obs.Counter
-	mZoneDropped *obs.Counter
-	mSkipReg     *obs.Gauge
+	mTemplates *obs.Gauge
+	mRecorded  *obs.Counter
+	mErrors    *obs.Counter
+	mEvicted   *obs.Counter
+	mSkipReg   *obs.Gauge
 }
 
-// New builds a stats table. Options zero values take the defaults above.
+// New builds a stats table. Options zero values take the default above.
 func New(opts Options) *Table {
 	if opts.MaxTemplates <= 0 {
 		opts.MaxTemplates = DefaultMaxTemplates
-	}
-	if opts.ZoneSketchSize == 0 {
-		opts.ZoneSketchSize = DefaultZoneSketchSize
 	}
 	t := &Table{
 		opts:   opts,
@@ -154,8 +131,6 @@ func New(opts Options) *Table {
 			"Failed queries recorded into the workload stats table.")
 		t.mEvicted = reg.Counter("adskip_stats_evicted_total",
 			"Templates evicted from the workload stats table (LRU bound).")
-		t.mZoneDropped = reg.Counter("adskip_stats_zone_ids_dropped_total",
-			"Zone IDs dropped from zone-touch sketches at the per-template cap.")
 		t.mSkipReg = reg.Gauge("adskip_adapt_skip_regression_ppm",
 			"Worst per-template skip-rate regression (baseline minus fast EWMA), parts per million.")
 	}
@@ -233,7 +208,6 @@ func (t *Table) Record(s Sample) {
 			}
 			e.shards[sh] = struct{}{}
 		}
-		t.sketchLocked(e, s.ZoneIDs)
 	}
 	t.recorded++
 	templates := t.order.Len()
@@ -247,43 +221,6 @@ func (t *Table) Record(s Sample) {
 		t.mTemplates.Set(int64(templates))
 		if evictedNow > 0 {
 			t.mEvicted.Add(evictedNow)
-		}
-	}
-}
-
-// sketchLocked folds this query's touched zone IDs into the template's
-// bounded sketch. Negative IDs (synthetic zones) never enter the sketch.
-func (t *Table) sketchLocked(e *entry, zoneIDs map[string][]int) {
-	if t.opts.ZoneSketchSize < 0 || len(zoneIDs) == 0 {
-		return
-	}
-	for col, ids := range zoneIDs {
-		m := e.zones[col]
-		for _, id := range ids {
-			if id < 0 {
-				continue
-			}
-			if m != nil {
-				if _, dup := m[id]; dup {
-					continue
-				}
-			}
-			if e.zoneCount >= t.opts.ZoneSketchSize {
-				e.zoneDropped++
-				if t.mZoneDropped != nil {
-					t.mZoneDropped.Inc()
-				}
-				continue
-			}
-			if m == nil {
-				m = make(map[int]struct{})
-				if e.zones == nil {
-					e.zones = make(map[string]map[int]struct{})
-				}
-				e.zones[col] = m
-			}
-			m[id] = struct{}{}
-			e.zoneCount++
 		}
 	}
 }

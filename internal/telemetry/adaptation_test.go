@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"net/http"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -52,30 +51,6 @@ func adaptationSource() Source {
 		}
 	}
 	return src
-}
-
-// TestEventsIsProjectionOfAdaptation: /events serves exactly the records
-// of /adaptation — same seqs, same kinds, same provenance — without the
-// envelope or the ROI rows, and never asks for dead-zone detail.
-func TestEventsIsProjectionOfAdaptation(t *testing.T) {
-	src := adaptationSource()
-	want := src.Adaptation(0).Events
-	srv, err := Start(Options{}, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	code, body := get(t, srv.URL()+"/events")
-	if code != http.StatusOK {
-		t.Fatalf("/events = %d, want 200\n%s", code, body)
-	}
-	var got []obs.LedgerRecord
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatalf("/events does not decode into ledger records: %v\n%s", err, body)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("/events = %+v\nwant the /adaptation records %+v", got, want)
-	}
 }
 
 // TestAdaptationEndpointSchema golden-locks the /adaptation wire schema:

@@ -168,9 +168,9 @@ func TestSlowShardFilter(t *testing.T) {
 		return &obs.QueryTrace{Table: "t", Start: root.Start, Root: root,
 			Shard: shard, Shards: shards}
 	}
-	slow.Append(mk(1, nil))          // per-shard trace from shard 1
-	slow.Append(mk(0, []int{1, 3}))  // merged logical trace that scanned 1 and 3
-	slow.Append(mk(2, nil))          // per-shard trace from shard 2
+	slow.Append(mk(1, nil))         // per-shard trace from shard 1
+	slow.Append(mk(0, []int{1, 3})) // merged logical trace that scanned 1 and 3
+	slow.Append(mk(2, nil))         // per-shard trace from shard 2
 	src := testSource()
 	src.SlowTraces = slow
 	srv, err := Start(Options{}, src)

@@ -57,8 +57,8 @@ type Source struct {
 	Workload *stats.Table
 	// Adaptation returns the adaptation-ledger snapshot (zone-lifecycle
 	// records plus per-column ROI rows) behind /adaptation, with at most
-	// maxDead dead zones of per-column detail; /events serves its records
-	// alone. Optional: when nil, both endpoints serve an empty set.
+	// maxDead dead zones of per-column detail. Optional: when nil,
+	// /adaptation serves an empty set.
 	Adaptation func(maxDead int) obs.AdaptationSnapshot
 }
 
@@ -138,7 +138,6 @@ func (s *Server) mux() *http.ServeMux {
 	m.HandleFunc("/traces", s.handleTraces)
 	m.HandleFunc("/slow", s.handleSlow)
 	m.HandleFunc("/skipmap", s.handleSkipmap)
-	m.HandleFunc("/events", s.handleEvents)
 	m.HandleFunc("/runtime", s.handleRuntime)
 	m.HandleFunc("/history", s.handleHistory)
 	m.HandleFunc("/health", s.handleHealth)
@@ -168,7 +167,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 <li><a href="/traces">/traces</a> — recent query traces (add <code>?format=chrome</code> for a chrome://tracing file)</li>
 <li><a href="/slow">/slow</a> — slow-query log</li>
 <li><a href="/skipmap">/skipmap</a> — per-zone skipping-effectiveness heatmap (add <code>?zones=N</code>)</li>
-<li><a href="/events">/events</a> — adaptation records (the <code>events</code> array of /adaptation)</li>
 <li><a href="/runtime">/runtime</a> — sampled Go runtime statistics</li>
 <li><a href="/history">/history</a> — adaptation timeline (sampled skip ratio, latency quantiles, per-column series)</li>
 <li><a href="/health">/health</a> — SLO snapshot / readiness probe (503 while any objective is critical)</li>
@@ -347,16 +345,6 @@ func (s *Server) handleSkipmap(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, tables)
-}
-
-// handleEvents serves the retained adaptation records oldest-first: the
-// "events" array of /adaptation without the envelope or the ROI rows.
-func (s *Server) handleEvents(w http.ResponseWriter, _ *http.Request) {
-	evs := []obs.LedgerRecord{}
-	if s.src.Adaptation != nil {
-		evs = append(evs, s.src.Adaptation(0).Events...)
-	}
-	writeJSON(w, evs)
 }
 
 // handleRuntime serves the sampled runtime statistics oldest-first.

@@ -61,7 +61,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// Every JSON endpoint returns 200 and parses.
-	for _, path := range []string{"/metrics.json", "/traces", "/slow", "/skipmap", "/events", "/runtime"} {
+	for _, path := range []string{"/metrics.json", "/traces", "/slow", "/skipmap", "/runtime"} {
 		code, body := get(t, srv.URL()+path)
 		if code != http.StatusOK {
 			t.Fatalf("GET %s = %d, want 200", path, code)
@@ -124,7 +124,7 @@ func TestServerOptionalSourcesNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, path := range []string{"/slow", "/skipmap", "/events"} {
+	for _, path := range []string{"/slow", "/skipmap", "/adaptation"} {
 		code, body := get(t, srv.URL()+path)
 		if code != http.StatusOK {
 			t.Fatalf("GET %s = %d, want 200", path, code)

@@ -22,7 +22,6 @@ func workloadSource() Source {
 		Fingerprint: "SELECT COUNT(*) FROM data WHERE v < ?", Table: "data",
 		Latency: 50 * time.Millisecond, RowsRead: 1000, RowsReturned: 10,
 		RowsSkipped: 9000, ZonesRead: 4, ZonesPruned: 36, BytesScanned: 8000,
-		ZoneIDs: map[string][]int{"v": {0, 1, 2, 3}},
 	})
 	for i := 0; i < 3; i++ {
 		tbl.Record(stats.Sample{
@@ -64,13 +63,13 @@ func TestWorkloadEndpointSchema(t *testing.T) {
 	if err := json.Unmarshal(envelope["templates"], &templates); err != nil || len(templates) != 2 {
 		t.Fatalf("templates: err=%v n=%d", err, len(templates))
 	}
-	// The big template carries a zone sketch, so it has the full key set.
+	// An unsharded template's key set (shard attribution is omitempty).
 	wantTemplate := []string{
 		"bytes_scanned", "cache_hits", "calls", "errors", "fingerprint",
 		"first_seen", "last_seen", "mean_us", "p50_us", "p95_us",
 		"rows_read", "rows_returned", "rows_skipped", "skip_base",
 		"skip_fast", "skip_ratio", "skip_regression",
-		"table", "total_seconds", "zone_touch", "zones_pruned", "zones_read",
+		"table", "total_seconds", "zones_pruned", "zones_read",
 	}
 	if got := sortedKeys(templates[0]); !equalStrings(got, wantTemplate) {
 		t.Fatalf("template keys = %v, want %v (schema is golden-locked)", got, wantTemplate)

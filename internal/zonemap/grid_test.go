@@ -1,0 +1,170 @@
+package zonemap_test
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"adskip/internal/bitvec"
+	"adskip/internal/core"
+	"adskip/internal/expr"
+	"adskip/internal/imprint"
+	"adskip/internal/zonemap"
+)
+
+// gridKinds is every summary kind of the fixed grid. learn fixes whatever
+// the kind derives from the whole column and returns a builder of grids
+// over a row prefix, so a grid extended from a prefix and one built from
+// scratch share the kind and differ only in how their zones came about.
+var gridKinds = []struct {
+	name  string
+	learn func(codes []int64, nulls *bitvec.BitVec, zoneSize int) func(rows int) core.Skipper
+}{
+	{"static", func(codes []int64, nulls *bitvec.BitVec, zoneSize int) func(int) core.Skipper {
+		return func(rows int) core.Skipper { return zonemap.Build(codes[:rows], nulls, zoneSize) }
+	}},
+	{"imprint", func(codes []int64, nulls *bitvec.BitVec, zoneSize int) func(int) core.Skipper {
+		bins := imprint.Learn(codes, nulls)
+		return func(rows int) core.Skipper { return zonemap.NewGrid(bins, codes[:rows], nulls, zoneSize) }
+	}},
+}
+
+// randomRanges draws a normalized set of up to four intervals around the
+// column's value domain.
+func randomRanges(rng *rand.Rand, domain int64) expr.Ranges {
+	var r expr.Ranges
+	for k := rng.Intn(5); k > 0; k-- {
+		lo := rng.Int63n(domain+20) - 10
+		r.Lo = append(r.Lo, lo)
+		r.Hi = append(r.Hi, lo+rng.Int63n(domain/2+1))
+	}
+	return r.Normalize()
+}
+
+// checkWindows fails unless res's windows are ordered, disjoint and
+// non-empty, contain every row match reports (candidates ⊇ matching
+// rows), hold nothing but matches when Covered, and leave exactly
+// RowsSkipped rows outside.
+func checkWindows(t *testing.T, what string, res core.PruneResult, n int, match func(row int) bool) {
+	t.Helper()
+	if !res.Enabled {
+		t.Fatalf("%s: the grid declined", what)
+	}
+	inCand, covered, prevHi := make([]bool, n), make([]bool, n), 0
+	for _, c := range res.Zones {
+		if c.Lo >= c.Hi || c.Lo < prevHi || c.Hi > n || c.ID != core.NoZoneID {
+			t.Fatalf("%s: window %+v after row %d of %d", what, c, prevHi, n)
+		}
+		prevHi = c.Hi
+		for i := c.Lo; i < c.Hi; i++ {
+			inCand[i], covered[i] = true, c.Covered
+		}
+	}
+	skipped := 0
+	for i := 0; i < n; i++ {
+		switch m := match(i); {
+		case m && !inCand[i]:
+			t.Fatalf("%s: matching row %d skipped", what, i)
+		case covered[i] && !m:
+			t.Fatalf("%s: row %d is in a covered window and does not match", what, i)
+		case !inCand[i]:
+			skipped++
+		}
+	}
+	if skipped != res.RowsSkipped {
+		t.Fatalf("%s: RowsSkipped=%d, %d rows lie outside the windows", what, res.RowsSkipped, skipped)
+	}
+}
+
+// The grid's contract, checked once for every summary kind over random
+// nullable columns (empty included), zone sizes 1…n+1 and random range
+// sets: probes are sound, Extend in random increments equals a
+// from-scratch build, and CheckInvariants tells a tight grid from a
+// loosened one.
+func TestGridProperties(t *testing.T) {
+	for _, kind := range gridKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			loosened := 0
+			for seed := int64(0); seed < 150; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				n := rng.Intn(300)
+				zoneSize := 1 + rng.Intn(n+1)
+				domain := 1 + rng.Int63n(1000)
+				codes := make([]int64, n)
+				var nulls *bitvec.BitVec
+				if rng.Intn(3) > 0 {
+					nulls = bitvec.New(n)
+				}
+				nullRun := rng.Intn(3) == 0 // whole zones of NULLs, not only scattered ones
+				for i := range codes {
+					codes[i] = rng.Int63n(domain)
+					if rng.Intn(8) == 0 {
+						codes[i] *= 1_000_000 // heavy tail: uneven bins
+					}
+					if nulls != nil && (rng.Intn(6) == 0 || nullRun && (i/zoneSize)%3 == 0) {
+						nulls.Set(i)
+					}
+				}
+				isNull := func(i int) bool { return nulls != nil && nulls.Get(i) }
+				build := kind.learn(codes, nulls, zoneSize)
+
+				// Extend in random increments equals a from-scratch build.
+				fresh := build(n)
+				g := build(rng.Intn(n + 1))
+				for g.Rows() < n {
+					g.Extend(codes[:g.Rows()+1+rng.Intn(n-g.Rows())], nulls)
+				}
+				if !reflect.DeepEqual(g, fresh) {
+					t.Fatalf("seed %d: extended grid %+v, built grid %+v", seed, g, fresh)
+				}
+				if md := g.Metadata(); md.Kind != kind.name || md.Zones != (n+zoneSize-1)/zoneSize || g.Rows() != n {
+					t.Fatalf("seed %d: metadata %+v over %d rows, zone size %d", seed, md, n, zoneSize)
+				}
+				if err := g.CheckInvariants(codes, nulls, true); err != nil {
+					t.Fatalf("seed %d: fresh grid: %v", seed, err)
+				}
+
+				// Probes are sound.
+				for q := 0; q < 4; q++ {
+					r := randomRanges(rng, domain)
+					checkWindows(t, r.String(), g.Prune(r), n, func(i int) bool { return !isNull(i) && r.Contains(codes[i]) })
+				}
+				checkWindows(t, "IS NULL", g.PruneNulls(), n, isNull)
+
+				// A Widen that loosens a zone — admits a code the zone was
+				// skipped for, with the column left as it was — keeps the
+				// grid sound and no longer tight.
+				for try := 0; try < 8 && n > 0; try++ {
+					row, code := rng.Intn(n), rng.Int63n(2*domain)*int64(1+rng.Intn(2)*999_999)
+					point := expr.Ranges{Lo: []int64{code}, Hi: []int64{code}}
+					inWindow := func(res core.PruneResult) bool {
+						for _, c := range res.Zones {
+							if c.Lo <= row && row < c.Hi {
+								return true
+							}
+						}
+						return false
+					}
+					if isNull(row) || inWindow(g.Prune(point)) {
+						continue
+					}
+					g.Widen(row, code)
+					if !inWindow(g.Prune(point)) {
+						t.Fatalf("seed %d: row %d's zone still skipped for %d after Widen", seed, row, code)
+					}
+					if err := g.CheckInvariants(codes, nulls, false); err != nil {
+						t.Fatalf("seed %d: loosened grid, loose check: %v", seed, err)
+					}
+					if err := g.CheckInvariants(codes, nulls, true); err == nil {
+						t.Fatalf("seed %d: grid loosened at row %d by %d passed the exact check", seed, row, code)
+					}
+					loosened++
+					break
+				}
+			}
+			if loosened < 50 {
+				t.Fatalf("only %d of 150 columns found a loosening Widen", loosened)
+			}
+		})
+	}
+}

@@ -1,222 +1,254 @@
-// Package zonemap implements classic fixed-granularity zonemaps, the
-// static baseline that adaptive zonemaps are measured against.
+// Package zonemap implements the fixed-grid skipper — zones of a fixed
+// number of consecutive rows, one summary and one non-null count per zone,
+// every zone probed on every query — and its classic summary kind, the
+// static zonemap the adaptive zonemap is measured against.
 //
-// A zonemap divides a column into fixed-size zones of consecutive rows and
-// records (min, max, non-null count) per zone. A range predicate skips a
-// zone whose [min, max] does not overlap the predicate's code intervals.
-// Probing metadata costs one interval test per zone on every query — the
-// overhead the paper shows is unrecoverable on arbitrary data
-// distributions, motivating adaptivity.
+// What a zone's summary is, and how a predicate is tested against it, is
+// a Kind: the min/max hull here, the bin-occurrence mask in package
+// imprint. Everything else — zone layout, Extend, PruneNulls, candidate
+// coalescing, invariant re-derivation — is the Grid's, once. Probing costs
+// one summary test per zone on every query: the overhead the paper shows
+// is unrecoverable on arbitrary data distributions, motivating adaptivity.
 package zonemap
 
 import (
 	"fmt"
 
 	"adskip/internal/bitvec"
+	"adskip/internal/core"
 	"adskip/internal/expr"
+	"adskip/internal/obs"
 	"adskip/internal/scan"
 )
 
-// Zone is the metadata of one fixed-size zone.
-type Zone struct {
-	Min, Max int64 // bounds over non-null rows; meaningless when NonNull==0
-	NonNull  int   // number of rows carrying a value
+// Kind is one way of summarising a zone: S is the per-zone summary (the
+// metadata type), Q the clause a predicate is lowered to once per query
+// and tested against each summary. A summary is meaningful only for a
+// zone holding at least one value; the Grid never tests or compares the
+// summary of an all-NULL zone.
+type Kind[S, Q any] interface {
+	// Name is the Metadata kind.
+	Name() string
+	// Bytes estimates the footprint of zones summaries with their
+	// non-null counts, plus the kind's own state.
+	Bytes(zones int) int
+	// Summarize derives the summary and non-null count of rows [lo, hi).
+	Summarize(codes []int64, nulls *bitvec.BitVec, lo, hi int) (s S, nonNull int)
+	// Admit loosens s to hold code; empty says s holds no value yet.
+	Admit(s S, empty bool, code int64) S
+	// Lower turns a predicate's code intervals into the clause.
+	Lower(r expr.Ranges) Q
+	// Test reports whether a zone summarised by s may hold a matching
+	// value (overlaps) and whether every value it holds matches (covers).
+	Test(q Q, s S) (overlaps, covers bool)
+	// Holds reports whether the stored summary admits everything the
+	// re-derived one does — and nothing more when exact.
+	Holds(have, derived S, exact bool) bool
 }
 
-// Map is a fixed-granularity zonemap over a column prefix of n rows.
-type Map struct {
+// Grid is a fixed-granularity skipper over a column prefix of n rows:
+// zone i covers rows [i*zoneSize, min((i+1)*zoneSize, n)). It never
+// learns: Observe, the journal, Health and Introspect have nothing to do.
+type Grid[S, Q any] struct {
+	kind     Kind[S, Q]
 	zoneSize int
 	n        int
-	zones    []Zone
+	sums     []S
+	nonNull  []int32 // rows carrying a value, per zone
 }
 
-// Build constructs a zonemap over the first len(codes) rows of a column.
-// zoneSize must be positive. nulls may be nil.
-func Build(codes []int64, nulls *bitvec.BitVec, zoneSize int) *Map {
+// NewGrid summarises the first len(codes) rows of a column in zones of
+// zoneSize rows (positive; a zone holds at most 2^31 rows). nulls may be
+// nil.
+func NewGrid[S, Q any](kind Kind[S, Q], codes []int64, nulls *bitvec.BitVec, zoneSize int) *Grid[S, Q] {
 	if zoneSize <= 0 {
-		panic(fmt.Sprintf("zonemap: zoneSize %d must be positive", zoneSize))
+		panic(fmt.Sprintf("%s: zoneSize %d must be positive", kind.Name(), zoneSize))
 	}
-	m := &Map{zoneSize: zoneSize}
-	m.Extend(codes, nulls)
-	return m
+	g := &Grid[S, Q]{kind: kind, zoneSize: zoneSize}
+	g.Extend(codes, nulls)
+	return g
 }
-
-// ZoneSize returns the configured rows-per-zone.
-func (m *Map) ZoneSize() int { return m.zoneSize }
 
 // Rows returns the number of rows covered by metadata.
-func (m *Map) Rows() int { return m.n }
+func (g *Grid[S, Q]) Rows() int { return g.n }
 
-// NumZones returns the number of zones.
-func (m *Map) NumZones() int { return len(m.zones) }
+// Metadata reports the grid's shape and the kind's footprint estimate.
+func (g *Grid[S, Q]) Metadata() core.Metadata {
+	return core.Metadata{Kind: g.kind.Name(), Zones: len(g.sums), Bytes: g.kind.Bytes(len(g.sums)), Enabled: true}
+}
 
-// Zone returns a copy of zone i's metadata.
-func (m *Map) Zone(i int) Zone { return m.zones[i] }
+// window returns zone zi's row window.
+func (g *Grid[S, Q]) window(zi int) (lo, hi int) {
+	lo = zi * g.zoneSize
+	return lo, min(lo+g.zoneSize, g.n)
+}
 
-// MemoryBytes estimates the metadata footprint (two bounds plus a count
-// per zone).
-func (m *Map) MemoryBytes() int { return len(m.zones) * (8 + 8 + 8) }
-
-// Extend grows the zonemap to cover codes, which must be the column's full
-// code slice (the map remembers how many rows it has already summarized
+// Extend grows the grid to cover codes, which must be the column's full
+// code slice (the grid remembers how many rows it has already summarised
 // and only processes the suffix). The final, possibly partial, zone is
 // rebuilt when new rows land in it.
-func (m *Map) Extend(codes []int64, nulls *bitvec.BitVec) {
+func (g *Grid[S, Q]) Extend(codes []int64, nulls *bitvec.BitVec) {
 	total := len(codes)
-	if total <= m.n {
+	if total <= g.n {
 		return
 	}
-	// Drop a trailing partial zone so it is rebuilt with the new rows.
-	if rem := m.n % m.zoneSize; rem != 0 {
-		m.zones = m.zones[:len(m.zones)-1]
-		m.n -= rem
+	whole := g.n / g.zoneSize
+	g.sums, g.nonNull = g.sums[:whole], g.nonNull[:whole]
+	for lo := whole * g.zoneSize; lo < total; lo += g.zoneSize {
+		s, nn := g.kind.Summarize(codes, nulls, lo, min(lo+g.zoneSize, total))
+		g.sums = append(g.sums, s)
+		g.nonNull = append(g.nonNull, int32(nn))
 	}
-	for lo := m.n; lo < total; lo += m.zoneSize {
-		hi := lo + m.zoneSize
-		if hi > total {
-			hi = total
-		}
-		z := Zone{}
-		if min, max, nonNull := scan.MinMaxRange(codes, lo, hi, nulls, 0); nonNull > 0 {
-			z.Min, z.Max, z.NonNull = min, max, nonNull
-		}
-		m.zones = append(m.zones, z)
-	}
-	m.n = total
+	g.n = total
 }
 
-// Widen grows zone bounds to admit an updated value at the given row. Used
-// by in-place updates: widening keeps pruning sound at the cost of looser
-// bounds (re-tightening requires a rebuild).
-func (m *Map) Widen(row int, code int64) {
-	zi := row / m.zoneSize
-	z := &m.zones[zi]
-	if z.NonNull == 0 {
-		z.Min, z.Max = code, code
+// Widen loosens the enclosing zone's summary to admit an updated value at
+// row: pruning stays sound at the cost of a looser summary (re-tightening
+// requires a rebuild). It leaves the non-null count alone; callers must
+// also call NoteNonNull when the write replaced a NULL.
+func (g *Grid[S, Q]) Widen(row int, code int64) {
+	zi := row / g.zoneSize
+	g.sums[zi] = g.kind.Admit(g.sums[zi], g.nonNull[zi] == 0, code)
+}
+
+// NoteNonNull records that a formerly NULL row now holds a value.
+func (g *Grid[S, Q]) NoteNonNull(row int) { g.nonNull[row/g.zoneSize]++ }
+
+// Prune probes every zone: all-NULL zones and zones whose summary cannot
+// hold a match are skipped; null-free zones whose every value matches are
+// emitted as Covered — "covered" means every row matches, the property
+// multi-column intersection relies on — so the executor can short-circuit
+// counting.
+func (g *Grid[S, Q]) Prune(r expr.Ranges) core.PruneResult {
+	q := g.kind.Lower(r)
+	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.sums)}
+	for zi, nn := range g.nonNull {
+		lo, hi := g.window(zi)
+		overlaps, covers := false, false
+		if nn != 0 {
+			overlaps, covers = g.kind.Test(q, g.sums[zi])
+		}
+		emit(&res, lo, hi, !overlaps, covers && int(nn) == hi-lo)
+	}
+	return res
+}
+
+// PruneNulls emits candidates for IS NULL scans: zones with no NULL rows
+// are skipped; all-NULL zones are covered (every row matches).
+func (g *Grid[S, Q]) PruneNulls() core.PruneResult {
+	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.sums)}
+	for zi, nn := range g.nonNull {
+		lo, hi := g.window(zi)
+		emit(&res, lo, hi, int(nn) == hi-lo, nn == 0)
+	}
+	return res
+}
+
+// emit records a probe's verdict on the zone over rows [lo, hi): skipped,
+// or a candidate, coalesced with the window before it when they touch and
+// agree on coverage.
+func emit(res *core.PruneResult, lo, hi int, skip, covered bool) {
+	if skip {
+		res.RowsSkipped += hi - lo
+		return
+	}
+	if k := len(res.Zones); k > 0 && res.Zones[k-1].Hi == lo && res.Zones[k-1].Covered == covered {
+		res.Zones[k-1].Hi = hi
 	} else {
-		if code < z.Min {
-			z.Min = code
-		}
-		if code > z.Max {
-			z.Max = code
-		}
+		res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: lo, Hi: hi, Covered: covered})
 	}
-	// A previously-null row gaining a value increases NonNull; callers that
-	// only overwrite values may pass through NoteNonNull separately. We
-	// conservatively leave NonNull unchanged here — Prune uses it only to
-	// skip all-null zones and for covered short-circuits, and callers of
-	// Widen must call NoteNonNull when a NULL was overwritten.
-}
-
-// NoteNonNull records that a formerly NULL row in zone row/zoneSize now
-// holds a value.
-func (m *Map) NoteNonNull(row int) {
-	m.zones[row/m.zoneSize].NonNull++
 }
 
 // CheckInvariants re-derives every zone from the column's physical state;
-// codes must be exactly the Rows() rows the map covers. A zone's non-null
+// codes must be exactly the Rows() rows the grid covers. A zone's non-null
 // count must equal the column's (Prune's covered proof and PruneNulls read
-// it in both directions) and its [Min, Max] must enclose the rows' hull —
-// and equal it when exact, i.e. when no Widen has loosened the zone since
-// it was built.
-func (m *Map) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
-	if want := (m.n + m.zoneSize - 1) / m.zoneSize; len(codes) != m.n || len(m.zones) != want {
-		return fmt.Errorf("zonemap: %d zones over %d rows, want %d zones over the column's %d rows",
-			len(m.zones), m.n, want, len(codes))
+// it in both directions) and its summary must admit every value in its
+// rows — and equal the re-derived one when exact, i.e. when no Widen has
+// loosened the zone since it was built.
+func (g *Grid[S, Q]) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
+	name := g.kind.Name()
+	want := (g.n + g.zoneSize - 1) / g.zoneSize
+	if len(codes) != g.n || len(g.sums) != want || len(g.nonNull) != want {
+		return fmt.Errorf("%s: %d summaries, %d counts over %d rows, want %d zones over the column's %d rows",
+			name, len(g.sums), len(g.nonNull), g.n, want, len(codes))
 	}
-	for zi, z := range m.zones {
-		lo := zi * m.zoneSize
-		hi := min(lo+m.zoneSize, m.n)
-		mn, mx, nonNull := scan.MinMaxRange(codes, lo, hi, nulls, 0)
-		if nonNull != z.NonNull {
-			return fmt.Errorf("zonemap: zone %d nonNull=%d, rows [%d,%d) hold %d", zi, z.NonNull, lo, hi, nonNull)
+	for zi, have := range g.sums {
+		lo, hi := g.window(zi)
+		derived, nonNull := g.kind.Summarize(codes, nulls, lo, hi)
+		if nonNull != int(g.nonNull[zi]) {
+			return fmt.Errorf("%s: zone %d nonNull=%d, rows [%d,%d) hold %d", name, zi, g.nonNull[zi], lo, hi, nonNull)
 		}
-		if nonNull == 0 {
-			continue
-		}
-		if mn < z.Min || mx > z.Max || exact && (mn != z.Min || mx != z.Max) {
-			return fmt.Errorf("zonemap: zone %d bounds [%d,%d], rows [%d,%d) span [%d,%d]", zi, z.Min, z.Max, lo, hi, mn, mx)
+		if nonNull > 0 && !g.kind.Holds(have, derived, exact) {
+			return fmt.Errorf("%s: zone %d summary %#v, rows [%d,%d) derive %#v", name, zi, have, lo, hi, derived)
 		}
 	}
 	return nil
 }
 
-// Candidate is one contiguous row range the scan must visit.
-type Candidate struct {
-	Lo, Hi  int  // row window [Lo, Hi)
-	Covered bool // every non-null row in the window is known to match
-}
+// Observe is a no-op: a fixed grid does not learn.
+func (g *Grid[S, Q]) Observe(core.PruneResult, []core.ZoneObservation) {}
 
-// PruneStats reports the work the probe did, for the experiment harness
-// and the adaptive cost model.
-type PruneStats struct {
-	ZonesProbed  int
-	ZonesSkipped int
-	ZonesCovered int
-	RowsSkipped  int
-}
+// Health reports no corruption: the grid has no invariant it could notice
+// broken mid-probe.
+func (g *Grid[S, Q]) Health() error { return nil }
 
-// PruneNulls emits candidates for IS NULL scans: zones with no NULL rows
-// are skipped; all-NULL zones are covered (every row matches). Adjacent
-// candidates with the same coverage state merge.
-func (m *Map) PruneNulls(dst []Candidate) ([]Candidate, PruneStats) {
-	var st PruneStats
-	st.ZonesProbed = len(m.zones)
-	for zi, z := range m.zones {
-		lo := zi * m.zoneSize
-		hi := lo + m.zoneSize
-		if hi > m.n {
-			hi = m.n
-		}
-		if z.NonNull == hi-lo {
-			st.ZonesSkipped++
-			st.RowsSkipped += hi - lo
-			continue
-		}
-		covered := z.NonNull == 0
-		if covered {
-			st.ZonesCovered++
-		}
-		if k := len(dst); k > 0 && dst[k-1].Hi == lo && dst[k-1].Covered == covered {
-			dst[k-1].Hi = hi
-		} else {
-			dst = append(dst, Candidate{Lo: lo, Hi: hi, Covered: covered})
-		}
+// SetJournal ignores the sink: the grid never changes shape.
+func (g *Grid[S, Q]) SetJournal(func(obs.LedgerRecord)) {}
+
+// Introspect reports nothing: the grid keeps no per-zone counters.
+func (g *Grid[S, Q]) Introspect() obs.SkipperSnapshot { return obs.SkipperSnapshot{} }
+
+// ---------------------------------------------------------------------------
+// Summary kind: the min/max hull (PolicyStatic).
+
+// Hull is the value hull of a zone's non-null rows.
+type Hull struct{ Min, Max int64 }
+
+// hullKind summarises a zone by its Hull and tests the predicate's code
+// intervals against it directly: a zone skips when no interval overlaps
+// [Min, Max] and is covered when one interval encloses it.
+type hullKind struct{}
+
+func (hullKind) Name() string        { return "static" }
+func (hullKind) Bytes(zones int) int { return zones * (8 + 8 + 8) }
+
+func (hullKind) Summarize(codes []int64, nulls *bitvec.BitVec, lo, hi int) (Hull, int) {
+	mn, mx, nonNull := scan.MinMaxRange(codes, lo, hi, nulls, 0)
+	if nonNull == 0 {
+		return Hull{}, 0
 	}
-	return dst, st
+	return Hull{mn, mx}, nonNull
 }
 
-// Prune probes every zone against r and appends the row ranges that must
-// be scanned to dst, merging adjacent candidates with the same coverage
-// state. Zones whose metadata proves emptiness (no overlap, or all-null)
-// are skipped; zones whose bounds are fully inside one predicate interval
-// are emitted as Covered so the executor can short-circuit counting.
-func (m *Map) Prune(r expr.Ranges, dst []Candidate) ([]Candidate, PruneStats) {
-	var st PruneStats
-	st.ZonesProbed = len(m.zones)
-	for zi, z := range m.zones {
-		lo := zi * m.zoneSize
-		hi := lo + m.zoneSize
-		if hi > m.n {
-			hi = m.n
-		}
-		if z.NonNull == 0 || !r.Overlaps(z.Min, z.Max) {
-			st.ZonesSkipped++
-			st.RowsSkipped += hi - lo
-			continue
-		}
-		// Covered requires a null-free zone so that "covered" means every
-		// row matches — the property multi-column intersection relies on.
-		covered := z.NonNull == hi-lo && r.Covers(z.Min, z.Max)
-		if covered {
-			st.ZonesCovered++
-		}
-		if k := len(dst); k > 0 && dst[k-1].Hi == lo && dst[k-1].Covered == covered {
-			dst[k-1].Hi = hi
-		} else {
-			dst = append(dst, Candidate{Lo: lo, Hi: hi, Covered: covered})
-		}
+func (hullKind) Admit(h Hull, empty bool, code int64) Hull {
+	if empty {
+		return Hull{code, code}
 	}
-	return dst, st
+	return Hull{min(h.Min, code), max(h.Max, code)}
 }
+
+func (hullKind) Lower(r expr.Ranges) expr.Ranges { return r }
+
+func (hullKind) Test(r expr.Ranges, h Hull) (overlaps, covers bool) {
+	if len(r.Lo) == 1 { // a comparison, BETWEEN or equality: nothing to search
+		lo, hi := r.Lo[0], r.Hi[0]
+		return lo <= h.Max && h.Min <= hi, lo <= h.Min && h.Max <= hi
+	}
+	overlaps = r.Overlaps(h.Min, h.Max)
+	return overlaps, overlaps && r.Covers(h.Min, h.Max)
+}
+
+func (hullKind) Holds(have, derived Hull, exact bool) bool {
+	if exact {
+		return have == derived
+	}
+	return have.Min <= derived.Min && derived.Max <= have.Max
+}
+
+// Build constructs the static zonemap over the first len(codes) rows of a
+// column: the Grid under the min/max hull.
+func Build(codes []int64, nulls *bitvec.BitVec, zoneSize int) *Grid[Hull, expr.Ranges] {
+	return NewGrid[Hull, expr.Ranges](hullKind{}, codes, nulls, zoneSize)
+}
+
+var _ core.Skipper = (*Grid[Hull, expr.Ranges])(nil)

@@ -6,8 +6,33 @@ import (
 	"testing/quick"
 
 	"adskip/internal/bitvec"
+	"adskip/internal/core"
 	"adskip/internal/expr"
 )
+
+// zone is one zone's metadata as the static-zonemap tests read it.
+type zone struct {
+	Min, Max int64
+	NonNull  int
+}
+
+func zoneOf(m *Grid[Hull, expr.Ranges], zi int) zone {
+	return zone{m.sums[zi].Min, m.sums[zi].Max, int(m.nonNull[zi])}
+}
+
+// zoneCounts recovers how many zones a probe skipped and how many it
+// proved covered from the coalesced candidate windows.
+func zoneCounts(res core.PruneResult, zoneSize int) (skipped, covered int) {
+	skipped = res.ZonesProbed
+	for _, c := range res.Zones {
+		zones := (c.Hi - c.Lo + zoneSize - 1) / zoneSize
+		skipped -= zones
+		if c.Covered {
+			covered += zones
+		}
+	}
+	return skipped, covered
+}
 
 func seq(n int, f func(i int) int64) []int64 {
 	out := make([]int64, n)
@@ -24,27 +49,28 @@ func oneRange(lo, hi int64) expr.Ranges {
 func TestBuildBasics(t *testing.T) {
 	codes := seq(100, func(i int) int64 { return int64(i) })
 	m := Build(codes, nil, 10)
-	if m.NumZones() != 10 || m.Rows() != 100 || m.ZoneSize() != 10 {
-		t.Fatalf("zones=%d rows=%d", m.NumZones(), m.Rows())
+	md := m.Metadata()
+	if md.Kind != "static" || md.Zones != 10 || !md.Enabled || m.Rows() != 100 || m.zoneSize != 10 {
+		t.Fatalf("metadata=%+v rows=%d", md, m.Rows())
 	}
 	for zi := 0; zi < 10; zi++ {
-		z := m.Zone(zi)
+		z := zoneOf(m, zi)
 		if z.Min != int64(zi*10) || z.Max != int64(zi*10+9) || z.NonNull != 10 {
 			t.Fatalf("zone %d = %+v", zi, z)
 		}
 	}
-	if m.MemoryBytes() != 10*24 {
-		t.Fatalf("MemoryBytes=%d", m.MemoryBytes())
+	if md.Bytes != 10*24 {
+		t.Fatalf("Bytes=%d", md.Bytes)
 	}
 }
 
 func TestBuildPartialLastZone(t *testing.T) {
 	codes := seq(25, func(i int) int64 { return int64(i) })
 	m := Build(codes, nil, 10)
-	if m.NumZones() != 3 {
-		t.Fatalf("zones=%d want 3", m.NumZones())
+	if len(m.sums) != 3 {
+		t.Fatalf("zones=%d want 3", len(m.sums))
 	}
-	z := m.Zone(2)
+	z := zoneOf(m, 2)
 	if z.Min != 20 || z.Max != 24 || z.NonNull != 5 {
 		t.Fatalf("partial zone = %+v", z)
 	}
@@ -67,44 +93,44 @@ func TestBuildWithNulls(t *testing.T) {
 	}
 	nulls.Set(3)
 	m := Build(codes, nulls, 10)
-	z0 := m.Zone(0)
+	z0 := zoneOf(m, 0)
 	if z0.NonNull != 9 || z0.Min != 0 || z0.Max != 9 {
 		t.Fatalf("zone0 = %+v", z0)
 	}
-	z1 := m.Zone(1)
+	z1 := zoneOf(m, 1)
 	if z1.NonNull != 0 {
 		t.Fatalf("zone1 = %+v", z1)
 	}
 	// All-null zone is always skipped.
-	cands, st := m.Prune(oneRange(-1000, 1000), nil)
-	if len(cands) != 1 || cands[0].Lo != 0 || cands[0].Hi != 10 {
+	res := m.Prune(oneRange(-1000, 1000))
+	if cands := res.Zones; len(cands) != 1 || cands[0].Lo != 0 || cands[0].Hi != 10 {
 		t.Fatalf("cands=%v", cands)
 	}
-	if st.ZonesSkipped != 1 || st.RowsSkipped != 10 {
-		t.Fatalf("stats=%+v", st)
+	if skipped, _ := zoneCounts(res, 10); skipped != 1 || res.RowsSkipped != 10 {
+		t.Fatalf("res=%+v", res)
 	}
 }
 
 func TestExtendIncremental(t *testing.T) {
 	codes := seq(25, func(i int) int64 { return int64(i) })
 	m := Build(codes[:7], nil, 10)
-	if m.NumZones() != 1 || m.Zone(0).NonNull != 7 {
-		t.Fatalf("initial: zones=%d", m.NumZones())
+	if len(m.sums) != 1 || zoneOf(m, 0).NonNull != 7 {
+		t.Fatalf("initial: zones=%d", len(m.sums))
 	}
 	m.Extend(codes, nil)
-	if m.NumZones() != 3 || m.Rows() != 25 {
-		t.Fatalf("extended: zones=%d rows=%d", m.NumZones(), m.Rows())
+	if len(m.sums) != 3 || m.Rows() != 25 {
+		t.Fatalf("extended: zones=%d rows=%d", len(m.sums), m.Rows())
 	}
 	// Must be identical to a fresh build.
 	fresh := Build(codes, nil, 10)
 	for zi := 0; zi < 3; zi++ {
-		if m.Zone(zi) != fresh.Zone(zi) {
-			t.Fatalf("zone %d: extend %+v vs fresh %+v", zi, m.Zone(zi), fresh.Zone(zi))
+		if zoneOf(m, zi) != zoneOf(fresh, zi) {
+			t.Fatalf("zone %d: extend %+v vs fresh %+v", zi, zoneOf(m, zi), zoneOf(fresh, zi))
 		}
 	}
 	// Extending with no new rows is a no-op.
 	m.Extend(codes, nil)
-	if m.NumZones() != 3 {
+	if len(m.sums) != 3 {
 		t.Fatal("no-op extend changed zones")
 	}
 }
@@ -114,17 +140,19 @@ func TestPruneSkipAndCover(t *testing.T) {
 	codes := seq(100, func(i int) int64 { return int64(i / 10) })
 	m := Build(codes, nil, 10)
 	// Predicate [3,5]: zones 3,4,5 covered, others skipped.
-	cands, st := m.Prune(oneRange(3, 5), nil)
-	if len(cands) != 1 || cands[0].Lo != 30 || cands[0].Hi != 60 || !cands[0].Covered {
+	res := m.Prune(oneRange(3, 5))
+	if cands := res.Zones; len(cands) != 1 || cands[0].Lo != 30 || cands[0].Hi != 60 || !cands[0].Covered ||
+		cands[0].ID != core.NoZoneID || cands[0].WantStats {
 		t.Fatalf("cands=%v", cands)
 	}
-	if st.ZonesProbed != 10 || st.ZonesSkipped != 7 || st.ZonesCovered != 3 || st.RowsSkipped != 70 {
-		t.Fatalf("stats=%+v", st)
+	skipped, covered := zoneCounts(res, 10)
+	if !res.Enabled || res.ZonesProbed != 10 || skipped != 7 || covered != 3 || res.RowsSkipped != 70 {
+		t.Fatalf("res=%+v", res)
 	}
 	// Empty predicate skips everything.
-	cands, st = m.Prune(expr.Ranges{}, nil)
-	if len(cands) != 0 || st.ZonesSkipped != 10 {
-		t.Fatalf("empty pred: %v %+v", cands, st)
+	res = m.Prune(expr.Ranges{})
+	if len(res.Zones) != 0 || res.RowsSkipped != 100 {
+		t.Fatalf("empty pred: %+v", res)
 	}
 }
 
@@ -135,7 +163,7 @@ func TestPruneMergesOnlySameCoverage(t *testing.T) {
 		seq(10, func(i int) int64 { return 10 })...),
 		seq(10, func(i int) int64 { return int64(20 + i) })...)
 	m := Build(codes, nil, 10)
-	cands, _ := m.Prune(oneRange(5, 15), nil)
+	cands := m.Prune(oneRange(5, 15)).Zones
 	if len(cands) != 2 {
 		t.Fatalf("cands=%v", cands)
 	}
@@ -147,21 +175,11 @@ func TestPruneMergesOnlySameCoverage(t *testing.T) {
 	}
 }
 
-func TestPruneAppendsToDst(t *testing.T) {
-	codes := seq(20, func(i int) int64 { return int64(i) })
-	m := Build(codes, nil, 10)
-	dst := []Candidate{{Lo: 777, Hi: 778}}
-	cands, _ := m.Prune(oneRange(0, 100), dst)
-	if len(cands) != 2 || cands[0].Lo != 777 {
-		t.Fatalf("dst not preserved: %v", cands)
-	}
-}
-
 func TestWidenAndNoteNonNull(t *testing.T) {
 	codes := seq(20, func(i int) int64 { return int64(i) })
 	m := Build(codes, nil, 10)
 	m.Widen(5, 1000)
-	z := m.Zone(0)
+	z := zoneOf(m, 0)
 	if z.Min != 0 || z.Max != 1000 {
 		t.Fatalf("widened zone = %+v", z)
 	}
@@ -171,11 +189,11 @@ func TestWidenAndNoteNonNull(t *testing.T) {
 	m2 := Build(codes[:10], nulls, 10)
 	m2.Widen(3, 42)
 	m2.NoteNonNull(3)
-	z = m2.Zone(0)
+	z = zoneOf(m2, 0)
 	if z.Min != 42 || z.Max != 42 || z.NonNull != 1 {
 		t.Fatalf("null-zone widen = %+v", z)
 	}
-	cands, _ := m2.Prune(oneRange(42, 42), nil)
+	cands := m2.Prune(oneRange(42, 42)).Zones
 	if len(cands) != 1 {
 		t.Fatalf("widened null zone should now be a candidate: %v", cands)
 	}
@@ -203,7 +221,8 @@ func TestQuickPruneSound(t *testing.T) {
 		m := Build(codes, nulls, zoneSize)
 		lo := rng.Int63n(120) - 10
 		r := oneRange(lo, lo+rng.Int63n(50))
-		cands, st := m.Prune(r, nil)
+		res := m.Prune(r)
+		cands := res.Zones
 
 		inCand := make([]bool, n)
 		covered := make([]bool, n)
@@ -232,7 +251,7 @@ func TestQuickPruneSound(t *testing.T) {
 				skipped++
 			}
 		}
-		return skipped == st.RowsSkipped
+		return skipped == res.RowsSkipped
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -255,11 +274,11 @@ func TestQuickExtendMatchesBuild(t *testing.T) {
 			m.Extend(codes[:next], nil)
 		}
 		fresh := Build(codes, nil, zoneSize)
-		if m.NumZones() != fresh.NumZones() {
+		if len(m.sums) != len(fresh.sums) {
 			return false
 		}
-		for zi := 0; zi < m.NumZones(); zi++ {
-			if m.Zone(zi) != fresh.Zone(zi) {
+		for zi := 0; zi < len(m.sums); zi++ {
+			if zoneOf(m, zi) != zoneOf(fresh, zi) {
 				return false
 			}
 		}
@@ -287,7 +306,8 @@ func TestQuickPruneNullsSound(t *testing.T) {
 			}
 		}
 		m := Build(codes, nulls, zoneSize)
-		cands, st := m.PruneNulls(nil)
+		res := m.PruneNulls()
+		cands := res.Zones
 		inCand := make([]bool, n)
 		covered := make([]bool, n)
 		prevHi := -1
@@ -314,7 +334,7 @@ func TestQuickPruneNullsSound(t *testing.T) {
 				skipped++
 			}
 		}
-		return skipped == st.RowsSkipped
+		return skipped == res.RowsSkipped
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
