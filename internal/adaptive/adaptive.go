@@ -26,6 +26,7 @@ import (
 	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/scan"
+	"adskip/internal/storage"
 )
 
 // ErrCorrupt marks detected metadata corruption: a violated structural
@@ -271,11 +272,11 @@ func hull(zones []zone) (min, max int64, ok bool) {
 }
 
 // New builds an adaptive zonemap over the column's current physical state.
-func New(codes []int64, nulls *bitvec.BitVec, cfg Config) *Zonemap {
+func New(codes storage.Vec, nulls *bitvec.BitVec, cfg Config) *Zonemap {
 	z := &Zonemap{cfg: cfg.withDefaults(), enabled: true}
-	z.rows = len(codes)
-	z.appendZones(codes, nulls, 0, len(codes))
-	z.tailLo = len(codes)
+	z.rows = codes.Len()
+	z.appendZones(codes, nulls, 0, z.rows)
+	z.tailLo = z.rows
 	z.rebuildBlocks()
 	return z
 }
@@ -376,14 +377,14 @@ func (z *Zonemap) widenBlock(i int, code int64) {
 
 // appendZones builds InitialZoneRows-wide zones over rows [from, to) and
 // appends them.
-func (z *Zonemap) appendZones(codes []int64, nulls *bitvec.BitVec, from, to int) {
+func (z *Zonemap) appendZones(codes storage.Vec, nulls *bitvec.BitVec, from, to int) {
 	for lo := from; lo < to; lo += z.cfg.InitialZoneRows {
 		hi := lo + z.cfg.InitialZoneRows
 		if hi > to {
 			hi = to
 		}
 		nz := zone{lo: lo, hi: hi, heat: 0.5}
-		if min, max, nonNull := scan.MinMaxRange(codes, lo, hi, nulls, 0); nonNull > 0 {
+		if min, max, nonNull := scan.MinMax(codes, lo, hi, nulls, 0); nonNull > 0 {
 			nz.min, nz.max, nz.nonNull = min, max, nonNull
 		}
 		z.zones = append(z.zones, nz)
@@ -616,8 +617,8 @@ func (z *Zonemap) statParts(zn *zone) int {
 
 // Extend implements core.Skipper: appended rows enter the unindexed tail,
 // which is folded into coarse zones once it exceeds TailFoldRows.
-func (z *Zonemap) Extend(codes []int64, nulls *bitvec.BitVec) {
-	z.rows = len(codes)
+func (z *Zonemap) Extend(codes storage.Vec, nulls *bitvec.BitVec) {
+	z.rows = codes.Len()
 	if z.rows-z.tailLo >= z.cfg.TailFoldRows {
 		z.FoldTail(codes, nulls)
 	}
@@ -625,7 +626,7 @@ func (z *Zonemap) Extend(codes []int64, nulls *bitvec.BitVec) {
 
 // FoldTail immediately folds the append tail into zones regardless of its
 // size. Exposed for bulk-load epilogues and tests.
-func (z *Zonemap) FoldTail(codes []int64, nulls *bitvec.BitVec) {
+func (z *Zonemap) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
 	if z.rows <= z.tailLo {
 		return
 	}
@@ -721,7 +722,7 @@ func (z *Zonemap) zoneIndex(row int) int {
 // conservative (Widen may leave counts stale low only via NoteNonNull
 // omission, which is a caller bug — here they must match exactly when
 // exact==true).
-func (z *Zonemap) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
+func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
 	if z.health != nil {
 		return z.health
 	}
@@ -740,8 +741,8 @@ func (z *Zonemap) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact boo
 				continue
 			}
 			nonNull++
-			if codes[r] < zn.min || codes[r] > zn.max {
-				return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude row %d code %d", i, zn.min, zn.max, r, codes[r])
+			if c := codes.At(r); c < zn.min || c > zn.max {
+				return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude row %d code %d", i, zn.min, zn.max, r, c)
 			}
 		}
 		if exact && nonNull != zn.nonNull {

@@ -10,6 +10,7 @@ import (
 	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/scan"
+	"adskip/internal/storage"
 )
 
 func oneRange(lo, hi int64) expr.Ranges {
@@ -71,11 +72,11 @@ func smallCfg() Config {
 
 func TestNewBuildsCoarseZones(t *testing.T) {
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
-	z := New(codes, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallCfg())
 	if z.NumZones() != 3 || z.Rows() != 250 || !z.Enabled() {
 		t.Fatalf("zones=%d rows=%d", z.NumZones(), z.Rows())
 	}
-	if err := z.CheckInvariants(codes, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	md := z.Metadata()
@@ -87,7 +88,7 @@ func TestNewBuildsCoarseZones(t *testing.T) {
 func TestPruneSkipsAndCovers(t *testing.T) {
 	// Three zones with values 0..99, 100..199, 200..249 (sorted data).
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
-	z := New(codes, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallCfg())
 	res := z.Prune(oneRange(120, 180))
 	// 1 block probe + 3 member zones (all zones fit in one block).
 	if !res.Enabled || res.ZonesProbed != 4 {
@@ -126,7 +127,7 @@ func TestCountsMatchNaiveOnEveryDistribution(t *testing.T) {
 	}
 	for name, f := range distros {
 		codes := seqCodes(1000, f)
-		z := New(codes, nil, smallCfg())
+		z := New(storage.Vec{W: codes}, nil, smallCfg())
 		rng := rand.New(rand.NewSource(7))
 		for q := 0; q < 200; q++ {
 			lo := rng.Int63n(5200) - 100
@@ -136,7 +137,7 @@ func TestCountsMatchNaiveOnEveryDistribution(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s q%d: got %d want %d", name, q, got, want)
 			}
-			if err := z.CheckInvariants(codes, nil, true); err != nil {
+			if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 				t.Fatalf("%s q%d: %v", name, q, err)
 			}
 		}
@@ -149,7 +150,7 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 	cfg := smallCfg()
 	cfg.InitialZoneRows = 1000
 	codes := seqCodes(1000, func(i int) int64 { return int64(i) })
-	z := New(codes, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, cfg)
 	if z.NumZones() != 1 {
 		t.Fatalf("zones=%d", z.NumZones())
 	}
@@ -157,7 +158,7 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 	if z.NumZones() <= 1 {
 		t.Fatal("no split happened")
 	}
-	if err := z.CheckInvariants(codes, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if z.Stats().Splits == 0 {
@@ -175,7 +176,7 @@ func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 	cfg.InitialZoneRows = 40
 	cfg.MinZoneRows = 25 // 40/25 < 2 -> no stats wanted, no splits possible
 	codes := seqCodes(40, func(i int) int64 { return int64(i) })
-	z := New(codes, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, cfg)
 	res := z.Prune(oneRange(0, 5))
 	if res.Zones[0].WantStats {
 		t.Fatal("should not want stats below split floor")
@@ -185,7 +186,7 @@ func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 	cfg2.InitialZoneRows = 100
 	cfg2.MaxZones = 10 // 10 zones of 100 over 1000 rows; no headroom
 	codes2 := seqCodes(1000, func(i int) int64 { return int64(i) })
-	z2 := New(codes2, nil, cfg2)
+	z2 := New(storage.Vec{W: codes2}, nil, cfg2)
 	before := z2.NumZones()
 	execute(z2, codes2, nil, oneRange(0, 10))
 	if z2.NumZones() != before {
@@ -199,7 +200,7 @@ func TestMergeCoalescesUselessZones(t *testing.T) {
 	cfg.Window = 1 << 30 // keep arbitration from disabling during this test
 	rng := rand.New(rand.NewSource(3))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(1000) })
-	z := New(codes, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, cfg)
 	before := z.NumZones() // 10
 	for q := 0; q < 100; q++ {
 		execute(z, codes, nil, oneRange(400, 600))
@@ -210,7 +211,7 @@ func TestMergeCoalescesUselessZones(t *testing.T) {
 	if z.Stats().Merges == 0 {
 		t.Fatal("merge counter not incremented")
 	}
-	if err := z.CheckInvariants(codes, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -221,7 +222,7 @@ func TestMergeRespectsMaxZoneRows(t *testing.T) {
 	cfg.MaxZoneRows = 250
 	rng := rand.New(rand.NewSource(3))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(1000) })
-	z := New(codes, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, cfg)
 	for q := 0; q < 200; q++ {
 		execute(z, codes, nil, oneRange(0, 999))
 	}
@@ -237,7 +238,7 @@ func TestArbitrationDisablesOnAdversarialData(t *testing.T) {
 	cfg.ProbeCost = 100 // make the loss decisive quickly
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := New(codes, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, cfg)
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
@@ -267,7 +268,7 @@ func TestShadowProbeReenables(t *testing.T) {
 	cfg.Window = 4
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := New(codes, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, cfg)
 	// Disable with an unskippable workload.
 	for q := 0; q < 60; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
@@ -292,10 +293,10 @@ func TestExtendAndTailFold(t *testing.T) {
 	cfg := smallCfg()
 	cfg.TailFoldRows = 150
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
-	z := New(codes, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, cfg)
 	// Small append: goes to tail, still scanned, counts correct.
 	codes = append(codes, seqCodes(50, func(i int) int64 { return int64(1000 + i) })...)
-	z.Extend(codes, nil)
+	z.Extend(storage.Vec{W: codes}, nil)
 	if z.Stats().TailRows != 50 {
 		t.Fatalf("tail=%d", z.Stats().TailRows)
 	}
@@ -305,11 +306,11 @@ func TestExtendAndTailFold(t *testing.T) {
 	}
 	// Larger append crosses the fold threshold.
 	codes = append(codes, seqCodes(120, func(i int) int64 { return int64(2000 + i) })...)
-	z.Extend(codes, nil)
+	z.Extend(storage.Vec{W: codes}, nil)
 	if z.Stats().TailRows != 0 {
 		t.Fatalf("tail not folded: %d", z.Stats().TailRows)
 	}
-	if err := z.CheckInvariants(codes, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	// Folded zones participate in pruning.
@@ -318,8 +319,8 @@ func TestExtendAndTailFold(t *testing.T) {
 		t.Fatal("folded zones should prune")
 	}
 	// FoldTail on empty tail is a no-op.
-	z.FoldTail(codes, nil)
-	if err := z.CheckInvariants(codes, nil, true); err != nil {
+	z.FoldTail(storage.Vec{W: codes}, nil)
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -333,7 +334,7 @@ func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
 	cfg := smallCfg() // 100-row zones
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(100)
-	z := New(codes, nulls, cfg)
+	z := New(storage.Vec{W: codes}, nulls, cfg)
 	var recs []obs.LedgerRecord
 	z.SetJournal(func(r obs.LedgerRecord) { recs = append(recs, r) })
 
@@ -345,8 +346,8 @@ func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		nulls.Set(i)
 	}
-	z.Extend(codes, nulls)
-	z.FoldTail(codes, nulls)
+	z.Extend(storage.Vec{W: codes}, nulls)
+	z.FoldTail(storage.Vec{W: codes}, nulls)
 
 	if len(recs) != 1 || recs[0].Kind != obs.EventTailFold {
 		t.Fatalf("journal = %+v, want one tail-fold record", recs)
@@ -358,14 +359,14 @@ func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
 	if r.MinAfter != 5000 || r.MaxAfter != 7099 {
 		t.Fatalf("fold hull = [%d,%d], want [5000,7099]", r.MinAfter, r.MaxAfter)
 	}
-	if err := z.CheckInvariants(codes, nulls, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestWidenKeepsPruningSound(t *testing.T) {
 	codes := seqCodes(200, func(i int) int64 { return int64(i) })
-	z := New(codes, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallCfg())
 	// Update row 5 to a huge value; widen metadata accordingly.
 	codes[5] = 99999
 	z.Widen(5, 99999)
@@ -373,12 +374,12 @@ func TestWidenKeepsPruningSound(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("updated row lost: count=%d", got)
 	}
-	if err := z.CheckInvariants(codes, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	// Widen in the tail region is a no-op and must not panic.
 	codes = append(codes, 7)
-	z.Extend(codes, nil)
+	z.Extend(storage.Vec{W: codes}, nil)
 	z.Widen(200, 7)
 }
 
@@ -386,13 +387,13 @@ func TestNoteNonNull(t *testing.T) {
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(100)
 	nulls.Set(10)
-	z := New(codes, nulls, smallCfg())
+	z := New(storage.Vec{W: codes}, nulls, smallCfg())
 	// Row 10 gains value 42.
 	nulls.Clear(10)
 	codes[10] = 42
 	z.Widen(10, 42)
 	z.NoteNonNull(10)
-	if err := z.CheckInvariants(codes, nulls, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -406,7 +407,7 @@ func TestAllNullZone(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		codes[i] = int64(i)
 	}
-	z := New(codes, nulls, smallCfg())
+	z := New(storage.Vec{W: codes}, nulls, smallCfg())
 	res := z.Prune(oneRange(-1_000_000, 1_000_000))
 	// All-null zone must be skipped even for an all-matching predicate.
 	if len(res.Zones) != 1 || res.Zones[0].Lo != 100 {
@@ -440,14 +441,14 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 			codes[i] = rng.Int63n(300)
 		}
 		var nulls *bitvec.BitVec
-		z := New(codes, nulls, cfg)
+		z := New(storage.Vec{W: codes}, nulls, cfg)
 		for step := 0; step < 120; step++ {
 			switch rng.Intn(10) {
 			case 0: // append
 				for k := 0; k < 1+rng.Intn(30); k++ {
 					codes = append(codes, rng.Int63n(300))
 				}
-				z.Extend(codes, nulls)
+				z.Extend(storage.Vec{W: codes}, nulls)
 			case 1: // in-place update
 				row := rng.Intn(len(codes))
 				v := rng.Int63n(600) - 150
@@ -462,7 +463,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 					return false
 				}
 			}
-			if err := z.CheckInvariants(codes, nulls, false); err != nil {
+			if err := z.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
 				return false
 			}
 		}
@@ -488,7 +489,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestDescribeZones(t *testing.T) {
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
-	z := New(codes, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallCfg())
 	s := z.DescribeZones(2)
 	if s == "" || len(s) < 20 {
 		t.Fatalf("DescribeZones: %q", s)

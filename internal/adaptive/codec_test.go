@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"adskip/internal/storage"
 )
 
 // trainedZonemap builds a zonemap and runs queries so it has learned
@@ -12,7 +14,7 @@ import (
 func trainedZonemap(t *testing.T) (*Zonemap, []int64) {
 	t.Helper()
 	codes := seqCodes(2000, func(i int) int64 { return int64((i / 20) * 100) })
-	z := New(codes, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallCfg())
 	rng := rand.New(rand.NewSource(11))
 	for q := 0; q < 100; q++ {
 		lo := rng.Int63n(10000)
@@ -37,7 +39,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if back.Stats() != z.Stats() {
 		t.Fatalf("stats: %+v vs %+v", back.Stats(), z.Stats())
 	}
-	if err := back.CheckInvariants(codes, nil, true); err != nil {
+	if err := back.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	// The restored structure prunes identically.
@@ -93,7 +95,7 @@ func TestSnapshotDisabledState(t *testing.T) {
 	cfg.ProbeCost = 100
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := New(codes, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, cfg)
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}

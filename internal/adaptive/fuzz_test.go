@@ -3,6 +3,8 @@ package adaptive
 import (
 	"bytes"
 	"testing"
+
+	"adskip/internal/storage"
 )
 
 // FuzzSnapshotRead feeds arbitrary bytes to the zonemap snapshot decoder:
@@ -35,7 +37,7 @@ func FuzzSnapshotRead(f *testing.F) {
 // requiring a *testing.T.
 func trainedSeed() (*Zonemap, []int64) {
 	codes := seqCodes(500, func(i int) int64 { return int64((i / 10) * 7) })
-	z := New(codes, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallCfg())
 	for q := 0; q < 30; q++ {
 		execute(z, codes, nil, oneRange(int64(q*11), int64(q*11+40)))
 	}

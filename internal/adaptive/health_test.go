@@ -3,6 +3,8 @@ package adaptive
 import (
 	"errors"
 	"testing"
+
+	"adskip/internal/storage"
 )
 
 // gapRow finds the row left uncovered by corruptLayout's tiling break.
@@ -28,11 +30,11 @@ func gapRow(t *testing.T, z *Zonemap) int {
 // corruption, return -1, and keep every entry point panic-free.
 func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 	codes := seqCodes(1024, func(i int) int64 { return int64(i) })
-	z := New(codes, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallCfg())
 	if err := z.Health(); err != nil {
 		t.Fatalf("fresh zonemap unhealthy: %v", err)
 	}
-	if err := z.CheckInvariants(codes, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatalf("fresh zonemap fails invariants: %v", err)
 	}
 
@@ -40,7 +42,7 @@ func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 	gap := gapRow(t, z)
 
 	// The explicit checker sees the tiling gap immediately.
-	if err := z.CheckInvariants(codes, nil, true); err == nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err == nil {
 		t.Fatal("CheckInvariants missed the tiling gap")
 	}
 
@@ -60,7 +62,7 @@ func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 		t.Fatal("unhealthy zonemap still claims pruning")
 	}
 	// CheckInvariants keeps reporting the latched corruption.
-	if err := z.CheckInvariants(codes, nil, true); !errors.Is(err, ErrCorrupt) {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err=%v, want latched ErrCorrupt", err)
 	}
 }
@@ -70,7 +72,7 @@ func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 // broken layout, declines, and latches health.
 func TestPruneDetectsTilingGap(t *testing.T) {
 	codes := seqCodes(2048, func(i int) int64 { return int64(i % 97) })
-	z := New(codes, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallCfg())
 	z.corruptLayout()
 
 	res := z.Prune(oneRange(0, 96))

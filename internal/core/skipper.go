@@ -21,6 +21,7 @@ import (
 	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/scan"
+	"adskip/internal/storage"
 )
 
 // CandidateZone is one contiguous row window the executor must scan, as
@@ -95,7 +96,7 @@ type Skipper interface {
 	Observe(res PruneResult, obs []ZoneObservation)
 	// Extend informs the skipper that the column grew; codes/nulls are the
 	// column's full physical state.
-	Extend(codes []int64, nulls *bitvec.BitVec)
+	Extend(codes storage.Vec, nulls *bitvec.BitVec)
 	// Widen informs the skipper of an in-place update at row with the new
 	// code, so zone bounds stay sound (they may become loose, never wrong).
 	Widen(row int, code int64)
@@ -118,7 +119,7 @@ type Skipper interface {
 	// re-derived ones when exact (nothing has loosened them since they
 	// were built). The engine runs it for on-demand verification sweeps;
 	// a failure quarantines the skipper.
-	CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error
+	CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error
 	// SetJournal installs the sink for structural change (splits, merges,
 	// arbitration flips, tail folds, widens); structures that never
 	// change shape ignore it. Each record carries the change's cause and
@@ -159,7 +160,7 @@ func (s *NoSkipper) PruneNulls() PruneResult { return PruneResult{Enabled: false
 func (s *NoSkipper) Observe(PruneResult, []ZoneObservation) {}
 
 // Extend tracks the row count.
-func (s *NoSkipper) Extend(codes []int64, _ *bitvec.BitVec) { s.rows = len(codes) }
+func (s *NoSkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) { s.rows = codes.Len() }
 
 // Widen is a no-op.
 func (s *NoSkipper) Widen(int, int64) {}
@@ -177,7 +178,7 @@ func (s *NoSkipper) Metadata() Metadata { return Metadata{Kind: "none"} }
 func (s *NoSkipper) Health() error { return nil }
 
 // CheckInvariants has nothing to verify.
-func (s *NoSkipper) CheckInvariants([]int64, *bitvec.BitVec, bool) error { return nil }
+func (s *NoSkipper) CheckInvariants(storage.Vec, *bitvec.BitVec, bool) error { return nil }
 
 // SetJournal ignores the sink: the structure never changes.
 func (s *NoSkipper) SetJournal(func(obs.LedgerRecord)) {}

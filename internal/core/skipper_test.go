@@ -6,6 +6,7 @@ import (
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
 	"adskip/internal/expr"
+	"adskip/internal/storage"
 	"adskip/internal/zonemap"
 )
 
@@ -22,7 +23,7 @@ func TestNoSkipper(t *testing.T) {
 	if s.Rows() != 100 {
 		t.Fatalf("Rows=%d", s.Rows())
 	}
-	s.Extend(make([]int64, 150), nil)
+	s.Extend(storage.Vec{W: make([]int64, 150)}, nil)
 	if s.Rows() != 150 {
 		t.Fatalf("Rows after extend=%d", s.Rows())
 	}
@@ -35,7 +36,7 @@ func TestNoSkipper(t *testing.T) {
 	s.Widen(3, 9)
 	s.NoteNonNull(3)
 	s.SetJournal(nil)
-	if snap := s.Introspect(); s.Health() != nil || s.CheckInvariants(nil, nil, true) != nil ||
+	if snap := s.Introspect(); s.Health() != nil || s.CheckInvariants(storage.Vec{}, nil, true) != nil ||
 		snap.Zones != nil || snap.RowCost != 0 {
 		t.Fatalf("health=%v snapshot=%+v", s.Health(), snap)
 	}
@@ -47,7 +48,7 @@ func TestStaticSkipper(t *testing.T) {
 	for i := range codes {
 		codes[i] = int64(i)
 	}
-	var s core.Skipper = zonemap.Build(codes, nil, 10)
+	var s core.Skipper = zonemap.Build(storage.Vec{W: codes}, nil, 10)
 	if s.Rows() != 100 {
 		t.Fatalf("Rows=%d", s.Rows())
 	}
@@ -70,7 +71,7 @@ func TestStaticSkipper(t *testing.T) {
 
 	// Extend then prune the new region.
 	codes = append(codes, 1000, 1001, 1002)
-	s.Extend(codes, nil)
+	s.Extend(storage.Vec{W: codes}, nil)
 	if s.Rows() != 103 {
 		t.Fatalf("Rows after extend=%d", s.Rows())
 	}
@@ -104,7 +105,7 @@ func TestStaticSkipperNulls(t *testing.T) {
 	for i := 10; i < 20; i++ {
 		codes[i] = int64(i)
 	}
-	var s core.Skipper = zonemap.Build(codes, nulls, 10)
+	var s core.Skipper = zonemap.Build(storage.Vec{W: codes}, nulls, 10)
 	res := s.Prune(oneRange(-1000, 1000))
 	if len(res.Zones) != 1 || res.Zones[0].Lo != 10 {
 		t.Fatalf("all-null zone not skipped: %v", res.Zones)

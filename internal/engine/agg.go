@@ -79,7 +79,7 @@ func (a *aggAcc) addRow(row int) {
 		return
 	}
 	a.n++
-	c := a.col.Codes()[row]
+	c := a.col.Vec().At(row)
 	switch a.col.Type() {
 	case storage.Int64:
 		a.sumI += c
@@ -111,14 +111,14 @@ func (a *aggAcc) addWindow(lo, hi int) {
 		a.n += int64(hi - lo)
 		return
 	}
-	codes := a.col.Codes()
+	codes := a.col.Vec()
 	nulls := a.col.Nulls()
 	for i := lo; i < hi; i++ {
 		if nulls != nil && nulls.Get(i) {
 			continue
 		}
 		a.n++
-		c := codes[i]
+		c := codes.At(i)
 		switch a.col.Type() {
 		case storage.Int64:
 			a.sumI += c

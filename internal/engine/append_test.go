@@ -87,7 +87,7 @@ func BenchmarkAppendRows(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if e.NumRows() >= tableRows {
 						for ci := 0; ci < e.tbl.NumColumns(); ci++ {
-							e.tbl.ColumnAt(ci).Codes()
+							e.tbl.ColumnAt(ci).Vec()
 						}
 						if err := last.Wait(); err != nil {
 							b.Fatal(err)
@@ -344,7 +344,7 @@ func TestStagedAppendThenParallelScan(t *testing.T) {
 
 // TestStagedRowsReplayAndUpdate: the two mutations besides an append that
 // can meet staged rows. A WAL replay stages its batches like any append and
-// ends with the codes the original table holds; an update of a staged row
+// ends with the codes, at the widths, the original table holds; an update of a staged row
 // consolidates the column and lands on the right cell; VerifySkipping is
 // clean after both.
 func TestStagedRowsReplayAndUpdate(t *testing.T) {
@@ -402,6 +402,11 @@ func TestStagedRowsReplayAndUpdate(t *testing.T) {
 		}
 		if err := e.VerifySkipping(); err != nil {
 			t.Fatal(err)
+		}
+		// Replay reproduces the layout too: the update's -42 made v an
+		// 8-byte column in the original, seq still fits 4-byte codes.
+		if v, seq := e.tbl.ColumnAt(0).Vec().Width(), e.tbl.ColumnAt(1).Vec().Width(); v != 8 || seq != 4 {
+			t.Fatalf("code widths v=%d seq=%d, want 8 and 4", v, seq)
 		}
 	}
 }

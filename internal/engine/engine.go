@@ -282,11 +282,11 @@ func (e *Engine) buildSkipperLocked(name string, kind obs.EventKind) error {
 	case PolicyNone:
 		e.skippers[name] = core.NewNoSkipper(col.Len())
 	case PolicyStatic:
-		e.skippers[name] = zonemap.Build(col.Codes(), col.Nulls(), e.opts.StaticZoneSize)
+		e.skippers[name] = zonemap.Build(col.Vec(), col.Nulls(), e.opts.StaticZoneSize)
 	case PolicyAdaptive:
-		e.skippers[name] = adaptive.New(col.Codes(), col.Nulls(), e.opts.Adaptive)
+		e.skippers[name] = adaptive.New(col.Vec(), col.Nulls(), e.opts.Adaptive)
 	case PolicyImprint:
-		e.skippers[name] = imprint.Build(col.Codes(), col.Nulls(), e.opts.StaticZoneSize)
+		e.skippers[name] = imprint.Build(col.Vec(), col.Nulls(), e.opts.StaticZoneSize)
 	default:
 		return fmt.Errorf("engine: unknown policy %d", e.opts.Policy)
 	}
@@ -594,7 +594,7 @@ func (e *Engine) LoadSkipper(colName string, r io.Reader) error {
 	if z.Rows() > col.Len() {
 		return fmt.Errorf("engine: snapshot covers %d rows, column %q has %d", z.Rows(), colName, col.Len())
 	}
-	if err := z.CheckInvariants(col.Codes()[:z.Rows()], col.Nulls(), false); err != nil {
+	if err := z.CheckInvariants(col.Vec().Slice(0, z.Rows()), col.Nulls(), false); err != nil {
 		return fmt.Errorf("engine: snapshot does not match column %q: %w", colName, err)
 	}
 	if col.Type() == storage.String {
@@ -623,7 +623,7 @@ func (e *Engine) readColumn(name string) (*storage.Column, error) {
 
 // syncSkippers brings every skipper up to date with appended rows. Called
 // at the start of each query so bulk appends amortize metadata
-// maintenance (Codes consolidates the column: a skipper's column is copied
+// maintenance (Vec consolidates the column: a skipper's column is copied
 // once per run of appends, here).
 func (e *Engine) syncSkippers() {
 	for name, s := range e.skippers {
@@ -636,7 +636,7 @@ func (e *Engine) syncSkippers() {
 		}
 		if perr := func() (err error) {
 			defer recoverToError(&err)
-			s.Extend(col.Codes(), col.Nulls())
+			s.Extend(col.Vec(), col.Nulls())
 			return nil
 		}(); perr != nil {
 			e.quarantineLocked(name, perr)

@@ -37,6 +37,7 @@ type Query struct {
 // these to report pruning behavior alongside wall-clock time.
 type ExecStats struct {
 	RowsScanned  int `json:"rows_scanned"` // rows whose codes were read by a kernel
+	BytesScanned int `json:"-"`            // those rows at each filtered column's code width (4 or 8); not on the wire
 	RowsSkipped  int `json:"rows_skipped"` // rows pruned by metadata probes
 	RowsCovered  int `json:"rows_covered"` // rows short-circuited by covered windows
 	ZonesProbed  int `json:"zones_probed"`
@@ -47,6 +48,12 @@ type ExecStats struct {
 	// for unsharded engines.
 	ShardsScanned int `json:"shards_scanned,omitempty"`
 	ShardsPruned  int `json:"shards_pruned,omitempty"`
+}
+
+// scanned charges a kernel pass over rows rows of col.
+func (s *ExecStats) scanned(rows int, col *storage.Column) {
+	s.RowsScanned += rows
+	s.BytesScanned += rows * col.Vec().Width()
 }
 
 // Result is a query result.
@@ -477,7 +484,7 @@ func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, accs []*aggAcc
 			return err
 		}
 		res.Count = count
-		res.Stats.RowsScanned = n
+		res.Stats.scanned(n, p.col)
 		e.observeTimed(p, nil)
 		return nil
 	}
@@ -486,7 +493,7 @@ func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, accs []*aggAcc
 		return err
 	}
 	res.Count = count
-	res.Stats.RowsScanned += stats.RowsScanned
+	res.Stats.scanned(stats.RowsScanned, p.col)
 	res.Stats.RowsCovered += stats.RowsCovered
 	e.observeTimed(p, obs)
 	return nil
@@ -680,11 +687,11 @@ func filterWindow(tk *ticker, plans []colPlan, res *Result, s seg, sel *bitvec.S
 				return 0, err
 			}
 			matched = sel.Len()
-			res.Stats.RowsScanned += s.hi - s.lo
+			res.Stats.scanned(s.hi-s.lo, p.col)
 			first = false
 			continue
 		}
-		res.Stats.RowsScanned += sel.Len()
+		res.Stats.scanned(sel.Len(), p.col)
 		if err := tk.tick(sel.Len()); err != nil {
 			return 0, err
 		}
@@ -707,7 +714,7 @@ func filterSegChunked(tk *ticker, p *colPlan, s seg, sel *bitvec.SelVec) error {
 		if p.pred.NullOnly {
 			scan.FilterNullSel(p.col.Nulls(), lo, hi, sel)
 		} else {
-			scan.FilterSel(p.col.Codes(), lo, hi, p.pred.R, p.col.Nulls(), 0, sel)
+			scan.Filter(p.col.Vec(), lo, hi, p.pred.R, p.col.Nulls(), 0, sel)
 		}
 		if err := tk.tick(hi - lo); err != nil {
 			return err
@@ -740,7 +747,7 @@ func refineSel(sel *bitvec.SelVec, p *colPlan) int {
 	if p.pred.NullOnly {
 		return scan.RefineNullSel(p.col.Nulls(), sel)
 	}
-	return scan.RefineSel(p.col.Codes(), p.pred.R, p.col.Nulls(), sel)
+	return scan.Refine(p.col.Vec(), p.pred.R, p.col.Nulls(), sel)
 }
 
 // intersectPlan intersects the current segment list with one plan's

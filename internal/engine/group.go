@@ -34,7 +34,7 @@ func (g *grouper) accsFor(row int) []*aggAcc {
 		}
 		return g.nullAcc
 	}
-	code := g.col.Codes()[row]
+	code := g.col.Vec().At(row)
 	accs, ok := g.groups[code]
 	if !ok {
 		accs = g.newAccs()

@@ -190,8 +190,8 @@ func TestAdaptationROICreditsAndDebits(t *testing.T) {
 	if r.RowsSkipped == 0 || r.ZoneProbes == 0 {
 		t.Fatalf("ROI has no activity: %+v", r)
 	}
-	if r.BytesSkipped != r.RowsSkipped*8 {
-		t.Fatalf("BytesSkipped = %d, want rows*8 = %d", r.BytesSkipped, r.RowsSkipped*8)
+	if r.BytesSkipped != r.RowsSkipped*4 { // a holds 4-byte codes
+		t.Fatalf("BytesSkipped = %d, want rows*4 = %d", r.BytesSkipped, r.RowsSkipped*4)
 	}
 	if r.MaintEvents == 0 || r.MaintZones == 0 {
 		t.Fatalf("splits happened but maintenance was never debited: %+v", r)

@@ -27,7 +27,7 @@ type topEntry struct {
 // to it. Rows must be offered in ascending row order.
 type topL struct {
 	limit int // 0 = keep every row
-	codes []int64
+	codes storage.Vec
 	nulls *bitvec.BitVec // nil when the order column has no NULLs
 	flip  uint64         // key = uint64(code) ^ flip
 	// dict is set for an unsealed string dictionary, whose codes are in
@@ -48,7 +48,7 @@ type topL struct {
 }
 
 func newTopL(col *storage.Column, desc bool, limit int) *topL {
-	t := &topL{limit: limit, codes: col.Codes(), nulls: col.Nulls(), desc: desc}
+	t := &topL{limit: limit, codes: col.Vec(), nulls: col.Nulls(), desc: desc}
 	switch {
 	case col.Type() == storage.String && !col.DictSorted():
 		t.dict = col.Dict()
@@ -98,7 +98,7 @@ func (t *topL) offerRange(lo, hi int) {
 // already loses on row id. (A full heap also means no NULL row can make the
 // cut, so whatever code a NULL row carries, add drops it.)
 func (t *topL) rejects(r uint32) bool {
-	return t.threshold && uint64(t.codes[r])^t.flip >= t.ents[0].key
+	return t.threshold && uint64(t.codes.At(int(r)))^t.flip >= t.ents[0].key
 }
 
 // add offers one row that the threshold did not reject.
@@ -109,7 +109,7 @@ func (t *topL) add(r uint32) {
 		}
 		return
 	}
-	e := topEntry{key: uint64(t.codes[r]) ^ t.flip, row: r}
+	e := topEntry{key: uint64(t.codes.At(int(r))) ^ t.flip, row: r}
 	if t.limit > 0 && len(t.ents) == t.limit {
 		if t.before(e, t.ents[0]) {
 			t.ents[0] = e

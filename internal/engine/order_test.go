@@ -92,7 +92,7 @@ func TestOrderByTopKMatchesFullSort(t *testing.T) {
 		want[i] = i
 	}
 	sort.SliceStable(want, func(i, j int) bool {
-		return colF.Codes()[want[i]] < colF.Codes()[want[j]]
+		return colF.Vec().At(want[i]) < colF.Vec().At(want[j])
 	})
 	colA, _ := tb.Column("a")
 	for i, r := range want {

@@ -29,13 +29,13 @@ const minRowsPerWorker = 1 << 16
 
 // parallelCountFull counts matches over [0, n) with p workers.
 func (e *Engine) parallelCountFull(qc *qctx, p *colPlan, n, workers int) (int, error) {
-	codes := p.col.Codes()
+	codes := p.col.Vec()
 	nulls := p.col.Nulls()
 	count := func(lo, hi int) int {
 		if p.pred.NullOnly {
 			return scan.CountNulls(nulls, lo, hi)
 		}
-		return scan.CountRanges(codes, lo, hi, p.pred.R, nulls, 0)
+		return scan.Count(codes, lo, hi, p.pred.R, nulls, 0)
 	}
 	if workers <= 1 || n < minRowsPerWorker*2 {
 		return countChunks(&ticker{qc: qc}, 0, n, count)
@@ -145,7 +145,7 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 // be exact) and ticks afterward — zones are bounded by MaxZoneRows, so
 // the overshoot is bounded too.
 func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
-	codes := p.col.Codes()
+	codes := p.col.Vec()
 	nulls := p.col.Nulls()
 	tk := &ticker{qc: qc}
 	if w.span != nil {
@@ -175,7 +175,7 @@ func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
 			w.stats.RowsScanned += c.Hi - c.Lo
 			ob.Matched = m
 		case c.WantStats:
-			m, stats := scan.CountWithStats(codes, c.Lo, c.Hi, p.pred.R, nulls, 0, c.StatParts)
+			m, stats := scan.CountStats(codes, c.Lo, c.Hi, p.pred.R, nulls, 0, c.StatParts)
 			if err := tk.tick(c.Hi - c.Lo); err != nil {
 				w.err = err
 				return
@@ -186,7 +186,7 @@ func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
 			ob.Stats = stats
 		default:
 			m, err := countChunks(tk, c.Lo, c.Hi, func(lo, hi int) int {
-				return scan.CountRanges(codes, lo, hi, p.pred.R, nulls, 0)
+				return scan.Count(codes, lo, hi, p.pred.R, nulls, 0)
 			})
 			if err != nil {
 				w.err = err

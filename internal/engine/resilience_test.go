@@ -258,17 +258,17 @@ func (f *faultySkipper) Observe(core.PruneResult, []core.ZoneObservation) {
 	}
 }
 
-func (f *faultySkipper) Extend(codes []int64, _ *bitvec.BitVec) { f.rows = len(codes) }
-func (f *faultySkipper) Widen(int, int64)                       {}
-func (f *faultySkipper) NoteNonNull(int)                        {}
-func (f *faultySkipper) Rows() int                              { return f.rows }
+func (f *faultySkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) { f.rows = codes.Len() }
+func (f *faultySkipper) Widen(int, int64)                           {}
+func (f *faultySkipper) NoteNonNull(int)                            {}
+func (f *faultySkipper) Rows() int                                  { return f.rows }
 func (f *faultySkipper) Metadata() core.Metadata {
 	return core.Metadata{Kind: "faulty", Zones: 1, Enabled: true}
 }
-func (f *faultySkipper) Health() error                                       { return f.healthErr }
-func (f *faultySkipper) CheckInvariants([]int64, *bitvec.BitVec, bool) error { return nil }
-func (f *faultySkipper) SetJournal(func(obs.LedgerRecord))                   {}
-func (f *faultySkipper) Introspect() obs.SkipperSnapshot                     { return obs.SkipperSnapshot{} }
+func (f *faultySkipper) Health() error                                           { return f.healthErr }
+func (f *faultySkipper) CheckInvariants(storage.Vec, *bitvec.BitVec, bool) error { return nil }
+func (f *faultySkipper) SetJournal(func(obs.LedgerRecord))                       {}
+func (f *faultySkipper) Introspect() obs.SkipperSnapshot                         { return obs.SkipperSnapshot{} }
 
 // install registers a faulty skipper on column "a" behind the engine's
 // back (tests only).

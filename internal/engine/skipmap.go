@@ -91,6 +91,10 @@ func (e *Engine) AdaptationROI(maxDead int) []obs.ColumnROI {
 		if snap.RowCost == 0 {
 			continue // the zero snapshot: this skipper keeps no accounts
 		}
+		col, err := e.tbl.Column(name)
+		if err != nil {
+			continue
+		}
 		md := s.Metadata()
 		cm := e.colMetrics(name)
 		roi := obs.ColumnROI{
@@ -99,8 +103,8 @@ func (e *Engine) AdaptationROI(maxDead int) []obs.ColumnROI {
 			RowsSkipped:   snap.RowsSkipped,
 			RowsCovered:   cm.coveredRows.Load(),
 			CandidateRows: cm.candidateRows.Load(),
-			// One int64 code per row: the bytes a pruned scan never touched.
-			BytesSkipped: snap.RowsSkipped * 8,
+			// One code per row: the bytes a pruned scan never touched.
+			BytesSkipped: snap.RowsSkipped * int64(col.Vec().Width()),
 			ZoneProbes:   snap.ZoneProbes,
 			MaintEvents:  snap.MaintEvents,
 			MaintZones:   snap.MaintZones,

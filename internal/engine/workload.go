@@ -14,11 +14,6 @@ import (
 // direct engine API callers, the benchmark harness — never reach this
 // file's code beyond one nil/empty check.
 
-// bytesPerCode is the storage cost the bytes-scanned estimate charges
-// per row examined: every column is dictionary/int64-encoded into 8-byte
-// codes, and the kernels read one code per row per filtered column.
-const bytesPerCode = 8
-
 // recordWorkload folds one successful query into the stats table.
 // Called from finishTrace under e.mu; the stats table has its own lock,
 // ordered strictly after e.mu (stats never calls back into the engine).
@@ -31,7 +26,7 @@ func (e *Engine) recordWorkload(res *Result, tr *obs.QueryTrace, plans []colPlan
 		RowsRead:     int64(res.Stats.RowsScanned),
 		RowsReturned: int64(res.Count),
 		RowsSkipped:  int64(res.Stats.RowsSkipped),
-		BytesScanned: int64(res.Stats.RowsScanned) * bytesPerCode,
+		BytesScanned: int64(res.Stats.BytesScanned),
 	}
 	for i := range plans {
 		if plans[i].active {

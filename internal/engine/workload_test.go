@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"adskip/internal/adaptive"
 	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/stats"
@@ -54,7 +55,7 @@ func TestWorkloadAttribution(t *testing.T) {
 	if ts.ZonesRead == 0 {
 		t.Fatalf("zone accounting: %+v", ts)
 	}
-	if ts.RowsRead == 0 || ts.BytesScanned != ts.RowsRead*bytesPerCode {
+	if ts.RowsRead == 0 || ts.BytesScanned != ts.RowsRead*4 { // v stays a 4-byte code vector
 		t.Fatalf("row accounting: %+v", ts)
 	}
 	if ts.Fingerprint != res.Trace.Fingerprint {
@@ -141,4 +142,45 @@ func BenchmarkQueryAttribution(b *testing.B) {
 		ctx := obs.WithTemplate(context.Background(), "SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?")
 		run(b, e, ctx)
 	})
+}
+
+// TestByteReportsFollowCodeWidth: the two byte figures derived from row
+// counts — a template's bytes scanned and a column's bytes skipped — charge
+// the column's physical code width: 4 bytes while every value fits 32 bits,
+// 8 once one row (outside every query's range here) does not.
+func TestByteReportsFollowCodeWidth(t *testing.T) {
+	const fp = "SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?"
+	for _, tc := range []struct {
+		name    string
+		outlier int64
+		width   int64
+	}{{"narrow", 1 << 31, 4}, {"wide", 1 << 32, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := stats.New(stats.Options{})
+			tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
+			col, _ := tbl.Column("v")
+			for i := int64(0); i < 1<<14; i++ {
+				col.AppendInt(i)
+			}
+			col.AppendInt(tc.outlier)
+			e := New(tbl, Options{Policy: PolicyAdaptive, Stats: st, Adaptive: adaptive.Config{InitialZoneRows: 4096, MinZoneRows: 64}})
+			if err := e.EnableSkipping("v"); err != nil {
+				t.Fatal(err)
+			}
+			ctx := obs.WithTemplate(context.Background(), fp)
+			for i := 0; i < 12; i++ {
+				if res, err := e.QueryContext(ctx, rangeQuery(5000, 5200)); err != nil || res.Count != 201 {
+					t.Fatalf("count=%d err=%v", res.Count, err)
+				}
+			}
+			ts, _ := st.Template(fp)
+			if ts.RowsRead == 0 || ts.BytesScanned != ts.RowsRead*tc.width {
+				t.Fatalf("bytes scanned %d for %d rows read, want %d a row", ts.BytesScanned, ts.RowsRead, tc.width)
+			}
+			rois := e.AdaptationROI(0)
+			if len(rois) != 1 || rois[0].RowsSkipped == 0 || rois[0].BytesSkipped != rois[0].RowsSkipped*tc.width {
+				t.Fatalf("ROI %+v, want bytes skipped = rows skipped x %d", rois, tc.width)
+			}
+		})
+	}
 }

@@ -28,7 +28,7 @@ func Tab1Metadata(cfg Config) (*Table, error) {
 	})
 	for zs := 256; zs <= cfg.Rows; zs *= 16 {
 		start := time.Now()
-		s := zonemap.Build(vals, nil, zs)
+		s := zonemap.Build(storage.Vec{W: vals}, nil, zs)
 		build := time.Since(start)
 		md := s.Metadata()
 		t.Rows = append(t.Rows, []string{
@@ -41,7 +41,7 @@ func Tab1Metadata(cfg Config) (*Table, error) {
 	}
 	acfg := cfg.adaptiveConfig()
 	start := time.Now()
-	az := adaptive.New(vals, nil, acfg)
+	az := adaptive.New(storage.Vec{W: vals}, nil, acfg)
 	build := time.Since(start)
 	md := az.Metadata()
 	e := buildEngineFromValues(cfg, vals, engine.PolicyAdaptive)

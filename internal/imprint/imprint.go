@@ -21,6 +21,7 @@ import (
 
 	"adskip/internal/bitvec"
 	"adskip/internal/expr"
+	"adskip/internal/storage"
 	"adskip/internal/zonemap"
 )
 
@@ -43,9 +44,9 @@ type Masks struct{ Touched, Covered uint64 }
 // sampleTarget is how many values Learn samples to place bin edges.
 const sampleTarget = 4096
 
-// Build constructs an imprint over the first len(codes) rows: the fixed
-// grid under the Bins learned from those rows.
-func Build(codes []int64, nulls *bitvec.BitVec, zoneSize int) *zonemap.Grid[uint64, Masks] {
+// Build constructs an imprint over a column view: the fixed grid under the
+// Bins learned from its rows.
+func Build(codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) *zonemap.Grid[uint64, Masks] {
 	return zonemap.NewGrid(Learn(codes, nulls), codes, nulls, zoneSize)
 }
 
@@ -55,17 +56,17 @@ func Build(codes []int64, nulls *bitvec.BitVec, zoneSize int) *zonemap.Grid[uint
 // than a fixed stride: strided sampling aliases with periodic data (e.g.
 // rows alternating between two value modes would be sampled from one mode
 // only, collapsing the histogram).
-func Learn(codes []int64, nulls *bitvec.BitVec) *Bins {
+func Learn(codes storage.Vec, nulls *bitvec.BitVec) *Bins {
 	m := &Bins{}
 	edges := &m.edges
 	sample := make([]int64, 0, sampleTarget)
-	n := uint64(len(codes))
+	n := uint64(codes.Len())
 	for k := uint64(0); k < min(sampleTarget, n); k++ {
 		i := int((k * 0x9E3779B97F4A7C15) % n) // golden-ratio hash: full-period, aperiodic
 		if nulls != nil && i < nulls.Len() && nulls.Get(i) {
 			continue
 		}
-		sample = append(sample, codes[i])
+		sample = append(sample, codes.At(i))
 	}
 	if len(sample) == 0 {
 		// Degenerate all-null/empty column: one giant bin.
@@ -97,12 +98,12 @@ func (m *Bins) Name() string { return "imprint" }
 func (m *Bins) Bytes(zones int) int { return zones*(8+4) + bins*8 }
 
 // Summarize returns the bin mask and non-null count of rows [lo, hi).
-func (m *Bins) Summarize(codes []int64, nulls *bitvec.BitVec, lo, hi int) (mask uint64, nonNull int) {
+func (m *Bins) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (mask uint64, nonNull int) {
 	for i := lo; i < hi; i++ {
 		if nulls != nil && i < nulls.Len() && nulls.Get(i) {
 			continue
 		}
-		mask |= 1 << uint(m.binOf(codes[i]))
+		mask |= 1 << uint(m.binOf(codes.At(i)))
 		nonNull++
 	}
 	return mask, nonNull

@@ -7,6 +7,7 @@ import (
 
 	"adskip/internal/bitvec"
 	"adskip/internal/expr"
+	"adskip/internal/storage"
 	"adskip/internal/zonemap"
 )
 
@@ -24,7 +25,7 @@ func oneRange(lo, hi int64) expr.Ranges {
 
 func TestBuildBasics(t *testing.T) {
 	codes := seq(1000, func(i int) int64 { return int64(i) })
-	m := Build(codes, nil, 100)
+	m := Build(storage.Vec{W: codes}, nil, 100)
 	md := m.Metadata()
 	if md.Kind != "imprint" || md.Zones != 10 || !md.Enabled || m.Rows() != 1000 {
 		t.Fatalf("metadata=%+v rows=%d", md, m.Rows())
@@ -40,12 +41,12 @@ func TestBuildZeroZoneSizePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Build(nil, nil, 0)
+	Build(storage.Vec{}, nil, 0)
 }
 
 func TestPruneSortedData(t *testing.T) {
 	codes := seq(6400, func(i int) int64 { return int64(i) })
-	m := Build(codes, nil, 100)
+	m := Build(storage.Vec{W: codes}, nil, 100)
 	res := m.Prune(oneRange(1000, 1099))
 	if res.RowsSkipped < 6000 {
 		t.Fatalf("sorted data should prune hard: %+v", res)
@@ -80,11 +81,11 @@ func TestPruneMultiModalBeatsHull(t *testing.T) {
 	})
 	gap := oneRange(300_000, 800_000)
 
-	if zst := zonemap.Build(codes, nil, 64).Prune(gap); zst.RowsSkipped != 0 {
+	if zst := zonemap.Build(storage.Vec{W: codes}, nil, 64).Prune(gap); zst.RowsSkipped != 0 {
 		t.Fatalf("hull zonemap unexpectedly pruned the bimodal data: %+v", zst)
 	}
 
-	m := Build(codes, nil, 64)
+	m := Build(storage.Vec{W: codes}, nil, 64)
 	if st := m.Prune(gap); st.RowsSkipped < n*9/10 {
 		t.Fatalf("imprint should skip >=90%% on mid-gap query: %+v", st)
 	}
@@ -97,7 +98,7 @@ func TestPruneMultiModalBeatsHull(t *testing.T) {
 func TestCoveredDetection(t *testing.T) {
 	// Constant zones inside a wide predicate are covered.
 	codes := seq(1000, func(i int) int64 { return int64(i / 100 * 1000) })
-	m := Build(codes, nil, 100)
+	m := Build(storage.Vec{W: codes}, nil, 100)
 	cands := m.Prune(oneRange(-1, 9001)).Zones
 	// All but the top zone are provably covered; the last histogram bin
 	// extends to +inf, so the top zone stays a conservative scan
@@ -125,7 +126,7 @@ func TestNullsAndPruneNulls(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		codes[i] = int64(i)
 	}
-	m := Build(codes, nulls, 100)
+	m := Build(storage.Vec{W: codes}, nulls, 100)
 	// All-null zone is skipped for value predicates.
 	cands := m.Prune(oneRange(-1<<40, 1<<40)).Zones
 	if len(cands) != 1 || cands[0].Lo != 100 {
@@ -143,8 +144,8 @@ func TestNullsAndPruneNulls(t *testing.T) {
 
 func TestExtendAndWiden(t *testing.T) {
 	codes := seq(150, func(i int) int64 { return int64(i) })
-	m := Build(codes[:75], nil, 50)
-	m.Extend(codes, nil)
+	m := Build(storage.Vec{W: codes[:75]}, nil, 50)
+	m.Extend(storage.Vec{W: codes}, nil)
 	if m.Rows() != 150 || m.Metadata().Zones != 3 {
 		t.Fatalf("rows=%d zones=%d", m.Rows(), m.Metadata().Zones)
 	}
@@ -163,7 +164,7 @@ func TestAllNullColumn(t *testing.T) {
 	codes := make([]int64, 50)
 	nulls := bitvec.New(50)
 	nulls.SetAll()
-	m := Build(codes, nulls, 10)
+	m := Build(storage.Vec{W: codes}, nulls, 10)
 	st := m.Prune(oneRange(-1, 1))
 	if len(st.Zones) != 0 || st.RowsSkipped != 50 {
 		t.Fatalf("all-null column: %+v", st)
@@ -193,7 +194,7 @@ func TestQuickImprintSound(t *testing.T) {
 				nulls.Set(rng.Intn(n))
 			}
 		}
-		m := Build(codes, nulls, zoneSize)
+		m := Build(storage.Vec{W: codes}, nulls, zoneSize)
 		lo := rng.Int63n(2_000_000) - 1000
 		r := oneRange(lo, lo+rng.Int63n(500_000))
 		st := m.Prune(r)
@@ -244,8 +245,8 @@ func TestQuickExtendSound(t *testing.T) {
 		for i := range codes {
 			codes[i] = rng.Int63n(10_000)
 		}
-		m := Build(codes[:n/2], nil, zoneSize)
-		m.Extend(codes, nil)
+		m := Build(storage.Vec{W: codes[:n/2]}, nil, zoneSize)
+		m.Extend(storage.Vec{W: codes}, nil)
 		lo := rng.Int63n(10_000)
 		r := oneRange(lo, lo+rng.Int63n(2000))
 		cands := m.Prune(r).Zones
@@ -271,34 +272,34 @@ func TestCheckInvariants(t *testing.T) {
 	codes := seq(950, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(950)
 	nulls.Set(7)
-	m := Build(codes, nulls, 100)
-	if err := m.CheckInvariants(codes, nulls, true); err != nil {
+	m := Build(storage.Vec{W: codes}, nulls, 100)
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
 		t.Fatalf("fresh imprint: %v", err)
 	}
-	if err := m.CheckInvariants(codes[:900], nulls, false); err == nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes[:900]}, nulls, false); err == nil {
 		t.Fatal("a slice shorter than Rows() passed")
 	}
 	// A widen sets a bin bit no row of the zone occupies: sound, not tight.
 	m.Widen(3, 900)
-	if err := m.CheckInvariants(codes, nulls, false); err != nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
 		t.Fatalf("widened imprint, loose check: %v", err)
 	}
-	if err := m.CheckInvariants(codes, nulls, true); err == nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, true); err == nil {
 		t.Fatal("widened imprint passed the exact check")
 	}
 	// A value written under the metadata lands in a bin the mask lacks.
 	codes[420] = 10
-	if err := m.CheckInvariants(codes, nulls, false); err == nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err == nil {
 		t.Fatal("a code in a bin missing from its zone's mask passed")
 	}
 	codes[420] = 420
 	// A NULL overwritten without NoteNonNull leaves the count stale.
 	nulls.Clear(7)
-	if err := m.CheckInvariants(codes, nulls, false); err == nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err == nil {
 		t.Fatal("a stale non-null count passed")
 	}
 	m.NoteNonNull(7)
-	if err := m.CheckInvariants(codes, nulls, false); err != nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
 		t.Fatalf("after NoteNonNull: %v", err)
 	}
 }

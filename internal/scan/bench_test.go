@@ -6,6 +6,7 @@ import (
 
 	"adskip/internal/bitvec"
 	"adskip/internal/expr"
+	"adskip/internal/storage"
 )
 
 // The kernel micro-benchmarks scan seeded random codes, so no branch in a
@@ -13,7 +14,10 @@ import (
 // i*7%1000 hides a data-dependent branch completely). Each predicate is run
 // at two positions of the domain and two selectivities: a branch-free
 // kernel costs the same in all four, a branchy one does not. BenchmarkCopy
-// is the memory roofline the others are read against.
+// is the memory roofline the others are read against. The dense count,
+// filter and min/max kernels — and the copy — run over the same codes as
+// []int64 and as []uint32 (sub-benchmarks int64 / uint32): ns/row per code
+// width is what EXPERIMENTS.md "code width" records.
 
 const (
 	benchRows   = 2 << 20
@@ -31,9 +35,10 @@ var benchPreds = []struct {
 }
 
 var (
-	benchCodes []int64
-	benchNulls *bitvec.BitVec
-	benchSink  int
+	benchCodes  []int64
+	benchNarrow []uint32
+	benchNulls  *bitvec.BitVec
+	benchSink   int
 )
 
 // benchData returns the shared 2 Mi-row column and a 5%-NULL bitmap.
@@ -49,10 +54,24 @@ func benchData() ([]int64, *bitvec.BitVec) {
 	return benchCodes, benchNulls
 }
 
-// benchKernel times one full pass of kernel over the column per iteration
-// and reports ns/row beside the MB/s that SetBytes derives.
-func benchKernel(b *testing.B, kernel func() int) {
-	b.SetBytes(8 * benchRows)
+// benchWidths runs run over the shared column at each code width.
+func benchWidths(b *testing.B, run func(b *testing.B, codes storage.Vec)) {
+	codes, _ := benchData()
+	if benchNarrow == nil {
+		benchNarrow = make([]uint32, len(codes))
+		for i, c := range codes {
+			benchNarrow[i] = uint32(c)
+		}
+	}
+	b.Run("int64", func(b *testing.B) { run(b, storage.Vec{W: codes}) })
+	b.Run("uint32", func(b *testing.B) { run(b, storage.Vec{N: benchNarrow}) })
+}
+
+// benchKernel times one full pass of kernel over the column, stored as
+// codes of width bytes, per iteration and reports ns/row beside the MB/s
+// that SetBytes derives.
+func benchKernel(b *testing.B, width int, kernel func() int) {
+	b.SetBytes(int64(width) * benchRows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,30 +80,32 @@ func benchKernel(b *testing.B, kernel func() int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
 }
 
-func benchPerPred(b *testing.B, kernel func(rlo, rhi int64) int) {
+func benchPerPred(b *testing.B, width int, kernel func(rlo, rhi int64) int) {
 	for _, p := range benchPreds {
 		b.Run(p.name, func(b *testing.B) {
-			benchKernel(b, func() int { return kernel(p.rlo, p.rhi) })
+			benchKernel(b, width, func() int { return kernel(p.rlo, p.rhi) })
 		})
 	}
 }
 
 func BenchmarkCopy(b *testing.B) {
-	codes, _ := benchData()
-	dst := make([]int64, len(codes))
-	benchKernel(b, func() int { return copy(dst, codes) })
+	benchWidths(b, func(b *testing.B, codes storage.Vec) {
+		dstW, dstN := make([]int64, len(codes.W)), make([]uint32, len(codes.N))
+		benchKernel(b, codes.Width(), func() int { return copy(dstW, codes.W) + copy(dstN, codes.N) })
+	})
 }
 
 func BenchmarkCountRangeDense(b *testing.B) {
-	codes, _ := benchData()
-	benchPerPred(b, func(rlo, rhi int64) int {
-		return CountRanges(codes, 0, len(codes), oneRange(rlo, rhi), nil, 0)
+	benchWidths(b, func(b *testing.B, codes storage.Vec) {
+		benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
+			return Count(codes, 0, codes.Len(), oneRange(rlo, rhi), nil, 0)
+		})
 	})
 }
 
 func BenchmarkCountRangeNulls(b *testing.B) {
 	codes, nulls := benchData()
-	benchPerPred(b, func(rlo, rhi int64) int {
+	benchPerPred(b, 8, func(rlo, rhi int64) int {
 		return CountRanges(codes, 0, len(codes), oneRange(rlo, rhi), nulls, 0)
 	})
 }
@@ -93,7 +114,7 @@ func BenchmarkCountRangeNulls(b *testing.B) {
 // ranges) around the predicate's position.
 func BenchmarkCountRanges3(b *testing.B) {
 	codes, _ := benchData()
-	benchPerPred(b, func(rlo, rhi int64) int {
+	benchPerPred(b, 8, func(rlo, rhi int64) int {
 		w := (rhi - rlo + 1) / 5
 		r := expr.Ranges{Lo: []int64{rlo, rlo + 2*w, rlo + 4*w}, Hi: []int64{rlo + w - 1, rlo + 3*w - 1, rhi}}
 		return CountRanges(codes, 0, len(codes), r, nil, 0)
@@ -102,7 +123,7 @@ func BenchmarkCountRanges3(b *testing.B) {
 
 func BenchmarkCountWithStats(b *testing.B) {
 	codes, _ := benchData()
-	benchPerPred(b, func(rlo, rhi int64) int {
+	benchPerPred(b, 8, func(rlo, rhi int64) int {
 		n, _ := CountWithStats(codes, 0, len(codes), oneRange(rlo, rhi), nil, 0, 16)
 		return n
 	})
@@ -110,41 +131,44 @@ func BenchmarkCountWithStats(b *testing.B) {
 
 func BenchmarkCountWithStatsNulls(b *testing.B) {
 	codes, nulls := benchData()
-	benchPerPred(b, func(rlo, rhi int64) int {
+	benchPerPred(b, 8, func(rlo, rhi int64) int {
 		n, _ := CountWithStats(codes, 0, len(codes), oneRange(rlo, rhi), nulls, 0, 16)
 		return n
 	})
 }
 
 func BenchmarkFilterSel(b *testing.B) {
-	codes, _ := benchData()
 	sel := bitvec.NewSelVec(benchRows)
-	benchPerPred(b, func(rlo, rhi int64) int {
-		sel.Reset()
-		return FilterSel(codes, 0, len(codes), oneRange(rlo, rhi), nil, 0, sel)
+	benchWidths(b, func(b *testing.B, codes storage.Vec) {
+		benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
+			sel.Reset()
+			return Filter(codes, 0, codes.Len(), oneRange(rlo, rhi), nil, 0, sel)
+		})
 	})
 }
 
 func BenchmarkFilterSelNulls(b *testing.B) {
 	codes, nulls := benchData()
 	sel := bitvec.NewSelVec(benchRows)
-	benchPerPred(b, func(rlo, rhi int64) int {
+	benchPerPred(b, 8, func(rlo, rhi int64) int {
 		sel.Reset()
 		return FilterSel(codes, 0, len(codes), oneRange(rlo, rhi), nulls, 0, sel)
 	})
 }
 
 func BenchmarkMinMaxRange(b *testing.B) {
-	codes, nulls := benchData()
-	for _, c := range []struct {
-		name  string
-		nulls *bitvec.BitVec
-	}{{"dense", nil}, {"nulls", nulls}} {
-		b.Run(c.name, func(b *testing.B) {
-			benchKernel(b, func() int {
-				lo, hi, _ := MinMaxRange(codes, 0, len(codes), c.nulls, 0)
-				return int(lo + hi)
+	_, nulls := benchData()
+	benchWidths(b, func(b *testing.B, codes storage.Vec) {
+		for _, c := range []struct {
+			name  string
+			nulls *bitvec.BitVec
+		}{{"dense", nil}, {"nulls", nulls}} {
+			b.Run(c.name, func(b *testing.B) {
+				benchKernel(b, codes.Width(), func() int {
+					lo, hi, _ := MinMax(codes, 0, codes.Len(), c.nulls, 0)
+					return int(lo + hi)
+				})
 			})
-		})
-	}
+		}
+	})
 }

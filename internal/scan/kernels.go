@@ -9,8 +9,10 @@
 // itself data (the compress-store cursor, the refine gather):
 //
 //   - the range test is one unsigned compare, uint64(c)-uint64(lo) <=
-//     uint64(hi)-uint64(lo), exact over all of int64 (Float64 codes and the
-//     MinInt64 NULL slot included). A two-sided c >= lo && c <= hi is a
+//     uint64(hi)-uint64(lo), exact over all of int64 (Float64 codes
+//     included) — and for a zero-extended 32-bit code against any int64
+//     interval, negative bounds included, so a predicate needs no clamping
+//     to the vector's width. A two-sided c >= lo && c <= hi is a
 //     short-circuit the compiler keeps as a branch on every element; the
 //     single compare lowers to SETcc, and builtin min/max lower to CMOV;
 //   - loops walk re-sliced fixed-size blocks, which the compiler can prove
@@ -26,8 +28,11 @@
 // predicates on random codes) measure them, and EXPERIMENTS.md records the
 // result against a copy roofline.
 //
-// All kernels operate on a column's physical []int64 codes (see package
-// storage) against inclusive code intervals, and optionally mask NULL rows.
+// A column stores its codes as []uint32 or []int64 (see package storage),
+// so every kernel is generic over storage.Code, one body compiled once per
+// width, against inclusive int64 code intervals, optionally masking NULL
+// rows. The engine and the skipping structures hold a storage.Vec and call
+// the dispatchers of vec.go, which switch on the width once per kernel call.
 package scan
 
 import (
@@ -36,6 +41,7 @@ import (
 
 	"adskip/internal/bitvec"
 	"adskip/internal/expr"
+	"adskip/internal/storage"
 )
 
 // b2i converts a bool to 0/1. For a single comparison the compiler emits
@@ -55,10 +61,10 @@ func offsetForm(lo, hi int64) (base, span uint64) {
 
 // countDense counts the codes inside one interval in offset form: four
 // independent counters over four-element blocks.
-func countDense(codes []int64, base, span uint64) int {
+func countDense[C storage.Code](codes []C, base, span uint64) int {
 	var n0, n1, n2, n3 int
 	for ; len(codes) >= 4; codes = codes[4:] {
-		b := (*[4]int64)(codes)
+		b := (*[4]C)(codes)
 		n0 += b2i(uint64(b[0])-base <= span)
 		n1 += b2i(uint64(b[1])-base <= span)
 		n2 += b2i(uint64(b[2])-base <= span)
@@ -72,7 +78,7 @@ func countDense(codes []int64, base, span uint64) int {
 
 // matchWord returns the match bits of up to 64 codes against one interval
 // in offset form: bit j is set iff codes[j] lies inside it.
-func matchWord(codes []int64, base, span uint64) (w uint64) {
+func matchWord[C storage.Code](codes []C, base, span uint64) (w uint64) {
 	for j := len(codes) - 1; j >= 0; j-- {
 		w = w<<1 | uint64(b2i(uint64(codes[j])-base <= span))
 	}
@@ -89,12 +95,12 @@ const maxOrIntervals = 16
 // next multiple of 64 or the end of codes, k rows in all. Bit i of m stands
 // for row row&^63+i and is set iff that row's code lies in some interval of
 // r and the row is not NULL.
-func matchBlock(codes []int64, row int, r expr.Ranges, nulls *bitvec.BitVec) (m uint64, k int) {
+func matchBlock[C storage.Code](codes []C, row int, r expr.Ranges, nulls *bitvec.BitVec) (m uint64, k int) {
 	off := row & 63
 	k = min(64-off, len(codes))
 	if r.Len() > maxOrIntervals {
 		for j, c := range codes[:k] {
-			m |= uint64(b2i(r.Contains(c))) << j
+			m |= uint64(b2i(r.Contains(int64(c)))) << j
 		}
 	} else {
 		for i, lo := range r.Lo {
@@ -110,7 +116,7 @@ func matchBlock(codes []int64, row int, r expr.Ranges, nulls *bitvec.BitVec) (m 
 // CountRanges counts the codes in codes[lo:hi] matching any interval of r.
 // nulls, when non-nil, is the column's null bitmap (indexed by absolute row
 // = base+i) and NULL rows never match.
-func CountRanges(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) int {
+func CountRanges[C storage.Code](codes []C, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) int {
 	w := codes[lo:hi]
 	if nulls == nil && r.Len() == 1 && r.Lo[0] <= r.Hi[0] {
 		b, span := offsetForm(r.Lo[0], r.Hi[0])
@@ -135,7 +141,7 @@ const selBlock = 256
 // out; len(out) >= len(codes). It returns the match count. The store keeps
 // its bounds check — the compiler cannot know the cursor trails the rows
 // consumed — which costs less than masking the index would.
-func compressDense(out []uint32, codes []int64, row uint32, base, span uint64) int {
+func compressDense[C storage.Code](out []uint32, codes []C, row uint32, base, span uint64) int {
 	n := 0
 	for _, c := range codes {
 		out[n] = row
@@ -147,7 +153,7 @@ func compressDense(out []uint32, codes []int64, row uint32, base, span uint64) i
 
 // FilterSel appends the absolute row indices in [lo, hi) whose codes match
 // r (and are not NULL) to sel, in ascending order. Returns the match count.
-func FilterSel(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int, sel *bitvec.SelVec) int {
+func FilterSel[C storage.Code](codes []C, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int, sel *bitvec.SelVec) int {
 	before := sel.Len()
 	if nulls == nil && r.Len() == 1 && r.Lo[0] <= r.Hi[0] {
 		b, span := offsetForm(r.Lo[0], r.Hi[0])
@@ -172,7 +178,7 @@ func FilterSel(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, b
 // returning how many survive. It is the gather form of the compress-store:
 // each row id is written back in place and the cursor advances by the 0/1
 // match, so the cost does not depend on which rows survive.
-func RefineSel(codes []int64, r expr.Ranges, nulls *bitvec.BitVec, sel *bitvec.SelVec) int {
+func RefineSel[C storage.Code](codes []C, r expr.Ranges, nulls *bitvec.BitVec, sel *bitvec.SelVec) int {
 	rows := sel.Rows()
 	n := 0
 	if r.Len() == 1 && r.Lo[0] <= r.Hi[0] {
@@ -184,7 +190,7 @@ func RefineSel(codes []int64, r expr.Ranges, nulls *bitvec.BitVec, sel *bitvec.S
 	} else {
 		for _, row := range rows {
 			rows[n] = row
-			n += b2i(r.Contains(codes[row])) &^ nullBit(nulls, row)
+			n += b2i(r.Contains(int64(codes[row]))) &^ nullBit(nulls, row)
 		}
 	}
 	sel.Truncate(n)
@@ -194,7 +200,7 @@ func RefineSel(codes []int64, r expr.Ranges, nulls *bitvec.BitVec, sel *bitvec.S
 // MinMaxRange returns the min and max code among the non-NULL rows of
 // codes[lo:hi] and how many such rows there are; the bounds are valid iff
 // nonNull > 0. Used by metadata builders and by CountWithStats.
-func MinMaxRange(codes []int64, lo, hi int, nulls *bitvec.BitVec, base int) (mn, mx int64, nonNull int) {
+func MinMaxRange[C storage.Code](codes []C, lo, hi int, nulls *bitvec.BitVec, base int) (mn, mx int64, nonNull int) {
 	if nulls != nil {
 		return minMaxNulls(codes[lo:hi], base+lo, nulls)
 	}
@@ -203,16 +209,17 @@ func MinMaxRange(codes []int64, lo, hi int, nulls *bitvec.BitVec, base int) (mn,
 }
 
 // minMaxDense folds codes into two independent min/max pairs.
-func minMaxDense(codes []int64) (mn, mx int64) {
+func minMaxDense[C storage.Code](codes []C) (mn, mx int64) {
 	mn, mx = math.MaxInt64, math.MinInt64
 	mn1, mx1 := mn, mx
 	for ; len(codes) >= 2; codes = codes[2:] {
-		b := (*[2]int64)(codes)
-		mn, mx = min(mn, b[0]), max(mx, b[0])
-		mn1, mx1 = min(mn1, b[1]), max(mx1, b[1])
+		b := (*[2]C)(codes)
+		c0, c1 := int64(b[0]), int64(b[1])
+		mn, mx = min(mn, c0), max(mx, c0)
+		mn1, mx1 = min(mn1, c1), max(mx1, c1)
 	}
 	for _, c := range codes {
-		mn, mx = min(mn, c), max(mx, c)
+		mn, mx = min(mn, int64(c)), max(mx, int64(c))
 	}
 	return min(mn, mn1), max(mx, mx1)
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"adskip/internal/bitvec"
+	"adskip/internal/storage"
 )
 
 // Kernels that read the null bitmap. nulls may be nil (a column with no
@@ -62,14 +63,15 @@ func nullBit(nulls *bitvec.BitVec, row uint32) int {
 // absolute row of codes[0]. A NULL row's code is replaced by the identity
 // of each fold (MaxInt64 for min, MinInt64 for max) through its bitmap bit
 // as a mask, so the loop does not branch on the bitmap.
-func minMaxNulls(codes []int64, row int, nulls *bitvec.BitVec) (mn, mx int64, nonNull int) {
+func minMaxNulls[C storage.Code](codes []C, row int, nulls *bitvec.BitVec) (mn, mx int64, nonNull int) {
 	mn, mx = math.MaxInt64, math.MinInt64
 	for len(codes) > 0 {
 		off := row & 63
 		k := min(64-off, len(codes))
 		nw := nulls.Word(row>>6) >> off & (^uint64(0) >> (64 - k))
 		nonNull += k - bits.OnesCount64(nw)
-		for _, c := range codes[:k] {
+		for _, code := range codes[:k] {
+			c := int64(code)
 			null := -int64(nw & 1) // all ones on a NULL row
 			nw >>= 1
 			mn = min(mn, c^(c^math.MaxInt64)&null)

@@ -215,8 +215,8 @@ type kernelShape struct {
 }
 
 // codePools are where codes and interval bounds are drawn from, so bounds
-// land exactly on codes: small ints, the extremes of int64, and the codes
-// of negative, tiny and huge floats.
+// land exactly on codes: small ints, the extremes of int64, the codes of
+// negative, tiny and huge floats, and the range of a 4-byte code vector.
 var codePools = [][]int64{
 	nil, // uniform in [-100, 100]
 	{math.MinInt64, math.MinInt64 + 1, -2, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64},
@@ -225,10 +225,40 @@ var codePools = [][]int64{
 		storage.EncodeFloat64(-5e-324), storage.EncodeFloat64(0), storage.EncodeFloat64(5e-324),
 		storage.EncodeFloat64(2.5), storage.EncodeFloat64(1e300), storage.EncodeFloat64(math.Inf(1)),
 	},
+	narrowPool,
+}
+
+// narrowPool's codes all fit a []uint32 vector, so a column drawn from it
+// is scanned at both widths; boundsBeyond are the interval bounds such a
+// column also meets: below zero and past 2^32.
+var (
+	narrowPool   = []int64{0, 1, 2, 100, math.MaxInt32, math.MaxInt32 + 1, math.MaxUint32 - 1, math.MaxUint32}
+	boundsBeyond = []int64{math.MinInt64, -1 << 32, -2, -1, math.MaxUint32 + 1, math.MaxUint32 + 2, 1 << 40, math.MaxInt64}
+)
+
+// kernelAnswer is what the naive reference finds in a window of rows.
+type kernelAnswer struct {
+	rows, nullRows []uint32
+	min, max       int64
+	nonNull        int
+}
+
+// kernelCase is one differential case, with everything random about it
+// already drawn, so it can be replayed on each view of the same column.
+type kernelCase struct {
+	lo, hi, base int
+	r            expr.Ranges
+	nulls        *bitvec.BitVec
+	naive        func(lo, hi int) kernelAnswer // over column rows [lo, hi)
+	parts        int
+	// subset is the selection the refine kernels are given; the rows of it
+	// that match, and the rows of it that are NULL.
+	subset, wantKept, wantKeptNull []uint32
 }
 
 // checkKernelShape builds the case s describes and compares every kernel
-// with the naive reference.
+// with the naive reference: on the column's []int64 codes and, when they
+// all fit, on the same codes as []uint32.
 func checkKernelShape(t *testing.T, s kernelShape) {
 	t.Helper()
 	defer func() {
@@ -238,60 +268,65 @@ func checkKernelShape(t *testing.T, s kernelShape) {
 	}()
 	rng := rand.New(rand.NewSource(s.seed))
 	pool := codePools[int(s.flavor&3)%len(codePools)]
+	narrow := int(s.flavor&3)%len(codePools) == 3
 	draw := func() int64 {
 		switch {
 		case pool == nil:
 			return rng.Int63n(201) - 100
+		case rng.Intn(4) == 0 && narrow:
+			return int64(rng.Uint32())
 		case rng.Intn(4) == 0:
 			return int64(rng.Uint64())
 		}
 		return pool[rng.Intn(len(pool))]
 	}
-	lo, base := int(s.lo), int(s.base)
-	hi := lo + int(s.winLen)
+	drawBound := func() int64 {
+		if narrow && rng.Intn(3) == 0 {
+			return boundsBeyond[rng.Intn(len(boundsBeyond))]
+		}
+		return draw()
+	}
+	k := kernelCase{lo: int(s.lo), base: int(s.base)}
+	lo, base := k.lo, k.base
+	k.hi = lo + int(s.winLen)
+	hi := k.hi
 	n := hi + rng.Intn(3)
 	codes := seq(n, func(int) int64 { return draw() })
 
-	var nulls *bitvec.BitVec
 	switch s.flavor >> 2 & 3 {
 	case 1: // one row in eight, covering the column
-		nulls = bitvec.New(base + n)
-		for i := 0; i < nulls.Len()/8; i++ {
-			nulls.Set(rng.Intn(nulls.Len()))
+		k.nulls = bitvec.New(base + n)
+		for i := 0; i < k.nulls.Len()/8; i++ {
+			k.nulls.Set(rng.Intn(k.nulls.Len()))
 		}
 	case 2: // most rows, and ending inside the window: later rows are not NULL
-		nulls = bitvec.New(base + lo + int(s.winLen)/2)
-		for i := 0; i < nulls.Len(); i++ {
-			nulls.Set(rng.Intn(nulls.Len()))
+		k.nulls = bitvec.New(base + lo + int(s.winLen)/2)
+		for i := 0; i < k.nulls.Len(); i++ {
+			k.nulls.Set(rng.Intn(k.nulls.Len()))
 		}
 	case 3: // every row
-		nulls = bitvec.NewSet(base + n)
+		k.nulls = bitvec.NewSet(base + n)
 	}
+	nulls := k.nulls
 
-	var r expr.Ranges
 	switch {
 	case s.intervals%7 == 6: // one inverted (empty) interval
-		rlo := max(draw(), math.MinInt64+1)
-		r = oneRange(rlo, []int64{rlo - 1, math.MinInt64}[rng.Intn(2)])
+		rlo := max(drawBound(), math.MinInt64+1)
+		k.r = oneRange(rlo, []int64{rlo - 1, math.MinInt64}[rng.Intn(2)])
 	case rng.Intn(8) == 0:
-		r = oneRange(math.MinInt64, math.MaxInt64)
+		k.r = oneRange(math.MinInt64, math.MaxInt64)
 	default:
-		bounds := seq(2*int(s.intervals%7), func(int) int64 { return draw() })
+		bounds := seq(2*int(s.intervals%7), func(int) int64 { return drawBound() })
 		slices.Sort(bounds)
 		for i := 0; i < len(bounds); i += 2 {
-			r.Lo, r.Hi = append(r.Lo, bounds[i]), append(r.Hi, bounds[i+1])
+			k.r.Lo, k.r.Hi = append(k.r.Lo, bounds[i]), append(k.r.Hi, bounds[i+1])
 		}
-		r = r.Normalize()
+		k.r = k.r.Normalize()
 	}
+	r := k.r
 
-	// naive evaluates column rows [lo, hi) one by one.
-	type answer struct {
-		rows, nullRows []uint32
-		min, max       int64
-		nonNull        int
-	}
-	naive := func(lo, hi int) answer {
-		a := answer{min: math.MaxInt64, max: math.MinInt64}
+	k.naive = func(lo, hi int) kernelAnswer {
+		a := kernelAnswer{min: math.MaxInt64, max: math.MinInt64}
 		for i := lo; i < hi; i++ {
 			if naiveNull(nulls, base+i) {
 				a.nullRows = append(a.nullRows, uint32(base+i))
@@ -304,21 +339,58 @@ func checkKernelShape(t *testing.T, s kernelShape) {
 		}
 		return a
 	}
-	want := naive(lo, hi)
+	k.parts = 1 + rng.Intn(8)
+	// A random subset of the window's rows, for the refine kernels.
+	for i := lo; i < hi; i++ {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		k.subset = append(k.subset, uint32(i))
+		switch {
+		case naiveNull(nulls, i):
+			k.wantKeptNull = append(k.wantKeptNull, uint32(i))
+		case naiveMatch(codes[i], r):
+			k.wantKept = append(k.wantKept, uint32(i))
+		}
+	}
 
-	if got := CountRanges(codes, lo, hi, r, nulls, base); got != len(want.rows) {
-		t.Fatalf("CountRanges=%d want %d (r=%v)", got, len(want.rows), r)
+	checkKernels(t, storage.Vec{W: codes}, &k)
+	fits := make([]uint32, len(codes))
+	for i, c := range codes {
+		if c < 0 || c > math.MaxUint32 {
+			return
+		}
+		fits[i] = uint32(c)
+	}
+	checkKernels(t, storage.Vec{N: fits}, &k)
+}
+
+// checkKernels runs every kernel on one view of the case's column, through
+// the dispatchers the engine calls, and compares it with the naive
+// reference.
+func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("%d-byte codes", codes.Width())
+		}
+	}()
+	lo, hi, base, r, nulls := k.lo, k.hi, k.base, k.r, k.nulls
+	want := k.naive(lo, hi)
+
+	if got := Count(codes, lo, hi, r, nulls, base); got != len(want.rows) {
+		t.Fatalf("Count=%d want %d (r=%v)", got, len(want.rows), r)
 	}
 	const sentinel = math.MaxUint32
 	sel := bitvec.NewSelVec(0)
 	sel.Append(sentinel)
-	if got := FilterSel(codes, lo, hi, r, nulls, base, sel); got != len(want.rows) ||
+	if got := Filter(codes, lo, hi, r, nulls, base, sel); got != len(want.rows) ||
 		sel.Rows()[0] != sentinel || !slices.Equal(sel.Rows()[1:], want.rows) {
-		t.Fatalf("FilterSel=%d rows %v want %v (r=%v)", got, sel.Rows(), want.rows, r)
+		t.Fatalf("Filter=%d rows %v want %v (r=%v)", got, sel.Rows(), want.rows, r)
 	}
-	mn, mx, nonNull := MinMaxRange(codes, lo, hi, nulls, base)
+	mn, mx, nonNull := MinMax(codes, lo, hi, nulls, base)
 	if nonNull != want.nonNull || (nonNull > 0 && (mn != want.min || mx != want.max)) {
-		t.Fatalf("MinMaxRange=%d,%d,%d want %d,%d,%d", mn, mx, nonNull, want.min, want.max, want.nonNull)
+		t.Fatalf("MinMax=%d,%d,%d want %d,%d,%d", mn, mx, nonNull, want.min, want.max, want.nonNull)
 	}
 	if got := CountNulls(nulls, base+lo, base+hi); got != len(want.nullRows) {
 		t.Fatalf("CountNulls=%d want %d", got, len(want.nullRows))
@@ -328,10 +400,9 @@ func checkKernelShape(t *testing.T, s kernelShape) {
 		t.Fatalf("FilterNullSel=%d rows %v want %v", got, sel.Rows(), want.nullRows)
 	}
 
-	parts := 1 + rng.Intn(8)
-	total, stats := CountWithStats(codes, lo, hi, r, nulls, base, parts)
-	if total != len(want.rows) || len(stats) != min(parts, hi-lo) {
-		t.Fatalf("CountWithStats total=%d parts=%d want %d, %d", total, len(stats), len(want.rows), min(parts, hi-lo))
+	total, stats := CountStats(codes, lo, hi, r, nulls, base, k.parts)
+	if total != len(want.rows) || len(stats) != min(k.parts, hi-lo) {
+		t.Fatalf("CountStats total=%d parts=%d want %d, %d", total, len(stats), len(want.rows), min(k.parts, hi-lo))
 	}
 	next := base + lo
 	for _, st := range stats {
@@ -339,7 +410,7 @@ func checkKernelShape(t *testing.T, s kernelShape) {
 			t.Fatalf("part window [%d,%d) does not continue at %d", st.Lo, st.Hi, next)
 		}
 		next = st.Hi
-		p := naive(st.Lo-base, st.Hi-base)
+		p := k.naive(st.Lo-base, st.Hi-base)
 		if st.Matched != len(p.rows) || st.NonNull != p.nonNull || (p.nonNull > 0 && (st.Min != p.min || st.Max != p.max)) {
 			t.Fatalf("part %+v want matched %d bounds %d,%d nonnull %d", st, len(p.rows), p.min, p.max, p.nonNull)
 		}
@@ -351,38 +422,26 @@ func checkKernelShape(t *testing.T, s kernelShape) {
 	if base != 0 {
 		return // the refine kernels index the column by row id
 	}
-	// Refine a random subset of the window's rows, in place.
-	var subset, wantKept, wantKeptNull []uint32
-	for i := lo; i < hi; i++ {
-		if rng.Intn(3) == 0 {
-			continue
-		}
-		subset = append(subset, uint32(i))
-		switch {
-		case naiveNull(nulls, i):
-			wantKeptNull = append(wantKeptNull, uint32(i))
-		case naiveMatch(codes[i], r):
-			wantKept = append(wantKept, uint32(i))
-		}
-	}
+	// Refine the subset, in place.
 	load := func() {
 		sel.Reset()
-		sel.Extend(copy(sel.Reserve(len(subset)), subset))
+		sel.Extend(copy(sel.Reserve(len(k.subset)), k.subset))
 	}
 	load()
-	if got := RefineSel(codes, r, nulls, sel); got != len(wantKept) || !slices.Equal(sel.Rows(), wantKept) {
-		t.Fatalf("RefineSel=%d rows %v want %v (r=%v)", got, sel.Rows(), wantKept, r)
+	if got := Refine(codes, r, nulls, sel); got != len(k.wantKept) || !slices.Equal(sel.Rows(), k.wantKept) {
+		t.Fatalf("Refine=%d rows %v want %v (r=%v)", got, sel.Rows(), k.wantKept, r)
 	}
 	load()
-	if got := RefineNullSel(nulls, sel); got != len(wantKeptNull) || !slices.Equal(sel.Rows(), wantKeptNull) {
-		t.Fatalf("RefineNullSel=%d rows %v want %v", got, sel.Rows(), wantKeptNull)
+	if got := RefineNullSel(nulls, sel); got != len(k.wantKeptNull) || !slices.Equal(sel.Rows(), k.wantKeptNull) {
+		t.Fatalf("RefineNullSel=%d rows %v want %v", got, sel.Rows(), k.wantKeptNull)
 	}
 }
 
 // kernelShapes is the table the property test walks and the fuzzer starts
 // from: window lengths 0-9 and around one and two bitmap words, windows
-// that start inside a word, every interval count, every code pool and
-// every kind of null bitmap.
+// that start inside a word, every interval count, every code pool (one in
+// four shapes draws codes that fit 4 bytes and is scanned at both widths)
+// and every kind of null bitmap.
 func kernelShapes() []kernelShape {
 	var out []kernelShape
 	seed := int64(0)

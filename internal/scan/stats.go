@@ -5,6 +5,7 @@ import (
 
 	"adskip/internal/bitvec"
 	"adskip/internal/expr"
+	"adskip/internal/storage"
 )
 
 // PartStat describes one sub-partition of a scanned window: its bounds over
@@ -31,7 +32,7 @@ const statBlock = 1024
 //
 // parts is clamped to [1, hi-lo]. Row indices in the returned stats are
 // absolute (base-adjusted).
-func CountWithStats(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base, parts int) (int, []PartStat) {
+func CountWithStats[C storage.Code](codes []C, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base, parts int) (int, []PartStat) {
 	n := hi - lo
 	if n <= 0 {
 		return 0, nil

@@ -292,7 +292,7 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 // the placement (and therefore pruning) is as good as it gets. Row order
 // changes: rows are grouped by shard (a later merged snapshot writes
 // them back in shard order). tbl is the caller's alone — no engine serves
-// it — so reading it here (Codes, Rows: both consolidate what its loader
+// it — so reading it here (Vec, Rows: both consolidate what its loader
 // staged) needs no lock.
 func NewFromTable(tbl *table.Table, opts Options) (*Manager, error) {
 	m, err := New(tbl.Name(), tbl.Schema(), opts)
@@ -306,10 +306,11 @@ func NewFromTable(tbl *table.Table, opts Options) (*Manager, error) {
 			if err != nil {
 				return nil, err
 			}
+			keys := key.Vec()
 			codes := make([]int64, 0, n)
 			for i := 0; i < n; i++ {
 				if !key.IsNull(i) {
-					codes = append(codes, key.Codes()[i])
+					codes = append(codes, keys.At(i))
 				}
 			}
 			if len(codes) > 0 {

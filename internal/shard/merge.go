@@ -83,6 +83,7 @@ func (m *Manager) mergeResults(q engine.Query, rw *rewrite, targets []int, parti
 	out := &engine.Result{}
 	for _, p := range partials {
 		out.Stats.RowsScanned += p.Stats.RowsScanned
+		out.Stats.BytesScanned += p.Stats.BytesScanned
 		out.Stats.RowsSkipped += p.Stats.RowsSkipped
 		out.Stats.RowsCovered += p.Stats.RowsCovered
 		out.Stats.ZonesProbed += p.Stats.ZonesProbed

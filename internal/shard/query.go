@@ -196,7 +196,7 @@ func (m *Manager) finishTrace(ctx context.Context, res *engine.Result, tr *obs.Q
 			RowsSkipped:   int64(res.Stats.RowsSkipped),
 			ZonesRead:     zonesRead,
 			ZonesPruned:   zonesPruned,
-			BytesScanned:  int64(res.Stats.RowsScanned) * 8,
+			BytesScanned:  int64(res.Stats.BytesScanned),
 			ShardsScanned: int64(tr.ShardsScanned),
 			ShardsPruned:  int64(tr.ShardsPruned),
 			Shards:        shardIDs,

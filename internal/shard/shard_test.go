@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,8 @@ import (
 
 	"adskip/internal/engine"
 	"adskip/internal/expr"
+	"adskip/internal/obs"
+	"adskip/internal/stats"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 )
@@ -484,7 +487,7 @@ func TestObservedBoundsMatchHeldRows(t *testing.T) {
 							nulls++
 							continue
 						}
-						seen, lo, hi = true, min(lo, col.Codes()[i]), max(hi, col.Codes()[i])
+						seen, lo, hi = true, min(lo, col.Vec().At(i)), max(hi, col.Vec().At(i))
 					}
 					if s.seen != seen || s.nulls != nulls || (seen && (s.lo != lo || s.hi != hi)) {
 						t.Errorf("shard %d: observed seen=%v %d..%d with %d NULLs; rows held give seen=%v %d..%d with %d NULLs",
@@ -492,6 +495,40 @@ func TestObservedBoundsMatchHeldRows(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestBytesScannedFollowsCodeWidth: the manager's workload sample charges
+// the rows its shards scanned at the filtered column's code width — 4 bytes
+// on the Int64 key, whose values fit 32 bits, 8 on the Float64 price.
+func TestBytesScannedFollowsCodeWidth(t *testing.T) {
+	st := stats.New(stats.Options{})
+	m, err := New("sales", testSchema(), Options{
+		Shards: 2, Key: "id", Mode: ModeHash,
+		Engine: engine.Options{Policy: engine.PolicyNone, Stats: st},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AppendRows(testRows(1000)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fp    string
+		pred  expr.Pred
+		width int64
+	}{
+		{"id range", expr.MustPred("id", expr.Between, storage.IntValue(100), storage.IntValue(300)), 4},
+		{"price range", expr.MustPred("price", expr.Between, storage.FloatValue(10), storage.FloatValue(20)), 8},
+	} {
+		ctx := obs.WithTemplate(context.Background(), tc.fp)
+		if _, err := m.QueryContext(ctx, engine.Query{Where: expr.And(tc.pred), Aggs: []engine.Agg{{Kind: engine.CountStar}}}); err != nil {
+			t.Fatal(err)
+		}
+		ts, ok := st.Template(tc.fp)
+		if !ok || ts.RowsRead != 1000 || ts.BytesScanned != ts.RowsRead*tc.width {
+			t.Errorf("%s: %d bytes scanned for %d rows read, want 1000 rows at %d bytes", tc.fp, ts.BytesScanned, ts.RowsRead, tc.width)
 		}
 	}
 }

@@ -70,16 +70,23 @@ var fuzzExecSeeds = []string{
 	"SELECT s, COUNT(*), SUM(a), MAX(f) FROM t WHERE f >= 85.25 GROUP BY s",
 	"SELECT a, COUNT(*) FROM t WHERE s = 'rome' AND f IS NOT NULL GROUP BY a LIMIT 9",
 	"SELECT f FROM t WHERE a = 96 LIMIT 3",
+	// w is the one BIGINT column stored as 8-byte codes (a and s are 4-byte).
+	"SELECT COUNT(*), MIN(w), MAX(w) FROM t WHERE w BETWEEN -10 AND 40",
+	"SELECT a, w FROM t WHERE w < 0 OR w > 4294967290 ORDER BY w DESC LIMIT 5",
+	"SELECT w, COUNT(*), SUM(a) FROM t WHERE a < 30 AND w >= 12 GROUP BY w LIMIT 6",
 }
 
 // fuzzEngine loads the fuzz table — a cyclic BIGINT a, a sorted nullable
-// DOUBLE f, a three-word dictionary s, 512 rows — into a fresh engine with
-// skipping enabled on every column.
+// DOUBLE f, a three-word dictionary s, and a second cyclic BIGINT w whose
+// first row is negative and whose row 300 lies past 2^32, 512 rows — into a
+// fresh engine with skipping enabled on every column. a and s stay 4-byte
+// code vectors; the two seed rows force w to 8-byte codes (f is by type).
 func fuzzEngine(f *testing.F, opts engine.Options) *engine.Engine {
 	tb, err := table.New("t", table.Schema{
 		{Name: "a", Type: storage.Int64},
 		{Name: "f", Type: storage.Float64},
 		{Name: "s", Type: storage.String},
+		{Name: "w", Type: storage.Int64},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -90,10 +97,22 @@ func fuzzEngine(f *testing.F, opts engine.Options) *engine.Engine {
 		if i%17 == 0 {
 			fv = storage.NullValue(storage.Float64)
 		}
+		wv := int64(i % 89 * 3)
+		switch i {
+		case 0:
+			wv = -7
+		case 300:
+			wv = 1<<32 + 5
+		}
 		err := tb.AppendRow(storage.IntValue(int64(i%97)), fv,
-			storage.StringValue(words[i%len(words)]))
+			storage.StringValue(words[i%len(words)]), storage.IntValue(wv))
 		if err != nil {
 			f.Fatal(err)
+		}
+	}
+	for name, width := range map[string]int{"a": 4, "f": 8, "s": 4, "w": 8} {
+		if col, _ := tb.Column(name); col.Vec().Width() != width {
+			f.Fatalf("column %s holds %d-byte codes, want %d", name, col.Vec().Width(), width)
 		}
 	}
 	e := engine.New(tb, opts)

@@ -15,9 +15,13 @@ var (
 	ErrNaN          = errors.New("storage: NaN is not storable (no total order)")
 )
 
-// Column is a typed, append-only column vector. The physical representation
-// is always []int64 codes in value order (see package doc); logical type
-// only affects encode/decode at the boundary.
+// Column is a typed, append-only column vector of codes in value order (see
+// package doc); logical type only affects encode/decode at the boundary.
+// The codes of an Int64 or String column are stored as uint32 until one
+// falls outside [0, 2^32); the vector (or the staged chunk it arrived in) is
+// then rewritten once as int64 and the column stays wide. A Float64 column
+// is wide by type. The width is a function of the data alone; readers get
+// the vector at its width through Vec.
 //
 // A batch that does not fit the spare capacity is staged in pending chunks
 // beside the code vector, and the first reader of codes consolidates the
@@ -25,19 +29,24 @@ var (
 // read after it both mutate the column and must be serialised by the
 // caller; a consolidated column is safe for concurrent reads. The null
 // bitmap and the dictionary are indexed by row and by value, not through
-// codes: staging does not touch them.
+// codes: staging does not touch them. A NULL row's code slot holds 0 and is
+// masked by the bitmap everywhere.
 type Column struct {
-	name    string
-	typ     Type
-	codes   []int64
-	pending [][]int64      // staged rows after codes, in row order; only the last chunk has spare capacity
+	name string
+	typ  Type
+	// wide: some code does not fit 32 bits (always, for Float64). New
+	// chunks open wide and Consolidate leaves a wide vector; until it runs
+	// the vector itself may still be narrow beside a wide chunk.
+	wide    bool
+	vec     Vec
+	pending []Vec          // staged rows after vec, in row order; only the last chunk has spare capacity
 	staged  int            // rows in pending
 	nulls   *bitvec.BitVec // lazily allocated; set bit = NULL at that row
 	nNull   int
 	dict    *dict.Dict // non-nil iff typ == String
 }
 
-// chunkFloor is the smallest pending chunk, in rows: one 8 KiB page, so
+// chunkFloor is the smallest pending chunk, in rows: a 4 or 8 KiB page, so
 // that one-row and 256-row batches share a chunk instead of each leaving
 // an allocation behind, while the spare room staged rows can hold stays
 // under a page per column.
@@ -45,7 +54,7 @@ const chunkFloor = 1024
 
 // NewColumn returns an empty column of the given logical type.
 func NewColumn(name string, typ Type) *Column {
-	c := &Column{name: name, typ: typ}
+	c := &Column{name: name, typ: typ, wide: typ == Float64}
 	if typ == String {
 		c.dict = dict.New()
 	}
@@ -59,7 +68,7 @@ func (c *Column) Name() string { return c.name }
 func (c *Column) Type() Type { return c.typ }
 
 // Len returns the number of rows, staged ones included.
-func (c *Column) Len() int { return len(c.codes) + c.staged }
+func (c *Column) Len() int { return c.vec.Len() + c.staged }
 
 // Staged returns how many of the rows sit in pending chunks, waiting for a
 // reader to consolidate them.
@@ -68,13 +77,27 @@ func (c *Column) Staged() int { return c.staged }
 // NullCount returns the number of NULL rows.
 func (c *Column) NullCount() int { return c.nNull }
 
-// Codes exposes the physical code vector for scan kernels and metadata
+// Vec exposes the physical code vector for scan kernels and metadata
 // builders, consolidating staged rows first: it is always the whole column
-// as one slice. The slice aliases column storage: callers must treat it as
-// read-only and must not retain it across appends.
-func (c *Column) Codes() []int64 {
+// as one slice, at the column's width. The view aliases column storage:
+// callers must treat it as read-only and must not retain it across appends.
+func (c *Column) Vec() Vec {
 	c.Consolidate()
-	return c.codes
+	return c.vec
+}
+
+// Codes returns the whole column as int64 codes: the vector itself when it
+// is wide, a widened copy of a narrow one. It is kept for the repository
+// benchmark's scan rung, which compiles against it; nothing on the query
+// path calls it (Vec is the reader's accessor).
+func (c *Column) Codes() []int64 {
+	v := c.Vec()
+	if v.N == nil {
+		return v.W
+	}
+	w := make([]int64, len(v.N))
+	v.copyWide(w)
+	return w
 }
 
 // Consolidate moves staged rows into the code vector; on a column with
@@ -90,7 +113,9 @@ func (c *Column) Codes() []int64 {
 // column that was loaded in one go. Otherwise (a trickle of small batches
 // between reads) it grows by one rung of growLadder, the amortised growth
 // of append. Either way a reallocation follows growth of at least 1.25x,
-// and capacity <= max(Len(), one rung above Len()-1).
+// and capacity <= max(Len(), one rung above Len()-1). A narrow vector
+// beside a wide chunk cannot be grown in place: that one consolidation
+// rewrites it wide, exactly Len() long.
 func (c *Column) Consolidate() {
 	if len(c.pending) != 0 {
 		c.consolidate()
@@ -98,20 +123,50 @@ func (c *Column) Consolidate() {
 }
 
 // consolidate is Consolidate's slow path, kept apart so that the check
-// inlines into per-row callers of Codes and Value.
+// inlines into per-row callers of Vec and Value.
 func (c *Column) consolidate() {
-	at, n := len(c.codes), len(c.codes)+c.staged
-	if n-cap(c.codes) > cap(c.codes)/4 {
-		grown := make([]int64, n)
-		copy(grown, c.codes)
-		c.codes = grown
+	at, n := c.vec.Len(), c.Len()
+	if !c.wide {
+		codes := grow(c.vec.N, n)
+		for _, chunk := range c.pending {
+			at += copy(codes[at:], chunk.N)
+		}
+		c.vec = Vec{N: codes}
 	} else {
-		c.codes = growLadder(c.codes, n)
-	}
-	for _, chunk := range c.pending {
-		at += copy(c.codes[at:], chunk)
+		codes := c.vec.W
+		if codes == nil {
+			codes = make([]int64, n)
+			c.vec.copyWide(codes)
+		} else {
+			codes = grow(codes, n)
+		}
+		for _, chunk := range c.pending {
+			at += chunk.copyWide(codes[at:])
+		}
+		c.vec = Vec{W: codes}
 	}
 	c.pending, c.staged = nil, 0
+}
+
+// grow returns s resliced to n elements under Consolidate's sizing rule.
+// Elements between the old length and n are unspecified.
+func grow[T Code](s []T, n int) []T {
+	if n-cap(s) > cap(s)/4 {
+		grown := make([]T, n)
+		copy(grown, s)
+		return grown
+	}
+	return growLadder(s, n)
+}
+
+// escalate rewrites slot — the vector or a staged chunk, narrow — as int64
+// codes, exactly as long as it is, and makes the column wide. It runs at
+// most once per vector or chunk, at the first code that does not fit.
+func (c *Column) escalate(slot *Vec) {
+	w := make([]int64, len(slot.N))
+	slot.copyWide(w)
+	*slot = Vec{W: w}
+	c.wide = true
 }
 
 // Dict returns the string dictionary, or nil for non-string columns.
@@ -173,21 +228,26 @@ func (c *Column) AppendString(v string) error {
 	return nil
 }
 
-// AppendNull appends a NULL row. The physical code slot holds the minimum
-// int64 so that metadata builders which consult the null bitmap can skip it
-// and kernels that forget would at worst over-select (they don't: kernels
-// mask nulls).
+// AppendNull appends a NULL row. Its code slot holds 0 (it fits either
+// width); every reader masks it with the null bitmap.
 func (c *Column) AppendNull() {
-	c.appendCode(math.MinInt64)
-	c.setNull(len(c.codes) - 1)
+	c.appendCode(0)
+	c.setNull(c.vec.Len() - 1)
 }
 
 // appendCode is the single-value appenders' store: plain append onto the
 // consolidated vector, for loaders that build a column code by code.
 func (c *Column) appendCode(code int64) {
 	c.Consolidate()
-	c.codes = append(c.codes, code)
-	c.growNulls(len(c.codes))
+	if !c.wide && !fits[uint32](code) {
+		c.escalate(&c.vec)
+	}
+	if c.wide {
+		c.vec.W = append(c.vec.W, code)
+	} else {
+		c.vec.N = append(c.vec.N, uint32(code))
+	}
+	c.growNulls(c.vec.Len())
 }
 
 // CheckRows reports the first reason cell col of rows could not be
@@ -252,70 +312,100 @@ func (c *Column) mismatch(row int, v *Value) error {
 func (c *Column) AppendRows(rows [][]Value, col int) {
 	for len(rows) > 0 {
 		base := c.Len()
-		dst := c.reserve(len(rows))
-		c.storeRows(dst, rows[:len(dst)], col, base)
-		rows = rows[len(dst):]
+		slot, at := c.reserve(len(rows))
+		n := slot.Len() - at
+		c.storeRows(slot, at, rows[:n], col, base)
+		rows = rows[n:]
 	}
 	c.growNulls(c.Len())
 }
 
 // reserve makes room at the column's end for up to n more rows (at least
-// one) and returns it; the caller overwrites every element. A batch that
-// fits the spare capacity of a column with nothing staged extends the tail.
-// Any other first fills what the last pending chunk has left and then opens
-// a chunk of exactly the rows that remain — never smaller than chunkFloor —
-// so a bulk load allocates each row's slot once and copies it once, at
-// consolidation, instead of copying the whole column at every rung of a
-// growth ladder; and staged rows never hold more than one chunkFloor of
-// room no row occupies.
-func (c *Column) reserve(n int) []int64 {
+// one) and returns where: the vector or chunk that holds the room, already
+// extended over it, and the offset the room starts at. The caller
+// overwrites every element. A batch that fits the spare capacity of a
+// column with nothing staged extends the tail. Any other first fills what
+// the last pending chunk has left and then opens a chunk of exactly the
+// rows that remain — never smaller than chunkFloor, narrow unless the
+// column is already wide — so a bulk load allocates each row's slot once
+// and copies it once, at consolidation, instead of copying the whole column
+// at every rung of a growth ladder; and staged rows never hold more than
+// one chunkFloor of room no row occupies.
+func (c *Column) reserve(n int) (slot *Vec, at int) {
 	if len(c.pending) == 0 {
-		if at := len(c.codes); at+n <= cap(c.codes) {
-			c.codes = c.codes[:at+n]
-			return c.codes[at:]
+		if at = c.vec.Len(); at+n <= c.vec.capacity() {
+			c.vec = c.vec.Slice(0, at+n)
+			return &c.vec, at
 		}
-	} else if k := len(c.pending) - 1; len(c.pending[k]) < cap(c.pending[k]) {
-		chunk, at := c.pending[k], len(c.pending[k])
-		chunk = chunk[:min(at+n, cap(chunk))]
-		c.pending[k] = chunk
-		c.staged += len(chunk) - at
-		return chunk[at:]
+	} else if slot = &c.pending[len(c.pending)-1]; slot.Len() < slot.capacity() {
+		at = slot.Len()
+		*slot = slot.Slice(0, min(at+n, slot.capacity()))
+		c.staged += slot.Len() - at
+		return slot, at
 	}
-	chunk := make([]int64, n, max(n, chunkFloor))
+	var chunk Vec
+	if room := max(n, chunkFloor); c.wide {
+		chunk.W = make([]int64, n, room)
+	} else {
+		chunk.N = make([]uint32, n, room)
+	}
 	c.pending = append(c.pending, chunk)
 	c.staged += n
-	return chunk
+	return &c.pending[len(c.pending)-1], 0
 }
 
-// storeRows is AppendRows' typed store loop: cell col of rows into dst,
-// whose first element is row base of the column.
-func (c *Column) storeRows(dst []int64, rows [][]Value, col, base int) {
+// storeRows stores cell col of rows into slot from offset at on; the first
+// of them is row base of the column. A narrow slot takes codes until one
+// does not fit, is rewritten wide there, and takes the rest as int64.
+func (c *Column) storeRows(slot *Vec, at int, rows [][]Value, col, base int) {
+	done := 0
+	if slot.W == nil {
+		if done = storeCodes(c, slot.N[at:], rows, col, base); done == len(rows) {
+			return
+		}
+		c.escalate(slot)
+	}
+	storeCodes(c, slot.W[at+done:], rows[done:], col, base+done)
+}
+
+// storeCodes is AppendRows' typed store loop at one width: cell col of rows
+// into dst, whose first element is row base of the column. It returns how
+// many rows it stored: all of them, or those before the first code that T
+// cannot represent.
+func storeCodes[T Code](c *Column, dst []T, rows [][]Value, col, base int) int {
 	switch c.typ {
 	case Int64:
 		for i, r := range rows {
 			v := &r[col]
 			if v.null {
-				dst[i] = math.MinInt64
+				dst[i] = 0
 				c.setNull(base + i)
 				continue
 			}
-			dst[i] = v.i
+			if !fits[T](v.i) {
+				return i
+			}
+			dst[i] = T(v.i)
 		}
 	case Float64:
 		for i, r := range rows {
 			v := &r[col]
 			if v.null {
-				dst[i] = math.MinInt64
+				dst[i] = 0
 				c.setNull(base + i)
 				continue
 			}
-			dst[i] = EncodeFloat64(v.f)
+			code := EncodeFloat64(v.f)
+			if !fits[T](code) {
+				return i
+			}
+			dst[i] = T(code)
 		}
 	case String:
 		for i, r := range rows {
 			v := &r[col]
 			if v.null {
-				dst[i] = math.MinInt64
+				dst[i] = 0
 				c.setNull(base + i)
 				continue
 			}
@@ -323,9 +413,13 @@ func (c *Column) storeRows(dst []int64, rows [][]Value, col, base int) {
 			if err != nil {
 				panic(fmt.Sprintf("storage: AppendRows on column %q without CheckRows: %v", c.name, err))
 			}
-			dst[i] = code
+			if !fits[T](code) {
+				return i
+			}
+			dst[i] = T(code)
 		}
 	}
+	return len(rows)
 }
 
 // growLadder returns s resliced to n elements, reallocated to the next
@@ -336,7 +430,7 @@ func (c *Column) storeRows(dst []int64, rows [][]Value, col, base int) {
 // reallocation to the batch instead (slices.Grow) was measured at +15% live
 // heap on ingest-mixed (EXPERIMENTS.md, "bulk load"). Elements between the
 // old length and n are unspecified; the caller overwrites them.
-func growLadder(s []int64, n int) []int64 {
+func growLadder[T Code](s []T, n int) []T {
 	for cap(s) < n {
 		s = append(s[:cap(s)], 0)
 	}
@@ -352,7 +446,14 @@ func (c *Column) SetInt(i int, v int64) error {
 	}
 	c.Consolidate()
 	c.clearNull(i)
-	c.codes[i] = v
+	if !c.wide && !fits[uint32](v) {
+		c.escalate(&c.vec)
+	}
+	if c.wide {
+		c.vec.W[i] = v
+	} else {
+		c.vec.N[i] = uint32(v)
+	}
 	return nil
 }
 
@@ -366,7 +467,7 @@ func (c *Column) SetFloat(i int, v float64) error {
 	}
 	c.Consolidate()
 	c.clearNull(i)
-	c.codes[i] = EncodeFloat64(v)
+	c.vec.W[i] = EncodeFloat64(v)
 	return nil
 }
 
@@ -375,8 +476,7 @@ func (c *Column) Value(i int) Value {
 	if c.IsNull(i) {
 		return NullValue(c.typ)
 	}
-	c.Consolidate()
-	code := c.codes[i]
+	code := c.Vec().At(i)
 	switch c.typ {
 	case Int64:
 		return IntValue(code)
@@ -424,13 +524,22 @@ func (c *Column) SealDict() []int64 {
 		return nil
 	}
 	remap := c.dict.Seal()
-	for i, code := range c.Codes() {
-		if c.IsNull(i) {
-			continue
-		}
-		c.codes[i] = remap[code]
+	if v := c.Vec(); v.W != nil {
+		remapCodes(c, v.W, remap)
+	} else {
+		remapCodes(c, v.N, remap)
 	}
 	return remap
+}
+
+// remapCodes rewrites every non-NULL code through remap, a permutation of
+// the dictionary's codes: what fitted the vector's width still does.
+func remapCodes[T Code](c *Column, codes []T, remap []int64) {
+	for i, code := range codes {
+		if !c.IsNull(i) {
+			codes[i] = T(remap[code])
+		}
+	}
 }
 
 // DictSorted reports whether string predicates can be planned as code

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -306,13 +307,13 @@ func TestQuickColumnRoundTrip(t *testing.T) {
 	}
 }
 
-// intBatch builds n single-cell Int64 rows over one backing array, every
-// 500th NULL if nulls is set.
-func intBatch(n int, nulls bool) [][]Value {
+// intBatch builds n single-cell Int64 rows over one backing array, row i
+// holding from+i, every 500th NULL if nulls is set.
+func intBatch(n int, nulls bool, from int64) [][]Value {
 	cells := make([]Value, n)
 	rows := make([][]Value, n)
 	for i := range rows {
-		cells[i] = IntValue(int64(i))
+		cells[i] = IntValue(from + int64(i))
 		if nulls && i%500 == 499 {
 			cells[i] = NullValue(Int64)
 		}
@@ -320,6 +321,14 @@ func intBatch(n int, nulls bool) [][]Value {
 	}
 	return rows
 }
+
+// widths are the two physical layouts of an Int64 column: values from 0 on
+// stay 4-byte codes, values from 2^40 on are 8-byte codes from the first row.
+var widths = []struct {
+	name  string
+	from  int64
+	bytes int
+}{{"narrow", 0, 4}, {"wide", 1 << 40, 8}}
 
 // allocated reports the heap bytes f allocates.
 func allocated(f func()) uint64 {
@@ -332,83 +341,205 @@ func allocated(f func()) uint64 {
 
 // TestCapacityStagedSlack: whatever mix of batch sizes is appended without
 // a read in between, only the last pending chunk has room left, less than
-// one chunkFloor of it; Len counts every staged row; and one Codes() turns
-// the lot into a single exactly-sized vector with every row in place.
+// one chunkFloor of it; Len counts every staged row; and one Vec() turns
+// the lot into a single vector of exactly rows x width bytes with every row
+// in place — at either width.
 func TestCapacityStagedSlack(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	sizes := []int{1, 255, 1024, 1 << 16, 1, 1, 1023, 1025, 300}
-	for k := 0; k < 40; k++ {
-		sizes = append(sizes, 1+rng.Intn(3000))
-	}
-	c := NewColumn("a", Int64)
-	rows := intBatch(1<<16, true)
-	want := 0
-	for _, n := range sizes {
-		c.AppendRows(rows[:n], 0)
-		want += n
-		if c.Len() != want || c.Staged() != want {
-			t.Fatalf("after %d rows: Len %d, Staged %d", want, c.Len(), c.Staged())
-		}
-		for i, chunk := range c.pending {
-			spare := cap(chunk) - len(chunk)
-			if spare >= chunkFloor || (spare > 0 && i != len(c.pending)-1) {
-				t.Fatalf("after %d rows: chunk %d of %d has %d unused slots", want, i, len(c.pending), spare)
+	for _, w := range widths {
+		t.Run(w.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			sizes := []int{1, 255, 1024, 1 << 16, 1, 1, 1023, 1025, 300}
+			for k := 0; k < 40; k++ {
+				sizes = append(sizes, 1+rng.Intn(3000))
 			}
-		}
-	}
-	codes := c.Codes()
-	if len(codes) != want || cap(codes) != want || c.Staged() != 0 || c.pending != nil {
-		t.Fatalf("after Codes(): len %d cap %d staged %d, want %d rows in one exact vector", len(codes), cap(codes), c.Staged(), want)
-	}
-	at := 0
-	for _, n := range sizes {
-		for i := 0; i < n; i++ {
-			if null := i%500 == 499; c.IsNull(at+i) != null || (!null && codes[at+i] != int64(i)) {
-				t.Fatalf("row %d (row %d of its batch): code %d, null %v", at+i, i, codes[at+i], c.IsNull(at+i))
+			c := NewColumn("a", Int64)
+			rows := intBatch(1<<16, true, w.from)
+			want := 0
+			for _, n := range sizes {
+				c.AppendRows(rows[:n], 0)
+				want += n
+				if c.Len() != want || c.Staged() != want {
+					t.Fatalf("after %d rows: Len %d, Staged %d", want, c.Len(), c.Staged())
+				}
+				for i, chunk := range c.pending {
+					spare := chunk.capacity() - chunk.Len()
+					if spare >= chunkFloor || (spare > 0 && i != len(c.pending)-1) {
+						t.Fatalf("after %d rows: chunk %d of %d has %d unused slots", want, i, len(c.pending), spare)
+					}
+				}
 			}
-		}
-		at += n
+			v := c.Vec()
+			if v.Len() != want || v.capacity()*v.Width() != want*w.bytes || c.Staged() != 0 || c.pending != nil {
+				t.Fatalf("after Vec(): len %d, %d bytes, staged %d, want %d rows in one vector of %d bytes",
+					v.Len(), v.capacity()*v.Width(), c.Staged(), want, want*w.bytes)
+			}
+			at := 0
+			for _, n := range sizes {
+				for i := 0; i < n; i++ {
+					if null := i%500 == 499; c.IsNull(at+i) != null || (!null && v.At(at+i) != w.from+int64(i)) {
+						t.Fatalf("row %d (row %d of its batch): code %d, null %v", at+i, i, v.At(at+i), c.IsNull(at+i))
+					}
+				}
+				at += n
+			}
+		})
 	}
 }
 
-// TestCapacityAllocationAmortised guards the copy amplification of a load
-// with a deterministic count instead of a timing. A 2 Mi-row column loaded
-// in 64 Ki batches and read once allocates each row's slot twice (its chunk,
-// then the consolidated vector) and nothing else of size: the growth ladder
-// this replaced allocated about six times the column. And 256-row batches
-// with a read after each — the trickle that cannot be staged for long —
-// still allocate no more than append's own ladder does for the same rows.
-func TestCapacityAllocationAmortised(t *testing.T) {
-	const bulkRows, bulkBatch = 1 << 21, 1 << 16
-	rows := intBatch(bulkBatch, false)
-	c := NewColumn("a", Int64)
-	bulk := allocated(func() {
-		for c.Len() < bulkRows {
-			c.AppendRows(rows, 0)
-		}
-		c.Codes()
-	})
-	if limit := uint64(21 * 8 * bulkRows / 10); bulk > limit {
-		t.Errorf("bulk load of %d rows allocated %d bytes, want <= %d (2.1 x 8 B x rows)", bulkRows, bulk, limit)
-	}
-
-	const trickleRows, trickleBatch = 300_000, 256
-	var ladder []int64
-	ladderTotal := allocated(func() {
-		for len(ladder) < trickleRows {
+// ladderAllocated reports the bytes append's own growth ladder allocates to
+// reach n elements of T.
+func ladderAllocated[T Code](n int) uint64 {
+	var ladder []T
+	return allocated(func() {
+		for len(ladder) < n {
 			ladder = append(ladder[:cap(ladder)], 0)
 		}
 	})
-	c = NewColumn("a", Int64)
-	trickle := allocated(func() {
-		for c.Len() < trickleRows {
-			c.AppendRows(rows[:trickleBatch], 0)
-			c.Codes()
-		}
-	})
-	if trickle > ladderTotal {
-		t.Errorf("%d-row batches with a read after each allocated %d bytes for %d rows, append's ladder %d", trickleBatch, trickle, trickleRows, ladderTotal)
+}
+
+// TestCapacityAllocationAmortised guards the copy amplification of a load
+// with a deterministic count instead of a timing, at both widths. A 2 Mi-row
+// column loaded in 64 Ki batches and read once allocates each row's slot
+// twice (its chunk, then the consolidated vector) and nothing else of size:
+// the growth ladder this replaced allocated about six times the column. And
+// 256-row batches with a read after each — the trickle that cannot be
+// staged for long — still allocate no more than append's own ladder does
+// for the same rows at the same width.
+func TestCapacityAllocationAmortised(t *testing.T) {
+	for _, w := range widths {
+		t.Run(w.name, func(t *testing.T) {
+			const bulkRows, bulkBatch = 1 << 21, 1 << 16
+			rows := intBatch(bulkBatch, false, w.from)
+			c := NewColumn("a", Int64)
+			bulk := allocated(func() {
+				for c.Len() < bulkRows {
+					c.AppendRows(rows, 0)
+				}
+				c.Vec()
+			})
+			if limit := uint64(21 * w.bytes * bulkRows / 10); bulk > limit {
+				t.Errorf("bulk load of %d rows allocated %d bytes, want <= %d (2.1 x %d B x rows)", bulkRows, bulk, limit, w.bytes)
+			}
+
+			const trickleRows, trickleBatch = 300_000, 256
+			ladderTotal := ladderAllocated[uint32](trickleRows)
+			if w.bytes == 8 {
+				ladderTotal = ladderAllocated[int64](trickleRows)
+			}
+			c = NewColumn("a", Int64)
+			trickle := allocated(func() {
+				for c.Len() < trickleRows {
+					c.AppendRows(rows[:trickleBatch], 0)
+					c.Vec()
+				}
+			})
+			if trickle > ladderTotal {
+				t.Errorf("%d-row batches with a read after each allocated %d bytes for %d rows, append's ladder %d", trickleBatch, trickle, trickleRows, ladderTotal)
+			}
+			if got := c.Vec().Width(); got != w.bytes {
+				t.Errorf("code width %d, want %d", got, w.bytes)
+			}
+			column := float64(w.bytes)
+			t.Logf("bulk %.2f x column, trickle %.2f x column (append's ladder %.2f x)",
+				float64(bulk)/(column*bulkRows), float64(trickle)/(column*trickleRows), float64(ladderTotal)/(column*trickleRows))
+		})
 	}
-	t.Logf("bulk %.2f x column, trickle %.2f x column (append's ladder %.2f x)",
-		float64(bulk)/(8*bulkRows), float64(trickle)/(8*trickleRows), float64(ladderTotal)/(8*trickleRows))
+}
+
+// TestEscalation: an Int64 column stores 4-byte codes until one value does
+// not fit, is rewritten as 8-byte codes exactly once — wherever that value
+// arrives: first, middle or last in a staged batch, in a batch that lands
+// on the vector's spare tail, through SetInt, through AppendInt — and keeps
+// every earlier row, NULLs included. The rewritten vector is exactly as
+// long as its rows (AppendInt then grows it by append's own rung).
+func TestEscalation(t *testing.T) {
+	const base, n = 3000, 9 // rows before the batch, rows in it
+	for _, outlier := range []int64{-1, 1 << 32, math.MinInt64} {
+		for _, tc := range []struct {
+			name  string
+			slack bool // read the column first, leaving the batch room on its tail
+			write func(c *Column, batch [][]Value)
+		}{
+			{"chunk head", false, func(c *Column, b [][]Value) { b[0][0] = IntValue(outlier); c.AppendRows(b, 0) }},
+			{"chunk mid", false, func(c *Column, b [][]Value) { b[n/2][0] = IntValue(outlier); c.AppendRows(b, 0) }},
+			{"chunk last", false, func(c *Column, b [][]Value) { b[n-1][0] = IntValue(outlier); c.AppendRows(b, 0) }},
+			{"tail mid", true, func(c *Column, b [][]Value) { b[n/2][0] = IntValue(outlier); c.AppendRows(b, 0) }},
+			{"SetInt", true, func(c *Column, b [][]Value) {
+				c.AppendRows(b, 0)
+				b[n/2][0] = IntValue(outlier)
+				if err := c.SetInt(base+n/2, outlier); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"AppendInt", true, func(c *Column, b [][]Value) {
+				b[n-1][0] = IntValue(outlier)
+				c.AppendRows(b[:n-1], 0)
+				if err := c.AppendInt(outlier); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			t.Run(fmt.Sprintf("%s/%d", tc.name, outlier), func(t *testing.T) {
+				c := NewColumn("a", Int64)
+				first := intBatch(base, true, 0)
+				c.AppendRows(first[:base-1], 0)
+				if tc.slack {
+					c.Vec()
+					c.AppendRows(first[base-1:], 0) // one more row and a read: a ladder rung, so room for the batch
+				} else {
+					c.AppendRows(first[base-1:], 0)
+				}
+				if v := c.Vec(); v.Width() != 4 || (tc.slack && v.capacity() < base+n) {
+					t.Fatalf("before the outlier: %d-byte codes, capacity %d for %d rows", v.Width(), v.capacity(), v.Len())
+				}
+				if !tc.slack {
+					c.AppendRows(intBatch(chunkFloor, false, 7), 0) // a staged narrow chunk with no room left
+					first = append(first, intBatch(chunkFloor, false, 7)...)
+				}
+				batch := intBatch(n, false, 100)
+				batch[1][0] = NullValue(Int64)
+				tc.write(c, batch)
+				want := append(first, batch...)
+				v := c.Vec()
+				if v.Width() != 8 || v.Len() != len(want) || (v.capacity() != v.Len() && tc.name != "AppendInt") {
+					t.Fatalf("%d-byte codes, %d rows in capacity %d; want 8-byte codes, %d rows, no slack", v.Width(), v.Len(), v.capacity(), len(want))
+				}
+				for i, r := range want {
+					if got := c.Value(i); !got.Equal(r[0]) {
+						t.Fatalf("row %d: %v, want %v", i, got, r[0])
+					}
+				}
+				// Wide from here on: small values arrive as 8-byte codes.
+				c.AppendRows(intBatch(n, false, 0), 0)
+				if v := c.Vec(); v.Width() != 8 || v.At(len(want)+1) != 1 {
+					t.Fatalf("after the outlier: %d-byte codes, row %d holds %d", v.Width(), len(want)+1, v.At(len(want)+1))
+				}
+			})
+		}
+	}
+}
+
+// TestCodesCompat: Codes, the one []int64 accessor left (for the repository
+// benchmark's scan rung), aliases a wide vector and returns a widened copy
+// of a narrow one, NULL slots and all.
+func TestCodesCompat(t *testing.T) {
+	for _, w := range widths {
+		c := NewColumn("a", Int64)
+		c.AppendRows(intBatch(1200, true, w.from), 0)
+		v, codes := c.Vec(), c.Codes()
+		if v.Width() != w.bytes || len(codes) != v.Len() {
+			t.Fatalf("%s: %d-byte codes, %d of %d rows", w.name, v.Width(), len(codes), v.Len())
+		}
+		for i, code := range codes {
+			if code != v.At(i) {
+				t.Fatalf("%s: Codes()[%d] = %d, the vector holds %d", w.name, i, code, v.At(i))
+			}
+		}
+		if aliases := len(v.W) > 0 && &codes[0] == &v.W[0]; aliases != (w.bytes == 8) {
+			t.Fatalf("%s: Codes() aliases the vector: %v", w.name, aliases)
+		}
+	}
+	if codes := NewColumn("a", Int64).Codes(); len(codes) != 0 {
+		t.Fatalf("empty column: %d codes", len(codes))
+	}
 }

@@ -1,7 +1,7 @@
 // Package storage implements the in-memory columnar storage engine.
 //
-// Every column, regardless of logical type, is physically a vector of int64
-// "codes" with an order-preserving encoding:
+// Every column, regardless of logical type, is physically one vector of
+// integer "codes" with an order-preserving encoding:
 //
 //   - Int64 columns store values directly.
 //   - Float64 columns store a monotone bijection of the float's bit pattern
@@ -9,9 +9,25 @@
 //   - String columns store dictionary codes from an order-preserving
 //     (sealed) dictionary.
 //
-// Because code order always equals value order, a single integer scan
-// kernel and a single zonemap implementation serve all types, mirroring how
+// Because code order always equals value order, one set of integer scan
+// kernels and one zonemap implementation serve all types, mirroring how
 // main-memory column stores normalize storage for fast scans.
+//
+// A code is logically an int64; physically the vector has one of two
+// widths. An Int64 or String column holds []uint32 while every code lies in
+// [0, 2^32) — a key whose domain is the row count, a row number, a
+// dictionary code — and []int64 from the first code that does not: that
+// code rewrites the vector (or the staged chunk it arrived in) once, the way
+// consolidation rewrites once, and the column stays wide. Float64 columns
+// are wide by type. There is no option and no frame of reference: the width
+// is a function of the data, zero extension of a narrow code is its value,
+// and a NULL row's slot holds 0 at either width, masked by the null bitmap.
+// Readers take the vector as a Vec — one of the two slices, with Len, At
+// and Slice — and the scan kernels are generic over the element type (Code);
+// everything derived from codes — zone bounds, predicate intervals, WAL
+// records, snapshots — stays int64. Column.Codes, a []int64 of the whole
+// column (a widened copy of a narrow one), remains only for the repository
+// benchmark's scan rung.
 //
 // Rows arrive as batches of dynamic Values and every append path goes
 // through one pair of per-column kernels: Column.CheckRows validates one
@@ -28,16 +44,19 @@
 // Readers need the codes as one slice; writers do not, until someone
 // reads. A batch that fits a column's spare capacity extends its tail; one
 // that does not is staged in a pending chunk beside the vector (exactly
-// batch-sized, at least chunkFloor rows; later batches fill a chunk before
-// opening another), and Len counts it. The first reader — Codes, or any
-// accessor that indexes codes — consolidates the column back into one
-// slice with at most one reallocation: exactly Len() long when the rows
-// outgrew the capacity by more than a quarter (a bulk load: the column is
-// copied once instead of at every rung of a growth ladder, and keeps no
-// slack), one rung of append's ladder otherwise (small batches between
-// reads keep append's amortised cost). So after any read capacity is at
-// most max(Len(), one rung above Len()-1), and total copying is linear
-// either way. A column nobody reads is never copied.
+// batch-sized, at least chunkFloor rows, narrow unless the column is
+// already wide; later batches fill a chunk before opening another), and Len
+// counts it. A chunk is narrow when it is stored, not only once it is
+// consolidated: a column nobody reads keeps its rows at 4 bytes each. The
+// first reader — Vec, or any accessor that indexes codes — consolidates the
+// column back into one slice with at most one reallocation: exactly Len()
+// long when the rows outgrew the capacity by more than a quarter (a bulk
+// load: the column is copied once instead of at every rung of a growth
+// ladder, and keeps no slack) or when a wide chunk meets a narrow vector,
+// one rung of append's ladder otherwise (small batches between reads keep
+// append's amortised cost). So after any read capacity is at most
+// max(Len(), one rung above Len()-1), and total copying is linear either
+// way. A column nobody reads is never copied.
 //
 // Concurrency: an append and the first read after it both mutate the
 // column and must be serialised by the caller — the engine does both under

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -19,8 +20,9 @@ func mixedSchema() Schema {
 	}
 }
 
-// naiveAppend is the reference AppendRows is held to: one typed append per
-// cell, row by row, the way the table was filled before the batch kernel.
+// naiveAppend fills a table one typed append per cell, row by row, the way
+// it was filled before the batch kernel: the second load path the
+// differential holds to the reference.
 func naiveAppend(t *Table, rows [][]storage.Value) error {
 	for _, r := range rows {
 		for ci, v := range r {
@@ -44,16 +46,126 @@ func naiveAppend(t *Table, rows [][]storage.Value) error {
 	return nil
 }
 
-// randomBatch draws n rows of mixedSchema: NULLs in every column, signed
-// zeros and infinities among the floats, strings both repeated and new.
+// wideRef is the reference every load path is held to: the column store as
+// it was before code widths — each column one []int64 grown by append, one
+// cell at a time, NULL slots holding 0 — plus what the data says the
+// physical layout must be: wide[ci] is set once a code outside [0, 2^32)
+// has been stored in column ci (a Float64 column is wide from the start).
+type wideRef struct {
+	schema Schema
+	codes  [][]int64
+	nulls  [][]bool
+	dicts  []*dict.Dict // nil but for String columns
+	wide   []bool
+}
+
+func newWideRef(schema Schema) *wideRef {
+	r := &wideRef{schema: schema, codes: make([][]int64, len(schema)), nulls: make([][]bool, len(schema)),
+		dicts: make([]*dict.Dict, len(schema)), wide: make([]bool, len(schema))}
+	for ci, c := range schema {
+		r.wide[ci] = c.Type == storage.Float64
+		if c.Type == storage.String {
+			r.dicts[ci] = dict.New()
+		}
+	}
+	return r
+}
+
+func (r *wideRef) rows() int { return len(r.codes[0]) }
+
+// encode returns the code v is stored as in column ci.
+func (r *wideRef) encode(ci int, v storage.Value) int64 {
+	switch r.schema[ci].Type {
+	case storage.Int64:
+		return v.Int()
+	case storage.Float64:
+		return storage.EncodeFloat64(v.Float())
+	}
+	code, err := r.dicts[ci].Insert(v.Str())
+	if err != nil {
+		panic(err)
+	}
+	return code
+}
+
+func (r *wideRef) store(ci int, code int64) int64 {
+	r.wide[ci] = r.wide[ci] || code < 0 || code > math.MaxUint32
+	return code
+}
+
+func (r *wideRef) append(rows [][]storage.Value) {
+	for _, row := range rows {
+		for ci, v := range row {
+			code := int64(0)
+			if !v.IsNull() {
+				code = r.store(ci, r.encode(ci, v))
+			}
+			r.codes[ci] = append(r.codes[ci], code)
+			r.nulls[ci] = append(r.nulls[ci], v.IsNull())
+		}
+	}
+}
+
+func (r *wideRef) set(ci, row int, v storage.Value) {
+	r.codes[ci][row], r.nulls[ci][row] = r.store(ci, r.encode(ci, v)), false
+}
+
+func (r *wideRef) seal() {
+	for ci, d := range r.dicts {
+		if d == nil || d.Sealed() {
+			continue
+		}
+		remap := d.Seal()
+		for i, code := range r.codes[ci] {
+			if !r.nulls[ci][i] {
+				r.codes[ci][i] = remap[code]
+			}
+		}
+	}
+}
+
+func (r *wideRef) value(ci, row int) storage.Value {
+	typ, code := r.schema[ci].Type, r.codes[ci][row]
+	switch {
+	case r.nulls[ci][row]:
+		return storage.NullValue(typ)
+	case typ == storage.Int64:
+		return storage.IntValue(code)
+	case typ == storage.Float64:
+		return storage.FloatValue(storage.DecodeFloat64(code))
+	}
+	return storage.StringValue(r.dicts[ci].Value(code))
+}
+
+// holdsOutlier reports whether column ci holds, now, a code outside
+// [0, 2^32): what decides the width of a column rebuilt from its values.
+func (r *wideRef) holdsOutlier(ci int) bool {
+	for i, code := range r.codes[ci] {
+		if !r.nulls[ci][i] && (code < 0 || code > math.MaxUint32) {
+			return true
+		}
+	}
+	return false
+}
+
+// outliers are the Int64 values that do not fit a 4-byte code.
+var outliers = []int64{-1, 1 << 32, math.MinInt64, math.MaxInt64}
+
+// randomBatch draws n rows of mixedSchema: NULLs in every column, integers
+// that fit 32 bits (an outlier arrives only where a test places one),
+// signed zeros and infinities among the floats, strings both repeated and
+// new.
 func randomBatch(rng *rand.Rand, n int) [][]storage.Value {
 	floats := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.SmallestNonzeroFloat64}
 	rows := make([][]storage.Value, n)
 	for k := range rows {
 		row := []storage.Value{
-			storage.IntValue(rng.Int63() - rng.Int63()),
+			storage.IntValue(rng.Int63n(1 << 32)),
 			storage.FloatValue(rng.NormFloat64() * 1e6),
 			storage.StringValue(fmt.Sprintf("s%d", rng.Intn(40))),
+		}
+		if rng.Intn(4) == 0 {
+			row[0] = storage.IntValue([]int64{0, math.MaxUint32}[rng.Intn(2)]) // the narrow range's two ends
 		}
 		if rng.Intn(4) == 0 {
 			row[1] = storage.FloatValue(floats[rng.Intn(len(floats))])
@@ -72,67 +184,83 @@ func randomBatch(rng *rand.Rand, n int) [][]storage.Value {
 	return rows
 }
 
-// ladderRung is the capacity a full column one row short of n takes to hold
-// n rows: one step of append's growth.
-func ladderRung(n int) int {
+// ladderRung is the capacity a full vector of T one row short of n takes to
+// hold n rows: one step of append's growth.
+func ladderRung[T storage.Code](n int) int {
 	if n == 0 {
 		return 0
 	}
-	return cap(append(make([]int64, n-1), 0))
+	return cap(append(make([]T, n-1), 0))
+}
+
+// vecBytes returns the bytes a view's rows occupy and the bytes its backing
+// array holds.
+func vecBytes(v storage.Vec) (used, held int) {
+	return v.Len() * v.Width(), (cap(v.N) + cap(v.W)) * v.Width()
 }
 
 // requireCapacity holds a column that has just been read to the capacity
-// rule: exactly its length, or at most one ladder rung above it — however
-// its rows were batched, and whenever they were read.
+// rule, in bytes at the column's code width: exactly its rows, or at most
+// one ladder rung above them — however its rows were batched, and whenever
+// they were read.
 func requireCapacity(t *testing.T, c *storage.Column) {
 	t.Helper()
-	got, n := cap(c.Codes()), c.Len()
+	v := c.Vec()
 	if c.Staged() != 0 {
-		t.Fatalf("column %q: %d rows staged after Codes()", c.Name(), c.Staged())
+		t.Fatalf("column %q: %d rows staged after Vec()", c.Name(), c.Staged())
 	}
-	if got > max(n, ladderRung(n)) {
-		t.Fatalf("column %q: capacity %d for %d rows, more than one ladder rung (%d)", c.Name(), got, n, ladderRung(n))
+	n, rung := v.Len(), ladderRung[uint32](v.Len())
+	if v.Width() == 8 {
+		rung = ladderRung[int64](n)
+	}
+	if used, held := vecBytes(v); held > max(used, rung*v.Width()) {
+		t.Fatalf("column %q: %d bytes held for %d rows of %d bytes, more than one ladder rung (%d rows)", c.Name(), held, n, v.Width(), rung)
 	}
 }
 
-// requireSameTable compares two tables cell by cell, with NULL counts,
-// code vectors and dictionary contents, and holds got to the capacity
-// rule. It reads every column of both: nothing is staged afterwards.
-func requireSameTable(t *testing.T, got, want *Table) {
+// requireSameTable compares a table with the reference cell by cell — NULL
+// counts and bitmap, code vectors, values, dictionary contents, and the
+// code width the data calls for — and holds it to the capacity rule. It
+// reads every column: nothing is staged afterwards.
+func requireSameTable(t *testing.T, got *Table, want *wideRef) {
 	t.Helper()
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("rows: got %d, want %d", got.NumRows(), want.NumRows())
+	if got.NumRows() != want.rows() {
+		t.Fatalf("rows: got %d, want %d", got.NumRows(), want.rows())
 	}
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for ci := 0; ci < want.NumColumns(); ci++ {
-		g, w := got.ColumnAt(ci), want.ColumnAt(ci)
-		if g.NullCount() != w.NullCount() {
-			t.Fatalf("column %q: NullCount got %d, want %d", w.Name(), g.NullCount(), w.NullCount())
-		}
-		if (g.Nulls() == nil) != (w.Nulls() == nil) || (g.Nulls() != nil && !g.Nulls().Equal(w.Nulls())) {
-			t.Fatalf("column %q: null bitmaps differ", w.Name())
-		}
+	for ci := range want.schema {
+		g, name := got.ColumnAt(ci), want.schema[ci].Name
 		requireCapacity(t, g)
-		gc, wc := g.Codes(), w.Codes()
-		if len(gc) != len(wc) {
-			t.Fatalf("column %q: %d codes, want %d", w.Name(), len(gc), len(wc))
+		gc, nNull := g.Vec(), 0
+		if gc.Len() != want.rows() {
+			t.Fatalf("column %q: %d codes, want %d", name, gc.Len(), want.rows())
 		}
-		for i := range wc {
-			if gc[i] != wc[i] || !g.Value(i).Equal(w.Value(i)) {
-				t.Fatalf("column %q row %d: got %v (code %d), want %v (code %d)",
-					w.Name(), i, g.Value(i), gc[i], w.Value(i), wc[i])
+		if wide := gc.Width() == 8; wide != want.wide[ci] && gc.Len() > 0 {
+			t.Fatalf("column %q: %d-byte codes, reference wide=%v", name, gc.Width(), want.wide[ci])
+		}
+		for i, wc := range want.codes[ci] {
+			null := want.nulls[ci][i]
+			if null {
+				nNull++
+			}
+			if g.IsNull(i) != null || (!null && gc.At(i) != wc) || !g.Value(i).Equal(want.value(ci, i)) {
+				t.Fatalf("column %q row %d: got %v (code %d, null %v), want %v (code %d)",
+					name, i, g.Value(i), gc.At(i), g.IsNull(i), want.value(ci, i), wc)
 			}
 		}
-		if w.Dict() != nil {
-			gv, wv := g.Dict().Values(), w.Dict().Values()
-			if len(gv) != len(wv) {
-				t.Fatalf("column %q: dictionary has %d entries, want %d", w.Name(), len(gv), len(wv))
+		if g.NullCount() != nNull || g.HasNulls() != (nNull > 0) || (g.Nulls() == nil) != (nNull == 0) {
+			t.Fatalf("column %q: NullCount %d, want %d", name, g.NullCount(), nNull)
+		}
+		if d := want.dicts[ci]; d != nil {
+			gv, wv := g.Dict().Values(), d.Values()
+			if len(gv) != len(wv) || g.Dict().Sealed() != d.Sealed() {
+				t.Fatalf("column %q: dictionary has %d entries (sealed %v), want %d (sealed %v)", name, len(gv), g.Dict().Sealed(), len(wv), d.Sealed())
 			}
 			for k := range wv {
 				if gv[k] != wv[k] {
-					t.Fatalf("column %q: dictionary entry %d is %q, want %q", w.Name(), k, gv[k], wv[k])
+					t.Fatalf("column %q: dictionary entry %d is %q, want %q", name, k, gv[k], wv[k])
 				}
 			}
 		}
@@ -140,123 +268,178 @@ func requireSameTable(t *testing.T, got, want *Table) {
 }
 
 // The reads a differential run interleaves between batches. Each is applied
-// to the table under test and to the reference; all but readNone and
+// to the tables under test and to the reference; all but readNone and
 // readNulls consolidate at least one column, the others must work on
 // staged rows as they are.
 const (
-	readNone   = iota // leave the batch staged
-	readCodes         // Codes of every column: the full comparison
-	readValue         // Value of the newest row, one column only
-	readSet           // SetInt and SetFloat on the newest row
-	readSeal          // SealDicts, later batches draw strings from the dictionary
-	readNulls         // Len, NullCount, IsNull of new rows: no consolidation
-	readRows          // Rows across the boundary between old and new rows
-	readReject        // a batch with one bad cell: refused whole, nothing staged
+	readNone        = iota // leave the batch staged
+	readCodes              // every column's code vector: the full comparison
+	readValue              // Value of the newest row, one column only
+	readSet                // SetInt and SetFloat on the newest row
+	readSeal               // SealDicts, later batches draw strings from the dictionary
+	readNulls              // Len, NullCount, IsNull of new rows: no consolidation
+	readRows               // Rows across the boundary between old and new rows
+	readReject             // a batch with an outlier and then a bad cell: refused whole, nothing staged or widened
+	readOutlierHead        // a further batch whose first row does not fit a 4-byte code,
+	readOutlierMid         // ... whose middle row does not,
+	readOutlierTail        // ... whose last row does not
+	readSetOutlier         // SetInt of such a value on the newest row
+	readSnapshot           // WriteTo then Read: the same values at the width they call for
 	numReads
 )
 
-// appendDifferential feeds the same random batches to AppendRows and to the
-// naive reference, applies reads[k%len(reads)] after batch k to both, and
-// requires identical tables at the end (and wherever a read compares).
+// appendDifferential feeds the same random batches to AppendRows, to the
+// row-at-a-time appenders and to the all-wide reference, applies
+// reads[k%len(reads)] after batch k to all three, and requires both tables
+// to match the reference at the end (and wherever a read compares).
 func appendDifferential(t *testing.T, seed int64, sizes, reads []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	got, want := MustNew("t", mixedSchema()), MustNew("t", mixedSchema())
+	got, naive, want := MustNew("t", mixedSchema()), MustNew("t", mixedSchema()), newWideRef(mixedSchema())
+	tables := []*Table{got, naive}
 	sealed := false
-	for k, n := range sizes {
-		before := want.NumRows()
-		batch := randomBatch(rng, n)
+	load := func(batch [][]storage.Value) {
+		t.Helper()
 		if sealed {
-			useKnownStrings(rng, batch, want.ColumnAt(2))
+			useKnownStrings(rng, batch, want.dicts[2])
 		}
 		if err := got.AppendRows(batch); err != nil {
-			t.Fatalf("AppendRows(%d rows): %v", n, err)
+			t.Fatalf("AppendRows(%d rows): %v", len(batch), err)
 		}
-		if err := naiveAppend(want, batch); err != nil {
-			t.Fatalf("reference: %v", err)
+		if err := naiveAppend(naive, batch); err != nil {
+			t.Fatalf("row at a time: %v", err)
 		}
-		if got.NumRows() != want.NumRows() {
-			t.Fatalf("batch %d: %d rows, want %d", k, got.NumRows(), want.NumRows())
+		want.append(batch)
+		if got.NumRows() != want.rows() {
+			t.Fatalf("%d rows after a batch of %d, want %d", got.NumRows(), len(batch), want.rows())
 		}
 		if err := got.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		last := want.NumRows() - 1
+	}
+	for k, n := range sizes {
+		before := want.rows()
+		load(randomBatch(rng, n))
+		last := want.rows() - 1
 		switch read := reads[k%len(reads)]; {
 		case read == readCodes:
 			requireSameTable(t, got, want)
+			requireSameTable(t, naive, want)
 		case read == readSeal:
 			got.SealDicts()
-			want.SealDicts()
+			naive.SealDicts()
+			want.seal()
 			sealed = true
 		case read == readNulls:
-			for ci := 0; ci < want.NumColumns(); ci++ {
-				g, w := got.ColumnAt(ci), want.ColumnAt(ci)
-				staged := g.Staged()
-				if g.NullCount() != w.NullCount() || g.HasNulls() != w.HasNulls() {
-					t.Fatalf("batch %d column %q: NullCount %d, want %d", k, w.Name(), g.NullCount(), w.NullCount())
-				}
-				for i := before; i <= last; i++ {
-					if g.IsNull(i) != w.IsNull(i) {
-						t.Fatalf("batch %d column %q row %d: IsNull %v", k, w.Name(), i, g.IsNull(i))
+			for ci := range want.schema {
+				g := got.ColumnAt(ci)
+				staged, nNull := g.Staged(), 0
+				for i, null := range want.nulls[ci] {
+					if null {
+						nNull++
+					}
+					if i >= before && g.IsNull(i) != null {
+						t.Fatalf("batch %d column %q row %d: IsNull %v", k, g.Name(), i, g.IsNull(i))
 					}
 				}
+				if g.NullCount() != nNull || g.HasNulls() != (nNull > 0) {
+					t.Fatalf("batch %d column %q: NullCount %d, want %d", k, g.Name(), g.NullCount(), nNull)
+				}
 				if g.Staged() != staged {
-					t.Fatalf("batch %d column %q: reading NULLs consolidated the column", k, w.Name())
+					t.Fatalf("batch %d column %q: reading NULLs consolidated the column", k, g.Name())
 				}
 			}
 		case read == readReject:
 			bad := randomBatch(rng, 5)
 			if sealed {
-				useKnownStrings(rng, bad, want.ColumnAt(2))
+				useKnownStrings(rng, bad, want.dicts[2])
 			}
+			bad[1][0] = storage.IntValue(outliers[rng.Intn(len(outliers))])
 			bad[3][2] = storage.IntValue(1)
-			staged := got.ColumnAt(0).Staged()
+			c := got.ColumnAt(0)
+			staged := c.Staged()
+			var before storage.Vec
+			if staged == 0 {
+				before = c.Vec() // nothing staged: looking does not change the column
+			}
 			if err := got.AppendRows(bad); !errors.Is(err, storage.ErrTypeMismatch) {
 				t.Fatalf("batch %d: bad batch: %v", k, err)
 			}
-			if got.NumRows() != want.NumRows() || got.ColumnAt(0).Staged() != staged {
-				t.Fatalf("batch %d: rejected batch left rows behind (%d rows, %d staged)", k, got.NumRows(), got.ColumnAt(0).Staged())
+			if got.NumRows() != want.rows() || c.Staged() != staged {
+				t.Fatalf("batch %d: rejected batch left rows behind (%d rows, %d staged)", k, got.NumRows(), c.Staged())
 			}
+			if after := c.Vec(); staged == 0 && (after.Width() != before.Width() || after.Len() != before.Len() ||
+				cap(after.N) != cap(before.N) || cap(after.W) != cap(before.W)) {
+				t.Fatalf("batch %d: rejected batch changed the vector: %d x %d bytes (capacity %d), was %d x %d (capacity %d)", k,
+					after.Len(), after.Width(), cap(after.N)+cap(after.W), before.Len(), before.Width(), cap(before.N)+cap(before.W))
+			}
+		case read == readOutlierHead || read == readOutlierMid || read == readOutlierTail:
+			batch := randomBatch(rng, 1+rng.Intn(9))
+			at := map[int]int{readOutlierHead: 0, readOutlierMid: len(batch) / 2, readOutlierTail: len(batch) - 1}[read]
+			batch[at][0] = storage.IntValue(outliers[rng.Intn(len(outliers))])
+			load(batch)
+		case read == readSnapshot:
+			var buf bytes.Buffer
+			if _, err := got.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Read(&buf)
+			if err != nil {
+				t.Fatalf("batch %d: reading the snapshot back: %v", k, err)
+			}
+			// A rebuilt column is as wide as the values it holds now call
+			// for, whatever was once stored and overwritten.
+			rebuilt := *want
+			rebuilt.wide = make([]bool, len(want.wide))
+			for ci := range rebuilt.wide {
+				rebuilt.wide[ci] = want.schema[ci].Type == storage.Float64 || want.holdsOutlier(ci)
+			}
+			requireSameTable(t, loaded, &rebuilt)
 		case last < 0:
 			// The remaining reads need a row.
 		case read == readValue:
-			ci := k % want.NumColumns()
-			if g, w := got.ColumnAt(ci).Value(last), want.ColumnAt(ci).Value(last); !g.Equal(w) {
+			ci := k % len(want.schema)
+			if g, w := got.ColumnAt(ci).Value(last), want.value(ci, last); !g.Equal(w) {
 				t.Fatalf("batch %d column %d row %d: Value %v, want %v", k, ci, last, g, w)
 			}
-		case read == readSet:
-			for _, tb := range []*Table{got, want} {
-				if err := tb.ColumnAt(0).SetInt(last, int64(k)-7); err != nil {
+		case read == readSet || read == readSetOutlier:
+			i := int64(k) - 7
+			if read == readSetOutlier {
+				i = outliers[rng.Intn(len(outliers))]
+			}
+			for _, tb := range tables {
+				if err := tb.ColumnAt(0).SetInt(last, i); err != nil {
 					t.Fatal(err)
 				}
 				if err := tb.ColumnAt(1).SetFloat(last, float64(k)/3); err != nil {
 					t.Fatal(err)
 				}
 			}
+			want.set(0, last, storage.IntValue(i))
+			want.set(1, last, storage.FloatValue(float64(k)/3))
 		case read == readRows:
-			lo, hi := max(0, before-3), min(want.NumRows(), before+3)
+			lo, hi := max(0, before-3), min(want.rows(), before+3)
 			g, err := got.Rows(lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, _ := want.Rows(lo, hi)
-			for i := range w {
-				for ci := range w[i] {
-					if !g[i][ci].Equal(w[i][ci]) {
-						t.Fatalf("batch %d: Rows(%d,%d) row %d column %d: %v, want %v", k, lo, hi, lo+i, ci, g[i][ci], w[i][ci])
+			for i := range g {
+				for ci := range g[i] {
+					if w := want.value(ci, lo+i); !g[i][ci].Equal(w) {
+						t.Fatalf("batch %d: Rows(%d,%d) row %d column %d: %v, want %v", k, lo, hi, lo+i, ci, g[i][ci], w)
 					}
 				}
 			}
 		}
 	}
 	requireSameTable(t, got, want)
+	requireSameTable(t, naive, want)
 }
 
-// useKnownStrings rewrites a batch's string cells to values the column's
-// dictionary holds (NULL when it holds none): what a sealed column accepts.
-func useKnownStrings(rng *rand.Rand, batch [][]storage.Value, c *storage.Column) {
-	known := c.Dict().Values()
+// useKnownStrings rewrites a batch's string cells to values the dictionary
+// holds (NULL when it holds none): what a sealed column accepts.
+func useKnownStrings(rng *rand.Rand, batch [][]storage.Value, d *dict.Dict) {
+	known := d.Values()
 	for _, r := range batch {
 		switch {
 		case r[2].IsNull():
@@ -290,10 +473,19 @@ func TestAppendRowsMatchesRowAtATime(t *testing.T) {
 		{readNulls, readValue, readNone, readSet, readRows, readReject, readSeal, readNone, readValue},
 		{readSeal, readNone, readReject, readRows, readNone, readSet, readNulls},
 	}
+	// The ways a column goes wide, one per seed: an outlier into a staged
+	// chunk, into the tail of a vector that reads have left slack on, and
+	// through SetInt — each followed by more narrow rows, a snapshot and a
+	// rejected batch.
+	escalations := [][]int{
+		{readNone, readOutlierMid, readNone, readSnapshot, readReject, readOutlierHead},
+		{readCodes, readCodes, readOutlierTail, readCodes, readReject, readSnapshot, readCodes},
+		{readCodes, readSetOutlier, readNone, readSet, readSnapshot, readCodes, readOutlierHead},
+	}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
-				for _, reads := range patterns {
+				for _, reads := range append(patterns, escalations[seed-1]) {
 					appendDifferential(t, seed, tc.sizes, reads)
 				}
 			})
@@ -308,6 +500,8 @@ func FuzzAppendRows(f *testing.F) {
 	f.Add(int64(4), uint16(0), uint16(4096), uint32(0x345))
 	f.Add(int64(5), uint16(1024), uint16(255), uint32(0x264))
 	f.Add(int64(6), uint16(1500), uint16(1023), uint32(0x573))
+	f.Add(int64(7), uint16(300), uint16(2000), uint32(0x19c)) // a snapshot, an outlier mid-batch, a read
+	f.Add(int64(8), uint16(1), uint16(70), uint32(0x7ba))     // SetInt of an outlier, an outlier last, a rejected batch
 	f.Fuzz(func(t *testing.T, seed int64, a, b uint16, reads uint32) {
 		// One read per batch, a nibble each.
 		script := []int{int(reads & 15 % numReads), int(reads >> 4 & 15 % numReads), int(reads >> 8 & 15 % numReads)}
@@ -333,17 +527,15 @@ func TestAppendRowsRejectsWholeBatch(t *testing.T) {
 		for _, n := range []int{1, 200, parallelCells} {
 			t.Run(fmt.Sprintf("%s/rows=%d", tc.name, n), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
-				got, want := MustNew("t", mixedSchema()), MustNew("t", mixedSchema())
+				got, want := MustNew("t", mixedSchema()), newWideRef(mixedSchema())
 				base := randomBatch(rng, 150)
 				if err := got.AppendRows(base); err != nil {
 					t.Fatal(err)
 				}
-				if err := naiveAppend(want, base); err != nil {
-					t.Fatal(err)
-				}
+				want.append(base)
 				if tc.sealed {
 					got.SealDicts()
-					want.SealDicts()
+					want.seal()
 				}
 				batch := randomBatch(rng, n)
 				if tc.sealed {
@@ -363,57 +555,77 @@ func TestAppendRowsRejectsWholeBatch(t *testing.T) {
 
 // TestCapacityAfterReads: the same rows appended one at a time, 256 at a
 // time and 64 Ki at a time, read after every batch, every so many or only
-// at the end. Whatever the batching and the reads, a column that has been read
-// holds exactly its rows or at most one ladder rung more; a column loaded
-// from empty and read once holds exactly its rows; and the null bitmap,
-// which is never staged, grows as the row-at-a-time reference's does.
+// at the end — with the Int64 column's values fitting 4-byte codes and not
+// (the Float64 column is 8 bytes wide, the String column 4, either way).
+// Whatever the batching and the reads, a column that has been read holds
+// exactly its rows' bytes or at most one ladder rung more; a column loaded
+// from empty and read once holds exactly rows x width bytes; and the null
+// bitmap, which is never staged, grows as the row-at-a-time reference's does.
 func TestCapacityAfterReads(t *testing.T) {
 	const n = 300_000
-	rows := make([][]storage.Value, n)
-	cells := make([]storage.Value, 3*n)
-	for i := range rows {
-		rows[i] = cells[3*i : 3*i+3 : 3*i+3]
-		rows[i][0] = storage.IntValue(int64(i))
-		rows[i][1] = storage.FloatValue(float64(i))
-		rows[i][2] = storage.StringValue("x")
-		if i%1000 == 999 {
-			rows[i][0] = storage.NullValue(storage.Int64)
-		}
-	}
-	ref := MustNew("t", mixedSchema())
-	if err := naiveAppend(ref, rows); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ batch, readEvery int }{
-		{1, 0}, {1, 9973}, {256, 0}, {256, 1}, {256, 37}, {1 << 16, 0}, {1 << 16, 1}, {1 << 16, 2},
+	type load struct{ batch, readEvery int }
+	var ref *Table // filled row at a time: the null bitmap's growth is held to its
+	for _, w := range []struct {
+		name  string
+		from  int64
+		width [3]int
+		loads []load
+	}{
+		{"narrow", 0, [3]int{4, 8, 4}, []load{{1, 0}, {1, 9973}, {256, 0}, {256, 1}, {256, 37}, {1 << 16, 0}, {1 << 16, 1}, {1 << 16, 2}}},
+		{"wide", 1 << 40, [3]int{8, 8, 4}, []load{{256, 1}, {256, 37}, {1 << 16, 0}, {1 << 16, 2}}},
 	} {
-		batch, readEvery := tc.batch, tc.readEvery
-		tb := MustNew("t", mixedSchema())
-		for k, lo := 0, 0; lo < n; k, lo = k+1, lo+batch {
-			if err := tb.AppendRows(rows[lo:min(lo+batch, n)]); err != nil {
-				t.Fatal(err)
+		t.Run(w.name, func(t *testing.T) {
+			rows := make([][]storage.Value, n)
+			cells := make([]storage.Value, 3*n)
+			for i := range rows {
+				rows[i] = cells[3*i : 3*i+3 : 3*i+3]
+				rows[i][0] = storage.IntValue(w.from + int64(i))
+				rows[i][1] = storage.FloatValue(float64(i))
+				rows[i][2] = storage.StringValue("x")
+				if i%1000 == 999 {
+					rows[i][0] = storage.NullValue(storage.Int64)
+				}
 			}
-			if readEvery > 0 && k%readEvery == 0 {
-				requireCapacity(t, tb.ColumnAt(k%3))
+			if ref == nil { // the bitmap does not depend on the values' width
+				ref = MustNew("t", mixedSchema())
+				if err := naiveAppend(ref, rows); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		for ci := 0; ci < tb.NumColumns(); ci++ {
-			c := tb.ColumnAt(ci)
-			requireCapacity(t, c)
-			if readEvery == 0 && cap(c.Codes()) != n {
-				t.Errorf("batch %d, column %q: loaded from empty and read once, capacity %d for %d rows", batch, c.Name(), cap(c.Codes()), n)
+			for _, tc := range w.loads {
+				batch, readEvery := tc.batch, tc.readEvery
+				tb := MustNew("t", mixedSchema())
+				for k, lo := 0, 0; lo < n; k, lo = k+1, lo+batch {
+					if err := tb.AppendRows(rows[lo:min(lo+batch, n)]); err != nil {
+						t.Fatal(err)
+					}
+					if readEvery > 0 && k%readEvery == 0 {
+						requireCapacity(t, tb.ColumnAt(k%3))
+					}
+				}
+				for ci := 0; ci < tb.NumColumns(); ci++ {
+					c := tb.ColumnAt(ci)
+					requireCapacity(t, c)
+					used, held := vecBytes(c.Vec())
+					if used != n*w.width[ci] {
+						t.Errorf("batch %d, column %q: %d bytes of codes, want %d rows x %d", batch, c.Name(), used, n, w.width[ci])
+					}
+					if readEvery == 0 && held != used {
+						t.Errorf("batch %d, column %q: loaded from empty and read once, %d bytes held for %d", batch, c.Name(), held, used)
+					}
+				}
+				if got, want := cap(tb.ColumnAt(0).Nulls().Words()), cap(ref.ColumnAt(0).Nulls().Words()); got != want {
+					t.Errorf("batch %d: null bitmap capacity %d words, reference %d", batch, got, want)
+				}
 			}
-		}
-		if got, want := cap(tb.ColumnAt(0).Nulls().Words()), cap(ref.ColumnAt(0).Nulls().Words()); got != want {
-			t.Errorf("batch %d: null bitmap capacity %d words, reference %d", batch, got, want)
-		}
+		})
 	}
 }
 
 func TestBatcher(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rows := randomBatch(rng, BulkRows+BulkRows/2)
-	got, want := MustNew("t", mixedSchema()), MustNew("t", mixedSchema())
+	got, want := MustNew("t", mixedSchema()), newWideRef(mixedSchema())
 	b := NewBatcher(got)
 	scratch := make([]storage.Value, 3)
 	for k, r := range rows {
@@ -431,9 +643,7 @@ func TestBatcher(t *testing.T) {
 	if err := b.Flush(); err != nil { // nothing buffered: a no-op
 		t.Fatal(err)
 	}
-	if err := naiveAppend(want, rows); err != nil {
-		t.Fatal(err)
-	}
+	want.append(rows)
 	if got.ColumnAt(0).Staged() != len(rows) {
 		t.Fatalf("a loader that never reads left %d of %d rows staged", got.ColumnAt(0).Staged(), len(rows))
 	}

@@ -42,7 +42,7 @@ var (
 const maxSaneLen = 1 << 31 // guards length-prefixed reads against corrupt headers
 
 // WriteTo serializes the table to w. It returns the number of payload
-// bytes written. Codes consolidates each column, so the snapshot of a table
+// bytes written. Vec consolidates each column, so the snapshot of a table
 // an engine serves is taken through Engine.ReadTable (under its mutex); a
 // table nothing serves yet is its caller's alone.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
@@ -58,11 +58,11 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	for _, c := range t.columns {
 		writeString(bw, c.Name())
 		bw.WriteByte(byte(c.Type()))
-		codes := c.Codes()
-		writeU64(bw, uint64(len(codes)))
+		codes := c.Vec()
+		writeU64(bw, uint64(codes.Len()))
 		var buf [8]byte
-		for _, code := range codes {
-			binary.LittleEndian.PutUint64(buf[:], uint64(code))
+		for i := 0; i < codes.Len(); i++ {
+			binary.LittleEndian.PutUint64(buf[:], uint64(codes.At(i)))
 			bw.Write(buf[:])
 		}
 		// Nulls as a sparse index list.

@@ -5,10 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"adskip/internal/adaptive"
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
 	"adskip/internal/expr"
 	"adskip/internal/imprint"
+	"adskip/internal/storage"
 	"adskip/internal/zonemap"
 )
 
@@ -18,15 +20,25 @@ import (
 // scratch share the kind and differ only in how their zones came about.
 var gridKinds = []struct {
 	name  string
-	learn func(codes []int64, nulls *bitvec.BitVec, zoneSize int) func(rows int) core.Skipper
+	learn func(codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) func(rows int) core.Skipper
 }{
-	{"static", func(codes []int64, nulls *bitvec.BitVec, zoneSize int) func(int) core.Skipper {
-		return func(rows int) core.Skipper { return zonemap.Build(codes[:rows], nulls, zoneSize) }
+	{"static", func(codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) func(int) core.Skipper {
+		return func(rows int) core.Skipper { return zonemap.Build(codes.Slice(0, rows), nulls, zoneSize) }
 	}},
-	{"imprint", func(codes []int64, nulls *bitvec.BitVec, zoneSize int) func(int) core.Skipper {
+	{"imprint", func(codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) func(int) core.Skipper {
 		bins := imprint.Learn(codes, nulls)
-		return func(rows int) core.Skipper { return zonemap.NewGrid(bins, codes[:rows], nulls, zoneSize) }
+		return func(rows int) core.Skipper { return zonemap.NewGrid(bins, codes.Slice(0, rows), nulls, zoneSize) }
 	}},
+}
+
+// narrowView returns codes, all in [0, 2^32), as the 4-byte view a column
+// holding them would hand out.
+func narrowView(codes []int64) storage.Vec {
+	n := make([]uint32, len(codes))
+	for i, c := range codes {
+		n[i] = uint32(c)
+	}
+	return storage.Vec{N: n}
 }
 
 // randomRanges draws a normalized set of up to four intervals around the
@@ -80,7 +92,9 @@ func checkWindows(t *testing.T, what string, res core.PruneResult, n int, match 
 // nullable columns (empty included), zone sizes 1…n+1 and random range
 // sets: probes are sound, Extend in random increments equals a
 // from-scratch build, and CheckInvariants tells a tight grid from a
-// loosened one.
+// loosened one. Every column is summarised twice, from its 8-byte and from
+// its 4-byte view — by the grid kind and by the adaptive zonemap — and the
+// two must agree on every summary, candidate and verdict.
 func TestGridProperties(t *testing.T) {
 	for _, kind := range gridKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -106,13 +120,14 @@ func TestGridProperties(t *testing.T) {
 					}
 				}
 				isNull := func(i int) bool { return nulls != nil && nulls.Get(i) }
-				build := kind.learn(codes, nulls, zoneSize)
+				wide, narrow := storage.Vec{W: codes}, narrowView(codes)
+				build := kind.learn(wide, nulls, zoneSize)
 
 				// Extend in random increments equals a from-scratch build.
 				fresh := build(n)
 				g := build(rng.Intn(n + 1))
 				for g.Rows() < n {
-					g.Extend(codes[:g.Rows()+1+rng.Intn(n-g.Rows())], nulls)
+					g.Extend(wide.Slice(0, g.Rows()+1+rng.Intn(n-g.Rows())), nulls)
 				}
 				if !reflect.DeepEqual(g, fresh) {
 					t.Fatalf("seed %d: extended grid %+v, built grid %+v", seed, g, fresh)
@@ -120,16 +135,61 @@ func TestGridProperties(t *testing.T) {
 				if md := g.Metadata(); md.Kind != kind.name || md.Zones != (n+zoneSize-1)/zoneSize || g.Rows() != n {
 					t.Fatalf("seed %d: metadata %+v over %d rows, zone size %d", seed, md, n, zoneSize)
 				}
-				if err := g.CheckInvariants(codes, nulls, true); err != nil {
-					t.Fatalf("seed %d: fresh grid: %v", seed, err)
+				// The 4-byte view of the same column: the same grid, and
+				// either grid holds against either view.
+				ng := kind.learn(narrow, nulls, zoneSize)(n)
+				if !reflect.DeepEqual(ng, fresh) {
+					t.Fatalf("seed %d: grid over the narrow view %+v, over the wide view %+v", seed, ng, fresh)
+				}
+				for _, view := range []storage.Vec{wide, narrow} {
+					if err := g.CheckInvariants(view, nulls, true); err != nil {
+						t.Fatalf("seed %d: fresh grid, %d-byte view: %v", seed, view.Width(), err)
+					}
+				}
+				az, anz := adaptive.New(wide, nulls, adaptive.Config{InitialZoneRows: zoneSize}), adaptive.New(narrow, nulls, adaptive.Config{InitialZoneRows: zoneSize})
+				if !reflect.DeepEqual(anz, az) {
+					t.Fatalf("seed %d: adaptive zonemap over the narrow view %+v, over the wide view %+v", seed, anz, az)
 				}
 
-				// Probes are sound.
+				// Probes are sound, and do not depend on the view.
 				for q := 0; q < 4; q++ {
 					r := randomRanges(rng, domain)
-					checkWindows(t, r.String(), g.Prune(r), n, func(i int) bool { return !isNull(i) && r.Contains(codes[i]) })
+					res := g.Prune(r)
+					checkWindows(t, r.String(), res, n, func(i int) bool { return !isNull(i) && r.Contains(codes[i]) })
+					if nres := ng.Prune(r); !reflect.DeepEqual(nres, res) {
+						t.Fatalf("seed %d: %v: candidates %+v over the narrow view, %+v over the wide view", seed, r, nres, res)
+					}
+					if ares, anres := az.Prune(r), anz.Prune(r); !reflect.DeepEqual(anres, ares) {
+						t.Fatalf("seed %d: %v: adaptive candidates %+v over the narrow view, %+v over the wide view", seed, r, anres, ares)
+					}
 				}
 				checkWindows(t, "IS NULL", g.PruneNulls(), n, isNull)
+
+				// A column that moved under the metadata — one value beyond
+				// every hull, still a 4-byte code — fails the adaptive
+				// zonemap's check whichever view it is read through, and the
+				// grid's verdict (an imprint's top bin may admit it) is the
+				// same for both.
+				for row := 0; row < n; row++ {
+					if isNull(row) {
+						continue
+					}
+					was := codes[row]
+					codes[row], narrow.N[row] = 4_000_000_000, 4_000_000_000
+					for _, view := range []storage.Vec{wide, narrow} {
+						if az.CheckInvariants(view, nulls, false) == nil {
+							t.Fatalf("seed %d: row %d moved to 4e9 and a %d-byte view passed the adaptive zonemap's check", seed, row, view.Width())
+						}
+					}
+					if werr, nerr := g.CheckInvariants(wide, nulls, false), g.CheckInvariants(narrow, nulls, false); (werr == nil) != (nerr == nil) {
+						t.Fatalf("seed %d: row %d moved to 4e9: wide view says %v, narrow view says %v", seed, row, werr, nerr)
+					}
+					codes[row], narrow.N[row] = was, uint32(was)
+					if err := az.CheckInvariants(narrow, nulls, true); err != nil {
+						t.Fatalf("seed %d: adaptive zonemap, narrow view: %v", seed, err)
+					}
+					break
+				}
 
 				// A Widen that loosens a zone — admits a code the zone was
 				// skipped for, with the column left as it was — keeps the
@@ -152,11 +212,13 @@ func TestGridProperties(t *testing.T) {
 					if !inWindow(g.Prune(point)) {
 						t.Fatalf("seed %d: row %d's zone still skipped for %d after Widen", seed, row, code)
 					}
-					if err := g.CheckInvariants(codes, nulls, false); err != nil {
-						t.Fatalf("seed %d: loosened grid, loose check: %v", seed, err)
-					}
-					if err := g.CheckInvariants(codes, nulls, true); err == nil {
-						t.Fatalf("seed %d: grid loosened at row %d by %d passed the exact check", seed, row, code)
+					for _, view := range []storage.Vec{wide, narrow} {
+						if err := g.CheckInvariants(view, nulls, false); err != nil {
+							t.Fatalf("seed %d: loosened grid, loose check, %d-byte view: %v", seed, view.Width(), err)
+						}
+						if err := g.CheckInvariants(view, nulls, true); err == nil {
+							t.Fatalf("seed %d: grid loosened at row %d by %d passed the exact check (%d-byte view)", seed, row, code, view.Width())
+						}
 					}
 					loosened++
 					break

@@ -19,6 +19,7 @@ import (
 	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/scan"
+	"adskip/internal/storage"
 )
 
 // Kind is one way of summarising a zone: S is the per-zone summary (the
@@ -33,7 +34,7 @@ type Kind[S, Q any] interface {
 	// non-null counts, plus the kind's own state.
 	Bytes(zones int) int
 	// Summarize derives the summary and non-null count of rows [lo, hi).
-	Summarize(codes []int64, nulls *bitvec.BitVec, lo, hi int) (s S, nonNull int)
+	Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (s S, nonNull int)
 	// Admit loosens s to hold code; empty says s holds no value yet.
 	Admit(s S, empty bool, code int64) S
 	// Lower turns a predicate's code intervals into the clause.
@@ -57,10 +58,10 @@ type Grid[S, Q any] struct {
 	nonNull  []int32 // rows carrying a value, per zone
 }
 
-// NewGrid summarises the first len(codes) rows of a column in zones of
+// NewGrid summarises the codes.Len() rows of a column view in zones of
 // zoneSize rows (positive; a zone holds at most 2^31 rows). nulls may be
 // nil.
-func NewGrid[S, Q any](kind Kind[S, Q], codes []int64, nulls *bitvec.BitVec, zoneSize int) *Grid[S, Q] {
+func NewGrid[S, Q any](kind Kind[S, Q], codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) *Grid[S, Q] {
 	if zoneSize <= 0 {
 		panic(fmt.Sprintf("%s: zoneSize %d must be positive", kind.Name(), zoneSize))
 	}
@@ -84,11 +85,11 @@ func (g *Grid[S, Q]) window(zi int) (lo, hi int) {
 }
 
 // Extend grows the grid to cover codes, which must be the column's full
-// code slice (the grid remembers how many rows it has already summarised
+// code vector (the grid remembers how many rows it has already summarised
 // and only processes the suffix). The final, possibly partial, zone is
 // rebuilt when new rows land in it.
-func (g *Grid[S, Q]) Extend(codes []int64, nulls *bitvec.BitVec) {
-	total := len(codes)
+func (g *Grid[S, Q]) Extend(codes storage.Vec, nulls *bitvec.BitVec) {
+	total := codes.Len()
 	if total <= g.n {
 		return
 	}
@@ -165,12 +166,12 @@ func emit(res *core.PruneResult, lo, hi int, skip, covered bool) {
 // it in both directions) and its summary must admit every value in its
 // rows — and equal the re-derived one when exact, i.e. when no Widen has
 // loosened the zone since it was built.
-func (g *Grid[S, Q]) CheckInvariants(codes []int64, nulls *bitvec.BitVec, exact bool) error {
+func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
 	name := g.kind.Name()
 	want := (g.n + g.zoneSize - 1) / g.zoneSize
-	if len(codes) != g.n || len(g.sums) != want || len(g.nonNull) != want {
+	if codes.Len() != g.n || len(g.sums) != want || len(g.nonNull) != want {
 		return fmt.Errorf("%s: %d summaries, %d counts over %d rows, want %d zones over the column's %d rows",
-			name, len(g.sums), len(g.nonNull), g.n, want, len(codes))
+			name, len(g.sums), len(g.nonNull), g.n, want, codes.Len())
 	}
 	for zi, have := range g.sums {
 		lo, hi := g.window(zi)
@@ -212,8 +213,8 @@ type hullKind struct{}
 func (hullKind) Name() string        { return "static" }
 func (hullKind) Bytes(zones int) int { return zones * (8 + 8 + 8) }
 
-func (hullKind) Summarize(codes []int64, nulls *bitvec.BitVec, lo, hi int) (Hull, int) {
-	mn, mx, nonNull := scan.MinMaxRange(codes, lo, hi, nulls, 0)
+func (hullKind) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (Hull, int) {
+	mn, mx, nonNull := scan.MinMax(codes, lo, hi, nulls, 0)
 	if nonNull == 0 {
 		return Hull{}, 0
 	}
@@ -245,9 +246,9 @@ func (hullKind) Holds(have, derived Hull, exact bool) bool {
 	return have.Min <= derived.Min && derived.Max <= have.Max
 }
 
-// Build constructs the static zonemap over the first len(codes) rows of a
-// column: the Grid under the min/max hull.
-func Build(codes []int64, nulls *bitvec.BitVec, zoneSize int) *Grid[Hull, expr.Ranges] {
+// Build constructs the static zonemap over a column view: the Grid under
+// the min/max hull.
+func Build(codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) *Grid[Hull, expr.Ranges] {
 	return NewGrid[Hull, expr.Ranges](hullKind{}, codes, nulls, zoneSize)
 }
 

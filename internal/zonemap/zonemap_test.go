@@ -8,6 +8,7 @@ import (
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
 	"adskip/internal/expr"
+	"adskip/internal/storage"
 )
 
 // zone is one zone's metadata as the static-zonemap tests read it.
@@ -48,7 +49,7 @@ func oneRange(lo, hi int64) expr.Ranges {
 
 func TestBuildBasics(t *testing.T) {
 	codes := seq(100, func(i int) int64 { return int64(i) })
-	m := Build(codes, nil, 10)
+	m := Build(storage.Vec{W: codes}, nil, 10)
 	md := m.Metadata()
 	if md.Kind != "static" || md.Zones != 10 || !md.Enabled || m.Rows() != 100 || m.zoneSize != 10 {
 		t.Fatalf("metadata=%+v rows=%d", md, m.Rows())
@@ -66,7 +67,7 @@ func TestBuildBasics(t *testing.T) {
 
 func TestBuildPartialLastZone(t *testing.T) {
 	codes := seq(25, func(i int) int64 { return int64(i) })
-	m := Build(codes, nil, 10)
+	m := Build(storage.Vec{W: codes}, nil, 10)
 	if len(m.sums) != 3 {
 		t.Fatalf("zones=%d want 3", len(m.sums))
 	}
@@ -82,7 +83,7 @@ func TestBuildZeroZoneSizePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Build(nil, nil, 0)
+	Build(storage.Vec{}, nil, 0)
 }
 
 func TestBuildWithNulls(t *testing.T) {
@@ -92,7 +93,7 @@ func TestBuildWithNulls(t *testing.T) {
 		nulls.Set(i) // second zone all null
 	}
 	nulls.Set(3)
-	m := Build(codes, nulls, 10)
+	m := Build(storage.Vec{W: codes}, nulls, 10)
 	z0 := zoneOf(m, 0)
 	if z0.NonNull != 9 || z0.Min != 0 || z0.Max != 9 {
 		t.Fatalf("zone0 = %+v", z0)
@@ -113,23 +114,23 @@ func TestBuildWithNulls(t *testing.T) {
 
 func TestExtendIncremental(t *testing.T) {
 	codes := seq(25, func(i int) int64 { return int64(i) })
-	m := Build(codes[:7], nil, 10)
+	m := Build(storage.Vec{W: codes[:7]}, nil, 10)
 	if len(m.sums) != 1 || zoneOf(m, 0).NonNull != 7 {
 		t.Fatalf("initial: zones=%d", len(m.sums))
 	}
-	m.Extend(codes, nil)
+	m.Extend(storage.Vec{W: codes}, nil)
 	if len(m.sums) != 3 || m.Rows() != 25 {
 		t.Fatalf("extended: zones=%d rows=%d", len(m.sums), m.Rows())
 	}
 	// Must be identical to a fresh build.
-	fresh := Build(codes, nil, 10)
+	fresh := Build(storage.Vec{W: codes}, nil, 10)
 	for zi := 0; zi < 3; zi++ {
 		if zoneOf(m, zi) != zoneOf(fresh, zi) {
 			t.Fatalf("zone %d: extend %+v vs fresh %+v", zi, zoneOf(m, zi), zoneOf(fresh, zi))
 		}
 	}
 	// Extending with no new rows is a no-op.
-	m.Extend(codes, nil)
+	m.Extend(storage.Vec{W: codes}, nil)
 	if len(m.sums) != 3 {
 		t.Fatal("no-op extend changed zones")
 	}
@@ -138,7 +139,7 @@ func TestExtendIncremental(t *testing.T) {
 func TestPruneSkipAndCover(t *testing.T) {
 	// 10 zones of 10; values = zone index (constant within a zone).
 	codes := seq(100, func(i int) int64 { return int64(i / 10) })
-	m := Build(codes, nil, 10)
+	m := Build(storage.Vec{W: codes}, nil, 10)
 	// Predicate [3,5]: zones 3,4,5 covered, others skipped.
 	res := m.Prune(oneRange(3, 5))
 	if cands := res.Zones; len(cands) != 1 || cands[0].Lo != 30 || cands[0].Hi != 60 || !cands[0].Covered ||
@@ -162,7 +163,7 @@ func TestPruneMergesOnlySameCoverage(t *testing.T) {
 	codes := append(append(seq(10, func(i int) int64 { return int64(i) }),
 		seq(10, func(i int) int64 { return 10 })...),
 		seq(10, func(i int) int64 { return int64(20 + i) })...)
-	m := Build(codes, nil, 10)
+	m := Build(storage.Vec{W: codes}, nil, 10)
 	cands := m.Prune(oneRange(5, 15)).Zones
 	if len(cands) != 2 {
 		t.Fatalf("cands=%v", cands)
@@ -177,7 +178,7 @@ func TestPruneMergesOnlySameCoverage(t *testing.T) {
 
 func TestWidenAndNoteNonNull(t *testing.T) {
 	codes := seq(20, func(i int) int64 { return int64(i) })
-	m := Build(codes, nil, 10)
+	m := Build(storage.Vec{W: codes}, nil, 10)
 	m.Widen(5, 1000)
 	z := zoneOf(m, 0)
 	if z.Min != 0 || z.Max != 1000 {
@@ -186,7 +187,7 @@ func TestWidenAndNoteNonNull(t *testing.T) {
 	// Widening an all-null zone initializes bounds.
 	nulls := bitvec.New(10)
 	nulls.SetAll()
-	m2 := Build(codes[:10], nulls, 10)
+	m2 := Build(storage.Vec{W: codes[:10]}, nulls, 10)
 	m2.Widen(3, 42)
 	m2.NoteNonNull(3)
 	z = zoneOf(m2, 0)
@@ -218,7 +219,7 @@ func TestQuickPruneSound(t *testing.T) {
 				nulls.Set(rng.Intn(n))
 			}
 		}
-		m := Build(codes, nulls, zoneSize)
+		m := Build(storage.Vec{W: codes}, nulls, zoneSize)
 		lo := rng.Int63n(120) - 10
 		r := oneRange(lo, lo+rng.Int63n(50))
 		res := m.Prune(r)
@@ -268,12 +269,12 @@ func TestQuickExtendMatchesBuild(t *testing.T) {
 		for i := range codes {
 			codes[i] = rng.Int63n(1000)
 		}
-		m := Build(codes[:1+rng.Intn(n)], nil, zoneSize)
+		m := Build(storage.Vec{W: codes[:1+rng.Intn(n)]}, nil, zoneSize)
 		for m.Rows() < n {
 			next := m.Rows() + 1 + rng.Intn(n-m.Rows())
-			m.Extend(codes[:next], nil)
+			m.Extend(storage.Vec{W: codes[:next]}, nil)
 		}
-		fresh := Build(codes, nil, zoneSize)
+		fresh := Build(storage.Vec{W: codes}, nil, zoneSize)
 		if len(m.sums) != len(fresh.sums) {
 			return false
 		}
@@ -305,7 +306,7 @@ func TestQuickPruneNullsSound(t *testing.T) {
 				nulls.Set(i)
 			}
 		}
-		m := Build(codes, nulls, zoneSize)
+		m := Build(storage.Vec{W: codes}, nulls, zoneSize)
 		res := m.PruneNulls()
 		cands := res.Zones
 		inCand := make([]bool, n)
@@ -345,34 +346,34 @@ func TestCheckInvariants(t *testing.T) {
 	codes := seq(95, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(95)
 	nulls.Set(7)
-	m := Build(codes, nulls, 10)
-	if err := m.CheckInvariants(codes, nulls, true); err != nil {
+	m := Build(storage.Vec{W: codes}, nulls, 10)
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
 		t.Fatalf("fresh map: %v", err)
 	}
-	if err := m.CheckInvariants(codes[:90], nulls, false); err == nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes[:90]}, nulls, false); err == nil {
 		t.Fatal("a slice shorter than Rows() passed")
 	}
 	// A widen keeps the map sound but no longer tight.
 	m.Widen(3, 500)
-	if err := m.CheckInvariants(codes, nulls, false); err != nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
 		t.Fatalf("widened map, loose check: %v", err)
 	}
-	if err := m.CheckInvariants(codes, nulls, true); err == nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, true); err == nil {
 		t.Fatal("widened map passed the exact check")
 	}
 	// A value written under the metadata escapes its zone's hull.
 	codes[42] = -1
-	if err := m.CheckInvariants(codes, nulls, false); err == nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err == nil {
 		t.Fatal("a code outside its zone's bounds passed")
 	}
 	codes[42] = 42
 	// A NULL overwritten without NoteNonNull leaves the count stale.
 	nulls.Clear(7)
-	if err := m.CheckInvariants(codes, nulls, false); err == nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err == nil {
 		t.Fatal("a stale non-null count passed")
 	}
 	m.NoteNonNull(7)
-	if err := m.CheckInvariants(codes, nulls, false); err != nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
 		t.Fatalf("after NoteNonNull: %v", err)
 	}
 }
