@@ -17,7 +17,8 @@ import (
 // is the memory roofline the others are read against. The dense count,
 // filter and min/max kernels — and the copy — run over the same codes as
 // []int64 and as []uint32 (sub-benchmarks int64 / uint32): ns/row per code
-// width is what EXPERIMENTS.md "code width" records.
+// width is what EXPERIMENTS.md "code width" records, and the dense count
+// runs at each width through its vector and its portable body.
 
 const (
 	benchRows   = 2 << 20
@@ -95,10 +96,25 @@ func BenchmarkCopy(b *testing.B) {
 	})
 }
 
+// BenchmarkCountRangeDense times both bodies of the dense count on one
+// machine: vector is what Count dispatches to where the CPU has AVX2
+// (skipped where it has not), portable is countDense, which is also the
+// vector body's tail loop.
 func BenchmarkCountRangeDense(b *testing.B) {
 	benchWidths(b, func(b *testing.B, codes storage.Vec) {
-		benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
-			return Count(codes, 0, codes.Len(), oneRange(rlo, rhi), nil, 0)
+		b.Run("vector", func(b *testing.B) {
+			if !useVector {
+				b.Skip("no AVX2 on this CPU")
+			}
+			benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
+				return Count(codes, 0, codes.Len(), oneRange(rlo, rhi), nil, 0)
+			})
+		})
+		b.Run("portable", func(b *testing.B) {
+			benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
+				base, span := offsetForm(rlo, rhi)
+				return countDense(codes.W, base, span) + countDense(codes.N, base, span)
+			})
 		})
 	})
 }

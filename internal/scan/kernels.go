@@ -2,11 +2,17 @@
 //
 // The paper's substrate is a main-memory column store whose scans are fast
 // enough that any index must justify its metadata-read cost — that ratio is
-// what makes adaptive data skipping interesting. These kernels are the Go
-// stand-in for the paper's SIMD scans, and their cost must not depend on
-// the data or on where a predicate sits in the domain, so their loops hold
-// no data-dependent branch, and no bounds check except where the index is
-// itself data (the compress-store cursor, the refine gather):
+// what makes adaptive data skipping interesting. These kernels are the
+// stand-in for the paper's SIMD scans. The one every COUNT query runs, the
+// dense single-interval count, is a SIMD scan where the CPU allows it: on
+// amd64 with AVX2 (asked of CPUID once, at init; there is no switch) whole
+// blocks go through the hand-written bodies of count_amd64.s, eight 32-bit
+// or four 64-bit codes per instruction, and countDense takes what is left
+// of the window. Everywhere else, and for every other kernel, the loops
+// are portable Go whose cost must not depend on the data or on where a
+// predicate sits in the domain, so they hold no data-dependent branch, and
+// no bounds check except where the index is itself data (the
+// compress-store cursor, the refine gather):
 //
 //   - the range test is one unsigned compare, uint64(c)-uint64(lo) <=
 //     uint64(hi)-uint64(lo), exact over all of int64 (Float64 codes
@@ -23,10 +29,11 @@
 //   - the dense filter and the refine step compress-store: every row id is
 //     written, the output cursor advances by the 0/1 match.
 //
-// scripts/check_kernels.sh checks the compiler's output for both halves on
-// every build; the bench_test.go sub-benchmarks (low-end against mid-domain
-// predicates on random codes) measure them, and EXPERIMENTS.md records the
-// result against a copy roofline.
+// scripts/check_kernels.sh checks the compiler's output for both halves,
+// and the assembler's for the vector bodies, on every build; the
+// bench_test.go sub-benchmarks (low-end against mid-domain predicates on
+// random codes) measure them, and EXPERIMENTS.md records the result against
+// a copy roofline.
 //
 // A column stores its codes as []uint32 or []int64 (see package storage),
 // so every kernel is generic over storage.Code, one body compiled once per
@@ -76,6 +83,36 @@ func countDense[C storage.Code](codes []C, base, span uint64) int {
 	return n0 + n1 + n2 + n3
 }
 
+// vecBlock32 and vecBlock64 are the rows one iteration of the vector bodies
+// takes (count_amd64.s): four 256-bit registers of codes.
+const (
+	vecBlock32 = 32
+	vecBlock64 = 16
+)
+
+// countVector32 counts the codes inside [lo, hi], lo <= hi: the whole
+// blocks through the vector body, the rest through countDense. The body's
+// arithmetic is 32 bits wide, so the interval is first cut to what a
+// 32-bit code can be; one that is empty after that matches nothing.
+func countVector32(codes []uint32, lo, hi int64) int {
+	lo, hi = max(lo, 0), min(hi, math.MaxUint32)
+	if lo > hi {
+		return 0
+	}
+	base, span := offsetForm(lo, hi)
+	tail := codes[len(codes)&^(vecBlock32-1):]
+	return countBlocks32(codes, uint32(base), uint32(span)) + countDense(tail, base, span)
+}
+
+// countVector64 is countVector32 for 64-bit codes. The body has only a
+// signed compare, so both sides of the unsigned test get their sign bit
+// flipped.
+func countVector64(codes []int64, lo, hi int64) int {
+	base, span := offsetForm(lo, hi)
+	tail := codes[len(codes)&^(vecBlock64-1):]
+	return countBlocks64(codes, base^1<<63, span^1<<63) + countDense(tail, base, span)
+}
+
 // matchWord returns the match bits of up to 64 codes against one interval
 // in offset form: bit j is set iff codes[j] lies inside it.
 func matchWord[C storage.Code](codes []C, base, span uint64) (w uint64) {
@@ -119,6 +156,14 @@ func matchBlock[C storage.Code](codes []C, row int, r expr.Ranges, nulls *bitvec
 func CountRanges[C storage.Code](codes []C, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) int {
 	w := codes[lo:hi]
 	if nulls == nil && r.Len() == 1 && r.Lo[0] <= r.Hi[0] {
+		if useVector {
+			switch w := any(w).(type) {
+			case []uint32:
+				return countVector32(w, r.Lo[0], r.Hi[0])
+			case []int64:
+				return countVector64(w, r.Lo[0], r.Hi[0])
+			}
+		}
 		b, span := offsetForm(r.Lo[0], r.Hi[0])
 		return countDense(w, b, span)
 	}

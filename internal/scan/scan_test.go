@@ -273,9 +273,10 @@ func checkKernelShape(t *testing.T, s kernelShape) {
 		switch {
 		case pool == nil:
 			return rng.Int63n(201) - 100
-		case rng.Intn(4) == 0 && narrow:
-			return int64(rng.Uint32())
 		case rng.Intn(4) == 0:
+			if narrow {
+				return int64(rng.Uint32())
+			}
 			return int64(rng.Uint64())
 		}
 		return pool[rng.Intn(len(pool))]
@@ -441,7 +442,8 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) {
 // from: window lengths 0-9 and around one and two bitmap words, windows
 // that start inside a word, every interval count, every code pool (one in
 // four shapes draws codes that fit 4 bytes and is scanned at both widths)
-// and every kind of null bitmap.
+// and every kind of null bitmap; then dense one-interval windows of three
+// and more vector blocks, which is what the vector count bodies take.
 func kernelShapes() []kernelShape {
 	var out []kernelShape
 	seed := int64(0)
@@ -451,6 +453,12 @@ func kernelShapes() []kernelShape {
 				seed++
 				out = append(out, kernelShape{seed, winLen, off[0], off[1], intervals, uint8(seed % 16)})
 			}
+		}
+	}
+	for _, winLen := range []uint16{96, 131, 1100} {
+		for pool := uint8(0); pool < 4; pool++ { // no null bitmap
+			seed++
+			out = append(out, kernelShape{seed, winLen, uint8(seed % 9), 0, 1, pool})
 		}
 	}
 	return out

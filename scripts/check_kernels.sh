@@ -14,6 +14,13 @@
 #     only conditional jumps are loop edges and every compare went to SETcc:
 #     a range test that compiles to a jump per element costs 4-7x on
 #     unordered data, and no benchmark over ordered or periodic data shows it.
+#     These portable bodies are the fallback on a CPU without AVX2, the
+#     vector bodies' tail loop and the oracle their tests compare against.
+#  3. On amd64, fails if a vector body of count_amd64.s (VECTOR below) is
+#     missing from the package object, or if the assembler's listing of it
+#     holds a conditional jump besides the guard for an input shorter than
+#     one block (forward) and the loop edge (backward). The listing is the
+#     assembler's own (-asmflags=-S): go tool objdump does not decode VEX.
 #
 #   bash scripts/check_kernels.sh
 set -euo pipefail
@@ -21,6 +28,7 @@ cd "$(dirname "$0")/.."
 
 KERNELS="countDense matchWord minMaxDense minMaxNulls"
 WIDTHS="int64 uint32"
+VECTOR="countBlocks32 countBlocks64"
 pkg=internal/scan
 fail=0
 
@@ -68,10 +76,32 @@ if [[ "$(go env GOARCH)" == amd64 ]]; then
       echo "check_kernels: countDense[$w]: $cond conditional jumps (loop edges), $sets SETcc"
     fi
   done
+
+  listing="$(go build -asmflags=-S ./$pkg 2>&1)"
+  for v in $VECTOR; do
+    if ! go tool nm "$tmp/scan.a" | grep -qE "\(count_amd64\.o\):.* T .*/scan\.$v\$"; then
+      echo "check_kernels: no vector body $v in $pkg's object (renamed? update VECTOR)" >&2
+      fail=1
+      continue
+    fi
+    # Conditional jumps of the symbol as "<own offset> <target offset>".
+    jumps="$(awk -v sym="/scan.$v STEXT" '
+      /^[^\t]/ { on = index($0, sym) > 0; next }
+      on && $4 ~ /^J/ && $4 != "JMP" { print $2 + 0, $5 + 0 }' <<<"$listing")"
+    back="$(awk '$2 < $1' <<<"$jumps" | grep -c . || true)"
+    fwd="$(awk '$2 >= $1' <<<"$jumps" | grep -c . || true)"
+    if (( back != 1 || fwd > 1 )); then
+      echo "check_kernels: $v has $back backward and $fwd forward conditional jumps; want one loop edge and at most one guard:" >&2
+      echo "$jumps" >&2
+      fail=1
+    else
+      echo "check_kernels: $v: $back loop edge, $fwd guard, no other conditional jump"
+    fi
+  done
 fi
 
 if (( fail )); then
   echo "check_kernels: FAIL" >&2
   exit 1
 fi
-echo "check_kernels: ok — no bounds check in: $KERNELS (widths: $WIDTHS)"
+echo "check_kernels: ok — no bounds check in: $KERNELS (widths: $WIDTHS; vector bodies: $VECTOR)"
