@@ -11,6 +11,7 @@ import (
 
 	"adskip/internal/dict"
 	"adskip/internal/expr"
+	"adskip/internal/faultinject"
 	"adskip/internal/obs"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -225,6 +226,114 @@ func TestAppendRejectsWholeBatch(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestAppendWALInTheMiddle: the log sits between stage and commit. A batch
+// the log refuses — the log sticky-failed after an injected fsync error, or
+// closed — had been staged in full (strings new to the dictionary, NULLs in
+// every column, an integer that widens a 4-byte column) and is dropped
+// there: cells, row count, pending rows, dictionary, NULL counts, code
+// width and the log's append counter are what they were, and once a healthy
+// log is armed the next batch lands as it does in a twin that never saw the
+// refused one.
+func TestAppendWALInTheMiddle(t *testing.T) {
+	schema := table.Schema{
+		{Name: "i", Type: storage.Int64},
+		{Name: "f", Type: storage.Float64},
+		{Name: "s", Type: storage.String},
+	}
+	batchOf := func(from, n int, tag string) [][]storage.Value {
+		rows := make([][]storage.Value, n)
+		for k := range rows {
+			rows[k] = []storage.Value{storage.IntValue(int64(from + k)), storage.FloatValue(float64(k) / 2), storage.StringValue(fmt.Sprintf("%s%d", tag, k%7))}
+			if k%9 == 0 {
+				rows[k][k%3] = storage.NullValue(schema[k%3].Type)
+			}
+		}
+		return rows
+	}
+	for _, mode := range []string{"failed log", "closed log"} {
+		t.Run(mode, func(t *testing.T) {
+			tbl, twin := table.MustNew("t", schema), table.MustNew("t", schema)
+			e := New(tbl, Options{})
+			reg := obs.NewRegistry()
+			l, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Metrics: reg}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			e.SetWAL(l)
+
+			// The last batch the log takes. In the failed case its fsync is
+			// the one that fails: logged and committed in memory, never
+			// acknowledged, and the log refuses everything after it.
+			first := batchOf(0, 130, "a")
+			if mode == "failed log" {
+				restore := faultinject.Activate(faultinject.New(1).Set(faultinject.WALSyncErr, faultinject.Rule{Limit: 1}))
+				err = e.AppendRows(first)
+				restore()
+				if !errors.Is(err, faultinject.ErrInjected) {
+					t.Fatalf("append over a failing fsync: %v", err)
+				}
+			} else {
+				if err := e.AppendRows(first); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := twin.AppendRows(first); err != nil {
+				t.Fatal(err)
+			}
+
+			appends := reg.Counter("adskip_wal_appends_total", "")
+			staged := tbl.ColumnAt(0).Staged()
+			before, logged := snapshotTable(tbl), appends.Load() // reading consolidates: the refused batch heads for a new chunk
+			if before != snapshotTable(twin) {
+				t.Fatal("table and twin differ before the refused batch")
+			}
+			refused := batchOf(1000, 200, "new")
+			refused[3][0] = storage.IntValue(1 << 32)
+			if err := e.AppendRows(refused); err == nil || errors.Is(err, storage.ErrTypeMismatch) {
+				t.Fatalf("append on a %s: %v", mode, err)
+			}
+			if e.NumRows() != len(first) || tbl.ColumnAt(0).Staged() != 0 || staged == 0 {
+				t.Fatalf("refused batch left rows: %d rows, %d pending (%d before the read)", e.NumRows(), tbl.ColumnAt(0).Staged(), staged)
+			}
+			if after := snapshotTable(tbl); after != before {
+				t.Fatalf("refused batch changed the table:\nbefore %s\nafter  %s", before, after)
+			}
+			if w := tbl.ColumnAt(0).Vec().Width(); w != 4 || appends.Load() != logged {
+				t.Fatalf("refused batch: %d-byte codes, %d records logged (was %d)", w, appends.Load(), logged)
+			}
+
+			healthy, reg2 := openWAL(t)
+			e.SetWAL(healthy)
+			for _, next := range [][][]storage.Value{batchOf(2000, 300, "b"), refused} {
+				if err := e.AppendRows(next); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.AppendRows(next); err != nil {
+					t.Fatal(err)
+				}
+				for ci := range schema {
+					if g, w := tbl.ColumnAt(ci).Staged(), twin.ColumnAt(ci).Staged(); g != w {
+						t.Fatalf("column %d: %d rows pending, twin %d", ci, g, w)
+					}
+				}
+				if a, b := snapshotTable(tbl), snapshotTable(twin); a != b {
+					t.Fatalf("after the refused batch a good one reads\n%s\ntwin\n%s", a, b)
+				}
+			}
+			if g, w := tbl.ColumnAt(0).Vec().Width(), twin.ColumnAt(0).Vec().Width(); g != w || g != 8 {
+				t.Fatalf("code widths %d, twin %d, want 8 once the wide integer is in", g, w)
+			}
+			if n := reg2.Counter("adskip_wal_appends_total", "").Load(); n != 2 {
+				t.Fatalf("healthy log took %d records, want 2", n)
+			}
+		})
 	}
 }
 

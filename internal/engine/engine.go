@@ -145,6 +145,7 @@ func (o Options) withDefaults() Options {
 type Engine struct {
 	mu       sync.Mutex
 	tbl      *table.Table
+	types    []storage.Type // the schema's column types, as every WAL rows record carries them; read-only
 	opts     Options
 	skippers map[string]core.Skipper
 
@@ -190,6 +191,9 @@ func New(tbl *table.Table, opts Options) *Engine {
 		opts:        opts,
 		skippers:    make(map[string]core.Skipper),
 		quarantined: make(map[string]quarantineRecord),
+	}
+	for _, cs := range tbl.Schema() {
+		e.types = append(e.types, cs.Type)
 	}
 	e.reg = opts.Metrics
 	if e.reg == nil {
@@ -375,18 +379,21 @@ func (e *Engine) AppendRows(rows [][]storage.Value) error {
 // anyone until Wait returns nil; with no WAL armed the zero Commit waits
 // instantly.
 //
-// The order is validate columns -> log -> apply columns: CheckRows rejects
-// every batch the table could refuse (arity, type, NaN, string missing
-// from a sealed dictionary) before anything is logged, so the apply after
-// the log record cannot fail and the table never diverges from the log's
-// BaseRow chain.
+// The order is stage -> log -> commit: staging rejects every batch the
+// table could refuse (arity, type, NaN, string missing from a sealed
+// dictionary) before anything is logged, and encodes the rest into room
+// the columns do not count yet; the commit after the log record cannot
+// fail, so the table never diverges from the log's BaseRow chain; and a
+// batch the table or the log refuses is dropped where it is staged, with
+// nothing visible to take back.
 func (e *Engine) AppendRowsAsync(rows [][]storage.Value) (wal.Commit, error) {
 	if len(rows) == 0 {
 		return wal.Commit{}, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.tbl.CheckRows(rows); err != nil {
+	staged, err := e.tbl.Stage(rows)
+	if err != nil {
 		return wal.Commit{}, err
 	}
 	var commit wal.Commit
@@ -396,7 +403,7 @@ func (e *Engine) AppendRowsAsync(rows [][]storage.Value) (wal.Commit, error) {
 			Table:   e.tbl.Name(),
 			Shard:   uint32(e.opts.Shard),
 			BaseRow: uint64(e.tbl.NumRows()),
-			Types:   e.schemaTypes(),
+			Types:   e.types,
 			Rows:    rows,
 		})
 		if err != nil {
@@ -404,18 +411,9 @@ func (e *Engine) AppendRowsAsync(rows [][]storage.Value) (wal.Commit, error) {
 		}
 		commit = c
 	}
-	e.tbl.AppendChecked(rows)
+	e.tbl.Commit(staged)
 	faultinject.Crash(faultinject.CrashWALAfterApply)
 	return commit, nil
-}
-
-// schemaTypes returns the table's column types in schema order.
-func (e *Engine) schemaTypes() []storage.Type {
-	types := make([]storage.Type, e.tbl.NumColumns())
-	for i := range types {
-		types[i] = e.tbl.ColumnAt(i).Type()
-	}
-	return types
 }
 
 // SetWAL arms (or, with nil, disarms) write-ahead logging on the append

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -176,6 +177,9 @@ type Manager struct {
 	routeMu sync.Mutex
 	bounds  []int64
 	rr      int
+	// picks recycles route's per-row shard indices (*[]int32) across
+	// batches and concurrent appenders.
+	picks sync.Pool
 
 	mPruned  *obs.Counter
 	mScanned *obs.Counter
@@ -430,13 +434,15 @@ type group struct {
 }
 
 // route partitions a batch of rows into per-shard groups, extracting each
-// row's key once: the same pass picks the shard and folds the key into
-// the group's stats. In range mode before bounds are learned, a batch
-// carrying at least shards*learnRowsPerShard rows fixes the bounds
-// (equi-depth over the batch — the one batch in a Manager's life whose
-// keys are read twice); smaller early batches round-robin whole to one
-// shard, which pruning tolerates because it consults observed bounds, not
-// placement intent. A bad key rejects the batch on every path.
+// row's key once: the same pass picks the shard, notes the pick in a
+// reused buffer, counts it and folds the key into the group's stats; a
+// second pass over the picks alone deals the row headers into groups cut,
+// exactly sized, from one allocation. In range mode before bounds are
+// learned, a batch carrying at least shards*learnRowsPerShard rows fixes
+// the bounds (equi-depth over the batch — the one batch in a Manager's life
+// whose keys are read twice); smaller early batches round-robin whole to
+// one shard, which pruning tolerates because it consults observed bounds,
+// not placement intent. A bad key rejects the batch on every path.
 func (m *Manager) route(rows [][]storage.Value) ([]group, error) {
 	n := len(m.shards)
 	groups := make([]group, n)
@@ -469,20 +475,42 @@ func (m *Manager) route(rows [][]storage.Value) ([]group, error) {
 	}
 	m.routeMu.Unlock()
 
-	for _, r := range rows {
+	if whole >= 0 {
+		g := &groups[whole]
+		for _, r := range rows {
+			code, null, err := m.keyCode(r)
+			if err != nil {
+				return nil, err
+			}
+			g.add(code, null)
+		}
+		g.rows = rows
+		return groups, nil
+	}
+
+	buf, _ := m.picks.Get().(*[]int32)
+	if buf == nil {
+		buf = new([]int32)
+	}
+	defer m.picks.Put(buf)
+	*buf = slices.Grow((*buf)[:0], len(rows))[:len(rows)]
+	pick, counts := *buf, make([]int, n)
+	for i, r := range rows {
 		code, null, err := m.keyCode(r)
 		if err != nil {
 			return nil, err
 		}
-		si := whole
-		if si < 0 {
-			si = m.routeShard(code, null, bounds)
-			groups[si].rows = append(groups[si].rows, r)
-		}
+		si := m.routeShard(code, null, bounds)
+		pick[i] = int32(si)
+		counts[si]++
 		groups[si].add(code, null)
 	}
-	if whole >= 0 {
-		groups[whole].rows = rows
+	dealt := make([][]storage.Value, len(rows))
+	for si, k := range counts {
+		groups[si].rows, dealt = dealt[:0:k], dealt[k:]
+	}
+	for i, si := range pick {
+		groups[si].rows = append(groups[si].rows, rows[i])
 	}
 	return groups, nil
 }

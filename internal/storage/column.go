@@ -18,19 +18,21 @@ var (
 // Column is a typed, append-only column vector of codes in value order (see
 // package doc); logical type only affects encode/decode at the boundary.
 // The codes of an Int64 or String column are stored as uint32 until one
-// falls outside [0, 2^32); the vector (or the staged chunk it arrived in) is
-// then rewritten once as int64 and the column stays wide. A Float64 column
+// falls outside [0, 2^32); from that row on they are stored as int64, the
+// vector is rewritten once, and the column stays wide. A Float64 column
 // is wide by type. The width is a function of the data alone; readers get
 // the vector at its width through Vec.
 //
-// A batch that does not fit the spare capacity is staged in pending chunks
-// beside the code vector, and the first reader of codes consolidates the
+// A batch arrives in two steps: Stage checks and encodes it into room the
+// column does not count yet, Commit publishes it (see Stage). Committed rows
+// that did not fit the vector's spare capacity sit in pending chunks beside
+// it — Staged() counts them — and the first reader of codes consolidates the
 // column back into one slice (see Consolidate). So an append and the first
 // read after it both mutate the column and must be serialised by the
 // caller; a consolidated column is safe for concurrent reads. The null
 // bitmap and the dictionary are indexed by row and by value, not through
-// codes: staging does not touch them. A NULL row's code slot holds 0 and is
-// masked by the bitmap everywhere.
+// codes: pending chunks do not touch them. A NULL row's code slot holds 0
+// and is masked by the bitmap everywhere.
 type Column struct {
 	name string
 	typ  Type
@@ -39,7 +41,7 @@ type Column struct {
 	// the vector itself may still be narrow beside a wide chunk.
 	wide    bool
 	vec     Vec
-	pending []Vec          // staged rows after vec, in row order; only the last chunk has spare capacity
+	pending []Vec          // committed rows after vec, in row order; only the last chunk has spare capacity
 	staged  int            // rows in pending
 	nulls   *bitvec.BitVec // lazily allocated; set bit = NULL at that row
 	nNull   int
@@ -67,7 +69,8 @@ func (c *Column) Name() string { return c.name }
 // Type returns the column's logical type.
 func (c *Column) Type() Type { return c.typ }
 
-// Len returns the number of rows, staged ones included.
+// Len returns the number of rows, those in pending chunks included; a
+// batch Stage has encoded and Commit has not published is not rows yet.
 func (c *Column) Len() int { return c.vec.Len() + c.staged }
 
 // Staged returns how many of the rows sit in pending chunks, waiting for a
@@ -135,8 +138,7 @@ func (c *Column) consolidate() {
 	} else {
 		codes := c.vec.W
 		if codes == nil {
-			codes = make([]int64, n)
-			c.vec.copyWide(codes)
+			codes = c.vec.widened(n).W
 		} else {
 			codes = grow(codes, n)
 		}
@@ -159,14 +161,11 @@ func grow[T Code](s []T, n int) []T {
 	return growLadder(s, n)
 }
 
-// escalate rewrites slot — the vector or a staged chunk, narrow — as int64
-// codes, exactly as long as it is, and makes the column wide. It runs at
-// most once per vector or chunk, at the first code that does not fit.
-func (c *Column) escalate(slot *Vec) {
-	w := make([]int64, len(slot.N))
-	slot.copyWide(w)
-	*slot = Vec{W: w}
-	c.wide = true
+// escalate rewrites the consolidated, narrow vector as int64 codes, exactly
+// as long as it is, and makes the column wide: what SetInt and AppendInt do
+// once, at the first code that does not fit.
+func (c *Column) escalate() {
+	c.vec, c.wide = c.vec.widened(c.vec.Len()), true
 }
 
 // Dict returns the string dictionary, or nil for non-string columns.
@@ -240,7 +239,7 @@ func (c *Column) AppendNull() {
 func (c *Column) appendCode(code int64) {
 	c.Consolidate()
 	if !c.wide && !fits[uint32](code) {
-		c.escalate(&c.vec)
+		c.escalate()
 	}
 	if c.wide {
 		c.vec.W = append(c.vec.W, code)
@@ -250,140 +249,159 @@ func (c *Column) appendCode(code int64) {
 	c.growNulls(c.vec.Len())
 }
 
-// CheckRows reports the first reason cell col of rows could not be
-// appended to the column: a non-NULL value of another type, a NaN, or a
-// string a sealed dictionary does not hold. It mutates nothing, so a batch
-// that passes on every column can be logged and then applied without a
-// failure path (see AppendRows). Every row must have more than col cells;
-// the table checks arity before it checks columns.
-func (c *Column) CheckRows(rows [][]Value, col int) error {
-	switch c.typ {
-	case Float64:
-		for i := range rows {
-			v := &rows[i][col]
-			if v.null {
-				continue
-			}
-			if v.typ != Float64 {
-				return c.mismatch(i, v)
-			}
-			if v.f != v.f {
-				return fmt.Errorf("row %d: %w", i, ErrNaN)
-			}
+// StagedRows is one column of a row batch on its way in: every cell checked
+// and encoded, the codes written into room the column does not count yet.
+// Commit publishes it; a caller that drops it instead (another column
+// refused the batch, the log refused the record) leaves nothing to undo —
+// length, width, capacity, pending chunks, null bitmap and dictionary are
+// untouched until Commit. It is only good for the column as it was when the
+// rows were staged.
+type StagedRows struct {
+	base   int              // the column's Len() when the rows were staged
+	n      int              // rows staged
+	onTail int              // how many of them sit on the spare capacity of the column's tail slot
+	closed bool             // a code did not fit that slot: nothing more may go there
+	wide   bool             // the column is wide once these rows are in it
+	chunk  Vec              // the rows after those on the tail slot, in a chunk of their own
+	nulls  []int            // batch rows that are NULL
+	strs   []string         // strings the dictionary lacks, first seen first: string k was encoded as dict.Len()+k
+	codes  map[string]int64 // strs' provisional codes
+}
+
+// Stage checks and encodes cell col of every row in one typed loop — each
+// cell is read once — and leaves the result in s, overwriting what s held.
+// It reports the first reason the column could not take the batch (a
+// non-NULL value of another type, a NaN, a string a sealed dictionary does
+// not hold); s is then of no use. Otherwise the rows' codes sit in the
+// spare capacity of the code vector when the whole batch fits there and
+// nothing is pending, else in what the last pending chunk has left and
+// then in a new chunk of exactly the rows that remain (never smaller than
+// chunkFloor, narrow unless the column is already wide), so a bulk load
+// allocates each row's slot once and copies it once, at consolidation, and
+// pending rows never hold more than one chunkFloor of room no row occupies.
+// None of that room is visible through the column before Commit. Every row
+// must have more than col cells; the table checks arity first. Distinct
+// columns may stage the same rows concurrently: a column reads only itself
+// and the rows.
+//
+// A code that does not fit a narrow slot other rows already occupy leaves
+// that slot alone: the slot is closed at the last row that fitted and the
+// rest of the batch goes into a wide chunk; Consolidate rewrites a narrow
+// vector that meets one. A new chunk is nobody's yet and is rewritten wide
+// where it stands, exactly as long as its rows.
+func (c *Column) Stage(s *StagedRows, rows [][]Value, col int) error {
+	*s = StagedRows{base: c.Len(), n: len(rows), wide: c.wide}
+	if slot, room := c.spare(len(rows)); room > 0 {
+		at := slot.Len()
+		done, err := c.stageCells(s, slot.Slice(0, at+room), at, rows[:room], col, 0)
+		if err != nil {
+			return err
 		}
-	case String:
-		sealed := c.dict.Sealed()
-		for i := range rows {
-			v := &rows[i][col]
-			if v.null {
-				continue
-			}
-			if v.typ != String {
-				return c.mismatch(i, v)
-			}
-			if sealed {
-				if _, ok := c.dict.Code(v.s); !ok {
-					return fmt.Errorf("row %d: string %q: %w", i, v.s, dict.ErrSealed)
-				}
-			}
+		s.onTail = done
+		if done < room {
+			s.closed, s.wide = true, true
 		}
-	default:
-		for i := range rows {
-			if v := &rows[i][col]; v.typ != c.typ && !v.null {
-				return c.mismatch(i, v)
-			}
+	}
+	if rest := rows[s.onTail:]; len(rest) > 0 {
+		if room := max(len(rest), chunkFloor); s.wide {
+			s.chunk.W = make([]int64, len(rest), room)
+		} else {
+			s.chunk.N = make([]uint32, len(rest), room)
 		}
+		k, err := c.stageCells(s, s.chunk, 0, rest, col, s.onTail)
+		if err == nil && k < len(rest) {
+			s.chunk, s.wide = s.chunk.Slice(0, k).widened(len(rest)), true
+			_, err = c.stageCells(s, s.chunk, k, rest[k:], col, s.onTail+k)
+		}
+		return err
 	}
 	return nil
 }
 
-func (c *Column) mismatch(row int, v *Value) error {
-	return fmt.Errorf("row %d: %w: %s value into %s column %q", row, ErrTypeMismatch, v.typ, c.typ, c.name)
-}
-
-// AppendRows appends cell col of every row: the one append kernel, a typed
-// loop storing into room reserved once per batch — the tail of the code
-// vector when the batch fits its spare capacity, pending chunks when it
-// does not (see reserve). The batch must have passed CheckRows since the
-// column last changed: nothing is re-checked, and the one failure still
-// visible here — a string a sealed dictionary lacks — panics. Distinct
-// columns may run AppendRows over the same rows concurrently: a column owns
-// its codes, chunks, bitmap and dictionary, and rows are only read.
-func (c *Column) AppendRows(rows [][]Value, col int) {
-	for len(rows) > 0 {
-		base := c.Len()
-		slot, at := c.reserve(len(rows))
-		n := slot.Len() - at
-		c.storeRows(slot, at, rows[:n], col, base)
-		rows = rows[n:]
+// Commit publishes rows Stage accepted, in O(1) but for the batch's NULLs
+// and new strings, and empties s: the tail slot's length (a closed slot's
+// capacity clipped to it, so that only the last chunk ever has room), the
+// new chunk, the width, then the NULL bits and the dictionary entries — in
+// first-seen order, which makes the provisional codes the real ones. The
+// column must not have changed since the rows were staged.
+func (c *Column) Commit(s *StagedRows) {
+	if s.base != c.Len() {
+		panic(fmt.Sprintf("storage: column %q has %d rows, the batch was staged at %d", c.name, c.Len(), s.base))
+	}
+	slot := c.tail()
+	*slot = slot.Slice(0, slot.Len()+s.onTail)
+	if s.closed {
+		*slot = slot.clip()
+	}
+	if s.chunk.Len() > 0 {
+		c.pending = append(c.pending, s.chunk)
+	}
+	c.staged, c.wide = s.base+s.n-c.vec.Len(), s.wide
+	for _, row := range s.nulls {
+		c.setNull(s.base + row)
+	}
+	for _, str := range s.strs {
+		if _, err := c.dict.Insert(str); err != nil {
+			panic(fmt.Sprintf("storage: column %q: dictionary changed under a staged batch: %v", c.name, err))
+		}
 	}
 	c.growNulls(c.Len())
+	*s = StagedRows{}
 }
 
-// reserve makes room at the column's end for up to n more rows (at least
-// one) and returns where: the vector or chunk that holds the room, already
-// extended over it, and the offset the room starts at. The caller
-// overwrites every element. A batch that fits the spare capacity of a
-// column with nothing staged extends the tail. Any other first fills what
-// the last pending chunk has left and then opens a chunk of exactly the
-// rows that remain — never smaller than chunkFloor, narrow unless the
-// column is already wide — so a bulk load allocates each row's slot once
-// and copies it once, at consolidation, instead of copying the whole column
-// at every rung of a growth ladder; and staged rows never hold more than
-// one chunkFloor of room no row occupies.
-func (c *Column) reserve(n int) (slot *Vec, at int) {
+// tail returns the slot the column's last row is in, the only one that may
+// have spare capacity: the vector, or the last pending chunk.
+func (c *Column) tail() *Vec {
 	if len(c.pending) == 0 {
-		if at = c.vec.Len(); at+n <= c.vec.capacity() {
-			c.vec = c.vec.Slice(0, at+n)
-			return &c.vec, at
-		}
-	} else if slot = &c.pending[len(c.pending)-1]; slot.Len() < slot.capacity() {
-		at = slot.Len()
-		*slot = slot.Slice(0, min(at+n, slot.capacity()))
-		c.staged += slot.Len() - at
-		return slot, at
+		return &c.vec
 	}
-	var chunk Vec
-	if room := max(n, chunkFloor); c.wide {
-		chunk.W = make([]int64, n, room)
-	} else {
-		chunk.N = make([]uint32, n, room)
-	}
-	c.pending = append(c.pending, chunk)
-	c.staged += n
-	return &c.pending[len(c.pending)-1], 0
+	return &c.pending[len(c.pending)-1]
 }
 
-// storeRows stores cell col of rows into slot from offset at on; the first
-// of them is row base of the column. A narrow slot takes codes until one
-// does not fit, is rewritten wide there, and takes the rest as int64.
-func (c *Column) storeRows(slot *Vec, at int, rows [][]Value, col, base int) {
-	done := 0
-	if slot.W == nil {
-		if done = storeCodes(c, slot.N[at:], rows, col, base); done == len(rows) {
-			return
-		}
-		c.escalate(slot)
+// spare returns the tail slot and how many rows of a batch of n go onto its
+// spare capacity: as many as a pending chunk has room for; on the vector
+// all of them or none (a vector's tail is never half used).
+func (c *Column) spare(n int) (slot *Vec, room int) {
+	slot = c.tail()
+	room = slot.capacity() - slot.Len()
+	if n > room && slot == &c.vec {
+		return slot, 0
 	}
-	storeCodes(c, slot.W[at+done:], rows[done:], col, base+done)
+	return slot, min(n, room)
 }
 
-// storeCodes is AppendRows' typed store loop at one width: cell col of rows
-// into dst, whose first element is row base of the column. It returns how
-// many rows it stored: all of them, or those before the first code that T
-// cannot represent.
-func storeCodes[T Code](c *Column, dst []T, rows [][]Value, col, base int) int {
+// stageCells runs the staging loop over dst at the width it has: cell col
+// of rows into dst from offset at on; rows[0] is row first of the batch. It
+// returns how many rows it encoded: all of them, or those before the first
+// code a narrow dst cannot hold.
+func (c *Column) stageCells(s *StagedRows, dst Vec, at int, rows [][]Value, col, first int) (int, error) {
+	if dst.W != nil {
+		return stageCodes(c, s, dst.W[at:], rows, col, first)
+	}
+	return stageCodes(c, s, dst.N[at:], rows, col, first)
+}
+
+// stageCodes is the one loop a cell passes through on its way in, at one
+// width: check it, encode it, store the code. A NULL (of any type) stores 0
+// and is noted in s; a string the dictionary lacks gets the code it will
+// have once the batch's new strings are inserted in the order they were
+// met.
+func stageCodes[T Code](c *Column, s *StagedRows, dst []T, rows [][]Value, col, first int) (int, error) {
+	dst = dst[:len(rows)] // one bounds check here, none per store
 	switch c.typ {
 	case Int64:
 		for i, r := range rows {
 			v := &r[col]
 			if v.null {
 				dst[i] = 0
-				c.setNull(base + i)
+				s.nulls = append(s.nulls, first+i)
 				continue
 			}
+			if v.typ != Int64 {
+				return i, c.mismatch(first+i, v)
+			}
 			if !fits[T](v.i) {
-				return i
+				return i, nil
 			}
 			dst[i] = T(v.i)
 		}
@@ -392,12 +410,18 @@ func storeCodes[T Code](c *Column, dst []T, rows [][]Value, col, base int) int {
 			v := &r[col]
 			if v.null {
 				dst[i] = 0
-				c.setNull(base + i)
+				s.nulls = append(s.nulls, first+i)
 				continue
+			}
+			if v.typ != Float64 {
+				return i, c.mismatch(first+i, v)
+			}
+			if v.f != v.f {
+				return i, fmt.Errorf("row %d: %w", first+i, ErrNaN)
 			}
 			code := EncodeFloat64(v.f)
 			if !fits[T](code) {
-				return i
+				return i, nil
 			}
 			dst[i] = T(code)
 		}
@@ -406,20 +430,45 @@ func storeCodes[T Code](c *Column, dst []T, rows [][]Value, col, base int) int {
 			v := &r[col]
 			if v.null {
 				dst[i] = 0
-				c.setNull(base + i)
+				s.nulls = append(s.nulls, first+i)
 				continue
 			}
-			code, err := c.dict.Insert(v.s)
-			if err != nil {
-				panic(fmt.Sprintf("storage: AppendRows on column %q without CheckRows: %v", c.name, err))
+			if v.typ != String {
+				return i, c.mismatch(first+i, v)
+			}
+			code, ok := c.dict.Code(v.s)
+			if !ok {
+				if c.dict.Sealed() {
+					return i, fmt.Errorf("row %d: string %q: %w", first+i, v.s, dict.ErrSealed)
+				}
+				code = s.provisional(v.s, c.dict.Len())
 			}
 			if !fits[T](code) {
-				return i
+				return i, nil
 			}
 			dst[i] = T(code)
 		}
 	}
-	return len(rows)
+	return len(rows), nil
+}
+
+// provisional returns the code str will have when the batch's new strings
+// join a dictionary of known entries in first-seen order.
+func (s *StagedRows) provisional(str string, known int) int64 {
+	code, ok := s.codes[str]
+	if !ok {
+		if s.codes == nil {
+			s.codes = make(map[string]int64)
+		}
+		code = int64(known + len(s.strs))
+		s.codes[str] = code
+		s.strs = append(s.strs, str)
+	}
+	return code
+}
+
+func (c *Column) mismatch(row int, v *Value) error {
+	return fmt.Errorf("row %d: %w: %s value into %s column %q", row, ErrTypeMismatch, v.typ, c.typ, c.name)
 }
 
 // growLadder returns s resliced to n elements, reallocated to the next
@@ -447,7 +496,7 @@ func (c *Column) SetInt(i int, v int64) error {
 	c.Consolidate()
 	c.clearNull(i)
 	if !c.wide && !fits[uint32](v) {
-		c.escalate(&c.vec)
+		c.escalate()
 	}
 	if c.wide {
 		c.vec.W[i] = v

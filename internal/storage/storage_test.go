@@ -128,8 +128,8 @@ func TestTypeMismatchErrors(t *testing.T) {
 	if err := c.AppendString("x"); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("AppendString on int col: %v", err)
 	}
-	if err := c.CheckRows([][]Value{{FloatValue(1)}}, 0); !errors.Is(err, ErrTypeMismatch) {
-		t.Fatalf("CheckRows float on int col: %v", err)
+	if err := c.Stage(new(StagedRows), [][]Value{{FloatValue(1)}}, 0); !errors.Is(err, ErrTypeMismatch) {
+		t.Fatalf("Stage float on int col: %v", err)
 	}
 	f := NewColumn("f", Float64)
 	if err := f.AppendFloat(math.NaN()); !errors.Is(err, ErrNaN) {
@@ -305,6 +305,17 @@ func TestQuickColumnRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// AppendRows stages and commits cell col of every row: a whole append, for
+// tests with one column and nothing to do in between (the table stages
+// every column before it commits any).
+func (c *Column) AppendRows(rows [][]Value, col int) {
+	var s StagedRows
+	if err := c.Stage(&s, rows, col); err != nil {
+		panic(err)
+	}
+	c.Commit(&s)
 }
 
 // intBatch builds n single-cell Int64 rows over one backing array, row i
@@ -515,6 +526,48 @@ func TestEscalation(t *testing.T) {
 					t.Fatalf("after the outlier: %d-byte codes, row %d holds %d", v.Width(), len(want)+1, v.At(len(want)+1))
 				}
 			})
+		}
+	}
+}
+
+// TestStageLeavesPublishedSlotsAlone: a batch whose middle row does not fit
+// a 4-byte code, staged onto a pending chunk's remainder and onto the
+// vector's spare tail. Dropped, it leaves the column's fields as they were;
+// committed, the slot other rows occupied is closed at the last row that
+// fitted — no chunk but the last ever has room — the rest of the batch sits
+// in a wide chunk, and one read gives 8-byte codes with no slack.
+func TestStageLeavesPublishedSlotsAlone(t *testing.T) {
+	const base, n = 3000, 9
+	for _, tail := range []bool{false, true} {
+		c := NewColumn("a", Int64)
+		c.AppendRows(intBatch(base, true, 0), 0)
+		c.Vec()
+		c.AppendRows(intBatch(1, false, base), 0) // a chunkFloor chunk with room left ...
+		if tail {
+			c.Vec() // ... or, read, a ladder rung with a spare tail
+		}
+		batch := intBatch(n, false, base+1)
+		batch[1][0], batch[n/2][0] = NullValue(Int64), IntValue(1<<32)
+		before, chunks, nNull := *c, len(c.pending), c.nNull
+		if err := c.Stage(new(StagedRows), batch, 0); err != nil {
+			t.Fatal(err)
+		}
+		if c.vec.Len() != before.vec.Len() || c.vec.capacity() != before.vec.capacity() || len(c.pending) != chunks ||
+			c.staged != before.staged || c.wide || c.nNull != nNull || c.Len() != base+1 ||
+			(chunks > 0 && (c.pending[0].Len() != 1 || c.pending[0].capacity() != chunkFloor)) {
+			t.Fatalf("tail=%v: a batch staged and dropped changed the column: %+v, was %+v", tail, *c, before)
+		}
+		c.AppendRows(batch, 0)
+		if c.Len() != base+1+n || !c.wide || c.vec.W != nil || c.nNull != nNull+1 {
+			t.Fatalf("tail=%v: after commit: %d rows, wide %v, vector %d-byte, %d NULLs", tail, c.Len(), c.wide, c.vec.Width(), c.nNull)
+		}
+		for i, chunk := range c.pending {
+			if last := i == len(c.pending)-1; (chunk.W != nil) != last || (!last && chunk.capacity() != chunk.Len()) {
+				t.Fatalf("tail=%v: chunk %d of %d: %d-byte codes, %d rows in capacity %d", tail, i, len(c.pending), chunk.Width(), chunk.Len(), chunk.capacity())
+			}
+		}
+		if v := c.Vec(); v.Width() != 8 || v.capacity() != v.Len() || v.At(base+1+n/2) != 1<<32 || v.At(base+n) != int64(base+n) || !c.IsNull(base+2) {
+			t.Fatalf("tail=%v: after a read: %d-byte codes, %d rows in capacity %d", tail, v.Width(), v.Len(), v.capacity())
 		}
 	}
 }

@@ -17,9 +17,10 @@
 // widths. An Int64 or String column holds []uint32 while every code lies in
 // [0, 2^32) — a key whose domain is the row count, a row number, a
 // dictionary code — and []int64 from the first code that does not: that
-// code rewrites the vector (or the staged chunk it arrived in) once, the way
-// consolidation rewrites once, and the column stays wide. Float64 columns
-// are wide by type. There is no option and no frame of reference: the width
+// code's batch opens a wide chunk from that row on (a chunk of its own is
+// rewritten where it stands), consolidation rewrites the vector once, the
+// way it copies once, and the column stays wide. Float64 columns are wide
+// by type. There is no option and no frame of reference: the width
 // is a function of the data, zero extension of a narrow code is its value,
 // and a NULL row's slot holds 0 at either width, masked by the null bitmap.
 // Readers take the vector as a Vec — one of the two slices, with Len, At
@@ -29,25 +30,32 @@
 // column (a widened copy of a narrow one), remains only for the repository
 // benchmark's scan rung.
 //
-// Rows arrive as batches of dynamic Values and every append path goes
-// through one pair of per-column kernels: Column.CheckRows validates one
-// column of a batch (type, NaN, sealed-dictionary membership) without
-// mutating anything, and Column.AppendRows then stores it in one typed
-// loop into room reserved once per batch. The table checks every column
-// before it applies any, so a batch is all or nothing and the engine can
-// log it to the WAL between the two (validate columns -> log -> apply
-// columns); columns share no state, so the table applies a large batch's
-// columns on separate goroutines. The typed single-value appenders
-// (AppendInt and friends) remain for loaders that build a column directly
-// from codes: the snapshot codec and the experiment harness.
+// Rows arrive as batches of dynamic Values, and a pass over a batch is the
+// cost of loading it (a 64 Ki-row batch of 40-byte cells is megabytes, far
+// past L2), so a column walks a batch once: Column.Stage checks a cell
+// (type, NaN, sealed-dictionary membership) and encodes it in the same
+// iteration of one typed loop, writing the code into room Len() does not
+// count yet — the vector's spare capacity, what the last pending chunk has
+// left, a new chunk — and noting NULLs and strings new to the dictionary
+// beside it; Column.Commit then publishes the lot in O(1) plus those rare
+// parts. Until Commit nothing a reader can observe has changed, so a batch
+// one column refuses, or one the write-ahead log refuses, is dropped where
+// it is staged and there is nothing to roll back: the table stages every
+// column before it commits any, so a batch is all or nothing, and the engine
+// logs it to the WAL between the two (stage -> log -> commit); columns share
+// no state, so the table stages a large batch's columns on separate
+// goroutines. The typed single-value appenders (AppendInt and friends)
+// remain for loaders that build a column directly from codes: the snapshot
+// codec and the experiment harness.
 //
 // Readers need the codes as one slice; writers do not, until someone
 // reads. A batch that fits a column's spare capacity extends its tail; one
-// that does not is staged in a pending chunk beside the vector (exactly
+// that does not is parked in a pending chunk beside the vector (exactly
 // batch-sized, at least chunkFloor rows, narrow unless the column is
-// already wide; later batches fill a chunk before opening another), and Len
-// counts it. A chunk is narrow when it is stored, not only once it is
-// consolidated: a column nobody reads keeps its rows at 4 bytes each. The
+// already wide; later batches fill a chunk before opening another), and
+// Len counts it from Commit on. A chunk is narrow when it is stored, not
+// only once it is consolidated: a column nobody reads keeps its rows at 4
+// bytes each. The
 // first reader — Vec, or any accessor that indexes codes — consolidates the
 // column back into one slice with at most one reallocation: exactly Len()
 // long when the rows outgrew the capacity by more than a quarter (a bulk

@@ -49,6 +49,11 @@ func (v Vec) Slice(lo, hi int) Vec {
 
 func (v Vec) capacity() int { return cap(v.N) + cap(v.W) }
 
+// clip returns the same view with no capacity beyond its codes.
+func (v Vec) clip() Vec {
+	return Vec{N: v.N[:len(v.N):len(v.N)], W: v.W[:len(v.W):len(v.W)]}
+}
+
 // copyWide copies the view's codes into dst, widening narrow ones, and
 // returns how many it copied.
 func (v Vec) copyWide(dst []int64) int {
@@ -56,6 +61,14 @@ func (v Vec) copyWide(dst []int64) int {
 		dst[i] = int64(c)
 	}
 	return len(v.N) + copy(dst, v.W)
+}
+
+// widened returns the view's codes as int64 in a new vector of n codes, n
+// no less than the view's length; codes beyond it are 0.
+func (v Vec) widened(n int) Vec {
+	w := make([]int64, n)
+	v.copyWide(w)
+	return Vec{W: w}
 }
 
 // fits reports whether code is representable in T.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adskip/internal/dict"
@@ -44,6 +45,110 @@ func naiveAppend(t *Table, rows [][]storage.Value) error {
 		}
 	}
 	return nil
+}
+
+// checkThenStore is the append path as it was before a batch was staged, kept
+// as the tests' reference: one pass over every column that only checks
+// (arity, type, NaN, sealed dictionary), and only when all of it passed a
+// second one that stores, cell by cell.
+func checkThenStore(t *Table, rows [][]storage.Value) error {
+	for i, r := range rows {
+		if len(r) != t.NumColumns() {
+			return fmt.Errorf("%w: row %d", ErrRowArity, i)
+		}
+	}
+	for ci := 0; ci < t.NumColumns(); ci++ {
+		c := t.ColumnAt(ci)
+		for i, r := range rows {
+			switch v := r[ci]; {
+			case v.IsNull():
+			case v.Type() != c.Type():
+				return fmt.Errorf("row %d: %w", i, storage.ErrTypeMismatch)
+			case c.Type() == storage.Float64 && math.IsNaN(v.Float()):
+				return fmt.Errorf("row %d: %w", i, storage.ErrNaN)
+			case c.Type() == storage.String && c.Dict().Sealed():
+				if _, ok := c.Dict().Code(v.Str()); !ok {
+					return fmt.Errorf("row %d: %w", i, dict.ErrSealed)
+				}
+			}
+		}
+	}
+	return naiveAppend(t, rows)
+}
+
+// rejection is the sentinel a rejected batch's error wraps.
+func rejection(err error) error {
+	for _, kind := range []error{ErrRowArity, storage.ErrTypeMismatch, storage.ErrNaN, dict.ErrSealed} {
+		if errors.Is(err, kind) {
+			return kind
+		}
+	}
+	return err
+}
+
+// marks is what an append changes in a column besides its codes, read
+// without consolidating anything: a batch that was refused must leave all
+// of it as the reference table, which never saw the batch, has it.
+type marks struct {
+	rows, staged, nNull int
+	nullWords           []uint64
+	strings             []string
+}
+
+func marksOf(c *storage.Column) marks {
+	m := marks{rows: c.Len(), staged: c.Staged(), nNull: c.NullCount()}
+	if nulls := c.Nulls(); nulls != nil {
+		m.nullWords = slices.Clone(nulls.Words())
+	}
+	if d := c.Dict(); d != nil {
+		m.strings = slices.Clone(d.Values())
+	}
+	return m
+}
+
+// requireSameMarks holds every column of got to the reference table's rows,
+// NULL count, null-bitmap words and dictionary.
+func requireSameMarks(t *testing.T, got, ref *Table) {
+	t.Helper()
+	for ci := 0; ci < ref.NumColumns(); ci++ {
+		g, r := marksOf(got.ColumnAt(ci)), marksOf(ref.ColumnAt(ci))
+		if g.rows != r.rows || g.nNull != r.nNull || !slices.Equal(g.nullWords, r.nullWords) || !slices.Equal(g.strings, r.strings) {
+			t.Fatalf("column %q: %d rows, %d NULLs (bitmap %x), dictionary %q; reference %d rows, %d NULLs (bitmap %x), dictionary %q",
+				ref.ColumnAt(ci).Name(), g.rows, g.nNull, g.nullWords, g.strings, r.rows, r.nNull, r.nullWords, r.strings)
+		}
+	}
+}
+
+// layout is a column's physical state: where its rows are and how much
+// room it holds. Reading it consolidates, so it is compared between two
+// tables built by the same calls, one of which also saw a refused batch.
+type layout struct{ staged, rows, width, capacity int }
+
+func layoutOf(c *storage.Column) layout {
+	l := layout{staged: c.Staged()}
+	v := c.Vec()
+	l.rows, l.width, l.capacity = v.Len(), v.Width(), cap(v.N)+cap(v.W)
+	return l
+}
+
+// leaveMarks rewrites the head of a batch of mixedSchema so that a column
+// that applied any of it would show: strings no dictionary holds yet (and a
+// repeat of one, unless the dictionary is sealed), a NULL in every column,
+// and an integer that does not fit a 4-byte code — as many of these as the
+// batch has rows before row end.
+func leaveMarks(batch [][]storage.Value, end int, sealed bool) {
+	head := [][]storage.Value{
+		{storage.IntValue(1), storage.FloatValue(1), storage.StringValue("never-seen-a")},
+		{storage.NullValue(storage.Int64), storage.NullValue(storage.Float64), storage.NullValue(storage.String)},
+		{storage.IntValue(1 << 32), storage.FloatValue(2), storage.StringValue("never-seen-b")},
+		{storage.IntValue(2), storage.FloatValue(3), storage.StringValue("never-seen-a")},
+	}
+	for k, row := range head[:min(len(head), end)] {
+		if sealed {
+			row[2] = batch[k][2]
+		}
+		batch[k] = row
+	}
 }
 
 // wideRef is the reference every load path is held to: the column store as
@@ -306,8 +411,8 @@ func appendDifferential(t *testing.T, seed int64, sizes, reads []int) {
 		if err := got.AppendRows(batch); err != nil {
 			t.Fatalf("AppendRows(%d rows): %v", len(batch), err)
 		}
-		if err := naiveAppend(naive, batch); err != nil {
-			t.Fatalf("row at a time: %v", err)
+		if err := checkThenStore(naive, batch); err != nil {
+			t.Fatalf("check, then row at a time: %v", err)
 		}
 		want.append(batch)
 		if got.NumRows() != want.rows() {
@@ -350,24 +455,30 @@ func appendDifferential(t *testing.T, seed int64, sizes, reads []int) {
 				}
 			}
 		case read == readReject:
-			bad := randomBatch(rng, 5)
+			// Sized by the seed: a few rows, a chunk's worth, a batch the
+			// columns stage in parallel; the bad cell at any row of it.
+			bad := randomBatch(rng, []int{5, 1 + rng.Intn(2*1024), parallelCells/3 + rng.Intn(64)}[rng.Intn(3)])
 			if sealed {
 				useKnownStrings(rng, bad, want.dicts[2])
 			}
-			bad[1][0] = storage.IntValue(outliers[rng.Intn(len(outliers))])
-			bad[3][2] = storage.IntValue(1)
+			at := rng.Intn(len(bad))
+			leaveMarks(bad, at, sealed)
+			ci := rng.Intn(3)
+			bad[at][ci] = []storage.Value{storage.FloatValue(1), storage.IntValue(1), storage.IntValue(1)}[ci]
 			c := got.ColumnAt(0)
 			staged := c.Staged()
 			var before storage.Vec
 			if staged == 0 {
 				before = c.Vec() // nothing staged: looking does not change the column
 			}
-			if err := got.AppendRows(bad); !errors.Is(err, storage.ErrTypeMismatch) {
-				t.Fatalf("batch %d: bad batch: %v", k, err)
+			err, refErr := got.AppendRows(bad), checkThenStore(naive, bad)
+			if !errors.Is(err, storage.ErrTypeMismatch) || rejection(refErr) != storage.ErrTypeMismatch {
+				t.Fatalf("batch %d: bad batch: %v, reference %v", k, err, refErr)
 			}
 			if got.NumRows() != want.rows() || c.Staged() != staged {
 				t.Fatalf("batch %d: rejected batch left rows behind (%d rows, %d staged)", k, got.NumRows(), c.Staged())
 			}
+			requireSameMarks(t, got, naive)
 			if after := c.Vec(); staged == 0 && (after.Width() != before.Width() || after.Len() != before.Len() ||
 				cap(after.N) != cap(before.N) || cap(after.W) != cap(before.W)) {
 				t.Fatalf("batch %d: rejected batch changed the vector: %d x %d bytes (capacity %d), was %d x %d (capacity %d)", k,
@@ -509,8 +620,15 @@ func FuzzAppendRows(f *testing.F) {
 	})
 }
 
-// TestAppendRowsRejectsWholeBatch: one bad cell anywhere — serial or
-// parallel batch — and no column changes.
+// TestAppendRowsRejectsWholeBatch: one bad cell — in the first row, behind
+// rows that would leave marks (new strings, NULLs in every column, an
+// integer that widens a 4-byte column), in the last row; in a serial or a
+// parallel batch; with the batch headed for the vector's spare tail, for the
+// room a pending chunk has left, or for a chunk of its own — and the table
+// is what a twin built by the same calls, minus that batch, is: rows, NULL
+// bitmap words, dictionary, pending rows, code width and capacity. The next
+// good batch then lands as it does in the twin and reads as the reference
+// (checked, then stored cell by cell) reads.
 func TestAppendRowsRejectsWholeBatch(t *testing.T) {
 	bad := []struct {
 		name   string
@@ -520,37 +638,131 @@ func TestAppendRowsRejectsWholeBatch(t *testing.T) {
 	}{
 		{"arity", false, []storage.Value{storage.IntValue(1)}, ErrRowArity},
 		{"type mismatch", false, []storage.Value{storage.IntValue(1), storage.FloatValue(1), storage.IntValue(1)}, storage.ErrTypeMismatch},
+		{"type mismatch first column", false, []storage.Value{storage.StringValue("s1"), storage.FloatValue(1), storage.StringValue("s1")}, storage.ErrTypeMismatch},
 		{"NaN", false, []storage.Value{storage.IntValue(1), storage.FloatValue(math.NaN()), storage.StringValue("s1")}, storage.ErrNaN},
 		{"sealed dictionary", true, []storage.Value{storage.IntValue(1), storage.FloatValue(1), storage.StringValue("absent")}, dict.ErrSealed},
 	}
+	// The three kinds of room, as what is appended after the base rows have
+	// been read once (which leaves every vector exactly full): one row and a
+	// read grow the vector by a ladder rung, a quarter of it spare; ten rows
+	// and no read open a chunkFloor chunk with room left; nothing leaves no
+	// room anywhere.
+	rooms := []struct {
+		name string
+		more int
+		read bool
+	}{{"tail", 1, true}, {"chunk remainder", 10, false}, {"new chunk", 0, false}}
 	for _, tc := range bad {
 		for _, n := range []int{1, 200, parallelCells} {
 			t.Run(fmt.Sprintf("%s/rows=%d", tc.name, n), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(7))
-				got, want := MustNew("t", mixedSchema()), newWideRef(mixedSchema())
-				base := randomBatch(rng, 150)
-				if err := got.AppendRows(base); err != nil {
-					t.Fatal(err)
-				}
-				want.append(base)
-				if tc.sealed {
-					got.SealDicts()
-					want.seal()
-				}
-				batch := randomBatch(rng, n)
-				if tc.sealed {
-					for _, r := range batch {
-						r[2] = base[0][2]
+				for _, room := range rooms {
+					ats := []int{0, min(4, n-1), n - 1 - n/3, n - 1}
+					if n == parallelCells {
+						ats = ats[1:3] // the long batches: behind the marks, and deep in
+					}
+					for _, at := range slices.Compact(ats) {
+						rejectWholeBatch(t, n, at, room.more, room.read, tc.sealed, tc.row, tc.want)
 					}
 				}
-				batch[n-1-n/3] = tc.row
-				if err := got.AppendRows(batch); !errors.Is(err, tc.want) {
-					t.Fatalf("AppendRows = %v, want %v", err, tc.want)
-				}
-				requireSameTable(t, got, want)
 			})
 		}
 	}
+}
+
+// rejectWholeBatch is one case of TestAppendRowsRejectsWholeBatch: a batch
+// of n rows whose row at is bad, refused by a table prepared as one kind of
+// room (see there).
+func rejectWholeBatch(t *testing.T, n, at, more int, read, sealed bool, badRow []storage.Value, wantErr error) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	got, twin, naive := MustNew("t", mixedSchema()), MustNew("t", mixedSchema()), MustNew("t", mixedSchema())
+	want := newWideRef(mixedSchema())
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("rows=%d bad=%d more=%d read=%v: %s", n, at, more, read, fmt.Sprintf(format, args...))
+	}
+	load := func(batch [][]storage.Value) {
+		t.Helper()
+		if sealed && want.dicts[2].Sealed() {
+			useKnownStrings(rng, batch, want.dicts[2])
+		}
+		for _, err := range []error{got.AppendRows(batch), twin.AppendRows(batch), checkThenStore(naive, batch)} {
+			if err != nil {
+				fail("good batch of %d: %v", len(batch), err)
+			}
+		}
+		want.append(batch)
+	}
+	sameAsTwin := func(when string) {
+		t.Helper()
+		requireSameMarks(t, got, naive)
+		for ci := 0; ci < got.NumColumns(); ci++ {
+			if g, w := layoutOf(got.ColumnAt(ci)), layoutOf(twin.ColumnAt(ci)); g != w {
+				fail("%s, column %q: %+v, the twin that never saw the bad batch %+v", when, got.ColumnAt(ci).Name(), g, w)
+			}
+		}
+		requireSameTable(t, got, want)
+	}
+
+	base := 300
+	if read {
+		base = 5*n + 100 // a ladder rung above it has room for n
+	}
+	load(randomBatch(rng, base))
+	if sealed {
+		got.SealDicts()
+		twin.SealDicts()
+		naive.SealDicts()
+		want.seal()
+	}
+	readAll := func() {
+		for _, tb := range []*Table{got, twin, naive} {
+			for ci := 0; ci < tb.NumColumns(); ci++ {
+				tb.ColumnAt(ci).Vec()
+			}
+		}
+	}
+	readAll()
+	if more > 0 {
+		load(randomBatch(rng, more))
+	}
+	if read {
+		readAll()
+	}
+	for ci := 0; ci < got.NumColumns(); ci++ {
+		c := got.ColumnAt(ci)
+		switch staged := c.Staged(); {
+		case read: // the tail
+			if v := c.Vec(); cap(v.N)+cap(v.W)-v.Len() < n {
+				fail("column %q: tail has room for %d rows", c.Name(), cap(v.N)+cap(v.W)-v.Len())
+			}
+		case staged != more:
+			fail("column %q: %d rows pending, want %d", c.Name(), staged, more)
+		}
+	}
+
+	batch := randomBatch(rng, n)
+	if sealed {
+		useKnownStrings(rng, batch, want.dicts[2])
+	}
+	leaveMarks(batch, at, sealed)
+	batch[at] = badRow
+	if err := got.AppendRows(batch); !errors.Is(err, wantErr) {
+		fail("AppendRows = %v, want %v", err, wantErr)
+	}
+	if err := checkThenStore(naive, batch); rejection(err) != wantErr {
+		fail("reference = %v, want %v", err, wantErr)
+	}
+	for ci := 0; ci < got.NumColumns(); ci++ {
+		if g, w := got.ColumnAt(ci).Staged(), twin.ColumnAt(ci).Staged(); g != w {
+			fail("column %q: %d rows pending after the rejection, twin %d", got.ColumnAt(ci).Name(), g, w)
+		}
+	}
+	sameAsTwin("after the rejection")
+
+	load(randomBatch(rng, n))
+	sameAsTwin("after the next batch")
+	requireSameTable(t, naive, want)
 }
 
 // TestCapacityAfterReads: the same rows appended one at a time, 256 at a
@@ -687,8 +899,8 @@ func TestRows(t *testing.T) {
 }
 
 // BenchmarkColumnWorkers is the measurement behind parallelCells: a 1 Mi-row
-// load of the repository benchmark's 3-column schema from empty, check and
-// apply per batch, with the columns on one goroutine and on two.
+// load of the repository benchmark's 3-column schema from empty, stage and
+// commit per batch, with the columns staged on one goroutine and on two.
 func BenchmarkColumnWorkers(b *testing.B) {
 	schema := Schema{
 		{Name: "v", Type: storage.Int64},
@@ -696,7 +908,7 @@ func BenchmarkColumnWorkers(b *testing.B) {
 		{Name: "noise", Type: storage.Float64},
 	}
 	const tableRows = 1 << 20
-	for _, n := range []int{256, 4096, 1 << 16} {
+	for _, n := range []int{256, 4096, 1 << 14, 1 << 16} {
 		cells := make([]storage.Value, 3*n)
 		batch := make([][]storage.Value, n)
 		for i := range batch {
@@ -709,11 +921,12 @@ func BenchmarkColumnWorkers(b *testing.B) {
 			b.Run(fmt.Sprintf("rows=%d/workers=%d", n, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					tb := MustNew("data", schema)
+					tb.staged = make([]storage.StagedRows, len(schema))
 					for tb.NumRows() < tableRows {
-						if err := tb.runColumns(workers, batch, checkColumn); err != nil {
+						if err := tb.stageColumns(workers, batch); err != nil {
 							b.Fatal(err)
 						}
-						_ = tb.runColumns(workers, batch, appendColumn)
+						tb.Commit(Staged{cols: tb.staged})
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/tableRows, "ns/row")

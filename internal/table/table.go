@@ -36,6 +36,7 @@ type Table struct {
 	name    string
 	columns []*storage.Column
 	index   map[string]int
+	staged  []storage.StagedRows // Stage's buffer, one entry per column; all zero outside a Stage-Commit pair
 }
 
 // New creates an empty table with the given schema. Column names must be
@@ -105,15 +106,13 @@ func (t *Table) ColumnAt(i int) *storage.Column { return t.columns[i] }
 // a few megabytes.
 const BulkRows = 1 << 16
 
-// parallelCells is the batch size, in cells, from which CheckRows and
-// AppendChecked spread the columns over goroutines. Measured on the 2-core
-// box with the benchmark's 3-column schema (EXPERIMENTS.md, "bulk load"):
+// parallelCells is the batch size, in cells, from which Stage spreads the
+// columns over goroutines. Measured on the 2-core box with the benchmark's
+// 3-column schema (EXPERIMENTS.md, "bulk load" and "bulk load, continued"):
 // at 256 rows starting and joining the goroutines costs more than the
-// second core saves; 64 Ki-row batches win a quarter. Set when growth
-// copies were most of an apply and 4 Ki rows already won; with batches
-// staged instead (PR 18) two workers cost ~12% at 4 Ki rows, break even at
-// 8-16 Ki and win from 32 Ki — no loader appends batches in that band, so
-// the threshold stays until one does.
+// second core saves; 64 Ki-row batches win a quarter. The break-even sits
+// between 4 Ki and 16 Ki rows and no loader appends batches in that band,
+// so the threshold stays until one does.
 const parallelCells = 3 * 4096
 
 // AppendRow appends one row: the one-row case of AppendRows.
@@ -123,67 +122,76 @@ func (t *Table) AppendRow(vals ...storage.Value) error {
 
 // AppendRows appends a batch; every row must match the schema in order
 // and arity, with NULLs expressed as storage.NullValue. The append is all
-// or nothing: every column is checked before any is changed, so on an
-// error (arity, type mismatch, NaN, string missing from a sealed
-// dictionary) the table is exactly as it was and column lengths never
-// skew.
+// or nothing: every column stages the batch — checks and encodes its cells
+// into room its length does not count — before any commits, so on an error
+// (arity, type mismatch, NaN, string missing from a sealed dictionary) the
+// table is exactly as it was and column lengths never skew.
 func (t *Table) AppendRows(rows [][]storage.Value) error {
-	if err := t.CheckRows(rows); err != nil {
+	st, err := t.Stage(rows)
+	if err != nil {
 		return err
 	}
-	t.AppendChecked(rows)
+	t.Commit(st)
 	return nil
 }
 
-// CheckRows reports why AppendRows would reject the batch, without
-// mutating the table. A caller that must act between validation and apply
-// (the engine logs the batch to its WAL there) calls CheckRows, then
-// AppendChecked.
-func (t *Table) CheckRows(rows [][]storage.Value) error {
+// Staged is a batch every column has staged and none has committed. Commit
+// publishes it; dropping it is all it takes to abandon it, since nothing a
+// reader of the table can see has changed. It is the table's one staging
+// buffer, filled in place: the table's next Stage reuses it.
+type Staged struct{ cols []storage.StagedRows }
+
+// Stage is the first half of AppendRows: it reports why the batch would be
+// rejected, or returns it staged, each row walked once per column. A caller
+// that must act between the check and the append (the engine logs the batch
+// to its WAL there) calls Stage, then Commit; the table must not change in
+// between. Columns share nothing, so a batch of parallelCells or more
+// spreads them over up to GOMAXPROCS goroutines (the caller's included) and
+// joins before returning: the stores and the first-touch page faults of
+// different columns' chunks then overlap.
+func (t *Table) Stage(rows [][]storage.Value) (Staged, error) {
 	for i, r := range rows {
 		if len(r) != len(t.columns) {
-			return fmt.Errorf("%w: row %d has %d values, schema has %d columns", ErrRowArity, i, len(r), len(t.columns))
+			return Staged{}, fmt.Errorf("%w: row %d has %d values, schema has %d columns", ErrRowArity, i, len(r), len(t.columns))
 		}
 	}
-	return t.eachColumn(rows, checkColumn)
+	if t.staged == nil {
+		t.staged = make([]storage.StagedRows, len(t.columns))
+	}
+	workers := 1
+	if len(rows)*len(t.columns) >= parallelCells {
+		workers = min(len(t.columns), runtime.GOMAXPROCS(0))
+	}
+	if err := t.stageColumns(workers, rows); err != nil {
+		clear(t.staged)
+		return Staged{}, err
+	}
+	return Staged{cols: t.staged}, nil
 }
 
-// AppendChecked applies a batch that CheckRows accepted since the table
-// last changed. It cannot fail.
-func (t *Table) AppendChecked(rows [][]storage.Value) {
-	_ = t.eachColumn(rows, appendColumn)
+// Commit is the second half of AppendRows: O(1) per column plus the
+// batch's NULLs and new strings. It cannot fail.
+func (t *Table) Commit(st Staged) {
+	for ci, c := range t.columns {
+		c.Commit(&st.cols[ci])
+	}
 }
 
-func checkColumn(c *storage.Column, rows [][]storage.Value, ci int) error {
-	if err := c.CheckRows(rows, ci); err != nil {
+// stageColumn stages column ci of rows into the table's staging buffer.
+func (t *Table) stageColumn(rows [][]storage.Value, ci int) error {
+	c := t.columns[ci]
+	if err := c.Stage(&t.staged[ci], rows, ci); err != nil {
 		return fmt.Errorf("column %q: %w", c.Name(), err)
 	}
 	return nil
 }
 
-func appendColumn(c *storage.Column, rows [][]storage.Value, ci int) error {
-	c.AppendRows(rows, ci)
-	return nil
-}
-
-// eachColumn runs fn once per column and returns the error of the lowest
-// failing column. Columns share nothing, so a batch of parallelCells or
-// more spreads them over up to GOMAXPROCS goroutines (the caller's
-// included) and joins before returning: the stores and the first-touch
-// page faults of different columns' chunks then overlap.
-func (t *Table) eachColumn(rows [][]storage.Value, fn func(c *storage.Column, rows [][]storage.Value, ci int) error) error {
-	workers := 1
-	if len(rows)*len(t.columns) >= parallelCells {
-		workers = min(len(t.columns), runtime.GOMAXPROCS(0))
-	}
-	return t.runColumns(workers, rows, fn)
-}
-
-// runColumns is eachColumn at a given worker count.
-func (t *Table) runColumns(workers int, rows [][]storage.Value, fn func(c *storage.Column, rows [][]storage.Value, ci int) error) error {
+// stageColumns stages every column on the given number of goroutines and
+// returns the error of the lowest failing column.
+func (t *Table) stageColumns(workers int, rows [][]storage.Value) error {
 	if workers <= 1 {
-		for ci, c := range t.columns {
-			if err := fn(c, rows, ci); err != nil {
+		for ci := range t.columns {
+			if err := t.stageColumn(rows, ci); err != nil {
 				return err
 			}
 		}
@@ -197,7 +205,7 @@ func (t *Table) runColumns(workers int, rows [][]storage.Value, fn func(c *stora
 			if ci >= len(t.columns) {
 				return
 			}
-			errs[ci] = fn(t.columns[ci], rows, ci)
+			errs[ci] = t.stageColumn(rows, ci)
 		}
 	}
 	var wg sync.WaitGroup

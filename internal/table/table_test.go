@@ -76,15 +76,15 @@ func TestAppendRowErrors(t *testing.T) {
 		t.Fatalf("arity: %v", err)
 	}
 	bad := []storage.Value{storage.IntValue(1), storage.StringValue("x"), storage.StringValue("y")}
-	if err := tb.CheckRows([][]storage.Value{bad}); !errors.Is(err, storage.ErrTypeMismatch) {
-		t.Fatalf("CheckRows: %v", err)
+	if _, err := tb.Stage([][]storage.Value{bad}); !errors.Is(err, storage.ErrTypeMismatch) {
+		t.Fatalf("Stage: %v", err)
 	}
 	good := []storage.Value{storage.IntValue(1), storage.NullValue(storage.Float64), storage.StringValue("y")}
-	if err := tb.CheckRows([][]storage.Value{good}); err != nil {
-		t.Fatalf("CheckRows good row: %v", err)
+	if _, err := tb.Stage([][]storage.Value{good}); err != nil {
+		t.Fatalf("Stage good row: %v", err)
 	}
-	if tb.NumRows() != 0 {
-		t.Fatalf("CheckRows mutated the table: %d rows", tb.NumRows())
+	if c, _ := tb.Column("city"); tb.NumRows() != 0 || c.Dict().Len() != 0 || tb.ColumnAt(1).NullCount() != 0 {
+		t.Fatalf("Stage without Commit changed the table: %d rows, %d strings, %d NULLs", tb.NumRows(), c.Dict().Len(), tb.ColumnAt(1).NullCount())
 	}
 }
 
