@@ -7,7 +7,6 @@ package client
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -90,6 +89,7 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	buf  []byte // response payloads land here: DecodeResponse keeps none of it
 }
 
 // Dial connects to an adskip server.
@@ -125,20 +125,9 @@ func (c *Client) Close() error {
 // failure, but the retry volume is still worth watching.
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
-// response is a response frame as the client decodes it: proto.Response
-// with the result decoded in place. The outer Result shadows the embedded
-// raw one (encoding/json gives a key to the shallowest field carrying its
-// name), so the whole frame — envelope, result, cells — is read in one
-// UseNumber pass and BIGINT cells stay lossless json.Number values rather
-// than float64.
-type response struct {
-	proto.Response
-	Result *proto.Result `json:"result"`
-}
-
 // roundTrip sends one request, retrying retryable refusals per the
 // client's RetryPolicy with full-jitter capped exponential backoff.
-func (c *Client) roundTrip(req proto.Request) (response, error) {
+func (c *Client) roundTrip(req proto.Request) (proto.Decoded, error) {
 	resp, err := c.roundTripOnce(req)
 	if err == nil || c.opts.Retry.Max <= 0 || !Retryable(err) {
 		return resp, err
@@ -169,27 +158,25 @@ func (c *Client) roundTrip(req proto.Request) (response, error) {
 }
 
 // roundTripOnce sends one request and reads its response under the mutex.
-func (c *Client) roundTripOnce(req proto.Request) (response, error) {
+func (c *Client) roundTripOnce(req proto.Request) (proto.Decoded, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.opts.Timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
 	if err := proto.WriteMessage(c.bw, req); err != nil {
-		return response{}, err
+		return proto.Decoded{}, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return response{}, err
+		return proto.Decoded{}, err
 	}
-	payload, err := proto.ReadFrame(c.br, c.opts.MaxFrameBytes)
+	payload, err := proto.ReadFrameInto(c.br, c.opts.MaxFrameBytes, &c.buf)
 	if err != nil {
-		return response{}, err
+		return proto.Decoded{}, err
 	}
-	var resp response
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.UseNumber()
-	if err := dec.Decode(&resp); err != nil {
-		return response{}, fmt.Errorf("client: bad response frame: %w", err)
+	resp, err := proto.DecodeResponse(payload)
+	if err != nil {
+		return proto.Decoded{}, fmt.Errorf("client: bad response frame: %w", err)
 	}
 	if !resp.OK {
 		return resp, &ServerError{Kind: resp.ErrKind, Msg: resp.Error}
@@ -247,7 +234,7 @@ func (c *Client) ExecTraced(stmt uint64, traceID string) (*proto.Result, error) 
 
 // timedResult returns the response's result with the server's timing
 // breakdown attached (nil when not requested or the server predates it).
-func timedResult(resp response) (*proto.Result, error) {
+func timedResult(resp proto.Decoded) (*proto.Result, error) {
 	if resp.Result == nil {
 		return nil, errors.New("client: response carries no result")
 	}

@@ -95,7 +95,9 @@ const (
 // damaging allocation.
 const MaxFrameDefault = 4 << 20
 
-// Request is one client request frame.
+// Request is one client request frame. writeRequest encodes it by hand: a
+// field added here must be added there too, and
+// TestWriteRequestMatchesJSONMarshal fails until it is.
 //
 // TraceID and WantTiming are optional observability fields added after
 // the first protocol release. Both sides tolerate their absence — an old
@@ -152,8 +154,12 @@ type Timing struct {
 	// aggregating many in-flight requests can match breakdowns without
 	// relying on response ordering.
 	TraceID string `json:"trace_id,omitempty"`
-	// QueueUS is time the request spent parked behind earlier requests
-	// on the same session (read-to-dispatch).
+	// QueueUS is read-to-dispatch time: from the moment the session had
+	// the whole frame to the moment it began executing it. Since one
+	// goroutine does both it is the request decode and little else; a
+	// frame a client pipelines behind a running request waits in the
+	// socket buffer, unseen, and that wait is not in any server-side
+	// figure (it shows in the client's round trip).
 	QueueUS int64 `json:"queue_us"`
 	// ParseUS and PlanUS are SQL text costs; both are zero on a
 	// statement-cache hit — that is the cache paying off, visibly.
@@ -202,7 +208,7 @@ type Stats struct {
 
 // Result is the client-side decoding of a wire-encoded engine.Result.
 // Cells decode as json.Number (lossless for BIGINT), string, or nil for
-// NULL when parsed with a UseNumber decoder (the client library does).
+// NULL through DecodeResponse (the client library) or any UseNumber decoder.
 type Result struct {
 	Count   int      `json:"count"`
 	Columns []Column `json:"columns,omitempty"`
@@ -237,22 +243,44 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, rejecting any longer than max bytes before
-// allocating. io.EOF is returned unwrapped when the connection closes
-// cleanly between frames; a close mid-frame yields io.ErrUnexpectedEOF.
+// keepFrameBuf bounds the buffer ReadFrameInto leaves with its caller: one
+// large frame does not stay pinned for the life of the connection.
+const keepFrameBuf = 64 << 10
+
+// ReadFrame reads one frame into a fresh buffer; see ReadFrameInto.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, err
-		}
+	var buf []byte
+	return ReadFrameInto(r, max, &buf)
+}
+
+// ReadFrameInto reads one frame, rejecting any longer than max bytes before
+// allocating. The payload lands in *buf's storage when it fits — a
+// connection that decodes each frame before reading the next keeps one
+// buffer for all of them — and otherwise in a fresh buffer, which replaces
+// *buf unless it is larger than 64 KiB. The payload is valid until the
+// next call with the same buf. io.EOF is returned unwrapped when the
+// connection closes cleanly between frames; a close mid-frame yields
+// io.ErrUnexpectedEOF.
+func ReadFrameInto(r io.Reader, max int, buf *[]byte) ([]byte, error) {
+	b := *buf
+	if cap(b) < 4 {
+		b = make([]byte, 4) // the length prefix borrows the buffer too
+	}
+	hdr := b[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err // io.EOF passes through for clean close detection
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > max {
 		return nil, &ErrFrameTooLarge{Size: n, Max: max}
 	}
-	payload := make([]byte, n)
+	if cap(b) < n {
+		b = make([]byte, n)
+	}
+	if cap(b) <= keepFrameBuf {
+		*buf = b
+	}
+	payload := b[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -262,17 +290,21 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteMessage encodes v and writes it as one frame. A Response takes the
-// append-style encoder below; anything else goes through encoding/json.
-// A Response's Result must already be compact, valid JSON (what
-// engine.Result.AppendJSON or json.Marshal produce): it goes onto the wire
-// as it stands.
+// WriteMessage encodes v and writes it as one frame. A Response and a
+// Request take the append-style encoders below; anything else goes through
+// encoding/json. A Response's Result must already be compact, valid JSON
+// (what engine.Result.AppendJSON or json.Marshal produce): it goes onto the
+// wire as it stands.
 func WriteMessage(w io.Writer, v any) error {
-	switch resp := v.(type) {
+	switch m := v.(type) {
 	case Response:
-		return writeResponse(w, &resp)
+		return writeResponse(w, &m)
 	case *Response:
-		return writeResponse(w, resp)
+		return writeResponse(w, m)
+	case Request:
+		return writeRequest(w, &m)
+	case *Request:
+		return writeRequest(w, m)
 	}
 	payload, err := json.Marshal(v)
 	if err != nil {
@@ -316,7 +348,45 @@ func writeResponse(w io.Writer, r *Response) error {
 	if r.Timing != nil {
 		b = appendField(b, `,"timing":`, r.Timing)
 	}
-	b = append(b, '}')
+	return writeBuilt(w, append(b, '}'))
+}
+
+// writeRequest is writeResponse for a Request: op, SQL text, statement id,
+// trace id and the timing flag by hand, the insert fields (table name, rows
+// of raw cells, which encoding/json validates and compacts) through
+// encoding/json. TestWriteRequestMatchesJSONMarshal holds the bytes to
+// json.Marshal(req).
+func writeRequest(w io.Writer, r *Request) error {
+	b := make([]byte, 4, 4+64+len(r.Op)+len(r.SQL)+len(r.TraceID))
+	b = appendString(append(b, `{"op":`...), r.Op)
+	if r.SQL != "" {
+		b = appendString(append(b, `,"sql":`...), r.SQL)
+	}
+	if r.Stmt != 0 {
+		b = strconv.AppendUint(append(b, `,"stmt":`...), r.Stmt, 10)
+	}
+	if r.TraceID != "" {
+		b = appendString(append(b, `,"trace":`...), r.TraceID)
+	}
+	if r.WantTiming {
+		b = append(b, `,"timing":true`...)
+	}
+	if r.Table != "" {
+		b = appendField(b, `,"table":`, r.Table)
+	}
+	if len(r.Rows) > 0 {
+		rows, err := json.Marshal(r.Rows)
+		if err != nil {
+			return err
+		}
+		b = append(append(b, `,"rows":`...), rows...)
+	}
+	return writeBuilt(w, append(b, '}'))
+}
+
+// writeBuilt fills in the length prefix b was built behind and writes the
+// frame once.
+func writeBuilt(w io.Writer, b []byte) error {
 	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
 	_, err := w.Write(b)
 	return err
@@ -330,6 +400,19 @@ func appendField(b []byte, key string, v any) []byte {
 	return append(append(b, key...), enc...)
 }
 
+// appendString appends s as encoding/json writes a string. Printable ASCII
+// that its HTML-safe escaper leaves alone — most SQL text — is copied
+// between quotes; anything else is encoding/json's to escape.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return appendField(b, "", s)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
 // ReadRequest reads and decodes one request frame.
 func ReadRequest(r io.Reader, max int) (Request, error) {
 	var req Request
@@ -337,7 +420,7 @@ func ReadRequest(r io.Reader, max int) (Request, error) {
 	if err != nil {
 		return req, err
 	}
-	if err := json.Unmarshal(payload, &req); err != nil {
+	if req, err = DecodeRequest(payload); err != nil {
 		return req, fmt.Errorf("proto: bad request frame: %w", err)
 	}
 	return req, nil

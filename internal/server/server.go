@@ -3,12 +3,14 @@
 //
 // # Concurrency model
 //
-// One goroutine pair per connection: a session loop that executes
-// requests strictly one at a time (the protocol has no pipelining) and a
-// reader that feeds it frames. The reader exists so a dead peer is
-// noticed while a query is executing — a read error on the connection
-// cancels the in-flight query's context, which the engine honors at its
-// cooperative checkpoints. Admission is bounded before Accept: the
+// One goroutine per connection: the session reads a frame, executes it and
+// writes the response itself, strictly one request at a time (the protocol
+// has no pipelining), so a request crosses no channel and wakes no second
+// thread. A dead peer is still noticed while a query is executing: a
+// request still running after liveAfter gets a watcher parked in a
+// one-byte Peek on the connection, and a read error there cancels the
+// in-flight query's context, which the engine honors at its cooperative
+// checkpoints. Admission is bounded before Accept: the
 // accept loop takes a connection slot first, so once MaxConns sessions
 // are open, further clients queue in the kernel's accept backlog instead
 // of consuming server memory — the listen queue is the backpressure.
@@ -17,8 +19,9 @@
 //
 // Close drains: the listener closes, idle sessions are poked awake and
 // closed, sessions mid-request finish the request, write the response,
-// and then exit. Close returns only after every session and reader
-// goroutine has exited, so a clean Close is also a leak check.
+// and then exit. Close returns only after every session goroutine has
+// exited, each having waited for its watcher, so a clean Close is also a
+// leak check.
 package server
 
 import (
@@ -84,7 +87,7 @@ type Server struct {
 	closed   bool
 	closeErr error
 
-	wg       sync.WaitGroup // accept loop + 2 goroutines per session
+	wg       sync.WaitGroup // accept loop + 1 goroutine per session (which waits for its own watcher)
 	nextConn atomic.Uint64
 	nextStmt atomic.Uint64
 }
@@ -146,10 +149,11 @@ func (s *Server) Close() error {
 		if s.log != nil {
 			s.log.Info("server draining", "sessions", len(s.sessions))
 		}
-		// Poke every reader awake so idle sessions notice the drain
+		// Poke every blocked read awake so idle sessions notice the drain
 		// immediately instead of waiting out IdleTimeout. A session
-		// mid-request recognizes the poke as drain-induced (not a dead
-		// peer) and does NOT cancel its in-flight query.
+		// mid-request takes the poke in its watcher, if one is parked,
+		// where a deadline is never a dead peer: it does NOT cancel the
+		// in-flight query.
 		for _, ss := range s.sessions {
 			ss.conn.SetReadDeadline(time.Now())
 		}
@@ -195,23 +199,22 @@ func (s *Server) acceptLoop() {
 			<-s.sem
 			continue
 		}
-		s.wg.Add(2)
+		s.wg.Add(1)
 		go ss.run()
-		go ss.readLoop()
 	}
 }
 
-// frame is one request frame plus the moment it came off the wire, so
-// the handler can attribute read-to-dispatch time (requests parked behind
-// an earlier request on the same session) to Timing.QueueUS.
-type frame struct {
-	payload []byte
-	read    time.Time
-}
+// liveAfter is how long a request runs before the session starts watching
+// the connection for a vanished peer. Cancellation saves the rest of a
+// query, so one shorter than this has nothing to gain from it, while
+// starting a watcher costs a goroutine wake-up, a large share of a 30 µs
+// cached COUNT. Not an option: no workload wants a different value, only
+// "well above a cached query, well below a scan worth abandoning".
+const liveAfter = time.Millisecond
 
 // session is one client connection: its buffered transport, the context
-// canceled when the connection dies, and the frame channel its reader
-// feeds.
+// canceled when the connection dies, and the lazily started watcher that
+// notices it dying under a running query.
 type session struct {
 	srv    *Server
 	id     uint64
@@ -220,10 +223,13 @@ type session struct {
 	bw     *bufio.Writer
 	ctx    context.Context // carries the session tag; canceled on disconnect
 	cancel context.CancelFunc
-	frames chan frame // closed by readLoop on exit
-	// frameErr, set before frames is closed, carries a protocol error the
-	// session loop should report to the client before hanging up.
-	frameErr error
+	buf    []byte // request payloads land here: handle keeps none of it
+
+	// live fires watch liveAfter into a request; watched is watch's exit.
+	// Between arm and disarm the watcher may own br; run touches br only
+	// outside that bracket.
+	live    *time.Timer
+	watched chan struct{}
 }
 
 func (s *Server) newSession(conn net.Conn) *session {
@@ -235,14 +241,14 @@ func (s *Server) newSession(conn net.Conn) *session {
 	id := s.nextConn.Add(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	ss := &session{
-		srv:    s,
-		id:     id,
-		conn:   conn,
-		br:     bufio.NewReader(&countReader{r: conn, n: s.m.bytesRead}),
-		bw:     bufio.NewWriter(&countWriter{w: conn, n: s.m.bytesSent}),
-		ctx:    obs.WithSession(ctx, fmt.Sprintf("conn-%d", id)),
-		cancel: cancel,
-		frames: make(chan frame),
+		srv:     s,
+		id:      id,
+		conn:    conn,
+		br:      bufio.NewReader(&countReader{r: conn, n: s.m.bytesRead}),
+		bw:      bufio.NewWriter(&countWriter{w: conn, n: s.m.bytesSent}),
+		ctx:     obs.WithSession(ctx, fmt.Sprintf("conn-%d", id)),
+		cancel:  cancel,
+		watched: make(chan struct{}, 1),
 	}
 	s.sessions[id] = ss
 	s.m.connsTotal.Inc()
@@ -253,8 +259,8 @@ func (s *Server) newSession(conn net.Conn) *session {
 	return ss
 }
 
-// run executes requests one at a time until the connection or the server
-// goes away.
+// run reads, executes and answers requests one at a time until the
+// connection or the server goes away.
 func (ss *session) run() {
 	s := ss.srv
 	defer func() {
@@ -271,74 +277,80 @@ func (ss *session) run() {
 		s.wg.Done()
 	}()
 	for {
-		select {
-		case fr, ok := <-ss.frames:
-			if !ok {
-				if ss.frameErr != nil {
-					if s.log != nil {
-						s.log.Warn("protocol error", "conn", ss.id, "err", ss.frameErr)
-					}
-					ss.write(errResp(proto.ErrKindBadOp, ss.frameErr.Error()))
+		if s.opts.IdleTimeout > 0 {
+			ss.conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		}
+		// Close pokes idle sessions with an immediate read deadline, and
+		// the deadline set just above may have overwritten the poke: look
+		// again, after it. A Close that begins later pokes later.
+		if s.draining() {
+			return
+		}
+		payload, err := proto.ReadFrameInto(ss.br, s.opts.MaxFrameBytes, &ss.buf)
+		readAt := time.Now()
+		if err != nil {
+			var tooBig *proto.ErrFrameTooLarge
+			if errors.As(err, &tooBig) {
+				if s.log != nil {
+					s.log.Warn("protocol error", "conn", ss.id, "err", tooBig)
 				}
-				return
+				ss.write(errResp(proto.ErrKindBadOp, tooBig.Error()))
 			}
-			if !ss.write(ss.handle(fr)) {
-				return
-			}
-		case <-s.done:
-			// Draining between requests. If the reader queued one more
-			// frame concurrently, answer it with a shutdown error rather
-			// than silently resetting the connection.
-			select {
-			case _, ok := <-ss.frames:
-				if ok {
-					ss.write(errResp(proto.ErrKindShutdown, "server shutting down"))
-				}
-			default:
-			}
+			// Otherwise EOF, a reset, the idle timeout or Close's poke:
+			// nothing is in flight and there is no one to tell.
+			return
+		}
+		s.m.framesRead.Inc()
+		if s.draining() {
+			// Read while the drain began: answer it with a shutdown error
+			// rather than silently resetting the connection.
+			ss.write(errResp(proto.ErrKindShutdown, "server shutting down"))
+			return
+		}
+		ss.arm()
+		resp := ss.handle(payload, readAt)
+		ss.disarm()
+		if !ss.write(resp) {
 			return
 		}
 	}
 }
 
-// readLoop pulls frames off the wire and feeds them to run. Its real job
-// is liveness: it is parked in a read while a query executes, so a peer
-// that disappears mid-query surfaces here as a read error, which cancels
-// the query's context.
-func (ss *session) readLoop() {
-	s := ss.srv
-	defer s.wg.Done()
-	defer close(ss.frames)
-	for {
-		if s.opts.IdleTimeout > 0 {
-			ss.conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		payload, err := proto.ReadFrame(ss.br, s.opts.MaxFrameBytes)
-		readAt := time.Now()
-		if err != nil {
-			var tooBig *proto.ErrFrameTooLarge
-			if errors.As(err, &tooBig) {
-				ss.frameErr = tooBig
-				return
-			}
-			// Close pokes readers with an immediate deadline to end idle
-			// sessions; that drain-induced timeout must not cancel a
-			// query still executing in run.
-			if errors.Is(err, os.ErrDeadlineExceeded) && s.draining() {
-				return
-			}
-			// EOF, connection reset, or a genuine idle timeout: the peer
-			// is gone, so whatever is in flight should stop.
-			ss.cancel()
-			return
-		}
-		s.m.framesRead.Inc()
-		select {
-		case ss.frames <- frame{payload: payload, read: readAt}:
-		case <-ss.ctx.Done():
-			return
-		}
+// arm schedules the watcher for the request about to run. The timer is
+// reused: a request that finishes inside liveAfter costs a Reset and a
+// Stop, and no goroutine.
+func (ss *session) arm() {
+	if ss.live == nil {
+		ss.live = time.AfterFunc(liveAfter, ss.watch)
+	} else {
+		ss.live.Reset(liveAfter)
 	}
+}
+
+// disarm ends the watch before run reads the connection again. A watcher
+// that has started is aborted with a read deadline in the past and waited
+// for; the deadline is then cleared so the abort does not outlive it.
+func (ss *session) disarm() {
+	if ss.live.Stop() {
+		return // never fired
+	}
+	ss.conn.SetReadDeadline(time.Unix(1, 0))
+	<-ss.watched
+	ss.conn.SetReadDeadline(time.Time{})
+}
+
+// watch is the liveness check of a long request: parked in a read while
+// the query executes, it sees a peer that disappears as a read error and
+// cancels the query's context. It consumes nothing — a byte that does
+// arrive (the client's next request) stays in br for run's next ReadFrame.
+// A deadline is never a dead peer: it is disarm's abort, Close's poke (the
+// in-flight query must finish and answer), or the idle deadline lapsing
+// under a query that outlived it.
+func (ss *session) watch() {
+	if _, err := ss.br.Peek(1); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+		ss.cancel()
+	}
+	ss.watched <- struct{}{}
 }
 
 // write sends one response frame under the write deadline. A false
@@ -361,10 +373,10 @@ func (ss *session) write(resp proto.Response) bool {
 // parse/plan/prune/scan/serialize phases are filled in along the
 // execution path, and TotalUS closes over everything just before the
 // response goes back.
-func (ss *session) handle(fr frame) proto.Response {
+func (ss *session) handle(payload []byte, readAt time.Time) proto.Response {
 	s := ss.srv
-	var req proto.Request
-	if err := json.Unmarshal(fr.payload, &req); err != nil {
+	req, err := proto.DecodeRequest(payload)
+	if err != nil {
 		s.m.failure(proto.ErrKindBadOp)
 		if s.log != nil {
 			s.log.Warn("bad request frame", "conn", ss.id, "err", err)
@@ -376,7 +388,7 @@ func (ss *session) handle(fr frame) proto.Response {
 	t0 := time.Now()
 	var tm *proto.Timing
 	if req.WantTiming {
-		tm = &proto.Timing{TraceID: req.TraceID, QueueUS: t0.Sub(fr.read).Microseconds()}
+		tm = &proto.Timing{TraceID: req.TraceID, QueueUS: t0.Sub(readAt).Microseconds()}
 	}
 	ctx := ss.ctx
 	if req.TraceID != "" {
@@ -390,7 +402,7 @@ func (ss *session) handle(fr frame) proto.Response {
 	}()
 	resp := ss.dispatch(ctx, &req, tm)
 	if tm != nil {
-		tm.TotalUS = time.Since(fr.read).Microseconds()
+		tm.TotalUS = time.Since(readAt).Microseconds()
 		resp.Timing = tm
 	}
 	return resp

@@ -553,3 +553,180 @@ func TestTimingBreakdown(t *testing.T) {
 		t.Fatalf("unsolicited timing attached: %+v", res3.Timing)
 	}
 }
+
+// settleGoroutines waits for the process's goroutine count to reach want
+// and reports the count it last saw.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n == want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestIdleSessionIsOneGoroutine pins the concurrency model: a connection
+// that has answered requests and is waiting for the next holds exactly one
+// goroutine — no reader beside it, no watcher left over from a request.
+func TestIdleSessionIsOneGoroutine(t *testing.T) {
+	db := testDB(t, 2000)
+	defer db.Close()
+	before := runtime.NumGoroutine()
+	srv := startServer(t, db, server.Options{})
+	const conns = 8
+	for i := 0; i < conns; i++ {
+		c := dial(t, srv)
+		for j := 0; j < 3; j++ {
+			if _, err := c.Query("SELECT COUNT(*) FROM data WHERE v BETWEEN 0 AND 6"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The accept loop, and one goroutine per session.
+	if n := settleGoroutines(before + 1 + conns); n != before+1+conns {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d idle sessions hold %d goroutines beside the accept loop, want %d\n%s",
+			conns, n-before-1, conns, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestRequestWrittenDuringQueryIsAnsweredNext writes two more requests
+// while a stretched query runs — the watcher is parked in its Peek by then
+// and sees their first byte — and requires all three answers, in order,
+// the later two byte for byte: what the watcher peeked was not consumed.
+func TestRequestWrittenDuringQueryIsAnsweredNext(t *testing.T) {
+	db := testDB(t, 20000)
+	defer db.Close()
+	srv := startServer(t, db, server.Options{})
+	const q = "SELECT COUNT(*) FROM data WHERE v BETWEEN 0 AND 20000"
+	want, err := db.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restore := faultinject.Activate(faultinject.New(7).
+		Set(faultinject.ScanDelay, faultinject.Rule{Every: 1, Delay: 50 * time.Millisecond}))
+	defer restore()
+
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := proto.WriteMessage(conn, proto.Request{Op: proto.OpQuery, SQL: q}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // mid-scan, well past liveAfter
+	for _, op := range []string{proto.OpCatalog, proto.OpPing} {
+		if err := proto.WriteMessage(conn, proto.Request{Op: op}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	first, err := proto.ReadFrame(conn, proto.MaxFrameDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := proto.DecodeResponse(first); err != nil || !d.OK || d.Result == nil || d.Result.Count != want.Count {
+		t.Fatalf("stretched query answered %s (%v), want count %d", first, err, want.Count)
+	}
+	for _, wantFrame := range []string{`{"ok":true,"tables":["data"]}`, `{"ok":true}`} {
+		got, err := proto.ReadFrame(conn, proto.MaxFrameDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != wantFrame {
+			t.Fatalf("next answer is %s, want %s", got, wantFrame)
+		}
+	}
+}
+
+// TestCloseWhileWatcherParked drains the server while a query's watcher
+// sits in its read: the poke that wakes it must not cancel the query, the
+// query must answer, and neither session nor watcher may outlive Close.
+func TestCloseWhileWatcherParked(t *testing.T) {
+	db := testDB(t, 20000)
+	defer db.Close()
+	before := runtime.NumGoroutine()
+	srv, err := server.Start(db, server.Options{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT COUNT(*) FROM data WHERE v BETWEEN 0 AND 20000"
+	want, err := db.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restore := faultinject.Activate(faultinject.New(11).
+		Set(faultinject.ScanDelay, faultinject.Rule{Every: 1, Delay: 50 * time.Millisecond}))
+	defer restore()
+
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := proto.WriteMessage(conn, proto.Request{Op: proto.OpQuery, SQL: q}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // the watcher is parked
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close has returned, so the answer is already in the socket.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	payload, err := proto.ReadFrame(conn, proto.MaxFrameDefault)
+	if err != nil {
+		t.Fatalf("in-flight query not answered across the drain: %v", err)
+	}
+	if d, err := proto.DecodeResponse(payload); err != nil || !d.OK || d.Result == nil || d.Result.Count != want.Count {
+		t.Fatalf("drained query answered %s (%v), want count %d", payload, err, want.Count)
+	}
+	if _, err := proto.ReadFrame(conn, proto.MaxFrameDefault); err == nil {
+		t.Fatal("session still answering after Close")
+	}
+	if n := settleGoroutines(before); n > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutines leaked: %d -> %d\n%s", before, n, buf[:runtime.Stack(buf, true)])
+	}
+	canceled := db.Metrics().Counter("adskip_queries_canceled_total",
+		"Queries stopped by context cancellation.", obs.L("table", "data"))
+	if canceled.Load() != 0 {
+		t.Fatal("drain canceled the in-flight query")
+	}
+}
+
+// TestDisconnectDuringShortQuery hangs up right behind requests that finish
+// long before liveAfter, so no watcher ever starts: the session must notice
+// at its next read, survive a response written to a dead peer, and give its
+// slot back — with MaxConns = 1 the next connection is served only if it did.
+func TestDisconnectDuringShortQuery(t *testing.T) {
+	db := testDB(t, 2000)
+	defer db.Close()
+	srv := startServer(t, db, server.Options{MaxConns: 1})
+	for i := 0; i < 40; i++ {
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := proto.Request{Op: proto.OpQuery, SQL: "SELECT COUNT(*) FROM data WHERE v BETWEEN 0 AND 6"}
+		if i%2 == 1 {
+			req = proto.Request{Op: proto.OpPing}
+		}
+		if err := proto.WriteMessage(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	c, err := client.Dial(srv.Addr().String(), client.Options{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatalf("slot not freed after disconnects during short queries: %v", err)
+	}
+}
