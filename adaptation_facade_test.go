@@ -122,30 +122,19 @@ func TestAdaptationThroughFacade(t *testing.T) {
 	if !strings.Contains(joined, wantFP) {
 		t.Fatalf("footer lost the splitting template:\n%s", joined)
 	}
-
-	// No health monitor: shed status reports ok rather than guessing.
-	if db.ShedStatus() != HealthOK {
-		t.Fatalf("ShedStatus without monitor = %v, want ok", db.ShedStatus())
-	}
 }
 
 // TestSkipRegressionFlipThroughFacade induces a real skip regression —
 // metadata corruption quarantines the hot column, so a template that
 // skipped ~90% of its rows abruptly skips none — and watches the
-// skip_regression objective flip to firing and release again after the
-// rebuild, with the load-shed exemption holding throughout.
+// detector's two outputs, the adskip_adapt_skip_regression_ppm gauge and
+// History()'s SkipRegression, rise above zero and fall back to zero after
+// the rebuild.
 func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	db := Open(Options{
 		Policy:          Adaptive,
 		Adaptive:        AdaptiveConfig{InitialZoneRows: 1024, MinZoneRows: 256},
 		HistoryInterval: 2 * time.Millisecond,
-		Health: HealthConfig{
-			Short: 20 * time.Millisecond, Mid: 60 * time.Millisecond,
-			Long: 120 * time.Millisecond, ClearTicks: 3,
-		},
-		Objectives: []Objective{
-			{Name: "skip-reg", Signal: SignalSkipRegression, Threshold: 0.3},
-		},
 	})
 	defer db.Close()
 	tab, err := db.CreateTable("data", Col("v", Int64))
@@ -160,92 +149,65 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	if err := tab.EnableSkipping("v"); err != nil {
 		t.Fatal(err)
 	}
-
-	const hot = "SELECT COUNT(*) FROM data WHERE v BETWEEN 4000 AND 4100"
-	regState := func() HealthSeverity {
-		snap, ok := db.Health()
-		if !ok {
-			t.Fatal("health monitor missing")
-		}
-		for _, o := range snap.Objectives {
-			if o.Signal == SignalSkipRegression {
-				return o.State
-			}
-		}
-		t.Fatal("skip_regression objective missing")
-		return HealthOK
+	// The sampler refreshes both outputs on every tick.
+	if _, err := db.StartTelemetry(""); err != nil {
+		t.Fatal(err)
+	}
+	gauge := db.Metrics().Gauge("adskip_adapt_skip_regression_ppm", "")
+	last := func() HistorySample {
+		h := db.History()
+		return h[len(h)-1]
 	}
 
-	// Learn the baseline: the sorted column prunes ~7 of 8 zones.
-	for i := 0; i < 40; i++ {
+	const hot = "SELECT COUNT(*) FROM data WHERE v BETWEEN 4000 AND 4100"
+	exec := func() {
+		t.Helper()
 		if _, err := db.Exec(hot); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := regState(); st != HealthOK {
-		t.Fatalf("regression objective fired during healthy learning: %v", st)
+	// waitFor runs the hot template until cond holds on a fresh tick.
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: gauge %d ppm, sampled %+v", what, gauge.Load(), last())
+			}
+			exec()
+			time.Sleep(time.Millisecond)
+		}
 	}
+
+	// Learn the baseline: the sorted column prunes ~7 of 8 zones, and a
+	// template that only gets better never opens a gap.
+	for i := 0; i < 40; i++ {
+		exec()
+	}
+	waitFor("gap during healthy learning", func() bool {
+		h := last()
+		return h.Queries >= 40 && h.SkipRegression == 0 && gauge.Load() == 0
+	})
 
 	// Induce: one injected invariant flip corrupts the zonemap; the next
 	// probe detects it and quarantines the column — skipping collapses.
 	restore := faultinject.Activate(faultinject.New(5).
 		Set(faultinject.InvariantFlip, faultinject.Rule{Every: 1, Limit: 1}))
-	if _, err := db.Exec(hot); err != nil {
-		restore()
-		t.Fatal(err)
-	}
+	exec()
 	restore()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for regState() == HealthOK {
-		if _, err := db.Exec(hot); err != nil {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("skip_regression never fired after quarantine collapsed skipping")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor("no regression after quarantine collapsed skipping",
+		func() bool { return gauge.Load() > 0 && last().SkipRegression > 0 })
 	if len(tab.Quarantined()) == 0 {
-		t.Fatal("regression fired but the column was never quarantined")
-	}
-	// Shed exemption: the regression is burning, yet admission stays open.
-	if db.ShedStatus() != HealthOK {
-		t.Fatalf("ShedStatus = %v during a skip regression; the signal must be shed-exempt", db.ShedStatus())
+		t.Fatal("regression detected but the column was never quarantined")
 	}
 
 	// Recover: rebuild the metadata and keep the template hot; the fast
-	// EWMA climbs back and hysteresis releases the alert.
+	// EWMA climbs back past the baseline and the gap closes.
 	if err := tab.RebuildSkipping(); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for regState() != HealthOK {
-		if _, err := db.Exec(hot); err != nil {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("skip_regression never cleared after the rebuild")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The alert history tells the whole round trip.
-	var fired, cleared bool
-	for _, tr := range db.Alerts().History {
-		if tr.Objective != "skip-reg" {
-			continue
-		}
-		if tr.To != HealthOK {
-			fired = true
-		}
-		if fired && tr.To == HealthOK {
-			cleared = true
-		}
-	}
-	if !fired || !cleared {
-		t.Fatalf("alert history missing the fire/clear round trip: %+v", db.Alerts().History)
-	}
+	waitFor("regression never cleared after the rebuild",
+		func() bool { return gauge.Load() == 0 && last().SkipRegression == 0 })
 }
 
 // TestAdaptationSharded: the one shared ledger serves a sharded catalog

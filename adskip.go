@@ -35,7 +35,6 @@ import (
 	"adskip/internal/adaptive"
 	"adskip/internal/core"
 	"adskip/internal/engine"
-	"adskip/internal/health"
 	"adskip/internal/obs"
 	"adskip/internal/shard"
 	"adskip/internal/sql"
@@ -141,58 +140,11 @@ type HistorySample = obs.HistorySample
 // HistoryColumn is one column's skipping state inside a HistorySample.
 type HistoryColumn = obs.HistoryColumn
 
-// Objective is one declarative service-level objective evaluated against
-// the adaptation timeline (e.g. "p95 ≤ 5ms", "skip rate ≥ 60%"). Set
-// Options.Objectives to enable SLO tracking; see the health package for
-// signal semantics.
-type Objective = health.Objective
-
-// HealthSignal names the measured series an Objective targets.
-type HealthSignal = health.Signal
-
-// The supported objective signals.
-const (
-	SignalLatencyP50 = health.SignalLatencyP50
-	SignalLatencyP95 = health.SignalLatencyP95
-	SignalErrorRate  = health.SignalErrorRate
-	SignalSkipRate   = health.SignalSkipRate
-	SignalQueueDepth = health.SignalQueueDepth
-	SignalWALLag     = health.SignalWALLag
-	// SignalSkipRegression alerts when any query template's skip rate
-	// decays against its own learned baseline. Shed-exempt: it reports
-	// degraded pruning quality, never overload, so DB.ShedStatus ignores
-	// it. Requires workload stats (Options.StatsMaxTemplates >= 0).
-	SignalSkipRegression = health.SignalSkipRegression
-)
-
 // RecoveryStats summarizes one WAL replay pass, as returned by DB.Recover.
 type RecoveryStats = wal.RecoveryStats
 
 // WALStatus is a point-in-time view of the write-ahead log.
 type WALStatus = wal.Status
-
-// HealthConfig tunes SLO evaluation: the short/mid/long burn-rate
-// windows, burn thresholds, and hysteresis. The zero value uses the
-// SRE-style defaults (10s/1m/5m windows, 14.4×/6× burns).
-type HealthConfig = health.Config
-
-// HealthSeverity is an objective's (or the DB's) alert state.
-type HealthSeverity = health.Severity
-
-// The alert states.
-const (
-	HealthOK       = health.SevOK
-	HealthWarning  = health.SevWarning
-	HealthCritical = health.SevCritical
-)
-
-// HealthSnapshot is the full SLO picture returned by DB.Health and
-// served (with readiness semantics) by the telemetry /health endpoint.
-type HealthSnapshot = health.Snapshot
-
-// HealthAlerts holds the firing objectives and the bounded alert
-// transition history, as returned by DB.Alerts and served by /alerts.
-type HealthAlerts = health.AlertsSnapshot
 
 // Limits bounds each query's resource consumption (rows scanned, result
 // rows, wall-clock time). The zero value imposes no limits; enforcement
@@ -255,25 +207,13 @@ type Options struct {
 	// at info, per-zone structural churn at debug. Nil disables logging
 	// (the hot path then pays one nil check).
 	Logger *slog.Logger
-	// HistoryInterval is the adaptation-timeline sampling period while
-	// telemetry runs (default 1s). The sampler starts with StartTelemetry
-	// and stops with Close.
+	// HistoryInterval is the adaptation-timeline sampling period
+	// (default 1s). The sampler behind DB.History and /history starts
+	// with StartTelemetry and stops with Close.
 	HistoryInterval time.Duration
 	// HistoryCapacity is how many timeline samples the DB retains
 	// (default 1024 — about 17 minutes at the default interval).
 	HistoryCapacity int
-	// Objectives declares the DB's service-level objectives. When any are
-	// set, the adaptation-timeline sampler starts at Open (not just at
-	// StartTelemetry) and a health monitor evaluates every objective each
-	// tick; DB.Health, DB.Alerts, and the telemetry /health and /alerts
-	// endpoints report the result. Objectives with an unknown signal
-	// panic at Open — a misdeclared SLO is a programming error the
-	// process should not limp past. Remember to Close a DB with
-	// objectives: the sampler owns a goroutine.
-	Objectives []Objective
-	// Health tunes objective evaluation (windows, burn thresholds,
-	// hysteresis). Ignored unless Objectives is non-empty.
-	Health HealthConfig
 	// Durability, when Dir is set, arms a write-ahead log: appends and
 	// updates are group-committed to disk before they are acknowledged,
 	// and DB.Recover replays them after a crash. A DB opened with
@@ -387,11 +327,6 @@ type DB struct {
 	// Options.StatsMaxTemplates is negative). Set once at Open.
 	stats *stats.Table
 
-	// monitor evaluates Options.Objectives on each sampler tick. Set once
-	// at Open (immutable afterwards), nil when no objectives are declared.
-	monitor     *health.Monitor
-	unsubHealth func()
-
 	// wal is the armed write-ahead log (nil until Recover completes on a
 	// DB with Options.Durability). Guarded by mu; recovering is read on
 	// request paths, hence atomic. recoverMu serializes whole Recover
@@ -408,9 +343,9 @@ var (
 	ErrTableExists = errors.New("adskip: table already exists")
 )
 
-// Open creates an empty database. When Options.Objectives is non-empty
-// the adaptation-timeline sampler and the SLO monitor start immediately
-// (headless health: no telemetry server required); Close stops them.
+// Open creates an empty database. It starts no goroutine: the
+// adaptation-timeline sampler and the telemetry server start with
+// StartTelemetry.
 func Open(opts Options) *DB {
 	db := &DB{
 		opts:      opts,
@@ -431,19 +366,6 @@ func Open(opts Options) *DB {
 	// (and servers should refuse them) until Recover has replayed the log
 	// and armed the engines.
 	db.recovering.Store(opts.Durability.Dir != "")
-	if len(opts.Objectives) > 0 {
-		smp := obs.NewSampler(opts.HistoryInterval, opts.HistoryCapacity, db.fillHistory)
-		mon, err := health.New(opts.Objectives, smp.Interval(), opts.Health, db.reg, opts.Logger)
-		if err != nil {
-			smp.Stop()
-			panic("adskip: " + err.Error())
-		}
-		db.monitor = mon
-		db.unsubHealth = smp.Subscribe(mon.OnSample)
-		db.mu.Lock()
-		db.sampler = smp
-		db.mu.Unlock()
-	}
 	return db
 }
 
@@ -545,98 +467,45 @@ func (db *DB) Adaptation(maxDead int) AdaptationSnapshot {
 // timeline sampler (behind /history and DB.History) starts alongside
 // and also stops at Close. Starting twice is an error.
 func (db *DB) StartTelemetry(addr string) (string, error) {
-	// The sampler (unless Open already started one for SLO tracking) is
-	// created before the catalog lock is taken: it takes its first sample
-	// synchronously, and fillHistory needs the read lock. Stopping it (on
-	// a lost start race) must also happen outside the lock for the same
-	// reason.
-	db.mu.RLock()
-	smp := db.sampler
-	db.mu.RUnlock()
-	created := smp == nil
-	if created {
-		smp = obs.NewSampler(db.opts.HistoryInterval, db.opts.HistoryCapacity, db.fillHistory)
-	}
+	// The sampler is created before the catalog lock is taken: it takes
+	// its first sample synchronously, and fillHistory needs the read lock.
+	// Stopping it (on a lost start race) must also happen outside the lock
+	// for the same reason. The bucket scratch belongs to this sampler, so
+	// a losing sampler's first sample cannot race the running one's tick.
+	var buckets []int64
+	smp := obs.NewSampler(db.opts.HistoryInterval, db.opts.HistoryCapacity, func(s *HistorySample) {
+		buckets = db.fillHistory(s, buckets)
+	})
 	src := telemetry.Source{
 		Registry:   db.reg,
 		Traces:     db.traces,
 		SlowTraces: db.slow,
 		Skipmap:    db.Skipmap,
 		History:    smp,
+		Recovering: db.Recovering,
+		Workload:   db.stats,
+		Adaptation: db.Adaptation,
 	}
-	if db.monitor != nil {
-		src.Health = func() (health.Snapshot, bool) { return db.monitor.Snapshot(), true }
-		src.Alerts = db.monitor.Alerts
-	}
-	src.Workload = db.stats
-	src.Adaptation = db.Adaptation
 	db.mu.Lock()
 	if db.telem != nil {
 		db.mu.Unlock()
-		if created {
-			smp.Stop()
-		}
+		smp.Stop()
 		return "", errors.New("adskip: telemetry server already running")
 	}
-	db.sampler = smp
 	srv, err := telemetry.Start(telemetry.Options{Addr: addr}, src)
 	if err != nil {
-		if created {
-			db.sampler = nil
-		}
 		db.mu.Unlock()
-		if created {
-			smp.Stop()
-		}
+		smp.Stop()
 		return "", err
 	}
 	db.telem = srv
+	db.sampler = smp
 	db.mu.Unlock()
 	return srv.URL(), nil
 }
 
-// Health reports the DB's current SLO evaluation. ok is false when no
-// Objectives were declared at Open.
-func (db *DB) Health() (HealthSnapshot, bool) {
-	if db.monitor == nil {
-		return HealthSnapshot{}, false
-	}
-	return db.monitor.Snapshot(), true
-}
-
-// HealthStatus returns the overall alert state (HealthOK when no
-// objectives are declared). Lock-free: safe to call per request.
-func (db *DB) HealthStatus() HealthSeverity {
-	if db.monitor == nil {
-		return HealthOK
-	}
-	return db.monitor.Status()
-}
-
-// ShedStatus returns the load-shedding severity: the overall alert
-// state restricted to shed-eligible signals. Shed-exempt signals (skip
-// regression — a pruning-quality report, not overload) can turn
-// HealthStatus critical without ever raising ShedStatus, so a
-// refuse-on-critical server gate should read this one. Lock-free.
-func (db *DB) ShedStatus() HealthSeverity {
-	if db.monitor == nil {
-		return HealthOK
-	}
-	return db.monitor.ShedStatus()
-}
-
-// Alerts returns the firing objectives and retained alert transitions
-// (zero value when no objectives are declared).
-func (db *DB) Alerts() HealthAlerts {
-	if db.monitor == nil {
-		return HealthAlerts{Active: []health.ObjectiveStatus{}, History: []health.Transition{}}
-	}
-	return db.monitor.Alerts()
-}
-
 // History returns the retained adaptation-timeline samples oldest-first.
-// Empty until the sampler starts — at Open when Objectives are declared,
-// otherwise at StartTelemetry.
+// Empty until StartTelemetry starts the sampler.
 func (db *DB) History() []HistorySample {
 	db.mu.RLock()
 	s := db.sampler
@@ -650,10 +519,11 @@ func (db *DB) History() []HistorySample {
 // fillHistory is the sampler's fill callback: it aggregates every
 // engine's cumulative totals and per-column skipping state into one
 // sample and estimates latency quantiles from the engines' merged
-// latency histograms. It runs on the sampler goroutine; the only
-// allocations are the catalog-lock-bounded engine list and, on column
-// growth, the sample's column slice.
-func (db *DB) fillHistory(s *HistorySample) {
+// latency histograms, merged into buckets (the caller's reused scratch,
+// returned for the next tick). It runs on the sampler goroutine; the
+// only allocations are the catalog-lock-bounded engine list and, on
+// column growth, the sample's column slice.
+func (db *DB) fillHistory(s *HistorySample, buckets []int64) []int64 {
 	db.mu.RLock()
 	engines := make([]executor, 0, len(db.engines))
 	for _, e := range db.engines {
@@ -661,11 +531,8 @@ func (db *DB) fillHistory(s *HistorySample) {
 	}
 	db.mu.RUnlock()
 
-	// The merged latency histogram lives on the sample itself (slot slice
-	// reused by the ring), so the health monitor can window per-tick
-	// bucket deltas without another copy.
 	bounds := obs.LatencyBuckets()
-	buckets := s.LatencyBuckets[:0]
+	buckets = buckets[:0]
 	for i := 0; i < len(bounds)+1; i++ {
 		buckets = append(buckets, 0)
 	}
@@ -673,7 +540,6 @@ func (db *DB) fillHistory(s *HistorySample) {
 		e.FillHistory(s)
 		e.AccumulateLatency(buckets)
 	}
-	s.LatencyBuckets = buckets
 	s.QueueDepth = db.admission.Waiting()
 	if denom := s.RowsSkipped + s.RowsScanned; denom > 0 {
 		s.SkipRatio = float64(s.RowsSkipped) / float64(denom)
@@ -681,8 +547,8 @@ func (db *DB) fillHistory(s *HistorySample) {
 	s.LatencyP50 = obs.QuantileFromBuckets(bounds, buckets, 0.50)
 	s.LatencyP95 = obs.QuantileFromBuckets(bounds, buckets, 0.95)
 	s.AdaptEvents = int64(db.ledger.Seq())
-	// Worst per-template skip-rate decay vs its learned baseline — the
-	// skip_regression health signal (0 without workload stats).
+	// Worst per-template skip-rate decay vs its learned baseline (0
+	// without workload stats); also refreshes its /metrics gauge.
 	s.SkipRegression = db.stats.RegressionGap()
 	db.mu.RLock()
 	l := db.wal
@@ -690,6 +556,7 @@ func (db *DB) fillHistory(s *HistorySample) {
 	if l != nil {
 		s.WALLagSeconds = l.Lag().Seconds()
 	}
+	return buckets
 }
 
 // TelemetryAddr returns the telemetry server's bound listen address, or
@@ -717,9 +584,6 @@ func (db *DB) Close() error {
 	db.sampler = nil
 	db.wal = nil
 	db.mu.Unlock()
-	if db.unsubHealth != nil {
-		db.unsubHealth()
-	}
 	if smp != nil {
 		smp.Stop()
 	}
@@ -793,7 +657,8 @@ func (db *DB) register(name string, e executor) error {
 
 // Recovering reports whether the DB is a durable store that has not yet
 // completed Recover. Servers refuse mutations (and queries, whose answers
-// would predate the replayed tail) while recovering. Lock-free.
+// would predate the replayed tail) while recovering, and the telemetry
+// /health probe answers 503. Lock-free.
 func (db *DB) Recovering() bool { return db.recovering.Load() }
 
 // Recover replays the write-ahead log at Options.Durability.Dir into the

@@ -13,8 +13,6 @@
 //	\timeout <dur|off>   cancel statements that run longer than dur
 //	\quarantine          list columns whose metadata failed and was benched
 //	\rebuild [cols]      rebuild quarantined skipping metadata
-//	\fault scan-delay <dur>|off  inject a per-checkpoint scan delay
-//	\health              SLO status and burn rates (with -slo-* flags)
 //	\policy              show the active skipping policy
 //	\help                this text
 //	\quit                exit
@@ -39,8 +37,6 @@ import (
 
 	"adskip/internal/adaptive"
 	"adskip/internal/engine"
-	"adskip/internal/faultinject"
-	"adskip/internal/health"
 	"adskip/internal/obs"
 	"adskip/internal/sql"
 	"adskip/internal/stats"
@@ -53,9 +49,9 @@ import (
 type repl struct {
 	opts    engine.Options
 	out     *bufio.Writer
-	perq    bool            // --metrics: print per-query trace after each statement
-	timeout time.Duration   // \timeout: per-statement deadline (0 = none)
-	mon     *health.Monitor // \health: SLO monitor (nil without -slo-* flags)
+	perq    bool          // --metrics: print per-query trace after each statement
+	timeout time.Duration // \timeout: per-statement deadline (0 = none)
+	buckets []int64       // fillHistory's merged latency histogram, sampler goroutine only
 
 	// mu guards eng: the REPL loop swaps it on \gen/\load while the
 	// telemetry server's skipmap closure reads it from HTTP goroutines.
@@ -96,23 +92,22 @@ func (r *repl) adaptation(maxDead int) obs.AdaptationSnapshot {
 }
 
 // fillHistory is the sampler's fill callback: the current engine's
-// cumulative totals plus the merged latency histogram, same shape the DB
-// facade produces, so the health monitor and /history see one timeline
-// across \gen and \load swaps (counters reset with the engine — the
-// monitor's per-tick deltas just see a quiet tick at the swap).
+// cumulative totals plus latency quantiles from its histogram, same shape
+// the DB facade produces, so /history sees one timeline across \gen and
+// \load swaps (counters reset with the engine).
 func (r *repl) fillHistory(s *obs.HistorySample) {
 	e := r.engine()
 	if e == nil {
 		return
 	}
 	bounds := obs.LatencyBuckets()
-	buckets := s.LatencyBuckets[:0]
+	buckets := r.buckets[:0]
 	for i := 0; i < len(bounds)+1; i++ {
 		buckets = append(buckets, 0)
 	}
 	e.FillHistory(s)
 	e.AccumulateLatency(buckets)
-	s.LatencyBuckets = buckets
+	r.buckets = buckets
 	if denom := s.RowsSkipped + s.RowsScanned; denom > 0 {
 		s.SkipRatio = float64(s.RowsSkipped) / float64(denom)
 	}
@@ -129,12 +124,7 @@ func main() {
 		serve     = flag.Bool("serve", false, "serve live telemetry over HTTP (see -serve-addr)")
 		serveAddr = flag.String("serve-addr", "127.0.0.1:0", "telemetry listen address (with -serve; :0 picks an ephemeral port)")
 		slow      = flag.Duration("slow", 0, "log queries at least this slow to the slow-query ring (0 = off)")
-
-		sloP95     = flag.Duration("slo-p95", 0, "p95 latency SLO threshold (0 = objective off), e.g. 5ms")
-		sloErr     = flag.Float64("slo-err", 0, "error-rate SLO threshold in (0,1) (0 = objective off)")
-		sloSkip    = flag.Float64("slo-skip", 0, "minimum skip-rate SLO threshold in (0,1] (0 = objective off)")
-		sloWindows = flag.String("slo-windows", "", "burn-rate windows as short,mid,long (default 10s,1m,5m)")
-		histInt    = flag.Duration("history-interval", 0, "health/timeline sampling interval (0 = default 1s)")
+		histInt   = flag.Duration("history-interval", 0, "timeline sampling interval (with -serve; 0 = default 1s)")
 	)
 	flag.Parse()
 
@@ -169,48 +159,10 @@ func main() {
 	r := &repl{opts: opts, out: bufio.NewWriter(os.Stdout), perq: *metrics}
 	defer r.out.Flush()
 
-	var objectives []health.Objective
-	if *sloP95 > 0 {
-		objectives = append(objectives,
-			health.Objective{Name: "latency-p95", Signal: health.SignalLatencyP95, Threshold: sloP95.Seconds()})
-	}
-	if *sloErr > 0 {
-		objectives = append(objectives,
-			health.Objective{Name: "error-rate", Signal: health.SignalErrorRate, Threshold: *sloErr})
-	}
-	if *sloSkip > 0 {
-		objectives = append(objectives,
-			health.Objective{Name: "skip-rate", Signal: health.SignalSkipRate, Threshold: *sloSkip})
-	}
-	var hcfg health.Config
-	if *sloWindows != "" {
-		short, mid, long, err := health.ParseWindows(*sloWindows)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-demo: -slo-windows: %v\n", err)
-			os.Exit(2)
-		}
-		hcfg.Short, hcfg.Mid, hcfg.Long = short, mid, long
-	}
-
-	// The timeline sampler feeds both /history and the health monitor; it
-	// exists whenever either consumer does.
-	var sampler *obs.Sampler
-	if *serve || len(objectives) > 0 {
-		sampler = obs.NewSampler(*histInt, 0, r.fillHistory)
-		defer sampler.Stop()
-	}
-	if len(objectives) > 0 {
-		mon, err := health.New(objectives, sampler.Interval(), hcfg, opts.Metrics, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-demo: %v\n", err)
-			os.Exit(2)
-		}
-		r.mon = mon
-		defer sampler.Subscribe(mon.OnSample)()
-	}
-
 	if *serve {
-		src := telemetry.Source{
+		sampler := obs.NewSampler(*histInt, 0, r.fillHistory)
+		defer sampler.Stop()
+		srv, err := telemetry.Start(telemetry.Options{Addr: *serveAddr}, telemetry.Source{
 			Registry:   opts.Metrics,
 			Traces:     opts.Traces,
 			SlowTraces: opts.SlowTraces,
@@ -218,12 +170,7 @@ func main() {
 			History:    sampler,
 			Workload:   opts.Stats,
 			Adaptation: r.adaptation,
-		}
-		if mon := r.mon; mon != nil {
-			src.Health = func() (health.Snapshot, bool) { return mon.Snapshot(), true }
-			src.Alerts = mon.Alerts
-		}
-		srv, err := telemetry.Start(telemetry.Options{Addr: *serveAddr}, src)
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adskip-demo: %v\n", err)
 			os.Exit(1)
@@ -275,8 +222,6 @@ func (r *repl) meta(line string) bool {
 \trace              toggle per-query trace printing (same as --metrics)
 \timeout <dur|off>  cancel statements running longer than dur (e.g. 500ms)
 \quarantine         list quarantined columns    \rebuild      rebuild their metadata
-\fault scan-delay <dur> | \fault off   inject a per-checkpoint scan delay (SLO/chaos demos)
-\health             SLO status and per-objective burn rates (needs -slo-* flags)
 \policy             active policy          \quit         exit
 SQL: SELECT [cols|aggs] FROM data [WHERE ...] [GROUP BY c] [ORDER BY c [DESC]] [LIMIT n]
      predicates: = <> < <= > >= BETWEEN IN IS [NOT] NULL (a=1 OR a=2)
@@ -356,10 +301,6 @@ SQL: SELECT [cols|aggs] FROM data [WHERE ...] [GROUP BY c] [ORDER BY c [DESC]] [
 		r.quarantine()
 	case "\\rebuild":
 		r.rebuild(fields[1:])
-	case "\\fault":
-		r.fault(fields[1:])
-	case "\\health":
-		r.health()
 	default:
 		fmt.Fprintf(r.out, "unknown command %s (try \\help)\n", fields[0])
 	}
@@ -623,48 +564,6 @@ func (r *repl) rebuild(cols []string) {
 		return
 	}
 	fmt.Fprintln(r.out, "skipping metadata rebuilt")
-}
-
-// fault toggles deterministic fault injection from the REPL: a scan
-// delay slept at every cooperative checkpoint, so slow scans (and the
-// SLO burn they cause) can be demonstrated on demand and then cleared.
-func (r *repl) fault(args []string) {
-	if len(args) == 1 && (args[0] == "off" || args[0] == "clear") {
-		faultinject.Deactivate()
-		fmt.Fprintln(r.out, "fault injection: off")
-		return
-	}
-	if len(args) != 2 || args[0] != "scan-delay" {
-		fmt.Fprintln(r.out, "usage: \\fault scan-delay <duration> | \\fault off")
-		return
-	}
-	d, err := time.ParseDuration(args[1])
-	if err != nil || d <= 0 {
-		fmt.Fprintf(r.out, "bad duration %q\n", args[1])
-		return
-	}
-	faultinject.Activate(faultinject.New(1).
-		Set(faultinject.ScanDelay, faultinject.Rule{Prob: 1, Delay: d}))
-	fmt.Fprintf(r.out, "fault injection: scan-delay %s per scan checkpoint\n", d)
-}
-
-// health prints the SLO monitor's current view: overall status plus each
-// objective's state and burn rate per window.
-func (r *repl) health() {
-	if r.mon == nil {
-		fmt.Fprintln(r.out, "no health objectives (start with -slo-p95 / -slo-err / -slo-skip)")
-		return
-	}
-	snap := r.mon.Snapshot()
-	fmt.Fprintf(r.out, "status: %s (since %s, %d ticks)\n",
-		snap.Status, snap.Since.Format("15:04:05"), snap.Ticks)
-	for _, o := range snap.Objectives {
-		fmt.Fprintf(r.out, "%-14s %-12s state=%-8s threshold=%g", o.Name, o.Signal, o.State, o.Threshold)
-		for _, w := range o.Windows {
-			fmt.Fprintf(r.out, " burn[%s]=%.1f", w.Window, w.Burn)
-		}
-		fmt.Fprintln(r.out)
-	}
 }
 
 func (r *repl) query(line string) {

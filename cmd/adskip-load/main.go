@@ -14,8 +14,8 @@
 // With -insert-frac a fraction of requests become batched inserts (the
 // target table must have the adskip-gen schema: v BIGINT, seq BIGINT,
 // noise DOUBLE), and -retries arms client-side retry of retryable
-// refusals — requests refused while the server replays its WAL or sheds
-// load, then answered on a later attempt, count as successes. The retry
+// refusals — requests refused while the server replays its WAL or is
+// overloaded, then answered on a later attempt, count as successes. The retry
 // volume is reported separately.
 //
 // The exit status is 1 if any request failed (or, under -timing, if any
@@ -52,8 +52,7 @@ func main() {
 		timing   = flag.Bool("timing", false, "request server-side latency breakdowns and print a network/queue/server attribution table")
 		insFrac  = flag.Float64("insert-frac", 0, "fraction of requests that are inserts instead of queries (target table must have the adskip-gen schema)")
 		insBatch = flag.Int("insert-batch", 16, "rows per insert request")
-		retries  = flag.Int("retries", 0, "client retries for retryable refusals (recovering / load shedding); retried-then-succeeded requests are not errors")
-		health   = flag.String("assert-health", "", "after the run, GET this telemetry /health URL and exit non-zero unless it answers 200 with status ok")
+		retries  = flag.Int("retries", 0, "client retries for retryable refusals (recovering / overloaded); retried-then-succeeded requests are not errors")
 		wlURL    = flag.String("workload", "", "after the run, GET this telemetry /workload URL and print the top templates; exit non-zero if it answers but reports no templates")
 		skipMin  = flag.Float64("assert-skip-rate", 0, "after the run, exit non-zero unless the aggregate skip rate across all templates (fetched from the -workload URL) is at least this floor in (0,1]; 0 = off")
 	)
@@ -97,13 +96,6 @@ func main() {
 	if rep.Requests == 0 {
 		fmt.Fprintln(os.Stderr, "adskip-load: no requests completed")
 		os.Exit(1)
-	}
-	if *health != "" {
-		if err := assertHealth(*health); err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-load: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("health: ok")
 	}
 	if *wlURL != "" {
 		if err := printWorkload(*wlURL); err != nil {
@@ -213,36 +205,6 @@ func printWorkload(url string) error {
 		}
 		fmt.Printf("%7d %10.0f %6.1f%% %6.1f%%  %s\n",
 			t.Calls, t.P95US, 100*t.SkipRatio, cpu, t.Fingerprint)
-	}
-	return nil
-}
-
-// assertHealth probes a telemetry /health endpoint and fails unless the
-// service answers 200 with overall status "ok" — so a load run can
-// double as an SLO acceptance check: the traffic it just generated must
-// not have left any objective burning.
-func assertHealth(url string) error {
-	cl := &http.Client{Timeout: 5 * time.Second}
-	resp, err := cl.Get(url)
-	if err != nil {
-		return fmt.Errorf("assert-health: %w", err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Enabled bool   `json:"enabled"`
-		Status  string `json:"status"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return fmt.Errorf("assert-health: decode %s: %w", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("assert-health: %s answered %d (status %q)", url, resp.StatusCode, body.Status)
-	}
-	if !body.Enabled {
-		return fmt.Errorf("assert-health: %s has no health monitor (server started without objectives?)", url)
-	}
-	if body.Status != "ok" {
-		return fmt.Errorf("assert-health: status %q, want ok", body.Status)
 	}
 	return nil
 }

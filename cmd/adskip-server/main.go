@@ -34,7 +34,6 @@ import (
 
 	"adskip"
 	"adskip/internal/faultinject"
-	"adskip/internal/health"
 	"adskip/internal/server"
 	"adskip/internal/storage"
 	"adskip/internal/workload"
@@ -44,6 +43,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":7878", "query service listen address")
 		telemetry = flag.String("telemetry", "", "telemetry HTTP listen address (empty = off)")
+		histInt   = flag.Duration("history-interval", 0, "timeline sampling interval (0 = default 1s)")
 		load      = flag.String("load", "", "load a table snapshot instead of generating data")
 		rows      = flag.Int("rows", 1<<20, "rows to generate (ignored with -load)")
 		dist      = flag.String("dist", "clustered", "distribution: sorted|semi-sorted|clustered|uniform|zipf|bimodal")
@@ -68,16 +68,6 @@ func main() {
 		walNoSync  = flag.Bool("wal-no-sync", false, "skip fsync on WAL writes (testing only: crashes lose acked data)")
 		faultCrash = flag.String("fault-crash", "",
 			"arm a deterministic crash as point:N (SIGKILL on the N-th trigger of that WAL injection point), e.g. wal-crash-after-sync:25; points: "+strings.Join(faultinject.Points(), ", "))
-
-		sloP95     = flag.Duration("slo-p95", 0, "p95 latency SLO threshold (0 = objective off), e.g. 5ms")
-		sloErr     = flag.Float64("slo-err", 0, "error-rate SLO threshold in (0,1) (0 = objective off)")
-		sloSkip    = flag.Float64("slo-skip", 0, "minimum skip-rate SLO threshold in (0,1] (0 = objective off)")
-		sloWALLag  = flag.Duration("slo-wal-lag", 0, "max WAL fsync lag SLO threshold (0 = objective off; requires -wal-dir)")
-		sloSkipReg = flag.Float64("slo-skip-regression", 0, "max per-template skip-rate regression vs learned baseline, in (0,1) (0 = objective off; shed-exempt: alerts but never refuses queries)")
-		sloWindows = flag.String("slo-windows", "", "burn-rate windows as short,mid,long (default 10s,1m,5m)")
-		histInt    = flag.Duration("history-interval", 0, "health/timeline sampling interval (0 = default 1s)")
-		faultDelay = flag.Duration("fault-scan-delay", 0,
-			"arm a scan-delay fault toggled at runtime: SIGUSR1 injects this delay per scan checkpoint, SIGUSR2 clears it (0 = off)")
 	)
 	flag.Parse()
 
@@ -92,29 +82,6 @@ func main() {
 		ShardKey:             *shardKey,
 		ShardBy:              *shardBy,
 	}
-	if *sloP95 > 0 {
-		opts.Objectives = append(opts.Objectives,
-			adskip.Objective{Name: "latency-p95", Signal: adskip.SignalLatencyP95, Threshold: sloP95.Seconds()})
-	}
-	if *sloErr > 0 {
-		opts.Objectives = append(opts.Objectives,
-			adskip.Objective{Name: "error-rate", Signal: adskip.SignalErrorRate, Threshold: *sloErr})
-	}
-	if *sloSkip > 0 {
-		opts.Objectives = append(opts.Objectives,
-			adskip.Objective{Name: "skip-rate", Signal: adskip.SignalSkipRate, Threshold: *sloSkip})
-	}
-	if *sloWALLag > 0 {
-		if *walDir == "" {
-			fatalf("-slo-wal-lag requires -wal-dir")
-		}
-		opts.Objectives = append(opts.Objectives,
-			adskip.Objective{Name: "wal-lag", Signal: adskip.SignalWALLag, Threshold: sloWALLag.Seconds()})
-	}
-	if *sloSkipReg > 0 {
-		opts.Objectives = append(opts.Objectives,
-			adskip.Objective{Name: "skip-regression", Signal: adskip.SignalSkipRegression, Threshold: *sloSkipReg})
-	}
 	if *walDir != "" {
 		opts.Durability = adskip.Durability{
 			Dir:          *walDir,
@@ -123,13 +90,6 @@ func main() {
 		}
 	} else if *walWindow != 0 || *walNoSync {
 		fatalf("-wal-window/-wal-no-sync require -wal-dir")
-	}
-	if *sloWindows != "" {
-		short, mid, long, err := health.ParseWindows(*sloWindows)
-		if err != nil {
-			fatalf("-slo-windows: %v", err)
-		}
-		opts.Health.Short, opts.Health.Mid, opts.Health.Long = short, mid, long
 	}
 	switch *policy {
 	case "none":
@@ -181,12 +141,6 @@ func main() {
 		}
 		fmt.Printf("telemetry: %s\n", url)
 		fmt.Printf("dashboard: %s/dash\n", url)
-		if len(opts.Objectives) > 0 {
-			fmt.Printf("health: %s/health\n", url)
-		}
-	}
-	if *faultDelay > 0 {
-		armFaultToggle(*faultDelay)
 	}
 	if *faultCrash != "" {
 		armCrash(*faultCrash)
@@ -199,9 +153,6 @@ func main() {
 		IdleTimeout:   *idle,
 		StmtCacheSize: *stmtCache,
 		Logger:        logger,
-		// With declared objectives the server sheds query load during
-		// critical burn instead of digging the latency hole deeper.
-		RefuseOnCritical: len(opts.Objectives) > 0,
 	})
 	if err != nil {
 		fatalf("%v", err)
@@ -238,29 +189,6 @@ func main() {
 	}
 	db.Close()
 	fmt.Println("drained")
-}
-
-// armFaultToggle wires runtime fault injection to signals: SIGUSR1
-// activates a deterministic scan-delay injector (every scan checkpoint
-// sleeps d), SIGUSR2 deactivates it. Smoke tests use this to drive the
-// health monitor through a 200 -> 503 -> 200 readiness flip without
-// needing real overload.
-func armFaultToggle(d time.Duration) {
-	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, syscall.SIGUSR1, syscall.SIGUSR2)
-	go func() {
-		for s := range ch {
-			if s == syscall.SIGUSR1 {
-				faultinject.Activate(faultinject.New(1).
-					Set(faultinject.ScanDelay, faultinject.Rule{Prob: 1, Delay: d}))
-				fmt.Printf("fault armed: scan-delay %s per checkpoint\n", d)
-			} else {
-				faultinject.Deactivate()
-				fmt.Println("fault cleared")
-			}
-		}
-	}()
-	fmt.Printf("fault toggle ready: SIGUSR1 injects scan-delay %s, SIGUSR2 clears\n", d)
 }
 
 // armCrash installs a one-shot SIGKILL at a named WAL injection point:

@@ -29,7 +29,7 @@ type ServerError struct {
 func (e *ServerError) Error() string { return fmt.Sprintf("server: %s (%s)", e.Msg, e.Kind) }
 
 // Retryable reports whether err is a server refusal that a later attempt
-// can reasonably expect to succeed: the load-shedding gate
+// can reasonably expect to succeed: an overloaded server
 // (ErrKindUnavailable) and the WAL-replay gate (ErrKindRecovering). Both
 // are pre-execution refusals — the server rejected the request before
 // touching any data — so retrying a mutation cannot double-apply it.
@@ -71,8 +71,8 @@ type Options struct {
 	// field ignore the ask and Timing stays nil — callers must tolerate
 	// absence.
 	Timing bool
-	// Retry enables automatic retry of retryable refusals (load
-	// shedding, WAL recovery) with jittered exponential backoff. The
+	// Retry enables automatic retry of retryable refusals (overload,
+	// WAL recovery) with jittered exponential backoff. The
 	// zero policy never retries.
 	Retry RetryPolicy
 }
@@ -246,8 +246,8 @@ func timedResult(resp proto.Decoded) (*proto.Result, error) {
 // server acknowledged. Cells may be int/int64, float64, string, or nil
 // for NULL, matched positionally to the table schema. On a durable
 // server a non-error return means the rows are fsynced to the WAL.
-// With a RetryPolicy configured, refusals during WAL replay or load
-// shedding are retried automatically — those gates reject before any
+// With a RetryPolicy configured, refusals during WAL replay or
+// overload are retried automatically — those gates reject before any
 // append, so the retry cannot double-insert. A transport error leaves
 // the outcome unknown and is never retried.
 func (c *Client) Insert(table string, rows [][]any) (int, error) {

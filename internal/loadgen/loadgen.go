@@ -51,8 +51,8 @@ type Options struct {
 	InsertFraction float64
 	// InsertBatch is rows per insert request (default 16).
 	InsertBatch int
-	// Retries enables client-side retry of retryable refusals (load
-	// shedding, WAL recovery) with that many attempts beyond the first.
+	// Retries enables client-side retry of retryable refusals (overload,
+	// WAL recovery) with that many attempts beyond the first.
 	// Retried-then-succeeded requests count as successes; the retry
 	// volume is reported separately in Report.Retries.
 	Retries int

@@ -66,18 +66,10 @@ type HistorySample struct {
 	// SkipRegression is the worst per-template skip-rate regression at
 	// sample time: max over templates of (learned baseline − fast EWMA)
 	// of the template's skip rate, clamped at 0. Instantaneous, like
-	// QueueDepth; feeds the skip_regression health signal.
+	// QueueDepth.
 	SkipRegression float64 `json:"skip_regression"`
 
 	Columns []HistoryColumn `json:"columns"`
-
-	// LatencyBuckets holds the merged cumulative latency histogram counts
-	// at sample time (len(LatencyBuckets bounds)+1, last = overflow). It
-	// feeds windowed quantile estimation (per-tick bucket deltas) and is
-	// excluded from JSON: /history consumers get the derived quantiles.
-	// Like Columns, the slice's backing array is reused once the ring is
-	// warm.
-	LatencyBuckets []int64 `json:"-"`
 }
 
 // DefaultSampleInterval and DefaultSampleCapacity are the sampler's
@@ -96,13 +88,6 @@ type Sampler struct {
 
 	mu   sync.Mutex
 	ring *Ring[HistorySample]
-
-	// Subscribers are invoked synchronously on the sampler goroutine after
-	// each tick, outside s.mu. subScratch is the reused dispatch list.
-	subMu      sync.Mutex
-	subs       map[int]func(*HistorySample)
-	nextSub    int
-	subScratch []func(*HistorySample)
 
 	stop chan struct{}
 	done chan struct{}
@@ -136,44 +121,6 @@ func NewSampler(interval time.Duration, capacity int, fill func(*HistorySample))
 // Interval returns the sampling period.
 func (s *Sampler) Interval() time.Duration { return s.interval }
 
-// Subscribe registers fn to be called with each new sample, and returns
-// a function that unsubscribes it. fn runs synchronously on the sampler
-// goroutine right after the tick (so subscribers see every sample without
-// polling Snapshot); the *HistorySample is a ring slot valid only for the
-// duration of the call — copy what outlives it. Stop implicitly silences
-// all subscribers by stopping the goroutine that calls them.
-func (s *Sampler) Subscribe(fn func(*HistorySample)) (unsubscribe func()) {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.subs == nil {
-		s.subs = make(map[int]func(*HistorySample))
-	}
-	id := s.nextSub
-	s.nextSub++
-	s.subs[id] = fn
-	return func() {
-		s.subMu.Lock()
-		delete(s.subs, id)
-		s.subMu.Unlock()
-	}
-}
-
-// notify dispatches one filled slot to the subscribers. Called on the
-// sampling goroutine with s.mu released; the dispatch list is copied out
-// under subMu so callbacks may themselves subscribe or unsubscribe.
-func (s *Sampler) notify(slot *HistorySample) {
-	s.subMu.Lock()
-	fns := s.subScratch[:0]
-	for _, fn := range s.subs {
-		fns = append(fns, fn)
-	}
-	s.subScratch = fns
-	s.subMu.Unlock()
-	for _, fn := range fns {
-		fn(slot)
-	}
-}
-
 func (s *Sampler) run() {
 	defer close(s.done)
 	tick := time.NewTicker(s.interval)
@@ -195,17 +142,12 @@ func (s *Sampler) sample() {
 	s.mu.Lock()
 	slot := s.ring.Push()
 	cols := slot.Columns[:0]
-	lat := slot.LatencyBuckets[:0]
-	*slot = HistorySample{Time: time.Now(), Columns: cols, LatencyBuckets: lat}
+	*slot = HistorySample{Time: time.Now(), Columns: cols}
 	if s.fill != nil {
 		s.fill(slot)
 	}
 	sortColumns(slot.Columns)
 	s.mu.Unlock()
-	// Subscribers run outside the ring lock: the slot is only rewritten by
-	// this goroutine, at least a full ring revolution later, so handing
-	// them the pointer for the duration of the call is safe.
-	s.notify(slot)
 }
 
 // sortColumns orders per-column series by (table, column) with an
@@ -237,7 +179,6 @@ func (s *Sampler) Snapshot() []HistorySample {
 	out := s.ring.AppendTo(make([]HistorySample, 0, s.ring.Len()))
 	for i := range out {
 		out[i].Columns = append([]HistoryColumn(nil), out[i].Columns...)
-		out[i].LatencyBuckets = append([]int64(nil), out[i].LatencyBuckets...)
 	}
 	return out
 }

@@ -11,9 +11,9 @@ import (
 
 // TestSamplerSlotDonation covers what the sampler adds on top of Ring
 // (whose wrap arithmetic TestRing covers): each tick sorts its columns,
-// a wrapped ring's evicted slot donates its Columns and LatencyBuckets
-// backing arrays so a warm tick allocates nothing, and Snapshot deep-
-// copies so readers never alias a slot the next tick rewrites.
+// a wrapped ring's evicted slot donates its Columns backing array so a
+// warm tick allocates nothing, and Snapshot deep-copies so readers never
+// alias a slot the next tick rewrites.
 func TestSamplerSlotDonation(t *testing.T) {
 	var n int64
 	s := NewSampler(time.Hour, 4, func(h *HistorySample) {
@@ -25,7 +25,6 @@ func TestSamplerSlotDonation(t *testing.T) {
 			HistoryColumn{Table: "a", Column: "b"},
 			HistoryColumn{Table: "t", Column: "a"},
 		)
-		h.LatencyBuckets = append(h.LatencyBuckets, 1, 2, 3)
 	})
 	defer s.Stop()
 	// The constructor took sample #1; the hour-long ticker never fires, so
@@ -41,9 +40,8 @@ func TestSamplerSlotDonation(t *testing.T) {
 		if want := int64(7 + i); h.Queries != want {
 			t.Fatalf("sample %d carries fill #%d, want #%d", i, h.Queries, want)
 		}
-		if len(h.Columns) != 3 || len(h.LatencyBuckets) != 3 {
-			t.Fatalf("sample %d: %d columns, %d buckets, want 3 and 3 (stale slot state leaked)",
-				i, len(h.Columns), len(h.LatencyBuckets))
+		if len(h.Columns) != 3 {
+			t.Fatalf("sample %d: %d columns, want 3 (stale slot state leaked)", i, len(h.Columns))
 		}
 		for j := 1; j < len(h.Columns); j++ {
 			if !columnLess(&h.Columns[j-1], &h.Columns[j]) {
@@ -89,6 +87,37 @@ func TestSamplerStopIdempotent(t *testing.T) {
 	}
 }
 
+// TestSamplerStopUnsubscribes: Stop halts the sampling goroutine — and
+// with it every later fill callback — without leaking the goroutine.
+func TestSamplerStopUnsubscribes(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var fills atomic.Int64
+	s := NewSampler(time.Millisecond, 8, func(*HistorySample) { fills.Add(1) })
+
+	deadline := time.Now().Add(5 * time.Second)
+	for fills.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sampler never ticked (%d fills)", fills.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Stop()
+	n := fills.Load()
+	time.Sleep(10 * time.Millisecond)
+	if got := fills.Load(); got != n {
+		t.Fatalf("fill ran %d more times after Stop", got-n)
+	}
+	// The sampling goroutine is joined by Stop; the count must settle
+	// back to (at most) where it started.
+	for i := 0; i < 100; i++ {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines leaked: %d before, %d after Stop", before, runtime.NumGoroutine())
+}
+
 // TestHistorySampleGoldenJSON locks the serialized shape of one timeline
 // sample — key names and order — so /history consumers (the dashboard,
 // scripts scraping the endpoint) can't be broken by a silent rename.
@@ -122,10 +151,7 @@ func TestHistorySampleGoldenJSON(t *testing.T) {
 		Time:    time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
 		Queries: 100, RowsScanned: 2000, RowsSkipped: 8000, RowsCovered: 50,
 		SlowQueries: 1, Errors: 2, QueueDepth: 3, SkipRatio: 0.8,
-		// LatencyBuckets is json:"-": raw histogram state stays off the
-		// wire; consumers get the derived quantiles.
-		LatencyBuckets: []int64{1, 2, 3},
-		LatencyP50:     0.0001, LatencyP95: 0.002, AdaptEvents: 17, WALLagSeconds: 0.004,
+		LatencyP50: 0.0001, LatencyP95: 0.002, AdaptEvents: 17, WALLagSeconds: 0.004,
 		Columns: []HistoryColumn{{Table: "data", Column: "v", SkipRatio: 0.9, Zones: 64, Enabled: true}},
 	}
 	got, err := json.MarshalIndent(h, "", "  ")
@@ -135,78 +161,6 @@ func TestHistorySampleGoldenJSON(t *testing.T) {
 	if string(got) != want {
 		t.Errorf("history sample JSON drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-}
-
-// TestSamplerSubscribe: subscribers see every tick exactly once, on the
-// sampler goroutine, and unsubscribe takes effect for later ticks.
-func TestSamplerSubscribe(t *testing.T) {
-	var fills atomic.Int64
-	s := NewSampler(time.Millisecond, 8, func(h *HistorySample) {
-		h.Queries = fills.Add(1)
-	})
-	defer s.Stop()
-
-	var seen atomic.Int64
-	var last atomic.Int64
-	unsub := s.Subscribe(func(h *HistorySample) {
-		seen.Add(1)
-		// Ticks arrive in order; the fill sequence must be monotonic.
-		if prev := last.Swap(h.Queries); h.Queries <= prev {
-			t.Errorf("tick out of order: %d after %d", h.Queries, prev)
-		}
-	})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for seen.Load() < 5 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscriber saw only %d ticks in 5s", seen.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	unsub()
-	frozen := seen.Load()
-	// The sampler keeps ticking, but the unsubscribed callback must not
-	// run again. (One in-flight dispatch may still land; allow it.)
-	start := s.Total()
-	for s.Total() < start+5 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := seen.Load(); got > frozen+1 {
-		t.Fatalf("unsubscribed callback kept firing: %d ticks after unsubscribe", got-frozen)
-	}
-}
-
-// TestSamplerStopUnsubscribes: Stop halts the sampling goroutine — and
-// with it all subscriber dispatch — without leaking the goroutine.
-func TestSamplerStopUnsubscribes(t *testing.T) {
-	before := runtime.NumGoroutine()
-	var ticks atomic.Int64
-	s := NewSampler(time.Millisecond, 8, nil)
-	s.Subscribe(func(*HistorySample) { ticks.Add(1) })
-
-	deadline := time.Now().Add(5 * time.Second)
-	for ticks.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscriber never ran (%d ticks)", ticks.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	n := ticks.Load()
-	time.Sleep(10 * time.Millisecond)
-	if got := ticks.Load(); got != n {
-		t.Fatalf("subscriber ran %d more times after Stop", got-n)
-	}
-	// The sampling goroutine is joined by Stop; the count must settle
-	// back to (at most) where it started.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after Stop", before, runtime.NumGoroutine())
 }
 
 // BenchmarkSamplerTick measures one timeline sample end to end (slot

@@ -78,8 +78,9 @@ const (
 	ErrKindInternal = "internal" // anything else
 	ErrKindShutdown = "shutdown" // server is draining
 	// ErrKindUnavailable means the server is alive but refusing query
-	// traffic because a health objective is in critical burn (load
-	// shedding). Retryable: back off and try again, or fail over.
+	// traffic (overload). Retryable: back off and try again, or fail
+	// over. internal/server never sends it; it stays in the contract so
+	// clients retry any server that does.
 	ErrKindUnavailable = "unavailable"
 	// ErrKindRecovering means the server is alive but still replaying its
 	// write-ahead log; queries and mutations are refused until the store

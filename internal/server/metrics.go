@@ -21,7 +21,6 @@ type srvMetrics struct {
 
 	inflight *obs.Gauge     // requests currently executing
 	latency  *obs.Histogram // request wall-clock seconds, all ops
-	rejected *obs.Counter   // queries refused during critical health burn
 	// recovering counts requests refused because the DB was still
 	// replaying its WAL; rowsInserted counts rows appended via OpInsert.
 	recovering   *obs.Counter
@@ -52,7 +51,6 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 		bytesSent:      reg.Counter("adskip_server_bytes_written_total", "Bytes written to client connections."),
 		inflight:       reg.Gauge("adskip_server_inflight_requests", "Requests currently executing."),
 		latency:        reg.Histogram("adskip_server_request_seconds", "Request wall-clock latency, all ops.", obs.LatencyBuckets()),
-		rejected:       reg.Counter("adskip_server_rejected_total", "Queries refused while health status was critical."),
 		recovering:     reg.Counter("adskip_server_recovering_rejected_total", "Requests refused while WAL recovery was in progress."),
 		rowsInserted:   reg.Counter("adskip_server_rows_inserted_total", "Rows appended via the insert op."),
 		cacheHits:      reg.Counter("adskip_server_stmt_cache_hits_total", "Requests served from the prepared-statement cache."),

@@ -59,15 +59,6 @@ type Options struct {
 	// connection open/close at debug, protocol errors at warn. Nil
 	// disables logging.
 	Logger *slog.Logger
-	// RefuseOnCritical sheds query load while the DB's health monitor
-	// reports critical burn: query and exec requests are answered with
-	// ErrKindUnavailable instead of executing, so a saturated server stops
-	// digging. Ping, catalog, and prepare stay up — load balancers keep
-	// probing and clients keep their statements warm for recovery. The
-	// gate reads the DB's shed status, which excludes shed-exempt signals
-	// (skip_regression — a pruning-quality alert, not overload — never
-	// refuses traffic). No-op unless the DB declared health objectives.
-	RefuseOnCritical bool
 }
 
 // Server serves SQL queries against one adskip.DB over TCP.
@@ -446,34 +437,22 @@ func (ss *session) dispatch(ctx context.Context, req *proto.Request, tm *proto.T
 	}
 }
 
-// gate implements the two admission gates in front of query, exec, and
-// insert traffic. While the DB is replaying its write-ahead log the
-// store is not yet consistent, so all data-touching ops are answered
-// with a retryable "recovering" error — the server accepts connections
-// during replay precisely so clients can park in a retry loop instead
-// of failing over. After recovery, the load-shedding gate applies: when
-// RefuseOnCritical is set and the DB's health monitor is in critical
-// burn on a shed-eligible objective, traffic is answered with a
-// retryable unavailable error (ShedStatus, not HealthStatus: a
-// skip_regression alert means pruning decayed, not overload, and must
-// never turn into refused queries). Both checks are one atomic load, so
-// the healthy path pays nothing measurable. Ping, catalog, and prepare
-// bypass both gates — load balancers keep probing and clients keep
-// their statements warm.
+// gate is the admission gate in front of query, exec, and insert
+// traffic. While the DB is replaying its write-ahead log the store is
+// not yet consistent, so all data-touching ops are answered with a
+// retryable "recovering" error — the server accepts connections during
+// replay precisely so clients can park in a retry loop instead of
+// failing over. The check is one atomic load, so the recovered path
+// pays nothing measurable. Ping, catalog, and prepare bypass the gate —
+// load balancers keep probing and clients keep their statements warm.
 func (s *Server) gate() (proto.Response, bool) {
-	if s.db.Recovering() {
-		s.m.recovering.Inc()
-		s.m.failure(proto.ErrKindRecovering)
-		return errResp(proto.ErrKindRecovering,
-			"server recovering: WAL replay in progress; retry shortly"), true
-	}
-	if !s.opts.RefuseOnCritical || s.db.ShedStatus() != adskip.HealthCritical {
+	if !s.db.Recovering() {
 		return proto.Response{}, false
 	}
-	s.m.rejected.Inc()
-	s.m.failure(proto.ErrKindUnavailable)
-	return errResp(proto.ErrKindUnavailable,
-		"server refusing queries: health status critical (SLO burn); retry after recovery"), true
+	s.m.recovering.Inc()
+	s.m.failure(proto.ErrKindRecovering)
+	return errResp(proto.ErrKindRecovering,
+		"server recovering: WAL replay in progress; retry shortly"), true
 }
 
 // insert appends req.Rows to req.Table. Cells are decoded against the

@@ -26,10 +26,12 @@ func testDB(t *testing.T, rows int) *adskip.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < rows; i++ {
-		if err := tbl.Append((i/1000)*1000+i%7, i); err != nil {
-			t.Fatal(err)
-		}
+	batch := make([][]adskip.Value, rows)
+	for i := range batch {
+		batch[i] = []adskip.Value{adskip.IntValue(int64((i/1000)*1000 + i%7)), adskip.IntValue(int64(i))}
+	}
+	if err := tbl.AppendBatch(batch); err != nil {
+		t.Fatal(err)
 	}
 	if err := tbl.EnableSkipping("v"); err != nil {
 		t.Fatal(err)
@@ -275,17 +277,21 @@ func TestFrameTooLargeRejected(t *testing.T) {
 }
 
 // TestDisconnectCancelsQuery closes the client mid-query and waits for
-// the engine's canceled counter to tick: the reader goroutine noticed
-// the dead peer and canceled the in-flight context.
+// the engine's canceled counter to tick: the session's disconnect watcher
+// noticed the dead peer and canceled the in-flight context.
 func TestDisconnectCancelsQuery(t *testing.T) {
-	db := testDB(t, 20000)
+	// Four checkpoint intervals (the engine checks every 1<<16 rows), and
+	// a predicate on the column without a skipper, so the query scans
+	// every row and several checkpoints follow the close.
+	db := testDB(t, 4<<16)
 	defer db.Close()
 	srv := startServer(t, db, server.Options{})
 
 	// Stretch every scan checkpoint so the query comfortably outlives
 	// the client.
-	restore := faultinject.Activate(faultinject.New(3).
-		Set(faultinject.ScanDelay, faultinject.Rule{Every: 1, Delay: 100 * time.Millisecond}))
+	inj := faultinject.New(3).
+		Set(faultinject.ScanDelay, faultinject.Rule{Every: 1, Delay: 100 * time.Millisecond})
+	restore := faultinject.Activate(inj)
 	defer restore()
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
@@ -293,15 +299,22 @@ func TestDisconnectCancelsQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := proto.WriteMessage(conn, proto.Request{Op: proto.OpQuery,
-		SQL: "SELECT COUNT(*) FROM data WHERE v BETWEEN 0 AND 20000"}); err != nil {
+		SQL: "SELECT COUNT(*) FROM data WHERE seq >= 0"}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the query reach the scan
+	// Close while the query sleeps in its first checkpoint (the injector
+	// counts a fire before it sleeps).
+	deadline := time.Now().Add(5 * time.Second)
+	for inj.Fires(faultinject.ScanDelay) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("query never reached a checkpoint")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	conn.Close()
 
 	canceled := db.Metrics().Counter("adskip_queries_canceled_total",
 		"Queries stopped by context cancellation.", obs.L("table", "data"))
-	deadline := time.Now().Add(5 * time.Second)
 	for canceled.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("query not canceled after client disconnect")

@@ -85,7 +85,7 @@ type entry struct {
 	// the slow learned baseline of what the template used to achieve.
 	// A positive (base − fast) gap means pruning has degraded — stale
 	// metadata after appends, merged-away zones, or arbitration flips —
-	// and feeds the skip_regression health signal via RegressionGap.
+	// and surfaces as /history's skip_regression via RegressionGap.
 	skipFast, skipBase float64
 	skipSeen           bool
 
@@ -228,8 +228,8 @@ func (t *Table) Record(s Sample) {
 // RegressionGap returns the worst per-template skip-rate regression
 // currently tracked: max over templates of (learned baseline − fast
 // EWMA), clamped at 0. Zero means no template prunes worse than its own
-// history. The health monitor samples this once per tick as the
-// skip_regression signal; the call also refreshes the
+// history. The timeline sampler reads it once per tick into
+// HistorySample.SkipRegression; the call also refreshes the
 // adskip_adapt_skip_regression_ppm gauge.
 func (t *Table) RegressionGap() float64 {
 	if t == nil {

@@ -3,7 +3,7 @@ package telemetry
 import "net/http"
 
 // The live dashboard: one embedded, dependency-free HTML page that polls
-// /history, /skipmap, /health, /workload, and /adaptation and renders
+// /history, /skipmap, /workload, and /adaptation and renders
 // the adaptation story the paper tells in figures — the convergence
 // curve (skip ratio and latency quantiles improving as the zonemaps
 // learn the workload), a per-zone effectiveness heatmap, and the
@@ -94,32 +94,11 @@ td, th { padding: 3px 10px 3px 0; text-align: right; font-variant-numeric: tabul
 th { color: var(--ink-2); font-weight: 500; }
 td:first-child, th:first-child { text-align: left; }
 .err { color: var(--ink-2); font-size: 12px; }
-.banner {
-  display: none; border-radius: 8px; padding: 10px 16px; margin-bottom: 16px;
-  font-size: 13px; font-weight: 600; border: 1px solid transparent;
-}
-.banner.warning { display: block; background: #fdf4e3; color: #8a5a00; border-color: #efd9a8; }
-.banner.critical { display: block; background: #fbe9e7; color: #9b1c0f; border-color: #f0bcb5; }
-@media (prefers-color-scheme: dark) {
-  .banner.warning { background: #33270f; color: #eab84e; border-color: #57431a; }
-  .banner.critical { background: #391512; color: #f0836f; border-color: #5c201a; }
-}
-.pill { display: inline-block; border-radius: 99px; padding: 1px 9px; font-size: 11px; font-weight: 600; }
-.pill.ok { background: #e3f2e6; color: #1e6b2e; }
-.pill.warning { background: #fdf4e3; color: #8a5a00; }
-.pill.critical { background: #fbe9e7; color: #9b1c0f; }
-@media (prefers-color-scheme: dark) {
-  .pill.ok { background: #16301b; color: #6fcf85; }
-  .pill.warning { background: #33270f; color: #eab84e; }
-  .pill.critical { background: #391512; color: #f0836f; }
-}
 </style>
 </head>
 <body>
 <h1>adskip — adaptation dashboard</h1>
 <div class="sub" id="status">connecting&hellip;</div>
-
-<div class="banner" id="alert-banner" role="alert"></div>
 
 <div class="tiles">
   <div class="tile"><div class="v" id="t-queries">–</div><div class="k">queries</div></div>
@@ -165,11 +144,6 @@ td:first-child, th:first-child { text-align: left; }
 <div class="card">
   <h2>Adaptation timeline — zone lifecycle &amp; skip ROI</h2>
   <div id="adaptation"><div class="err">waiting for adaptation ledger&hellip;</div></div>
-</div>
-
-<div class="card" id="health-card" style="display:none">
-  <h2>Service objectives</h2>
-  <div id="objectives"></div>
 </div>
 
 <div class="card">
@@ -319,40 +293,6 @@ function renderHeatmap(tables) {
   el.innerHTML = html || '<div class="err">no introspectable skippers (adaptive policy exposes zones)</div>';
 }
 
-// renderHealth paints the alert banner and the per-objective SLO panel
-// from /health. The banner appears only while an objective is burning
-// (warning or critical); the panel lists every declared objective with
-// its state, current signal value, and burn rate per window.
-function renderHealth(h) {
-  const banner = document.getElementById("alert-banner");
-  const card = document.getElementById("health-card");
-  if (!h || !h.enabled) { banner.className = "banner"; card.style.display = "none"; return; }
-  card.style.display = "";
-  const firing = (h.objectives || []).filter(o => o.state !== "ok");
-  if (h.status !== "ok") {
-    banner.className = "banner " + h.status;
-    banner.textContent = h.status.toUpperCase() + " — " +
-      firing.map(o => o.name + " (" + o.signal + ")").join(", ") +
-      " burning since " + fmtTime(h.since);
-  } else {
-    banner.className = "banner";
-  }
-  let html = "<table><tr><th>objective</th><th>signal</th><th>state</th><th>threshold</th>";
-  const wins = (h.objectives[0] || {}).windows || [];
-  for (const w of wins) html += "<th>burn " + w.window + "</th>";
-  html += "<th>value</th></tr>";
-  for (const o of h.objectives || []) {
-    const isLat = o.signal.indexOf("latency") === 0;
-    const fmtV = v => isLat ? fmtDur(v) : o.signal === "queue_depth" ? v.toFixed(0) : (100 * v).toFixed(1) + "%";
-    html += "<tr><td>" + o.name + '</td><td>' + o.signal +
-      '</td><td><span class="pill ' + o.state + '">' + o.state + "</span></td><td>" + fmtV(o.threshold) + "</td>";
-    for (const w of o.windows || []) html += "<td>" + w.burn.toFixed(1) + "&times;</td>";
-    const shortW = (o.windows || [])[0];
-    html += "<td>" + (shortW && shortW.data_ticks ? fmtV(shortW.value) : "–") + "</td></tr>";
-  }
-  document.getElementById("objectives").innerHTML = html + "</table>";
-}
-
 // renderWorkload paints the per-template table from /workload: the
 // top-10 templates by total execution time, with each template's share
 // of the recorded CPU time.
@@ -446,13 +386,11 @@ function renderLatest(s) {
 
 async function refresh() {
   try {
-    const [histR, skipR, healthR, wlR, adaptR] = await Promise.all(
-      [fetch("/history"), fetch("/skipmap?zones=256"), fetch("/health"), fetch("/workload?k=10"),
+    const [histR, skipR, wlR, adaptR] = await Promise.all(
+      [fetch("/history"), fetch("/skipmap?zones=256"), fetch("/workload?k=10"),
        fetch("/adaptation?dead=8")]);
     const hist = await histR.json();
     const skip = await skipR.json();
-    // /health answers 503 while critical — that is still a JSON body.
-    const health = await healthR.json();
     const wl = await wlR.json();
     const adapt = await adaptR.json();
     const samples = hist.samples || [];
@@ -472,7 +410,6 @@ async function refresh() {
        {name: "p95", color: s2, get: s => s.latency_p95_seconds}],
       fmtDur);
     renderHeatmap(skip);
-    renderHealth(health);
     renderWorkload(wl);
     renderAdaptation(adapt);
     renderLatest(latest);

@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"time"
 
-	"adskip/internal/health"
 	"adskip/internal/obs"
 	"adskip/internal/stats"
 )
@@ -44,14 +43,11 @@ type Source struct {
 	// /dash convergence chart. Optional: /history serves an empty series
 	// and /dash degrades gracefully when nil.
 	History *obs.Sampler
-	// Health returns the current SLO snapshot behind /health. When nil
-	// (or when it reports ok=false), /health serves a 200 "disabled"
-	// body; otherwise /health is a readiness probe: 503 while any
-	// objective is critical, 200 otherwise.
-	Health func() (health.Snapshot, bool)
-	// Alerts returns the firing objectives and alert-transition history
-	// behind /alerts. Optional.
-	Alerts func() health.AlertsSnapshot
+	// Recovering reports whether the store is still replaying its
+	// write-ahead log, the one state in which the process knows it cannot
+	// serve: /health answers 503 while it returns true and 200 otherwise.
+	// Optional: when nil, /health always answers 200.
+	Recovering func() bool
 	// Workload is the per-template workload stats table behind /workload.
 	// Optional: when nil, /workload serves an empty snapshot.
 	Workload *stats.Table
@@ -141,7 +137,6 @@ func (s *Server) mux() *http.ServeMux {
 	m.HandleFunc("/runtime", s.handleRuntime)
 	m.HandleFunc("/history", s.handleHistory)
 	m.HandleFunc("/health", s.handleHealth)
-	m.HandleFunc("/alerts", s.handleAlerts)
 	m.HandleFunc("/workload", s.handleWorkload)
 	m.HandleFunc("/adaptation", s.handleAdaptation)
 	m.HandleFunc("/dash", s.handleDash)
@@ -169,8 +164,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 <li><a href="/skipmap">/skipmap</a> — per-zone skipping-effectiveness heatmap (add <code>?zones=N</code>)</li>
 <li><a href="/runtime">/runtime</a> — sampled Go runtime statistics</li>
 <li><a href="/history">/history</a> — adaptation timeline (sampled skip ratio, latency quantiles, per-column series)</li>
-<li><a href="/health">/health</a> — SLO snapshot / readiness probe (503 while any objective is critical)</li>
-<li><a href="/alerts">/alerts</a> — firing objectives + alert-transition history</li>
+<li><a href="/health">/health</a> — readiness probe (503 while the write-ahead log replays)</li>
 <li><a href="/workload">/workload</a> — per-template workload stats (add <code>?sort=time|calls|bytes</code>, <code>?k=N</code>, <code>?format=csv</code>)</li>
 <li><a href="/adaptation">/adaptation</a> — adaptation ledger: zone-lifecycle provenance + per-column skip ROI (add <code>?table=</code>, <code>?shard=N</code>, <code>?dead=N</code>, <code>?format=csv</code>)</li>
 <li><a href="/dash">/dash</a> — live dashboard (convergence curve + zone heatmap)</li>
@@ -408,42 +402,20 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// healthListing is the /health JSON shape: an enabled flag wrapping the
-// monitor's snapshot (zero-valued when SLO tracking is off).
-type healthListing struct {
-	Enabled bool `json:"enabled"`
-	health.Snapshot
-}
-
-// handleHealth serves the SLO snapshot with readiness-probe semantics:
-// HTTP 503 while any objective burns at critical, 200 otherwise (also
-// 200 when no objectives are configured — a probe must not fail a
-// deployment that never declared SLOs).
+// handleHealth is the readiness probe: 503 {"status":"recovering"} while
+// Source.Recovering reports a WAL replay in progress, 200 {"status":"ok"}
+// otherwise. Latency, errors, skip rate and WAL lag are series on
+// /metrics, where an alerting system judges them.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	if s.src.Health == nil {
-		writeJSON(w, healthListing{})
-		return
-	}
-	snap, ok := s.src.Health()
-	if !ok {
-		writeJSON(w, healthListing{})
-		return
-	}
-	if snap.Status == health.SevCritical {
+	status := "ok"
+	if s.src.Recovering != nil && s.src.Recovering() {
+		status = "recovering"
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	writeJSON(w, healthListing{Enabled: true, Snapshot: snap})
-}
-
-// handleAlerts serves the firing objectives and the retained alert
-// transitions, oldest-first.
-func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	out := health.AlertsSnapshot{Active: []health.ObjectiveStatus{}, History: []health.Transition{}}
-	if s.src.Alerts != nil {
-		out = s.src.Alerts()
-	}
-	writeJSON(w, out)
+	writeJSON(w, struct {
+		Status string `json:"status"`
+	}{status})
 }
 
 // handleWorkload serves the per-template workload stats, top-K by the

@@ -5,10 +5,10 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"adskip/internal/health"
 	"adskip/internal/obs"
 )
 
@@ -247,186 +247,55 @@ func TestDashEndpoint(t *testing.T) {
 	}
 }
 
-// healthTestMonitor builds a monitor driven to critical with injected
-// tick times, so the golden bodies below are fully deterministic: a
-// queue-depth objective (integer values — no float rendering noise)
-// breaches for four consecutive ticks.
-func healthTestMonitor(t *testing.T) *health.Monitor {
-	t.Helper()
-	m, err := health.New(
-		[]health.Objective{{Signal: health.SignalQueueDepth, Threshold: 8, Budget: 0.5}},
-		time.Second,
-		health.Config{
-			Short: 2 * time.Second, Mid: 4 * time.Second, Long: 8 * time.Second,
-			CritBurn: 2, WarnBurn: 1, ClearTicks: 3,
-		},
-		nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	m.OnSample(&obs.HistorySample{Time: at}) // baseline
-	for i := 0; i < 4; i++ {
-		at = at.Add(time.Second)
-		m.OnSample(&obs.HistorySample{Time: at, QueueDepth: 40})
-	}
-	if m.Status() != health.SevCritical {
-		t.Fatalf("setup: monitor status = %v, want critical", m.Status())
-	}
-	return m
-}
-
-// TestHealthEndpointGolden locks the /health JSON shape — and the
-// readiness semantics: 503 while critical, 200 otherwise.
+// TestHealthEndpointGolden locks the /health JSON body: the readiness
+// probe answers 200 {"status": "ok"} and nothing else.
 func TestHealthEndpointGolden(t *testing.T) {
-	m := healthTestMonitor(t)
 	src := testSource()
-	src.Health = func() (health.Snapshot, bool) { return m.Snapshot(), true }
-	src.Alerts = m.Alerts
+	src.Recovering = func() bool { return false }
 	srv, err := Start(Options{}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
 	code, body := get(t, srv.URL()+"/health")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("/health while critical = %d, want 503", code)
-	}
-	const wantHealth = `{
-  "enabled": true,
-  "status": "critical",
-  "since": "2026-01-02T03:04:09Z",
-  "ticks": 5,
-  "interval_ns": 1000000000,
-  "objectives": [
-    {
-      "name": "queue_depth",
-      "signal": "queue_depth",
-      "threshold": 8,
-      "budget": 0.5,
-      "state": "critical",
-      "since": "2026-01-02T03:04:09Z",
-      "windows": [
-        {
-          "window": "2s",
-          "value": 40,
-          "burn": 2,
-          "bad_ticks": 2,
-          "data_ticks": 2
-        },
-        {
-          "window": "4s",
-          "value": 40,
-          "burn": 2,
-          "bad_ticks": 4,
-          "data_ticks": 4
-        },
-        {
-          "window": "8s",
-          "value": 40,
-          "burn": 1,
-          "bad_ticks": 4,
-          "data_ticks": 4
-        }
-      ]
-    }
-  ]
-}
-`
-	if body != wantHealth {
-		t.Errorf("/health JSON drifted:\n--- got ---\n%s\n--- want ---\n%s", body, wantHealth)
-	}
-
-	code, body = get(t, srv.URL()+"/alerts")
 	if code != http.StatusOK {
-		t.Fatalf("/alerts = %d, want 200", code)
+		t.Fatalf("/health = %d, want 200", code)
 	}
-	const wantAlerts = `{
-  "active": [
-    {
-      "name": "queue_depth",
-      "signal": "queue_depth",
-      "threshold": 8,
-      "budget": 0.5,
-      "state": "critical",
-      "since": "2026-01-02T03:04:09Z",
-      "windows": [
-        {
-          "window": "2s",
-          "value": 40,
-          "burn": 2,
-          "bad_ticks": 2,
-          "data_ticks": 2
-        },
-        {
-          "window": "4s",
-          "value": 40,
-          "burn": 2,
-          "bad_ticks": 4,
-          "data_ticks": 4
-        },
-        {
-          "window": "8s",
-          "value": 40,
-          "burn": 1,
-          "bad_ticks": 4,
-          "data_ticks": 4
-        }
-      ]
-    }
-  ],
-  "history": [
-    {
-      "time": "2026-01-02T03:04:09Z",
-      "objective": "queue_depth",
-      "signal": "queue_depth",
-      "from": "ok",
-      "to": "critical",
-      "value": 40,
-      "burn": 2
-    }
-  ],
-  "total": 1,
-  "dropped": 0
-}
-`
-	if body != wantAlerts {
-		t.Errorf("/alerts JSON drifted:\n--- got ---\n%s\n--- want ---\n%s", body, wantAlerts)
+	const want = "{\n  \"status\": \"ok\"\n}\n"
+	if body != want {
+		t.Errorf("/health JSON drifted:\n--- got ---\n%s\n--- want ---\n%s", body, want)
+	}
+	if code, _ := get(t, srv.URL()+"/alerts"); code != http.StatusNotFound {
+		t.Fatalf("/alerts = %d, want 404", code)
 	}
 }
 
-// TestHealthEndpointRecovers: once the monitor steps back below
-// critical, /health returns 200 again (the readiness flip is live, not
-// latched).
+// TestHealthEndpointRecovers: /health answers 503 recovering while the
+// store replays its log and 200 ok once it is done (the probe reads the
+// state on every request, nothing is latched).
 func TestHealthEndpointRecovers(t *testing.T) {
-	m := healthTestMonitor(t)
+	var recovering atomic.Bool
+	recovering.Store(true)
 	src := testSource()
-	src.Health = func() (health.Snapshot, bool) { return m.Snapshot(), true }
+	src.Recovering = recovering.Load
 	srv, err := Start(Options{}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if code, _ := get(t, srv.URL()+"/health"); code != http.StatusServiceUnavailable {
-		t.Fatalf("critical /health = %d, want 503", code)
+	code, body := get(t, srv.URL()+"/health")
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"status": "recovering"`) {
+		t.Fatalf("/health while recovering = %d:\n%s", code, body)
 	}
-	// Healthy ticks until the burn decays and hysteresis clears.
-	at := time.Date(2026, 1, 2, 3, 4, 9, 0, time.UTC)
-	for i := 0; i < 20 && m.Status() != health.SevOK; i++ {
-		at = at.Add(time.Second)
-		m.OnSample(&obs.HistorySample{Time: at, QueueDepth: 0})
-	}
-	if m.Status() != health.SevOK {
-		t.Fatalf("monitor never recovered: %v", m.Status())
-	}
-	if code, _ := get(t, srv.URL()+"/health"); code != http.StatusOK {
-		t.Fatal("/health still 503 after recovery")
+	recovering.Store(false)
+	code, body = get(t, srv.URL()+"/health")
+	if code != http.StatusOK || !strings.Contains(body, `"status": "ok"`) {
+		t.Fatalf("/health after recovery = %d:\n%s", code, body)
 	}
 }
 
-// TestHealthEndpointDisabled: without SLO tracking the probe answers 200
-// so it cannot fail a deployment that declared no objectives.
+// TestHealthEndpointDisabled: a source with no recovery state (no WAL)
+// is always ready.
 func TestHealthEndpointDisabled(t *testing.T) {
 	srv, err := Start(Options{}, testSource())
 	if err != nil {
@@ -434,11 +303,7 @@ func TestHealthEndpointDisabled(t *testing.T) {
 	}
 	defer srv.Close()
 	code, body := get(t, srv.URL()+"/health")
-	if code != http.StatusOK || !strings.Contains(body, `"enabled": false`) {
-		t.Fatalf("/health disabled = %d:\n%s", code, body)
-	}
-	code, body = get(t, srv.URL()+"/alerts")
-	if code != http.StatusOK || !strings.Contains(body, `"active": []`) {
-		t.Fatalf("/alerts disabled = %d:\n%s", code, body)
+	if code != http.StatusOK || !strings.Contains(body, `"status": "ok"`) {
+		t.Fatalf("/health without a recovery source = %d:\n%s", code, body)
 	}
 }

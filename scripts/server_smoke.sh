@@ -18,16 +18,10 @@ ROWS=200000
 go build -o "$BIN/adskip-server" ./cmd/adskip-server
 go build -o "$BIN/adskip-load" ./cmd/adskip-load
 
-# SLO flags: a generous 250ms p95 objective (honest load never trips it,
-# even on a noisy CI box) with tight windows and fast sampling so the
-# induced burn and the recovery both land within smoke-test patience.
-# -fault-scan-delay arms SIGUSR1/SIGUSR2 as a runtime slow-scan toggle;
-# -dist uniform makes range queries scan every row, so each one crosses
-# scan checkpoints and feels the injected delay.
+# Fast sampling so /history has several samples after a few seconds of
+# load.
 "$BIN/adskip-server" -addr 127.0.0.1:0 -telemetry 127.0.0.1:0 \
-  -rows "$ROWS" -dist uniform \
-  -slo-p95 250ms -slo-windows 2s,6s,20s -history-interval 250ms \
-  -fault-scan-delay 150ms > "$OUT" 2>&1 &
+  -rows "$ROWS" -dist uniform -history-interval 250ms > "$OUT" 2>&1 &
 SRV_PID=$!
 
 # Wait for both banners: the telemetry URL and the query listen address.
@@ -98,119 +92,16 @@ if [ "$code" != "200" ]; then
 fi
 echo "GET /dash -> 200"
 
-# ---------------------------------------------------------------------------
-# Health readiness flip: 200 while the p95 objective is met, 503 during
-# an induced slow-scan burst (SIGUSR1 arms the scan-delay fault), 200
-# again after recovery (SIGUSR2 clears it). This exercises the whole
-# loop end to end: sampler -> burn-rate monitor -> /health readiness ->
-# server load shedding -> hysteresis release.
-
+# The readiness probe: a volatile server is ready once it listens.
 HB=$(mktemp)
 code=$(curl -sS -o "$HB" -w '%{http_code}' "$URL/health")
-if [ "$code" != "200" ]; then
-  echo "GET /health -> $code before any burn" >&2
-  cat "$HB" >&2
-  exit 1
-fi
-python3 - "$HB" <<'PY'
-import json, sys
-h = json.load(open(sys.argv[1]))
-assert h["enabled"], "health monitor not enabled despite -slo-p95"
-assert h["status"] == "ok", f"status {h['status']!r} before any burn"
-PY
-echo "GET /health -> 200, status ok"
-
-# The load generator's own SLO acceptance check against the healthy server.
-"$BIN/adskip-load" -addr "$ADDR" -conns 8 -duration 1s -domain "$ROWS" -seed 11 \
-  -assert-health "$URL/health"
-echo "adskip-load -assert-health: passes while healthy"
-
-# Arm the fault and load the server: every scan checkpoint now sleeps
-# 150ms, so queries blow the 250ms p95 objective and the monitor burns
-# to critical. Once critical, the server refuses queries (load sheds),
-# so the load run is expected to report errors — tolerate its exit code.
-kill -USR1 $SRV_PID
-"$BIN/adskip-load" -addr "$ADDR" -conns 8 -duration 12s -domain "$ROWS" -seed 13 \
-  >/dev/null 2>&1 || true &
-LOAD_PID=$!
-code=""
-for _ in $(seq 1 60); do
-  code=$(curl -sS -o "$HB" -w '%{http_code}' "$URL/health" || true)
-  [ "$code" = "503" ] && break
-  sleep 0.25
-done
-if [ "$code" != "503" ]; then
-  echo "/health never went 503 under the induced slow-scan burst (last: $code)" >&2
-  cat "$HB" >&2
-  cat "$OUT" >&2
-  exit 1
-fi
-python3 - "$HB" <<'PY'
-import json, sys
-h = json.load(open(sys.argv[1]))
-assert h["status"] == "critical", f"503 with status {h['status']!r}"
-PY
-echo "GET /health -> 503, status critical (readiness probe would eject this node)"
-
-# While critical: the /metrics readiness gauge flips, /alerts records
-# the transition, and the query service refuses traffic.
-MET=$(mktemp)
-curl -sS -o "$MET" "$URL/metrics"
-grep -q '^adskip_health_status 2' "$MET" || {
-  echo "/metrics: adskip_health_status is not 2 while critical" >&2
-  grep '^adskip_health' "$MET" >&2 || true
-  exit 1
-}
-rejected=""
-for _ in $(seq 1 40); do
-  curl -sS -o "$MET" "$URL/metrics"
-  rejected=$(awk '$1 == "adskip_server_rejected_total" {print int($2)}' "$MET")
-  [ -n "$rejected" ] && [ "$rejected" -gt 0 ] && break
-  sleep 0.25
-done
-if [ -z "$rejected" ] || [ "$rejected" -le 0 ]; then
-  echo "server never refused a query while critical (adskip_server_rejected_total: ${rejected:-absent})" >&2
-  exit 1
-fi
-rm -f "$MET"
-code=$(curl -sS -o "$HB" -w '%{http_code}' "$URL/alerts")
-if [ "$code" != "200" ]; then
-  echo "GET /alerts -> $code" >&2
-  exit 1
-fi
-python3 - "$HB" <<'PY'
-import json, sys
-a = json.load(open(sys.argv[1]))
-assert len(a["active"]) >= 1, "no active alerts while critical"
-assert any(t["to"] == "critical" for t in a["history"]), "no transition to critical in history"
-PY
-echo "readiness gauge flipped, $rejected queries shed, /alerts shows the transition"
-
-# Recovery: clear the fault, let the bad ticks age out of the burn
-# windows, and require the probe to report ready again.
-wait $LOAD_PID || true
-kill -USR2 $SRV_PID
-code=""
-for _ in $(seq 1 120); do
-  code=$(curl -sS -o "$HB" -w '%{http_code}' "$URL/health" || true)
-  if [ "$code" = "200" ] && python3 -c '
-import json, sys
-h = json.load(open(sys.argv[1]))
-sys.exit(0 if h["status"] == "ok" else 1)' "$HB"; then
-    break
-  fi
-  code=""
-  sleep 0.5
-done
-if [ "$code" != "200" ]; then
-  echo "/health never recovered to 200/ok after SIGUSR2" >&2
+if [ "$code" != "200" ] || ! grep -q '"status": "ok"' "$HB"; then
+  echo "GET /health -> $code, want 200 ok" >&2
   cat "$HB" >&2
   exit 1
 fi
 rm -f "$HB"
-"$BIN/adskip-load" -addr "$ADDR" -conns 8 -duration 1s -domain "$ROWS" -seed 17 \
-  -assert-health "$URL/health"
-echo "GET /health -> 200, status ok again; post-recovery load passes -assert-health"
+echo "GET /health -> 200, status ok"
 
 # The server's own counters must be on the shared /metrics endpoint.
 # Give the server a moment to reap the load generator's closed sessions
@@ -224,9 +115,7 @@ if [ "$code" != "200" ]; then
   exit 1
 fi
 for metric in adskip_server_connections_total adskip_server_frames_read_total \
-              adskip_server_request_seconds adskip_server_stmt_cache_hits_total \
-              adskip_health_status adskip_health_ticks_total adskip_objective_state \
-              adskip_server_rejected_total; do
+              adskip_server_request_seconds adskip_server_stmt_cache_hits_total; do
   grep -q "^$metric" "$METRICS" || {
     echo "/metrics missing $metric" >&2
     cat "$METRICS" >&2

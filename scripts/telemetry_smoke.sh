@@ -16,10 +16,8 @@ trap 'rm -f "$OUT" "$FIFO"; kill $DEMO_PID 2>/dev/null || true' EXIT
 go build -o "$DEMO" ./cmd/adskip-demo
 
 mkfifo "$FIFO"
-# SLO flags: tight windows and a fast sampling interval so the health
-# monitor reaches critical (and recovers) within smoke-test patience.
 "$DEMO" --serve --serve-addr 127.0.0.1:0 --slow 1ns \
-  -slo-p95 50ms -slo-windows 1s,3s,10s -history-interval 250ms < "$FIFO" > "$OUT" 2>&1 &
+  -history-interval 250ms < "$FIFO" > "$OUT" 2>&1 &
 DEMO_PID=$!
 # Keep the fifo's write end open so the REPL does not see EOF.
 exec 9> "$FIFO"
@@ -88,7 +86,6 @@ check_json /skipmap
 check_json '/skipmap?zones=0'
 check_json /runtime
 check_json /history
-check_json /alerts
 check_json '/workload?sort=calls&k=5'
 check_json /adaptation
 check_json '/adaptation?dead=0'
@@ -177,7 +174,7 @@ echo "GET /adaptation -> split events with template provenance, nonzero ROI, CSV
 # The dashboard is a self-contained HTML page (the demo serves it even
 # without an adaptation sampler; the charts just stay empty).
 DASH=$(check_status /dash 1000)
-for needle in '<!DOCTYPE html>' '/history' '/skipmap' '/health' '/workload' '/adaptation' 'prefers-color-scheme'; do
+for needle in '<!DOCTYPE html>' '/history' '/skipmap' '/workload' '/adaptation' 'prefers-color-scheme'; do
   grep -qF "$needle" "$DASH" || {
     echo "/dash page missing $needle" >&2
     rm -f "$DASH"
@@ -187,101 +184,15 @@ done
 rm -f "$DASH"
 echo "GET /dash -> 200, dashboard page"
 
-# ---------------------------------------------------------------------------
-# Health readiness flip: /health answers 200 while objectives are met,
-# 503 while any objective burns critically, and 200 again after
-# recovery. Slow queries are induced with the REPL's \fault command
-# (scan-delay injection at scan checkpoints), not real overload, so the
-# flip is deterministic.
-
-HB=$(mktemp)
-code=$(curl -sS -o "$HB" -w '%{http_code}' "$URL/health")
-if [ "$code" != "200" ]; then
-  echo "GET /health -> $code before any burn" >&2
+# The readiness probe: the demo has no write-ahead log, so it is ready.
+HB=$(check_status /health)
+grep -q '"status": "ok"' "$HB" || {
+  echo "/health is not ok" >&2
   cat "$HB" >&2
-  exit 1
-fi
-python3 - "$HB" <<'PY'
-import json, sys
-h = json.load(open(sys.argv[1]))
-assert h["enabled"], "health monitor not enabled despite -slo-p95"
-assert h["status"] == "ok", f"status {h['status']!r} before any burn"
-assert any(o["signal"] == "latency_p95" for o in h["objectives"]), "p95 objective missing"
-PY
-echo "GET /health -> 200, status ok (objective declared)"
-
-# Arm the fault and drive SUM queries: aggregation must read every row
-# (no covered-count short-circuit), so each query crosses a scan
-# checkpoint and sleeps 100ms — far beyond the 50ms p95 objective.
-printf '\\fault scan-delay 100ms\n' >&9
-code=""
-for _ in $(seq 1 60); do
-  printf 'SELECT SUM(v) FROM data WHERE v BETWEEN 0 AND 99999;\n' >&9
-  code=$(curl -sS -o "$HB" -w '%{http_code}' "$URL/health" || true)
-  [ "$code" = "503" ] && break
-  sleep 0.25
-done
-if [ "$code" != "503" ]; then
-  echo "/health never went 503 under induced slow queries (last: $code)" >&2
-  cat "$HB" >&2
-  cat "$OUT" >&2
-  exit 1
-fi
-python3 - "$HB" <<'PY'
-import json, sys
-h = json.load(open(sys.argv[1]))
-assert h["status"] == "critical", f"503 with status {h['status']!r}"
-PY
-echo "GET /health -> 503, status critical (burn-rate alert fired)"
-
-# While critical: the readiness gauge on /metrics reflects it, and
-# /alerts carries the active objective and the ok->critical transition.
-MET=$(check_status /metrics 100)
-grep -q '^adskip_health_status 2' "$MET" || {
-  echo "/metrics: adskip_health_status is not 2 while critical" >&2
-  grep '^adskip_health' "$MET" >&2 || true
   exit 1
 }
-rm -f "$MET"
-ALERTS=$(check_status /alerts)
-python3 - "$ALERTS" <<'PY'
-import json, sys
-a = json.load(open(sys.argv[1]))
-assert len(a["active"]) >= 1, "no active alerts while critical"
-assert any(t["to"] == "critical" for t in a["history"]), "no transition to critical in history"
-assert a["total"] >= 1, "transition counter never moved"
-PY
-rm -f "$ALERTS"
-echo "GET /alerts -> active alert + critical transition; /metrics readiness gauge flipped"
-
-# Clear the fault; the burn decays out of the windows and hysteresis
-# releases the alert. No traffic needed — idle ticks are healthy ticks.
-printf '\\fault off\n' >&9
-code=""
-for _ in $(seq 1 120); do
-  code=$(curl -sS -o "$HB" -w '%{http_code}' "$URL/health" || true)
-  if [ "$code" = "200" ] && python3 -c '
-import json, sys
-h = json.load(open(sys.argv[1]))
-sys.exit(0 if h["status"] == "ok" else 1)' "$HB"; then
-    break
-  fi
-  code=""
-  sleep 0.5
-done
-if [ "$code" != "200" ]; then
-  echo "/health never recovered to 200/ok after clearing the fault" >&2
-  cat "$HB" >&2
-  exit 1
-fi
-MET=$(check_status /metrics 100)
-grep -q '^adskip_health_status 0' "$MET" || {
-  echo "/metrics: adskip_health_status did not return to 0" >&2
-  grep '^adskip_health' "$MET" >&2 || true
-  exit 1
-}
-rm -f "$MET" "$HB"
-echo "GET /health -> 200, status ok again (hysteresis released the alert)"
+rm -f "$HB"
+echo "GET /health -> 200, status ok"
 
 # A labeled CPU profile: collect for 2s while SUM queries burn CPU inside
 # the engine. Execution runs under pprof.Do with a query_template label,

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -230,4 +232,154 @@ func TestTelemetryLifecycle(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestHealthFacade: /health is a readiness probe on the one state the DB
+// knows it cannot serve in. A plain DB answers 200 ok; a durable DB
+// answers 503 recovering until Recover has replayed its log, then 200 ok.
+// /alerts does not exist.
+func TestHealthFacade(t *testing.T) {
+	probe := func(t *testing.T, url string, wantCode int, wantStatus string) {
+		t.Helper()
+		resp, err := http.Get(url + "/health")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Status string `json:"status"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != wantCode || body.Status != wantStatus {
+			t.Fatalf("/health = %d %q, want %d %q", resp.StatusCode, body.Status, wantCode, wantStatus)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		durable bool
+	}{
+		{"plain", false},
+		{"durable", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var opts Options
+			if tc.durable {
+				opts.Durability.Dir = t.TempDir()
+			}
+			db := Open(opts)
+			defer db.Close()
+			url, err := db.StartTelemetry("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.durable {
+				probe(t, url, http.StatusServiceUnavailable, "recovering")
+				if _, err := db.Recover(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			probe(t, url, http.StatusOK, "ok")
+			resp, err := http.Get(url + "/alerts")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("/alerts = %d, want 404", resp.StatusCode)
+			}
+		})
+	}
+}
+
+// TestHealthConcurrentWithQueries races the telemetry surface against
+// live queries: the timeline sampler ticking every millisecond (each
+// tick merges every engine's latency histogram into that sampler's
+// scratch), readers of /health and History, and losing StartTelemetry
+// calls whose samplers take their first sample while the running one
+// ticks. Run under -race in CI.
+func TestHealthConcurrentWithQueries(t *testing.T) {
+	db := seededDB(t, Options{Policy: Adaptive, HistoryInterval: time.Millisecond})
+	defer db.Close()
+	url, err := db.StartTelemetry("")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var probes, lost atomic.Int64
+	loop := func(step func() bool) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !step() {
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		i := w * 5
+		loop(func() bool {
+			lo := (i % 20) * 1000
+			i++
+			if _, err := db.Exec("SELECT COUNT(*) FROM events WHERE v BETWEEN " +
+				itoa(lo) + " AND " + itoa(lo+6)); err != nil {
+				t.Error(err)
+				return false
+			}
+			return true
+		})
+	}
+	loop(func() bool {
+		resp, err := http.Get(url + "/health")
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("/health = %d, want 200", resp.StatusCode)
+			return false
+		}
+		_ = db.History()
+		probes.Add(1)
+		return true
+	})
+	loop(func() bool {
+		if _, err := db.StartTelemetry(""); err == nil {
+			t.Error("second StartTelemetry succeeded")
+			return false
+		}
+		lost.Add(1)
+		return true
+	})
+
+	// Run until every goroutine has made progress and a tick has seen
+	// the racing queries.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		h := db.History()
+		if probes.Load() >= 20 && lost.Load() >= 20 && h[len(h)-1].Queries > 1000 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("no progress: %d probes, %d losing starts, %d queries sampled",
+				probes.Load(), lost.Load(), h[len(h)-1].Queries)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
 }
