@@ -27,7 +27,10 @@ var opts = adskip.Options{
 	Policy: adskip.Adaptive,
 	Adaptive: adskip.AdaptiveConfig{
 		InitialZoneRows: rows / 256,
-		MinZoneRows:     256, // below the cluster width so zones settle onto band edges
+		// Below the band width (~977 rows): a split cuts each equal-width part
+		// at most once where its values jump, so a band gets zones of its own
+		// only from parts narrower than it.
+		MinZoneRows: 256,
 	},
 }
 

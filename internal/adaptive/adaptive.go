@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
@@ -42,14 +43,15 @@ type Config struct {
 	// InitialZoneRows is the granularity of the initial coarse build and
 	// of folded append tails. Default 65536.
 	InitialZoneRows int
-	// MinZoneRows is the refinement floor: splits never produce zones
-	// smaller than this. Default 1024.
+	// MinZoneRows is the floor of equal-width splits. A split's statistics
+	// may also cut a part where its values jump (scan.CountWithStats), which
+	// can leave a smaller zone: at most one extra per jump. Default 1024.
 	MinZoneRows int
 	// MaxZones caps metadata size; splits stop at the cap until merges
 	// reclaim space. Default 65536.
 	MaxZones int
-	// SplitParts is the maximum number of sub-zones a single split
-	// produces (bounded below by MinZoneRows). Default 8.
+	// SplitParts is the most equal-width parts a split cuts a zone into
+	// (bounded below by MinZoneRows), before cuts at jumps. Default 8.
 	SplitParts int
 	// HeatAlpha is the EWMA step for per-zone usefulness. Default 0.25.
 	HeatAlpha float64
@@ -154,8 +156,6 @@ type zone struct {
 	// or fold recomputes exact bounds; merges inherit either side's flag.
 	widened bool
 }
-
-const zoneBytes = 8 + 8 + 8 + 8 + 8 + 8 + 16 // struct footprint estimate
 
 // Stats exposes lifetime counters for experiments and introspection.
 type Stats struct {
@@ -411,7 +411,7 @@ func (z *Zonemap) Stats() Stats {
 
 // Metadata implements core.Skipper. Bytes includes both probe levels.
 func (z *Zonemap) Metadata() core.Metadata {
-	bytes := len(z.zones)*zoneBytes + len(z.blocks)*(8+8+1)
+	bytes := len(z.zones)*int(unsafe.Sizeof(zone{})) + len(z.blocks)*int(unsafe.Sizeof(block{}))
 	return core.Metadata{Kind: "adaptive", Zones: len(z.zones), Bytes: bytes, Enabled: z.enabled}
 }
 

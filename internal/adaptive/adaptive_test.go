@@ -22,32 +22,39 @@ func oneRange(lo, hi int64) expr.Ranges {
 // gathers requested statistics, and feeds the observations back. It
 // returns the matching row count.
 func execute(z *Zonemap, codes []int64, nulls *bitvec.BitVec, r expr.Ranges) int {
+	count, _ := executeVec(z, storage.Vec{W: codes}, nulls, r)
+	return count
+}
+
+// executeVec is execute over a view of either width. It also returns how
+// many of the parts the statistics came back in were cut at a value jump.
+func executeVec(z *Zonemap, codes storage.Vec, nulls *bitvec.BitVec, r expr.Ranges) (count, cuts int) {
 	res := z.Prune(r)
 	if !res.Enabled {
-		count := scan.CountRanges(codes, 0, len(codes), r, nulls, 0)
+		count := scan.Count(codes, 0, codes.Len(), r, nulls, 0)
 		z.Observe(res, nil)
-		return count
+		return count, 0
 	}
-	count := 0
 	var obs []core.ZoneObservation
 	for _, c := range res.Zones {
 		ob := core.ZoneObservation{ID: c.ID, Lo: c.Lo, Hi: c.Hi, Covered: c.Covered}
 		if c.Covered {
 			count += c.Hi - c.Lo
 		} else if c.WantStats {
-			m, stats := scan.CountWithStats(codes, c.Lo, c.Hi, r, nulls, 0, c.StatParts)
+			m, stats := scan.CountStats(codes, c.Lo, c.Hi, r, nulls, 0, c.StatParts)
 			count += m
 			ob.Matched = m
 			ob.Stats = stats
+			cuts += len(stats) - c.StatParts
 		} else {
-			m := scan.CountRanges(codes, c.Lo, c.Hi, r, nulls, 0)
+			m := scan.Count(codes, c.Lo, c.Hi, r, nulls, 0)
 			count += m
 			ob.Matched = m
 		}
 		obs = append(obs, ob)
 	}
 	z.Observe(res, obs)
-	return count
+	return count, cuts
 }
 
 func seqCodes(n int, f func(i int) int64) []int64 {

@@ -118,14 +118,14 @@ func (z *Zonemap) planSplit(ob core.ZoneObservation, budget int) []zone {
 			subs[i].min, subs[i].max = 0, 0
 		}
 	}
-	// Coalesce adjacent parts when BOTH were useless for this query AND
-	// their bounds are similar: the new zone boundaries then align to the
-	// value discontinuities the statistics revealed rather than to
-	// arbitrary equal-width offsets (crack-like boundary placement).
-	// Parts that pruned for this query always stay separate — that is the
-	// evidence the split exists to preserve — and coalesced zones larger
-	// than the floor re-split at finer resolution later, so boundary
-	// precision improves per generation.
+	// The statistics cut a part where its values jump, at row precision
+	// (crack-like boundary placement), so each side of a value band's edge
+	// is a part of its own. Coalesce adjacent parts when BOTH were useless
+	// for this query AND their bounds are similar: a band's parts then
+	// join into one zone that ends on the band's edges. Parts that pruned
+	// for this query always stay separate — that is the evidence the split
+	// exists to preserve — and coalesced zones larger than the floor
+	// re-split later, at the edges the next query's statistics find.
 	out := subs[:1]
 	lastUseful := usefulPart[0]
 	for i, sub := range subs[1:] {
@@ -195,7 +195,7 @@ type splitPlan struct {
 // mergeSweep coalesces runs of adjacent cold zones (heat below MergeHeat)
 // whose union stays within MaxZoneRows, and reports whether any merged.
 // Merging a run of k zones removes k−1 probes per future query and
-// (k−1)·zoneBytes of metadata; the union bounds remain sound.
+// (k−1) zones of metadata; the union bounds remain sound.
 func (z *Zonemap) mergeSweep() bool {
 	z.flushBlockHits()
 	before := len(z.zones)

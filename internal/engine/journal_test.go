@@ -159,9 +159,11 @@ func getJSON(t *testing.T, url string, into any) {
 // seeded run — splits, a widen, a split of the widened zone, a column
 // that never prunes — they must equal, byte for byte, what the skipper's
 // own SnapshotZones/SnapshotROI produced before the collapse. The
-// literals were recorded at that commit; one figure has moved on purpose
+// literals were recorded at that commit; two figures have moved on purpose
 // since: bytes_skipped charges column a's 4-byte codes (158464 rows x 4),
-// where every column used to be charged 8 bytes a row.
+// where every column used to be charged 8 bytes a row, and bytes counts
+// the whole 80-byte zone and 32-byte block (13 x 80 + 32 for column a),
+// where it counted 64 and 17.
 func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
 	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
@@ -192,7 +194,7 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	}
 
 	const wantSkipmap = `{"table":"t","rows":4096,"columns":[` +
-		`{"column":"a","kind":"adaptive","zones":13,"bytes":849,"enabled":true,"quarantined":false,` +
+		`{"column":"a","kind":"adaptive","zones":13,"bytes":1072,"enabled":true,"quarantined":false,` +
 		`"probes":41,"declined":0,"zone_probes":441,"rows_skipped":158464,"candidate_rows":9472,"covered_rows":0,"skip_ratio":0.9435975609756098,` +
 		`"zone_detail":[` +
 		`{"lo":0,"hi":256,"min":0,"max":9000,"non_null":256,"heat":0.5,"hits":0,"misses":0},` +
@@ -202,7 +204,7 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 		`{"lo":1024,"hi":1280,"min":1024,"max":1279,"non_null":256,"heat":0.9999949717074192,"hits":40,"misses":0},` +
 		`{"lo":1280,"hi":1408,"min":1280,"max":1407,"non_null":128,"heat":0.9999932956098923,"hits":39,"misses":0}],` +
 		`"zones_truncated":7},` +
-		`{"column":"b","kind":"adaptive","zones":4,"bytes":273,"enabled":true,"quarantined":false,` +
+		`{"column":"b","kind":"adaptive","zones":4,"bytes":352,"enabled":true,"quarantined":false,` +
 		`"probes":10,"declined":0,"zone_probes":50,"rows_skipped":0,"candidate_rows":40960,"covered_rows":0,"skip_ratio":0,` +
 		`"zone_detail":[` +
 		`{"lo":0,"hi":1024,"min":0,"max":998,"non_null":972,"heat":0.028156757354736328,"hits":0,"misses":10},` +
@@ -210,10 +212,10 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 		`{"lo":2048,"hi":3072,"min":1,"max":999,"non_null":970,"heat":0.028156757354736328,"hits":0,"misses":10},` +
 		`{"lo":3072,"hi":4096,"min":0,"max":999,"non_null":966,"heat":0.028156757354736328,"hits":0,"misses":10}]}]}`
 	const wantROI = `[` +
-		`{"table":"t","column":"a","kind":"adaptive","zones":13,"bytes":849,` +
+		`{"table":"t","column":"a","kind":"adaptive","zones":13,"bytes":1072,` +
 		`"rows_skipped":158464,"rows_covered":0,"bytes_skipped":633856,"candidate_rows":9472,"zone_probes":441,` +
 		`"maintenance_events":4,"maintenance_zones":14,"net_benefit_rows":155804,"dead_zones":0},` +
-		`{"table":"t","column":"b","kind":"adaptive","zones":4,"bytes":273,` +
+		`{"table":"t","column":"b","kind":"adaptive","zones":4,"bytes":352,` +
 		`"rows_skipped":0,"rows_covered":0,"bytes_skipped":0,"candidate_rows":40960,"zone_probes":50,` +
 		`"maintenance_events":0,"maintenance_zones":0,"net_benefit_rows":-200,"dead_zones":4,` +
 		`"dead_zone_detail":[` +

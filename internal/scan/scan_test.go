@@ -202,6 +202,166 @@ func TestCountWithStatsNulls(t *testing.T) {
 	}
 }
 
+// naivePart is the PartStat of rows [lo, hi) of codes, computed row by row.
+func naivePart(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec) PartStat {
+	s := PartStat{Lo: lo, Hi: hi, Min: math.MaxInt64, Max: math.MinInt64}
+	for i := lo; i < hi; i++ {
+		if naiveNull(nulls, i) {
+			continue
+		}
+		s.Min, s.Max, s.NonNull = min(s.Min, codes[i]), max(s.Max, codes[i]), s.NonNull+1
+		s.Matched += b2i(naiveMatch(codes[i], r))
+	}
+	return s
+}
+
+// naiveParts is what CountWithStats reports for all of codes in `parts`
+// equal-width parts when it cuts none.
+func naiveParts(codes []int64, r expr.Ranges, nulls *bitvec.BitVec, parts int) []PartStat {
+	n := len(codes)
+	out := make([]PartStat, parts)
+	for p := range out {
+		out[p] = naivePart(codes, p*n/parts, (p+1)*n/parts, r, nulls)
+	}
+	return out
+}
+
+// countStatsBothWidths runs CountStats over all of codes at 8 and at 4
+// bytes a code, fails unless the two agree, and returns the parts.
+func countStatsBothWidths(t *testing.T, codes []int64, r expr.Ranges, nulls *bitvec.BitVec, parts int) []PartStat {
+	t.Helper()
+	narrow := make([]uint32, len(codes))
+	for i, c := range codes {
+		narrow[i] = uint32(c)
+	}
+	total, stats := CountStats(storage.Vec{W: codes}, 0, len(codes), r, nulls, 0, parts)
+	ntotal, nstats := CountStats(storage.Vec{N: narrow}, 0, len(codes), r, nulls, 0, parts)
+	if ntotal != total || !slices.Equal(nstats, stats) {
+		t.Fatalf("4-byte codes: %d %+v, 8-byte codes: %d %+v", ntotal, nstats, total, stats)
+	}
+	return stats
+}
+
+// A part holding the meeting of two value bands is cut exactly where they
+// meet, wherever that is inside the part, with exact statistics either
+// side; the other parts, and every part of data without such a jump, come
+// back as the equal-width parts they were. Both at 8 and at 4 bytes a
+// code, with no NULLs, scattered NULLs and a run of NULLs at the meeting.
+func TestCountWithStatsCutsAtDiscontinuity(t *testing.T) {
+	const part, parts = 200, 4 // more rows a part than bestCut's fan
+	n := part * parts
+	rng := rand.New(rand.NewSource(1))
+	r := oneRange(1005, 5003)
+	cuts := 0
+	for _, nullsAt := range []string{"none", "scattered", "at the meeting"} {
+		for x := part; x <= 2*part; x++ {
+			codes := seq(n, func(i int) int64 {
+				if i < x {
+					return 1000 + rng.Int63n(10)
+				}
+				return 5000 + rng.Int63n(10)
+			})
+			var nulls *bitvec.BitVec
+			switch nullsAt {
+			case "scattered":
+				nulls = bitvec.New(n)
+				for i := 0; i < n/10; i++ {
+					nulls.Set(rng.Intn(n))
+				}
+			case "at the meeting":
+				nulls = bitvec.New(n)
+				for i := x - 3; i < x+3; i++ {
+					nulls.Set(i)
+				}
+			}
+			stats := countStatsBothWidths(t, codes, r, nulls, parts)
+			want := naiveParts(codes, r, nulls, parts)
+			// Any cut in [cLo, cHi], the NULL rows around x, is as good as x.
+			cLo, cHi := x, x
+			for cLo > 0 && naiveNull(nulls, cLo-1) {
+				cLo--
+			}
+			for cHi < n && naiveNull(nulls, cHi) {
+				cHi++
+			}
+			if naivePart(codes, part, cLo, r, nulls).NonNull == 0 || naivePart(codes, cHi, 2*part, r, nulls).NonNull == 0 {
+				// Part 1 holds the values of one band only.
+				if !slices.Equal(stats, want) {
+					t.Fatalf("%s NULLs, bands meet at %d: %+v, want %+v", nullsAt, x, stats, want)
+				}
+				continue
+			}
+			if checkPartShape(t, stats, 0, n, parts) != 1 || len(stats) != parts+1 {
+				t.Fatalf("%s NULLs, bands meet at %d: %+v", nullsAt, x, stats)
+			}
+			if c := stats[1].Hi; c < cLo || c > cHi {
+				t.Fatalf("%s NULLs, bands meet at %d: cut at %d, want [%d, %d]", nullsAt, x, c, cLo, cHi)
+			}
+			cuts++
+			want = []PartStat{want[0], naivePart(codes, part, stats[1].Hi, r, nulls), naivePart(codes, stats[1].Hi, 2*part, r, nulls), want[2], want[3]}
+			if !slices.Equal(stats, want) {
+				t.Fatalf("%s NULLs, bands meet at %d: %+v, want %+v", nullsAt, x, stats, want)
+			}
+		}
+	}
+	if cuts < 3*(part-1)-20 {
+		t.Fatalf("%d cuts", cuts)
+	}
+
+	// Data with no jump inside a part: no part is cut.
+	for name, f := range map[string]func(i int) int64{
+		"sorted":      func(i int) int64 { return int64(3 * i) },
+		"semi-sorted": func(i int) int64 { return int64(i) + rng.Int63n(17) - 8 },
+		"uniform":     func(int) int64 { return rng.Int63n(1_000_000) },
+		"constant":    func(int) int64 { return 7 },
+		"all-NULL":    func(i int) int64 { return int64(i) },
+	} {
+		for _, p := range []int{1, 2, 3, 4, 8} {
+			codes := seq(n+8, f)[8:] // semi-sorted jitter keeps codes >= 0
+			var nulls *bitvec.BitVec
+			if name == "all-NULL" {
+				nulls = bitvec.NewSet(n)
+			}
+			r := oneRange(codes[n/3], codes[n/3]+100)
+			if stats, want := countStatsBothWidths(t, codes, r, nulls, p), naiveParts(codes, r, nulls, p); !slices.Equal(stats, want) {
+				t.Fatalf("%s, %d parts: %+v, want %+v", name, p, stats, want)
+			}
+		}
+	}
+}
+
+// checkPartShape fails unless stats are CountWithStats' parts of the rows
+// [lo, hi) asked for in `parts` equal-width parts: in row order, each
+// equal-width part either as it is or as the two sides of one cut strictly
+// inside it. It returns how many were cut.
+func checkPartShape(t *testing.T, stats []PartStat, lo, hi, parts int) (cuts int) {
+	t.Helper()
+	n := hi - lo
+	if n > 0 {
+		parts = max(1, min(parts, n))
+	} else {
+		parts = 0
+	}
+	i := 0
+	for p := 0; p < parts; p++ {
+		pLo, pHi := lo+p*n/parts, lo+(p+1)*n/parts
+		switch {
+		case i < len(stats) && stats[i].Lo == pLo && stats[i].Hi == pHi:
+			i++
+		case i+1 < len(stats) && stats[i].Lo == pLo && stats[i].Hi == stats[i+1].Lo &&
+			stats[i].Hi > pLo && stats[i].Hi < pHi && stats[i+1].Hi == pHi:
+			i += 2
+			cuts++
+		default:
+			t.Fatalf("equal-width part %d [%d,%d) of %d is neither whole nor cut once in %+v", p, pLo, pHi, parts, stats)
+		}
+	}
+	if i != len(stats) {
+		t.Fatalf("%d parts for %d equal-width parts of [%d,%d): %+v", len(stats), parts, lo, hi, stats)
+	}
+	return cuts
+}
+
 // kernelShape is everything about a differential case that is not a random
 // draw; the property test walks a table of shapes and the fuzzer mutates
 // them.
@@ -211,8 +371,13 @@ type kernelShape struct {
 	lo        uint8  // rows of the column before the window
 	base      uint8  // absolute row of the column's first code
 	intervals uint8  // 0..5 disjoint intervals, or 6 for one inverted interval
-	flavor    uint8  // code pool (low two bits) and null bitmap (next two)
+	flavor    uint8  // code pool (low two bits), null bitmap (next two), flavorBanded
 }
+
+// flavorBanded makes a shape's column runs of one pool code, of random
+// length and so starting at random rows, each row of a run flipping the
+// code's low bit one time in four: the value jumps CountWithStats cuts at.
+const flavorBanded = 64
 
 // codePools are where codes and interval bounds are drawn from, so bounds
 // land exactly on codes: small ints, the extremes of int64, the codes of
@@ -258,8 +423,9 @@ type kernelCase struct {
 
 // checkKernelShape builds the case s describes and compares every kernel
 // with the naive reference: on the column's []int64 codes and, when they
-// all fit, on the same codes as []uint32.
-func checkKernelShape(t *testing.T, s kernelShape) {
+// all fit, on the same codes as []uint32. It returns how many cuts
+// CountStats made, over both views.
+func checkKernelShape(t *testing.T, s kernelShape) (cuts int) {
 	t.Helper()
 	defer func() {
 		if t.Failed() {
@@ -293,6 +459,14 @@ func checkKernelShape(t *testing.T, s kernelShape) {
 	hi := k.hi
 	n := hi + rng.Intn(3)
 	codes := seq(n, func(int) int64 { return draw() })
+	if s.flavor&flavorBanded != 0 {
+		for i := 0; i < n; {
+			v := draw()
+			for run := 1 + rng.Intn(1+n/4); run > 0 && i < n; run, i = run-1, i+1 {
+				codes[i] = v ^ int64(b2i(rng.Intn(4) == 0))
+			}
+		}
+	}
 
 	switch s.flavor >> 2 & 3 {
 	case 1: // one row in eight, covering the column
@@ -355,21 +529,21 @@ func checkKernelShape(t *testing.T, s kernelShape) {
 		}
 	}
 
-	checkKernels(t, storage.Vec{W: codes}, &k)
+	cuts = checkKernels(t, storage.Vec{W: codes}, &k)
 	fits := make([]uint32, len(codes))
 	for i, c := range codes {
 		if c < 0 || c > math.MaxUint32 {
-			return
+			return cuts
 		}
 		fits[i] = uint32(c)
 	}
-	checkKernels(t, storage.Vec{N: fits}, &k)
+	return cuts + checkKernels(t, storage.Vec{N: fits}, &k)
 }
 
 // checkKernels runs every kernel on one view of the case's column, through
 // the dispatchers the engine calls, and compares it with the naive
-// reference.
-func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) {
+// reference. It returns how many cuts CountStats made.
+func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) (cuts int) {
 	t.Helper()
 	defer func() {
 		if t.Failed() {
@@ -402,9 +576,10 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) {
 	}
 
 	total, stats := CountStats(codes, lo, hi, r, nulls, base, k.parts)
-	if total != len(want.rows) || len(stats) != min(k.parts, hi-lo) {
-		t.Fatalf("CountStats total=%d parts=%d want %d, %d", total, len(stats), len(want.rows), min(k.parts, hi-lo))
+	if total != len(want.rows) {
+		t.Fatalf("CountStats total=%d want %d", total, len(want.rows))
 	}
+	cuts = checkPartShape(t, stats, base+lo, base+hi, k.parts)
 	next := base + lo
 	for _, st := range stats {
 		if st.Lo != next || st.Hi <= st.Lo {
@@ -421,7 +596,7 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) {
 	}
 
 	if base != 0 {
-		return // the refine kernels index the column by row id
+		return cuts // the refine kernels index the column by row id
 	}
 	// Refine the subset, in place.
 	load := func() {
@@ -436,6 +611,7 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) {
 	if got := RefineNullSel(nulls, sel); got != len(k.wantKeptNull) || !slices.Equal(sel.Rows(), k.wantKeptNull) {
 		t.Fatalf("RefineNullSel=%d rows %v want %v", got, sel.Rows(), k.wantKeptNull)
 	}
+	return cuts
 }
 
 // kernelShapes is the table the property test walks and the fuzzer starts
@@ -443,7 +619,10 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) {
 // that start inside a word, every interval count, every code pool (one in
 // four shapes draws codes that fit 4 bytes and is scanned at both widths)
 // and every kind of null bitmap; then dense one-interval windows of three
-// and more vector blocks, which is what the vector count bodies take.
+// and more vector blocks, which is what the vector count bodies take; then
+// banded columns, whose jumps CountWithStats cuts at, from every pool and
+// with every kind of null bitmap. New shapes go at the end, so the fuzzer's
+// seed#N names keep their numbers.
 func kernelShapes() []kernelShape {
 	var out []kernelShape
 	seed := int64(0)
@@ -461,18 +640,28 @@ func kernelShapes() []kernelShape {
 			out = append(out, kernelShape{seed, winLen, uint8(seed % 9), 0, 1, pool})
 		}
 	}
+	for _, winLen := range []uint16{40, 257, 1500} {
+		for flavor := uint8(0); flavor < 16; flavor++ {
+			seed++
+			out = append(out, kernelShape{seed, winLen, uint8(seed % 7), uint8(seed % 3), 1 + flavor%3, flavor | flavorBanded})
+		}
+	}
 	return out
 }
 
 // Property: every kernel agrees with the naive reference over the shape
-// table, three seeds a shape.
+// table, three seeds a shape, and the banded shapes reach the cut.
 func TestQuickKernelsAgreeWithNaive(t *testing.T) {
+	cuts := 0
 	for _, s := range kernelShapes() {
 		for k := int64(0); k < 3; k++ {
 			s.seed += 1000 * k
 			s.flavor += uint8(5 * k)
-			checkKernelShape(t, s)
+			cuts += checkKernelShape(t, s)
 		}
+	}
+	if cuts < 200 {
+		t.Fatalf("CountStats cut %d parts over the whole table", cuts)
 	}
 }
 

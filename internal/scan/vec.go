@@ -18,7 +18,9 @@ func Count(v storage.Vec, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base 
 	return CountRanges(v.N, lo, hi, r, nulls, base)
 }
 
-// CountStats is CountWithStats over a view.
+// CountStats is CountWithStats over a view: at least min(parts, hi-lo)
+// parts that tile [lo, hi) in row order, each an equal-width part or one
+// side of a cut through one where its values jump.
 func CountStats(v storage.Vec, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base, parts int) (int, []PartStat) {
 	if v.W != nil {
 		return CountWithStats(v.W, lo, hi, r, nulls, base, parts)
