@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"adskip/internal/faultinject"
 )
@@ -127,14 +126,13 @@ func TestAdaptationThroughFacade(t *testing.T) {
 // TestSkipRegressionFlipThroughFacade induces a real skip regression —
 // metadata corruption quarantines the hot column, so a template that
 // skipped ~90% of its rows abruptly skips none — and watches the
-// detector's two outputs, the adskip_adapt_skip_regression_ppm gauge and
-// History()'s SkipRegression, rise above zero and fall back to zero after
-// the rebuild.
+// adskip_adapt_skip_regression_ppm series rise above zero and fall back
+// to zero after the rebuild. Nothing but db.Metrics() is read: no
+// telemetry server runs, and the gauge is computed when it is scraped.
 func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	db := Open(Options{
-		Policy:          Adaptive,
-		Adaptive:        AdaptiveConfig{InitialZoneRows: 1024, MinZoneRows: 256},
-		HistoryInterval: 2 * time.Millisecond,
+		Policy:   Adaptive,
+		Adaptive: AdaptiveConfig{InitialZoneRows: 1024, MinZoneRows: 256},
 	})
 	defer db.Close()
 	tab, err := db.CreateTable("data", Col("v", Int64))
@@ -149,14 +147,13 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	if err := tab.EnableSkipping("v"); err != nil {
 		t.Fatal(err)
 	}
-	// The sampler refreshes both outputs on every tick.
-	if _, err := db.StartTelemetry(""); err != nil {
-		t.Fatal(err)
-	}
-	gauge := db.Metrics().Gauge("adskip_adapt_skip_regression_ppm", "")
-	last := func() HistorySample {
-		h := db.History()
-		return h[len(h)-1]
+	ppm := func() int64 {
+		t.Helper()
+		v, ok := seriesValue(scrape(t, db), "adskip_adapt_skip_regression_ppm")
+		if !ok {
+			t.Fatal("no adskip_adapt_skip_regression_ppm series")
+		}
+		return v
 	}
 
 	const hot = "SELECT COUNT(*) FROM data WHERE v BETWEEN 4000 AND 4100"
@@ -166,16 +163,14 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// waitFor runs the hot template until cond holds on a fresh tick.
-	waitFor := func(what string, cond func() bool) {
+	// waitFor runs the hot template until cond holds on a fresh scrape.
+	waitFor := func(what string, cond func(ppm int64) bool) {
 		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: gauge %d ppm, sampled %+v", what, gauge.Load(), last())
+		for i := 0; !cond(ppm()); i++ {
+			if i == 500 {
+				t.Fatalf("%s: gauge %d ppm after %d queries", what, ppm(), i)
 			}
 			exec()
-			time.Sleep(time.Millisecond)
 		}
 	}
 
@@ -184,10 +179,7 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		exec()
 	}
-	waitFor("gap during healthy learning", func() bool {
-		h := last()
-		return h.Queries >= 40 && h.SkipRegression == 0 && gauge.Load() == 0
-	})
+	waitFor("gap during healthy learning", func(ppm int64) bool { return ppm == 0 })
 
 	// Induce: one injected invariant flip corrupts the zonemap; the next
 	// probe detects it and quarantines the column — skipping collapses.
@@ -196,7 +188,7 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	exec()
 	restore()
 	waitFor("no regression after quarantine collapsed skipping",
-		func() bool { return gauge.Load() > 0 && last().SkipRegression > 0 })
+		func(ppm int64) bool { return ppm > 0 })
 	if len(tab.Quarantined()) == 0 {
 		t.Fatal("regression detected but the column was never quarantined")
 	}
@@ -207,7 +199,7 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor("regression never cleared after the rebuild",
-		func() bool { return gauge.Load() == 0 && last().SkipRegression == 0 })
+		func(ppm int64) bool { return ppm == 0 })
 }
 
 // TestAdaptationSharded: the one shared ledger serves a sharded catalog

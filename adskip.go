@@ -96,7 +96,7 @@ type Result = engine.Result
 
 // Metrics is the engine-wide metrics registry: atomic counters, gauges,
 // and fixed-bucket histograms, exposable in Prometheus text format
-// (WritePrometheus) or JSON (WriteJSON). One registry is shared by every
+// (WritePrometheus). One registry is shared by every
 // table of a DB; instrumentation is always on.
 type Metrics = obs.Registry
 
@@ -130,15 +130,6 @@ type AdaptationROI = obs.ColumnROI
 // DB.Adaptation and served by /adaptation: retained records plus
 // per-column ROI rows.
 type AdaptationSnapshot = obs.AdaptationSnapshot
-
-// HistorySample is one point on the adaptation timeline sampled while
-// telemetry runs: cumulative query/row totals, the engine-wide skip
-// ratio, estimated latency quantiles, and per-column skipping state.
-// Served by the telemetry server's /history endpoint and DB.History.
-type HistorySample = obs.HistorySample
-
-// HistoryColumn is one column's skipping state inside a HistorySample.
-type HistoryColumn = obs.HistoryColumn
 
 // RecoveryStats summarizes one WAL replay pass, as returned by DB.Recover.
 type RecoveryStats = wal.RecoveryStats
@@ -207,13 +198,6 @@ type Options struct {
 	// at info, per-zone structural churn at debug. Nil disables logging
 	// (the hot path then pays one nil check).
 	Logger *slog.Logger
-	// HistoryInterval is the adaptation-timeline sampling period
-	// (default 1s). The sampler behind DB.History and /history starts
-	// with StartTelemetry and stops with Close.
-	HistoryInterval time.Duration
-	// HistoryCapacity is how many timeline samples the DB retains
-	// (default 1024 — about 17 minutes at the default interval).
-	HistoryCapacity int
 	// Durability, when Dir is set, arms a write-ahead log: appends and
 	// updates are group-committed to disk before they are acknowledged,
 	// and DB.Recover replays them after a crash. A DB opened with
@@ -294,8 +278,6 @@ type executor interface {
 	// table under its mutex, or a merged copy of a sharded table (shard
 	// order; ascending key order in range mode) — for snapshot and export.
 	ReadTable(fn func(*table.Table) error) error
-	FillHistory(s *obs.HistorySample)
-	AccumulateLatency(dst []int64)
 	// Shards is the table's shard count (1 when unsharded); Skipmaps and
 	// AdaptationROI report one table entry, and one ROI row per column,
 	// per shard.
@@ -321,7 +303,6 @@ type DB struct {
 	mu      sync.RWMutex
 	engines map[string]executor
 	telem   *telemetry.Server
-	sampler *obs.Sampler
 
 	// stats is the catalog-wide workload analytics table (nil when
 	// Options.StatsMaxTemplates is negative). Set once at Open.
@@ -343,9 +324,8 @@ var (
 	ErrTableExists = errors.New("adskip: table already exists")
 )
 
-// Open creates an empty database. It starts no goroutine: the
-// adaptation-timeline sampler and the telemetry server start with
-// StartTelemetry.
+// Open creates an empty database. It starts no goroutine: the telemetry
+// server starts with StartTelemetry.
 func Open(opts Options) *DB {
 	db := &DB{
 		opts:      opts,
@@ -356,6 +336,8 @@ func Open(opts Options) *DB {
 		traces:    obs.NewTraceRing(opts.TraceRingSize),
 		slow:      obs.NewTraceRing(opts.TraceRingSize),
 	}
+	db.reg.GaugeFunc("adskip_admission_waiting",
+		"Queries waiting for an execution slot (MaxConcurrentQueries).", db.admission.Waiting)
 	if opts.StatsMaxTemplates >= 0 {
 		db.stats = stats.New(stats.Options{
 			MaxTemplates: opts.StatsMaxTemplates,
@@ -461,102 +443,30 @@ func (db *DB) Adaptation(maxDead int) AdaptationSnapshot {
 
 // StartTelemetry starts the embedded telemetry HTTP server on addr
 // ("127.0.0.1:0" when empty — an ephemeral localhost port) and returns
-// the server's base URL. The server exposes /metrics (Prometheus),
-// /metrics.json, /traces, /slow, /skipmap, /runtime, /history,
-// /dash, and /debug/pprof/*; it runs until DB.Close. The adaptation-
-// timeline sampler (behind /history and DB.History) starts alongside
-// and also stops at Close. Starting twice is an error.
+// the server's base URL. The server exposes /metrics (Prometheus, with
+// the Go runtime gauges), /traces, /slow, /skipmap, /health, /workload,
+// /adaptation and /debug/pprof/*; it is the only goroutine started and
+// runs until DB.Close. Starting twice is an error.
 func (db *DB) StartTelemetry(addr string) (string, error) {
-	// The sampler is created before the catalog lock is taken: it takes
-	// its first sample synchronously, and fillHistory needs the read lock.
-	// Stopping it (on a lost start race) must also happen outside the lock
-	// for the same reason. The bucket scratch belongs to this sampler, so
-	// a losing sampler's first sample cannot race the running one's tick.
-	var buckets []int64
-	smp := obs.NewSampler(db.opts.HistoryInterval, db.opts.HistoryCapacity, func(s *HistorySample) {
-		buckets = db.fillHistory(s, buckets)
-	})
-	src := telemetry.Source{
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.telem != nil {
+		return "", errors.New("adskip: telemetry server already running")
+	}
+	srv, err := telemetry.Start(addr, telemetry.Source{
 		Registry:   db.reg,
 		Traces:     db.traces,
 		SlowTraces: db.slow,
 		Skipmap:    db.Skipmap,
-		History:    smp,
 		Recovering: db.Recovering,
 		Workload:   db.stats,
 		Adaptation: db.Adaptation,
-	}
-	db.mu.Lock()
-	if db.telem != nil {
-		db.mu.Unlock()
-		smp.Stop()
-		return "", errors.New("adskip: telemetry server already running")
-	}
-	srv, err := telemetry.Start(telemetry.Options{Addr: addr}, src)
+	})
 	if err != nil {
-		db.mu.Unlock()
-		smp.Stop()
 		return "", err
 	}
 	db.telem = srv
-	db.sampler = smp
-	db.mu.Unlock()
 	return srv.URL(), nil
-}
-
-// History returns the retained adaptation-timeline samples oldest-first.
-// Empty until StartTelemetry starts the sampler.
-func (db *DB) History() []HistorySample {
-	db.mu.RLock()
-	s := db.sampler
-	db.mu.RUnlock()
-	if s == nil {
-		return nil
-	}
-	return s.Snapshot()
-}
-
-// fillHistory is the sampler's fill callback: it aggregates every
-// engine's cumulative totals and per-column skipping state into one
-// sample and estimates latency quantiles from the engines' merged
-// latency histograms, merged into buckets (the caller's reused scratch,
-// returned for the next tick). It runs on the sampler goroutine; the
-// only allocations are the catalog-lock-bounded engine list and, on
-// column growth, the sample's column slice.
-func (db *DB) fillHistory(s *HistorySample, buckets []int64) []int64 {
-	db.mu.RLock()
-	engines := make([]executor, 0, len(db.engines))
-	for _, e := range db.engines {
-		engines = append(engines, e)
-	}
-	db.mu.RUnlock()
-
-	bounds := obs.LatencyBuckets()
-	buckets = buckets[:0]
-	for i := 0; i < len(bounds)+1; i++ {
-		buckets = append(buckets, 0)
-	}
-	for _, e := range engines {
-		e.FillHistory(s)
-		e.AccumulateLatency(buckets)
-	}
-	s.QueueDepth = db.admission.Waiting()
-	if denom := s.RowsSkipped + s.RowsScanned; denom > 0 {
-		s.SkipRatio = float64(s.RowsSkipped) / float64(denom)
-	}
-	s.LatencyP50 = obs.QuantileFromBuckets(bounds, buckets, 0.50)
-	s.LatencyP95 = obs.QuantileFromBuckets(bounds, buckets, 0.95)
-	s.AdaptEvents = int64(db.ledger.Seq())
-	// Worst per-template skip-rate decay vs its learned baseline (0
-	// without workload stats); also refreshes its /metrics gauge.
-	s.SkipRegression = db.stats.RegressionGap()
-	db.mu.RLock()
-	l := db.wal
-	db.mu.RUnlock()
-	if l != nil {
-		s.WALLagSeconds = l.Lag().Seconds()
-	}
-	return buckets
 }
 
 // TelemetryAddr returns the telemetry server's bound listen address, or
@@ -570,23 +480,17 @@ func (db *DB) TelemetryAddr() string {
 	return db.telem.Addr()
 }
 
-// Close releases the DB's background resources: the telemetry server (if
-// started) shuts down along with its runtime collector goroutine, and the
-// adaptation-timeline sampler is stopped and joined. Tables stay readable
-// after Close; only telemetry stops. Safe to call on a DB that never
+// Close releases the DB's background resources: the write-ahead log is
+// flushed and closed, and the telemetry server (if started) shuts down.
+// Tables stay readable after Close. Safe to call on a DB that never
 // started telemetry.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	srv := db.telem
-	smp := db.sampler
 	l := db.wal
 	db.telem = nil
-	db.sampler = nil
 	db.wal = nil
 	db.mu.Unlock()
-	if smp != nil {
-		smp.Stop()
-	}
 	var err error
 	if l != nil {
 		// Flush and fsync the log before the process can exit: the drain
@@ -600,7 +504,7 @@ func (db *DB) Close() error {
 }
 
 // Metrics returns the database's metrics registry, shared by all tables.
-// Use WritePrometheus or WriteJSON on it for exposition.
+// Use WritePrometheus on it for exposition.
 func (db *DB) Metrics() *Metrics { return db.reg }
 
 // AdaptationEvents returns a chronological copy of the retained

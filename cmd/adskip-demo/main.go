@@ -51,7 +51,6 @@ type repl struct {
 	out     *bufio.Writer
 	perq    bool          // --metrics: print per-query trace after each statement
 	timeout time.Duration // \timeout: per-statement deadline (0 = none)
-	buckets []int64       // fillHistory's merged latency histogram, sampler goroutine only
 
 	// mu guards eng: the REPL loop swaps it on \gen/\load while the
 	// telemetry server's skipmap closure reads it from HTTP goroutines.
@@ -91,31 +90,6 @@ func (r *repl) adaptation(maxDead int) obs.AdaptationSnapshot {
 	return snap
 }
 
-// fillHistory is the sampler's fill callback: the current engine's
-// cumulative totals plus latency quantiles from its histogram, same shape
-// the DB facade produces, so /history sees one timeline across \gen and
-// \load swaps (counters reset with the engine).
-func (r *repl) fillHistory(s *obs.HistorySample) {
-	e := r.engine()
-	if e == nil {
-		return
-	}
-	bounds := obs.LatencyBuckets()
-	buckets := r.buckets[:0]
-	for i := 0; i < len(bounds)+1; i++ {
-		buckets = append(buckets, 0)
-	}
-	e.FillHistory(s)
-	e.AccumulateLatency(buckets)
-	r.buckets = buckets
-	if denom := s.RowsSkipped + s.RowsScanned; denom > 0 {
-		s.SkipRatio = float64(s.RowsSkipped) / float64(denom)
-	}
-	s.LatencyP50 = obs.QuantileFromBuckets(bounds, buckets, 0.50)
-	s.LatencyP95 = obs.QuantileFromBuckets(bounds, buckets, 0.95)
-	s.AdaptEvents = int64(r.opts.Ledger.Seq())
-}
-
 func main() {
 	var (
 		policy    = flag.String("policy", "adaptive", "skipping policy: none|static|adaptive|imprint")
@@ -124,7 +98,6 @@ func main() {
 		serve     = flag.Bool("serve", false, "serve live telemetry over HTTP (see -serve-addr)")
 		serveAddr = flag.String("serve-addr", "127.0.0.1:0", "telemetry listen address (with -serve; :0 picks an ephemeral port)")
 		slow      = flag.Duration("slow", 0, "log queries at least this slow to the slow-query ring (0 = off)")
-		histInt   = flag.Duration("history-interval", 0, "timeline sampling interval (with -serve; 0 = default 1s)")
 	)
 	flag.Parse()
 
@@ -160,14 +133,11 @@ func main() {
 	defer r.out.Flush()
 
 	if *serve {
-		sampler := obs.NewSampler(*histInt, 0, r.fillHistory)
-		defer sampler.Stop()
-		srv, err := telemetry.Start(telemetry.Options{Addr: *serveAddr}, telemetry.Source{
+		srv, err := telemetry.Start(*serveAddr, telemetry.Source{
 			Registry:   opts.Metrics,
 			Traces:     opts.Traces,
 			SlowTraces: opts.SlowTraces,
 			Skipmap:    r.skipmap,
-			History:    sampler,
 			Workload:   opts.Stats,
 			Adaptation: r.adaptation,
 		})
@@ -216,7 +186,7 @@ func (r *repl) meta(line string) bool {
 \load <file>        load a snapshot        \save <file>  save table "data"
 \loadcsv <file>     load a CSV file (schema inferred)
 \skipping [col]     describe zone metadata \stats        adaptive counters
-\metrics [json]     dump engine metrics (Prometheus text, or JSON)
+\metrics            dump engine metrics (Prometheus text)
 \top                hottest query templates (calls, p95, cpu%) + skipmap
 \events [n]         show the last n adaptation events (default 20)
 \trace              toggle per-query trace printing (same as --metrics)
@@ -262,11 +232,9 @@ SQL: SELECT [cols|aggs] FROM data [WHERE ...] [GROUP BY c] [ORDER BY c [DESC]] [
 	case "\\stats":
 		r.stats()
 	case "\\metrics":
-		format := "prom"
-		if len(fields) > 1 {
-			format = fields[1]
+		if err := r.opts.Metrics.WritePrometheus(r.out); err != nil {
+			fmt.Fprintf(r.out, "error: %v\n", err)
 		}
-		r.metrics(format)
 	case "\\events":
 		n := 20
 		if len(fields) > 1 {
@@ -449,22 +417,6 @@ func (r *repl) stats() {
 			fmt.Fprintf(r.out, "%-8s queries=%d splits=%d merges=%d disables=%d enables=%d zones=%d\n",
 				cs.Name, st.Queries, st.Splits, st.Merges, st.Disables, st.Enables, z.NumZones())
 		}
-	}
-}
-
-func (r *repl) metrics(format string) {
-	var err error
-	switch format {
-	case "prom":
-		err = r.opts.Metrics.WritePrometheus(r.out)
-	case "json":
-		err = r.opts.Metrics.WriteJSON(r.out)
-	default:
-		fmt.Fprintf(r.out, "unknown format %q (want prom or json)\n", format)
-		return
-	}
-	if err != nil {
-		fmt.Fprintf(r.out, "error: %v\n", err)
 	}
 }
 

@@ -43,7 +43,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":7878", "query service listen address")
 		telemetry = flag.String("telemetry", "", "telemetry HTTP listen address (empty = off)")
-		histInt   = flag.Duration("history-interval", 0, "timeline sampling interval (0 = default 1s)")
 		load      = flag.String("load", "", "load a table snapshot instead of generating data")
 		rows      = flag.Int("rows", 1<<20, "rows to generate (ignored with -load)")
 		dist      = flag.String("dist", "clustered", "distribution: sorted|semi-sorted|clustered|uniform|zipf|bimodal")
@@ -76,7 +75,6 @@ func main() {
 		StaticZoneSize:       *zone,
 		Parallelism:          *par,
 		MaxConcurrentQueries: *maxConc,
-		HistoryInterval:      *histInt,
 		Logger:               logger,
 		Shards:               *shards,
 		ShardKey:             *shardKey,
@@ -140,7 +138,6 @@ func main() {
 			fatalf("telemetry: %v", err)
 		}
 		fmt.Printf("telemetry: %s\n", url)
-		fmt.Printf("dashboard: %s/dash\n", url)
 	}
 	if *faultCrash != "" {
 		armCrash(*faultCrash)

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -359,8 +360,8 @@ func snapshotTable(tbl *table.Table) string {
 // a query consolidates the columns its plan names (and the skipper columns
 // syncSkippers extends) in its preamble, under the engine mutex, before its
 // scan fans out — so four workers read one consolidated vector — and leaves
-// the rest staged. A sampler calls NumRows and FillHistory throughout, as
-// the telemetry server does. Run under -race.
+// the rest staged. A reader calls NumRows and scrapes the registry
+// throughout, as the telemetry server does. Run under -race.
 func TestStagedAppendThenParallelScan(t *testing.T) {
 	e := New(table.MustNew("data", benchSchema()), Options{Policy: PolicyAdaptive, Parallelism: 4})
 	if err := e.EnableSkipping("seq"); err != nil {
@@ -375,7 +376,7 @@ func TestStagedAppendThenParallelScan(t *testing.T) {
 				return
 			default:
 				_ = e.NumRows()
-				e.FillHistory(&obs.HistorySample{})
+				_ = e.Metrics().WritePrometheus(io.Discard)
 			}
 		}
 	}()

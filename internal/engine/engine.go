@@ -155,14 +155,11 @@ type Engine struct {
 
 	// Observability: the registry and ledger may be shared across
 	// engines; metric handles are resolved once so the per-query cost is
-	// atomic adds only. trace is the in-flight query's trace (guarded by
-	// mu, like all query state). colM has its own small mutex so the
-	// history sampler can walk the per-column handles without waiting on
-	// a running query's hold of mu.
+	// atomic adds only. trace is the in-flight query's trace and colM the
+	// per-column handles, both guarded by mu like all query state.
 	reg    *obs.Registry
 	ledger *obs.Ledger
 	m      engMetrics
-	colMu  sync.Mutex
 	colM   map[string]*colMetrics
 	trace  *obs.QueryTrace
 	traces *obs.TraceRing

@@ -115,7 +115,7 @@ func TestOneJournal(t *testing.T) {
 	}
 
 	// /adaptation is the journal, projected.
-	srv, err := telemetry.Start(telemetry.Options{}, telemetry.Source{
+	srv, err := telemetry.Start("", telemetry.Source{
 		Registry: e.Metrics(), Traces: e.Traces(),
 		Adaptation: func(maxDead int) obs.AdaptationSnapshot {
 			return obs.AdaptationSnapshot{

@@ -92,12 +92,9 @@ type colMetrics struct {
 	enabled       *obs.Gauge // 1 while arbitration allows skipping
 }
 
-// colMetrics resolves (and caches) the handles for one column. The map
-// is guarded by colMu (not the engine mutex) so the history sampler can
-// read it while a query runs.
+// colMetrics resolves (and caches) the handles for one column. Caller
+// holds e.mu.
 func (e *Engine) colMetrics(name string) *colMetrics {
-	e.colMu.Lock()
-	defer e.colMu.Unlock()
 	if cm, ok := e.colM[name]; ok {
 		return cm
 	}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -25,7 +24,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindCounter:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.c.Load())
 			case kindGauge:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.g.Load())
+				// snapshot has released the registry mutex, so a GaugeFunc
+				// may take its owner's locks here.
+				if s.fn != nil {
+					fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.fn())
+				} else {
+					fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.g.Load())
+				}
 			case kindHistogram:
 				writePromHistogram(bw, f.name, s)
 			}
@@ -76,56 +81,4 @@ func formatFloat(v float64) string {
 		return "+Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// jsonHistogram is the JSON exposition shape of one histogram series.
-type jsonHistogram struct {
-	Count   int64        `json:"count"`
-	Sum     float64      `json:"sum"`
-	Buckets []jsonBucket `json:"buckets"`
-}
-
-// jsonBucket is one cumulative histogram bucket.
-type jsonBucket struct {
-	LE    string `json:"le"`
-	Count int64  `json:"count"`
-}
-
-// WriteJSON renders every metric as one JSON object with "counters",
-// "gauges", and "histograms" sections, keyed by name{labels}. Keys are
-// emitted in sorted order (encoding/json sorts map keys), so output is
-// deterministic and diffable.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	counters := map[string]int64{}
-	gauges := map[string]int64{}
-	hists := map[string]jsonHistogram{}
-	for _, f := range r.snapshot() {
-		for _, s := range f.series {
-			key := f.name + s.labels
-			switch f.kind {
-			case kindCounter:
-				counters[key] = s.c.Load()
-			case kindGauge:
-				gauges[key] = s.g.Load()
-			case kindHistogram:
-				jh := jsonHistogram{Count: s.h.Count(), Sum: s.h.Sum()}
-				counts := s.h.BucketCounts()
-				cum := int64(0)
-				for i, b := range s.h.Bounds() {
-					cum += counts[i]
-					jh.Buckets = append(jh.Buckets, jsonBucket{LE: formatFloat(b), Count: cum})
-				}
-				cum += counts[len(counts)-1]
-				jh.Buckets = append(jh.Buckets, jsonBucket{LE: "+Inf", Count: cum})
-				hists[key] = jh
-			}
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(map[string]interface{}{
-		"counters":   counters,
-		"gauges":     gauges,
-		"histograms": hists,
-	})
 }

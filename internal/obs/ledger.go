@@ -10,8 +10,8 @@ import (
 // events, with full provenance — what changed, why, which query template
 // triggered it, and the before/after shape of the affected metadata.
 // Every record carries enough context to credit or debit the adaptation
-// that produced it; /adaptation, \events and the timeline's adapt_events
-// count are projections of it, and the per-table running totals feed the
+// that produced it; /adaptation and \events are projections of it, and
+// the per-table running totals feed the
 // EXPLAIN ANALYZE footer without a ring scan. Appends happen only on
 // structural change (split, merge, fold, first widen, quarantine,
 // rebuild, build/load), never per probe or per scanned row, so the

@@ -6,8 +6,8 @@
 // always-on deployment: reading or bumping a metric on the scan path is a
 // single atomic operation on a pointer the caller resolved once at setup
 // time — no map lookups, no locks, no per-row allocation. Registration
-// (Counter/Gauge/Histogram lookups by name) takes a mutex and is meant for
-// cold paths only.
+// (Counter/Gauge/GaugeFunc/Histogram lookups by name) takes a mutex and is
+// meant for cold paths only.
 package obs
 
 import (
@@ -98,15 +98,6 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
-// AccumulateBuckets adds the histogram's per-bucket counts into dst,
-// which must have len(Bounds())+1 entries. Allocation-free, so periodic
-// samplers can merge histograms across tables without garbage.
-func (h *Histogram) AccumulateBuckets(dst []int64) {
-	for i := range h.buckets {
-		dst[i] += h.buckets[i].Load()
-	}
-}
-
 // QuantileFromBuckets estimates the q-th quantile (q in [0,1]) from
 // fixed-bucket counts (len(bounds)+1 entries, last = overflow), linearly
 // interpolating within the winning bucket. Estimates are bounded by one
@@ -181,9 +172,10 @@ type series struct {
 	labels    string  // rendered {k="v",...} or ""
 	labelList []Label // sorted by key; retained so exposition can merge
 	// extra labels (a histogram's "le") in sorted key order.
-	c *Counter
-	g *Gauge
-	h *Histogram
+	c  *Counter
+	g  *Gauge
+	fn func() int64 // a GaugeFunc series: g is nil, the value is fn()
+	h  *Histogram
 }
 
 // family groups all series of one metric name.
@@ -275,11 +267,27 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	ls := sortLabels(labels)
 	key := renderSorted(ls)
 	s, ok := f.series[key]
-	if !ok {
+	if !ok || s.g == nil { // a GaugeFunc series is replaced, like a re-registered GaugeFunc
 		s = &series{labels: key, labelList: ls, g: &Gauge{}}
 		f.series[key] = s
 	}
 	return s.g
+}
+
+// GaugeFunc registers the gauge series name{labels} with the value fn(),
+// read each time the registry is exposed: instantaneous state its owner
+// already keeps (a queue length, a lag) needs no copy on a timer. fn runs
+// outside the registry mutex, so it may take the owner's locks.
+// Registering the series again replaces fn.
+func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.getFamily(name, help, kindGauge)
+	ls := sortLabels(labels)
+	key := renderSorted(ls)
+	// A fresh series, never a mutated one: exposition reads series after
+	// the mutex is released.
+	f.series[key] = &series{labels: key, labelList: ls, fn: fn}
 }
 
 // Histogram returns (creating if needed) the histogram series name{labels}

@@ -69,7 +69,7 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("m", "help")
 }
 
-// goldenRegistry builds the small fixture behind both exposition goldens.
+// goldenRegistry builds the small fixture behind the exposition golden.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("test_requests_total", "Requests.", L("table", "t")).Add(3)
@@ -106,46 +106,39 @@ test_temp -2
 	}
 }
 
-func TestGoldenJSON(t *testing.T) {
-	const want = `{
-  "counters": {
-    "test_requests_total{table=\"t\"}": 3
-  },
-  "gauges": {
-    "test_temp": -2
-  },
-  "histograms": {
-    "test_lat_seconds": {
-      "count": 3,
-      "sum": 8,
-      "buckets": [
-        {
-          "le": "0.5",
-          "count": 1
-        },
-        {
-          "le": "1",
-          "count": 2
-        },
-        {
-          "le": "2.5",
-          "count": 2
-        },
-        {
-          "le": "+Inf",
-          "count": 3
-        }
-      ]
-    }
-  }
-}
-`
-	var sb strings.Builder
-	if err := goldenRegistry().WriteJSON(&sb); err != nil {
-		t.Fatal(err)
+// TestGaugeFunc: a GaugeFunc series renders as a gauge whose value is read
+// at exposition time, outside the registry mutex (fn here registers a
+// counter, which would deadlock inside it); registering it again replaces
+// fn, and a plain Gauge on the same series replaces the function.
+func TestGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	depth := int64(3)
+	r.GaugeFunc("q_depth", "Depth.", func() int64 {
+		r.Counter("scrapes_total", "Scrapes.").Inc()
+		return depth
+	}, L("q", "a"))
+	scrape := func() string {
+		t.Helper()
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	if sb.String() != want {
-		t.Errorf("json exposition mismatch:\n--- got ---\n%s--- want ---\n%s", sb.String(), want)
+	if got := scrape(); !strings.Contains(got, "# TYPE q_depth gauge\nq_depth{q=\"a\"} 3\n") {
+		t.Fatalf("first scrape:\n%s", got)
+	}
+	depth = 5
+	if got := scrape(); !strings.Contains(got, `q_depth{q="a"} 5`) || !strings.Contains(got, "scrapes_total 2") {
+		t.Fatalf("second scrape did not re-read fn:\n%s", got)
+	}
+	r.GaugeFunc("q_depth", "Depth.", func() int64 { return -1 }, L("q", "a"))
+	if got := scrape(); !strings.Contains(got, `q_depth{q="a"} -1`) {
+		t.Fatalf("re-registration did not replace fn:\n%s", got)
+	}
+	r.Gauge("q_depth", "Depth.", L("q", "a")).Set(9)
+	if got := scrape(); !strings.Contains(got, `q_depth{q="a"} 9`) {
+		t.Fatalf("Gauge did not replace the function series:\n%s", got)
 	}
 }
 
@@ -216,8 +209,8 @@ func TestTraceLines(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrent hammers registration, updates, and exposition from
-// many goroutines; run under -race this proves the registry's locking
+// TestRegistryConcurrent hammers registration (GaugeFunc re-registration
+// included), updates, and exposition from many goroutines; run under -race this proves the registry's locking
 // discipline (mutex on structure, atomics on values).
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
@@ -242,11 +235,10 @@ func TestRegistryConcurrent(t *testing.T) {
 		}(i)
 	}
 	for i := 0; i < 50; i++ {
+		n := int64(i)
+		r.GaugeFunc("f", "help", func() int64 { return n })
 		var sb strings.Builder
 		if err := r.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.WriteJSON(&sb); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,12 +1,10 @@
 package obs
 
 // Ring is the one bounded overwrite-oldest buffer behind every retained
-// history in the process: the adaptation ledger, the trace rings, the
-// timeline sampler and the runtime collector. It is unsynchronised — each
-// holder guards it with whatever lock already guards the rest of its
-// state — and it never allocates after construction: Push hands out the
-// slot to overwrite, so holders whose elements own slices (sampler
-// columns) recycle the evicted element's backing arrays.
+// history in the process: the adaptation ledger and the trace rings. It
+// is unsynchronised — each holder guards it with whatever lock already
+// guards the rest of its state — and it never allocates after
+// construction: Push hands out the slot to overwrite.
 type Ring[T any] struct {
 	buf   []T
 	next  int    // slot the next Push hands out

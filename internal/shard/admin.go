@@ -9,9 +9,8 @@ import (
 	"adskip/internal/obs"
 )
 
-// Administrative surface: the facade drives skipping lifecycle,
-// introspection, and history sampling through the same methods a plain
-// engine exposes; the Manager fans each out across its shards.
+// Administrative surface: the facade drives skipping lifecycle and
+// introspection through the same methods a plain engine exposes; the Manager fans each out across its shards.
 
 // EnableSkipping builds skipping metadata on every shard for the named
 // columns (all when none given).
@@ -106,28 +105,6 @@ func (m *Manager) Skipmaps(maxZones int) []obs.SkipmapTable {
 	return out
 }
 
-// FillHistory folds the sharded table into one adaptation-timeline
-// sample. Row totals sum across shards; query, slow-query, and error
-// counts come from the Manager's logical counters (each logical query
-// runs up to Shards shard scans — counting those would inflate the
-// timeline); per-column state stays per shard (each engine stamps its
-// 1-based shard number into its HistoryColumns), so the timeline — and
-// the /history?shard=N filter — can tell one shard's structure from
-// another's. The sampler sorts the merged columns.
-func (m *Manager) FillHistory(s *obs.HistorySample) {
-	var scratch obs.HistorySample
-	for _, sh := range m.shards {
-		sh.eng.FillHistory(&scratch)
-	}
-	s.RowsScanned += scratch.RowsScanned
-	s.RowsSkipped += scratch.RowsSkipped
-	s.RowsCovered += scratch.RowsCovered
-	s.Queries += m.mQueries.Load()
-	s.SlowQueries += m.mSlow.Load()
-	s.Errors += m.errQueries.Load()
-	s.Columns = append(s.Columns, scratch.Columns...)
-}
-
 // AdaptationROI returns every shard's per-column adaptation ROI rows
 // (each engine stamps its own 1-based shard number). maxDead caps the
 // per-column dead-zone detail.
@@ -138,11 +115,3 @@ func (m *Manager) AdaptationROI(maxDead int) []obs.ColumnROI {
 	}
 	return out
 }
-
-// LatencyBounds returns the logical latency histogram's bucket bounds.
-func (m *Manager) LatencyBounds() []float64 { return m.mLatency.Bounds() }
-
-// AccumulateLatency adds the LOGICAL query latency buckets into dst.
-// Per-shard scan latencies stay out: they would count one query up to
-// Shards times at per-shard durations and drag the quantiles down.
-func (m *Manager) AccumulateLatency(dst []int64) { m.mLatency.AccumulateBuckets(dst) }

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"adskip/internal/engine"
@@ -188,13 +187,9 @@ type Manager struct {
 	// mLatency is the LOGICAL query latency (admission to merged result),
 	// registered under the same identity an unsharded table would use.
 	// The per-shard engines record their own scan latencies under
-	// shard="N" labels; mixing those into history quantiles would count
+	// shard="N" labels; mixing those into latency quantiles would count
 	// one query N times at per-shard durations.
 	mLatency *obs.Histogram
-	// errQueries counts failed logical queries for the history sampler
-	// (per-shard engines would over-count: one cancellation fails every
-	// in-flight shard scan).
-	errQueries atomic.Int64
 }
 
 // New creates an empty sharded table with the given schema.

@@ -65,19 +65,13 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 // executes the scatter-gather.
 func (m *Manager) queryAdmitted(ctx context.Context, q engine.Query) (*engine.Result, error) {
 	if err := ctx.Err(); err != nil {
-		m.errQueries.Add(1)
 		return nil, fmt.Errorf("%w: %v", engine.ErrCanceled, context.Cause(ctx))
 	}
 	if err := m.admission.Acquire(ctx); err != nil {
-		m.errQueries.Add(1)
 		return nil, err
 	}
 	defer m.admission.Release()
-	res, err := m.queryOnce(ctx, q)
-	if err != nil {
-		m.errQueries.Add(1)
-	}
-	return res, err
+	return m.queryOnce(ctx, q)
 }
 
 func (m *Manager) queryOnce(ctx context.Context, q engine.Query) (*engine.Result, error) {

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,7 +119,8 @@ func TestSkipRegressionWorstTemplateWins(t *testing.T) {
 	}
 }
 
-// RegressionGap refreshes the ppm gauge as a side effect.
+// A scrape reads the ppm gauge from the table itself: nothing has to call
+// RegressionGap first for /metrics to show the regression.
 func TestSkipRegressionGauge(t *testing.T) {
 	reg := obs.NewRegistry()
 	tb := New(Options{Registry: reg})
@@ -127,10 +130,20 @@ func TestSkipRegressionGauge(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tb.Record(skipSample("q1", 1000, 0))
 	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const series = "adskip_adapt_skip_regression_ppm "
+	var got int64 = -1
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			got, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
 	gap := tb.RegressionGap()
-	got := reg.Gauge("adskip_adapt_skip_regression_ppm", "").Load()
-	if want := int64(gap * 1e6); got != want {
-		t.Fatalf("gauge = %d ppm, want %d", got, want)
+	if want := int64(gap * 1e6); got != want || got <= 0 {
+		t.Fatalf("scraped gauge = %d ppm, want %d (> 0)\n%s", got, want, sb.String())
 	}
 	// Queries with nothing to scan must not move the EWMAs.
 	tb.Record(Sample{Fingerprint: "q1", Table: "data", Latency: time.Millisecond})

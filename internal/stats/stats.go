@@ -85,7 +85,7 @@ type entry struct {
 	// the slow learned baseline of what the template used to achieve.
 	// A positive (base − fast) gap means pruning has degraded — stale
 	// metadata after appends, merged-away zones, or arbitration flips —
-	// and surfaces as /history's skip_regression via RegressionGap.
+	// and surfaces as adskip_adapt_skip_regression_ppm via RegressionGap.
 	skipFast, skipBase float64
 	skipSeen           bool
 
@@ -108,7 +108,6 @@ type Table struct {
 	mRecorded  *obs.Counter
 	mErrors    *obs.Counter
 	mEvicted   *obs.Counter
-	mSkipReg   *obs.Gauge
 }
 
 // New builds a stats table. Options zero values take the default above.
@@ -131,8 +130,9 @@ func New(opts Options) *Table {
 			"Failed queries recorded into the workload stats table.")
 		t.mEvicted = reg.Counter("adskip_stats_evicted_total",
 			"Templates evicted from the workload stats table (LRU bound).")
-		t.mSkipReg = reg.Gauge("adskip_adapt_skip_regression_ppm",
-			"Worst per-template skip-rate regression (baseline minus fast EWMA), parts per million.")
+		reg.GaugeFunc("adskip_adapt_skip_regression_ppm",
+			"Worst per-template skip-rate regression (baseline minus fast EWMA), parts per million.",
+			func() int64 { return int64(t.RegressionGap() * 1e6) })
 	}
 	return t
 }
@@ -228,9 +228,7 @@ func (t *Table) Record(s Sample) {
 // RegressionGap returns the worst per-template skip-rate regression
 // currently tracked: max over templates of (learned baseline − fast
 // EWMA), clamped at 0. Zero means no template prunes worse than its own
-// history. The timeline sampler reads it once per tick into
-// HistorySample.SkipRegression; the call also refreshes the
-// adskip_adapt_skip_regression_ppm gauge.
+// history. A /metrics scrape reads it as adskip_adapt_skip_regression_ppm.
 func (t *Table) RegressionGap() float64 {
 	if t == nil {
 		return 0
@@ -246,9 +244,6 @@ func (t *Table) RegressionGap() float64 {
 		}
 	}
 	t.mu.Unlock()
-	if t.mSkipReg != nil {
-		t.mSkipReg.Set(int64(worst * 1e6))
-	}
 	return worst
 }
 

@@ -55,10 +55,10 @@ func adaptationSource() Source {
 
 // TestAdaptationEndpointSchema golden-locks the /adaptation wire schema:
 // the envelope, the event records, and the ROI rows. Additions require
-// updating this test deliberately; renames and removals break the dash
-// timeline panel and any operator tooling scraping the ledger.
+// updating this test deliberately; renames and removals break any
+// operator tooling scraping the ledger.
 func TestAdaptationEndpointSchema(t *testing.T) {
-	srv, err := Start(Options{}, adaptationSource())
+	srv, err := Start("", adaptationSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAdaptationEndpointSchema(t *testing.T) {
 // TestAdaptationFilters: ?table= and ?shard=N narrow both the event list
 // and the ROI rows while total/dropped keep reporting the whole ledger.
 func TestAdaptationFilters(t *testing.T) {
-	srv, err := Start(Options{}, adaptationSource())
+	srv, err := Start("", adaptationSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestAdaptationFilters(t *testing.T) {
 // TestAdaptationBadParams: malformed or out-of-range filters are 400s —
 // never 500s, never a silently empty 200.
 func TestAdaptationBadParams(t *testing.T) {
-	srv, err := Start(Options{}, adaptationSource())
+	srv, err := Start("", adaptationSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAdaptationBadParams(t *testing.T) {
 
 // TestAdaptationCSV golden-locks the CSV header and checks one data row.
 func TestAdaptationCSV(t *testing.T) {
-	srv, err := Start(Options{}, adaptationSource())
+	srv, err := Start("", adaptationSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestAdaptationCSV(t *testing.T) {
 // TestAdaptationNilSource: a server with no ledger serves an empty — but
 // well-formed — snapshot, not a 500.
 func TestAdaptationNilSource(t *testing.T) {
-	srv, err := Start(Options{}, testSource())
+	srv, err := Start("", testSource())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // opt-in net/http endpoint exposing Prometheus metrics, pprof profiles,
 // recent query traces (browsable as JSON or downloadable as Chrome
 // trace_event files), the per-zone skipping-effectiveness heatmap, the
-// adaptation-event log, and sampled Go runtime statistics.
+// workload statistics and the adaptation ledger. Go runtime readings are
+// /metrics series.
 //
 // The server is strictly read-only and pull-based: it snapshots state the
 // engine already maintains (metric registries, trace rings, skipper
@@ -20,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -30,7 +32,7 @@ import (
 // Source supplies the server's data. Registry and Traces must be set;
 // everything else is optional (its endpoint then serves an empty set).
 type Source struct {
-	// Registry is the metrics registry behind /metrics and /metrics.json.
+	// Registry is the metrics registry behind /metrics.
 	Registry *obs.Registry
 	// Traces is the ring of recent query traces behind /traces.
 	Traces *obs.TraceRing
@@ -39,10 +41,6 @@ type Source struct {
 	// Skipmap returns per-table skipping-effectiveness snapshots with at
 	// most maxZones of per-zone detail per column.
 	Skipmap func(maxZones int) []obs.SkipmapTable
-	// History is the adaptation-timeline sampler behind /history and the
-	// /dash convergence chart. Optional: /history serves an empty series
-	// and /dash degrades gracefully when nil.
-	History *obs.Sampler
 	// Recovering reports whether the store is still replaying its
 	// write-ahead log, the one state in which the process knows it cannot
 	// serve: /health answers 503 while it returns true and 200 otherwise.
@@ -58,34 +56,22 @@ type Source struct {
 	Adaptation func(maxDead int) obs.AdaptationSnapshot
 }
 
-// Options tunes the server.
-type Options struct {
-	// Addr is the listen address. Use ":0" (or "127.0.0.1:0") for an
-	// ephemeral port; Server.Addr reports what was bound.
-	Addr string
-	// SampleInterval is the runtime collector's period (default 5s).
-	SampleInterval time.Duration
-	// SampleCapacity is the runtime sample ring size (default 256).
-	SampleCapacity int
-}
-
-// Server is a running telemetry endpoint. Close shuts down the listener
-// and the runtime collector; both are fully torn down when it returns.
+// Server is a running telemetry endpoint. Close shuts down the listener;
+// the serving goroutine is gone when it returns.
 type Server struct {
 	src  Source
 	ln   net.Listener
 	http *http.Server
-	coll *Collector
 	done chan struct{}
 }
 
-// Start binds opts.Addr and serves in a background goroutine. The runtime
-// collector starts alongside and stops on Close.
-func Start(opts Options, src Source) (*Server, error) {
+// Start binds addr ("127.0.0.1:0" when empty — an ephemeral localhost
+// port; Server.Addr reports what was bound), registers the Go runtime
+// gauges on src.Registry, and serves in one background goroutine.
+func Start(addr string, src Source) (*Server, error) {
 	if src.Registry == nil || src.Traces == nil {
 		return nil, fmt.Errorf("telemetry: Source.Registry and Source.Traces are required")
 	}
-	addr := opts.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
@@ -93,18 +79,47 @@ func Start(opts Options, src Source) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	s := &Server{
-		src:  src,
-		ln:   ln,
-		coll: NewCollector(opts.SampleInterval, opts.SampleCapacity),
-		done: make(chan struct{}),
-	}
+	registerRuntimeGauges(src.Registry)
+	s := &Server{src: src, ln: ln, done: make(chan struct{})}
 	s.http = &http.Server{Handler: s.mux()}
 	go func() {
 		defer close(s.done)
 		_ = s.http.Serve(ln) // returns http.ErrServerClosed on Close
 	}()
 	return s, nil
+}
+
+// registerRuntimeGauges exposes Go runtime readings on reg under the
+// Prometheus Go collector's names. They are read through runtime/metrics
+// when /metrics is scraped, which never stops the world.
+func registerRuntimeGauges(reg *obs.Registry) {
+	read := func(names ...string) func() int64 {
+		return func() int64 {
+			samples := make([]metrics.Sample, len(names))
+			for i, name := range names {
+				samples[i].Name = name
+			}
+			metrics.Read(samples)
+			var sum int64
+			for _, smp := range samples {
+				if smp.Value.Kind() == metrics.KindUint64 {
+					sum += int64(smp.Value.Uint64())
+				}
+			}
+			return sum
+		}
+	}
+	reg.GaugeFunc("go_goroutines", "Number of goroutines that currently exist.",
+		read("/sched/goroutines:goroutines"))
+	reg.GaugeFunc("go_memstats_heap_alloc_bytes", "Heap bytes allocated and still in use.",
+		read("/memory/classes/heap/objects:bytes"))
+	reg.GaugeFunc("go_memstats_heap_sys_bytes", "Heap bytes obtained from the OS.",
+		read("/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes",
+			"/memory/classes/heap/free:bytes", "/memory/classes/heap/released:bytes"))
+	reg.GaugeFunc("go_memstats_heap_objects", "Number of allocated heap objects.",
+		read("/gc/heap/objects:objects"))
+	reg.GaugeFunc("go_gc_cycles", "Completed GC cycles since the process started.",
+		read("/gc/cycles/total:gc-cycles"))
 }
 
 // Addr returns the bound listen address (useful with ephemeral ports).
@@ -114,33 +129,44 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // Close shuts the server down: in-flight requests get up to five seconds
-// to drain, the listener closes, and the runtime collector goroutine is
-// stopped and joined. Safe to call once.
+// to drain, then the listener closes and the serving goroutine exits.
+// Safe to call once.
 func (s *Server) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	err := s.http.Shutdown(ctx)
 	<-s.done
-	s.coll.Stop()
 	return err
 }
 
-// mux wires the endpoint table.
+// endpoint is one row of the route table. The mux and the index page are
+// both built from it, so the index lists exactly what the server answers.
+type endpoint struct {
+	path   string
+	doc    string // HTML
+	handle http.HandlerFunc
+}
+
+func (s *Server) endpoints() []endpoint {
+	return []endpoint{
+		{"/metrics", "Prometheus exposition", s.handleMetrics},
+		{"/traces", "recent query traces (add <code>?format=chrome</code> for a chrome://tracing file)", s.handleTraces},
+		{"/slow", "slow-query log", s.handleSlow},
+		{"/skipmap", "per-zone skipping-effectiveness heatmap (add <code>?zones=N</code>)", s.handleSkipmap},
+		{"/health", "readiness probe (503 while the write-ahead log replays)", s.handleHealth},
+		{"/workload", "per-template workload stats (add <code>?sort=time|calls|bytes</code>, <code>?k=N</code>, <code>?format=csv</code>)", s.handleWorkload},
+		{"/adaptation", "adaptation ledger: zone-lifecycle provenance + per-column skip ROI (add <code>?table=</code>, <code>?shard=N</code>, <code>?dead=N</code>, <code>?format=csv</code>)", s.handleAdaptation},
+		{"/debug/pprof/", "pprof profiles", pprof.Index},
+	}
+}
+
+// mux wires the route table plus the pprof subpaths the pprof index links.
 func (s *Server) mux() *http.ServeMux {
 	m := http.NewServeMux()
 	m.HandleFunc("/", s.handleIndex)
-	m.HandleFunc("/metrics", s.handleMetrics)
-	m.HandleFunc("/metrics.json", s.handleMetricsJSON)
-	m.HandleFunc("/traces", s.handleTraces)
-	m.HandleFunc("/slow", s.handleSlow)
-	m.HandleFunc("/skipmap", s.handleSkipmap)
-	m.HandleFunc("/runtime", s.handleRuntime)
-	m.HandleFunc("/history", s.handleHistory)
-	m.HandleFunc("/health", s.handleHealth)
-	m.HandleFunc("/workload", s.handleWorkload)
-	m.HandleFunc("/adaptation", s.handleAdaptation)
-	m.HandleFunc("/dash", s.handleDash)
-	m.HandleFunc("/debug/pprof/", pprof.Index)
+	for _, ep := range s.endpoints() {
+		m.HandleFunc(ep.path, ep.handle)
+	}
 	m.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	m.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	m.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
@@ -155,33 +181,17 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, `<!DOCTYPE html><html><head><title>adskip telemetry</title></head><body>
-<h1>adskip telemetry</h1><ul>
-<li><a href="/metrics">/metrics</a> — Prometheus exposition</li>
-<li><a href="/metrics.json">/metrics.json</a> — metrics as JSON</li>
-<li><a href="/traces">/traces</a> — recent query traces (add <code>?format=chrome</code> for a chrome://tracing file)</li>
-<li><a href="/slow">/slow</a> — slow-query log</li>
-<li><a href="/skipmap">/skipmap</a> — per-zone skipping-effectiveness heatmap (add <code>?zones=N</code>)</li>
-<li><a href="/runtime">/runtime</a> — sampled Go runtime statistics</li>
-<li><a href="/history">/history</a> — adaptation timeline (sampled skip ratio, latency quantiles, per-column series)</li>
-<li><a href="/health">/health</a> — readiness probe (503 while the write-ahead log replays)</li>
-<li><a href="/workload">/workload</a> — per-template workload stats (add <code>?sort=time|calls|bytes</code>, <code>?k=N</code>, <code>?format=csv</code>)</li>
-<li><a href="/adaptation">/adaptation</a> — adaptation ledger: zone-lifecycle provenance + per-column skip ROI (add <code>?table=</code>, <code>?shard=N</code>, <code>?dead=N</code>, <code>?format=csv</code>)</li>
-<li><a href="/dash">/dash</a> — live dashboard (convergence curve + zone heatmap)</li>
-<li><a href="/debug/pprof/">/debug/pprof/</a> — pprof profiles</li>
-</ul></body></html>`)
+	fmt.Fprint(w, "<!DOCTYPE html><html><head><title>adskip telemetry</title></head><body>\n<h1>adskip telemetry</h1><ul>\n")
+	for _, ep := range s.endpoints() {
+		fmt.Fprintf(w, "<li><a href=\"%s\">%s</a> — %s</li>\n", ep.path, ep.path, ep.doc)
+	}
+	fmt.Fprint(w, "</ul></body></html>")
 }
 
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.src.Registry.WritePrometheus(w)
-}
-
-// handleMetricsJSON serves the metrics as JSON.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.src.Registry.WriteJSON(w)
 }
 
 // traceListing is the /traces and /slow JSON shape.
@@ -295,10 +305,12 @@ func (s *Server) handleSkipmap(w http.ResponseWriter, r *http.Request) {
 	}
 	maxZones := 1024
 	if v := r.URL.Query().Get("zones"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &maxZones); err != nil {
+		n, err := strconv.Atoi(v)
+		if err != nil {
 			http.Error(w, "bad zones parameter", http.StatusBadRequest)
 			return
 		}
+		maxZones = n
 	}
 	shard, hasShard, err := parseShard(r)
 	if err != nil {
@@ -341,67 +353,6 @@ func (s *Server) handleSkipmap(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, tables)
 }
 
-// handleRuntime serves the sampled runtime statistics oldest-first.
-func (s *Server) handleRuntime(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.coll.Snapshot())
-}
-
-// historyListing is the /history JSON shape. Samples are oldest-first;
-// per-sample column series are sorted by (table, column), so the
-// serialization is deterministic for a given state.
-type historyListing struct {
-	IntervalNS int64               `json:"interval_ns"`
-	Total      uint64              `json:"total"`
-	Samples    []obs.HistorySample `json:"samples"`
-}
-
-// handleHistory serves the adaptation timeline oldest-first. ?shard=N
-// narrows each sample's per-column series to one 1-based shard
-// (engine-wide totals stay catalog-wide); out-of-range shards are a 400.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if s.src.History == nil {
-		writeJSON(w, historyListing{Samples: []obs.HistorySample{}})
-		return
-	}
-	shard, hasShard, err := parseShard(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	samples := s.src.History.Snapshot()
-	if hasShard {
-		maxShard := 0
-		for i := range samples {
-			for _, c := range samples[i].Columns {
-				if c.Shard > maxShard {
-					maxShard = c.Shard
-				}
-			}
-		}
-		if shard < 1 || shard > maxShard {
-			http.Error(w, fmt.Sprintf("shard %d out of range (timeline has shards 1..%d)", shard, maxShard),
-				http.StatusBadRequest)
-			return
-		}
-		// Filter into fresh slices: the snapshot's column slices are never
-		// mutated in place.
-		for i := range samples {
-			var cols []obs.HistoryColumn
-			for _, c := range samples[i].Columns {
-				if c.Shard == shard {
-					cols = append(cols, c)
-				}
-			}
-			samples[i].Columns = cols
-		}
-	}
-	writeJSON(w, historyListing{
-		IntervalNS: int64(s.src.History.Interval()),
-		Total:      s.src.History.Total(),
-		Samples:    samples,
-	})
-}
-
 // handleHealth is the readiness probe: 503 {"status":"recovering"} while
 // Source.Recovering reports a WAL replay in progress, 200 {"status":"ok"}
 // otherwise. Latency, errors, skip rate and WAL lag are series on
@@ -432,10 +383,12 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	}
 	k := 50
 	if v := q.Get("k"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &k); err != nil || k < 0 {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
 			http.Error(w, "bad k parameter", http.StatusBadRequest)
 			return
 		}
+		k = n
 	}
 	shard, hasShard, err := parseShard(r)
 	if err != nil {

@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"adskip/internal/obs"
 )
@@ -51,7 +51,7 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	srv, err := Start(Options{}, testSource())
+	srv, err := Start("", testSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// Every JSON endpoint returns 200 and parses.
-	for _, path := range []string{"/metrics.json", "/traces", "/slow", "/skipmap", "/runtime"} {
+	for _, path := range []string{"/traces", "/slow", "/skipmap"} {
 		code, body := get(t, srv.URL()+path)
 		if code != http.StatusOK {
 			t.Fatalf("GET %s = %d, want 200", path, code)
@@ -72,9 +72,20 @@ func TestServerEndpoints(t *testing.T) {
 		}
 	}
 
+	// /metrics carries the source's series and the runtime gauges Start
+	// registered, read at scrape time.
 	code, body := get(t, srv.URL()+"/metrics")
 	if code != http.StatusOK || !strings.Contains(body, "t_total 1") {
 		t.Fatalf("/metrics = %d:\n%s", code, body)
+	}
+	for _, name := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes",
+		"go_memstats_heap_sys_bytes", "go_memstats_heap_objects", "go_gc_cycles"} {
+		if !strings.Contains(body, "# TYPE "+name+" gauge\n"+name+" ") {
+			t.Errorf("/metrics missing runtime gauge %s", name)
+		}
+	}
+	if strings.Contains(body, "\ngo_goroutines 0\n") {
+		t.Errorf("go_goroutines reads 0:\n%s", body)
 	}
 
 	// /traces carries the span tree; ?format=chrome is a trace_event file.
@@ -99,8 +110,10 @@ func TestServerEndpoints(t *testing.T) {
 	if strings.Contains(body, `"zone_detail"`) || !strings.Contains(body, `"zones_truncated": 1`) {
 		t.Fatalf("/skipmap?zones=0 should strip detail and count truncation:\n%s", body)
 	}
-	if code, _ := get(t, srv.URL()+"/skipmap?zones=junk"); code != http.StatusBadRequest {
-		t.Fatalf("/skipmap?zones=junk = %d, want 400", code)
+	for _, q := range []string{"junk", "5x", "7%20junk", "%22%22"} {
+		if code, _ := get(t, srv.URL()+"/skipmap?zones="+q); code != http.StatusBadRequest {
+			t.Errorf("/skipmap?zones=%s = %d, want 400", q, code)
+		}
 	}
 
 	if code, _ := get(t, srv.URL()+"/debug/pprof/cmdline"); code != http.StatusOK {
@@ -112,14 +125,14 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 func TestServerMissingSource(t *testing.T) {
-	if _, err := Start(Options{}, Source{}); err == nil {
+	if _, err := Start("", Source{}); err == nil {
 		t.Fatal("Start with empty source did not fail")
 	}
 }
 
 func TestServerOptionalSourcesNil(t *testing.T) {
 	src := Source{Registry: obs.NewRegistry(), Traces: obs.NewTraceRing(1)}
-	srv, err := Start(Options{}, src)
+	srv, err := Start("", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,113 +149,36 @@ func TestServerOptionalSourcesNil(t *testing.T) {
 	}
 }
 
-// TestCollectorSamplesAndStops covers what the collector adds on top of
-// Ring (whose wrap arithmetic TestRing covers): the goroutine fills
-// readings oldest-first, and Stop joins it so the ring freezes.
-func TestCollectorSamplesAndStops(t *testing.T) {
-	c := NewCollector(time.Millisecond, 4)
-	deadline := time.Now().Add(2 * time.Second)
-	for len(c.Snapshot()) < 4 {
-		if time.Now().After(deadline) {
-			t.Fatal("collector never filled its ring")
+// TestIndexMatchesMux: every link on the index page answers, every route
+// of the table is linked, and the removed timeline endpoints are gone.
+func TestIndexMatchesMux(t *testing.T) {
+	srv, err := Start("", testSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	code, page := get(t, srv.URL()+"/")
+	if code != http.StatusOK {
+		t.Fatalf("/ = %d", code)
+	}
+	links := map[string]bool{}
+	for _, m := range regexp.MustCompile(`href="([^"]+)"`).FindAllStringSubmatch(page, -1) {
+		links[m[1]] = true
+		if code, _ := get(t, srv.URL()+m[1]); code == http.StatusNotFound {
+			t.Errorf("index links %s, which answers 404", m[1])
 		}
-		time.Sleep(time.Millisecond)
 	}
-	c.Stop()
-	c.Stop() // idempotent
-	snap := c.Snapshot()
-	if len(snap) != 4 || snap[0].Goroutines <= 0 || snap[3].Time.Before(snap[0].Time) {
-		t.Fatalf("ring after Stop: %+v", snap)
+	for _, ep := range srv.endpoints() {
+		if !links[ep.path] {
+			t.Errorf("route %s is not on the index page", ep.path)
+		}
 	}
-	time.Sleep(5 * time.Millisecond)
-	if after := c.Snapshot(); after[3].Time != snap[3].Time {
-		t.Fatal("collector kept sampling after Stop")
+	if len(links) != len(srv.endpoints()) {
+		t.Errorf("index has %d links for %d routes:\n%s", len(links), len(srv.endpoints()), page)
 	}
-}
-
-// TestHistoryEndpoint serves an adaptation timeline and locks the
-// listing envelope: interval, total, then samples, oldest-first.
-func TestHistoryEndpoint(t *testing.T) {
-	smp := obs.NewSampler(time.Hour, 8, func(h *obs.HistorySample) {
-		h.Queries = 7
-		h.Columns = append(h.Columns, obs.HistoryColumn{Table: "t", Column: "v", SkipRatio: 0.5, Zones: 3, Enabled: true})
-	})
-	defer smp.Stop()
-	src := testSource()
-	src.History = smp
-	srv, err := Start(Options{}, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	code, body := get(t, srv.URL()+"/history")
-	if code != http.StatusOK {
-		t.Fatalf("/history = %d, want 200", code)
-	}
-	var listing struct {
-		IntervalNS int64               `json:"interval_ns"`
-		Total      uint64              `json:"total"`
-		Samples    []obs.HistorySample `json:"samples"`
-	}
-	if err := json.Unmarshal([]byte(body), &listing); err != nil {
-		t.Fatalf("invalid /history JSON: %v\n%s", err, body)
-	}
-	if listing.IntervalNS != int64(time.Hour) || listing.Total != 1 || len(listing.Samples) != 1 {
-		t.Fatalf("listing = interval %d, total %d, %d samples", listing.IntervalNS, listing.Total, len(listing.Samples))
-	}
-	if s := listing.Samples[0]; s.Queries != 7 || len(s.Columns) != 1 || s.Columns[0].Column != "v" {
-		t.Fatalf("sample did not survive serving: %+v", listing.Samples[0])
-	}
-	// Envelope key order is part of the contract (scripts cut on it).
-	if !strings.Contains(body, `"interval_ns"`) ||
-		strings.Index(body, `"interval_ns"`) > strings.Index(body, `"total"`) ||
-		strings.Index(body, `"total"`) > strings.Index(body, `"samples"`) {
-		t.Fatalf("/history envelope keys out of order:\n%s", body)
-	}
-
-	// With no sampler the endpoint still answers with an empty listing.
-	srv2, err := Start(Options{}, testSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	code, body = get(t, srv2.URL()+"/history")
-	if code != http.StatusOK {
-		t.Fatalf("/history without sampler = %d, want 200", code)
-	}
-	if err := json.Unmarshal([]byte(body), &listing); err != nil {
-		t.Fatalf("invalid empty /history JSON: %v\n%s", err, body)
-	}
-	if len(listing.Samples) != 0 {
-		t.Fatalf("empty listing has %d samples", len(listing.Samples))
-	}
-}
-
-// TestDashEndpoint: the dashboard is a self-contained HTML page wired to
-// the JSON endpoints it polls.
-func TestDashEndpoint(t *testing.T) {
-	srv, err := Start(Options{}, testSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get(srv.URL() + "/dash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/dash = %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Fatalf("/dash Content-Type = %q, want text/html", ct)
-	}
-	page := string(body)
-	for _, want := range []string{"<!DOCTYPE html>", "/history", "/skipmap", "/adaptation", "renderAdaptation", "prefers-color-scheme"} {
-		if !strings.Contains(page, want) {
-			t.Fatalf("/dash page missing %q", want)
+	for _, path := range []string{"/history", "/dash", "/runtime", "/metrics.json"} {
+		if code, _ := get(t, srv.URL()+path); code != http.StatusNotFound {
+			t.Errorf("%s = %d, want 404", path, code)
 		}
 	}
 }
@@ -252,7 +188,7 @@ func TestDashEndpoint(t *testing.T) {
 func TestHealthEndpointGolden(t *testing.T) {
 	src := testSource()
 	src.Recovering = func() bool { return false }
-	srv, err := Start(Options{}, src)
+	srv, err := Start("", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +214,7 @@ func TestHealthEndpointRecovers(t *testing.T) {
 	recovering.Store(true)
 	src := testSource()
 	src.Recovering = recovering.Load
-	srv, err := Start(Options{}, src)
+	srv, err := Start("", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +233,7 @@ func TestHealthEndpointRecovers(t *testing.T) {
 // TestHealthEndpointDisabled: a source with no recovery state (no WAL)
 // is always ready.
 func TestHealthEndpointDisabled(t *testing.T) {
-	srv, err := Start(Options{}, testSource())
+	srv, err := Start("", testSource())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func shardedSource() Source {
 // snapshots; bad and out-of-range values are 400s, never 500s or a
 // silently empty list.
 func TestSkipmapShardFilter(t *testing.T) {
-	srv, err := Start(Options{}, shardedSource())
+	srv, err := Start("", shardedSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSkipmapShardFilter(t *testing.T) {
 // TestSkipmapShardFilterUnsharded: on an unsharded catalog every shard
 // number is out of range — a 400, not an empty 200.
 func TestSkipmapShardFilterUnsharded(t *testing.T) {
-	srv, err := Start(Options{}, testSource())
+	srv, err := Start("", testSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSkipmapShardFilterUnsharded(t *testing.T) {
 // TestWorkloadShardFilter: ?shard=N keeps only templates that scanned
 // that shard; validation mirrors /skipmap.
 func TestWorkloadShardFilter(t *testing.T) {
-	srv, err := Start(Options{}, shardedSource())
+	srv, err := Start("", shardedSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestWorkloadShardFilter(t *testing.T) {
 // TestWorkloadShardFilterUnsharded: no shard has been recorded, so any
 // ?shard is out of range.
 func TestWorkloadShardFilterUnsharded(t *testing.T) {
-	srv, err := Start(Options{}, workloadSource())
+	srv, err := Start("", workloadSource())
 	if err != nil {
 		t.Fatal(err)
 	}

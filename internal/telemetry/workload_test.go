@@ -40,7 +40,7 @@ func workloadSource() Source {
 // removals break dashboards and adskip-load -workload, so they must
 // never happen silently.
 func TestWorkloadEndpointSchema(t *testing.T) {
-	srv, err := Start(Options{}, workloadSource())
+	srv, err := Start("", workloadSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func equalStrings(a, b []string) bool {
 // TestWorkloadSortAndTopK: ?sort picks the ranking dimension and ?k
 // truncates after sorting.
 func TestWorkloadSortAndTopK(t *testing.T) {
-	srv, err := Start(Options{}, workloadSource())
+	srv, err := Start("", workloadSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +140,16 @@ func TestWorkloadSortAndTopK(t *testing.T) {
 	}
 }
 
-// TestWorkloadBadParams: invalid sort keys and k values are 400s, not
-// silent fallbacks — a dashboard typo should be loud.
+// TestWorkloadBadParams: invalid sort keys and k values — trailing
+// garbage included — are 400s, not silent fallbacks: a typo should be
+// loud.
 func TestWorkloadBadParams(t *testing.T) {
-	srv, err := Start(Options{}, workloadSource())
+	srv, err := Start("", workloadSource())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, query := range []string{"?sort=junk", "?k=-1", "?k=abc"} {
+	for _, query := range []string{"?sort=junk", "?k=-1", "?k=abc", "?k=5x", "?k=7%20junk", "?k=%22%22"} {
 		if code, _ := get(t, srv.URL()+"/workload"+query); code != http.StatusBadRequest {
 			t.Fatalf("/workload%s = %d, want 400", query, code)
 		}
@@ -158,7 +159,7 @@ func TestWorkloadBadParams(t *testing.T) {
 // TestWorkloadCSV: ?format=csv is a downloadable spreadsheet with one
 // row per template.
 func TestWorkloadCSV(t *testing.T) {
-	srv, err := Start(Options{}, workloadSource())
+	srv, err := Start("", workloadSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestWorkloadCSV(t *testing.T) {
 // /workload with an empty, well-formed snapshot (and header-only CSV) —
 // dashboards degrade instead of erroring.
 func TestWorkloadNilSource(t *testing.T) {
-	srv, err := Start(Options{}, testSource())
+	srv, err := Start("", testSource())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,6 +117,8 @@ func Open(opts Options, replay func(*Record) error) (*Log, RecoveryStats, error)
 		quit: make(chan struct{}),
 		m:    newLogMetrics(reg),
 	}
+	reg.GaugeFunc("adskip_wal_lag_us", "Age of the oldest unsynced record, microseconds.",
+		func() int64 { return l.Lag().Microseconds() })
 
 	segs, spares, err := listSegments(opts.Dir)
 	if err != nil {

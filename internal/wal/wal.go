@@ -139,7 +139,6 @@ type logMetrics struct {
 	rotations  *obs.Counter
 	recycled   *obs.Counter
 	pendBytes  *obs.Gauge
-	lagUS      *obs.Gauge
 	commitSec  *obs.Histogram
 }
 
@@ -153,7 +152,6 @@ func newLogMetrics(reg *obs.Registry) logMetrics {
 		rotations:  reg.Counter("adskip_wal_rotations_total", "Segment rotations."),
 		recycled:   reg.Counter("adskip_wal_recycled_total", "Sealed segments recycled for reuse."),
 		pendBytes:  reg.Gauge("adskip_wal_pending_bytes", "Framed bytes enqueued but not yet durable."),
-		lagUS:      reg.Gauge("adskip_wal_lag_us", "Age of the oldest unsynced record, microseconds."),
 		commitSec: reg.Histogram("adskip_wal_commit_seconds", "Group-commit batch durability latency.",
 			[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1}),
 	}

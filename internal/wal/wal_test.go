@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"adskip/internal/faultinject"
+	"adskip/internal/obs"
 	"adskip/internal/storage"
 )
 
@@ -469,6 +471,49 @@ func TestSyncBarrier(t *testing.T) {
 		if got := l.SyncedLSN(); got != round*4 {
 			t.Fatalf("round %d: SyncedLSN = %d, want %d", round, got, round*4)
 		}
+	}
+}
+
+// TestLagGauge: adskip_wal_lag_us is read from the log when the registry
+// is scraped — the age of the oldest record still waiting out the group
+// window, and 0 once Sync has made everything durable.
+func TestLagGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	l, _ := openT(t, t.TempDir(), Options{GroupWindow: 200 * time.Millisecond, Metrics: reg}, nil)
+	defer l.Close()
+	lag := func() int64 {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "adskip_wal_lag_us "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no adskip_wal_lag_us series:\n%s", sb.String())
+		return 0
+	}
+	if got := lag(); got != 0 {
+		t.Fatalf("lag before any append = %d us, want 0", got)
+	}
+	if _, err := l.Append(rowsRecord("data", 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(2 * time.Millisecond)
+	if got := lag(); got < 2000 {
+		t.Fatalf("lag with a record pending 2ms = %d us, want >= 2000", got)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lag(); got != 0 {
+		t.Fatalf("lag after Sync = %d us, want 0", got)
 	}
 }
 

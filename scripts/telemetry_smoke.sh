@@ -16,8 +16,7 @@ trap 'rm -f "$OUT" "$FIFO"; kill $DEMO_PID 2>/dev/null || true' EXIT
 go build -o "$DEMO" ./cmd/adskip-demo
 
 mkfifo "$FIFO"
-"$DEMO" --serve --serve-addr 127.0.0.1:0 --slow 1ns \
-  -history-interval 250ms < "$FIFO" > "$OUT" 2>&1 &
+"$DEMO" --serve --serve-addr 127.0.0.1:0 --slow 1ns < "$FIFO" > "$OUT" 2>&1 &
 DEMO_PID=$!
 # Keep the fifo's write end open so the REPL does not see EOF.
 exec 9> "$FIFO"
@@ -69,23 +68,27 @@ check_json() { # path
   echo "GET $1 -> 200, valid JSON"
 }
 
+# The banner precedes \gen and the first queries: wait until they count.
+for _ in $(seq 1 50); do
+  curl -sS "$URL/metrics" | grep -q '^adskip_queries_total' && break
+  sleep 0.2
+done
 METRICS=$(check_status /metrics 100)
-grep -q '^adskip_queries_total' "$METRICS" || {
-  echo "/metrics missing adskip_queries_total" >&2
-  cat "$METRICS" >&2
-  exit 1
-}
+for metric in adskip_queries_total go_goroutines go_memstats_heap_alloc_bytes; do
+  grep -q "^$metric" "$METRICS" || {
+    echo "/metrics missing $metric" >&2
+    cat "$METRICS" >&2
+    exit 1
+  }
+done
 rm -f "$METRICS"
-echo "GET /metrics -> 200, Prometheus exposition"
+echo "GET /metrics -> 200, Prometheus exposition with runtime gauges"
 
-check_json /metrics.json
 check_json /traces
 check_json '/traces?format=chrome'
 check_json /slow
 check_json /skipmap
 check_json '/skipmap?zones=0'
-check_json /runtime
-check_json /history
 check_json '/workload?sort=calls&k=5'
 check_json /adaptation
 check_json '/adaptation?dead=0'
@@ -171,18 +174,15 @@ if [ "$code" != "400" ]; then
 fi
 echo "GET /adaptation -> split events with template provenance, nonzero ROI, CSV export, 400 on bad shard"
 
-# The dashboard is a self-contained HTML page (the demo serves it even
-# without an adaptation sampler; the charts just stay empty).
-DASH=$(check_status /dash 1000)
-for needle in '<!DOCTYPE html>' '/history' '/skipmap' '/workload' '/adaptation' 'prefers-color-scheme'; do
-  grep -qF "$needle" "$DASH" || {
-    echo "/dash page missing $needle" >&2
-    rm -f "$DASH"
+# /metrics is the one series source: the timeline endpoints are gone.
+for path in /history /dash /runtime /metrics.json; do
+  code=$(curl -sS -o /dev/null -w '%{http_code}' "$URL$path")
+  if [ "$code" != "404" ]; then
+    echo "GET $path -> $code, want 404" >&2
     exit 1
-  }
+  fi
 done
-rm -f "$DASH"
-echo "GET /dash -> 200, dashboard page"
+echo "GET /history /dash /runtime /metrics.json -> 404"
 
 # The readiness probe: the demo has no write-ahead log, so it is ready.
 HB=$(check_status /health)

@@ -170,8 +170,8 @@ func TestTraceRingAndSlowLog(t *testing.T) {
 	}
 }
 
-// TestTelemetryLifecycle proves DB.Close tears the server and its runtime
-// collector down without leaking goroutines.
+// TestTelemetryLifecycle proves DB.Close tears the server down without
+// leaking goroutines.
 func TestTelemetryLifecycle(t *testing.T) {
 	db := seededDB(t, Options{Policy: Adaptive})
 	before := runtime.NumGoroutine()
@@ -203,8 +203,8 @@ func TestTelemetryLifecycle(t *testing.T) {
 		t.Fatal("server still serving after Close")
 	}
 
-	// The serve and collector goroutines must be gone. Allow the runtime a
-	// moment to reap exiting goroutines.
+	// The serve goroutine must be gone. Allow the runtime a moment to reap
+	// exiting goroutines.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before {
@@ -293,15 +293,17 @@ func TestHealthFacade(t *testing.T) {
 	}
 }
 
-// TestHealthConcurrentWithQueries races the telemetry surface against
-// live queries: the timeline sampler ticking every millisecond (each
-// tick merges every engine's latency histogram into that sampler's
-// scratch), readers of /health and History, and losing StartTelemetry
-// calls whose samplers take their first sample while the running one
-// ticks. Run under -race in CI.
-func TestHealthConcurrentWithQueries(t *testing.T) {
-	db := seededDB(t, Options{Policy: Adaptive, HistoryInterval: time.Millisecond})
+// TestTelemetryConcurrentWithQueries races the telemetry surface against
+// live queries and durable appends: scrapes of /metrics (whose gauge
+// functions take the stats-table and WAL locks the queries and appends
+// hold) and /health, and losing StartTelemetry calls. Run under -race in
+// CI.
+func TestTelemetryConcurrentWithQueries(t *testing.T) {
+	db := seededDB(t, Options{Policy: Adaptive, Durability: Durability{Dir: t.TempDir()}})
 	defer db.Close()
+	if _, err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	url, err := db.StartTelemetry("")
 	if err != nil {
 		t.Fatal(err)
@@ -339,19 +341,31 @@ func TestHealthConcurrentWithQueries(t *testing.T) {
 			return true
 		})
 	}
+	tab, err := db.Table("events")
+	if err != nil {
+		t.Fatal(err)
+	}
 	loop(func() bool {
-		resp, err := http.Get(url + "/health")
-		if err != nil {
+		if err := tab.Append(1, 1); err != nil {
 			t.Error(err)
 			return false
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("/health = %d, want 200", resp.StatusCode)
-			return false
+		return true
+	})
+	loop(func() bool {
+		for _, path := range []string{"/metrics", "/health"} {
+			resp, err := http.Get(url + path)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s = %d, want 200", path, resp.StatusCode)
+				return false
+			}
 		}
-		_ = db.History()
 		probes.Add(1)
 		return true
 	})
@@ -364,19 +378,19 @@ func TestHealthConcurrentWithQueries(t *testing.T) {
 		return true
 	})
 
-	// Run until every goroutine has made progress and a tick has seen
-	// the racing queries.
+	// Run until every goroutine has made progress and the racing queries
+	// show on /metrics.
+	queries := func() int64 {
+		n, _ := seriesValue(scrape(t, db), `adskip_queries_total{table="events"}`)
+		return n
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		h := db.History()
-		if probes.Load() >= 20 && lost.Load() >= 20 && h[len(h)-1].Queries > 1000 {
-			break
-		}
+	for probes.Load() < 20 || lost.Load() < 20 || queries() < 1000 {
 		if time.Now().After(deadline) {
 			close(stop)
 			wg.Wait()
-			t.Fatalf("no progress: %d probes, %d losing starts, %d queries sampled",
-				probes.Load(), lost.Load(), h[len(h)-1].Queries)
+			t.Fatalf("no progress: %d probes, %d losing starts, %d queries",
+				probes.Load(), lost.Load(), queries())
 		}
 		time.Sleep(time.Millisecond)
 	}
