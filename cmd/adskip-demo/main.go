@@ -32,7 +32,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"adskip/internal/adaptive"
@@ -42,78 +41,33 @@ import (
 	"adskip/internal/stats"
 	"adskip/internal/storage"
 	"adskip/internal/table"
-	"adskip/internal/telemetry"
 	"adskip/internal/workload"
 )
 
 type repl struct {
 	opts    engine.Options
 	out     *bufio.Writer
-	perq    bool          // --metrics: print per-query trace after each statement
-	timeout time.Duration // \timeout: per-statement deadline (0 = none)
-
-	// mu guards eng: the REPL loop swaps it on \gen/\load while the
-	// telemetry server's skipmap closure reads it from HTTP goroutines.
-	mu  sync.Mutex
-	eng *engine.Engine // current table's engine (nil until \gen or \load)
-}
-
-// engine returns the current engine under the lock (nil if none).
-func (r *repl) engine() *engine.Engine {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eng
-}
-
-// skipmap is the telemetry server's /skipmap source.
-func (r *repl) skipmap(maxZones int) []obs.SkipmapTable {
-	e := r.engine()
-	if e == nil {
-		return nil
-	}
-	return e.Skipmaps(maxZones)
-}
-
-// adaptation is the telemetry server's /adaptation source: the
-// session-level ledger (it survives \gen/\load engine swaps) joined with
-// the current engine's ROI rows.
-func (r *repl) adaptation(maxDead int) obs.AdaptationSnapshot {
-	snap := obs.AdaptationSnapshot{
-		Total:   r.opts.Ledger.Seq(),
-		Dropped: r.opts.Ledger.Dropped(),
-		Events:  r.opts.Ledger.Records(),
-		ROI:     []obs.ColumnROI{},
-	}
-	if e := r.engine(); e != nil {
-		snap.ROI = append(snap.ROI, e.AdaptationROI(maxDead)...)
-	}
-	return snap
+	perq    bool           // \trace: print per-query trace after each statement
+	timeout time.Duration  // \timeout: per-statement deadline (0 = none)
+	eng     *engine.Engine // current table's engine (nil until \gen or \load)
 }
 
 func main() {
 	var (
-		policy    = flag.String("policy", "adaptive", "skipping policy: none|static|adaptive|imprint")
-		zone      = flag.Int("static-zone", 65536, "zone size for static policy")
-		metrics   = flag.Bool("metrics", false, "print the per-query trace after every statement")
-		serve     = flag.Bool("serve", false, "serve live telemetry over HTTP (see -serve-addr)")
-		serveAddr = flag.String("serve-addr", "127.0.0.1:0", "telemetry listen address (with -serve; :0 picks an ephemeral port)")
-		slow      = flag.Duration("slow", 0, "log queries at least this slow to the slow-query ring (0 = off)")
+		policy = flag.String("policy", "adaptive", "skipping policy: none|static|adaptive|imprint")
+		zone   = flag.Int("static-zone", 65536, "zone size for static policy")
 	)
 	flag.Parse()
 
 	opts := engine.Options{
 		StaticZoneSize: *zone,
-		// One registry, ledger, and trace rings for the whole session:
-		// \metrics, \events, and the telemetry server survive table
-		// reloads (attach rebuilds the engine).
-		Metrics:            obs.NewRegistry(),
-		Ledger:             obs.NewLedger(0),
-		Traces:             obs.NewTraceRing(0),
-		SlowTraces:         obs.NewTraceRing(0),
-		SlowQueryThreshold: *slow,
+		// One registry and ledger for the whole session: \metrics and
+		// \events survive table reloads (attach rebuilds the engine).
+		Metrics: obs.NewRegistry(),
+		Ledger:  obs.NewLedger(0),
 	}
 	// Workload analytics share the session registry and, like it, survive
-	// table reloads: \top and /workload aggregate across \gen/\load swaps.
+	// table reloads: \top aggregates across \gen/\load swaps.
 	opts.Stats = stats.New(stats.Options{Registry: opts.Metrics})
 	switch *policy {
 	case "none":
@@ -129,25 +83,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	r := &repl{opts: opts, out: bufio.NewWriter(os.Stdout), perq: *metrics}
+	r := &repl{opts: opts, out: bufio.NewWriter(os.Stdout)}
 	defer r.out.Flush()
-
-	if *serve {
-		srv, err := telemetry.Start(*serveAddr, telemetry.Source{
-			Registry:   opts.Metrics,
-			Traces:     opts.Traces,
-			SlowTraces: opts.SlowTraces,
-			Skipmap:    r.skipmap,
-			Workload:   opts.Stats,
-			Adaptation: r.adaptation,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adskip-demo: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(r.out, "telemetry: %s\n", srv.URL())
-	}
 
 	fmt.Fprintf(r.out, "adskip demo — policy=%s. Type \\help for commands.\n", *policy)
 	r.out.Flush()
@@ -189,7 +126,7 @@ func (r *repl) meta(line string) bool {
 \metrics            dump engine metrics (Prometheus text)
 \top                hottest query templates (calls, p95, cpu%) + skipmap
 \events [n]         show the last n adaptation events (default 20)
-\trace              toggle per-query trace printing (same as --metrics)
+\trace              toggle per-query trace printing
 \timeout <dur|off>  cancel statements running longer than dur (e.g. 500ms)
 \quarantine         list quarantined columns    \rebuild      rebuild their metadata
 \policy             active policy          \quit         exit
@@ -326,9 +263,7 @@ func (r *repl) attach(tbl *table.Table) {
 	if err := e.EnableSkipping(); err != nil {
 		fmt.Fprintf(r.out, "error enabling skipping: %v\n", err)
 	}
-	r.mu.Lock()
 	r.eng = e
-	r.mu.Unlock()
 }
 
 func (r *repl) load(path string) {

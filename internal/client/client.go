@@ -1,8 +1,7 @@
 // Package client is the Go client library for the adskip query server.
 // A Client wraps one TCP connection speaking the internal/proto frame
 // protocol. The protocol is strict request/response, so a Client
-// serializes calls with a mutex; open several Clients for concurrency
-// (that is what the load generator does).
+// serializes calls with a mutex; open several Clients for concurrency.
 package client
 
 import (
@@ -82,8 +81,7 @@ type Options struct {
 type Client struct {
 	opts Options
 
-	retries atomic.Int64
-	closed  atomic.Bool
+	closed atomic.Bool
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -118,13 +116,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// Retries reports the cumulative number of automatic retries this client
-// has performed (attempts beyond the first, successful or not). Load
-// generators report this separately from errors: a request that was
-// refused during recovery and then succeeded is a success, not a
-// failure, but the retry volume is still worth watching.
-func (c *Client) Retries() int64 { return c.retries.Load() }
-
 // roundTrip sends one request, retrying retryable refusals per the
 // client's RetryPolicy with full-jitter capped exponential backoff.
 func (c *Client) roundTrip(req proto.Request) (proto.Decoded, error) {
@@ -148,7 +139,6 @@ func (c *Client) roundTrip(req proto.Request) (proto.Decoded, error) {
 		if c.closed.Load() {
 			return resp, err
 		}
-		c.retries.Add(1)
 		resp, err = c.roundTripOnce(req)
 		if err == nil || !Retryable(err) {
 			return resp, err

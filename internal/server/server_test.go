@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -741,5 +743,201 @@ func TestDisconnectDuringShortQuery(t *testing.T) {
 	defer c.Close()
 	if err := c.Ping(); err != nil {
 		t.Fatalf("slot not freed after disconnects during short queries: %v", err)
+	}
+}
+
+// TestManyConnections drives the server from many clients at once, each
+// sending a fixed number of requests, and checks what only concurrent load
+// shows: every answer right with zero errors, the statement cache and the
+// connection gauges, the re-prepare path under eviction, the timing
+// invariants on every response, and shard pruning behind the wire.
+func TestManyConnections(t *testing.T) {
+	const rows = 20000
+	t.Run("plain", func(t *testing.T) {
+		db := testDB(t, rows)
+		defer db.Close()
+		srv := startServer(t, db, server.Options{})
+		qs, want := rangeTemplates(t, db, 64, rows)
+		load{conns: 64, requests: 32, templates: qs, want: want}.run(t, srv)
+
+		reg := db.Metrics()
+		if reg.Counter("adskip_server_stmt_cache_hits_total", "").Load() == 0 {
+			t.Error("no statement-cache hits under a skewed template mix")
+		}
+		// Every client has closed; each session exits once it reads EOF.
+		// A session that never does hangs here until go test's -timeout.
+		active := reg.Gauge("adskip_server_active_connections", "")
+		for active.Load() != 0 {
+			runtime.Gosched()
+		}
+		if n := reg.Counter("adskip_server_connections_total", "").Load(); n != 64 {
+			t.Errorf("adskip_server_connections_total = %d, want 64", n)
+		}
+	})
+	t.Run("prepared_under_eviction", func(t *testing.T) {
+		db := testDB(t, rows)
+		defer db.Close()
+		srv := startServer(t, db, server.Options{StmtCacheSize: 8})
+		qs, want := rangeTemplates(t, db, 32, rows)
+		load{conns: 12, requests: 32, templates: qs, want: want, prepared: true}.run(t, srv)
+		if db.Metrics().Counter("adskip_server_stmt_cache_evictions_total", "").Load() == 0 {
+			t.Error("32 templates never evicted from an 8-entry statement cache")
+		}
+	})
+	t.Run("timed", func(t *testing.T) {
+		db := testDB(t, rows)
+		defer db.Close()
+		srv := startServer(t, db, server.Options{})
+		qs, want := rangeTemplates(t, db, 64, rows)
+		load{conns: 16, requests: 32, templates: qs, want: want, timing: true,
+			check: func(res *proto.Result, rtt time.Duration) error {
+				tm := res.Timing
+				switch {
+				case tm == nil:
+					return errors.New("timing requested but response carried none")
+				case tm.PhaseSumUS() > tm.TotalUS:
+					return fmt.Errorf("phase sum %dus exceeds total %dus: %+v", tm.PhaseSumUS(), tm.TotalUS, tm)
+				case time.Duration(tm.TotalUS)*time.Microsecond > rtt:
+					// The server's interval lies inside the client's, so this
+					// compares two nested measurements, not against a bound.
+					return fmt.Errorf("server total %dus exceeds client round trip %v", tm.TotalUS, rtt)
+				}
+				return nil
+			}}.run(t, srv)
+	})
+	t.Run("sharded", func(t *testing.T) {
+		db := adskip.Open(adskip.Options{Policy: adskip.Adaptive, Shards: 4, ShardKey: "v"})
+		defer db.Close()
+		tbl, err := db.CreateTable("data", adskip.Col("v", adskip.Int64), adskip.Col("seq", adskip.Int64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		batch := make([][]adskip.Value, rows)
+		for i := range batch {
+			batch[i] = []adskip.Value{adskip.IntValue(rng.Int63n(rows)), adskip.IntValue(int64(i))}
+		}
+		if err := tbl.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.EnableSkipping("v"); err != nil {
+			t.Fatal(err)
+		}
+		srv := startServer(t, db, server.Options{})
+		qs, want := rangeTemplates(t, db, 64, rows)
+		pruned := db.Metrics().Counter("adskip_shard_pruned_total", "", obs.L("table", "data"))
+		before := pruned.Load() // rangeTemplates' own queries prune too
+		load{conns: 32, requests: 32, templates: qs, want: want}.run(t, srv)
+		if pruned.Load() == before {
+			t.Error("adskip_shard_pruned_total did not move under a 1%-range load on a 4-shard range table")
+		}
+	})
+}
+
+// load is a closed-loop client workload: conns clients at once, each
+// sending requests queries drawn Zipf-skewed (s = 1.2) from templates
+// with its own seed.
+type load struct {
+	conns, requests int
+	templates       []string
+	want            []int // each template's answer, checked on every response
+	prepared        bool  // prepare a template on first use, then exec it by ID
+	timing          bool  // ask for the server's latency breakdown
+	// check, when set, sees every result beside its client-observed round trip.
+	check func(res *proto.Result, rtt time.Duration) error
+}
+
+// rangeTemplates returns n COUNT(*) queries over 1%-wide ranges of v in
+// [0, domain), and their answers on db.
+func rangeTemplates(t *testing.T, db *adskip.DB, n int, domain int64) ([]string, []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	width := domain / 100
+	qs, want := make([]string, n), make([]int, n)
+	for i := range qs {
+		lo := rng.Int63n(domain - width)
+		qs[i] = fmt.Sprintf("SELECT COUNT(*) FROM data WHERE v BETWEEN %d AND %d", lo, lo+width-1)
+		res, err := db.Exec(qs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Count
+	}
+	return qs, want
+}
+
+// run dials every client before any sends, so all l.conns are open at
+// once, then drives them to completion; each closes when it is done. An
+// error or a wrong answer on any of them fails the test.
+func (l load) run(t *testing.T, srv *server.Server) {
+	t.Helper()
+	clients := make([]*client.Client, l.conns)
+	for i := range clients {
+		c, err := client.Dial(srv.Addr().String(), client.Options{Timeout: 30 * time.Second, Timing: l.timing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	errs := make([]error, l.conns)
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Close()
+			errs[i] = l.worker(c, rand.New(rand.NewSource(int64(i)+1)))
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (l load) worker(c *client.Client, rng *rand.Rand) error {
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(l.templates)-1))
+	stmts := make(map[int]uint64) // template -> prepared statement ID
+	for r := 0; r < l.requests; r++ {
+		i := int(zipf.Uint64())
+		start := time.Now()
+		res, err := l.send(c, stmts, i)
+		rtt := time.Since(start)
+		if err != nil {
+			return fmt.Errorf("%s: %w", l.templates[i], err)
+		}
+		if res.Count != l.want[i] {
+			return fmt.Errorf("%s: count %d, want %d", l.templates[i], res.Count, l.want[i])
+		}
+		if l.check != nil {
+			if err := l.check(res, rtt); err != nil {
+				return fmt.Errorf("%s: %w", l.templates[i], err)
+			}
+		}
+	}
+	return nil
+}
+
+// send answers template i once: by its text, or by prepared statement ID,
+// preparing again whenever the statement cache has evicted it.
+func (l load) send(c *client.Client, stmts map[int]uint64, i int) (*proto.Result, error) {
+	if !l.prepared {
+		return c.Query(l.templates[i])
+	}
+	for {
+		id, ok := stmts[i]
+		if !ok {
+			var err error
+			if id, err = c.Prepare(l.templates[i]); err != nil {
+				return nil, err
+			}
+			stmts[i] = id
+		}
+		res, err := c.Exec(id)
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Kind != proto.ErrKindNoStmt {
+			return res, err
+		}
+		delete(stmts, i)
 	}
 }

@@ -37,7 +37,7 @@ func workloadSource() Source {
 // TestWorkloadEndpointSchema golden-locks the /workload wire schema: the
 // exact JSON key set of the envelope and of each template object.
 // Additions require updating this test deliberately; renames and
-// removals break dashboards and adskip-load -workload, so they must
+// removals break dashboards and scripts that read it, so they must
 // never happen silently.
 func TestWorkloadEndpointSchema(t *testing.T) {
 	srv, err := Start("", workloadSource())

@@ -2,14 +2,19 @@ package adskip
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"adskip/internal/faultinject"
+	"adskip/internal/sql"
 )
 
 // seededDB builds a DB with a table large enough to carry adaptive zone
@@ -167,6 +172,51 @@ func TestTraceRingAndSlowLog(t *testing.T) {
 	defer db2.Close()
 	if n := len(db2.SlowTraces()); n != 0 {
 		t.Fatalf("slow log has %d entries with no threshold", n)
+	}
+}
+
+// TestQueriesCarryTemplateLabel: a query executes under a pprof label
+// naming its template, so CPU and goroutine profiles split by template.
+// Two places set it: the engine for an unsharded table, and the shard
+// manager for a sharded one, whose per-shard engines record no workload
+// and set none. The query is held in its first scan checkpoint while the
+// goroutine profile, which prints each goroutine's labels, is taken.
+func TestQueriesCarryTemplateLabel(t *testing.T) {
+	const q = "SELECT COUNT(*) FROM events WHERE v BETWEEN 1000 AND 5000"
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%q:%q", "query_template", sql.Fingerprint(stmt))
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := seededDB(t, Options{Policy: Adaptive, Shards: shards})
+			defer db.Close()
+			inj := faultinject.New(1).Set(faultinject.ScanDelay,
+				faultinject.Rule{Limit: 1, Delay: 500 * time.Millisecond})
+			defer faultinject.Activate(inj)()
+
+			done := make(chan error, 1)
+			go func() {
+				_, err := db.Exec(q)
+				done <- err
+			}()
+			// The injector counts a fire before it sleeps, and the sleep is
+			// inside the labelled call.
+			for inj.Fires(faultinject.ScanDelay) == 0 {
+				runtime.Gosched()
+			}
+			var profile strings.Builder
+			if err := pprof.Lookup("goroutine").WriteTo(&profile, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(profile.String(), want) {
+				t.Fatalf("no goroutine carries %s:\n%s", want, profile.String())
+			}
+		})
 	}
 }
 
