@@ -721,7 +721,8 @@ func (z *Zonemap) zoneIndex(row int) int {
 // bounds enclose every non-null value, and non-null counts are exact or
 // conservative (Widen may leave counts stale low only via NoteNonNull
 // omission, which is a caller bug — here they must match exactly when
-// exact==true).
+// exact==true). Each zone's rows are read once, by the min/max kernel; only
+// a zone whose bounds fail is walked again, to name the row.
 func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
 	if z.health != nil {
 		return z.health
@@ -735,15 +736,9 @@ func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact
 			return fmt.Errorf("adaptive: zone %d empty [%d,%d)", i, zn.lo, zn.hi)
 		}
 		prev = zn.hi
-		nonNull := 0
-		for r := zn.lo; r < zn.hi; r++ {
-			if nulls != nil && nulls.Get(r) {
-				continue
-			}
-			nonNull++
-			if c := codes.At(r); c < zn.min || c > zn.max {
-				return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude row %d code %d", i, zn.min, zn.max, r, c)
-			}
+		mn, mx, nonNull := scan.MinMax(codes, zn.lo, zn.hi, nulls, 0)
+		if nonNull > 0 && (mn < zn.min || mx > zn.max) {
+			return excludedRow(i, zn, codes, nulls)
 		}
 		if exact && nonNull != zn.nonNull {
 			return fmt.Errorf("adaptive: zone %d nonNull=%d, actual %d", i, zn.nonNull, nonNull)
@@ -773,6 +768,21 @@ func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact
 		}
 	}
 	return nil
+}
+
+// excludedRow names the first non-null row of zone i whose code its bounds
+// exclude; CheckInvariants calls it once the zone's min/max showed there is
+// one.
+func excludedRow(i int, zn zone, codes storage.Vec, nulls *bitvec.BitVec) error {
+	for r := zn.lo; r < zn.hi; r++ {
+		if nulls != nil && nulls.Get(r) {
+			continue
+		}
+		if c := codes.At(r); c < zn.min || c > zn.max {
+			return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude row %d code %d", i, zn.min, zn.max, r, c)
+		}
+	}
+	return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude a row of [%d,%d)", i, zn.min, zn.max, zn.lo, zn.hi)
 }
 
 // corruptLayout deterministically breaks the zone tiling invariant — the

@@ -195,20 +195,25 @@ type splitPlan struct {
 // mergeSweep coalesces runs of adjacent cold zones (heat below MergeHeat)
 // whose union stays within MaxZoneRows, and reports whether any merged.
 // Merging a run of k zones removes k−1 probes per future query and
-// (k−1) zones of metadata; the union bounds remain sound.
+// (k−1) zones of metadata; the union bounds remain sound. The zones before
+// the first mergeable pair stay where they are, and a sweep that finds no
+// such pair writes nothing.
 func (z *Zonemap) mergeSweep() bool {
 	z.flushBlockHits()
+	first := 0
+	for first+1 < len(z.zones) && !z.canMerge(&z.zones[first], &z.zones[first+1]) {
+		first++
+	}
+	if first+1 >= len(z.zones) {
+		return false
+	}
 	before := len(z.zones)
-	out := z.zones[:0]
+	out := z.zones[:first]
 	var merged []zone // the coalesced zones, for the sweep's ledger record
-	for i := 0; i < len(z.zones); {
+	for i := first; i < len(z.zones); {
 		cur := z.zones[i]
 		j := i + 1
-		for j < len(z.zones) &&
-			cur.heat < z.cfg.MergeHeat &&
-			z.zones[j].heat < z.cfg.MergeHeat &&
-			z.zones[j].hi-cur.lo <= z.cfg.MaxZoneRows &&
-			boundsCompatible(&cur, &z.zones[j]) {
+		for j < len(z.zones) && z.canMerge(&cur, &z.zones[j]) {
 			cur = mergeZones(cur, z.zones[j])
 			j++
 		}
@@ -220,9 +225,6 @@ func (z *Zonemap) mergeSweep() bool {
 		i = j
 	}
 	z.zones = out
-	if len(merged) == 0 {
-		return false
-	}
 	// One summary ledger record per sweep covering every coalesced run:
 	// the affected row span and the union hull of the merged zones (which
 	// merging leaves unchanged).
@@ -236,6 +238,15 @@ func (z *Zonemap) mergeSweep() bool {
 		MinAfter: hullMin, MaxAfter: hullMax,
 	})
 	return true
+}
+
+// canMerge reports whether zone next joins the run of cold zones merged so
+// far into cur: both cold, the union within MaxZoneRows, compatible bounds.
+func (z *Zonemap) canMerge(cur, next *zone) bool {
+	return cur.heat < z.cfg.MergeHeat &&
+		next.heat < z.cfg.MergeHeat &&
+		next.hi-cur.lo <= z.cfg.MaxZoneRows &&
+		boundsCompatible(cur, next)
 }
 
 // boundsCompatible reports whether merging a and b loses little pruning

@@ -570,46 +570,70 @@ func TestVerifySkippingDetectsCorruption(t *testing.T) {
 // metadata — no Widen, as a bug in an update path would — under every
 // skipping policy: the verification pass must notice, quarantine the
 // column (queries stay correct by scanning), and a rebuild must clear it.
+// Stale metadata is caught at both code widths: column a is []uint32 as
+// built, []int64 once a code below zero has escalated it. The adaptive
+// zonemap's error names the row and its code, which the kernel's min/max
+// alone cannot, so the check walks the failing zone again.
 func TestVerifySkippingDetectsStaleMetadata(t *testing.T) {
 	for _, policy := range []Policy{PolicyStatic, PolicyImprint, PolicyAdaptive} {
 		t.Run(policy.String(), func(t *testing.T) {
-			tb := buildTable(t, 4000, 17)
-			e := newEngine(t, tb, policy)
-			if err := e.VerifySkipping(); err != nil {
-				t.Fatalf("clean metadata failed verification: %v", err)
-			}
-			col, err := tb.Column("a")
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Column a is sorted 0..3999: 3900 lies outside row 10's zone
-			// hull and in a histogram bin the zone never held.
-			if err := col.SetInt(10, 3900); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.VerifySkipping(); err == nil {
-				t.Fatal("verification passed on stale metadata")
-			}
-			if _, ok := e.Quarantined()["a"]; !ok {
-				t.Fatal("verification did not quarantine the stale column")
-			}
-			q := Query{Where: expr.And(intPred("a", expr.Between, 3000, 3999)), Aggs: []Agg{{Kind: CountStar}}}
-			if res, err := e.Query(q); err != nil || res.Count != 1001 {
-				t.Fatalf("quarantined count=%d err=%v, want 1001", res.Count, err)
-			}
-			if err := e.RebuildSkipping(); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.VerifySkipping(); err != nil {
-				t.Fatalf("rebuilt metadata failed verification: %v", err)
-			}
-			if len(e.Quarantined()) != 0 {
-				t.Fatalf("rebuild left quarantine: %v", e.Quarantined())
-			}
-			if res, err := e.Query(q); err != nil || res.Count != 1001 {
-				t.Fatalf("rebuilt count=%d err=%v, want 1001", res.Count, err)
-			}
+			t.Run("uint32", func(t *testing.T) { checkStaleMetadataCaught(t, policy, false) })
+			t.Run("int64", func(t *testing.T) { checkStaleMetadataCaught(t, policy, true) })
 		})
+	}
+}
+
+func checkStaleMetadataCaught(t *testing.T, policy Policy, wide bool) {
+	tb := buildTable(t, 4000, 17)
+	col, err := tb.Column("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide { // escalate, then put the row back
+		if err := col.SetInt(0, -1); err != nil {
+			t.Fatal(err)
+		}
+		if err := col.SetInt(0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := col.Vec().W != nil; got != wide {
+		t.Fatalf("column a wide=%v, want %v", got, wide)
+	}
+	e := newEngine(t, tb, policy)
+	if err := e.VerifySkipping(); err != nil {
+		t.Fatalf("clean metadata failed verification: %v", err)
+	}
+	// Column a is sorted 0..3999: 3900 lies outside row 10's zone hull
+	// and in a histogram bin the zone never held.
+	if err := col.SetInt(10, 3900); err != nil {
+		t.Fatal(err)
+	}
+	err = e.VerifySkipping()
+	if err == nil {
+		t.Fatal("verification passed on stale metadata")
+	}
+	if policy == PolicyAdaptive && !strings.Contains(err.Error(), "exclude row 10 code 3900") {
+		t.Fatalf("verification error %q does not name row 10 and its code", err)
+	}
+	if _, ok := e.Quarantined()["a"]; !ok {
+		t.Fatal("verification did not quarantine the stale column")
+	}
+	q := Query{Where: expr.And(intPred("a", expr.Between, 3000, 3999)), Aggs: []Agg{{Kind: CountStar}}}
+	if res, err := e.Query(q); err != nil || res.Count != 1001 {
+		t.Fatalf("quarantined count=%d err=%v, want 1001", res.Count, err)
+	}
+	if err := e.RebuildSkipping(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.VerifySkipping(); err != nil {
+		t.Fatalf("rebuilt metadata failed verification: %v", err)
+	}
+	if len(e.Quarantined()) != 0 {
+		t.Fatalf("rebuild left quarantine: %v", e.Quarantined())
+	}
+	if res, err := e.Query(q); err != nil || res.Count != 1001 {
+		t.Fatalf("rebuilt count=%d err=%v, want 1001", res.Count, err)
 	}
 }
 

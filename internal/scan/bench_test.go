@@ -15,10 +15,11 @@ import (
 // at two positions of the domain and two selectivities: a branch-free
 // kernel costs the same in all four, a branchy one does not. BenchmarkCopy
 // is the memory roofline the others are read against. The dense count,
-// filter and min/max kernels — and the copy — run over the same codes as
-// []int64 and as []uint32 (sub-benchmarks int64 / uint32): ns/row per code
-// width is what EXPERIMENTS.md "code width" records, and the dense count
-// runs at each width through its vector and its portable body.
+// filter, min/max and learning-scan kernels — and the copy — run over the
+// same codes as []int64 and as []uint32 (sub-benchmarks int64 / uint32):
+// ns/row per code width is what EXPERIMENTS.md "code width" records, and
+// the dense count, the dense min/max and the learning scan run at each
+// width through their vector and their portable bodies.
 
 const (
 	benchRows   = 2 << 20
@@ -137,19 +138,52 @@ func BenchmarkCountRanges3(b *testing.B) {
 	})
 }
 
+// BenchmarkCountWithStats times the learning scan in 16 parts: vector is
+// what CountStats runs where the CPU has AVX2 (the fused count + min/max
+// body), portable the portable bodies it falls back to, countDense and
+// then minMaxDense over each statBlock rows.
 func BenchmarkCountWithStats(b *testing.B) {
-	codes, _ := benchData()
-	benchPerPred(b, 8, func(rlo, rhi int64) int {
-		n, _ := CountWithStats(codes, 0, len(codes), oneRange(rlo, rhi), nil, 0, 16)
-		return n
+	benchWidths(b, func(b *testing.B, codes storage.Vec) {
+		b.Run("vector", func(b *testing.B) {
+			if !useVector {
+				b.Skip("no AVX2 on this CPU")
+			}
+			benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
+				n, _ := CountStats(codes, 0, codes.Len(), oneRange(rlo, rhi), nil, 0, 16)
+				return n
+			})
+		})
+		b.Run("portable", func(b *testing.B) {
+			benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
+				base, span := offsetForm(rlo, rhi)
+				return portableStats(codes.W, base, span) + portableStats(codes.N, base, span)
+			})
+		})
 	})
 }
 
+// portableStats is partStats' fallback over all of codes with the portable
+// bodies: countDense, then minMaxDense, over each statBlock rows. It
+// returns the count plus the bounds, so that no fold is dead code.
+func portableStats[C storage.Code](codes []C, base, span uint64) (sum int) {
+	for len(codes) > 0 {
+		w := codes[:min(statBlock, len(codes))]
+		mn, mx := minMaxDense(w)
+		sum += countDense(w, base, span) + int(mn^mx)
+		codes = codes[len(w):]
+	}
+	return sum
+}
+
+// BenchmarkCountWithStatsNulls is the learning scan over a column with
+// NULLs, which has one body: the match-word count and minMaxNulls.
 func BenchmarkCountWithStatsNulls(b *testing.B) {
-	codes, nulls := benchData()
-	benchPerPred(b, 8, func(rlo, rhi int64) int {
-		n, _ := CountWithStats(codes, 0, len(codes), oneRange(rlo, rhi), nulls, 0, 16)
-		return n
+	_, nulls := benchData()
+	benchWidths(b, func(b *testing.B, codes storage.Vec) {
+		benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
+			n, _ := CountStats(codes, 0, codes.Len(), oneRange(rlo, rhi), nulls, 0, 16)
+			return n
+		})
 	})
 }
 
@@ -172,19 +206,34 @@ func BenchmarkFilterSelNulls(b *testing.B) {
 	})
 }
 
+// BenchmarkMinMaxRange times the zone summary: dense/vector is what MinMax
+// dispatches to where the CPU has AVX2, dense/portable is minMaxDense,
+// also the vector body's tail loop, and nulls is minMaxNulls, the one body
+// for a column with NULLs.
 func BenchmarkMinMaxRange(b *testing.B) {
 	_, nulls := benchData()
 	benchWidths(b, func(b *testing.B, codes storage.Vec) {
-		for _, c := range []struct {
-			name  string
-			nulls *bitvec.BitVec
-		}{{"dense", nil}, {"nulls", nulls}} {
-			b.Run(c.name, func(b *testing.B) {
-				benchKernel(b, codes.Width(), func() int {
-					lo, hi, _ := MinMax(codes, 0, codes.Len(), c.nulls, 0)
-					return int(lo + hi)
-				})
+		b.Run("dense/vector", func(b *testing.B) {
+			if !useVector {
+				b.Skip("no AVX2 on this CPU")
+			}
+			benchKernel(b, codes.Width(), func() int {
+				lo, hi, _ := MinMax(codes, 0, codes.Len(), nil, 0)
+				return int(lo + hi)
 			})
-		}
+		})
+		b.Run("dense/portable", func(b *testing.B) {
+			benchKernel(b, codes.Width(), func() int {
+				wlo, whi := minMaxDense(codes.W)
+				nlo, nhi := minMaxDense(codes.N)
+				return int(wlo + whi + nlo + nhi)
+			})
+		})
+		b.Run("nulls", func(b *testing.B) {
+			benchKernel(b, codes.Width(), func() int {
+				lo, hi, _ := MinMax(codes, 0, codes.Len(), nulls, 0)
+				return int(lo + hi)
+			})
+		})
 	})
 }

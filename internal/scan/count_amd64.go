@@ -39,6 +39,31 @@ func countBlocks32(codes []uint32, base, span uint32) int
 //go:noescape
 func countBlocks64(codes []int64, base, span uint64) int
 
+// minMaxBlocks32 returns the min and max code of the whole 32-row blocks
+// of codes; with no whole block they are MaxUint32 and 0.
+//
+//go:noescape
+func minMaxBlocks32(codes []uint32) (mn, mx uint32)
+
+// minMaxBlocks64 is minMaxBlocks32 over 16-row blocks of 64-bit codes;
+// with no whole block the bounds are MaxInt64 and MinInt64.
+//
+//go:noescape
+func minMaxBlocks64(codes []int64) (mn, mx int64)
+
+// countMinMaxBlocks32 is countBlocks32 and minMaxBlocks32 over one read of
+// the whole blocks.
+//
+//go:noescape
+func countMinMaxBlocks32(codes []uint32, base, span uint32) (n int, mn, mx uint32)
+
+// countMinMaxBlocks64 is countBlocks64 and minMaxBlocks64 over one read of
+// the whole blocks; base and span come with their sign bits flipped, as
+// countBlocks64 takes them.
+//
+//go:noescape
+func countMinMaxBlocks64(codes []int64, base, span uint64) (n int, mn, mx int64)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv0 returns the low half of extended control register 0.

@@ -4,11 +4,13 @@
 // enough that any index must justify its metadata-read cost — that ratio is
 // what makes adaptive data skipping interesting. These kernels are the
 // stand-in for the paper's SIMD scans. The one every COUNT query runs, the
-// dense single-interval count, is a SIMD scan where the CPU allows it: on
-// amd64 with AVX2 (asked of CPUID once, at init; there is no switch) whole
-// blocks go through the hand-written bodies of count_amd64.s, eight 32-bit
-// or four 64-bit codes per instruction, and countDense takes what is left
-// of the window. Everywhere else, and for every other kernel, the loops
+// dense single-interval count, and the dense min/max every zone summary is
+// taken with — alone, or fused with the count in the learning scan — are
+// SIMD scans where the CPU allows it: on amd64 with AVX2 (asked of CPUID
+// once, at init; there is no switch) whole blocks go through the
+// hand-written bodies of count_amd64.s, eight 32-bit or four 64-bit codes
+// per instruction, and countDense / minMaxDense take what is left of the
+// window. Everywhere else, and for every other kernel, the loops
 // are portable Go whose cost must not depend on the data or on where a
 // predicate sits in the domain, so they hold no data-dependent branch, and
 // no bounds check except where the index is itself data (the
@@ -83,7 +85,7 @@ func countDense[C storage.Code](codes []C, base, span uint64) int {
 	return n0 + n1 + n2 + n3
 }
 
-// vecBlock32 and vecBlock64 are the rows one iteration of the vector bodies
+// vecBlock32 and vecBlock64 are the rows one iteration of every vector body
 // takes (count_amd64.s): four 256-bit registers of codes.
 const (
 	vecBlock32 = 32
@@ -244,13 +246,72 @@ func RefineSel[C storage.Code](codes []C, r expr.Ranges, nulls *bitvec.BitVec, s
 
 // MinMaxRange returns the min and max code among the non-NULL rows of
 // codes[lo:hi] and how many such rows there are; the bounds are valid iff
-// nonNull > 0. Used by metadata builders and by CountWithStats.
+// nonNull > 0. Used by metadata builders and by CountWithStats. A dense
+// window of at least one vector block goes through the vector body; a
+// shorter one (bestCut asks for windows down to one row) is folded by
+// minMaxDense directly.
 func MinMaxRange[C storage.Code](codes []C, lo, hi int, nulls *bitvec.BitVec, base int) (mn, mx int64, nonNull int) {
+	w := codes[lo:hi]
 	if nulls != nil {
-		return minMaxNulls(codes[lo:hi], base+lo, nulls)
+		return minMaxNulls(w, base+lo, nulls)
 	}
-	mn, mx = minMaxDense(codes[lo:hi])
-	return mn, mx, hi - lo
+	if useVector {
+		switch w := any(w).(type) {
+		case []uint32:
+			if len(w) >= vecBlock32 {
+				mn, mx = minMaxVector32(w)
+				return mn, mx, len(w)
+			}
+		case []int64:
+			if len(w) >= vecBlock64 {
+				mn, mx = minMaxVector64(w)
+				return mn, mx, len(w)
+			}
+		}
+	}
+	mn, mx = minMaxDense(w)
+	return mn, mx, len(w)
+}
+
+// minMaxVector32 is minMaxDense through the vector body: the whole blocks,
+// of which codes holds at least one, then the rest through minMaxDense.
+func minMaxVector32(codes []uint32) (mn, mx int64) {
+	bmn, bmx := minMaxBlocks32(codes)
+	mn, mx = minMaxDense(codes[len(codes)&^(vecBlock32-1):])
+	return min(mn, int64(bmn)), max(mx, int64(bmx))
+}
+
+// minMaxVector64 is minMaxVector32 for 64-bit codes.
+func minMaxVector64(codes []int64) (mn, mx int64) {
+	bmn, bmx := minMaxBlocks64(codes)
+	mn, mx = minMaxDense(codes[len(codes)&^(vecBlock64-1):])
+	return min(mn, bmn), max(mx, bmx)
+}
+
+// countMinMaxVector32 is countVector32 and minMaxVector32 over one read of
+// codes, which holds at least one whole block. An interval that is empty
+// once cut to what a 32-bit code can be matches nothing, and the bounds are
+// still taken.
+func countMinMaxVector32(codes []uint32, lo, hi int64) (n int, mn, mx int64) {
+	lo, hi = max(lo, 0), min(hi, math.MaxUint32)
+	if lo > hi {
+		mn, mx = minMaxVector32(codes)
+		return 0, mn, mx
+	}
+	base, span := offsetForm(lo, hi)
+	bn, bmn, bmx := countMinMaxBlocks32(codes, uint32(base), uint32(span))
+	tail := codes[len(codes)&^(vecBlock32-1):]
+	mn, mx = minMaxDense(tail)
+	return bn + countDense(tail, base, span), min(mn, int64(bmn)), max(mx, int64(bmx))
+}
+
+// countMinMaxVector64 is countMinMaxVector32 for 64-bit codes.
+func countMinMaxVector64(codes []int64, lo, hi int64) (n int, mn, mx int64) {
+	base, span := offsetForm(lo, hi)
+	bn, bmn, bmx := countMinMaxBlocks64(codes, base^1<<63, span^1<<63)
+	tail := codes[len(codes)&^(vecBlock64-1):]
+	mn, mx = minMaxDense(tail)
+	return bn + countDense(tail, base, span), min(mn, bmn), max(mx, bmx)
 }
 
 // minMaxDense folds codes into two independent min/max pairs.

@@ -590,9 +590,19 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) (cuts int) {
 		if st.Matched != len(p.rows) || st.NonNull != p.nonNull || (p.nonNull > 0 && (st.Min != p.min || st.Max != p.max)) {
 			t.Fatalf("part %+v want matched %d bounds %d,%d nonnull %d", st, len(p.rows), p.min, p.max, p.nonNull)
 		}
+		// The part's rows start and end anywhere relative to a vector block.
+		if mn, mx, nonNull := MinMax(codes, st.Lo-base, st.Hi-base, nulls, base); nonNull != p.nonNull || (nonNull > 0 && (mn != p.min || mx != p.max)) {
+			t.Fatalf("MinMax over part [%d,%d) = %d,%d,%d want %d,%d,%d", st.Lo, st.Hi, mn, mx, nonNull, p.min, p.max, p.nonNull)
+		}
 	}
 	if len(stats) > 0 && next != base+hi {
 		t.Fatalf("parts end at %d want %d", next, base+hi)
+	}
+	// As one part, which has no neighbours to be cut against, the whole
+	// window is one pass of the fused count and min/max where it is dense.
+	if total, one := CountStats(codes, lo, hi, r, nulls, base, 1); total != len(want.rows) || hi > lo &&
+		(len(one) != 1 || one[0].Matched != total || one[0].NonNull != want.nonNull || (want.nonNull > 0 && (one[0].Min != want.min || one[0].Max != want.max))) {
+		t.Fatalf("CountStats in one part = %d %+v want %d, bounds %d,%d nonnull %d", total, one, len(want.rows), want.min, want.max, want.nonNull)
 	}
 
 	if base != 0 {

@@ -24,15 +24,15 @@ type PartStat struct {
 	Matched  int   // rows matching the predicate
 }
 
-// statBlock is how many rows CountWithStats hands to the count kernel and
-// then to the min/max kernel: small enough that the second reads L1.
+// statBlock is how many rows partStats hands to the count kernel and then
+// to the min/max kernel when it cannot fuse them: small enough that the
+// second reads L1.
 const statBlock = 1024
 
 // CountWithStats scans codes[lo:hi] against r, returning the total match
-// count and per-sub-partition statistics. It reads memory once: each block
-// is counted and then folded into the bounds while still cache-resident,
-// so the marginal cost over CountRanges is the stat bookkeeping, not a
-// second data read.
+// count and per-sub-partition statistics. It reads memory once (see
+// partStats), so the marginal cost over CountRanges is the min/max folds
+// and the stat bookkeeping, not a second data read.
 //
 // The window is first cut into `parts` equal-width parts, parts clamped to
 // [1, hi-lo]. A part whose values jump is then cut once more, at the row
@@ -52,16 +52,40 @@ func CountWithStats[C storage.Code](codes []C, lo, hi int, r expr.Ranges, nulls 
 		s := &stats[p]
 		pLo, pHi := lo+p*n/parts, lo+(p+1)*n/parts
 		s.Lo, s.Hi = base+pLo, base+pHi
-		s.Min, s.Max = math.MaxInt64, math.MinInt64
-		for b := pLo; b < pHi; b += statBlock {
-			e := min(b+statBlock, pHi)
-			s.Matched += CountRanges(codes, b, e, r, nulls, base)
-			mn, mx, nonNull := MinMaxRange(codes, b, e, nulls, base)
-			s.Min, s.Max, s.NonNull = min(s.Min, mn), max(s.Max, mx), s.NonNull+nonNull
-		}
+		s.Matched, s.Min, s.Max, s.NonNull = partStats(codes, pLo, pHi, r, nulls, base)
 		total += s.Matched
 	}
 	return total, cutJumps(codes, stats, r, nulls, base)
+}
+
+// partStats returns the match count of codes[lo:hi] against r, its bounds
+// over non-null rows and its non-null count. A dense window of one interval
+// and at least one vector block is read once by the fused vector body;
+// otherwise each statBlock rows are counted and then folded into the
+// bounds while still cache-resident.
+func partStats[C storage.Code](codes []C, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) (matched int, mn, mx int64, nonNull int) {
+	if useVector && nulls == nil && r.Len() == 1 && r.Lo[0] <= r.Hi[0] {
+		switch w := any(codes[lo:hi]).(type) {
+		case []uint32:
+			if len(w) >= vecBlock32 {
+				matched, mn, mx = countMinMaxVector32(w, r.Lo[0], r.Hi[0])
+				return matched, mn, mx, len(w)
+			}
+		case []int64:
+			if len(w) >= vecBlock64 {
+				matched, mn, mx = countMinMaxVector64(w, r.Lo[0], r.Hi[0])
+				return matched, mn, mx, len(w)
+			}
+		}
+	}
+	mn, mx = math.MaxInt64, math.MinInt64
+	for b := lo; b < hi; b += statBlock {
+		e := min(b+statBlock, hi)
+		matched += CountRanges(codes, b, e, r, nulls, base)
+		bmn, bmx, bn := MinMaxRange(codes, b, e, nulls, base)
+		mn, mx, nonNull = min(mn, bmn), max(mx, bmx), nonNull+bn
+	}
+	return matched, mn, mx, nonNull
 }
 
 // cutFactor is how much of a part's value hull a cut must remove for the

@@ -28,7 +28,7 @@ cd "$(dirname "$0")/.."
 
 KERNELS="countDense matchWord minMaxDense minMaxNulls"
 WIDTHS="int64 uint32"
-VECTOR="countBlocks32 countBlocks64"
+VECTOR="countBlocks32 countBlocks64 minMaxBlocks32 minMaxBlocks64 countMinMaxBlocks32 countMinMaxBlocks64"
 pkg=internal/scan
 fail=0
 
