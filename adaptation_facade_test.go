@@ -10,16 +10,18 @@ import (
 	"adskip/internal/faultinject"
 )
 
-// adaptationDB opens an adaptive DB over 16k rows with two skipping
-// columns of opposite character: "v" is sorted (a hot range converges
-// and splits pay off) while "noise" is uniform pseudo-random (every
-// zone's hull spans the domain, so its metadata never prunes — dead
-// zones by construction).
-func adaptationDB(t *testing.T) *DB {
+// adaptationDB opens an adaptive DB over 16k rows, sharded on "v" when
+// shards > 1, with two skipping columns of opposite character: "v" is
+// sorted (a hot range converges and splits pay off) while "noise" is
+// uniform pseudo-random (every zone's hull spans the domain, so its
+// metadata never prunes and its zones go cold — dead zones by
+// construction). Merging is off, so the cold zones stay where they are.
+func adaptationDB(t *testing.T, shards int) (*DB, *Table) {
 	t.Helper()
 	db := Open(Options{
 		Policy:   Adaptive,
-		Adaptive: AdaptiveConfig{InitialZoneRows: 4096, MinZoneRows: 64},
+		Adaptive: AdaptiveConfig{InitialZoneRows: 4096, MinZoneRows: 64, DisableMerge: true},
+		Shards:   shards, ShardKey: "v",
 	})
 	tab, err := db.CreateTable("data", Col("v", Int64), Col("noise", Int64))
 	if err != nil {
@@ -39,7 +41,7 @@ func adaptationDB(t *testing.T) *DB {
 	if err := tab.EnableSkipping("v", "noise"); err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return db, tab
 }
 
 // TestAdaptationThroughFacade is the end-to-end acceptance check: a hot
@@ -47,7 +49,7 @@ func adaptationDB(t *testing.T) *DB {
 // fingerprint as cause, ROI accounting credits the pruning against its
 // maintenance, and useless metadata surfaces as a dead-zone report.
 func TestAdaptationThroughFacade(t *testing.T) {
-	db := adaptationDB(t)
+	db, _ := adaptationDB(t, 1)
 	defer db.Close()
 
 	for i := 0; i < 12; i++ {
@@ -57,7 +59,9 @@ func TestAdaptationThroughFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ {
+	// Ten misses cool each noise zone from 0.5 to 0.5·0.75^10 ≈ 0.028,
+	// below MergeHeat 0.05.
+	for i := 0; i < 10; i++ {
 		if _, err := db.Exec("SELECT COUNT(*) FROM data WHERE noise BETWEEN 400 AND 420"); err != nil {
 			t.Fatal(err)
 		}
@@ -107,6 +111,11 @@ func TestAdaptationThroughFacade(t *testing.T) {
 	}
 	if noise.DeadZones != noise.Zones {
 		t.Fatalf("dead zones = %d of %d, want every noise zone dead", noise.DeadZones, noise.Zones)
+	}
+	for _, z := range noise.DeadZoneDetail {
+		if z.Heat >= 0.05 {
+			t.Fatalf("dead zone %+v is not below MergeHeat 0.05", z)
+		}
 	}
 
 	// The EXPLAIN ANALYZE footer reports the same ledger totals.
@@ -200,6 +209,69 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	}
 	waitFor("regression never cleared after the rebuild",
 		func(ppm int64) bool { return ppm == 0 })
+}
+
+// TestROIMatchesColumnCounters: every probe counter of an /adaptation ROI
+// row is the adskip_column_* series with the same table, shard and column
+// labels, read off db.Metrics() — across queries, an EXPLAIN (which pays
+// for a probe) and a rebuild (which replaces the skipper but not the
+// column): every counter in a row covers the column's lifetime.
+func TestROIMatchesColumnCounters(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, tab := adaptationDB(t, shards)
+			defer db.Close()
+			exec := func(q string) {
+				t.Helper()
+				if _, err := db.Exec(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				exec(fmt.Sprintf("SELECT COUNT(*) FROM data WHERE v BETWEEN %d AND %d", 5000+100*i, 5200+100*i))
+				exec("SELECT COUNT(*) FROM data WHERE noise BETWEEN 400 AND 420")
+			}
+			exec("EXPLAIN SELECT COUNT(*) FROM data WHERE v BETWEEN 12000 AND 12100")
+			if err := tab.RebuildSkipping("v", "noise"); err != nil {
+				t.Fatal(err)
+			}
+			exec("SELECT COUNT(*) FROM data WHERE v BETWEEN 1000 AND 1100")
+			exec("SELECT COUNT(*) FROM data WHERE v BETWEEN 9000 AND 16383")
+
+			metrics := scrape(t, db)
+			rois := db.Adaptation(0).ROI
+			if len(rois) != 2*shards {
+				t.Fatalf("ROI rows = %d, want 2 columns x %d shards", len(rois), shards)
+			}
+			var skipped int64
+			for _, r := range rois {
+				labels := `column="` + r.Column + `",` // the exposition sorts label keys
+				if r.Shard > 0 {
+					labels += fmt.Sprintf(`shard="%d",`, r.Shard)
+				}
+				labels += `table="data"`
+				for _, c := range []struct {
+					series string
+					got    int64
+				}{
+					{"adskip_column_rows_skipped_total", r.RowsSkipped},
+					{"adskip_column_zones_probed_total", r.ZoneProbes},
+					{"adskip_column_candidate_rows_total", r.CandidateRows},
+					{"adskip_column_covered_rows_total", r.RowsCovered},
+				} {
+					want, ok := seriesValue(metrics, c.series+"{"+labels+"}")
+					if !ok || c.got != want {
+						t.Errorf("%s shard %d: ROI reads %d, %s{%s} reads %d (found %v)",
+							r.Column, r.Shard, c.got, c.series, labels, want, ok)
+					}
+				}
+				skipped += r.RowsSkipped
+			}
+			if skipped == 0 {
+				t.Fatal("no ROI row skipped a row: the stream never exercised the counters")
+			}
+		})
+	}
 }
 
 // TestAdaptationSharded: the one shared ledger serves a sharded catalog

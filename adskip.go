@@ -106,12 +106,6 @@ type Metrics = obs.Registry
 // predicate column's skipper made.
 type QueryTrace = obs.QueryTrace
 
-// SkipmapTable is one table's skipping-effectiveness snapshot: per-column
-// structure state, quarantine status, cumulative prune counters, and
-// per-zone hit/miss detail for introspectable skippers. Served by the
-// telemetry server's /skipmap endpoint and DB.Skipmap.
-type SkipmapTable = obs.SkipmapTable
-
 // AdaptationRecord is one adaptation-ledger entry: a structural or
 // arbitration change to a column's skipping metadata (zone split/merge,
 // skipping disabled/enabled, tail fold, widen, metadata built/loaded,
@@ -278,11 +272,9 @@ type executor interface {
 	// table under its mutex, or a merged copy of a sharded table (shard
 	// order; ascending key order in range mode) — for snapshot and export.
 	ReadTable(fn func(*table.Table) error) error
-	// Shards is the table's shard count (1 when unsharded); Skipmaps and
-	// AdaptationROI report one table entry, and one ROI row per column,
-	// per shard.
+	// Shards is the table's shard count (1 when unsharded); AdaptationROI
+	// reports one ROI row per column per shard.
 	Shards() int
-	Skipmaps(maxZones int) []obs.SkipmapTable
 	AdaptationROI(maxDead int) []obs.ColumnROI
 }
 
@@ -298,7 +290,7 @@ type DB struct {
 	slow      *obs.TraceRing
 
 	// mu guards the catalog and the telemetry handle: the telemetry
-	// server's Skipmap/trace closures read engines concurrently with
+	// server's Adaptation/trace closures read engines concurrently with
 	// CreateTable/LoadTable/LoadCSV.
 	mu      sync.RWMutex
 	engines map[string]executor
@@ -388,25 +380,6 @@ func (db *DB) Workload(sortBy string, k int) WorkloadSnapshot {
 	return db.stats.Snapshot(sortBy, k)
 }
 
-// Skipmap returns a skipping-effectiveness snapshot for every table,
-// sorted by table name. maxZones caps the per-zone detail per column
-// (<= 0 returns every zone); counters are cumulative since each skipper
-// was built.
-func (db *DB) Skipmap(maxZones int) []SkipmapTable {
-	db.mu.RLock()
-	engines := make([]executor, 0, len(db.engines))
-	for _, e := range db.engines {
-		engines = append(engines, e)
-	}
-	db.mu.RUnlock()
-	out := make([]SkipmapTable, 0, len(engines))
-	for _, e := range engines {
-		out = append(out, e.Skipmaps(maxZones)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Table < out[j].Table })
-	return out
-}
-
 // Adaptation returns the adaptation-ledger snapshot: the retained
 // zone-lifecycle records (oldest-first, with drop accounting) and one
 // ROI row per column per shard across the whole catalog. maxDead caps
@@ -444,8 +417,8 @@ func (db *DB) Adaptation(maxDead int) AdaptationSnapshot {
 // StartTelemetry starts the embedded telemetry HTTP server on addr
 // ("127.0.0.1:0" when empty — an ephemeral localhost port) and returns
 // the server's base URL. The server exposes /metrics (Prometheus, with
-// the Go runtime gauges), /traces, /slow, /skipmap, /health, /workload,
-// /adaptation and /debug/pprof/*; it is the only goroutine started and
+// the Go runtime gauges), /traces, /slow, /health, /workload, /adaptation
+// and /debug/pprof/*; it is the only goroutine started and
 // runs until DB.Close. Starting twice is an error.
 func (db *DB) StartTelemetry(addr string) (string, error) {
 	db.mu.Lock()
@@ -457,7 +430,6 @@ func (db *DB) StartTelemetry(addr string) (string, error) {
 		Registry:   db.reg,
 		Traces:     db.traces,
 		SlowTraces: db.slow,
-		Skipmap:    db.Skipmap,
 		Recovering: db.Recovering,
 		Workload:   db.stats,
 		Adaptation: db.Adaptation,

@@ -124,7 +124,7 @@ func (r *repl) meta(line string) bool {
 \loadcsv <file>     load a CSV file (schema inferred)
 \skipping [col]     describe zone metadata \stats        adaptive counters
 \metrics            dump engine metrics (Prometheus text)
-\top                hottest query templates (calls, p95, cpu%) + skipmap
+\top                hottest query templates (calls, p95, cpu%) + per-column ROI
 \events [n]         show the last n adaptation events (default 20)
 \trace              toggle per-query trace printing
 \timeout <dur|off>  cancel statements running longer than dur (e.g. 500ms)
@@ -374,9 +374,10 @@ func (r *repl) events(n int) {
 }
 
 // top renders the workload's hottest query templates — the same
-// aggregation /workload serves — followed by the live per-column
-// skipmap. Parameterized variants of a template collapse into one row;
-// cpu%% is the template's share of total recorded execution time.
+// aggregation /workload serves — followed by each adaptive column's ROI
+// row from /adaptation. Parameterized variants of a template collapse
+// into one row; cpu%% is the template's share of total recorded
+// execution time.
 func (r *repl) top() {
 	if r.eng == nil {
 		fmt.Fprintln(r.out, "no table loaded")
@@ -403,25 +404,29 @@ func (r *repl) top() {
 				t.Calls, t.Errors, t.MeanUS, t.P95US, 100*t.SkipRatio, cpu, t.Fingerprint)
 		}
 	}
-	sm := r.eng.Skipmap(0)
-	if len(sm.Columns) == 0 {
-		fmt.Fprintln(r.out, "no skippers (EnableSkipping first)")
+	rois, quarantined := r.eng.AdaptationROI(0), r.eng.Quarantined()
+	if len(rois)+len(quarantined) == 0 {
+		fmt.Fprintln(r.out, "no adaptive skippers (EnableSkipping first)")
 		return
 	}
-	fmt.Fprintf(r.out, "table %q: %d rows\n", sm.Table, sm.Rows)
-	fmt.Fprintf(r.out, "%-10s %-10s %7s %8s %12s %12s %9s %s\n",
-		"column", "kind", "zones", "probes", "skipped", "candidate", "skip%", "state")
-	for _, c := range sm.Columns {
+	md := r.eng.SkipperMetadata()
+	fmt.Fprintf(r.out, "table %q: %d rows\n", r.eng.Table().Name(), r.eng.NumRows())
+	fmt.Fprintf(r.out, "%-10s %-10s %7s %12s %12s %12s %9s %s\n",
+		"column", "kind", "zones", "zone-probes", "skipped", "candidate", "skip%", "state")
+	for _, c := range rois {
 		state := "on"
-		switch {
-		case c.Quarantined:
-			state = "quarantined"
-		case !c.Enabled:
+		if !md[c.Column].Enabled {
 			state = "off"
 		}
-		fmt.Fprintf(r.out, "%-10s %-10s %7d %8d %12d %12d %8.1f%% %s\n",
-			c.Column, c.Kind, c.Zones, c.Probes, c.RowsSkipped, c.CandidateRows,
-			100*c.SkipRatio, state)
+		var skip float64
+		if probed := c.RowsSkipped + c.CandidateRows; probed > 0 {
+			skip = float64(c.RowsSkipped) / float64(probed)
+		}
+		fmt.Fprintf(r.out, "%-10s %-10s %7d %12d %12d %12d %8.1f%% %s\n",
+			c.Column, c.Kind, c.Zones, c.ZoneProbes, c.RowsSkipped, c.CandidateRows, 100*skip, state)
+	}
+	for col := range quarantined {
+		fmt.Fprintf(r.out, "%-10s quarantined\n", col)
 	}
 }
 

@@ -142,14 +142,6 @@ type zone struct {
 	// converged structure scans at plain-kernel speed.
 	statSkip uint16
 	statFail uint8
-	// hits/misses are lifetime prune counters for introspection: hits
-	// count probes where this zone's metadata was useful (skipped or
-	// proven covered), misses count probes that left it a candidate the
-	// scan had to read. Zones pruned at the block level are credited
-	// lazily via block.hits (see flushBlockHits), so the two-level probe
-	// stays O(blocks + overlapping zones). Split children start at zero;
-	// merges sum both sides.
-	hits, misses uint64
 	// widened marks a zone whose value hull was loosened by an in-place
 	// update since it was last (re)built, so a prune miss on it may be
 	// stale metadata rather than data distribution. Cleared when a split
@@ -179,11 +171,6 @@ const blockZones = 64
 type block struct {
 	min, max int64
 	hasData  bool // any member zone holds a value
-	// hits counts probes that pruned this whole block with one
-	// comparison. Each such probe effectively pruned every member zone;
-	// the credit is attributed to the members lazily (flushBlockHits)
-	// so the block-skip fast path stays a single increment.
-	hits uint64
 }
 
 // Zonemap is an adaptive zonemap over one column. It implements
@@ -205,11 +192,6 @@ type Zonemap struct {
 	lastRanges expr.Ranges // predicate of the in-flight query (Prune→Observe)
 	scratch    []zone      // reusable buffer for structural rebuilds
 
-	// Cumulative probe accounting for ROI reporting: lifetime rows
-	// skipped and zone probes across all Prune/PruneNulls calls. Two adds
-	// per query, far below the probe work itself.
-	cumRowsSkipped int64
-	cumZoneProbes  int64
 	// maintEvents counts structural/arbitration events (splitting
 	// Observes, merging sweeps, arbitration flips, tail folds);
 	// maintZones counts the zones those events touched.
@@ -301,29 +283,6 @@ func (z *Zonemap) rebuildBlocks() {
 	}
 }
 
-// flushBlockHits folds deferred block-level prune credits into the member
-// zones' hit counters and zeroes the block counters. Must run before any
-// structural change to z.zones (splits, merges, tail folds) — afterwards
-// the block→zone mapping is stale — and before per-zone counters are read
-// (Introspect). O(zones), the same order as the structural operations
-// that require it.
-func (z *Zonemap) flushBlockHits() {
-	for bi := range z.blocks {
-		h := z.blocks[bi].hits
-		if h == 0 {
-			continue
-		}
-		z.blocks[bi].hits = 0
-		lo, hi := bi*blockZones, (bi+1)*blockZones
-		if hi > len(z.zones) {
-			hi = len(z.zones)
-		}
-		for i := lo; i < hi; i++ {
-			z.zones[i].hits += h
-		}
-	}
-}
-
 // maintCostRows is the assumed cost of one zone's worth of maintenance
 // work (split bound computation, merge bookkeeping, fold recompute) in
 // row-equivalents. Splits piggyback on scans the query already paid for,
@@ -333,16 +292,13 @@ func (z *Zonemap) flushBlockHits() {
 // debits this per maintenance-touched zone.
 const maintCostRows = 64
 
-// Introspect implements core.Skipper: a copy of every zone's
-// introspection state in row order (lifetime hit/miss counters include
-// block-level prune credits), the cumulative probe and maintenance
-// counters, and the cost constants that weigh them.
+// Introspect implements core.Skipper: the dead zones in row order — those
+// whose heat is below MergeHeat, the test canMerge applies, so "dead" is
+// what the merge policy itself treats as earning nothing — the maintenance
+// counters, and the cost constants that weigh them. It reads the zonemap
+// and writes nothing.
 func (z *Zonemap) Introspect() obs.SkipperSnapshot {
-	z.flushBlockHits()
 	snap := obs.SkipperSnapshot{
-		Zones:       make([]obs.SkipmapZone, len(z.zones)),
-		RowsSkipped: z.cumRowsSkipped,
-		ZoneProbes:  z.cumZoneProbes,
 		MaintEvents: z.maintEvents,
 		MaintZones:  z.maintZones,
 		RowCost:     z.cfg.RowCost,
@@ -350,11 +306,10 @@ func (z *Zonemap) Introspect() obs.SkipperSnapshot {
 		MaintCost:   maintCostRows,
 	}
 	for i := range z.zones {
-		zn := &z.zones[i]
-		snap.Zones[i] = obs.SkipmapZone{
-			Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max,
-			NonNull: zn.nonNull, Heat: zn.heat,
-			Hits: zn.hits, Misses: zn.misses,
+		if zn := &z.zones[i]; zn.heat < z.cfg.MergeHeat {
+			snap.DeadZones = append(snap.DeadZones, obs.ROIZone{
+				Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max, Heat: zn.heat,
+			})
 		}
 	}
 	return snap
@@ -467,7 +422,6 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 			}
 			prev = z.zones[zHi-1].hi
 			res.RowsSkipped += prev - z.zones[zLo].lo
-			b.hits++ // whole-block prune; member zones credited lazily
 			continue
 		}
 		res.ZonesProbed += zHi - zLo
@@ -487,21 +441,18 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 				res.RowsSkipped += zn.hi - zn.lo
 				// The probe was useful right now; credit the zone.
 				zn.heat += z.cfg.HeatAlpha * (1 - zn.heat)
-				zn.hits++
 				continue
 			}
 			cand := core.CandidateZone{ID: i, Lo: zn.lo, Hi: zn.hi}
 			if zn.nonNull == zn.hi-zn.lo && r.Covers(zn.min, zn.max) {
 				// The probe proved the whole zone qualifies: useful.
 				zn.heat += z.cfg.HeatAlpha * (1 - zn.heat)
-				zn.hits++
 				cand.Covered = true
 			} else {
 				// The zone will be scanned; this probe bought nothing.
 				// (Heat is maintained here, at probe time, so candidate
 				// runs can merge below without losing the merge signal.)
 				zn.heat -= z.cfg.HeatAlpha * zn.heat
-				zn.misses++
 				// Classify the miss for the why-not-skipped trace: a hull
 				// the predicate fully covers means only NULL rows blocked
 				// the coverage proof; a loosened hull means the miss may be
@@ -548,8 +499,6 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 	if z.rows > z.tailLo {
 		res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: z.tailLo, Hi: z.rows})
 	}
-	z.cumRowsSkipped += int64(res.RowsSkipped)
-	z.cumZoneProbes += int64(res.ZonesProbed)
 	return res
 }
 
@@ -578,15 +527,9 @@ func (z *Zonemap) PruneNulls() core.PruneResult {
 		rows := zn.hi - zn.lo
 		if zn.nonNull == rows {
 			res.RowsSkipped += rows
-			zn.hits++
 			continue
 		}
 		covered := zn.nonNull == 0
-		if covered {
-			zn.hits++
-		} else {
-			zn.misses++
-		}
 		if k := len(res.Zones); k > 0 && res.Zones[k-1].Hi == zn.lo && res.Zones[k-1].Covered == covered {
 			res.Zones[k-1].Hi = zn.hi
 		} else {
@@ -600,8 +543,6 @@ func (z *Zonemap) PruneNulls() core.PruneResult {
 	if z.rows > z.tailLo {
 		res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: z.tailLo, Hi: z.rows})
 	}
-	z.cumRowsSkipped += int64(res.RowsSkipped)
-	z.cumZoneProbes += int64(res.ZonesProbed)
 	return res
 }
 
@@ -630,7 +571,6 @@ func (z *Zonemap) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
 	if z.rows <= z.tailLo {
 		return
 	}
-	z.flushBlockHits()
 	before := len(z.zones)
 	foldLo := z.tailLo
 	z.appendZones(codes, nulls, z.tailLo, z.rows)

@@ -2,8 +2,11 @@ package adaptive
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
@@ -500,5 +503,62 @@ func TestDescribeZones(t *testing.T) {
 	s := z.DescribeZones(2)
 	if s == "" || len(s) < 20 {
 		t.Fatalf("DescribeZones: %q", s)
+	}
+}
+
+// TestIntrospectIsReadOnly: Introspect, the cold path behind /adaptation,
+// leaves the zones and the coarse level as it found them — after a stream
+// that split and merged, and a last probe that pruned whole blocks — and
+// reports as dead exactly the zones the merge sweep treats as cold.
+func TestIntrospectIsReadOnly(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Window = 1 << 30 // keep arbitration from disabling during this test
+	rng := rand.New(rand.NewSource(11))
+	// 2,000 uniform rows, whose zones never prune and go cold, then 18,000
+	// rows in 500-row value bands, whose zones split.
+	codes := seqCodes(20000, func(i int) int64 {
+		if i < 2000 {
+			return rng.Int63n(40000)
+		}
+		return int64(i/500)*1000 + rng.Int63n(500)
+	})
+	z := New(storage.Vec{W: codes}, nil, cfg)
+	for q := 0; q < 200; q++ {
+		lo := rng.Int63n(40000)
+		execute(z, codes, nil, oneRange(lo, lo+300))
+	}
+	if st := z.Stats(); st.Splits == 0 || st.Merges == 0 {
+		t.Fatalf("the stream did not both split and merge: %+v", st)
+	}
+	if res := z.Prune(oneRange(39000, 39010)); res.RowsSkipped < 10000 {
+		t.Fatalf("the last probe skipped %d rows, want whole blocks", res.RowsSkipped)
+	}
+	zones, blocks := slices.Clone(z.zones), slices.Clone(z.blocks)
+	snap := z.Introspect()
+	if !reflect.DeepEqual(zones, z.zones) || !reflect.DeepEqual(blocks, z.blocks) {
+		t.Fatal("Introspect wrote to the zonemap")
+	}
+	var dead []obs.ROIZone
+	for _, zn := range zones {
+		if zn.heat < z.cfg.MergeHeat {
+			dead = append(dead, obs.ROIZone{Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max, Heat: zn.heat})
+		}
+	}
+	if len(dead) == 0 || !reflect.DeepEqual(snap.DeadZones, dead) {
+		t.Fatalf("dead zones %+v, want the %d zones below MergeHeat %+v", snap.DeadZones, len(dead), dead)
+	}
+}
+
+// TestProbeStructSizes pins the probe structs, which Metadata() counts with
+// unsafe.Sizeof. A change here moves the three adaptive.metadata_bytes lines
+// of scripts/bench_counters.golden (skip-clustered, scan-uniform and
+// ingest-mixed) and the "bytes" literals of the engine's
+// TestIntrospectDerivationsMatchParent.
+func TestProbeStructSizes(t *testing.T) {
+	if got := unsafe.Sizeof(zone{}); got != 56 {
+		t.Errorf("zone is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(block{}); got != 24 {
+		t.Errorf("block is %d bytes, want 24", got)
 	}
 }

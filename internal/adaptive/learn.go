@@ -148,7 +148,6 @@ func (z *Zonemap) planSplit(ob core.ZoneObservation, budget int) []zone {
 // in one pass. Plans reference pre-rebuild indices and are disjoint by
 // construction (one observation per zone).
 func (z *Zonemap) applySplits(plans []splitPlan) {
-	z.flushBlockHits()
 	byIdx := make(map[int][]zone, len(plans))
 	added := 0
 	for _, p := range plans {
@@ -199,7 +198,6 @@ type splitPlan struct {
 // the first mergeable pair stay where they are, and a sweep that finds no
 // such pair writes nothing.
 func (z *Zonemap) mergeSweep() bool {
-	z.flushBlockHits()
 	first := 0
 	for first+1 < len(z.zones) && !z.canMerge(&z.zones[first], &z.zones[first+1]) {
 		first++
@@ -275,11 +273,9 @@ func boundsCompatible(a, b *zone) bool {
 	return union <= w+w/2
 }
 
-// mergeZones returns the sound union of two adjacent zones. Lifetime
-// prune counters sum: the union inherits both sides' history.
+// mergeZones returns the sound union of two adjacent zones.
 func mergeZones(a, b zone) zone {
 	m := zone{lo: a.lo, hi: b.hi, nonNull: a.nonNull + b.nonNull,
-		hits: a.hits + b.hits, misses: a.misses + b.misses,
 		widened: a.widened || b.widened}
 	switch {
 	case a.nonNull == 0:

@@ -13,7 +13,6 @@ import (
 // sweepReference is the merge sweep as one pass that rewrites every zone,
 // whether or not any merges: the reference mergeSweep must agree with.
 func sweepReference(z *Zonemap) bool {
-	z.flushBlockHits()
 	before := len(z.zones)
 	out := z.zones[:0]
 	var merged []zone
@@ -60,8 +59,7 @@ func sweepReference(z *Zonemap) bool {
 func sweepZones(rng *rand.Rand, kind string, n int) []zone {
 	zones := make([]zone, n)
 	for i := range zones {
-		zones[i] = zone{lo: 100 * i, hi: 100 * (i + 1), min: int64(1000 * i), max: int64(1000*i + 10), nonNull: 100, heat: 0.5,
-			hits: uint64(rng.Intn(5)), misses: uint64(rng.Intn(5))}
+		zones[i] = zone{lo: 100 * i, hi: 100 * (i + 1), min: int64(1000 * i), max: int64(1000*i + 10), nonNull: 100, heat: 0.5}
 	}
 	run := 2 + rng.Intn(2) // at most MaxZoneRows: one merged zone
 	var at int

@@ -148,7 +148,7 @@ func TestAdaptiveProperties(t *testing.T) {
 			return func(i int) bool { return (nulls == nil || !nulls.Get(i)) && r.Contains(codes[i]) }
 		}
 
-		var zones [2][]obs.SkipmapZone
+		var zones [2][]zone
 		for w, view := range []storage.Vec{{W: codes}, {N: narrow}} {
 			what := fmt.Sprintf("seed %d, %s, %d-byte codes", seed, shape, view.Width())
 			z := New(view, nulls, cfg)
@@ -177,7 +177,7 @@ func TestAdaptiveProperties(t *testing.T) {
 					}
 				}
 			}
-			zones[w] = z.Introspect().Zones
+			zones[w] = z.zones
 		}
 		if !reflect.DeepEqual(zones[0], zones[1]) {
 			t.Fatalf("seed %d, %s: zones over 8-byte codes %+v, over 4-byte codes %+v", seed, shape, zones[0], zones[1])

@@ -129,12 +129,11 @@ type Skipper interface {
 	// adaptation ledger. Records are emitted only on structural change,
 	// never per probe, so the sink stays off the scan hot path.
 	SetJournal(sink func(obs.LedgerRecord))
-	// Introspect copies the skipper's state in one cold-path call: every
-	// zone's bounds, heat and lifetime prune hit/miss counters, the
-	// cumulative probe/skip/maintenance counters, and the cost-model
-	// constants. The engine derives the /skipmap zone detail, the
-	// /adaptation ROI rows and their dead-zone detail from it; a skipper
-	// that keeps none of this returns the zero snapshot.
+	// Introspect copies, in one cold-path call that writes nothing, what
+	// the /adaptation ROI rows need from the skipper: its dead zones, its
+	// maintenance counters and its cost-model constants. The probe
+	// counters are the engine's own; a skipper that keeps none of this
+	// returns the zero snapshot.
 	Introspect() obs.SkipperSnapshot
 }
 

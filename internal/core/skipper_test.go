@@ -37,7 +37,7 @@ func TestNoSkipper(t *testing.T) {
 	s.NoteNonNull(3)
 	s.SetJournal(nil)
 	if snap := s.Introspect(); s.Health() != nil || s.CheckInvariants(storage.Vec{}, nil, true) != nil ||
-		snap.Zones != nil || snap.RowCost != 0 {
+		snap.DeadZones != nil || snap.RowCost != 0 {
 		t.Fatalf("health=%v snapshot=%+v", s.Health(), snap)
 	}
 }

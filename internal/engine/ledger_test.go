@@ -206,14 +206,18 @@ func TestAdaptationROICreditsAndDebits(t *testing.T) {
 
 // TestAdaptationROIDeadZones: metadata that is probed but never prunes
 // is pure overhead, and the ROI row must surface it — count plus
-// bounded per-zone detail.
+// bounded per-zone detail. A dead zone is one whose heat is below
+// MergeHeat: the zones the merge sweep would coalesce.
 func TestAdaptationROIDeadZones(t *testing.T) {
 	// Column "b" is uniform random, so every zone's hull spans nearly the
 	// whole domain: a narrow predicate overlaps every zone (no prune) yet
-	// covers none (no short-circuit) — all probes are misses.
+	// covers none (no short-circuit) — all probes are misses, and each
+	// cools the zone by HeatAlpha: from 0.5 to 0.5·0.75^10 ≈ 0.028 after
+	// ten queries, below MergeHeat 0.05. Merging is off, so the four cold
+	// zones stay four.
 	tb := buildTable(t, 4096, 1)
 	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
-		InitialZoneRows: 1024, MinZoneRows: 1024,
+		InitialZoneRows: 1024, MinZoneRows: 1024, DisableMerge: true,
 	}, Ledger: obs.NewLedger(0)})
 	if err := e.EnableSkipping("b"); err != nil {
 		t.Fatal(err)
@@ -222,7 +226,7 @@ func TestAdaptationROIDeadZones(t *testing.T) {
 		Where: expr.And(intPred("b", expr.Between, 400, 420)),
 		Aggs:  []Agg{{Kind: CountStar}},
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 10; i++ {
 		if _, err := e.Query(q); err != nil {
 			t.Fatal(err)
 		}
@@ -232,14 +236,14 @@ func TestAdaptationROIDeadZones(t *testing.T) {
 		t.Fatalf("ROI rows = %d, want 1", len(rois))
 	}
 	r := rois[0]
-	if r.DeadZones != r.Zones || r.DeadZones == 0 {
-		t.Fatalf("dead zones = %d of %d, want every zone dead", r.DeadZones, r.Zones)
+	if r.DeadZones != r.Zones || r.DeadZones != 4 {
+		t.Fatalf("dead zones = %d of %d, want all 4 zones dead", r.DeadZones, r.Zones)
 	}
 	if len(r.DeadZoneDetail) != 2 {
 		t.Fatalf("detail entries = %d, want the maxDead cap of 2", len(r.DeadZoneDetail))
 	}
 	for _, z := range r.DeadZoneDetail {
-		if z.Hits != 0 || z.Misses == 0 || z.Hi <= z.Lo {
+		if z.Heat >= 0.05 || z.Hi <= z.Lo {
 			t.Fatalf("dead-zone detail malformed: %+v", z)
 		}
 	}

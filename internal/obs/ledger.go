@@ -154,23 +154,42 @@ func (l *Ledger) Dropped() uint64 {
 
 // ROI types: the per-zone return-on-investment view behind /adaptation.
 
-// ROIZone is one zone's ROI detail, reported for dead zones (metadata
-// that never pruned anything) so an operator can see exactly which row
-// ranges carry useless bounds.
+// ROIZone is one zone's ROI detail, reported for dead zones (heat below
+// the merge threshold: probes there have recently bought nothing) so an
+// operator can see exactly which row ranges carry useless bounds.
 type ROIZone struct {
-	Lo     int    `json:"lo"`
-	Hi     int    `json:"hi"`
-	Min    int64  `json:"min"`
-	Max    int64  `json:"max"`
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
+	Lo   int     `json:"lo"`
+	Hi   int     `json:"hi"`
+	Min  int64   `json:"min"`
+	Max  int64   `json:"max"`
+	Heat float64 `json:"heat"`
+}
+
+// SkipperSnapshot is what a skipper reports for ROI accounting, copied in
+// one cold-path call (core.Skipper's Introspect): its dead zones in row
+// order, its maintenance counters, and the cost-model constants that
+// weigh them. The probe counters come from the engine's per-column
+// series. A skipper that keeps no such accounts returns the zero value —
+// RowCost 0 — and gets no ROI row.
+type SkipperSnapshot struct {
+	DeadZones []ROIZone
+
+	// Maintenance debits: structural/arbitration events, and the zones
+	// they touched.
+	MaintEvents int64
+	MaintZones  int64
+
+	// Cost model, in row-equivalents: one row of scan work avoided, one
+	// zone probe, one zone's worth of maintenance work.
+	RowCost, ProbeCost, MaintCost float64
 }
 
 // ColumnROI is one column's adaptation return-on-investment: rows and
 // bytes the metadata pruned (credit) against the probe and maintenance
 // work it cost (debit), in row-equivalents under the adaptive cost
-// model. DeadZones counts zones whose metadata was probed but never
-// pruned — pure overhead the next layout decision should reclaim.
+// model. Every counter covers the column's lifetime, across rebuilds.
+// DeadZones counts zones the merge policy treats as cold — pure overhead
+// the next layout decision should reclaim.
 type ColumnROI struct {
 	Table  string `json:"table"`
 	Shard  int    `json:"shard,omitempty"`

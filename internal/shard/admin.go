@@ -91,20 +91,6 @@ func (m *Manager) LoadSkipper(col string, r io.Reader) error {
 	return fmt.Errorf("shard: skipping metadata snapshots are per-shard; not supported on sharded tables (column %q)", col)
 }
 
-// Skipmaps returns one skipping-effectiveness snapshot per shard, each
-// stamped with its 1-based shard number and the total shard count — the
-// per-shard dimension behind /skipmap?shard=N.
-func (m *Manager) Skipmaps(maxZones int) []obs.SkipmapTable {
-	out := make([]obs.SkipmapTable, 0, len(m.shards))
-	for _, s := range m.shards {
-		t := s.eng.Skipmap(maxZones)
-		t.Shard = s.id
-		t.Shards = len(m.shards)
-		out = append(out, t)
-	}
-	return out
-}
-
 // AdaptationROI returns every shard's per-column adaptation ROI rows
 // (each engine stamps its own 1-based shard number). maxDead caps the
 // per-column dead-zone detail.

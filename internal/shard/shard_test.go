@@ -390,23 +390,6 @@ func TestExplainAnalyzeShardPhase(t *testing.T) {
 	}
 }
 
-// TestSkipmapsPerShard checks the per-shard snapshot dimension.
-func TestSkipmapsPerShard(t *testing.T) {
-	_, m := pair(t, ModeRange, 4, 1000)
-	maps := m.Skipmaps(0)
-	if len(maps) != 4 {
-		t.Fatalf("%d skipmaps, want 4", len(maps))
-	}
-	for i, sm := range maps {
-		if sm.Shard != i+1 || sm.Shards != 4 {
-			t.Errorf("skipmap %d: Shard=%d Shards=%d, want %d and 4", i, sm.Shard, sm.Shards, i+1)
-		}
-		if sm.Table != "sales" {
-			t.Errorf("skipmap %d: Table=%q", i, sm.Table)
-		}
-	}
-}
-
 // TestMergedRoundTrip checks Merged preserves every row (as a multiset).
 func TestMergedRoundTrip(t *testing.T) {
 	rows := testRows(300)

@@ -17,7 +17,7 @@ import (
 func adaptationSource() Source {
 	src := testSource()
 	src.Adaptation = func(maxDead int) obs.AdaptationSnapshot {
-		detail := []obs.ROIZone{{Lo: 0, Hi: 64, Min: 5, Max: 9, Hits: 0, Misses: 12}}
+		detail := []obs.ROIZone{{Lo: 0, Hi: 64, Min: 5, Max: 9, Heat: 0.01}}
 		if maxDead == 0 {
 			detail = nil
 		}
@@ -110,6 +110,13 @@ func TestAdaptationEndpointSchema(t *testing.T) {
 	}
 	if got := sortedKeys(roi[1]); !equalStrings(got, wantROI) {
 		t.Fatalf("roi keys = %v, want %v (schema is golden-locked)", got, wantROI)
+	}
+	var dead []map[string]json.RawMessage
+	if err := json.Unmarshal(roi[1]["dead_zone_detail"], &dead); err != nil || len(dead) != 1 {
+		t.Fatalf("dead_zone_detail: err=%v n=%d", err, len(dead))
+	}
+	if got, want := sortedKeys(dead[0]), []string{"heat", "hi", "lo", "max", "min"}; !equalStrings(got, want) {
+		t.Fatalf("dead-zone keys = %v, want %v (schema is golden-locked)", got, want)
 	}
 }
 

@@ -8,50 +8,8 @@ import (
 	"adskip/internal/obs"
 )
 
-// Endpoint contracts: the JSON key sets operator tooling reads. The
-// /workload and /adaptation schemas are locked in their own test files;
-// this file covers /skipmap plus the /slow shard filter.
-
-// TestSkipmapPanelSchema golden-locks the /skipmap table, column, and
-// zone key sets: renames and removals break tooling that scrapes them.
-func TestSkipmapPanelSchema(t *testing.T) {
-	srv, err := Start("", testSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	code, body := get(t, srv.URL()+"/skipmap")
-	if code != http.StatusOK {
-		t.Fatalf("/skipmap = %d\n%s", code, body)
-	}
-	var tables []map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &tables); err != nil || len(tables) != 1 {
-		t.Fatalf("tables: err=%v n=%d", err, len(tables))
-	}
-	if got, want := sortedKeys(tables[0]), []string{"columns", "rows", "table"}; !equalStrings(got, want) {
-		t.Fatalf("table keys = %v, want %v (schema is golden-locked; shard/shards appear only when sharded)", got, want)
-	}
-	var cols []map[string]json.RawMessage
-	if err := json.Unmarshal(tables[0]["columns"], &cols); err != nil || len(cols) != 1 {
-		t.Fatalf("columns: err=%v n=%d", err, len(cols))
-	}
-	wantCol := []string{
-		"bytes", "candidate_rows", "column", "covered_rows", "declined",
-		"enabled", "kind", "probes", "quarantined", "rows_skipped",
-		"skip_ratio", "zone_detail", "zone_probes", "zones",
-	}
-	if got := sortedKeys(cols[0]); !equalStrings(got, wantCol) {
-		t.Fatalf("column keys = %v, want %v (schema is golden-locked)", got, wantCol)
-	}
-	var zones []map[string]json.RawMessage
-	if err := json.Unmarshal(cols[0]["zone_detail"], &zones); err != nil || len(zones) != 1 {
-		t.Fatalf("zone_detail: err=%v n=%d", err, len(zones))
-	}
-	wantZone := []string{"heat", "hi", "hits", "lo", "max", "min", "misses", "non_null"}
-	if got := sortedKeys(zones[0]); !equalStrings(got, wantZone) {
-		t.Fatalf("zone keys = %v, want %v (schema is golden-locked)", got, wantZone)
-	}
-}
+// Endpoint contracts: the /workload and /adaptation schemas are locked in
+// their own test files; this file covers the /slow shard filter.
 
 // TestSlowShardFilter: ?shard=N matches a per-shard trace's own stamp or
 // membership in a merged logical trace's scanned-shard list.

@@ -1,13 +1,12 @@
 // Package telemetry hosts the engine's embedded observability server: an
 // opt-in net/http endpoint exposing Prometheus metrics, pprof profiles,
 // recent query traces (browsable as JSON or downloadable as Chrome
-// trace_event files), the per-zone skipping-effectiveness heatmap, the
-// workload statistics and the adaptation ledger. Go runtime readings are
-// /metrics series.
+// trace_event files), the workload statistics and the adaptation ledger.
+// Go runtime readings are /metrics series.
 //
 // The server is strictly read-only and pull-based: it snapshots state the
-// engine already maintains (metric registries, trace rings, skipper
-// introspection) and never blocks the query path beyond the mutex those
+// engine already maintains (metric registries, trace rings, the ledger and
+// its ROI rows) and never blocks the query path beyond the mutex those
 // snapshots take. It depends only on obs plus closures supplied by the
 // caller, so it stays decoupled from the engine's types.
 package telemetry
@@ -38,9 +37,6 @@ type Source struct {
 	Traces *obs.TraceRing
 	// SlowTraces is the slow-query log behind /slow.
 	SlowTraces *obs.TraceRing
-	// Skipmap returns per-table skipping-effectiveness snapshots with at
-	// most maxZones of per-zone detail per column.
-	Skipmap func(maxZones int) []obs.SkipmapTable
 	// Recovering reports whether the store is still replaying its
 	// write-ahead log, the one state in which the process knows it cannot
 	// serve: /health answers 503 while it returns true and 200 otherwise.
@@ -152,7 +148,6 @@ func (s *Server) endpoints() []endpoint {
 		{"/metrics", "Prometheus exposition", s.handleMetrics},
 		{"/traces", "recent query traces (add <code>?format=chrome</code> for a chrome://tracing file)", s.handleTraces},
 		{"/slow", "slow-query log", s.handleSlow},
-		{"/skipmap", "per-zone skipping-effectiveness heatmap (add <code>?zones=N</code>)", s.handleSkipmap},
 		{"/health", "readiness probe (503 while the write-ahead log replays)", s.handleHealth},
 		{"/workload", "per-template workload stats (add <code>?sort=time|calls|bytes</code>, <code>?k=N</code>, <code>?format=csv</code>)", s.handleWorkload},
 		{"/adaptation", "adaptation ledger: zone-lifecycle provenance + per-column skip ROI (add <code>?table=</code>, <code>?shard=N</code>, <code>?dead=N</code>, <code>?format=csv</code>)", s.handleAdaptation},
@@ -292,65 +287,6 @@ func parseShard(r *http.Request) (int, bool, error) {
 		return 0, false, fmt.Errorf("bad shard parameter %q (want a 1-based shard number)", v)
 	}
 	return n, true, nil
-}
-
-// handleSkipmap serves the per-table skipping heatmap. ?zones=N caps the
-// per-column zone detail (default 1024; zones=0 omits detail entirely,
-// zones=-1 returns every zone). ?shard=N narrows a sharded catalog to
-// one shard's snapshots; out-of-range shards are a 400.
-func (s *Server) handleSkipmap(w http.ResponseWriter, r *http.Request) {
-	if s.src.Skipmap == nil {
-		writeJSON(w, []obs.SkipmapTable{})
-		return
-	}
-	maxZones := 1024
-	if v := r.URL.Query().Get("zones"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			http.Error(w, "bad zones parameter", http.StatusBadRequest)
-			return
-		}
-		maxZones = n
-	}
-	shard, hasShard, err := parseShard(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	tables := s.src.Skipmap(maxZones)
-	if tables == nil {
-		tables = []obs.SkipmapTable{}
-	}
-	if hasShard {
-		maxShard := 0
-		for _, t := range tables {
-			if t.Shards > maxShard {
-				maxShard = t.Shards
-			}
-		}
-		if shard < 1 || shard > maxShard {
-			http.Error(w, fmt.Sprintf("shard %d out of range (catalog has shards 1..%d)", shard, maxShard),
-				http.StatusBadRequest)
-			return
-		}
-		kept := tables[:0]
-		for _, t := range tables {
-			if t.Shard == shard {
-				kept = append(kept, t)
-			}
-		}
-		tables = kept
-	}
-	if maxZones == 0 {
-		for ti := range tables {
-			for ci := range tables[ti].Columns {
-				c := &tables[ti].Columns[ci]
-				c.ZonesTruncated = c.Zones
-				c.ZoneDetail = nil
-			}
-		}
-	}
-	writeJSON(w, tables)
 }
 
 // handleHealth is the readiness probe: 503 {"status":"recovering"} while

@@ -12,7 +12,7 @@ import (
 	"adskip/internal/obs"
 )
 
-// testSource builds a server source with one trace and a canned skipmap.
+// testSource builds a server source with one trace.
 func testSource() Source {
 	reg := obs.NewRegistry()
 	reg.Counter("t_total", "help").Inc()
@@ -21,19 +21,7 @@ func testSource() Source {
 	root.StartChild("scan").FinishRows(100, 10, 80)
 	root.Finish()
 	ring.Append(&obs.QueryTrace{Table: "t", Start: root.Start, Root: root})
-	return Source{
-		Registry: reg,
-		Traces:   ring,
-		Skipmap: func(maxZones int) []obs.SkipmapTable {
-			zones := []obs.SkipmapZone{{Lo: 0, Hi: 64, Min: 1, Max: 9, NonNull: 64, Hits: 3, Misses: 1}}
-			if maxZones == 0 {
-				zones = nil
-			}
-			return []obs.SkipmapTable{{Table: "t", Rows: 64, Columns: []obs.SkipmapColumn{{
-				Column: "v", Kind: "adaptive", Zones: 1, Enabled: true, ZoneDetail: zones,
-			}}}}
-		},
-	}
+	return Source{Registry: reg, Traces: ring}
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -61,7 +49,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// Every JSON endpoint returns 200 and parses.
-	for _, path := range []string{"/traces", "/slow", "/skipmap"} {
+	for _, path := range []string{"/traces", "/slow"} {
 		code, body := get(t, srv.URL()+path)
 		if code != http.StatusOK {
 			t.Fatalf("GET %s = %d, want 200", path, code)
@@ -101,21 +89,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("chrome export: err=%v events=%d\n%s", err, len(chrome.TraceEvents), body)
 	}
 
-	// /skipmap default includes zone detail; zones=0 strips it; junk is 400.
-	_, body = get(t, srv.URL()+"/skipmap")
-	if !strings.Contains(body, `"zone_detail"`) || !strings.Contains(body, `"hits": 3`) {
-		t.Fatalf("/skipmap missing zone detail:\n%s", body)
-	}
-	_, body = get(t, srv.URL()+"/skipmap?zones=0")
-	if strings.Contains(body, `"zone_detail"`) || !strings.Contains(body, `"zones_truncated": 1`) {
-		t.Fatalf("/skipmap?zones=0 should strip detail and count truncation:\n%s", body)
-	}
-	for _, q := range []string{"junk", "5x", "7%20junk", "%22%22"} {
-		if code, _ := get(t, srv.URL()+"/skipmap?zones="+q); code != http.StatusBadRequest {
-			t.Errorf("/skipmap?zones=%s = %d, want 400", q, code)
-		}
-	}
-
 	if code, _ := get(t, srv.URL()+"/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/cmdline = %d, want 200", code)
 	}
@@ -137,7 +110,7 @@ func TestServerOptionalSourcesNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, path := range []string{"/slow", "/skipmap", "/adaptation"} {
+	for _, path := range []string{"/slow", "/adaptation"} {
 		code, body := get(t, srv.URL()+path)
 		if code != http.StatusOK {
 			t.Fatalf("GET %s = %d, want 200", path, code)
@@ -150,7 +123,7 @@ func TestServerOptionalSourcesNil(t *testing.T) {
 }
 
 // TestIndexMatchesMux: every link on the index page answers, every route
-// of the table is linked, and the removed timeline endpoints are gone.
+// of the table is linked, and the removed endpoints are gone.
 func TestIndexMatchesMux(t *testing.T) {
 	srv, err := Start("", testSource())
 	if err != nil {
@@ -176,7 +149,10 @@ func TestIndexMatchesMux(t *testing.T) {
 	if len(links) != len(srv.endpoints()) {
 		t.Errorf("index has %d links for %d routes:\n%s", len(links), len(srv.endpoints()), page)
 	}
-	for _, path := range []string{"/history", "/dash", "/runtime", "/metrics.json"} {
+	if len(links) != 7 {
+		t.Errorf("index links %d endpoints, want 7", len(links))
+	}
+	for _, path := range []string{"/history", "/dash", "/runtime", "/metrics.json", "/skipmap"} {
 		if code, _ := get(t, srv.URL()+path); code != http.StatusNotFound {
 			t.Errorf("%s = %d, want 404", path, code)
 		}

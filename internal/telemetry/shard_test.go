@@ -6,25 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"adskip/internal/obs"
 	"adskip/internal/stats"
 )
 
-// shardedSource builds a server source for a 3-shard table: one skipmap
-// snapshot per shard, and a workload whose two templates touched
-// different shard sets.
+// shardedSource builds a server source for a 3-shard table: a workload
+// whose two templates touched different shard sets.
 func shardedSource() Source {
 	src := testSource()
-	src.Skipmap = func(maxZones int) []obs.SkipmapTable {
-		out := make([]obs.SkipmapTable, 0, 3)
-		for i := 1; i <= 3; i++ {
-			out = append(out, obs.SkipmapTable{
-				Table: "t", Shard: i, Shards: 3, Rows: 64,
-				Columns: []obs.SkipmapColumn{{Column: "v", Kind: "adaptive", Zones: 1, Enabled: true}},
-			})
-		}
-		return out
-	}
 	tbl := stats.New(stats.Options{})
 	tbl.Record(stats.Sample{
 		Fingerprint: "SELECT COUNT(*) FROM t WHERE id < ?", Table: "t",
@@ -40,50 +28,9 @@ func shardedSource() Source {
 	return src
 }
 
-// TestSkipmapShardFilter: ?shard=N narrows the heatmap to one shard's
-// snapshots; bad and out-of-range values are 400s, never 500s or a
-// silently empty list.
-func TestSkipmapShardFilter(t *testing.T) {
-	srv, err := Start("", shardedSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	code, body := get(t, srv.URL()+"/skipmap?shard=2")
-	if code != http.StatusOK {
-		t.Fatalf("/skipmap?shard=2 = %d\n%s", code, body)
-	}
-	var tables []obs.SkipmapTable
-	if err := json.Unmarshal([]byte(body), &tables); err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || tables[0].Shard != 2 || tables[0].Shards != 3 {
-		t.Fatalf("shard=2 returned %+v, want exactly shard 2 of 3", tables)
-	}
-
-	for _, q := range []string{"?shard=abc", "?shard=0", "?shard=-1", "?shard=99", "?shard=1.5"} {
-		if code, body := get(t, srv.URL()+"/skipmap"+q); code != http.StatusBadRequest {
-			t.Errorf("/skipmap%s = %d, want 400\n%s", q, code, body)
-		}
-	}
-}
-
-// TestSkipmapShardFilterUnsharded: on an unsharded catalog every shard
-// number is out of range — a 400, not an empty 200.
-func TestSkipmapShardFilterUnsharded(t *testing.T) {
-	srv, err := Start("", testSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if code, body := get(t, srv.URL()+"/skipmap?shard=1"); code != http.StatusBadRequest {
-		t.Fatalf("/skipmap?shard=1 on unsharded catalog = %d, want 400\n%s", code, body)
-	}
-}
-
 // TestWorkloadShardFilter: ?shard=N keeps only templates that scanned
-// that shard; validation mirrors /skipmap.
+// that shard; bad and out-of-range values are 400s, never 500s or a
+// silently empty list.
 func TestWorkloadShardFilter(t *testing.T) {
 	srv, err := Start("", shardedSource())
 	if err != nil {
@@ -118,7 +65,7 @@ func TestWorkloadShardFilter(t *testing.T) {
 		t.Fatalf("shard=1 returned %d templates, want 2", len(one.Templates))
 	}
 
-	for _, q := range []string{"?shard=abc", "?shard=0", "?shard=4"} {
+	for _, q := range []string{"?shard=abc", "?shard=0", "?shard=-1", "?shard=4", "?shard=1.5"} {
 		if code, body := get(t, srv.URL()+"/workload"+q); code != http.StatusBadRequest {
 			t.Errorf("/workload%s = %d, want 400\n%s", q, code, body)
 		}

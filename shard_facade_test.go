@@ -109,22 +109,6 @@ func TestShardedExplainAnalyze(t *testing.T) {
 	}
 }
 
-// TestShardedSkipmap: DB.Skipmap expands a sharded table into per-shard
-// snapshots with the shard dimension stamped.
-func TestShardedSkipmap(t *testing.T) {
-	db, _ := shardedDB(t, "range")
-	defer db.Close()
-	tables := db.Skipmap(8)
-	if len(tables) != 4 {
-		t.Fatalf("Skipmap returned %d entries, want 4 (one per shard)", len(tables))
-	}
-	for _, st := range tables {
-		if st.Shards != 4 || st.Shard < 1 || st.Shard > 4 {
-			t.Fatalf("bad shard stamp: shard=%d shards=%d", st.Shard, st.Shards)
-		}
-	}
-}
-
 // TestShardedSaveRoundTrip: SaveTable on a sharded DB writes a merged
 // snapshot that an unsharded DB can load, and WriteCSV exports all rows.
 func TestShardedSaveRoundTrip(t *testing.T) {

@@ -59,87 +59,6 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestSkipmapShape locks the /skipmap JSON shape end to end: seeded table,
-// real adaptive skipper, served over HTTP.
-func TestSkipmapShape(t *testing.T) {
-	db := seededDB(t, Options{Policy: Adaptive})
-	defer db.Close()
-
-	// The in-process view first.
-	tables := db.Skipmap(-1)
-	if len(tables) != 1 || tables[0].Table != "events" || tables[0].Rows != 20000 {
-		t.Fatalf("Skipmap = %+v, want one 20000-row table \"events\"", tables)
-	}
-	var vcol bool
-	for _, c := range tables[0].Columns {
-		if c.Column != "v" {
-			continue
-		}
-		vcol = true
-		if c.Kind != "adaptive-zonemap" && c.Kind != "adaptive" {
-			t.Errorf("kind = %q, want adaptive", c.Kind)
-		}
-		if !c.Enabled || c.Quarantined {
-			t.Errorf("enabled=%v quarantined=%v, want on and clean", c.Enabled, c.Quarantined)
-		}
-		if c.Probes == 0 || c.RowsSkipped == 0 {
-			t.Errorf("counters flat: probes=%d skipped=%d", c.Probes, c.RowsSkipped)
-		}
-		if len(c.ZoneDetail) != c.Zones || c.ZonesTruncated != 0 {
-			t.Errorf("zone detail %d of %d zones (truncated %d), want all", len(c.ZoneDetail), c.Zones, c.ZonesTruncated)
-		}
-		var hits, misses uint64
-		prevHi := 0
-		for _, z := range c.ZoneDetail {
-			if z.Lo != prevHi {
-				t.Fatalf("zone detail not contiguous: lo=%d after hi=%d", z.Lo, prevHi)
-			}
-			prevHi = z.Hi
-			hits += z.Hits
-			misses += z.Misses
-		}
-		if prevHi != 20000 {
-			t.Errorf("zones cover [0,%d), want [0,20000)", prevHi)
-		}
-		if hits == 0 || misses == 0 {
-			t.Errorf("per-zone counters flat: hits=%d misses=%d", hits, misses)
-		}
-	}
-	if !vcol {
-		t.Fatal("column v missing from skipmap")
-	}
-
-	// Same data over HTTP, including the zone cap.
-	url, err := db.StartTelemetry("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(url + "/skipmap?zones=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/skipmap = %d", resp.StatusCode)
-	}
-	var served []SkipmapTable
-	if err := json.Unmarshal(body, &served); err != nil {
-		t.Fatalf("invalid /skipmap JSON: %v\n%s", err, body)
-	}
-	if len(served) != 1 || served[0].Table != "events" {
-		t.Fatalf("served skipmap = %+v", served)
-	}
-	for _, c := range served[0].Columns {
-		if len(c.ZoneDetail) > 2 {
-			t.Errorf("column %q served %d zones, cap was 2", c.Column, len(c.ZoneDetail))
-		}
-		if c.Zones > 2 && c.ZonesTruncated != c.Zones-len(c.ZoneDetail) {
-			t.Errorf("column %q truncation = %d, want %d", c.Column, c.ZonesTruncated, c.Zones-len(c.ZoneDetail))
-		}
-	}
-}
-
 func TestTraceRingAndSlowLog(t *testing.T) {
 	db := seededDB(t, Options{Policy: Adaptive, TraceRingSize: 8, SlowQueryThreshold: time.Nanosecond})
 	defer db.Close()
