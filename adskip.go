@@ -101,9 +101,8 @@ type Result = engine.Result
 type Metrics = obs.Registry
 
 // QueryTrace is the per-query execution trace attached to Result.Trace:
-// phase timings (plan → metadata probe → scan → feedback), the
-// hierarchical span tree (QueryTrace.Root), and the skipping decision each
-// predicate column's skipper made.
+// phase timings (plan → metadata probe → scan → feedback), row totals,
+// and the skipping decision each predicate column's skipper made.
 type QueryTrace = obs.QueryTrace
 
 // AdaptationRecord is one adaptation-ledger entry: a structural or
@@ -183,14 +182,9 @@ type Options struct {
 	// TraceRingSize is how many recent query traces the DB retains for
 	// DB.Traces and the telemetry server's /traces endpoint (default 256).
 	TraceRingSize int
-	// SlowQueryThreshold flags queries whose wall clock meets or exceeds
-	// it: their traces are marked slow and copied to the slow-query log
-	// (DB.SlowTraces, /slow). Zero disables the slow-query log.
-	SlowQueryThreshold time.Duration
 	// Logger receives structured log events from every table's engine:
-	// slow queries at warn, quarantines at error, adaptation milestones
-	// at info, per-zone structural churn at debug. Nil disables logging
-	// (the hot path then pays one nil check).
+	// quarantines at warn, adaptation milestones at info, per-zone
+	// structural churn at debug. Nil disables logging.
 	Logger *slog.Logger
 	// Durability, when Dir is set, arms a write-ahead log: appends and
 	// updates are group-committed to disk before they are acknowledged,
@@ -279,15 +273,14 @@ type executor interface {
 }
 
 // DB is a catalog of tables sharing one skipping configuration and one
-// observability plane (metrics registry, adaptation ledger, trace
-// rings, and an optional embedded telemetry server).
+// observability plane (metrics registry, adaptation ledger, trace ring,
+// and an optional embedded telemetry server).
 type DB struct {
 	opts      Options
 	reg       *obs.Registry
 	ledger    *obs.Ledger
 	admission *engine.Admission
 	traces    *obs.TraceRing
-	slow      *obs.TraceRing
 
 	// mu guards the catalog and the telemetry handle: the telemetry
 	// server's Adaptation/trace closures read engines concurrently with
@@ -326,7 +319,6 @@ func Open(opts Options) *DB {
 		ledger:    obs.NewLedger(0),
 		admission: engine.NewAdmission(opts.MaxConcurrentQueries),
 		traces:    obs.NewTraceRing(opts.TraceRingSize),
-		slow:      obs.NewTraceRing(opts.TraceRingSize),
 	}
 	db.reg.GaugeFunc("adskip_admission_waiting",
 		"Queries waiting for an execution slot (MaxConcurrentQueries).", db.admission.Waiting)
@@ -344,33 +336,27 @@ func Open(opts Options) *DB {
 }
 
 // engineOptions maps DB options onto per-table engine options. All tables
-// share the DB's trace rings, so /traces and DB.Traces interleave queries
+// share the DB's trace ring, so /traces and DB.Traces interleave queries
 // across the whole catalog in arrival order.
 func (db *DB) engineOptions() engine.Options {
 	return engine.Options{
-		Policy:             db.opts.Policy,
-		StaticZoneSize:     db.opts.StaticZoneSize,
-		Adaptive:           db.opts.Adaptive,
-		Parallelism:        db.opts.Parallelism,
-		Metrics:            db.reg,
-		Ledger:             db.ledger,
-		Limits:             db.opts.Limits,
-		Admission:          db.admission,
-		Traces:             db.traces,
-		SlowTraces:         db.slow,
-		SlowQueryThreshold: db.opts.SlowQueryThreshold,
-		Logger:             db.opts.Logger,
-		Stats:              db.stats,
+		Policy:         db.opts.Policy,
+		StaticZoneSize: db.opts.StaticZoneSize,
+		Adaptive:       db.opts.Adaptive,
+		Parallelism:    db.opts.Parallelism,
+		Metrics:        db.reg,
+		Ledger:         db.ledger,
+		Limits:         db.opts.Limits,
+		Admission:      db.admission,
+		Traces:         db.traces,
+		Logger:         db.opts.Logger,
+		Stats:          db.stats,
 	}
 }
 
 // Traces returns the most recent query traces across all tables,
 // oldest-first (bounded ring; see Options.TraceRingSize).
 func (db *DB) Traces() []*QueryTrace { return db.traces.Snapshot() }
-
-// SlowTraces returns the retained slow-query traces, oldest-first. Empty
-// unless Options.SlowQueryThreshold is set.
-func (db *DB) SlowTraces() []*QueryTrace { return db.slow.Snapshot() }
 
 // Workload returns the per-template workload statistics: the top-k query
 // templates under the given sort order (adskip.SortTime, SortCalls, or
@@ -417,9 +403,9 @@ func (db *DB) Adaptation(maxDead int) AdaptationSnapshot {
 // StartTelemetry starts the embedded telemetry HTTP server on addr
 // ("127.0.0.1:0" when empty — an ephemeral localhost port) and returns
 // the server's base URL. The server exposes /metrics (Prometheus, with
-// the Go runtime gauges), /traces, /slow, /health, /workload, /adaptation
-// and /debug/pprof/*; it is the only goroutine started and
-// runs until DB.Close. Starting twice is an error.
+// the Go runtime gauges), /traces, /health, /workload, /adaptation and
+// /debug/pprof/*; it is the only goroutine started and runs until
+// DB.Close. Starting twice is an error.
 func (db *DB) StartTelemetry(addr string) (string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -429,7 +415,6 @@ func (db *DB) StartTelemetry(addr string) (string, error) {
 	srv, err := telemetry.Start(addr, telemetry.Source{
 		Registry:   db.reg,
 		Traces:     db.traces,
-		SlowTraces: db.slow,
 		Recovering: db.Recovering,
 		Workload:   db.stats,
 		Adaptation: db.Adaptation,
@@ -724,21 +709,15 @@ func (db *DB) Exec(query string) (*Result, error) {
 // deadlines take effect mid-scan. A canceled query returns an error
 // wrapping ErrCanceled.
 func (db *DB) ExecContext(ctx context.Context, query string) (*Result, error) {
-	t0 := time.Now()
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	parse := time.Since(t0)
 	e, ok := db.lookup(stmt.Table)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, stmt.Table)
 	}
-	res, err := sql.ExecParsedContext(ctx, e, stmt)
-	if res != nil && res.Trace != nil && res.Trace.Root != nil {
-		res.Trace.Root.AttachFirst(&obs.Span{Name: "parse", Start: t0, Duration: parse})
-	}
-	return res, err
+	return sql.ExecParsedContext(ctx, e, stmt)
 }
 
 // SaveTable serializes a table snapshot to w (binary, checksummed).

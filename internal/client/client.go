@@ -180,7 +180,7 @@ func (c *Client) Query(sqlText string) (*proto.Result, error) {
 }
 
 // QueryTraced executes SQL text tagged with a client-generated trace ID.
-// The server stamps the query's span tree with it, so the caller can
+// The server stamps the query's trace with it, so the caller can
 // find this exact execution in the server's /traces endpoint. An empty
 // traceID degrades to a plain Query.
 func (c *Client) QueryTraced(sqlText, traceID string) (*proto.Result, error) {

@@ -11,7 +11,6 @@ import (
 	"io"
 	"log/slog"
 	"sync"
-	"time"
 
 	"adskip/internal/adaptive"
 	"adskip/internal/core"
@@ -91,23 +90,15 @@ type Options struct {
 	// executing queries. Share one controller across engines (the DB
 	// facade does) to bound catalog-wide concurrency.
 	Admission *Admission
-	// Traces receives every completed query trace. When nil, the engine
-	// creates a private ring of obs.DefaultTraceRingSize entries. Share
-	// one ring across engines (the DB facade does) so the telemetry
-	// server sees catalog-wide history.
+	// Traces receives every completed query trace. Nil retains none: each
+	// result still carries its own trace. Share one ring across engines
+	// (the DB facade does) so the telemetry server sees catalog-wide
+	// history.
 	Traces *obs.TraceRing
-	// SlowTraces receives traces of queries exceeding SlowQueryThreshold.
-	// When nil, the engine creates a private ring.
-	SlowTraces *obs.TraceRing
-	// SlowQueryThreshold marks queries whose total wall clock meets or
-	// exceeds it as slow: the trace is flagged, copied to the slow-query
-	// log, and counted. Zero disables the slow-query log.
-	SlowQueryThreshold time.Duration
-	// Logger receives structured log events: slow queries (warn),
-	// quarantines (error), and adaptation milestones — skipper
-	// built/loaded/rebuilt and arbitration flips at info, per-zone
-	// splits/merges at debug. Nil disables logging entirely (the hot
-	// path pays one nil check).
+	// Logger receives structured log events: quarantines (warn) and
+	// adaptation milestones — skipper built/loaded/rebuilt and
+	// arbitration flips at info, per-zone splits/merges at debug. Nil
+	// disables logging entirely.
 	Logger *slog.Logger
 	// Stats, when non-nil, receives one workload sample per query that
 	// arrived with a template fingerprint on its context (see
@@ -162,8 +153,7 @@ type Engine struct {
 	m      engMetrics
 	colM   map[string]*colMetrics
 	trace  *obs.QueryTrace
-	traces *obs.TraceRing
-	slow   *obs.TraceRing
+	traces *obs.TraceRing // nil: retain none
 	log    *slog.Logger
 	stats  *stats.Table
 
@@ -201,13 +191,6 @@ func New(tbl *table.Table, opts Options) *Engine {
 		e.ledger = obs.NewLedger(0)
 	}
 	e.traces = opts.Traces
-	if e.traces == nil {
-		e.traces = obs.NewTraceRing(0)
-	}
-	e.slow = opts.SlowTraces
-	if e.slow == nil {
-		e.slow = obs.NewTraceRing(0)
-	}
 	e.m = newEngMetrics(e.reg, tbl.Name(), opts.Shard)
 	e.colM = make(map[string]*colMetrics)
 	e.log = opts.Logger
@@ -237,13 +220,6 @@ func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // Ledger returns the adaptation ledger this engine journals into.
 func (e *Engine) Ledger() *obs.Ledger { return e.ledger }
-
-// Traces returns the ring of recently completed query traces.
-func (e *Engine) Traces() *obs.TraceRing { return e.traces }
-
-// SlowTraces returns the slow-query log: traces that exceeded
-// Options.SlowQueryThreshold.
-func (e *Engine) SlowTraces() *obs.TraceRing { return e.slow }
 
 // WorkloadStats returns the per-template workload table this engine
 // records into, or nil when workload analytics is off.

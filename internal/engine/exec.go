@@ -182,16 +182,13 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 		}
 	}()
 	qc := e.newQctx(ctx)
-	root := obs.NewSpan("query")
-	tr := &obs.QueryTrace{Table: e.tbl.Name(), Start: root.Start, Root: root,
-		Shard:       e.opts.Shard,
+	tr := &obs.QueryTrace{Table: e.tbl.Name(), Start: time.Now(),
 		Session:     obs.SessionFromContext(ctx),
 		TraceID:     obs.TraceFromContext(ctx),
 		Fingerprint: obs.TemplateFromContext(ctx),
 		PlanCached:  obs.PlanCachedFromContext(ctx)}
 	e.trace = tr
 	defer func() { e.trace = nil }()
-	spPlan := root.StartChild("plan")
 	e.syncSkippers()
 	if err := q.Where.Validate(); err != nil {
 		return nil, err
@@ -252,7 +249,6 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 	}
 
 	tr.Plan = time.Since(tr.Start)
-	spPlan.FinishRows(n, 0, 0)
 
 	// A pre-scan checkpoint so planning-heavy queries still honor limits.
 	if err := qc.check(0); err != nil {
@@ -261,7 +257,6 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 
 	// Lower predicates per column and probe skippers.
 	tProbe := time.Now()
-	spProbe := root.StartChild("prune")
 	var unsat bool
 	plans, unsat, err = e.plan(q.Where)
 	if err != nil {
@@ -279,7 +274,6 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 		}
 	}
 	tr.Probe = time.Since(tProbe)
-	spProbe.FinishRows(n, candidateRows(plans), res.Stats.RowsSkipped)
 	e.tracePredicates(tr, plans)
 	if unsat {
 		// A contradiction (or empty interval) on some column: no rows can
@@ -293,7 +287,6 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 	}
 
 	tScan := time.Now()
-	qc.span = root.StartChild("scan")
 	switch {
 	case grp == nil && len(plans) == 1 && len(projCols) == 0 && countOnly(accs):
 		err = e.execFastCount(qc, &plans[0], res, accs, n)
@@ -315,8 +308,6 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 	// The executors call skipper.Observe inline; observeTimed charges that
 	// time to the feedback phase, so scan time is the remainder.
 	tr.Scan = time.Since(tScan) - tr.Feedback
-	qc.span.FinishDuration(tr.Scan)
-	qc.span.FinishRows(res.Stats.RowsScanned+res.Stats.RowsCovered, res.Count, 0)
 	out = e.finish(res, accs, grp, q.Limit)
 	e.finishTrace(out, tr, plans, n, q.Limit)
 	return out, nil
@@ -432,21 +423,6 @@ func (e *Engine) plan(where expr.Conj) ([]colPlan, bool, error) {
 	return plans, unsat, nil
 }
 
-// candidateRows sums the rows left inside candidate windows across plans
-// whose skippers participated (the prune stage's "rows out").
-func candidateRows(plans []colPlan) int {
-	total := 0
-	for i := range plans {
-		if !plans[i].active {
-			continue
-		}
-		for _, z := range plans[i].res.Zones {
-			total += z.Hi - z.Lo
-		}
-	}
-	return total
-}
-
 // countOnly reports whether every accumulator is COUNT(*) (data-free).
 func countOnly(accs []*aggAcc) bool {
 	for _, a := range accs {
@@ -507,11 +483,6 @@ type seg struct {
 	needEval uint64
 }
 
-// maxSegmentSpans bounds per-segment child spans: queries whose candidate
-// set fragments into many windows get stage-level timing only, so tracing
-// cost stays independent of zone count.
-const maxSegmentSpans = 16
-
 // execGeneral handles every other query shape: multi-column conjunctions,
 // aggregates over data, and projections. Kernel scans are chunked at
 // checkpoint granularity; covered windows (no kernel work) get one
@@ -524,7 +495,6 @@ func (e *Engine) execGeneral(qc *qctx, plans []colPlan, res *Result, accs []*agg
 
 	tk := &ticker{qc: qc}
 	sel := bitvec.NewSelVec(1024)
-	spanPerSeg := qc.span != nil && len(segs) <= maxSegmentSpans
 	done := false
 	for _, s := range segs {
 		if done {
@@ -533,16 +503,7 @@ func (e *Engine) execGeneral(qc *qctx, plans []colPlan, res *Result, accs []*agg
 		if err := qc.check(0); err != nil {
 			return err
 		}
-		var sp *obs.Span
-		if spanPerSeg {
-			sp = qc.span.StartChild(fmt.Sprintf("segment [%d,%d)", s.lo, s.hi))
-		}
-		before := res.Count
-		err := e.execSegment(qc, plans, res, accs, projCols, grp, limit, s, tk, sel, &done)
-		if sp != nil {
-			sp.FinishRows(s.hi-s.lo, res.Count-before, 0)
-		}
-		if err != nil {
+		if err := e.execSegment(qc, plans, res, accs, projCols, grp, limit, s, tk, sel, &done); err != nil {
 			return err
 		}
 	}

@@ -22,7 +22,8 @@ import (
 // records counted or projected, never a second log.
 func TestOneJournal(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
+	traces := obs.NewTraceRing(0)
+	e := New(tb, Options{Policy: PolicyAdaptive, Traces: traces, Adaptive: adaptive.Config{
 		InitialZoneRows: 512, MinZoneRows: 32, SplitParts: 4,
 		Window: 16, MergeSweepEvery: 4, ReprobeEvery: 4, TailFoldRows: 256,
 	}})
@@ -116,7 +117,7 @@ func TestOneJournal(t *testing.T) {
 
 	// /adaptation is the journal, projected.
 	srv, err := telemetry.Start("", telemetry.Source{
-		Registry: e.Metrics(), Traces: e.Traces(),
+		Registry: e.Metrics(), Traces: traces,
 		Adaptation: func(maxDead int) obs.AdaptationSnapshot {
 			return obs.AdaptationSnapshot{
 				Total: e.Ledger().Seq(), Dropped: e.Ledger().Dropped(),

@@ -31,7 +31,6 @@ type engMetrics struct {
 	latency          *obs.Histogram
 	selectivity      *obs.Histogram
 	scannedPerQuery  *obs.Histogram
-	slowQueries      *obs.Counter
 
 	// Resilience instrumentation.
 	canceled    *obs.Counter // queries stopped by context cancellation
@@ -68,7 +67,6 @@ func newEngMetrics(reg *obs.Registry, table string, shard int) engMetrics {
 		latency:          reg.Histogram("adskip_query_seconds", "Query wall-clock latency.", obs.LatencyBuckets(), ls...),
 		selectivity:      reg.Histogram("adskip_query_selectivity", "Fraction of table rows matching per query.", obs.RatioBuckets(), ls...),
 		scannedPerQuery:  reg.Histogram("adskip_query_rows_scanned", "Rows read by scan kernels per query.", obs.RowCountBuckets(), ls...),
-		slowQueries:      reg.Counter("adskip_slow_queries_total", "Queries exceeding the slow-query threshold.", ls...),
 		canceled:         reg.Counter("adskip_queries_canceled_total", "Queries stopped by context cancellation.", ls...),
 		overBudget:       reg.Counter("adskip_queries_over_budget_total", "Queries stopped by a resource limit.", ls...),
 		panics:           reg.Counter("adskip_panics_recovered_total", "Execution panics recovered into errors.", ls...),
@@ -221,20 +219,6 @@ func (e *Engine) tracePredicates(tr *obs.QueryTrace, plans []colPlan) {
 // metrics. Called with the engine mutex held, at the end of Query.
 func (e *Engine) finishTrace(res *Result, tr *obs.QueryTrace, plans []colPlan, n, limit int) {
 	tr.Total = time.Since(tr.Start)
-	if tr.Root != nil {
-		// The feedback phase interleaves with the scan (Observe calls run
-		// inside the executors), so its span is synthesized after the fact
-		// as a trailing interval of the measured feedback time.
-		if tr.Feedback > 0 {
-			tr.Root.Attach(&obs.Span{
-				Name:     "feedback",
-				Start:    tr.Start.Add(tr.Total - tr.Feedback),
-				Duration: tr.Feedback,
-			})
-		}
-		tr.Root.FinishDuration(tr.Total)
-		tr.Root.FinishRows(n, res.Count, res.Stats.RowsSkipped)
-	}
 	tr.RowsScanned = res.Stats.RowsScanned
 	tr.RowsSkipped = res.Stats.RowsSkipped
 	tr.RowsCovered = res.Stats.RowsCovered
@@ -247,22 +231,9 @@ func (e *Engine) finishTrace(res *Result, tr *obs.QueryTrace, plans []colPlan, n
 		tr.Predicates[0].Matched = res.Count
 	}
 	res.Trace = tr
-	if th := e.opts.SlowQueryThreshold; th > 0 && tr.Total >= th {
-		tr.Slow = true
-		e.m.slowQueries.Inc()
-		e.slow.Append(tr)
-		if e.log != nil {
-			// The fingerprint, not the raw text, is the grouping key:
-			// parameterized repeats of one template aggregate in the log
-			// instead of flooding it with near-duplicates.
-			e.log.Warn("slow query",
-				"table", tr.Table, "total", tr.Total,
-				"rows_scanned", tr.RowsScanned, "rows_skipped", tr.RowsSkipped,
-				"session", tr.Session, "trace_id", tr.TraceID,
-				"fingerprint", tr.Fingerprint)
-		}
+	if e.traces != nil {
+		e.traces.Append(tr)
 	}
-	e.traces.Append(tr)
 	if e.stats != nil && tr.Fingerprint != "" {
 		e.recordWorkload(res, tr, plans)
 	}

@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 
 	"adskip/internal/core"
 	"adskip/internal/faultinject"
-	obs2 "adskip/internal/obs"
 	"adskip/internal/scan"
 )
 
@@ -73,7 +71,6 @@ type zoneWork struct {
 	obs   []core.ZoneObservation
 	stats ExecStats
 	err   error
-	span  *obs2.Span // per-worker trace span; nil when tracing is coarse
 }
 
 // parallelCountZones executes the candidate zones across workers and
@@ -97,14 +94,6 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 		if acc >= target || i == len(zones)-1 {
 			groups = append(groups, zoneWork{zones: zones[start : i+1]})
 			start, acc = i+1, 0
-		}
-	}
-	// Pre-create one child span per worker from the coordinator; each
-	// worker finishes only its own span, so no span is shared between
-	// concurrent writers.
-	if qc.span != nil {
-		for g := range groups {
-			groups[g].span = qc.span.StartChild(fmt.Sprintf("worker %d", g))
 		}
 	}
 	var wg sync.WaitGroup
@@ -148,15 +137,6 @@ func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
 	codes := p.col.Vec()
 	nulls := p.col.Nulls()
 	tk := &ticker{qc: qc}
-	if w.span != nil {
-		defer func() {
-			rowsIn := 0
-			for _, c := range w.zones {
-				rowsIn += c.Hi - c.Lo
-			}
-			w.span.FinishRows(rowsIn, w.count, 0)
-		}()
-	}
 	for _, c := range w.zones {
 		ob := core.ZoneObservation{ID: c.ID, Lo: c.Lo, Hi: c.Hi, Covered: c.Covered}
 		switch {

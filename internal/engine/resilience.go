@@ -60,9 +60,6 @@ type qctx struct {
 	maxResult int       // from Limits.MaxResultRows; 0 = none
 	rows      atomic.Int64
 	failure   atomic.Pointer[error]
-	// span is the query's scan-stage span; executors attach per-segment
-	// and per-worker child spans to it (StartChild is goroutine-safe).
-	span *obs.Span
 }
 
 // newQctx builds the per-query checkpoint state from ctx and the engine's

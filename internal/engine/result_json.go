@@ -31,7 +31,7 @@ import (
 
 // AppendJSON appends the result's wire encoding to dst and returns the
 // extended slice. The execution trace is deliberately excluded: it is a
-// local observability artifact (span pointers, monotonic clocks), not part
+// local observability artifact (phase timings, monotonic clocks), not part
 // of the query's answer.
 func (r *Result) AppendJSON(dst []byte) []byte {
 	if dst == nil {

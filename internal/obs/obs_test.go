@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -292,5 +293,79 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(1e-4)
+	}
+}
+
+func TestTraceRingWrap(t *testing.T) {
+	r := NewTraceRing(4)
+	for i := 0; i < 7; i++ {
+		r.Append(&QueryTrace{Table: fmt.Sprintf("t%d", i)})
+	}
+	r.Append(nil) // ignored
+	if got := r.Total(); got != 7 {
+		t.Fatalf("total = %d, want 7", got)
+	}
+	if got := r.Dropped(); got != 3 {
+		t.Fatalf("dropped = %d, want 3", got)
+	}
+	if got := r.Len(); got != 4 {
+		t.Fatalf("len = %d, want 4", got)
+	}
+	snap := r.Snapshot()
+	for i, tr := range snap {
+		if want := fmt.Sprintf("t%d", i+3); tr.Table != want {
+			t.Fatalf("snapshot[%d] = %q, want %q (oldest-first order broken)", i, tr.Table, want)
+		}
+	}
+}
+
+// TestPrometheusLabelDeterminism locks the exposition rule the telemetry
+// endpoint depends on: label keys render sorted within every series line,
+// including the synthetic "le" key merged into histogram bucket lines at
+// its sorted position (between "aa" and "zz" here).
+func TestPrometheusLabelDeterminism(t *testing.T) {
+	r := NewRegistry()
+	// Register with deliberately unsorted label order.
+	h := r.Histogram("det_seconds", "help", []float64{1, 2}, L("zz", "b"), L("aa", "a"))
+	h.Observe(0.5)
+	h.Observe(1.5)
+	r.Counter("det_total", "help", L("b", "2"), L("a", "1")).Inc()
+	const want = `# HELP det_seconds help
+# TYPE det_seconds histogram
+det_seconds_bucket{aa="a",le="1",zz="b"} 1
+det_seconds_bucket{aa="a",le="2",zz="b"} 2
+det_seconds_bucket{aa="a",le="+Inf",zz="b"} 2
+det_seconds_sum{aa="a",zz="b"} 2
+det_seconds_count{aa="a",zz="b"} 2
+# HELP det_total help
+# TYPE det_total counter
+det_total{a="1",b="2"} 1
+`
+	for i := 0; i < 3; i++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != want {
+			t.Fatalf("exposition (pass %d):\n--- got ---\n%s--- want ---\n%s", i, sb.String(), want)
+		}
+	}
+}
+
+func TestDefaultBucketsCloned(t *testing.T) {
+	a := LatencyBuckets()
+	a[0] = -1
+	if b := LatencyBuckets(); b[0] == -1 {
+		t.Fatal("LatencyBuckets returned a shared slice; callers can corrupt the defaults")
+	}
+	for _, bs := range [][]float64{LatencyBuckets(), RowCountBuckets(), RatioBuckets()} {
+		if len(bs) == 0 {
+			t.Fatal("empty default bucket set")
+		}
+		for i := 1; i < len(bs); i++ {
+			if bs[i] <= bs[i-1] {
+				t.Fatalf("bucket bounds not strictly increasing: %v", bs)
+			}
+		}
 	}
 }

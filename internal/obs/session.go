@@ -31,7 +31,7 @@ type traceKey struct{}
 // network server stamps each request's context with the ID its client
 // sent, and the engine copies it onto the QueryTrace — so a remote caller
 // can correlate its own latency measurements with the server's /traces
-// span tree for the same query.
+// entry for the same query.
 func WithTrace(ctx context.Context, id string) context.Context {
 	if id == "" {
 		return ctx

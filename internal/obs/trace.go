@@ -10,7 +10,9 @@ import (
 // (plan → metadata probe → scan → feedback) and the skipping decision each
 // predicate column's skipper made. The engine allocates one trace per
 // query (never per row) and attaches it to the result, so every query is
-// traced with no opt-in switch.
+// traced with no opt-in switch. The flat fields are the whole record:
+// EXPLAIN ANALYZE, /traces, the server's wire timing and the workload
+// stats all read them, and a trace is never changed once published.
 type QueryTrace struct {
 	Table string    `json:"table"`
 	Start time.Time `json:"start"`
@@ -21,12 +23,12 @@ type QueryTrace struct {
 
 	// TraceID is the client-generated trace ID propagated over the wire
 	// (see WithTrace); "" when the client sent none. It lets a remote
-	// caller find this query's span tree in /traces.
+	// caller find this query's trace in /traces.
 	TraceID string `json:"trace_id,omitempty"`
 
 	// Fingerprint is the literal-stripped query template (see
-	// WithTemplate); "" for queries that bypassed a SQL frontend. The
-	// slow-query log groups by it, and workload stats aggregate under it.
+	// WithTemplate); "" for queries that bypassed a SQL frontend.
+	// Workload stats aggregate under it.
 	Fingerprint string `json:"fingerprint,omitempty"`
 
 	// PlanCached marks queries served from a prepared-statement/plan
@@ -58,27 +60,12 @@ type QueryTrace struct {
 	ShardsScanned int `json:"shards_scanned,omitempty"`
 	ShardsPruned  int `json:"shards_pruned,omitempty"`
 
-	// Shard is the 1-based shard whose engine executed this trace
-	// (0 = unsharded, and for a sharded table's merged logical trace).
-	// /slow?shard=N filters on it.
-	Shard int `json:"shard,omitempty"`
 	// Shards lists the 1-based shards a merged logical trace actually
-	// scanned (empty elsewhere). /slow?shard=N also matches on it, so a
-	// sharded table's slow queries are attributable to the shards that
-	// served them.
+	// scanned (empty elsewhere), so a sharded table's queries are
+	// attributable to the shards that served them.
 	Shards []int `json:"shards,omitempty"`
 
 	Predicates []PredicateTrace `json:"predicates,omitempty"`
-
-	// Root is the hierarchical span tree covering parse → plan → prune →
-	// scan(chunked) → feedback. EXPLAIN ANALYZE's timed rendering and the
-	// telemetry server's /traces endpoint (including the Chrome
-	// trace_event export) draw from the same tree.
-	Root *Span `json:"spans,omitempty"`
-
-	// Slow marks traces that exceeded the engine's slow-query threshold
-	// and were captured in the slow-query log.
-	Slow bool `json:"slow,omitempty"`
 }
 
 // PredicateTrace is the per-predicate-column skipping decision of one
@@ -148,9 +135,6 @@ func (t *QueryTrace) Lines(withTimings bool) []string {
 			fmt.Sprintf("scan: scanned %d, covered %d, skipped %d rows",
 				t.RowsScanned, t.RowsCovered, t.RowsSkipped),
 		)
-	}
-	if withTimings && t.Root != nil {
-		out = append(out, t.Root.TreeLines()...)
 	}
 	for i := range t.Predicates {
 		p := &t.Predicates[i]

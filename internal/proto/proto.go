@@ -30,7 +30,7 @@
 //	{"op":"insert","table":"t","rows":[[...]]}  append rows, response carries "inserted"
 //
 // Any request may additionally carry "trace" (a client-generated trace
-// ID the server tags the query's span tree with) and "timing" (true to
+// ID the server tags the query's trace with) and "timing" (true to
 // request a server-side latency breakdown on the response). Both are
 // optional: old clients omit them, old servers ignore them.
 //
@@ -110,7 +110,7 @@ type Request struct {
 	SQL  string `json:"sql,omitempty"`
 	Stmt uint64 `json:"stmt,omitempty"`
 	// TraceID is an optional client-generated trace ID. The server tags
-	// the query's span tree with it, so the client can find "its" query
+	// the query's trace with it, so the client can find "its" query
 	// in the server's /traces endpoint.
 	TraceID string `json:"trace,omitempty"`
 	// WantTiming asks the server to return a Timing breakdown on the

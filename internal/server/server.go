@@ -383,7 +383,7 @@ func (ss *session) handle(payload []byte, readAt time.Time) proto.Response {
 	}
 	ctx := ss.ctx
 	if req.TraceID != "" {
-		// Tag the query's span tree with the client's trace ID so the
+		// Tag the query's trace with the client's trace ID so the
 		// client can find "its" queries in /traces.
 		ctx = obs.WithTrace(ctx, req.TraceID)
 	}

@@ -18,13 +18,11 @@ package shard
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"adskip/internal/engine"
 	"adskip/internal/obs"
@@ -91,9 +89,9 @@ type Options struct {
 	// Engine is the per-shard engine configuration. The Manager overrides
 	// per-shard fields: Shard is stamped 1..Shards, Stats and Admission
 	// are held at the Manager (one workload sample and one admission slot
-	// per logical query), and Traces/SlowTraces become private per-shard
-	// rings — the Manager appends the merged trace to the rings given
-	// here.
+	// per logical query), and the shard engines retain no traces — the
+	// Manager appends the merged trace to the ring given here (nil
+	// retains none).
 	Engine engine.Options
 }
 
@@ -163,10 +161,7 @@ type Manager struct {
 	mode   Mode
 
 	admission *engine.Admission
-	traces    *obs.TraceRing
-	slow      *obs.TraceRing
-	slowThr   time.Duration
-	log       *slog.Logger
+	traces    *obs.TraceRing // nil: retain none
 	stats     *stats.Table
 	reg       *obs.Registry
 
@@ -183,7 +178,6 @@ type Manager struct {
 	mPruned  *obs.Counter
 	mScanned *obs.Counter
 	mQueries *obs.Counter
-	mSlow    *obs.Counter
 	// mLatency is the LOGICAL query latency (admission to merged result),
 	// registered under the same identity an unsharded table would use.
 	// The per-shard engines record their own scan latencies under
@@ -235,21 +229,12 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 		keyIdx:    keyIdx,
 		mode:      opts.Mode,
 		admission: opts.Engine.Admission,
-		slowThr:   opts.Engine.SlowQueryThreshold,
-		log:       opts.Engine.Logger,
+		traces:    opts.Engine.Traces,
 		stats:     opts.Engine.Stats,
 	}
 	m.reg = opts.Engine.Metrics
 	if m.reg == nil {
 		m.reg = obs.NewRegistry()
-	}
-	m.traces = opts.Engine.Traces
-	if m.traces == nil {
-		m.traces = obs.NewTraceRing(0)
-	}
-	m.slow = opts.Engine.SlowTraces
-	if m.slow == nil {
-		m.slow = obs.NewTraceRing(0)
 	}
 	tl := obs.L("table", name)
 	m.mPruned = m.reg.Counter("adskip_shard_pruned_total",
@@ -258,8 +243,6 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 		"Shard scans completed by the scatter-gather executor.", tl)
 	m.mQueries = m.reg.Counter("adskip_shard_queries_total",
 		"Logical queries executed through the scatter-gather executor.", tl)
-	m.mSlow = m.reg.Counter("adskip_slow_queries_total",
-		"Queries exceeding the slow-query threshold.", tl)
 	m.mLatency = m.reg.Histogram("adskip_query_seconds",
 		"Query wall-clock latency.", obs.LatencyBuckets(), tl)
 	m.reg.Gauge("adskip_shard_count",
@@ -273,11 +256,9 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 		eo := opts.Engine
 		eo.Shard = i + 1
 		eo.Metrics = m.reg
-		eo.Stats = nil            // the Manager records the one logical sample
-		eo.Admission = nil        // the Manager admits once per logical query
-		eo.Traces = nil           // private per-shard ring (engine-created)
-		eo.SlowTraces = nil       // merged trace carries slow detection
-		eo.SlowQueryThreshold = 0 // per-shard partials are not "queries"
+		eo.Stats = nil     // the Manager records the one logical sample
+		eo.Admission = nil // the Manager admits once per logical query
+		eo.Traces = nil    // the Manager publishes the one merged trace
 		s := &shardState{id: i + 1, eng: engine.New(stbl, eo)}
 		s.mRows = m.reg.Gauge("adskip_shard_rows",
 			"Rows currently held by this shard.", tl, obs.L("shard", strconv.Itoa(s.id)))

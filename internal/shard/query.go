@@ -23,8 +23,8 @@ func (m *Manager) Query(q engine.Query) (*engine.Result, error) {
 // scatter to the survivors, merge. Per-phase accounting mirrors a plain
 // engine — plan covers validation and the per-shard query rewrite,
 // shardprune is the new phase, and scan is the scatter+merge wall clock
-// (per-shard probe/scan/feedback detail lives in each shard's own
-// trace, summarized as child spans here).
+// (the shards' per-predicate probe detail is merged into the trace's
+// predicates).
 func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Result, error) {
 	if q.Limit < 0 {
 		return nil, engine.ErrBadLimit
@@ -75,36 +75,30 @@ func (m *Manager) queryAdmitted(ctx context.Context, q engine.Query) (*engine.Re
 }
 
 func (m *Manager) queryOnce(ctx context.Context, q engine.Query) (*engine.Result, error) {
-	root := obs.NewSpan("query")
-	tr := &obs.QueryTrace{Table: m.name, Start: root.Start, Root: root,
+	tr := &obs.QueryTrace{Table: m.name, Start: time.Now(),
 		Session:     obs.SessionFromContext(ctx),
 		TraceID:     obs.TraceFromContext(ctx),
 		Fingerprint: obs.TemplateFromContext(ctx),
 		PlanCached:  obs.PlanCachedFromContext(ctx)}
 
 	total := m.NumRows()
-	spPlan := root.StartChild("plan")
 	if err := q.Where.Validate(); err != nil {
 		return nil, err
 	}
 	rw := rewriteQuery(q)
 	tr.Plan = time.Since(tr.Start)
-	spPlan.FinishRows(total, 0, 0)
 
 	tPrune := time.Now()
-	spPrune := root.StartChild("shardprune")
 	targets, pruned := m.pruneShards(q.Where)
 	tr.ShardPrune = time.Since(tPrune)
 	tr.ShardsScanned, tr.ShardsPruned = len(targets), pruned
 	for _, ti := range targets {
 		tr.Shards = append(tr.Shards, m.shards[ti].id)
 	}
-	spPrune.FinishRows(len(m.shards), len(targets), pruned)
 	m.mPruned.Add(int64(pruned))
 	m.mQueries.Inc()
 
 	tScan := time.Now()
-	spScan := root.StartChild("scatter")
 	partials, err := m.scatter(ctx, targets, rw.q)
 	if err != nil {
 		return nil, err
@@ -115,18 +109,6 @@ func (m *Manager) queryOnce(ctx context.Context, q engine.Query) (*engine.Result
 	}
 	tr.Scan = time.Since(tScan)
 	res.Stats.ShardsScanned, res.Stats.ShardsPruned = len(targets), pruned
-	for i, p := range partials {
-		if p.Trace == nil {
-			continue
-		}
-		spScan.Attach(&obs.Span{
-			Name:     fmt.Sprintf("shard %d", m.shards[targets[i]].id),
-			Start:    p.Trace.Start,
-			Duration: p.Trace.Total,
-		})
-	}
-	spScan.FinishDuration(tr.Scan)
-	spScan.FinishRows(res.Stats.RowsScanned+res.Stats.RowsCovered, res.Count, res.Stats.RowsSkipped)
 
 	m.finishTrace(ctx, res, tr, partials, targets, total)
 	return res, nil
@@ -138,8 +120,6 @@ func (m *Manager) queryOnce(ctx context.Context, q engine.Query) (*engine.Result
 // exactly once).
 func (m *Manager) finishTrace(ctx context.Context, res *engine.Result, tr *obs.QueryTrace, partials []*engine.Result, targets []int, total int) {
 	tr.Total = time.Since(tr.Start)
-	tr.Root.FinishDuration(tr.Total)
-	tr.Root.FinishRows(total, res.Count, res.Stats.RowsSkipped)
 	tr.RowsScanned = res.Stats.RowsScanned
 	tr.RowsSkipped = res.Stats.RowsSkipped
 	tr.RowsCovered = res.Stats.RowsCovered
@@ -150,20 +130,9 @@ func (m *Manager) finishTrace(ctx context.Context, res *engine.Result, tr *obs.Q
 	res.Trace = tr
 
 	m.mLatency.Observe(tr.Total.Seconds())
-	if m.slowThr > 0 && tr.Total >= m.slowThr {
-		tr.Slow = true
-		m.mSlow.Inc()
-		m.slow.Append(tr)
-		if m.log != nil {
-			m.log.Warn("slow query",
-				"table", tr.Table, "total", tr.Total,
-				"rows_scanned", tr.RowsScanned, "rows_skipped", tr.RowsSkipped,
-				"shards_scanned", tr.ShardsScanned, "shards_pruned", tr.ShardsPruned,
-				"session", tr.Session, "trace_id", tr.TraceID,
-				"fingerprint", tr.Fingerprint)
-		}
+	if m.traces != nil {
+		m.traces.Append(tr)
 	}
-	m.traces.Append(tr)
 
 	if m.stats != nil && tr.Fingerprint != "" {
 		zonesRead := int64(0)

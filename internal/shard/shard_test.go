@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -371,6 +372,44 @@ func TestExplainShowsShardPrune(t *testing.T) {
 	}
 	if !strings.Contains(joined, "range partitioning") {
 		t.Errorf("EXPLAIN missing partitioning summary:\n%s", joined)
+	}
+}
+
+// TestShardEnginesRetainNoTraces: the merged trace is the one record of a
+// sharded query. The Manager's ring gains one trace per logical query, and
+// no shard engine keeps a ring of its partial traces.
+func TestShardEnginesRetainNoTraces(t *testing.T) {
+	ring := obs.NewTraceRing(0)
+	m, err := New("sales", testSchema(), Options{Shards: 2, Key: "id",
+		Engine: engine.Options{Policy: engine.PolicyAdaptive, Traces: ring}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AppendRows(testRows(1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EnableSkipping("id"); err != nil {
+		t.Fatal(err)
+	}
+	const queries = 5
+	for i := 1; i <= queries; i++ {
+		res, err := m.Query(engine.Query{Where: expr.And(
+			expr.MustPred("id", expr.LT, storage.IntValue(int64(150*i))))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := ring.Snapshot()
+		if len(snap) != i || snap[i-1] != res.Trace {
+			t.Fatalf("query %d: ring holds %d traces, newest is not the result's", i, len(snap))
+		}
+	}
+	for _, s := range m.shards {
+		// The engine's ring is unexported and has no accessor; reflection
+		// reads the field without widening the engine's API.
+		f := reflect.ValueOf(s.eng).Elem().FieldByName("traces")
+		if !f.IsValid() || !f.IsNil() {
+			t.Errorf("shard %d engine retains traces (field valid %v)", s.id, f.IsValid())
+		}
 	}
 }
 

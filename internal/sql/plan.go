@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"adskip/internal/engine"
 	"adskip/internal/expr"
@@ -109,19 +108,11 @@ func Exec(e Executor, query string) (*engine.Result, error) {
 // ExecContext is Exec under a context: execution honors ctx's cancellation
 // and deadline at the engine's cooperative checkpoints.
 func ExecContext(ctx context.Context, e Executor, query string) (*engine.Result, error) {
-	t0 := time.Now()
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	parse := time.Since(t0)
-	res, err := ExecParsedContext(ctx, e, stmt)
-	// Parsing happens before the engine's trace exists, so its span is
-	// slotted in front of the plan/prune/scan children after the fact.
-	if res != nil && res.Trace != nil && res.Trace.Root != nil {
-		res.Trace.Root.AttachFirst(&obs.Span{Name: "parse", Start: t0, Duration: parse})
-	}
-	return res, err
+	return ExecParsedContext(ctx, e, stmt)
 }
 
 // ExecParsed plans and executes an already-parsed statement (used by

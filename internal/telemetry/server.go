@@ -1,7 +1,7 @@
 // Package telemetry hosts the engine's embedded observability server: an
 // opt-in net/http endpoint exposing Prometheus metrics, pprof profiles,
-// recent query traces (browsable as JSON or downloadable as Chrome
-// trace_event files), the workload statistics and the adaptation ledger.
+// recent query traces as JSON, the workload statistics and the adaptation
+// ledger.
 // Go runtime readings are /metrics series.
 //
 // The server is strictly read-only and pull-based: it snapshots state the
@@ -35,8 +35,6 @@ type Source struct {
 	Registry *obs.Registry
 	// Traces is the ring of recent query traces behind /traces.
 	Traces *obs.TraceRing
-	// SlowTraces is the slow-query log behind /slow.
-	SlowTraces *obs.TraceRing
 	// Recovering reports whether the store is still replaying its
 	// write-ahead log, the one state in which the process knows it cannot
 	// serve: /health answers 503 while it returns true and 200 otherwise.
@@ -146,8 +144,7 @@ type endpoint struct {
 func (s *Server) endpoints() []endpoint {
 	return []endpoint{
 		{"/metrics", "Prometheus exposition", s.handleMetrics},
-		{"/traces", "recent query traces (add <code>?format=chrome</code> for a chrome://tracing file)", s.handleTraces},
-		{"/slow", "slow-query log", s.handleSlow},
+		{"/traces", "recent query traces", s.handleTraces},
 		{"/health", "readiness probe (503 while the write-ahead log replays)", s.handleHealth},
 		{"/workload", "per-template workload stats (add <code>?sort=time|calls|bytes</code>, <code>?k=N</code>, <code>?format=csv</code>)", s.handleWorkload},
 		{"/adaptation", "adaptation ledger: zone-lifecycle provenance + per-column skip ROI (add <code>?table=</code>, <code>?shard=N</code>, <code>?dead=N</code>, <code>?format=csv</code>)", s.handleAdaptation},
@@ -189,88 +186,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.src.Registry.WritePrometheus(w)
 }
 
-// traceListing is the /traces and /slow JSON shape.
+// traceListing is the /traces JSON shape.
 type traceListing struct {
 	Total   uint64            `json:"total"`
 	Dropped uint64            `json:"dropped"`
 	Traces  []*obs.QueryTrace `json:"traces"`
 }
 
-// handleTraces serves the trace ring: JSON by default, Chrome trace_event
-// format (downloadable, loads in chrome://tracing) with ?format=chrome.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+// handleTraces serves the trace ring as JSON, oldest-first.
+func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 	ring := s.src.Traces
-	serveTraces(w, r, ring, ring.Snapshot(), "adskip-trace.json")
-}
-
-// handleSlow serves the slow-query log in the same formats as /traces.
-// ?shard=N keeps only traces served by that 1-based shard — a per-shard
-// trace's own shard stamp, or membership in a merged logical trace's
-// scanned-shard list. Out-of-range shards are a 400.
-func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	ring := s.src.SlowTraces
-	if ring == nil {
-		writeJSON(w, traceListing{Traces: []*obs.QueryTrace{}})
-		return
-	}
-	shard, hasShard, err := parseShard(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	traces := ring.Snapshot()
-	if hasShard {
-		maxShard := 0
-		for _, t := range traces {
-			if t.Shard > maxShard {
-				maxShard = t.Shard
-			}
-			for _, sh := range t.Shards {
-				if sh > maxShard {
-					maxShard = sh
-				}
-			}
-		}
-		if shard < 1 || shard > maxShard {
-			http.Error(w, fmt.Sprintf("shard %d out of range (slow log has shards 1..%d)", shard, maxShard),
-				http.StatusBadRequest)
-			return
-		}
-		kept := make([]*obs.QueryTrace, 0, len(traces))
-		for _, t := range traces {
-			if traceTouchesShard(t, shard) {
-				kept = append(kept, t)
-			}
-		}
-		traces = kept
-	}
-	serveTraces(w, r, ring, traces, "adskip-slow-trace.json")
-}
-
-// traceTouchesShard reports whether a trace was served by the given
-// 1-based shard.
-func traceTouchesShard(t *obs.QueryTrace, shard int) bool {
-	if t.Shard == shard {
-		return true
-	}
-	for _, sh := range t.Shards {
-		if sh == shard {
-			return true
-		}
-	}
-	return false
-}
-
-// serveTraces renders an already-filtered trace list in the requested
-// format. Total/Dropped report the ring, not the filtered view.
-func serveTraces(w http.ResponseWriter, r *http.Request, ring *obs.TraceRing, traces []*obs.QueryTrace, filename string) {
-	if r.URL.Query().Get("format") == "chrome" {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Disposition", `attachment; filename="`+filename+`"`)
-		_ = obs.WriteChromeTrace(w, traces)
-		return
-	}
-	writeJSON(w, traceListing{Total: ring.Total(), Dropped: ring.Dropped(), Traces: traces})
+	writeJSON(w, traceListing{Total: ring.Total(), Dropped: ring.Dropped(), Traces: ring.Snapshot()})
 }
 
 // parseShard reads an optional ?shard=N filter: a 1-based shard number.

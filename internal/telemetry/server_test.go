@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"adskip/internal/obs"
 )
@@ -17,10 +18,9 @@ func testSource() Source {
 	reg := obs.NewRegistry()
 	reg.Counter("t_total", "help").Inc()
 	ring := obs.NewTraceRing(8)
-	root := obs.NewSpan("query")
-	root.StartChild("scan").FinishRows(100, 10, 80)
-	root.Finish()
-	ring.Append(&obs.QueryTrace{Table: "t", Start: root.Start, Root: root})
+	ring.Append(&obs.QueryTrace{Table: "t", Start: time.Now(),
+		Plan: time.Microsecond, Probe: 2 * time.Microsecond, Scan: 3 * time.Microsecond,
+		Total: 7 * time.Microsecond, RowsScanned: 100, RowsSkipped: 80, RowsTotal: 180})
 	return Source{Registry: reg, Traces: ring}
 }
 
@@ -48,21 +48,27 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("URL = %q, want ephemeral localhost", srv.URL())
 	}
 
-	// Every JSON endpoint returns 200 and parses.
-	for _, path := range []string{"/traces", "/slow"} {
-		code, body := get(t, srv.URL()+path)
-		if code != http.StatusOK {
-			t.Fatalf("GET %s = %d, want 200", path, code)
+	// /traces is JSON carrying each trace's flat phases, and no span tree.
+	code, body := get(t, srv.URL()+"/traces")
+	if code != http.StatusOK {
+		t.Fatalf("GET /traces = %d, want 200", code)
+	}
+	var v any
+	if err := json.Unmarshal([]byte(body), &v); err != nil {
+		t.Fatalf("GET /traces: invalid JSON: %v\n%s", err, body)
+	}
+	for _, key := range []string{`"plan_ns": 1000`, `"probe_ns": 2000`, `"scan_ns": 3000`, `"total_ns": 7000`} {
+		if !strings.Contains(body, key) {
+			t.Errorf("/traces missing %s:\n%s", key, body)
 		}
-		var v any
-		if err := json.Unmarshal([]byte(body), &v); err != nil {
-			t.Fatalf("GET %s: invalid JSON: %v\n%s", path, err, body)
-		}
+	}
+	if strings.Contains(body, `"spans"`) {
+		t.Errorf("/traces carries a span tree:\n%s", body)
 	}
 
 	// /metrics carries the source's series and the runtime gauges Start
 	// registered, read at scrape time.
-	code, body := get(t, srv.URL()+"/metrics")
+	code, body = get(t, srv.URL()+"/metrics")
 	if code != http.StatusOK || !strings.Contains(body, "t_total 1") {
 		t.Fatalf("/metrics = %d:\n%s", code, body)
 	}
@@ -74,19 +80,6 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if strings.Contains(body, "\ngo_goroutines 0\n") {
 		t.Errorf("go_goroutines reads 0:\n%s", body)
-	}
-
-	// /traces carries the span tree; ?format=chrome is a trace_event file.
-	_, body = get(t, srv.URL()+"/traces")
-	if !strings.Contains(body, `"spans"`) || !strings.Contains(body, `"scan"`) {
-		t.Fatalf("/traces missing span tree:\n%s", body)
-	}
-	_, body = get(t, srv.URL()+"/traces?format=chrome")
-	var chrome struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(body), &chrome); err != nil || len(chrome.TraceEvents) != 2 {
-		t.Fatalf("chrome export: err=%v events=%d\n%s", err, len(chrome.TraceEvents), body)
 	}
 
 	if code, _ := get(t, srv.URL()+"/debug/pprof/cmdline"); code != http.StatusOK {
@@ -110,15 +103,13 @@ func TestServerOptionalSourcesNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, path := range []string{"/slow", "/adaptation"} {
-		code, body := get(t, srv.URL()+path)
-		if code != http.StatusOK {
-			t.Fatalf("GET %s = %d, want 200", path, code)
-		}
-		var v any
-		if err := json.Unmarshal([]byte(body), &v); err != nil {
-			t.Fatalf("GET %s: invalid JSON: %v", path, err)
-		}
+	code, body := get(t, srv.URL()+"/adaptation")
+	if code != http.StatusOK {
+		t.Fatalf("GET /adaptation = %d, want 200", code)
+	}
+	var v any
+	if err := json.Unmarshal([]byte(body), &v); err != nil {
+		t.Fatalf("GET /adaptation: invalid JSON: %v", err)
 	}
 }
 
@@ -149,10 +140,10 @@ func TestIndexMatchesMux(t *testing.T) {
 	if len(links) != len(srv.endpoints()) {
 		t.Errorf("index has %d links for %d routes:\n%s", len(links), len(srv.endpoints()), page)
 	}
-	if len(links) != 7 {
-		t.Errorf("index links %d endpoints, want 7", len(links))
+	if len(links) != 6 {
+		t.Errorf("index links %d endpoints, want 6", len(links))
 	}
-	for _, path := range []string{"/history", "/dash", "/runtime", "/metrics.json", "/skipmap"} {
+	for _, path := range []string{"/history", "/dash", "/runtime", "/metrics.json", "/skipmap", "/slow"} {
 		if code, _ := get(t, srv.URL()+path); code != http.StatusNotFound {
 			t.Errorf("%s = %d, want 404", path, code)
 		}

@@ -70,7 +70,6 @@ func TestMetricsCarryEverySignal(t *testing.T) {
 	}
 	present := []string{
 		"adskip_rows_covered_total" + tbl,
-		"adskip_slow_queries_total" + tbl,
 		"adskip_queries_canceled_total" + tbl,
 		"adskip_queries_over_budget_total" + tbl,
 		"adskip_panics_recovered_total" + tbl,

@@ -59,38 +59,73 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-func TestTraceRingAndSlowLog(t *testing.T) {
-	db := seededDB(t, Options{Policy: Adaptive, TraceRingSize: 8, SlowQueryThreshold: time.Nanosecond})
-	defer db.Close()
-	traces := db.Traces()
-	if len(traces) != 8 {
-		t.Fatalf("trace ring holds %d, want 8 (capacity)", len(traces))
+// TestTraceAccountsForQuery: a query's flat trace is its one account. On
+// every executor path (COUNT fast path, general path, ORDER BY … LIMIT,
+// EXPLAIN ANALYZE, an unsatisfiable predicate), sharded or not, serial or
+// parallel, the phases fit inside the total, the row totals are the
+// result's stats, and the DB's ring gains exactly that trace — one per
+// query, never a shard's partial.
+func TestTraceAccountsForQuery(t *testing.T) {
+	const rows = 20000 // seededDB's table
+	queries := []string{
+		"SELECT COUNT(*) FROM events WHERE v BETWEEN 3000 AND 3006",
+		"SELECT SUM(seq) FROM events WHERE v BETWEEN 2000 AND 9000 AND seq < 15000",
+		"SELECT seq FROM events WHERE v < 5000 ORDER BY seq DESC LIMIT 10",
+		"EXPLAIN ANALYZE SELECT COUNT(*) FROM events WHERE v < 4000",
+		"SELECT COUNT(*) FROM events WHERE v > 10 AND v < 5",
 	}
-	for _, tr := range traces {
-		if tr.Root == nil {
-			t.Fatal("ring trace missing span tree")
+	for _, shards := range []int{1, 2} {
+		for _, par := range []int{1, 2} {
+			t.Run(fmt.Sprintf("shards=%d/parallelism=%d", shards, par), func(t *testing.T) {
+				db := seededDB(t, Options{Policy: Adaptive, TraceRingSize: 8, Shards: shards, Parallelism: par})
+				defer db.Close()
+				if n := len(db.Traces()); n != 8 {
+					t.Fatalf("trace ring holds %d, want 8 (capacity)", n)
+				}
+				wantShards := 0
+				if shards > 1 {
+					wantShards = shards
+				}
+				prev := db.Traces()[7]
+				for _, q := range queries {
+					var res *Result
+					var err error
+					if rest, ok := strings.CutPrefix(q, "EXPLAIN ANALYZE "); ok {
+						_, res, err = db.ExplainAnalyze(rest)
+					} else {
+						res, err = db.Exec(q)
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", q, err)
+					}
+					tr := res.Trace
+					if tr == nil {
+						t.Fatalf("%s: no trace", q)
+					}
+					if sum := tr.Plan + tr.ShardPrune + tr.Probe + tr.Scan + tr.Feedback; sum > tr.Total {
+						t.Errorf("%s: phases sum to %s > total %s", q, sum, tr.Total)
+					}
+					st := res.Stats
+					if tr.RowsScanned != st.RowsScanned || tr.RowsSkipped != st.RowsSkipped ||
+						tr.RowsCovered != st.RowsCovered || tr.ZonesProbed != st.ZonesProbed {
+						t.Errorf("%s: trace rows scanned/skipped/covered/zones %d/%d/%d/%d, stats %d/%d/%d/%d", q,
+							tr.RowsScanned, tr.RowsSkipped, tr.RowsCovered, tr.ZonesProbed,
+							st.RowsScanned, st.RowsSkipped, st.RowsCovered, st.ZonesProbed)
+					}
+					if tr.RowsTotal != rows {
+						t.Errorf("%s: RowsTotal = %d, want %d", q, tr.RowsTotal, rows)
+					}
+					if n := tr.ShardsScanned + tr.ShardsPruned; n != wantShards {
+						t.Errorf("%s: shards scanned+pruned = %d, want %d", q, n, wantShards)
+					}
+					ring := db.Traces()
+					if ring[len(ring)-1] != tr || ring[len(ring)-2] != prev {
+						t.Fatalf("%s: the ring did not gain exactly this query's trace", q)
+					}
+					prev = tr
+				}
+			})
 		}
-		if !tr.Slow {
-			t.Error("1ns threshold should mark every query slow")
-		}
-		names := map[string]bool{}
-		for _, c := range tr.Root.Children() {
-			names[c.Name] = true
-		}
-		for _, want := range []string{"parse", "plan", "prune", "scan"} {
-			if !names[want] {
-				t.Fatalf("span tree missing %q child: %v", want, tr.Root.TreeLines())
-			}
-		}
-	}
-	if len(db.SlowTraces()) == 0 {
-		t.Fatal("slow log empty despite 1ns threshold")
-	}
-	// Without a threshold the slow log stays empty.
-	db2 := seededDB(t, Options{Policy: Adaptive})
-	defer db2.Close()
-	if n := len(db2.SlowTraces()); n != 0 {
-		t.Fatalf("slow log has %d entries with no threshold", n)
 	}
 }
 
@@ -265,8 +300,8 @@ func TestHealthFacade(t *testing.T) {
 // TestTelemetryConcurrentWithQueries races the telemetry surface against
 // live queries and durable appends: scrapes of /metrics (whose gauge
 // functions take the stats-table and WAL locks the queries and appends
-// hold) and /health, and losing StartTelemetry calls. Run under -race in
-// CI.
+// hold), /traces (encoding traces while queries append more) and /health,
+// and losing StartTelemetry calls. Run under -race in CI.
 func TestTelemetryConcurrentWithQueries(t *testing.T) {
 	db := seededDB(t, Options{Policy: Adaptive, Durability: Durability{Dir: t.TempDir()}})
 	defer db.Close()
@@ -322,7 +357,7 @@ func TestTelemetryConcurrentWithQueries(t *testing.T) {
 		return true
 	})
 	loop(func() bool {
-		for _, path := range []string{"/metrics", "/health"} {
+		for _, path := range []string{"/metrics", "/traces", "/health"} {
 			resp, err := http.Get(url + path)
 			if err != nil {
 				t.Error(err)
