@@ -83,6 +83,9 @@ const (
 	Imprint = engine.PolicyImprint
 )
 
+// ParsePolicy maps a policy's name (Policy.String) back to the policy.
+var ParsePolicy = engine.ParsePolicy
+
 // AdaptiveConfig tunes the adaptive policy; the zero value uses defaults.
 type AdaptiveConfig = adaptive.Config
 

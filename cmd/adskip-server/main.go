@@ -1,8 +1,8 @@
 // Command adskip-server serves an adskip database over TCP using the
-// internal/server query service. The dataset is either loaded from an
-// adskip-gen snapshot (-load) or generated in-process (-rows/-dist/-seed,
-// same shape as adskip-gen: table "data" with v BIGINT, seq BIGINT,
-// noise DOUBLE).
+// internal/server query service. The dataset is either loaded from a
+// table snapshot (-load; adskip-demo's \gen + \save writes one) or
+// generated in-process (-rows/-dist/-seed: table "data" with v BIGINT,
+// seq BIGINT, noise DOUBLE).
 //
 // Usage:
 //
@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strconv"
@@ -35,7 +34,6 @@ import (
 	"adskip"
 	"adskip/internal/faultinject"
 	"adskip/internal/server"
-	"adskip/internal/storage"
 	"adskip/internal/workload"
 )
 
@@ -46,7 +44,7 @@ func main() {
 		load      = flag.String("load", "", "load a table snapshot instead of generating data")
 		rows      = flag.Int("rows", 1<<20, "rows to generate (ignored with -load)")
 		dist      = flag.String("dist", "clustered", "distribution: sorted|semi-sorted|clustered|uniform|zipf|bimodal")
-		seed      = flag.Int64("seed", 42, "RNG seed for generated data")
+		seed      = flag.Int64("seed", workload.DataSeed, "RNG seed for generated data")
 		policy    = flag.String("policy", "adaptive", "skipping policy: none|static|adaptive|imprint")
 		zone      = flag.Int("static-zone", 0, "zone size for the static policy (0 = default)")
 		par       = flag.Int("parallelism", 1, "scan parallelism")
@@ -89,17 +87,9 @@ func main() {
 	} else if *walWindow != 0 || *walNoSync {
 		fatalf("-wal-window/-wal-no-sync require -wal-dir")
 	}
-	switch *policy {
-	case "none":
-		opts.Policy = adskip.None
-	case "static":
-		opts.Policy = adskip.Static
-	case "adaptive":
-		opts.Policy = adskip.Adaptive
-	case "imprint":
-		opts.Policy = adskip.Imprint
-	default:
-		fatalf("unknown policy %q", *policy)
+	var err error
+	if opts.Policy, err = adskip.ParsePolicy(*policy); err != nil {
+		fatalf("%v", err)
 	}
 	db := adskip.Open(opts)
 
@@ -210,51 +200,22 @@ func armCrash(spec string) {
 	fmt.Printf("fault armed: %s on trigger %d\n", p, n)
 }
 
-// generate builds the adskip-gen dataset shape in-process: v carries the
-// requested distribution over a domain equal to the row count, seq is
-// the row number, noise is uniform and never skippable.
+// generate builds the workload package's "data" table in-process.
 func generate(db *adskip.DB, rows int, dist string, seed int64) *adskip.Table {
-	var d workload.Distribution
-	switch dist {
-	case "sorted":
-		d = workload.Sorted
-	case "semi-sorted":
-		d = workload.SemiSorted
-	case "clustered":
-		d = workload.Clustered
-	case "uniform":
-		d = workload.Uniform
-	case "zipf":
-		d = workload.Zipf
-	case "bimodal":
-		d = workload.Bimodal
-	default:
-		fatalf("unknown distribution %q", dist)
-	}
-	vals := workload.Generate(workload.DataSpec{N: rows, Dist: d, Domain: int64(rows), Seed: seed})
-	rng := rand.New(rand.NewSource(seed + 1))
-
-	tbl, err := db.CreateTable("data",
-		adskip.Col("v", storage.Int64),
-		adskip.Col("seq", storage.Int64),
-		adskip.Col("noise", storage.Float64),
-	)
+	d, err := workload.ParseDistribution(dist)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// Batched ingest: one row at a time serializes on the append lock and
-	// (sharded) routes each row separately; 64k-row batches amortize both.
-	const batchSize = 1 << 16
-	batch := make([][]adskip.Value, 0, batchSize)
-	for i, v := range vals {
-		batch = append(batch, []adskip.Value{
-			adskip.IntValue(v), adskip.IntValue(int64(i)), adskip.FloatValue(rng.Float64() * 1000)})
-		if len(batch) == batchSize || i == len(vals)-1 {
-			if err := tbl.AppendBatch(batch); err != nil {
-				fatalf("%v", err)
-			}
-			batch = batch[:0]
-		}
+	cols := make([]adskip.ColumnDef, len(workload.DataColumns))
+	for i, c := range workload.DataColumns {
+		cols[i] = adskip.Col(c.Name, c.Type)
+	}
+	tbl, err := db.CreateTable("data", cols...)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if err := workload.DataBatches(d, rows, seed, tbl.AppendBatch); err != nil {
+		fatalf("%v", err)
 	}
 	return tbl
 }
@@ -263,16 +224,7 @@ func generate(db *adskip.DB, rows int, dist string, seed int64) *adskip.Table {
 // or nil (logging disabled) for mode "off".
 func makeLogger(mode, level string) *slog.Logger {
 	var lvl slog.Level
-	switch level {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
+	if err := lvl.UnmarshalText([]byte(level)); err != nil {
 		fatalf("unknown log level %q", level)
 	}
 	ho := &slog.HandlerOptions{Level: lvl}
@@ -283,10 +235,9 @@ func makeLogger(mode, level string) *slog.Logger {
 		return slog.New(slog.NewTextHandler(os.Stderr, ho))
 	case "json":
 		return slog.New(slog.NewJSONHandler(os.Stderr, ho))
-	default:
-		fatalf("unknown log mode %q", mode)
-		return nil
 	}
+	fatalf("unknown log mode %q", mode)
+	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 	"sync"
 
 	"adskip/internal/adaptive"
@@ -39,20 +40,28 @@ const (
 	PolicyImprint
 )
 
+// policyNames is the one name table: String reads it and ParsePolicy
+// inverts it.
+var policyNames = [...]string{
+	PolicyNone: "none", PolicyStatic: "static", PolicyAdaptive: "adaptive", PolicyImprint: "imprint",
+}
+
 // String names the policy.
 func (p Policy) String() string {
-	switch p {
-	case PolicyNone:
-		return "none"
-	case PolicyStatic:
-		return "static"
-	case PolicyAdaptive:
-		return "adaptive"
-	case PolicyImprint:
-		return "imprint"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+	if p >= 0 && int(p) < len(policyNames) {
+		return policyNames[p]
 	}
+	return fmt.Sprintf("Policy(%d)", int(p))
+}
+
+// ParsePolicy is the inverse of Policy.String.
+func ParsePolicy(name string) (Policy, error) {
+	for p, n := range policyNames {
+		if n == name {
+			return Policy(p), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want %s)", name, strings.Join(policyNames[:], "|"))
 }
 
 // Options configures an Engine.

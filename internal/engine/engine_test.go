@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"adskip/internal/adaptive"
@@ -462,6 +463,22 @@ func TestPolicyString(t *testing.T) {
 	}
 	if Policy(9).String() == "" {
 		t.Fatal("unknown policy renders empty")
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Policy
+	}{{"none", PolicyNone}, {"static", PolicyStatic}, {"adaptive", PolicyAdaptive}, {"imprint", PolicyImprint}} {
+		p, err := ParsePolicy(tc.name)
+		if err != nil || p != tc.want || p.String() != tc.name {
+			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", tc.name, p, err, tc.want)
+		}
+	}
+	_, err := ParsePolicy("zonemap")
+	if err == nil || !strings.Contains(err.Error(), "none|static|adaptive|imprint") {
+		t.Fatalf("unknown policy: err %v, want the valid names", err)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 	"adskip/internal/server"
 )
 
-// testDB builds a DB with the adskip-gen "data" shape at small scale:
+// testDB builds a DB shaped like the generated "data" table at small scale:
 // v = (i/1000)*1000 + i%7 (clustered), seq = i.
 func testDB(t *testing.T, rows int) *adskip.DB {
 	t.Helper()

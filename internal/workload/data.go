@@ -8,6 +8,9 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+
+	"adskip/internal/storage"
 )
 
 // Distribution classifies the physical value order of a generated column.
@@ -40,24 +43,29 @@ const (
 	Bimodal
 )
 
+// distributionNames is the one name table: String reads it and
+// ParseDistribution inverts it.
+var distributionNames = [...]string{
+	Sorted: "sorted", SemiSorted: "semi-sorted", Clustered: "clustered",
+	Uniform: "uniform", Zipf: "zipf", Bimodal: "bimodal",
+}
+
 // String names the distribution.
 func (d Distribution) String() string {
-	switch d {
-	case Sorted:
-		return "sorted"
-	case SemiSorted:
-		return "semi-sorted"
-	case Clustered:
-		return "clustered"
-	case Uniform:
-		return "uniform"
-	case Zipf:
-		return "zipf"
-	case Bimodal:
-		return "bimodal"
-	default:
-		return fmt.Sprintf("Distribution(%d)", int(d))
+	if d >= 0 && int(d) < len(distributionNames) {
+		return distributionNames[d]
 	}
+	return fmt.Sprintf("Distribution(%d)", int(d))
+}
+
+// ParseDistribution is the inverse of Distribution.String.
+func ParseDistribution(name string) (Distribution, error) {
+	for d, n := range distributionNames {
+		if n == name {
+			return Distribution(d), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown distribution %q (want %s)", name, strings.Join(distributionNames[:], "|"))
 }
 
 // DataSpec parameterizes a generated column.
@@ -171,4 +179,37 @@ func Generate(spec DataSpec) []int64 {
 		panic(fmt.Sprintf("workload: unknown distribution %d", spec.Dist))
 	}
 	return v
+}
+
+// DataColumns is the schema of the generated "data" table, in column
+// order: v carries the distribution, seq is the row number (always
+// sorted), noise is uniform in [0, 1000) and never skippable.
+var DataColumns = []struct {
+	Name string
+	Type storage.Type
+}{{"v", storage.Int64}, {"seq", storage.Int64}, {"noise", storage.Float64}}
+
+// DataSeed is the default seed of the generated "data" table.
+const DataSeed = 42
+
+// DataBatches generates n rows of the "data" table — v from Generate over
+// a domain equal to n, noise from a second generator seeded with seed+1
+// — and hands them to emit in batches of up to 65536 rows, which amortize
+// an append lock (and, sharded, the routing) that row-at-a-time ingest
+// pays per row. The batch's backing array is reused: emit must not keep it.
+func DataBatches(dist Distribution, n int, seed int64, emit func(rows [][]storage.Value) error) error {
+	vals := Generate(DataSpec{N: n, Dist: dist, Domain: int64(n), Seed: seed})
+	rng := rand.New(rand.NewSource(seed + 1))
+	batch := make([][]storage.Value, 0, min(n, 1<<16))
+	for i, v := range vals {
+		batch = append(batch, []storage.Value{
+			storage.IntValue(v), storage.IntValue(int64(i)), storage.FloatValue(rng.Float64() * 1000)})
+		if len(batch) == cap(batch) || i == n-1 {
+			if err := emit(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
+		}
+	}
+	return nil
 }

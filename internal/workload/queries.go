@@ -20,20 +20,16 @@ const (
 	Point
 )
 
+var queryKindNames = [...]string{
+	UniformRange: "uniform-range", HotRange: "hot-range", DriftingHot: "drifting-hot", Point: "point",
+}
+
 // String names the query kind.
 func (k QueryKind) String() string {
-	switch k {
-	case UniformRange:
-		return "uniform-range"
-	case HotRange:
-		return "hot-range"
-	case DriftingHot:
-		return "drifting-hot"
-	case Point:
-		return "point"
-	default:
-		return fmt.Sprintf("QueryKind(%d)", int(k))
+	if k >= 0 && int(k) < len(queryKindNames) {
+		return queryKindNames[k]
 	}
+	return fmt.Sprintf("QueryKind(%d)", int(k))
 }
 
 // QuerySpec parameterizes a query stream over a value domain.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -235,5 +236,24 @@ func TestGenerateBimodal(t *testing.T) {
 	}
 	if Bimodal.String() != "bimodal" {
 		t.Fatal("name")
+	}
+}
+
+func TestParseDistribution(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Distribution
+	}{
+		{"sorted", Sorted}, {"semi-sorted", SemiSorted}, {"clustered", Clustered},
+		{"uniform", Uniform}, {"zipf", Zipf}, {"bimodal", Bimodal},
+	} {
+		d, err := ParseDistribution(tc.name)
+		if err != nil || d != tc.want || d.String() != tc.name {
+			t.Fatalf("ParseDistribution(%q) = %v, %v; want %v", tc.name, d, err, tc.want)
+		}
+	}
+	_, err := ParseDistribution("gaussian")
+	if err == nil || !strings.Contains(err.Error(), "sorted|semi-sorted|clustered|uniform|zipf|bimodal") {
+		t.Fatalf("unknown distribution: err %v, want the valid names", err)
 	}
 }
