@@ -1,6 +1,7 @@
 package adskip
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -119,7 +120,7 @@ func TestAdaptationThroughFacade(t *testing.T) {
 	}
 
 	// The EXPLAIN ANALYZE footer reports the same ledger totals.
-	lines, _, err := db.ExplainAnalyze("SELECT COUNT(*) FROM data WHERE v BETWEEN 5000 AND 5200")
+	lines, _, err := db.ExplainAnalyze(context.Background(), "SELECT COUNT(*) FROM data WHERE v BETWEEN 5000 AND 5200")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,9 +182,6 @@ type Options struct {
 	// this DB (0 = unbounded). Excess queries wait for admission and
 	// honor their context while waiting.
 	MaxConcurrentQueries int
-	// TraceRingSize is how many recent query traces the DB retains for
-	// DB.Traces and the telemetry server's /traces endpoint (default 256).
-	TraceRingSize int
 	// Logger receives structured log events from every table's engine:
 	// quarantines at warn, adaptation milestones at info, per-zone
 	// structural churn at debug. Nil disables logging.
@@ -196,13 +193,6 @@ type Options struct {
 	// data (CreateTable/LoadTable + bulk load), then call Recover before
 	// serving mutations.
 	Durability Durability
-	// StatsMaxTemplates bounds the workload-analytics table: how many
-	// distinct query templates (literal-stripped fingerprints) the DB
-	// tracks before LRU eviction. 0 means the default (256); negative
-	// disables workload analytics entirely — SQL queries then skip
-	// fingerprint attribution and the /workload endpoint reports an
-	// empty table.
-	StatsMaxTemplates int
 	// Shards partitions every table created on this DB into per-core
 	// shards behind a scatter-gather executor: queries shard-prune by
 	// observed key bounds before any zone metadata is consulted, fan out
@@ -227,11 +217,6 @@ type Durability struct {
 	// fsync with concurrent writers (default 2ms). Larger windows
 	// amortize fsync across more writers at the cost of commit latency.
 	GroupWindow time.Duration
-	// SegmentBytes is the segment rotation threshold (default 64 MiB).
-	SegmentBytes int64
-	// FlushBytes flushes a pending batch early once it exceeds this many
-	// bytes (default 1 MiB).
-	FlushBytes int64
 	// DisableFsync keeps the logging and group-commit machinery but skips
 	// fsync — for benchmarks isolating fsync cost. No crash durability.
 	DisableFsync bool
@@ -292,8 +277,8 @@ type DB struct {
 	engines map[string]executor
 	telem   *telemetry.Server
 
-	// stats is the catalog-wide workload analytics table (nil when
-	// Options.StatsMaxTemplates is negative). Set once at Open.
+	// stats is the catalog-wide workload analytics table, bounded at
+	// stats.DefaultMaxTemplates templates. Set once at Open.
 	stats *stats.Table
 
 	// wal is the armed write-ahead log (nil until Recover completes on a
@@ -321,16 +306,11 @@ func Open(opts Options) *DB {
 		reg:       obs.NewRegistry(),
 		ledger:    obs.NewLedger(0),
 		admission: engine.NewAdmission(opts.MaxConcurrentQueries),
-		traces:    obs.NewTraceRing(opts.TraceRingSize),
+		traces:    obs.NewTraceRing(obs.DefaultTraceRingSize),
 	}
 	db.reg.GaugeFunc("adskip_admission_waiting",
 		"Queries waiting for an execution slot (MaxConcurrentQueries).", db.admission.Waiting)
-	if opts.StatsMaxTemplates >= 0 {
-		db.stats = stats.New(stats.Options{
-			MaxTemplates: opts.StatsMaxTemplates,
-			Registry:     db.reg,
-		})
-	}
+	db.stats = stats.New(stats.Options{Registry: db.reg})
 	// A durable DB starts in recovering state: mutations are not durable
 	// (and servers should refuse them) until Recover has replayed the log
 	// and armed the engines.
@@ -358,13 +338,12 @@ func (db *DB) engineOptions() engine.Options {
 }
 
 // Traces returns the most recent query traces across all tables,
-// oldest-first (bounded ring; see Options.TraceRingSize).
+// oldest-first (a ring of the last obs.DefaultTraceRingSize).
 func (db *DB) Traces() []*QueryTrace { return db.traces.Snapshot() }
 
 // Workload returns the per-template workload statistics: the top-k query
 // templates under the given sort order (adskip.SortTime, SortCalls, or
 // SortBytes; "" sorts by total time, k <= 0 returns every template).
-// Empty when Options.StatsMaxTemplates is negative.
 func (db *DB) Workload(sortBy string, k int) WorkloadSnapshot {
 	return db.stats.Snapshot(sortBy, k)
 }
@@ -475,8 +454,9 @@ func (db *DB) AdaptationEvents() []AdaptationRecord { return db.ledger.Records()
 // ExplainAnalyze parses and executes a SQL SELECT, returning the rendered
 // EXPLAIN ANALYZE plan (phase timings, per-predicate estimated vs actual
 // pruning) alongside the executed result. Equivalent to Exec with an
-// "EXPLAIN ANALYZE" prefix, but returns the lines directly.
-func (db *DB) ExplainAnalyze(query string) ([]string, *Result, error) {
+// "EXPLAIN ANALYZE" prefix, but returns the lines directly. Like
+// ExecContext, execution honors ctx's cancellation and deadline.
+func (db *DB) ExplainAnalyze(ctx context.Context, query string) ([]string, *Result, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, nil, err
@@ -489,11 +469,7 @@ func (db *DB) ExplainAnalyze(query string) ([]string, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx := context.Background()
-	if db.stats != nil {
-		ctx = obs.WithTemplate(ctx, sql.Fingerprint(stmt))
-	}
-	return e.ExplainAnalyzeContext(ctx, q)
+	return e.ExplainAnalyzeContext(obs.WithTemplate(ctx, sql.Fingerprint(stmt)), q)
 }
 
 // lookup resolves a table name to its executor under the catalog lock.
@@ -550,13 +526,11 @@ func (db *DB) Recover() (RecoveryStats, error) {
 	}
 	d := db.opts.Durability
 	l, stats, err := wal.Open(wal.Options{
-		Dir:          d.Dir,
-		GroupWindow:  d.GroupWindow,
-		SegmentBytes: d.SegmentBytes,
-		FlushBytes:   d.FlushBytes,
-		NoSync:       d.DisableFsync,
-		Metrics:      db.reg,
-		Logger:       db.opts.Logger,
+		Dir:         d.Dir,
+		GroupWindow: d.GroupWindow,
+		NoSync:      d.DisableFsync,
+		Metrics:     db.reg,
+		Logger:      db.opts.Logger,
 	}, func(rec *wal.Record) error {
 		e, ok := db.lookup(rec.Table)
 		if !ok {

@@ -38,7 +38,7 @@ const help = `\gen <dist> <rows>  create table "data" (v, seq, noise; dist: sort
 \metrics            dump the DB's metrics (Prometheus text)
 \top                hottest query templates (calls, p95, cpu%) + per-column ROI
 \events [n]         show the last n adaptation events (default 20)
-\timeout <dur|off>  cancel statements running longer than dur (e.g. 500ms; not EXPLAIN ANALYZE)
+\timeout <dur|off>  cancel statements running longer than dur (e.g. 500ms)
 \quarantine         list quarantined columns    \rebuild [cols]  rebuild their metadata
 \policy             active policy          \quit         exit
 Each \gen, \load and \loadcsv starts a fresh DB: \metrics, \events and \top start over.
@@ -352,17 +352,17 @@ func (r *repl) query(line string) {
 		res   *adskip.Result
 		err   error
 	)
+	ctx := context.Background()
+	if r.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.timeout)
+		defer cancel()
+	}
 	if analyze {
 		// The plan lines come back beside the executed result, whose
 		// statistics the footer reports.
-		lines, res, err = r.db.ExplainAnalyze(line)
+		lines, res, err = r.db.ExplainAnalyze(ctx, line)
 	} else {
-		ctx := context.Background()
-		if r.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, r.timeout)
-			defer cancel()
-		}
 		res, err = r.db.ExecContext(ctx, line)
 	}
 	if err != nil {

@@ -35,6 +35,7 @@ func TestScriptedSession(t *testing.T) {
 		query,
 		`\timeout 1ns`,
 		query,
+		"EXPLAIN ANALYZE " + query,
 		`\nosuch`,
 		`\quit`,
 		query, // never read
@@ -69,8 +70,9 @@ func TestScriptedSession(t *testing.T) {
 	expect(7, strings.HasPrefix(replies[7], `table "data": 20000 rows from `+snap), "the load")
 	expect(8, strings.HasPrefix(replies[8], fmt.Sprintf("%d\n", want)), fmt.Sprintf("count %d after the reload", want))
 	expect(10, strings.HasPrefix(replies[10], "error: ") && strings.Contains(replies[10], "canceled"), "the cancellation")
-	expect(11, strings.Contains(replies[11], `(try \help)`), "the help hint")
-	expect(12, replies[12] == "", "nothing")
+	expect(11, strings.HasPrefix(replies[11], "error: ") && strings.Contains(replies[11], "canceled"), "the EXPLAIN ANALYZE cancellation")
+	expect(12, strings.Contains(replies[12], `(try \help)`), "the help hint")
+	expect(13, replies[13] == "", "nothing")
 }
 
 func TestUnknownPolicy(t *testing.T) {

@@ -41,42 +41,16 @@ var ErrCorrupt = errors.New("adaptive: metadata corrupt")
 // suitable for multi-million-row columns.
 type Config struct {
 	// InitialZoneRows is the granularity of the initial coarse build and
-	// of folded append tails. Default 65536.
+	// of folded append tails: the unindexed append tail folds into zones
+	// once it reaches this many rows. Default 65536.
 	InitialZoneRows int
 	// MinZoneRows is the floor of equal-width splits. A split's statistics
 	// may also cut a part where its values jump (scan.CountWithStats), which
 	// can leave a smaller zone: at most one extra per jump. Default 1024.
 	MinZoneRows int
-	// MaxZones caps metadata size; splits stop at the cap until merges
-	// reclaim space. Default 65536.
-	MaxZones int
 	// SplitParts is the most equal-width parts a split cuts a zone into
 	// (bounded below by MinZoneRows), before cuts at jumps. Default 8.
 	SplitParts int
-	// HeatAlpha is the EWMA step for per-zone usefulness. Default 0.25.
-	HeatAlpha float64
-	// MergeHeat merges adjacent zones when both have usefulness below this
-	// threshold. Default 0.05.
-	MergeHeat float64
-	// MaxZoneRows caps how large merges may grow a zone. Default 1<<20.
-	MaxZoneRows int
-	// MergeSweepEvery runs the merge sweep every this many queries.
-	// Default 8.
-	MergeSweepEvery int
-	// Window is the effective query window of the arbitration EWMA.
-	// Default 32.
-	Window int
-	// ProbeCost and RowCost are the relative cost-model constants: one
-	// zone probe vs one row of scan work avoided. Defaults 4 and 1 —
-	// probing metadata touches scattered cache lines, scanning is
-	// sequential, so a probe must save several rows to break even.
-	ProbeCost float64
-	RowCost   float64
-	// ReprobeEvery is the shadow-probe period while disabled. Default 32.
-	ReprobeEvery int
-	// TailFoldRows folds the unindexed append tail into zones once it
-	// reaches this many rows. Default InitialZoneRows.
-	TailFoldRows int
 	// DisableSplit, DisableMerge, and DisableArbitration switch off the
 	// corresponding adaptive mechanism. They exist for the ablation
 	// experiments; production use keeps all three on.
@@ -92,40 +66,62 @@ func (c Config) withDefaults() Config {
 	if c.MinZoneRows <= 0 {
 		c.MinZoneRows = 1024
 	}
-	if c.MaxZones <= 0 {
-		c.MaxZones = 65536
-	}
 	if c.SplitParts <= 0 {
 		c.SplitParts = 8
 	}
-	if c.HeatAlpha <= 0 || c.HeatAlpha > 1 {
-		c.HeatAlpha = 0.25
-	}
-	if c.MergeHeat <= 0 {
-		c.MergeHeat = 0.05
-	}
-	if c.MaxZoneRows <= 0 {
-		c.MaxZoneRows = 1 << 20
-	}
-	if c.MergeSweepEvery <= 0 {
-		c.MergeSweepEvery = 8
-	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.ProbeCost <= 0 {
-		c.ProbeCost = 4
-	}
-	if c.RowCost <= 0 {
-		c.RowCost = 1
-	}
-	if c.ReprobeEvery <= 0 {
-		c.ReprobeEvery = 32
-	}
-	if c.TailFoldRows <= 0 {
-		c.TailFoldRows = c.InitialZoneRows
-	}
 	return c
+}
+
+// The tuning constants every zonemap runs at. None depends on the column:
+// the adaptive mechanisms are what fit the structure to the data.
+const (
+	// MaxZones caps metadata size (3.5 MiB of zones at the cap); splits
+	// stop at the cap until merges reclaim space.
+	MaxZones = 65536
+	// HeatAlpha is the EWMA step for per-zone usefulness: heat follows
+	// roughly the last 2/HeatAlpha-1 = 7 probes of a zone.
+	HeatAlpha = 0.25
+	// MergeHeat merges adjacent zones when both have usefulness below this
+	// threshold: nine straight misses from the initial heat of 0.5.
+	MergeHeat = 0.05
+	// MaxZoneRows caps how large merges may grow a zone, which bounds the
+	// work of one whole-zone statistics scan.
+	MaxZoneRows = 1 << 20
+	// MergeSweepEvery runs the O(zones) merge sweep every this many
+	// queries rather than after each one.
+	MergeSweepEvery = 8
+	// Window is the effective query window of the arbitration EWMA: long
+	// enough that a few unlucky queries do not disable skipping.
+	Window = 32
+	// ProbeCost and RowCost are the relative cost-model constants: one
+	// zone probe vs one row of scan work avoided. Probing metadata touches
+	// scattered cache lines, scanning is sequential, so a probe must save
+	// several rows to break even.
+	ProbeCost = 4
+	RowCost   = 1
+	// ReprobeEvery is the shadow-probe period while disabled: a disabled
+	// column pays one probe every this many queries to notice drift.
+	ReprobeEvery = 32
+)
+
+// tuning is a zonemap's copy of the tuning constants, plus the tail fold
+// threshold, which is Config.InitialZoneRows. New and Read fill it; this
+// package's tests overwrite fields to explore other values on small
+// columns.
+type tuning struct {
+	maxZones, maxZoneRows, tailFoldRows      int
+	mergeSweepEvery, window, reprobeEvery    int
+	heatAlpha, mergeHeat, probeCost, rowCost float64
+}
+
+// newTuning returns the tuning of a zonemap built with cfg, which has its
+// defaults applied.
+func newTuning(cfg Config) tuning {
+	return tuning{
+		maxZones: MaxZones, maxZoneRows: MaxZoneRows, mergeSweepEvery: MergeSweepEvery,
+		window: Window, reprobeEvery: ReprobeEvery, tailFoldRows: cfg.InitialZoneRows,
+		heatAlpha: HeatAlpha, mergeHeat: MergeHeat, probeCost: ProbeCost, rowCost: RowCost,
+	}
 }
 
 // zone is one variable-width zone. Bounds are sound (enclose every
@@ -177,6 +173,7 @@ type block struct {
 // core.Skipper. Not safe for concurrent mutation.
 type Zonemap struct {
 	cfg    Config
+	tune   tuning
 	zones  []zone
 	blocks []block // coarse level; block i covers zones [i*blockZones, ...)
 	rows   int     // total rows, including unindexed tail
@@ -255,7 +252,8 @@ func hull(zones []zone) (min, max int64, ok bool) {
 
 // New builds an adaptive zonemap over the column's current physical state.
 func New(codes storage.Vec, nulls *bitvec.BitVec, cfg Config) *Zonemap {
-	z := &Zonemap{cfg: cfg.withDefaults(), enabled: true}
+	cfg = cfg.withDefaults()
+	z := &Zonemap{cfg: cfg, tune: newTuning(cfg), enabled: true}
 	z.rows = codes.Len()
 	z.appendZones(codes, nulls, 0, z.rows)
 	z.tailLo = z.rows
@@ -301,12 +299,12 @@ func (z *Zonemap) Introspect() obs.SkipperSnapshot {
 	snap := obs.SkipperSnapshot{
 		MaintEvents: z.maintEvents,
 		MaintZones:  z.maintZones,
-		RowCost:     z.cfg.RowCost,
-		ProbeCost:   z.cfg.ProbeCost,
+		RowCost:     z.tune.rowCost,
+		ProbeCost:   z.tune.probeCost,
 		MaintCost:   maintCostRows,
 	}
 	for i := range z.zones {
-		if zn := &z.zones[i]; zn.heat < z.cfg.MergeHeat {
+		if zn := &z.zones[i]; zn.heat < z.tune.mergeHeat {
 			snap.DeadZones = append(snap.DeadZones, obs.ROIZone{
 				Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max, Heat: zn.heat,
 			})
@@ -386,7 +384,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 	z.lastRanges = r
 	if !z.enabled {
 		z.disabledQueries++
-		if z.disabledQueries%z.cfg.ReprobeEvery == 0 {
+		if z.disabledQueries%z.tune.reprobeEvery == 0 {
 			z.shadowProbe(r)
 		}
 		if !z.enabled {
@@ -440,19 +438,19 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 			if !overlaps {
 				res.RowsSkipped += zn.hi - zn.lo
 				// The probe was useful right now; credit the zone.
-				zn.heat += z.cfg.HeatAlpha * (1 - zn.heat)
+				zn.heat += z.tune.heatAlpha * (1 - zn.heat)
 				continue
 			}
 			cand := core.CandidateZone{ID: i, Lo: zn.lo, Hi: zn.hi}
 			if zn.nonNull == zn.hi-zn.lo && r.Covers(zn.min, zn.max) {
 				// The probe proved the whole zone qualifies: useful.
-				zn.heat += z.cfg.HeatAlpha * (1 - zn.heat)
+				zn.heat += z.tune.heatAlpha * (1 - zn.heat)
 				cand.Covered = true
 			} else {
 				// The zone will be scanned; this probe bought nothing.
 				// (Heat is maintained here, at probe time, so candidate
 				// runs can merge below without losing the merge signal.)
-				zn.heat -= z.cfg.HeatAlpha * zn.heat
+				zn.heat -= z.tune.heatAlpha * zn.heat
 				// Classify the miss for the why-not-skipped trace: a hull
 				// the predicate fully covers means only NULL rows blocked
 				// the coverage proof; a loosened hull means the miss may be
@@ -560,7 +558,7 @@ func (z *Zonemap) statParts(zn *zone) int {
 // which is folded into coarse zones once it exceeds TailFoldRows.
 func (z *Zonemap) Extend(codes storage.Vec, nulls *bitvec.BitVec) {
 	z.rows = codes.Len()
-	if z.rows-z.tailLo >= z.cfg.TailFoldRows {
+	if z.rows-z.tailLo >= z.tune.tailFoldRows {
 		z.FoldTail(codes, nulls)
 	}
 }

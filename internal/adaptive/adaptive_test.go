@@ -73,11 +73,16 @@ func smallCfg() Config {
 		InitialZoneRows: 100,
 		MinZoneRows:     10,
 		SplitParts:      5,
-		MaxZones:        1000,
-		Window:          8,
-		MergeSweepEvery: 4,
-		ReprobeEvery:    4,
 	}
+}
+
+// small tunes z for the columns of a few hundred rows these tests build: a
+// 1000-zone budget, an 8-query arbitration window, and a merge sweep and a
+// shadow probe every 4 queries.
+func small(z *Zonemap) *Zonemap {
+	z.tune.maxZones, z.tune.window = 1000, 8
+	z.tune.mergeSweepEvery, z.tune.reprobeEvery = 4, 4
+	return z
 }
 
 func TestNewBuildsCoarseZones(t *testing.T) {
@@ -137,7 +142,7 @@ func TestCountsMatchNaiveOnEveryDistribution(t *testing.T) {
 	}
 	for name, f := range distros {
 		codes := seqCodes(1000, f)
-		z := New(storage.Vec{W: codes}, nil, smallCfg())
+		z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
 		rng := rand.New(rand.NewSource(7))
 		for q := 0; q < 200; q++ {
 			lo := rng.Int63n(5200) - 100
@@ -194,9 +199,9 @@ func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 	// Budget: MaxZones equal to current count forbids splits.
 	cfg2 := smallCfg()
 	cfg2.InitialZoneRows = 100
-	cfg2.MaxZones = 10 // 10 zones of 100 over 1000 rows; no headroom
 	codes2 := seqCodes(1000, func(i int) int64 { return int64(i) })
 	z2 := New(storage.Vec{W: codes2}, nil, cfg2)
+	z2.tune.maxZones = 10 // 10 zones of 100 over 1000 rows; no headroom
 	before := z2.NumZones()
 	execute(z2, codes2, nil, oneRange(0, 10))
 	if z2.NumZones() != before {
@@ -206,11 +211,11 @@ func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 
 func TestMergeCoalescesUselessZones(t *testing.T) {
 	// Random data: zones never skip, heat decays, merge sweep coalesces.
-	cfg := smallCfg()
-	cfg.Window = 1 << 30 // keep arbitration from disabling during this test
 	rng := rand.New(rand.NewSource(3))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(1000) })
-	z := New(storage.Vec{W: codes}, nil, cfg)
+	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	// Keep arbitration from disabling during this test.
+	z.tune.window = 1 << 30
 	before := z.NumZones() // 10
 	for q := 0; q < 100; q++ {
 		execute(z, codes, nil, oneRange(400, 600))
@@ -227,12 +232,11 @@ func TestMergeCoalescesUselessZones(t *testing.T) {
 }
 
 func TestMergeRespectsMaxZoneRows(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Window = 1 << 30
-	cfg.MaxZoneRows = 250
 	rng := rand.New(rand.NewSource(3))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(1000) })
-	z := New(storage.Vec{W: codes}, nil, cfg)
+	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z.tune.window = 1 << 30
+	z.tune.maxZoneRows = 250
 	for q := 0; q < 200; q++ {
 		execute(z, codes, nil, oneRange(0, 999))
 	}
@@ -244,11 +248,10 @@ func TestMergeRespectsMaxZoneRows(t *testing.T) {
 
 func TestArbitrationDisablesOnAdversarialData(t *testing.T) {
 	// Uniform random data: no zone ever skips; probing is pure overhead.
-	cfg := smallCfg()
-	cfg.ProbeCost = 100 // make the loss decisive quickly
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := New(storage.Vec{W: codes}, nil, cfg)
+	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z.tune.probeCost = 100 // make the loss decisive quickly
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
@@ -272,13 +275,12 @@ func TestArbitrationDisablesOnAdversarialData(t *testing.T) {
 }
 
 func TestShadowProbeReenables(t *testing.T) {
-	cfg := smallCfg()
-	cfg.ProbeCost = 50 // loses badly on unskippable queries, wins on skippable
-	cfg.ReprobeEvery = 2
-	cfg.Window = 4
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := New(storage.Vec{W: codes}, nil, cfg)
+	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z.tune.probeCost = 50 // loses badly on unskippable queries, wins on skippable
+	z.tune.reprobeEvery = 2
+	z.tune.window = 4
 	// Disable with an unskippable workload.
 	for q := 0; q < 60; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
@@ -300,10 +302,9 @@ func TestShadowProbeReenables(t *testing.T) {
 }
 
 func TestExtendAndTailFold(t *testing.T) {
-	cfg := smallCfg()
-	cfg.TailFoldRows = 150
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, smallCfg())
+	z.tune.tailFoldRows = 150
 	// Small append: goes to tail, still scanned, counts correct.
 	codes = append(codes, seqCodes(50, func(i int) int64 { return int64(1000 + i) })...)
 	z.Extend(storage.Vec{W: codes}, nil)
@@ -439,12 +440,11 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 			InitialZoneRows: 20 + rng.Intn(100),
 			MinZoneRows:     2 + rng.Intn(10),
 			SplitParts:      2 + rng.Intn(6),
-			MaxZones:        50 + rng.Intn(500),
-			Window:          4 + rng.Intn(16),
-			MergeSweepEvery: 1 + rng.Intn(8),
-			ReprobeEvery:    1 + rng.Intn(8),
-			MaxZoneRows:     50 + rng.Intn(500),
 		}
+		tune := newTuning(cfg.withDefaults())
+		tune.maxZones, tune.window = 50+rng.Intn(500), 4+rng.Intn(16)
+		tune.mergeSweepEvery, tune.reprobeEvery = 1+rng.Intn(8), 1+rng.Intn(8)
+		tune.maxZoneRows = 50 + rng.Intn(500)
 		n := 50 + rng.Intn(400)
 		codes := make([]int64, n)
 		for i := range codes {
@@ -452,6 +452,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 		}
 		var nulls *bitvec.BitVec
 		z := New(storage.Vec{W: codes}, nulls, cfg)
+		z.tune = tune
 		for step := 0; step < 120; step++ {
 			switch rng.Intn(10) {
 			case 0: // append
@@ -487,13 +488,16 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.InitialZoneRows != 65536 || c.MinZoneRows != 1024 || c.SplitParts != 8 ||
-		c.Window != 32 || c.ProbeCost != 4 || c.RowCost != 1 || c.TailFoldRows != 65536 {
+		c.DisableSplit || c.DisableMerge || c.DisableArbitration {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
-	// TailFoldRows follows a custom InitialZoneRows.
-	c = Config{InitialZoneRows: 100}.withDefaults()
-	if c.TailFoldRows != 100 {
-		t.Fatalf("TailFoldRows=%d", c.TailFoldRows)
+	// The tail folds at InitialZoneRows, the default one or a custom one.
+	codes := storage.Vec{W: seqCodes(250, func(i int) int64 { return int64(i) })}
+	if tf := New(codes, nil, Config{}).tune.tailFoldRows; tf != 65536 {
+		t.Fatalf("tailFoldRows=%d", tf)
+	}
+	if tf := New(codes, nil, Config{InitialZoneRows: 100}).tune.tailFoldRows; tf != 100 {
+		t.Fatalf("tailFoldRows=%d", tf)
 	}
 }
 
@@ -511,8 +515,6 @@ func TestDescribeZones(t *testing.T) {
 // that split and merged, and a last probe that pruned whole blocks — and
 // reports as dead exactly the zones the merge sweep treats as cold.
 func TestIntrospectIsReadOnly(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Window = 1 << 30 // keep arbitration from disabling during this test
 	rng := rand.New(rand.NewSource(11))
 	// 2,000 uniform rows, whose zones never prune and go cold, then 18,000
 	// rows in 500-row value bands, whose zones split.
@@ -522,7 +524,8 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 		}
 		return int64(i/500)*1000 + rng.Int63n(500)
 	})
-	z := New(storage.Vec{W: codes}, nil, cfg)
+	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z.tune.window = 1 << 30 // keep arbitration from disabling during this test
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(40000)
 		execute(z, codes, nil, oneRange(lo, lo+300))
@@ -540,7 +543,7 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 	}
 	var dead []obs.ROIZone
 	for _, zn := range zones {
-		if zn.heat < z.cfg.MergeHeat {
+		if zn.heat < z.tune.mergeHeat {
 			dead = append(dead, obs.ROIZone{Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max, Heat: zn.heat})
 		}
 	}

@@ -24,8 +24,9 @@ import (
 //	  statSkip u16, statFail u8
 //	crc32 (IEEE) of everything above: u32
 //
-// The snapshot captures learned structure, not configuration: Read takes a
-// Config so deployments can retune knobs while keeping refinement state.
+// The snapshot captures learned structure, not configuration: Read takes the
+// Config of the engine that loads it, and the tuning constants are the
+// same in every build.
 
 var (
 	azmMagic = [8]byte{'A', 'D', 'S', 'K', 'A', 'Z', 'M', '1'}
@@ -91,8 +92,8 @@ func (z *Zonemap) WriteTo(w io.Writer) (int64, error) {
 	return int64(n + n2), err
 }
 
-// Read deserializes a snapshot written by WriteTo, applying cfg's knobs to
-// the restored structure. The caller must validate the result against the
+// Read deserializes a snapshot written by WriteTo, applying cfg to the
+// restored structure. The caller must validate the result against the
 // column it will serve (see Validate / engine.LoadSkipper): a snapshot
 // taken before later mutations would prune unsoundly.
 func Read(r io.Reader, cfg Config) (*Zonemap, error) {
@@ -115,7 +116,8 @@ func Read(r io.Reader, cfg Config) (*Zonemap, error) {
 		}
 		return binary.LittleEndian.Uint64(b[:]), nil
 	}
-	z := &Zonemap{cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	z := &Zonemap{cfg: cfg, tune: newTuning(cfg)}
 	fields := []*int{&z.rows, &z.tailLo}
 	for _, f := range fields {
 		v, err := getU64()

@@ -92,10 +92,10 @@ func TestSnapshotCorruption(t *testing.T) {
 
 func TestSnapshotDisabledState(t *testing.T) {
 	cfg := smallCfg()
-	cfg.ProbeCost = 100
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
 	z := New(storage.Vec{W: codes}, nil, cfg)
+	z.tune.probeCost = 100
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}

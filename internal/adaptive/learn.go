@@ -25,10 +25,10 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 	}
 
 	// ---- Arbitration: did this query's probing pay for itself? ----
-	net := float64(res.RowsSkipped)*z.cfg.RowCost - float64(res.ZonesProbed)*z.cfg.ProbeCost
-	alpha := 2.0 / (float64(z.cfg.Window) + 1)
+	net := float64(res.RowsSkipped)*z.tune.rowCost - float64(res.ZonesProbed)*z.tune.probeCost
+	alpha := 2.0 / (float64(z.tune.window) + 1)
 	z.netBenefit += alpha * (net - z.netBenefit)
-	if !z.cfg.DisableArbitration && z.queries > z.cfg.Window && z.netBenefit < 0 {
+	if !z.cfg.DisableArbitration && z.queries > z.tune.window && z.netBenefit < 0 {
 		z.enabled = false
 		z.disabledQueries = 0
 		z.disables++
@@ -43,7 +43,7 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 
 	// ---- Per-zone feedback: heat updates and split planning. ----
 	var plans []splitPlan
-	budget := z.cfg.MaxZones - len(z.zones)
+	budget := z.tune.maxZones - len(z.zones)
 	for _, ob := range zobs {
 		if ob.ID == core.NoZoneID || ob.ID < 0 || ob.ID >= len(z.zones) {
 			continue
@@ -77,7 +77,7 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 		z.maintEvents++
 		structural = true
 	}
-	if !z.cfg.DisableMerge && z.queries%z.cfg.MergeSweepEvery == 0 {
+	if !z.cfg.DisableMerge && z.queries%z.tune.mergeSweepEvery == 0 {
 		if z.mergeSweep() {
 			z.maintEvents++
 			structural = true
@@ -241,9 +241,9 @@ func (z *Zonemap) mergeSweep() bool {
 // canMerge reports whether zone next joins the run of cold zones merged so
 // far into cur: both cold, the union within MaxZoneRows, compatible bounds.
 func (z *Zonemap) canMerge(cur, next *zone) bool {
-	return cur.heat < z.cfg.MergeHeat &&
-		next.heat < z.cfg.MergeHeat &&
-		next.hi-cur.lo <= z.cfg.MaxZoneRows &&
+	return cur.heat < z.tune.mergeHeat &&
+		next.heat < z.tune.mergeHeat &&
+		next.hi-cur.lo <= z.tune.maxZoneRows &&
 		boundsCompatible(cur, next)
 }
 
@@ -313,8 +313,8 @@ func (z *Zonemap) shadowProbe(r expr.Ranges) {
 			skipped += zn.hi - zn.lo
 		}
 	}
-	net := float64(skipped)*z.cfg.RowCost - float64(len(z.zones))*z.cfg.ProbeCost
-	alpha := 2.0 / (float64(z.cfg.Window) + 1)
+	net := float64(skipped)*z.tune.rowCost - float64(len(z.zones))*z.tune.probeCost
+	alpha := 2.0 / (float64(z.tune.window) + 1)
 	z.netBenefit += alpha * (net - z.netBenefit)
 	if z.netBenefit > 0 {
 		z.enabled = true

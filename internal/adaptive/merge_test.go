@@ -20,9 +20,9 @@ func sweepReference(z *Zonemap) bool {
 		cur := z.zones[i]
 		j := i + 1
 		for j < len(z.zones) &&
-			cur.heat < z.cfg.MergeHeat &&
-			z.zones[j].heat < z.cfg.MergeHeat &&
-			z.zones[j].hi-cur.lo <= z.cfg.MaxZoneRows &&
+			cur.heat < z.tune.mergeHeat &&
+			z.zones[j].heat < z.tune.mergeHeat &&
+			z.zones[j].hi-cur.lo <= z.tune.maxZoneRows &&
 			boundsCompatible(&cur, &z.zones[j]) {
 			cur = mergeZones(cur, z.zones[j])
 			j++
@@ -103,7 +103,9 @@ func TestMergeSweepMatchesReference(t *testing.T) {
 		for seed := int64(0); seed < 50; seed++ {
 			zones := sweepZones(rand.New(rand.NewSource(seed)), kind, n)
 			build := func() (*Zonemap, *[]obs.LedgerRecord) {
-				z := &Zonemap{cfg: Config{MaxZoneRows: 350}.withDefaults(), enabled: true, rows: 100 * n, tailLo: 100 * n}
+				cfg := Config{}.withDefaults()
+				z := &Zonemap{cfg: cfg, tune: newTuning(cfg), enabled: true, rows: 100 * n, tailLo: 100 * n}
+				z.tune.maxZoneRows = 350
 				z.zones = slices.Clone(zones)
 				z.rebuildBlocks()
 				recs := new([]obs.LedgerRecord)

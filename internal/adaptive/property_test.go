@@ -128,11 +128,10 @@ func TestAdaptiveProperties(t *testing.T) {
 			InitialZoneRows: floor * (4 + rng.Intn(13)),
 			MinZoneRows:     floor,
 			SplitParts:      2 + rng.Intn(7),
-			MaxZones:        1000,
-			Window:          8 + rng.Intn(25),
-			MergeSweepEvery: 1 + rng.Intn(8),
-			ReprobeEvery:    1 + rng.Intn(8),
 		}
+		tune := newTuning(cfg.withDefaults())
+		tune.maxZones, tune.window = 1000, 8+rng.Intn(25)
+		tune.mergeSweepEvery, tune.reprobeEvery = 1+rng.Intn(8), 1+rng.Intn(8)
 		n := 500 + rng.Intn(2500)
 		codes, nulls, domain := propertyColumn(rng, shape, n, floor)
 		narrow := make([]uint32, n)
@@ -152,6 +151,7 @@ func TestAdaptiveProperties(t *testing.T) {
 		for w, view := range []storage.Vec{{W: codes}, {N: narrow}} {
 			what := fmt.Sprintf("seed %d, %s, %d-byte codes", seed, shape, view.Width())
 			z := New(view, nulls, cfg)
+			z.tune = tune
 			records := 0
 			z.SetJournal(func(obs.LedgerRecord) { records++ })
 			for q, r := range queries {

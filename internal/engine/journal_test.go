@@ -25,7 +25,6 @@ func TestOneJournal(t *testing.T) {
 	traces := obs.NewTraceRing(0)
 	e := New(tb, Options{Policy: PolicyAdaptive, Traces: traces, Adaptive: adaptive.Config{
 		InitialZoneRows: 512, MinZoneRows: 32, SplitParts: 4,
-		Window: 16, MergeSweepEvery: 4, ReprobeEvery: 4, TailFoldRows: 256,
 	}})
 	if err := e.EnableSkipping("a", "b"); err != nil {
 		t.Fatal(err)
@@ -42,17 +41,19 @@ func TestOneJournal(t *testing.T) {
 		count("a", 1000, 1040)
 	}
 	// Merge, then disable: on the uniform column no zone ever prunes, so
-	// zones go cold and coalesce, and arbitration then turns probing off.
-	for i := 0; i < 20; i++ {
+	// zones go cold and coalesce, and arbitration then turns probing off
+	// (it waits for more than adaptive.Window queries).
+	for i := 0; i < 40; i++ {
 		count("b", 400, 420)
 	}
 	// Enable: a predicate outside the domain is one every shadow probe
-	// would have skipped entirely.
-	for i := 0; i < 8; i++ {
+	// would have skipped entirely; one comes every adaptive.ReprobeEvery
+	// queries.
+	for i := 0; i < 32; i++ {
 		count("b", 5000, 6000)
 	}
-	// Tail fold: append past TailFoldRows; the next query syncs skippers.
-	rows := make([][]storage.Value, 300)
+	// Tail fold: append past InitialZoneRows; the next query syncs skippers.
+	rows := make([][]storage.Value, 600)
 	for i := range rows {
 		rows[i] = []storage.Value{storage.IntValue(int64(4096 + i)), storage.IntValue(7),
 			storage.FloatValue(1), storage.StringValue("ant")}
@@ -173,7 +174,7 @@ func getJSON(t *testing.T, url string, into any) {
 func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
 	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
-		InitialZoneRows: 1024, MinZoneRows: 128, SplitParts: 4, MergeSweepEvery: 4,
+		InitialZoneRows: 1024, MinZoneRows: 128, SplitParts: 4,
 		DisableArbitration: true,
 	}})
 	if err := e.EnableSkipping("a", "b"); err != nil {

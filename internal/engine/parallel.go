@@ -131,8 +131,8 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 // scanZoneGroup runs the fast-count kernels over one group of candidate
 // zones, accumulating into w. Counting kernels are chunked at checkpoint
 // granularity; the statistics kernel runs whole-zone (its partitions must
-// be exact) and ticks afterward — zones are bounded by MaxZoneRows, so
-// the overshoot is bounded too.
+// be exact) and ticks afterward — merges never grow a zone past
+// adaptive.MaxZoneRows, so the overshoot is bounded too.
 func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
 	codes := p.col.Vec()
 	nulls := p.col.Nulls()

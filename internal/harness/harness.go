@@ -65,7 +65,6 @@ func (c Config) adaptiveConfig() adaptive.Config {
 	return adaptive.Config{
 		InitialZoneRows: initial,
 		MinZoneRows:     minZone,
-		MaxZones:        1 << 16,
 	}
 }
 

@@ -487,7 +487,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 // the total, whose trace ID tags the engine-side trace, and a request
 // that doesn't ask gets none.
 func TestTimingBreakdown(t *testing.T) {
-	db := adskip.Open(adskip.Options{Policy: adskip.Adaptive, TraceRingSize: 32})
+	db := adskip.Open(adskip.Options{Policy: adskip.Adaptive})
 	defer db.Close()
 	tbl, err := db.CreateTable("data", adskip.Col("v", adskip.Int64), adskip.Col("seq", adskip.Int64))
 	if err != nil {

@@ -101,6 +101,11 @@ const (
 	// cannot OOM recovery.
 	DefaultMaxRecordBytes = 16 << 20
 
+	// flushBytes flushes a pending batch early once it exceeds this many
+	// bytes, without waiting out the group window: a batch that large
+	// already amortizes its fsync.
+	flushBytes = 1 << 20
+
 	// maxCols and maxRecordRows bound decoded claims independently of the
 	// payload length check.
 	maxCols       = 1 << 12

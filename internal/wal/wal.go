@@ -25,9 +25,6 @@ type Options struct {
 	// SegmentBytes is the rotation threshold (soft: a batch never splits
 	// across segments). Default 64 MiB, minimum 4 KiB.
 	SegmentBytes int64
-	// FlushBytes flushes a pending batch early once it exceeds this many
-	// bytes, without waiting out the group window. Default 1 MiB.
-	FlushBytes int64
 	// NoSync skips fsync (group commit still batches writes). For
 	// benchmarks isolating fsync cost; provides no crash durability.
 	NoSync bool
@@ -49,9 +46,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes < 4<<10 {
 		o.SegmentBytes = 4 << 10
-	}
-	if o.FlushBytes <= 0 {
-		o.FlushBytes = 1 << 20
 	}
 	if o.MaxRecordBytes <= 0 {
 		o.MaxRecordBytes = DefaultMaxRecordBytes
@@ -378,7 +372,7 @@ func (l *Log) run() {
 			l.mu.Lock()
 			first, n := l.firstPend, len(l.pending)
 			l.mu.Unlock()
-			if n > 0 && int64(n) < l.opts.FlushBytes {
+			if n > 0 && int64(n) < flushBytes {
 				if d := w - time.Since(first); d > 0 {
 					select {
 					case <-time.After(d):

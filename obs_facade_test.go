@@ -1,6 +1,7 @@
 package adskip
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strconv"
@@ -147,7 +148,7 @@ func TestMetricsThroughFacade(t *testing.T) {
 // TestExplainAnalyzeThroughFacade runs the one-call convenience path.
 func TestExplainAnalyzeThroughFacade(t *testing.T) {
 	db, _ := demoDB(t, Adaptive)
-	lines, res, err := db.ExplainAnalyze("SELECT COUNT(*) FROM sales WHERE price < 16")
+	lines, res, err := db.ExplainAnalyze(context.Background(), "SELECT COUNT(*) FROM sales WHERE price < 16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestExplainAnalyzeThroughFacade(t *testing.T) {
 		t.Fatalf("SQL route rows = %d, direct lines = %d", len(sres.Rows), len(lines))
 	}
 	// Unknown table errors cleanly.
-	if _, _, err := db.ExplainAnalyze("SELECT COUNT(*) FROM nope"); err == nil {
+	if _, _, err := db.ExplainAnalyze(context.Background(), "SELECT COUNT(*) FROM nope"); err == nil {
 		t.Fatal("unknown table accepted")
 	}
 }

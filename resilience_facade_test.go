@@ -17,11 +17,8 @@ import (
 func metricsDB(t *testing.T) (*DB, *Table) {
 	t.Helper()
 	db := Open(Options{
-		Policy: Adaptive,
-		Adaptive: AdaptiveConfig{
-			InitialZoneRows: 64, MinZoneRows: 8, SplitParts: 4,
-			Window: 16, MergeSweepEvery: 4,
-		},
+		Policy:   Adaptive,
+		Adaptive: AdaptiveConfig{InitialZoneRows: 64, MinZoneRows: 8, SplitParts: 4},
 	})
 	tab, err := db.CreateTable("metrics", Col("v", Int64), Col("seq", Int64))
 	if err != nil {

@@ -2,6 +2,7 @@ package adskip
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -96,7 +97,7 @@ func TestShardedSQL(t *testing.T) {
 func TestShardedExplainAnalyze(t *testing.T) {
 	db, _ := shardedDB(t, "range")
 	defer db.Close()
-	lines, res, err := db.ExplainAnalyze("SELECT COUNT(*) FROM sales WHERE id BETWEEN 0 AND 50")
+	lines, res, err := db.ExplainAnalyze(context.Background(), "SELECT COUNT(*) FROM sales WHERE id BETWEEN 0 AND 50")
 	if err != nil {
 		t.Fatal(err)
 	}

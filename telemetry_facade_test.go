@@ -1,6 +1,7 @@
 package adskip
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"adskip/internal/faultinject"
+	"adskip/internal/obs"
 	"adskip/internal/sql"
 )
 
@@ -77,21 +79,27 @@ func TestTraceAccountsForQuery(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for _, par := range []int{1, 2} {
 			t.Run(fmt.Sprintf("shards=%d/parallelism=%d", shards, par), func(t *testing.T) {
-				db := seededDB(t, Options{Policy: Adaptive, TraceRingSize: 8, Shards: shards, Parallelism: par})
+				db := seededDB(t, Options{Policy: Adaptive, Shards: shards, Parallelism: par})
 				defer db.Close()
-				if n := len(db.Traces()); n != 8 {
-					t.Fatalf("trace ring holds %d, want 8 (capacity)", n)
+				// Fill the ring past its capacity.
+				for i := 0; i < obs.DefaultTraceRingSize; i++ {
+					if _, err := db.Exec("SELECT COUNT(*) FROM events WHERE v < 100"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n := len(db.Traces()); n != obs.DefaultTraceRingSize {
+					t.Fatalf("trace ring holds %d, want %d (capacity)", n, obs.DefaultTraceRingSize)
 				}
 				wantShards := 0
 				if shards > 1 {
 					wantShards = shards
 				}
-				prev := db.Traces()[7]
+				prev := db.Traces()[obs.DefaultTraceRingSize-1]
 				for _, q := range queries {
 					var res *Result
 					var err error
 					if rest, ok := strings.CutPrefix(q, "EXPLAIN ANALYZE "); ok {
-						_, res, err = db.ExplainAnalyze(rest)
+						_, res, err = db.ExplainAnalyze(context.Background(), rest)
 					} else {
 						res, err = db.Exec(q)
 					}

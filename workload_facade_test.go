@@ -1,6 +1,7 @@
 package adskip
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -69,32 +70,12 @@ func TestWorkloadExplainAnalyzeFooter(t *testing.T) {
 	if _, err := db.Exec("SELECT COUNT(*) FROM sales WHERE price < 16"); err != nil {
 		t.Fatal(err)
 	}
-	lines, _, err := db.ExplainAnalyze("SELECT COUNT(*) FROM sales WHERE price < 99")
+	lines, _, err := db.ExplainAnalyze(context.Background(), "SELECT COUNT(*) FROM sales WHERE price < 99")
 	if err != nil {
 		t.Fatal(err)
 	}
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, `workload: template "SELECT COUNT(*) FROM sales WHERE price < ?" — 2 calls`) {
 		t.Fatalf("missing workload footer:\n%s", joined)
-	}
-}
-
-// TestWorkloadDisabled: StatsMaxTemplates < 0 switches analytics off —
-// queries run unattributed and the snapshot stays empty.
-func TestWorkloadDisabled(t *testing.T) {
-	db := Open(Options{Policy: Adaptive, StatsMaxTemplates: -1})
-	tab, err := db.CreateTable("t", Col("v", Int64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Append(int64(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec("SELECT COUNT(*) FROM t WHERE v < 5"); err != nil {
-		t.Fatal(err)
-	}
-	snap := db.Workload("", 0)
-	if snap.TotalTemplates != 0 || snap.Recorded != 0 {
-		t.Fatalf("disabled stats recorded: %+v", snap)
 	}
 }
