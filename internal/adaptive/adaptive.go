@@ -19,6 +19,7 @@ package adaptive
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"unsafe"
 
@@ -132,10 +133,9 @@ type zone struct {
 	min, max int64
 	nonNull  int
 	heat     float64 // EWMA of probe usefulness in [0,1]
-	// statSkip/statFail implement exponential backoff on statistics
-	// gathering: a zone whose stats failed to justify a split stops
-	// paying the (cheap but nonzero) piggyback cost for a while, so a
-	// converged structure scans at plain-kernel speed.
+	// statSkip/statFail back statistics gathering off exponentially: a
+	// zone whose stats failed to justify a split stops paying the piggyback
+	// cost for a while, so a converged structure scans at kernel speed.
 	statSkip uint16
 	statFail uint8
 	// widened marks a zone whose value hull was loosened by an in-place
@@ -156,11 +156,9 @@ type Stats struct {
 	TailRows   int
 }
 
-// blockZones is the fan-in of the coarse probe level: one block summarizes
-// up to this many consecutive zones. Probing is two-level — block bounds
-// first, member zones only inside overlapping blocks — so a finely refined
-// structure (tens of thousands of zones) still probes O(zones/64 + hits)
-// per query instead of O(zones).
+// blockZones is the fan-in of the coarse probe level: a probe compares block
+// bounds first and member zones only inside overlapping blocks, so tens of
+// thousands of zones still cost O(zones/64 + hits) probes per query.
 const blockZones = 64
 
 // block is the coarse-level summary of a run of consecutive zones.
@@ -186,8 +184,7 @@ type Zonemap struct {
 
 	splits, merges, disables, enables int
 
-	lastRanges expr.Ranges // predicate of the in-flight query (Prune→Observe)
-	scratch    []zone      // reusable buffer for structural rebuilds
+	scratch []zone // reusable buffer for structural rebuilds
 
 	// maintEvents counts structural/arbitration events (splitting
 	// Observes, merging sweeps, arbitration flips, tail folds);
@@ -227,27 +224,18 @@ func (z *Zonemap) record(rec obs.LedgerRecord) {
 	}
 }
 
-// hull returns the value-bound hull of zones: the min and max over every
-// zone that holds a value. ok is false when none does (all-NULL zones
-// carry no bounds).
-func hull(zones []zone) (min, max int64, ok bool) {
+// hull returns the min and max over every zone of zones that holds a
+// value; ok is false when none does (all-NULL zones carry no bounds).
+func hull(zones []zone) (lo, hi int64, ok bool) {
 	for i := range zones {
-		zn := &zones[i]
-		if zn.nonNull == 0 {
-			continue
-		}
-		if !ok {
-			min, max, ok = zn.min, zn.max, true
-			continue
-		}
-		if zn.min < min {
-			min = zn.min
-		}
-		if zn.max > max {
-			max = zn.max
+		if zn := &zones[i]; zn.nonNull > 0 {
+			if !ok {
+				lo, hi, ok = zn.min, zn.max, true
+			}
+			lo, hi = min(lo, zn.min), max(hi, zn.max)
 		}
 	}
-	return min, max, ok
+	return lo, hi, ok
 }
 
 // New builds an adaptive zonemap over the column's current physical state.
@@ -270,31 +258,23 @@ func (z *Zonemap) rebuildBlocks() {
 	} else {
 		z.blocks = z.blocks[:n]
 	}
-	for bi := 0; bi < n; bi++ {
-		lo, hi := bi*blockZones, (bi+1)*blockZones
-		if hi > len(z.zones) {
-			hi = len(z.zones)
-		}
-		var b block
+	for bi := range z.blocks {
+		lo, hi := z.members(bi)
+		b := &z.blocks[bi]
 		b.min, b.max, b.hasData = hull(z.zones[lo:hi])
-		z.blocks[bi] = b
 	}
 }
 
-// maintCostRows is the assumed cost of one zone's worth of maintenance
-// work (split bound computation, merge bookkeeping, fold recompute) in
-// row-equivalents. Splits piggyback on scans the query already paid for,
-// so the residual cost is small but not free: copying zone structs,
-// rebuilding the coarse level, and the cache pollution of touching the
-// metadata all land near the cost of scanning ~64 rows. ROI accounting
-// debits this per maintenance-touched zone.
+// maintCostRows is the assumed cost, in rows scanned, of one zone's worth
+// of maintenance (split bounds, merge bookkeeping, fold recompute): small,
+// since splits piggyback on scans the query paid for, but not free — zone
+// copies, the coarse-level rebuild, cache pollution. ROI debits it per
+// maintenance-touched zone.
 const maintCostRows = 64
 
-// Introspect implements core.Skipper: the dead zones in row order — those
-// whose heat is below MergeHeat, the test canMerge applies, so "dead" is
-// what the merge policy itself treats as earning nothing — the maintenance
-// counters, and the cost constants that weigh them. It reads the zonemap
-// and writes nothing.
+// Introspect implements core.Skipper: the dead zones in row order (heat
+// below MergeHeat, the test canMerge applies), the maintenance counters,
+// and the cost constants that weigh them. It writes nothing.
 func (z *Zonemap) Introspect() obs.SkipperSnapshot {
 	snap := obs.SkipperSnapshot{
 		MaintEvents: z.maintEvents,
@@ -313,29 +293,11 @@ func (z *Zonemap) Introspect() obs.SkipperSnapshot {
 	return snap
 }
 
-// widenBlock loosens the block containing zone index i to admit code.
-func (z *Zonemap) widenBlock(i int, code int64) {
-	b := &z.blocks[i/blockZones]
-	if !b.hasData {
-		b.min, b.max, b.hasData = code, code, true
-		return
-	}
-	if code < b.min {
-		b.min = code
-	}
-	if code > b.max {
-		b.max = code
-	}
-}
-
 // appendZones builds InitialZoneRows-wide zones over rows [from, to) and
 // appends them.
 func (z *Zonemap) appendZones(codes storage.Vec, nulls *bitvec.BitVec, from, to int) {
 	for lo := from; lo < to; lo += z.cfg.InitialZoneRows {
-		hi := lo + z.cfg.InitialZoneRows
-		if hi > to {
-			hi = to
-		}
+		hi := min(lo+z.cfg.InitialZoneRows, to)
 		nz := zone{lo: lo, hi: hi, heat: 0.5}
 		if min, max, nonNull := scan.MinMax(codes, lo, hi, nulls, 0); nonNull > 0 {
 			nz.min, nz.max, nz.nonNull = min, max, nonNull
@@ -368,50 +330,36 @@ func (z *Zonemap) Metadata() core.Metadata {
 	return core.Metadata{Kind: "adaptive", Zones: len(z.zones), Bytes: bytes, Enabled: z.enabled}
 }
 
-// Prune implements core.Skipper. While disabled it costs nothing except a
-// periodic shadow probe that re-evaluates whether skipping would pay.
+// Prune implements core.Skipper. It only reads: Observe learns from what
+// the probe concluded. While disabled it costs nothing, except on the
+// query whose shadow probe would re-enable the zonemap, which probes as
+// enabled.
 //
 // The probe walk doubles as a cheap corruption check: zones must tile
 // the indexed row space exactly, and the walk already visits every block
 // (and every zone of overlapping blocks), so verifying contiguity costs
 // one comparison per step. On a violation the zonemap declines — a full
-// scan is always sound — and records the fault for quarantine, rather
-// than emitting a candidate set with silent row gaps.
+// scan is always sound — and latches the fault for quarantine (a probe's
+// one write), rather than emitting a candidate set with silent row gaps.
 func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 	if z.health != nil {
 		return core.PruneResult{Enabled: false}
 	}
-	z.lastRanges = r
-	if !z.enabled {
-		z.disabledQueries++
-		if z.disabledQueries%z.tune.reprobeEvery == 0 {
-			z.shadowProbe(r)
-		}
-		if !z.enabled {
-			return core.PruneResult{Enabled: false}
-		}
+	if r.Lo == nil {
+		r.Lo = noIntervals
 	}
-	res := core.PruneResult{Enabled: true}
-	single := r.Len() == 1
-	var rlo, rhi int64
-	if single {
-		rlo, rhi = r.Lo[0], r.Hi[0]
+	// Disabled, a query probes only if it is the re-probe query and its
+	// shadow probe turns the cost model positive: Observe will re-enable.
+	if !z.enabled && ((z.disabledQueries+1)%z.tune.reprobeEvery != 0 || z.shadowBenefit(r) <= 0) {
+		return core.PruneResult{Enabled: false, Ranges: r}
 	}
+	res := core.PruneResult{Enabled: true, Ranges: r}
+	p := newPred(r)
 	prev := 0 // row where the next zone must start (tiling check)
 	for bi := range z.blocks {
-		b := &z.blocks[bi]
-		zLo, zHi := bi*blockZones, (bi+1)*blockZones
-		if zHi > len(z.zones) {
-			zHi = len(z.zones)
-		}
+		zLo, zHi := z.members(bi)
 		res.ZonesProbed++ // the block probe
-		var blockOverlaps bool
-		if single {
-			blockOverlaps = b.hasData && b.min <= rhi && b.max >= rlo
-		} else {
-			blockOverlaps = b.hasData && r.Overlaps(b.min, b.max)
-		}
-		if !blockOverlaps {
+		if b := &z.blocks[bi]; !b.hasData || !p.overlaps(b.min, b.max) {
 			// One comparison skipped the whole run of zones. Gaps inside
 			// a skipped block are still sound to skip: its value bounds
 			// enclose every member row, wherever zone boundaries drifted.
@@ -429,58 +377,35 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 				return z.corruptPrune(i, zn.lo, prev)
 			}
 			prev = zn.hi
-			var overlaps bool
-			if single {
-				overlaps = zn.nonNull > 0 && zn.min <= rhi && zn.max >= rlo
-			} else {
-				overlaps = zn.nonNull > 0 && r.Overlaps(zn.min, zn.max)
-			}
-			if !overlaps {
+			verdict := p.classify(zn)
+			if verdict == skipZone {
 				res.RowsSkipped += zn.hi - zn.lo
-				// The probe was useful right now; credit the zone.
-				zn.heat += z.tune.heatAlpha * (1 - zn.heat)
 				continue
 			}
-			cand := core.CandidateZone{ID: i, Lo: zn.lo, Hi: zn.hi}
-			if zn.nonNull == zn.hi-zn.lo && r.Covers(zn.min, zn.max) {
-				// The probe proved the whole zone qualifies: useful.
-				zn.heat += z.tune.heatAlpha * (1 - zn.heat)
-				cand.Covered = true
-			} else {
-				// The zone will be scanned; this probe bought nothing.
-				// (Heat is maintained here, at probe time, so candidate
-				// runs can merge below without losing the merge signal.)
-				zn.heat -= z.tune.heatAlpha * zn.heat
-				// Classify the miss for the why-not-skipped trace: a hull
-				// the predicate fully covers means only NULL rows blocked
-				// the coverage proof; a loosened hull means the miss may be
-				// stale metadata; otherwise the bounds genuinely straddle.
-				var coversHull bool
-				if single {
-					coversHull = rlo <= zn.min && zn.max <= rhi
-				} else {
-					coversHull = r.Covers(zn.min, zn.max)
-				}
+			cand := core.CandidateZone{ID: i, Lo: zn.lo, Hi: zn.hi, Covered: verdict == coverZone}
+			if verdict == scanZone {
+				// Why not skipped: only NULL rows blocked the coverage
+				// proof, the hull was loosened (maybe stale metadata), or
+				// the bounds genuinely straddle the predicate.
 				switch {
-				case coversHull:
+				case p.covers(zn.min, zn.max):
 					res.MissNullStraddle++
 				case zn.widened:
 					res.MissWidened++
 				default:
 					res.MissOverlap++
 				}
-				if zn.statSkip > 0 {
-					zn.statSkip--
-				} else if parts := z.statParts(zn); parts >= 2 {
-					cand.WantStats = true
-					cand.StatParts = parts
+				if zn.statSkip == 0 {
+					if parts := z.statParts(zn); parts >= 2 {
+						cand.WantStats = true
+						cand.StatParts = parts
+					}
 				}
 			}
-			// Adjacent candidates with the same coverage state merge into
-			// one window unless either side wants split statistics: the
-			// executor treats them identically, so per-zone identity buys
-			// only bookkeeping. A converged structure thus emits a handful
-			// of candidate windows regardless of zone count.
+			// Adjacent candidates with the same coverage state and no
+			// statistics request merge into one window: the executor
+			// treats them identically, so a converged structure emits a
+			// handful of windows regardless of zone count.
 			if k := len(res.Zones); k > 0 && !cand.WantStats && !res.Zones[k-1].WantStats &&
 				res.Zones[k-1].Covered == cand.Covered && res.Zones[k-1].Hi == zn.lo {
 				res.Zones[k-1].Hi = zn.hi
@@ -490,6 +415,74 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 			res.Zones = append(res.Zones, cand)
 		}
 	}
+	return z.endProbe(res, prev)
+}
+
+// noIntervals stands in for an empty predicate's nil list (PruneResult.Ranges).
+var noIntervals = []int64{}
+
+// members returns the zone indices [lo, hi) that block bi summarizes.
+func (z *Zonemap) members(bi int) (lo, hi int) {
+	return bi * blockZones, min((bi+1)*blockZones, len(z.zones))
+}
+
+// pred is a range predicate as the probe compares it: bounds outside its
+// hull inline (most zones of a selective query), the rest by its intervals.
+type pred struct {
+	r      expr.Ranges
+	lo, hi int64 // the hull: no value outside [lo, hi] matches
+	single bool  // r is the one interval [lo, hi]
+}
+
+func newPred(r expr.Ranges) pred {
+	p := pred{r: r, lo: math.MaxInt64, hi: math.MinInt64, single: r.Len() == 1}
+	if n := r.Len(); n > 0 {
+		p.lo, p.hi = r.Lo[0], r.Hi[n-1]
+	}
+	return p
+}
+
+// overlaps reports whether some value in [min, max] matches.
+func (p *pred) overlaps(min, max int64) bool {
+	return min <= p.hi && max >= p.lo && (p.single || p.r.Overlaps(min, max))
+}
+
+// covers reports whether every value in [min, max] matches.
+func (p *pred) covers(min, max int64) bool {
+	return p.lo <= min && max <= p.hi && (p.single || p.r.Covers(min, max))
+}
+
+// verdict is what a probe concludes about one zone.
+type verdict uint8
+
+const (
+	skipZone  verdict = iota // no row can match: pruned
+	coverZone                // every row matches: counted without a scan
+	scanZone                 // the zone must be scanned
+)
+
+// classify is the probe's verdict on zn. Prune emits candidates from it
+// and Observe learns from it, so the two cannot disagree.
+func (p *pred) classify(zn *zone) verdict {
+	if zn.nonNull == 0 || zn.min > p.hi || zn.max < p.lo {
+		return skipZone
+	}
+	return p.classifyInHull(zn)
+}
+
+// classifyInHull finishes classify out of line, so that classify inlines.
+func (p *pred) classifyInHull(zn *zone) verdict {
+	switch {
+	case !p.single && !p.r.Overlaps(zn.min, zn.max):
+		return skipZone
+	case zn.nonNull == zn.hi-zn.lo && p.covers(zn.min, zn.max):
+		return coverZone
+	}
+	return scanZone
+}
+
+// endProbe checks that the zones ended where the tail, a candidate, starts.
+func (z *Zonemap) endProbe(res core.PruneResult, prev int) core.PruneResult {
 	if prev != z.tailLo {
 		z.setHealth(fmt.Errorf("%w: zones end at %d, tailLo=%d", ErrCorrupt, prev, z.tailLo))
 		return core.PruneResult{Enabled: false}
@@ -509,7 +502,8 @@ func (z *Zonemap) corruptPrune(idx, got, want int) core.PruneResult {
 // PruneNulls implements core.Skipper for IS NULL predicates: zones with no
 // NULL rows skip, all-NULL zones are covered. Null-seeking queries carry
 // no zone identity (the structure does not refine on them) and include the
-// unindexed tail as a candidate.
+// unindexed tail as a candidate. Like Prune it writes nothing; its result
+// carries no Ranges, so Observe feeds it to the cost model alone.
 func (z *Zonemap) PruneNulls() core.PruneResult {
 	if z.health != nil {
 		return core.PruneResult{Enabled: false}
@@ -534,24 +528,13 @@ func (z *Zonemap) PruneNulls() core.PruneResult {
 			res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: covered})
 		}
 	}
-	if prev != z.tailLo {
-		z.setHealth(fmt.Errorf("%w: zones end at %d, tailLo=%d", ErrCorrupt, prev, z.tailLo))
-		return core.PruneResult{Enabled: false}
-	}
-	if z.rows > z.tailLo {
-		res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: z.tailLo, Hi: z.rows})
-	}
-	return res
+	return z.endProbe(res, prev)
 }
 
 // statParts computes how many sub-partitions a scan of zn should report,
 // respecting the split floor. Returns <2 when the zone cannot be split.
 func (z *Zonemap) statParts(zn *zone) int {
-	parts := (zn.hi - zn.lo) / z.cfg.MinZoneRows
-	if parts > z.cfg.SplitParts {
-		parts = z.cfg.SplitParts
-	}
-	return parts
+	return min((zn.hi-zn.lo)/z.cfg.MinZoneRows, z.cfg.SplitParts)
 }
 
 // Extend implements core.Skipper: appended rows enter the unindexed tail,
@@ -600,7 +583,11 @@ func (z *Zonemap) Widen(row int, code int64) {
 		return
 	}
 	zn := &z.zones[i]
-	z.widenBlock(i, code)
+	if b := &z.blocks[i/blockZones]; !b.hasData {
+		b.min, b.max, b.hasData = code, code, true
+	} else {
+		b.min, b.max = min(b.min, code), max(b.max, code)
+	}
 	if zn.nonNull == 0 {
 		zn.min, zn.max = code, code
 		return
@@ -609,12 +596,7 @@ func (z *Zonemap) Widen(row int, code int64) {
 		return // inside the hull; nothing loosened
 	}
 	minBefore, maxBefore := zn.min, zn.max
-	if code < zn.min {
-		zn.min = code
-	}
-	if code > zn.max {
-		zn.max = code
-	}
+	zn.min, zn.max = min(zn.min, code), max(zn.max, code)
 	// Journal only the first loosening since the zone's last rebuild:
 	// the flag is what the why-not-skipped classifier reads, and one
 	// record per zone generation bounds ledger churn under update floods.

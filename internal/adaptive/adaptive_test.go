@@ -291,7 +291,12 @@ func TestShadowProbeReenables(t *testing.T) {
 	// Workload drifts to a predicate entirely outside the data domain:
 	// every zone would skip; shadow probes should re-enable.
 	for q := 0; q < 60 && !z.Enabled(); q++ {
+		enables := z.Stats().Enables
+		probe := z.Prune(oneRange(10_000, 20_000)) // the probe execute makes; Prune writes nothing
 		execute(z, codes, nil, oneRange(10_000, 20_000))
+		if z.Stats().Enables > enables && !probe.Enabled {
+			t.Fatal("the query that re-enabled the zonemap was not pruned")
+		}
 	}
 	if !z.Enabled() {
 		t.Fatal("shadow probe never re-enabled")
@@ -549,6 +554,134 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 	}
 	if len(dead) == 0 || !reflect.DeepEqual(snap.DeadZones, dead) {
 		t.Fatalf("dead zones %+v, want the %d zones below MergeHeat %+v", snap.DeadZones, len(dead), dead)
+	}
+}
+
+// clone deep-copies z, so that reflect.DeepEqual can tell whether a call
+// wrote to it. A zonemap with a journal never compares equal: func values
+// are only DeepEqual when nil.
+func clone(z *Zonemap) *Zonemap {
+	c := *z
+	c.zones, c.blocks = slices.Clone(z.zones), slices.Clone(z.blocks)
+	c.scratch = slices.Clone(z.scratch)
+	return &c
+}
+
+// readOnly runs probe on z and fails unless z is exactly as it was, apart
+// from health when the probe may latch corruption.
+func readOnly(t *testing.T, what string, z *Zonemap, mayLatch bool,
+	probe func() core.PruneResult) core.PruneResult {
+	t.Helper()
+	before := clone(z)
+	res := probe()
+	if mayLatch {
+		before.health = z.health
+	}
+	if !reflect.DeepEqual(before, z) {
+		t.Fatalf("%s wrote to the zonemap", what)
+	}
+	return res
+}
+
+// TestPruneIsReadOnly: Prune and PruneNulls read the zone directory and
+// write nothing the zonemap learns — not on a trained map whose probe
+// skips, covers and scans zones, not on a disabled one, not on the
+// re-probe query that will re-enable it. Only the corruption latch may
+// move, and only on a broken layout.
+func TestPruneIsReadOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	// 500-row value bands: zones split, and stats backoff starts.
+	codes := seqCodes(6000, func(i int) int64 { return int64(i/500)*1000 + rng.Int63n(500) })
+	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z.tune.window = 1 << 30 // keep arbitration from disabling
+	for q := 0; q < 100; q++ {
+		lo := rng.Int63n(12000)
+		execute(z, codes, nil, oneRange(lo, lo+700))
+	}
+	if z.Stats().Splits == 0 {
+		t.Fatal("precondition: the stream did not split")
+	}
+	prune := func(r expr.Ranges) func() core.PruneResult {
+		return func() core.PruneResult { return z.Prune(r) }
+	}
+	res := readOnly(t, "Prune", z, false, prune(oneRange(2000, 4300)))
+	covers := slices.ContainsFunc(res.Zones, func(c core.CandidateZone) bool { return c.Covered })
+	if !res.Enabled || res.RowsSkipped == 0 || res.MissOverlap == 0 || !covers {
+		t.Fatalf("precondition: the probe should skip, cover and scan zones: %+v", res)
+	}
+	multi := expr.Ranges{Lo: []int64{100, 5000}, Hi: []int64{300, 5200}}
+	readOnly(t, "a multi-interval Prune", z, false, prune(multi))
+	readOnly(t, "PruneNulls", z, false, z.PruneNulls)
+
+	z.corruptLayout()
+	res = readOnly(t, "Prune on a broken layout", z, true, prune(oneRange(0, 12000)))
+	if res.Enabled || z.Health() == nil {
+		t.Fatal("Prune missed the broken layout")
+	}
+	z.health = nil
+	if readOnly(t, "PruneNulls on a broken layout", z, true, z.PruneNulls).Enabled || z.Health() == nil {
+		t.Fatal("PruneNulls missed the broken layout")
+	}
+
+	// Uniform data disables the map; an out-of-domain predicate would skip
+	// every zone, so its shadow probe re-enables.
+	codes = seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
+	z = small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z.tune.probeCost = 100
+	for q := 0; q < 50; q++ {
+		execute(z, codes, nil, oneRange(40, 60))
+	}
+	if z.Enabled() {
+		t.Fatal("precondition: should be disabled")
+	}
+	z.tune.probeCost = 1
+	out := oneRange(10_000, 20_000)
+	for q := 0; (z.disabledQueries+1)%z.tune.reprobeEvery != 0 || z.shadowBenefit(out) <= 0; q++ {
+		if q == 100 {
+			t.Fatal("precondition: the shadow probe never turned positive")
+		}
+		if readOnly(t, "Prune on a disabled map", z, false, prune(out)).Enabled {
+			t.Fatal("a disabled map probed on a query that does not re-enable it")
+		}
+		execute(z, codes, nil, out)
+	}
+	res = readOnly(t, "the re-enabling Prune", z, false, prune(out))
+	if !res.Enabled || z.Enabled() {
+		t.Fatalf("the re-probe query should probe as enabled, leaving the map disabled: %+v", res)
+	}
+	readOnly(t, "PruneNulls on a disabled map", z, false, z.PruneNulls)
+}
+
+// TestNullProbeOnDisabledMap: an IS NULL probe of a disabled column feeds
+// the cost model but neither disables the map again nor touches the
+// shadow-probe countdown, so range queries still reach the re-probe that
+// can re-enable it.
+func TestNullProbeOnDisabledMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
+	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z.tune.probeCost = 100
+	for q := 0; q < 50 && (z.Enabled() || z.disabledQueries == 0); q++ {
+		execute(z, codes, nil, oneRange(40, 60))
+	}
+	if z.Enabled() || z.disabledQueries == 0 {
+		t.Fatalf("precondition: disabled and counting down, got enabled=%v countdown=%d",
+			z.Enabled(), z.disabledQueries)
+	}
+	var records []obs.LedgerRecord
+	z.SetJournal(func(rec obs.LedgerRecord) { records = append(records, rec) })
+	disables, countdown := z.Stats().Disables, z.disabledQueries
+	for q := 0; q < 10; q++ {
+		z.Observe(z.PruneNulls(), nil)
+	}
+	if got := z.Stats().Disables; got != disables {
+		t.Errorf("null probes disabled the map again: %d disables, want %d", got, disables)
+	}
+	if len(records) != 0 {
+		t.Errorf("null probes journaled %d records, the first %v", len(records), records[0])
+	}
+	if z.disabledQueries != countdown {
+		t.Errorf("null probes moved the shadow-probe countdown from %d to %d", countdown, z.disabledQueries)
 	}
 }
 

@@ -7,12 +7,25 @@ import (
 	"adskip/internal/obs"
 )
 
-// Observe implements core.Skipper: it consumes per-zone execution feedback
-// and performs the three adaptive mechanisms — split, merge, arbitration.
+// Observe implements core.Skipper, and is the one writer of what the
+// zonemap learns: the probe's per-zone verdicts (heat, statistics backoff),
+// a disabled zonemap's shadow-probe countdown, then arbitration, split and
+// merge. An IS NULL probe (nil res.Ranges) feeds arbitration alone.
 func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 	z.queries++
 	if z.health != nil {
 		return // corrupt structure is frozen until rebuilt
+	}
+	if res.Ranges.Lo != nil {
+		if res.Enabled {
+			z.learnProbe(newPred(res.Ranges))
+		}
+		if !z.enabled {
+			z.disabledQueries++
+			if z.disabledQueries%z.tune.reprobeEvery == 0 {
+				z.shadowProbe(res.Ranges)
+			}
+		}
 	}
 	if faultinject.Enabled() && faultinject.Fire(faultinject.InvariantFlip) {
 		// Corrupt and return: the broken tiling must survive untouched to
@@ -25,10 +38,8 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 	}
 
 	// ---- Arbitration: did this query's probing pay for itself? ----
-	net := float64(res.RowsSkipped)*z.tune.rowCost - float64(res.ZonesProbed)*z.tune.probeCost
-	alpha := 2.0 / (float64(z.tune.window) + 1)
-	z.netBenefit += alpha * (net - z.netBenefit)
-	if !z.cfg.DisableArbitration && z.queries > z.tune.window && z.netBenefit < 0 {
+	z.netBenefit = z.stepBenefit(res.RowsSkipped, res.ZonesProbed)
+	if !z.cfg.DisableArbitration && z.enabled && z.queries > z.tune.window && z.netBenefit < 0 {
 		z.enabled = false
 		z.disabledQueries = 0
 		z.disables++
@@ -38,10 +49,12 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 			ZonesBefore: len(z.zones), ZonesAfter: len(z.zones),
 			RowLo: 0, RowHi: z.tailLo,
 		})
+	}
+	if !z.enabled {
 		return // structure frozen while disabled
 	}
 
-	// ---- Per-zone feedback: heat updates and split planning. ----
+	// ---- Per-zone feedback: split planning. ----
 	var plans []splitPlan
 	budget := z.tune.maxZones - len(z.zones)
 	for _, ob := range zobs {
@@ -52,12 +65,12 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 		if zn.lo != ob.Lo || zn.hi != ob.Hi {
 			continue // stale identity; should not happen within one query
 		}
-		// Heat is maintained at probe time (Prune); Observe only drives
-		// structural refinement from the piggybacked statistics.
+		// learnProbe has already applied the probe's outcome to heat;
+		// observations drive structural refinement from the statistics.
 		if ob.Covered || z.cfg.DisableSplit || ob.Partial || len(ob.Stats) < 2 {
 			continue
 		}
-		subs := z.planSplit(ob, budget)
+		subs := z.planSplit(ob, res.Ranges, budget)
 		if subs != nil {
 			budget -= len(subs) - 1
 			plans = append(plans, splitPlan{idx: ob.ID, subs: subs})
@@ -71,19 +84,15 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 		zn.statSkip = uint16(4) << zn.statFail
 	}
 
-	structural := false
 	if len(plans) > 0 {
 		z.applySplits(plans)
 		z.maintEvents++
-		structural = true
 	}
-	if !z.cfg.DisableMerge && z.queries%z.tune.mergeSweepEvery == 0 {
-		if z.mergeSweep() {
-			z.maintEvents++
-			structural = true
-		}
+	merged := !z.cfg.DisableMerge && z.queries%z.tune.mergeSweepEvery == 0 && z.mergeSweep()
+	if merged {
+		z.maintEvents++
 	}
-	if structural {
+	if len(plans) > 0 || merged {
 		z.rebuildBlocks()
 	}
 }
@@ -92,20 +101,16 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 // the zone and, if so, returns the replacement sub-zones. A split is
 // justified when at least one sub-zone's bounds would have let this query
 // skip or cover it — evidence that finer metadata has pruning power here.
-func (z *Zonemap) planSplit(ob core.ZoneObservation, budget int) []zone {
+func (z *Zonemap) planSplit(ob core.ZoneObservation, r expr.Ranges, budget int) []zone {
 	if budget < len(ob.Stats)-1 {
 		return nil
 	}
-	r := z.lastRanges
+	p := newPred(r)
 	usefulPart := make([]bool, len(ob.Stats))
 	anyUseful := false
 	for i, s := range ob.Stats {
-		switch {
-		case s.NonNull == 0 || !r.Overlaps(s.Min, s.Max):
-			usefulPart[i] = true
-		case s.NonNull == s.Hi-s.Lo && r.Covers(s.Min, s.Max):
-			usefulPart[i] = true
-		}
+		part := zone{lo: s.Lo, hi: s.Hi, min: s.Min, max: s.Max, nonNull: s.NonNull}
+		usefulPart[i] = p.classify(&part) != scanZone
 		anyUseful = anyUseful || usefulPart[i]
 	}
 	if !anyUseful {
@@ -257,19 +262,8 @@ func boundsCompatible(a, b *zone) bool {
 	if a.nonNull == 0 || b.nonNull == 0 {
 		return true // an all-null side adds no bounds
 	}
-	lo, hi := a.min, a.max
-	if b.min < lo {
-		lo = b.min
-	}
-	if b.max > hi {
-		hi = b.max
-	}
-	union := uint64(hi - lo)
-	wa, wb := uint64(a.max-a.min), uint64(b.max-b.min)
-	w := wa
-	if wb > w {
-		w = wb
-	}
+	union := uint64(max(a.max, b.max) - min(a.min, b.min))
+	w := max(uint64(a.max-a.min), uint64(b.max-b.min))
 	return union <= w+w/2
 }
 
@@ -283,39 +277,63 @@ func mergeZones(a, b zone) zone {
 	case b.nonNull == 0:
 		m.min, m.max = a.min, a.max
 	default:
-		m.min, m.max = a.min, a.max
-		if b.min < m.min {
-			m.min = b.min
-		}
-		if b.max > m.max {
-			m.max = b.max
-		}
+		m.min, m.max = min(a.min, b.min), max(a.max, b.max)
 	}
 	// The merged zone inherits the warmer heat so a recently useful
 	// neighbor is not dragged straight back into another merge cycle. Its
 	// bounds changed, so statistics gathering restarts immediately.
-	m.heat = a.heat
-	if b.heat > m.heat {
-		m.heat = b.heat
-	}
+	m.heat = max(a.heat, b.heat)
 	return m
 }
 
-// shadowProbe, run every ReprobeEvery-th query while disabled, measures
-// what skipping would have achieved for the current query without doing
-// any scan work, and re-enables the structure when the cost model turns
-// positive (data or workload drift).
-func (z *Zonemap) shadowProbe(r expr.Ranges) {
+// learnProbe applies a probe's per-zone verdicts, re-derived over the blocks
+// Prune looked inside: a skipped or covered zone heats up; a zone it had to
+// scan cools down and takes one step of its statistics backoff.
+func (z *Zonemap) learnProbe(p pred) {
+	for bi := range z.blocks {
+		if b := &z.blocks[bi]; !b.hasData || !p.overlaps(b.min, b.max) {
+			continue
+		}
+		lo, hi := z.members(bi)
+		for i := lo; i < hi; i++ {
+			zn := &z.zones[i]
+			if p.classify(zn) != scanZone {
+				zn.heat += z.tune.heatAlpha * (1 - zn.heat)
+				continue
+			}
+			zn.heat -= z.tune.heatAlpha * zn.heat
+			if zn.statSkip > 0 {
+				zn.statSkip--
+			}
+		}
+	}
+}
+
+// shadowBenefit is the arbitration EWMA after a shadow probe with r, which
+// measures what skipping would have saved without any scan work.
+func (z *Zonemap) shadowBenefit(r expr.Ranges) float64 {
+	p := newPred(r)
 	skipped := 0
 	for i := range z.zones {
-		zn := &z.zones[i]
-		if zn.nonNull == 0 || !r.Overlaps(zn.min, zn.max) {
+		if zn := &z.zones[i]; p.classify(zn) == skipZone {
 			skipped += zn.hi - zn.lo
 		}
 	}
-	net := float64(skipped)*z.tune.rowCost - float64(len(z.zones))*z.tune.probeCost
+	return z.stepBenefit(skipped, len(z.zones))
+}
+
+// stepBenefit is the arbitration EWMA after a query skipped rows for probes.
+func (z *Zonemap) stepBenefit(rows, probes int) float64 {
+	net := float64(rows)*z.tune.rowCost - float64(probes)*z.tune.probeCost
 	alpha := 2.0 / (float64(z.tune.window) + 1)
-	z.netBenefit += alpha * (net - z.netBenefit)
+	return z.netBenefit + alpha*(net-z.netBenefit)
+}
+
+// shadowProbe, run on every ReprobeEvery-th query while disabled, steps
+// the arbitration EWMA by the shadow probe's benefit and re-enables the
+// structure when the cost model turns positive (data or workload drift).
+func (z *Zonemap) shadowProbe(r expr.Ranges) {
+	z.netBenefit = z.shadowBenefit(r)
 	if z.netBenefit > 0 {
 		z.enabled = true
 		z.enables++

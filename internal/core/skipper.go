@@ -57,6 +57,11 @@ type PruneResult struct {
 	// since the zone was last rebuilt, or the predicate covers the hull
 	// and only NULL rows blocked the coverage proof.
 	MissOverlap, MissWidened, MissNullStraddle int
+	// Ranges is the predicate the probe compared zone bounds with. A
+	// learning skipper sets it so that Observe can re-derive what the
+	// probe concluded zone by zone; a nil interval list marks an IS NULL
+	// probe. Skippers that do not learn leave it unset.
+	Ranges expr.Ranges
 }
 
 // ZoneObservation is per-zone execution feedback the engine hands back to
@@ -86,13 +91,18 @@ type Metadata struct {
 // mutation; the engine serializes Prune/Observe/Extend per column.
 type Skipper interface {
 	// Prune probes metadata with the predicate's code intervals and emits
-	// the candidate row windows over the rows it covers.
+	// the candidate row windows over the rows it covers. It writes nothing
+	// a skipper learns — that is Observe's — so a probe no query follows
+	// (EXPLAIN, a query that fails) leaves the skipper as it was; only a
+	// self-detected corruption (Health) may latch.
 	Prune(r expr.Ranges) PruneResult
 	// PruneNulls emits candidate windows for IS NULL predicates: zones
 	// known null-free skip, all-NULL zones are covered. Implementations
 	// that track no null counts may decline (Enabled=false).
 	PruneNulls() PruneResult
-	// Observe feeds execution results back. Non-learning skippers ignore it.
+	// Observe feeds a probe's result and the execution's per-zone
+	// feedback back after the scan; it is the one place a learning skipper
+	// updates what it learned. Non-learning skippers ignore it.
 	Observe(res PruneResult, obs []ZoneObservation)
 	// Extend informs the skipper that the column grew; codes/nulls are the
 	// column's full physical state.

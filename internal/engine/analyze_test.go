@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +190,56 @@ func TestExplainLifetimeAndCoveredFooter(t *testing.T) {
 	}
 	if strings.Contains(strings.Join(part, "\n"), "all candidate windows covered") {
 		t.Errorf("covered footer wrongly emitted for partial range:\n%s", strings.Join(part, "\n"))
+	}
+}
+
+// TestProbeOnlyPathsLeaveSkipperUnchanged: a probe that no Observe follows
+// teaches the adaptive zonemap nothing. A plain EXPLAIN and a query that
+// fails its row budget after probing leave the snapshot — which holds every
+// zone's heat and statistics backoff and the arbitration state — byte for
+// byte as it was, while EXPLAIN still counts toward the column's probes.
+func TestProbeOnlyPathsLeaveSkipperUnchanged(t *testing.T) {
+	// The row budget is enforced at checkpoints, one per checkpointRows.
+	tb := buildTable(t, 2*checkpointRows, 1)
+	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive(),
+		Limits: Limits{MaxRowsScanned: checkpointRows}})
+	if err := e.EnableSkipping("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	count := func(col string, lo, hi int64) Query {
+		return Query{Where: expr.And(intPred(col, expr.Between, lo, hi)), Aggs: []Agg{{Kind: CountStar}}}
+	}
+	for i := int64(0); i < 40; i++ {
+		if _, err := e.Query(count("a", i*3000, i*3000+30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func(col string) []byte {
+		var buf bytes.Buffer
+		if err := e.SaveSkipper(col, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	before, probes := snapshot("a"), e.colMetrics("a").probeQueries.Load()
+	if _, err := e.Explain(count("a", 10000, 10500)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapshot("a"), before) {
+		t.Error("EXPLAIN changed the zonemap it explained")
+	}
+	if got := e.colMetrics("a").probeQueries.Load(); got != probes+1 {
+		t.Errorf("EXPLAIN left the probe counter at %d, want %d", got, probes+1)
+	}
+
+	// b is uniform: its probe must scan every zone, past the budget.
+	before = snapshot("b")
+	if _, err := e.Query(count("b", 100, 900)); !errors.Is(err, ErrBudget) {
+		t.Fatalf("err=%v, want ErrBudget", err)
+	}
+	if !bytes.Equal(snapshot("b"), before) {
+		t.Error("a query that failed after its probe changed the zonemap")
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 // plan element: the query shape, each predicate column's lowered intervals,
 // its skipper's pruning outcome, and the resulting candidate windows.
 //
-// Explain performs a real metadata probe (that is what makes the output
-// truthful), so on adaptive columns it nudges the same probe-time
-// bookkeeping a query would — it is EXPLAIN over live metadata, not a dry
-// simulation.
+// Explain performs a real metadata probe over live metadata (that is what
+// makes the output truthful), but no query follows it, so no Observe does:
+// an adaptive zonemap learns nothing from an EXPLAIN, and repeating one
+// shows the same plan until queries reshape the structure.
 func (e *Engine) Explain(q Query) ([]string, error) {
 	if q.Limit < 0 {
 		return nil, ErrBadLimit
@@ -66,8 +66,8 @@ func (e *Engine) Explain(q Query) ([]string, error) {
 			continue
 		}
 		// EXPLAIN pays for a real probe, so it counts toward the column's
-		// cumulative probe/prune counters like any query — repeated
-		// EXPLAINs therefore show adaptation progressing.
+		// cumulative probe/prune counters like any query, though the
+		// skipper itself learns nothing from it.
 		e.colMetrics(p.name).recordProbe(p)
 		md := p.skipper.Metadata()
 		if !p.active {
