@@ -382,7 +382,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 				res.RowsSkipped += zn.hi - zn.lo
 				continue
 			}
-			cand := core.CandidateZone{ID: i, Lo: zn.lo, Hi: zn.hi, Covered: verdict == coverZone}
+			cand := core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: verdict == coverZone}
 			if verdict == scanZone {
 				// Why not skipped: only NULL rows blocked the coverage
 				// proof, the hull was loosened (maybe stale metadata), or
@@ -397,8 +397,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 				}
 				if zn.statSkip == 0 {
 					if parts := z.statParts(zn); parts >= 2 {
-						cand.WantStats = true
-						cand.StatParts = parts
+						cand.ID, cand.StatParts = i, parts
 					}
 				}
 			}
@@ -406,10 +405,9 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 			// statistics request merge into one window: the executor
 			// treats them identically, so a converged structure emits a
 			// handful of windows regardless of zone count.
-			if k := len(res.Zones); k > 0 && !cand.WantStats && !res.Zones[k-1].WantStats &&
+			if k := len(res.Zones); k > 0 && cand.StatParts == 0 && res.Zones[k-1].StatParts == 0 &&
 				res.Zones[k-1].Covered == cand.Covered && res.Zones[k-1].Hi == zn.lo {
 				res.Zones[k-1].Hi = zn.hi
-				res.Zones[k-1].ID = core.NoZoneID
 				continue
 			}
 			res.Zones = append(res.Zones, cand)

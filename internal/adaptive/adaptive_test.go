@@ -22,8 +22,8 @@ func oneRange(lo, hi int64) expr.Ranges {
 
 // execute simulates the engine's scan loop over a prune result: it scans
 // candidate windows with the kernels, honors covered short-circuits,
-// gathers requested statistics, and feeds the observations back. It
-// returns the matching row count.
+// gathers requested statistics, and feeds them back. It returns the
+// matching row count.
 func execute(z *Zonemap, codes []int64, nulls *bitvec.BitVec, r expr.Ranges) int {
 	count, _ := executeVec(z, storage.Vec{W: codes}, nulls, r)
 	return count
@@ -38,25 +38,21 @@ func executeVec(z *Zonemap, codes storage.Vec, nulls *bitvec.BitVec, r expr.Rang
 		z.Observe(res, nil)
 		return count, 0
 	}
-	var obs []core.ZoneObservation
+	var stats []core.ZoneStats
 	for _, c := range res.Zones {
-		ob := core.ZoneObservation{ID: c.ID, Lo: c.Lo, Hi: c.Hi, Covered: c.Covered}
-		if c.Covered {
+		switch {
+		case c.Covered:
 			count += c.Hi - c.Lo
-		} else if c.WantStats {
-			m, stats := scan.CountStats(codes, c.Lo, c.Hi, r, nulls, 0, c.StatParts)
+		case c.StatParts > 0:
+			m, parts := scan.CountStats(codes, c.Lo, c.Hi, r, nulls, 0, c.StatParts)
 			count += m
-			ob.Matched = m
-			ob.Stats = stats
-			cuts += len(stats) - c.StatParts
-		} else {
-			m := scan.Count(codes, c.Lo, c.Hi, r, nulls, 0)
-			count += m
-			ob.Matched = m
+			stats = append(stats, core.ZoneStats{ID: c.ID, Parts: parts})
+			cuts += len(parts) - c.StatParts
+		default:
+			count += scan.Count(codes, c.Lo, c.Hi, r, nulls, 0)
 		}
-		obs = append(obs, ob)
 	}
-	z.Observe(res, obs)
+	z.Observe(res, stats)
 	return count, cuts
 }
 
@@ -117,7 +113,7 @@ func TestPruneSkipsAndCovers(t *testing.T) {
 	}
 	// Fully covering predicate -> covered candidate, no stats wanted.
 	res = z.Prune(oneRange(100, 199))
-	if len(res.Zones) != 1 || !res.Zones[0].Covered || res.Zones[0].WantStats {
+	if len(res.Zones) != 1 || !res.Zones[0].Covered || res.Zones[0].StatParts > 0 {
 		t.Fatalf("covered prune: %v", res.Zones)
 	}
 	// Partially overlapping zone asks for stats.
@@ -126,7 +122,7 @@ func TestPruneSkipsAndCovers(t *testing.T) {
 	for _, c := range res.Zones {
 		want = append(want, c)
 	}
-	if len(want) != 2 || !want[0].WantStats || want[0].StatParts != 5 {
+	if len(want) != 2 || want[0].StatParts != 5 {
 		t.Fatalf("stats request: %+v", want)
 	}
 	if !want[1].Covered {
@@ -193,7 +189,7 @@ func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 	codes := seqCodes(40, func(i int) int64 { return int64(i) })
 	z := New(storage.Vec{W: codes}, nil, cfg)
 	res := z.Prune(oneRange(0, 5))
-	if res.Zones[0].WantStats {
+	if res.Zones[0].StatParts > 0 {
 		t.Fatal("should not want stats below split floor")
 	}
 	// Budget: MaxZones equal to current count forbids splits.

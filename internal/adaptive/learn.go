@@ -5,13 +5,15 @@ import (
 	"adskip/internal/expr"
 	"adskip/internal/faultinject"
 	"adskip/internal/obs"
+	"adskip/internal/scan"
 )
 
 // Observe implements core.Skipper, and is the one writer of what the
 // zonemap learns: the probe's per-zone verdicts (heat, statistics backoff),
 // a disabled zonemap's shadow-probe countdown, then arbitration, split and
-// merge. An IS NULL probe (nil res.Ranges) feeds arbitration alone.
-func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
+// merge. An IS NULL probe (nil res.Ranges) feeds arbitration alone; stats
+// are what the scan gathered for the candidates that asked, and drive splits.
+func (z *Zonemap) Observe(res core.PruneResult, stats []core.ZoneStats) {
 	z.queries++
 	if z.health != nil {
 		return // corrupt structure is frozen until rebuilt
@@ -54,26 +56,23 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 		return // structure frozen while disabled
 	}
 
-	// ---- Per-zone feedback: split planning. ----
+	// ---- Split planning from the gathered statistics. ----
 	var plans []splitPlan
 	budget := z.tune.maxZones - len(z.zones)
-	for _, ob := range zobs {
-		if ob.ID == core.NoZoneID || ob.ID < 0 || ob.ID >= len(z.zones) {
-			continue
+	if z.cfg.DisableSplit {
+		stats = nil
+	}
+	for _, st := range stats {
+		n := len(st.Parts)
+		if st.ID < 0 || st.ID >= len(z.zones) || n < 2 ||
+			st.Parts[0].Lo != z.zones[st.ID].lo || st.Parts[n-1].Hi != z.zones[st.ID].hi {
+			continue // not a zone of this layout, or not scanned whole
 		}
-		zn := &z.zones[ob.ID]
-		if zn.lo != ob.Lo || zn.hi != ob.Hi {
-			continue // stale identity; should not happen within one query
-		}
-		// learnProbe has already applied the probe's outcome to heat;
-		// observations drive structural refinement from the statistics.
-		if ob.Covered || z.cfg.DisableSplit || ob.Partial || len(ob.Stats) < 2 {
-			continue
-		}
-		subs := z.planSplit(ob, res.Ranges, budget)
+		zn := &z.zones[st.ID]
+		subs := z.planSplit(st.Parts, res.Ranges, budget)
 		if subs != nil {
 			budget -= len(subs) - 1
-			plans = append(plans, splitPlan{idx: ob.ID, subs: subs})
+			plans = append(plans, splitPlan{idx: st.ID, subs: subs})
 			continue
 		}
 		// The gathered statistics could not justify a split: back off
@@ -101,14 +100,14 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 // the zone and, if so, returns the replacement sub-zones. A split is
 // justified when at least one sub-zone's bounds would have let this query
 // skip or cover it — evidence that finer metadata has pruning power here.
-func (z *Zonemap) planSplit(ob core.ZoneObservation, r expr.Ranges, budget int) []zone {
-	if budget < len(ob.Stats)-1 {
+func (z *Zonemap) planSplit(parts []scan.PartStat, r expr.Ranges, budget int) []zone {
+	if budget < len(parts)-1 {
 		return nil
 	}
 	p := newPred(r)
-	usefulPart := make([]bool, len(ob.Stats))
+	usefulPart := make([]bool, len(parts))
 	anyUseful := false
-	for i, s := range ob.Stats {
+	for i, s := range parts {
 		part := zone{lo: s.Lo, hi: s.Hi, min: s.Min, max: s.Max, nonNull: s.NonNull}
 		usefulPart[i] = p.classify(&part) != scanZone
 		anyUseful = anyUseful || usefulPart[i]
@@ -116,8 +115,8 @@ func (z *Zonemap) planSplit(ob core.ZoneObservation, r expr.Ranges, budget int) 
 	if !anyUseful {
 		return nil
 	}
-	subs := make([]zone, len(ob.Stats))
-	for i, s := range ob.Stats {
+	subs := make([]zone, len(parts))
+	for i, s := range parts {
 		subs[i] = zone{lo: s.Lo, hi: s.Hi, min: s.Min, max: s.Max, nonNull: s.NonNull, heat: 0.5}
 		if s.NonNull == 0 {
 			subs[i].min, subs[i].max = 0, 0
@@ -151,7 +150,7 @@ func (z *Zonemap) planSplit(ob core.ZoneObservation, r expr.Ranges, budget int) 
 
 // applySplits rebuilds the zone slice with all planned splits spliced in,
 // in one pass. Plans reference pre-rebuild indices and are disjoint by
-// construction (one observation per zone).
+// construction (one candidate, so one set of statistics, per zone).
 func (z *Zonemap) applySplits(plans []splitPlan) {
 	byIdx := make(map[int][]zone, len(plans))
 	added := 0

@@ -12,7 +12,8 @@
 // engine never asks a skipper which interfaces it has.
 //
 // The framework's shape follows the abstract: data skipping is a *policy*
-// layered on fast scans, fed by per-query observations, so that structures
+// layered on fast scans, fed back once per completed query with the probe's
+// result and the statistics its scan gathered, so that structures
 // can "respond to a vast array of data distributions and query workloads".
 package core
 
@@ -27,15 +28,14 @@ import (
 // CandidateZone is one contiguous row window the executor must scan, as
 // emitted by a Skipper's Prune.
 type CandidateZone struct {
-	ID        int  // skipper-private zone identity for feedback; NoZoneID if unattributed
+	ID        int  // skipper-private zone identity, set when StatParts > 0; NoZoneID otherwise
 	Lo, Hi    int  // row window [Lo, Hi)
 	Covered   bool // metadata proves every row in the window matches
-	WantStats bool // skipper asks for piggybacked partition stats if scanned
-	StatParts int  // requested sub-partitions for those stats
+	StatParts int  // > 0: the skipper asks for this many sub-partition statistics if scanned
 }
 
-// NoZoneID marks candidate windows with no feedback identity (tails, or
-// skippers that do not learn).
+// NoZoneID marks candidate windows that ask for no statistics, so feedback
+// never names them.
 const NoZoneID = -1
 
 // PruneResult is the outcome of probing a skipper's metadata with a
@@ -64,17 +64,12 @@ type PruneResult struct {
 	Ranges expr.Ranges
 }
 
-// ZoneObservation is per-zone execution feedback the engine hands back to
-// the skipper after running the scan.
-type ZoneObservation struct {
-	ID      int  // zone identity from the CandidateZone
-	Lo, Hi  int  // the window that was actually visited
-	Covered bool // executor honored the covered short-circuit
-	Partial bool // only part of the zone was scanned (multi-column intersection)
-	Matched int  // predicate matches within the visited window (0 if Partial)
-	// Stats carries piggybacked sub-partition statistics when the
-	// candidate requested them and the zone was fully scanned.
-	Stats []scan.PartStat
+// ZoneStats is the statistics a scan gathered for one candidate that asked
+// for them (StatParts > 0): the candidate's ID and its window's
+// sub-partitions, in row order.
+type ZoneStats struct {
+	ID    int
+	Parts []scan.PartStat
 }
 
 // Metadata summarizes a skipper's current state for introspection and the
@@ -100,10 +95,12 @@ type Skipper interface {
 	// known null-free skip, all-NULL zones are covered. Implementations
 	// that track no null counts may decline (Enabled=false).
 	PruneNulls() PruneResult
-	// Observe feeds a probe's result and the execution's per-zone
-	// feedback back after the scan; it is the one place a learning skipper
-	// updates what it learned. Non-learning skippers ignore it.
-	Observe(res PruneResult, obs []ZoneObservation)
+	// Observe feeds a probe's result back once its query's scan has
+	// completed, with the statistics of every candidate that asked for
+	// them and was scanned whole; it is the one place a learning skipper
+	// updates what it learned. A query that fails never observes.
+	// Non-learning skippers ignore it.
+	Observe(res PruneResult, stats []ZoneStats)
 	// Extend informs the skipper that the column grew; codes/nulls are the
 	// column's full physical state.
 	Extend(codes storage.Vec, nulls *bitvec.BitVec)
@@ -166,7 +163,7 @@ func (s *NoSkipper) Prune(expr.Ranges) PruneResult { return PruneResult{Enabled:
 func (s *NoSkipper) PruneNulls() PruneResult { return PruneResult{Enabled: false} }
 
 // Observe is a no-op.
-func (s *NoSkipper) Observe(PruneResult, []ZoneObservation) {}
+func (s *NoSkipper) Observe(PruneResult, []ZoneStats) {}
 
 // Extend tracks the row count.
 func (s *NoSkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) { s.rows = codes.Len() }

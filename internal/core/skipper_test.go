@@ -61,7 +61,7 @@ func TestStaticSkipper(t *testing.T) {
 	if len(res.Zones) != 3 || res.Zones[0].Lo != 20 || res.Zones[2].Hi != 50 || !res.Zones[1].Covered {
 		t.Fatalf("zones=%v", res.Zones)
 	}
-	if res.Zones[0].ID != core.NoZoneID || res.Zones[0].WantStats {
+	if res.Zones[0].ID != core.NoZoneID || res.Zones[0].StatParts > 0 {
 		t.Fatal("static zones should carry no identity and want no stats")
 	}
 	md := s.Metadata()

@@ -92,13 +92,6 @@ func AnalyzeLines(res *Result, withTimings bool) []string {
 func analyzeSummary(tr *obs.QueryTrace) string {
 	avoided := tr.RowsSkipped + tr.RowsCovered
 	return fmt.Sprintf("pruning: %d of %d rows avoided (%.1f%%): %d skipped, %d covered; %d scanned",
-		avoided, tr.RowsTotal, summaryPct(avoided, tr.RowsTotal),
+		avoided, tr.RowsTotal, pct(avoided, tr.RowsTotal),
 		tr.RowsSkipped, tr.RowsCovered, tr.RowsScanned)
-}
-
-func summaryPct(part, whole int) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return float64(part) / float64(whole) * 100
 }

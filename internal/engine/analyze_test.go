@@ -233,13 +233,21 @@ func TestProbeOnlyPathsLeaveSkipperUnchanged(t *testing.T) {
 		t.Errorf("EXPLAIN left the probe counter at %d, want %d", got, probes+1)
 	}
 
-	// b is uniform: its probe must scan every zone, past the budget.
-	before = snapshot("b")
-	if _, err := e.Query(count("b", 100, 900)); !errors.Is(err, ErrBudget) {
-		t.Fatalf("err=%v, want ErrBudget", err)
-	}
-	if !bytes.Equal(snapshot("b"), before) {
-		t.Error("a query that failed after its probe changed the zonemap")
+	// b is uniform: its probe must scan every zone, past the budget — on
+	// the fast COUNT path, the ordered path and the general path alike.
+	inB := intPred("b", expr.Between, 100, 900)
+	for _, q := range []Query{
+		count("b", 100, 900),
+		{Where: expr.And(inB), Select: []string{"a"}, OrderBy: "a", Limit: 3},
+		{Where: expr.And(intPred("a", expr.Between, 0, 2*checkpointRows), inB), Aggs: []Agg{{Kind: CountStar}}},
+	} {
+		beforeA, beforeB := snapshot("a"), snapshot("b")
+		if _, err := e.Query(q); !errors.Is(err, ErrBudget) {
+			t.Fatalf("%+v: err=%v, want ErrBudget", q, err)
+		}
+		if !bytes.Equal(snapshot("a"), beforeA) || !bytes.Equal(snapshot("b"), beforeB) {
+			t.Errorf("%+v: a query that failed after its probe changed a zonemap", q)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package engine executes queries over tables with pluggable data-skipping
 // policies, closing the adaptive feedback loop: it probes skippers for
-// candidate row windows, scans them with the fast kernels, and hands
-// per-zone observations (with piggybacked statistics) back to the
-// skippers.
+// candidate row windows, scans them with the fast kernels, and once the
+// scan has completed hands each skipper its probe result and the
+// statistics gathered for the candidates that asked for them.
 package engine
 
 import (
@@ -76,8 +76,8 @@ type Options struct {
 	// Parallelism is the number of goroutines used by the COUNT fast
 	// path's scans. Default 1 (serial; the experiment harness measures
 	// single-threaded behavior like the paper). Results are identical at
-	// any setting — counting is associative and observations are
-	// per-zone.
+	// any setting — counting is associative, and the statistics a
+	// candidate asked for are gathered whole, by one worker.
 	Parallelism int
 	// Metrics receives the engine's instrumentation. Instrumentation is
 	// always on: when nil, the engine creates a private registry. Share

@@ -83,10 +83,13 @@ type colPlan struct {
 	skipper core.Skipper
 	res     core.PruneResult
 	active  bool // skipper participated (enabled)
+	// stats is what the fast COUNT path's scan gathered for the candidates
+	// that asked for statistics; Observe receives it after the scan.
+	stats []core.ZoneStats
 }
 
-// Query plans and executes q, returning the result and feeding
-// observations back into any adaptive skippers involved. It is
+// Query plans and executes q, returning the result and feeding the
+// probe results back into any adaptive skippers involved. It is
 // QueryContext with a background context: no cancellation, but the
 // engine's configured Limits still apply.
 func (e *Engine) Query(q Query) (*Result, error) {
@@ -275,19 +278,12 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 	}
 	tr.Probe = time.Since(tProbe)
 	e.tracePredicates(tr, plans)
-	if unsat {
-		// A contradiction (or empty interval) on some column: no rows can
-		// match. Skippers still observe a zero-work query.
-		for i := range plans {
-			e.observeTimed(&plans[i], nil)
-		}
-		out := e.finish(res, accs, grp, q.Limit)
-		e.finishTrace(out, tr, plans, n, q.Limit)
-		return out, nil
-	}
 
 	tScan := time.Now()
 	switch {
+	case unsat:
+		// A contradiction (or empty interval) on some column: no rows can
+		// match. Skippers still observe a zero-work query.
 	case grp == nil && len(plans) == 1 && len(projCols) == 0 && countOnly(accs):
 		err = e.execFastCount(qc, &plans[0], res, accs, n)
 	case orderCol != nil:
@@ -305,9 +301,14 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 		}
 		return nil, err
 	}
-	// The executors call skipper.Observe inline; observeTimed charges that
-	// time to the feedback phase, so scan time is the remainder.
-	tr.Scan = time.Since(tScan) - tr.Feedback
+	tr.Scan = time.Since(tScan)
+	// Feedback runs once, after a completed scan: a failed query teaches
+	// no skipper anything.
+	tFeedback := time.Now()
+	for i := range plans {
+		e.observe(&plans[i])
+	}
+	tr.Feedback = time.Since(tFeedback)
 	out = e.finish(res, accs, grp, q.Limit)
 	e.finishTrace(out, tr, plans, n, q.Limit)
 	return out, nil
@@ -362,24 +363,19 @@ func (e *Engine) safeProbe(p *colPlan) {
 	p.active = p.res.Enabled
 }
 
-// observeTimed hands execution feedback to a plan's skipper, charging the
-// time spent in Observe (split/merge/arbitration work) to the in-flight
-// trace's feedback phase. A panicking Observe quarantines the skipper:
-// the query's result is already computed, so only the metadata is at
-// stake. Caller holds e.mu.
-func (e *Engine) observeTimed(p *colPlan, zobs []core.ZoneObservation) {
+// observe hands a plan's probe result and the statistics its scan gathered
+// back to its skipper. A panicking Observe quarantines the skipper: the
+// query's result is already computed, so only the metadata is at stake.
+// Caller holds e.mu.
+func (e *Engine) observe(p *colPlan) {
 	if p.skipper == nil {
 		return
 	}
-	t := time.Now()
 	perr := func() (err error) {
 		defer recoverToError(&err)
-		p.skipper.Observe(p.res, zobs)
+		p.skipper.Observe(p.res, p.stats)
 		return nil
 	}()
-	if e.trace != nil {
-		e.trace.Feedback += time.Since(t)
-	}
 	if perr != nil {
 		e.quarantineLocked(p.name, perr)
 		p.skipper = nil
@@ -447,10 +443,9 @@ func (e *Engine) finishAggs(res *Result, accs []*aggAcc) {
 }
 
 // execFastCount is the hot path: one predicate column, COUNT(*)-only.
-// It scans zone-aligned so adaptive skippers receive exact per-zone
-// feedback with piggybacked statistics. On error (cancellation, budget,
-// worker panic) no feedback is given: partially scanned zones would
-// report misleading match counts and corrupt adaptation.
+// It scans candidate by candidate, so a candidate that asks for statistics
+// is scanned whole and its statistics are exact; they are left on the plan
+// for the feedback that follows a completed scan.
 func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, accs []*aggAcc, n int) error {
 	workers := e.opts.Parallelism
 	if !p.active {
@@ -461,17 +456,16 @@ func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, accs []*aggAcc
 		}
 		res.Count = count
 		res.Stats.scanned(n, p.col)
-		e.observeTimed(p, nil)
 		return nil
 	}
-	count, obs, stats, err := e.parallelCountZones(qc, p, p.res.Zones, workers)
+	count, zstats, stats, err := e.parallelCountZones(qc, p, p.res.Zones, workers)
 	if err != nil {
 		return err
 	}
 	res.Count = count
 	res.Stats.scanned(stats.RowsScanned, p.col)
 	res.Stats.RowsCovered += stats.RowsCovered
-	e.observeTimed(p, obs)
+	p.stats = zstats
 	return nil
 }
 
@@ -507,8 +501,6 @@ func (e *Engine) execGeneral(qc *qctx, plans []colPlan, res *Result, accs []*agg
 			return err
 		}
 	}
-
-	e.feedbackGeneral(plans, segs)
 	return nil
 }
 
@@ -751,44 +743,4 @@ func intersectPlan(segs []seg, p *colPlan, bit uint64, n int) []seg {
 		}
 	}
 	return out
-}
-
-// feedbackGeneral sends coarse observations to skippers after a general
-// execution. Multi-column intersections scan zones partially, so zones get
-// heat-only feedback (Partial), never split statistics; covered candidates
-// are acknowledged as useful. This keeps adaptation conservative and
-// sound: structural refinement only happens on exact single-column
-// evidence (the fast path).
-func (e *Engine) feedbackGeneral(plans []colPlan, segs []seg) {
-	for i := range plans {
-		p := &plans[i]
-		if p.skipper == nil {
-			continue
-		}
-		if !p.active {
-			e.observeTimed(p, nil)
-			continue
-		}
-		var obs []core.ZoneObservation
-		si := 0
-		for _, z := range p.res.Zones {
-			if z.ID == core.NoZoneID {
-				continue
-			}
-			ob := core.ZoneObservation{ID: z.ID, Lo: z.Lo, Hi: z.Hi, Covered: z.Covered}
-			if !z.Covered {
-				// Was any part of this zone visited?
-				for si < len(segs) && segs[si].hi <= z.Lo {
-					si++
-				}
-				visited := si < len(segs) && segs[si].lo < z.Hi
-				if !visited {
-					continue // fully pruned by other columns; no signal
-				}
-				ob.Partial = true
-			}
-			obs = append(obs, ob)
-		}
-		e.observeTimed(p, obs)
-	}
 }

@@ -242,6 +242,5 @@ func (e *Engine) execOrdered(qc *qctx, plans []colPlan, res *Result, accs []*agg
 		res.Rows[i] = vals
 	}
 	res.Count = len(res.Rows)
-	e.feedbackGeneral(plans, segs)
 	return nil
 }

@@ -11,9 +11,9 @@ import (
 // Parallel scan execution for the COUNT fast path. Candidate windows are
 // partitioned into contiguous groups of roughly equal row volume, one per
 // worker; each worker runs the same kernels over its group and the
-// partial counts, statistics, and zone observations merge losslessly
-// (counting is associative, observations are per-zone). Results are
-// therefore bit-identical to the serial path.
+// partial counts and zone statistics merge losslessly (counting is
+// associative, statistics are per candidate and kept in candidate order).
+// Results are therefore bit-identical to the serial path.
 //
 // Every worker goroutine recovers its own panics into an error — panics
 // cannot cross goroutines, so an unrecovered worker panic would kill the
@@ -66,16 +66,17 @@ func (e *Engine) parallelCountFull(qc *qctx, p *colPlan, n, workers int) (int, e
 
 // zoneWork is one worker's slice of the candidate list.
 type zoneWork struct {
-	zones []core.CandidateZone
-	count int
-	obs   []core.ZoneObservation
-	stats ExecStats
-	err   error
+	zones  []core.CandidateZone
+	count  int
+	zstats []core.ZoneStats
+	stats  ExecStats
+	err    error
 }
 
 // parallelCountZones executes the candidate zones across workers and
-// returns the merged count, observations (in candidate order), and stats.
-func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.CandidateZone, workers int) (int, []core.ZoneObservation, ExecStats, error) {
+// returns the merged count, the statistics of the candidates that asked
+// for them (in candidate order), and stats.
+func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.CandidateZone, workers int) (int, []core.ZoneStats, ExecStats, error) {
 	totalRows := 0
 	for _, z := range zones {
 		totalRows += z.Hi - z.Lo
@@ -83,7 +84,7 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 	if workers <= 1 || totalRows < minRowsPerWorker*2 {
 		w := zoneWork{zones: zones}
 		e.scanZoneGroup(qc, p, &w)
-		return w.count, w.obs, w.stats, w.err
+		return w.count, w.zstats, w.stats, w.err
 	}
 	// Partition candidates into contiguous groups of ~equal row volume.
 	groups := make([]zoneWork, 0, workers)
@@ -117,15 +118,15 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 		return 0, nil, ExecStats{}, err
 	}
 	count := 0
-	var obs []core.ZoneObservation
+	var zstats []core.ZoneStats
 	var stats ExecStats
 	for _, g := range groups {
 		count += g.count
-		obs = append(obs, g.obs...)
+		zstats = append(zstats, g.zstats...)
 		stats.RowsScanned += g.stats.RowsScanned
 		stats.RowsCovered += g.stats.RowsCovered
 	}
-	return count, obs, stats, nil
+	return count, zstats, stats, nil
 }
 
 // scanZoneGroup runs the fast-count kernels over one group of candidate
@@ -138,7 +139,6 @@ func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
 	nulls := p.col.Nulls()
 	tk := &ticker{qc: qc}
 	for _, c := range w.zones {
-		ob := core.ZoneObservation{ID: c.ID, Lo: c.Lo, Hi: c.Hi, Covered: c.Covered}
 		switch {
 		case c.Covered:
 			w.count += c.Hi - c.Lo
@@ -153,17 +153,15 @@ func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
 			}
 			w.count += m
 			w.stats.RowsScanned += c.Hi - c.Lo
-			ob.Matched = m
-		case c.WantStats:
-			m, stats := scan.CountStats(codes, c.Lo, c.Hi, p.pred.R, nulls, 0, c.StatParts)
+		case c.StatParts > 0:
+			m, parts := scan.CountStats(codes, c.Lo, c.Hi, p.pred.R, nulls, 0, c.StatParts)
 			if err := tk.tick(c.Hi - c.Lo); err != nil {
 				w.err = err
 				return
 			}
 			w.count += m
 			w.stats.RowsScanned += c.Hi - c.Lo
-			ob.Matched = m
-			ob.Stats = stats
+			w.zstats = append(w.zstats, core.ZoneStats{ID: c.ID, Parts: parts})
 		default:
 			m, err := countChunks(tk, c.Lo, c.Hi, func(lo, hi int) int {
 				return scan.Count(codes, lo, hi, p.pred.R, nulls, 0)
@@ -174,10 +172,6 @@ func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
 			}
 			w.count += m
 			w.stats.RowsScanned += c.Hi - c.Lo
-			ob.Matched = m
-		}
-		if c.ID != core.NoZoneID {
-			w.obs = append(w.obs, ob)
 		}
 	}
 }

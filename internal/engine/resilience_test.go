@@ -226,7 +226,8 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// faultySkipper lets tests fail specific skipper entry points.
+// faultySkipper lets tests fail specific skipper entry points, and counts
+// the feedback it receives.
 type faultySkipper struct {
 	rows        int
 	panicProbe  bool
@@ -234,7 +235,15 @@ type faultySkipper struct {
 	badWindows  bool // emit candidate windows beyond the column end
 	healthErr   error
 	invariantOK bool
+	statParts   int // > 0: the one window asks for this many statistics parts
+
+	observed  int              // Observe calls
+	lastStats []core.ZoneStats // what the last Observe received
 }
+
+// faultyZoneID is the identity the one window carries when it asks for
+// statistics.
+const faultyZoneID = 7
 
 func (f *faultySkipper) Prune(expr.Ranges) core.PruneResult {
 	if f.panicProbe {
@@ -245,6 +254,11 @@ func (f *faultySkipper) Prune(expr.Ranges) core.PruneResult {
 			{ID: core.NoZoneID, Lo: 0, Hi: f.rows * 4}, // way out of range
 		}}
 	}
+	if f.statParts > 0 {
+		return core.PruneResult{Enabled: true, Zones: []core.CandidateZone{
+			{ID: faultyZoneID, Lo: 0, Hi: f.rows, StatParts: f.statParts},
+		}}
+	}
 	return core.PruneResult{Enabled: true, Zones: []core.CandidateZone{
 		{ID: core.NoZoneID, Lo: 0, Hi: f.rows},
 	}}
@@ -252,7 +266,9 @@ func (f *faultySkipper) Prune(expr.Ranges) core.PruneResult {
 
 func (f *faultySkipper) PruneNulls() core.PruneResult { return core.PruneResult{Enabled: false} }
 
-func (f *faultySkipper) Observe(core.PruneResult, []core.ZoneObservation) {
+func (f *faultySkipper) Observe(_ core.PruneResult, stats []core.ZoneStats) {
+	f.observed++
+	f.lastStats = stats
 	if f.panicObs {
 		panic("faultySkipper: observe panic")
 	}
@@ -345,6 +361,88 @@ func TestObservePanicQuarantines(t *testing.T) {
 	}
 	if _, ok := e.Quarantined()["a"]; !ok {
 		t.Fatal("column a not quarantined after Observe panic")
+	}
+}
+
+// TestObserveOncePerCompletedQuery: every executor shape hands feedback to
+// a skipper exactly once, after its scan completed, and a query that fails
+// hands none. Statistics reach Observe only from the fast COUNT path, only
+// for the candidate that asked, and tile that candidate's window.
+func TestObserveOncePerCompletedQuery(t *testing.T) {
+	const rows = 1500
+	tb := buildTable(t, rows, 21)
+	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive()})
+	f := &faultySkipper{}
+	installFaulty(e, f)
+
+	inA := intPred("a", expr.Between, 10, 1200)
+	count := []Agg{{Kind: CountStar}}
+	cases := []struct {
+		name     string
+		q        Query
+		fastPath bool
+	}{
+		{"fast COUNT", Query{Where: expr.And(inA), Aggs: count}, true},
+		{"SUM", Query{Where: expr.And(inA), Aggs: []Agg{{Kind: Sum, Col: "b"}}}, false},
+		{"projection LIMIT", Query{Where: expr.And(inA), Select: []string{"a", "s"}, Limit: 5}, false},
+		{"ORDER BY LIMIT", Query{Where: expr.And(inA), Select: []string{"a"}, OrderBy: "b", OrderDesc: true, Limit: 3}, false},
+		{"GROUP BY", Query{Where: expr.And(inA), Aggs: count, GroupBy: "s"}, false},
+		{"unsatisfiable", Query{Where: expr.And(intPred("a", expr.GT, 10), intPred("a", expr.LT, 5)), Aggs: count}, false},
+		{"IS NULL", Query{Where: expr.And(expr.MustPred("a", expr.IsNull)), Aggs: count}, false},
+		{"two columns", Query{Where: expr.And(inA, intPred("b", expr.Between, 100, 600)), Aggs: count}, false},
+	}
+	for _, parts := range []int{0, 4} {
+		f.statParts = parts
+		for _, c := range cases {
+			before := f.observed
+			if _, err := e.Query(c.q); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got := f.observed - before; got != 1 {
+				t.Errorf("statParts=%d %s: Observe ran %d times, want 1", parts, c.name, got)
+			}
+			if parts == 0 || !c.fastPath {
+				if f.lastStats != nil {
+					t.Errorf("statParts=%d %s: Observe got statistics %+v, want none", parts, c.name, f.lastStats)
+				}
+				continue
+			}
+			if len(f.lastStats) != 1 || f.lastStats[0].ID != faultyZoneID {
+				t.Fatalf("%s: Observe got %+v, want the asking candidate's statistics alone", c.name, f.lastStats)
+			}
+			next := 0
+			for _, p := range f.lastStats[0].Parts {
+				if p.Lo != next || p.Hi <= p.Lo {
+					t.Fatalf("%s: parts %+v do not tile [0, %d)", c.name, f.lastStats[0].Parts, rows)
+				}
+				next = p.Hi
+			}
+			if next != rows || len(f.lastStats[0].Parts) < parts {
+				t.Fatalf("%s: parts %+v do not tile [0, %d) in at least %d parts", c.name, f.lastStats[0].Parts, rows, parts)
+			}
+		}
+	}
+	if _, ok := e.Quarantined()["a"]; ok {
+		t.Fatal("a counting skipper was quarantined")
+	}
+
+	// Over the row budget, on the fast and the ordered path: no feedback.
+	tb = buildTable(t, 2*checkpointRows, 22)
+	e = New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive(),
+		Limits: Limits{MaxRowsScanned: checkpointRows}})
+	f = &faultySkipper{statParts: 4}
+	installFaulty(e, f)
+	wide := intPred("a", expr.Between, 0, 2*checkpointRows)
+	for _, q := range []Query{
+		{Where: expr.And(wide), Aggs: count},
+		{Where: expr.And(wide), Select: []string{"a"}, OrderBy: "b", Limit: 3},
+	} {
+		if _, err := e.Query(q); !errors.Is(err, ErrBudget) {
+			t.Fatalf("err=%v, want ErrBudget", err)
+		}
+	}
+	if f.observed != 0 {
+		t.Fatalf("queries that failed their budget ran Observe %d times, want 0", f.observed)
 	}
 }
 

@@ -35,8 +35,8 @@ type QueryTrace struct {
 	// cache (see WithPlanCached).
 	PlanCached bool `json:"plan_cached,omitempty"`
 
-	// Phase timings. Scan excludes the feedback time spent inside
-	// skipper.Observe calls, which is accounted to Feedback. ShardPrune is
+	// Phase timings. Feedback is the skipper.Observe calls that follow a
+	// completed scan, one per predicate column. ShardPrune is
 	// nonzero only on sharded tables: the time spent eliminating shards by
 	// key bounds before any zone metadata was consulted (the shardprune
 	// phase runs between plan and probe).
@@ -44,7 +44,7 @@ type QueryTrace struct {
 	ShardPrune time.Duration `json:"shardprune_ns,omitempty"` // shard elimination by key bounds (sharded tables)
 	Probe      time.Duration `json:"probe_ns"`                // predicate lowering + skipper metadata probes
 	Scan       time.Duration `json:"scan_ns"`                 // kernel execution over candidate windows
-	Feedback   time.Duration `json:"feedback_ns"`             // observations handed back to skippers
+	Feedback   time.Duration `json:"feedback_ns"`             // probe results handed back to skippers
 	Total      time.Duration `json:"total_ns"`
 
 	// Execution totals (mirrors the result's ExecStats).

@@ -187,7 +187,7 @@ func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, ex
 }
 
 // Observe is a no-op: a fixed grid does not learn.
-func (g *Grid[S, Q]) Observe(core.PruneResult, []core.ZoneObservation) {}
+func (g *Grid[S, Q]) Observe(core.PruneResult, []core.ZoneStats) {}
 
 // Health reports no corruption: the grid has no invariant it could notice
 // broken mid-probe.
