@@ -52,7 +52,7 @@ func main() {
 		maxConns  = flag.Int("max-conns", 0, "max simultaneous connections (0 = server default)")
 		maxFrame  = flag.Int("max-frame", 0, "max protocol frame bytes (0 = default)")
 		idle      = flag.Duration("idle", 0, "connection idle timeout (0 = default)")
-		stmtCache = flag.Int("stmt-cache", 0, "prepared-statement cache capacity (0 = default)")
+		stmtCache = flag.Int("stmt-cache", 0, "statement cache capacity (0 = default)")
 		skipCols  = flag.String("skip-cols", "v,seq", "comma-separated columns to enable skipping on")
 		logMode   = flag.String("log", "off", "structured logging to stderr: off|text|json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")

@@ -191,43 +191,11 @@ func (c *Client) QueryTraced(sqlText, traceID string) (*proto.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return timedResult(resp)
-}
-
-// Prepare parses and plans a statement server-side, returning its ID.
-func (c *Client) Prepare(sqlText string) (uint64, error) {
-	resp, err := c.roundTrip(proto.Request{Op: proto.OpPrepare, SQL: sqlText})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Stmt, nil
-}
-
-// Exec executes a prepared statement by ID. A ServerError with kind
-// proto.ErrKindNoStmt means the statement was evicted: Prepare again.
-func (c *Client) Exec(stmt uint64) (*proto.Result, error) {
-	return c.ExecTraced(stmt, "")
-}
-
-// ExecTraced executes a prepared statement tagged with a trace ID (see
-// QueryTraced).
-func (c *Client) ExecTraced(stmt uint64, traceID string) (*proto.Result, error) {
-	resp, err := c.roundTrip(proto.Request{
-		Op: proto.OpExec, Stmt: stmt,
-		TraceID: traceID, WantTiming: c.opts.Timing,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return timedResult(resp)
-}
-
-// timedResult returns the response's result with the server's timing
-// breakdown attached (nil when not requested or the server predates it).
-func timedResult(resp proto.Decoded) (*proto.Result, error) {
 	if resp.Result == nil {
 		return nil, errors.New("client: response carries no result")
 	}
+	// The server's timing breakdown: nil when not requested or the server
+	// predates it.
 	resp.Result.Timing = resp.Timing
 	return resp.Result, nil
 }

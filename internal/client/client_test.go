@@ -66,7 +66,6 @@ func TestDecodeResponseOnePass(t *testing.T) {
 			`"stats":{"rows_scanned":5,"rows_skipped":4,"rows_covered":3,"zones_probed":2,"skippers_used":1,"shards_scanned":1,"shards_pruned":1}},`+
 			`"timing":{"trace_id":"t-1","queue_us":1,"parse_us":2,"plan_us":3,"shardprune_us":4,"prune_us":5,"scan_us":6,"serialize_us":7,"total_us":99,"rows_skipped":4}}`,
 		`frame:{"ok":true,"result":{"count":7,"aggs":[7],"stats":{"rows_scanned":0,"rows_skipped":0,"rows_covered":7,"zones_probed":0,"skippers_used":0}}}`,
-		`frame:{"ok":true,"stmt":18446744073709551615}`,
 		`frame:{"ok":true,"tables":["a","b"]}`,
 		`frame:{"ok":true,"inserted":2}`,
 		`frame:{"ok":true}`,
@@ -106,9 +105,6 @@ func TestDecodeResponseOnePass(t *testing.T) {
 
 	if res, err = c.Query("SELECT COUNT(*) FROM t"); err != nil || res.Count != 7 || res.Aggs[0] != json.Number("7") || res.Rows != nil || res.Timing != nil {
 		t.Fatalf("count result %+v, %v", res, err)
-	}
-	if id, err := c.Prepare("SELECT 1"); err != nil || id != 1<<64-1 {
-		t.Fatalf("prepare: %d, %v", id, err)
 	}
 	if tables, err := c.Tables(); err != nil || len(tables) != 2 || tables[1] != "b" {
 		t.Fatalf("tables: %v, %v", tables, err)

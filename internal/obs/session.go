@@ -51,7 +51,7 @@ type templateKey struct{}
 
 // WithTemplate returns a context carrying the query's literal-stripped
 // fingerprint. SQL frontends stamp it after parsing (or from their
-// prepared-statement cache); the engine copies it onto the QueryTrace
+// statement cache); the engine copies it onto the QueryTrace
 // and uses it as the workload-stats and pprof-label identity. Queries
 // without a template (direct engine API calls, benchmarks) skip the
 // attribution path entirely.
@@ -72,7 +72,7 @@ func TemplateFromContext(ctx context.Context) string {
 type planCachedKey struct{}
 
 // WithPlanCached marks ctx as executing a statement served from a
-// prepared-statement/plan cache, so workload stats can report cache
+// statement cache, so workload stats can report cache
 // hit rates per template.
 func WithPlanCached(ctx context.Context) context.Context {
 	return context.WithValue(ctx, planCachedKey{}, true)

@@ -31,8 +31,8 @@ type QueryTrace struct {
 	// Workload stats aggregate under it.
 	Fingerprint string `json:"fingerprint,omitempty"`
 
-	// PlanCached marks queries served from a prepared-statement/plan
-	// cache (see WithPlanCached).
+	// PlanCached marks queries served from a statement cache (see
+	// WithPlanCached).
 	PlanCached bool `json:"plan_cached,omitempty"`
 
 	// Phase timings. Feedback is the skipper.Observe calls that follow a

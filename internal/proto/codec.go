@@ -32,7 +32,7 @@ type Decoded struct {
 
 // DecodeResponse decodes one response frame. Cells come back as
 // json.Number (lossless for BIGINT), string, or nil for NULL. The frames a
-// server writes for a successful query, exec, prepare, insert or ping are
+// server writes for a successful query, insert or ping are
 // parsed by hand out of one string copy of payload, cells being slices of
 // it; error envelopes, "tables", "timing", escaped or non-ASCII strings and
 // everything else take the UseNumber decoder.
@@ -66,11 +66,11 @@ func DecodeRequest(payload []byte) (Request, error) {
 // Key sets of the objects the parsers know, in wire order. A key's index
 // here is what cursor.object hands to its callback.
 var (
-	envelopeKeys = []string{"ok", "result", "stmt", "inserted"}
+	envelopeKeys = []string{"ok", "result", "inserted"}
 	resultKeys   = []string{"count", "columns", "rows", "aggs", "stats"}
 	columnKeys   = []string{"name", "type"}
 	statsKeys    = []string{"rows_scanned", "rows_skipped", "rows_covered", "zones_probed", "skippers_used", "shards_scanned", "shards_pruned"}
-	requestKeys  = []string{"op", "sql", "stmt", "trace", "timing"}
+	requestKeys  = []string{"op", "sql", "trace", "timing"}
 )
 
 func decodeResponseFast(payload []byte) (Decoded, bool) {
@@ -85,8 +85,6 @@ func decodeResponseFast(payload []byte) (Decoded, bool) {
 		case 1:
 			d.Result = new(Result)
 			return c.result(d.Result)
-		case 2:
-			d.Stmt, ok = c.uint()
 		default:
 			n, ok = c.uint()
 			d.Inserted = int(n)
@@ -106,8 +104,6 @@ func decodeRequestFast(payload []byte) (Request, bool) {
 		case 1:
 			req.SQL, ok = c.str()
 		case 2:
-			req.Stmt, ok = c.uint()
-		case 3:
 			req.TraceID, ok = c.str()
 		default:
 			req.WantTiming = true

@@ -70,7 +70,7 @@ func responseCases(t testing.TB) []codecCase {
 		{"projection beside aggs", served(t, &engine.Result{Count: 1, Columns: []string{"a"}, Types: []storage.Type{storage.Float64},
 			Rows: [][]storage.Value{{flt(0.1)}}, Aggs: []storage.Value{i64(7), storage.NullValue(storage.Int64)}}, Response{}), true},
 		{"untyped empty projection", served(t, &engine.Result{Columns: []string{"a"}}, Response{}), true},
-		{"result beside stmt and inserted", served(t, rows(2), Response{Stmt: 7, Inserted: 3}), true},
+		{"result beside inserted", served(t, rows(2), Response{Inserted: 3}), true},
 		{"VARCHAR with a quote", served(t, oneString(`say "hi"`), Response{}), false},
 		{"VARCHAR with a backslash", served(t, oneString(`C:\data`), Response{}), false},
 		{"VARCHAR with an angle bracket", served(t, oneString("a<b"), Response{}), false},
@@ -84,9 +84,12 @@ func responseCases(t testing.TB) []codecCase {
 	return append(cases, []codecCase{
 		// The envelopes without a result.
 		{"ping", `{"ok":true}`, true},
-		{"prepare", `{"ok":true,"stmt":42}`, true},
 		{"insert", `{"ok":true,"inserted":65536}`, true},
-		{"stmt beyond an int", `{"ok":true,"stmt":18446744073709551615}`, false},
+		{"inserted beyond an int", `{"ok":true,"inserted":9223372036854775808}`, false},
+		{"inserted beyond uint64", `{"ok":true,"inserted":18446744073709551616}`, false},
+		{"negative inserted", `{"ok":true,"inserted":-1}`, false},
+		{"leading zero in inserted", `{"ok":true,"inserted":07}`, false},
+		{"retired stmt key", `{"ok":true,"stmt":42}`, false},
 		{"catalog", `{"ok":true,"tables":["a","b"]}`, false},
 		{"error", `{"ok":false,"error":"syntax error near \"FORM\"","error_kind":"syntax"}`, false},
 		{"bare failure", `{"ok":false}`, false},
@@ -248,8 +251,8 @@ func requestCases() []codecCase {
 	return []codecCase{
 		{"ping", `{"op":"ping"}`, true},
 		{"query", `{"op":"query","sql":"SELECT COUNT(*) FROM data WHERE v BETWEEN 1 AND 2"}`, true},
-		{"exec", `{"op":"exec","stmt":7,"trace":"t-1","timing":true}`, true},
-		{"every scalar field", `{"op":"query","sql":"SELECT 1","stmt":1,"trace":"a b","timing":true}`, true},
+		{"traced ping", `{"op":"ping","trace":"t-1","timing":true}`, true},
+		{"every scalar field", `{"op":"query","sql":"SELECT 1","trace":"a b","timing":true}`, true},
 		{"keys out of order", `{"timing":true,"sql":"SELECT 1","op":"query"}`, true},
 		{"unknown op", `{"op":"frobnicate"}`, true},
 		{"empty object", `{}`, true},
@@ -259,9 +262,9 @@ func requestCases() []codecCase {
 		{"non-ASCII", `{"op":"query","sql":"SELECT 'é'"}`, false},
 		{"insert", `{"op":"insert","table":"t","rows":[[1,2.5,"x"],[null,1e3,"y"]]}`, false},
 		{"timing false", `{"op":"ping","timing":false}`, false},
-		{"stmt beyond an int", `{"op":"exec","stmt":18446744073709551615}`, false},
-		{"negative stmt", `{"op":"exec","stmt":-1}`, false},
-		{"leading zero", `{"op":"exec","stmt":07}`, false},
+		{"retired op", `{"op":"prepare","sql":"SELECT 1"}`, true},
+		{"retired stmt key", `{"op":"exec","stmt":1}`, false},
+		{"numeric op", `{"op":7}`, false},
 		{"unknown key", `{"op":"ping","extra":1}`, false},
 		{"key in another case", `{"Op":"ping"}`, false},
 		{"duplicate key", `{"op":"ping","op":"query"}`, false},
@@ -342,12 +345,11 @@ func TestWriteRequestMatchesJSONMarshal(t *testing.T) {
 		{Op: OpQuery, SQL: "SELECT COUNT(*) FROM data WHERE v BETWEEN 1 AND 2"},
 		{Op: OpQuery, SQL: "SELECT v FROM t WHERE v < 5 AND s = 'a&b' OR v > 9"},
 		{Op: OpQuery, SQL: "quote \" backslash \\ slash / tab\t nl\n nul\x00 del\x7f é 日本 \u2028 bad\xff"},
-		{Op: OpExec, Stmt: 1<<64 - 1},
-		{Op: OpExec, Stmt: 7, TraceID: "t-1", WantTiming: true},
+		{Op: OpPing, TraceID: "t-1", WantTiming: true},
 		{Op: OpQuery, SQL: "SELECT 1", TraceID: `tr"ace<`},
 		{Op: OpInsert, Table: `t"<`, Rows: rows},
 		{Op: OpInsert, Table: "t", Rows: [][]json.RawMessage{}},
-		{Op: "o", SQL: "s", Stmt: 1, TraceID: "t", WantTiming: true, Table: "tb", Rows: rows},
+		{Op: "o", SQL: "s", TraceID: "t", WantTiming: true, Table: "tb", Rows: rows},
 	}
 	// The last case sets every field, so a field added to Request fails
 	// here until the case — and with it writeRequest — learns about it.

@@ -23,8 +23,6 @@
 // # Requests
 //
 //	{"op":"query","sql":"SELECT ..."}   execute SQL, response carries a result
-//	{"op":"prepare","sql":"SELECT ..."} parse+plan once, response carries a stmt id
-//	{"op":"exec","stmt":7}              execute a prepared statement by id
 //	{"op":"ping"}                       liveness probe
 //	{"op":"catalog"}                    list tables (sorted)
 //	{"op":"insert","table":"t","rows":[[...]]}  append rows, response carries "inserted"
@@ -39,7 +37,7 @@
 // Every response has "ok". Failures carry "error" (human-readable) and
 // "error_kind" (stable machine tag, see ErrKind*). Successes carry the
 // op-specific payload: "result" (a wire-encoded engine.Result, see
-// engine.Result.MarshalJSON), "stmt", or "tables" — plus "timing" (a
+// engine.Result.MarshalJSON), "inserted", or "tables" — plus "timing" (a
 // Timing breakdown) when the request asked for one.
 package proto
 
@@ -54,8 +52,6 @@ import (
 // Operations.
 const (
 	OpQuery   = "query"
-	OpPrepare = "prepare"
-	OpExec    = "exec"
 	OpPing    = "ping"
 	OpCatalog = "catalog"
 	// OpInsert appends rows to a table: {"op":"insert","table":"t",
@@ -73,7 +69,6 @@ const (
 	ErrKindCanceled = "canceled" // query canceled (context/connection)
 	ErrKindBudget   = "budget"   // query exceeded a resource limit
 	ErrKindNoTable  = "no_table" // unknown table
-	ErrKindNoStmt   = "no_stmt"  // unknown or evicted prepared statement
 	ErrKindBadOp    = "bad_op"   // unknown request op
 	ErrKindInternal = "internal" // anything else
 	ErrKindShutdown = "shutdown" // server is draining
@@ -106,9 +101,8 @@ const MaxFrameDefault = 4 << 20
 // (unknown JSON fields are dropped on decode) — so mixed-version
 // deployments keep working.
 type Request struct {
-	Op   string `json:"op"`
-	SQL  string `json:"sql,omitempty"`
-	Stmt uint64 `json:"stmt,omitempty"`
+	Op  string `json:"op"`
+	SQL string `json:"sql,omitempty"`
 	// TraceID is an optional client-generated trace ID. The server tags
 	// the query's trace with it, so the client can find "its" query
 	// in the server's /traces endpoint.
@@ -133,7 +127,6 @@ type Response struct {
 	Error   string          `json:"error,omitempty"`
 	ErrKind string          `json:"error_kind,omitempty"`
 	Result  json.RawMessage `json:"result,omitempty"`
-	Stmt    uint64          `json:"stmt,omitempty"`
 	Tables  []string        `json:"tables,omitempty"`
 	// Inserted is the row count appended by a successful OpInsert.
 	Inserted int `json:"inserted,omitempty"`
@@ -337,9 +330,6 @@ func writeResponse(w io.Writer, r *Response) error {
 	if len(r.Result) > 0 {
 		b = append(append(b, `,"result":`...), r.Result...)
 	}
-	if r.Stmt != 0 {
-		b = strconv.AppendUint(append(b, `,"stmt":`...), r.Stmt, 10)
-	}
 	if len(r.Tables) > 0 {
 		b = appendField(b, `,"tables":`, r.Tables)
 	}
@@ -352,9 +342,9 @@ func writeResponse(w io.Writer, r *Response) error {
 	return writeBuilt(w, append(b, '}'))
 }
 
-// writeRequest is writeResponse for a Request: op, SQL text, statement id,
-// trace id and the timing flag by hand, the insert fields (table name, rows
-// of raw cells, which encoding/json validates and compacts) through
+// writeRequest is writeResponse for a Request: op, SQL text, trace id
+// and the timing flag by hand, the insert fields (table name, rows of raw
+// cells, which encoding/json validates and compacts) through
 // encoding/json. TestWriteRequestMatchesJSONMarshal holds the bytes to
 // json.Marshal(req).
 func writeRequest(w io.Writer, r *Request) error {
@@ -362,9 +352,6 @@ func writeRequest(w io.Writer, r *Request) error {
 	b = appendString(append(b, `{"op":`...), r.Op)
 	if r.SQL != "" {
 		b = appendString(append(b, `,"sql":`...), r.SQL)
-	}
-	if r.Stmt != 0 {
-		b = strconv.AppendUint(append(b, `,"stmt":`...), r.Stmt, 10)
 	}
 	if r.TraceID != "" {
 		b = appendString(append(b, `,"trace":`...), r.TraceID)

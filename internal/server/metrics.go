@@ -53,10 +53,10 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 		latency:        reg.Histogram("adskip_server_request_seconds", "Request wall-clock latency, all ops.", obs.LatencyBuckets()),
 		recovering:     reg.Counter("adskip_server_recovering_rejected_total", "Requests refused while WAL recovery was in progress."),
 		rowsInserted:   reg.Counter("adskip_server_rows_inserted_total", "Rows appended via the insert op."),
-		cacheHits:      reg.Counter("adskip_server_stmt_cache_hits_total", "Requests served from the prepared-statement cache."),
-		cacheMisses:    reg.Counter("adskip_server_stmt_cache_misses_total", "Requests that had to parse and plan."),
-		cacheEvictions: reg.Counter("adskip_server_stmt_cache_evictions_total", "Prepared statements evicted by the LRU."),
-		cacheEntries:   reg.Gauge("adskip_server_stmt_cache_entries", "Prepared statements currently cached."),
+		cacheHits:      reg.Counter("adskip_server_stmt_cache_hits_total", "Queries served from the statement cache."),
+		cacheMisses:    reg.Counter("adskip_server_stmt_cache_misses_total", "Queries that missed the statement cache and had to parse and plan."),
+		cacheEvictions: reg.Counter("adskip_server_stmt_cache_evictions_total", "Statements evicted from the statement cache by its LRU."),
+		cacheEntries:   reg.Gauge("adskip_server_stmt_cache_entries", "Statements currently in the statement cache."),
 		requests:       make(map[string]*obs.Counter),
 		errors:         make(map[string]*obs.Counter),
 	}

@@ -54,7 +54,7 @@ type Options struct {
 	MaxFrameBytes int           // per-frame size limit (default proto.MaxFrameDefault)
 	IdleTimeout   time.Duration // close connections idle this long (default 5m)
 	WriteTimeout  time.Duration // per-response write deadline (default 30s)
-	StmtCacheSize int           // prepared-statement LRU capacity (default 256)
+	StmtCacheSize int           // statement cache (LRU) capacity (default 256)
 	// Logger receives structured server events: lifecycle at info,
 	// connection open/close at debug, protocol errors at warn. Nil
 	// disables logging.
@@ -80,7 +80,6 @@ type Server struct {
 
 	wg       sync.WaitGroup // accept loop + 1 goroutine per session (which waits for its own watcher)
 	nextConn atomic.Uint64
-	nextStmt atomic.Uint64
 }
 
 // Start listens on opts.Addr and begins serving db. Metrics are
@@ -412,39 +411,25 @@ func (ss *session) dispatch(ctx context.Context, req *proto.Request, tm *proto.T
 			return resp
 		}
 		return ss.query(ctx, req.SQL, tm)
-	case proto.OpPrepare:
-		return ss.prepare(req.SQL)
 	case proto.OpInsert:
 		if resp, refused := s.gate(); refused {
 			return resp
 		}
 		return ss.insert(req)
-	case proto.OpExec:
-		if resp, refused := s.gate(); refused {
-			return resp
-		}
-		ent, ok := s.cache.getID(req.Stmt)
-		if !ok {
-			s.m.failure(proto.ErrKindNoStmt)
-			return errResp(proto.ErrKindNoStmt,
-				fmt.Sprintf("unknown prepared statement %d (never prepared, or evicted — prepare again)", req.Stmt))
-		}
-		s.m.cacheHits.Inc()
-		return ss.exec(obs.WithPlanCached(ctx), ent, tm)
 	default:
 		s.m.failure(proto.ErrKindBadOp)
 		return errResp(proto.ErrKindBadOp, "unknown op "+strconv.Quote(req.Op))
 	}
 }
 
-// gate is the admission gate in front of query, exec, and insert
-// traffic. While the DB is replaying its write-ahead log the store is
-// not yet consistent, so all data-touching ops are answered with a
-// retryable "recovering" error — the server accepts connections during
-// replay precisely so clients can park in a retry loop instead of
-// failing over. The check is one atomic load, so the recovered path
-// pays nothing measurable. Ping, catalog, and prepare bypass the gate —
-// load balancers keep probing and clients keep their statements warm.
+// gate is the admission gate in front of query and insert traffic.
+// While the DB is replaying its write-ahead log the store is not yet
+// consistent, so all data-touching ops are answered with a retryable
+// "recovering" error — the server accepts connections during replay
+// precisely so clients can park in a retry loop instead of failing
+// over. The check is one atomic load, so the recovered path
+// pays nothing measurable. Ping and catalog bypass the gate, so load
+// balancers keep probing.
 func (s *Server) gate() (proto.Response, bool) {
 	if !s.db.Recovering() {
 		return proto.Response{}, false
@@ -536,10 +521,10 @@ func decodeCell(raw json.RawMessage, t storage.Type) (storage.Value, error) {
 	}
 }
 
-// query executes SQL text. Hot statements hit the prepared-statement
-// cache even when the client never prepared them: the cache key is the
-// SQL text, so repeated templates skip the parser and planner entirely —
-// a cache hit legitimately reports parse_us = plan_us = 0.
+// query executes SQL text. It is the statement cache's one way in: the
+// cache key is the SQL text, so a repeated text skips the parser and
+// planner entirely — a cache hit legitimately reports parse_us =
+// plan_us = 0.
 func (ss *session) query(ctx context.Context, sqlText string, tm *proto.Timing) proto.Response {
 	s := ss.srv
 	if ent, ok := s.cache.get(sqlText); ok {
@@ -580,41 +565,9 @@ func (ss *session) query(ctx context.Context, sqlText string, tm *proto.Timing) 
 		s.m.failure(proto.ErrKindSyntax)
 		return errResp(proto.ErrKindSyntax, err.Error())
 	}
-	ent, evicted := s.cache.put(&stmtEntry{sqlText: sqlText, fp: sqlpkg.Fingerprint(stmt), id: s.nextStmt.Add(1), eng: eng, q: q})
+	ent, evicted := s.cache.put(&stmtEntry{sqlText: sqlText, fp: sqlpkg.Fingerprint(stmt), eng: eng, q: q})
 	s.cacheAccount(evicted)
 	return ss.exec(ctx, ent, tm)
-}
-
-// prepare parses and plans once, returning a statement ID for exec.
-func (ss *session) prepare(sqlText string) proto.Response {
-	s := ss.srv
-	if ent, ok := s.cache.get(sqlText); ok {
-		s.m.cacheHits.Inc()
-		return proto.Response{OK: true, Stmt: ent.id}
-	}
-	s.m.cacheMisses.Inc()
-	stmt, err := sqlpkg.Parse(sqlText)
-	if err != nil {
-		s.m.failure(proto.ErrKindSyntax)
-		return errResp(proto.ErrKindSyntax, err.Error())
-	}
-	if stmt.Explain {
-		s.m.failure(proto.ErrKindSyntax)
-		return errResp(proto.ErrKindSyntax, "cannot prepare an EXPLAIN statement")
-	}
-	tbl, err := s.db.Table(stmt.Table)
-	if err != nil {
-		s.m.failure(proto.ErrKindNoTable)
-		return errResp(proto.ErrKindNoTable, err.Error())
-	}
-	q, err := sqlpkg.Plan(stmt, tbl.Executor().Table())
-	if err != nil {
-		s.m.failure(proto.ErrKindSyntax)
-		return errResp(proto.ErrKindSyntax, err.Error())
-	}
-	ent, evicted := s.cache.put(&stmtEntry{sqlText: sqlText, fp: sqlpkg.Fingerprint(stmt), id: s.nextStmt.Add(1), eng: tbl.Executor(), q: q})
-	s.cacheAccount(evicted)
-	return proto.Response{OK: true, Stmt: ent.id}
 }
 
 // exec runs a cached plan under the request context (derived from the

@@ -103,90 +103,34 @@ func TestQueryMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestPrepareExec covers the prepared-statement path end to end,
-// including the transparent cache hit for identical query text and the
-// hit/miss counters on the DB registry.
-func TestPrepareExec(t *testing.T) {
+// TestRepeatedQueryHitsStmtCache checks the statement cache end to end:
+// the first query of a text parses and plans, a repeat of the same text is
+// served from the cache, and both answers match the in-process engine.
+func TestRepeatedQueryHitsStmtCache(t *testing.T) {
 	db := testDB(t, 20000)
 	defer db.Close()
 	srv := startServer(t, db, server.Options{})
 	c := dial(t, srv)
 
-	hits := db.Metrics().Counter("adskip_server_stmt_cache_hits_total", "Requests served from the prepared-statement cache.")
-	misses := db.Metrics().Counter("adskip_server_stmt_cache_misses_total", "Requests that had to parse and plan.")
+	hits := db.Metrics().Counter("adskip_server_stmt_cache_hits_total", "")
+	misses := db.Metrics().Counter("adskip_server_stmt_cache_misses_total", "")
 
 	const q = "SELECT COUNT(*) FROM data WHERE v BETWEEN 1000 AND 1006"
-	id, err := c.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if misses.Load() == 0 {
-		t.Fatal("prepare did not count a cache miss")
-	}
 	want, err := db.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		res, err := c.Exec(id)
+		res, err := c.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Count != want.Count {
-			t.Fatalf("exec %d: count %d, want %d", i, res.Count, want.Count)
+			t.Fatalf("query %d: count %d, want %d", i, res.Count, want.Count)
 		}
 	}
-	// Same SQL text as plain query text: served from the cache.
-	before := hits.Load()
-	if _, err := c.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	if hits.Load() <= before {
-		t.Fatal("identical query text did not hit the statement cache")
-	}
-	// Re-preparing the same text returns the same ID.
-	id2, err := c.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id2 != id {
-		t.Fatalf("re-prepare issued a new ID: %d then %d", id, id2)
-	}
-}
-
-// TestStmtCacheEviction bounds the cache and proves exec-after-evict
-// fails with the stable no_stmt kind (the client's cue to re-prepare).
-func TestStmtCacheEviction(t *testing.T) {
-	db := testDB(t, 2000)
-	defer db.Close()
-	srv := startServer(t, db, server.Options{StmtCacheSize: 2})
-	c := dial(t, srv)
-
-	mk := func(lo int) string {
-		return fmt.Sprintf("SELECT COUNT(*) FROM data WHERE v BETWEEN %d AND %d", lo, lo+6)
-	}
-	first, err := c.Prepare(mk(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Prepare(mk(100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Prepare(mk(200)); err != nil { // evicts the first
-		t.Fatal(err)
-	}
-	_, err = c.Exec(first)
-	var se *client.ServerError
-	if !errors.As(err, &se) || se.Kind != proto.ErrKindNoStmt {
-		t.Fatalf("exec of evicted statement: err=%v, want ServerError kind %q", err, proto.ErrKindNoStmt)
-	}
-	ev := db.Metrics().Counter("adskip_server_stmt_cache_evictions_total", "Prepared statements evicted by the LRU.")
-	if ev.Load() == 0 {
-		t.Fatal("eviction not counted")
-	}
-	// The connection survives the error.
-	if _, err := c.Query(mk(200)); err != nil {
-		t.Fatalf("connection unusable after no_stmt error: %v", err)
+	if m, h := misses.Load(), hits.Load(); m != 1 || h != 2 {
+		t.Fatalf("three queries of one text: %d misses, %d hits; want 1 and 2", m, h)
 	}
 }
 
@@ -220,31 +164,50 @@ func TestCatalogSorted(t *testing.T) {
 	}
 }
 
-// TestErrorKeepsConnectionUsable sends a stream of failing requests and
-// checks each gets a typed error and the session keeps serving.
+// TestErrorKeepsConnectionUsable sends a stream of failing request frames
+// and checks each gets a typed error and the session keeps serving.
+// "prepare" and "exec" are not ops of the protocol: the statement cache is
+// reached only through "query".
 func TestErrorKeepsConnectionUsable(t *testing.T) {
 	db := testDB(t, 2000)
 	defer db.Close()
 	srv := startServer(t, db, server.Options{})
-	c := dial(t, srv)
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	send := func(frame string) proto.Decoded {
+		t.Helper()
+		if err := proto.WriteFrame(conn, []byte(frame)); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := proto.ReadFrame(conn, proto.MaxFrameDefault)
+		if err != nil {
+			t.Fatalf("%s: %v", frame, err)
+		}
+		resp, err := proto.DecodeResponse(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", frame, err)
+		}
+		return resp
+	}
 
-	cases := []struct {
-		run  func() error
-		kind string
-	}{
-		{func() error { _, err := c.Query("SELEKT nope"); return err }, proto.ErrKindSyntax},
-		{func() error { _, err := c.Query("SELECT COUNT(*) FROM missing"); return err }, proto.ErrKindNoTable},
-		{func() error { _, err := c.Exec(99999); return err }, proto.ErrKindNoStmt},
-		{func() error { _, err := c.Prepare("EXPLAIN SELECT COUNT(*) FROM data"); return err }, proto.ErrKindSyntax},
+	cases := []struct{ frame, kind string }{
+		{`{"op":"query","sql":"SELEKT nope"}`, proto.ErrKindSyntax},
+		{`{"op":"query","sql":"SELECT COUNT(*) FROM missing"}`, proto.ErrKindNoTable},
+		{`{"op":"prepare","sql":"SELECT 1"}`, proto.ErrKindBadOp},
+		{`{"op":"prepare","sql":"EXPLAIN SELECT COUNT(*) FROM data"}`, proto.ErrKindBadOp},
+		{`{"op":"exec","stmt":1}`, proto.ErrKindBadOp},
 	}
 	for _, tc := range cases {
-		err := tc.run()
-		var se *client.ServerError
-		if !errors.As(err, &se) || se.Kind != tc.kind {
-			t.Fatalf("err=%v, want ServerError kind %q", err, tc.kind)
+		if resp := send(tc.frame); resp.OK || resp.ErrKind != tc.kind {
+			t.Fatalf("%s: response %+v, want error kind %q", tc.frame, resp.Response, tc.kind)
 		}
-		if _, err := c.Query("SELECT COUNT(*) FROM data"); err != nil {
-			t.Fatalf("connection dead after %q error: %v", tc.kind, err)
+		resp := send(`{"op":"query","sql":"SELECT COUNT(*) FROM data"}`)
+		if !resp.OK || resp.Result == nil || resp.Result.Count != 2000 {
+			t.Fatalf("connection broken after %s: %+v", tc.frame, resp.Response)
 		}
 	}
 }
@@ -749,7 +712,7 @@ func TestDisconnectDuringShortQuery(t *testing.T) {
 // TestManyConnections drives the server from many clients at once, each
 // sending a fixed number of requests, and checks what only concurrent load
 // shows: every answer right with zero errors, the statement cache and the
-// connection gauges, the re-prepare path under eviction, the timing
+// connection gauges, LRU eviction under load, the timing
 // invariants on every response, and shard pruning behind the wire.
 func TestManyConnections(t *testing.T) {
 	const rows = 20000
@@ -774,12 +737,12 @@ func TestManyConnections(t *testing.T) {
 			t.Errorf("adskip_server_connections_total = %d, want 64", n)
 		}
 	})
-	t.Run("prepared_under_eviction", func(t *testing.T) {
+	t.Run("eviction", func(t *testing.T) {
 		db := testDB(t, rows)
 		defer db.Close()
 		srv := startServer(t, db, server.Options{StmtCacheSize: 8})
 		qs, want := rangeTemplates(t, db, 32, rows)
-		load{conns: 12, requests: 32, templates: qs, want: want, prepared: true}.run(t, srv)
+		load{conns: 12, requests: 32, templates: qs, want: want}.run(t, srv)
 		if db.Metrics().Counter("adskip_server_stmt_cache_evictions_total", "").Load() == 0 {
 			t.Error("32 templates never evicted from an 8-entry statement cache")
 		}
@@ -841,7 +804,6 @@ type load struct {
 	conns, requests int
 	templates       []string
 	want            []int // each template's answer, checked on every response
-	prepared        bool  // prepare a template on first use, then exec it by ID
 	timing          bool  // ask for the server's latency breakdown
 	// check, when set, sees every result beside its client-observed round trip.
 	check func(res *proto.Result, rtt time.Duration) error
@@ -897,11 +859,10 @@ func (l load) run(t *testing.T, srv *server.Server) {
 
 func (l load) worker(c *client.Client, rng *rand.Rand) error {
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(l.templates)-1))
-	stmts := make(map[int]uint64) // template -> prepared statement ID
 	for r := 0; r < l.requests; r++ {
 		i := int(zipf.Uint64())
 		start := time.Now()
-		res, err := l.send(c, stmts, i)
+		res, err := c.Query(l.templates[i])
 		rtt := time.Since(start)
 		if err != nil {
 			return fmt.Errorf("%s: %w", l.templates[i], err)
@@ -916,28 +877,4 @@ func (l load) worker(c *client.Client, rng *rand.Rand) error {
 		}
 	}
 	return nil
-}
-
-// send answers template i once: by its text, or by prepared statement ID,
-// preparing again whenever the statement cache has evicted it.
-func (l load) send(c *client.Client, stmts map[int]uint64, i int) (*proto.Result, error) {
-	if !l.prepared {
-		return c.Query(l.templates[i])
-	}
-	for {
-		id, ok := stmts[i]
-		if !ok {
-			var err error
-			if id, err = c.Prepare(l.templates[i]); err != nil {
-				return nil, err
-			}
-			stmts[i] = id
-		}
-		res, err := c.Exec(id)
-		var se *client.ServerError
-		if !errors.As(err, &se) || se.Kind != proto.ErrKindNoStmt {
-			return res, err
-		}
-		delete(stmts, i)
-	}
 }

@@ -8,31 +8,27 @@ import (
 	"adskip/internal/sql"
 )
 
-// stmtEntry is one cached prepared statement: the SQL text it was built
-// from, the executor it binds to (an engine, or a shard manager on a
-// sharded DB), and the planned query. Planning resolves
-// columns by name, so a cached plan stays valid across appends; schema
-// is immutable per table, so it cannot go stale.
+// stmtEntry is one cached statement: the SQL text it was built from, the
+// executor it binds to (an engine, or a shard manager on a sharded DB),
+// and the planned query. Planning resolves columns by name, so a cached
+// plan stays valid across appends; schema is immutable per table, so it
+// cannot go stale.
 type stmtEntry struct {
 	sqlText string
 	fp      string // query fingerprint; workload attribution key
-	id      uint64
 	eng     sql.Executor
 	q       engine.Query
 }
 
-// stmtCache is the server-wide prepared-statement cache: an LRU keyed by
-// SQL text, with a secondary index by statement ID for the exec op. It
-// is shared across sessions so a hot query template parsed by one
-// connection is a cache hit for every other. Plain "query" requests
-// consult it too — the cache is what lets hot point/range templates skip
-// the parser entirely, whether or not the client bothered to prepare.
+// stmtCache is the server-wide statement cache: an LRU keyed by SQL
+// text, which every "query" request consults first. It is shared across
+// sessions, so a hot query text parsed by one connection is a cache hit
+// for every other.
 type stmtCache struct {
 	mu    sync.Mutex
 	max   int
 	order *list.List // front = most recently used; values are *stmtEntry
 	bySQL map[string]*list.Element
-	byID  map[uint64]*list.Element
 }
 
 func newStmtCache(max int) *stmtCache {
@@ -40,7 +36,6 @@ func newStmtCache(max int) *stmtCache {
 		max:   max,
 		order: list.New(),
 		bySQL: make(map[string]*list.Element),
-		byID:  make(map[uint64]*list.Element),
 	}
 }
 
@@ -56,24 +51,10 @@ func (c *stmtCache) get(sqlText string) (*stmtEntry, bool) {
 	return el.Value.(*stmtEntry), true
 }
 
-// getID returns the entry for a prepared-statement ID, promoting it. A
-// miss means the ID was never issued or its entry was evicted; the
-// client must re-prepare.
-func (c *stmtCache) getID(id uint64) (*stmtEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byID[id]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*stmtEntry), true
-}
-
 // put inserts an entry, evicting from the LRU tail if the cache is full,
 // and reports how many entries were evicted by this insert. If the SQL
 // text is already cached (raced by two sessions), the existing entry
-// wins and is returned, keeping IDs stable.
+// wins and is returned.
 func (c *stmtCache) put(ent *stmtEntry) (*stmtEntry, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,12 +71,10 @@ func (c *stmtCache) put(ent *stmtEntry) (*stmtEntry, int) {
 		old := tail.Value.(*stmtEntry)
 		c.order.Remove(tail)
 		delete(c.bySQL, old.sqlText)
-		delete(c.byID, old.id)
 		evicted++
 	}
 	el := c.order.PushFront(ent)
 	c.bySQL[ent.sqlText] = el
-	c.byID[ent.id] = el
 	return ent, evicted
 }
 

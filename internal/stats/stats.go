@@ -48,7 +48,7 @@ type Sample struct {
 	Fingerprint  string
 	Table        string
 	Err          bool // the query failed; only Latency is aggregated
-	CacheHit     bool // served from a prepared-statement / plan cache
+	CacheHit     bool // served from a statement cache
 	Latency      time.Duration
 	RowsRead     int64 // rows actually examined after pruning
 	RowsReturned int64 // rows (or groups) in the result
