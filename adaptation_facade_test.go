@@ -343,3 +343,40 @@ func TestAdaptationSharded(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainAnalyzeLedgerFooter: once the table has ledger activity,
+// EXPLAIN ANALYZE gains the ledger footer with the table's totals and the
+// template behind the last split — rendered once by the front door, so a
+// sharded table shows it too.
+func TestExplainAnalyzeLedgerFooter(t *testing.T) {
+	const q = "SELECT COUNT(*) FROM data WHERE v BETWEEN 5000 AND 5200"
+	const fp = "SELECT COUNT(*) FROM data WHERE v BETWEEN ? AND ?"
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, _ := adaptationDB(t, shards)
+			var lines []string
+			for i := 0; i < 12; i++ {
+				var err error
+				if lines, _, err = db.ExplainAnalyze(context.Background(), q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var footers []string
+			for _, l := range lines {
+				if strings.HasPrefix(l, "ledger: ") {
+					footers = append(footers, l)
+				}
+			}
+			if len(footers) != 1 {
+				t.Fatalf("%d ledger footers, want 1, in:\n%s", len(footers), strings.Join(lines, "\n"))
+			}
+			footer := footers[0]
+			if !strings.Contains(footer, "adaptation events") || !strings.Contains(footer, "splits)") {
+				t.Fatalf("ledger footer malformed: %q", footer)
+			}
+			if !strings.Contains(footer, "last split") || !strings.Contains(footer, fp) {
+				t.Fatalf("ledger footer lost split provenance: %q", footer)
+			}
+		})
+	}
+}

@@ -267,7 +267,7 @@ type DB struct {
 	opts      Options
 	reg       *obs.Registry
 	ledger    *obs.Ledger
-	admission *engine.Admission
+	admission *admission
 	traces    *obs.TraceRing
 
 	// mu guards the catalog and the telemetry handle: the telemetry
@@ -305,11 +305,11 @@ func Open(opts Options) *DB {
 		engines:   make(map[string]executor),
 		reg:       obs.NewRegistry(),
 		ledger:    obs.NewLedger(0),
-		admission: engine.NewAdmission(opts.MaxConcurrentQueries),
+		admission: newAdmission(opts.MaxConcurrentQueries),
 		traces:    obs.NewTraceRing(obs.DefaultTraceRingSize),
 	}
 	db.reg.GaugeFunc("adskip_admission_waiting",
-		"Queries waiting for an execution slot (MaxConcurrentQueries).", db.admission.Waiting)
+		"Queries waiting for an execution slot (MaxConcurrentQueries).", db.admission.queued)
 	db.stats = stats.New(stats.Options{Registry: db.reg})
 	// A durable DB starts in recovering state: mutations are not durable
 	// (and servers should refuse them) until Recover has replayed the log
@@ -318,9 +318,9 @@ func Open(opts Options) *DB {
 	return db
 }
 
-// engineOptions maps DB options onto per-table engine options. All tables
-// share the DB's trace ring, so /traces and DB.Traces interleave queries
-// across the whole catalog in arrival order.
+// engineOptions maps DB options onto per-table engine options. Every
+// table's engines share the DB's registry and ledger; admission, workload
+// attribution and trace retention are the front door's (door.go).
 func (db *DB) engineOptions() engine.Options {
 	return engine.Options{
 		Policy:         db.opts.Policy,
@@ -330,15 +330,13 @@ func (db *DB) engineOptions() engine.Options {
 		Metrics:        db.reg,
 		Ledger:         db.ledger,
 		Limits:         db.opts.Limits,
-		Admission:      db.admission,
-		Traces:         db.traces,
 		Logger:         db.opts.Logger,
-		Stats:          db.stats,
 	}
 }
 
 // Traces returns the most recent query traces across all tables,
-// oldest-first (a ring of the last obs.DefaultTraceRingSize).
+// oldest-first (a ring of the last obs.DefaultTraceRingSize): one per
+// logical query, in the order the queries completed.
 func (db *DB) Traces() []*QueryTrace { return db.traces.Snapshot() }
 
 // Workload returns the per-template workload statistics: the top-k query
@@ -469,7 +467,7 @@ func (db *DB) ExplainAnalyze(ctx context.Context, query string) ([]string, *Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.ExplainAnalyzeContext(obs.WithTemplate(ctx, sql.Fingerprint(stmt)), q)
+	return door{e, db}.ExplainAnalyzeContext(obs.WithTemplate(ctx, sql.Fingerprint(stmt)), q)
 }
 
 // lookup resolves a table name to its executor under the catalog lock.
@@ -628,7 +626,7 @@ func (db *DB) CreateTable(name string, cols ...ColumnDef) (*Table, error) {
 	if err := db.register(name, e); err != nil {
 		return nil, err
 	}
-	return &Table{eng: e}, nil
+	return &Table{db: db, eng: e}, nil
 }
 
 // newExecutor builds the execution stack for a table: a single engine,
@@ -660,7 +658,7 @@ func (db *DB) Table(name string) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
-	return &Table{eng: e}, nil
+	return &Table{db: db, eng: e}, nil
 }
 
 // TableNames lists the catalog in lexicographic order.
@@ -694,7 +692,7 @@ func (db *DB) ExecContext(ctx context.Context, query string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, stmt.Table)
 	}
-	return sql.ExecParsedContext(ctx, e, stmt)
+	return sql.ExecParsedContext(ctx, door{e, db}, stmt)
 }
 
 // SaveTable serializes a table snapshot to w (binary, checksummed).
@@ -723,7 +721,7 @@ func (db *DB) LoadTable(r io.Reader) (*Table, error) {
 	if err := db.register(tbl.Name(), e); err != nil {
 		return nil, err
 	}
-	return &Table{eng: e}, nil
+	return &Table{db: db, eng: e}, nil
 }
 
 // CSVOptions re-exports the table layer's CSV ingest options.
@@ -746,12 +744,14 @@ func (db *DB) LoadCSV(name string, r io.Reader, opts CSVOptions) (*Table, error)
 	if err := db.register(name, e); err != nil {
 		return nil, err
 	}
-	return &Table{eng: e}, nil
+	return &Table{db: db, eng: e}, nil
 }
 
 // Table is a handle to one table and its execution stack (a single query
-// engine, or a shard manager when the DB is sharded).
+// engine, or a shard manager when the DB is sharded). Its queries enter
+// through the DB's front door.
 type Table struct {
+	db  *DB
 	eng executor
 }
 
@@ -832,16 +832,18 @@ func (t *Table) EnableSkipping(cols ...string) error { return t.eng.EnableSkippi
 // SkipperInfo reports per-column metadata state.
 func (t *Table) SkipperInfo() map[string]SkipperInfo { return t.eng.SkipperMetadata() }
 
-// Query executes an engine-level query directly (advanced API; most
-// callers use DB.Exec with SQL).
+// Query executes an engine-level query (advanced API; most callers use
+// DB.Exec with SQL). Like a SQL query it is admitted, and its trace is
+// retained in DB.Traces.
 func (t *Table) Query(q engine.Query) (*Result, error) {
-	return t.eng.QueryContext(context.Background(), q)
+	return t.db.query(context.Background(), t.eng, q)
 }
 
 // QueryContext is Query under a context: cancellation and deadlines take
-// effect at cooperative scan checkpoints.
+// effect at cooperative scan checkpoints, and a template fingerprint on
+// ctx attributes the query to that template in DB.Workload.
 func (t *Table) QueryContext(ctx context.Context, q engine.Query) (*Result, error) {
-	return t.eng.QueryContext(ctx, q)
+	return t.db.query(ctx, t.eng, q)
 }
 
 // Quarantined reports columns whose skipping metadata was pulled from
@@ -862,14 +864,17 @@ func (t *Table) VerifySkipping(cols ...string) error { return t.eng.VerifySkippi
 
 // Engine exposes the underlying engine for advanced integration (the
 // experiment harness uses it). Returns nil on a sharded table, whose
-// rows are spread across per-shard engines — use Executor instead.
+// rows are spread across per-shard engines — use Executor instead. Like
+// Executor, it is behind the front door.
 func (t *Table) Engine() *engine.Engine {
 	e, _ := t.eng.(*engine.Engine)
 	return e
 }
 
 // Executor exposes the table's execution stack — an *engine.Engine or a
-// sharded scatter-gather manager — behind the sql.Executor surface.
+// sharded scatter-gather manager — behind the sql.Executor surface. It is
+// the raw executor, behind the front door: queries sent through it are
+// not admitted, attributed to a template, or retained in DB.Traces.
 func (t *Table) Executor() sql.Executor { return t.eng }
 
 // toValue converts a native Go value to a typed Value for the target

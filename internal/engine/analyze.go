@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"adskip/internal/obs"
 )
@@ -21,56 +20,16 @@ func (e *Engine) ExplainAnalyze(q Query) ([]string, *Result, error) {
 	return e.ExplainAnalyzeContext(context.Background(), q)
 }
 
-// ExplainAnalyzeContext is ExplainAnalyze under a caller context. When
-// the context carries a template fingerprint and workload stats are on,
-// the execution is attributed like any other query and the rendering
-// gains a workload footer: the template's cumulative call count and
-// latency, so an analyzed query shows where it sits in the workload.
+// ExplainAnalyzeContext is ExplainAnalyze under a caller context. The
+// workload and ledger footers are not the engine's: the adskip facade
+// renders them once per logical query, over an engine or a shard manager
+// alike.
 func (e *Engine) ExplainAnalyzeContext(ctx context.Context, q Query) ([]string, *Result, error) {
 	res, err := e.QueryContext(ctx, q)
 	if err != nil {
 		return nil, nil, err
 	}
-	lines := AnalyzeLines(res, true)
-	if wl := e.workloadLine(res.Trace); wl != "" {
-		lines = append(lines, wl)
-	}
-	if ll := e.ledgerLine(); ll != "" {
-		lines = append(lines, ll)
-	}
-	return lines, res, nil
-}
-
-// workloadLine renders the per-template footer, or "" when the query was
-// not attributed (no stats table, or no fingerprint on the context).
-func (e *Engine) workloadLine(tr *obs.QueryTrace) string {
-	if e.stats == nil || tr == nil || tr.Fingerprint == "" {
-		return ""
-	}
-	ts, ok := e.stats.Template(tr.Fingerprint)
-	if !ok {
-		return ""
-	}
-	return fmt.Sprintf("workload: template %q — %d calls (%d errors, %d cache hits), mean %.0fµs, p95 %.0fµs, %.1f%% rows skipped",
-		ts.Fingerprint, ts.Calls, ts.Errors, ts.CacheHits, ts.MeanUS, ts.P95US, 100*ts.SkipRatio)
-}
-
-// ledgerLine renders the adaptation-ledger footer: the table's lifetime
-// ledger totals (events since the table was loaded, split count, and the
-// template behind the most recent split), or "" before any ledger
-// activity. Shown next to the workload footer so an analyzed query also
-// reports how much structural churn its table has seen.
-func (e *Engine) ledgerLine() string {
-	lt := e.ledger.Totals(e.tbl.Name())
-	if lt.Events == 0 {
-		return ""
-	}
-	line := fmt.Sprintf("ledger: %d adaptation events (%d splits)", lt.Events, lt.Splits)
-	if !lt.LastSplit.IsZero() {
-		line += fmt.Sprintf(", last split %s ago by %q",
-			time.Since(lt.LastSplit).Round(time.Millisecond), lt.LastSplitCause)
-	}
-	return line
+	return AnalyzeLines(res, true), res, nil
 }
 
 // AnalyzeLines renders an executed query's trace in EXPLAIN ANALYZE form.

@@ -18,7 +18,6 @@ import (
 	"adskip/internal/faultinject"
 	"adskip/internal/imprint"
 	"adskip/internal/obs"
-	"adskip/internal/stats"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 	"adskip/internal/wal"
@@ -64,7 +63,10 @@ func ParsePolicy(name string) (Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q (want %s)", name, strings.Join(policyNames[:], "|"))
 }
 
-// Options configures an Engine.
+// Options configures an Engine. An engine executes queries and keeps its
+// own metrics; admitting a query, attributing it to a template and
+// retaining its trace belong to the adskip facade's front door, which does
+// each once per logical query, over an engine or a shard manager alike.
 type Options struct {
 	// Policy is the skipping policy for columns registered with
 	// EnableSkipping.
@@ -95,27 +97,11 @@ type Options struct {
 	// Limits bounds each query's resource consumption (zero value = no
 	// limits). Enforced at cooperative checkpoints; see Limits.
 	Limits Limits
-	// Admission, when non-nil, bounds the number of concurrently
-	// executing queries. Share one controller across engines (the DB
-	// facade does) to bound catalog-wide concurrency.
-	Admission *Admission
-	// Traces receives every completed query trace. Nil retains none: each
-	// result still carries its own trace. Share one ring across engines
-	// (the DB facade does) so the telemetry server sees catalog-wide
-	// history.
-	Traces *obs.TraceRing
 	// Logger receives structured log events: quarantines (warn) and
 	// adaptation milestones — skipper built/loaded/rebuilt and
 	// arbitration flips at info, per-zone splits/merges at debug. Nil
 	// disables logging entirely.
 	Logger *slog.Logger
-	// Stats, when non-nil, receives one workload sample per query that
-	// arrived with a template fingerprint on its context (see
-	// obs.WithTemplate). Share one table across engines (the DB facade
-	// does) for a catalog-wide workload view. Queries without a
-	// fingerprint — direct engine API callers, benchmarks — skip the
-	// attribution path entirely.
-	Stats *stats.Table
 	// Shard is this engine's 1-based shard number when it is one shard of
 	// a sharded table (see internal/shard). 0 (the default) means the
 	// engine owns the whole table. A sharded engine labels every metric
@@ -162,9 +148,7 @@ type Engine struct {
 	m      engMetrics
 	colM   map[string]*colMetrics
 	trace  *obs.QueryTrace
-	traces *obs.TraceRing // nil: retain none
 	log    *slog.Logger
-	stats  *stats.Table
 
 	// wal, when armed via SetWAL, makes appends and updates durable:
 	// mutations are logged (group-committed) before they touch the
@@ -199,11 +183,9 @@ func New(tbl *table.Table, opts Options) *Engine {
 	if e.ledger == nil {
 		e.ledger = obs.NewLedger(0)
 	}
-	e.traces = opts.Traces
 	e.m = newEngMetrics(e.reg, tbl.Name(), opts.Shard)
 	e.colM = make(map[string]*colMetrics)
 	e.log = opts.Logger
-	e.stats = opts.Stats
 	return e
 }
 
@@ -229,10 +211,6 @@ func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // Ledger returns the adaptation ledger this engine journals into.
 func (e *Engine) Ledger() *obs.Ledger { return e.ledger }
-
-// WorkloadStats returns the per-template workload table this engine
-// records into, or nil when workload analytics is off.
-func (e *Engine) WorkloadStats() *stats.Table { return e.stats }
 
 // EnableSkipping builds skipping metadata for the named columns (all
 // columns when none are named) according to the engine's policy. String

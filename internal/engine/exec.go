@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"runtime/pprof"
 	"time"
 
 	"adskip/internal/bitvec"
@@ -109,44 +108,10 @@ func (e *Engine) QueryContext(ctx context.Context, q Query) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Workload attribution: only when stats are on AND the context
-	// carries a template fingerprint. The common benchmark/harness path
-	// (no fingerprint) pays one nil check and one context lookup at most.
-	if e.stats != nil {
-		if fp := obs.TemplateFromContext(ctx); fp != "" {
-			start := time.Now()
-			var (
-				res *Result
-				err error
-			)
-			pprof.Do(ctx, pprof.Labels(
-				"query_template", fp,
-				"session", obs.SessionFromContext(ctx),
-			), func(ctx context.Context) {
-				res, err = e.queryAdmitted(ctx, q)
-			})
-			if err != nil {
-				e.recordWorkloadError(fp, obs.PlanCachedFromContext(ctx), start)
-			}
-			return res, err
-		}
-	}
-	return e.queryAdmitted(ctx, q)
-}
-
-// queryAdmitted is QueryContext past validation and workload attribution:
-// admission control, the quarantine-retry loop, and terminal error
-// accounting.
-func (e *Engine) queryAdmitted(ctx context.Context, q Query) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		e.m.canceled.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, context.Cause(ctx))
 	}
-	if err := e.opts.Admission.acquire(ctx); err != nil {
-		e.m.canceled.Inc()
-		return nil, err
-	}
-	defer e.opts.Admission.release()
 	e.m.inflight.Add(1)
 	defer e.m.inflight.Add(-1)
 

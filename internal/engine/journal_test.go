@@ -22,8 +22,7 @@ import (
 // records counted or projected, never a second log.
 func TestOneJournal(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
-	traces := obs.NewTraceRing(0)
-	e := New(tb, Options{Policy: PolicyAdaptive, Traces: traces, Adaptive: adaptive.Config{
+	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
 		InitialZoneRows: 512, MinZoneRows: 32, SplitParts: 4,
 	}})
 	if err := e.EnableSkipping("a", "b"); err != nil {
@@ -118,7 +117,7 @@ func TestOneJournal(t *testing.T) {
 
 	// /adaptation is the journal, projected.
 	srv, err := telemetry.Start("", telemetry.Source{
-		Registry: e.Metrics(), Traces: traces,
+		Registry: e.Metrics(), Traces: obs.NewTraceRing(0),
 		Adaptation: func(maxDead int) obs.AdaptationSnapshot {
 			return obs.AdaptationSnapshot{
 				Total: e.Ledger().Seq(), Dropped: e.Ledger().Dropped(),

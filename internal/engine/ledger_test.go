@@ -104,41 +104,6 @@ func TestLedgerSplitProvenance(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeLedgerFooter: once the table has ledger activity,
-// EXPLAIN ANALYZE gains the ledger footer with totals and the template
-// behind the last split.
-func TestExplainAnalyzeLedgerFooter(t *testing.T) {
-	e := adaptiveLedgerEngine(t, obs.NewLedger(0))
-	ctx := obs.WithTemplate(context.Background(), ledgerFP)
-	q := Query{
-		Where: expr.And(intPred("a", expr.Between, 5000, 5200)),
-		Aggs:  []Agg{{Kind: CountStar}},
-	}
-	var lines []string
-	for i := 0; i < 12; i++ {
-		var err error
-		lines, _, err = e.ExplainAnalyzeContext(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	var footer string
-	for _, l := range lines {
-		if strings.HasPrefix(l, "ledger: ") {
-			footer = l
-		}
-	}
-	if footer == "" {
-		t.Fatalf("no ledger footer in:\n%s", strings.Join(lines, "\n"))
-	}
-	if !strings.Contains(footer, "adaptation events") || !strings.Contains(footer, "splits)") {
-		t.Fatalf("ledger footer malformed: %q", footer)
-	}
-	if !strings.Contains(footer, `last split`) || !strings.Contains(footer, ledgerFP) {
-		t.Fatalf("ledger footer lost split provenance: %q", footer)
-	}
-}
-
 // TestExplainAnalyzeWhyNotSkipped: a predicate that straddles a zone
 // boundary leaves unpruned zones, and the trace classifies each miss —
 // rendered as the "not skipped" reason line.

@@ -231,12 +231,6 @@ func (e *Engine) finishTrace(res *Result, tr *obs.QueryTrace, plans []colPlan, n
 		tr.Predicates[0].Matched = res.Count
 	}
 	res.Trace = tr
-	if e.traces != nil {
-		e.traces.Append(tr)
-	}
-	if e.stats != nil && tr.Fingerprint != "" {
-		e.recordWorkload(res, tr, plans)
-	}
 
 	e.m.queries.Inc()
 	e.m.rowsScanned.Add(int64(res.Stats.RowsScanned))

@@ -202,69 +202,6 @@ func firstWorkerError(errs []error) error {
 	return first
 }
 
-// Admission bounds the number of concurrently executing queries across
-// the engines that share it. A nil *Admission admits everything.
-type Admission struct {
-	sem     chan struct{}
-	waiting atomic.Int64
-}
-
-// NewAdmission returns an admission controller allowing n concurrent
-// queries, or nil (unbounded) when n <= 0.
-func NewAdmission(n int) *Admission {
-	if n <= 0 {
-		return nil
-	}
-	return &Admission{sem: make(chan struct{}, n)}
-}
-
-// acquire takes an execution slot, waiting until one frees or ctx is
-// done.
-func (a *Admission) acquire(ctx context.Context) error {
-	if a == nil {
-		return nil
-	}
-	select {
-	case a.sem <- struct{}{}:
-		return nil
-	default:
-	}
-	// Only the blocked path maintains the queue-depth gauge: admitted
-	// queries pay nothing beyond the channel send above.
-	a.waiting.Add(1)
-	defer a.waiting.Add(-1)
-	select {
-	case a.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("%w while waiting for admission: %v", ErrCanceled, context.Cause(ctx))
-	}
-}
-
-// Acquire takes an execution slot, waiting until one frees or ctx is
-// done. Exported for composite executors (the shard manager) that admit
-// one logical query before fanning it out to per-shard engines.
-func (a *Admission) Acquire(ctx context.Context) error { return a.acquire(ctx) }
-
-// Release returns an execution slot taken with Acquire.
-func (a *Admission) Release() { a.release() }
-
-// Waiting reports how many queries are currently blocked waiting for an
-// execution slot. Zero for a nil (unbounded) controller.
-func (a *Admission) Waiting() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.waiting.Load()
-}
-
-// release returns an execution slot.
-func (a *Admission) release() {
-	if a != nil {
-		<-a.sem
-	}
-}
-
 // quarantineRecord remembers why and when a column's skipper was pulled
 // from service.
 type quarantineRecord struct {

@@ -203,29 +203,6 @@ func TestLimitsMaxResultRows(t *testing.T) {
 	}
 }
 
-func TestAdmissionControl(t *testing.T) {
-	tb := buildTable(t, 500, 9)
-	adm := NewAdmission(1)
-	e := New(tb, Options{Policy: PolicyNone, Admission: adm})
-
-	// Occupy the only slot; a query with a short deadline must give up
-	// while waiting for admission, not hang.
-	if err := adm.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	_, err := e.QueryContext(ctx, countQuery("a"))
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err=%v, want ErrCanceled while awaiting admission", err)
-	}
-
-	adm.release()
-	if _, err := e.QueryContext(context.Background(), countQuery("a")); err != nil {
-		t.Fatalf("query after release failed: %v", err)
-	}
-}
-
 // faultySkipper lets tests fail specific skipper entry points, and counts
 // the feedback it receives.
 type faultySkipper struct {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"adskip/internal/adaptive"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -71,5 +72,53 @@ func TestQueryAllocsSameAtBothWidths(t *testing.T) {
 		if math.Abs(nm-wm) > 2 || nb > wb+4096 {
 			t.Errorf("%s: %.1f allocations and %.0f bytes a query on 4-byte columns, %.1f and %.0f on 8-byte ones", tc.name, nm, nb, wm, wb)
 		}
+	}
+}
+
+// TestByteReportsFollowCodeWidth: the two byte figures derived from row
+// counts — a query's bytes scanned (ExecStats.BytesScanned, which the
+// workload sample reports) and a column's bytes skipped — charge the
+// column's physical code width: 4 bytes while every value fits 32 bits, 8
+// once one row (outside every query's range here) does not.
+func TestByteReportsFollowCodeWidth(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		outlier int64
+		width   int
+	}{{"narrow", 1 << 31, 4}, {"wide", 1 << 32, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
+			col, _ := tbl.Column("v")
+			for i := int64(0); i < 1<<14; i++ {
+				col.AppendInt(i)
+			}
+			col.AppendInt(tc.outlier)
+			e := New(tbl, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{InitialZoneRows: 4096, MinZoneRows: 64}})
+			if err := e.EnableSkipping("v"); err != nil {
+				t.Fatal(err)
+			}
+			q := Query{
+				Where: expr.And(expr.MustPred("v", expr.Between, storage.IntValue(5000), storage.IntValue(5200))),
+				Aggs:  []Agg{{Kind: CountStar}},
+			}
+			scanned := 0
+			for i := 0; i < 12; i++ {
+				res, err := e.Query(q)
+				if err != nil || res.Count != 201 {
+					t.Fatalf("count=%d err=%v", res.Count, err)
+				}
+				if res.Stats.BytesScanned != res.Stats.RowsScanned*tc.width {
+					t.Fatalf("query %d: %d bytes scanned for %d rows, want %d a row", i, res.Stats.BytesScanned, res.Stats.RowsScanned, tc.width)
+				}
+				scanned += res.Stats.RowsScanned
+			}
+			if scanned == 0 {
+				t.Fatal("no query scanned a row")
+			}
+			rois := e.AdaptationROI(0)
+			if len(rois) != 1 || rois[0].RowsSkipped == 0 || rois[0].BytesSkipped != rois[0].RowsSkipped*int64(tc.width) {
+				t.Fatalf("ROI %+v, want bytes skipped = rows skipped x %d", rois, tc.width)
+			}
+		})
 	}
 }

@@ -2,15 +2,19 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"testing"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/expr"
 	"adskip/internal/obs"
-	"adskip/internal/stats"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 )
+
+// The engine no longer records workload samples: the facade's front door
+// builds one per logical query from the result's trace and stats alone.
+// These tests pin the engine's half of that contract — every field the
+// sample reads is on the result the engine returns.
 
 func workloadEngine(tb testing.TB, n int64, opts Options) *Engine {
 	tb.Helper()
@@ -35,152 +39,91 @@ func rangeQuery(lo, hi int64) Query {
 }
 
 // TestWorkloadAttribution: a query whose context carries a fingerprint
-// is recorded against that template — latency, row accounting, zone
-// reads vs prunes.
+// returns a trace stamped with that template, and the result carries the
+// totals a workload sample is built from — latency, row accounting, zone
+// reads (the active predicates' windows) vs prunes.
 func TestWorkloadAttribution(t *testing.T) {
-	st := stats.New(stats.Options{})
-	e := workloadEngine(t, 4096, Options{Policy: PolicyAdaptive, Stats: st})
+	e := workloadEngine(t, 4096, Options{Policy: PolicyAdaptive})
 
 	// A partial-zone range: the matching zone cannot be covered, so rows
 	// really scan (COUNT over a fully covered zone would short-circuit).
-	ctx := obs.WithTemplate(context.Background(), "SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?")
+	const fp = "SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?"
+	ctx := obs.WithTemplate(context.Background(), fp)
 	res, err := e.QueryContext(ctx, rangeQuery(10, 300))
 	if err != nil || res.Count != 291 {
 		t.Fatalf("count=%d err=%v", res.Count, err)
 	}
-	ts, ok := st.Template("SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?")
-	if !ok || ts.Calls != 1 {
-		t.Fatalf("template not recorded: ok=%v %+v", ok, ts)
+	tr := res.Trace
+	if tr == nil || tr.Fingerprint != fp || tr.Table != "t" || tr.Total <= 0 {
+		t.Fatalf("trace not attributed: %+v", tr)
 	}
-	if ts.ZonesRead == 0 {
-		t.Fatalf("zone accounting: %+v", ts)
+	zonesRead := 0
+	for _, p := range tr.Predicates {
+		if p.Active {
+			zonesRead += p.Windows
+		}
 	}
-	if ts.RowsRead == 0 || ts.BytesScanned != ts.RowsRead*4 { // v stays a 4-byte code vector
-		t.Fatalf("row accounting: %+v", ts)
+	if zonesRead == 0 || res.Stats.ZonesProbed < zonesRead {
+		t.Fatalf("zone accounting: %d zones read of %d probed", zonesRead, res.Stats.ZonesProbed)
 	}
-	if ts.Fingerprint != res.Trace.Fingerprint {
-		t.Fatalf("trace fingerprint %q != template %q", res.Trace.Fingerprint, ts.Fingerprint)
+	if res.Stats.RowsScanned == 0 || res.Stats.BytesScanned != res.Stats.RowsScanned*4 { // v stays a 4-byte code vector
+		t.Fatalf("row accounting: %+v", res.Stats)
+	}
+	if len(tr.Shards) != 0 || tr.ShardsScanned != 0 {
+		t.Fatalf("unsharded trace names shards: %+v", tr)
 	}
 
-	// Without a fingerprint on the context nothing is recorded.
-	if _, err := e.QueryContext(context.Background(), rangeQuery(10, 300)); err != nil {
+	// Without a fingerprint on the context the trace carries none, and
+	// the front door records nothing for it.
+	res, err = e.QueryContext(context.Background(), rangeQuery(10, 300))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := st.Snapshot("", 0); snap.Recorded != 1 {
-		t.Fatalf("unattributed query was recorded: %+v", snap)
+	if res.Trace.Fingerprint != "" {
+		t.Fatalf("unattributed query stamped %q", res.Trace.Fingerprint)
 	}
 }
 
-// TestWorkloadErrorAttribution: failed executions count as errors on the
-// template without polluting row/zone totals.
+// TestWorkloadErrorAttribution: a failed execution returns an error and no
+// result, so its workload sample can hold no row or zone totals — only
+// the call, the error and the latency. The engine counts it as canceled.
 func TestWorkloadErrorAttribution(t *testing.T) {
-	st := stats.New(stats.Options{})
-	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, StaticZoneSize: 256, Stats: st})
+	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, StaticZoneSize: 256})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ctx = obs.WithTemplate(ctx, "SELECT COUNT(*) FROM t WHERE v < ?")
-	if _, err := e.QueryContext(ctx, rangeQuery(0, 100)); err == nil {
-		t.Fatal("want error from canceled context")
+	res, err := e.QueryContext(ctx, rangeQuery(0, 100))
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	ts, ok := st.Template("SELECT COUNT(*) FROM t WHERE v < ?")
-	if !ok || ts.Errors != 1 || ts.Calls != 1 {
-		t.Fatalf("error attribution: ok=%v %+v", ok, ts)
+	if res != nil {
+		t.Fatalf("failed query returned a result: %+v", res)
 	}
-	if ts.RowsRead != 0 || ts.ZonesRead != 0 {
-		t.Fatalf("error sample polluted scan totals: %+v", ts)
+	if got := e.m.canceled.Load(); got != 1 {
+		t.Fatalf("canceled counter = %d, want 1", got)
 	}
 }
 
-// TestWorkloadCacheHitAttribution: the plan-cached context mark becomes
-// the template's cache-hit counter.
+// TestWorkloadCacheHitAttribution: the plan-cached context mark reaches
+// the trace, which is where the template's cache-hit counter is read.
 func TestWorkloadCacheHitAttribution(t *testing.T) {
-	st := stats.New(stats.Options{})
-	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, StaticZoneSize: 256, Stats: st})
+	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, StaticZoneSize: 256})
 
 	fp := "SELECT COUNT(*) FROM t WHERE v < ?"
 	ctx := obs.WithTemplate(context.Background(), fp)
-	if _, err := e.QueryContext(ctx, rangeQuery(0, 100)); err != nil {
+	res, err := e.QueryContext(ctx, rangeQuery(0, 100))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.QueryContext(obs.WithPlanCached(ctx), rangeQuery(0, 200)); err != nil {
+	if res.Trace.PlanCached {
+		t.Fatal("first execution marked plan-cached")
+	}
+	res, err = e.QueryContext(obs.WithPlanCached(ctx), rangeQuery(0, 200))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ts, _ := st.Template(fp)
-	if ts.Calls != 2 || ts.CacheHits != 1 {
-		t.Fatalf("cache hits = %d of %d calls, want 1 of 2", ts.CacheHits, ts.Calls)
-	}
-}
-
-// BenchmarkQueryAttribution measures the full hot-path cost of workload
-// analytics: the same engine query unattributed (stats off), with a
-// stats table but no fingerprint (the one-nil-check bench path), and
-// fully attributed (pprof labels + Record). The attributed/off delta is
-// the documented overhead — it must stay under 1% of query latency.
-func BenchmarkQueryAttribution(b *testing.B) {
-	const n = 1 << 18
-	q := rangeQuery(0, n/16)
-	run := func(b *testing.B, e *Engine, ctx context.Context) {
-		b.Helper()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.QueryContext(ctx, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) {
-		e := workloadEngine(b, n, Options{Policy: PolicyStatic, StaticZoneSize: 4096})
-		run(b, e, context.Background())
-	})
-	b.Run("enabled-unattributed", func(b *testing.B) {
-		e := workloadEngine(b, n, Options{Policy: PolicyStatic, StaticZoneSize: 4096, Stats: stats.New(stats.Options{})})
-		run(b, e, context.Background())
-	})
-	b.Run("attributed", func(b *testing.B) {
-		e := workloadEngine(b, n, Options{Policy: PolicyStatic, StaticZoneSize: 4096, Stats: stats.New(stats.Options{})})
-		ctx := obs.WithTemplate(context.Background(), "SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?")
-		run(b, e, ctx)
-	})
-}
-
-// TestByteReportsFollowCodeWidth: the two byte figures derived from row
-// counts — a template's bytes scanned and a column's bytes skipped — charge
-// the column's physical code width: 4 bytes while every value fits 32 bits,
-// 8 once one row (outside every query's range here) does not.
-func TestByteReportsFollowCodeWidth(t *testing.T) {
-	const fp = "SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?"
-	for _, tc := range []struct {
-		name    string
-		outlier int64
-		width   int64
-	}{{"narrow", 1 << 31, 4}, {"wide", 1 << 32, 8}} {
-		t.Run(tc.name, func(t *testing.T) {
-			st := stats.New(stats.Options{})
-			tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
-			col, _ := tbl.Column("v")
-			for i := int64(0); i < 1<<14; i++ {
-				col.AppendInt(i)
-			}
-			col.AppendInt(tc.outlier)
-			e := New(tbl, Options{Policy: PolicyAdaptive, Stats: st, Adaptive: adaptive.Config{InitialZoneRows: 4096, MinZoneRows: 64}})
-			if err := e.EnableSkipping("v"); err != nil {
-				t.Fatal(err)
-			}
-			ctx := obs.WithTemplate(context.Background(), fp)
-			for i := 0; i < 12; i++ {
-				if res, err := e.QueryContext(ctx, rangeQuery(5000, 5200)); err != nil || res.Count != 201 {
-					t.Fatalf("count=%d err=%v", res.Count, err)
-				}
-			}
-			ts, _ := st.Template(fp)
-			if ts.RowsRead == 0 || ts.BytesScanned != ts.RowsRead*tc.width {
-				t.Fatalf("bytes scanned %d for %d rows read, want %d a row", ts.BytesScanned, ts.RowsRead, tc.width)
-			}
-			rois := e.AdaptationROI(0)
-			if len(rois) != 1 || rois[0].RowsSkipped == 0 || rois[0].BytesSkipped != rois[0].RowsSkipped*tc.width {
-				t.Fatalf("ROI %+v, want bytes skipped = rows skipped x %d", rois, tc.width)
-			}
-		})
+	if !res.Trace.PlanCached || res.Trace.Fingerprint != fp {
+		t.Fatalf("cached execution: plan-cached %v, fingerprint %q", res.Trace.PlanCached, res.Trace.Fingerprint)
 	}
 }

@@ -51,10 +51,10 @@ type templateKey struct{}
 
 // WithTemplate returns a context carrying the query's literal-stripped
 // fingerprint. SQL frontends stamp it after parsing (or from their
-// statement cache); the engine copies it onto the QueryTrace
-// and uses it as the workload-stats and pprof-label identity. Queries
-// without a template (direct engine API calls, benchmarks) skip the
-// attribution path entirely.
+// statement cache); the engine copies it onto the QueryTrace, and the
+// adskip facade's front door uses it as the workload-stats and
+// pprof-label identity. Queries without a template (Table.Query, direct
+// engine API calls, benchmarks) skip the attribution path entirely.
 func WithTemplate(ctx context.Context, fingerprint string) context.Context {
 	if fingerprint == "" {
 		return ctx

@@ -6,10 +6,10 @@ import "sync"
 const DefaultTraceRingSize = 256
 
 // TraceRing is a bounded, concurrency-safe ring buffer of completed query
-// traces. The engine appends one entry per query (a pointer copy); when
-// full, the oldest traces are dropped and counted. Snapshot returns the
-// retained traces oldest-first, so the telemetry server can serve "the
-// last N queries" without stopping the engine.
+// traces. The adskip facade appends one entry per logical query (a
+// pointer copy); when full, the oldest traces are dropped and counted.
+// Snapshot returns the retained traces oldest-first, so the telemetry
+// server can serve "the last N queries" without stopping the engine.
 type TraceRing struct {
 	mu   sync.Mutex
 	ring *Ring[*QueryTrace]

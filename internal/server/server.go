@@ -546,18 +546,18 @@ func (ss *session) query(ctx context.Context, sqlText string, tm *proto.Timing) 
 		s.m.failure(proto.ErrKindNoTable)
 		return errResp(proto.ErrKindNoTable, err.Error())
 	}
-	eng := tbl.Executor()
 	if stmt.Explain {
-		// EXPLAIN goes through the sql layer (it renders plan text) and
-		// is not worth caching.
-		res, err := sqlpkg.ExecParsedContext(ctx, eng, stmt)
+		// EXPLAIN goes through the DB's SQL route (it renders plan text,
+		// and EXPLAIN ANALYZE its workload and ledger footers) and is not
+		// worth caching.
+		res, err := s.db.ExecContext(ctx, sqlText)
 		if err != nil {
 			return ss.execFailure(err)
 		}
 		return okResult(res, tm)
 	}
 	tPlan := time.Now()
-	q, err := sqlpkg.Plan(stmt, eng.Table())
+	q, err := sqlpkg.Plan(stmt, tbl.Executor().Table())
 	if tm != nil {
 		tm.PlanUS = time.Since(tPlan).Microseconds()
 	}
@@ -565,21 +565,21 @@ func (ss *session) query(ctx context.Context, sqlText string, tm *proto.Timing) 
 		s.m.failure(proto.ErrKindSyntax)
 		return errResp(proto.ErrKindSyntax, err.Error())
 	}
-	ent, evicted := s.cache.put(&stmtEntry{sqlText: sqlText, fp: sqlpkg.Fingerprint(stmt), eng: eng, q: q})
+	ent, evicted := s.cache.put(&stmtEntry{sqlText: sqlText, fp: sqlpkg.Fingerprint(stmt), tbl: tbl, q: q})
 	s.cacheAccount(evicted)
 	return ss.exec(ctx, ent, tm)
 }
 
 // exec runs a cached plan under the request context (derived from the
 // session context, so disconnects cancel it) and wire-encodes the
-// result. The entry's fingerprint is stamped on the context so workload
-// analytics attribute the execution to its template — the statement
+// result. The entry's fingerprint is stamped on the context so the DB's
+// front door attributes the execution to its template — the statement
 // cache and the workload table thereby share keys.
 func (ss *session) exec(ctx context.Context, ent *stmtEntry, tm *proto.Timing) proto.Response {
 	if ent.fp != "" {
 		ctx = obs.WithTemplate(ctx, ent.fp)
 	}
-	res, err := ent.eng.QueryContext(ctx, ent.q)
+	res, err := ent.tbl.QueryContext(ctx, ent.q)
 	if err != nil {
 		return ss.execFailure(err)
 	}

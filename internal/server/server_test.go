@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,7 +24,13 @@ import (
 // v = (i/1000)*1000 + i%7 (clustered), seq = i.
 func testDB(t *testing.T, rows int) *adskip.DB {
 	t.Helper()
-	db := adskip.Open(adskip.Options{Policy: adskip.Adaptive})
+	return testDBWith(t, rows, adskip.Options{Policy: adskip.Adaptive})
+}
+
+// testDBWith is testDB on a DB opened with opts.
+func testDBWith(t *testing.T, rows int, opts adskip.Options) *adskip.DB {
+	t.Helper()
+	db := adskip.Open(opts)
 	tbl, err := db.CreateTable("data", adskip.Col("v", adskip.Int64), adskip.Col("seq", adskip.Int64))
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +138,65 @@ func TestRepeatedQueryHitsStmtCache(t *testing.T) {
 	}
 	if m, h := misses.Load(), hits.Load(); m != 1 || h != 2 {
 		t.Fatalf("three queries of one text: %d misses, %d hits; want 1 and 2", m, h)
+	}
+}
+
+// TestServedQueryAccountedOnce: a query served over the wire enters the
+// DB's front door once, on an unsharded and a 2-shard table: each request
+// — the statement cache's miss and its hits alike — adds exactly one
+// workload sample and one retained trace, and a wire EXPLAIN ANALYZE still
+// carries its template's workload footer.
+func TestServedQueryAccountedOnce(t *testing.T) {
+	const q = "SELECT COUNT(*) FROM data WHERE v BETWEEN 3000 AND 3006"
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := testDBWith(t, 20000, adskip.Options{Policy: adskip.Adaptive, Shards: shards, ShardKey: "v"})
+			defer db.Close()
+			before := runtime.NumGoroutine()
+			srv := startServer(t, db, server.Options{})
+			c := dial(t, srv)
+
+			for i := 1; i <= 3; i++ {
+				if _, err := c.Query(q); err != nil {
+					t.Fatal(err)
+				}
+				if got := db.Workload("", 0).Recorded; got != int64(i) {
+					t.Fatalf("after %d queries: %d workload samples", i, got)
+				}
+				if got := len(db.Traces()); got != i {
+					t.Fatalf("after %d queries: %d traces retained", i, got)
+				}
+			}
+			top := db.Workload("", 0).Templates
+			if len(top) != 1 || top[0].Calls != 3 || top[0].CacheHits != 2 {
+				t.Fatalf("templates %+v, want one with 3 calls, 2 of them cache hits", top)
+			}
+
+			res, err := c.Query("EXPLAIN ANALYZE " + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("workload: template %q — 4 calls", top[0].Fingerprint)
+			var footers int
+			for _, row := range res.Rows {
+				if line, _ := row[0].(string); strings.HasPrefix(line, want) {
+					footers++
+				}
+			}
+			if footers != 1 {
+				t.Fatalf("wire EXPLAIN ANALYZE has %d footers starting %q, want 1: %v", footers, want, res.Rows)
+			}
+			if got := len(db.Traces()); got != 4 {
+				t.Fatalf("after EXPLAIN ANALYZE: %d traces retained, want 4", got)
+			}
+			// A request that outlives liveAfter starts a watcher, whose
+			// goroutine ends just after its session moves on. Close and let
+			// the count settle, so a later test that counts goroutines
+			// starts from a quiet process.
+			c.Close()
+			srv.Close()
+			settleGoroutines(before)
+		})
 	}
 }
 

@@ -4,19 +4,19 @@ import (
 	"container/list"
 	"sync"
 
+	"adskip"
 	"adskip/internal/engine"
-	"adskip/internal/sql"
 )
 
 // stmtEntry is one cached statement: the SQL text it was built from, the
-// executor it binds to (an engine, or a shard manager on a sharded DB),
-// and the planned query. Planning resolves columns by name, so a cached
-// plan stays valid across appends; schema is immutable per table, so it
-// cannot go stale.
+// table it binds to (whose QueryContext is the DB's front door, over an
+// engine or a shard manager alike), and the planned query. Planning
+// resolves columns by name, so a cached plan stays valid across appends;
+// schema is immutable per table, so it cannot go stale.
 type stmtEntry struct {
 	sqlText string
 	fp      string // query fingerprint; workload attribution key
-	eng     sql.Executor
+	tbl     *adskip.Table
 	q       engine.Query
 }
 

@@ -26,7 +26,6 @@ import (
 
 	"adskip/internal/engine"
 	"adskip/internal/obs"
-	"adskip/internal/stats"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 	"adskip/internal/wal"
@@ -86,12 +85,11 @@ type Options struct {
 	Key string
 	// Mode is the routing mode (default ModeRange).
 	Mode Mode
-	// Engine is the per-shard engine configuration. The Manager overrides
-	// per-shard fields: Shard is stamped 1..Shards, Stats and Admission
-	// are held at the Manager (one workload sample and one admission slot
-	// per logical query), and the shard engines retain no traces — the
-	// Manager appends the merged trace to the ring given here (nil
-	// retains none).
+	// Engine is the per-shard engine configuration. The Manager stamps
+	// Shard 1..Shards and shares its metrics registry with every shard.
+	// Neither the Manager nor its shards admit, attribute or retain
+	// queries: the adskip facade does that once per logical query, and
+	// the merged trace each result carries is the one it retains.
 	Engine engine.Options
 }
 
@@ -159,11 +157,7 @@ type Manager struct {
 	key    string
 	keyIdx int
 	mode   Mode
-
-	admission *engine.Admission
-	traces    *obs.TraceRing // nil: retain none
-	stats     *stats.Table
-	reg       *obs.Registry
+	reg    *obs.Registry
 
 	// Range routing state: nil bounds means not yet learned (round-robin
 	// fallback via rr). bounds[i] is the inclusive upper key code of
@@ -178,7 +172,7 @@ type Manager struct {
 	mPruned  *obs.Counter
 	mScanned *obs.Counter
 	mQueries *obs.Counter
-	// mLatency is the LOGICAL query latency (admission to merged result),
+	// mLatency is the LOGICAL query latency (planning to merged result),
 	// registered under the same identity an unsharded table would use.
 	// The per-shard engines record their own scan latencies under
 	// shard="N" labels; mixing those into latency quantiles would count
@@ -223,14 +217,11 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 	}
 
 	m := &Manager{
-		name:      name,
-		proto:     proto,
-		key:       opts.Key,
-		keyIdx:    keyIdx,
-		mode:      opts.Mode,
-		admission: opts.Engine.Admission,
-		traces:    opts.Engine.Traces,
-		stats:     opts.Engine.Stats,
+		name:   name,
+		proto:  proto,
+		key:    opts.Key,
+		keyIdx: keyIdx,
+		mode:   opts.Mode,
 	}
 	m.reg = opts.Engine.Metrics
 	if m.reg == nil {
@@ -256,9 +247,6 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 		eo := opts.Engine
 		eo.Shard = i + 1
 		eo.Metrics = m.reg
-		eo.Stats = nil     // the Manager records the one logical sample
-		eo.Admission = nil // the Manager admits once per logical query
-		eo.Traces = nil    // the Manager publishes the one merged trace
 		s := &shardState{id: i + 1, eng: engine.New(stbl, eo)}
 		s.mRows = m.reg.Gauge("adskip_shard_rows",
 			"Rows currently held by this shard.", tl, obs.L("shard", strconv.Itoa(s.id)))
@@ -340,9 +328,6 @@ func (m *Manager) ShardEngine(id int) *engine.Engine {
 	}
 	return m.shards[id-1].eng
 }
-
-// WorkloadStats returns the per-template workload table, or nil.
-func (m *Manager) WorkloadStats() *stats.Table { return m.stats }
 
 // keyCode extracts the routing code of one row: (code, isNull).
 func (m *Manager) keyCode(row []storage.Value) (int64, bool, error) {

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"sync"
 	"time"
 
 	"adskip/internal/engine"
 	"adskip/internal/expr"
 	"adskip/internal/obs"
-	"adskip/internal/stats"
 )
 
 // Query executes q with a background context.
@@ -32,49 +30,9 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if m.stats != nil {
-		if fp := obs.TemplateFromContext(ctx); fp != "" {
-			start := time.Now()
-			var (
-				res *engine.Result
-				err error
-			)
-			pprof.Do(ctx, pprof.Labels(
-				"query_template", fp,
-				"session", obs.SessionFromContext(ctx),
-			), func(ctx context.Context) {
-				res, err = m.queryAdmitted(ctx, q)
-			})
-			if err != nil {
-				m.stats.Record(stats.Sample{
-					Fingerprint: fp,
-					Table:       m.name,
-					Err:         true,
-					CacheHit:    obs.PlanCachedFromContext(ctx),
-					Latency:     time.Since(start),
-				})
-			}
-			return res, err
-		}
-	}
-	return m.queryAdmitted(ctx, q)
-}
-
-// queryAdmitted takes one catalog-wide admission slot for the whole
-// logical query — the per-shard engines run admission-free — then
-// executes the scatter-gather.
-func (m *Manager) queryAdmitted(ctx context.Context, q engine.Query) (*engine.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", engine.ErrCanceled, context.Cause(ctx))
 	}
-	if err := m.admission.Acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer m.admission.Release()
-	return m.queryOnce(ctx, q)
-}
-
-func (m *Manager) queryOnce(ctx context.Context, q engine.Query) (*engine.Result, error) {
 	tr := &obs.QueryTrace{Table: m.name, Start: time.Now(),
 		Session:     obs.SessionFromContext(ctx),
 		TraceID:     obs.TraceFromContext(ctx),
@@ -110,15 +68,13 @@ func (m *Manager) queryOnce(ctx context.Context, q engine.Query) (*engine.Result
 	tr.Scan = time.Since(tScan)
 	res.Stats.ShardsScanned, res.Stats.ShardsPruned = len(targets), pruned
 
-	m.finishTrace(ctx, res, tr, partials, targets, total)
+	m.finishTrace(res, tr, partials, total)
 	return res, nil
 }
 
-// finishTrace closes the merged trace, publishes it, and records the
-// workload sample — the Manager-level mirror of the engine's bookkeeping
-// (shard engines run with Stats nil so the logical query is sampled
-// exactly once).
-func (m *Manager) finishTrace(ctx context.Context, res *engine.Result, tr *obs.QueryTrace, partials []*engine.Result, targets []int, total int) {
+// finishTrace closes the merged trace and charges the logical query's
+// latency: the Manager-level mirror of the engine's bookkeeping.
+func (m *Manager) finishTrace(res *engine.Result, tr *obs.QueryTrace, partials []*engine.Result, total int) {
 	tr.Total = time.Since(tr.Start)
 	tr.RowsScanned = res.Stats.RowsScanned
 	tr.RowsSkipped = res.Stats.RowsSkipped
@@ -128,43 +84,7 @@ func (m *Manager) finishTrace(ctx context.Context, res *engine.Result, tr *obs.Q
 	tr.Matched = res.Count
 	tr.Predicates = mergePredicates(partials)
 	res.Trace = tr
-
 	m.mLatency.Observe(tr.Total.Seconds())
-	if m.traces != nil {
-		m.traces.Append(tr)
-	}
-
-	if m.stats != nil && tr.Fingerprint != "" {
-		zonesRead := int64(0)
-		for i := range tr.Predicates {
-			if tr.Predicates[i].Active {
-				zonesRead += int64(tr.Predicates[i].Windows)
-			}
-		}
-		zonesPruned := int64(tr.ZonesProbed) - zonesRead
-		if zonesPruned < 0 {
-			zonesPruned = 0
-		}
-		shardIDs := make([]int, 0, len(targets))
-		for _, si := range targets {
-			shardIDs = append(shardIDs, m.shards[si].id)
-		}
-		m.stats.Record(stats.Sample{
-			Fingerprint:   tr.Fingerprint,
-			Table:         m.name,
-			CacheHit:      obs.PlanCachedFromContext(ctx),
-			Latency:       tr.Total,
-			RowsRead:      int64(res.Stats.RowsScanned),
-			RowsReturned:  int64(res.Count),
-			RowsSkipped:   int64(res.Stats.RowsSkipped),
-			ZonesRead:     zonesRead,
-			ZonesPruned:   zonesPruned,
-			BytesScanned:  int64(res.Stats.BytesScanned),
-			ShardsScanned: int64(tr.ShardsScanned),
-			ShardsPruned:  int64(tr.ShardsPruned),
-			Shards:        shardIDs,
-		})
-	}
 }
 
 // pruneShards eliminates shards whose observed key bounds cannot
@@ -351,13 +271,5 @@ func (m *Manager) ExplainAnalyzeContext(ctx context.Context, q engine.Query) ([]
 	if err != nil {
 		return nil, nil, err
 	}
-	lines := engine.AnalyzeLines(res, true)
-	if m.stats != nil && res.Trace != nil && res.Trace.Fingerprint != "" {
-		if ts, ok := m.stats.Template(res.Trace.Fingerprint); ok {
-			lines = append(lines, fmt.Sprintf(
-				"workload: template %q — %d calls (%d errors, %d cache hits), mean %.0fµs, p95 %.0fµs, %.1f%% rows skipped",
-				ts.Fingerprint, ts.Calls, ts.Errors, ts.CacheHits, ts.MeanUS, ts.P95US, 100*ts.SkipRatio))
-		}
-	}
-	return lines, res, nil
+	return engine.AnalyzeLines(res, true), res, nil
 }

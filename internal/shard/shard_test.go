@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,7 +12,6 @@ import (
 	"adskip/internal/engine"
 	"adskip/internal/expr"
 	"adskip/internal/obs"
-	"adskip/internal/stats"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 )
@@ -376,12 +374,13 @@ func TestExplainShowsShardPrune(t *testing.T) {
 }
 
 // TestShardEnginesRetainNoTraces: the merged trace is the one record of a
-// sharded query. The Manager's ring gains one trace per logical query, and
-// no shard engine keeps a ring of its partial traces.
+// sharded query. Each logical query returns one fresh merged trace naming
+// the shards it scanned, and neither the Manager nor a shard engine holds
+// a trace ring to keep its traces in: retaining a query's trace, once, is
+// the caller's duty.
 func TestShardEnginesRetainNoTraces(t *testing.T) {
-	ring := obs.NewTraceRing(0)
 	m, err := New("sales", testSchema(), Options{Shards: 2, Key: "id",
-		Engine: engine.Options{Policy: engine.PolicyAdaptive, Traces: ring}})
+		Engine: engine.Options{Policy: engine.PolicyAdaptive}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,24 +390,32 @@ func TestShardEnginesRetainNoTraces(t *testing.T) {
 	if err := m.EnableSkipping("id"); err != nil {
 		t.Fatal(err)
 	}
-	const queries = 5
-	for i := 1; i <= queries; i++ {
+	seen := map[*obs.QueryTrace]bool{}
+	for i := 1; i <= 5; i++ {
 		res, err := m.Query(engine.Query{Where: expr.And(
 			expr.MustPred("id", expr.LT, storage.IntValue(int64(150*i))))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := ring.Snapshot()
-		if len(snap) != i || snap[i-1] != res.Trace {
-			t.Fatalf("query %d: ring holds %d traces, newest is not the result's", i, len(snap))
+		tr := res.Trace
+		if tr == nil || seen[tr] {
+			t.Fatalf("query %d: trace %p is missing or reused", i, tr)
+		}
+		seen[tr] = true
+		if tr.Table != "sales" || len(tr.Shards) != tr.ShardsScanned || tr.ShardsScanned+tr.ShardsPruned != 2 {
+			t.Fatalf("query %d: merged trace table %q shards %v (%d scanned, %d pruned)",
+				i, tr.Table, tr.Shards, tr.ShardsScanned, tr.ShardsPruned)
 		}
 	}
-	for _, s := range m.shards {
-		// The engine's ring is unexported and has no accessor; reflection
-		// reads the field without widening the engine's API.
-		f := reflect.ValueOf(s.eng).Elem().FieldByName("traces")
-		if !f.IsValid() || !f.IsNil() {
-			t.Errorf("shard %d engine retains traces (field valid %v)", s.id, f.IsValid())
+	// The engine's fields are unexported; reflection reads their types
+	// without widening the engine's API.
+	ring := reflect.TypeOf((*obs.TraceRing)(nil))
+	for _, v := range []any{m, m.shards[0], m.shards[0].eng} {
+		st := reflect.TypeOf(v).Elem()
+		for i := 0; i < st.NumField(); i++ {
+			if f := st.Field(i); f.Type == ring {
+				t.Errorf("%s.%s retains traces", st.Name(), f.Name)
+			}
 		}
 	}
 }
@@ -521,14 +528,13 @@ func TestObservedBoundsMatchHeldRows(t *testing.T) {
 	}
 }
 
-// TestBytesScannedFollowsCodeWidth: the manager's workload sample charges
-// the rows its shards scanned at the filtered column's code width — 4 bytes
-// on the Int64 key, whose values fit 32 bits, 8 on the Float64 price.
+// TestBytesScannedFollowsCodeWidth: the merged result charges the rows its
+// shards scanned at the filtered column's code width — 4 bytes on the
+// Int64 key, whose values fit 32 bits, 8 on the Float64 price.
 func TestBytesScannedFollowsCodeWidth(t *testing.T) {
-	st := stats.New(stats.Options{})
 	m, err := New("sales", testSchema(), Options{
 		Shards: 2, Key: "id", Mode: ModeHash,
-		Engine: engine.Options{Policy: engine.PolicyNone, Stats: st},
+		Engine: engine.Options{Policy: engine.PolicyNone},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -537,20 +543,19 @@ func TestBytesScannedFollowsCodeWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		fp    string
+		name  string
 		pred  expr.Pred
-		width int64
+		width int
 	}{
 		{"id range", expr.MustPred("id", expr.Between, storage.IntValue(100), storage.IntValue(300)), 4},
 		{"price range", expr.MustPred("price", expr.Between, storage.FloatValue(10), storage.FloatValue(20)), 8},
 	} {
-		ctx := obs.WithTemplate(context.Background(), tc.fp)
-		if _, err := m.QueryContext(ctx, engine.Query{Where: expr.And(tc.pred), Aggs: []engine.Agg{{Kind: engine.CountStar}}}); err != nil {
+		res, err := m.Query(engine.Query{Where: expr.And(tc.pred), Aggs: []engine.Agg{{Kind: engine.CountStar}}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		ts, ok := st.Template(tc.fp)
-		if !ok || ts.RowsRead != 1000 || ts.BytesScanned != ts.RowsRead*tc.width {
-			t.Errorf("%s: %d bytes scanned for %d rows read, want 1000 rows at %d bytes", tc.fp, ts.BytesScanned, ts.RowsRead, tc.width)
+		if res.Stats.RowsScanned != 1000 || res.Stats.BytesScanned != res.Stats.RowsScanned*tc.width {
+			t.Errorf("%s: %d bytes scanned for %d rows read, want 1000 rows at %d bytes", tc.name, res.Stats.BytesScanned, res.Stats.RowsScanned, tc.width)
 		}
 	}
 }

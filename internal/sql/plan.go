@@ -8,7 +8,6 @@ import (
 	"adskip/internal/engine"
 	"adskip/internal/expr"
 	"adskip/internal/obs"
-	"adskip/internal/stats"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 )
@@ -23,12 +22,12 @@ var (
 // single-engine implementation; *shard.Manager implements the same
 // surface over a scatter-gather of per-shard engines, so everything
 // SQL-routed (server, facade, CLIs) works unchanged on sharded tables.
+// The adskip facade's front door implements it too, over either one.
 type Executor interface {
 	Table() *table.Table
 	QueryContext(ctx context.Context, q engine.Query) (*engine.Result, error)
 	Explain(q engine.Query) ([]string, error)
 	ExplainAnalyzeContext(ctx context.Context, q engine.Query) ([]string, *engine.Result, error)
-	WorkloadStats() *stats.Table
 }
 
 // Plan binds a parsed statement against a table's schema and lowers it to
@@ -121,17 +120,16 @@ func ExecParsed(e Executor, stmt Statement) (*engine.Result, error) {
 	return ExecParsedContext(context.Background(), e, stmt)
 }
 
-// ExecParsedContext is ExecParsed under a context. When the engine has a
-// workload stats table, the statement's fingerprint is stamped onto the
-// context here (unless the caller — e.g. the network server's statement
-// cache — already did), so every SQL-routed query is attributed to its
-// template.
+// ExecParsedContext is ExecParsed under a context. The statement's
+// fingerprint is stamped onto the context here unless the caller already
+// stamped one, so every SQL-routed query reaches the executor carrying
+// its template; the adskip facade's front door attributes it.
 func ExecParsedContext(ctx context.Context, e Executor, stmt Statement) (*engine.Result, error) {
 	q, err := Plan(stmt, e.Table())
 	if err != nil {
 		return nil, err
 	}
-	if e.WorkloadStats() != nil && obs.TemplateFromContext(ctx) == "" {
+	if obs.TemplateFromContext(ctx) == "" {
 		ctx = obs.WithTemplate(ctx, Fingerprint(stmt))
 	}
 	if stmt.Explain {

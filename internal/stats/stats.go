@@ -1,9 +1,9 @@
 // Package stats is the workload-analytics layer: a bounded, concurrency-
 // safe table of per-query-template statistics, in the spirit of
-// pg_stat_statements. The engine records one Sample per query under the
-// query's fingerprint (the literal-stripped template rendered by
-// internal/sql); this package aggregates calls, errors, latency
-// histograms and row/zone/byte counts.
+// pg_stat_statements. The adskip facade records one Sample per logical
+// query under the query's fingerprint (the literal-stripped template
+// rendered by internal/sql); this package aggregates calls, errors,
+// latency histograms and row/zone/byte counts.
 //
 // The table is LRU-bounded: when a workload carries more distinct
 // templates than MaxTemplates, the least-recently-called template is

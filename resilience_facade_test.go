@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"adskip/internal/adaptive"
 	"adskip/internal/faultinject"
@@ -218,6 +220,52 @@ func TestQuarantineLifecycleThroughFacade(t *testing.T) {
 	}
 	if !res.Aggs[0].Equal(IntValue(8 * 101)) {
 		t.Fatalf("post-rebuild count=%v", res.Aggs[0])
+	}
+}
+
+// TestAdmissionControl: MaxConcurrentQueries admits one logical query at
+// a time, sharded or not. A query that gives up waiting for the slot
+// returns ErrCanceled and counts once in its table's
+// adskip_queries_canceled_total, and once the slot is released a query
+// runs.
+func TestAdmissionControl(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := Open(Options{MaxConcurrentQueries: 1, Shards: shards})
+			tab, err := db.CreateTable("t", Col("v", Int64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 500; i++ {
+				if err := tab.Append(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const q = "SELECT COUNT(*) FROM t WHERE v >= 0"
+			// Occupy the only slot; a query with a short deadline must give
+			// up while waiting for admission, not hang.
+			if err := db.admission.acquire(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			defer cancel()
+			if _, err := db.ExecContext(ctx, q); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("err=%v, want ErrCanceled while awaiting admission", err)
+			}
+			canceled := db.Metrics().Counter("adskip_queries_canceled_total", "", obs.L("table", "t")).Load()
+			if canceled != 1 {
+				t.Errorf("adskip_queries_canceled_total{table=\"t\"} = %d, want 1", canceled)
+			}
+
+			db.admission.release()
+			res, err := db.Exec(q)
+			if err != nil {
+				t.Fatalf("query after release failed: %v", err)
+			}
+			if !res.Aggs[0].Equal(IntValue(500)) {
+				t.Fatalf("count = %v, want 500", res.Aggs[0])
+			}
+		})
 	}
 }
 

@@ -93,7 +93,9 @@ func TestShardedSQL(t *testing.T) {
 }
 
 // TestShardedExplainAnalyze: EXPLAIN ANALYZE through the facade reports
-// the shard-prune phase on a sharded table.
+// the shard-prune phase on a sharded table, and the footers of the logical
+// query: its template's workload line and the table's ledger line (the
+// skippers' builds are ledger events).
 func TestShardedExplainAnalyze(t *testing.T) {
 	db, _ := shardedDB(t, "range")
 	defer db.Close()
@@ -107,6 +109,11 @@ func TestShardedExplainAnalyze(t *testing.T) {
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, "shard") {
 		t.Errorf("EXPLAIN ANALYZE has no shard line:\n%s", joined)
+	}
+	for _, footer := range []string{"\nworkload: template ", "\nledger: "} {
+		if strings.Count(joined, footer) != 1 {
+			t.Errorf("EXPLAIN ANALYZE has %d %q footers, want 1:\n%s", strings.Count(joined, footer), footer[1:], joined)
+		}
 	}
 }
 

@@ -139,10 +139,10 @@ func TestTraceAccountsForQuery(t *testing.T) {
 
 // TestQueriesCarryTemplateLabel: a query executes under a pprof label
 // naming its template, so CPU and goroutine profiles split by template.
-// Two places set it: the engine for an unsharded table, and the shard
-// manager for a sharded one, whose per-shard engines record no workload
-// and set none. The query is held in its first scan checkpoint while the
-// goroutine profile, which prints each goroutine's labels, is taken.
+// The front door sets it once per logical query, and a sharded query's
+// per-shard workers inherit it. The query is held in its first scan
+// checkpoint while the goroutine profile, which prints each goroutine's
+// labels, is taken.
 func TestQueriesCarryTemplateLabel(t *testing.T) {
 	const q = "SELECT COUNT(*) FROM events WHERE v BETWEEN 1000 AND 5000"
 	stmt, err := sql.Parse(q)
