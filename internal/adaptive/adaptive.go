@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -184,8 +185,6 @@ type Zonemap struct {
 
 	splits, merges, disables, enables int
 
-	scratch []zone // reusable buffer for structural rebuilds
-
 	// maintEvents counts structural/arbitration events (splitting
 	// Observes, merging sweeps, arbitration flips, tail folds);
 	// maintZones counts the zones those events touched.
@@ -245,20 +244,21 @@ func New(codes storage.Vec, nulls *bitvec.BitVec, cfg Config) *Zonemap {
 	z.rows = codes.Len()
 	z.appendZones(codes, nulls, 0, z.rows)
 	z.tailLo = z.rows
-	z.rebuildBlocks()
+	z.rebuildBlocks(0)
 	return z
 }
 
-// rebuildBlocks recomputes the coarse probe level from the zone slice.
-// Called after any structural change (splits, merges, tail folds); O(zones).
-func (z *Zonemap) rebuildBlocks() {
+// rebuildBlocks sizes the coarse probe level to the zone slice and re-hulls
+// the blocks from the one that holds zone from on. A structural edit (split,
+// merge, tail fold) passes the first zone it moved: the blocks before that
+// one summarize the same zones as before.
+func (z *Zonemap) rebuildBlocks(from int) {
 	n := (len(z.zones) + blockZones - 1) / blockZones
-	if cap(z.blocks) < n {
-		z.blocks = make([]block, n)
-	} else {
-		z.blocks = z.blocks[:n]
+	if n > len(z.blocks) {
+		z.blocks = slices.Grow(z.blocks, n-len(z.blocks))
 	}
-	for bi := range z.blocks {
+	z.blocks = z.blocks[:n]
+	for bi := from / blockZones; bi < n; bi++ {
 		lo, hi := z.members(bi)
 		b := &z.blocks[bi]
 		b.min, b.max, b.hasData = hull(z.zones[lo:hi])
@@ -554,7 +554,7 @@ func (z *Zonemap) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
 	foldLo := z.tailLo
 	z.appendZones(codes, nulls, z.tailLo, z.rows)
 	z.tailLo = z.rows
-	z.rebuildBlocks()
+	z.rebuildBlocks(before)
 	z.maintZones += int64(len(z.zones) - before)
 	z.maintEvents++
 	// The folded region's hull: the tail had no metadata before.

@@ -33,12 +33,18 @@ func execute(z *Zonemap, codes []int64, nulls *bitvec.BitVec, r expr.Ranges) int
 // many of the parts the statistics came back in were cut at a value jump.
 func executeVec(z *Zonemap, codes storage.Vec, nulls *bitvec.BitVec, r expr.Ranges) (count, cuts int) {
 	res := z.Prune(r)
+	count, cuts, stats := scanCandidates(res, r, codes, nulls)
+	z.Observe(res, stats)
+	return count, cuts
+}
+
+// scanCandidates is the scan half of executeVec: the count of r over res's
+// windows (the whole column when the probe declined), the parts cut at a
+// value jump, and the statistics the candidates asked for, in ID order.
+func scanCandidates(res core.PruneResult, r expr.Ranges, codes storage.Vec, nulls *bitvec.BitVec) (count, cuts int, stats []core.ZoneStats) {
 	if !res.Enabled {
-		count := scan.Count(codes, 0, codes.Len(), r, nulls, 0)
-		z.Observe(res, nil)
-		return count, 0
+		return scan.Count(codes, 0, codes.Len(), r, nulls, 0), 0, nil
 	}
-	var stats []core.ZoneStats
 	for _, c := range res.Zones {
 		switch {
 		case c.Covered:
@@ -52,8 +58,7 @@ func executeVec(z *Zonemap, codes storage.Vec, nulls *bitvec.BitVec, r expr.Rang
 			count += scan.Count(codes, c.Lo, c.Hi, r, nulls, 0)
 		}
 	}
-	z.Observe(res, stats)
-	return count, cuts
+	return count, cuts, stats
 }
 
 func seqCodes(n int, f func(i int) int64) []int64 {
@@ -559,7 +564,6 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 func clone(z *Zonemap) *Zonemap {
 	c := *z
 	c.zones, c.blocks = slices.Clone(z.zones), slices.Clone(z.blocks)
-	c.scratch = slices.Clone(z.scratch)
 	return &c
 }
 

@@ -28,6 +28,9 @@ import (
 // Config of the engine that loads it, and the tuning constants are the
 // same in every build.
 
+// zoneBytes is the size of one zone's record in the snapshot.
+const zoneBytes = 6*8 + 2 + 1
+
 var (
 	azmMagic = [8]byte{'A', 'D', 'S', 'K', 'A', 'Z', 'M', '1'}
 
@@ -148,14 +151,15 @@ func Read(r io.Reader, cfg Config) (*Zonemap, error) {
 	if _, err := io.ReadFull(br, cnt[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
 	}
+	// Reject a count the payload left cannot back before allocating for it.
 	nz := binary.LittleEndian.Uint32(cnt[:])
-	if nz > 1<<26 {
-		return nil, fmt.Errorf("%w: implausible zone count %d", ErrBadSnapshot, nz)
+	if uint64(nz)*zoneBytes > uint64(br.Len()) {
+		return nil, fmt.Errorf("%w: %d zones in %d bytes", ErrBadSnapshot, nz, br.Len())
 	}
 	z.zones = make([]zone, nz)
 	for i := range z.zones {
 		zn := &z.zones[i]
-		vals := make([]uint64, 6)
+		var vals [6]uint64
 		for k := range vals {
 			v, err := getU64()
 			if err != nil {
@@ -189,6 +193,6 @@ func Read(r io.Reader, cfg Config) (*Zonemap, error) {
 	if prev != z.tailLo || z.tailLo > z.rows {
 		return nil, fmt.Errorf("%w: zones end at %d, tailLo %d, rows %d", ErrBadSnapshot, prev, z.tailLo, z.rows)
 	}
-	z.rebuildBlocks()
+	z.rebuildBlocks(0)
 	return z, nil
 }

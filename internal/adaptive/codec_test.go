@@ -2,8 +2,12 @@ package adaptive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"adskip/internal/storage"
@@ -88,6 +92,24 @@ func TestSnapshotCorruption(t *testing.T) {
 			t.Fatalf("truncated at %d accepted", cut)
 		}
 	}
+
+	// A header whose zone count no payload backs is refused before Read
+	// allocates for the zones.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(hugeZoneCount(raw)), smallCfg())
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, ErrBadSnapshot) || alloc >= 1<<20 {
+		t.Fatalf("2^26 zones claimed, none present: %v after allocating %d bytes", err, alloc)
+	}
+}
+
+// hugeZoneCount returns the 81-byte snapshot that keeps raw's header,
+// claims 2^26 zones, holds none, and carries a valid checksum.
+func hugeZoneCount(raw []byte) []byte {
+	const countAt = 8 + 8 + 8 + 1 + 8 + 5*8 // magic, rows, tailLo, enabled, netBenefit, counters
+	out := binary.LittleEndian.AppendUint32(slices.Clone(raw[:countAt]), 1<<26)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
 func TestSnapshotDisabledState(t *testing.T) {

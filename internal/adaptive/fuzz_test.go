@@ -19,6 +19,7 @@ func FuzzSnapshotRead(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("ADSKAZM1"))
+	f.Add(hugeZoneCount(buf.Bytes()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data), smallCfg())
 		if err != nil {

@@ -1,6 +1,8 @@
 package adaptive
 
 import (
+	"slices"
+
 	"adskip/internal/core"
 	"adskip/internal/expr"
 	"adskip/internal/faultinject"
@@ -65,8 +67,9 @@ func (z *Zonemap) Observe(res core.PruneResult, stats []core.ZoneStats) {
 	for _, st := range stats {
 		n := len(st.Parts)
 		if st.ID < 0 || st.ID >= len(z.zones) || n < 2 ||
-			st.Parts[0].Lo != z.zones[st.ID].lo || st.Parts[n-1].Hi != z.zones[st.ID].hi {
-			continue // not a zone of this layout, or not scanned whole
+			st.Parts[0].Lo != z.zones[st.ID].lo || st.Parts[n-1].Hi != z.zones[st.ID].hi ||
+			len(plans) > 0 && st.ID <= plans[len(plans)-1].idx {
+			continue // not a zone of this layout, not scanned whole, or out of order
 		}
 		zn := &z.zones[st.ID]
 		subs := z.planSplit(st.Parts, res.Ranges, budget)
@@ -83,16 +86,19 @@ func (z *Zonemap) Observe(res core.PruneResult, stats []core.ZoneStats) {
 		zn.statSkip = uint16(4) << zn.statFail
 	}
 
+	moved := len(z.zones) // the first zone a split or merge moved, if any
 	if len(plans) > 0 {
-		z.applySplits(plans)
+		moved = z.applySplits(plans)
 		z.maintEvents++
 	}
-	merged := !z.cfg.DisableMerge && z.queries%z.tune.mergeSweepEvery == 0 && z.mergeSweep()
-	if merged {
-		z.maintEvents++
+	if !z.cfg.DisableMerge && z.queries%z.tune.mergeSweepEvery == 0 {
+		if first := z.mergeSweep(); first >= 0 {
+			moved = min(moved, first)
+			z.maintEvents++
+		}
 	}
-	if len(plans) > 0 || merged {
-		z.rebuildBlocks()
+	if moved < len(z.zones) {
+		z.rebuildBlocks(moved)
 	}
 }
 
@@ -148,66 +154,60 @@ func (z *Zonemap) planSplit(parts []scan.PartStat, r expr.Ranges, budget int) []
 	return out
 }
 
-// applySplits rebuilds the zone slice with all planned splits spliced in,
-// in one pass. Plans reference pre-rebuild indices and are disjoint by
-// construction (one candidate, so one set of statistics, per zone).
-func (z *Zonemap) applySplits(plans []splitPlan) {
-	byIdx := make(map[int][]zone, len(plans))
+// applySplits splices the planned splits, in ascending zone order, into the
+// zone slice in place and returns the first zone that moved. A forward pass
+// journals them; one backward pass moves each untouched run once and copies
+// the sub-zones in. The zones ahead of the first plan stay where they are.
+func (z *Zonemap) applySplits(plans []splitPlan) int {
 	added := 0
 	for _, p := range plans {
-		byIdx[p.idx] = p.subs
+		// One ledger record per refined zone: the parent's window and
+		// (possibly loosened) hull before, the children's exact hull
+		// after — the journal shows each split re-tightening metadata.
+		parent := &z.zones[p.idx]
+		minAfter, maxAfter, _ := hull(p.subs)
+		z.record(obs.LedgerRecord{
+			Kind: obs.EventSplit, Cause: "split-gain",
+			ZonesBefore: 1, ZonesAfter: len(p.subs),
+			RowLo: parent.lo, RowHi: parent.hi,
+			MinBefore: parent.min, MaxBefore: parent.max,
+			MinAfter: minAfter, MaxAfter: maxAfter,
+		})
 		added += len(p.subs) - 1
+		z.maintZones += int64(len(p.subs))
 	}
-	need := len(z.zones) + added
-	if cap(z.scratch) < need {
-		z.scratch = make([]zone, 0, need*2)
+	z.splits += added
+	end := len(z.zones) // the untouched run after plan k ends here
+	z.zones = slices.Grow(z.zones, added)[:end+added]
+	for k := len(plans) - 1; k >= 0; k-- {
+		p := plans[k]
+		copy(z.zones[p.idx+1+added:], z.zones[p.idx+1:end])
+		added -= len(p.subs) - 1
+		copy(z.zones[p.idx+added:], p.subs)
+		end = p.idx
 	}
-	out := z.scratch[:0]
-	for i := range z.zones {
-		if subs, ok := byIdx[i]; ok {
-			// One ledger record per refined zone: the parent's window and
-			// (possibly loosened) hull before, the children's exact hull
-			// after — the journal shows each split re-tightening metadata.
-			parent := &z.zones[i]
-			minAfter, maxAfter, _ := hull(subs)
-			z.record(obs.LedgerRecord{
-				Kind: obs.EventSplit, Cause: "split-gain",
-				ZonesBefore: 1, ZonesAfter: len(subs),
-				RowLo: parent.lo, RowHi: parent.hi,
-				MinBefore: parent.min, MaxBefore: parent.max,
-				MinAfter: minAfter, MaxAfter: maxAfter,
-			})
-			out = append(out, subs...)
-			z.splits += len(subs) - 1
-			z.maintZones += int64(len(subs))
-		} else {
-			out = append(out, z.zones[i])
-		}
-	}
-	z.scratch = z.zones[:0] // recycle the old backing array next time
-	z.zones = out
+	return plans[0].idx
 }
 
-// splitPlan records one planned zone refinement: the pre-rebuild zone
-// index and its replacement sub-zones.
+// splitPlan is one planned refinement: a zone's index and its sub-zones.
 type splitPlan struct {
 	idx  int
 	subs []zone
 }
 
 // mergeSweep coalesces runs of adjacent cold zones (heat below MergeHeat)
-// whose union stays within MaxZoneRows, and reports whether any merged.
-// Merging a run of k zones removes k−1 probes per future query and
-// (k−1) zones of metadata; the union bounds remain sound. The zones before
-// the first mergeable pair stay where they are, and a sweep that finds no
-// such pair writes nothing.
-func (z *Zonemap) mergeSweep() bool {
+// whose union stays within MaxZoneRows, and returns the index of the first
+// zone it changed, or -1 when none merged. Merging a run of k zones removes
+// k−1 probes per future query and (k−1) zones of metadata; the union bounds
+// remain sound. The zones before the first mergeable pair stay where they
+// are, and a sweep that finds no such pair writes nothing.
+func (z *Zonemap) mergeSweep() int {
 	first := 0
 	for first+1 < len(z.zones) && !z.canMerge(&z.zones[first], &z.zones[first+1]) {
 		first++
 	}
 	if first+1 >= len(z.zones) {
-		return false
+		return -1
 	}
 	before := len(z.zones)
 	out := z.zones[:first]
@@ -239,7 +239,7 @@ func (z *Zonemap) mergeSweep() bool {
 		MinBefore: hullMin, MaxBefore: hullMax,
 		MinAfter: hullMin, MaxAfter: hullMax,
 	})
-	return true
+	return first
 }
 
 // canMerge reports whether zone next joins the run of cold zones merged so

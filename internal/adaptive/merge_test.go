@@ -96,7 +96,8 @@ func sweepZones(rng *rand.Rand, kind string, n int) []zone {
 
 // The merge sweep that leaves the zones ahead of the first mergeable pair
 // in place, and returns at once when there is none, ends in the same zones,
-// counters and ledger record as the sweep that rewrites every zone.
+// counters and ledger record as the sweep that rewrites every zone, and
+// reports the first zone that sweep changed.
 func TestMergeSweepMatchesReference(t *testing.T) {
 	const n = 24
 	for _, kind := range []string{"none", "start", "middle", "end", "random"} {
@@ -107,19 +108,28 @@ func TestMergeSweepMatchesReference(t *testing.T) {
 				z := &Zonemap{cfg: cfg, tune: newTuning(cfg), enabled: true, rows: 100 * n, tailLo: 100 * n}
 				z.tune.maxZoneRows = 350
 				z.zones = slices.Clone(zones)
-				z.rebuildBlocks()
+				z.rebuildBlocks(0)
 				recs := new([]obs.LedgerRecord)
 				z.SetJournal(func(r obs.LedgerRecord) { *recs = append(*recs, r) })
 				return z, recs
 			}
 			got, gotRecs := build()
 			want, wantRecs := build()
-			gotOK, wantOK := got.mergeSweep(), sweepReference(want)
+			first, wantOK := got.mergeSweep(), sweepReference(want)
+			gotOK := first >= 0
 			name := fmt.Sprintf("%s seed %d", kind, seed)
 			if gotOK != wantOK || !slices.Equal(got.zones, want.zones) || got.merges != want.merges ||
 				got.maintZones != want.maintZones || !reflect.DeepEqual(*gotRecs, *wantRecs) {
 				t.Fatalf("%s: sweep = %v %+v merges %d maint %d %+v\nreference = %v %+v merges %d maint %d %+v", name,
 					gotOK, got.zones, got.merges, got.maintZones, *gotRecs, wantOK, want.zones, want.merges, want.maintZones, *wantRecs)
+			}
+			// The zone the sweep reports is the first one the reference changed.
+			moved := 0
+			for moved < len(want.zones) && want.zones[moved] == zones[moved] {
+				moved++
+			}
+			if wantOK && first != moved {
+				t.Fatalf("%s: sweep reports zone %d as the first it changed, the reference changed zone %d", name, first, moved)
 			}
 			// Each case reaches what it is named for.
 			switch {

@@ -66,7 +66,9 @@ type PruneResult struct {
 
 // ZoneStats is the statistics a scan gathered for one candidate that asked
 // for them (StatParts > 0): the candidate's ID and its window's
-// sub-partitions, in row order.
+// sub-partitions, in row order. Observe takes them in ascending ID order,
+// at most one per zone; a learning skipper may ignore a ZoneStats whose ID
+// is not above the one before it.
 type ZoneStats struct {
 	ID    int
 	Parts []scan.PartStat
