@@ -76,10 +76,12 @@ type Options struct {
 	// Adaptive configures PolicyAdaptive (zero value = defaults).
 	Adaptive adaptive.Config
 	// Parallelism is the number of goroutines used by the COUNT fast
-	// path's scans. Default 1 (serial; the experiment harness measures
+	// path's scans, full scans (one candidate) included: the candidates
+	// are cut into that many groups of about equal rows. Every other
+	// query runs serially. Default 1 (the experiment harness measures
 	// single-threaded behavior like the paper). Results are identical at
-	// any setting — counting is associative, and the statistics a
-	// candidate asked for are gathered whole, by one worker.
+	// any setting — counting is associative, and a candidate that asks
+	// for statistics is never cut, so one worker gathers them whole.
 	Parallelism int
 	// Metrics receives the engine's instrumentation. Instrumentation is
 	// always on: when nil, the engine creates a private registry. Share

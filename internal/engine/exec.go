@@ -38,7 +38,10 @@ type ExecStats struct {
 	RowsScanned  int `json:"rows_scanned"` // rows whose codes were read by a kernel
 	BytesScanned int `json:"-"`            // those rows at each filtered column's code width (4 or 8); not on the wire
 	RowsSkipped  int `json:"rows_skipped"` // rows pruned by metadata probes
-	RowsCovered  int `json:"rows_covered"` // rows short-circuited by covered windows
+	// RowsCovered counts the rows of covered windows (every row matches;
+	// no predicate is evaluated) in COUNT, aggregate and GROUP BY queries.
+	// A projection, ordered or not, charges none.
+	RowsCovered  int `json:"rows_covered"`
 	ZonesProbed  int `json:"zones_probed"`
 	SkippersUsed int `json:"skippers_used"` // predicate columns where skipping participated
 	// Shard pruning (sharded tables only; see internal/shard). Shards
@@ -158,63 +161,12 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 	e.trace = tr
 	defer func() { e.trace = nil }()
 	e.syncSkippers()
-	if err := q.Where.Validate(); err != nil {
+	n := e.tbl.NumRows()
+	b, err := e.bind(q)
+	if err != nil {
 		return nil, err
 	}
-
-	n := e.tbl.NumRows()
-	res := &Result{}
-
-	// Validate aggregates and projections up front.
-	accs := make([]*aggAcc, len(q.Aggs))
-	aggCols := make([]*storage.Column, len(q.Aggs))
-	for i, a := range q.Aggs {
-		col, err := e.validateAgg(a)
-		if err != nil {
-			return nil, err
-		}
-		accs[i] = newAggAcc(a.Kind, col)
-		aggCols[i] = col
-	}
-	var grp *grouper
-	if q.GroupBy != "" {
-		gcol, err := e.readColumn(q.GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range q.Select {
-			if name != q.GroupBy {
-				return nil, fmt.Errorf("engine: column %q in select list is not the GROUP BY column", name)
-			}
-		}
-		grp = newGrouper(gcol, q.Aggs, aggCols)
-	}
-	var projCols []*storage.Column
-	if grp == nil {
-		for _, name := range q.Select {
-			col, err := e.readColumn(name)
-			if err != nil {
-				return nil, err
-			}
-			projCols = append(projCols, col)
-			res.Columns = append(res.Columns, name)
-			res.Types = append(res.Types, col.Type())
-		}
-	}
-	var orderCol *storage.Column
-	if q.OrderBy != "" {
-		if grp != nil {
-			return nil, fmt.Errorf("engine: ORDER BY with GROUP BY is unsupported (groups come back in key order)")
-		}
-		if len(projCols) == 0 {
-			return nil, fmt.Errorf("engine: ORDER BY requires a projection")
-		}
-		var err error
-		orderCol, err = e.readColumn(q.OrderBy)
-		if err != nil {
-			return nil, err
-		}
-	}
+	res := &Result{Columns: b.columns, Types: b.types}
 
 	tr.Plan = time.Since(tr.Start)
 
@@ -249,12 +201,10 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 	case unsat:
 		// A contradiction (or empty interval) on some column: no rows can
 		// match. Skippers still observe a zero-work query.
-	case grp == nil && len(plans) == 1 && len(projCols) == 0 && countOnly(accs):
-		err = e.execFastCount(qc, &plans[0], res, accs, n)
-	case orderCol != nil:
-		err = e.execOrdered(qc, plans, res, accs, projCols, orderCol, q.OrderDesc, q.Limit, n)
+	case b.grp == nil && len(plans) == 1 && len(b.projCols) == 0 && countOnly(b.accs):
+		err = e.execFastCount(qc, &plans[0], res, n)
 	default:
-		err = e.execGeneral(qc, plans, res, accs, projCols, grp, q.Limit, n)
+		err = e.execWindows(qc, plans, res, &b, q.Limit, n)
 	}
 	if err != nil {
 		// A worker panic surfaces here as an error (recovered in its own
@@ -274,9 +224,75 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 		e.observe(&plans[i])
 	}
 	tr.Feedback = time.Since(tFeedback)
-	out = e.finish(res, accs, grp, q.Limit)
+	out = e.finish(res, &b, q.Limit)
 	e.finishTrace(out, tr, plans, n, q.Limit)
 	return out, nil
+}
+
+// binding is a query's output resolved against the table: its
+// accumulators, its grouper, its projected and order columns.
+type binding struct {
+	accs     []*aggAcc
+	grp      *grouper
+	projCols []*storage.Column
+	columns  []string // the projection's names and types, for Result
+	types    []storage.Type
+	orderCol *storage.Column
+	desc     bool
+}
+
+// bind checks q's predicates and resolves everything else it names. It is
+// the one place a query's shape is checked: Explain calls it too, so EXPLAIN
+// rejects exactly what execution rejects. Caller holds e.mu.
+func (e *Engine) bind(q Query) (binding, error) {
+	if err := q.Where.Validate(); err != nil {
+		return binding{}, err
+	}
+	b := binding{accs: make([]*aggAcc, len(q.Aggs)), desc: q.OrderDesc}
+	aggCols := make([]*storage.Column, len(q.Aggs))
+	for i, a := range q.Aggs {
+		col, err := e.validateAgg(a)
+		if err != nil {
+			return binding{}, err
+		}
+		b.accs[i] = newAggAcc(a.Kind, col)
+		aggCols[i] = col
+	}
+	if q.GroupBy != "" {
+		gcol, err := e.readColumn(q.GroupBy)
+		if err != nil {
+			return binding{}, err
+		}
+		for _, name := range q.Select {
+			if name != q.GroupBy {
+				return binding{}, fmt.Errorf("engine: column %q in select list is not the GROUP BY column", name)
+			}
+		}
+		b.grp = newGrouper(gcol, q.Aggs, aggCols)
+	} else {
+		for _, name := range q.Select {
+			col, err := e.readColumn(name)
+			if err != nil {
+				return binding{}, err
+			}
+			b.projCols = append(b.projCols, col)
+			b.columns = append(b.columns, name)
+			b.types = append(b.types, col.Type())
+		}
+	}
+	if q.OrderBy != "" {
+		if b.grp != nil {
+			return binding{}, fmt.Errorf("engine: ORDER BY with GROUP BY is unsupported (groups come back in key order)")
+		}
+		if len(b.projCols) == 0 {
+			return binding{}, fmt.Errorf("engine: ORDER BY requires a projection")
+		}
+		var err error
+		if b.orderCol, err = e.readColumn(q.OrderBy); err != nil {
+			return binding{}, err
+		}
+	}
+	return b, nil
 }
 
 // handleExecPanic records a recovered execution panic: every skipper that
@@ -348,15 +364,15 @@ func (e *Engine) observe(p *colPlan) {
 }
 
 // finish materializes aggregate or grouped output onto the result.
-func (e *Engine) finish(res *Result, accs []*aggAcc, grp *grouper, limit int) *Result {
-	if grp != nil {
-		res.Columns, res.Types, res.Rows = grp.result()
+func (e *Engine) finish(res *Result, b *binding, limit int) *Result {
+	if b.grp != nil {
+		res.Columns, res.Types, res.Rows = b.grp.result()
 		if limit > 0 && len(res.Rows) > limit {
 			res.Rows = res.Rows[:limit]
 		}
 		return res
 	}
-	e.finishAggs(res, accs)
+	e.finishAggs(res, b.accs)
 	return res
 }
 
@@ -408,29 +424,23 @@ func (e *Engine) finishAggs(res *Result, accs []*aggAcc) {
 }
 
 // execFastCount is the hot path: one predicate column, COUNT(*)-only.
-// It scans candidate by candidate, so a candidate that asks for statistics
+// A declined or disabled skipper's full scan is one plain candidate. The
+// scan runs candidate by candidate, so a candidate that asks for statistics
 // is scanned whole and its statistics are exact; they are left on the plan
 // for the feedback that follows a completed scan.
-func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, accs []*aggAcc, n int) error {
-	workers := e.opts.Parallelism
+func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, n int) error {
+	zones := p.res.Zones
 	if !p.active {
-		// Full scan, no metadata.
-		count, err := e.parallelCountFull(qc, p, n, workers)
-		if err != nil {
-			return err
-		}
-		res.Count = count
-		res.Stats.scanned(n, p.col)
-		return nil
+		zones = []core.CandidateZone{{ID: core.NoZoneID, Lo: 0, Hi: n}}
 	}
-	count, zstats, stats, err := e.parallelCountZones(qc, p, p.res.Zones, workers)
-	if err != nil {
-		return err
+	w := e.parallelCountZones(qc, p, zones, e.opts.Parallelism)
+	if w.err != nil {
+		return w.err
 	}
-	res.Count = count
-	res.Stats.scanned(stats.RowsScanned, p.col)
-	res.Stats.RowsCovered += stats.RowsCovered
-	p.stats = zstats
+	res.Count = w.count
+	res.Stats.scanned(w.stats.RowsScanned, p.col)
+	res.Stats.RowsCovered += w.stats.RowsCovered
+	p.stats = w.zstats
 	return nil
 }
 
@@ -442,221 +452,178 @@ type seg struct {
 	needEval uint64
 }
 
-// execGeneral handles every other query shape: multi-column conjunctions,
-// aggregates over data, and projections. Kernel scans are chunked at
-// checkpoint granularity; covered windows (no kernel work) get one
-// free check per segment so even all-covered queries stay cancelable.
-func (e *Engine) execGeneral(qc *qctx, plans []colPlan, res *Result, accs []*aggAcc, projCols []*storage.Column, grp *grouper, limit, n int) error {
+// windowRows is how many rows of a candidate window execWindows takes at a
+// time: the selection vector between the filter kernels and the consumers
+// never outgrows its first allocation, and the kernels' per-call cost is
+// still spread over a thousand rows. The ticker checkpoints every
+// checkpointRows rows regardless.
+const windowRows = 1024
+
+// execWindows runs every query but the fast COUNT: multi-column
+// conjunctions, aggregates over data, GROUP BY, and projections, ordered or
+// not. It intersects the plans' candidates and walks them windowRows rows at
+// a time, ticking once per window; a window the metadata did not cover is
+// filtered into one reused selection vector. The window's matches then fold
+// into the groups, into the aggregates, into the top-L selection (ORDER BY),
+// or into a keep list in row order that stops at LIMIT (an unordered
+// projection). The rows a projection retains are materialized at the end.
+//
+// Aggregates see every match, except under an unordered projection, where
+// they fold only the rows kept. Once the keep list is full, the rest of its
+// candidate segment is still filtered, so RowsScanned charges whole
+// segments; later segments are not read. A covered window whose only
+// consumers are aggregates is handed to them whole, and COUNT(*)-only
+// coverage reads nothing and is not ticked.
+func (e *Engine) execWindows(qc *qctx, plans []colPlan, res *Result, b *binding, limit, n int) error {
 	segs := []seg{{lo: 0, hi: n}}
 	for i := range plans {
 		segs = intersectPlan(segs, &plans[i], uint64(1)<<uint(i), n)
 	}
+	projecting := len(b.projCols) > 0
+	readsRows := projecting || b.grp != nil
+	var top *topL
+	if b.orderCol != nil {
+		top = newTopL(b.orderCol, b.desc, limit)
+	}
+	var keep []uint32 // an unordered projection's rows
+	full := func() bool { return projecting && top == nil && limit > 0 && len(keep) == limit }
 
 	tk := &ticker{qc: qc}
-	sel := bitvec.NewSelVec(1024)
-	done := false
+	sel := bitvec.NewSelVec(windowRows)
 	for _, s := range segs {
-		if done {
+		if full() {
 			break
 		}
 		if err := qc.check(0); err != nil {
 			return err
 		}
-		if err := e.execSegment(qc, plans, res, accs, projCols, grp, limit, s, tk, sel, &done); err != nil {
-			return err
+		for w := s; w.lo < s.hi; w.lo = w.hi {
+			w.hi = min(w.lo+windowRows, s.hi)
+			covered := w.needEval == 0
+			matched, read := w.hi-w.lo, w.hi-w.lo
+			sel.Reset()
+			if covered {
+				if full() {
+					break
+				}
+				if !projecting {
+					res.Stats.RowsCovered += matched
+				}
+				if !readsRows && len(b.accs) == 0 {
+					res.Count += matched
+					continue
+				}
+				if readsRows {
+					sel.AppendRange(uint32(w.lo), uint32(w.hi))
+				}
+			} else {
+				matched, read = filterWindow(plans, res, w, sel)
+			}
+			if err := tk.tick(read); err != nil {
+				return err
+			}
+			if !projecting {
+				res.Count += matched
+			}
+			rows := sel.Rows()
+			var err error
+			switch {
+			case b.grp != nil:
+				for _, r := range rows {
+					b.grp.addRow(int(r))
+				}
+				err = qc.checkResult(len(b.grp.groups))
+			case top != nil:
+				top.offer(rows)
+				err = qc.checkResult(top.retained())
+			case projecting:
+				if limit > 0 {
+					rows = rows[:min(len(rows), limit-len(keep))]
+				}
+				keep = append(keep, rows...)
+				matched = len(rows)
+				err = qc.checkResult(len(keep))
+			}
+			if err != nil {
+				return err
+			}
+			if b.grp != nil {
+				continue
+			}
+			for _, a := range b.accs {
+				if covered {
+					a.addWindow(w.lo, w.lo+matched)
+					continue
+				}
+				for _, r := range rows {
+					a.addRow(int(r))
+				}
+			}
 		}
 	}
-	return nil
+	if !projecting {
+		return nil
+	}
+	if top != nil {
+		keep = top.rows()
+	}
+	return materialize(qc, res, b.projCols, keep)
 }
 
-// execSegment runs one contiguous candidate window: covered fast paths
-// when no predicate needs evaluation, otherwise filter + refine + consume.
-func (e *Engine) execSegment(qc *qctx, plans []colPlan, res *Result, accs []*aggAcc, projCols []*storage.Column, grp *grouper, limit int, s seg, tk *ticker, sel *bitvec.SelVec, done *bool) error {
-	if s.needEval == 0 {
-		// Every row in the window qualifies. Count-only coverage reads
-		// no data and stays checkpoint-free; grouping, aggregation, and
-		// projection all read the covered rows, so they run in
-		// checkpoint-sized chunks like any other scan.
-		if grp != nil {
-			res.Count += s.hi - s.lo
-			res.Stats.RowsCovered += s.hi - s.lo
-			for lo := s.lo; lo < s.hi; {
-				end := lo + checkpointRows
-				if end > s.hi {
-					end = s.hi
-				}
-				grp.addWindow(lo, end)
-				if err := tk.tick(end - lo); err != nil {
-					return err
-				}
-				if err := qc.checkResult(len(grp.groups)); err != nil {
-					return err
-				}
-				lo = end
-			}
-			return nil
-		}
-		if len(projCols) == 0 {
-			res.Count += s.hi - s.lo
-			res.Stats.RowsCovered += s.hi - s.lo
-			for lo := s.lo; len(accs) > 0 && lo < s.hi; {
-				end := lo + checkpointRows
-				if end > s.hi {
-					end = s.hi
-				}
-				for _, a := range accs {
-					a.addWindow(lo, end)
-				}
-				if err := tk.tick(end - lo); err != nil {
-					return err
-				}
-				lo = end
-			}
-			return nil
-		}
-		for row := s.lo; row < s.hi && !*done; row++ {
-			if err := tk.tick(1); err != nil {
-				return err
-			}
-			var err error
-			if *done, err = e.emitRow(qc, res, accs, projCols, row, limit); err != nil {
-				return err
-			}
-		}
-		return nil
+// materialize fills res with the projected cells of rows, in order: the
+// rows are known, so one backing array holds all their cells.
+func materialize(qc *qctx, res *Result, projCols []*storage.Column, rows []uint32) error {
+	if len(rows) > 0 {
+		res.Rows = make([][]storage.Value, len(rows))
 	}
-	sel.Reset()
-	matched, err := filterWindow(tk, plans, res, s, sel)
-	if err != nil {
-		return err
-	}
-	// The matched rows were already charged by the filter passes above;
-	// the consumption loops below only need latency checkpoints
-	// (qc.check(0)) so huge match sets stay cancelable.
-	if grp != nil {
-		res.Count += matched
-		for rows := sel.Rows(); len(rows) > 0; {
-			chunk := rows
-			if len(chunk) > checkpointRows {
-				chunk = chunk[:checkpointRows]
-			}
-			for _, row := range chunk {
-				grp.addRow(int(row))
-			}
-			rows = rows[len(chunk):]
-			if err := qc.check(0); err != nil {
-				return err
-			}
-		}
-		if err := qc.checkResult(len(grp.groups)); err != nil {
-			return err
-		}
-		return nil
-	}
-	if len(projCols) == 0 {
-		res.Count += matched
-		for rows := sel.Rows(); len(rows) > 0; {
-			chunk := rows
-			if len(chunk) > checkpointRows {
-				chunk = chunk[:checkpointRows]
-			}
-			for _, row := range chunk {
-				for _, a := range accs {
-					a.addRow(int(row))
-				}
-			}
-			rows = rows[len(chunk):]
-			if err := qc.check(0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, row := range sel.Rows() {
+	slab := make([]storage.Value, len(rows)*len(projCols))
+	for i, r := range rows {
 		if i%checkpointRows == checkpointRows-1 {
 			if err := qc.check(0); err != nil {
 				return err
 			}
 		}
-		var err error
-		if *done, err = e.emitRow(qc, res, accs, projCols, int(row), limit); err != nil {
-			return err
+		vals := slab[:len(projCols):len(projCols)]
+		slab = slab[len(projCols):]
+		for ci, col := range projCols {
+			vals[ci] = col.Value(int(r))
 		}
-		if *done {
-			break
-		}
+		res.Rows[i] = vals
 	}
+	res.Count = len(res.Rows)
 	return nil
 }
 
-// filterWindow appends the rows of window s that match every predicate the
+// filterWindow appends the rows of window w that match every predicate the
 // window still needs evaluated: the first such predicate filters the
 // window into sel, the rest refine the selection. It returns the match
-// count and charges the rows each pass read.
-func filterWindow(tk *ticker, plans []colPlan, res *Result, s seg, sel *bitvec.SelVec) (matched int, err error) {
+// count and the rows the passes read, which it charges to res.
+func filterWindow(plans []colPlan, res *Result, w seg, sel *bitvec.SelVec) (matched, read int) {
 	first := true
 	for i := range plans {
-		if s.needEval&(uint64(1)<<uint(i)) == 0 {
+		if w.needEval&(uint64(1)<<uint(i)) == 0 {
 			continue
 		}
 		p := &plans[i]
 		if first {
-			if err := filterSegChunked(tk, p, s, sel); err != nil {
-				return 0, err
+			if p.pred.NullOnly {
+				scan.FilterNullSel(p.col.Nulls(), w.lo, w.hi, sel)
+			} else {
+				scan.Filter(p.col.Vec(), w.lo, w.hi, p.pred.R, p.col.Nulls(), 0, sel)
 			}
-			matched = sel.Len()
-			res.Stats.scanned(s.hi-s.lo, p.col)
+			read = w.hi - w.lo
+			res.Stats.scanned(w.hi-w.lo, p.col)
 			first = false
-			continue
+		} else {
+			read += sel.Len()
+			res.Stats.scanned(sel.Len(), p.col)
+			refineSel(sel, p)
 		}
-		res.Stats.scanned(sel.Len(), p.col)
-		if err := tk.tick(sel.Len()); err != nil {
-			return 0, err
-		}
-		matched = refineSel(sel, p)
-		if matched == 0 {
+		if matched = sel.Len(); matched == 0 {
 			break
 		}
 	}
-	return matched, nil
-}
-
-// filterSegChunked runs the segment's first predicate filter in
-// checkpoint-sized chunks, appending matches to sel.
-func filterSegChunked(tk *ticker, p *colPlan, s seg, sel *bitvec.SelVec) error {
-	for lo := s.lo; lo < s.hi; lo += checkpointRows {
-		hi := lo + checkpointRows
-		if hi > s.hi {
-			hi = s.hi
-		}
-		if p.pred.NullOnly {
-			scan.FilterNullSel(p.col.Nulls(), lo, hi, sel)
-		} else {
-			scan.Filter(p.col.Vec(), lo, hi, p.pred.R, p.col.Nulls(), 0, sel)
-		}
-		if err := tk.tick(hi - lo); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// emitRow appends one projected row; done reports the limit being hit,
-// err a blown result budget.
-func (e *Engine) emitRow(qc *qctx, res *Result, accs []*aggAcc, projCols []*storage.Column, row, limit int) (done bool, err error) {
-	if err := qc.checkResult(len(res.Rows) + 1); err != nil {
-		return true, err
-	}
-	vals := make([]storage.Value, len(projCols))
-	for ci, col := range projCols {
-		vals[ci] = col.Value(row)
-	}
-	res.Rows = append(res.Rows, vals)
-	res.Count++
-	for _, a := range accs {
-		a.addRow(row)
-	}
-	return limit > 0 && len(res.Rows) >= limit, nil
+	return matched, read
 }
 
 // refineSel keeps only selected rows matching plan p's predicate; returns
@@ -690,13 +657,7 @@ func intersectPlan(segs []seg, p *colPlan, bit uint64, n int) []seg {
 		}
 		for zj := zi; zj < len(zones) && zones[zj].Lo < s.hi; zj++ {
 			z := zones[zj]
-			lo, hi := z.Lo, z.Hi
-			if lo < s.lo {
-				lo = s.lo
-			}
-			if hi > s.hi {
-				hi = s.hi
-			}
+			lo, hi := max(z.Lo, s.lo), min(z.Hi, s.hi)
 			if lo >= hi {
 				continue
 			}

@@ -19,13 +19,8 @@ func (e *Engine) Explain(q Query) ([]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.syncSkippers()
-	if err := q.Where.Validate(); err != nil {
+	if _, err := e.bind(q); err != nil {
 		return nil, err
-	}
-	for _, a := range q.Aggs {
-		if _, err := e.validateAgg(a); err != nil {
-			return nil, err
-		}
 	}
 	n := e.tbl.NumRows()
 	var out []string

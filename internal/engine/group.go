@@ -58,15 +58,6 @@ func (g *grouper) addRow(row int) {
 	}
 }
 
-// addWindow folds a window of rows that all qualify. Unlike the global
-// accumulators, grouping always reads the key column, so the window
-// short-circuit only saves predicate evaluation, not key access.
-func (g *grouper) addWindow(lo, hi int) {
-	for row := lo; row < hi; row++ {
-		g.addRow(row)
-	}
-}
-
 // result materializes the grouped rows in key order (NULL group last) and
 // the result column names and types.
 func (g *grouper) result() ([]string, []storage.Type, [][]storage.Value) {

@@ -84,15 +84,6 @@ func (t *topL) offer(rows []uint32) {
 	}
 }
 
-// offerRange feeds the window [lo, hi), every row of which matches.
-func (t *topL) offerRange(lo, hi int) {
-	for r := uint32(lo); r < uint32(hi); r++ {
-		if !t.rejects(r) {
-			t.add(r)
-		}
-	}
-}
-
 // rejects is the one compare most rows end at once the heap is full: rows
 // arrive in ascending order, so a row whose key only ties the root's
 // already loses on row id. (A full heap also means no NULL row can make the
@@ -165,82 +156,4 @@ func (t *topL) rows() []uint32 {
 		out = append(out, e.row)
 	}
 	return append(out, t.nullRows...)
-}
-
-// orderWindowRows is how many rows of a candidate window execOrdered
-// filters at a time: the selection vector between the filter kernels and
-// the top-L selection never outgrows its first allocation, and the kernels'
-// per-call cost is still spread over a thousand rows. The ticker checkpoints
-// every checkpointRows rows regardless.
-const orderWindowRows = 1024
-
-// execOrdered handles ORDER BY projections. Candidate windows are filtered
-// orderWindowRows rows at a time; each chunk's matches fold into the
-// aggregates and pass through the top-L selection, so with a LIMIT the
-// match list never exists and the result-row budget is charged for the
-// rows retained, as it is for an unordered LIMIT.
-func (e *Engine) execOrdered(qc *qctx, plans []colPlan, res *Result, accs []*aggAcc, projCols []*storage.Column, orderCol *storage.Column, desc bool, limit, n int) error {
-	segs := []seg{{lo: 0, hi: n}}
-	for i := range plans {
-		segs = intersectPlan(segs, &plans[i], uint64(1)<<uint(i), n)
-	}
-
-	tk := &ticker{qc: qc}
-	top := newTopL(orderCol, desc, limit)
-	sel := bitvec.NewSelVec(orderWindowRows)
-	for _, s := range segs {
-		if err := qc.check(0); err != nil {
-			return err
-		}
-		for w := s; w.lo < s.hi; w.lo = w.hi {
-			w.hi = min(w.lo+orderWindowRows, s.hi)
-			if w.needEval == 0 {
-				// A covered window still has its rows read (ordered,
-				// aggregated, projected), so it is charged like a scan.
-				if err := tk.tick(w.hi - w.lo); err != nil {
-					return err
-				}
-				for _, a := range accs {
-					a.addWindow(w.lo, w.hi)
-				}
-				top.offerRange(w.lo, w.hi)
-			} else {
-				sel.Reset()
-				if _, err := filterWindow(tk, plans, res, w, sel); err != nil {
-					return err
-				}
-				for _, a := range accs {
-					for _, r := range sel.Rows() {
-						a.addRow(int(r))
-					}
-				}
-				top.offer(sel.Rows())
-			}
-			if err := qc.checkResult(top.retained()); err != nil {
-				return err
-			}
-		}
-	}
-
-	// The retained rows are known: one backing array holds all their cells.
-	rows := top.rows()
-	if len(rows) > 0 {
-		res.Rows = make([][]storage.Value, len(rows))
-	}
-	slab := make([]storage.Value, len(rows)*len(projCols))
-	for i, r := range rows {
-		if i%checkpointRows == checkpointRows-1 {
-			if err := qc.check(0); err != nil {
-				return err
-			}
-		}
-		vals := slab[:len(projCols):len(projCols)]
-		slab = slab[len(projCols):]
-		for ci, col := range projCols {
-			vals[ci] = col.Value(int(r))
-		}
-		res.Rows[i] = vals
-	}
-	res.Count = len(res.Rows)
-	return nil
 }

@@ -37,37 +37,41 @@ func benchClustered(b *testing.B, n int) *Engine {
 	return e
 }
 
+// benchRanges returns 64 1% ranges of v over e's n rows, after refining
+// e's zonemap with them: only COUNT(*) queries give the adaptive zonemap the
+// exact per-zone feedback it splits on, as the served mix's COUNT majority
+// does, and no other shape splits zones.
+func benchRanges(b *testing.B, e *Engine, n int) []expr.Conj {
+	b.Helper()
+	rng := rand.New(rand.NewSource(2))
+	wheres := make([]expr.Conj, 64)
+	for i := range wheres {
+		lo := rng.Int63n(int64(n - n/100))
+		wheres[i] = expr.And(expr.MustPred("v", expr.Between, storage.IntValue(lo), storage.IntValue(lo+int64(n/100))))
+	}
+	for round := 0; round < 8; round++ {
+		for _, where := range wheres {
+			if _, err := e.Query(Query{Where: where, Aggs: []Agg{{Kind: CountStar}}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return wheres
+}
+
 // BenchmarkOrderByLimit times ORDER BY seq over the ~10k matches of a 1%
 // range on a 1 Mi-row clustered table: L=100 is the served workload's
 // query (keep 100 of 10k), L=0 the full ordering.
 func BenchmarkOrderByLimit(b *testing.B) {
 	const n = 1 << 20
 	e := benchClustered(b, n)
-	rng := rand.New(rand.NewSource(2))
-	qs := make([]Query, 64)
-	for i := range qs {
-		lo := rng.Int63n(n - n/100)
-		qs[i] = Query{
-			Where:   expr.And(expr.MustPred("v", expr.Between, storage.IntValue(lo), storage.IntValue(lo+n/100))),
-			Select:  []string{"v", "seq"},
-			OrderBy: "seq",
-		}
-	}
-	// Only COUNT(*) queries give the adaptive zonemap the exact per-zone
-	// feedback it splits on: refine it with the same ranges first, as the
-	// served mix's COUNT majority does.
-	for round := 0; round < 8; round++ {
-		for i := range qs {
-			if _, err := e.Query(Query{Where: qs[i].Where, Aggs: []Agg{{Kind: CountStar}}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	wheres := benchRanges(b, e, n)
 	for _, limit := range []int{100, 0} {
+		qs := make([]Query, len(wheres))
+		for i, where := range wheres {
+			qs[i] = Query{Where: where, Select: []string{"v", "seq"}, OrderBy: "seq", Limit: limit}
+		}
 		b.Run(fmt.Sprintf("L=%d", limit), func(b *testing.B) {
-			for i := range qs {
-				qs[i].Limit = limit
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -77,6 +81,46 @@ func BenchmarkOrderByLimit(b *testing.B) {
 				}
 				if limit > 0 && res.Count != limit {
 					b.Fatalf("rows=%d", res.Count)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkQueryShapes times the windowed scan loop's other shapes over the
+// same 1% ranges and warmed zonemap as BenchmarkOrderByLimit: an aggregate,
+// a GROUP BY, a projection with and without a LIMIT, and a COUNT over two
+// columns (seq has no skipper, so every candidate window is filtered).
+func BenchmarkQueryShapes(b *testing.B) {
+	const n = 1 << 20
+	e := benchClustered(b, n)
+	wheres := benchRanges(b, e, n)
+	half := expr.MustPred("seq", expr.LT, storage.IntValue(n/2))
+	shapes := []struct {
+		name  string
+		query func(where expr.Conj) Query
+	}{
+		{"sum", func(w expr.Conj) Query { return Query{Where: w, Aggs: []Agg{{Kind: Sum, Col: "seq"}}} }},
+		{"group", func(w expr.Conj) Query {
+			return Query{Where: w, GroupBy: "v", Aggs: []Agg{{Kind: CountStar}}}
+		}},
+		{"project", func(w expr.Conj) Query { return Query{Where: w, Select: []string{"v", "seq"}} }},
+		{"project-L=100", func(w expr.Conj) Query { return Query{Where: w, Select: []string{"v", "seq"}, Limit: 100} }},
+		{"count-2col", func(w expr.Conj) Query {
+			return Query{Where: expr.And(w.Preds[0], half), Aggs: []Agg{{Kind: CountStar}}}
+		}},
+	}
+	for _, shape := range shapes {
+		qs := make([]Query, len(wheres))
+		for i, where := range wheres {
+			qs[i] = shape.query(where)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Query(qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -8,12 +8,15 @@ import (
 	"adskip/internal/scan"
 )
 
-// Parallel scan execution for the COUNT fast path. Candidate windows are
-// partitioned into contiguous groups of roughly equal row volume, one per
-// worker; each worker runs the same kernels over its group and the
-// partial counts and zone statistics merge losslessly (counting is
-// associative, statistics are per candidate and kept in candidate order).
-// Results are therefore bit-identical to the serial path.
+// Parallel scan execution for the COUNT fast path. A full scan is one
+// candidate spanning the table. The candidates are partitioned into
+// contiguous groups of roughly equal row volume, one per worker: a group
+// boundary may cut a plain candidate in two, but a candidate that asks for
+// statistics goes whole to one worker. Each worker runs the same kernels
+// over its group and the partial counts and zone statistics merge
+// losslessly (counting is associative, statistics are per candidate and
+// kept in candidate order). Results are therefore bit-identical to the
+// serial path.
 //
 // Every worker goroutine recovers its own panics into an error — panics
 // cannot cross goroutines, so an unrecovered worker panic would kill the
@@ -25,45 +28,6 @@ import (
 // off when each worker gets substantial contiguous work.
 const minRowsPerWorker = 1 << 16
 
-// parallelCountFull counts matches over [0, n) with p workers.
-func (e *Engine) parallelCountFull(qc *qctx, p *colPlan, n, workers int) (int, error) {
-	codes := p.col.Vec()
-	nulls := p.col.Nulls()
-	count := func(lo, hi int) int {
-		if p.pred.NullOnly {
-			return scan.CountNulls(nulls, lo, hi)
-		}
-		return scan.Count(codes, lo, hi, p.pred.R, nulls, 0)
-	}
-	if workers <= 1 || n < minRowsPerWorker*2 {
-		return countChunks(&ticker{qc: qc}, 0, n, count)
-	}
-	counts := make([]int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer recoverToError(&errs[w])
-			if faultinject.Enabled() && faultinject.Fire(faultinject.WorkerPanic) {
-				panic(faultinject.PanicValue)
-			}
-			counts[w], errs[w] = countChunks(&ticker{qc: qc}, lo, hi, count)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if err := firstWorkerError(errs); err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total, nil
-}
-
 // zoneWork is one worker's slice of the candidate list.
 type zoneWork struct {
 	zones  []core.CandidateZone
@@ -74,29 +38,18 @@ type zoneWork struct {
 }
 
 // parallelCountZones executes the candidate zones across workers and
-// returns the merged count, the statistics of the candidates that asked
-// for them (in candidate order), and stats.
-func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.CandidateZone, workers int) (int, []core.ZoneStats, ExecStats, error) {
+// returns the merged count and stats, and the statistics of the candidates
+// that asked for them, in candidate order.
+func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.CandidateZone, workers int) (out zoneWork) {
 	totalRows := 0
 	for _, z := range zones {
 		totalRows += z.Hi - z.Lo
 	}
 	if workers <= 1 || totalRows < minRowsPerWorker*2 {
-		w := zoneWork{zones: zones}
-		e.scanZoneGroup(qc, p, &w)
-		return w.count, w.zstats, w.stats, w.err
+		e.scanZoneGroup(qc, p, zones, &out)
+		return out
 	}
-	// Partition candidates into contiguous groups of ~equal row volume.
-	groups := make([]zoneWork, 0, workers)
-	target := (totalRows + workers - 1) / workers
-	start, acc := 0, 0
-	for i, z := range zones {
-		acc += z.Hi - z.Lo
-		if acc >= target || i == len(zones)-1 {
-			groups = append(groups, zoneWork{zones: zones[start : i+1]})
-			start, acc = i+1, 0
-		}
-	}
+	groups := partition(zones, totalRows, workers)
 	var wg sync.WaitGroup
 	for g := range groups {
 		wg.Add(1)
@@ -106,39 +59,70 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 			if faultinject.Enabled() && faultinject.Fire(faultinject.WorkerPanic) {
 				panic(faultinject.PanicValue)
 			}
-			e.scanZoneGroup(qc, p, w)
+			e.scanZoneGroup(qc, p, w.zones, w)
 		}(&groups[g])
 	}
 	wg.Wait()
 	errs := make([]error, len(groups))
-	for g := range groups {
-		errs[g] = groups[g].err
+	for g, w := range groups {
+		errs[g] = w.err
+		out.count += w.count
+		out.zstats = append(out.zstats, w.zstats...)
+		out.stats.RowsScanned += w.stats.RowsScanned
+		out.stats.RowsCovered += w.stats.RowsCovered
 	}
 	if err := firstWorkerError(errs); err != nil {
-		return 0, nil, ExecStats{}, err
+		return zoneWork{err: err}
 	}
-	count := 0
-	var zstats []core.ZoneStats
-	var stats ExecStats
-	for _, g := range groups {
-		count += g.count
-		zstats = append(zstats, g.zstats...)
-		stats.RowsScanned += g.stats.RowsScanned
-		stats.RowsCovered += g.stats.RowsCovered
+	return out
+}
+
+// partition cuts zones, which hold total rows, into at most workers
+// contiguous groups in candidate order, each closing once it holds its
+// share of the rows not yet handed out. A plain candidate that straddles a
+// share's end is cut there, into two pieces; a candidate with StatParts > 0
+// is never cut. The groups' zones are copies, so zones itself is not kept.
+func partition(zones []core.CandidateZone, total, workers int) []zoneWork {
+	pieces := make([]core.CandidateZone, 0, len(zones)+workers-1)
+	groups := make([]zoneWork, 0, workers)
+	start, closed, acc := 0, 0, 0 // open group's first piece; rows in closed groups; rows handed out
+	for _, z := range zones {
+		for {
+			left := workers - len(groups)
+			end := closed + (total-closed+left-1)/left // rows through the open group
+			piece := z
+			if cut := z.Lo + end - acc; z.StatParts == 0 && cut < z.Hi {
+				piece.Hi = cut
+			}
+			pieces = append(pieces, piece)
+			acc += piece.Hi - piece.Lo
+			if acc >= end && left > 1 {
+				groups = append(groups, zoneWork{zones: pieces[start:]})
+				start, closed = len(pieces), acc
+			}
+			if piece.Hi == z.Hi {
+				break
+			}
+			z.Lo = piece.Hi
+		}
 	}
-	return count, zstats, stats, nil
+	if start < len(pieces) {
+		groups = append(groups, zoneWork{zones: pieces[start:]})
+	}
+	return groups
 }
 
 // scanZoneGroup runs the fast-count kernels over one group of candidate
-// zones, accumulating into w. Counting kernels are chunked at checkpoint
+// zones, accumulating into w. (zones is a parameter, not read from w, so a
+// serial scan's candidate list stays off the heap.) Counting kernels are chunked at checkpoint
 // granularity; the statistics kernel runs whole-zone (its partitions must
 // be exact) and ticks afterward — merges never grow a zone past
 // adaptive.MaxZoneRows, so the overshoot is bounded too.
-func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
+func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, zones []core.CandidateZone, w *zoneWork) {
 	codes := p.col.Vec()
 	nulls := p.col.Nulls()
 	tk := &ticker{qc: qc}
-	for _, c := range w.zones {
+	for _, c := range zones {
 		switch {
 		case c.Covered:
 			w.count += c.Hi - c.Lo

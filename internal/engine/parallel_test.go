@@ -1,9 +1,14 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"adskip/internal/adaptive"
+	"adskip/internal/core"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -24,6 +29,8 @@ func bigTable(t testing.TB, n int, dist workload.Distribution) *table.Table {
 	return tb
 }
 
+// TestParallelCountMatchesSerial holds the COUNT driver's parallel scans to
+// its serial one, under every policy and data shape.
 func TestParallelCountMatchesSerial(t *testing.T) {
 	const n = 1 << 18
 	for _, policy := range []Policy{PolicyNone, PolicyStatic, PolicyAdaptive} {
@@ -55,6 +62,141 @@ func TestParallelCountMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// The scans the partitioner must cut: a full scan, which is one plain
+	// candidate, and an adaptive probe that leaves one candidate spanning
+	// the table; beside them, candidates that ask for statistics, which it
+	// must not cut. Every worker count reports the serial Count, Stats and
+	// candidate statistics.
+	full := New(bigTable(t, n, workload.Uniform), Options{Policy: PolicyNone})
+	spanning := New(bigTable(t, n, workload.Sorted), Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{InitialZoneRows: 4096}})
+	learning := New(bigTable(t, n, workload.Uniform), Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{InitialZoneRows: 4096}})
+	for _, e := range []*Engine{full, spanning, learning} {
+		if err := e.EnableSkipping("v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	for q := 0; q < 10; q++ {
+		lo := rng.Int63n(n)
+		cases := map[string]struct {
+			e     *Engine
+			where expr.Conj
+		}{
+			"full scan":  {full, expr.And(expr.MustPred("v", expr.Between, storage.IntValue(lo), storage.IntValue(lo+rng.Int63n(n/4))))},
+			"spanning":   {spanning, expr.And(expr.MustPred("v", expr.GE, storage.IntValue(-lo)))},
+			"statistics": {learning, expr.And(expr.MustPred("v", expr.Between, storage.IntValue(lo), storage.IntValue(lo+n/2)))},
+		}
+		for name, c := range cases {
+			serial, serialStats, zones := fastCount(t, c.e, c.where, 1)
+			if name == "spanning" && (len(zones) != 1 || zones[0].Lo != 0 || zones[0].Hi != n) {
+				t.Fatalf("%s: probe left %d candidates, want one spanning the table", name, len(zones))
+			}
+			if name == "statistics" && len(serialStats) == 0 {
+				t.Fatalf("%s: no candidate asked for statistics", name)
+			}
+			for _, workers := range []int{2, 4, 8} {
+				res, stats, _ := fastCount(t, c.e, c.where, workers)
+				if res.Count != serial.Count || res.Stats != serial.Stats || !reflect.DeepEqual(stats, serialStats) {
+					t.Fatalf("%s q%d, %d workers: count=%d stats=%+v zone stats=%v; serial %d %+v %v",
+						name, q, workers, res.Count, res.Stats, stats, serial.Count, serial.Stats, serialStats)
+				}
+			}
+		}
+	}
+}
+
+// fastCount plans where on e and runs the COUNT driver at the given
+// parallelism, returning the result and the candidate statistics left for
+// feedback. No feedback follows, so e's skipper is left as it was and every
+// call sees the same candidates.
+func fastCount(t *testing.T, e *Engine, where expr.Conj, workers int) (*Result, []core.ZoneStats, []core.CandidateZone) {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.syncSkippers()
+	plans, unsat, err := e.plan(where)
+	if err != nil || unsat || len(plans) != 1 {
+		t.Fatalf("plan: %d plans, unsat=%v, err=%v", len(plans), unsat, err)
+	}
+	e.opts.Parallelism = workers
+	res := &Result{}
+	if err := e.execFastCount(e.newQctx(context.Background()), &plans[0], res, e.tbl.NumRows()); err != nil {
+		t.Fatal(err)
+	}
+	return res, plans[0].stats, plans[0].res.Zones
+}
+
+// TestPartition is the partitioner's table: its groups tile the candidates
+// in order, a candidate that asks for statistics is never cut, and n rows
+// of plain candidates over w workers give w groups.
+func TestPartition(t *testing.T) {
+	plain := func(lo, hi int) core.CandidateZone { return core.CandidateZone{ID: core.NoZoneID, Lo: lo, Hi: hi} }
+	stat := func(id, lo, hi int) core.CandidateZone {
+		return core.CandidateZone{ID: id, Lo: lo, Hi: hi, StatParts: 4}
+	}
+	covered := func(lo, hi int) core.CandidateZone {
+		return core.CandidateZone{ID: core.NoZoneID, Lo: lo, Hi: hi, Covered: true}
+	}
+	cases := []struct {
+		zones   []core.CandidateZone
+		workers int
+		groups  int // -1: at most workers
+	}{
+		{[]core.CandidateZone{plain(0, 1000)}, 4, 4},
+		{[]core.CandidateZone{plain(0, 1001)}, 8, 8},
+		{[]core.CandidateZone{covered(0, 999)}, 2, 2},
+		{[]core.CandidateZone{plain(0, 10), plain(20, 30), covered(30, 50), plain(60, 1000)}, 4, 4},
+		{[]core.CandidateZone{stat(0, 0, 900), plain(900, 1000)}, 4, 4},
+		{[]core.CandidateZone{plain(0, 100), stat(1, 100, 600), plain(600, 700), stat(2, 700, 800), plain(800, 1200)}, 3, -1},
+		{[]core.CandidateZone{stat(0, 0, 10), stat(1, 10, 20), stat(2, 20, 30)}, 8, 3},
+		{[]core.CandidateZone{plain(0, 3)}, 8, 3},
+	}
+	for i, c := range cases {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			total := 0
+			for _, z := range c.zones {
+				total += z.Hi - z.Lo
+			}
+			groups := partition(c.zones, total, c.workers)
+			if len(groups) > c.workers || (c.groups >= 0 && len(groups) != c.groups) {
+				t.Fatalf("%d groups over %d workers, want %d", len(groups), c.workers, c.groups)
+			}
+			// Walk the pieces against the candidates: each candidate is one
+			// piece, or a plain one cut into pieces that end their groups.
+			type piece struct {
+				core.CandidateZone
+				last bool // the last piece of its group
+			}
+			var pieces []piece
+			for g, w := range groups {
+				if len(w.zones) == 0 {
+					t.Fatalf("group %d is empty", g)
+				}
+				for j, z := range w.zones {
+					pieces = append(pieces, piece{z, j == len(w.zones)-1})
+				}
+			}
+			for _, z := range c.zones {
+				for lo := z.Lo; lo < z.Hi; {
+					if len(pieces) == 0 {
+						t.Fatalf("candidate %+v: rows from %d not in any group", z, lo)
+					}
+					p := pieces[0]
+					pieces = pieces[1:]
+					want := z
+					want.Lo, want.Hi = lo, p.Hi
+					if p.CandidateZone != want || p.Hi > z.Hi || (p.Hi < z.Hi && (z.StatParts > 0 || !p.last)) {
+						t.Fatalf("candidate %+v: piece %+v (last in group: %v)", z, p.CandidateZone, p.last)
+					}
+					lo = p.Hi
+				}
+			}
+			if len(pieces) > 0 {
+				t.Fatalf("%d pieces past the candidates", len(pieces))
+			}
+		})
 	}
 }
 

@@ -116,6 +116,119 @@ func diffOrdered(t *testing.T, tb *table.Table, e, mirror *Engine, q Query) erro
 	return nil
 }
 
+// diffUnordered holds an unordered query on e to referenceEval: a
+// projection returns the first LIMIT matches in row order and its
+// aggregates fold those rows only; GROUP BY returns one row per distinct
+// key in value order, NULL last; otherwise the count and aggregates cover
+// every match.
+func diffUnordered(t *testing.T, tb *table.Table, e *Engine, q Query) error {
+	t.Helper()
+	matches := referenceEval(t, tb, q.Where)
+	column := func(name string) *storage.Column {
+		col, err := tb.Column(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col
+	}
+	fold := func(rows []int) []storage.Value {
+		var out []storage.Value
+		for _, a := range q.Aggs {
+			var col *storage.Column
+			if a.Kind != CountStar {
+				col = column(a.Col)
+			}
+			acc := newAggAcc(a.Kind, col)
+			for _, r := range rows {
+				acc.addRow(r)
+			}
+			out = append(out, acc.result())
+		}
+		return out
+	}
+	var wantRows [][]storage.Value
+	var wantAggs []storage.Value
+	wantCount := len(matches)
+	switch {
+	case q.GroupBy != "":
+		key := column(q.GroupBy)
+		groups := map[int64][]int{}
+		var keys []int64
+		var nulls []int
+		for _, r := range matches {
+			if key.IsNull(r) {
+				nulls = append(nulls, r)
+				continue
+			}
+			c := key.Codes()[r]
+			if _, ok := groups[c]; !ok {
+				keys = append(keys, c)
+			}
+			groups[c] = append(groups[c], r)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			a, b := key.Value(groups[keys[i]][0]), key.Value(groups[keys[j]][0])
+			switch key.Type() {
+			case storage.Float64:
+				return a.Float() < b.Float()
+			case storage.String:
+				return a.Str() < b.Str()
+			}
+			return a.Int() < b.Int()
+		})
+		for _, c := range keys {
+			wantRows = append(wantRows, append([]storage.Value{key.Value(groups[c][0])}, fold(groups[c])...))
+		}
+		if len(nulls) > 0 {
+			wantRows = append(wantRows, append([]storage.Value{storage.NullValue(key.Type())}, fold(nulls)...))
+		}
+		if q.Limit > 0 && len(wantRows) > q.Limit {
+			wantRows = wantRows[:q.Limit]
+		}
+	case len(q.Select) > 0:
+		if q.Limit > 0 && len(matches) > q.Limit {
+			matches = matches[:q.Limit]
+		}
+		for _, r := range matches {
+			var vals []storage.Value
+			for _, name := range q.Select {
+				vals = append(vals, column(name).Value(r))
+			}
+			wantRows = append(wantRows, vals)
+		}
+		wantCount = len(matches)
+		wantAggs = fold(matches)
+	default:
+		wantAggs = fold(matches)
+	}
+	res, err := e.Query(q)
+	if err != nil {
+		return err
+	}
+	if res.Count != wantCount || len(res.Rows) != len(wantRows) {
+		return fmt.Errorf("count=%d rows=%d, want %d and %d", res.Count, len(res.Rows), wantCount, len(wantRows))
+	}
+	for i, want := range wantRows {
+		if len(res.Rows[i]) != len(want) {
+			return fmt.Errorf("row %d: got %v, want %v", i, res.Rows[i], want)
+		}
+		for c := range want {
+			if !res.Rows[i][c].Equal(want[c]) {
+				return fmt.Errorf("row %d: got %v, want %v", i, res.Rows[i], want)
+			}
+		}
+	}
+	if len(res.Aggs) != len(wantAggs) {
+		return fmt.Errorf("aggs=%v, want %v", res.Aggs, wantAggs)
+	}
+	for i := range wantAggs {
+		if !res.Aggs[i].Equal(wantAggs[i]) {
+			return fmt.Errorf("agg %d: got %v, want %v", i, res.Aggs[i], wantAggs[i])
+		}
+	}
+	return nil
+}
+
 // toplTable is buildRefTable plus u, a string column whose dictionary
 // stays unsealed (skipping is enabled on every other column only), so
 // ordering by it has to compare values; s is the sealed twin.
@@ -195,10 +308,12 @@ func TestTopLMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestTopLAcrossCheckpointWindows drives the selection through one
+// TestTopLAcrossCheckpointWindows drives the windowed scan loop through one
 // candidate window that spans several checkpoints (no skipper: the whole
-// table is one window) and through a full heap that keeps being displaced
-// late in the scan.
+// table is one window): the top-L selection through a full heap that keeps
+// being displaced late in the scan, and every unordered shape — projections
+// whose LIMIT ends inside, at and just past a 1024-row window, aggregates,
+// GROUP BY, and a two-column COUNT — against the reference.
 func TestTopLAcrossCheckpointWindows(t *testing.T) {
 	const n = 3*checkpointRows + 123
 	tb := table.MustNew("t", table.Schema{{Name: "k", Type: storage.Int64}, {Name: "v", Type: storage.Float64}})
@@ -229,42 +344,77 @@ func TestTopLAcrossCheckpointWindows(t *testing.T) {
 			t.Fatalf("ORDER BY %s desc=%v LIMIT %d: %v", q.OrderBy, q.OrderDesc, q.Limit, err)
 		}
 	}
+	twoCols := expr.And(where.Preds[0], expr.MustPred("k", expr.LT, storage.IntValue(n/4)))
+	unordered := []Query{
+		{Where: where, Select: []string{"k", "v"}, Limit: 1023},
+		{Where: where, Select: []string{"k", "v"}, Limit: 1024, Aggs: []Agg{{Kind: Sum, Col: "v"}, {Kind: CountStar}}},
+		{Where: where, Select: []string{"v"}, Limit: 1025, Aggs: []Agg{{Kind: CountCol, Col: "v"}}},
+		{Where: where, Select: []string{"k"}},
+		{Select: []string{"v"}, Limit: 1025},
+		{Where: where, Aggs: []Agg{{Kind: Sum, Col: "v"}, {Kind: CountCol, Col: "v"}, {Kind: Sum, Col: "k"}}},
+		{Aggs: []Agg{{Kind: Sum, Col: "v"}, {Kind: CountCol, Col: "v"}}},
+		{Where: where, GroupBy: "v", Aggs: []Agg{{Kind: CountStar}, {Kind: Sum, Col: "k"}}},
+		{Where: twoCols, Aggs: []Agg{{Kind: CountStar}}},
+		{Where: twoCols},
+	}
+	for _, q := range unordered {
+		if err := diffUnordered(t, tb, e, q); err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+	}
 
-	// Cancellation between two chunks of the window still surfaces as
-	// ErrCanceled, with a LIMIT (no match list to abandon) as without one:
-	// every checkpoint sleeps 2ms, the window has four, the deadline is 7ms.
+	// Cancellation between two checkpoints of the window still surfaces as
+	// ErrCanceled, for every shape, with a LIMIT (no match list to abandon)
+	// as without one: every checkpoint sleeps 2ms, the window has four, the
+	// deadline is 7ms.
 	restore := faultinject.Activate(faultinject.New(7).
 		Set(faultinject.ScanDelay, faultinject.Rule{Every: 1, Delay: 2 * time.Millisecond}))
-	for _, limit := range []int{100, 0} {
+	midWindow := []Query{
+		{Where: where, Select: []string{"k"}, OrderBy: "k", Limit: 100},
+		{Where: where, Select: []string{"k"}, OrderBy: "k"},
+		{Where: where, Select: []string{"k"}},
+		{Where: where, Aggs: []Agg{{Kind: Sum, Col: "v"}}},
+		{Where: where, GroupBy: "v", Aggs: []Agg{{Kind: CountStar}}},
+		{Where: twoCols},
+	}
+	for _, q := range midWindow {
 		ctx, cancel := context.WithTimeout(context.Background(), 7*time.Millisecond)
-		_, err := e.QueryContext(ctx, Query{Where: where, Select: []string{"k"}, OrderBy: "k", Limit: limit})
+		_, err := e.QueryContext(ctx, q)
 		cancel()
 		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("LIMIT %d: err=%v, want ErrCanceled", limit, err)
+			t.Fatalf("%+v: err=%v, want ErrCanceled", q, err)
 		}
 	}
 	restore()
 	slow := New(tb, Options{Policy: PolicyNone, Limits: Limits{MaxRowsScanned: checkpointRows + 1}})
-	if _, err := slow.Query(Query{Where: where, Select: []string{"k"}, OrderBy: "k", Limit: 5}); !errors.Is(err, ErrBudget) {
-		t.Fatalf("rows-scanned budget mid-window: err=%v, want ErrBudget", err)
+	midWindow[0].Limit = 5
+	for _, q := range midWindow {
+		if _, err := slow.Query(q); !errors.Is(err, ErrBudget) {
+			t.Fatalf("rows-scanned budget mid-window, %+v: err=%v, want ErrBudget", q, err)
+		}
 	}
 }
 
-// FuzzTopL holds random ORDER BY queries to the stable-sort twin: the
-// fuzzer picks the predicate seed, the order column, the direction and the
-// limit; the three policies' engines keep adapting across inputs.
+// FuzzTopL holds random projections to their references: ordered, to the
+// stable-sort twin; unordered, to the reference's first rows. The fuzzer
+// picks the predicate seed, the order column, the direction, the limit and
+// whether the projection is ordered; the three policies' engines keep
+// adapting across inputs.
 func FuzzTopL(f *testing.F) {
 	const n = 700
 	tb := toplTable(f, n, 83)
 	engines := []*Engine{toplEngine(f, tb, PolicyNone), toplEngine(f, tb, PolicyStatic), toplEngine(f, tb, PolicyAdaptive)}
 	cols := []string{"a", "b", "f", "s", "g", "u"}
-	f.Add(int64(1), uint8(0), false, uint16(0), false)
-	f.Add(int64(2), uint8(1), true, uint16(1), true)
-	f.Add(int64(3), uint8(4), true, uint16(n-1), false)
-	f.Add(int64(4), uint8(5), false, uint16(n), true)
-	f.Add(int64(5), uint8(3), true, uint16(n+1), false)
-	f.Add(int64(6), uint8(2), false, uint16(100), true)
-	f.Fuzz(func(t *testing.T, seed int64, col uint8, desc bool, limit uint16, withAggs bool) {
+	f.Add(int64(1), uint8(0), false, uint16(0), false, true)
+	f.Add(int64(2), uint8(1), true, uint16(1), true, true)
+	f.Add(int64(3), uint8(4), true, uint16(n-1), false, true)
+	f.Add(int64(4), uint8(5), false, uint16(n), true, true)
+	f.Add(int64(5), uint8(3), true, uint16(n+1), false, true)
+	f.Add(int64(6), uint8(2), false, uint16(100), true, true)
+	f.Add(int64(7), uint8(0), false, uint16(0), true, false)
+	f.Add(int64(8), uint8(3), false, uint16(1), false, false)
+	f.Add(int64(9), uint8(1), false, uint16(100), true, false)
+	f.Fuzz(func(t *testing.T, seed int64, col uint8, desc bool, limit uint16, withAggs, ordered bool) {
 		rng := rand.New(rand.NewSource(seed))
 		var where expr.Conj
 		for k := rng.Intn(3); k > 0; k-- {
@@ -276,6 +426,12 @@ func FuzzTopL(f *testing.F) {
 			q.Aggs = []Agg{{Kind: CountStar}, {Kind: Sum, Col: "g"}, {Kind: Max, Col: "b"}}
 		}
 		for _, e := range engines {
+			if !ordered {
+				if err := diffUnordered(t, tb, e, Query{Where: q.Where, Select: q.Select, Limit: q.Limit, Aggs: q.Aggs}); err != nil {
+					t.Fatalf("%s LIMIT %d: %v", where, q.Limit, err)
+				}
+				continue
+			}
 			if err := diffOrdered(t, tb, e, nil, q); err != nil {
 				t.Fatalf("%s ORDER BY %s desc=%v LIMIT %d: %v", where, orderBy, desc, q.Limit, err)
 			}

@@ -53,7 +53,10 @@ func rewriteQuery(q engine.Query) *rewrite {
 		rw.q.Aggs = sub
 	}
 
-	if q.OrderBy != "" {
+	// Only a valid ORDER BY (a projection, no GROUP BY) is rewritten; any
+	// other reaches the shards as written, and they reject it as an
+	// unsharded engine would.
+	if q.OrderBy != "" && q.GroupBy == "" && len(q.Select) > 0 {
 		for i, name := range q.Select {
 			if name == q.OrderBy {
 				rw.orderIdx = i
