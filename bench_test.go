@@ -1,11 +1,11 @@
 package adskip
 
-// One testing.B per entry of the paper's experiment registry
-// (internal/harness; index in DESIGN.md §4, results in EXPERIMENTS.md),
-// run at a reduced scale so `go test -bench=.` completes quickly;
-// cmd/adskip-bench runs the same entries at paper scale and prints their
-// tables. Per-query microbenchmarks at the bottom give the raw policy
-// comparison behind the figures. Neither driver is the performance
+// One sub-benchmark of BenchmarkExperiments per entry of the paper's
+// experiment registry (internal/harness; index in DESIGN.md §4, results in
+// EXPERIMENTS.md), run at a reduced scale so `go test -bench=.` completes
+// quickly; cmd/adskip-bench runs the same entries at paper scale and prints
+// their tables. BenchmarkScan gives the raw per-query policy comparison
+// behind the figures. Neither driver is the performance
 // instrument: claims and the CI counter gate come from benchmark/.
 
 import (
@@ -25,33 +25,21 @@ func benchConfig() harness.Config {
 	return harness.Config{Rows: 1 << 17, Queries: 64, Seed: 42, StaticZoneRows: 2048}
 }
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	ex, ok := harness.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
+// BenchmarkExperiments regenerates every registry entry's table, one
+// sub-benchmark per entry, named by its id.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ex.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, ex := range harness.Experiments() {
+		b.Run(ex.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig1DistributionSweep(b *testing.B) { benchExperiment(b, "fig1") }
-func BenchmarkFig2Convergence(b *testing.B)       { benchExperiment(b, "fig2") }
-func BenchmarkFig3Selectivity(b *testing.B)       { benchExperiment(b, "fig3") }
-func BenchmarkFig4Granularity(b *testing.B)       { benchExperiment(b, "fig4") }
-func BenchmarkFig5Drift(b *testing.B)             { benchExperiment(b, "fig5") }
-func BenchmarkFig6Adversarial(b *testing.B)       { benchExperiment(b, "fig6") }
-func BenchmarkFig7Appends(b *testing.B)           { benchExperiment(b, "fig7") }
-func BenchmarkTab1Metadata(b *testing.B)          { benchExperiment(b, "tab1") }
-func BenchmarkTab2Summary(b *testing.B)           { benchExperiment(b, "tab2") }
-func BenchmarkTab3MultiColumn(b *testing.B)       { benchExperiment(b, "tab3") }
-func BenchmarkAbl1Ablation(b *testing.B)          { benchExperiment(b, "abl1") }
-func BenchmarkAbl2SplitCost(b *testing.B)         { benchExperiment(b, "abl2") }
 
 // benchPolicyStream measures steady-state per-query latency of a 1% range
 // count over the given distribution, one sub-benchmark per policy. The
@@ -103,19 +91,6 @@ func benchPolicyStream(b *testing.B, dist workload.Distribution) {
 	}
 }
 
-// BenchmarkQueryPerPolicy measures steady-state per-query latency of a 1%
-// range count on clustered data — the raw numbers behind fig1/tab2.
-func BenchmarkQueryPerPolicy(b *testing.B) {
-	benchPolicyStream(b, workload.Clustered)
-}
-
-// BenchmarkUniformOverheadPerPolicy measures the adversarial bound: the
-// same query stream over uniform random data, where skipping cannot help
-// and must not durably hurt (fig6's raw numbers).
-func BenchmarkUniformOverheadPerPolicy(b *testing.B) {
-	benchPolicyStream(b, workload.Uniform)
-}
-
 // BenchmarkScan is the canonical scan-path benchmark family for overhead
 // tracking: the always-on observability layer (per-query trace + atomic
 // metric updates) must keep these within 2% of an uninstrumented build.
@@ -142,9 +117,3 @@ func BenchmarkIngest(b *testing.B) {
 	}
 	_ = fmt.Sprint(tab.NumRows())
 }
-
-// BenchmarkExt1Parallel regenerates the parallel-scaling extension table.
-func BenchmarkExt1Parallel(b *testing.B) { benchExperiment(b, "ext1") }
-
-// BenchmarkExt2Imprints regenerates the imprints-vs-zonemaps table.
-func BenchmarkExt2Imprints(b *testing.B) { benchExperiment(b, "ext2") }

@@ -39,8 +39,9 @@ type ExecStats struct {
 	BytesScanned int `json:"-"`            // those rows at each filtered column's code width (4 or 8); not on the wire
 	RowsSkipped  int `json:"rows_skipped"` // rows pruned by metadata probes
 	// RowsCovered counts the rows of covered windows (every row matches;
-	// no predicate is evaluated) in COUNT, aggregate and GROUP BY queries.
-	// A projection, ordered or not, charges none.
+	// no predicate is evaluated), whatever the result shape. Like
+	// RowsScanned, it charges a window the scan took whole, even where an
+	// unordered LIMIT keeps only part of it.
 	RowsCovered  int `json:"rows_covered"`
 	ZonesProbed  int `json:"zones_probed"`
 	SkippersUsed int `json:"skippers_used"` // predicate columns where skipping participated
@@ -50,6 +51,18 @@ type ExecStats struct {
 	// for unsharded engines.
 	ShardsScanned int `json:"shards_scanned,omitempty"`
 	ShardsPruned  int `json:"shards_pruned,omitempty"`
+}
+
+// Add sums o into s, field by field.
+func (s *ExecStats) Add(o ExecStats) {
+	s.RowsScanned += o.RowsScanned
+	s.BytesScanned += o.BytesScanned
+	s.RowsSkipped += o.RowsSkipped
+	s.RowsCovered += o.RowsCovered
+	s.ZonesProbed += o.ZonesProbed
+	s.SkippersUsed += o.SkippersUsed
+	s.ShardsScanned += o.ShardsScanned
+	s.ShardsPruned += o.ShardsPruned
 }
 
 // scanned charges a kernel pass over rows rows of col.
@@ -506,9 +519,7 @@ func (e *Engine) execWindows(qc *qctx, plans []colPlan, res *Result, b *binding,
 				if full() {
 					break
 				}
-				if !projecting {
-					res.Stats.RowsCovered += matched
-				}
+				res.Stats.RowsCovered += matched
 				if !readsRows && len(b.accs) == 0 {
 					res.Count += matched
 					continue

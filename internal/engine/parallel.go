@@ -68,8 +68,7 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 		errs[g] = w.err
 		out.count += w.count
 		out.zstats = append(out.zstats, w.zstats...)
-		out.stats.RowsScanned += w.stats.RowsScanned
-		out.stats.RowsCovered += w.stats.RowsCovered
+		out.stats.Add(w.stats)
 	}
 	if err := firstWorkerError(errs); err != nil {
 		return zoneWork{err: err}

@@ -51,7 +51,7 @@ func TestResultMarshalJSONGolden(t *testing.T) {
 		{
 			name: "projection with nulls",
 			q:    Query{Select: []string{"id", "price", "city"}},
-			want: `{"count":3,"columns":[{"name":"id","type":"BIGINT"},{"name":"price","type":"DOUBLE"},{"name":"city","type":"VARCHAR"}],"rows":[[1,9.5,"oslo"],[2,null,"bergen"],[3,12.25,null]],"stats":{"rows_scanned":0,"rows_skipped":0,"rows_covered":0,"zones_probed":0,"skippers_used":0}}`,
+			want: `{"count":3,"columns":[{"name":"id","type":"BIGINT"},{"name":"price","type":"DOUBLE"},{"name":"city","type":"VARCHAR"}],"rows":[[1,9.5,"oslo"],[2,null,"bergen"],[3,12.25,null]],"stats":{"rows_scanned":0,"rows_skipped":0,"rows_covered":3,"zones_probed":0,"skippers_used":0}}`,
 		},
 		{
 			name: "empty projection keeps rows array",

@@ -3,11 +3,8 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"adskip/internal/engine"
-	"adskip/internal/storage"
-	"adskip/internal/table"
 	"adskip/internal/workload"
 )
 
@@ -24,31 +21,15 @@ func Ext1Parallel(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("parallel scan scaling, N=%d, sel=1%% (GOMAXPROCS=%d)", cfg.Rows, runtime.GOMAXPROCS(0)),
 		Header: []string{"workers", "uniform full-scan", "scaling", "clustered adaptive", "combined speedup vs serial none"},
 	}
-	uniform := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Uniform, Domain: int64(cfg.Rows), Seed: cfg.Seed,
-	})
-	clustered := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Clustered, Domain: int64(cfg.Rows),
-		Clusters: 4096, Seed: cfg.Seed,
-	})
+	uniform := generate(cfg, workload.Uniform, 0)
+	clustered := generate(cfg, workload.Clustered, 4096)
 	genSpec := workload.QuerySpec{
 		Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 12,
 	}
 	build := func(vals []int64, policy engine.Policy, workers int) *engine.Engine {
-		tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
-		col, _ := tbl.Column("v")
-		for _, x := range vals {
-			if err := col.AppendInt(x); err != nil {
-				panic(err)
-			}
-		}
-		e := engine.New(tbl, engine.Options{
-			Policy: policy, Adaptive: cfg.adaptiveConfig(), Parallelism: workers,
-		})
-		if err := e.EnableSkipping("v"); err != nil {
-			panic(err)
-		}
-		return e
+		opts := cfg.options(policy)
+		opts.Parallelism = workers
+		return newEngine(opts, vals)
 	}
 	var serialFull, serialNone float64
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -97,40 +78,22 @@ func Ext2Imprints(cfg Config) (*Table, error) {
 		Header: []string{"structure", "gap-query time", "gap rows skipped",
 			"mode-query time", "mode rows skipped", "metadata"},
 	}
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Bimodal, Domain: int64(cfg.Rows), Seed: cfg.Seed,
-	})
+	vals := generate(cfg, workload.Bimodal, 0)
 	domain := int64(cfg.Rows)
 	// Gap queries live in the empty middle 40%; mode queries in the lower
-	// mode (bottom 30%).
-	gapGen := func() *workload.Gen {
-		return workload.NewGen(workload.QuerySpec{
-			Kind: workload.HotRange, Domain: domain, Selectivity: 0.01,
-			HotFrac: 0.999, Seed: cfg.Seed + 30,
-		})
-	}
-	_ = gapGen
+	// mode (bottom 30%). Both are uniform ranges over [lo0, lo0+width).
 	runFixed := func(e *engine.Engine, lo0, width int64, n int) (streamResult, error) {
-		var sr streamResult
 		g := workload.NewGen(workload.QuerySpec{
 			Kind: workload.UniformRange, Domain: width, Selectivity: 0.02, Seed: cfg.Seed + 31,
 		})
-		for i := 0; i < n; i++ {
+		return run(e, n, func(int) (engine.Query, error) {
 			r := g.Next()
-			r.Lo += lo0
-			r.Hi += lo0
-			start := time.Now()
-			res, err := e.Query(countQuery(r))
-			if err != nil {
-				return sr, err
-			}
-			sr.perQueryNs = append(sr.perQueryNs, time.Since(start).Nanoseconds())
-			sr.rowsSkipped += int64(res.Stats.RowsSkipped)
-		}
-		return sr, nil
+			r.Lo, r.Hi = r.Lo+lo0, r.Hi+lo0
+			return countQuery(r), nil
+		}, nil)
 	}
 	for _, policy := range []engine.Policy{engine.PolicyNone, engine.PolicyStatic, engine.PolicyImprint, engine.PolicyAdaptive} {
-		e := buildEngineFromValues(cfg, vals, policy)
+		e := newEngine(cfg.options(policy), vals)
 		gapLo := domain * 35 / 100
 		gapW := domain * 30 / 100
 		srGap, err := runFixed(e, gapLo, gapW, cfg.Queries/2)
@@ -147,9 +110,9 @@ func Ext2Imprints(cfg Config) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			policy.String(),
 			fmtNs(srGap.medianNs(len(srGap.perQueryNs)/2, len(srGap.perQueryNs))),
-			fmt.Sprintf("%.1f%%", float64(srGap.rowsSkipped)/float64(total)*100),
+			fmt.Sprintf("%.1f%%", float64(srGap.stats.RowsSkipped)/float64(total)*100),
 			fmtNs(srMode.medianNs(len(srMode.perQueryNs)/2, len(srMode.perQueryNs))),
-			fmt.Sprintf("%.1f%%", float64(srMode.rowsSkipped)/float64(total)*100),
+			fmt.Sprintf("%.1f%%", float64(srMode.stats.RowsSkipped)/float64(total)*100),
 			fmtBytes(md.Bytes),
 		})
 	}

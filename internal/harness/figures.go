@@ -28,12 +28,12 @@ func Fig1Distributions(cfg Config) (*Table, error) {
 		row := []string{dist.String()}
 		var noneAvg, adpSteady float64
 		var adpSkipFrac float64
+		vals := generate(cfg, dist, 0)
 		for _, policy := range policies {
-			e, domain := buildEngine(cfg, dist, policy)
 			gen := workload.NewGen(workload.QuerySpec{
-				Kind: workload.UniformRange, Domain: domain, Selectivity: 0.01, Seed: cfg.Seed + 1,
+				Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 1,
 			})
-			sr, err := runStream(e, gen, cfg.Queries)
+			sr, err := runStream(newEngine(cfg.options(policy), vals), gen, cfg.Queries)
 			if err != nil {
 				return nil, err
 			}
@@ -46,7 +46,7 @@ func Fig1Distributions(cfg Config) (*Table, error) {
 				adpSteady = sr.avgNs(cfg.Queries/2, cfg.Queries)
 				row = append(row, fmtNs(adpSteady))
 				total := int64(cfg.Rows) * int64(cfg.Queries)
-				adpSkipFrac = float64(sr.rowsSkipped) / float64(total)
+				adpSkipFrac = float64(sr.stats.RowsSkipped) / float64(total)
 			}
 		}
 		row = append(row, fmt.Sprintf("%.1f%%", adpSkipFrac*100))
@@ -76,33 +76,20 @@ func Fig2Convergence(cfg Config) (*Table, error) {
 	}
 	// Fine clusters (many per initial zone) so coarse initial bounds are
 	// wide and the split mechanism has real work to do.
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Clustered, Domain: int64(cfg.Rows),
-		Clusters: 4096, Seed: cfg.Seed,
-	})
+	vals := generate(cfg, workload.Clustered, 4096)
 	var srs []streamResult
-	var zonesAt map[int]int
+	zonesAt := make([]int, cfg.Queries)
 	for _, policy := range policies {
-		e := buildEngineFromValues(cfg, vals, policy)
+		e := newEngine(cfg.options(policy), vals)
 		gen := workload.NewGen(workload.QuerySpec{
 			Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 2,
 		})
+		var after func(int)
 		if policy == engine.PolicyAdaptive {
 			// Sample zone counts alongside the timed stream.
-			zonesAt = make(map[int]int)
-			var sr streamResult
-			for i := 0; i < cfg.Queries; i++ {
-				one, err := runStream(e, gen, 1)
-				if err != nil {
-					return nil, err
-				}
-				sr.perQueryNs = append(sr.perQueryNs, one.perQueryNs[0])
-				zonesAt[i] = e.Skipper("v").Metadata().Zones
-			}
-			srs = append(srs, sr)
-			continue
+			after = func(i int) { zonesAt[i] = e.Skipper("v").Metadata().Zones }
 		}
-		sr, err := runStream(e, gen, cfg.Queries)
+		sr, err := run(e, cfg.Queries, counts(gen), after)
 		if err != nil {
 			return nil, err
 		}
@@ -153,12 +140,10 @@ func Fig3Selectivity(cfg Config) (*Table, error) {
 			"none SUM", "adaptive SUM", "SUM speedup", "rows skipped"},
 	}
 	sels := []float64{0.0001, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5}
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.SemiSorted, Domain: int64(cfg.Rows), Seed: cfg.Seed,
-	})
+	vals := generate(cfg, workload.SemiSorted, 0)
 	for _, sel := range sels {
-		none := buildEngineFromValues(cfg, vals, engine.PolicyNone)
-		adp := buildEngineFromValues(cfg, vals, engine.PolicyAdaptive)
+		none := newEngine(cfg.options(engine.PolicyNone), vals)
+		adp := newEngine(cfg.options(engine.PolicyAdaptive), vals)
 		genSpec := workload.QuerySpec{
 			Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: sel, Seed: cfg.Seed + 3,
 		}
@@ -170,11 +155,11 @@ func Fig3Selectivity(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		srNoneSum, err := runStreamAgg(none, workload.NewGen(genSpec), cfg.Queries)
+		srNoneSum, err := run(none, cfg.Queries, sums(workload.NewGen(genSpec)), nil)
 		if err != nil {
 			return nil, err
 		}
-		srAdpSum, err := runStreamAgg(adp, workload.NewGen(genSpec), cfg.Queries)
+		srAdpSum, err := run(adp, cfg.Queries, sums(workload.NewGen(genSpec)), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +167,7 @@ func Fig3Selectivity(cfg Config) (*Table, error) {
 		adpCnt := srAdp.medianNs(cfg.Queries/2, cfg.Queries)
 		noneSum := srNoneSum.medianNs(0, cfg.Queries)
 		adpSum := srAdpSum.medianNs(cfg.Queries/2, cfg.Queries)
-		skipFrac := float64(srAdp.rowsSkipped) / (float64(cfg.Rows) * float64(cfg.Queries))
+		skipFrac := float64(srAdp.stats.RowsSkipped) / (float64(cfg.Rows) * float64(cfg.Queries))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f%%", sel*100),
 			fmtNs(noneCnt),
@@ -210,16 +195,14 @@ func Fig4Granularity(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("static zone-size sweep vs adaptive, clustered, N=%d", cfg.Rows),
 		Header: []string{"configuration", "zones", "metadata", "avg time", "rows skipped"},
 	}
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Clustered, Domain: int64(cfg.Rows), Seed: cfg.Seed,
-	})
+	vals := generate(cfg, workload.Clustered, 0)
 	genSpec := workload.QuerySpec{
 		Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 4,
 	}
 	for zs := 64; zs <= cfg.Rows; zs *= 4 {
-		c := cfg
-		c.StaticZoneRows = zs
-		e := buildEngineFromValues(c, vals, engine.PolicyStatic)
+		opts := cfg.options(engine.PolicyStatic)
+		opts.StaticZoneSize = zs
+		e := newEngine(opts, vals)
 		sr, err := runStream(e, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
@@ -230,10 +213,10 @@ func Fig4Granularity(cfg Config) (*Table, error) {
 			fmt.Sprintf("%d", md.Zones),
 			fmtBytes(md.Bytes),
 			fmtNs(sr.avgNs(0, cfg.Queries)),
-			fmt.Sprintf("%.1f%%", float64(sr.rowsSkipped)/(float64(cfg.Rows)*float64(cfg.Queries))*100),
+			fmt.Sprintf("%.1f%%", float64(sr.stats.RowsSkipped)/(float64(cfg.Rows)*float64(cfg.Queries))*100),
 		})
 	}
-	adp := buildEngineFromValues(cfg, vals, engine.PolicyAdaptive)
+	adp := newEngine(cfg.options(engine.PolicyAdaptive), vals)
 	sr, err := runStream(adp, workload.NewGen(genSpec), cfg.Queries)
 	if err != nil {
 		return nil, err
@@ -244,7 +227,7 @@ func Fig4Granularity(cfg Config) (*Table, error) {
 		fmt.Sprintf("%d", md.Zones),
 		fmtBytes(md.Bytes),
 		fmtNs(sr.avgNs(cfg.Queries/2, cfg.Queries)),
-		fmt.Sprintf("%.1f%%", float64(sr.rowsSkipped)/(float64(cfg.Rows)*float64(cfg.Queries))*100),
+		fmt.Sprintf("%.1f%%", float64(sr.stats.RowsSkipped)/(float64(cfg.Rows)*float64(cfg.Queries))*100),
 	})
 	t.Notes = append(t.Notes, "adaptive row reports steady-state time; static rows are flat across the stream")
 	return t, nil
@@ -276,33 +259,21 @@ func Fig5Drift(cfg Config) (*Table, error) {
 	// cluster data refinement generalizes across the whole domain and
 	// drift costs nothing; this experiment isolates the re-adaptation
 	// path.)
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.SemiSorted, Domain: int64(cfg.Rows), Seed: cfg.Seed,
-	})
+	vals := generate(cfg, workload.SemiSorted, 0)
 	var srs []streamResult
-	var splitsAt []int // cumulative adaptive splits per query index
+	splitsAt := make([]int, cfg.Queries) // cumulative adaptive splits per query index
 	for _, policy := range policies {
-		e := buildEngineFromValues(cfg, vals, policy)
+		e := newEngine(cfg.options(policy), vals)
 		gen := workload.NewGen(workload.QuerySpec{
 			Kind: workload.DriftingHot, Domain: int64(cfg.Rows), Selectivity: 0.005,
 			HotFrac: 0.05, ShiftEvery: shift, Seed: cfg.Seed + 5,
 		})
+		var after func(int)
 		if policy == engine.PolicyAdaptive {
-			var sr streamResult
-			splitsAt = make([]int, cfg.Queries)
 			az := e.Skipper("v").(*adaptive.Zonemap)
-			for i := 0; i < cfg.Queries; i++ {
-				one, err := runStream(e, gen, 1)
-				if err != nil {
-					return nil, err
-				}
-				sr.perQueryNs = append(sr.perQueryNs, one.perQueryNs[0])
-				splitsAt[i] = az.Stats().Splits
-			}
-			srs = append(srs, sr)
-			continue
+			after = func(i int) { splitsAt[i] = az.Stats().Splits }
 		}
-		sr, err := runStream(e, gen, cfg.Queries)
+		sr, err := run(e, cfg.Queries, counts(gen), after)
 		if err != nil {
 			return nil, err
 		}
@@ -341,9 +312,7 @@ func Fig6Adversarial(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("uniform random data, N=%d, sel=1%%", cfg.Rows),
 		Header: []string{"configuration", "avg time", "steady time", "overhead vs none", "zones probed/query", "arbitration"},
 	}
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Uniform, Domain: int64(cfg.Rows), Seed: cfg.Seed,
-	})
+	vals := generate(cfg, workload.Uniform, 0)
 	genSpec := workload.QuerySpec{
 		Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 6,
 	}
@@ -362,11 +331,11 @@ func Fig6Adversarial(cfg Config) (*Table, error) {
 	}
 	var noneSteady float64
 	for _, c := range confs {
-		runCfg := cfg
+		opts := cfg.options(c.policy)
 		if c.zoneRows > 0 {
-			runCfg.StaticZoneRows = c.zoneRows
+			opts.StaticZoneSize = c.zoneRows
 		}
-		e := buildEngineFromValues(runCfg, vals, c.policy)
+		e := newEngine(opts, vals)
 		sr, err := runStream(e, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
@@ -387,7 +356,7 @@ func Fig6Adversarial(cfg Config) (*Table, error) {
 			fmtNs(sr.avgNs(0, cfg.Queries)),
 			fmtNs(steady),
 			fmt.Sprintf("%+.1f%%", (steady/noneSteady-1)*100),
-			fmt.Sprintf("%.0f", float64(sr.zonesProbed)/float64(cfg.Queries)),
+			fmt.Sprintf("%.0f", float64(sr.stats.ZonesProbed)/float64(cfg.Queries)),
 			arb,
 		})
 	}
@@ -424,32 +393,31 @@ func Fig7Appends(cfg Config) (*Table, error) {
 		vals := workload.Generate(workload.DataSpec{
 			N: n0, Dist: workload.Sorted, Domain: int64(cfg.Rows), Seed: cfg.Seed,
 		})
-		e := buildEngineFromValues(cfg, vals, policy)
+		e := newEngine(cfg.options(policy), vals)
 		gen := workload.NewGen(workload.QuerySpec{
 			Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 7,
 		})
-		var sr streamResult
 		appended := 0
-		next := int64(n0)
-		for i := 0; i < cfg.Queries; i++ {
+		v := int64(n0)
+		next := func(i int) (engine.Query, error) {
 			// Interleave appends across the middle half of the stream.
 			if i >= cfg.Queries/4 && i < 3*cfg.Queries/4 && appended < 8 &&
 				(i-cfg.Queries/4)%(cfg.Queries/2/8) == 0 {
 				for k := 0; k < batch; k++ {
 					// Appends are value-clustered (timestamp-like ingest),
 					// so folded tail zones have tight bounds.
-					if err := e.AppendRow(storage.IntValue(next)); err != nil {
-						return nil, err
+					if err := e.AppendRow(storage.IntValue(v)); err != nil {
+						return engine.Query{}, err
 					}
-					next++
+					v++
 				}
 				appended++
 			}
-			one, err := runStream(e, gen, 1)
-			if err != nil {
-				return nil, err
-			}
-			sr.perQueryNs = append(sr.perQueryNs, one.perQueryNs[0])
+			return countQuery(gen.Next()), nil
+		}
+		sr, err := run(e, cfg.Queries, next, nil)
+		if err != nil {
+			return nil, err
 		}
 		srs = append(srs, sr)
 		if policy == engine.PolicyAdaptive {

@@ -1,7 +1,8 @@
 // Package harness is the registry of the paper's reconstructed
 // evaluation — one Experiment per figure, table, ablation and extension
 // (fig1–7, tab1–3, abl1–2, ext1–3) — plus the machinery those entries
-// share: engine builders, timed query streams, and the Table they emit.
+// share: one engine builder (newEngine), one timed query loop (run), and
+// the Table they emit.
 // Each entry generates its workload, runs the policies, and returns the
 // series/rows EXPERIMENTS.md reports. Two drivers run registry entries and
 // nothing else: cmd/adskip-bench (paper scale, prints tables) and the
@@ -179,34 +180,60 @@ func Lookup(id string) (Experiment, bool) {
 // ---------------------------------------------------------------------------
 // Shared machinery.
 
-// buildEngine creates a one-column table ("v" BIGINT) filled with the
-// given distribution and an engine with the policy's skipping enabled.
-func buildEngine(cfg Config, dist workload.Distribution, policy engine.Policy) (*engine.Engine, int64) {
-	domain := int64(cfg.Rows)
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: dist, Domain: domain, Seed: cfg.Seed,
-	})
-	return buildEngineFromValues(cfg, vals, policy), domain
+// querier is what run measures: a single engine or a shard manager, both
+// of which execute engine.Query values.
+type querier interface {
+	Query(q engine.Query) (*engine.Result, error)
 }
 
-// buildEngineFromValues wraps pre-generated values.
-func buildEngineFromValues(cfg Config, vals []int64, policy engine.Policy) *engine.Engine {
-	tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
-	col, err := tbl.Column("v")
-	if err != nil {
-		panic(err)
+// options is the engine configuration every experiment starts from; an
+// experiment that varies a knob changes it on the returned value.
+func (c Config) options(policy engine.Policy) engine.Options {
+	return engine.Options{
+		Policy:         policy,
+		StaticZoneSize: c.StaticZoneRows,
+		Adaptive:       c.adaptiveConfig(),
 	}
-	for _, v := range vals {
-		if err := col.AppendInt(v); err != nil {
-			panic(err)
+}
+
+// generate draws cfg.Rows values of dist over the domain [0, cfg.Rows) from
+// cfg.Seed; clusters 0 is the generator's default.
+func generate(cfg Config, dist workload.Distribution, clusters int) []int64 {
+	return workload.Generate(workload.DataSpec{
+		N: cfg.Rows, Dist: dist, Domain: int64(cfg.Rows), Clusters: clusters, Seed: cfg.Seed,
+	})
+}
+
+// newTable creates table "t" with one BIGINT column per value slice: one
+// column is named "v", several "c0", "c1", ….
+func newTable(cols ...[]int64) *table.Table {
+	schema := make(table.Schema, len(cols))
+	for c := range cols {
+		schema[c] = table.ColumnSpec{Name: "v", Type: storage.Int64}
+		if len(cols) > 1 {
+			schema[c].Name = fmt.Sprintf("c%d", c)
 		}
 	}
-	e := engine.New(tbl, engine.Options{
-		Policy:         policy,
-		StaticZoneSize: cfg.StaticZoneRows,
-		Adaptive:       cfg.adaptiveConfig(),
-	})
-	if err := e.EnableSkipping("v"); err != nil {
+	tbl := table.MustNew("t", schema)
+	for c, vals := range cols {
+		col, err := tbl.Column(schema[c].Name)
+		if err != nil {
+			panic(err)
+		}
+		for _, v := range vals {
+			if err := col.AppendInt(v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return tbl
+}
+
+// newEngine builds an engine over newTable(cols...) with skipping enabled
+// on every column.
+func newEngine(opts engine.Options, cols ...[]int64) *engine.Engine {
+	e := engine.New(newTable(cols...), opts)
+	if err := e.EnableSkipping(); err != nil {
 		panic(err)
 	}
 	return e
@@ -221,57 +248,56 @@ func countQuery(r workload.Range) engine.Query {
 	}
 }
 
-// streamResult aggregates one measured query stream.
+// counts is the stream of COUNT(*) queries over gen's ranges.
+func counts(gen *workload.Gen) func(int) (engine.Query, error) {
+	return func(int) (engine.Query, error) { return countQuery(gen.Next()), nil }
+}
+
+// sums is the stream of SUM(v) queries over gen's ranges: covered windows
+// still avoid predicate evaluation but must read data to aggregate, so it
+// isolates pure skipping benefit from the covered-count short-circuit.
+func sums(gen *workload.Gen) func(int) (engine.Query, error) {
+	return func(int) (engine.Query, error) {
+		q := countQuery(gen.Next())
+		q.Aggs = []engine.Agg{{Kind: engine.Sum, Col: "v"}}
+		return q, nil
+	}
+}
+
+// streamResult is one measured query stream: each query's time and the
+// sum of their execution stats.
 type streamResult struct {
-	perQueryNs  []int64
-	rowsSkipped int64
-	zonesProbed int64
+	perQueryNs []int64
+	stats      engine.ExecStats
 }
 
-// runStreamAgg executes q queries from gen computing SUM(v) instead of
-// COUNT(*): covered windows still avoid predicate evaluation but must read
-// data to aggregate, so this stream isolates pure skipping benefit from
-// the covered-count short-circuit.
-func runStreamAgg(e *engine.Engine, gen *workload.Gen, q int) (streamResult, error) {
-	var sr streamResult
-	sr.perQueryNs = make([]int64, 0, q)
-	for i := 0; i < q; i++ {
-		r := gen.Next()
-		query := engine.Query{
-			Where: expr.And(expr.MustPred("v", expr.Between,
-				storage.IntValue(r.Lo), storage.IntValue(r.Hi))),
-			Aggs: []engine.Agg{{Kind: engine.Sum, Col: "v"}},
-		}
-		start := time.Now()
-		res, err := e.Query(query)
+// run executes n queries against e, timing each. next(i) builds query i
+// before the clock starts; after(i), when not nil, runs once query i has
+// returned. It is the only place the harness executes a query.
+func run(e querier, n int, next func(i int) (engine.Query, error), after func(i int)) (streamResult, error) {
+	sr := streamResult{perQueryNs: make([]int64, 0, n)}
+	for i := 0; i < n; i++ {
+		q, err := next(i)
 		if err != nil {
 			return sr, err
 		}
-		ns := time.Since(start).Nanoseconds()
-		sr.perQueryNs = append(sr.perQueryNs, ns)
-		sr.rowsSkipped += int64(res.Stats.RowsSkipped)
-		sr.zonesProbed += int64(res.Stats.ZonesProbed)
+		start := time.Now()
+		res, err := e.Query(q)
+		if err != nil {
+			return sr, err
+		}
+		sr.perQueryNs = append(sr.perQueryNs, time.Since(start).Nanoseconds())
+		sr.stats.Add(res.Stats)
+		if after != nil {
+			after(i)
+		}
 	}
 	return sr, nil
 }
 
-// runStream executes q queries from gen against e, timing each.
-func runStream(e *engine.Engine, gen *workload.Gen, q int) (streamResult, error) {
-	var sr streamResult
-	sr.perQueryNs = make([]int64, 0, q)
-	for i := 0; i < q; i++ {
-		r := gen.Next()
-		start := time.Now()
-		res, err := e.Query(countQuery(r))
-		if err != nil {
-			return sr, err
-		}
-		ns := time.Since(start).Nanoseconds()
-		sr.perQueryNs = append(sr.perQueryNs, ns)
-		sr.rowsSkipped += int64(res.Stats.RowsSkipped)
-		sr.zonesProbed += int64(res.Stats.ZonesProbed)
-	}
-	return sr, nil
+// runStream executes n COUNT(*) queries from gen against e.
+func runStream(e querier, gen *workload.Gen, n int) (streamResult, error) {
+	return run(e, n, counts(gen), nil)
 }
 
 // avgNs returns the mean per-query nanoseconds over the window [from, to).

@@ -2,8 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"adskip/internal/engine"
 )
 
 // tinyConfig keeps experiment runtime in milliseconds for unit tests.
@@ -63,10 +68,12 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 }
 
 // deterministicColumn reports whether a table column holds counts the
-// skipping structures produce (rows skipped, zones, metadata size) rather
-// than a timing.
+// skipping structures produce (rows skipped or scanned, shards pruned,
+// zones, splits, probes, metadata size, arbitration events) rather than a
+// timing. "scan" alone is not enough: ext1's "uniform full-scan" is a time.
 func deterministicColumn(header string) bool {
-	for _, s := range []string{"skipped", "zones", "metadata", "bytes/row"} {
+	for _, s := range []string{"skipped", "zones", "metadata", "bytes/row",
+		"scanned", "pruned", "splits", "probes", "reduction", "arbitration"} {
 		if strings.Contains(header, s) {
 			return true
 		}
@@ -131,5 +138,54 @@ func TestStreamResultWindows(t *testing.T) {
 	}
 	if sr.medianNs(2, 2) != 0 {
 		t.Fatal("empty median")
+	}
+}
+
+// fakeQuerier answers the query whose Limit is i (TestRunSumsAndHooks's
+// next puts the query's index there) with RowsScanned i+1 and ZonesProbed
+// 2(i+1), logging each call.
+type fakeQuerier struct{ log *[]string }
+
+func (f fakeQuerier) Query(q engine.Query) (*engine.Result, error) {
+	i := q.Limit
+	*f.log = append(*f.log, fmt.Sprintf("query %d", i))
+	return &engine.Result{Stats: engine.ExecStats{RowsScanned: i + 1, ZonesProbed: 2 * (i + 1)}}, nil
+}
+
+func TestRunSumsAndHooks(t *testing.T) {
+	var log []string
+	next := func(i int) (engine.Query, error) {
+		log = append(log, fmt.Sprintf("next %d", i))
+		return engine.Query{Limit: i}, nil
+	}
+	after := func(i int) { log = append(log, fmt.Sprintf("after %d", i)) }
+	sr, err := run(fakeQuerier{&log}, 3, next, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"next 0", "query 0", "after 0", "next 1", "query 1", "after 1", "next 2", "query 2", "after 2"}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("calls %v, want %v", log, want)
+	}
+	if len(sr.perQueryNs) != 3 {
+		t.Errorf("%d timings for 3 queries", len(sr.perQueryNs))
+	}
+	if st := (engine.ExecStats{RowsScanned: 1 + 2 + 3, ZonesProbed: 2 + 4 + 6}); sr.stats != st {
+		t.Errorf("stats %+v, want the sum %+v", sr.stats, st)
+	}
+
+	log = nil
+	boom := errors.New("boom")
+	_, err = run(fakeQuerier{&log}, 3, func(i int) (engine.Query, error) {
+		if i == 1 {
+			return engine.Query{}, boom
+		}
+		return next(i)
+	}, nil)
+	if !errors.Is(err, boom) {
+		t.Errorf("err %v, want the error next returned", err)
+	}
+	if want := []string{"next 0", "query 0"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("calls %v, want the stream to stop at the failed next: %v", log, want)
 	}
 }

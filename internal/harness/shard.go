@@ -9,15 +9,8 @@ import (
 	"adskip/internal/engine"
 	"adskip/internal/shard"
 	"adskip/internal/storage"
-	"adskip/internal/table"
 	"adskip/internal/workload"
 )
-
-// querier is the surface Ext3Sharded measures: a single engine or a
-// shard manager, both of which execute engine.Query values.
-type querier interface {
-	Query(q engine.Query) (*engine.Result, error)
-}
 
 // Ext3Sharded is an extension beyond the paper: sharded scatter-gather
 // execution with shard-level pruning. Each shard owns an adaptive
@@ -36,31 +29,17 @@ func Ext3Sharded(cfg Config) (*Table, error) {
 		Header: []string{"shards", "query median", "speedup", "shards scanned/query",
 			"shards pruned/query", "append rows/s (4 writers)", "append speedup"},
 	}
-	domain := int64(cfg.Rows)
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Clustered, Domain: domain,
-		Clusters: 4096, Seed: cfg.Seed,
-	})
+	vals := generate(cfg, workload.Clustered, 4096)
 	genSpec := workload.QuerySpec{
-		Kind: workload.HotRange, Domain: domain, Selectivity: 0.01,
+		Kind: workload.HotRange, Domain: int64(cfg.Rows), Selectivity: 0.01,
 		HotFrac: 0.9, Seed: cfg.Seed + 40,
 	}
-	eo := engine.Options{
-		Policy: engine.PolicyAdaptive, Adaptive: cfg.adaptiveConfig(),
-	}
+	eo := cfg.options(engine.PolicyAdaptive)
 	build := func(shards int) (querier, error) {
-		tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
-		col, _ := tbl.Column("v")
-		for _, x := range vals {
-			if err := col.AppendInt(x); err != nil {
-				return nil, err
-			}
-		}
 		if shards <= 1 {
-			e := engine.New(tbl, eo)
-			return e, e.EnableSkipping("v")
+			return newEngine(eo, vals), nil
 		}
-		m, err := shard.NewFromTable(tbl, shard.Options{
+		m, err := shard.NewFromTable(newTable(vals), shard.Options{
 			Shards: shards, Key: "v", Mode: shard.ModeRange, Engine: eo,
 		})
 		if err != nil {
@@ -75,24 +54,15 @@ func Ext3Sharded(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen := workload.NewGen(genSpec)
-		var sr streamResult
-		var scanned, pruned int64
-		for i := 0; i < cfg.Queries; i++ {
-			r := gen.Next()
-			start := time.Now()
-			res, err := q.Query(countQuery(r))
-			if err != nil {
-				return nil, err
-			}
-			sr.perQueryNs = append(sr.perQueryNs, time.Since(start).Nanoseconds())
-			scanned += int64(res.Stats.ShardsScanned)
-			pruned += int64(res.Stats.ShardsPruned)
+		sr, err := runStream(q, workload.NewGen(genSpec), cfg.Queries)
+		if err != nil {
+			return nil, err
 		}
+		scanned, pruned := sr.stats.ShardsScanned, sr.stats.ShardsPruned
 		if shards <= 1 {
 			// The unsharded engine reports no shard stats; one "shard" is
 			// always scanned.
-			scanned, pruned = int64(cfg.Queries), 0
+			scanned, pruned = cfg.Queries, 0
 		}
 		med := sr.medianNs(cfg.Queries/2, cfg.Queries)
 		rps, err := appendThroughput(shards, eo, cfg)
@@ -128,7 +98,7 @@ func appendThroughput(shards int, eo engine.Options, cfg Config) (float64, error
 		rows = 1 << 18
 	}
 	perWriter := rows / writers
-	tbl := table.MustNew("a", table.Schema{{Name: "v", Type: storage.Int64}})
+	tbl := newTable(nil)
 	var dst interface {
 		AppendRows(rows [][]storage.Value) error
 	}

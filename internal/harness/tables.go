@@ -8,7 +8,6 @@ import (
 	"adskip/internal/engine"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
-	"adskip/internal/table"
 	"adskip/internal/workload"
 	"adskip/internal/zonemap"
 )
@@ -23,9 +22,7 @@ func Tab1Metadata(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("metadata footprint, clustered, N=%d", cfg.Rows),
 		Header: []string{"structure", "zones", "metadata bytes", "bytes/row", "build time"},
 	}
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Clustered, Domain: int64(cfg.Rows), Seed: cfg.Seed,
-	})
+	vals := generate(cfg, workload.Clustered, 0)
 	for zs := 256; zs <= cfg.Rows; zs *= 16 {
 		start := time.Now()
 		s := zonemap.Build(storage.Vec{W: vals}, nil, zs)
@@ -39,12 +36,11 @@ func Tab1Metadata(cfg Config) (*Table, error) {
 			fmtNs(float64(build.Nanoseconds())),
 		})
 	}
-	acfg := cfg.adaptiveConfig()
 	start := time.Now()
-	az := adaptive.New(storage.Vec{W: vals}, nil, acfg)
+	az := adaptive.New(storage.Vec{W: vals}, nil, cfg.adaptiveConfig())
 	build := time.Since(start)
 	md := az.Metadata()
-	e := buildEngineFromValues(cfg, vals, engine.PolicyAdaptive)
+	e := newEngine(cfg.options(engine.PolicyAdaptive), vals)
 	t.Rows = append(t.Rows, []string{
 		"adaptive (initial)",
 		fmt.Sprintf("%d", md.Zones),
@@ -84,12 +80,12 @@ func Tab2Summary(cfg Config) (*Table, error) {
 	dists := []workload.Distribution{workload.Sorted, workload.SemiSorted, workload.Clustered, workload.Zipf, workload.Uniform}
 	for _, dist := range dists {
 		steady := map[engine.Policy]float64{}
+		vals := generate(cfg, dist, 0)
 		for _, policy := range policies {
-			e, domain := buildEngine(cfg, dist, policy)
 			gen := workload.NewGen(workload.QuerySpec{
-				Kind: workload.UniformRange, Domain: domain, Selectivity: 0.01, Seed: cfg.Seed + 9,
+				Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 9,
 			})
-			sr, err := runStream(e, gen, cfg.Queries)
+			sr, err := runStream(newEngine(cfg.options(policy), vals), gen, cfg.Queries)
 			if err != nil {
 				return nil, err
 			}
@@ -119,35 +115,17 @@ func Tab3MultiColumn(cfg Config) (*Table, error) {
 	}
 	const k = 4
 	domain := int64(cfg.Rows)
-	// Build a k-column table per policy; columns use different seeds so
-	// their cluster layouts are independent and intersection compounds.
-	build := func(policy engine.Policy) *engine.Engine {
-		schema := make(table.Schema, k)
-		for c := 0; c < k; c++ {
-			schema[c] = table.ColumnSpec{Name: fmt.Sprintf("c%d", c), Type: storage.Int64}
-		}
-		tbl := table.MustNew("t", schema)
-		for c := 0; c < k; c++ {
-			col, _ := tbl.Column(fmt.Sprintf("c%d", c))
-			for _, v := range workload.Generate(workload.DataSpec{
-				N: cfg.Rows, Dist: workload.Clustered, Domain: domain, Seed: cfg.Seed + int64(c),
-			}) {
-				if err := col.AppendInt(v); err != nil {
-					panic(err)
-				}
-			}
-		}
-		e := engine.New(tbl, engine.Options{
-			Policy: policy, StaticZoneSize: cfg.StaticZoneRows, Adaptive: cfg.adaptiveConfig(),
-		})
-		if err := e.EnableSkipping(); err != nil {
-			panic(err)
-		}
-		return e
+	// A k-column table per policy; columns use different seeds so their
+	// cluster layouts are independent and intersection compounds.
+	cols := make([][]int64, k)
+	for c := range cols {
+		cc := cfg
+		cc.Seed += int64(c)
+		cols[c] = generate(cc, workload.Clustered, 0)
 	}
 	engines := map[engine.Policy]*engine.Engine{}
 	for _, p := range []engine.Policy{engine.PolicyNone, engine.PolicyStatic} {
-		engines[p] = build(p)
+		engines[p] = newEngine(cfg.options(p), cols...)
 	}
 	gens := make([]*workload.Gen, k)
 	for c := 0; c < k; c++ {
@@ -168,33 +146,21 @@ func Tab3MultiColumn(cfg Config) (*Table, error) {
 			queries[qi] = engine.Query{Where: conj, Aggs: []engine.Agg{{Kind: engine.CountStar}}}
 		}
 		times := map[engine.Policy]float64{}
-		var staticScanned, noneScanned int64
+		scanned := map[engine.Policy]int{}
 		for _, p := range []engine.Policy{engine.PolicyNone, engine.PolicyStatic} {
-			e := engines[p]
-			var total int64
-			var scanned int64
-			for _, q := range queries {
-				start := time.Now()
-				res, err := e.Query(q)
-				if err != nil {
-					return nil, err
-				}
-				total += time.Since(start).Nanoseconds()
-				scanned += int64(res.Stats.RowsScanned)
+			sr, err := run(engines[p], len(queries), func(i int) (engine.Query, error) { return queries[i], nil }, nil)
+			if err != nil {
+				return nil, err
 			}
-			times[p] = float64(total) / float64(len(queries))
-			if p == engine.PolicyStatic {
-				staticScanned = scanned / int64(len(queries))
-			} else {
-				noneScanned = scanned / int64(len(queries))
-			}
+			times[p] = sr.avgNs(0, len(queries))
+			scanned[p] = sr.stats.RowsScanned / len(queries)
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", m),
 			fmtNs(times[engine.PolicyNone]),
 			fmtNs(times[engine.PolicyStatic]),
-			fmt.Sprintf("%d", staticScanned),
-			fmt.Sprintf("%.1f%%", (1-float64(staticScanned)/float64(noneScanned))*100),
+			fmt.Sprintf("%d", scanned[engine.PolicyStatic]),
+			fmt.Sprintf("%.1f%%", (1-float64(scanned[engine.PolicyStatic])/float64(scanned[engine.PolicyNone]))*100),
 		})
 	}
 	t.Notes = append(t.Notes, "scan reduction compounds as candidate windows intersect across columns")
@@ -223,47 +189,20 @@ func Abl1Mechanisms(cfg Config) (*Table, error) {
 		// data; disabling both isolates what either buys.
 		{"split only", func(c *adaptive.Config) { c.DisableMerge = true; c.DisableArbitration = true }},
 	}
-	clustered := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Clustered, Domain: int64(cfg.Rows),
-		Clusters: 4096, Seed: cfg.Seed,
-	})
-	uniform := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Uniform, Domain: int64(cfg.Rows), Seed: cfg.Seed,
-	})
-	// Baseline for overhead.
-	noneEng := buildEngineFromValues(cfg, uniform, engine.PolicyNone)
+	clustered := generate(cfg, workload.Clustered, 4096)
+	uniform := generate(cfg, workload.Uniform, 0)
 	genSpec := workload.QuerySpec{
 		Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 10,
 	}
-	srNone, err := runStream(noneEng, workload.NewGen(genSpec), cfg.Queries)
-	if err != nil {
-		return nil, err
-	}
-	noneSteady := srNone.avgNs(cfg.Queries/2, cfg.Queries)
 	for _, v := range variants {
-		acfg := cfg.adaptiveConfig()
-		v.mod(&acfg)
-		mk := func(vals []int64) *engine.Engine {
-			tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
-			col, _ := tbl.Column("v")
-			for _, x := range vals {
-				if err := col.AppendInt(x); err != nil {
-					panic(err)
-				}
-			}
-			e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg})
-			if err := e.EnableSkipping("v"); err != nil {
-				panic(err)
-			}
-			return e
-		}
-		eClu := mk(clustered)
+		opts := cfg.options(engine.PolicyAdaptive)
+		v.mod(&opts.Adaptive)
+		eClu := newEngine(opts, clustered)
 		srClu, err := runStream(eClu, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
-		eUni := mk(uniform)
-		srUni, err := runStream(eUni, workload.NewGen(genSpec), cfg.Queries)
+		srUni, err := runStream(newEngine(opts, uniform), workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
@@ -272,11 +211,10 @@ func Abl1Mechanisms(cfg Config) (*Table, error) {
 			v.name,
 			fmtNs(srClu.medianNs(cfg.Queries/2, cfg.Queries)),
 			fmtNs(uniSteady),
-			fmt.Sprintf("%.0f", float64(srUni.zonesProbed)/float64(cfg.Queries)),
+			fmt.Sprintf("%.0f", float64(srUni.stats.ZonesProbed)/float64(cfg.Queries)),
 			fmt.Sprintf("%d", eClu.Skipper("v").Metadata().Zones),
 		})
 	}
-	_ = noneSteady
 	t.Notes = append(t.Notes,
 		"no-split loses the clustered speedup; no-arbitration keeps probing uniform data every query (probes/query stays high)")
 	return t, nil
@@ -291,27 +229,14 @@ func Abl2SplitFanout(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("split fanout sweep, clustered, N=%d, sel=1%%", cfg.Rows),
 		Header: []string{"fanout", "first-quarter avg", "steady avg", "zones", "metadata"},
 	}
-	vals := workload.Generate(workload.DataSpec{
-		N: cfg.Rows, Dist: workload.Clustered, Domain: int64(cfg.Rows),
-		Clusters: 4096, Seed: cfg.Seed,
-	})
+	vals := generate(cfg, workload.Clustered, 4096)
 	genSpec := workload.QuerySpec{
 		Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 11,
 	}
 	for _, fanout := range []int{2, 4, 8, 16, 32} {
-		acfg := cfg.adaptiveConfig()
-		acfg.SplitParts = fanout
-		tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
-		col, _ := tbl.Column("v")
-		for _, x := range vals {
-			if err := col.AppendInt(x); err != nil {
-				panic(err)
-			}
-		}
-		e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg})
-		if err := e.EnableSkipping("v"); err != nil {
-			panic(err)
-		}
+		opts := cfg.options(engine.PolicyAdaptive)
+		opts.Adaptive.SplitParts = fanout
+		e := newEngine(opts, vals)
 		sr, err := runStream(e, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err

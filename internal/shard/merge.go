@@ -85,12 +85,7 @@ func rewriteQuery(q engine.Query) *rewrite {
 func (m *Manager) mergeResults(q engine.Query, rw *rewrite, targets []int, partials []*engine.Result) (*engine.Result, error) {
 	out := &engine.Result{}
 	for _, p := range partials {
-		out.Stats.RowsScanned += p.Stats.RowsScanned
-		out.Stats.BytesScanned += p.Stats.BytesScanned
-		out.Stats.RowsSkipped += p.Stats.RowsSkipped
-		out.Stats.RowsCovered += p.Stats.RowsCovered
-		out.Stats.ZonesProbed += p.Stats.ZonesProbed
-		out.Stats.SkippersUsed += p.Stats.SkippersUsed
+		out.Stats.Add(p.Stats)
 	}
 
 	switch {
