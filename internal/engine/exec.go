@@ -118,6 +118,16 @@ func (e *Engine) Query(q Query) (*Result, error) {
 // skipper panics or self-reports corruption quarantines that skipper and
 // retries once without it (full scan), preserving correctness.
 func (e *Engine) QueryContext(ctx context.Context, q Query) (*Result, error) {
+	p, err := e.QueryPartial(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Finish(), nil
+}
+
+// QueryPartial is QueryContext stopped before the result is finished: a
+// sharded table merges its shards' partials and finishes them once.
+func (e *Engine) QueryPartial(ctx context.Context, q Query) (*Partial, error) {
 	if q.Limit < 0 {
 		return nil, ErrBadLimit
 	}
@@ -133,9 +143,9 @@ func (e *Engine) QueryContext(ctx context.Context, q Query) (*Result, error) {
 
 	retried := false
 	for {
-		res, err := e.queryOnce(ctx, q)
+		p, err := e.queryOnce(ctx, q)
 		if err == nil {
-			return res, nil
+			return p, nil
 		}
 		if !retried && errors.Is(err, errQuarantineRetry) {
 			retried = true
@@ -156,7 +166,7 @@ func (e *Engine) QueryContext(ctx context.Context, q Query) (*Result, error) {
 // A panic anywhere in execution is recovered here: skippers that were
 // actively pruning are quarantined (the metadata is the prime corruption
 // suspect) and the error is marked retryable.
-func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error) {
+func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Partial, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var plans []colPlan
@@ -179,7 +189,9 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: b.columns, Types: b.types}
+	out = &Partial{res: Result{Columns: b.columns, Types: b.types}, limit: q.Limit,
+		grouped: b.grp != nil, projecting: len(b.projCols) > 0, ordered: b.orderCol != nil, desc: q.OrderDesc}
+	res := &out.res
 
 	tr.Plan = time.Since(tr.Start)
 
@@ -216,8 +228,11 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 		// match. Skippers still observe a zero-work query.
 	case b.grp == nil && len(plans) == 1 && len(b.projCols) == 0 && countOnly(b.accs):
 		err = e.execFastCount(qc, &plans[0], res, n)
+		for i := range b.accs {
+			b.accs[i].rows = int64(res.Count) // the fast path folds no rows into them
+		}
 	default:
-		err = e.execWindows(qc, plans, res, &b, q.Limit, n)
+		err = e.execWindows(qc, plans, out, &b, n)
 	}
 	if err != nil {
 		// A worker panic surfaces here as an error (recovered in its own
@@ -237,18 +252,24 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error
 		e.observe(&plans[i])
 	}
 	tr.Feedback = time.Since(tFeedback)
-	out = e.finish(res, &b, q.Limit)
-	e.finishTrace(out, tr, plans, n, q.Limit)
+	if b.grp != nil {
+		out.groups = b.grp.sorted(q.Limit)
+	}
+	for i := range b.accs {
+		b.accs[i].decode()
+	}
+	out.aggs = b.accs
+	e.finishTrace(res, tr, plans, n, q.Limit)
 	return out, nil
 }
 
 // binding is a query's output resolved against the table: its
-// accumulators, its grouper, its projected and order columns.
+// accumulators (ungrouped) or its grouper, its projected and order columns.
 type binding struct {
-	accs     []*aggAcc
+	accs     []aggAcc
 	grp      *grouper
 	projCols []*storage.Column
-	columns  []string // the projection's names and types, for Result
+	columns  []string // the result's column names and types
 	types    []storage.Type
 	orderCol *storage.Column
 	desc     bool
@@ -261,14 +282,13 @@ func (e *Engine) bind(q Query) (binding, error) {
 	if err := q.Where.Validate(); err != nil {
 		return binding{}, err
 	}
-	b := binding{accs: make([]*aggAcc, len(q.Aggs)), desc: q.OrderDesc}
+	b := binding{desc: q.OrderDesc}
 	aggCols := make([]*storage.Column, len(q.Aggs))
 	for i, a := range q.Aggs {
 		col, err := e.validateAgg(a)
 		if err != nil {
 			return binding{}, err
 		}
-		b.accs[i] = newAggAcc(a.Kind, col)
 		aggCols[i] = col
 	}
 	if q.GroupBy != "" {
@@ -282,7 +302,18 @@ func (e *Engine) bind(q Query) (binding, error) {
 			}
 		}
 		b.grp = newGrouper(gcol, q.Aggs, aggCols)
+		b.columns = append(b.columns, gcol.Name())
+		b.types = append(b.types, gcol.Type())
+		for i, a := range q.Aggs {
+			b.columns = append(b.columns, a.String())
+			acc := newAggAcc(a.Kind, aggCols[i])
+			b.types = append(b.types, acc.resultType())
+		}
 	} else {
+		b.accs = make([]aggAcc, len(q.Aggs))
+		for i, a := range q.Aggs {
+			b.accs[i] = newAggAcc(a.Kind, aggCols[i])
+		}
 		for _, name := range q.Select {
 			col, err := e.readColumn(name)
 			if err != nil {
@@ -376,19 +407,6 @@ func (e *Engine) observe(p *colPlan) {
 	}
 }
 
-// finish materializes aggregate or grouped output onto the result.
-func (e *Engine) finish(res *Result, b *binding, limit int) *Result {
-	if b.grp != nil {
-		res.Columns, res.Types, res.Rows = b.grp.result()
-		if limit > 0 && len(res.Rows) > limit {
-			res.Rows = res.Rows[:limit]
-		}
-		return res
-	}
-	e.finishAggs(res, b.accs)
-	return res
-}
-
 // plan lowers the conjunction per referenced column and probes skippers.
 // unsat is true when some column's intervals are empty (no row can match).
 func (e *Engine) plan(where expr.Conj) ([]colPlan, bool, error) {
@@ -414,26 +432,13 @@ func (e *Engine) plan(where expr.Conj) ([]colPlan, bool, error) {
 }
 
 // countOnly reports whether every accumulator is COUNT(*) (data-free).
-func countOnly(accs []*aggAcc) bool {
+func countOnly(accs []aggAcc) bool {
 	for _, a := range accs {
 		if a.kind != CountStar {
 			return false
 		}
 	}
 	return true
-}
-
-// finishAggs materializes aggregate results from the accumulated state
-// plus the final count.
-func (e *Engine) finishAggs(res *Result, accs []*aggAcc) {
-	for _, a := range accs {
-		// COUNT(*) accumulators may have been bypassed by the fast count
-		// path, which tracks res.Count directly.
-		if a.kind == CountStar && a.rows == 0 {
-			a.rows = int64(res.Count)
-		}
-		res.Aggs = append(res.Aggs, a.result())
-	}
 }
 
 // execFastCount is the hot path: one predicate column, COUNT(*)-only.
@@ -481,13 +486,14 @@ const windowRows = 1024
 // or into a keep list in row order that stops at LIMIT (an unordered
 // projection). The rows a projection retains are materialized at the end.
 //
-// Aggregates see every match, except under an unordered projection, where
-// they fold only the rows kept. Once the keep list is full, the rest of its
-// candidate segment is still filtered, so RowsScanned charges whole
-// segments; later segments are not read. A covered window whose only
-// consumers are aggregates is handed to them whole, and COUNT(*)-only
-// coverage reads nothing and is not ticked.
-func (e *Engine) execWindows(qc *qctx, plans []colPlan, res *Result, b *binding, limit, n int) error {
+// Aggregates see every match, whatever the result shape. An unordered
+// projection without aggregates stops at LIMIT: once the keep list is full,
+// the rest of its candidate segment is still filtered, so RowsScanned
+// charges whole segments; later segments are not read. A covered window
+// whose only consumers are aggregates is handed to them whole, and
+// COUNT(*)-only coverage reads nothing and is not ticked.
+func (e *Engine) execWindows(qc *qctx, plans []colPlan, p *Partial, b *binding, n int) error {
+	res, limit := &p.res, p.limit
 	segs := []seg{{lo: 0, hi: n}}
 	for i := range plans {
 		segs = intersectPlan(segs, &plans[i], uint64(1)<<uint(i), n)
@@ -499,7 +505,9 @@ func (e *Engine) execWindows(qc *qctx, plans []colPlan, res *Result, b *binding,
 		top = newTopL(b.orderCol, b.desc, limit)
 	}
 	var keep []uint32 // an unordered projection's rows
-	full := func() bool { return projecting && top == nil && limit > 0 && len(keep) == limit }
+	full := func() bool {
+		return projecting && top == nil && len(b.accs) == 0 && limit > 0 && len(keep) == limit
+	}
 
 	tk := &ticker{qc: qc}
 	sel := bitvec.NewSelVec(windowRows)
@@ -548,26 +556,23 @@ func (e *Engine) execWindows(qc *qctx, plans []colPlan, res *Result, b *binding,
 				top.offer(rows)
 				err = qc.checkResult(top.retained())
 			case projecting:
+				kept := rows
 				if limit > 0 {
-					rows = rows[:min(len(rows), limit-len(keep))]
+					kept = rows[:min(len(rows), limit-len(keep))]
 				}
-				keep = append(keep, rows...)
-				matched = len(rows)
+				keep = append(keep, kept...)
 				err = qc.checkResult(len(keep))
 			}
 			if err != nil {
 				return err
 			}
-			if b.grp != nil {
-				continue
-			}
-			for _, a := range b.accs {
+			for i := range b.accs {
 				if covered {
-					a.addWindow(w.lo, w.lo+matched)
+					b.accs[i].addWindow(w.lo, w.hi)
 					continue
 				}
 				for _, r := range rows {
-					a.addRow(int(r))
+					b.accs[i].addRow(int(r))
 				}
 			}
 		}
@@ -578,28 +583,40 @@ func (e *Engine) execWindows(qc *qctx, plans []colPlan, res *Result, b *binding,
 	if top != nil {
 		keep = top.rows()
 	}
-	return materialize(qc, res, b.projCols, keep)
+	return p.materialize(qc, b, keep)
 }
 
-// materialize fills res with the projected cells of rows, in order: the
-// rows are known, so one backing array holds all their cells.
-func materialize(qc *qctx, res *Result, projCols []*storage.Column, rows []uint32) error {
+// materialize fills the partial with the projected cells of rows, in
+// order, and an ORDER BY's order value of each: the rows are known, so one
+// backing array holds all their values.
+func (p *Partial) materialize(qc *qctx, b *binding, rows []uint32) error {
+	res, width := &p.res, len(b.projCols)
 	if len(rows) > 0 {
 		res.Rows = make([][]storage.Value, len(rows))
 	}
-	slab := make([]storage.Value, len(rows)*len(projCols))
+	cells, keys := len(rows)*width, 0
+	if b.orderCol != nil {
+		keys = len(rows)
+	}
+	slab := make([]storage.Value, cells+keys)
+	if keys > 0 {
+		p.keys, slab = slab[cells:], slab[:cells]
+	}
 	for i, r := range rows {
 		if i%checkpointRows == checkpointRows-1 {
 			if err := qc.check(0); err != nil {
 				return err
 			}
 		}
-		vals := slab[:len(projCols):len(projCols)]
-		slab = slab[len(projCols):]
-		for ci, col := range projCols {
+		vals := slab[:width:width]
+		slab = slab[width:]
+		for ci, col := range b.projCols {
 			vals[ci] = col.Value(int(r))
 		}
 		res.Rows[i] = vals
+		if b.orderCol != nil {
+			p.keys[i] = b.orderCol.Value(int(r))
+		}
 	}
 	res.Count = len(res.Rows)
 	return nil

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 
 	"adskip/internal/storage"
@@ -9,25 +8,25 @@ import (
 
 // grouper implements single-column GROUP BY aggregation: it maintains one
 // accumulator set per distinct group code (plus a NULL group), fed row by
-// row or window by window from the executor's qualifying-row machinery.
-// Group codes order-preserve values, so results sort by code and come back
-// in value order.
+// row from the executor's qualifying-row machinery. Group codes
+// order-preserve values, so groups sort by code and come back in value
+// order.
 type grouper struct {
 	col     *storage.Column
 	aggs    []Agg
 	accCols []*storage.Column // resolved aggregate input columns
-	groups  map[int64][]*aggAcc
-	nullAcc []*aggAcc // group of NULL keys; nil until first NULL row
+	groups  map[int64][]aggAcc
+	nullAcc []aggAcc // group of NULL keys; nil until first NULL row
 }
 
 // newGrouper builds a grouper; accCols[i] is the resolved column for
 // aggs[i] (nil for COUNT(*)).
 func newGrouper(col *storage.Column, aggs []Agg, accCols []*storage.Column) *grouper {
-	return &grouper{col: col, aggs: aggs, accCols: accCols, groups: make(map[int64][]*aggAcc)}
+	return &grouper{col: col, aggs: aggs, accCols: accCols, groups: make(map[int64][]aggAcc)}
 }
 
 // accsFor returns (creating on demand) the accumulator set for row's group.
-func (g *grouper) accsFor(row int) []*aggAcc {
+func (g *grouper) accsFor(row int) []aggAcc {
 	if g.col.IsNull(row) {
 		if g.nullAcc == nil {
 			g.nullAcc = g.newAccs()
@@ -43,8 +42,8 @@ func (g *grouper) accsFor(row int) []*aggAcc {
 	return accs
 }
 
-func (g *grouper) newAccs() []*aggAcc {
-	accs := make([]*aggAcc, len(g.aggs))
+func (g *grouper) newAccs() []aggAcc {
+	accs := make([]aggAcc, len(g.aggs))
 	for i, a := range g.aggs {
 		accs[i] = newAggAcc(a.Kind, g.accCols[i])
 	}
@@ -53,22 +52,21 @@ func (g *grouper) newAccs() []*aggAcc {
 
 // addRow folds one qualifying row into its group.
 func (g *grouper) addRow(row int) {
-	for _, acc := range g.accsFor(row) {
-		acc.addRow(row)
+	accs := g.accsFor(row)
+	for i := range accs {
+		accs[i].addRow(row)
 	}
 }
 
-// result materializes the grouped rows in key order (NULL group last) and
-// the result column names and types.
-func (g *grouper) result() ([]string, []storage.Type, [][]storage.Value) {
-	cols := make([]string, 1+len(g.aggs))
-	types := make([]storage.Type, 1+len(g.aggs))
-	cols[0] = g.col.Name()
-	types[0] = g.col.Type()
-	for i, a := range g.aggs {
-		cols[i+1] = a.String()
-		types[i+1] = aggResultType(a.Kind, g.accCols[i])
-	}
+// group is one GROUP BY key and its aggregate states, decoded.
+type group struct {
+	key  storage.Value
+	accs []aggAcc
+}
+
+// sorted returns the first limit groups (every group when limit is 0) in
+// key order, NULL group last, their keys and states decoded.
+func (g *grouper) sorted(limit int) []group {
 	codes := make([]int64, 0, len(g.groups))
 	for code := range g.groups {
 		codes = append(codes, code)
@@ -81,52 +79,20 @@ func (g *grouper) result() ([]string, []storage.Type, [][]storage.Value) {
 	} else {
 		sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
 	}
-	rows := make([][]storage.Value, 0, len(codes)+1)
+	out := make([]group, 0, len(codes)+1)
 	for _, code := range codes {
-		row := make([]storage.Value, 1+len(g.aggs))
-		row[0] = g.keyValue(code)
-		for i, acc := range g.groups[code] {
-			row[i+1] = acc.result()
-		}
-		rows = append(rows, row)
+		out = append(out, group{key: decodeCode(g.col, code), accs: g.groups[code]})
 	}
 	if g.nullAcc != nil {
-		row := make([]storage.Value, 1+len(g.aggs))
-		row[0] = storage.NullValue(g.col.Type())
-		for i, acc := range g.nullAcc {
-			row[i+1] = acc.result()
+		out = append(out, group{key: storage.NullValue(g.col.Type()), accs: g.nullAcc})
+	}
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	for _, gr := range out {
+		for i := range gr.accs {
+			gr.accs[i].decode()
 		}
-		rows = append(rows, row)
 	}
-	return cols, types, rows
-}
-
-// aggResultType is the logical type an aggregate's result column carries:
-// counts are BIGINT, AVG is always DOUBLE, and SUM/MIN/MAX follow the
-// aggregated column.
-func aggResultType(kind AggKind, col *storage.Column) storage.Type {
-	switch kind {
-	case CountStar, CountCol:
-		return storage.Int64
-	case Avg:
-		return storage.Float64
-	default:
-		if col != nil {
-			return col.Type()
-		}
-		return storage.Int64
-	}
-}
-
-// keyValue decodes a group code back to a dynamic value.
-func (g *grouper) keyValue(code int64) storage.Value {
-	switch g.col.Type() {
-	case storage.Int64:
-		return storage.IntValue(code)
-	case storage.Float64:
-		return storage.FloatValue(storage.DecodeFloat64(code))
-	case storage.String:
-		return storage.StringValue(g.col.Dict().Value(code))
-	}
-	panic(fmt.Sprintf("engine: unknown group column type %v", g.col.Type()))
+	return out
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"adskip/internal/expr"
@@ -187,5 +188,37 @@ func TestGroupByIntKeyLargeTable(t *testing.T) {
 		if total != 1000 {
 			t.Fatalf("%v: group counts sum to %d", policy, total)
 		}
+	}
+}
+
+// TestMinMaxUnsealedStrings: a string column nobody enabled skipping on
+// keeps its dictionary in insertion order, so its codes do not order its
+// values; MIN and MAX, plain or per group, still answer by value.
+func TestMinMaxUnsealedStrings(t *testing.T) {
+	tb := table.MustNew("t", testSchema())
+	for i, s := range []string{"m", "b", "z", "a", "", "q"} {
+		v := storage.StringValue(s)
+		if s == "" {
+			v = storage.NullValue(storage.String)
+		}
+		if err := tb.AppendRow(storage.IntValue(int64(i%2)), storage.IntValue(0), storage.FloatValue(0), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(tb, Options{})
+	aggs := []Agg{{Kind: Min, Col: "s"}, {Kind: Max, Col: "s"}}
+	res, err := e.Query(Query{Aggs: aggs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Aggs); got != "[a z]" {
+		t.Errorf("MIN, MAX = %s, want [a z]", got)
+	}
+	res, err = e.Query(Query{GroupBy: "a", Aggs: aggs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[0 m z] [1 a q]]" {
+		t.Errorf("grouped MIN, MAX = %s, want [[0 m z] [1 a q]]", got)
 	}
 }

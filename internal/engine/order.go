@@ -15,7 +15,8 @@ import (
 // over ascending ids would — followed by the NULL rows in row order (NULLs
 // last in both directions). Candidate windows stream through topL, which
 // retains at most LIMIT rows (every match when there is no limit);
-// aggregates fold as rows pass. Only retained rows are ever materialized.
+// aggregates fold as rows pass. Only retained rows are ever materialized,
+// each with its order value, which is what Partial.Merge orders by.
 
 // topEntry is one retained non-NULL row.
 type topEntry struct {

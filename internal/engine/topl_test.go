@@ -69,6 +69,7 @@ func stableSortTwin(t testing.TB, tb *table.Table, q Query, matches []int) (rows
 		for _, r := range matches {
 			acc.addRow(r)
 		}
+		acc.decode()
 		aggs = append(aggs, acc.result())
 	}
 	return rows, aggs
@@ -117,10 +118,9 @@ func diffOrdered(t *testing.T, tb *table.Table, e, mirror *Engine, q Query) erro
 }
 
 // diffUnordered holds an unordered query on e to referenceEval: a
-// projection returns the first LIMIT matches in row order and its
-// aggregates fold those rows only; GROUP BY returns one row per distinct
-// key in value order, NULL last; otherwise the count and aggregates cover
-// every match.
+// projection returns the first LIMIT matches in row order; GROUP BY returns
+// one row per distinct key in value order, NULL last; otherwise the count
+// covers every match. Aggregates fold every match in every shape.
 func diffUnordered(t *testing.T, tb *table.Table, e *Engine, q Query) error {
 	t.Helper()
 	matches := referenceEval(t, tb, q.Where)
@@ -142,6 +142,7 @@ func diffUnordered(t *testing.T, tb *table.Table, e *Engine, q Query) error {
 			for _, r := range rows {
 				acc.addRow(r)
 			}
+			acc.decode()
 			out = append(out, acc.result())
 		}
 		return out
@@ -186,6 +187,7 @@ func diffUnordered(t *testing.T, tb *table.Table, e *Engine, q Query) error {
 			wantRows = wantRows[:q.Limit]
 		}
 	case len(q.Select) > 0:
+		wantAggs = fold(matches)
 		if q.Limit > 0 && len(matches) > q.Limit {
 			matches = matches[:q.Limit]
 		}
@@ -197,7 +199,6 @@ func diffUnordered(t *testing.T, tb *table.Table, e *Engine, q Query) error {
 			wantRows = append(wantRows, vals)
 		}
 		wantCount = len(matches)
-		wantAggs = fold(matches)
 	default:
 		wantAggs = fold(matches)
 	}

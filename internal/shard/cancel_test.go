@@ -270,7 +270,7 @@ func (c *stackCtx) engineStacks() []string {
 	defer c.mu.Unlock()
 	var out []string
 	for _, s := range c.stacks {
-		if strings.Contains(s, "engine.(*Engine).QueryContext") {
+		if strings.Contains(s, "engine.(*Engine).QueryPartial") {
 			out = append(out, s)
 		}
 	}

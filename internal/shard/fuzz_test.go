@@ -1,0 +1,83 @@
+package shard
+
+import (
+	"fmt"
+	"testing"
+
+	"adskip/internal/engine"
+	"adskip/internal/expr"
+	"adskip/internal/storage"
+)
+
+// FuzzShardedMatchesUnsharded: a sharded table answers every result shape
+// as one engine over the same rows does. The fuzzer picks the shape, the
+// predicate's bounds, the limit, the row count, the shard count and the
+// partitioning; results compare under checkEqual's rules. An unordered
+// projection with a limit keeps whichever LIMIT matches its shards reach
+// first, so its rows are held to the whole match set instead.
+func FuzzShardedMatchesUnsharded(f *testing.F) {
+	for shape := uint8(0); shape < 8; shape++ {
+		f.Add(shape, int16(100), int16(700), uint8(40), uint8(10), uint16(1000), uint8(shape%3), shape%2 == 0, shape%4 < 2)
+	}
+	f.Add(uint8(7), int16(100), int16(1500), uint8(0), uint8(5), uint16(2000), uint8(0), true, false)
+	f.Add(uint8(1), int16(5000), int16(9000), uint8(0), uint8(0), uint16(300), uint8(2), false, false)
+	f.Fuzz(func(t *testing.T, shape uint8, lo, hi int16, price, limit uint8, n uint16, shards uint8, hash, desc bool) {
+		mode := ModeRange
+		if hash {
+			mode = ModeHash
+		}
+		ref, m := pair(t, mode, 2+int(shards%3), 1+int(n%2000))
+		q := engine.Query{Limit: int(limit % 64), OrderDesc: desc, Where: expr.And(
+			expr.MustPred("id", expr.Between, storage.IntValue(int64(lo)), storage.IntValue(int64(hi))),
+			expr.MustPred("price", expr.GE, storage.FloatValue(float64(price)/2.5)))}
+		ordered := true
+		switch shape % 8 {
+		case 0:
+			q.Limit = 0
+		case 1:
+			q.Aggs = everyAgg
+		case 2:
+			q.GroupBy, q.Aggs = "city", everyAgg
+		case 3:
+			q.GroupBy, q.Aggs = "id", everyAgg
+		case 4:
+			q.Select, q.OrderBy = []string{"id", "price", "city"}, "id"
+		case 5:
+			// Prices repeat: project only the order column, so which rows
+			// of a tie a limit keeps does not show.
+			q.Select, q.OrderBy = []string{"price"}, "price"
+		case 6:
+			q.Select, ordered = []string{"id", "city"}, false
+		case 7:
+			q.Select, q.Aggs, ordered = []string{"id", "city"}, everyAgg, false
+		}
+		name := fmt.Sprintf("%v %d shards %+v", mode, m.Shards(), q)
+		want, err := ref.Query(q)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		got, err := m.Query(q)
+		if err != nil {
+			t.Fatalf("%s: sharded: %v", name, err)
+		}
+		if !ordered && q.Limit > 0 {
+			all := q
+			all.Limit = 0
+			every, err := ref.Query(all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			left := map[string]int{}
+			for _, r := range renderRows(every.Rows) {
+				left[r]++
+			}
+			for _, r := range renderRows(got.Rows) {
+				if left[r]--; left[r] < 0 {
+					t.Fatalf("%s: row %q is not a match, or is one too many times", name, r)
+				}
+			}
+			want.Rows, got.Rows = nil, nil
+		}
+		checkEqual(t, name, want, got, ordered)
+	})
+}

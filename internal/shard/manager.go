@@ -3,9 +3,15 @@
 // own engine.Engine with private adaptive zonemap state, and executes
 // queries by (1) pruning shards whose observed key bounds cannot
 // intersect the predicate — data skipping one level above zones — then
-// (2) fanning the scan out to the surviving shards on parallel workers
-// with cooperative cancellation, and (3) merging the partial results
-// with a deterministic output order.
+// (2) fanning the query out to the surviving shards on parallel workers
+// with cooperative cancellation, and (3) merging what each shard returns,
+// its engine.Partial (aggregate states, groups, retained rows with their
+// order values), in ascending shard order, then finishing the merged
+// partial once. Every shard runs the logical query as written: a partial
+// already holds AVG as a sum and a count, an ORDER BY's order values and
+// no more than LIMIT rows or groups. Aggregate semantics live in the
+// engine alone, so a sharded answer is one engine's answer, with equal
+// keys broken by shard number.
 //
 // Shard pruning is correct independently of routing quality: each shard
 // tracks the observed min/max key codes (and NULL-key count) of the rows

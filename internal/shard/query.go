@@ -18,11 +18,11 @@ func (m *Manager) Query(q engine.Query) (*engine.Result, error) {
 }
 
 // QueryContext executes q across the shards: shard-prune by key bounds,
-// scatter to the survivors, merge. Per-phase accounting mirrors a plain
-// engine — plan covers validation and the per-shard query rewrite,
-// shardprune is the new phase, and scan is the scatter+merge wall clock
-// (the shards' per-predicate probe detail is merged into the trace's
-// predicates).
+// scatter q to the survivors, merge their partials in ascending shard order
+// and finish the merged partial once. Per-phase accounting mirrors a plain
+// engine — plan covers validation, shardprune is the new phase, and scan is
+// the scatter+merge wall clock (the shards' per-predicate probe detail is
+// merged into the trace's predicates).
 func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Result, error) {
 	if q.Limit < 0 {
 		return nil, engine.ErrBadLimit
@@ -43,7 +43,6 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 	if err := q.Where.Validate(); err != nil {
 		return nil, err
 	}
-	rw := rewriteQuery(q)
 	tr.Plan = time.Since(tr.Start)
 
 	tPrune := time.Now()
@@ -57,14 +56,16 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 	m.mQueries.Inc()
 
 	tScan := time.Now()
-	partials, err := m.scatter(ctx, targets, rw.q)
+	partials, err := m.scatter(ctx, targets, q)
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.mergeResults(q, rw, targets, partials)
-	if err != nil {
-		return nil, err
+	// Equal keys keep the lower shard's rows first: a deterministic answer
+	// (TestMergeOrderGolden).
+	for _, p := range partials[1:] {
+		partials[0].Merge(p)
 	}
+	res := partials[0].Finish()
 	tr.Scan = time.Since(tScan)
 	res.Stats.ShardsScanned, res.Stats.ShardsPruned = len(targets), pruned
 
@@ -74,7 +75,7 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 
 // finishTrace closes the merged trace and charges the logical query's
 // latency: the Manager-level mirror of the engine's bookkeeping.
-func (m *Manager) finishTrace(res *engine.Result, tr *obs.QueryTrace, partials []*engine.Result, total int) {
+func (m *Manager) finishTrace(res *engine.Result, tr *obs.QueryTrace, partials []*engine.Partial, total int) {
 	tr.Total = time.Since(tr.Start)
 	tr.RowsScanned = res.Stats.RowsScanned
 	tr.RowsSkipped = res.Stats.RowsSkipped
@@ -130,40 +131,40 @@ func (m *Manager) pruneShards(where expr.Conj) (targets []int, pruned int) {
 	return targets, pruned
 }
 
-// scatter runs the per-shard query on the target shards. A lone target —
-// what key-bound pruning usually leaves — runs on the caller's goroutine
-// under the caller's context: there is nothing to wait for and no sibling
-// to cancel. Two or more targets each get a worker, and cancellation is
-// cooperative and bidirectional: the caller's context cancels every worker
-// (each shard engine checks at its scan checkpoints), and the first worker
-// error cancels the rest. The shard-scanned counter is incremented per
-// COMPLETED shard scan, so a cancelled gather reports exactly the partial
-// work that ran.
-func (m *Manager) scatter(ctx context.Context, targets []int, q engine.Query) ([]*engine.Result, error) {
+// scatter runs q on the target shards and returns their partials, in
+// target order. A lone target — what key-bound pruning usually leaves —
+// runs on the caller's goroutine under the caller's context: there is
+// nothing to wait for and no sibling to cancel. Two or more targets each
+// get a worker, and cancellation is cooperative and bidirectional: the
+// caller's context cancels every worker (each shard engine checks at its
+// scan checkpoints), and the first worker error cancels the rest. The
+// shard-scanned counter is incremented per COMPLETED shard scan, so a
+// cancelled gather reports exactly the partial work that ran.
+func (m *Manager) scatter(ctx context.Context, targets []int, q engine.Query) ([]*engine.Partial, error) {
 	if len(targets) == 1 {
-		res, err := m.shards[targets[0]].eng.QueryContext(ctx, q)
+		p, err := m.shards[targets[0]].eng.QueryPartial(ctx, q)
 		if err != nil {
 			return nil, err
 		}
 		m.mScanned.Inc()
-		return []*engine.Result{res}, nil
+		return []*engine.Partial{p}, nil
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make([]*engine.Result, len(targets))
+	results := make([]*engine.Partial, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, si := range targets {
 		wg.Add(1)
 		go func(i, si int) {
 			defer wg.Done()
-			res, err := m.shards[si].eng.QueryContext(cctx, q)
+			p, err := m.shards[si].eng.QueryPartial(cctx, q)
 			if err != nil {
 				errs[i] = err
 				cancel()
 				return
 			}
-			results[i] = res
+			results[i] = p
 			m.mScanned.Inc()
 		}(i, si)
 	}
@@ -192,15 +193,16 @@ func (m *Manager) scatter(ctx context.Context, targets []int, q engine.Query) ([
 // per predicate column: summed probe/window counters, with the lowered
 // interval string taken from the first shard (identical across shards —
 // all lower the same conjunction).
-func mergePredicates(partials []*engine.Result) []obs.PredicateTrace {
+func mergePredicates(partials []*engine.Partial) []obs.PredicateTrace {
 	var order []string
 	byCol := make(map[string]*obs.PredicateTrace)
 	for _, p := range partials {
-		if p.Trace == nil {
+		tr := p.Trace()
+		if tr == nil {
 			continue
 		}
-		for i := range p.Trace.Predicates {
-			pt := &p.Trace.Predicates[i]
+		for i := range tr.Predicates {
+			pt := &tr.Predicates[i]
 			mt, ok := byCol[pt.Column]
 			if !ok {
 				cp := *pt

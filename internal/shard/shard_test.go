@@ -158,17 +158,29 @@ func checkEqual(t *testing.T, name string, want, got *engine.Result, ordered boo
 		t.Errorf("%s: Types = %v, want %v", name, got.Types, want.Types)
 	}
 	wr, gr := renderRows(want.Rows), renderRows(got.Rows)
-	if !ordered {
-		sort.Strings(wr)
-		sort.Strings(gr)
-	}
 	if len(wr) != len(gr) {
 		t.Fatalf("%s: %d rows, want %d", name, len(gr), len(wr))
 	}
-	for i := range wr {
-		if wr[i] != gr[i] {
-			t.Errorf("%s: row %d = %q, want %q", name, i, gr[i], wr[i])
-			break
+	if !ordered {
+		// Unordered rows are projected cells, exact: compare renderings.
+		sort.Strings(wr)
+		sort.Strings(gr)
+		for i := range wr {
+			if wr[i] != gr[i] {
+				t.Errorf("%s: row %d = %q, want %q", name, i, gr[i], wr[i])
+				break
+			}
+		}
+		return
+	}
+	// Ordered rows may carry grouped SUM/AVG cells: compare values, floats
+	// to a relative epsilon (a rounded rendering can straddle a digit).
+	for i := range want.Rows {
+		for c := range want.Rows[i] {
+			if !valuesClose(got.Rows[i][c], want.Rows[i][c]) {
+				t.Errorf("%s: row %d = %q, want %q", name, i, gr[i], wr[i])
+				return
+			}
 		}
 	}
 }
@@ -228,29 +240,88 @@ var equivalenceQueries = []struct {
 		Where: expr.And(expr.MustPred("id", expr.Between, storage.IntValue(10), storage.IntValue(90)))}, true},
 	{"in_pred", engine.Query{Where: expr.And(expr.MustPred("id", expr.In,
 		storage.IntValue(3), storage.IntValue(333), storage.IntValue(777)))}, true},
+	{"count_col", engine.Query{Aggs: []engine.Agg{
+		{Kind: engine.CountCol, Col: "city"}, {Kind: engine.CountCol, Col: "price"}},
+		Where: expr.And(expr.MustPred("id", expr.LT, storage.IntValue(800)))}, true},
+	// city's dictionary is never sealed (skipping is off on it), so its
+	// codes are in insertion order, not value order.
+	{"minmax_string", engine.Query{Aggs: []engine.Agg{
+		{Kind: engine.Min, Col: "city"}, {Kind: engine.Max, Col: "city"}},
+		Where: expr.And(expr.MustPred("id", expr.GE, storage.IntValue(300)))}, true},
+	{"avg_nullable", engine.Query{Aggs: []engine.Agg{
+		{Kind: engine.Avg, Col: "price"}, {Kind: engine.CountCol, Col: "price"}},
+		Where: expr.And(expr.MustPred("price", expr.LT, storage.FloatValue(60)))}, true},
+	// Five groups (four cities and NULL): the limit cuts the NULL group.
+	{"group_city_limit", engine.Query{GroupBy: "city", Limit: 4, Aggs: []engine.Agg{
+		{Kind: engine.CountStar}, {Kind: engine.Min, Col: "price"}, {Kind: engine.Max, Col: "id"}}}, true},
+	{"group_id_nulls", engine.Query{GroupBy: "id", Aggs: []engine.Agg{
+		{Kind: engine.CountStar}, {Kind: engine.Sum, Col: "price"}, {Kind: engine.Max, Col: "city"}},
+		Where: expr.And(expr.MustPred("price", expr.GE, storage.FloatValue(30)))}, true},
+	{"group_id_nulls_limit", engine.Query{GroupBy: "id", Limit: 17, Aggs: []engine.Agg{
+		{Kind: engine.Avg, Col: "price"}},
+		Where: expr.And(expr.MustPred("id", expr.GE, storage.IntValue(500)))}, true},
+	// Prices repeat: only the order column is projected, so a limit that
+	// cuts inside a run of equal prices returns the same cells whichever
+	// rows of the run it keeps.
+	{"order_price_desc_limit", engine.Query{Select: []string{"price"}, OrderBy: "price", OrderDesc: true, Limit: 60,
+		Where: expr.And(expr.MustPred("id", expr.LT, storage.IntValue(900)))}, true},
+	{"order_price_nulls_last", engine.Query{Select: []string{"price"}, OrderBy: "price", Limit: 40,
+		Where: expr.And(expr.MustPred("id", expr.LT, storage.IntValue(70)))}, true},
+	// An unordered projection with aggregates and a limit: the aggregates
+	// fold every match, the rows are the first LIMIT matches. Every match
+	// projects to the same cell, so which matches a shard keeps does not
+	// show.
+	{"project_aggs_limit", engine.Query{Select: []string{"city"}, Limit: 5, Aggs: []engine.Agg{
+		{Kind: engine.CountStar}, {Kind: engine.Sum, Col: "price"}, {Kind: engine.Max, Col: "id"}},
+		Where: expr.And(expr.MustPred("city", expr.EQ, storage.StringValue("oslo")),
+			expr.MustPred("id", expr.Between, storage.IntValue(100), storage.IntValue(900)))}, true},
+	{"aggs_empty_every_kind", engine.Query{Aggs: everyAgg,
+		Where: expr.And(expr.MustPred("id", expr.GT, storage.IntValue(1<<40)))}, true},
+	// Empty on a non-key column: every shard scans, every partial is empty.
+	{"aggs_empty_every_shard", engine.Query{Aggs: everyAgg,
+		Where: expr.And(expr.MustPred("price", expr.GT, storage.FloatValue(1e9)))}, true},
+}
+
+// everyAgg is one of each aggregate over each column type it accepts.
+var everyAgg = []engine.Agg{
+	{Kind: engine.CountStar}, {Kind: engine.CountCol, Col: "city"},
+	{Kind: engine.Sum, Col: "id"}, {Kind: engine.Sum, Col: "price"},
+	{Kind: engine.Min, Col: "id"}, {Kind: engine.Max, Col: "price"},
+	{Kind: engine.Min, Col: "city"}, {Kind: engine.Max, Col: "city"},
+	{Kind: engine.Avg, Col: "id"}, {Kind: engine.Avg, Col: "price"},
 }
 
 func TestShardedMatchesUnsharded(t *testing.T) {
 	for _, mode := range []Mode{ModeRange, ModeHash} {
 		t.Run(mode.String(), func(t *testing.T) {
-			ref, m := pair(t, mode, 4, 1000)
-			for _, tc := range equivalenceQueries {
-				want, err := ref.Query(tc.q)
-				if err != nil {
-					t.Fatalf("%s: reference: %v", tc.name, err)
-				}
-				got, err := m.Query(tc.q)
-				if err != nil {
-					t.Fatalf("%s: sharded: %v", tc.name, err)
-				}
-				checkEqual(t, tc.name, want, got, tc.ordered)
+			for shards := 2; shards <= 4; shards++ {
+				t.Run(fmt.Sprint(shards), func(t *testing.T) {
+					ref, m := pair(t, mode, shards, 1000)
+					checkBattery(t, ref, m)
+				})
 			}
 		})
 	}
 }
 
-// TestShardedMatchesUnshardedFromTable covers the NewFromTable path
-// (bounds learned from the full data up front).
+// checkBattery runs every equivalence query on the reference and on m.
+func checkBattery(t *testing.T, ref *engine.Engine, m *Manager) {
+	t.Helper()
+	for _, tc := range equivalenceQueries {
+		want, err := ref.Query(tc.q)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tc.name, err)
+		}
+		got, err := m.Query(tc.q)
+		if err != nil {
+			t.Fatalf("%s: sharded: %v", tc.name, err)
+		}
+		checkEqual(t, tc.name, want, got, tc.ordered)
+	}
+}
+
+// TestShardedMatchesUnshardedFromTable covers the NewFromTable path (bounds
+// learned from the full data up front), in both modes at 2, 3 and 4 shards.
 func TestShardedMatchesUnshardedFromTable(t *testing.T) {
 	rows := testRows(600)
 	tbl, err := table.New("sales", testSchema())
@@ -262,36 +333,32 @@ func TestShardedMatchesUnshardedFromTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	src, err := table.New("sales", testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if err := src.AppendRow(r...); err != nil {
-			t.Fatal(err)
+	for _, mode := range []Mode{ModeRange, ModeHash} {
+		for shards := 2; shards <= 4; shards++ {
+			t.Run(fmt.Sprintf("%v/%d", mode, shards), func(t *testing.T) {
+				src, err := table.New("sales", testSchema())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range rows {
+					if err := src.AppendRow(r...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := src.ColumnAt(0).Staged(); got != len(rows) {
+					t.Fatalf("source table has %d of %d rows staged: NewFromTable must be its first reader", got, len(rows))
+				}
+				m, err := NewFromTable(src, Options{Shards: shards, Key: "id", Mode: mode,
+					Engine: engine.Options{Policy: engine.PolicyAdaptive}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.NumRows() != ref.Table().NumRows() {
+					t.Fatalf("NumRows = %d, want %d", m.NumRows(), ref.Table().NumRows())
+				}
+				checkBattery(t, ref, m)
+			})
 		}
-	}
-	if got := src.ColumnAt(0).Staged(); got != len(rows) {
-		t.Fatalf("source table has %d of %d rows staged: NewFromTable must be its first reader", got, len(rows))
-	}
-	m, err := NewFromTable(src, Options{Shards: 3, Key: "id",
-		Engine: engine.Options{Policy: engine.PolicyAdaptive}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumRows() != ref.Table().NumRows() {
-		t.Fatalf("NumRows = %d, want %d", m.NumRows(), ref.Table().NumRows())
-	}
-	for _, tc := range equivalenceQueries {
-		want, err := ref.Query(tc.q)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", tc.name, err)
-		}
-		got, err := m.Query(tc.q)
-		if err != nil {
-			t.Fatalf("%s: sharded: %v", tc.name, err)
-		}
-		checkEqual(t, tc.name, want, got, tc.ordered)
 	}
 }
 
@@ -556,6 +623,42 @@ func TestBytesScannedFollowsCodeWidth(t *testing.T) {
 		}
 		if res.Stats.RowsScanned != 1000 || res.Stats.BytesScanned != res.Stats.RowsScanned*tc.width {
 			t.Errorf("%s: %d bytes scanned for %d rows read, want 1000 rows at %d bytes", tc.name, res.Stats.BytesScanned, res.Stats.RowsScanned, tc.width)
+		}
+	}
+}
+
+// TestProjectionAggregatesSeeEveryMatch: beside an unordered projection
+// with a LIMIT, aggregates still fold every match, on one engine as on
+// shards; the LIMIT cuts only the rows.
+func TestProjectionAggregatesSeeEveryMatch(t *testing.T) {
+	schema := table.Schema{{Name: "v", Type: storage.Int64}}
+	rows := make([][]storage.Value, 2000)
+	for i := range rows {
+		rows[i] = []storage.Value{storage.IntValue(int64(i))}
+	}
+	e := engine.New(table.MustNew("t", schema), engine.Options{})
+	if err := e.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	m, err := New("t", schema, Options{Shards: 2, Key: "v", Mode: ModeHash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	q := engine.Query{Where: expr.And(expr.MustPred("v", expr.Between, storage.IntValue(100), storage.IntValue(1500))),
+		Select: []string{"v"}, Aggs: []engine.Agg{{Kind: engine.CountStar}, {Kind: engine.Sum, Col: "v"}}, Limit: 5}
+	want := []storage.Value{storage.IntValue(1401), storage.IntValue(1120800)}
+	for name, db := range map[string]interface {
+		Query(engine.Query) (*engine.Result, error)
+	}{"one engine": e, "2 shards": m} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(res.Aggs) != fmt.Sprint(want) || len(res.Rows) != 5 {
+			t.Errorf("%s: aggregates %v over %d rows, want %v over 5", name, res.Aggs, len(res.Rows), want)
 		}
 	}
 }

@@ -73,8 +73,10 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Type is the logical type of a column.
@@ -212,4 +214,27 @@ func (v Value) Equal(o Value) bool {
 		return v.s == o.s
 	}
 	return false
+}
+
+// Compare orders two values of one logical type as their codes do, with
+// NULL after every non-NULL value: -1, 0 or +1. It is the order of result
+// keys (ORDER BY values, GROUP BY keys, MIN/MAX) once they have left their
+// column's dictionary.
+func Compare(a, b Value) int {
+	if a.null || b.null {
+		switch {
+		case a.null == b.null:
+			return 0
+		case a.null:
+			return 1
+		}
+		return -1
+	}
+	switch a.typ {
+	case Float64:
+		return cmp.Compare(a.f, b.f)
+	case String:
+		return strings.Compare(a.s, b.s)
+	}
+	return cmp.Compare(a.i, b.i)
 }
