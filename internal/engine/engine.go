@@ -133,7 +133,6 @@ func (o Options) withDefaults() Options {
 type Engine struct {
 	mu       sync.Mutex
 	tbl      *table.Table
-	types    []storage.Type // the schema's column types, as every WAL rows record carries them; read-only
 	opts     Options
 	skippers map[string]core.Skipper
 
@@ -173,9 +172,6 @@ func New(tbl *table.Table, opts Options) *Engine {
 		opts:        opts,
 		skippers:    make(map[string]core.Skipper),
 		quarantined: make(map[string]quarantineRecord),
-	}
-	for _, cs := range tbl.Schema() {
-		e.types = append(e.types, cs.Type)
 	}
 	e.reg = opts.Metrics
 	if e.reg == nil {
@@ -319,8 +315,8 @@ func (e *Engine) AppendRow(vals ...storage.Value) error {
 }
 
 // AppendRows appends a batch of rows atomically with respect to queries.
-// With a WAL armed (SetWAL) the batch is logged as one columnar record
-// before the tail mutates, the in-memory apply happens under the engine
+// With a WAL armed (SetWAL) the batch is logged as one record of column
+// blocks before the tail mutates, the in-memory apply happens under the engine
 // mutex, and the call then blocks OUTSIDE the mutex until the record is
 // durable — so an acknowledged append is always recoverable, and
 // concurrent appenders coalesce into shared fsyncs (group commit) instead
@@ -344,10 +340,11 @@ func (e *Engine) AppendRows(rows [][]storage.Value) error {
 // The order is stage -> log -> commit: staging rejects every batch the
 // table could refuse (arity, type, NaN, string missing from a sealed
 // dictionary) before anything is logged, and encodes the rest into room
-// the columns do not count yet; the commit after the log record cannot
-// fail, so the table never diverges from the log's BaseRow chain; and a
-// batch the table or the log refuses is dropped where it is staged, with
-// nothing visible to take back.
+// the columns do not count yet; the log record is those staged codes, one
+// column block per column, not a second walk of the rows; the commit after
+// it cannot fail, so the table never diverges from the log's BaseRow
+// chain; and a batch the table or the log refuses is dropped where it is
+// staged, with nothing visible to take back.
 func (e *Engine) AppendRowsAsync(rows [][]storage.Value) (wal.Commit, error) {
 	if len(rows) == 0 {
 		return wal.Commit{}, nil
@@ -361,12 +358,11 @@ func (e *Engine) AppendRowsAsync(rows [][]storage.Value) (wal.Commit, error) {
 	var commit wal.Commit
 	if e.wal != nil {
 		c, err := e.wal.Append(&wal.Record{
-			Kind:    wal.KindRows,
+			Kind:    wal.KindColumns,
 			Table:   e.tbl.Name(),
 			Shard:   uint32(e.opts.Shard),
 			BaseRow: uint64(e.tbl.NumRows()),
-			Types:   e.types,
-			Rows:    rows,
+			Blocks:  e.tbl.Blocks(staged),
 		})
 		if err != nil {
 			return wal.Commit{}, fmt.Errorf("engine: durable append: %w", err)
@@ -482,26 +478,19 @@ func (e *Engine) applyUpdateLocked(col *storage.Column, colName string, row int,
 }
 
 // ReplayRecord applies one recovered WAL record, bypassing the log.
-// Replay is idempotent over the BaseRow chain: a rows record whose rows
-// are already present is skipped, a partially present record appends only
-// the missing suffix, and a record that would leave a gap errors out.
-// Replayed batches are staged like any append (recovery copies no column);
-// the first query, or an update record's SetInt, consolidates under e.mu.
+// Replay is idempotent over the BaseRow chain (see table.Replay, which a
+// snapshot load runs too): a record whose rows are already present is
+// skipped, a partially present record appends only the missing suffix,
+// and a record that would leave a gap errors out. Replayed batches are
+// staged like any append (recovery copies no column); the first query, or
+// an update record's SetInt, consolidates under e.mu.
 func (e *Engine) ReplayRecord(rec *wal.Record) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	switch rec.Kind {
-	case wal.KindRows:
-		cur := uint64(e.tbl.NumRows())
-		if rec.BaseRow > cur {
-			return fmt.Errorf("engine: replay gap on %q: record base row %d, table has %d",
-				e.tbl.Name(), rec.BaseRow, cur)
-		}
-		if rec.BaseRow+uint64(len(rec.Rows)) <= cur {
-			return nil // fully present already
-		}
-		if err := e.tbl.AppendRows(rec.Rows[cur-rec.BaseRow:]); err != nil {
-			return fmt.Errorf("engine: replay append on %q: %w", e.tbl.Name(), err)
+	case wal.KindColumns, wal.KindRows:
+		if err := e.tbl.Replay(rec); err != nil {
+			return fmt.Errorf("engine: replay append: %w", err)
 		}
 		return nil
 	case wal.KindUpdate:

@@ -3,27 +3,39 @@ package obs
 // Ring is the one bounded overwrite-oldest buffer behind every retained
 // history in the process: the adaptation ledger and the trace rings. It
 // is unsynchronised — each holder guards it with whatever lock already
-// guards the rest of its state — and it never allocates after
-// construction: Push hands out the slot to overwrite.
+// guards the rest of its state. Its buffer grows as it fills, doubling up
+// to the capacity, so a ring that retains k elements holds fewer than 2k
+// slots; once full it never allocates again: Push hands out the slot to
+// overwrite.
 type Ring[T any] struct {
-	buf   []T
-	next  int    // slot the next Push hands out
-	total uint64 // pushes ever made
+	buf      []T    // the retained elements; len(buf) grows to capacity, then stays
+	capacity int    // elements retained at most
+	next     int    // slot the next Push hands out
+	total    uint64 // pushes ever made
 }
 
 // NewRing returns a ring retaining the last capacity elements
 // (capacity must be positive).
 func NewRing[T any](capacity int) *Ring[T] {
-	return &Ring[T]{buf: make([]T, capacity)}
+	return &Ring[T]{capacity: capacity}
 }
 
-// Push advances the ring and returns the slot for the new element. Once
-// the ring has wrapped the slot still holds the evicted (oldest) element:
-// assign over it, or reuse its parts first.
+// Push advances the ring and returns the slot for the new element: a zero
+// element while the ring fills. Once the ring has wrapped the slot still
+// holds the evicted (oldest) element: assign over it, or reuse its parts
+// first. A slot pointer is good until the next Push.
 func (r *Ring[T]) Push() *T {
+	if n := len(r.buf); n < r.capacity {
+		if n == cap(r.buf) {
+			grown := make([]T, n, min(max(2*n, 1), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = r.buf[:n+1]
+	}
 	slot := &r.buf[r.next]
 	r.next++
-	if r.next == len(r.buf) {
+	if r.next == r.capacity {
 		r.next = 0
 	}
 	r.total++
@@ -31,12 +43,7 @@ func (r *Ring[T]) Push() *T {
 }
 
 // Len returns the number of retained elements.
-func (r *Ring[T]) Len() int {
-	if r.total < uint64(len(r.buf)) {
-		return int(r.total)
-	}
-	return len(r.buf)
-}
+func (r *Ring[T]) Len() int { return len(r.buf) }
 
 // Total returns the number of elements ever pushed.
 func (r *Ring[T]) Total() uint64 { return r.total }
@@ -55,11 +62,9 @@ func (r *Ring[T]) At(back int) *T {
 }
 
 // AppendTo appends the retained elements to dst oldest-first and returns
-// the extended slice. Elements are copied shallowly.
+// the extended slice. Elements are copied shallowly. Until the ring wraps
+// next is len(buf), so the first half is empty.
 func (r *Ring[T]) AppendTo(dst []T) []T {
-	if n := r.Len(); n < len(r.buf) {
-		return append(dst, r.buf[:n]...)
-	}
 	dst = append(dst, r.buf[r.next:]...)
 	return append(dst, r.buf[:r.next]...)
 }

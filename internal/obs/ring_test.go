@@ -68,3 +68,24 @@ func TestRingSlotReuse(t *testing.T) {
 		t.Fatalf("Push allocates %v times per call", allocs)
 	}
 }
+
+// TestRingGrowsAsItFills: a ring allocates as it fills, not at
+// construction: holding k elements below its capacity, its backing array
+// has fewer than 2k slots; full, it has exactly the capacity.
+func TestRingGrowsAsItFills(t *testing.T) {
+	const capacity = 2048
+	r := NewRing[LedgerRecord](capacity)
+	if cap(r.buf) != 0 {
+		t.Fatalf("empty ring holds %d slots", cap(r.buf))
+	}
+	for k := 1; k <= capacity+3; k++ {
+		*r.Push() = LedgerRecord{Seq: uint64(k)}
+		held := min(k, capacity)
+		if slots := cap(r.buf); held < capacity && slots >= 2*held || held == capacity && slots != capacity {
+			t.Fatalf("holding %d of %d elements: %d slots", held, capacity, slots)
+		}
+		if r.At(0).Seq != uint64(k) || r.Len() != held {
+			t.Fatalf("after %d pushes: newest %d, Len %d", k, r.At(0).Seq, r.Len())
+		}
+	}
+}

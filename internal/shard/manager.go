@@ -575,11 +575,22 @@ func (m *Manager) ReplayRecord(rec *wal.Record) error {
 			rec.Table, rec.Shard, len(m.shards))
 	}
 	s := m.shards[rec.Shard-1]
-	if rec.Kind == wal.KindRows {
-		// Widen observed bounds from the replayed rows before applying,
-		// mirroring the live append path (replay is idempotent; widening
-		// twice is harmless).
-		var k keyStats
+	// Widen observed bounds from the replayed rows before applying,
+	// mirroring the live append path (replay is idempotent; widening twice
+	// is harmless).
+	var k keyStats
+	switch rec.Kind {
+	case wal.KindColumns:
+		if m.keyIdx >= len(rec.Blocks) {
+			return fmt.Errorf("shard: WAL record for table %q has %d columns, key column %q is column %d", rec.Table, len(rec.Blocks), m.key, m.keyIdx)
+		}
+		key := &rec.Blocks[m.keyIdx]
+		if key.Type() == storage.String {
+			return fmt.Errorf("shard: key column %q got %s value", m.key, key.Type())
+		}
+		lo, hi, nulls := key.CodeRange()
+		k = keyStats{seen: nulls < key.Len(), lo: lo, hi: hi, nulls: int64(nulls)}
+	case wal.KindRows:
 		for _, r := range rec.Rows {
 			code, null, err := m.keyCode(r)
 			if err != nil {
@@ -587,8 +598,8 @@ func (m *Manager) ReplayRecord(rec *wal.Record) error {
 			}
 			k.add(code, null)
 		}
-		s.widen(k)
 	}
+	s.widen(k)
 	if err := s.eng.ReplayRecord(rec); err != nil {
 		return err
 	}

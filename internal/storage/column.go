@@ -291,9 +291,20 @@ type StagedRows struct {
 // where it stands, exactly as long as its rows.
 func (c *Column) Stage(s *StagedRows, rows [][]Value, col int) error {
 	*s = StagedRows{base: c.Len(), n: len(rows), wide: c.wide}
-	if slot, room := c.spare(len(rows)); room > 0 {
+	return c.stage(s, func(dst Vec, at, first, n int) (int, error) {
+		return c.stageCells(s, dst, at, rows[first:first+n], col, first)
+	})
+}
+
+// stage finds room for the s.n rows of a batch — the tail slot's spare
+// capacity, then a new chunk — and has fill encode them there: batch rows
+// [first, first+n) into dst from offset at on. fill returns how many it
+// stored, all of them or those before the first code dst's width cannot
+// hold, and the rest goes wide (see Stage).
+func (c *Column) stage(s *StagedRows, fill func(dst Vec, at, first, n int) (int, error)) error {
+	if slot, room := c.spare(s.n); room > 0 {
 		at := slot.Len()
-		done, err := c.stageCells(s, slot.Slice(0, at+room), at, rows[:room], col, 0)
+		done, err := fill(slot.Slice(0, at+room), at, 0, room)
 		if err != nil {
 			return err
 		}
@@ -302,16 +313,16 @@ func (c *Column) Stage(s *StagedRows, rows [][]Value, col int) error {
 			s.closed, s.wide = true, true
 		}
 	}
-	if rest := rows[s.onTail:]; len(rest) > 0 {
-		if room := max(len(rest), chunkFloor); s.wide {
-			s.chunk.W = make([]int64, len(rest), room)
+	if rest := s.n - s.onTail; rest > 0 {
+		if room := max(rest, chunkFloor); s.wide {
+			s.chunk.W = make([]int64, rest, room)
 		} else {
-			s.chunk.N = make([]uint32, len(rest), room)
+			s.chunk.N = make([]uint32, rest, room)
 		}
-		k, err := c.stageCells(s, s.chunk, 0, rest, col, s.onTail)
-		if err == nil && k < len(rest) {
-			s.chunk, s.wide = s.chunk.Slice(0, k).widened(len(rest)), true
-			_, err = c.stageCells(s, s.chunk, k, rest[k:], col, s.onTail+k)
+		k, err := fill(s.chunk, 0, s.onTail, rest)
+		if err == nil && k < rest {
+			s.chunk, s.wide = s.chunk.Slice(0, k).widened(rest), true
+			_, err = fill(s.chunk, k, s.onTail+k, rest-k)
 		}
 		return err
 	}

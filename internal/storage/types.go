@@ -25,8 +25,10 @@
 // and a NULL row's slot holds 0 at either width, masked by the null bitmap.
 // Readers take the vector as a Vec — one of the two slices, with Len, At
 // and Slice — and the scan kernels are generic over the element type (Code);
-// everything derived from codes — zone bounds, predicate intervals, WAL
-// records, snapshots — stays int64. Column.Codes, a []int64 of the whole
+// what is derived from codes — zone bounds, predicate intervals — stays
+// int64. On disk a column's rows keep their width: a Block (block.go) is
+// the one layout of a batch's codes in WAL records and snapshots, encoded
+// from a staged batch and staged back by StageBlock. Column.Codes, a []int64 of the whole
 // column (a widened copy of a narrow one), remains only for the repository
 // benchmark's scan rung.
 //
@@ -45,8 +47,8 @@
 // logs it to the WAL between the two (stage -> log -> commit); columns share
 // no state, so the table stages a large batch's columns on separate
 // goroutines. The typed single-value appenders (AppendInt and friends)
-// remain for loaders that build a column directly from codes: the snapshot
-// codec and the experiment harness.
+// remain for the experiment harness, which builds a column code by code,
+// and as the row-at-a-time reference the batch path is tested against.
 //
 // Readers need the codes as one slice; writers do not, until someone
 // reads. A batch that fits a column's spare capacity extends its tail; one

@@ -910,12 +910,12 @@ func BenchmarkColumnWorkers(b *testing.B) {
 	const tableRows = 1 << 20
 	for _, n := range []int{256, 4096, 1 << 14, 1 << 16} {
 		cells := make([]storage.Value, 3*n)
-		batch := make([][]storage.Value, n)
-		for i := range batch {
-			batch[i] = cells[3*i : 3*i+3 : 3*i+3]
-			batch[i][0] = storage.IntValue(int64(i) * 7919 % 1000003)
-			batch[i][1] = storage.IntValue(int64(i))
-			batch[i][2] = storage.FloatValue(float64(i) / 3)
+		rows := make([][]storage.Value, n)
+		for i := range rows {
+			rows[i] = cells[3*i : 3*i+3 : 3*i+3]
+			rows[i][0] = storage.IntValue(int64(i) * 7919 % 1000003)
+			rows[i][1] = storage.IntValue(int64(i))
+			rows[i][2] = storage.FloatValue(float64(i) / 3)
 		}
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("rows=%d/workers=%d", n, workers), func(b *testing.B) {
@@ -923,7 +923,7 @@ func BenchmarkColumnWorkers(b *testing.B) {
 					tb := MustNew("data", schema)
 					tb.staged = make([]storage.StagedRows, len(schema))
 					for tb.NumRows() < tableRows {
-						if err := tb.stageColumns(workers, batch); err != nil {
+						if err := tb.stageColumns(workers, batch{rows: rows}); err != nil {
 							b.Fatal(err)
 						}
 						tb.Commit(Staged{cols: tb.staged})

@@ -1,37 +1,40 @@
 package table
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"adskip/internal/faultinject"
 	"adskip/internal/storage"
+	"adskip/internal/wal"
 )
 
-// Binary table format (little-endian):
+// Binary table format: the write-ahead log's own records behind a header,
+// each in the log's frame (u32le length, u32le CRC32C, payload).
 //
-//	magic "ADSKTBL1" (8 bytes)
-//	name: u32 len + bytes
-//	ncols: u32
-//	per column:
+//	magic "ADSKTBL2" (8 bytes)
+//	frame: the header, little-endian:
 //	  name: u32 len + bytes
-//	  type: u8
-//	  nrows: u64
-//	  codes: nrows * i64
-//	  nullCount: u64, then nullCount * u64 row indices
-//	  dict (String only): sealed u8, u32 count, count * (u32 len + bytes)
-//	crc32 (IEEE) of everything above: u32
+//	  ncols: u32, then per column: name (u32 len + bytes), type: u8
+//	  per String column, in schema order: sealed: u8, count: u32,
+//	    count x (u32 len + bytes), the dictionary in code order
+//	frames: one wal.KindColumns record per BulkRows rows, base rows 0,
+//	  BulkRows, 2*BulkRows, ...: one storage.Block per column
+//	frame: the row count, u64 (the closing frame)
 //
-// The format is a bulk snapshot: load produces a table whose string
-// dictionaries preserve their seal state and code assignment exactly.
+// So a snapshot's columns are laid out exactly as the log lays out an
+// append, codes at the width the column stores them, and loading one is
+// replay into a fresh table through table.Replay, which crash recovery
+// runs too. The header seeds each dictionary in code order before the
+// records replay, so seal state and code assignment survive exactly.
 
 var (
-	magic = [8]byte{'A', 'D', 'S', 'K', 'T', 'B', 'L', '1'}
+	magic = [8]byte{'A', 'D', 'S', 'K', 'T', 'B', 'L', '2'}
+	// magicV1 is the format before column blocks, which wrote every code
+	// as an int64; it is refused by name.
+	magicV1 = [8]byte{'A', 'D', 'S', 'K', 'T', 'B', 'L', '1'}
 
 	// ErrBadMagic indicates the stream is not a table snapshot.
 	ErrBadMagic = errors.New("table: bad magic (not an adskip table snapshot)")
@@ -39,291 +42,234 @@ var (
 	ErrChecksum = errors.New("table: checksum mismatch (corrupt snapshot)")
 )
 
-const maxSaneLen = 1 << 31 // guards length-prefixed reads against corrupt headers
+// closingLen is the closing frame's payload: the row count. Every record
+// is longer.
+const closingLen = 8
 
-// WriteTo serializes the table to w. It returns the number of payload
-// bytes written. Vec consolidates each column, so the snapshot of a table
-// an engine serves is taken through Engine.ReadTable (under its mutex); a
-// table nothing serves yet is its caller's alone.
+// WriteTo serializes the table to w and returns the number of bytes
+// written. Reading codes consolidates each column, so the snapshot of a
+// table an engine serves is taken through Engine.ReadTable (under its
+// mutex); a table nothing serves yet is its caller's alone.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	crc := crc32.NewIEEE()
-	cw := &countWriter{w: io.MultiWriter(w, crc)}
-	bw := bufio.NewWriter(cw)
-
-	if _, err := bw.Write(magic[:]); err != nil {
-		return cw.n, err
+	var written int64
+	write := func(b []byte) error {
+		n, err := w.Write(b)
+		written += int64(n)
+		return err
 	}
-	writeString(bw, t.name)
-	writeU32(bw, uint32(len(t.columns)))
-	for _, c := range t.columns {
-		writeString(bw, c.Name())
-		bw.WriteByte(byte(c.Type()))
-		codes := c.Vec()
-		writeU64(bw, uint64(codes.Len()))
-		var buf [8]byte
-		for i := 0; i < codes.Len(); i++ {
-			binary.LittleEndian.PutUint64(buf[:], uint64(codes.At(i)))
-			bw.Write(buf[:])
+	buf := wal.AppendFrame(append([]byte(nil), magic[:]...), t.header())
+	var blocks []storage.Block
+	var blockBuf []byte
+	for lo, n := 0, t.NumRows(); lo < n; lo += BulkRows {
+		blocks, blockBuf = blocks[:0], blockBuf[:0]
+		for _, c := range t.columns {
+			var b storage.Block
+			blockBuf, b = c.AppendRangeBlock(blockBuf, lo, min(lo+BulkRows, n))
+			blocks = append(blocks, b)
 		}
-		// Nulls as a sparse index list.
-		var nullRows []int
-		if nulls := c.Nulls(); nulls != nil {
-			nullRows = nulls.AppendSetTo(nil)
+		var err error
+		buf, err = wal.AppendRecord(buf, &wal.Record{Kind: wal.KindColumns, Table: t.name, BaseRow: uint64(lo), Blocks: blocks})
+		if err != nil {
+			return written, fmt.Errorf("table %q: %w", t.name, err)
 		}
-		writeU64(bw, uint64(len(nullRows)))
-		for _, r := range nullRows {
-			writeU64(bw, uint64(r))
+		if err := write(buf); err != nil {
+			return written, err
 		}
-		if c.Type() == storage.String {
-			d := c.Dict()
-			if d.Sealed() {
-				bw.WriteByte(1)
-			} else {
-				bw.WriteByte(0)
-			}
-			vals := d.Values()
-			writeU32(bw, uint32(len(vals)))
-			for _, s := range vals {
-				writeString(bw, s)
-			}
-		}
+		buf = buf[:0]
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	// Trailing checksum (not itself checksummed). The chaos hook flips a
-	// checksum byte so loads of the snapshot exercise the ErrChecksum
-	// failure-atomic path.
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	faultinject.Corrupt(faultinject.CodecCorrupt, sum[:])
-	if _, err := w.Write(sum[:]); err != nil {
-		return cw.n, err
-	}
-	return cw.n + 4, nil
+	// The chaos hook flips a byte of the closing frame's checksum so loads
+	// of the snapshot exercise the ErrChecksum failure-atomic path.
+	buf = wal.AppendFrame(buf, binary.LittleEndian.AppendUint64(nil, uint64(t.NumRows())))
+	faultinject.Corrupt(faultinject.CodecCorrupt, buf[len(buf)-closingLen-4:len(buf)-closingLen])
+	return written, write(buf)
 }
 
-// Read deserializes a table snapshot produced by WriteTo, verifying the
-// checksum before parsing (a snapshot is an in-memory-scale artifact, so
-// buffering it whole is acceptable and makes corruption detection exact).
+// header renders the snapshot header: name, schema, dictionaries.
+func (t *Table) header() []byte {
+	b := appendString(nil, t.name)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.columns)))
+	for _, c := range t.columns {
+		b = appendString(b, c.Name())
+		b = append(b, byte(c.Type()))
+	}
+	for _, c := range t.columns {
+		if c.Type() != storage.String {
+			continue
+		}
+		d := c.Dict()
+		if d.Sealed() {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(d.Len()))
+		for _, s := range d.Values() {
+			b = appendString(b, s)
+		}
+	}
+	return b
+}
+
+// Read deserializes a table snapshot produced by WriteTo: it checks the
+// header, seeds the dictionaries, then replays the records into the fresh
+// table. Every frame's checksum is verified before its payload is parsed;
+// a damaged or cut-short snapshot is an error that wraps ErrChecksum, and
+// the whole input is read first (a snapshot is an in-memory-scale
+// artifact), so nothing is allocated for a claim the bytes do not back.
 func Read(r io.Reader) (*Table, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("table: reading snapshot: %w", err)
 	}
-	if len(raw) < len(magic)+4 {
+	switch {
+	case len(raw) >= len(magicV1) && [8]byte(raw[:8]) == magicV1:
+		return nil, fmt.Errorf("%w: %q is the old snapshot format, which this release no longer reads (it reads %q)", ErrBadMagic, magicV1[:], magic[:])
+	case len(raw) < len(magic) || [8]byte(raw[:8]) != magic:
 		return nil, ErrBadMagic
 	}
-	payload, sumBytes := raw[:len(raw)-4], raw[len(raw)-4:]
-	if [8]byte(payload[:8]) != magic {
-		return nil, ErrBadMagic
+	rest := raw[len(magic):]
+	next := func() ([]byte, error) {
+		payload, after, err := wal.NextFrame(rest, len(rest))
+		if err != nil {
+			return nil, corrupt("frame at byte %d: %v", len(raw)-len(rest), err)
+		}
+		rest = after
+		return payload, nil
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sumBytes) {
-		return nil, ErrChecksum
-	}
-	br := bufio.NewReader(bytes.NewReader(payload[8:]))
-	name, err := readString(br)
+	hdr, err := next()
 	if err != nil {
 		return nil, err
 	}
-	ncols, err := readU32(br)
+	t, err := readHeader(hdr)
 	if err != nil {
 		return nil, err
 	}
-	if ncols > 1<<20 {
-		return nil, fmt.Errorf("table: implausible column count %d: %w", ncols, ErrChecksum)
+	for {
+		payload, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if len(payload) == closingLen {
+			if rows := binary.LittleEndian.Uint64(payload); rows != uint64(t.NumRows()) {
+				return nil, corrupt("closing frame says %d rows, the records hold %d", rows, t.NumRows())
+			}
+			break
+		}
+		rec, err := wal.DecodePayload(payload)
+		if err != nil {
+			return nil, corrupt("record at row %d: %v", t.NumRows(), err)
+		}
+		if rec.Kind != wal.KindColumns || rec.Shard != 0 || rec.Table != t.name || rec.BaseRow != uint64(t.NumRows()) {
+			return nil, corrupt("%s record of %q (shard %d) at base row %d, table %q has %d rows",
+				rec.Kind, rec.Table, rec.Shard, rec.BaseRow, t.name, t.NumRows())
+		}
+		if err := t.Replay(rec); err != nil {
+			return nil, corrupt("record at row %d: %v", rec.BaseRow, err)
+		}
 	}
-	t := &Table{name: name, index: make(map[string]int, ncols)}
-	var prevRows uint64
-	for ci := uint32(0); ci < ncols; ci++ {
-		cname, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		tb, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		typ := storage.Type(tb)
-		if typ != storage.Int64 && typ != storage.Float64 && typ != storage.String {
-			return nil, fmt.Errorf("table: column %q has unknown type %d: %w", cname, tb, ErrChecksum)
-		}
-		nrows, err := readU64(br)
-		if err != nil {
-			return nil, err
-		}
-		if nrows > maxSaneLen {
-			return nil, fmt.Errorf("table: implausible row count %d: %w", nrows, ErrChecksum)
-		}
-		if ci > 0 && nrows != prevRows {
-			return nil, fmt.Errorf("%w in snapshot", ErrLengthSkew)
-		}
-		prevRows = nrows
-		codes := make([]int64, nrows)
-		buf := make([]byte, 8*1024)
-		for read := uint64(0); read < nrows; {
-			chunk := uint64(len(buf) / 8)
-			if nrows-read < chunk {
-				chunk = nrows - read
-			}
-			if _, err := io.ReadFull(br, buf[:chunk*8]); err != nil {
-				return nil, fmt.Errorf("table: reading codes: %w", err)
-			}
-			for k := uint64(0); k < chunk; k++ {
-				codes[read+k] = int64(binary.LittleEndian.Uint64(buf[k*8:]))
-			}
-			read += chunk
-		}
-		nNulls, err := readU64(br)
-		if err != nil {
-			return nil, err
-		}
-		if nNulls > nrows {
-			return nil, fmt.Errorf("table: null count %d exceeds rows %d: %w", nNulls, nrows, ErrChecksum)
-		}
-		nullRows := make([]uint64, nNulls)
-		for k := range nullRows {
-			v, err := readU64(br)
-			if err != nil {
-				return nil, err
-			}
-			if v >= nrows {
-				return nil, fmt.Errorf("table: null row %d out of range: %w", v, ErrChecksum)
-			}
-			nullRows[k] = v
-		}
-		col, err := rebuildColumn(cname, typ, codes, nullRows, br)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := t.index[cname]; dup {
-			return nil, fmt.Errorf("%w: %q in snapshot", ErrColumnExists, cname)
-		}
-		t.index[cname] = len(t.columns)
-		t.columns = append(t.columns, col)
+	if len(rest) != 0 {
+		return nil, corrupt("%d bytes after the closing frame", len(rest))
 	}
 	return t, nil
 }
 
-// rebuildColumn reconstructs a column from raw codes, null rows, and (for
-// strings) the serialized dictionary.
-func rebuildColumn(name string, typ storage.Type, codes []int64, nullRows []uint64, br *bufio.Reader) (*storage.Column, error) {
-	col := storage.NewColumn(name, typ)
-	switch typ {
-	case storage.Int64, storage.Float64:
-		nullSet := make(map[uint64]bool, len(nullRows))
-		for _, r := range nullRows {
-			nullSet[r] = true
+// corrupt is the error of a snapshot whose bytes do not make a table.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("table: snapshot: %s: %w", fmt.Sprintf(format, args...), ErrChecksum)
+}
+
+// readHeader builds the empty table a header describes, its dictionaries
+// seeded in code order and sealed where they were.
+func readHeader(b []byte) (*Table, error) {
+	h := &cursor{b: b}
+	name := h.string()
+	ncols := h.u32()
+	// A column takes at least 5 bytes of the header: check the claim
+	// before allocating for it.
+	if h.err == nil && uint64(ncols) > uint64(len(h.b))/5 {
+		return nil, corrupt("header claims %d columns in %d bytes", ncols, len(h.b))
+	}
+	schema := make(Schema, ncols)
+	for i := range schema {
+		schema[i].Name = h.string()
+		schema[i].Type = storage.Type(h.u8())
+		if h.err == nil && schema[i].Type > storage.String {
+			return nil, corrupt("column %q has unknown type %d", schema[i].Name, schema[i].Type)
 		}
-		for i, code := range codes {
-			if nullSet[uint64(i)] {
-				col.AppendNull()
-				continue
-			}
-			if typ == storage.Int64 {
-				if err := col.AppendInt(code); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := col.AppendFloat(storage.DecodeFloat64(code)); err != nil {
-					return nil, err
-				}
-			}
+	}
+	if h.err != nil {
+		return nil, corrupt("header: %v", h.err)
+	}
+	t, err := New(name, schema)
+	if err != nil {
+		return nil, corrupt("header: %v", err)
+	}
+	for _, c := range t.columns {
+		if c.Type() != storage.String {
+			continue
 		}
-	case storage.String:
-		sealed, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		count, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]string, count)
-		for i := range vals {
-			vals[i], err = readString(br)
-			if err != nil {
-				return nil, err
+		sealed, count := h.u8(), h.u32()
+		d, prev := c.Dict(), ""
+		for i := uint32(0); i < count; i++ {
+			s := h.string()
+			if h.err != nil {
+				break
 			}
-		}
-		nullSet := make(map[uint64]bool, len(nullRows))
-		for _, r := range nullRows {
-			nullSet[r] = true
-		}
-		for i, code := range codes {
-			if nullSet[uint64(i)] {
-				col.AppendNull()
-				continue
+			if code, _ := d.Insert(s); code != int64(i) || (sealed == 1 && i > 0 && s <= prev) {
+				return nil, corrupt("column %q: dictionary entry %d (%q) repeats or is out of order", c.Name(), i, s)
 			}
-			if code < 0 || code >= int64(len(vals)) {
-				return nil, fmt.Errorf("table: string code %d out of dictionary range %d: %w", code, len(vals), ErrChecksum)
-			}
-			if err := col.AppendString(vals[code]); err != nil {
-				return nil, err
-			}
+			prev = s
 		}
 		if sealed == 1 {
-			col.SealDict()
+			c.SealDict()
 		}
 	}
-	return col, nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func writeU32(w *bufio.Writer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-func writeU64(w *bufio.Writer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeU32(w, uint32(len(s)))
-	w.WriteString(s)
-}
-
-func readU32(r *bufio.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+	if h.err != nil || len(h.b) != 0 {
+		return nil, corrupt("header: %v, %d bytes left", h.err, len(h.b))
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return t, nil
 }
 
-func readU64(r *bufio.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+// cursor reads the header; the first read past its end sets err, and
+// every later read returns zeros.
+type cursor struct {
+	b   []byte
+	err error
 }
 
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
+func (c *cursor) take(n int) []byte {
+	if c.err != nil || n > len(c.b) {
+		c.err = io.ErrUnexpectedEOF
+		return nil
 	}
-	if n > maxSaneLen {
-		return "", fmt.Errorf("table: implausible string length %d: %w", n, ErrChecksum)
+	b := c.b[:n]
+	c.b = c.b[n:]
+	return b
+}
+
+func (c *cursor) u8() byte {
+	if b := c.take(1); b != nil {
+		return b[0]
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
+	return 0
+}
+
+func (c *cursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return string(b), nil
+	return 0
+}
+
+func (c *cursor) string() string {
+	n := c.u32()
+	if uint64(n) > uint64(len(c.b)) {
+		c.err = io.ErrUnexpectedEOF
+	}
+	return string(c.take(int(n)))
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }

@@ -11,21 +11,27 @@ import (
 // garbage with an error, never panic, and never fabricate a table from
 // corrupt input that then violates basic invariants.
 func FuzzRead(f *testing.F) {
-	// Seed with a genuine snapshot so mutations explore deep decoder paths.
+	// Seed with a genuine snapshot so mutations explore deep decoder
+	// paths: a header with a sealed and an unsealed dictionary, a record
+	// with NULLs in every column, the closing frame.
 	tb := MustNew("seed", Schema{
 		{Name: "a", Type: storage.Int64},
 		{Name: "s", Type: storage.String},
+		{Name: "f", Type: storage.Float64},
+		{Name: "u", Type: storage.String},
 	})
-	tb.AppendRow(storage.IntValue(1), storage.StringValue("x"))
-	tb.AppendRow(storage.NullValue(storage.Int64), storage.StringValue("y"))
-	tb.SealDicts()
+	tb.AppendRow(storage.IntValue(1), storage.StringValue("x"), storage.FloatValue(-2.5), storage.StringValue("q"))
+	tb.AppendRow(storage.NullValue(storage.Int64), storage.StringValue("y"), storage.NullValue(storage.Float64), storage.NullValue(storage.String))
+	tb.AppendRow(storage.IntValue(1<<40), storage.NullValue(storage.String), storage.FloatValue(0), storage.StringValue("p"))
+	tb.ColumnAt(1).SealDict()
 	var buf bytes.Buffer
 	if _, err := tb.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte("ADSKTBL1"))
+	f.Add(magic[:])
+	f.Add(magicV1[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
 		if err != nil {

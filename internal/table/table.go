@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"adskip/internal/storage"
+	"adskip/internal/wal"
 )
 
 // Errors returned by table operations.
@@ -33,10 +34,12 @@ type Schema []ColumnSpec
 
 // Table is a named collection of equal-length columns.
 type Table struct {
-	name    string
-	columns []*storage.Column
-	index   map[string]int
-	staged  []storage.StagedRows // Stage's buffer, one entry per column; all zero outside a Stage-Commit pair
+	name     string
+	columns  []*storage.Column
+	index    map[string]int
+	staged   []storage.StagedRows // Stage's buffer, one entry per column; all zero outside a Stage-Commit pair
+	blocks   []storage.Block      // Blocks' result, aliasing blockBuf
+	blockBuf []byte
 }
 
 // New creates an empty table with the given schema. Column names must be
@@ -146,23 +149,38 @@ type Staged struct{ cols []storage.StagedRows }
 // that must act between the check and the append (the engine logs the batch
 // to its WAL there) calls Stage, then Commit; the table must not change in
 // between. Columns share nothing, so a batch of parallelCells or more
-// spreads them over up to GOMAXPROCS goroutines (the caller's included) and
-// joins before returning: the stores and the first-touch page faults of
-// different columns' chunks then overlap.
+// cells spreads them over up to GOMAXPROCS goroutines (the caller's
+// included) and joins before returning: the stores and the first-touch page
+// faults of different columns' chunks then overlap.
 func (t *Table) Stage(rows [][]storage.Value) (Staged, error) {
 	for i, r := range rows {
 		if len(r) != len(t.columns) {
 			return Staged{}, fmt.Errorf("%w: row %d has %d values, schema has %d columns", ErrRowArity, i, len(r), len(t.columns))
 		}
 	}
+	return t.stage(len(rows), batch{rows: rows})
+}
+
+// batch is what one stage call stages: rows, or rows [from, n) of one
+// column block per column (all of n rows: a log record's are checked when
+// it is decoded).
+type batch struct {
+	rows   [][]storage.Value
+	blocks []storage.Block
+	from   int
+}
+
+// stage has every column stage the batch's n rows into the table's
+// staging buffer.
+func (t *Table) stage(n int, b batch) (Staged, error) {
 	if t.staged == nil {
 		t.staged = make([]storage.StagedRows, len(t.columns))
 	}
 	workers := 1
-	if len(rows)*len(t.columns) >= parallelCells {
+	if n*len(t.columns) >= parallelCells {
 		workers = min(len(t.columns), runtime.GOMAXPROCS(0))
 	}
-	if err := t.stageColumns(workers, rows); err != nil {
+	if err := t.stageColumns(workers, b); err != nil {
 		clear(t.staged)
 		return Staged{}, err
 	}
@@ -177,10 +195,63 @@ func (t *Table) Commit(st Staged) {
 	}
 }
 
-// stageColumn stages column ci of rows into the table's staging buffer.
-func (t *Table) stageColumn(rows [][]storage.Value, ci int) error {
+// Blocks encodes a staged batch as one column block per column, in schema
+// order: what the log records between Stage and Commit. The blocks alias a
+// buffer the table reuses, so they are good until its next Blocks call.
+func (t *Table) Blocks(st Staged) []storage.Block {
+	t.blocks, t.blockBuf = t.blocks[:0], t.blockBuf[:0]
+	for ci, c := range t.columns {
+		var b storage.Block
+		t.blockBuf, b = c.AppendBlock(t.blockBuf, &st.cols[ci])
+		t.blocks = append(t.blocks, b)
+	}
+	return t.blocks
+}
+
+// Replay applies an append record of the log on the BaseRow chain: a
+// record whose rows are all present is skipped, one partly present adds
+// only the rows after them, and one that would leave a gap is an error. A
+// KindColumns record is staged from its blocks and committed; a KindRows
+// record, which older releases wrote, is appended as rows. It is how crash
+// recovery and a snapshot load apply a record.
+func (t *Table) Replay(rec *wal.Record) error {
+	cur := uint64(t.NumRows())
+	if rec.BaseRow > cur {
+		return fmt.Errorf("table %q: replay gap: record base row %d, table has %d", t.name, rec.BaseRow, cur)
+	}
+	n := uint64(rec.NumRows())
+	if rec.BaseRow+n <= cur {
+		return nil // fully present already
+	}
+	from := int(cur - rec.BaseRow)
+	switch rec.Kind {
+	case wal.KindColumns:
+		if len(rec.Blocks) != len(t.columns) {
+			return fmt.Errorf("%w: %d column blocks, table %q has %d columns", ErrRowArity, len(rec.Blocks), t.name, len(t.columns))
+		}
+		st, err := t.stage(int(n)-from, batch{blocks: rec.Blocks, from: from})
+		if err != nil {
+			return err
+		}
+		t.Commit(st)
+		return nil
+	case wal.KindRows:
+		return t.AppendRows(rec.Rows[from:])
+	}
+	return fmt.Errorf("table %q: replay of a %s record", t.name, rec.Kind)
+}
+
+// stageColumn stages column ci of the batch into the table's staging
+// buffer.
+func (t *Table) stageColumn(b *batch, ci int) error {
 	c := t.columns[ci]
-	if err := c.Stage(&t.staged[ci], rows, ci); err != nil {
+	var err error
+	if b.blocks != nil {
+		err = c.StageBlock(&t.staged[ci], &b.blocks[ci], b.from)
+	} else {
+		err = c.Stage(&t.staged[ci], b.rows, ci)
+	}
+	if err != nil {
 		return fmt.Errorf("column %q: %w", c.Name(), err)
 	}
 	return nil
@@ -188,15 +259,16 @@ func (t *Table) stageColumn(rows [][]storage.Value, ci int) error {
 
 // stageColumns stages every column on the given number of goroutines and
 // returns the error of the lowest failing column.
-func (t *Table) stageColumns(workers int, rows [][]storage.Value) error {
+func (t *Table) stageColumns(workers int, b batch) error {
 	if workers <= 1 {
 		for ci := range t.columns {
-			if err := t.stageColumn(rows, ci); err != nil {
+			if err := t.stageColumn(&b, ci); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	shared := b // what the goroutines share; b itself stays on the stack
 	errs := make([]error, len(t.columns))
 	var next atomic.Int32
 	work := func() {
@@ -205,7 +277,7 @@ func (t *Table) stageColumns(workers int, rows [][]storage.Value) error {
 			if ci >= len(t.columns) {
 				return
 			}
-			errs[ci] = t.stageColumn(rows, ci)
+			errs[ci] = t.stageColumn(&shared, ci)
 		}
 	}
 	var wg sync.WaitGroup

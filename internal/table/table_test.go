@@ -189,6 +189,9 @@ func TestCodecEmptyTable(t *testing.T) {
 	}
 }
 
+// frameBytes is the size of a frame holding a payload of n bytes.
+func frameBytes(n int) int { return 8 + n }
+
 func TestCodecCorruption(t *testing.T) {
 	tb := MustNew("t", demoSchema())
 	tb.AppendRow(storage.IntValue(1), storage.FloatValue(2), storage.StringValue("x"))
@@ -210,6 +213,11 @@ func TestCodecCorruption(t *testing.T) {
 	corrupt[0] = 'X'
 	if _, err := Read(bytes.NewReader(corrupt)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic: %v", err)
+	}
+
+	// Cut at a frame boundary, the closing frame gone -> corrupt.
+	if _, err := Read(bytes.NewReader(raw[:len(raw)-frameBytes(closingLen)])); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("closing frame cut off: %v", err)
 	}
 
 	// Truncate -> bad magic or read error, never a panic.

@@ -9,33 +9,38 @@ import (
 )
 
 // fuzzSeedSegment renders a small valid segment image (header + a few
-// framed records) the fuzzer mutates from.
+// framed records) the fuzzer mutates from: column-block records, sharded
+// or not, with a String column and NULLs; old-format row-major records;
+// an update.
 func fuzzSeedSegment() []byte {
 	b := append([]byte(nil), segMagic[:]...)
 	b = binary.LittleEndian.AppendUint64(b, 1) // segment index
 	b = binary.LittleEndian.AppendUint64(b, 0) // base LSN
+	types := []storage.Type{storage.Int64, storage.String, storage.Float64}
 	for i := 0; i < 3; i++ {
-		rec := &Record{
-			Kind: KindRows, Table: "data", BaseRow: uint64(i * 2),
-			Types: []storage.Type{storage.Int64, storage.String},
-			Rows: [][]storage.Value{
-				{storage.IntValue(int64(i)), storage.StringValue("ab")},
-				{storage.NullValue(storage.Int64), storage.NullValue(storage.String)},
-			},
+		rows := [][]storage.Value{
+			{storage.IntValue(int64(i)), storage.StringValue("ab"), storage.FloatValue(-1.5)},
+			{storage.NullValue(storage.Int64), storage.NullValue(storage.String), storage.NullValue(storage.Float64)},
+			{storage.IntValue(1 << 40), storage.StringValue("c"), storage.FloatValue(2)},
 		}
-		payload, err := EncodePayload(rec)
+		legacy, err := encodeLegacyRows(&Record{Kind: KindRows, Table: "data", BaseRow: uint64(i * 6), Types: types, Rows: rows})
 		if err != nil {
 			panic(err)
 		}
-		b = appendFrame(b, payload)
+		b = AppendFrame(b, legacy)
+		rec := columnsRecord("data", uint64(i*6+3), types, rows)
+		rec.Shard = uint32(i)
+		if b, err = AppendRecord(b, rec); err != nil {
+			panic(err)
+		}
 	}
-	upd, err := EncodePayload(&Record{
+	b, err := AppendRecord(b, &Record{
 		Kind: KindUpdate, Table: "data", Col: "v", Row: 1, Value: storage.IntValue(9),
 	})
 	if err != nil {
 		panic(err)
 	}
-	return appendFrame(b, upd)
+	return b
 }
 
 // FuzzReplay feeds arbitrary bytes to segment replay. The contract under
@@ -65,8 +70,13 @@ func FuzzReplay(f *testing.F) {
 		var replayed int
 		l, stats, err := Open(Options{Dir: dir, MaxRecordBytes: 1 << 20}, func(rec *Record) error {
 			replayed++
-			// Anything replayed must be internally consistent: it re-encodes.
-			if _, err := EncodePayload(rec); err != nil {
+			// Anything replayed must be internally consistent: it re-encodes
+			// (an old-format record through the fixture writer).
+			encode := EncodePayload
+			if rec.Kind == KindRows {
+				encode = encodeLegacyRows
+			}
+			if _, err := encode(rec); err != nil {
 				t.Fatalf("replayed record does not re-encode: %v", err)
 			}
 			return nil
@@ -81,11 +91,7 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("callback saw %d records, stats say %d", replayed, stats.Records)
 		}
 		// Whatever the damage, the recovered log accepts a durable append.
-		c, err := l.Append(&Record{
-			Kind: KindRows, Table: "data", BaseRow: 0,
-			Types: []storage.Type{storage.Int64},
-			Rows:  [][]storage.Value{{storage.IntValue(1)}},
-		})
+		c, err := l.Append(columnsRecord("data", 0, []storage.Type{storage.Int64}, [][]storage.Value{{storage.IntValue(1)}}))
 		if err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}

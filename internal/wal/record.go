@@ -4,15 +4,18 @@
 // a process killed at any instant can replay its way back to exactly the
 // acknowledged state.
 //
-// Records use the store's native columnar block layout (one type-tagged
-// vector per column, nulls as a bitmap) so recovery replays blocks, not
-// rows. Concurrent writers coalesce into one fsync via group commit; see
-// Log. Segments rotate at a size threshold and sealed segments are
-// recycled instead of deleted once Compact declares them obsolete.
+// An append is logged as the column blocks its stage already encoded (one
+// storage.Block per column, codes at the column's width, NULL rows as a
+// list) so recovery replays blocks, not rows, and a table snapshot is a
+// stream of the same records. Concurrent writers coalesce into one fsync
+// via group commit; see Log. Segments rotate at a size threshold and
+// sealed segments are recycled instead of deleted once Compact declares
+// them obsolete.
 package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -24,19 +27,22 @@ import (
 type Kind uint8
 
 const (
-	// KindRows is a columnar block of appended rows.
-	KindRows Kind = 1
-	// KindUpdate is one in-place cell overwrite.
-	KindUpdate Kind = 2
-	// KindShardRows and KindShardUpdate are the sharded wire forms of
-	// KindRows/KindUpdate: a u32 shard number (1-based, never 0) precedes
-	// the legacy body. They exist only on disk — DecodePayload normalizes
-	// them back to KindRows/KindUpdate with Record.Shard set, and the
-	// encoder picks the wire kind from Record.Shard — so replay logic is
-	// shard-agnostic and unsharded logs stay byte-identical to earlier
-	// releases.
-	KindShardRows   Kind = 3
+	// KindRows is an append batch as row-major values, the form older
+	// releases logged; it is decoded, never written. KindShardRows is its
+	// sharded wire form (a u32 shard number, never 0, precedes the body),
+	// normalized to KindRows with Record.Shard set.
+	KindRows      Kind = 1
+	KindShardRows Kind = 3
+	// KindUpdate is one in-place cell overwrite; KindShardUpdate its
+	// sharded wire form, normalized like KindShardRows. The encoder picks
+	// the wire kind from Record.Shard, so unsharded updates keep the
+	// legacy bytes.
+	KindUpdate      Kind = 2
 	KindShardUpdate Kind = 4
+	// KindColumns is an append batch as one column block per column (see
+	// storage.Block). It always carries the shard number, 0 when
+	// unsharded.
+	KindColumns Kind = 5
 )
 
 // String names the kind.
@@ -50,28 +56,31 @@ func (k Kind) String() string {
 		return "shard-rows"
 	case KindShardUpdate:
 		return "shard-update"
+	case KindColumns:
+		return "columns"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
 
-// Record is one logical WAL entry. KindRows carries an append batch in
-// columnar form; KindUpdate carries a single cell overwrite. BaseRow (the
-// table's row count when the mutation was logged) makes replay
-// idempotent: a record whose rows are already present is skipped, and a
-// record that would leave a gap is an error.
+// Record is one logical WAL entry. KindColumns carries an append batch as
+// column blocks (KindRows, an old log's, as rows); KindUpdate carries a
+// single cell overwrite. BaseRow (the table's row count when the mutation
+// was logged) makes replay idempotent: a record whose rows are already
+// present is skipped, and a record that would leave a gap is an error.
 type Record struct {
 	Kind  Kind
 	Table string
 
 	// Shard is the 1-based shard number of the engine that logged the
-	// record, or 0 for an unsharded table. Shard > 0 selects the sharded
-	// wire kinds; recovery routes the record to the same shard. BaseRow
-	// and Row are shard-local on a sharded record.
+	// record, or 0 for an unsharded table. Recovery routes the record to
+	// the same shard. BaseRow and Row are shard-local on a sharded record.
 	Shard uint32
 
-	// KindRows fields.
+	// Append fields: BaseRow, and the batch as one block per column in
+	// schema order (KindColumns) or as rows (KindRows).
 	BaseRow uint64
+	Blocks  []storage.Block
 	Types   []storage.Type
 	Rows    [][]storage.Value
 
@@ -87,11 +96,15 @@ type Record struct {
 //
 // and each segment file starts with segMagic + u64le segment index +
 // u64le base LSN (the LSN of the last record before the segment), which
-// keeps LSN numbering stable across restarts and compactions.
-// Strings are logged as raw bytes, not dictionary codes: dict codes are
-// remapped when a dictionary seals, so only the value itself is stable
-// across restarts. Int64 and Float64 cells are fixed 8-byte slots (floats
-// as IEEE bits), null slots zeroed, with a leading null bitmap per column.
+// keeps LSN numbering stable across restarts and compactions. A
+// KindColumns payload is
+//
+//	u8 kind | u32 shard | u16 table length, table | u64 base row |
+//	u32 rows n | u16 columns | one storage.Block of n rows per column
+//
+// A block's strings are its own table of bytes, not dictionary codes:
+// dictionary codes are remapped when a dictionary seals, so only the
+// value itself is stable across restarts.
 
 const (
 	frameLen = 8 // u32 length + u32 crc
@@ -117,33 +130,62 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Checksum is the CRC32C of a record payload.
 func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
-// appendFrame appends the framed record (header + payload) to dst.
-func appendFrame(dst, payload []byte) []byte {
+// AppendFrame appends payload to dst in the log's frame: its length, its
+// CRC32C, the payload.
+func AppendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, Checksum(payload))
 	return append(dst, payload...)
 }
 
-// EncodePayload renders rec as a payload (no frame header).
-func EncodePayload(rec *Record) ([]byte, error) {
-	switch rec.Kind {
-	case KindRows, KindShardRows:
-		return encodeRows(rec)
-	case KindUpdate, KindShardUpdate:
-		return encodeUpdate(rec)
-	default:
-		return nil, fmt.Errorf("wal: cannot encode record kind %d", rec.Kind)
+// AppendRecord appends rec to dst in its frame, encoding the payload in
+// place. On an error dst comes back as it was.
+func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
+	at := len(dst)
+	dst = append(dst, make([]byte, frameLen)...)
+	dst, err := appendPayload(dst, rec)
+	if err != nil {
+		return dst[:at], err
 	}
+	payload := dst[at+frameLen:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+4:], Checksum(payload))
+	return dst, nil
 }
 
-// appendKind writes the record's wire kind — the shard variant with its
-// u32 shard prefix when Shard > 0, the legacy kind otherwise.
-func appendKind(dst []byte, rec *Record, legacy, sharded Kind) []byte {
-	if rec.Shard > 0 {
-		dst = append(dst, byte(sharded))
-		return binary.LittleEndian.AppendUint32(dst, rec.Shard)
+// NextFrame splits the first frame off b and checks it: a frame header
+// or payload cut short, a length of 0 or above maxPayload, and a checksum
+// mismatch are errors. It returns the payload and the bytes after it.
+func NextFrame(b []byte, maxPayload int) (payload, rest []byte, err error) {
+	if len(b) < frameLen {
+		return nil, nil, fmt.Errorf("torn frame header (%d bytes)", len(b))
 	}
-	return append(dst, byte(legacy))
+	plen := int(binary.LittleEndian.Uint32(b[:4]))
+	if plen == 0 || plen > maxPayload {
+		return nil, nil, fmt.Errorf("implausible record length %d", plen)
+	}
+	if len(b)-frameLen < plen {
+		return nil, nil, fmt.Errorf("torn record body (%d of %d bytes)", len(b)-frameLen, plen)
+	}
+	payload = b[frameLen : frameLen+plen]
+	if Checksum(payload) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, nil, errors.New("checksum mismatch")
+	}
+	return payload, b[frameLen+plen:], nil
+}
+
+// EncodePayload renders rec as a payload (no frame header).
+func EncodePayload(rec *Record) ([]byte, error) { return appendPayload(nil, rec) }
+
+func appendPayload(dst []byte, rec *Record) ([]byte, error) {
+	switch rec.Kind {
+	case KindColumns:
+		return appendColumns(dst, rec)
+	case KindUpdate, KindShardUpdate:
+		return appendUpdate(dst, rec)
+	default:
+		return dst, fmt.Errorf("wal: cannot encode record kind %s", rec.Kind)
+	}
 }
 
 func appendString16(dst []byte, s string) []byte {
@@ -151,81 +193,46 @@ func appendString16(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func encodeRows(rec *Record) ([]byte, error) {
-	ncols, nrows := len(rec.Types), len(rec.Rows)
+func appendColumns(dst []byte, rec *Record) ([]byte, error) {
+	ncols := len(rec.Blocks)
 	if ncols == 0 || ncols > maxCols {
-		return nil, fmt.Errorf("wal: rows record with %d columns", ncols)
+		return dst, fmt.Errorf("wal: columns record with %d columns", ncols)
 	}
+	nrows := rec.Blocks[0].Len()
 	if nrows == 0 || nrows > maxRecordRows {
-		return nil, fmt.Errorf("wal: rows record with %d rows", nrows)
+		return dst, fmt.Errorf("wal: columns record with %d rows", nrows)
 	}
 	if len(rec.Table) > math.MaxUint16 {
-		return nil, fmt.Errorf("wal: table name too long (%d bytes)", len(rec.Table))
+		return dst, fmt.Errorf("wal: table name too long (%d bytes)", len(rec.Table))
 	}
-	b := make([]byte, 0, 32+nrows*ncols*9)
-	b = appendKind(b, rec, KindRows, KindShardRows)
-	b = appendString16(b, rec.Table)
-	b = binary.LittleEndian.AppendUint64(b, rec.BaseRow)
-	b = binary.LittleEndian.AppendUint16(b, uint16(ncols))
-	b = binary.LittleEndian.AppendUint32(b, uint32(nrows))
-	bitmapLen := (nrows + 7) / 8
-	for ci, typ := range rec.Types {
-		b = append(b, byte(typ))
-		// Null bitmap: bit i set means row i's cell is NULL.
-		off := len(b)
-		for i := 0; i < bitmapLen; i++ {
-			b = append(b, 0)
+	dst = append(dst, byte(KindColumns))
+	dst = binary.LittleEndian.AppendUint32(dst, rec.Shard)
+	dst = appendString16(dst, rec.Table)
+	dst = binary.LittleEndian.AppendUint64(dst, rec.BaseRow)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(nrows))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(ncols))
+	for ci := range rec.Blocks {
+		if n := rec.Blocks[ci].Len(); n != nrows {
+			return dst, fmt.Errorf("wal: column %d has %d rows, column 0 has %d", ci, n, nrows)
 		}
-		for ri, row := range rec.Rows {
-			if len(row) != ncols {
-				return nil, fmt.Errorf("wal: row %d has %d cells, record has %d columns", ri, len(row), ncols)
-			}
-			if row[ci].IsNull() {
-				b[off+ri/8] |= 1 << (ri % 8)
-			}
-		}
-		switch typ {
-		case storage.Int64:
-			for _, row := range rec.Rows {
-				var u uint64
-				if !row[ci].IsNull() {
-					u = uint64(row[ci].Int())
-				}
-				b = binary.LittleEndian.AppendUint64(b, u)
-			}
-		case storage.Float64:
-			for _, row := range rec.Rows {
-				var u uint64
-				if !row[ci].IsNull() {
-					u = math.Float64bits(row[ci].Float())
-				}
-				b = binary.LittleEndian.AppendUint64(b, u)
-			}
-		case storage.String:
-			for _, row := range rec.Rows {
-				if row[ci].IsNull() {
-					continue
-				}
-				s := row[ci].Str()
-				b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-				b = append(b, s...)
-			}
-		default:
-			return nil, fmt.Errorf("wal: cannot encode column type %d", typ)
-		}
+		dst = append(dst, rec.Blocks[ci].Bytes()...)
 	}
-	return b, nil
+	return dst, nil
 }
 
-func encodeUpdate(rec *Record) ([]byte, error) {
+func appendUpdate(b []byte, rec *Record) ([]byte, error) {
 	if len(rec.Table) > math.MaxUint16 || len(rec.Col) > math.MaxUint16 {
-		return nil, fmt.Errorf("wal: name too long")
+		return b, fmt.Errorf("wal: name too long")
 	}
 	if rec.Value.IsNull() {
-		return nil, fmt.Errorf("wal: update record with NULL value")
+		return b, fmt.Errorf("wal: update record with NULL value")
 	}
-	b := make([]byte, 0, 64)
-	b = appendKind(b, rec, KindUpdate, KindShardUpdate)
+	if rec.Shard > 0 {
+		b = append(b, byte(KindShardUpdate))
+		b = binary.LittleEndian.AppendUint32(b, rec.Shard)
+	} else {
+		b = append(b, byte(KindUpdate))
+	}
 	b = appendString16(b, rec.Table)
 	b = appendString16(b, rec.Col)
 	b = binary.LittleEndian.AppendUint64(b, rec.Row)
@@ -240,7 +247,7 @@ func encodeUpdate(rec *Record) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
 		b = append(b, s...)
 	default:
-		return nil, fmt.Errorf("wal: cannot encode value type %d", rec.Value.Type())
+		return b, fmt.Errorf("wal: cannot encode value type %d", rec.Value.Type())
 	}
 	return b, nil
 }
@@ -318,6 +325,8 @@ func DecodePayload(payload []byte) (*Record, error) {
 		return nil, err
 	}
 	switch Kind(kind) {
+	case KindColumns:
+		return decodeColumns(r)
 	case KindRows:
 		return decodeRows(r)
 	case KindUpdate:
@@ -372,9 +381,10 @@ func decodeRows(r *reader) (*Record, error) {
 	if nrows == 0 || nrows > maxRecordRows {
 		return nil, fmt.Errorf("wal: rows record claims %d rows", nrows)
 	}
-	// A row needs at least one byte per column in the payload; reject
-	// claims the payload cannot possibly back before allocating.
-	if nrows > len(r.b) {
+	// Every column needs its type byte and its NULL bitmap in the
+	// payload; reject claims the payload cannot possibly back before
+	// allocating.
+	if ncols*(1+(nrows+7)/8) > len(r.b)-r.off {
 		return nil, errShort
 	}
 	rec.Types = make([]storage.Type, ncols)
@@ -452,6 +462,49 @@ func decodeRows(r *reader) (*Record, error) {
 	return rec, nil
 }
 
+func decodeColumns(r *reader) (*Record, error) {
+	rec := &Record{Kind: KindColumns}
+	var err error
+	if rec.Shard, err = r.u32(); err != nil {
+		return nil, err
+	}
+	if rec.Table, err = r.string16(); err != nil {
+		return nil, err
+	}
+	if rec.BaseRow, err = r.u64(); err != nil {
+		return nil, err
+	}
+	nrows32, err := r.u32()
+	if err != nil {
+		return nil, err
+	}
+	ncols16, err := r.u16()
+	if err != nil {
+		return nil, err
+	}
+	ncols, nrows := int(ncols16), int(nrows32)
+	if ncols == 0 || ncols > maxCols {
+		return nil, fmt.Errorf("wal: columns record claims %d columns", ncols)
+	}
+	if nrows == 0 || nrows > maxRecordRows {
+		return nil, fmt.Errorf("wal: columns record claims %d rows", nrows)
+	}
+	rest := r.b[r.off:]
+	if ncols*storage.MinBlockBytes(nrows) > len(rest) {
+		return nil, errShort
+	}
+	rec.Blocks = make([]storage.Block, ncols)
+	for ci := range rec.Blocks {
+		if rec.Blocks[ci], rest, err = storage.ReadBlock(rest, nrows); err != nil {
+			return nil, fmt.Errorf("wal: column %d: %w", ci, err)
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("wal: %d trailing bytes after columns record", len(rest))
+	}
+	return rec, nil
+}
+
 func decodeUpdate(r *reader) (*Record, error) {
 	rec := &Record{Kind: KindUpdate}
 	var err error
@@ -506,7 +559,10 @@ func decodeUpdate(r *reader) (*Record, error) {
 
 // NumRows returns how many rows the record adds on replay (0 for updates).
 func (rec *Record) NumRows() int {
-	if rec.Kind == KindRows {
+	switch {
+	case rec.Kind == KindColumns && len(rec.Blocks) > 0:
+		return rec.Blocks[0].Len()
+	case rec.Kind == KindRows:
 		return len(rec.Rows)
 	}
 	return 0

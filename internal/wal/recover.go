@@ -337,20 +337,9 @@ func replaySegment(s *segInfo, maxRecord int, expectBase int64, replay func(*Rec
 		if len(rest) == 0 {
 			return base, n, off, "", nil // clean tail
 		}
-		if len(rest) < frameLen {
-			return base, n, off, fmt.Sprintf("torn frame header (%d bytes)", len(rest)), nil
-		}
-		plen := int(binary.LittleEndian.Uint32(rest[:4]))
-		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if plen == 0 || plen > maxRecord {
-			return base, n, off, fmt.Sprintf("implausible record length %d", plen), nil
-		}
-		if len(rest)-frameLen < plen {
-			return base, n, off, fmt.Sprintf("torn record body (%d of %d bytes)", len(rest)-frameLen, plen), nil
-		}
-		payload := rest[frameLen : frameLen+plen]
-		if Checksum(payload) != crc {
-			return base, n, off, "checksum mismatch", nil
+		payload, _, err := NextFrame(rest, maxRecord)
+		if err != nil {
+			return base, n, off, err.Error(), nil
 		}
 		rec, err := DecodePayload(payload)
 		if err != nil {
@@ -361,14 +350,12 @@ func replaySegment(s *segInfo, maxRecord int, expectBase int64, replay func(*Rec
 				return base, n, off, "", fmt.Errorf("wal: replay record %d of segment %d: %w", n+1, s.index, err)
 			}
 		}
-		switch rec.Kind {
-		case KindRows:
-			stats.Rows += int64(len(rec.Rows))
-		case KindUpdate:
+		if rec.Kind == KindUpdate {
 			stats.Updates++
 		}
+		stats.Rows += int64(rec.NumRows())
 		n++
-		off += int64(frameLen + plen)
-		stats.Bytes += int64(frameLen + plen)
+		off += int64(frameLen + len(payload))
+		stats.Bytes += int64(frameLen + len(payload))
 	}
 }

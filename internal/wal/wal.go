@@ -156,13 +156,6 @@ func newLogMetrics(reg *obs.Registry) logMetrics {
 // durable; callers that mutate in-memory state after logging must wait
 // before acknowledging. Safe for concurrent use.
 func (l *Log) Append(rec *Record) (Commit, error) {
-	payload, err := EncodePayload(rec)
-	if err != nil {
-		return Commit{}, err
-	}
-	if len(payload) > l.opts.MaxRecordBytes {
-		return Commit{}, fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), l.opts.MaxRecordBytes)
-	}
 	rows := rec.NumRows()
 
 	l.mu.Lock()
@@ -175,11 +168,20 @@ func (l *Log) Append(rec *Record) (Commit, error) {
 		l.mu.Unlock()
 		return Commit{}, fmt.Errorf("wal: log closed")
 	}
+	// The record is encoded straight into the pending buffer; one that
+	// fails is simply not kept.
+	pending, err := AppendRecord(l.pending, rec)
+	framed := len(pending) - len(l.pending)
+	if err == nil && framed-frameLen > l.opts.MaxRecordBytes {
+		err = fmt.Errorf("wal: record payload %d bytes exceeds limit %d", framed-frameLen, l.opts.MaxRecordBytes)
+	}
+	if err != nil {
+		l.mu.Unlock()
+		return Commit{}, err
+	}
+	l.pending = pending
 	lsn := l.nextLSN
 	l.nextLSN++
-	before := len(l.pending)
-	l.pending = appendFrame(l.pending, payload)
-	framed := len(l.pending) - before
 	if l.pendRecs == 0 {
 		l.firstPend = time.Now()
 	}

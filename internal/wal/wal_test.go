@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,40 +19,72 @@ import (
 	"adskip/internal/storage"
 )
 
-// rowsRecord builds a KindRows record with the mixed-type test schema.
-func rowsRecord(table string, base uint64, n int) *Record {
-	rec := &Record{
-		Kind: KindRows, Table: table, BaseRow: base,
-		Types: []storage.Type{storage.Int64, storage.Float64, storage.String},
-	}
+var testTypes = []storage.Type{storage.Int64, storage.Float64, storage.String}
+
+// testRows builds n rows of the mixed-type test schema.
+func testRows(base uint64, n int) [][]storage.Value {
+	var rows [][]storage.Value
 	for i := 0; i < n; i++ {
-		rec.Rows = append(rec.Rows, []storage.Value{
+		rows = append(rows, []storage.Value{
 			storage.IntValue(int64(base) + int64(i)),
 			storage.FloatValue(float64(i) * 1.5),
 			storage.StringValue(fmt.Sprintf("s-%d-%d", base, i)),
 		})
 	}
+	return rows
+}
+
+// rowsRecord builds the append record of n rows of the mixed-type test
+// schema, as an engine logs it.
+func rowsRecord(table string, base uint64, n int) *Record {
+	return columnsRecord(table, base, testTypes, testRows(base, n))
+}
+
+// columnsRecord builds the KindColumns record of rows: each column staged
+// into a fresh column and encoded from the stage, as an engine does.
+func columnsRecord(table string, base uint64, types []storage.Type, rows [][]storage.Value) *Record {
+	rec := &Record{Kind: KindColumns, Table: table, BaseRow: base}
+	for ci, typ := range types {
+		c := storage.NewColumn(fmt.Sprint("c", ci), typ)
+		var s storage.StagedRows
+		if err := c.Stage(&s, rows, ci); err != nil {
+			panic(err)
+		}
+		_, b := c.AppendBlock(nil, &s)
+		rec.Blocks = append(rec.Blocks, b)
+	}
 	return rec
 }
 
+// TestRecordRoundTrip: every kind decodes to what was encoded — column
+// blocks byte for byte, sharded or not; the old row-major kinds, which
+// only a fixture writer still encodes, cell for cell.
 func TestRecordRoundTrip(t *testing.T) {
+	mixed := [][]storage.Value{
+		{storage.NullValue(storage.Int64), storage.NullValue(storage.Float64), storage.NullValue(storage.String)},
+		{storage.IntValue(-9e15), storage.FloatValue(-0.5), storage.StringValue("")},
+		{storage.IntValue(7), storage.NullValue(storage.Float64), storage.StringValue("")},
+	}
+	sharded := columnsRecord("t", 3, testTypes, mixed)
+	sharded.Shard = 2
 	recs := []*Record{
 		rowsRecord("data", 0, 1),
 		rowsRecord("data", 17, 64),
-		{
-			Kind: KindRows, Table: "t", BaseRow: 3,
-			Types: []storage.Type{storage.Int64, storage.String},
-			Rows: [][]storage.Value{
-				{storage.NullValue(storage.Int64), storage.NullValue(storage.String)},
-				{storage.IntValue(-9e15), storage.StringValue("")},
-			},
-		},
+		columnsRecord("t", 3, testTypes, mixed),
+		sharded,
+		{Kind: KindRows, Table: "t", BaseRow: 3, Types: testTypes, Rows: mixed},
+		{Kind: KindRows, Table: "t", Shard: 4, BaseRow: 3, Types: testTypes, Rows: testRows(3, 9)},
 		{Kind: KindUpdate, Table: "data", Col: "v", Row: 42, Value: storage.IntValue(7)},
 		{Kind: KindUpdate, Table: "data", Col: "noise", Row: 0, Value: storage.FloatValue(-0.25)},
 		{Kind: KindUpdate, Table: "d", Col: "s", Row: 1 << 40, Value: storage.StringValue("x")},
+		{Kind: KindUpdate, Table: "d", Shard: 3, Col: "v", Row: 5, Value: storage.IntValue(-1)},
 	}
 	for i, rec := range recs {
-		payload, err := EncodePayload(rec)
+		encode := EncodePayload
+		if rec.Kind == KindRows {
+			encode = encodeLegacyRows
+		}
+		payload, err := encode(rec)
 		if err != nil {
 			t.Fatalf("record %d: encode: %v", i, err)
 		}
@@ -63,9 +98,17 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func assertRecordEqual(t *testing.T, i int, got, want *Record) {
 	t.Helper()
-	if got.Kind != want.Kind || got.Table != want.Table || got.BaseRow != want.BaseRow ||
-		got.Col != want.Col || got.Row != want.Row {
+	if got.Kind != want.Kind || got.Table != want.Table || got.Shard != want.Shard || got.BaseRow != want.BaseRow ||
+		got.Col != want.Col || got.Row != want.Row || got.NumRows() != want.NumRows() {
 		t.Fatalf("record %d: header mismatch: got %+v want %+v", i, got, want)
+	}
+	if len(got.Blocks) != len(want.Blocks) {
+		t.Fatalf("record %d: %d column blocks, want %d", i, len(got.Blocks), len(want.Blocks))
+	}
+	for ci := range want.Blocks {
+		if !bytes.Equal(got.Blocks[ci].Bytes(), want.Blocks[ci].Bytes()) {
+			t.Fatalf("record %d column %d: block differs", i, ci)
+		}
 	}
 	if len(got.Rows) != len(want.Rows) {
 		t.Fatalf("record %d: %d rows, want %d", i, len(got.Rows), len(want.Rows))
@@ -84,15 +127,17 @@ func assertRecordEqual(t *testing.T, i int, got, want *Record) {
 }
 
 func TestEncodeRejects(t *testing.T) {
+	short := rowsRecord("data", 0, 3)
+	short.Blocks[1] = rowsRecord("data", 0, 2).Blocks[1]
 	cases := []struct {
 		name string
 		rec  *Record
 	}{
 		{"unknown kind", &Record{Kind: 99}},
-		{"no columns", &Record{Kind: KindRows, Rows: [][]storage.Value{{}}}},
-		{"no rows", &Record{Kind: KindRows, Types: []storage.Type{storage.Int64}}},
-		{"ragged row", &Record{Kind: KindRows, Types: []storage.Type{storage.Int64, storage.Int64},
-			Rows: [][]storage.Value{{storage.IntValue(1)}}}},
+		{"old row-major kind", &Record{Kind: KindRows, Types: testTypes, Rows: testRows(0, 1)}},
+		{"no columns", &Record{Kind: KindColumns}},
+		{"no rows", &Record{Kind: KindColumns, Blocks: []storage.Block{{}}}},
+		{"ragged columns", short},
 		{"null update", &Record{Kind: KindUpdate, Table: "t", Col: "c",
 			Value: storage.NullValue(storage.Int64)}},
 	}
@@ -104,6 +149,9 @@ func TestEncodeRejects(t *testing.T) {
 }
 
 func TestDecodeRejects(t *testing.T) {
+	// The fixed part of the record below: kind, shard, table, base row, row
+	// count, column count; its first column block starts there.
+	const recordHead = 1 + 4 + 2 + len("data") + 8 + 4 + 2
 	valid, err := EncodePayload(rowsRecord("data", 0, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +168,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown kind", mutate(func(b []byte) []byte { b[0] = 99; return b })},
 		{"truncated", mutate(func(b []byte) []byte { return b[:len(b)/2] })},
 		{"trailing bytes", mutate(func(b []byte) []byte { return append(b, 0xFF) })},
+		{"shard-update with shard 0", []byte{byte(KindShardUpdate), 0, 0, 0, 0}},
+		{"block of another width", mutate(func(b []byte) []byte { b[recordHead+1] = 8; return b })},
+		{"NULL list past the rows", mutate(func(b []byte) []byte { b[recordHead+2] = 9; return b })},
 	}
 	for _, tc := range cases {
 		if _, err := DecodePayload(tc.payload); err == nil {
@@ -340,7 +391,7 @@ func TestRotationRecycleCompact(t *testing.T) {
 	// recycled records, never duplicates.
 	var rows int64
 	l2, stats := openT(t, dir, Options{SegmentBytes: 1}, func(rec *Record) error {
-		rows += int64(len(rec.Rows))
+		rows += int64(rec.NumRows())
 		return nil
 	})
 	defer l2.Close()
@@ -586,5 +637,40 @@ func TestSpareFilesIgnoredByReplay(t *testing.T) {
 	}
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// allocatedBy returns the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeRefusesClaimsBeforeAllocating: a record's row and column
+// counts are checked against the bytes that follow before anything is
+// allocated for them. A 4,114-byte old-format payload that claims 4,096
+// columns of 4,096 rows (640 MB of cells) and a column-block record that
+// claims 4,096 columns of 2^24 rows are both errors, each for under 1 MB.
+func TestDecodeRefusesClaimsBeforeAllocating(t *testing.T) {
+	rows := []byte{byte(KindRows), 0, 0}             // kind, empty table name
+	rows = binary.LittleEndian.AppendUint64(rows, 0) // base row
+	rows = binary.LittleEndian.AppendUint16(rows, 4096)
+	rows = binary.LittleEndian.AppendUint32(rows, 4096)
+	rows = append(rows, make([]byte, 4114-len(rows))...)
+
+	cols := []byte{byte(KindColumns), 0, 0, 0, 0, 0, 0}
+	cols = binary.LittleEndian.AppendUint64(cols, 0)
+	cols = binary.LittleEndian.AppendUint32(cols, 1<<24)
+	cols = binary.LittleEndian.AppendUint16(cols, 4096)
+	cols = append(cols, make([]byte, 4096)...)
+
+	for name, payload := range map[string][]byte{"rows": rows, "columns": cols} {
+		var err error
+		if n := allocatedBy(func() { _, err = DecodePayload(payload) }); err == nil || n >= 1<<20 {
+			t.Errorf("%s: %d-byte payload: %d bytes allocated, err %v", name, len(payload), n, err)
+		}
 	}
 }
