@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"unsafe"
 
@@ -30,6 +29,7 @@ import (
 	"adskip/internal/obs"
 	"adskip/internal/scan"
 	"adskip/internal/storage"
+	"adskip/internal/zonemap"
 )
 
 // ErrCorrupt marks detected metadata corruption: a violated structural
@@ -157,26 +157,16 @@ type Stats struct {
 	TailRows   int
 }
 
-// blockZones is the fan-in of the coarse probe level: a probe compares block
-// bounds first and member zones only inside overlapping blocks, so tens of
-// thousands of zones still cost O(zones/64 + hits) probes per query.
-const blockZones = 64
-
-// block is the coarse-level summary of a run of consecutive zones.
-type block struct {
-	min, max int64
-	hasData  bool // any member zone holds a value
-}
-
 // Zonemap is an adaptive zonemap over one column. It implements
 // core.Skipper. Not safe for concurrent mutation.
 type Zonemap struct {
 	cfg    Config
 	tune   tuning
 	zones  []zone
-	blocks []block // coarse level; block i covers zones [i*blockZones, ...)
-	rows   int     // total rows, including unindexed tail
-	tailLo int     // zones tile [0, tailLo); tail is [tailLo, rows)
+	rows   int // total rows, including unindexed tail
+	tailLo int // zones tile [0, tailLo); tail is [tailLo, rows)
+	// blocks is the coarse probe level, under the min/max hull.
+	blocks zonemap.Blocks[zonemap.Hull, expr.Ranges]
 
 	enabled         bool
 	netBenefit      float64
@@ -248,21 +238,13 @@ func New(codes storage.Vec, nulls *bitvec.BitVec, cfg Config) *Zonemap {
 	return z
 }
 
-// rebuildBlocks sizes the coarse probe level to the zone slice and re-hulls
-// the blocks from the one that holds zone from on. A structural edit (split,
-// merge, tail fold) passes the first zone it moved: the blocks before that
-// one summarize the same zones as before.
+// rebuildBlocks re-hulls the coarse level from the block of zone from on,
+// the first zone a structural edit (split, merge, tail fold) moved.
 func (z *Zonemap) rebuildBlocks(from int) {
-	n := (len(z.zones) + blockZones - 1) / blockZones
-	if n > len(z.blocks) {
-		z.blocks = slices.Grow(z.blocks, n-len(z.blocks))
-	}
-	z.blocks = z.blocks[:n]
-	for bi := from / blockZones; bi < n; bi++ {
-		lo, hi := z.members(bi)
-		b := &z.blocks[bi]
-		b.min, b.max, b.hasData = hull(z.zones[lo:hi])
-	}
+	z.blocks.Refold(from, len(z.zones), func(lo, hi int) (b zonemap.Block[zonemap.Hull]) {
+		b.Sum.Min, b.Sum.Max, b.HasData = hull(z.zones[lo:hi])
+		return b
+	})
 }
 
 // maintCostRows is the assumed cost, in rows scanned, of one zone's worth
@@ -326,7 +308,7 @@ func (z *Zonemap) Stats() Stats {
 
 // Metadata implements core.Skipper. Bytes includes both probe levels.
 func (z *Zonemap) Metadata() core.Metadata {
-	bytes := len(z.zones)*int(unsafe.Sizeof(zone{})) + len(z.blocks)*int(unsafe.Sizeof(block{}))
+	bytes := len(z.zones)*int(unsafe.Sizeof(zone{})) + len(z.blocks)*int(unsafe.Sizeof(zonemap.Block[zonemap.Hull]{}))
 	return core.Metadata{Kind: "adaptive", Zones: len(z.zones), Bytes: bytes, Enabled: z.enabled}
 }
 
@@ -357,17 +339,17 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 	p := newPred(r)
 	prev := 0 // row where the next zone must start (tiling check)
 	for bi := range z.blocks {
-		zLo, zHi := z.members(bi)
+		zLo, zHi := zonemap.Members(bi, len(z.zones))
 		res.ZonesProbed++ // the block probe
-		if b := &z.blocks[bi]; !b.hasData || !p.overlaps(b.min, b.max) {
+		if b := &z.blocks[bi]; !b.HasData || !p.overlaps(b.Sum.Min, b.Sum.Max) {
 			// One comparison skipped the whole run of zones. Gaps inside
 			// a skipped block are still sound to skip: its value bounds
 			// enclose every member row, wherever zone boundaries drifted.
 			if z.zones[zLo].lo != prev {
 				return z.corruptPrune(zLo, z.zones[zLo].lo, prev)
 			}
+			res.Emit(&core.CandidateZone{Lo: prev, Hi: z.zones[zHi-1].hi}, true)
 			prev = z.zones[zHi-1].hi
-			res.RowsSkipped += prev - z.zones[zLo].lo
 			continue
 		}
 		res.ZonesProbed += zHi - zLo
@@ -379,7 +361,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 			prev = zn.hi
 			verdict := p.classify(zn)
 			if verdict == skipZone {
-				res.RowsSkipped += zn.hi - zn.lo
+				res.Emit(&core.CandidateZone{Lo: zn.lo, Hi: zn.hi}, true)
 				continue
 			}
 			cand := core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: verdict == coverZone}
@@ -401,16 +383,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 					}
 				}
 			}
-			// Adjacent candidates with the same coverage state and no
-			// statistics request merge into one window: the executor
-			// treats them identically, so a converged structure emits a
-			// handful of windows regardless of zone count.
-			if k := len(res.Zones); k > 0 && cand.StatParts == 0 && res.Zones[k-1].StatParts == 0 &&
-				res.Zones[k-1].Covered == cand.Covered && res.Zones[k-1].Hi == zn.lo {
-				res.Zones[k-1].Hi = zn.hi
-				continue
-			}
-			res.Zones = append(res.Zones, cand)
+			res.Emit(&cand, false)
 		}
 	}
 	return z.endProbe(res, prev)
@@ -418,11 +391,6 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 
 // noIntervals stands in for an empty predicate's nil list (PruneResult.Ranges).
 var noIntervals = []int64{}
-
-// members returns the zone indices [lo, hi) that block bi summarizes.
-func (z *Zonemap) members(bi int) (lo, hi int) {
-	return bi * blockZones, min((bi+1)*blockZones, len(z.zones))
-}
 
 // pred is a range predicate as the probe compares it: bounds outside its
 // hull inline (most zones of a selective query), the rest by its intervals.
@@ -514,17 +482,7 @@ func (z *Zonemap) PruneNulls() core.PruneResult {
 			return z.corruptPrune(i, zn.lo, prev)
 		}
 		prev = zn.hi
-		rows := zn.hi - zn.lo
-		if zn.nonNull == rows {
-			res.RowsSkipped += rows
-			continue
-		}
-		covered := zn.nonNull == 0
-		if k := len(res.Zones); k > 0 && res.Zones[k-1].Hi == zn.lo && res.Zones[k-1].Covered == covered {
-			res.Zones[k-1].Hi = zn.hi
-		} else {
-			res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: covered})
-		}
+		res.Emit(&core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: zn.nonNull == 0}, zn.nonNull == zn.hi-zn.lo)
 	}
 	return z.endProbe(res, prev)
 }
@@ -581,11 +539,7 @@ func (z *Zonemap) Widen(row int, code int64) {
 		return
 	}
 	zn := &z.zones[i]
-	if b := &z.blocks[i/blockZones]; !b.hasData {
-		b.min, b.max, b.hasData = code, code, true
-	} else {
-		b.min, b.max = min(b.min, code), max(b.max, code)
-	}
+	z.blocks.Admit(zonemap.HullKind{}, i, code)
 	if zn.nonNull == 0 {
 		zn.min, zn.max = code, code
 		return
@@ -671,19 +625,10 @@ func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact
 	if z.tailLo > z.rows {
 		return fmt.Errorf("adaptive: tailLo %d beyond rows %d", z.tailLo, z.rows)
 	}
-	// Coarse level must enclose its member zones.
-	if want := (len(z.zones) + blockZones - 1) / blockZones; len(z.blocks) != want {
-		return fmt.Errorf("adaptive: %d blocks for %d zones, want %d", len(z.blocks), len(z.zones), want)
-	}
-	for i, zn := range z.zones {
-		if zn.nonNull == 0 {
-			continue
-		}
-		b := z.blocks[i/blockZones]
-		if !b.hasData || zn.min < b.min || zn.max > b.max {
-			return fmt.Errorf("adaptive: block %d bounds [%d,%d] exclude zone %d [%d,%d]",
-				i/blockZones, b.min, b.max, i, zn.min, zn.max)
-		}
+	if err := z.blocks.Check(zonemap.HullKind{}, len(z.zones), func(i int) (zonemap.Hull, bool) {
+		return zonemap.Hull{Min: z.zones[i].min, Max: z.zones[i].max}, z.zones[i].nonNull > 0
+	}); err != nil {
+		return fmt.Errorf("adaptive: %w", err)
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"adskip/internal/obs"
 	"adskip/internal/scan"
 	"adskip/internal/storage"
+	"adskip/internal/zonemap"
 )
 
 func oneRange(lo, hi int64) expr.Ranges {
@@ -694,7 +695,7 @@ func TestProbeStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(zone{}); got != 56 {
 		t.Errorf("zone is %d bytes, want 56", got)
 	}
-	if got := unsafe.Sizeof(block{}); got != 24 {
+	if got := unsafe.Sizeof(zonemap.Block[zonemap.Hull]{}); got != 24 {
 		t.Errorf("block is %d bytes, want 24", got)
 	}
 }

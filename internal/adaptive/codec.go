@@ -1,14 +1,12 @@
 package adaptive
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"adskip/internal/faultinject"
 )
@@ -28,8 +26,26 @@ import (
 // Config of the engine that loads it, and the tuning constants are the
 // same in every build.
 
+// header is a snapshot's fixed-size head and zoneRecord one zone's
+// record, in the field order and widths encoding/binary writes them.
+type header struct {
+	Magic                                      [8]byte
+	Rows, TailLo                               int64
+	Enabled                                    uint8
+	NetBenefit                                 float64
+	Queries, Splits, Merges, Disables, Enables int64
+	Zones                                      uint32
+}
+
+type zoneRecord struct {
+	Lo, Hi, Min, Max, NonNull int64
+	Heat                      float64
+	StatSkip                  uint16
+	StatFail                  uint8
+}
+
 // zoneBytes is the size of one zone's record in the snapshot.
-const zoneBytes = 6*8 + 2 + 1
+var zoneBytes = uint64(binary.Size(zoneRecord{}))
 
 var (
 	azmMagic = [8]byte{'A', 'D', 'S', 'K', 'A', 'Z', 'M', '1'}
@@ -41,49 +57,21 @@ var (
 
 // WriteTo serializes the zonemap's learned state.
 func (z *Zonemap) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	bw.Write(azmMagic[:])
-	putU64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		bw.Write(b[:])
-	}
-	putU64(uint64(z.rows))
-	putU64(uint64(z.tailLo))
+	h := header{Magic: azmMagic, Rows: int64(z.rows), TailLo: int64(z.tailLo), NetBenefit: z.netBenefit,
+		Queries: int64(z.queries), Splits: int64(z.splits), Merges: int64(z.merges),
+		Disables: int64(z.disables), Enables: int64(z.enables), Zones: uint32(len(z.zones))}
 	if z.enabled {
-		bw.WriteByte(1)
-	} else {
-		bw.WriteByte(0)
+		h.Enabled = 1
 	}
-	putU64(math.Float64bits(z.netBenefit))
-	putU64(uint64(z.queries))
-	putU64(uint64(z.splits))
-	putU64(uint64(z.merges))
-	putU64(uint64(z.disables))
-	putU64(uint64(z.enables))
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(z.zones)))
-	bw.Write(cnt[:])
-	for i := range z.zones {
-		zn := &z.zones[i]
-		putU64(uint64(zn.lo))
-		putU64(uint64(zn.hi))
-		putU64(uint64(zn.min))
-		putU64(uint64(zn.max))
-		putU64(uint64(zn.nonNull))
-		putU64(math.Float64bits(zn.heat))
-		var sk [2]byte
-		binary.LittleEndian.PutUint16(sk[:], zn.statSkip)
-		bw.Write(sk[:])
-		bw.WriteByte(zn.statFail)
+	recs := make([]zoneRecord, len(z.zones))
+	for i, zn := range z.zones {
+		recs[i] = zoneRecord{int64(zn.lo), int64(zn.hi), zn.min, zn.max, int64(zn.nonNull), zn.heat, zn.statSkip, zn.statFail}
 	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
+	var buf bytes.Buffer
+	binary.Write(&buf, binary.LittleEndian, h)
+	binary.Write(&buf, binary.LittleEndian, recs)
 	payload := buf.Bytes()
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	sum := binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload))
 	// Chaos hook: a flipped payload byte makes the checksum fail on Read,
 	// exercising the ErrBadSnapshot failure-atomic load path.
 	faultinject.Corrupt(faultinject.CodecCorrupt, payload)
@@ -91,7 +79,7 @@ func (z *Zonemap) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return int64(n), err
 	}
-	n2, err := w.Write(sum[:])
+	n2, err := w.Write(sum)
 	return int64(n + n2), err
 }
 
@@ -111,76 +99,25 @@ func Read(r io.Reader, cfg Config) (*Zonemap, error) {
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sumBytes) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
-	br := bytes.NewReader(payload[8:])
-	getU64 := func() (uint64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, fmt.Errorf("%w: truncated", ErrBadSnapshot)
-		}
-		return binary.LittleEndian.Uint64(b[:]), nil
-	}
-	cfg = cfg.withDefaults()
-	z := &Zonemap{cfg: cfg, tune: newTuning(cfg)}
-	fields := []*int{&z.rows, &z.tailLo}
-	for _, f := range fields {
-		v, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		*f = int(v)
-	}
-	eb, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
-	}
-	z.enabled = eb == 1
-	nb, err := getU64()
-	if err != nil {
-		return nil, err
-	}
-	z.netBenefit = math.Float64frombits(nb)
-	counters := []*int{&z.queries, &z.splits, &z.merges, &z.disables, &z.enables}
-	for _, c := range counters {
-		v, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		*c = int(v)
-	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
+	br := bytes.NewReader(payload)
+	var h header
+	if binary.Read(br, binary.LittleEndian, &h) != nil {
 		return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
 	}
 	// Reject a count the payload left cannot back before allocating for it.
-	nz := binary.LittleEndian.Uint32(cnt[:])
-	if uint64(nz)*zoneBytes > uint64(br.Len()) {
-		return nil, fmt.Errorf("%w: %d zones in %d bytes", ErrBadSnapshot, nz, br.Len())
+	if uint64(h.Zones)*zoneBytes > uint64(br.Len()) {
+		return nil, fmt.Errorf("%w: %d zones in %d bytes", ErrBadSnapshot, h.Zones, br.Len())
 	}
-	z.zones = make([]zone, nz)
-	for i := range z.zones {
-		zn := &z.zones[i]
-		var vals [6]uint64
-		for k := range vals {
-			v, err := getU64()
-			if err != nil {
-				return nil, err
-			}
-			vals[k] = v
-		}
-		zn.lo, zn.hi = int(vals[0]), int(vals[1])
-		zn.min, zn.max = int64(vals[2]), int64(vals[3])
-		zn.nonNull = int(vals[4])
-		zn.heat = math.Float64frombits(vals[5])
-		var sk [2]byte
-		if _, err := io.ReadFull(br, sk[:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
-		}
-		zn.statSkip = binary.LittleEndian.Uint16(sk[:])
-		sf, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated", ErrBadSnapshot)
-		}
-		zn.statFail = sf
+	recs := make([]zoneRecord, h.Zones)
+	binary.Read(br, binary.LittleEndian, recs) // the count check above guarantees the bytes
+	cfg = cfg.withDefaults()
+	z := &Zonemap{cfg: cfg, tune: newTuning(cfg), rows: int(h.Rows), tailLo: int(h.TailLo),
+		enabled: h.Enabled == 1, netBenefit: h.NetBenefit, queries: int(h.Queries),
+		splits: int(h.Splits), merges: int(h.Merges), disables: int(h.Disables), enables: int(h.Enables)}
+	z.zones = make([]zone, len(recs))
+	for i, rec := range recs {
+		z.zones[i] = zone{lo: int(rec.Lo), hi: int(rec.Hi), min: rec.Min, max: rec.Max, nonNull: int(rec.NonNull),
+			heat: rec.Heat, statSkip: rec.StatSkip, statFail: rec.StatFail}
 	}
 	// Structural sanity before anyone trusts this metadata.
 	prev := 0

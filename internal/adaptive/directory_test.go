@@ -11,6 +11,7 @@ import (
 	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/storage"
+	"adskip/internal/zonemap"
 )
 
 // spliceReference applies plans the way the zone directory was once
@@ -46,11 +47,11 @@ func spliceReference(z *Zonemap, plans []splitPlan) {
 
 // blocksReference recomputes the whole coarse level from the zone slice.
 func blocksReference(z *Zonemap) {
-	z.blocks = make([]block, (len(z.zones)+blockZones-1)/blockZones)
+	z.blocks = make(zonemap.Blocks[zonemap.Hull, expr.Ranges], (len(z.zones)+zonemap.BlockZones-1)/zonemap.BlockZones)
 	for bi := range z.blocks {
-		lo, hi := z.members(bi)
+		lo, hi := zonemap.Members(bi, len(z.zones))
 		b := &z.blocks[bi]
-		b.min, b.max, b.hasData = hull(z.zones[lo:hi])
+		b.Sum.Min, b.Sum.Max, b.HasData = hull(z.zones[lo:hi])
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"adskip/internal/faultinject"
 	"adskip/internal/obs"
 	"adskip/internal/scan"
+	"adskip/internal/zonemap"
 )
 
 // Observe implements core.Skipper, and is the one writer of what the
@@ -290,10 +291,10 @@ func mergeZones(a, b zone) zone {
 // scan cools down and takes one step of its statistics backoff.
 func (z *Zonemap) learnProbe(p pred) {
 	for bi := range z.blocks {
-		if b := &z.blocks[bi]; !b.hasData || !p.overlaps(b.min, b.max) {
+		if b := &z.blocks[bi]; !b.HasData || !p.overlaps(b.Sum.Min, b.Sum.Max) {
 			continue
 		}
-		lo, hi := z.members(bi)
+		lo, hi := zonemap.Members(bi, len(z.zones))
 		for i := lo; i < hi; i++ {
 			zn := &z.zones[i]
 			if p.classify(zn) != scanZone {

@@ -64,6 +64,24 @@ type PruneResult struct {
 	Ranges expr.Ranges
 }
 
+// Emit records a probe's verdict on candidate c's rows: skipped, they add
+// to RowsSkipped; scanned, c merges into the window before it when the two
+// touch, agree on Covered and neither asks for statistics — the executor
+// treats such windows alike, so a converged structure emits a handful of
+// windows whatever its zone count.
+func (r *PruneResult) Emit(c *CandidateZone, skip bool) {
+	if skip {
+		r.RowsSkipped += c.Hi - c.Lo
+		return
+	}
+	if k := len(r.Zones) - 1; k >= 0 && c.StatParts == 0 && r.Zones[k].StatParts == 0 &&
+		r.Zones[k].Covered == c.Covered && r.Zones[k].Hi == c.Lo {
+		r.Zones[k].Hi = c.Hi
+		return
+	}
+	r.Zones = append(r.Zones, *c)
+}
+
 // ZoneStats is the statistics a scan gathered for one candidate that asked
 // for them (StatParts > 0): the candidate's ID and its window's
 // sub-partitions, in row order. Observe takes them in ascending ID order,

@@ -31,7 +31,8 @@ func sortedTable(t testing.TB, n int) *table.Table {
 
 // TestExplainAnalyzeGoldenStatic pins the deterministic (timing-free)
 // EXPLAIN ANALYZE rendering on a static zonemap: sorted data, 64-row
-// zones, a range that covers two zones exactly.
+// zones, a range that covers two zones exactly. The 16 zones are one
+// block, so the probe tests 17 entries: the block, then its zones.
 func TestExplainAnalyzeGoldenStatic(t *testing.T) {
 	tb := sortedTable(t, 1000)
 	e := New(tb, Options{Policy: PolicyStatic, StaticZoneSize: 64})
@@ -57,7 +58,7 @@ func TestExplainAnalyzeGoldenStatic(t *testing.T) {
 	got := AnalyzeLines(res, false)
 	want := []string{
 		`EXPLAIN ANALYZE: table "t" (1000 rows), 128 rows matched`,
-		`probe: 16 zone probes`,
+		`probe: 17 zone probes`,
 		`scan: scanned 0, covered 128, skipped 872 rows`,
 		`predicate on "a": [128,255] — static skipper: est. 872 rows skippable (87.2%), 1 windows (1 covered, 128 candidate rows); actual matched 128`,
 		`pruning: 1000 of 1000 rows avoided (100.0%): 872 skipped, 128 covered; 0 scanned`,

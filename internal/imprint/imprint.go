@@ -2,9 +2,10 @@
 // SIGMOD 2013) as a second summary kind of the fixed-grid skipper in
 // package zonemap — demonstrating the abstract's framing of adaptive data
 // skipping as "a framework for structures and techniques" rather than one
-// index: the grid, its maintenance and its probe loop are the static
-// zonemap's; only what a zone's summary is, and how a predicate is tested
-// against it, differs.
+// index: the grid, its block level, its maintenance and its probe loop
+// are the static zonemap's; only what a zone's summary is (a block's is
+// the OR of its zones' masks), and how a predicate is tested against it,
+// differs.
 //
 // An imprint summarizes each zone with a 64-bit mask of which value bins
 // (equi-depth histogram buckets, learned from a sample) occur in the
@@ -94,8 +95,8 @@ func (m *Bins) binOf(c int64) int {
 // Name implements zonemap.Kind.
 func (m *Bins) Name() string { return "imprint" }
 
-// Bytes counts a mask and a non-null count per zone, plus the bin edges.
-func (m *Bins) Bytes(zones int) int { return zones*(8+4) + bins*8 }
+// Bytes counts the bin edges.
+func (m *Bins) Bytes() int { return bins * 8 }
 
 // Summarize returns the bin mask and non-null count of rows [lo, hi).
 func (m *Bins) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (mask uint64, nonNull int) {
@@ -113,6 +114,9 @@ func (m *Bins) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (m
 func (m *Bins) Admit(mask uint64, _ bool, code int64) uint64 {
 	return mask | 1<<uint(m.binOf(code))
 }
+
+// Union is the mask of the bins either mask has.
+func (m *Bins) Union(a, b uint64) uint64 { return a | b }
 
 // Test skips a zone when its mask ∩ touched = ∅ and proves it covered
 // when its mask ⊆ covered.

@@ -30,7 +30,7 @@ func TestBuildBasics(t *testing.T) {
 	if md.Kind != "imprint" || md.Zones != 10 || !md.Enabled || m.Rows() != 1000 {
 		t.Fatalf("metadata=%+v rows=%d", md, m.Rows())
 	}
-	if md.Bytes != 10*12+64*8 {
+	if md.Bytes != 10*(8+4)+16+64*8 { // a mask and a count per zone, one block, the bin edges
 		t.Fatalf("Bytes=%d", md.Bytes)
 	}
 }

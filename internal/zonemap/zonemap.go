@@ -1,18 +1,23 @@
 // Package zonemap implements the fixed-grid skipper — zones of a fixed
-// number of consecutive rows, one summary and one non-null count per zone,
-// every zone probed on every query — and its classic summary kind, the
-// static zonemap the adaptive zonemap is measured against.
+// number of consecutive rows, one summary and one non-null count per zone
+// — its classic summary kind, the static zonemap the adaptive zonemap is
+// measured against, and the coarse probe level every zone directory uses:
+// blocks of BlockZones zones, each summarised by the union of its members.
 //
 // What a zone's summary is, and how a predicate is tested against it, is
 // a Kind: the min/max hull here, the bin-occurrence mask in package
-// imprint. Everything else — zone layout, Extend, PruneNulls, candidate
-// coalescing, invariant re-derivation — is the Grid's, once. Probing costs
-// one summary test per zone on every query: the overhead the paper shows
-// is unrecoverable on arbitrary data distributions, motivating adaptivity.
+// imprint. Everything else — zone layout, the block level, Extend,
+// PruneNulls, invariant re-derivation — is the Grid's, once. A probe tests
+// every block and the member zones of the blocks that may match, as the
+// adaptive zonemap's does; on arbitrary data distributions every block
+// overlaps and the probe costs a test per zone and per block, the overhead
+// the paper shows is unrecoverable there, motivating adaptivity.
 package zonemap
 
 import (
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
@@ -30,13 +35,15 @@ import (
 type Kind[S, Q any] interface {
 	// Name is the Metadata kind.
 	Name() string
-	// Bytes estimates the footprint of zones summaries with their
-	// non-null counts, plus the kind's own state.
-	Bytes(zones int) int
+	// Bytes is the footprint of the kind's own state, beside the grid's
+	// per-zone summaries.
+	Bytes() int
 	// Summarize derives the summary and non-null count of rows [lo, hi).
 	Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (s S, nonNull int)
 	// Admit loosens s to hold code; empty says s holds no value yet.
 	Admit(s S, empty bool, code int64) S
+	// Union summarises the values of two summaries together.
+	Union(a, b S) S
 	// Lower turns a predicate's code intervals into the clause.
 	Lower(r expr.Ranges) Q
 	// Test reports whether a zone summarised by s may hold a matching
@@ -56,6 +63,7 @@ type Grid[S, Q any] struct {
 	n        int
 	sums     []S
 	nonNull  []int32 // rows carrying a value, per zone
+	blocks   Blocks[S, Q]
 }
 
 // NewGrid summarises the codes.Len() rows of a column view in zones of
@@ -73,15 +81,33 @@ func NewGrid[S, Q any](kind Kind[S, Q], codes storage.Vec, nulls *bitvec.BitVec,
 // Rows returns the number of rows covered by metadata.
 func (g *Grid[S, Q]) Rows() int { return g.n }
 
-// Metadata reports the grid's shape and the kind's footprint estimate.
+// Metadata reports the grid's shape and what it holds: a summary and a
+// non-null count per zone, the block level, and the kind's own state.
 func (g *Grid[S, Q]) Metadata() core.Metadata {
-	return core.Metadata{Kind: g.kind.Name(), Zones: len(g.sums), Bytes: g.kind.Bytes(len(g.sums)), Enabled: true}
+	var b Block[S]
+	bytes := len(g.sums)*int(unsafe.Sizeof(b.Sum)+unsafe.Sizeof(int32(0))) +
+		len(g.blocks)*int(unsafe.Sizeof(b)) + g.kind.Bytes()
+	return core.Metadata{Kind: g.kind.Name(), Zones: len(g.sums), Bytes: bytes, Enabled: true}
 }
 
-// window returns zone zi's row window.
-func (g *Grid[S, Q]) window(zi int) (lo, hi int) {
-	lo = zi * g.zoneSize
-	return lo, min(lo+g.zoneSize, g.n)
+// span returns the row window of zones [lo, hi).
+func (g *Grid[S, Q]) span(lo, hi int) core.CandidateZone {
+	return core.CandidateZone{ID: core.NoZoneID, Lo: lo * g.zoneSize, Hi: min(hi*g.zoneSize, g.n)}
+}
+
+// zone is zone zi's summary, ok when the zone holds a value.
+func (g *Grid[S, Q]) zone(zi int) (S, bool) { return g.sums[zi], g.nonNull[zi] > 0 }
+
+// fold is the block of zones [lo, hi): the union of their summaries.
+func (g *Grid[S, Q]) fold(lo, hi int) (b Block[S]) {
+	for zi := lo; zi < hi; zi++ {
+		if s, ok := g.zone(zi); ok && b.HasData {
+			b.Sum = g.kind.Union(b.Sum, s)
+		} else if ok {
+			b = Block[S]{s, true}
+		}
+	}
+	return b
 }
 
 // Extend grows the grid to cover codes, which must be the column's full
@@ -101,63 +127,68 @@ func (g *Grid[S, Q]) Extend(codes storage.Vec, nulls *bitvec.BitVec) {
 		g.nonNull = append(g.nonNull, int32(nn))
 	}
 	g.n = total
+	g.blocks.Refold(whole, len(g.sums), g.fold)
 }
 
-// Widen loosens the enclosing zone's summary to admit an updated value at
-// row: pruning stays sound at the cost of a looser summary (re-tightening
-// requires a rebuild). It leaves the non-null count alone; callers must
-// also call NoteNonNull when the write replaced a NULL.
+// Widen loosens the enclosing zone's summary, and its block's, to admit an
+// updated value at row: pruning stays sound at the cost of a looser
+// summary (re-tightening requires a rebuild). It leaves the non-null count
+// alone; callers must also call NoteNonNull when the write replaced a NULL.
 func (g *Grid[S, Q]) Widen(row int, code int64) {
 	zi := row / g.zoneSize
 	g.sums[zi] = g.kind.Admit(g.sums[zi], g.nonNull[zi] == 0, code)
+	g.blocks.Admit(g.kind, zi, code)
 }
 
 // NoteNonNull records that a formerly NULL row now holds a value.
 func (g *Grid[S, Q]) NoteNonNull(row int) { g.nonNull[row/g.zoneSize]++ }
 
-// Prune probes every zone: all-NULL zones and zones whose summary cannot
-// hold a match are skipped; null-free zones whose every value matches are
-// emitted as Covered — "covered" means every row matches, the property
-// multi-column intersection relies on — so the executor can short-circuit
-// counting.
+// Prune tests each block, then the member zones of each block that may
+// hold a match: a block that holds no value or cannot overlap the
+// predicate skips its rows whole; inside the others, all-NULL zones and
+// zones whose summary cannot hold a match are skipped, and null-free zones
+// whose every value matches are emitted as Covered — "covered" means every
+// row matches, the property multi-column intersection relies on — so the
+// executor can short-circuit counting. ZonesProbed counts block and member
+// entries.
 func (g *Grid[S, Q]) Prune(r expr.Ranges) core.PruneResult {
 	q := g.kind.Lower(r)
-	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.sums)}
-	for zi, nn := range g.nonNull {
-		lo, hi := g.window(zi)
-		overlaps, covers := false, false
-		if nn != 0 {
-			overlaps, covers = g.kind.Test(q, g.sums[zi])
+	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.blocks)}
+	for bi, b := range g.blocks {
+		lo, hi := Members(bi, len(g.sums))
+		overlaps := false
+		if b.HasData {
+			overlaps, _ = g.kind.Test(q, b.Sum)
 		}
-		emit(&res, lo, hi, !overlaps, covers && int(nn) == hi-lo)
+		if c := g.span(lo, hi); !overlaps {
+			res.Emit(&c, true)
+			continue
+		}
+		res.ZonesProbed += hi - lo
+		for zi := lo; zi < hi; zi++ {
+			c, nn := g.span(zi, zi+1), int(g.nonNull[zi])
+			overlaps, covers := false, false
+			if nn != 0 {
+				overlaps, covers = g.kind.Test(q, g.sums[zi])
+			}
+			c.Covered = covers && nn == c.Hi-c.Lo
+			res.Emit(&c, !overlaps)
+		}
 	}
 	return res
 }
 
-// PruneNulls emits candidates for IS NULL scans: zones with no NULL rows
-// are skipped; all-NULL zones are covered (every row matches).
+// PruneNulls emits candidates for IS NULL scans, zone by zone (blocks
+// carry no null counts): zones with no NULL rows are skipped; all-NULL
+// zones are covered (every row matches).
 func (g *Grid[S, Q]) PruneNulls() core.PruneResult {
 	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.sums)}
 	for zi, nn := range g.nonNull {
-		lo, hi := g.window(zi)
-		emit(&res, lo, hi, int(nn) == hi-lo, nn == 0)
+		c := g.span(zi, zi+1)
+		c.Covered = nn == 0
+		res.Emit(&c, int(nn) == c.Hi-c.Lo)
 	}
 	return res
-}
-
-// emit records a probe's verdict on the zone over rows [lo, hi): skipped,
-// or a candidate, coalesced with the window before it when they touch and
-// agree on coverage.
-func emit(res *core.PruneResult, lo, hi int, skip, covered bool) {
-	if skip {
-		res.RowsSkipped += hi - lo
-		return
-	}
-	if k := len(res.Zones); k > 0 && res.Zones[k-1].Hi == lo && res.Zones[k-1].Covered == covered {
-		res.Zones[k-1].Hi = hi
-	} else {
-		res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: lo, Hi: hi, Covered: covered})
-	}
 }
 
 // CheckInvariants re-derives every zone from the column's physical state;
@@ -174,13 +205,69 @@ func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, ex
 			name, len(g.sums), len(g.nonNull), g.n, want, codes.Len())
 	}
 	for zi, have := range g.sums {
-		lo, hi := g.window(zi)
-		derived, nonNull := g.kind.Summarize(codes, nulls, lo, hi)
+		w := g.span(zi, zi+1)
+		derived, nonNull := g.kind.Summarize(codes, nulls, w.Lo, w.Hi)
 		if nonNull != int(g.nonNull[zi]) {
-			return fmt.Errorf("%s: zone %d nonNull=%d, rows [%d,%d) hold %d", name, zi, g.nonNull[zi], lo, hi, nonNull)
+			return fmt.Errorf("%s: zone %d nonNull=%d, rows [%d,%d) hold %d", name, zi, g.nonNull[zi], w.Lo, w.Hi, nonNull)
 		}
 		if nonNull > 0 && !g.kind.Holds(have, derived, exact) {
-			return fmt.Errorf("%s: zone %d summary %#v, rows [%d,%d) derive %#v", name, zi, have, lo, hi, derived)
+			return fmt.Errorf("%s: zone %d summary %#v, rows [%d,%d) derive %#v", name, zi, have, w.Lo, w.Hi, derived)
+		}
+	}
+	if err := g.blocks.Check(g.kind, len(g.sums), g.zone); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	return nil
+}
+
+// ---------------------------------------------------------------------------
+// The coarse probe level, which every zone directory uses.
+
+// BlockZones is the fan-in of the coarse probe level: a probe tests each
+// block's summary first and the member zones of overlapping blocks only,
+// so tens of thousands of zones still cost O(zones/64 + hits) tests.
+const BlockZones = 64
+
+// Block summarises a run of consecutive zones by the union of the
+// summaries of its members that hold a value.
+type Block[S any] struct {
+	Sum     S
+	HasData bool // any member zone holds a value
+}
+
+// Blocks is the coarse level of a directory of zones summarised by a
+// Kind[S, Q]: block bi summarises the zones Members(bi, zones).
+type Blocks[S, Q any] []Block[S]
+
+// Members returns the zones [lo, hi) block bi summarises among zones zones.
+func Members(bi, zones int) (lo, hi int) { return bi * BlockZones, min((bi+1)*BlockZones, zones) }
+
+// Refold sizes the level to zones zones and refolds the blocks from the
+// one holding zone from — the first zone an edit moved or rebuilt — on;
+// fold(lo, hi) is the block of member zones [lo, hi).
+func (bs *Blocks[S, Q]) Refold(from, zones int, fold func(lo, hi int) Block[S]) {
+	n := (zones + BlockZones - 1) / BlockZones
+	*bs = slices.Grow(*bs, max(0, n-len(*bs)))[:n]
+	for bi := from / BlockZones; bi < n; bi++ {
+		(*bs)[bi] = fold(Members(bi, zones))
+	}
+}
+
+// Admit loosens the block holding zone zi to hold code, as Widen does the zone.
+func (bs Blocks[S, Q]) Admit(kind Kind[S, Q], zi int, code int64) {
+	b := &bs[zi/BlockZones]
+	b.Sum, b.HasData = kind.Admit(b.Sum, !b.HasData, code), true
+}
+
+// Check fails unless the level is sized to zones zones and every block
+// admits everything each of its members that holds a value does.
+func (bs Blocks[S, Q]) Check(kind Kind[S, Q], zones int, zone func(i int) (S, bool)) error {
+	if want := (zones + BlockZones - 1) / BlockZones; len(bs) != want {
+		return fmt.Errorf("%d blocks for %d zones, want %d", len(bs), zones, want)
+	}
+	for i := 0; i < zones; i++ {
+		if s, ok := zone(i); ok && (!bs[i/BlockZones].HasData || !kind.Holds(bs[i/BlockZones].Sum, s, false)) {
+			return fmt.Errorf("block %d %+v excludes zone %d %+v", i/BlockZones, bs[i/BlockZones], i, s)
 		}
 	}
 	return nil
@@ -205,15 +292,16 @@ func (g *Grid[S, Q]) Introspect() obs.SkipperSnapshot { return obs.SkipperSnapsh
 // Hull is the value hull of a zone's non-null rows.
 type Hull struct{ Min, Max int64 }
 
-// hullKind summarises a zone by its Hull and tests the predicate's code
+// HullKind summarises a zone by its Hull and tests the predicate's code
 // intervals against it directly: a zone skips when no interval overlaps
-// [Min, Max] and is covered when one interval encloses it.
-type hullKind struct{}
+// [Min, Max] and is covered when one interval encloses it. The adaptive
+// zonemap's blocks are this kind's.
+type HullKind struct{}
 
-func (hullKind) Name() string        { return "static" }
-func (hullKind) Bytes(zones int) int { return zones * (8 + 8 + 8) }
+func (HullKind) Name() string { return "static" }
+func (HullKind) Bytes() int   { return 0 }
 
-func (hullKind) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (Hull, int) {
+func (HullKind) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (Hull, int) {
 	mn, mx, nonNull := scan.MinMax(codes, lo, hi, nulls, 0)
 	if nonNull == 0 {
 		return Hull{}, 0
@@ -221,16 +309,18 @@ func (hullKind) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (
 	return Hull{mn, mx}, nonNull
 }
 
-func (hullKind) Admit(h Hull, empty bool, code int64) Hull {
+func (HullKind) Admit(h Hull, empty bool, code int64) Hull {
 	if empty {
 		return Hull{code, code}
 	}
 	return Hull{min(h.Min, code), max(h.Max, code)}
 }
 
-func (hullKind) Lower(r expr.Ranges) expr.Ranges { return r }
+func (HullKind) Union(a, b Hull) Hull { return Hull{min(a.Min, b.Min), max(a.Max, b.Max)} }
 
-func (hullKind) Test(r expr.Ranges, h Hull) (overlaps, covers bool) {
+func (HullKind) Lower(r expr.Ranges) expr.Ranges { return r }
+
+func (HullKind) Test(r expr.Ranges, h Hull) (overlaps, covers bool) {
 	if len(r.Lo) == 1 { // a comparison, BETWEEN or equality: nothing to search
 		lo, hi := r.Lo[0], r.Hi[0]
 		return lo <= h.Max && h.Min <= hi, lo <= h.Min && h.Max <= hi
@@ -239,7 +329,7 @@ func (hullKind) Test(r expr.Ranges, h Hull) (overlaps, covers bool) {
 	return overlaps, overlaps && r.Covers(h.Min, h.Max)
 }
 
-func (hullKind) Holds(have, derived Hull, exact bool) bool {
+func (HullKind) Holds(have, derived Hull, exact bool) bool {
 	if exact {
 		return have == derived
 	}
@@ -249,7 +339,7 @@ func (hullKind) Holds(have, derived Hull, exact bool) bool {
 // Build constructs the static zonemap over a column view: the Grid under
 // the min/max hull.
 func Build(codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) *Grid[Hull, expr.Ranges] {
-	return NewGrid[Hull, expr.Ranges](hullKind{}, codes, nulls, zoneSize)
+	return NewGrid[Hull, expr.Ranges](HullKind{}, codes, nulls, zoneSize)
 }
 
 var _ core.Skipper = (*Grid[Hull, expr.Ranges])(nil)

@@ -21,12 +21,12 @@ func zoneOf(m *Grid[Hull, expr.Ranges], zi int) zone {
 	return zone{m.sums[zi].Min, m.sums[zi].Max, int(m.nonNull[zi])}
 }
 
-// zoneCounts recovers how many zones a probe skipped and how many it
-// proved covered from the coalesced candidate windows.
-func zoneCounts(res core.PruneResult, zoneSize int) (skipped, covered int) {
-	skipped = res.ZonesProbed
+// zoneCounts recovers how many of m's zones a probe skipped and how many
+// it proved covered from the coalesced candidate windows.
+func zoneCounts(m *Grid[Hull, expr.Ranges], res core.PruneResult) (skipped, covered int) {
+	skipped = len(m.sums)
 	for _, c := range res.Zones {
-		zones := (c.Hi - c.Lo + zoneSize - 1) / zoneSize
+		zones := (c.Hi - c.Lo + m.zoneSize - 1) / m.zoneSize
 		skipped -= zones
 		if c.Covered {
 			covered += zones
@@ -60,7 +60,7 @@ func TestBuildBasics(t *testing.T) {
 			t.Fatalf("zone %d = %+v", zi, z)
 		}
 	}
-	if md.Bytes != 10*24 {
+	if md.Bytes != 10*(16+4)+24 { // a Hull and a count per zone, one block
 		t.Fatalf("Bytes=%d", md.Bytes)
 	}
 }
@@ -107,7 +107,7 @@ func TestBuildWithNulls(t *testing.T) {
 	if cands := res.Zones; len(cands) != 1 || cands[0].Lo != 0 || cands[0].Hi != 10 {
 		t.Fatalf("cands=%v", cands)
 	}
-	if skipped, _ := zoneCounts(res, 10); skipped != 1 || res.RowsSkipped != 10 {
+	if skipped, _ := zoneCounts(m, res); skipped != 1 || res.RowsSkipped != 10 {
 		t.Fatalf("res=%+v", res)
 	}
 }
@@ -146,8 +146,8 @@ func TestPruneSkipAndCover(t *testing.T) {
 		cands[0].ID != core.NoZoneID || cands[0].StatParts > 0 {
 		t.Fatalf("cands=%v", cands)
 	}
-	skipped, covered := zoneCounts(res, 10)
-	if !res.Enabled || res.ZonesProbed != 10 || skipped != 7 || covered != 3 || res.RowsSkipped != 70 {
+	skipped, covered := zoneCounts(m, res)
+	if !res.Enabled || res.ZonesProbed != 11 || skipped != 7 || covered != 3 || res.RowsSkipped != 70 {
 		t.Fatalf("res=%+v", res)
 	}
 	// Empty predicate skips everything.
