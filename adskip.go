@@ -803,9 +803,6 @@ func (t *Table) Append(vals ...interface{}) error {
 	return t.eng.AppendRow(converted...)
 }
 
-// AppendValues ingests one row of typed Values.
-func (t *Table) AppendValues(vals ...Value) error { return t.eng.AppendRow(vals...) }
-
 // AppendBatch ingests a batch of typed rows atomically with respect to
 // queries. On a durable DB the whole batch is one WAL record and one
 // group-commit wait, so batching is the high-throughput ingest path.

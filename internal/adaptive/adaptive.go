@@ -1,7 +1,7 @@
 // Package adaptive implements adaptive zonemaps — the paper's primary
 // contribution. An adaptive zonemap is a variable-granularity partition of
-// a column's row space into zones carrying (min, max, non-null count)
-// metadata, continuously reshaped by per-query feedback:
+// a column's row space into zones carrying an expr.Hull and a non-null
+// count, tested as every zone is, and reshaped by per-query feedback:
 //
 //   - Split: a zone that keeps being scanned with low qualifying fractions
 //     is refined into sub-zones whose bounds were computed during a scan
@@ -19,7 +19,6 @@ package adaptive
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"unsafe"
 
@@ -130,10 +129,10 @@ func newTuning(cfg Config) tuning {
 // non-null value in the window) but may be loose after updates; they are
 // re-tightened by splits, which recompute exact sub-bounds.
 type zone struct {
-	lo, hi   int
-	min, max int64
-	nonNull  int
-	heat     float64 // EWMA of probe usefulness in [0,1]
+	lo, hi  int
+	hull    expr.Hull // of the non-null rows: empty when there is none
+	nonNull int
+	heat    float64 // EWMA of probe usefulness in [0,1]
 	// statSkip/statFail back statistics gathering off exponentially: a
 	// zone whose stats failed to justify a split stops paying the piggyback
 	// cost for a while, so a converged structure scans at kernel speed.
@@ -166,7 +165,7 @@ type Zonemap struct {
 	rows   int // total rows, including unindexed tail
 	tailLo int // zones tile [0, tailLo); tail is [tailLo, rows)
 	// blocks is the coarse probe level, under the min/max hull.
-	blocks zonemap.Blocks[zonemap.Hull, expr.Ranges]
+	blocks zonemap.Blocks[expr.Hull, expr.Clause]
 
 	enabled         bool
 	netBenefit      float64
@@ -213,18 +212,22 @@ func (z *Zonemap) record(rec obs.LedgerRecord) {
 	}
 }
 
-// hull returns the min and max over every zone of zones that holds a
-// value; ok is false when none does (all-NULL zones carry no bounds).
-func hull(zones []zone) (lo, hi int64, ok bool) {
+// hullOf is the union of the hulls of zones.
+func hullOf(zones []zone) expr.Hull {
+	h := expr.EmptyHull
 	for i := range zones {
-		if zn := &zones[i]; zn.nonNull > 0 {
-			if !ok {
-				lo, hi, ok = zn.min, zn.max, true
-			}
-			lo, hi = min(lo, zn.min), max(hi, zn.max)
-		}
+		h = h.Union(zones[i].hull)
 	}
-	return lo, hi, ok
+	return h
+}
+
+// bounds is h as the snapshot's zone record, the ledger and the ROI rows
+// carry it, where a hull of no value reads [0, 0].
+func bounds(h expr.Hull) (lo, hi int64) {
+	if h.Empty() {
+		return 0, 0
+	}
+	return h.Min, h.Max
 }
 
 // New builds an adaptive zonemap over the column's current physical state.
@@ -241,9 +244,9 @@ func New(codes storage.Vec, nulls *bitvec.BitVec, cfg Config) *Zonemap {
 // rebuildBlocks re-hulls the coarse level from the block of zone from on,
 // the first zone a structural edit (split, merge, tail fold) moved.
 func (z *Zonemap) rebuildBlocks(from int) {
-	z.blocks.Refold(from, len(z.zones), func(lo, hi int) (b zonemap.Block[zonemap.Hull]) {
-		b.Sum.Min, b.Sum.Max, b.HasData = hull(z.zones[lo:hi])
-		return b
+	z.blocks.Refold(from, len(z.zones), func(lo, hi int) zonemap.Block[expr.Hull] {
+		h := hullOf(z.zones[lo:hi])
+		return zonemap.Block[expr.Hull]{Sum: h, HasData: !h.Empty()}
 	})
 }
 
@@ -267,9 +270,8 @@ func (z *Zonemap) Introspect() obs.SkipperSnapshot {
 	}
 	for i := range z.zones {
 		if zn := &z.zones[i]; zn.heat < z.tune.mergeHeat {
-			snap.DeadZones = append(snap.DeadZones, obs.ROIZone{
-				Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max, Heat: zn.heat,
-			})
+			mn, mx := bounds(zn.hull)
+			snap.DeadZones = append(snap.DeadZones, obs.ROIZone{Lo: zn.lo, Hi: zn.hi, Min: mn, Max: mx, Heat: zn.heat})
 		}
 	}
 	return snap
@@ -281,9 +283,7 @@ func (z *Zonemap) appendZones(codes storage.Vec, nulls *bitvec.BitVec, from, to 
 	for lo := from; lo < to; lo += z.cfg.InitialZoneRows {
 		hi := min(lo+z.cfg.InitialZoneRows, to)
 		nz := zone{lo: lo, hi: hi, heat: 0.5}
-		if min, max, nonNull := scan.MinMax(codes, lo, hi, nulls, 0); nonNull > 0 {
-			nz.min, nz.max, nz.nonNull = min, max, nonNull
-		}
+		nz.hull, nz.nonNull = scan.MinMax(codes, lo, hi, nulls, 0)
 		z.zones = append(z.zones, nz)
 	}
 }
@@ -308,7 +308,7 @@ func (z *Zonemap) Stats() Stats {
 
 // Metadata implements core.Skipper. Bytes includes both probe levels.
 func (z *Zonemap) Metadata() core.Metadata {
-	bytes := len(z.zones)*int(unsafe.Sizeof(zone{})) + len(z.blocks)*int(unsafe.Sizeof(zonemap.Block[zonemap.Hull]{}))
+	bytes := len(z.zones)*int(unsafe.Sizeof(zone{})) + len(z.blocks)*int(unsafe.Sizeof(zonemap.Block[expr.Hull]{}))
 	return core.Metadata{Kind: "adaptive", Zones: len(z.zones), Bytes: bytes, Enabled: z.enabled}
 }
 
@@ -336,12 +336,12 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 		return core.PruneResult{Enabled: false, Ranges: r}
 	}
 	res := core.PruneResult{Enabled: true, Ranges: r}
-	p := newPred(r)
+	c := r.Clause()
 	prev := 0 // row where the next zone must start (tiling check)
 	for bi := range z.blocks {
 		zLo, zHi := zonemap.Members(bi, len(z.zones))
 		res.ZonesProbed++ // the block probe
-		if b := &z.blocks[bi]; !b.HasData || !p.overlaps(b.Sum.Min, b.Sum.Max) {
+		if c.Test(z.blocks[bi].Sum) == expr.MatchNone {
 			// One comparison skipped the whole run of zones. Gaps inside
 			// a skipped block are still sound to skip: its value bounds
 			// enclose every member row, wherever zone boundaries drifted.
@@ -359,18 +359,18 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 				return z.corruptPrune(i, zn.lo, prev)
 			}
 			prev = zn.hi
-			verdict := p.classify(zn)
-			if verdict == skipZone {
+			m := c.Test(zn.hull)
+			if m == expr.MatchNone {
 				res.Emit(&core.CandidateZone{Lo: zn.lo, Hi: zn.hi}, true)
 				continue
 			}
-			cand := core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: verdict == coverZone}
-			if verdict == scanZone {
+			cand := core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: zn.pruned(m)}
+			if !cand.Covered {
 				// Why not skipped: only NULL rows blocked the coverage
 				// proof, the hull was loosened (maybe stale metadata), or
 				// the bounds genuinely straddle the predicate.
 				switch {
-				case p.covers(zn.min, zn.max):
+				case m == expr.MatchAll:
 					res.MissNullStraddle++
 				case zn.widened:
 					res.MissWidened++
@@ -392,59 +392,12 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 // noIntervals stands in for an empty predicate's nil list (PruneResult.Ranges).
 var noIntervals = []int64{}
 
-// pred is a range predicate as the probe compares it: bounds outside its
-// hull inline (most zones of a selective query), the rest by its intervals.
-type pred struct {
-	r      expr.Ranges
-	lo, hi int64 // the hull: no value outside [lo, hi] matches
-	single bool  // r is the one interval [lo, hi]
-}
-
-func newPred(r expr.Ranges) pred {
-	p := pred{r: r, lo: math.MaxInt64, hi: math.MinInt64, single: r.Len() == 1}
-	if n := r.Len(); n > 0 {
-		p.lo, p.hi = r.Lo[0], r.Hi[n-1]
-	}
-	return p
-}
-
-// overlaps reports whether some value in [min, max] matches.
-func (p *pred) overlaps(min, max int64) bool {
-	return min <= p.hi && max >= p.lo && (p.single || p.r.Overlaps(min, max))
-}
-
-// covers reports whether every value in [min, max] matches.
-func (p *pred) covers(min, max int64) bool {
-	return p.lo <= min && max <= p.hi && (p.single || p.r.Covers(min, max))
-}
-
-// verdict is what a probe concludes about one zone.
-type verdict uint8
-
-const (
-	skipZone  verdict = iota // no row can match: pruned
-	coverZone                // every row matches: counted without a scan
-	scanZone                 // the zone must be scanned
-)
-
-// classify is the probe's verdict on zn. Prune emits candidates from it
-// and Observe learns from it, so the two cannot disagree.
-func (p *pred) classify(zn *zone) verdict {
-	if zn.nonNull == 0 || zn.min > p.hi || zn.max < p.lo {
-		return skipZone
-	}
-	return p.classifyInHull(zn)
-}
-
-// classifyInHull finishes classify out of line, so that classify inlines.
-func (p *pred) classifyInHull(zn *zone) verdict {
-	switch {
-	case !p.single && !p.r.Overlaps(zn.min, zn.max):
-		return skipZone
-	case zn.nonNull == zn.hi-zn.lo && p.covers(zn.min, zn.max):
-		return coverZone
-	}
-	return scanZone
+// pruned reports whether a probe whose clause tested zn's hull m spares
+// the zone its scan: no value matches, so it is skipped, or every value
+// matches and no row is NULL, so it is counted as covered. Prune emits
+// candidates by it and Observe learns by it, so the two cannot disagree.
+func (zn *zone) pruned(m expr.Match) bool {
+	return m == expr.MatchNone || m == expr.MatchAll && zn.nonNull == zn.hi-zn.lo
 }
 
 // endProbe checks that the zones ended where the tail, a candidate, starts.
@@ -516,7 +469,7 @@ func (z *Zonemap) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
 	z.maintZones += int64(len(z.zones) - before)
 	z.maintEvents++
 	// The folded region's hull: the tail had no metadata before.
-	minAfter, maxAfter, _ := hull(z.zones[before:])
+	minAfter, maxAfter := bounds(hullOf(z.zones[before:]))
 	z.record(obs.LedgerRecord{
 		Kind: obs.EventTailFold, Cause: "append-fold",
 		ZonesBefore: before, ZonesAfter: len(z.zones),
@@ -540,15 +493,10 @@ func (z *Zonemap) Widen(row int, code int64) {
 	}
 	zn := &z.zones[i]
 	z.blocks.Admit(zonemap.HullKind{}, i, code)
-	if zn.nonNull == 0 {
-		zn.min, zn.max = code, code
-		return
+	before := zn.hull
+	if zn.hull = before.Admit(code); before.Empty() || zn.hull == before {
+		return // a first value, or one inside the hull: nothing loosened
 	}
-	if code >= zn.min && code <= zn.max {
-		return // inside the hull; nothing loosened
-	}
-	minBefore, maxBefore := zn.min, zn.max
-	zn.min, zn.max = min(zn.min, code), max(zn.max, code)
 	// Journal only the first loosening since the zone's last rebuild:
 	// the flag is what the why-not-skipped classifier reads, and one
 	// record per zone generation bounds ledger churn under update floods.
@@ -558,8 +506,8 @@ func (z *Zonemap) Widen(row int, code int64) {
 			Kind: obs.EventWiden, Cause: "update-widen",
 			ZonesBefore: len(z.zones), ZonesAfter: len(z.zones),
 			RowLo: zn.lo, RowHi: zn.hi,
-			MinBefore: minBefore, MaxBefore: maxBefore,
-			MinAfter: zn.min, MaxAfter: zn.max,
+			MinBefore: before.Min, MaxBefore: before.Max,
+			MinAfter: zn.hull.Min, MaxAfter: zn.hull.Max,
 		})
 	}
 }
@@ -608,8 +556,8 @@ func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact
 			return fmt.Errorf("adaptive: zone %d empty [%d,%d)", i, zn.lo, zn.hi)
 		}
 		prev = zn.hi
-		mn, mx, nonNull := scan.MinMax(codes, zn.lo, zn.hi, nulls, 0)
-		if nonNull > 0 && (mn < zn.min || mx > zn.max) {
+		h, nonNull := scan.MinMax(codes, zn.lo, zn.hi, nulls, 0)
+		if !zn.hull.Encloses(h) {
 			return excludedRow(i, zn, codes, nulls)
 		}
 		if exact && nonNull != zn.nonNull {
@@ -625,8 +573,8 @@ func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact
 	if z.tailLo > z.rows {
 		return fmt.Errorf("adaptive: tailLo %d beyond rows %d", z.tailLo, z.rows)
 	}
-	if err := z.blocks.Check(zonemap.HullKind{}, len(z.zones), func(i int) (zonemap.Hull, bool) {
-		return zonemap.Hull{Min: z.zones[i].min, Max: z.zones[i].max}, z.zones[i].nonNull > 0
+	if err := z.blocks.Check(zonemap.HullKind{}, len(z.zones), func(i int) (expr.Hull, bool) {
+		return z.zones[i].hull, !z.zones[i].hull.Empty()
 	}); err != nil {
 		return fmt.Errorf("adaptive: %w", err)
 	}
@@ -641,11 +589,11 @@ func excludedRow(i int, zn zone, codes storage.Vec, nulls *bitvec.BitVec) error 
 		if nulls != nil && nulls.Get(r) {
 			continue
 		}
-		if c := codes.At(r); c < zn.min || c > zn.max {
-			return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude row %d code %d", i, zn.min, zn.max, r, c)
+		if c := codes.At(r); !zn.hull.Encloses(expr.Hull{Min: c, Max: c}) {
+			return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude row %d code %d", i, zn.hull.Min, zn.hull.Max, r, c)
 		}
 	}
-	return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude a row of [%d,%d)", i, zn.min, zn.max, zn.lo, zn.hi)
+	return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude a row of [%d,%d)", i, zn.hull.Min, zn.hull.Max, zn.lo, zn.hi)
 }
 
 // corruptLayout deterministically breaks the zone tiling invariant — the
@@ -670,8 +618,9 @@ func (z *Zonemap) DescribeZones(max int) string {
 			s += fmt.Sprintf("  ... %d more zones\n", len(z.zones)-max)
 			break
 		}
+		mn, mx := bounds(zn.hull)
 		s += fmt.Sprintf("  zone %4d rows [%9d,%9d) bounds [%d,%d] nonNull=%d heat=%.2f\n",
-			i, zn.lo, zn.hi, zn.min, zn.max, zn.nonNull, zn.heat)
+			i, zn.lo, zn.hi, mn, mx, zn.nonNull, zn.heat)
 	}
 	return s
 }

@@ -551,7 +551,8 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 	var dead []obs.ROIZone
 	for _, zn := range zones {
 		if zn.heat < z.tune.mergeHeat {
-			dead = append(dead, obs.ROIZone{Lo: zn.lo, Hi: zn.hi, Min: zn.min, Max: zn.max, Heat: zn.heat})
+			mn, mx := bounds(zn.hull)
+			dead = append(dead, obs.ROIZone{Lo: zn.lo, Hi: zn.hi, Min: mn, Max: mx, Heat: zn.heat})
 		}
 	}
 	if len(dead) == 0 || !reflect.DeepEqual(snap.DeadZones, dead) {
@@ -695,7 +696,7 @@ func TestProbeStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(zone{}); got != 56 {
 		t.Errorf("zone is %d bytes, want 56", got)
 	}
-	if got := unsafe.Sizeof(zonemap.Block[zonemap.Hull]{}); got != 24 {
+	if got := unsafe.Sizeof(zonemap.Block[expr.Hull]{}); got != 24 {
 		t.Errorf("block is %d bytes, want 24", got)
 	}
 }

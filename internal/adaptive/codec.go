@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"adskip/internal/expr"
 	"adskip/internal/faultinject"
 )
 
@@ -65,7 +66,8 @@ func (z *Zonemap) WriteTo(w io.Writer) (int64, error) {
 	}
 	recs := make([]zoneRecord, len(z.zones))
 	for i, zn := range z.zones {
-		recs[i] = zoneRecord{int64(zn.lo), int64(zn.hi), zn.min, zn.max, int64(zn.nonNull), zn.heat, zn.statSkip, zn.statFail}
+		mn, mx := bounds(zn.hull)
+		recs[i] = zoneRecord{int64(zn.lo), int64(zn.hi), mn, mx, int64(zn.nonNull), zn.heat, zn.statSkip, zn.statFail}
 	}
 	var buf bytes.Buffer
 	binary.Write(&buf, binary.LittleEndian, h)
@@ -116,8 +118,11 @@ func Read(r io.Reader, cfg Config) (*Zonemap, error) {
 		splits: int(h.Splits), merges: int(h.Merges), disables: int(h.Disables), enables: int(h.Enables)}
 	z.zones = make([]zone, len(recs))
 	for i, rec := range recs {
-		z.zones[i] = zone{lo: int(rec.Lo), hi: int(rec.Hi), min: rec.Min, max: rec.Max, nonNull: int(rec.NonNull),
+		z.zones[i] = zone{lo: int(rec.Lo), hi: int(rec.Hi), hull: expr.Hull{Min: rec.Min, Max: rec.Max}, nonNull: int(rec.NonNull),
 			heat: rec.Heat, statSkip: rec.StatSkip, statFail: rec.StatFail}
+		if rec.NonNull == 0 {
+			z.zones[i].hull = expr.EmptyHull // recorded as [0, 0]
+		}
 	}
 	// Structural sanity before anyone trusts this metadata.
 	prev := 0

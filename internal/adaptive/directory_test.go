@@ -30,12 +30,13 @@ func spliceReference(z *Zonemap, plans []splitPlan) {
 			continue
 		}
 		parent := &z.zones[i]
-		minAfter, maxAfter, _ := hull(subs)
+		minBefore, maxBefore := bounds(parent.hull)
+		minAfter, maxAfter := bounds(hullOf(subs))
 		z.record(obs.LedgerRecord{
 			Kind: obs.EventSplit, Cause: "split-gain",
 			ZonesBefore: 1, ZonesAfter: len(subs),
 			RowLo: parent.lo, RowHi: parent.hi,
-			MinBefore: parent.min, MaxBefore: parent.max,
+			MinBefore: minBefore, MaxBefore: maxBefore,
 			MinAfter: minAfter, MaxAfter: maxAfter,
 		})
 		out = append(out, subs...)
@@ -47,11 +48,12 @@ func spliceReference(z *Zonemap, plans []splitPlan) {
 
 // blocksReference recomputes the whole coarse level from the zone slice.
 func blocksReference(z *Zonemap) {
-	z.blocks = make(zonemap.Blocks[zonemap.Hull, expr.Ranges], (len(z.zones)+zonemap.BlockZones-1)/zonemap.BlockZones)
+	z.blocks = make(zonemap.Blocks[expr.Hull, expr.Clause], (len(z.zones)+zonemap.BlockZones-1)/zonemap.BlockZones)
 	for bi := range z.blocks {
 		lo, hi := zonemap.Members(bi, len(z.zones))
 		b := &z.blocks[bi]
-		b.Sum.Min, b.Sum.Max, b.HasData = hull(z.zones[lo:hi])
+		b.Sum = hullOf(z.zones[lo:hi])
+		b.HasData = !b.Sum.Empty()
 	}
 }
 

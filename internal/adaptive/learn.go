@@ -23,7 +23,8 @@ func (z *Zonemap) Observe(res core.PruneResult, stats []core.ZoneStats) {
 	}
 	if res.Ranges.Lo != nil {
 		if res.Enabled {
-			z.learnProbe(newPred(res.Ranges))
+			c := res.Ranges.Clause()
+			z.learnProbe(&c)
 		}
 		if !z.enabled {
 			z.disabledQueries++
@@ -111,12 +112,12 @@ func (z *Zonemap) planSplit(parts []scan.PartStat, r expr.Ranges, budget int) []
 	if budget < len(parts)-1 {
 		return nil
 	}
-	p := newPred(r)
+	c := r.Clause()
 	usefulPart := make([]bool, len(parts))
 	anyUseful := false
 	for i, s := range parts {
-		part := zone{lo: s.Lo, hi: s.Hi, min: s.Min, max: s.Max, nonNull: s.NonNull}
-		usefulPart[i] = p.classify(&part) != scanZone
+		part := zone{lo: s.Lo, hi: s.Hi, hull: s.Hull, nonNull: s.NonNull}
+		usefulPart[i] = part.pruned(c.Test(part.hull))
 		anyUseful = anyUseful || usefulPart[i]
 	}
 	if !anyUseful {
@@ -124,10 +125,7 @@ func (z *Zonemap) planSplit(parts []scan.PartStat, r expr.Ranges, budget int) []
 	}
 	subs := make([]zone, len(parts))
 	for i, s := range parts {
-		subs[i] = zone{lo: s.Lo, hi: s.Hi, min: s.Min, max: s.Max, nonNull: s.NonNull, heat: 0.5}
-		if s.NonNull == 0 {
-			subs[i].min, subs[i].max = 0, 0
-		}
+		subs[i] = zone{lo: s.Lo, hi: s.Hi, hull: s.Hull, nonNull: s.NonNull, heat: 0.5}
 	}
 	// The statistics cut a part where its values jump, at row precision
 	// (crack-like boundary placement), so each side of a value band's edge
@@ -166,12 +164,13 @@ func (z *Zonemap) applySplits(plans []splitPlan) int {
 		// (possibly loosened) hull before, the children's exact hull
 		// after — the journal shows each split re-tightening metadata.
 		parent := &z.zones[p.idx]
-		minAfter, maxAfter, _ := hull(p.subs)
+		minBefore, maxBefore := bounds(parent.hull)
+		minAfter, maxAfter := bounds(hullOf(p.subs))
 		z.record(obs.LedgerRecord{
 			Kind: obs.EventSplit, Cause: "split-gain",
 			ZonesBefore: 1, ZonesAfter: len(p.subs),
 			RowLo: parent.lo, RowHi: parent.hi,
-			MinBefore: parent.min, MaxBefore: parent.max,
+			MinBefore: minBefore, MaxBefore: maxBefore,
 			MinAfter: minAfter, MaxAfter: maxAfter,
 		})
 		added += len(p.subs) - 1
@@ -232,7 +231,7 @@ func (z *Zonemap) mergeSweep() int {
 	// the affected row span and the union hull of the merged zones (which
 	// merging leaves unchanged).
 	z.maintZones += int64(before - len(out))
-	hullMin, hullMax, _ := hull(merged)
+	hullMin, hullMax := bounds(hullOf(merged))
 	z.record(obs.LedgerRecord{
 		Kind: obs.EventMerge, Cause: "merge-cold",
 		ZonesBefore: before, ZonesAfter: len(out),
@@ -259,26 +258,14 @@ func (z *Zonemap) canMerge(cur, next *zone) bool {
 // differently-valued neighbor, destroying exactly the metadata that made
 // it informative and triggering split/merge churn.
 func boundsCompatible(a, b *zone) bool {
-	if a.nonNull == 0 || b.nonNull == 0 {
-		return true // an all-null side adds no bounds
-	}
-	union := uint64(max(a.max, b.max) - min(a.min, b.min))
-	w := max(uint64(a.max-a.min), uint64(b.max-b.min))
-	return union <= w+w/2
+	w := max(a.hull.Width(), b.hull.Width())
+	return a.hull.Union(b.hull).Width() <= w+w/2
 }
 
 // mergeZones returns the sound union of two adjacent zones.
 func mergeZones(a, b zone) zone {
-	m := zone{lo: a.lo, hi: b.hi, nonNull: a.nonNull + b.nonNull,
+	m := zone{lo: a.lo, hi: b.hi, hull: a.hull.Union(b.hull), nonNull: a.nonNull + b.nonNull,
 		widened: a.widened || b.widened}
-	switch {
-	case a.nonNull == 0:
-		m.min, m.max = b.min, b.max
-	case b.nonNull == 0:
-		m.min, m.max = a.min, a.max
-	default:
-		m.min, m.max = min(a.min, b.min), max(a.max, b.max)
-	}
 	// The merged zone inherits the warmer heat so a recently useful
 	// neighbor is not dragged straight back into another merge cycle. Its
 	// bounds changed, so statistics gathering restarts immediately.
@@ -289,15 +276,15 @@ func mergeZones(a, b zone) zone {
 // learnProbe applies a probe's per-zone verdicts, re-derived over the blocks
 // Prune looked inside: a skipped or covered zone heats up; a zone it had to
 // scan cools down and takes one step of its statistics backoff.
-func (z *Zonemap) learnProbe(p pred) {
+func (z *Zonemap) learnProbe(c *expr.Clause) {
 	for bi := range z.blocks {
-		if b := &z.blocks[bi]; !b.HasData || !p.overlaps(b.Sum.Min, b.Sum.Max) {
+		if c.Test(z.blocks[bi].Sum) == expr.MatchNone {
 			continue
 		}
 		lo, hi := zonemap.Members(bi, len(z.zones))
 		for i := lo; i < hi; i++ {
 			zn := &z.zones[i]
-			if p.classify(zn) != scanZone {
+			if zn.pruned(c.Test(zn.hull)) {
 				zn.heat += z.tune.heatAlpha * (1 - zn.heat)
 				continue
 			}
@@ -312,10 +299,10 @@ func (z *Zonemap) learnProbe(p pred) {
 // shadowBenefit is the arbitration EWMA after a shadow probe with r, which
 // measures what skipping would have saved without any scan work.
 func (z *Zonemap) shadowBenefit(r expr.Ranges) float64 {
-	p := newPred(r)
+	c := r.Clause()
 	skipped := 0
 	for i := range z.zones {
-		if zn := &z.zones[i]; p.classify(zn) == skipZone {
+		if zn := &z.zones[i]; c.Test(zn.hull) == expr.MatchNone {
 			skipped += zn.hi - zn.lo
 		}
 	}

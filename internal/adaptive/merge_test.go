@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"adskip/internal/expr"
 	"adskip/internal/obs"
 )
 
@@ -39,7 +40,7 @@ func sweepReference(z *Zonemap) bool {
 		return false
 	}
 	z.maintZones += int64(before - len(out))
-	hullMin, hullMax, _ := hull(merged)
+	hullMin, hullMax := bounds(hullOf(merged))
 	z.record(obs.LedgerRecord{
 		Kind: obs.EventMerge, Cause: "merge-cold",
 		ZonesBefore: before, ZonesAfter: len(out),
@@ -59,7 +60,7 @@ func sweepReference(z *Zonemap) bool {
 func sweepZones(rng *rand.Rand, kind string, n int) []zone {
 	zones := make([]zone, n)
 	for i := range zones {
-		zones[i] = zone{lo: 100 * i, hi: 100 * (i + 1), min: int64(1000 * i), max: int64(1000*i + 10), nonNull: 100, heat: 0.5}
+		zones[i] = zone{lo: 100 * i, hi: 100 * (i + 1), hull: expr.Hull{Min: int64(1000 * i), Max: int64(1000*i + 10)}, nonNull: 100, heat: 0.5}
 	}
 	run := 2 + rng.Intn(2) // at most MaxZoneRows: one merged zone
 	var at int
@@ -80,16 +81,16 @@ func sweepZones(rng *rand.Rand, kind string, n int) []zone {
 			if rng.Intn(2) == 0 {
 				zones[i].heat = 0.02
 			}
-			zones[i].min = int64(rng.Intn(3) * 5)
-			zones[i].max = zones[i].min + int64(rng.Intn(12))
+			zones[i].hull.Min = int64(rng.Intn(3) * 5)
+			zones[i].hull.Max = zones[i].hull.Min + int64(rng.Intn(12))
 			if rng.Intn(8) == 0 {
-				zones[i].nonNull, zones[i].min, zones[i].max = 0, 0, 0
+				zones[i].nonNull, zones[i].hull = 0, expr.EmptyHull
 			}
 		}
 		return zones
 	}
 	for i := at; i < at+run; i++ {
-		zones[i].heat, zones[i].min, zones[i].max = 0.01, 7, 9
+		zones[i].heat, zones[i].hull = 0.01, expr.Hull{Min: 7, Max: 9}
 	}
 	return zones
 }

@@ -83,30 +83,12 @@ func (v *BitVec) Clear(i int) {
 	v.words[i/wordBits] &^= 1 << uint(i%wordBits)
 }
 
-// SetBool sets bit i to b without branching on b at the call site.
-func (v *BitVec) SetBool(i int, b bool) {
-	w := &v.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
-	if b {
-		*w |= mask
-	} else {
-		*w &^= mask
-	}
-}
-
 // SetAll sets every bit.
 func (v *BitVec) SetAll() {
 	for i := range v.words {
 		v.words[i] = ^uint64(0)
 	}
 	v.trimTail()
-}
-
-// ClearAll clears every bit.
-func (v *BitVec) ClearAll() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
 }
 
 // SetRange sets bits [lo, hi).
@@ -201,22 +183,6 @@ func (v *BitVec) Clone() *BitVec {
 	return c
 }
 
-// CopyFrom overwrites v's bits with o's. Panics if lengths differ.
-func (v *BitVec) CopyFrom(o *BitVec) {
-	v.checkLen(o)
-	copy(v.words, o.words)
-}
-
-// Any reports whether any bit is set.
-func (v *BitVec) Any() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NextSet returns the index of the first set bit at or after i, or -1 if
 // none exists.
 func (v *BitVec) NextSet(i int) int {
@@ -237,29 +203,6 @@ func (v *BitVec) NextSet(i int) int {
 		}
 	}
 	return -1
-}
-
-// ForEachSet calls f for every set bit index, in ascending order.
-func (v *BitVec) ForEachSet(f func(i int)) {
-	for wi, w := range v.words {
-		base := wi * wordBits
-		for w != 0 {
-			f(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
-// AppendSetTo appends the indices of all set bits to dst and returns it.
-func (v *BitVec) AppendSetTo(dst []int) []int {
-	for wi, w := range v.words {
-		base := wi * wordBits
-		for w != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // Equal reports whether v and o have identical length and bits.

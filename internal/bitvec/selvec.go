@@ -52,18 +52,3 @@ func (s *SelVec) Reset() { s.rows = s.rows[:0] }
 // refinement: callers that filtered Rows() in place keep the surviving
 // prefix.
 func (s *SelVec) Truncate(n int) { s.rows = s.rows[:n] }
-
-// ToBitVec converts the selection into a bit vector of n bits.
-func (s *SelVec) ToBitVec(n int) *BitVec {
-	v := New(n)
-	for _, r := range s.rows {
-		v.Set(int(r))
-	}
-	return v
-}
-
-// FromBitVec replaces the selection with the set bits of v.
-func (s *SelVec) FromBitVec(v *BitVec) {
-	s.rows = s.rows[:0]
-	v.ForEachSet(func(i int) { s.rows = append(s.rows, uint32(i)) })
-}

@@ -5,10 +5,11 @@
 // (the WHERE-clause shape the paper's scan-heavy workloads use). Lowering a
 // Pred against a concrete column produces a Ranges value: a sorted set of
 // disjoint inclusive [lo, hi] intervals over the column's int64 code space.
-// Ranges is the lingua franca of the system — zone pruning asks "does the
-// zone's [min,max] overlap any interval?" and scan kernels ask "is this
-// code inside any interval?" — so data skipping and scanning can never
-// disagree about predicate semantics.
+// Ranges is the lingua franca of the system — scan kernels ask "is this
+// code inside any interval?" and zone pruning asks whether none, some or
+// all of a Hull (the min/max that a scan measures and a zone, block or
+// shard stores) matches, through the one test Clause.Test — so data
+// skipping and scanning can never disagree about predicate semantics.
 package expr
 
 import (
@@ -235,16 +236,6 @@ preds:
 		out = append(out, p.Col)
 	}
 	return out
-}
-
-// ByColumn groups the conjuncts by column, preserving order within a
-// column.
-func (c Conj) ByColumn() map[string][]Pred {
-	m := make(map[string][]Pred)
-	for _, p := range c.Preds {
-		m[p.Col] = append(m[p.Col], p)
-	}
-	return m
 }
 
 // String renders the conjunction in SQL syntax ("TRUE" when empty).

@@ -77,10 +77,6 @@ func TestConjHelpers(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { cols = And().Columns() }); n != 0 || cols != nil {
 		t.Fatalf("empty Columns: %.0f allocs, %v", n, cols)
 	}
-	by := c.ByColumn()
-	if len(by["a"]) != 2 || len(by["b"]) != 1 {
-		t.Fatalf("ByColumn=%v", by)
-	}
 	if c.String() != "a > 1 AND b < 9 AND a <= 100" {
 		t.Fatalf("String=%q", c.String())
 	}
@@ -329,26 +325,26 @@ func TestLowerConj(t *testing.T) {
 		MustPred("a", LE, storage.IntValue(20)),
 		MustPred("b", EQ, storage.IntValue(5)), // other column ignored
 	)
-	r, err := LowerConj(c, col)
+	cp, err := LowerColumn(c, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.String() != "[10,20]" {
-		t.Fatalf("LowerConj got %v", r)
+	if cp.NullOnly || cp.R.String() != "[10,20]" {
+		t.Fatalf("LowerColumn got %+v", cp)
 	}
 	// Contradiction is empty.
 	c2 := And(
 		MustPred("a", LT, storage.IntValue(5)),
 		MustPred("a", GT, storage.IntValue(10)),
 	)
-	r, err = LowerConj(c2, col)
-	if err != nil || !r.Empty() {
-		t.Fatalf("contradiction: %v %v", r, err)
+	cp, err = LowerColumn(c2, col)
+	if err != nil || !cp.Empty() {
+		t.Fatalf("contradiction: %+v %v", cp, err)
 	}
 	// No conjuncts on the column -> Full.
-	r, _ = LowerConj(And(MustPred("z", EQ, storage.IntValue(1))), col)
-	if !r.Covers(math.MinInt64, math.MaxInt64) {
-		t.Fatalf("unrelated conj: %v", r)
+	cp, _ = LowerColumn(And(MustPred("z", EQ, storage.IntValue(1))), col)
+	if !cp.R.Covers(math.MinInt64, math.MaxInt64) {
+		t.Fatalf("unrelated conj: %+v", cp)
 	}
 }
 
@@ -399,5 +395,83 @@ func TestOrPredicates(t *testing.T) {
 	nested := Pred{Col: "a", Op: Or, Sub: []Pred{or, MustPred("a", EQ, storage.IntValue(7))}}
 	if nested.Validate() == nil {
 		t.Fatal("nested OR accepted")
+	}
+}
+
+// TestClauseMatchesRanges holds the one hull test, Clause.Test, to the
+// interval searches Ranges.Overlaps and Ranges.Covers: a hull matches none
+// of a predicate when no interval overlaps it, all when one interval
+// encloses it, and an empty hull matches none. It is the scalar oracle a
+// vector probe must agree with.
+func TestClauseMatchesRanges(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	preds := map[string]Ranges{
+		"empty":          {},
+		"single":         {Lo: []int64{10}, Hi: []int64{20}},
+		"point":          {Lo: []int64{7}, Hi: []int64{7}},
+		"multi":          {Lo: []int64{10, 50, 90}, Hi: []int64{20, 60, 90}},
+		"full":           Full(),
+		"below":          {Lo: []int64{lo}, Hi: []int64{5}},
+		"above":          {Lo: []int64{5}, Hi: []int64{hi}},
+		"not-equal":      {Lo: []int64{lo, 6}, Hi: []int64{4, hi}},
+		"extreme-points": {Lo: []int64{lo, hi}, Hi: []int64{lo, hi}},
+	}
+	hulls := map[string]Hull{
+		"empty":         EmptyHull,
+		"point-inside":  {15, 15},
+		"point-on-edge": {20, 20},
+		"point-between": {30, 30},
+		"point-min":     {lo, lo},
+		"point-max":     {hi, hi},
+		"left":          {0, 9},
+		"right":         {61, 89},
+		"far-right":     {91, 200},
+		"inside":        {12, 18},
+		"equal":         {10, 20},
+		"straddle-lo":   {5, 15},
+		"straddle-hi":   {15, 55},
+		"across":        {0, 100},
+		"full":          {lo, hi},
+		"to-min":        {lo, 10},
+		"to-max":        {55, hi},
+	}
+	for pn, r := range preds {
+		c := r.Clause()
+		for hn, h := range hulls {
+			want := MatchSome
+			switch {
+			case h.Empty() || !r.Overlaps(h.Min, h.Max):
+				want = MatchNone
+			case r.Covers(h.Min, h.Max):
+				want = MatchAll
+			}
+			if got := c.Test(h); got != want {
+				t.Errorf("%s %v, hull %s %+v: Test = %d, want %d", pn, r, hn, h, got, want)
+			}
+		}
+	}
+}
+
+// TestHull covers the hull's algebra at its edges: the empty hull is
+// Union's identity, has width 0 and is enclosed by every hull, and widths
+// are exact across the whole code space.
+func TestHull(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	h := Hull{-3, 8}
+	if !EmptyHull.Empty() || h.Empty() || (Hull{5, 5}).Empty() {
+		t.Fatal("Empty")
+	}
+	if EmptyHull.Union(h) != h || h.Union(EmptyHull) != h || EmptyHull.Union(EmptyHull) != EmptyHull {
+		t.Fatal("the empty hull is not Union's identity")
+	}
+	if h.Union(Hull{10, 12}) != (Hull{-3, 12}) || EmptyHull.Admit(4) != (Hull{4, 4}) || h.Admit(0) != h || h.Admit(lo) != (Hull{lo, 8}) {
+		t.Fatal("Union / Admit")
+	}
+	if EmptyHull.Width() != 0 || (Hull{5, 5}).Width() != 0 || h.Width() != 11 || (Hull{lo, hi}).Width() != math.MaxUint64 {
+		t.Fatal("Width")
+	}
+	if !h.Encloses(EmptyHull) || !EmptyHull.Encloses(EmptyHull) || EmptyHull.Encloses(Hull{hi, hi}) ||
+		!h.Encloses(Hull{-3, -3}) || h.Encloses(Hull{-4, 0}) || h.Encloses(Hull{0, 9}) || !(Hull{lo, hi}).Encloses(h) {
+		t.Fatal("Encloses")
 	}
 }

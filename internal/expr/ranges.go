@@ -39,19 +39,103 @@ func (r Ranges) Contains(c int64) bool {
 }
 
 // Overlaps reports whether [lo, hi] (inclusive) intersects any interval.
-// This is the zone-pruning primitive: a zone with bounds [lo, hi] can be
-// skipped iff Overlaps is false.
+// Zones test a predicate through Clause.Test, which answers as Overlaps
+// and Covers do (TestClauseMatchesRanges).
 func (r Ranges) Overlaps(lo, hi int64) bool {
 	i := sort.Search(len(r.Hi), func(i int) bool { return r.Hi[i] >= lo })
 	return i < len(r.Lo) && r.Lo[i] <= hi
 }
 
 // Covers reports whether [lo, hi] (inclusive) is fully inside one interval.
-// When a zone is covered, every non-null row in it qualifies and the scan
-// can short-circuit (count += zone size without touching data).
 func (r Ranges) Covers(lo, hi int64) bool {
 	i := sort.Search(len(r.Hi), func(i int) bool { return r.Hi[i] >= lo })
 	return i < len(r.Lo) && r.Lo[i] <= lo && hi <= r.Hi[i]
+}
+
+// Hull is the value hull of a set of codes: the one inclusive interval
+// [Min, Max] enclosing them. A set with no value has an empty hull, Min >
+// Max; EmptyHull is the one Union keeps as it is. A zone, a block, a scan's
+// part and a shard each summarise their non-null codes by a Hull, and a
+// Clause tests a predicate against it.
+type Hull struct{ Min, Max int64 }
+
+// EmptyHull is the hull of no value: the identity of Union.
+var EmptyHull = Hull{math.MaxInt64, math.MinInt64}
+
+// Empty reports whether h holds no value.
+func (h Hull) Empty() bool { return h.Min > h.Max }
+
+// Union is the hull of the values of h and o together.
+func (h Hull) Union(o Hull) Hull { return Hull{min(h.Min, o.Min), max(h.Max, o.Max)} }
+
+// Admit is h loosened to hold code c.
+func (h Hull) Admit(c int64) Hull { return h.Union(Hull{c, c}) }
+
+// Width is Max − Min, exact over the whole code space; 0 when h is empty.
+func (h Hull) Width() uint64 {
+	if h.Empty() {
+		return 0
+	}
+	return uint64(h.Max) - uint64(h.Min)
+}
+
+// Encloses reports whether every value o holds is inside h.
+func (h Hull) Encloses(o Hull) bool { return o.Empty() || h.Min <= o.Min && o.Max <= h.Max }
+
+// Match is what a predicate's test concludes about a set of values.
+type Match uint8
+
+const (
+	MatchNone Match = iota // no value matches
+	MatchSome              // some value may match
+	MatchAll               // every value matches
+)
+
+// Clause is a predicate's intervals as a hull is tested against them: a
+// hull outside the predicate's own hull — most zones of a selective query
+// — is settled inline, and only a hull inside it looks at the intervals.
+type Clause struct {
+	r      Ranges
+	hull   Hull // no value outside it matches
+	single bool // r is the one interval hull
+}
+
+// Clause returns r as the clause its hulls are tested against.
+func (r Ranges) Clause() Clause {
+	c := Clause{r: r, hull: EmptyHull, single: len(r.Lo) == 1}
+	if n := len(r.Lo); n > 0 {
+		c.hull = Hull{r.Lo[0], r.Hi[n-1]}
+	}
+	return c
+}
+
+// Test is the test of a predicate against a hull: whether none, some or
+// all of the values h may hold match. An empty hull matches none.
+func (c *Clause) Test(h Hull) Match {
+	if h.Max < c.hull.Min || h.Min > c.hull.Max {
+		return MatchNone
+	}
+	return c.inHull(h)
+}
+
+// inHull finishes Test out of line, so that Test inlines: the first
+// interval ending at or after h.Min decides.
+func (c *Clause) inHull(h Hull) Match {
+	r := c.r
+	i := 0
+	switch {
+	case h.Empty():
+		return MatchNone
+	case !c.single:
+		i = sort.Search(len(r.Hi), func(i int) bool { return r.Hi[i] >= h.Min })
+		if i == len(r.Lo) || r.Lo[i] > h.Max {
+			return MatchNone
+		}
+	}
+	if r.Lo[i] <= h.Min && h.Max <= r.Hi[i] {
+		return MatchAll
+	}
+	return MatchSome
 }
 
 // Intersect returns r ∩ o as a new normalized range set.
@@ -59,8 +143,8 @@ func (r Ranges) Intersect(o Ranges) Ranges {
 	var out Ranges
 	i, j := 0, 0
 	for i < len(r.Lo) && j < len(o.Lo) {
-		lo := max64(r.Lo[i], o.Lo[j])
-		hi := min64(r.Hi[i], o.Hi[j])
+		lo := max(r.Lo[i], o.Lo[j])
+		hi := min(r.Hi[i], o.Hi[j])
 		if lo <= hi {
 			out.Lo = append(out.Lo, lo)
 			out.Hi = append(out.Hi, hi)
@@ -223,22 +307,6 @@ func Lower(p Pred, col *storage.Column) (Ranges, error) {
 	return Ranges{}, fmt.Errorf("%w: %d", ErrUnknownOp, uint8(p.Op))
 }
 
-// LowerConj lowers every comparison conjunct of c that targets column col
-// and intersects the results, yielding the per-column code intervals for
-// that column. Conjuncts on other columns are ignored; IS NULL conjuncts
-// are rejected (use LowerColumn). An empty result means the predicate is
-// unsatisfiable on this column.
-func LowerConj(c Conj, col *storage.Column) (Ranges, error) {
-	cp, err := LowerColumn(c, col)
-	if err != nil {
-		return Ranges{}, err
-	}
-	if cp.NullOnly {
-		return Ranges{}, fmt.Errorf("expr: IS NULL on %q has no code-interval form (use LowerColumn)", col.Name())
-	}
-	return cp.R, nil
-}
-
 // ColPred is the physical per-column predicate: either code intervals over
 // non-null rows (the normal case; kernels mask NULLs) or "exactly the NULL
 // rows" (NullOnly). The two are mutually exclusive: any comparison implies
@@ -390,18 +458,4 @@ func boundAbove(col *storage.Column, v storage.Value, inclusive bool) (int64, bo
 		return cut, true, nil
 	}
 	return 0, false, fmt.Errorf("expr: unsupported column type %v", col.Type())
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -120,8 +120,14 @@ func (m *Bins) Union(a, b uint64) uint64 { return a | b }
 
 // Test skips a zone when its mask ∩ touched = ∅ and proves it covered
 // when its mask ⊆ covered.
-func (m *Bins) Test(q Masks, mask uint64) (overlaps, covers bool) {
-	return mask&q.Touched != 0, mask&^q.Covered == 0
+func (m *Bins) Test(q *Masks, mask uint64) expr.Match {
+	switch {
+	case mask&q.Touched == 0:
+		return expr.MatchNone
+	case mask&^q.Covered == 0:
+		return expr.MatchAll
+	}
+	return expr.MatchSome
 }
 
 // Holds requires the stored mask to hold every bin present in the rows —

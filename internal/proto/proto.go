@@ -401,19 +401,6 @@ func appendString(b []byte, s string) []byte {
 	return append(append(append(b, '"'), s...), '"')
 }
 
-// ReadRequest reads and decodes one request frame.
-func ReadRequest(r io.Reader, max int) (Request, error) {
-	var req Request
-	payload, err := ReadFrame(r, max)
-	if err != nil {
-		return req, err
-	}
-	if req, err = DecodeRequest(payload); err != nil {
-		return req, fmt.Errorf("proto: bad request frame: %w", err)
-	}
-	return req, nil
-}
-
 // ReadResponse reads and decodes one response frame.
 func ReadResponse(r io.Reader, max int) (Response, error) {
 	var resp Response

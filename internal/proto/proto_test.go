@@ -73,7 +73,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	if err := WriteMessage(&buf, req); err != nil {
 		t.Fatal(err)
 	}
-	gotReq, err := ReadRequest(&buf, MaxFrameDefault)
+	gotReq, err := readRequest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBadJSONFrame(t *testing.T) {
 	if err := WriteFrame(&buf, []byte("{not json")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRequest(&buf, MaxFrameDefault); err == nil {
+	if _, err := readRequest(&buf); err == nil {
 		t.Fatal("bad JSON accepted as request")
 	}
 }
@@ -145,7 +145,7 @@ func TestTimingFieldCompat(t *testing.T) {
 	if err := WriteFrame(&buf, []byte(`{"op":"query","sql":"SELECT COUNT(*) FROM data"}`)); err != nil {
 		t.Fatal(err)
 	}
-	req, err := ReadRequest(&buf, MaxFrameDefault)
+	req, err := readRequest(&buf)
 	if err != nil {
 		t.Fatalf("old-style request rejected: %v", err)
 	}
@@ -154,13 +154,13 @@ func TestTimingFieldCompat(t *testing.T) {
 	}
 
 	// New client -> old server: the old server's strict decoder is
-	// mirrored by ReadRequest; unknown-to-it fields are simply dropped by
+	// mirrored by readRequest; unknown-to-it fields are simply dropped by
 	// encoding/json, so the new frame must still parse as a Request.
 	buf.Reset()
 	if err := WriteMessage(&buf, Request{Op: OpQuery, SQL: "SELECT 1", TraceID: "t-1", WantTiming: true}); err != nil {
 		t.Fatal(err)
 	}
-	req2, err := ReadRequest(&buf, MaxFrameDefault)
+	req2, err := readRequest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,4 +263,13 @@ type countingWriter struct {
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.writes++
 	return w.buf.Write(p)
+}
+
+// readRequest reads one request frame and decodes it as the server does.
+func readRequest(r io.Reader) (Request, error) {
+	payload, err := ReadFrame(r, MaxFrameDefault)
+	if err != nil {
+		return Request{}, err
+	}
+	return DecodeRequest(payload)
 }

@@ -218,8 +218,8 @@ func BenchmarkMinMaxRange(b *testing.B) {
 				b.Skip("no AVX2 on this CPU")
 			}
 			benchKernel(b, codes.Width(), func() int {
-				lo, hi, _ := MinMax(codes, 0, codes.Len(), nil, 0)
-				return int(lo + hi)
+				h, _ := MinMax(codes, 0, codes.Len(), nil, 0)
+				return int(h.Min + h.Max)
 			})
 		})
 		b.Run("dense/portable", func(b *testing.B) {
@@ -231,8 +231,8 @@ func BenchmarkMinMaxRange(b *testing.B) {
 		})
 		b.Run("nulls", func(b *testing.B) {
 			benchKernel(b, codes.Width(), func() int {
-				lo, hi, _ := MinMax(codes, 0, codes.Len(), nulls, 0)
-				return int(lo + hi)
+				h, _ := MinMax(codes, 0, codes.Len(), nulls, 0)
+				return int(h.Min + h.Max)
 			})
 		})
 	})

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"adskip/internal/expr"
 	"adskip/internal/storage"
 )
 
@@ -193,7 +194,7 @@ func checkCountMinMaxBodies[C storage.Code](t *testing.T, pool []int64, block in
 			}
 			want := countDense(w, uint64(lo), uint64(hi)-uint64(lo))
 			if total, stats := CountWithStats(w, 0, len(w), oneRange(lo, hi), nil, 0, 1); total != want ||
-				len(w) > 0 && stats[0] != (PartStat{Lo: 0, Hi: len(w), Min: mn, Max: mx, NonNull: len(w), Matched: want}) {
+				len(w) > 0 && stats[0] != (PartStat{Lo: 0, Hi: len(w), Hull: expr.Hull{Min: mn, Max: mx}, NonNull: len(w), Matched: want}) {
 				return fmt.Sprintf("[%d,%d]: CountWithStats = %d %+v want %d, bounds %d,%d", lo, hi, total, stats, want, mn, mx)
 			}
 			if useVector && len(w) >= block {

@@ -152,8 +152,8 @@ func TestCountWithStats(t *testing.T) {
 		if s.Lo != p*25 || s.Hi != (p+1)*25 {
 			t.Fatalf("part %d window [%d,%d)", p, s.Lo, s.Hi)
 		}
-		if s.Min != int64(p*25) || s.Max != int64(p*25+24) {
-			t.Fatalf("part %d bounds [%d,%d]", p, s.Min, s.Max)
+		if s.Hull != (expr.Hull{Min: int64(p * 25), Max: int64(p*25 + 24)}) {
+			t.Fatalf("part %d bounds %+v", p, s.Hull)
 		}
 		if s.NonNull != 25 || s.Matched != wantMatch[p] {
 			t.Fatalf("part %d nonnull=%d matched=%d", p, s.NonNull, s.Matched)
@@ -194,22 +194,22 @@ func TestCountWithStatsNulls(t *testing.T) {
 	if total != 8 {
 		t.Fatalf("total=%d want 8", total)
 	}
-	if stats[0].Min != 1 || stats[0].NonNull != 4 {
-		t.Fatalf("part0 min=%d nonnull=%d", stats[0].Min, stats[0].NonNull)
+	if stats[0].Hull.Min != 1 || stats[0].NonNull != 4 {
+		t.Fatalf("part0 min=%d nonnull=%d", stats[0].Hull.Min, stats[0].NonNull)
 	}
-	if stats[1].Max != 8 || stats[1].NonNull != 4 {
-		t.Fatalf("part1 max=%d nonnull=%d", stats[1].Max, stats[1].NonNull)
+	if stats[1].Hull.Max != 8 || stats[1].NonNull != 4 {
+		t.Fatalf("part1 max=%d nonnull=%d", stats[1].Hull.Max, stats[1].NonNull)
 	}
 }
 
 // naivePart is the PartStat of rows [lo, hi) of codes, computed row by row.
 func naivePart(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec) PartStat {
-	s := PartStat{Lo: lo, Hi: hi, Min: math.MaxInt64, Max: math.MinInt64}
+	s := PartStat{Lo: lo, Hi: hi, Hull: expr.EmptyHull}
 	for i := lo; i < hi; i++ {
 		if naiveNull(nulls, i) {
 			continue
 		}
-		s.Min, s.Max, s.NonNull = min(s.Min, codes[i]), max(s.Max, codes[i]), s.NonNull+1
+		s.Hull, s.NonNull = s.Hull.Admit(codes[i]), s.NonNull+1
 		s.Matched += b2i(naiveMatch(codes[i], r))
 	}
 	return s
@@ -563,9 +563,8 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) (cuts int) {
 		sel.Rows()[0] != sentinel || !slices.Equal(sel.Rows()[1:], want.rows) {
 		t.Fatalf("Filter=%d rows %v want %v (r=%v)", got, sel.Rows(), want.rows, r)
 	}
-	mn, mx, nonNull := MinMax(codes, lo, hi, nulls, base)
-	if nonNull != want.nonNull || (nonNull > 0 && (mn != want.min || mx != want.max)) {
-		t.Fatalf("MinMax=%d,%d,%d want %d,%d,%d", mn, mx, nonNull, want.min, want.max, want.nonNull)
+	if h, nonNull := MinMax(codes, lo, hi, nulls, base); nonNull != want.nonNull || h != (expr.Hull{Min: want.min, Max: want.max}) {
+		t.Fatalf("MinMax=%+v,%d want %d,%d,%d", h, nonNull, want.min, want.max, want.nonNull)
 	}
 	if got := CountNulls(nulls, base+lo, base+hi); got != len(want.nullRows) {
 		t.Fatalf("CountNulls=%d want %d", got, len(want.nullRows))
@@ -587,12 +586,12 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) (cuts int) {
 		}
 		next = st.Hi
 		p := k.naive(st.Lo-base, st.Hi-base)
-		if st.Matched != len(p.rows) || st.NonNull != p.nonNull || (p.nonNull > 0 && (st.Min != p.min || st.Max != p.max)) {
+		if st.Matched != len(p.rows) || st.NonNull != p.nonNull || (p.nonNull > 0 && st.Hull != (expr.Hull{Min: p.min, Max: p.max})) {
 			t.Fatalf("part %+v want matched %d bounds %d,%d nonnull %d", st, len(p.rows), p.min, p.max, p.nonNull)
 		}
 		// The part's rows start and end anywhere relative to a vector block.
-		if mn, mx, nonNull := MinMax(codes, st.Lo-base, st.Hi-base, nulls, base); nonNull != p.nonNull || (nonNull > 0 && (mn != p.min || mx != p.max)) {
-			t.Fatalf("MinMax over part [%d,%d) = %d,%d,%d want %d,%d,%d", st.Lo, st.Hi, mn, mx, nonNull, p.min, p.max, p.nonNull)
+		if h, nonNull := MinMax(codes, st.Lo-base, st.Hi-base, nulls, base); nonNull != p.nonNull || h != (expr.Hull{Min: p.min, Max: p.max}) {
+			t.Fatalf("MinMax over part [%d,%d) = %+v,%d want %d,%d,%d", st.Lo, st.Hi, h, nonNull, p.min, p.max, p.nonNull)
 		}
 	}
 	if len(stats) > 0 && next != base+hi {
@@ -601,7 +600,7 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) (cuts int) {
 	// As one part, which has no neighbours to be cut against, the whole
 	// window is one pass of the fused count and min/max where it is dense.
 	if total, one := CountStats(codes, lo, hi, r, nulls, base, 1); total != len(want.rows) || hi > lo &&
-		(len(one) != 1 || one[0].Matched != total || one[0].NonNull != want.nonNull || (want.nonNull > 0 && (one[0].Min != want.min || one[0].Max != want.max))) {
+		(len(one) != 1 || one[0].Matched != total || one[0].NonNull != want.nonNull || (want.nonNull > 0 && one[0].Hull != (expr.Hull{Min: want.min, Max: want.max}))) {
 		t.Fatalf("CountStats in one part = %d %+v want %d, bounds %d,%d nonnull %d", total, one, len(want.rows), want.min, want.max, want.nonNull)
 	}
 

@@ -18,10 +18,10 @@ import (
 // equal-width parts, or one side of the single cut CountWithStats made
 // through such a part where its values jump.
 type PartStat struct {
-	Lo, Hi   int   // absolute row window [Lo, Hi)
-	Min, Max int64 // code bounds over non-null rows (valid iff NonNull > 0)
-	NonNull  int   // rows with a value
-	Matched  int   // rows matching the predicate
+	Lo, Hi  int       // absolute row window [Lo, Hi)
+	Hull    expr.Hull // of the non-null rows; empty when there is none
+	NonNull int       // rows with a value
+	Matched int       // rows matching the predicate
 }
 
 // statBlock is how many rows partStats hands to the count kernel and then
@@ -52,7 +52,7 @@ func CountWithStats[C storage.Code](codes []C, lo, hi int, r expr.Ranges, nulls 
 		s := &stats[p]
 		pLo, pHi := lo+p*n/parts, lo+(p+1)*n/parts
 		s.Lo, s.Hi = base+pLo, base+pHi
-		s.Matched, s.Min, s.Max, s.NonNull = partStats(codes, pLo, pHi, r, nulls, base)
+		s.Matched, s.Hull.Min, s.Hull.Max, s.NonNull = partStats(codes, pLo, pHi, r, nulls, base)
 		total += s.Matched
 	}
 	return total, cutJumps(codes, stats, r, nulls, base)
@@ -105,32 +105,15 @@ func partStats[C storage.Code](codes []C, lo, hi int, r expr.Ranges, nulls *bitv
 // searched.
 const cutFactor = 4
 
-// valueHull is the value range of a set of non-null codes; it is empty,
-// mn > mx, for a set with none.
-type valueHull struct{ mn, mx int64 }
-
-var emptyHull = valueHull{math.MaxInt64, math.MinInt64}
-
-func (h valueHull) width() uint64 {
-	if h.mn > h.mx {
-		return 0
-	}
-	return uint64(h.mx) - uint64(h.mn)
-}
-
-func (h valueHull) union(o valueHull) valueHull {
-	return valueHull{min(h.mn, o.mn), max(h.mx, o.mx)}
-}
-
 // cutJumps returns stats with every part whose values jump replaced by the
 // two sides of a cut at the jump. It returns stats itself, allocating
 // nothing and reading no row, unless some part is searched for a cut.
 func cutJumps[C storage.Code](codes []C, stats []PartStat, r expr.Ranges, nulls *bitvec.BitVec, base int) []PartStat {
 	var out []PartStat // nil until the first cut, then the parts so far
 	for p, s := range stats {
-		if h := (valueHull{s.Min, s.Max}).width(); h > 0 && neighbourWidth(stats, p) <= (h-1)/cutFactor {
+		if h := s.Hull.Width(); h > 0 && neighbourWidth(stats, p) <= (h-1)/cutFactor {
 			c, left, right := bestCut(codes, s.Lo-base, s.Hi-base, nulls, base)
-			if max(left.width(), right.width()) <= h/cutFactor {
+			if max(left.Width(), right.Width()) <= h/cutFactor {
 				if out == nil {
 					out = append(make([]PartStat, 0, len(stats)+1), stats[:p]...)
 				}
@@ -155,7 +138,7 @@ func neighbourWidth(stats []PartStat, p int) uint64 {
 	w := uint64(math.MaxUint64)
 	for _, q := range [2]int{p - 1, p + 1} {
 		if q >= 0 && q < len(stats) && stats[q].NonNull > 0 {
-			w = min(w, valueHull{stats[q].Min, stats[q].Max}.width())
+			w = min(w, stats[q].Hull.Width())
 		}
 	}
 	return w
@@ -164,11 +147,11 @@ func neighbourWidth(stats []PartStat, p int) uint64 {
 // splitPart returns part s cut at row c (indexing codes), given the hulls
 // of both sides. The left side's non-null and match counts are counted,
 // the right side's are what is left of s's.
-func splitPart[C storage.Code](codes []C, s PartStat, c int, left, right valueHull, r expr.Ranges, nulls *bitvec.BitVec, base int) (l, rt PartStat) {
-	l = PartStat{Lo: s.Lo, Hi: base + c, Min: left.mn, Max: left.mx}
+func splitPart[C storage.Code](codes []C, s PartStat, c int, left, right expr.Hull, r expr.Ranges, nulls *bitvec.BitVec, base int) (l, rt PartStat) {
+	l = PartStat{Lo: s.Lo, Hi: base + c, Hull: left}
 	l.NonNull = l.Hi - l.Lo - CountNulls(nulls, l.Lo, l.Hi)
 	l.Matched = CountRanges(codes, s.Lo-base, c, r, nulls, base)
-	rt = PartStat{Lo: base + c, Hi: s.Hi, Min: right.mn, Max: right.mx, NonNull: s.NonNull - l.NonNull, Matched: s.Matched - l.Matched}
+	rt = PartStat{Lo: base + c, Hi: s.Hi, Hull: right, NonNull: s.NonNull - l.NonNull, Matched: s.Matched - l.Matched}
 	return l, rt
 }
 
@@ -185,18 +168,17 @@ const cutFan = 64
 // where the crossing lies, with the hulls of everything either side of it.
 // The first pass reads the part once, every later one a cutFan-th of the
 // rows of the one before, until the pieces are single rows.
-func bestCut[C storage.Code](codes []C, lo, hi int, nulls *bitvec.BitVec, base int) (c int, left, right valueHull) {
-	var piece [cutFan]valueHull
-	var suffix [cutFan + 1]valueHull
-	left, right = emptyHull, emptyHull // hulls of codes[lo:a] and codes[b:hi]
+func bestCut[C storage.Code](codes []C, lo, hi int, nulls *bitvec.BitVec, base int) (c int, left, right expr.Hull) {
+	var piece [cutFan]expr.Hull
+	var suffix [cutFan + 1]expr.Hull
+	left, right = expr.EmptyHull, expr.EmptyHull // hulls of codes[lo:a] and codes[b:hi]
 	for a, b := lo, hi; ; {
 		w := (b - a + cutFan - 1) / cutFan
 		k := (b - a + w - 1) / w
 		suffix[k] = right
 		for i := k - 1; i >= 0; i-- {
-			mn, mx, _ := MinMaxRange(codes, a+i*w, min(a+(i+1)*w, b), nulls, base)
-			piece[i] = valueHull{mn, mx}
-			suffix[i] = piece[i].union(suffix[i+1])
+			piece[i].Min, piece[i].Max, _ = MinMaxRange(codes, a+i*w, min(a+(i+1)*w, b), nulls, base)
+			suffix[i] = piece[i].Union(suffix[i+1])
 		}
 		// Find the first piece boundary j where the left side is at least
 		// as wide as the right: the best cut lies between boundaries j-1
@@ -204,12 +186,12 @@ func bestCut[C storage.Code](codes []C, lo, hi int, nulls *bitvec.BitVec, base i
 		// it is empty; later, a is boundary j-1 of the pass before) and at
 		// row b it is not, so 1 <= j <= k.
 		prev, pre, j := left, left, 0
-		for j < k && pre.width() < suffix[j].width() {
-			prev, pre = pre, pre.union(piece[j])
+		for j < k && pre.Width() < suffix[j].Width() {
+			prev, pre = pre, pre.Union(piece[j])
 			j++
 		}
 		if w == 1 {
-			if suffix[j-1].width() <= pre.width() {
+			if suffix[j-1].Width() <= pre.Width() {
 				return a + j - 1, prev, suffix[j-1]
 			}
 			return a + j, pre, suffix[j]

@@ -44,10 +44,13 @@ func Refine(v storage.Vec, r expr.Ranges, nulls *bitvec.BitVec, sel *bitvec.SelV
 	return RefineSel(v.N, r, nulls, sel)
 }
 
-// MinMax is MinMaxRange over a view.
-func MinMax(v storage.Vec, lo, hi int, nulls *bitvec.BitVec, base int) (mn, mx int64, nonNull int) {
+// MinMax is MinMaxRange over a view, as the hull of the non-NULL rows:
+// empty when there is none.
+func MinMax(v storage.Vec, lo, hi int, nulls *bitvec.BitVec, base int) (h expr.Hull, nonNull int) {
 	if v.W != nil {
-		return MinMaxRange(v.W, lo, hi, nulls, base)
+		h.Min, h.Max, nonNull = MinMaxRange(v.W, lo, hi, nulls, base)
+	} else {
+		h.Min, h.Max, nonNull = MinMaxRange(v.N, lo, hi, nulls, base)
 	}
-	return MinMaxRange(v.N, lo, hi, nulls, base)
+	return h, nonNull
 }

@@ -6,44 +6,39 @@ import (
 	"io"
 
 	"adskip/internal/core"
+	"adskip/internal/engine"
 	"adskip/internal/obs"
 )
 
 // Administrative surface: the facade drives skipping lifecycle and
 // introspection through the same methods a plain engine exposes; the Manager fans each out across its shards.
 
-// EnableSkipping builds skipping metadata on every shard for the named
-// columns (all when none given).
-func (m *Manager) EnableSkipping(cols ...string) error {
+// eachShard runs do on every shard's engine and joins the errors, each
+// named by its shard.
+func (m *Manager) eachShard(do func(*engine.Engine) error) error {
 	var errs error
 	for _, s := range m.shards {
-		if err := s.eng.EnableSkipping(cols...); err != nil {
+		if err := do(s.eng); err != nil {
 			errs = errors.Join(errs, fmt.Errorf("shard %d: %w", s.id, err))
 		}
 	}
 	return errs
+}
+
+// EnableSkipping builds skipping metadata on every shard for the named
+// columns (all when none given).
+func (m *Manager) EnableSkipping(cols ...string) error {
+	return m.eachShard(func(e *engine.Engine) error { return e.EnableSkipping(cols...) })
 }
 
 // RebuildSkipping reconstructs skipping metadata on every shard.
 func (m *Manager) RebuildSkipping(cols ...string) error {
-	var errs error
-	for _, s := range m.shards {
-		if err := s.eng.RebuildSkipping(cols...); err != nil {
-			errs = errors.Join(errs, fmt.Errorf("shard %d: %w", s.id, err))
-		}
-	}
-	return errs
+	return m.eachShard(func(e *engine.Engine) error { return e.RebuildSkipping(cols...) })
 }
 
 // VerifySkipping revalidates every shard's skipping metadata.
 func (m *Manager) VerifySkipping(cols ...string) error {
-	var errs error
-	for _, s := range m.shards {
-		if err := s.eng.VerifySkipping(cols...); err != nil {
-			errs = errors.Join(errs, fmt.Errorf("shard %d: %w", s.id, err))
-		}
-	}
-	return errs
+	return m.eachShard(func(e *engine.Engine) error { return e.VerifySkipping(cols...) })
 }
 
 // SkipperMetadata merges per-shard metadata per column: zone and byte
@@ -79,15 +74,13 @@ func (m *Manager) Quarantined() map[string]error {
 	return out
 }
 
-// SaveSkipper is unsupported on sharded tables: each shard refines its
-// own zonemap against its own slice of the data, so a single snapshot
-// has no meaning across a reshard.
-func (m *Manager) SaveSkipper(col string, w io.Writer) error {
-	return fmt.Errorf("shard: skipping metadata snapshots are per-shard; not supported on sharded tables (column %q)", col)
-}
+// SaveSkipper and LoadSkipper are unsupported on sharded tables: each
+// shard refines its own zonemap against its own slice of the data, so a
+// single snapshot has no meaning across a reshard.
+func (m *Manager) SaveSkipper(col string, _ io.Writer) error { return errSkipperSnapshot(col) }
+func (m *Manager) LoadSkipper(col string, _ io.Reader) error { return errSkipperSnapshot(col) }
 
-// LoadSkipper is unsupported on sharded tables (see SaveSkipper).
-func (m *Manager) LoadSkipper(col string, r io.Reader) error {
+func errSkipperSnapshot(col string) error {
 	return fmt.Errorf("shard: skipping metadata snapshots are per-shard; not supported on sharded tables (column %q)", col)
 }
 

@@ -31,6 +31,7 @@ import (
 	"sync"
 
 	"adskip/internal/engine"
+	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -106,49 +107,34 @@ type shardState struct {
 	id  int // 1-based
 	eng *engine.Engine
 
-	mu    sync.Mutex
-	seen  bool  // any non-NULL key observed
-	lo    int64 // observed min key code
-	hi    int64 // observed max key code
-	nulls int64 // rows observed with a NULL key
+	mu       sync.Mutex
+	observed keyStats // of every row applied to the shard
 
 	mRows *obs.Gauge
 }
 
-// keyStats is what one group of rows adds to a shard's observed key
-// bounds: min/max over its non-NULL key codes and its NULL-key count.
+// keyStats is the key bounds of a set of rows: the hull of their non-NULL
+// key codes and their NULL-key count. noKeys is the stats of no row.
 type keyStats struct {
-	seen   bool
-	lo, hi int64
-	nulls  int64
+	keys  expr.Hull
+	nulls int64
 }
+
+var noKeys = keyStats{keys: expr.EmptyHull}
 
 // add folds one row's key into the stats.
 func (k *keyStats) add(code int64, null bool) {
-	switch {
-	case null:
+	if null {
 		k.nulls++
-	case !k.seen:
-		k.seen, k.lo, k.hi = true, code, code
-	case code < k.lo:
-		k.lo = code
-	case code > k.hi:
-		k.hi = code
+	} else {
+		k.keys = k.keys.Admit(code)
 	}
 }
 
 // widen folds a group's observed key stats into the shard's bounds.
 func (s *shardState) widen(k keyStats) {
 	s.mu.Lock()
-	if k.seen {
-		if !s.seen {
-			s.seen, s.lo, s.hi = true, k.lo, k.hi
-		} else {
-			s.lo = min(s.lo, k.lo)
-			s.hi = max(s.hi, k.hi)
-		}
-	}
-	s.nulls += k.nulls
+	s.observed = keyStats{s.observed.keys.Union(k.keys), s.observed.nulls + k.nulls}
 	s.mu.Unlock()
 }
 
@@ -195,32 +181,17 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	keyIdx := -1
-	if opts.Key == "" {
-		for i, cs := range schema {
-			if cs.Type == storage.Int64 || cs.Type == storage.Float64 {
-				opts.Key = cs.Name
-				keyIdx = i
-				break
-			}
-		}
-		if keyIdx < 0 {
-			return nil, fmt.Errorf("shard: table %q has no numeric column to shard on", name)
-		}
-	} else {
-		for i, cs := range schema {
-			if cs.Name == opts.Key {
-				if cs.Type != storage.Int64 && cs.Type != storage.Float64 {
-					return nil, fmt.Errorf("shard: key column %q is %s (need BIGINT or DOUBLE)", opts.Key, cs.Type)
-				}
-				keyIdx = i
-				break
-			}
-		}
-		if keyIdx < 0 {
-			return nil, fmt.Errorf("shard: key column %q not in schema of %q", opts.Key, name)
-		}
+	numeric := func(cs table.ColumnSpec) bool { return cs.Type == storage.Int64 || cs.Type == storage.Float64 }
+	keyIdx := slices.IndexFunc(schema, func(cs table.ColumnSpec) bool { return cs.Name == opts.Key || opts.Key == "" && numeric(cs) })
+	switch {
+	case keyIdx < 0 && opts.Key == "":
+		return nil, fmt.Errorf("shard: table %q has no numeric column to shard on", name)
+	case keyIdx < 0:
+		return nil, fmt.Errorf("shard: key column %q not in schema of %q", opts.Key, name)
+	case !numeric(schema[keyIdx]):
+		return nil, fmt.Errorf("shard: key column %q is %s (need BIGINT or DOUBLE)", opts.Key, schema[keyIdx].Type)
 	}
+	opts.Key = schema[keyIdx].Name
 
 	m := &Manager{
 		name:   name,
@@ -253,7 +224,7 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 		eo := opts.Engine
 		eo.Shard = i + 1
 		eo.Metrics = m.reg
-		s := &shardState{id: i + 1, eng: engine.New(stbl, eo)}
+		s := &shardState{id: i + 1, eng: engine.New(stbl, eo), observed: noKeys}
 		s.mRows = m.reg.Gauge("adskip_shard_rows",
 			"Rows currently held by this shard.", tl, obs.L("shard", strconv.Itoa(s.id)))
 		m.shards = append(m.shards, s)
@@ -360,16 +331,11 @@ func (m *Manager) keyCode(row []storage.Value) (int64, bool, error) {
 // equidepthBounds computes shards-1 inclusive upper bounds dividing the
 // observed codes into (approximately) equal-count runs.
 func equidepthBounds(codes []int64, shards int) []int64 {
-	sorted := make([]int64, len(codes))
-	copy(sorted, codes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(codes)
+	slices.Sort(sorted)
 	bounds := make([]int64, shards-1)
-	for i := 0; i < shards-1; i++ {
-		cut := (i + 1) * len(sorted) / shards
-		if cut >= len(sorted) {
-			cut = len(sorted) - 1
-		}
-		bounds[i] = sorted[cut]
+	for i := range bounds {
+		bounds[i] = sorted[(i+1)*len(sorted)/shards] // below len(sorted): i+1 < shards
 	}
 	return bounds
 }
@@ -413,6 +379,9 @@ type group struct {
 func (m *Manager) route(rows [][]storage.Value) ([]group, error) {
 	n := len(m.shards)
 	groups := make([]group, n)
+	for i := range groups {
+		groups[i].keyStats = noKeys
+	}
 
 	m.routeMu.Lock()
 	bounds := m.bounds
@@ -578,7 +547,7 @@ func (m *Manager) ReplayRecord(rec *wal.Record) error {
 	// Widen observed bounds from the replayed rows before applying,
 	// mirroring the live append path (replay is idempotent; widening twice
 	// is harmless).
-	var k keyStats
+	k := noKeys
 	switch rec.Kind {
 	case wal.KindColumns:
 		if m.keyIdx >= len(rec.Blocks) {
@@ -589,7 +558,7 @@ func (m *Manager) ReplayRecord(rec *wal.Record) error {
 			return fmt.Errorf("shard: key column %q got %s value", m.key, key.Type())
 		}
 		lo, hi, nulls := key.CodeRange()
-		k = keyStats{seen: nulls < key.Len(), lo: lo, hi: hi, nulls: int64(nulls)}
+		k = keyStats{expr.Hull{Min: lo, Max: hi}, int64(nulls)}
 	case wal.KindRows:
 		for _, r := range rec.Rows {
 			code, null, err := m.keyCode(r)

@@ -69,13 +69,15 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 	tr.Scan = time.Since(tScan)
 	res.Stats.ShardsScanned, res.Stats.ShardsPruned = len(targets), pruned
 
-	m.finishTrace(res, tr, partials, total)
+	m.finishTrace(res, tr, partials[0].Trace().Predicates, total)
 	return res, nil
 }
 
-// finishTrace closes the merged trace and charges the logical query's
-// latency: the Manager-level mirror of the engine's bookkeeping.
-func (m *Manager) finishTrace(res *engine.Result, tr *obs.QueryTrace, partials []*engine.Partial, total int) {
+// finishTrace closes the merged trace, over the merged per-predicate
+// sections, and charges the logical query's latency: the Manager-level
+// mirror of the engine's bookkeeping. No section's match count is the
+// logical query's, so none is attributed.
+func (m *Manager) finishTrace(res *engine.Result, tr *obs.QueryTrace, preds []obs.PredicateTrace, total int) {
 	tr.Total = time.Since(tr.Start)
 	tr.RowsScanned = res.Stats.RowsScanned
 	tr.RowsSkipped = res.Stats.RowsSkipped
@@ -83,7 +85,10 @@ func (m *Manager) finishTrace(res *engine.Result, tr *obs.QueryTrace, partials [
 	tr.ZonesProbed = res.Stats.ZonesProbed
 	tr.RowsTotal = total
 	tr.Matched = res.Count
-	tr.Predicates = mergePredicates(partials)
+	for i := range preds {
+		preds[i].Matched = -1
+	}
+	tr.Predicates = preds
 	res.Trace = tr
 	m.mLatency.Observe(tr.Total.Seconds())
 }
@@ -98,31 +103,19 @@ func (m *Manager) finishTrace(res *engine.Result, tr *obs.QueryTrace, partials [
 func (m *Manager) pruneShards(where expr.Conj) (targets []int, pruned int) {
 	keyCol, err := m.proto.Column(m.key)
 	var cp expr.ColPred
-	prune := false
 	if err == nil {
-		if cp, err = expr.LowerColumn(where, keyCol); err == nil {
-			prune = true
-		}
+		cp, err = expr.LowerColumn(where, keyCol)
 	}
+	c := cp.R.Clause()
 	for si, s := range m.shards {
-		if !prune {
-			targets = append(targets, si)
+		s.mu.Lock()
+		k := s.observed
+		s.mu.Unlock()
+		if err == nil && (cp.NullOnly && k.nulls == 0 || !cp.NullOnly && c.Test(k.keys) == expr.MatchNone) {
+			pruned++
 			continue
 		}
-		s.mu.Lock()
-		seen, lo, hi, nulls := s.seen, s.lo, s.hi, s.nulls
-		s.mu.Unlock()
-		keep := false
-		if cp.NullOnly {
-			keep = nulls > 0
-		} else {
-			keep = seen && cp.R.Overlaps(lo, hi)
-		}
-		if keep {
-			targets = append(targets, si)
-		} else {
-			pruned++
-		}
+		targets = append(targets, si)
 	}
 	if len(targets) == 0 && len(m.shards) > 0 {
 		targets = append(targets, 0)
@@ -187,46 +180,6 @@ func (m *Manager) scatter(ctx context.Context, targets []int, q engine.Query) ([
 		return nil, first
 	}
 	return results, nil
-}
-
-// mergePredicates folds the per-shard predicate traces into one section
-// per predicate column: summed probe/window counters, with the lowered
-// interval string taken from the first shard (identical across shards —
-// all lower the same conjunction).
-func mergePredicates(partials []*engine.Partial) []obs.PredicateTrace {
-	var order []string
-	byCol := make(map[string]*obs.PredicateTrace)
-	for _, p := range partials {
-		tr := p.Trace()
-		if tr == nil {
-			continue
-		}
-		for i := range tr.Predicates {
-			pt := &tr.Predicates[i]
-			mt, ok := byCol[pt.Column]
-			if !ok {
-				cp := *pt
-				cp.Matched = -1
-				byCol[pt.Column] = &cp
-				order = append(order, pt.Column)
-				continue
-			}
-			mt.ZonesProbed += pt.ZonesProbed
-			mt.Windows += pt.Windows
-			mt.CoveredWindows += pt.CoveredWindows
-			mt.CandidateRows += pt.CandidateRows
-			mt.EstRowsSkipped += pt.EstRowsSkipped
-			mt.Active = mt.Active || pt.Active
-			if mt.Skipper == "" {
-				mt.Skipper = pt.Skipper
-			}
-		}
-	}
-	out := make([]obs.PredicateTrace, 0, len(order))
-	for _, col := range order {
-		out = append(out, *byCol[col])
-	}
-	return out
 }
 
 // Explain renders the sharded plan: the shard-prune outcome followed by

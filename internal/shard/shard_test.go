@@ -577,17 +577,16 @@ func TestObservedBoundsMatchHeldRows(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					seen, lo, hi, nulls := false, int64(math.MaxInt64), int64(math.MinInt64), int64(0)
+					lo, hi, nulls := int64(math.MaxInt64), int64(math.MinInt64), int64(0)
 					for i := 0; i < col.Len(); i++ {
 						if col.IsNull(i) {
 							nulls++
 							continue
 						}
-						seen, lo, hi = true, min(lo, col.Vec().At(i)), max(hi, col.Vec().At(i))
+						lo, hi = min(lo, col.Vec().At(i)), max(hi, col.Vec().At(i))
 					}
-					if s.seen != seen || s.nulls != nulls || (seen && (s.lo != lo || s.hi != hi)) {
-						t.Errorf("shard %d: observed seen=%v %d..%d with %d NULLs; rows held give seen=%v %d..%d with %d NULLs",
-							s.id, s.seen, s.lo, s.hi, s.nulls, seen, lo, hi, nulls)
+					if want := (keyStats{expr.Hull{Min: lo, Max: hi}, nulls}); s.observed != want {
+						t.Errorf("shard %d: observed %+v; rows held give %+v", s.id, s.observed, want)
 					}
 				}
 			})

@@ -62,16 +62,6 @@ func Fingerprint(s Statement) string {
 	return sb.String()
 }
 
-// FingerprintSQL parses and fingerprints in one step. Text that does not
-// parse has no template; callers fall back to not attributing it.
-func FingerprintSQL(query string) (string, error) {
-	stmt, err := Parse(query)
-	if err != nil {
-		return "", err
-	}
-	return Fingerprint(stmt), nil
-}
-
 // predFingerprint is Pred.String() with placeholders for the constants.
 // OR branches keep their shape (the operators distinguish templates);
 // only the literals inside each branch are stripped.

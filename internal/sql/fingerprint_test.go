@@ -65,13 +65,13 @@ func TestFingerprintGolden(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		got, err := FingerprintSQL(tc.sql)
+		got, err := fingerprintSQL(tc.sql)
 		if err != nil {
-			t.Errorf("FingerprintSQL(%q): %v", tc.sql, err)
+			t.Errorf("fingerprintSQL(%q): %v", tc.sql, err)
 			continue
 		}
 		if got != tc.want {
-			t.Errorf("FingerprintSQL(%q)\n got  %q\n want %q", tc.sql, got, tc.want)
+			t.Errorf("fingerprintSQL(%q)\n got  %q\n want %q", tc.sql, got, tc.want)
 		}
 	}
 }
@@ -89,9 +89,9 @@ func TestFingerprintDistinguishesShapes(t *testing.T) {
 	}
 	seen := make(map[string]string)
 	for _, q := range distinct {
-		fp, err := FingerprintSQL(q)
+		fp, err := fingerprintSQL(q)
 		if err != nil {
-			t.Fatalf("FingerprintSQL(%q): %v", q, err)
+			t.Fatalf("fingerprintSQL(%q): %v", q, err)
 		}
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("%q and %q collapsed to the same fingerprint %q", q, prev, fp)
@@ -101,7 +101,16 @@ func TestFingerprintDistinguishesShapes(t *testing.T) {
 }
 
 func TestFingerprintSQLParseError(t *testing.T) {
-	if fp, err := FingerprintSQL("DELETE FROM data"); err == nil {
+	if fp, err := fingerprintSQL("DELETE FROM data"); err == nil {
 		t.Fatalf("want parse error, got fingerprint %q", fp)
 	}
+}
+
+// fingerprintSQL parses and fingerprints in one step.
+func fingerprintSQL(query string) (string, error) {
+	stmt, err := Parse(query)
+	if err != nil {
+		return "", err
+	}
+	return Fingerprint(stmt), nil
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -173,13 +174,13 @@ func FuzzExec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		res, err := ExecParsed(oracle, stmt)
+		res, err := ExecParsedContext(context.Background(), oracle, stmt)
 		if err == nil && res == nil {
 			t.Fatalf("nil result with nil error for %q", input)
 		}
 		want := describeResult(res, err)
 		for policy, e := range skipping {
-			res, gotErr := ExecParsed(e, stmt)
+			res, gotErr := ExecParsedContext(context.Background(), e, stmt)
 			if stmt.Explain {
 				if (gotErr == nil) != (err == nil) {
 					t.Fatalf("%q under %s: err=%v, oracle err=%v", input, policy, gotErr, err)

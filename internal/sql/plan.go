@@ -114,13 +114,9 @@ func ExecContext(ctx context.Context, e Executor, query string) (*engine.Result,
 	return ExecParsedContext(ctx, e, stmt)
 }
 
-// ExecParsed plans and executes an already-parsed statement (used by
-// multi-table catalogs that route by stmt.Table before executing).
-func ExecParsed(e Executor, stmt Statement) (*engine.Result, error) {
-	return ExecParsedContext(context.Background(), e, stmt)
-}
-
-// ExecParsedContext is ExecParsed under a context. The statement's
+// ExecParsedContext plans and executes an already-parsed statement (used
+// by multi-table catalogs that route by stmt.Table before executing) under
+// a context. The statement's
 // fingerprint is stamped onto the context here unless the caller already
 // stamped one, so every SQL-routed query reaches the executor carrying
 // its template; the adskip facade's front door attributes it.

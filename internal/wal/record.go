@@ -8,9 +8,8 @@
 // storage.Block per column, codes at the column's width, NULL rows as a
 // list) so recovery replays blocks, not rows, and a table snapshot is a
 // stream of the same records. Concurrent writers coalesce into one fsync
-// via group commit; see Log. Segments rotate at a size threshold and
-// sealed segments are recycled instead of deleted once Compact declares
-// them obsolete.
+// via group commit; see Log. Segments rotate at a size threshold, and
+// sealed segments are deleted once Compact declares them obsolete.
 package wal
 
 import (

@@ -20,7 +20,7 @@ import (
 // numbering stable across restarts: replay resumes absolute LSNs from the
 // first surviving segment's base instead of recounting from 1, so a
 // throughLSN captured before a restart still names the same records after
-// recovery (even once Compact has recycled the early segments).
+// recovery (even once Compact has deleted the early segments).
 const segHeaderLen = 24
 
 var segMagic = [8]byte{'A', 'D', 'S', 'K', 'W', 'A', 'L', 2}
@@ -29,8 +29,8 @@ func segPath(dir string, index uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%08d.wal", index))
 }
 
-// createSegment creates (or truncates a recycled) segment file and writes
-// its header. The header is synced immediately so a crash right after
+// createSegment creates (or truncates) a segment file and writes its
+// header. The header is synced immediately so a crash right after
 // rotation cannot leave a headerless active segment.
 func createSegment(path string, index, baseLSN uint64) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -96,7 +96,7 @@ type RecoveryStats struct {
 // Replay stops — and the file is truncated — at the first record that is
 // cut short, fails its checksum, or fails to decode. In the last segment
 // that is the torn tail a kill mid-write leaves and is routine; anywhere
-// earlier it orphans the segments after it, which are recycled. A replay
+// earlier it orphans the segments after it, which are deleted. A replay
 // callback error aborts Open: the caller's state is unknown and the log
 // must not accept appends on top of it.
 func Open(opts Options, replay func(*Record) error) (*Log, RecoveryStats, error) {
@@ -120,39 +120,36 @@ func Open(opts Options, replay func(*Record) error) (*Log, RecoveryStats, error)
 	reg.GaugeFunc("adskip_wal_lag_us", "Age of the oldest unsynced record, microseconds.",
 		func() int64 { return l.Lag().Microseconds() })
 
-	segs, spares, err := listSegments(opts.Dir)
+	// Segments recycled as spare-*.wal files by older builds are stray.
+	segs, removed, err := listSegments(opts.Dir)
 	if err != nil {
 		return nil, RecoveryStats{}, err
 	}
-	l.spares = spares
+	for _, path := range removed {
+		if err := os.Remove(path); err != nil {
+			return nil, RecoveryStats{}, err
+		}
+	}
 
 	start := time.Now()
 	var stats RecoveryStats
 	stats.Segments = len(segs)
 	var lsn, replayed uint64
 	truncated := false
-	renamed := false
 	expectBase := int64(-1) // first surviving segment's base is adopted
 	for si := range segs {
 		s := &segs[si]
 		if truncated {
 			// Records after a truncation point are unreachable: without
-			// the dropped suffix their BaseRow chain has a hole. Recycle
-			// the whole segment. Rename before truncating — rename is
-			// atomic, so no crash point leaves an empty file under a
-			// numbered segment name (which a later replay would read as
-			// fresh mid-log corruption).
+			// the dropped suffix their BaseRow chain has a hole. A crash
+			// part-way leaves later segments whose base no longer
+			// follows the log, which the next Open drops the same way.
 			stats.DroppedBytes += s.bytes
 			stats.DroppedSegments++
-			spare := filepath.Join(opts.Dir, fmt.Sprintf("spare-%08d.wal", s.index))
-			if err := os.Rename(s.path, spare); err != nil {
+			if err := os.Remove(s.path); err != nil {
 				return nil, stats, err
 			}
-			renamed = true
-			if err := os.Truncate(spare, 0); err != nil {
-				return nil, stats, err
-			}
-			l.spares = append(l.spares, spare)
+			removed = append(removed, s.path)
 			continue
 		}
 		base, n, off, reason, err := replaySegment(s, opts.MaxRecordBytes, expectBase, replay, &stats)
@@ -177,17 +174,11 @@ func Open(opts Options, replay func(*Record) error) (*Log, RecoveryStats, error)
 			s.bytes = off
 			truncated = true
 		}
+		l.segs = append(l.segs, *s)
 	}
-	if renamed {
+	if len(removed) > 0 {
 		if err := syncDir(opts.Dir); err != nil {
 			return nil, stats, err
-		}
-	}
-	// Keep only segments still on disk (ones past a truncation point were
-	// renamed to spares above).
-	for _, s := range segs {
-		if fileExists(s.path) {
-			l.segs = append(l.segs, s)
 		}
 	}
 
@@ -254,13 +245,8 @@ func Open(opts Options, replay func(*Record) error) (*Log, RecoveryStats, error)
 	return l, stats, nil
 }
 
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-// listSegments scans dir for data segments (ordered by index, header
-// verified) and spare files.
+// listSegments scans dir for data segments (ordered by index) and the
+// spare-*.wal files older builds recycled segments into.
 func listSegments(dir string) ([]segInfo, []string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

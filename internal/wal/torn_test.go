@@ -162,7 +162,7 @@ func TestTornTailTruncation(t *testing.T) {
 }
 
 // TestMidLogCorruptionDropsLaterSegments: damage in a non-final segment
-// orphans everything after it — the later segments are recycled, not
+// orphans everything after it — the later segments are deleted, not
 // replayed, because their BaseRow chain has a hole.
 func TestMidLogCorruptionDropsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
@@ -198,11 +198,11 @@ func TestMidLogCorruptionDropsLaterSegments(t *testing.T) {
 	if n != stats.Records || n == 0 || n >= 40 {
 		t.Fatalf("replayed %d records, want the intact prefix only", n)
 	}
-	// Dropped segments became spares; the log keeps the surviving prefix
+	// Dropped segments are deleted; the log keeps the surviving prefix
 	// plus the reopened tail and stays appendable.
 	st := l2.Status()
-	if st.Spares != nsegs-2 {
-		t.Fatalf("orphaned segments not recycled: %+v", st)
+	if files := walFiles(t, dir); st.Segments != 2 || len(files) != 2 {
+		t.Fatalf("orphaned segments not deleted: %+v, files %v", st, files)
 	}
 	c, err := l2.Append(rowsRecord("data", uint64(n*8), 8))
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +54,7 @@ func (o Options) withDefaults() Options {
 
 // segInfo tracks one on-disk segment: its index, path, and the LSN of the
 // last record written to it (0 while it has none). Sealed segments whose
-// lastLSN falls at or below a Compact horizon become spares.
+// lastLSN falls at or below a Compact horizon are deleted.
 type segInfo struct {
 	index   uint64
 	path    string
@@ -102,7 +101,6 @@ type Log struct {
 	mu        sync.Mutex
 	f         *os.File
 	segs      []segInfo // index order; last is the active segment
-	spares    []string  // recycled segment files awaiting reuse
 	segOff    int64     // bytes in the active segment (including header)
 	pending   []byte    // framed records awaiting write+sync
 	pendRecs  int
@@ -131,7 +129,7 @@ type logMetrics struct {
 	syncs      *obs.Counter
 	syncErrors *obs.Counter
 	rotations  *obs.Counter
-	recycled   *obs.Counter
+	compacted  *obs.Counter
 	pendBytes  *obs.Gauge
 	commitSec  *obs.Histogram
 }
@@ -144,7 +142,7 @@ func newLogMetrics(reg *obs.Registry) logMetrics {
 		syncs:      reg.Counter("adskip_wal_syncs_total", "Group-commit fsync batches."),
 		syncErrors: reg.Counter("adskip_wal_sync_errors_total", "Failed WAL write/fsync batches."),
 		rotations:  reg.Counter("adskip_wal_rotations_total", "Segment rotations."),
-		recycled:   reg.Counter("adskip_wal_recycled_total", "Sealed segments recycled for reuse."),
+		compacted:  reg.Counter("adskip_wal_compacted_segments_total", "Sealed segments Compact deleted."),
 		pendBytes:  reg.Gauge("adskip_wal_pending_bytes", "Framed bytes enqueued but not yet durable."),
 		commitSec: reg.Histogram("adskip_wal_commit_seconds", "Group-commit batch durability latency.",
 			[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1}),
@@ -255,7 +253,6 @@ type Status struct {
 	SegmentBytes   int64         `json:"segment_bytes"`
 	PendingBytes   int           `json:"pending_bytes"`
 	PendingRecords int           `json:"pending_records"`
-	Spares         int           `json:"spares"`
 	Lag            time.Duration `json:"lag_ns"`
 	Failed         bool          `json:"failed"`
 }
@@ -271,7 +268,6 @@ func (l *Log) Status() Status {
 		SegmentBytes:   l.segOff,
 		PendingBytes:   len(l.pending),
 		PendingRecords: l.pendRecs,
-		Spares:         len(l.spares),
 		Failed:         l.failed != nil,
 	}
 	if len(l.segs) > 0 {
@@ -283,51 +279,40 @@ func (l *Log) Status() Status {
 	return st
 }
 
-// Compact recycles sealed segments whose every record has LSN <=
+// Compact deletes sealed segments whose every record has LSN <=
 // throughLSN: the caller asserts those records are captured elsewhere
-// (e.g. a table snapshot), so replay no longer needs them. Recycled files
-// are truncated and parked on a spare list that rotation reuses, keeping
-// steady-state disk usage and file churn bounded. LSNs are stable across
-// restarts (each segment header records its base LSN), so a horizon
-// captured before a crash still names the same records after recovery.
-// Returns how many segments were recycled.
+// (e.g. a table snapshot), so replay no longer needs them. Segments go
+// oldest first, so a crash part-way leaves a log whose first surviving
+// segment starts later; LSNs are stable across restarts (each segment
+// header records its base LSN), so a horizon captured before a crash
+// still names the same records after recovery. Returns how many segments
+// were deleted.
 func (l *Log) Compact(throughLSN uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
 	var ferr error
-	for len(l.segs) > 1 { // never recycle the active segment
+	for len(l.segs) > 1 { // never delete the active segment
 		s := l.segs[0]
 		if s.lastLSN == 0 || s.lastLSN > throughLSN {
 			break
 		}
-		// Rename before truncating: rename is atomic, so no crash point
-		// leaves an empty file under a numbered segment name — which the
-		// next Open would read as mid-log corruption and discard every
-		// record after it. Stale bytes in the spare are harmless; rotation
-		// O_TRUNCs spares on reuse, and the truncate here just returns the
-		// disk space early.
-		spare := filepath.Join(l.opts.Dir, fmt.Sprintf("spare-%08d.wal", s.index))
-		if ferr = os.Rename(s.path, spare); ferr != nil {
+		if ferr = os.Remove(s.path); ferr != nil {
 			break
 		}
 		l.segs = l.segs[1:]
-		l.spares = append(l.spares, spare)
 		n++
-		if ferr = os.Truncate(spare, 0); ferr != nil {
-			break
-		}
 	}
 	if n > 0 {
-		// Make the renames durable before reporting the segments recycled;
-		// a throughLSN horizon implies the caller may now drop whatever
-		// else covered these records.
+		// Make the deletions durable before reporting them; a throughLSN
+		// horizon implies the caller may now drop whatever else covered
+		// these records.
 		if serr := syncDir(l.opts.Dir); serr != nil && ferr == nil {
 			ferr = serr
 		}
-		l.m.recycled.Add(int64(n))
+		l.m.compacted.Add(int64(n))
 		if l.opts.Logger != nil {
-			l.opts.Logger.Info("wal segments recycled", "count", n, "through_lsn", throughLSN)
+			l.opts.Logger.Info("wal segments compacted", "count", n, "through_lsn", throughLSN)
 		}
 	}
 	return n, ferr
@@ -500,10 +485,9 @@ func (l *Log) failLocked(err error) {
 	}
 }
 
-// rotateLocked seals the active segment and opens the next one, reusing a
-// spare file when available. Caller holds l.mu; only the committer
-// rotates, and always before writing a batch, so sealed segments end on
-// record boundaries.
+// rotateLocked seals the active segment and opens the next one. Caller
+// holds l.mu; only the committer rotates, and always before writing a
+// batch, so sealed segments end on record boundaries.
 func (l *Log) rotateLocked() error {
 	if l.f != nil {
 		if !l.opts.NoSync {
@@ -521,15 +505,6 @@ func (l *Log) rotateLocked() error {
 		next = l.segs[len(l.segs)-1].index + 1
 	}
 	path := segPath(l.opts.Dir, next)
-	recycled := false
-	if n := len(l.spares); n > 0 {
-		spare := l.spares[n-1]
-		l.spares = l.spares[:n-1]
-		if err := os.Rename(spare, path); err != nil {
-			return err
-		}
-		recycled = true
-	}
 	// The new segment's base LSN is the last record written before it;
 	// rotation happens before a batch's write, so that is l.written.
 	f, err := createSegment(path, next, l.written)
@@ -544,10 +519,5 @@ func (l *Log) rotateLocked() error {
 	l.segOff = segHeaderLen
 	l.segs = append(l.segs, segInfo{index: next, path: path, bytes: segHeaderLen})
 	l.m.rotations.Inc()
-	if recycled {
-		if l.opts.Logger != nil {
-			l.opts.Logger.Debug("wal segment rotated onto recycled file", "index", next)
-		}
-	}
 	return nil
 }

@@ -335,9 +335,19 @@ func TestSyncErrorSticky(t *testing.T) {
 	}
 }
 
+// walFiles lists the .wal files in dir.
+func walFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 // TestRotationRecycleCompact drives the log across many tiny segments,
-// compacts, and verifies recycled files are reused by later rotations
-// instead of growing the directory without bound.
+// compacts, and verifies the compacted segments' files are deleted, so
+// the directory holds exactly the segments the log still has.
 func TestRotationRecycleCompact(t *testing.T) {
 	dir := t.TempDir()
 	// Minimum segment size (4 KiB) with ~1 KiB records forces rotation
@@ -363,13 +373,13 @@ func TestRotationRecycleCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != st.Segments-1 {
-		t.Fatalf("Compact recycled %d of %d segments", n, st.Segments)
+		t.Fatalf("Compact deleted %d of %d segments", n, st.Segments)
 	}
 	st = l.Status()
-	if st.Segments != 1 || st.Spares != n {
-		t.Fatalf("post-compact status %+v", st)
+	if files := walFiles(t, dir); st.Segments != 1 || len(files) != 1 {
+		t.Fatalf("post-compact status %+v, files %v", st, files)
 	}
-	// New appends rotate onto the spares: the spare pool shrinks.
+	// New appends rotate into new segment files, numbered on.
 	for i := 0; i < 40; i++ {
 		c, err := l.Append(rowsRecord("data", uint64(320+i*8), 8))
 		if err != nil {
@@ -380,15 +390,15 @@ func TestRotationRecycleCompact(t *testing.T) {
 		}
 	}
 	st2 := l.Status()
-	if st2.Spares >= st.Spares {
-		t.Fatalf("rotation did not consume spares: %+v -> %+v", st, st2)
+	if files := walFiles(t, dir); st2.Segments < 3 || len(files) != st2.Segments || st2.SegmentIndex <= st.SegmentIndex {
+		t.Fatalf("rotation after compact: %+v -> %+v, files %v", st, st2, files)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Replay sees only the uncompacted suffix (the second 40 appends plus
 	// whatever shared the active segment at compact time) — never the
-	// recycled records, never duplicates.
+	// compacted records, never duplicates.
 	var rows int64
 	l2, stats := openT(t, dir, Options{SegmentBytes: 1}, func(rec *Record) error {
 		rows += int64(rec.NumRows())
@@ -426,7 +436,7 @@ func TestLSNStableAcrossRestartAndCompact(t *testing.T) {
 		t.Fatalf("last LSN = %d, want 40", lastLSN)
 	}
 	if n, err := l.Compact(20); err != nil || n == 0 {
-		t.Fatalf("Compact recycled %d segments (err %v)", n, err)
+		t.Fatalf("Compact deleted %d segments (err %v)", n, err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -610,9 +620,9 @@ func TestReplayCallbackErrorAborts(t *testing.T) {
 	}
 }
 
-// TestSpareFilesIgnoredByReplay: spare files, whatever bytes they held
-// before truncation, never contribute records — they are reused as blank
-// segments (the first rotation here consumes the spare immediately).
+// TestSpareFilesIgnoredByReplay: a spare-*.wal file, which older builds
+// recycled compacted segments into, never contributes records, whatever
+// bytes it holds: Open deletes it.
 func TestSpareFilesIgnoredByReplay(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "spare-00000009.wal"), []byte("junk"), 0o644); err != nil {
@@ -627,10 +637,10 @@ func TestSpareFilesIgnoredByReplay(t *testing.T) {
 		t.Fatalf("stats %+v", stats)
 	}
 	st := l.Status()
-	if st.Segments != 1 || st.Spares != 0 {
-		t.Fatalf("spare not recycled into the active segment: %+v", st)
+	if files := walFiles(t, dir); st.Segments != 1 || len(files) != 1 || files[0] != segPath(dir, 1) {
+		t.Fatalf("spare file left beside the active segment: %+v, files %v", st, files)
 	}
-	// The junk the spare held must be gone: appends land on a clean header.
+	// Appends land on a clean header.
 	c, err := l.Append(rowsRecord("data", 0, 1))
 	if err != nil {
 		t.Fatal(err)

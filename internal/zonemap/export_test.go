@@ -14,11 +14,11 @@ func PruneFlat[S, Q any](g *Grid[S, Q], r expr.Ranges) core.PruneResult {
 	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.sums)}
 	for zi, nn := range g.nonNull {
 		lo, hi := zi*g.zoneSize, min((zi+1)*g.zoneSize, g.n)
-		overlaps, covers := false, false
+		m := expr.MatchNone
 		if nn != 0 {
-			overlaps, covers = g.kind.Test(q, g.sums[zi])
+			m = g.kind.Test(&q, g.sums[zi])
 		}
-		skip, covered := !overlaps, covers && int(nn) == hi-lo
+		skip, covered := m == expr.MatchNone, m == expr.MatchAll && int(nn) == hi-lo
 		switch k := len(res.Zones); {
 		case skip:
 			res.RowsSkipped += hi - lo

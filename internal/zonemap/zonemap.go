@@ -5,8 +5,8 @@
 // blocks of BlockZones zones, each summarised by the union of its members.
 //
 // What a zone's summary is, and how a predicate is tested against it, is
-// a Kind: the min/max hull here, the bin-occurrence mask in package
-// imprint. Everything else — zone layout, the block level, Extend,
+// a Kind: the min/max hull here (an expr.Hull, tested by expr.Clause.Test
+// as in every layer), the bin mask in package imprint. Everything else — zone layout, the block level, Extend,
 // PruneNulls, invariant re-derivation — is the Grid's, once. A probe tests
 // every block and the member zones of the blocks that may match, as the
 // adaptive zonemap's does; on arbitrary data distributions every block
@@ -46,9 +46,9 @@ type Kind[S, Q any] interface {
 	Union(a, b S) S
 	// Lower turns a predicate's code intervals into the clause.
 	Lower(r expr.Ranges) Q
-	// Test reports whether a zone summarised by s may hold a matching
-	// value (overlaps) and whether every value it holds matches (covers).
-	Test(q Q, s S) (overlaps, covers bool)
+	// Test reports whether none, some or all of the values a zone
+	// summarised by s may hold match.
+	Test(q *Q, s S) expr.Match
 	// Holds reports whether the stored summary admits everything the
 	// re-derived one does — and nothing more when exact.
 	Holds(have, derived S, exact bool) bool
@@ -156,23 +156,18 @@ func (g *Grid[S, Q]) Prune(r expr.Ranges) core.PruneResult {
 	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.blocks)}
 	for bi, b := range g.blocks {
 		lo, hi := Members(bi, len(g.sums))
-		overlaps := false
-		if b.HasData {
-			overlaps, _ = g.kind.Test(q, b.Sum)
-		}
-		if c := g.span(lo, hi); !overlaps {
+		if c := g.span(lo, hi); !b.HasData || g.kind.Test(&q, b.Sum) == expr.MatchNone {
 			res.Emit(&c, true)
 			continue
 		}
 		res.ZonesProbed += hi - lo
 		for zi := lo; zi < hi; zi++ {
-			c, nn := g.span(zi, zi+1), int(g.nonNull[zi])
-			overlaps, covers := false, false
+			c, nn, m := g.span(zi, zi+1), int(g.nonNull[zi]), expr.MatchNone
 			if nn != 0 {
-				overlaps, covers = g.kind.Test(q, g.sums[zi])
+				m = g.kind.Test(&q, g.sums[zi])
 			}
-			c.Covered = covers && nn == c.Hi-c.Lo
-			res.Emit(&c, !overlaps)
+			c.Covered = m == expr.MatchAll && nn == c.Hi-c.Lo
+			res.Emit(&c, m == expr.MatchNone)
 		}
 	}
 	return res
@@ -289,57 +284,38 @@ func (g *Grid[S, Q]) Introspect() obs.SkipperSnapshot { return obs.SkipperSnapsh
 // ---------------------------------------------------------------------------
 // Summary kind: the min/max hull (PolicyStatic).
 
-// Hull is the value hull of a zone's non-null rows.
-type Hull struct{ Min, Max int64 }
-
-// HullKind summarises a zone by its Hull and tests the predicate's code
-// intervals against it directly: a zone skips when no interval overlaps
-// [Min, Max] and is covered when one interval encloses it. The adaptive
-// zonemap's blocks are this kind's.
+// HullKind summarises a zone by its expr.Hull and tests it with the
+// predicate's expr.Clause: a zone skips when no interval overlaps its hull
+// and is covered when one interval encloses it. The adaptive zonemap's
+// blocks are this kind's.
 type HullKind struct{}
 
 func (HullKind) Name() string { return "static" }
 func (HullKind) Bytes() int   { return 0 }
 
-func (HullKind) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (Hull, int) {
-	mn, mx, nonNull := scan.MinMax(codes, lo, hi, nulls, 0)
-	if nonNull == 0 {
-		return Hull{}, 0
-	}
-	return Hull{mn, mx}, nonNull
+func (HullKind) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (expr.Hull, int) {
+	return scan.MinMax(codes, lo, hi, nulls, 0)
 }
 
-func (HullKind) Admit(h Hull, empty bool, code int64) Hull {
+func (HullKind) Admit(h expr.Hull, empty bool, code int64) expr.Hull {
 	if empty {
-		return Hull{code, code}
+		h = expr.EmptyHull
 	}
-	return Hull{min(h.Min, code), max(h.Max, code)}
+	return h.Admit(code)
 }
 
-func (HullKind) Union(a, b Hull) Hull { return Hull{min(a.Min, b.Min), max(a.Max, b.Max)} }
+func (HullKind) Union(a, b expr.Hull) expr.Hull              { return a.Union(b) }
+func (HullKind) Lower(r expr.Ranges) expr.Clause             { return r.Clause() }
+func (HullKind) Test(q *expr.Clause, h expr.Hull) expr.Match { return q.Test(h) }
 
-func (HullKind) Lower(r expr.Ranges) expr.Ranges { return r }
-
-func (HullKind) Test(r expr.Ranges, h Hull) (overlaps, covers bool) {
-	if len(r.Lo) == 1 { // a comparison, BETWEEN or equality: nothing to search
-		lo, hi := r.Lo[0], r.Hi[0]
-		return lo <= h.Max && h.Min <= hi, lo <= h.Min && h.Max <= hi
-	}
-	overlaps = r.Overlaps(h.Min, h.Max)
-	return overlaps, overlaps && r.Covers(h.Min, h.Max)
-}
-
-func (HullKind) Holds(have, derived Hull, exact bool) bool {
-	if exact {
-		return have == derived
-	}
-	return have.Min <= derived.Min && derived.Max <= have.Max
+func (HullKind) Holds(have, derived expr.Hull, exact bool) bool {
+	return have == derived || !exact && have.Encloses(derived)
 }
 
 // Build constructs the static zonemap over a column view: the Grid under
 // the min/max hull.
-func Build(codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) *Grid[Hull, expr.Ranges] {
-	return NewGrid[Hull, expr.Ranges](HullKind{}, codes, nulls, zoneSize)
+func Build(codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) *Grid[expr.Hull, expr.Clause] {
+	return NewGrid[expr.Hull, expr.Clause](HullKind{}, codes, nulls, zoneSize)
 }
 
-var _ core.Skipper = (*Grid[Hull, expr.Ranges])(nil)
+var _ core.Skipper = (*Grid[expr.Hull, expr.Clause])(nil)

@@ -17,13 +17,13 @@ type zone struct {
 	NonNull  int
 }
 
-func zoneOf(m *Grid[Hull, expr.Ranges], zi int) zone {
+func zoneOf(m *Grid[expr.Hull, expr.Clause], zi int) zone {
 	return zone{m.sums[zi].Min, m.sums[zi].Max, int(m.nonNull[zi])}
 }
 
 // zoneCounts recovers how many of m's zones a probe skipped and how many
 // it proved covered from the coalesced candidate windows.
-func zoneCounts(m *Grid[Hull, expr.Ranges], res core.PruneResult) (skipped, covered int) {
+func zoneCounts(m *Grid[expr.Hull, expr.Clause], res core.PruneResult) (skipped, covered int) {
 	skipped = len(m.sums)
 	for _, c := range res.Zones {
 		zones := (c.Hi - c.Lo + m.zoneSize - 1) / m.zoneSize
