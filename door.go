@@ -117,30 +117,26 @@ func (db *DB) admitted(ctx context.Context, e executor, q engine.Query) (*Result
 }
 
 // workloadSample is a completed query's workload sample, read from its
-// trace and stats: the zones read are the candidate windows of the
-// predicates whose skipper took part, and the zones pruned the rest of the
-// zones probed. An unsharded trace names no shard.
+// trace: its cost, and the zones read — the candidate windows of the
+// predicates whose skipper took part — and the zones pruned, the rest of
+// the zones probed. An unsharded trace names no shard.
 func workloadSample(res *Result) stats.Sample {
 	tr := res.Trace
 	s := stats.Sample{
-		Fingerprint:   tr.Fingerprint,
-		Table:         tr.Table,
-		CacheHit:      tr.PlanCached,
-		Latency:       tr.Total,
-		RowsRead:      int64(res.Stats.RowsScanned),
-		RowsReturned:  int64(res.Count),
-		RowsSkipped:   int64(res.Stats.RowsSkipped),
-		BytesScanned:  int64(res.Stats.BytesScanned),
-		ShardsScanned: int64(tr.ShardsScanned),
-		ShardsPruned:  int64(tr.ShardsPruned),
-		Shards:        tr.Shards,
+		Fingerprint:  tr.Fingerprint,
+		Table:        tr.Table,
+		CacheHit:     tr.PlanCached,
+		Latency:      tr.Total,
+		Cost:         tr.Cost,
+		RowsReturned: int64(res.Count),
+		Shards:       tr.Shards,
 	}
 	for i := range tr.Predicates {
-		if tr.Predicates[i].Active {
+		if tr.Predicates[i].SkippersUsed > 0 {
 			s.ZonesRead += int64(tr.Predicates[i].Windows)
 		}
 	}
-	s.ZonesPruned = max(int64(res.Stats.ZonesProbed)-s.ZonesRead, 0)
+	s.ZonesPruned = max(int64(tr.ZonesProbed)-s.ZonesRead, 0)
 	return s
 }
 

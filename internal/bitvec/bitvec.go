@@ -3,9 +3,9 @@
 //
 // A BitVec is a fixed-length sequence of bits stored 64 per word. It is the
 // unit of scan output (one bit per row: does the row qualify?) and of zone
-// candidate sets (one bit per zone: must the zone be scanned?). All bulk
-// operations work word-at-a-time so that combining predicate results across
-// columns costs ~N/64 operations.
+// candidate sets (one bit per zone: must the zone be scanned?). The bulk
+// reads — Count, CountRange, NextSet — work word-at-a-time, ~N/64
+// operations.
 package bitvec
 
 import (
@@ -91,28 +91,6 @@ func (v *BitVec) SetAll() {
 	v.trimTail()
 }
 
-// SetRange sets bits [lo, hi).
-func (v *BitVec) SetRange(lo, hi int) {
-	if lo < 0 || hi > v.n || lo > hi {
-		panic(fmt.Sprintf("bitvec: SetRange [%d,%d) out of bounds for length %d", lo, hi, v.n))
-	}
-	if lo == hi {
-		return
-	}
-	first, last := lo/wordBits, (hi-1)/wordBits
-	loMask := ^uint64(0) << uint(lo%wordBits)
-	hiMask := ^uint64(0) >> uint(wordBits-1-(hi-1)%wordBits)
-	if first == last {
-		v.words[first] |= loMask & hiMask
-		return
-	}
-	v.words[first] |= loMask
-	for i := first + 1; i < last; i++ {
-		v.words[i] = ^uint64(0)
-	}
-	v.words[last] |= hiMask
-}
-
 // CountRange returns the number of set bits in [lo, hi).
 func (v *BitVec) CountRange(lo, hi int) int {
 	if lo < 0 || hi > v.n || lo > hi {
@@ -142,38 +120,6 @@ func (v *BitVec) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// And sets v = v & o. Panics if lengths differ.
-func (v *BitVec) And(o *BitVec) {
-	v.checkLen(o)
-	for i := range v.words {
-		v.words[i] &= o.words[i]
-	}
-}
-
-// Or sets v = v | o. Panics if lengths differ.
-func (v *BitVec) Or(o *BitVec) {
-	v.checkLen(o)
-	for i := range v.words {
-		v.words[i] |= o.words[i]
-	}
-}
-
-// AndNot sets v = v &^ o. Panics if lengths differ.
-func (v *BitVec) AndNot(o *BitVec) {
-	v.checkLen(o)
-	for i := range v.words {
-		v.words[i] &^= o.words[i]
-	}
-}
-
-// Not inverts every bit.
-func (v *BitVec) Not() {
-	for i := range v.words {
-		v.words[i] = ^v.words[i]
-	}
-	v.trimTail()
 }
 
 // Clone returns a deep copy of v.
@@ -230,12 +176,6 @@ func (v *BitVec) String() string {
 		}
 	}
 	return string(b)
-}
-
-func (v *BitVec) checkLen(o *BitVec) {
-	if v.n != o.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, o.n))
-	}
 }
 
 // trimTail zeroes the unused bits of the final word so that Count and

@@ -56,49 +56,6 @@ func TestSetAllAndNotRespectTail(t *testing.T) {
 	if v.Count() != 70 {
 		t.Fatalf("SetAll Count=%d want 70", v.Count())
 	}
-	v.Not()
-	if v.Count() != 0 {
-		t.Fatalf("Not after SetAll Count=%d want 0", v.Count())
-	}
-	v.Not()
-	if v.Count() != 70 {
-		t.Fatalf("double Not Count=%d want 70", v.Count())
-	}
-}
-
-func TestSetRange(t *testing.T) {
-	cases := []struct{ n, lo, hi int }{
-		{100, 0, 0},
-		{100, 0, 100},
-		{100, 5, 60},
-		{100, 63, 65},
-		{100, 64, 64},
-		{128, 1, 127},
-		{64, 0, 64},
-		{65, 64, 65},
-	}
-	for _, c := range cases {
-		v := New(c.n)
-		v.SetRange(c.lo, c.hi)
-		for i := 0; i < c.n; i++ {
-			want := i >= c.lo && i < c.hi
-			if v.Get(i) != want {
-				t.Fatalf("n=%d SetRange(%d,%d): bit %d = %v want %v", c.n, c.lo, c.hi, i, v.Get(i), want)
-			}
-		}
-		if v.Count() != c.hi-c.lo {
-			t.Fatalf("n=%d SetRange(%d,%d): Count=%d want %d", c.n, c.lo, c.hi, v.Count(), c.hi-c.lo)
-		}
-	}
-}
-
-func TestSetRangeOutOfBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetRange out of bounds did not panic")
-		}
-	}()
-	New(10).SetRange(5, 11)
 }
 
 func TestCountRange(t *testing.T) {
@@ -122,40 +79,6 @@ func TestCountRange(t *testing.T) {
 			t.Fatalf("CountRange(%d,%d)=%d want %d", lo, hi, got, want)
 		}
 	}
-}
-
-func TestBooleanOps(t *testing.T) {
-	a := New(130)
-	b := New(130)
-	a.SetRange(0, 100)
-	b.SetRange(50, 130)
-
-	and := a.Clone()
-	and.And(b)
-	if and.Count() != 50 || !and.Get(50) || !and.Get(99) || and.Get(49) || and.Get(100) {
-		t.Fatalf("And wrong: count=%d", and.Count())
-	}
-
-	or := a.Clone()
-	or.Or(b)
-	if or.Count() != 130 {
-		t.Fatalf("Or count=%d want 130", or.Count())
-	}
-
-	andnot := a.Clone()
-	andnot.AndNot(b)
-	if andnot.Count() != 50 || !andnot.Get(0) || andnot.Get(50) {
-		t.Fatalf("AndNot wrong: count=%d", andnot.Count())
-	}
-}
-
-func TestOpsLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("And with mismatched lengths did not panic")
-		}
-	}()
-	New(10).And(New(11))
 }
 
 func TestNextSet(t *testing.T) {
@@ -182,7 +105,9 @@ func TestNextSet(t *testing.T) {
 
 func TestCloneEqualCopyFrom(t *testing.T) {
 	a := New(99)
-	a.SetRange(10, 40)
+	for i := 10; i < 40; i++ {
+		a.Set(i)
+	}
 	b := a.Clone()
 	if !a.Equal(b) {
 		t.Fatal("clone not equal")
@@ -208,8 +133,8 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: SetRange followed by CountRange over any window agrees with a
-// naive bit loop.
+// Property: after bits are set range by range, CountRange over any window
+// agrees with a naive bit loop.
 func TestQuickRangeOps(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -219,8 +144,8 @@ func TestQuickRangeOps(t *testing.T) {
 		for k := 0; k < 20; k++ {
 			lo := rng.Intn(n + 1)
 			hi := lo + rng.Intn(n+1-lo)
-			v.SetRange(lo, hi)
 			for i := lo; i < hi; i++ {
+				v.Set(i)
 				ref[i] = true
 			}
 		}
@@ -238,34 +163,6 @@ func TestQuickRangeOps(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: De Morgan — Not(a And b) == Not(a) Or Not(b).
-func TestQuickDeMorgan(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(300)
-		a, b := New(n), New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				a.Set(i)
-			}
-			if rng.Intn(2) == 0 {
-				b.Set(i)
-			}
-		}
-		lhs := a.Clone()
-		lhs.And(b)
-		lhs.Not()
-		na, nb := a.Clone(), b.Clone()
-		na.Not()
-		nb.Not()
-		na.Or(nb)
-		return lhs.Equal(na)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -299,14 +196,5 @@ func BenchmarkCount(b *testing.B) {
 		if v.Count() != 1<<20 {
 			b.Fatal("bad count")
 		}
-	}
-}
-
-func BenchmarkAnd(b *testing.B) {
-	x := NewSet(1 << 20)
-	y := NewSet(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x.And(y)
 	}
 }

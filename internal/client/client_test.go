@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"adskip/internal/obs"
 	"adskip/internal/proto"
 )
 
@@ -96,7 +97,7 @@ func TestDecodeResponseOnePass(t *testing.T) {
 			t.Errorf("cell %#v, want %#v", c.got, c.want)
 		}
 	}
-	if res.Stats != (proto.Stats{RowsScanned: 5, RowsSkipped: 4, RowsCovered: 3, ZonesProbed: 2, SkippersUsed: 1, ShardsScanned: 1, ShardsPruned: 1}) {
+	if res.Stats != (obs.Cost{RowsScanned: 5, RowsSkipped: 4, RowsCovered: 3, ZonesProbed: 2, SkippersUsed: 1, ShardsScanned: 1, ShardsPruned: 1}) {
 		t.Errorf("stats %+v", res.Stats)
 	}
 	if res.Timing == nil || res.Timing.TraceID != "t-1" || res.Timing.TotalUS != 99 || res.Timing.PhaseSumUS() != 28 {

@@ -258,7 +258,8 @@ func (e *Engine) buildSkipperLocked(name string, kind obs.EventKind) error {
 }
 
 // registerSkipper hooks a freshly installed skipper into the
-// observability layer: journal sink, lifecycle record, and gauges.
+// observability layer: journal sink, lifecycle record, and the column's
+// counters and gauges.
 func (e *Engine) registerSkipper(name string, kind obs.EventKind) {
 	s := e.skippers[name]
 	journal := e.journal(name)
@@ -267,7 +268,7 @@ func (e *Engine) registerSkipper(name string, kind obs.EventKind) {
 		Kind: kind, Cause: lifecycleCause(kind),
 		ZonesAfter: s.Metadata().Zones, RowHi: s.Rows(),
 	})
-	e.colMetrics(name).refreshGauges(s)
+	e.colMetrics(name)
 }
 
 // lifecycleCause maps engine-level lifecycle kinds to ledger causes.

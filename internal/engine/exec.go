@@ -33,40 +33,13 @@ type Query struct {
 }
 
 // ExecStats instruments one query execution; the experiment harness reads
-// these to report pruning behavior alongside wall-clock time.
-type ExecStats struct {
-	RowsScanned  int `json:"rows_scanned"` // rows whose codes were read by a kernel
-	BytesScanned int `json:"-"`            // those rows at each filtered column's code width (4 or 8); not on the wire
-	RowsSkipped  int `json:"rows_skipped"` // rows pruned by metadata probes
-	// RowsCovered counts the rows of covered windows (every row matches;
-	// no predicate is evaluated), whatever the result shape. Like
-	// RowsScanned, it charges a window the scan took whole, even where an
-	// unordered LIMIT keeps only part of it.
-	RowsCovered  int `json:"rows_covered"`
-	ZonesProbed  int `json:"zones_probed"`
-	SkippersUsed int `json:"skippers_used"` // predicate columns where skipping participated
-	// Shard pruning (sharded tables only; see internal/shard). Shards
-	// whose key bounds cannot intersect the predicate are eliminated
-	// before any zone metadata is consulted. Zero (omitted on the wire)
-	// for unsharded engines.
-	ShardsScanned int `json:"shards_scanned,omitempty"`
-	ShardsPruned  int `json:"shards_pruned,omitempty"`
-}
+// these to report pruning behavior alongside wall-clock time. It is the
+// one cost record (obs.Cost) the trace, the wire and the workload stats
+// read.
+type ExecStats = obs.Cost
 
-// Add sums o into s, field by field.
-func (s *ExecStats) Add(o ExecStats) {
-	s.RowsScanned += o.RowsScanned
-	s.BytesScanned += o.BytesScanned
-	s.RowsSkipped += o.RowsSkipped
-	s.RowsCovered += o.RowsCovered
-	s.ZonesProbed += o.ZonesProbed
-	s.SkippersUsed += o.SkippersUsed
-	s.ShardsScanned += o.ShardsScanned
-	s.ShardsPruned += o.ShardsPruned
-}
-
-// scanned charges a kernel pass over rows rows of col.
-func (s *ExecStats) scanned(rows int, col *storage.Column) {
+// scanned charges s a kernel pass over rows rows of col.
+func scanned(s *ExecStats, rows int, col *storage.Column) {
 	s.RowsScanned += rows
 	s.BytesScanned += rows * col.Vec().Width()
 }
@@ -210,16 +183,8 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Partial, err erro
 	if len(plans) > maxPredicateColumns {
 		return nil, fmt.Errorf("engine: more than %d predicate columns", maxPredicateColumns)
 	}
-	for i := range plans {
-		p := &plans[i]
-		res.Stats.ZonesProbed += p.res.ZonesProbed
-		res.Stats.RowsSkipped += p.res.RowsSkipped
-		if p.active {
-			res.Stats.SkippersUsed++
-		}
-	}
 	tr.Probe = time.Since(tProbe)
-	e.tracePredicates(tr, plans)
+	e.tracePredicates(tr, plans, &res.Stats)
 
 	tScan := time.Now()
 	switch {
@@ -456,7 +421,7 @@ func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, n int) error {
 		return w.err
 	}
 	res.Count = w.count
-	res.Stats.scanned(w.stats.RowsScanned, p.col)
+	scanned(&res.Stats, w.stats.RowsScanned, p.col)
 	res.Stats.RowsCovered += w.stats.RowsCovered
 	p.stats = w.zstats
 	return nil
@@ -640,11 +605,11 @@ func filterWindow(plans []colPlan, res *Result, w seg, sel *bitvec.SelVec) (matc
 				scan.Filter(p.col.Vec(), w.lo, w.hi, p.pred.R, p.col.Nulls(), 0, sel)
 			}
 			read = w.hi - w.lo
-			res.Stats.scanned(w.hi-w.lo, p.col)
+			scanned(&res.Stats, w.hi-w.lo, p.col)
 			first = false
 		} else {
 			read += sel.Len()
-			res.Stats.scanned(sel.Len(), p.col)
+			scanned(&res.Stats, sel.Len(), p.col)
 			refineSel(sel, p)
 		}
 		if matched = sel.Len(); matched == 0 {

@@ -63,27 +63,21 @@ func (e *Engine) Explain(q Query) ([]string, error) {
 		// EXPLAIN pays for a real probe, so it counts toward the column's
 		// cumulative probe/prune counters like any query, though the
 		// skipper itself learns nothing from it.
-		e.colMetrics(p.name).recordProbe(p)
+		c := probeCost(p)
+		e.colMetrics(p.name).record(&c)
 		md := p.skipper.Metadata()
 		if !p.active {
 			out = append(out, fmt.Sprintf("%s — %s skipper declined (disabled), full evaluation", line, md.Kind))
 			allCovered = false
 			continue
 		}
-		covered := 0
-		candRows := 0
-		for _, z := range p.res.Zones {
-			candRows += z.Hi - z.Lo
-			if z.Covered {
-				covered += z.Hi - z.Lo
-			} else {
-				allCovered = false
-			}
+		if c.CoveredWindows < c.Windows {
+			allCovered = false
 		}
 		out = append(out, fmt.Sprintf(
 			"%s — %s skipper: %d zones (%d probes), %d candidate windows (%d rows covered), %d rows skippable (%.1f%%)",
-			line, md.Kind, md.Zones, p.res.ZonesProbed, len(p.res.Zones), covered,
-			p.res.RowsSkipped, pct(p.res.RowsSkipped, n)))
+			line, md.Kind, md.Zones, c.ZonesProbed, c.Windows, c.RowsCovered,
+			c.RowsSkipped, pct(c.RowsSkipped, n)))
 		out = append(out, "  "+e.lifetimeLine(p.name))
 	}
 	if unsat {

@@ -76,8 +76,9 @@ func newEngMetrics(reg *obs.Registry, table string, shard int) engMetrics {
 	}
 }
 
-// colMetrics holds the per-column metric handles, resolved when skipping
-// is enabled on the column.
+// colMetrics holds the per-column probe counters, resolved when skipping
+// is enabled on the column. The column's skipper gauges are GaugeFuncs
+// beside them, read at scrape time.
 type colMetrics struct {
 	probeQueries  *obs.Counter // probes where the skipper participated
 	declined      *obs.Counter // probes where the skipper declined
@@ -85,13 +86,13 @@ type colMetrics struct {
 	rowsSkipped   *obs.Counter // prune hits: rows proven non-matching
 	candidateRows *obs.Counter // rows left inside candidate windows
 	coveredRows   *obs.Counter // candidate rows proven fully matching
-	zones         *obs.Gauge
-	bytes         *obs.Gauge
-	enabled       *obs.Gauge // 1 while arbitration allows skipping
 }
 
-// colMetrics resolves (and caches) the handles for one column. Caller
-// holds e.mu.
+// colMetrics resolves (and caches) the handles for one column, and
+// registers its skipper gauges: each reads the column's live skipper under
+// the engine mutex when the registry is exposed (outside the registry's
+// own mutex), and reads zero while the column has none (quarantined).
+// Caller holds e.mu.
 func (e *Engine) colMetrics(name string) *colMetrics {
 	if cm, ok := e.colM[name]; ok {
 		return cm
@@ -104,45 +105,61 @@ func (e *Engine) colMetrics(name string) *colMetrics {
 		rowsSkipped:   e.reg.Counter("adskip_column_rows_skipped_total", "Rows the column's metadata pruned.", ls...),
 		candidateRows: e.reg.Counter("adskip_column_candidate_rows_total", "Rows left in candidate windows after pruning.", ls...),
 		coveredRows:   e.reg.Counter("adskip_column_covered_rows_total", "Candidate rows proven fully matching by metadata.", ls...),
-		zones:         e.reg.Gauge("adskip_skipper_zones", "Current zone count of the column's metadata.", ls...),
-		bytes:         e.reg.Gauge("adskip_skipper_bytes", "Current metadata footprint of the column.", ls...),
-		enabled:       e.reg.Gauge("adskip_skipper_enabled", "1 while arbitration allows skipping on the column.", ls...),
 	}
+	md := func() core.Metadata {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if s := e.skippers[name]; s != nil {
+			return s.Metadata()
+		}
+		return core.Metadata{}
+	}
+	e.reg.GaugeFunc("adskip_skipper_zones", "Current zone count of the column's metadata.",
+		func() int64 { return int64(md().Zones) }, ls...)
+	e.reg.GaugeFunc("adskip_skipper_bytes", "Current metadata footprint of the column.",
+		func() int64 { return int64(md().Bytes) }, ls...)
+	e.reg.GaugeFunc("adskip_skipper_enabled", "1 while arbitration allows skipping on the column.", func() int64 {
+		if md().Enabled {
+			return 1
+		}
+		return 0
+	}, ls...)
 	e.colM[name] = cm
 	return cm
 }
 
-// recordProbe accounts one skipper probe outcome to the column's
-// cumulative counters (queries and EXPLAINs alike — both pay the probe).
-func (cm *colMetrics) recordProbe(p *colPlan) {
-	if !p.active {
+// record charges one probe outcome, a predicate column's cost, to the
+// column's cumulative counters (queries and EXPLAINs alike — both pay the
+// probe).
+func (cm *colMetrics) record(c *obs.Cost) {
+	if c.SkippersUsed == 0 {
 		cm.declined.Inc()
 		return
 	}
 	cm.probeQueries.Inc()
-	cm.zonesProbed.Add(int64(p.res.ZonesProbed))
-	cm.rowsSkipped.Add(int64(p.res.RowsSkipped))
-	cand, covered := 0, 0
-	for _, z := range p.res.Zones {
-		cand += z.Hi - z.Lo
-		if z.Covered {
-			covered += z.Hi - z.Lo
-		}
-	}
-	cm.candidateRows.Add(int64(cand))
-	cm.coveredRows.Add(int64(covered))
+	cm.zonesProbed.Add(int64(c.ZonesProbed))
+	cm.rowsSkipped.Add(int64(c.RowsSkipped))
+	cm.candidateRows.Add(int64(c.CandidateRows))
+	cm.coveredRows.Add(int64(c.RowsCovered))
 }
 
-// refreshGauges re-reads the skipper's structural state into the gauges.
-func (cm *colMetrics) refreshGauges(s core.Skipper) {
-	md := s.Metadata()
-	cm.zones.Set(int64(md.Zones))
-	cm.bytes.Set(int64(md.Bytes))
-	if md.Enabled {
-		cm.enabled.Set(1)
-	} else {
-		cm.enabled.Set(0)
+// probeCost is a predicate column's probe outcome as a cost record: the
+// zones its skipper probed, the rows it skipped, the candidate windows it
+// left and why the zones among them were not skipped.
+func probeCost(p *colPlan) obs.Cost {
+	c := obs.Cost{ZonesProbed: p.res.ZonesProbed, RowsSkipped: p.res.RowsSkipped, Windows: len(p.res.Zones),
+		NotSkippedOverlap: p.res.MissOverlap, NotSkippedWidened: p.res.MissWidened, NotSkippedNullStraddle: p.res.MissNullStraddle}
+	if p.active {
+		c.SkippersUsed = 1
 	}
+	for _, z := range p.res.Zones {
+		c.CandidateRows += z.Hi - z.Lo
+		if z.Covered {
+			c.CoveredWindows++
+			c.RowsCovered += z.Hi - z.Lo
+		}
+	}
+	return c
 }
 
 // journal returns the one adaptation sink for a column: installed on the
@@ -181,8 +198,9 @@ func (e *Engine) journal(col string) func(obs.LedgerRecord) {
 }
 
 // tracePredicates fills the trace's per-predicate section from the probed
-// plans and charges the probe outcome to the per-column counters.
-func (e *Engine) tracePredicates(tr *obs.QueryTrace, plans []colPlan) {
+// plans, adds each column's probe to the query's cost q and charges it to
+// the per-column counters.
+func (e *Engine) tracePredicates(tr *obs.QueryTrace, plans []colPlan, q *ExecStats) {
 	tr.Predicates = make([]obs.PredicateTrace, len(plans))
 	for i := range plans {
 		p := &plans[i]
@@ -198,20 +216,11 @@ func (e *Engine) tracePredicates(tr *obs.QueryTrace, plans []colPlan) {
 			continue
 		}
 		pt.Skipper = p.skipper.Metadata().Kind
-		pt.Active = p.active
-		pt.ZonesProbed = p.res.ZonesProbed
-		pt.EstRowsSkipped = p.res.RowsSkipped
-		pt.NotSkippedOverlap = p.res.MissOverlap
-		pt.NotSkippedWidened = p.res.MissWidened
-		pt.NotSkippedNullStraddle = p.res.MissNullStraddle
-		for _, z := range p.res.Zones {
-			pt.Windows++
-			pt.CandidateRows += z.Hi - z.Lo
-			if z.Covered {
-				pt.CoveredWindows++
-			}
-		}
-		e.colMetrics(p.name).recordProbe(p)
+		pt.Cost = probeCost(p)
+		q.ZonesProbed += pt.ZonesProbed
+		q.RowsSkipped += pt.RowsSkipped
+		q.SkippersUsed += pt.SkippersUsed
+		e.colMetrics(p.name).record(&pt.Cost)
 	}
 }
 
@@ -219,10 +228,7 @@ func (e *Engine) tracePredicates(tr *obs.QueryTrace, plans []colPlan) {
 // metrics. Called with the engine mutex held, at the end of Query.
 func (e *Engine) finishTrace(res *Result, tr *obs.QueryTrace, plans []colPlan, n, limit int) {
 	tr.Total = time.Since(tr.Start)
-	tr.RowsScanned = res.Stats.RowsScanned
-	tr.RowsSkipped = res.Stats.RowsSkipped
-	tr.RowsCovered = res.Stats.RowsCovered
-	tr.ZonesProbed = res.Stats.ZonesProbed
+	tr.Cost = res.Stats
 	tr.RowsTotal = n
 	tr.Matched = res.Count
 	// Attribute the observed match count to the predicate when it is
@@ -244,13 +250,8 @@ func (e *Engine) finishTrace(res *Result, tr *obs.QueryTrace, plans []colPlan, n
 		e.m.selectivity.Observe(float64(res.Count) / float64(n))
 	}
 	for i := range plans {
-		p := &plans[i]
-		if p.skipper == nil {
-			continue
-		}
-		if !p.active {
+		if plans[i].skipper != nil && !plans[i].active {
 			e.m.skippersDeclined.Inc()
 		}
-		e.colMetrics(p.name).refreshGauges(p.skipper)
 	}
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"slices"
-
 	"adskip/internal/obs"
 	"adskip/internal/storage"
 )
@@ -40,7 +38,16 @@ func (p *Partial) Trace() *obs.QueryTrace { return p.res.Trace }
 func (p *Partial) Merge(o *Partial) {
 	p.res.Stats.Add(o.res.Stats)
 	p.res.Count += o.res.Count
-	p.mergePredicates(o.res.Trace.Predicates)
+	// Partials of one query trace the same predicate columns in the same
+	// order (Conj.Columns over one schema): sections add by position, and
+	// the lowered predicate stays the first partial's.
+	for i := range p.res.Trace.Predicates {
+		pt, ot := &p.res.Trace.Predicates[i], &o.res.Trace.Predicates[i]
+		pt.Add(ot.Cost)
+		if pt.Skipper == "" {
+			pt.Skipper = ot.Skipper
+		}
+	}
 	for i := range p.aggs {
 		p.aggs[i].merge(&o.aggs[i])
 	}
@@ -55,31 +62,6 @@ func (p *Partial) Merge(o *Partial) {
 			p.res.Rows = p.res.Rows[:p.limit]
 		}
 		p.res.Count = len(p.res.Rows)
-	}
-}
-
-// mergePredicates folds o's per-predicate trace sections into p's trace,
-// by column: the probe and window counters add up, a skipper is active if
-// it was in either, and the lowered predicate and why-not-skipped counts
-// stay the first partial's.
-func (p *Partial) mergePredicates(o []obs.PredicateTrace) {
-	into := &p.res.Trace.Predicates
-	for _, ot := range o {
-		i := slices.IndexFunc(*into, func(pt obs.PredicateTrace) bool { return pt.Column == ot.Column })
-		if i < 0 {
-			*into = append(*into, ot)
-			continue
-		}
-		pt := &(*into)[i]
-		pt.ZonesProbed += ot.ZonesProbed
-		pt.Windows += ot.Windows
-		pt.CoveredWindows += ot.CoveredWindows
-		pt.CandidateRows += ot.CandidateRows
-		pt.EstRowsSkipped += ot.EstRowsSkipped
-		pt.Active = pt.Active || ot.Active
-		if pt.Skipper == "" {
-			pt.Skipper = ot.Skipper
-		}
 	}
 }
 

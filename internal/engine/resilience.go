@@ -237,10 +237,6 @@ func (e *Engine) quarantineLocked(col string, cause error) {
 		e.log.Error("skipper quarantined: column falls back to full scans",
 			"table", e.tbl.Name(), "column", col, "cause", cause.Error())
 	}
-	cm := e.colMetrics(col)
-	cm.enabled.Set(0)
-	cm.zones.Set(0)
-	cm.bytes.Set(0)
 }
 
 // checkSkipperHealth quarantines col when its skipper self-reports

@@ -9,8 +9,9 @@ import (
 // Wire encoding of a Result. The JSON shape below is a stable contract:
 // the network protocol (internal/proto), the client library, and the
 // telemetry endpoints all consume it, and internal/proto.Result mirrors
-// it field for field on the decode side. Change it only with a matching
-// golden-test update.
+// it on the decode side, its "stats" decoding into the same cost record
+// (obs.Cost) the engine fills. Change it only with a matching golden-test
+// update.
 //
 //	{
 //	  "count": 2,

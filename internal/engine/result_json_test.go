@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"adskip/internal/expr"
+	"adskip/internal/proto"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 )
@@ -235,4 +237,39 @@ func FuzzAppendJSONString(f *testing.F) {
 			t.Fatalf("%q: got %s, want %s", s, got, want)
 		}
 	})
+}
+
+// TestWireCarriesEveryCostColumn sets each wire-tagged column of the cost
+// record to a distinct value and reads the result back as a client does,
+// through the hand parser and encoding/json alike: a column added to
+// obs.Cost with a wire tag cannot be left off either side of the wire,
+// and one tagged "-" stays off it.
+func TestWireCarriesEveryCostColumn(t *testing.T) {
+	var r Result
+	sv := reflect.ValueOf(&r.Stats).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		sv.Field(i).SetInt(int64(10 + i))
+	}
+	enc := r.AppendJSON(nil)
+	d, err := proto.DecodeResponse(append(append([]byte(`{"ok":true,"result":`), enc...), '}'))
+	if err != nil || d.Result == nil {
+		t.Fatalf("DecodeResponse: %v", err)
+	}
+	var reflective proto.Result
+	if err := json.Unmarshal(enc, &reflective); err != nil {
+		t.Fatal(err)
+	}
+	for path, got := range map[string]ExecStats{"DecodeResponse": d.Result.Stats, "encoding/json": reflective.Stats} {
+		gv := reflect.ValueOf(got)
+		for i := 0; i < gv.NumField(); i++ {
+			f := gv.Type().Field(i)
+			want := sv.Field(i).Int()
+			if f.Tag.Get("json") == "-" {
+				want = 0
+			}
+			if gv.Field(i).Int() != want {
+				t.Errorf("%s: %s = %d over the wire, want %d (%s)", path, f.Name, gv.Field(i).Int(), want, enc)
+			}
+		}
+	}
 }

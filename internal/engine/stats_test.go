@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestExecStatsAddSumsEveryField sets every int field of two ExecStats to
-// distinct values and checks that Add sums each one, so a field added to
-// ExecStats cannot be left out of Add.
+// TestExecStatsAddSumsEveryField sets every int field of two ExecStats —
+// the one cost record, obs.Cost — to distinct values and checks that Add
+// sums each one, so a column added to the record cannot be left out of
+// Add, and so of a sharded merge.
 func TestExecStatsAddSumsEveryField(t *testing.T) {
 	var a, b ExecStats
 	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()

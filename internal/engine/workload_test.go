@@ -59,7 +59,7 @@ func TestWorkloadAttribution(t *testing.T) {
 	}
 	zonesRead := 0
 	for _, p := range tr.Predicates {
-		if p.Active {
+		if p.SkippersUsed > 0 {
 			zonesRead += p.Windows
 		}
 	}

@@ -176,11 +176,11 @@ func TestEventKindStrings(t *testing.T) {
 func TestTraceLines(t *testing.T) {
 	tr := &QueryTrace{
 		Table: "t", RowsTotal: 1000,
-		RowsScanned: 100, RowsSkipped: 800, RowsCovered: 100, ZonesProbed: 16,
+		Cost: Cost{RowsScanned: 100, RowsSkipped: 800, RowsCovered: 100, ZonesProbed: 16},
 		Predicates: []PredicateTrace{{
 			Column: "v", Predicate: "[10, 20]", Skipper: "adaptive-zonemap",
-			Active: true, ZonesProbed: 16, Windows: 3, CoveredWindows: 1,
-			CandidateRows: 200, EstRowsSkipped: 800, Matched: 42,
+			Cost: Cost{SkippersUsed: 1, ZonesProbed: 16, Windows: 3, CoveredWindows: 1,
+				CandidateRows: 200, RowsSkipped: 800}, Matched: 42,
 		}},
 	}
 	lines := tr.Lines(false)
@@ -265,7 +265,7 @@ func BenchmarkQueryTraceRecord(b *testing.B) {
 		tr := &QueryTrace{Table: "t", Start: time.Now()}
 		tr.Plan = time.Since(tr.Start)
 		tr.Predicates = make([]PredicateTrace, 1)
-		tr.Predicates[0] = PredicateTrace{Column: "v", Skipper: "adaptive-zonemap", Active: true, Matched: -1}
+		tr.Predicates[0] = PredicateTrace{Column: "v", Skipper: "adaptive-zonemap", Cost: Cost{SkippersUsed: 1}, Matched: -1}
 		tr.RowsScanned, tr.RowsSkipped, tr.RowsTotal = 1024, 64512, 65536
 		tr.Total = time.Since(tr.Start)
 		queries.Inc()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -47,18 +48,11 @@ type QueryTrace struct {
 	Feedback   time.Duration `json:"feedback_ns"`             // probe results handed back to skippers
 	Total      time.Duration `json:"total_ns"`
 
-	// Execution totals (mirrors the result's ExecStats).
-	RowsScanned int `json:"rows_scanned"`
-	RowsSkipped int `json:"rows_skipped"`
-	RowsCovered int `json:"rows_covered"`
-	ZonesProbed int `json:"zones_probed"`
-	RowsTotal   int `json:"rows_total"`
-	Matched     int `json:"matched"` // qualifying rows (projection: rows returned)
-
-	// Shard scatter-gather totals (sharded tables only; both zero and
-	// omitted for unsharded engines).
-	ShardsScanned int `json:"shards_scanned,omitempty"`
-	ShardsPruned  int `json:"shards_pruned,omitempty"`
+	// Cost is the query's counted work, the result's stats; MarshalJSON
+	// writes it with the shard counts after the match count.
+	Cost      `json:"-"`
+	RowsTotal int `json:"rows_total"`
+	Matched   int `json:"matched"` // qualifying rows (projection: rows returned)
 
 	// Shards lists the 1-based shards a merged logical trace actually
 	// scanned (empty elsewhere), so a sharded table's queries are
@@ -70,39 +64,62 @@ type QueryTrace struct {
 
 // PredicateTrace is the per-predicate-column skipping decision of one
 // query: what the probe estimated (rows skippable, candidate windows) and
-// what execution observed.
+// what execution observed. Its Cost is the probe's outcome; SkippersUsed
+// is nonzero when the skipper participated (did not decline).
 type PredicateTrace struct {
-	Column    string `json:"column"`
-	Predicate string `json:"predicate"` // lowered code intervals, or "IS NULL"
-	Skipper   string `json:"skipper"`   // skipper kind; "" when the column has none
-	Active    bool   `json:"active"`    // skipper participated (did not decline)
-
-	ZonesProbed    int `json:"zones_probed"`
-	Windows        int `json:"windows"`          // candidate windows emitted by the probe
-	CoveredWindows int `json:"covered_windows"`  // windows proven fully matching by metadata
-	CandidateRows  int `json:"candidate_rows"`   // rows inside candidate windows
-	EstRowsSkipped int `json:"est_rows_skipped"` // rows the probe proved non-matching
+	Column    string // the predicate column
+	Predicate string // lowered code intervals, or "IS NULL"
+	Skipper   string // skipper kind; "" when the column has none
+	Cost
 
 	// Matched is the observed matching row count when execution can
 	// attribute it to this predicate alone (single-predicate fast path);
 	// -1 when unattributable (multi-column intersection).
-	Matched int `json:"matched"`
+	Matched int
+}
 
-	// Why-not-skipped reason counts: how the zones that stayed candidates
-	// (neither skipped nor covered) failed to prune, classified by the
-	// skipper during the probe. Only introspectable skippers (adaptive
-	// zonemaps) report them; all zero otherwise.
-	//
-	// NotSkippedOverlap: the zone's value hull genuinely straddles the
-	// predicate boundary — finer zones might help, wider ones won't.
-	// NotSkippedWidened: the hull was loosened by appends/updates since
-	// the zone was last rebuilt, so the miss may be stale metadata, not
-	// data distribution — a fold or split would re-tighten it.
-	// NotSkippedNullStraddle: the hull is fully covered by the predicate
-	// but NULL rows inside the zone block the coverage proof.
-	NotSkippedOverlap      int `json:"not_skipped_overlap,omitempty"`
-	NotSkippedWidened      int `json:"not_skipped_widened,omitempty"`
-	NotSkippedNullStraddle int `json:"not_skipped_null_straddle,omitempty"`
+// MarshalJSON writes the trace with its cost where /traces has always had
+// it: the scan and probe totals before the row total, the shard counts
+// after the match count. The fields declared here shadow the trace's own
+// of the same key, which is what places them.
+func (t *QueryTrace) MarshalJSON() ([]byte, error) {
+	type trace QueryTrace // the fields, without this method
+	return json.Marshal(struct {
+		*trace
+		RowsScanned   int              `json:"rows_scanned"`
+		RowsSkipped   int              `json:"rows_skipped"`
+		RowsCovered   int              `json:"rows_covered"`
+		ZonesProbed   int              `json:"zones_probed"`
+		RowsTotal     int              `json:"rows_total"`
+		Matched       int              `json:"matched"`
+		ShardsScanned int              `json:"shards_scanned,omitempty"`
+		ShardsPruned  int              `json:"shards_pruned,omitempty"`
+		Shards        []int            `json:"shards,omitempty"`
+		Predicates    []PredicateTrace `json:"predicates,omitempty"`
+	}{(*trace)(t), t.RowsScanned, t.RowsSkipped, t.RowsCovered, t.ZonesProbed,
+		t.RowsTotal, t.Matched, t.ShardsScanned, t.ShardsPruned, t.Shards, t.Predicates})
+}
+
+// MarshalJSON writes the section under its /traces keys: the probe's
+// rows skipped as est_rows_skipped, participation as active, and the
+// why-not-skipped counts only when nonzero.
+func (p PredicateTrace) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Column                 string `json:"column"`
+		Predicate              string `json:"predicate"`
+		Skipper                string `json:"skipper"`
+		Active                 bool   `json:"active"`
+		ZonesProbed            int    `json:"zones_probed"`
+		Windows                int    `json:"windows"`
+		CoveredWindows         int    `json:"covered_windows"`
+		CandidateRows          int    `json:"candidate_rows"`
+		EstRowsSkipped         int    `json:"est_rows_skipped"`
+		Matched                int    `json:"matched"`
+		NotSkippedOverlap      int    `json:"not_skipped_overlap,omitempty"`
+		NotSkippedWidened      int    `json:"not_skipped_widened,omitempty"`
+		NotSkippedNullStraddle int    `json:"not_skipped_null_straddle,omitempty"`
+	}{p.Column, p.Predicate, p.Skipper, p.SkippersUsed > 0, p.ZonesProbed, p.Windows, p.CoveredWindows,
+		p.CandidateRows, p.RowsSkipped, p.Matched, p.NotSkippedOverlap, p.NotSkippedWidened, p.NotSkippedNullStraddle})
 }
 
 // Lines renders the trace as aligned human-readable lines. Durations are
@@ -142,11 +159,11 @@ func (t *QueryTrace) Lines(withTimings bool) []string {
 		switch {
 		case p.Skipper == "":
 			line += " — no skipper, full evaluation"
-		case !p.Active:
+		case p.SkippersUsed == 0:
 			line += fmt.Sprintf(" — %s skipper declined, full evaluation", p.Skipper)
 		default:
 			line += fmt.Sprintf(" — %s skipper: est. %d rows skippable (%.1f%%), %d windows (%d covered, %d candidate rows)",
-				p.Skipper, p.EstRowsSkipped, pct(p.EstRowsSkipped, t.RowsTotal),
+				p.Skipper, p.RowsSkipped, pct(p.RowsSkipped, t.RowsTotal),
 				p.Windows, p.CoveredWindows, p.CandidateRows)
 			if p.Matched >= 0 {
 				line += fmt.Sprintf("; actual matched %d", p.Matched)

@@ -1,7 +1,8 @@
 // Package proto defines the adskip wire protocol: the frame format and
 // the request/response message shapes spoken between internal/server and
-// internal/client. It is standard-library only and deliberately tiny —
-// the protocol is a transport for SQL text and JSON results, not an RPC
+// internal/client. It is standard-library only, but for the cost record
+// (obs.Cost) a result's stats decode into, and deliberately tiny — the
+// protocol is a transport for SQL text and JSON results, not an RPC
 // framework.
 //
 // # Framing
@@ -47,6 +48,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"adskip/internal/obs"
 )
 
 // Operations.
@@ -188,18 +191,6 @@ type Column struct {
 	Type string `json:"type"`
 }
 
-// Stats mirrors engine.ExecStats on the decode side.
-type Stats struct {
-	RowsScanned  int `json:"rows_scanned"`
-	RowsSkipped  int `json:"rows_skipped"`
-	RowsCovered  int `json:"rows_covered"`
-	ZonesProbed  int `json:"zones_probed"`
-	SkippersUsed int `json:"skippers_used"`
-	// Shard scatter-gather totals (zero on unsharded tables/old servers).
-	ShardsScanned int `json:"shards_scanned,omitempty"`
-	ShardsPruned  int `json:"shards_pruned,omitempty"`
-}
-
 // Result is the client-side decoding of a wire-encoded engine.Result.
 // Cells decode as json.Number (lossless for BIGINT), string, or nil for
 // NULL through DecodeResponse (the client library) or any UseNumber decoder.
@@ -208,7 +199,7 @@ type Result struct {
 	Columns []Column `json:"columns,omitempty"`
 	Rows    [][]any  `json:"rows,omitempty"`
 	Aggs    []any    `json:"aggs,omitempty"`
-	Stats   Stats    `json:"stats"`
+	Stats   obs.Cost `json:"stats"` // the engine's cost record; columns tagged "-" are not on the wire
 	// Timing is attached by the client library from the response frame
 	// when the connection requested server timing; it is not part of the
 	// wire-encoded result itself (hence the "-" tag). Nil when the

@@ -14,7 +14,8 @@ import (
 // predicate's bounds, the limit, the row count, the shard count and the
 // partitioning; results compare under checkEqual's rules. An unordered
 // projection with a limit keeps whichever LIMIT matches its shards reach
-// first, so its rows are held to the whole match set instead.
+// first, so its rows are held to the whole match set instead. The merged
+// trace's per-predicate costs are the sums of a twin's shard partials'.
 func FuzzShardedMatchesUnsharded(f *testing.F) {
 	for shape := uint8(0); shape < 8; shape++ {
 		f.Add(shape, int16(100), int16(700), uint8(40), uint8(10), uint16(1000), uint8(shape%3), shape%2 == 0, shape%4 < 2)
@@ -26,7 +27,9 @@ func FuzzShardedMatchesUnsharded(f *testing.F) {
 		if hash {
 			mode = ModeHash
 		}
-		ref, m := pair(t, mode, 2+int(shards%3), 1+int(n%2000))
+		rows := 1 + int(n%2000)
+		ref, m := pair(t, mode, 2+int(shards%3), rows)
+		twin := newManager(t, mode, m.Shards(), testRows(rows))
 		q := engine.Query{Limit: int(limit % 64), OrderDesc: desc, Where: expr.And(
 			expr.MustPred("id", expr.Between, storage.IntValue(int64(lo)), storage.IntValue(int64(hi))),
 			expr.MustPred("price", expr.GE, storage.FloatValue(float64(price)/2.5)))}
@@ -60,6 +63,7 @@ func FuzzShardedMatchesUnsharded(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: sharded: %v", name, err)
 		}
+		checkTraceAddsShards(t, name, got.Trace, shardCosts(t, twin, q))
 		if !ordered && q.Limit > 0 {
 			all := q
 			all.Limit = 0

@@ -48,7 +48,6 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 	tPrune := time.Now()
 	targets, pruned := m.pruneShards(q.Where)
 	tr.ShardPrune = time.Since(tPrune)
-	tr.ShardsScanned, tr.ShardsPruned = len(targets), pruned
 	for _, ti := range targets {
 		tr.Shards = append(tr.Shards, m.shards[ti].id)
 	}
@@ -79,10 +78,7 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 // logical query's, so none is attributed.
 func (m *Manager) finishTrace(res *engine.Result, tr *obs.QueryTrace, preds []obs.PredicateTrace, total int) {
 	tr.Total = time.Since(tr.Start)
-	tr.RowsScanned = res.Stats.RowsScanned
-	tr.RowsSkipped = res.Stats.RowsSkipped
-	tr.RowsCovered = res.Stats.RowsCovered
-	tr.ZonesProbed = res.Stats.ZonesProbed
+	tr.Cost = res.Stats
 	tr.RowsTotal = total
 	tr.Matched = res.Count
 	for i := range preds {

@@ -66,6 +66,14 @@ func pair(t *testing.T, mode Mode, shards, n int) (*engine.Engine, *Manager) {
 		t.Fatal(err)
 	}
 
+	return ref, newManager(t, mode, shards, rows)
+}
+
+// newManager builds an adaptive Manager sharded on "id" over rows, with
+// skipping enabled as pair's reference has it. Two built from the same
+// rows are twins: the same query history leaves them the same.
+func newManager(t *testing.T, mode Mode, shards int, rows [][]storage.Value) *Manager {
+	t.Helper()
 	m, err := New("sales", testSchema(), Options{
 		Shards: shards,
 		Key:    "id",
@@ -81,7 +89,7 @@ func pair(t *testing.T, mode Mode, shards, n int) (*engine.Engine, *Manager) {
 	if err := m.EnableSkipping("id", "price"); err != nil {
 		t.Fatal(err)
 	}
-	return ref, m
+	return m
 }
 
 // renderRow formats a row for comparison. Float64 cells round to 6

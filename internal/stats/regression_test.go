@@ -12,7 +12,7 @@ import (
 
 func skipSample(fp string, read, skipped int64) Sample {
 	return Sample{Fingerprint: fp, Table: "data", Latency: time.Millisecond,
-		RowsRead: read, RowsSkipped: skipped}
+		Cost: obs.Cost{RowsScanned: int(read), RowsSkipped: int(skipped)}}
 }
 
 // A fresh template's first observation seeds both EWMAs, so it must not

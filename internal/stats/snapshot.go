@@ -145,14 +145,14 @@ func (t *Table) snapshotEntryLocked(e *entry) TemplateSnapshot {
 		TotalSeconds:  e.totalSeconds,
 		P50US:         1e6 * obs.QuantileFromBuckets(t.bounds, e.latBuckets, 0.50),
 		P95US:         1e6 * obs.QuantileFromBuckets(t.bounds, e.latBuckets, 0.95),
-		RowsRead:      e.rowsRead,
+		RowsRead:      int64(e.cost.RowsScanned),
 		RowsReturned:  e.rowsReturned,
-		RowsSkipped:   e.rowsSkipped,
+		RowsSkipped:   int64(e.cost.RowsSkipped),
 		ZonesRead:     e.zonesRead,
 		ZonesPruned:   e.zonesPruned,
-		BytesScanned:  e.bytesScanned,
-		ShardsScanned: e.shardsScanned,
-		ShardsPruned:  e.shardsPruned,
+		BytesScanned:  int64(e.cost.BytesScanned),
+		ShardsScanned: int64(e.cost.ShardsScanned),
+		ShardsPruned:  int64(e.cost.ShardsPruned),
 		FirstSeen:     e.firstSeen,
 		LastSeen:      e.lastSeen,
 	}
@@ -166,8 +166,8 @@ func (t *Table) snapshotEntryLocked(e *entry) TemplateSnapshot {
 	if ts.Calls > 0 {
 		ts.MeanUS = 1e6 * ts.TotalSeconds / float64(ts.Calls)
 	}
-	if denom := e.rowsSkipped + e.rowsRead; denom > 0 {
-		ts.SkipRatio = float64(e.rowsSkipped) / float64(denom)
+	if denom := ts.RowsSkipped + ts.RowsRead; denom > 0 {
+		ts.SkipRatio = float64(ts.RowsSkipped) / float64(denom)
 	}
 	ts.SkipFast, ts.SkipBase = e.skipFast, e.skipBase
 	if gap := e.skipBase - e.skipFast; gap > 0 {

@@ -45,23 +45,21 @@ const (
 // Sample is one executed (or failed) query, already attributed to a
 // template by the caller.
 type Sample struct {
-	Fingerprint  string
-	Table        string
-	Err          bool // the query failed; only Latency is aggregated
-	CacheHit     bool // served from a statement cache
-	Latency      time.Duration
-	RowsRead     int64 // rows actually examined after pruning
+	Fingerprint string
+	Table       string
+	Err         bool // the query failed; only Latency is aggregated
+	CacheHit    bool // served from a statement cache
+	Latency     time.Duration
+	// Cost is the query's counted work: the rows it read (scanned) and
+	// skipped, its bytes scanned, and on a sharded table its shards
+	// scanned and pruned.
+	Cost         obs.Cost
 	RowsReturned int64 // rows (or groups) in the result
-	RowsSkipped  int64 // rows pruned by skipping metadata
 	ZonesRead    int64 // candidate zones scanned
 	ZonesPruned  int64 // zones eliminated by metadata probes
-	BytesScanned int64
-	// Shard scatter-gather attribution (sharded tables only; all zero on
-	// unsharded engines). Shards lists the 1-based shard numbers this
-	// query actually scanned, for the /workload?shard=N filter.
-	ShardsScanned int64
-	ShardsPruned  int64
-	Shards        []int
+	// Shards lists the 1-based shard numbers a sharded query actually
+	// scanned, for the /workload?shard=N filter.
+	Shards []int
 }
 
 // entry is the live aggregate for one template. Guarded by Table.mu.
@@ -74,11 +72,10 @@ type entry struct {
 	totalSeconds             float64
 	latBuckets               []int64 // on the shared obs latency bounds
 
-	rowsRead, rowsReturned, rowsSkipped int64
-	zonesRead, zonesPruned              int64
-	bytesScanned                        int64
-	shardsScanned, shardsPruned         int64
-	shards                              map[int]struct{} // 1-based shard numbers ever scanned
+	cost                   obs.Cost // summed over successful calls
+	rowsReturned           int64
+	zonesRead, zonesPruned int64
+	shards                 map[int]struct{} // 1-based shard numbers ever scanned
 
 	// Skip-regression detector state: two EWMAs of the template's
 	// per-query skip rate. skipFast tracks recent behavior; skipBase is
@@ -180,16 +177,12 @@ func (t *Table) Record(s Sample) {
 		if s.CacheHit {
 			e.cacheHits++
 		}
-		e.rowsRead += s.RowsRead
+		e.cost.Add(s.Cost)
 		e.rowsReturned += s.RowsReturned
-		e.rowsSkipped += s.RowsSkipped
 		e.zonesRead += s.ZonesRead
 		e.zonesPruned += s.ZonesPruned
-		e.bytesScanned += s.BytesScanned
-		e.shardsScanned += s.ShardsScanned
-		e.shardsPruned += s.ShardsPruned
-		if denom := s.RowsSkipped + s.RowsRead; denom > 0 {
-			rate := float64(s.RowsSkipped) / float64(denom)
+		if denom := s.Cost.RowsSkipped + s.Cost.RowsScanned; denom > 0 {
+			rate := float64(s.Cost.RowsSkipped) / float64(denom)
 			if !e.skipSeen {
 				// Warm start: the first observation seeds both averages so
 				// a fresh template never reports a spurious gap.

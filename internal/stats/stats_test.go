@@ -13,8 +13,8 @@ import (
 func sample(fp string, lat time.Duration) Sample {
 	return Sample{
 		Fingerprint: fp, Table: "data", Latency: lat,
-		RowsRead: 100, RowsReturned: 1, RowsSkipped: 900,
-		ZonesRead: 2, ZonesPruned: 18, BytesScanned: 800,
+		Cost:         obs.Cost{RowsScanned: 100, RowsSkipped: 900, BytesScanned: 800},
+		RowsReturned: 1, ZonesRead: 2, ZonesPruned: 18,
 	}
 }
 
@@ -91,10 +91,10 @@ func TestLRUEviction(t *testing.T) {
 func TestSnapshotSortOrders(t *testing.T) {
 	tb := New(Options{})
 	for i := 0; i < 3; i++ {
-		tb.Record(Sample{Fingerprint: "hot", Latency: time.Millisecond, BytesScanned: 10})
+		tb.Record(Sample{Fingerprint: "hot", Latency: time.Millisecond, Cost: obs.Cost{BytesScanned: 10}})
 	}
-	tb.Record(Sample{Fingerprint: "slow", Latency: time.Second, BytesScanned: 5})
-	tb.Record(Sample{Fingerprint: "big", Latency: time.Microsecond, BytesScanned: 1 << 20})
+	tb.Record(Sample{Fingerprint: "slow", Latency: time.Second, Cost: obs.Cost{BytesScanned: 5}})
+	tb.Record(Sample{Fingerprint: "big", Latency: time.Microsecond, Cost: obs.Cost{BytesScanned: 1 << 20}})
 
 	if top := tb.Snapshot(SortTime, 1).Templates[0].Fingerprint; top != "slow" {
 		t.Fatalf("sort=time top = %q, want slow", top)

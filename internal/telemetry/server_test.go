@@ -20,7 +20,7 @@ func testSource() Source {
 	ring := obs.NewTraceRing(8)
 	ring.Append(&obs.QueryTrace{Table: "t", Start: time.Now(),
 		Plan: time.Microsecond, Probe: 2 * time.Microsecond, Scan: 3 * time.Microsecond,
-		Total: 7 * time.Microsecond, RowsScanned: 100, RowsSkipped: 80, RowsTotal: 180})
+		Total: 7 * time.Microsecond, Cost: obs.Cost{RowsScanned: 100, RowsSkipped: 80}, RowsTotal: 180})
 	return Source{Registry: reg, Traces: ring}
 }
 

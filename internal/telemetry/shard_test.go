@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adskip/internal/obs"
 	"adskip/internal/stats"
 )
 
@@ -16,13 +17,13 @@ func shardedSource() Source {
 	tbl := stats.New(stats.Options{})
 	tbl.Record(stats.Sample{
 		Fingerprint: "SELECT COUNT(*) FROM t WHERE id < ?", Table: "t",
-		Latency: time.Millisecond, RowsRead: 100,
-		ShardsScanned: 1, ShardsPruned: 2, Shards: []int{1},
+		Latency: time.Millisecond, Cost: obs.Cost{RowsScanned: 100, ShardsScanned: 1, ShardsPruned: 2},
+		Shards: []int{1},
 	})
 	tbl.Record(stats.Sample{
 		Fingerprint: "SELECT COUNT(*) FROM t", Table: "t",
-		Latency: time.Millisecond, RowsRead: 300,
-		ShardsScanned: 3, Shards: []int{1, 2, 3},
+		Latency: time.Millisecond, Cost: obs.Cost{RowsScanned: 300, ShardsScanned: 3},
+		Shards: []int{1, 2, 3},
 	})
 	src.Workload = tbl
 	return src

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"adskip/internal/obs"
 	"adskip/internal/stats"
 )
 
@@ -20,14 +21,14 @@ func workloadSource() Source {
 	tbl := stats.New(stats.Options{})
 	tbl.Record(stats.Sample{
 		Fingerprint: "SELECT COUNT(*) FROM data WHERE v < ?", Table: "data",
-		Latency: 50 * time.Millisecond, RowsRead: 1000, RowsReturned: 10,
-		RowsSkipped: 9000, ZonesRead: 4, ZonesPruned: 36, BytesScanned: 8000,
+		Latency: 50 * time.Millisecond, RowsReturned: 10, ZonesRead: 4, ZonesPruned: 36,
+		Cost: obs.Cost{RowsScanned: 1000, RowsSkipped: 9000, BytesScanned: 8000},
 	})
 	for i := 0; i < 3; i++ {
 		tbl.Record(stats.Sample{
 			Fingerprint: "SELECT * FROM data WHERE v = ?", Table: "data",
 			CacheHit: i > 0, Latency: time.Millisecond,
-			RowsRead: 10, RowsReturned: 1, RowsSkipped: 90, BytesScanned: 80,
+			RowsReturned: 1, Cost: obs.Cost{RowsScanned: 10, RowsSkipped: 90, BytesScanned: 80},
 		})
 	}
 	src.Workload = tbl

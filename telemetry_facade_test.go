@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -408,4 +410,69 @@ func TestTelemetryConcurrentWithQueries(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestTracesJSONGolden pins the /traces JSON byte for byte, with start
+// times and phase timings masked: every key, its place and every count,
+// on an unsharded table and on 2-shard hash and range tables, where a
+// merged trace's per-predicate counts are its shards' sums.
+func TestTracesJSONGolden(t *testing.T) {
+	queries := []string{
+		"SELECT COUNT(*) FROM events WHERE v BETWEEN 3000 AND 3500",
+		"SELECT COUNT(*) FROM events WHERE v BETWEEN 3200 AND 5600",
+		"SELECT SUM(seq) FROM events WHERE v BETWEEN 2500 AND 9000 AND seq < 15000",
+		"SELECT seq FROM events WHERE v < 4500 ORDER BY seq DESC LIMIT 3",
+		"SELECT COUNT(*) FROM events WHERE v BETWEEN 3100 AND 5700",
+		"SELECT COUNT(*) FROM events WHERE seq < 700",
+	}
+	start := regexp.MustCompile(`"start": "[^"]*"`)
+	phase := regexp.MustCompile(`"(\w+_ns)": \d+`)
+	var got strings.Builder
+	for _, o := range []Options{
+		{Policy: Adaptive, Parallelism: 1},
+		{Policy: Adaptive, Parallelism: 1, Shards: 2, ShardKey: "seq", ShardBy: "hash"},
+		{Policy: Adaptive, Parallelism: 1, Shards: 2, ShardKey: "seq", ShardBy: "range"},
+	} {
+		db := Open(o)
+		tab, err := db.CreateTable("events", Col("v", Int64), Col("seq", Int64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20000; i++ {
+			if err := tab.Append((i/1000)*1000+i%7*150, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tab.EnableSkipping("v", "seq"); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			if _, err := db.Exec(q); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+		url, err := db.StartTelemetry("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(url + "/traces")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		db.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "== shards=%d %s\n", o.Shards, o.ShardBy)
+		got.Write(phase.ReplaceAll(start.ReplaceAll(body, []byte(`"start": "-"`)), []byte(`"$1": 0`)))
+	}
+	want, err := os.ReadFile("testdata/traces.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("/traces drifted from testdata/traces.golden; got:\n%s", got.String())
+	}
 }
