@@ -351,11 +351,18 @@ func (e *Engine) AppendRowsAsync(rows [][]storage.Value) (wal.Commit, error) {
 		return wal.Commit{}, nil
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	staged, err := e.tbl.Stage(rows)
-	if err != nil {
-		return wal.Commit{}, err
+	var commit wal.Commit
+	if err == nil {
+		commit, err = e.logAndCommitLocked(staged)
 	}
+	e.mu.Unlock()
+	return commit, err
+}
+
+// logAndCommitLocked is the second half of an append, under e.mu: it logs
+// a staged batch, when a WAL is armed, and commits it.
+func (e *Engine) logAndCommitLocked(staged table.Staged) (wal.Commit, error) {
 	var commit wal.Commit
 	if e.wal != nil {
 		c, err := e.wal.Append(&wal.Record{
@@ -373,6 +380,70 @@ func (e *Engine) AppendRowsAsync(rows [][]storage.Value) (wal.Commit, error) {
 	e.tbl.Commit(staged)
 	faultinject.Crash(faultinject.CrashWALAfterApply)
 	return commit, nil
+}
+
+// Gathered is one batch staged for several engines at once, each engine's
+// rows gathered from it and none committed yet: Gather's result. Every
+// engine is held — queries and appends on it wait — until Commit.
+type Gathered struct {
+	engines []*Engine
+	staged  []table.Staged
+}
+
+// Gather stages, for each engine, batch rows rows[i] of src, a batch
+// StageApart staged against the engines' schema (table.StageGather), and
+// holds every engine until the batch is committed (Commit). A batch
+// one engine would refuse — a string its sealed dictionary lacks — is
+// refused for all of them, with nothing staged: the error names the batch
+// row. Engines are taken in the order given, so concurrent callers must
+// list them in one order; once all are held, each stages into its own
+// table on a goroutine of its own.
+func Gather(engines []*Engine, src table.Staged, rows [][]int32) (*Gathered, error) {
+	g := &Gathered{engines: engines, staged: make([]table.Staged, len(engines))}
+	for _, e := range engines {
+		e.mu.Lock()
+	}
+	errs := make([]error, len(engines))
+	var wg sync.WaitGroup
+	for i, e := range engines[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.staged[i+1], errs[i+1] = e.tbl.StageGather(src, rows[i+1])
+		}()
+	}
+	g.staged[0], errs[0] = engines[0].tbl.StageGather(src, rows[0])
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			for _, e := range engines {
+				e.mu.Unlock()
+			}
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// Commit logs and commits each engine's rows, in order, releasing each
+// engine once its rows are in, and returns each engine's durability wait
+// (see AppendRowsAsync). Staging refused what a table could refuse, so
+// only the log can fail here: the engines before the one whose record it
+// refused hold their rows, the rest do not.
+func (g *Gathered) Commit() ([]wal.Commit, error) {
+	commits := make([]wal.Commit, len(g.engines))
+	for i, e := range g.engines {
+		c, err := e.logAndCommitLocked(g.staged[i])
+		e.mu.Unlock()
+		if err != nil {
+			for _, e := range g.engines[i+1:] {
+				e.mu.Unlock()
+			}
+			return nil, err
+		}
+		commits[i] = c
+	}
+	return commits, nil
 }
 
 // SetWAL arms (or, with nil, disarms) write-ahead logging on the append

@@ -451,6 +451,14 @@ const windowRows = 1024
 // or into a keep list in row order that stops at LIMIT (an unordered
 // projection). The rows a projection retains are materialized at the end.
 //
+// An ORDER BY whose matches only the top-L selection consumes tests each
+// window, once the heap is full, against the cut before filtering it: a
+// window whose order codes cannot reach it (see topL.outside) is neither
+// filtered nor offered. The min/max kernel did read its order codes, so
+// it charges them to RowsScanned and BytesScanned, at the order column's
+// width, and to the ticker, and a covered one to RowsCovered as before:
+// Limits.MaxRowsScanned still bounds the work.
+//
 // Aggregates see every match, whatever the result shape. An unordered
 // projection without aggregates stops at LIMIT: once the keep list is full,
 // the rest of its candidate segment is still filtered, so RowsScanned
@@ -469,6 +477,10 @@ func (e *Engine) execWindows(qc *qctx, plans []colPlan, p *Partial, b *binding, 
 	if b.orderCol != nil {
 		top = newTopL(b.orderCol, b.desc, limit)
 	}
+	// cut: only the top-L selection consumes the matches, so a window
+	// whose order codes cannot reach a full heap's cut need not be
+	// filtered.
+	cut := top != nil && projecting && b.grp == nil && len(b.accs) == 0
 	var keep []uint32 // an unordered projection's rows
 	full := func() bool {
 		return projecting && top == nil && len(b.accs) == 0 && limit > 0 && len(keep) == limit
@@ -488,6 +500,16 @@ func (e *Engine) execWindows(qc *qctx, plans []colPlan, p *Partial, b *binding, 
 			covered := w.needEval == 0
 			matched, read := w.hi-w.lo, w.hi-w.lo
 			sel.Reset()
+			if cut && top.threshold && top.outside(w.lo, w.hi) {
+				if covered {
+					res.Stats.RowsCovered += matched
+				}
+				scanned(&res.Stats, read, b.orderCol)
+				if err := tk.tick(read); err != nil {
+					return err
+				}
+				continue
+			}
 			if covered {
 				if full() {
 					break
@@ -567,21 +589,22 @@ func (p *Partial) materialize(qc *qctx, b *binding, rows []uint32) error {
 	if keys > 0 {
 		p.keys, slab = slab[cells:], slab[:cells]
 	}
-	for i, r := range rows {
-		if i%checkpointRows == checkpointRows-1 {
+	for lo := 0; lo < len(rows); lo += checkpointRows {
+		if lo > 0 {
 			if err := qc.check(0); err != nil {
 				return err
 			}
 		}
-		vals := slab[:width:width]
-		slab = slab[width:]
+		chunk := rows[lo:min(lo+checkpointRows, len(rows))]
 		for ci, col := range b.projCols {
-			vals[ci] = col.Value(int(r))
+			col.Values(slab[lo*width+ci:], width, chunk)
 		}
-		res.Rows[i] = vals
 		if b.orderCol != nil {
-			p.keys[i] = b.orderCol.Value(int(r))
+			b.orderCol.Values(p.keys[lo:], 1, chunk)
 		}
+	}
+	for i := range res.Rows {
+		res.Rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
 	}
 	res.Count = len(res.Rows)
 	return nil

@@ -5,6 +5,7 @@ import (
 
 	"adskip/internal/bitvec"
 	"adskip/internal/dict"
+	"adskip/internal/scan"
 	"adskip/internal/storage"
 )
 
@@ -91,6 +92,24 @@ func (t *topL) offer(rows []uint32) {
 // cut, so whatever code a NULL row carries, add drops it.)
 func (t *topL) rejects(r uint32) bool {
 	return t.threshold && uint64(t.codes.At(int(r)))^t.flip >= t.ents[0].key
+}
+
+// outside reports whether no row of [lo, hi) can make a full heap's cut:
+// the window's best key — its least code ascending, its greatest
+// descending — is not before the root. Rows arrive in ascending order, so
+// a tie already loses, and a window of NULL rows only holds nothing a full
+// heap keeps. It reads the window's codes once, with the min/max kernel,
+// and is only asked while the threshold holds.
+func (t *topL) outside(lo, hi int) bool {
+	h, nonNull := scan.MinMax(t.codes, lo, hi, t.nulls, 0)
+	if nonNull == 0 {
+		return true
+	}
+	best := h.Min
+	if t.desc {
+		best = h.Max
+	}
+	return uint64(best)^t.flip >= t.ents[0].key
 }
 
 // add offers one row that the threshold did not reject.

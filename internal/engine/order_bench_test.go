@@ -61,17 +61,28 @@ func benchRanges(b *testing.B, e *Engine, n int) []expr.Conj {
 
 // BenchmarkOrderByLimit times ORDER BY seq over the ~10k matches of a 1%
 // range on a 1 Mi-row clustered table: L=100 is the served workload's
-// query (keep 100 of 10k), L=0 the full ordering.
+// query (keep 100 of 10k), L=0 the full ordering. seq ascends, so L=100
+// skips every window past the cut once its heap is full, while
+// L=100-desc finds better rows in every window and never skips: it
+// measures what the window test costs where it cannot pay.
 func BenchmarkOrderByLimit(b *testing.B) {
 	const n = 1 << 20
 	e := benchClustered(b, n)
 	wheres := benchRanges(b, e, n)
-	for _, limit := range []int{100, 0} {
+	for _, c := range []struct {
+		limit int
+		desc  bool
+	}{{100, false}, {100, true}, {0, false}} {
+		limit := c.limit
 		qs := make([]Query, len(wheres))
 		for i, where := range wheres {
-			qs[i] = Query{Where: where, Select: []string{"v", "seq"}, OrderBy: "seq", Limit: limit}
+			qs[i] = Query{Where: where, Select: []string{"v", "seq"}, OrderBy: "seq", OrderDesc: c.desc, Limit: limit}
 		}
-		b.Run(fmt.Sprintf("L=%d", limit), func(b *testing.B) {
+		name := fmt.Sprintf("L=%d", limit)
+		if c.desc {
+			name += "-desc"
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adskip/internal/adaptive"
@@ -96,5 +98,36 @@ func TestShardZonesFollowBands(t *testing.T) {
 	if 2*scanned[0] > 3*scanned[1] {
 		t.Fatalf("the sharded table read %d rows where its unsharded twin read %d (%.1fx, limit 1.5x)",
 			scanned[0], scanned[1], float64(scanned[0])/float64(scanned[1]))
+	}
+}
+
+// TestEquidepthBoundsMatchSort: selecting each bound gives the codes a
+// sort puts at the equi-depth ranks, on runs of equal codes, sorted and
+// reversed input and random input, at every shard count used.
+func TestEquidepthBoundsMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	inputs := map[string][]int64{}
+	for _, n := range []int{16, 17, 100, 5000} {
+		var dup, asc, desc, random []int64
+		for i := 0; i < n; i++ {
+			dup = append(dup, int64(rng.Intn(3)))
+			asc = append(asc, int64(i))
+			desc = append(desc, int64(n-i))
+			random = append(random, rng.Int63()-rng.Int63())
+		}
+		inputs[fmt.Sprintf("dup/%d", n)], inputs[fmt.Sprintf("asc/%d", n)] = dup, asc
+		inputs[fmt.Sprintf("desc/%d", n)], inputs[fmt.Sprintf("random/%d", n)] = desc, random
+	}
+	for name, codes := range inputs {
+		sorted := slices.Clone(codes)
+		slices.Sort(sorted)
+		for shards := 2; shards <= 8; shards++ {
+			got := equidepthBounds(slices.Clone(codes), shards)
+			for i, b := range got {
+				if want := sorted[(i+1)*len(sorted)/shards]; b != want {
+					t.Fatalf("%s, %d shards: bound %d = %d, sorting gives %d", name, shards, i, b, want)
+				}
+			}
+		}
 	}
 }

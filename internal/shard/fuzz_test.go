@@ -16,6 +16,9 @@ import (
 // projection with a limit keeps whichever LIMIT matches its shards reach
 // first, so its rows are held to the whole match set instead. The merged
 // trace's per-predicate costs are the sums of a twin's shard partials'.
+// And the same rows appended in two batches, cut where the limit says,
+// leave each shard's columns and log records as staging its own rows
+// would (checkGatherMatchesStage).
 func FuzzShardedMatchesUnsharded(f *testing.F) {
 	for shape := uint8(0); shape < 8; shape++ {
 		f.Add(shape, int16(100), int16(700), uint8(40), uint8(10), uint16(1000), uint8(shape%3), shape%2 == 0, shape%4 < 2)
@@ -64,6 +67,9 @@ func FuzzShardedMatchesUnsharded(f *testing.F) {
 			t.Fatalf("%s: sharded: %v", name, err)
 		}
 		checkTraceAddsShards(t, name, got.Trace, shardCosts(t, twin, q))
+		all := testRows(rows)
+		cut := int(limit) * len(all) / 256
+		checkGatherMatchesStage(t, mode, m.Shards(), "id", testSchema(), [][][]storage.Value{all[:cut], all[cut:]}, -1)
 		if !ordered && q.Limit > 0 {
 			all := q
 			all.Limit = 0

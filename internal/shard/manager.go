@@ -24,9 +24,8 @@ package shard
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -122,15 +121,6 @@ type keyStats struct {
 
 var noKeys = keyStats{keys: expr.EmptyHull}
 
-// add folds one row's key into the stats.
-func (k *keyStats) add(code int64, null bool) {
-	if null {
-		k.nulls++
-	} else {
-		k.keys = k.keys.Admit(code)
-	}
-}
-
 // widen folds a group's observed key stats into the shard's bounds.
 func (s *shardState) widen(k keyStats) {
 	s.mu.Lock()
@@ -157,9 +147,10 @@ type Manager struct {
 	routeMu sync.Mutex
 	bounds  []int64
 	rr      int
-	// picks recycles route's per-row shard indices (*[]int32) across
+	// batches recycles AppendRows' staged batches (*table.Staged), and
+	// lists route's buffer (*[]int32: the per-shard row lists), across
 	// batches and concurrent appenders.
-	picks sync.Pool
+	batches, lists sync.Pool
 
 	mPruned  *obs.Counter
 	mScanned *obs.Counter
@@ -306,38 +297,53 @@ func (m *Manager) ShardEngine(id int) *engine.Engine {
 	return m.shards[id-1].eng
 }
 
-// keyCode extracts the routing code of one row: (code, isNull).
-func (m *Manager) keyCode(row []storage.Value) (int64, bool, error) {
-	if m.keyIdx >= len(row) {
-		return 0, false, fmt.Errorf("shard: row arity %d misses key column %q (index %d)", len(row), m.key, m.keyIdx)
-	}
-	v := row[m.keyIdx]
-	if v.IsNull() {
-		return 0, true, nil
-	}
-	switch v.Type() {
-	case storage.Int64:
-		return v.Int(), false, nil
-	case storage.Float64:
-		f := v.Float()
-		if math.IsNaN(f) {
-			return 0, false, fmt.Errorf("shard: NaN key value in column %q", m.key)
-		}
-		return storage.EncodeFloat64(f), false, nil
-	}
-	return 0, false, fmt.Errorf("shard: key column %q got %s value", m.key, v.Type())
-}
-
 // equidepthBounds computes shards-1 inclusive upper bounds dividing the
-// observed codes into (approximately) equal-count runs.
+// observed codes into (approximately) equal-count runs: bound i is the code
+// a sort would put at rank (i+1)*len(codes)/shards. It reorders codes in
+// place, selecting each bound among the codes above the one before rather
+// than sorting them all.
 func equidepthBounds(codes []int64, shards int) []int64 {
-	sorted := slices.Clone(codes)
-	slices.Sort(sorted)
 	bounds := make([]int64, shards-1)
+	lo := 0
 	for i := range bounds {
-		bounds[i] = sorted[(i+1)*len(sorted)/shards] // below len(sorted): i+1 < shards
+		k := (i + 1) * len(codes) / shards // below len(codes): i+1 < shards
+		nthElement(codes[lo:], k-lo)
+		bounds[i], lo = codes[k], k
 	}
 	return bounds
+}
+
+// nthElement reorders s so that s[k] is the code a sort would put there,
+// with none greater before it and none less after it: quickselect over a
+// three-way partition (runs of equal codes end it early), sorting a slice
+// that is short or resists partitioning.
+func nthElement(s []int64, k int) {
+	for depth := 2 * bits.Len(uint(len(s))); len(s) > 16 && depth > 0; depth-- {
+		a, b, c := s[0], s[len(s)/2], s[len(s)-1]
+		p := max(min(a, b), min(max(a, b), c)) // the median of three
+		lt, i, gt := 0, 0, len(s)
+		for i < gt {
+			switch v := s[i]; {
+			case v < p:
+				s[lt], s[i] = v, s[lt]
+				lt, i = lt+1, i+1
+			case v > p:
+				gt--
+				s[i], s[gt] = s[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			s = s[:lt]
+		case k >= gt:
+			s, k = s[gt:], k-gt
+		default:
+			return // s[k] == p
+		}
+	}
+	slices.Sort(s)
 }
 
 // hashCode is a multiplicative (Fibonacci) hash of a key code.
@@ -345,110 +351,125 @@ func hashCode(code int64) uint64 {
 	return uint64(code) * 0x9E3779B97F4A7C15
 }
 
-// routeShard picks the shard index (0-based) for one key code under the
-// given learned bounds (nil = caller handles fallback).
-func (m *Manager) routeShard(code int64, null bool, bounds []int64) int {
-	n := len(m.shards)
-	if null {
-		return 0
-	}
-	if m.mode == ModeHash {
-		return int(hashCode(code) % uint64(n))
-	}
-	i := sort.Search(len(bounds), func(i int) bool { return bounds[i] >= code })
-	return i // i == len(bounds) means the last shard
+// routing is where a batch's rows go: each shard's rows as ascending batch
+// row indexes, and the key stats its bounds must absorb before they are
+// applied. The lists are cut from one pooled buffer of int32s, room for
+// the whole batch per shard.
+type routing struct {
+	buf   *[]int32
+	rows  [][]int32
+	stats []keyStats
 }
 
-// group is the part of a batch routed to one shard, with the key stats
-// that shard's bounds must absorb before the rows are applied.
-type group struct {
-	rows [][]storage.Value
-	keyStats
-}
-
-// route partitions a batch of rows into per-shard groups, extracting each
-// row's key once: the same pass picks the shard, notes the pick in a
-// reused buffer, counts it and folds the key into the group's stats; a
-// second pass over the picks alone deals the row headers into groups cut,
-// exactly sized, from one allocation. In range mode before bounds are
-// learned, a batch carrying at least shards*learnRowsPerShard rows fixes
-// the bounds (equi-depth over the batch — the one batch in a Manager's life
-// whose keys are read twice); smaller early batches round-robin whole to
-// one shard, which pruning tolerates because it consults observed bounds,
-// not placement intent. A bad key rejects the batch on every path.
-func (m *Manager) route(rows [][]storage.Value) ([]group, error) {
-	n := len(m.shards)
-	groups := make([]group, n)
-	for i := range groups {
-		groups[i].keyStats = noKeys
-	}
+// route places a staged batch by its key column's codes in one pass: each
+// row's shard is picked (hash, learned bounds, or the one shard a
+// round-robin batch goes to whole; a NULL key goes to the first shard),
+// the row's index appended to that shard's list — each list has room for
+// the whole batch, cut from one pooled buffer — and its key folded into
+// the shard's key stats. In range mode before
+// bounds are learned, a batch carrying at least shards*learnRowsPerShard
+// rows fixes the bounds (equi-depth over its non-NULL keys — the one batch
+// in a Manager's life whose keys are read twice); smaller early batches
+// round-robin whole to one shard, which pruning tolerates because it
+// consults observed bounds, not placement intent. The caller returns
+// r.buf to m.lists.
+func (m *Manager) route(src table.Staged) routing {
+	codes, nulls := src.Col(m.keyIdx).Codes()
+	n, ns := codes.Len(), len(m.shards)
 
 	m.routeMu.Lock()
 	bounds := m.bounds
 	whole := -1 // round-robin fallback: the shard taking the whole batch
 	if m.mode == ModeRange && bounds == nil {
-		if len(rows) >= n*learnRowsPerShard {
-			codes := make([]int64, 0, len(rows))
-			for _, r := range rows {
-				code, null, err := m.keyCode(r)
-				if err != nil {
-					m.routeMu.Unlock()
-					return nil, err
+		if n >= ns*learnRowsPerShard && len(nulls) < n {
+			keys := make([]int64, 0, n-len(nulls))
+			for i, rest := 0, nulls; i < n; i++ {
+				if len(rest) > 0 && rest[0] == i {
+					rest = rest[1:]
+					continue
 				}
-				if !null {
-					codes = append(codes, code)
-				}
+				keys = append(keys, codes.At(i))
 			}
-			if len(codes) > 0 {
-				m.bounds = equidepthBounds(codes, n)
-				bounds = m.bounds
-			}
+			m.bounds = equidepthBounds(keys, ns)
+			bounds = m.bounds
 		}
 		if bounds == nil {
-			whole = m.rr % n
+			whole = m.rr % ns
 			m.rr++
 		}
 	}
 	m.routeMu.Unlock()
 
-	if whole >= 0 {
-		g := &groups[whole]
-		for _, r := range rows {
-			code, null, err := m.keyCode(r)
-			if err != nil {
-				return nil, err
-			}
-			g.add(code, null)
-		}
-		g.rows = rows
-		return groups, nil
-	}
-
-	buf, _ := m.picks.Get().(*[]int32)
+	buf, _ := m.lists.Get().(*[]int32)
 	if buf == nil {
 		buf = new([]int32)
 	}
-	defer m.picks.Put(buf)
-	*buf = slices.Grow((*buf)[:0], len(rows))[:len(rows)]
-	pick, counts := *buf, make([]int, n)
-	for i, r := range rows {
-		code, null, err := m.keyCode(r)
-		if err != nil {
-			return nil, err
+	*buf = slices.Grow((*buf)[:0], ns*n)[:ns*n]
+	r := routing{buf: buf, rows: make([][]int32, ns), stats: make([]keyStats, ns)}
+	for si := range r.rows {
+		r.rows[si] = (*buf)[si*n : si*n : (si+1)*n]
+		r.stats[si] = noKeys
+	}
+	if codes.W != nil {
+		pickShards(r.rows, r.stats, codes.W, nulls, m.mode, bounds, whole)
+	} else {
+		pickShards(r.rows, r.stats, codes.N, nulls, m.mode, bounds, whole)
+	}
+	return r
+}
+
+// pickShards is route's pass over the key codes: each row's index is
+// appended to its shard's list and its key folded into the shard's stats.
+// nulls are the NULL rows, ascending; the runs of keys between them are
+// picked by pickRun.
+func pickShards[T storage.Code](rows [][]int32, stats []keyStats, codes []T, nulls []int, mode Mode, bounds []int64, whole int) {
+	nullShard := max(whole, 0)
+	at := 0
+	for _, row := range nulls {
+		pickRun(rows, stats, codes[at:row], at, mode, bounds, whole)
+		rows[nullShard] = append(rows[nullShard], int32(row))
+		stats[nullShard].nulls++
+		at = row + 1
+	}
+	pickRun(rows, stats, codes[at:], at, mode, bounds, whole)
+}
+
+// pickRun picks the shards of a run of non-NULL keys, batch rows first..,
+// one loop per way of picking. A shard's list has room for the batch.
+func pickRun[T storage.Code](rows [][]int32, stats []keyStats, codes []T, first int, mode Mode, bounds []int64, whole int) {
+	switch {
+	case whole >= 0:
+		h := &stats[whole].keys
+		for i, c := range codes {
+			rows[whole] = append(rows[whole], int32(first+i))
+			h.Min, h.Max = min(h.Min, int64(c)), max(h.Max, int64(c))
 		}
-		si := m.routeShard(code, null, bounds)
-		pick[i] = int32(si)
-		counts[si]++
-		groups[si].add(code, null)
+	case mode == ModeHash:
+		ns := uint64(len(rows))
+		for i, c := range codes {
+			si := int(hashCode(int64(c)) % ns)
+			rows[si] = append(rows[si], int32(first+i))
+			h := &stats[si].keys
+			h.Min, h.Max = min(h.Min, int64(c)), max(h.Max, int64(c))
+		}
+	default:
+		for i, c := range codes {
+			// The first bound at or above the key; past them all, the
+			// last shard.
+			code := int64(c)
+			lo, hi := 0, len(bounds)
+			for lo < hi {
+				if mid := int(uint(lo+hi) >> 1); bounds[mid] < code {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			rows[lo] = append(rows[lo], int32(first+i))
+			h := &stats[lo].keys
+			h.Min, h.Max = min(h.Min, code), max(h.Max, code)
+		}
 	}
-	dealt := make([][]storage.Value, len(rows))
-	for si, k := range counts {
-		groups[si].rows, dealt = dealt[:0:k], dealt[k:]
-	}
-	for i, si := range pick {
-		groups[si].rows = append(groups[si].rows, rows[i])
-	}
-	return groups, nil
 }
 
 // AppendRow appends one row (routed to its shard).
@@ -456,60 +477,63 @@ func (m *Manager) AppendRow(vals ...storage.Value) error {
 	return m.AppendRows([][]storage.Value{vals})
 }
 
-// AppendRows routes a batch to its shards and appends the per-shard
-// groups in parallel — each shard engine serializes its own appends, so
-// concurrent AppendRows callers writing to different shards no longer
-// contend on one table lock. With a WAL armed the per-shard records are
-// group-committed and the call returns only when every group is durable.
-// Observed key bounds widen BEFORE any row is applied: an over-wide
-// bound only costs pruning opportunity, while a late one would cost
-// correctness.
+// AppendRows appends a batch across the shards, all or nothing, as one
+// engine appends it. The batch is staged once, against the schema, on the
+// path an unsharded append takes — which refuses what a table refuses
+// (arity, type, NaN) before any shard is touched — and routed on its key
+// codes; each shard then gathers its rows' codes from it
+// (engine.Gather). A string a shard's sealed dictionary lacks refuses the
+// batch there, before any shard commits, and the error names the batch
+// row. Observed key bounds widen after every shard has staged and BEFORE
+// any row is applied: an over-wide bound only costs pruning opportunity,
+// while a late one would cost correctness. With a WAL armed each shard
+// logs its own record, and the call returns only when every record is
+// durable, so one group commit can absorb them all.
 func (m *Manager) AppendRows(rows [][]storage.Value) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	groups, err := m.route(rows)
+	reuse, _ := m.batches.Get().(*table.Staged)
+	if reuse == nil {
+		reuse = new(table.Staged)
+	}
+	src, err := m.proto.StageApart(rows, *reuse)
 	if err != nil {
 		return err
 	}
+	*reuse = src
+	defer m.batches.Put(reuse)
+	r := m.route(src)
+	defer m.lists.Put(r.buf)
 
-	type part struct {
-		s    *shardState
-		rows [][]storage.Value
-	}
-	var parts []part
-	for si, g := range groups {
-		if len(g.rows) == 0 {
-			continue
-		}
-		s := m.shards[si]
-		s.widen(g.keyStats)
-		parts = append(parts, part{s: s, rows: g.rows})
-	}
-
-	commits := make([]wal.Commit, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			commits[i], errs[i] = parts[i].s.eng.AppendRowsAsync(parts[i].rows)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var targets []*shardState
+	var engines []*engine.Engine
+	var lists [][]int32
+	for si, list := range r.rows {
+		if len(list) > 0 {
+			targets = append(targets, m.shards[si])
+			engines = append(engines, m.shards[si].eng)
+			lists = append(lists, list)
 		}
 	}
-	// All groups logged and applied; wait for durability together so one
-	// fsync can absorb every shard's record.
-	for i := range parts {
+	g, err := engine.Gather(engines, src, lists)
+	if err != nil {
+		return err
+	}
+	for _, s := range targets {
+		s.widen(r.stats[s.id-1])
+	}
+	commits, err := g.Commit()
+	if err != nil {
+		return err
+	}
+	// Every shard's rows are logged and applied; wait for durability
+	// together so one fsync can absorb every shard's record.
+	for i, s := range targets {
 		if err := commits[i].Wait(); err != nil {
 			return err
 		}
-		parts[i].s.mRows.Set(int64(parts[i].s.eng.NumRows()))
+		s.mRows.Set(int64(s.eng.NumRows()))
 	}
 	return nil
 }
@@ -560,12 +584,18 @@ func (m *Manager) ReplayRecord(rec *wal.Record) error {
 		lo, hi, nulls := key.CodeRange()
 		k = keyStats{expr.Hull{Min: lo, Max: hi}, int64(nulls)}
 	case wal.KindRows:
-		for _, r := range rec.Rows {
-			code, null, err := m.keyCode(r)
-			if err != nil {
-				return err
+		st, err := m.proto.StageApart(rec.Rows, table.Staged{})
+		if err != nil {
+			return err
+		}
+		codes, nulls := st.Col(m.keyIdx).Codes()
+		k.nulls = int64(len(nulls))
+		for i := 0; i < codes.Len(); i++ {
+			if len(nulls) > 0 && nulls[0] == i {
+				nulls = nulls[1:]
+				continue
 			}
-			k.add(code, null)
+			k.keys = k.keys.Admit(codes.At(i))
 		}
 	}
 	s.widen(k)

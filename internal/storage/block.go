@@ -291,7 +291,7 @@ func (c *Column) StageBlock(s *StagedRows, b *Block, from int) error {
 	if b.typ != c.typ {
 		return fmt.Errorf("%w: %s block into %s column %q", ErrTypeMismatch, b.typ, c.typ, c.name)
 	}
-	*s = StagedRows{base: c.Len(), n: b.n - from, wide: c.wide}
+	c.begin(s, b.n-from)
 	for nulls := b.nulls; len(nulls) > 0; nulls = nulls[4:] {
 		if row := int(binary.LittleEndian.Uint32(nulls)); row >= from {
 			s.nulls = append(s.nulls, row-from)

@@ -268,6 +268,35 @@ type StagedRows struct {
 	codes  map[string]int64 // strs' provisional codes
 }
 
+// begin readies s for a batch of n rows staged at the column's end. A chunk
+// s still holds was never committed — Commit empties s — so it stays on as
+// room the batch's own chunk may be cut from (newChunk): a caller that
+// stages batch after batch into one StagedRows and drops each
+// (Table.StageApart) allocates its chunks once.
+func (c *Column) begin(s *StagedRows, n int) {
+	room := s.chunk
+	*s = StagedRows{base: c.Len(), n: n, wide: c.wide}
+	if room.capacity() > 0 {
+		s.chunk = room.Slice(0, 0)
+	}
+}
+
+// newChunk returns a chunk of n codes at the batch's width with room for
+// chunkFloor at least: cut from the room begin left in s.chunk when that is
+// at the width and large enough, else new. The stage writes every code.
+func (s *StagedRows) newChunk(n int) Vec {
+	room := max(n, chunkFloor)
+	switch {
+	case s.wide && cap(s.chunk.W) >= room:
+		return Vec{W: s.chunk.W[:n:room]}
+	case s.wide:
+		return Vec{W: make([]int64, n, room)}
+	case cap(s.chunk.N) >= room:
+		return Vec{N: s.chunk.N[:n:room]}
+	}
+	return Vec{N: make([]uint32, n, room)}
+}
+
 // Stage checks and encodes cell col of every row in one typed loop — each
 // cell is read once — and leaves the result in s, overwriting what s held.
 // It reports the first reason the column could not take the batch (a
@@ -290,7 +319,7 @@ type StagedRows struct {
 // vector that meets one. A new chunk is nobody's yet and is rewritten wide
 // where it stands, exactly as long as its rows.
 func (c *Column) Stage(s *StagedRows, rows [][]Value, col int) error {
-	*s = StagedRows{base: c.Len(), n: len(rows), wide: c.wide}
+	c.begin(s, len(rows))
 	return c.stage(s, func(dst Vec, at, first, n int) (int, error) {
 		return c.stageCells(s, dst, at, rows[first:first+n], col, first)
 	})
@@ -314,11 +343,7 @@ func (c *Column) stage(s *StagedRows, fill func(dst Vec, at, first, n int) (int,
 		}
 	}
 	if rest := s.n - s.onTail; rest > 0 {
-		if room := max(rest, chunkFloor); s.wide {
-			s.chunk.W = make([]int64, rest, room)
-		} else {
-			s.chunk.N = make([]uint32, rest, room)
-		}
+		s.chunk = s.newChunk(rest)
 		k, err := fill(s.chunk, 0, s.onTail, rest)
 		if err == nil && k < rest {
 			s.chunk, s.wide = s.chunk.Slice(0, k).widened(rest), true
@@ -536,16 +561,32 @@ func (c *Column) Value(i int) Value {
 	if c.IsNull(i) {
 		return NullValue(c.typ)
 	}
-	code := c.Vec().At(i)
+	return c.decode(c.Vec().At(i))
+}
+
+// decode is the dynamic Value of a non-NULL code.
+func (c *Column) decode(code int64) Value {
 	switch c.typ {
 	case Int64:
 		return IntValue(code)
 	case Float64:
 		return FloatValue(DecodeFloat64(code))
-	case String:
-		return StringValue(c.dict.Value(code))
 	}
-	panic("storage: unknown column type")
+	return StringValue(c.dict.Value(code))
+}
+
+// Values writes the value of each of rows, as Value returns it, into dst
+// from dst[0] on, one every stride cells: what a result materializes, with
+// the column's type and vector resolved once rather than per cell.
+func (c *Column) Values(dst []Value, stride int, rows []uint32) {
+	v, nulls := c.Vec(), c.Nulls()
+	for i, r := range rows {
+		if nulls != nil && nulls.Get(int(r)) {
+			dst[i*stride] = NullValue(c.typ)
+		} else {
+			dst[i*stride] = c.decode(v.At(int(r)))
+		}
+	}
 }
 
 // EncodeValue converts a non-null dynamic value of the column's type into

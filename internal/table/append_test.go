@@ -923,7 +923,7 @@ func BenchmarkColumnWorkers(b *testing.B) {
 					tb := MustNew("data", schema)
 					tb.staged = make([]storage.StagedRows, len(schema))
 					for tb.NumRows() < tableRows {
-						if err := tb.stageColumns(workers, batch{rows: rows}); err != nil {
+						if err := tb.stageColumns(workers, &batch{rows: rows, into: tb.staged}); err != nil {
 							b.Fatal(err)
 						}
 						tb.Commit(Staged{cols: tb.staged})

@@ -153,38 +153,93 @@ type Staged struct{ cols []storage.StagedRows }
 // included) and joins before returning: the stores and the first-touch page
 // faults of different columns' chunks then overlap.
 func (t *Table) Stage(rows [][]storage.Value) (Staged, error) {
-	for i, r := range rows {
-		if len(r) != len(t.columns) {
-			return Staged{}, fmt.Errorf("%w: row %d has %d values, schema has %d columns", ErrRowArity, i, len(r), len(t.columns))
-		}
+	if err := t.checkArity(rows); err != nil {
+		return Staged{}, err
 	}
-	return t.stage(len(rows), batch{rows: rows})
+	return t.stage(len(rows), &batch{rows: rows})
 }
 
-// batch is what one stage call stages: rows, or rows [from, n) of one
-// column block per column (all of n rows: a log record's are checked when
-// it is decoded).
+// StageApart is Stage against an empty table — a schema — into a buffer
+// of the caller's instead of the table's: an empty column has no spare
+// room to stage into, so it changes nothing, any number of callers may
+// stage against one table at once, and what it returns is never committed
+// to it. It is the batch other tables of that schema take rows of through
+// StageGather: checked once, each cell read once. reuse is a batch an
+// earlier StageApart of the table returned that its caller is done with,
+// or the zero Staged: its buffer and the room its codes took are written
+// over, so a caller that keeps handing the last batch back allocates them
+// once.
+func (t *Table) StageApart(rows [][]storage.Value, reuse Staged) (Staged, error) {
+	if t.NumRows() != 0 {
+		panic(fmt.Sprintf("table %q: StageApart on a table of %d rows", t.name, t.NumRows()))
+	}
+	if err := t.checkArity(rows); err != nil {
+		return Staged{}, err
+	}
+	b := &batch{rows: rows, into: reuse.cols}
+	if len(b.into) != len(t.columns) {
+		b.into = make([]storage.StagedRows, len(t.columns))
+	}
+	if err := t.stageColumns(t.workers(len(rows)), b); err != nil {
+		return Staged{}, err
+	}
+	return Staged{cols: b.into}, nil
+}
+
+// StageGather is Stage for rows of a batch StageApart staged against an
+// empty table of the same schema: batch rows rows, ascending, gathered
+// column by column (storage.Column.StageGather). Only a string a sealed
+// dictionary lacks can refuse them here; the error names its batch row.
+func (t *Table) StageGather(src Staged, rows []int32) (Staged, error) {
+	return t.stage(len(rows), &batch{src: src.cols, gather: rows})
+}
+
+// Col returns column ci's staged rows.
+func (st Staged) Col(ci int) *storage.StagedRows { return &st.cols[ci] }
+
+// checkArity reports the first row whose arity is not the schema's.
+func (t *Table) checkArity(rows [][]storage.Value) error {
+	for i, r := range rows {
+		if len(r) != len(t.columns) {
+			return fmt.Errorf("%w: row %d has %d values, schema has %d columns", ErrRowArity, i, len(r), len(t.columns))
+		}
+	}
+	return nil
+}
+
+// batch is what one stage call stages: rows; rows [from, n) of one column
+// block per column (all of n rows: a log record's are checked when it is
+// decoded); or rows gather of a batch another table staged, src. into is
+// where the columns stage it: the table's staging buffer unless set.
 type batch struct {
 	rows   [][]storage.Value
 	blocks []storage.Block
 	from   int
+	src    []storage.StagedRows
+	gather []int32
+	into   []storage.StagedRows
 }
 
 // stage has every column stage the batch's n rows into the table's
 // staging buffer.
-func (t *Table) stage(n int, b batch) (Staged, error) {
+func (t *Table) stage(n int, b *batch) (Staged, error) {
 	if t.staged == nil {
 		t.staged = make([]storage.StagedRows, len(t.columns))
 	}
-	workers := 1
-	if n*len(t.columns) >= parallelCells {
-		workers = min(len(t.columns), runtime.GOMAXPROCS(0))
-	}
-	if err := t.stageColumns(workers, b); err != nil {
+	b.into = t.staged
+	if err := t.stageColumns(t.workers(n), b); err != nil {
 		clear(t.staged)
 		return Staged{}, err
 	}
 	return Staged{cols: t.staged}, nil
+}
+
+// workers is how many goroutines stage a batch of n rows.
+func (t *Table) workers(n int) int {
+	if n*len(t.columns) >= parallelCells {
+		return min(len(t.columns), runtime.GOMAXPROCS(0))
+	}
+	return 1
 }
 
 // Commit is the second half of AppendRows: O(1) per column plus the
@@ -229,7 +284,7 @@ func (t *Table) Replay(rec *wal.Record) error {
 		if len(rec.Blocks) != len(t.columns) {
 			return fmt.Errorf("%w: %d column blocks, table %q has %d columns", ErrRowArity, len(rec.Blocks), t.name, len(t.columns))
 		}
-		st, err := t.stage(int(n)-from, batch{blocks: rec.Blocks, from: from})
+		st, err := t.stage(int(n)-from, &batch{blocks: rec.Blocks, from: from})
 		if err != nil {
 			return err
 		}
@@ -241,15 +296,17 @@ func (t *Table) Replay(rec *wal.Record) error {
 	return fmt.Errorf("table %q: replay of a %s record", t.name, rec.Kind)
 }
 
-// stageColumn stages column ci of the batch into the table's staging
-// buffer.
+// stageColumn stages column ci of the batch into b.into.
 func (t *Table) stageColumn(b *batch, ci int) error {
 	c := t.columns[ci]
 	var err error
-	if b.blocks != nil {
-		err = c.StageBlock(&t.staged[ci], &b.blocks[ci], b.from)
-	} else {
-		err = c.Stage(&t.staged[ci], b.rows, ci)
+	switch {
+	case b.blocks != nil:
+		err = c.StageBlock(&b.into[ci], &b.blocks[ci], b.from)
+	case b.src != nil:
+		err = c.StageGather(&b.into[ci], &b.src[ci], b.gather)
+	default:
+		err = c.Stage(&b.into[ci], b.rows, ci)
 	}
 	if err != nil {
 		return fmt.Errorf("column %q: %w", c.Name(), err)
@@ -259,16 +316,16 @@ func (t *Table) stageColumn(b *batch, ci int) error {
 
 // stageColumns stages every column on the given number of goroutines and
 // returns the error of the lowest failing column.
-func (t *Table) stageColumns(workers int, b batch) error {
+func (t *Table) stageColumns(workers int, b *batch) error {
 	if workers <= 1 {
 		for ci := range t.columns {
-			if err := t.stageColumn(&b, ci); err != nil {
+			if err := t.stageColumn(b, ci); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	shared := b // what the goroutines share; b itself stays on the stack
+	shared := *b // what the goroutines share; b itself stays on the stack
 	errs := make([]error, len(t.columns))
 	var next atomic.Int32
 	work := func() {
