@@ -246,8 +246,6 @@ type executor interface {
 	Quarantined() map[string]error
 	RebuildSkipping(cols ...string) error
 	VerifySkipping(cols ...string) error
-	SaveSkipper(col string, w io.Writer) error
-	LoadSkipper(col string, r io.Reader) error
 	SetWAL(l *wal.Log)
 	ReplayRecord(rec *wal.Record) error
 	// ReadTable runs fn over the table's cells as data — the engine's own
@@ -763,18 +761,6 @@ func (t *Table) WriteCSV(w io.Writer, nullLit string) error {
 	})
 }
 
-// SaveSkipping serializes a column's learned adaptive zonemap so the
-// refinement paid for by past queries survives restarts.
-func (t *Table) SaveSkipping(col string, w io.Writer) error {
-	return t.eng.SaveSkipper(col, w)
-}
-
-// LoadSkipping restores a column's adaptive zonemap from a snapshot,
-// verifying it against the column's current contents.
-func (t *Table) LoadSkipping(col string, r io.Reader) error {
-	return t.eng.LoadSkipper(col, r)
-}
-
 // Name returns the table name.
 func (t *Table) Name() string { return t.eng.Table().Name() }
 
@@ -846,8 +832,8 @@ func (t *Table) QueryContext(ctx context.Context, q engine.Query) (*Result, erro
 // Quarantined reports columns whose skipping metadata was pulled from
 // service after a failure (panic or detected corruption), keyed to the
 // error that benched each one. Quarantined columns run full scans —
-// correct, just slower — until RebuildSkipping, EnableSkipping, or
-// LoadSkipping reinstates metadata.
+// correct, just slower — until RebuildSkipping or EnableSkipping
+// reinstates metadata.
 func (t *Table) Quarantined() map[string]error { return t.eng.Quarantined() }
 
 // RebuildSkipping reconstructs skipping metadata from base column data on

@@ -1,8 +1,9 @@
-// Persistence: warm restarts. A first "process" loads data, lets the
-// adaptive zonemap learn from a query stream, and snapshots both the table
-// and the learned skipping metadata. A second "process" restores both and
-// gets converged-query performance from its very first query — the
-// refinement paid for yesterday is not re-paid today.
+// Persistence: restart from the table snapshot. A first "process" loads
+// data, lets the adaptive zonemap learn from a query stream, and saves the
+// table. A second "process" loads the snapshot and enables skipping. Only
+// rows persist: its zonemap starts cold and relearns from the queries it
+// serves, the way the first one learned, and within a few queries runs
+// the stream about as fast as the first process's converged map.
 package main
 
 import (
@@ -34,9 +35,9 @@ var opts = adskip.Options{
 	},
 }
 
-// hotQueries measures a short hot-range stream and returns avg latency.
-func hotQueries(db *adskip.DB, n int, seed int64) time.Duration {
-	rng := rand.New(rand.NewSource(seed))
+// hotQueries runs n hot-range queries drawn from rng and returns their
+// average latency.
+func hotQueries(db *adskip.DB, rng *rand.Rand, n int) time.Duration {
 	var total time.Duration
 	for q := 0; q < n; q++ {
 		lo := int64(rows/4) + rng.Int63n(rows/10)
@@ -49,6 +50,8 @@ func hotQueries(db *adskip.DB, n int, seed int64) time.Duration {
 	}
 	return total / time.Duration(n)
 }
+
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 func loadTable(db *adskip.DB) *adskip.Table {
 	tab, err := db.CreateTable("events", adskip.Col("key", adskip.Int64))
@@ -69,51 +72,34 @@ func loadTable(db *adskip.DB) *adskip.Table {
 }
 
 func main() {
-	// ---- Process 1: learn, then snapshot. ----
+	// ---- Process 1: load, learn, save the table. ----
 	db1 := adskip.Open(opts)
 	tab1 := loadTable(db1)
+	first := hotQueries(db1, rand.New(rand.NewSource(1)), 20)
+	_ = hotQueries(db1, rand.New(rand.NewSource(2)), queries) // the learning stream
+	warm := hotQueries(db1, rand.New(rand.NewSource(9)), 100) // steady state after adaptation
+	fmt.Printf("process 1: first 20 queries %8.3fms/q, after adaptation %8.3fms/q (%d zones)\n",
+		ms(first), ms(warm), tab1.SkipperInfo()["key"].Zones)
 
-	cold := hotQueries(db1, 20, 1)
-	_ = hotQueries(db1, queries, 2) // the learning stream
-	warm := hotQueries(db1, 100, 9) // steady state after adaptation
-	fmt.Printf("process 1: first queries %8.3fms/q, after adaptation %8.3fms/q (%d zones)\n",
-		float64(cold.Nanoseconds())/1e6, float64(warm.Nanoseconds())/1e6,
-		tab1.SkipperInfo()["key"].Zones)
-
-	var tableSnap, skipSnap bytes.Buffer
-	if err := db1.SaveTable("events", &tableSnap); err != nil {
+	var snap bytes.Buffer
+	if err := db1.SaveTable("events", &snap); err != nil {
 		log.Fatal(err)
 	}
-	if err := tab1.SaveSkipping("key", &skipSnap); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("snapshots: table %d bytes, learned metadata %d bytes\n",
-		tableSnap.Len(), skipSnap.Len())
+	fmt.Printf("table snapshot: %d bytes\n", snap.Len())
 
-	// ---- Process 2a: restore the table only (cold metadata). ----
+	// ---- Process 2: load the table; the zonemap starts cold. ----
 	db2 := adskip.Open(opts)
-	tab2, err := db2.LoadTable(bytes.NewReader(tableSnap.Bytes()))
+	tab2, err := db2.LoadTable(bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := tab2.EnableSkipping(); err != nil {
 		log.Fatal(err)
 	}
-	coldRestart := hotQueries(db2, 20, 3)
-
-	// ---- Process 2b: restore table AND learned metadata (warm). ----
-	db3 := adskip.Open(opts)
-	tab3, err := db3.LoadTable(bytes.NewReader(tableSnap.Bytes()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tab3.LoadSkipping("key", bytes.NewReader(skipSnap.Bytes())); err != nil {
-		log.Fatal(err)
-	}
-	warmRestart := hotQueries(db3, 20, 3)
-
-	fmt.Printf("restart without metadata: first queries %8.3fms/q\n", float64(coldRestart.Nanoseconds())/1e6)
-	fmt.Printf("restart with metadata:    first queries %8.3fms/q (%d zones restored)\n",
-		float64(warmRestart.Nanoseconds())/1e6, tab3.SkipperInfo()["key"].Zones)
-	fmt.Println("\nexpected: the metadata-restored engine starts at converged speed")
+	rng := rand.New(rand.NewSource(9)) // the 100 queries process 1 ran converged
+	cold := hotQueries(db2, rng, 20)
+	rest := hotQueries(db2, rng, 80)
+	fmt.Printf("process 2: first 20 queries %8.3fms/q, queries 21-100 %8.3fms/q (%d zones); process 1 converged %8.3fms/q\n",
+		ms(cold), ms(rest), tab2.SkipperInfo()["key"].Zones, ms(warm))
+	fmt.Println("\nexpected: the restarted map relearns within its first queries, then runs at about the converged speed")
 }

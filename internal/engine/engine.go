@@ -8,7 +8,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"strings"
 	"sync"
@@ -276,8 +275,6 @@ func lifecycleCause(kind obs.EventKind) string {
 	switch kind {
 	case obs.EventSkipperBuilt:
 		return "build"
-	case obs.EventSkipperLoad:
-		return "snapshot"
 	case obs.EventRebuild:
 		return "manual"
 	default:
@@ -560,7 +557,7 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	switch rec.Kind {
-	case wal.KindColumns, wal.KindRows:
+	case wal.KindColumns:
 		if err := e.tbl.Replay(rec); err != nil {
 			return fmt.Errorf("engine: replay append: %w", err)
 		}
@@ -578,53 +575,6 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 	default:
 		return fmt.Errorf("engine: replay: unknown record kind %d", rec.Kind)
 	}
-}
-
-// SaveSkipper serializes a column's learned adaptive zonemap. Only the
-// adaptive policy has state worth persisting; other policies error.
-func (e *Engine) SaveSkipper(colName string, w io.Writer) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.skippers[colName]
-	if !ok {
-		return fmt.Errorf("engine: no skipper on column %q", colName)
-	}
-	z, ok := s.(*adaptive.Zonemap)
-	if !ok {
-		return fmt.Errorf("engine: skipper on %q is %q, only adaptive zonemaps snapshot", colName, s.Metadata().Kind)
-	}
-	_, err := z.WriteTo(w)
-	return err
-}
-
-// LoadSkipper restores a column's adaptive zonemap from a snapshot,
-// replacing any registered skipper. The snapshot is validated against the
-// column's current physical state (one O(n) pass) so stale metadata can
-// never prune unsoundly.
-func (e *Engine) LoadSkipper(colName string, r io.Reader) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	col, err := e.tbl.Column(colName)
-	if err != nil {
-		return err
-	}
-	z, err := adaptive.Read(r, e.opts.Adaptive)
-	if err != nil {
-		return err
-	}
-	if z.Rows() > col.Len() {
-		return fmt.Errorf("engine: snapshot covers %d rows, column %q has %d", z.Rows(), colName, col.Len())
-	}
-	if err := z.CheckInvariants(col.Vec().Slice(0, z.Rows()), col.Nulls(), false); err != nil {
-		return fmt.Errorf("engine: snapshot does not match column %q: %w", colName, err)
-	}
-	if col.Type() == storage.String {
-		col.SealDict()
-	}
-	e.skippers[colName] = z
-	delete(e.quarantined, colName)
-	e.registerSkipper(colName, obs.EventSkipperLoad)
-	return nil
 }
 
 // readColumn resolves a column a query is about to read and consolidates

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
@@ -551,73 +550,5 @@ func TestRandomizedPolicyEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSkipperSnapshotRoundTrip(t *testing.T) {
-	tb := buildTable(t, 1000, 40)
-	e := newEngine(t, tb, PolicyAdaptive)
-	// Train.
-	for q := 0; q < 50; q++ {
-		if _, err := e.Query(Query{Where: expr.And(intPred("a", expr.Between, int64(q*15), int64(q*15+30)))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := e.SaveSkipper("a", &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SaveSkipper("missing", &bytes.Buffer{}); err == nil {
-		t.Fatal("missing column accepted")
-	}
-	// A fresh engine over the same table restores the learned structure.
-	e2 := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive()})
-	if err := e2.LoadSkipper("a", bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if e2.Skipper("a").Metadata().Zones != e.Skipper("a").Metadata().Zones {
-		t.Fatalf("zones differ: %d vs %d",
-			e2.Skipper("a").Metadata().Zones, e.Skipper("a").Metadata().Zones)
-	}
-	res, err := e2.Query(Query{
-		Where: expr.And(intPred("a", expr.Between, 100, 200)),
-		Aggs:  []Agg{{Kind: CountStar}},
-	})
-	if err != nil || res.Count != 101 {
-		t.Fatalf("count=%d err=%v", res.Count, err)
-	}
-	if res.Stats.RowsSkipped == 0 {
-		t.Fatal("restored skipper pruned nothing")
-	}
-}
-
-func TestSkipperSnapshotRejectsStaleMetadata(t *testing.T) {
-	tb := buildTable(t, 500, 41)
-	e := newEngine(t, tb, PolicyAdaptive)
-	for q := 0; q < 30; q++ {
-		if _, err := e.Query(Query{Where: expr.And(intPred("a", expr.Between, int64(q*10), int64(q*10+20)))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := e.SaveSkipper("a", &buf); err != nil {
-		t.Fatal(err)
-	}
-	// Mutate the column so the snapshot's bounds become wrong.
-	colA, _ := tb.Column("a")
-	if err := colA.SetInt(10, 9_999_999); err != nil {
-		t.Fatal(err)
-	}
-	e2 := New(tb, Options{Policy: PolicyAdaptive})
-	if err := e2.LoadSkipper("a", bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("stale snapshot accepted")
-	}
-}
-
-func TestSaveSkipperNonAdaptive(t *testing.T) {
-	tb := buildTable(t, 100, 42)
-	e := newEngine(t, tb, PolicyStatic)
-	if err := e.SaveSkipper("a", &bytes.Buffer{}); err == nil {
-		t.Fatal("static skipper snapshot accepted")
 	}
 }

@@ -184,8 +184,7 @@ func (e *Engine) journal(col string) func(obs.LedgerRecord) {
 		if e.log != nil {
 			lvl := slog.LevelDebug
 			switch rec.Kind {
-			case obs.EventDisable, obs.EventEnable, obs.EventSkipperBuilt,
-				obs.EventSkipperLoad, obs.EventRebuild:
+			case obs.EventDisable, obs.EventEnable, obs.EventSkipperBuilt, obs.EventRebuild:
 				lvl = slog.LevelInfo
 			case obs.EventQuarantine:
 				lvl = slog.LevelWarn

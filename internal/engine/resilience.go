@@ -212,7 +212,7 @@ type quarantineRecord struct {
 // quarantineLocked removes a column's skipper from service, recording the
 // cause. The column's queries fall back to full scans — skipping is
 // strictly an optimization, so correctness is preserved — until
-// RebuildSkipping (or EnableSkipping/LoadSkipper) reinstates metadata.
+// RebuildSkipping (or EnableSkipping) reinstates metadata.
 // Caller holds e.mu.
 func (e *Engine) quarantineLocked(col string, cause error) {
 	s, ok := e.skippers[col]

@@ -18,7 +18,6 @@ const (
 	EventEnable                        // shadow probe turned skipping back on
 	EventTailFold                      // append tail folded into zones
 	EventSkipperBuilt                  // skipping metadata built on a column
-	EventSkipperLoad                   // learned metadata restored from snapshot
 	EventQuarantine                    // skipper failed (panic/corruption); column falls back to full scans
 	EventRebuild                       // quarantined metadata rebuilt from base data
 	EventWiden                         // a zone's value hull loosened in place by an append/update
@@ -34,7 +33,6 @@ var eventKindNames = [...]string{
 	EventEnable:       "enable",
 	EventTailFold:     "tail-fold",
 	EventSkipperBuilt: "skipper-built",
-	EventSkipperLoad:  "skipper-load",
 	EventQuarantine:   "quarantine",
 	EventRebuild:      "rebuild",
 	EventWiden:        "widen",

@@ -33,7 +33,7 @@ type LedgerRecord struct {
 	// Cause is a short machine-readable reason: "split-gain",
 	// "merge-cold", "net-benefit", "shadow-probe", "tail-fold",
 	// "append-widen", "update-widen", "panic", "corruption", "manual",
-	// "build", "snapshot".
+	// "build".
 	Cause string `json:"cause"`
 	// Fingerprint is the literal-stripped template of the query whose
 	// feedback triggered the change; "" for changes outside a query

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"adskip/internal/core"
 	"adskip/internal/engine"
@@ -72,16 +71,6 @@ func (m *Manager) Quarantined() map[string]error {
 		}
 	}
 	return out
-}
-
-// SaveSkipper and LoadSkipper are unsupported on sharded tables: each
-// shard refines its own zonemap against its own slice of the data, so a
-// single snapshot has no meaning across a reshard.
-func (m *Manager) SaveSkipper(col string, _ io.Writer) error { return errSkipperSnapshot(col) }
-func (m *Manager) LoadSkipper(col string, _ io.Reader) error { return errSkipperSnapshot(col) }
-
-func errSkipperSnapshot(col string) error {
-	return fmt.Errorf("shard: skipping metadata snapshots are per-shard; not supported on sharded tables (column %q)", col)
 }
 
 // AdaptationROI returns every shard's per-column adaptation ROI rows

@@ -229,34 +229,41 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 // changes: rows are grouped by shard (a later merged snapshot writes
 // them back in shard order). tbl is the caller's alone — no engine serves
 // it — so reading it here (Vec, Rows: both consolidate what its loader
-// staged) needs no lock.
+// staged) needs no lock. The rows are appended table.BulkRows at a time,
+// so only one chunk's values are ever materialized; with the bounds known
+// up front, every row lands where one batch of the whole table would put
+// it.
 func NewFromTable(tbl *table.Table, opts Options) (*Manager, error) {
 	m, err := New(tbl.Name(), tbl.Schema(), opts)
 	if err != nil {
 		return nil, err
 	}
 	n := tbl.NumRows()
-	if n > 0 {
-		if m.mode == ModeRange {
-			key, err := tbl.Column(m.key)
-			if err != nil {
-				return nil, err
-			}
-			keys := key.Vec()
-			codes := make([]int64, 0, n)
-			for i := 0; i < n; i++ {
-				if !key.IsNull(i) {
-					codes = append(codes, keys.At(i))
-				}
-			}
-			if len(codes) > 0 {
-				m.bounds = equidepthBounds(codes, opts.Shards)
-			}
-		}
-		rows, err := tbl.Rows(0, n)
+	if m.mode == ModeRange && n > 0 {
+		key, err := tbl.Column(m.key)
 		if err != nil {
 			return nil, err
 		}
+		keys := key.Vec()
+		codes := make([]int64, 0, n)
+		for i := 0; i < n; i++ {
+			if !key.IsNull(i) {
+				codes = append(codes, keys.At(i))
+			}
+		}
+		if len(codes) > 0 {
+			m.bounds = equidepthBounds(codes, opts.Shards)
+		}
+	}
+	for lo := 0; lo < n; lo += table.BulkRows {
+		rows, err := tbl.Rows(lo, min(lo+table.BulkRows, n))
+		if err != nil {
+			return nil, err
+		}
+		// Keys all NULL leave a range table without bounds, so each
+		// append round-robins whole: every chunk goes where the first
+		// would, as one batch of the table would.
+		m.rr = 0
 		if err := m.AppendRows(rows); err != nil {
 			return nil, err
 		}
@@ -572,8 +579,7 @@ func (m *Manager) ReplayRecord(rec *wal.Record) error {
 	// mirroring the live append path (replay is idempotent; widening twice
 	// is harmless).
 	k := noKeys
-	switch rec.Kind {
-	case wal.KindColumns:
+	if rec.Kind == wal.KindColumns {
 		if m.keyIdx >= len(rec.Blocks) {
 			return fmt.Errorf("shard: WAL record for table %q has %d columns, key column %q is column %d", rec.Table, len(rec.Blocks), m.key, m.keyIdx)
 		}
@@ -583,20 +589,6 @@ func (m *Manager) ReplayRecord(rec *wal.Record) error {
 		}
 		lo, hi, nulls := key.CodeRange()
 		k = keyStats{expr.Hull{Min: lo, Max: hi}, int64(nulls)}
-	case wal.KindRows:
-		st, err := m.proto.StageApart(rec.Rows, table.Staged{})
-		if err != nil {
-			return err
-		}
-		codes, nulls := st.Col(m.keyIdx).Codes()
-		k.nulls = int64(len(nulls))
-		for i := 0; i < codes.Len(); i++ {
-			if len(nulls) > 0 && nulls[0] == i {
-				nulls = nulls[1:]
-				continue
-			}
-			k.keys = k.keys.Admit(codes.At(i))
-		}
 	}
 	s.widen(k)
 	if err := s.eng.ReplayRecord(rec); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -368,6 +369,62 @@ func TestShardedMatchesUnshardedFromTable(t *testing.T) {
 			})
 		}
 	}
+
+	// A source of more than three table.BulkRows chunks: each shard holds
+	// the source rows routed to it, in source order, as when the whole
+	// table was one batch — NULL keys in the first shard, the others by
+	// hash or by the equi-depth bounds of the whole key column.
+	const shards = 3
+	big := testRows(3*table.BulkRows + 1000)
+	for _, mode := range []Mode{ModeRange, ModeHash} {
+		t.Run(fmt.Sprintf("%v/chunks", mode), func(t *testing.T) {
+			src := table.MustNew("sales", testSchema())
+			if err := src.AppendRows(big); err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewFromTable(src, Options{Shards: shards, Key: "id", Mode: mode,
+				Engine: engine.Options{Policy: engine.PolicyNone}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keys []int64
+			for _, r := range big {
+				if !r[0].IsNull() {
+					keys = append(keys, r[0].Int())
+				}
+			}
+			bounds := equidepthBounds(keys, shards)
+			want := make([][]string, shards)
+			for _, r := range big {
+				si := 0
+				switch {
+				case r[0].IsNull():
+				case mode == ModeHash:
+					si = int(hashCode(r[0].Int()) % shards)
+				default:
+					for si < len(bounds) && bounds[si] < r[0].Int() {
+						si++
+					}
+				}
+				want[si] = append(want[si], renderRow(r))
+			}
+			for si := range want {
+				err := m.ShardEngine(si + 1).ReadTable(func(got *table.Table) error {
+					rows, err := got.Rows(0, got.NumRows())
+					if err != nil {
+						return err
+					}
+					if g := renderRows(rows); !slices.Equal(g, want[si]) {
+						return fmt.Errorf("%d rows, want the %d routed to it in source order", len(g), len(want[si]))
+					}
+					return nil
+				})
+				if err != nil {
+					t.Errorf("shard %d: %v", si+1, err)
+				}
+			}
+		})
+	}
 }
 
 // TestShardPruning checks that range partitioning actually eliminates
@@ -426,9 +483,6 @@ func TestManagerValidation(t *testing.T) {
 	}
 	if err := m.Update("price", 0, storage.FloatValue(1)); err == nil {
 		t.Error("Update accepted on sharded table; want error")
-	}
-	if err := m.SaveSkipper("id", nil); err == nil {
-		t.Error("SaveSkipper accepted on sharded table; want error")
 	}
 }
 

@@ -265,10 +265,9 @@ func (t *Table) Blocks(st Staged) []storage.Block {
 
 // Replay applies an append record of the log on the BaseRow chain: a
 // record whose rows are all present is skipped, one partly present adds
-// only the rows after them, and one that would leave a gap is an error. A
-// KindColumns record is staged from its blocks and committed; a KindRows
-// record, which older releases wrote, is appended as rows. It is how crash
-// recovery and a snapshot load apply a record.
+// only the rows after them, and one that would leave a gap is an error.
+// The record is staged from its column blocks and committed. It is how
+// crash recovery and a snapshot load apply a record.
 func (t *Table) Replay(rec *wal.Record) error {
 	cur := uint64(t.NumRows())
 	if rec.BaseRow > cur {
@@ -278,22 +277,19 @@ func (t *Table) Replay(rec *wal.Record) error {
 	if rec.BaseRow+n <= cur {
 		return nil // fully present already
 	}
-	from := int(cur - rec.BaseRow)
-	switch rec.Kind {
-	case wal.KindColumns:
-		if len(rec.Blocks) != len(t.columns) {
-			return fmt.Errorf("%w: %d column blocks, table %q has %d columns", ErrRowArity, len(rec.Blocks), t.name, len(t.columns))
-		}
-		st, err := t.stage(int(n)-from, &batch{blocks: rec.Blocks, from: from})
-		if err != nil {
-			return err
-		}
-		t.Commit(st)
-		return nil
-	case wal.KindRows:
-		return t.AppendRows(rec.Rows[from:])
+	if rec.Kind != wal.KindColumns {
+		return fmt.Errorf("table %q: replay of a %s record", t.name, rec.Kind)
 	}
-	return fmt.Errorf("table %q: replay of a %s record", t.name, rec.Kind)
+	if len(rec.Blocks) != len(t.columns) {
+		return fmt.Errorf("%w: %d column blocks, table %q has %d columns", ErrRowArity, len(rec.Blocks), t.name, len(t.columns))
+	}
+	from := int(cur - rec.BaseRow)
+	st, err := t.stage(int(n)-from, &batch{blocks: rec.Blocks, from: from})
+	if err != nil {
+		return err
+	}
+	t.Commit(st)
+	return nil
 }
 
 // stageColumn stages column ci of the batch into b.into.

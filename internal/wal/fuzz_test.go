@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
+	"slices"
 	"testing"
 
 	"adskip/internal/storage"
@@ -10,31 +13,20 @@ import (
 
 // fuzzSeedSegment renders a small valid segment image (header + a few
 // framed records) the fuzzer mutates from: column-block records, sharded
-// or not, with a String column and NULLs; old-format row-major records;
-// an update.
+// or not, with a String column and NULLs; an update.
 func fuzzSeedSegment() []byte {
 	b := append([]byte(nil), segMagic[:]...)
 	b = binary.LittleEndian.AppendUint64(b, 1) // segment index
 	b = binary.LittleEndian.AppendUint64(b, 0) // base LSN
-	types := []storage.Type{storage.Int64, storage.String, storage.Float64}
+	var err error
 	for i := 0; i < 3; i++ {
-		rows := [][]storage.Value{
-			{storage.IntValue(int64(i)), storage.StringValue("ab"), storage.FloatValue(-1.5)},
-			{storage.NullValue(storage.Int64), storage.NullValue(storage.String), storage.NullValue(storage.Float64)},
-			{storage.IntValue(1 << 40), storage.StringValue("c"), storage.FloatValue(2)},
-		}
-		legacy, err := encodeLegacyRows(&Record{Kind: KindRows, Table: "data", BaseRow: uint64(i * 6), Types: types, Rows: rows})
-		if err != nil {
-			panic(err)
-		}
-		b = AppendFrame(b, legacy)
-		rec := columnsRecord("data", uint64(i*6+3), types, rows)
+		rec := columnsRecord("data", uint64(i*3), fuzzTypes, fuzzRows(i))
 		rec.Shard = uint32(i)
 		if b, err = AppendRecord(b, rec); err != nil {
 			panic(err)
 		}
 	}
-	b, err := AppendRecord(b, &Record{
+	b, err = AppendRecord(b, &Record{
 		Kind: KindUpdate, Table: "data", Col: "v", Row: 1, Value: storage.IntValue(9),
 	})
 	if err != nil {
@@ -43,10 +35,53 @@ func fuzzSeedSegment() []byte {
 	return b
 }
 
+var fuzzTypes = []storage.Type{storage.Int64, storage.String, storage.Float64}
+
+func fuzzRows(i int) [][]storage.Value {
+	return [][]storage.Value{
+		{storage.IntValue(int64(i)), storage.StringValue("ab"), storage.FloatValue(-1.5)},
+		{storage.NullValue(storage.Int64), storage.NullValue(storage.String), storage.NullValue(storage.Float64)},
+		{storage.IntValue(1 << 40), storage.StringValue("c"), storage.FloatValue(2)},
+	}
+}
+
+// withOldRecord returns seg with a row-major record of an older release
+// framed at its end.
+func withOldRecord(seg []byte, shard uint32) []byte {
+	payload, err := encodeLegacyRows(legacyRows{Table: "data", Shard: shard, BaseRow: 9, Types: fuzzTypes, Rows: fuzzRows(3)})
+	if err != nil {
+		panic(err)
+	}
+	return AppendFrame(slices.Clone(seg), payload)
+}
+
+// reachesOldRecord reports whether replay of data, segment 1's image, meets
+// a whole row-major record before any bad frame, header or payload.
+func reachesOldRecord(data []byte) bool {
+	if len(data) < segHeaderLen || [8]byte(data[:8]) != segMagic || binary.LittleEndian.Uint64(data[8:16]) != 1 {
+		return false
+	}
+	for rest := data[segHeaderLen:]; len(rest) > 0; {
+		payload, next, err := NextFrame(rest, fuzzMaxRecord)
+		if err != nil {
+			return false
+		}
+		if _, err := DecodePayload(payload); err != nil {
+			return errors.Is(err, ErrOldRowRecord)
+		}
+		rest = next
+	}
+	return false
+}
+
+const fuzzMaxRecord = 1 << 20
+
 // FuzzReplay feeds arbitrary bytes to segment replay. The contract under
 // fuzz: never panic, never replay a record whose checksum or structure is
 // bad (every record that reaches the callback re-encodes to a payload
-// matching its claimed checksum), and always leave an appendable log.
+// matching its claimed checksum), and always leave an appendable log —
+// unless replay meets a whole row-major record of an older release, which
+// Open refuses with ErrOldRowRecord, leaving the segment as it was.
 func FuzzReplay(f *testing.F) {
 	seed := fuzzSeedSegment()
 	f.Add(seed)
@@ -59,6 +94,9 @@ func FuzzReplay(f *testing.F) {
 		m[off] ^= 0xFF
 		f.Add(m)
 	}
+	// Old row-major records, unsharded and sharded: refused.
+	f.Add(withOldRecord(seed, 0))
+	f.Add(withOldRecord(seed[:segHeaderLen], 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return // keep per-case replay cost bounded
@@ -68,19 +106,22 @@ func FuzzReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		var replayed int
-		l, stats, err := Open(Options{Dir: dir, MaxRecordBytes: 1 << 20}, func(rec *Record) error {
+		l, stats, err := Open(Options{Dir: dir, MaxRecordBytes: fuzzMaxRecord}, func(rec *Record) error {
 			replayed++
-			// Anything replayed must be internally consistent: it re-encodes
-			// (an old-format record through the fixture writer).
-			encode := EncodePayload
-			if rec.Kind == KindRows {
-				encode = encodeLegacyRows
-			}
-			if _, err := encode(rec); err != nil {
+			// Anything replayed must be internally consistent: it re-encodes.
+			if _, err := EncodePayload(rec); err != nil {
 				t.Fatalf("replayed record does not re-encode: %v", err)
 			}
 			return nil
 		})
+		if refused := errors.Is(err, ErrOldRowRecord); refused != reachesOldRecord(data) {
+			t.Fatalf("Open: err = %v, want a refusal: %v", err, !refused)
+		} else if refused {
+			if after, rerr := os.ReadFile(segPath(dir, 1)); rerr != nil || !bytes.Equal(after, data) {
+				t.Fatalf("refused segment changed (%v)", rerr)
+			}
+			return
+		}
 		if err != nil {
 			// Open fails hard only on real I/O errors, which a byte-slice
 			// input cannot cause here.

@@ -1,99 +1,85 @@
-package wal_test
+package wal
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"strings"
+	"maps"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"adskip/internal/engine"
 	"adskip/internal/storage"
-	"adskip/internal/table"
-	"adskip/internal/wal"
 )
 
-// TestOldSegmentRecovers: a log of row-major KindRows records, the form
-// older releases wrote, still recovers through the engine's replay to the
-// table its appends built, and to the table the same appends recover to
-// when they are logged as column blocks.
-func TestOldSegmentRecovers(t *testing.T) {
-	schema := table.Schema{
-		{Name: "i", Type: storage.Int64},
-		{Name: "f", Type: storage.Float64},
-		{Name: "s", Type: storage.String},
-	}
+// TestOldRowRecordsRefused: a log whose first segment holds row-major
+// append records, the form older releases wrote (kind 1, or 3 with a
+// shard number), is refused with ErrOldRowRecord. Its frames pass their
+// checksums, so recovery must not read them as a torn tail: Open calls
+// the replay callback for none of them and leaves every segment, the
+// later column-block one too, byte for byte as it was.
+func TestOldRowRecordsRefused(t *testing.T) {
 	types := []storage.Type{storage.Int64, storage.Float64, storage.String}
-	var batches [][][]storage.Value
-	for k, n := range []int{5, 300, 1, 70} {
-		rows := make([][]storage.Value, n)
-		for i := range rows {
-			rows[i] = []storage.Value{storage.IntValue(int64(k*1000 + i)), storage.FloatValue(float64(i) / 4), storage.StringValue(fmt.Sprintf("s%d", (i*k)%11))}
-			if i%13 == 2 {
-				rows[i][i%3] = storage.NullValue(types[i%3])
+	for _, shard := range []uint32{0, 2} {
+		t.Run(fmt.Sprintf("shard=%d", shard), func(t *testing.T) {
+			dir := t.TempDir()
+			var old []legacyRows
+			var base uint64
+			for _, n := range []int{5, 300, 1} {
+				rows := testRows(base, n)
+				rows[0][1] = storage.NullValue(storage.Float64)
+				old = append(old, legacyRows{Table: "t", Shard: shard, BaseRow: base, Types: types, Rows: rows})
+				base += uint64(n)
 			}
-		}
-		if k == 2 {
-			rows[0][0] = storage.IntValue(-1 << 40)
-		}
-		batches = append(batches, rows)
-	}
-	want := table.MustNew("t", schema)
-	var old []*wal.Record
-	for _, rows := range batches {
-		old = append(old, &wal.Record{Kind: wal.KindRows, Table: "t", BaseRow: uint64(want.NumRows()), Types: types, Rows: rows})
-		if err := want.AppendRows(rows); err != nil {
-			t.Fatal(err)
-		}
-	}
+			if err := writeLegacySegment(dir, old...); err != nil {
+				t.Fatal(err)
+			}
+			seg2 := append([]byte(nil), segMagic[:]...)
+			seg2 = binary.LittleEndian.AppendUint64(seg2, 2)
+			seg2 = binary.LittleEndian.AppendUint64(seg2, uint64(len(old))) // base LSN
+			rec := columnsRecord("t", base, types, testRows(base, 7))
+			rec.Shard = shard
+			seg2, err := AppendRecord(seg2, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(segPath(dir, 2), seg2, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	oldDir, newDir := t.TempDir(), t.TempDir()
-	if err := wal.WriteLegacySegment(oldDir, old...); err != nil {
-		t.Fatal(err)
-	}
-	src := engine.New(table.MustNew("t", schema), engine.Options{})
-	l, _, err := wal.Open(wal.Options{Dir: newDir, NoSync: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.SetWAL(l)
-	for _, rows := range batches {
-		if err := src.AppendRows(rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, dir := range []string{oldDir, newDir} {
-		e := engine.New(table.MustNew("t", schema), engine.Options{})
-		l, stats, err := wal.Open(wal.Options{Dir: dir, NoSync: true}, e.ReplayRecord)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Close()
-		if stats.Records != uint64(len(batches)) || stats.Rows != int64(want.NumRows()) {
-			t.Fatalf("%s: recovered %d records, %d rows; want %d and %d", dir, stats.Records, stats.Rows, len(batches), want.NumRows())
-		}
-		if got, w := dump(e.Table()), dump(want); got != w {
-			t.Fatalf("recovered table differs:\n%.400s\nwant\n%.400s", got, w)
-		}
+			before := readFiles(t, dir)
+			calls := 0
+			l, _, err := Open(Options{Dir: dir, NoSync: true}, func(*Record) error { calls++; return nil })
+			if l != nil {
+				l.Close()
+			}
+			if !errors.Is(err, ErrOldRowRecord) {
+				t.Errorf("Open: err = %v, want ErrOldRowRecord", err)
+			}
+			if calls != 0 {
+				t.Errorf("replay callback called %d times, want 0", calls)
+			}
+			if after := readFiles(t, dir); !maps.Equal(after, before) {
+				t.Errorf("Open changed the log: %d files before, %d after", len(before), len(after))
+			}
+		})
 	}
 }
 
-// dump renders every cell, each column's code width and each dictionary in
-// code order.
-func dump(tb *table.Table) string {
-	var b strings.Builder
-	for ci := 0; ci < tb.NumColumns(); ci++ {
-		c := tb.ColumnAt(ci)
-		fmt.Fprintf(&b, "[%s %d rows, width %d:", c.Name(), c.Len(), c.Vec().Width())
-		for i := 0; i < c.Len(); i++ {
-			fmt.Fprintf(&b, " %v", c.Value(i))
-		}
-		if d := c.Dict(); d != nil {
-			fmt.Fprintf(&b, " dict %q", d.Values())
-		}
-		b.WriteString("]")
+// readFiles returns every file in dir by name.
+func readFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b.String()
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
 }

@@ -9,13 +9,23 @@ import (
 	"adskip/internal/storage"
 )
 
-// This file is the writer of old-format fixtures: the KindRows /
-// KindShardRows encoder, row-major values at 8 bytes a cell with a NULL
-// bitmap per column, which the log no longer writes but still replays.
+// This file is the writer of old-format fixtures: the row-major append
+// record of older releases (kind 1, or 3 with a shard number), values at 8
+// bytes a cell with a NULL bitmap per column, which the log no longer
+// writes and refuses to replay.
 
-// WriteLegacySegment writes segment 1 of a log in dir (base LSN 0) holding
-// recs, KindRows records, in the old row-major encoding.
-func WriteLegacySegment(dir string, recs ...*Record) error {
+// legacyRows is one old-format append record.
+type legacyRows struct {
+	Table   string
+	Shard   uint32
+	BaseRow uint64
+	Types   []storage.Type
+	Rows    [][]storage.Value
+}
+
+// writeLegacySegment writes segment 1 of a log in dir (base LSN 0) holding
+// recs in the old row-major encoding.
+func writeLegacySegment(dir string, recs ...legacyRows) error {
 	b := append([]byte(nil), segMagic[:]...)
 	b = binary.LittleEndian.AppendUint64(b, 1) // segment index
 	b = binary.LittleEndian.AppendUint64(b, 0) // base LSN
@@ -29,7 +39,7 @@ func WriteLegacySegment(dir string, recs ...*Record) error {
 	return os.WriteFile(segPath(dir, 1), b, 0o644)
 }
 
-func encodeLegacyRows(rec *Record) ([]byte, error) {
+func encodeLegacyRows(rec legacyRows) ([]byte, error) {
 	ncols, nrows := len(rec.Types), len(rec.Rows)
 	if ncols == 0 || ncols > maxCols {
 		return nil, fmt.Errorf("wal: rows record with %d columns", ncols)
@@ -42,10 +52,10 @@ func encodeLegacyRows(rec *Record) ([]byte, error) {
 	}
 	b := make([]byte, 0, 32+nrows*ncols*9)
 	if rec.Shard > 0 {
-		b = append(b, byte(KindShardRows))
+		b = append(b, byte(kindShardRows))
 		b = binary.LittleEndian.AppendUint32(b, rec.Shard)
 	} else {
-		b = append(b, byte(KindRows))
+		b = append(b, byte(kindRows))
 	}
 	b = appendString16(b, rec.Table)
 	b = binary.LittleEndian.AppendUint64(b, rec.BaseRow)

@@ -26,14 +26,9 @@ import (
 type Kind uint8
 
 const (
-	// KindRows is an append batch as row-major values, the form older
-	// releases logged; it is decoded, never written. KindShardRows is its
-	// sharded wire form (a u32 shard number, never 0, precedes the body),
-	// normalized to KindRows with Record.Shard set.
-	KindRows      Kind = 1
-	KindShardRows Kind = 3
 	// KindUpdate is one in-place cell overwrite; KindShardUpdate its
-	// sharded wire form, normalized like KindShardRows. The encoder picks
+	// sharded wire form (a u32 shard number, never 0, precedes the body),
+	// normalized to KindUpdate with Record.Shard set. The encoder picks
 	// the wire kind from Record.Shard, so unsharded updates keep the
 	// legacy bytes.
 	KindUpdate      Kind = 2
@@ -42,17 +37,24 @@ const (
 	// storage.Block). It always carries the shard number, 0 when
 	// unsharded.
 	KindColumns Kind = 5
+
+	// kindRows and kindShardRows are reserved: older releases logged an
+	// append batch as row-major values under them. DecodePayload refuses
+	// both with ErrOldRowRecord.
+	kindRows      Kind = 1
+	kindShardRows Kind = 3
 )
+
+// ErrOldRowRecord is the error for a row-major append record, the form
+// older releases logged. Recovery refuses a log holding one: its frame's
+// checksum held, so it is a whole old record, not a torn tail.
+var ErrOldRowRecord = errors.New("wal: row-major append record (kind 1 or 3) is the old log format, which this release no longer reads (it reads column-block records)")
 
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindRows:
-		return "rows"
 	case KindUpdate:
 		return "update"
-	case KindShardRows:
-		return "shard-rows"
 	case KindShardUpdate:
 		return "shard-update"
 	case KindColumns:
@@ -63,10 +65,10 @@ func (k Kind) String() string {
 }
 
 // Record is one logical WAL entry. KindColumns carries an append batch as
-// column blocks (KindRows, an old log's, as rows); KindUpdate carries a
-// single cell overwrite. BaseRow (the table's row count when the mutation
-// was logged) makes replay idempotent: a record whose rows are already
-// present is skipped, and a record that would leave a gap is an error.
+// column blocks; KindUpdate carries a single cell overwrite. BaseRow (the
+// table's row count when the mutation was logged) makes replay
+// idempotent: a record whose rows are already present is skipped, and a
+// record that would leave a gap is an error.
 type Record struct {
 	Kind  Kind
 	Table string
@@ -76,12 +78,10 @@ type Record struct {
 	// the same shard. BaseRow and Row are shard-local on a sharded record.
 	Shard uint32
 
-	// Append fields: BaseRow, and the batch as one block per column in
-	// schema order (KindColumns) or as rows (KindRows).
+	// KindColumns fields: BaseRow, and the batch as one block per column
+	// in schema order.
 	BaseRow uint64
 	Blocks  []storage.Block
-	Types   []storage.Type
-	Rows    [][]storage.Value
 
 	// KindUpdate fields.
 	Col   string
@@ -326,26 +326,21 @@ func DecodePayload(payload []byte) (*Record, error) {
 	switch Kind(kind) {
 	case KindColumns:
 		return decodeColumns(r)
-	case KindRows:
-		return decodeRows(r)
 	case KindUpdate:
 		return decodeUpdate(r)
-	case KindShardRows, KindShardUpdate:
+	case kindRows, kindShardRows:
+		return nil, ErrOldRowRecord
+	case KindShardUpdate:
 		shard, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
 		if shard == 0 {
-			// Shard 0 must use the legacy kinds; rejecting it keeps the
+			// Shard 0 must use KindUpdate; rejecting it keeps the
 			// encoding canonical (one byte form per logical record).
 			return nil, fmt.Errorf("wal: sharded record with shard 0")
 		}
-		var rec *Record
-		if Kind(kind) == KindShardRows {
-			rec, err = decodeRows(r)
-		} else {
-			rec, err = decodeUpdate(r)
-		}
+		rec, err := decodeUpdate(r)
 		if err != nil {
 			return nil, err
 		}
@@ -354,111 +349,6 @@ func DecodePayload(payload []byte) (*Record, error) {
 	default:
 		return nil, fmt.Errorf("wal: unknown record kind %d", kind)
 	}
-}
-
-func decodeRows(r *reader) (*Record, error) {
-	rec := &Record{Kind: KindRows}
-	var err error
-	if rec.Table, err = r.string16(); err != nil {
-		return nil, err
-	}
-	if rec.BaseRow, err = r.u64(); err != nil {
-		return nil, err
-	}
-	ncols16, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	nrows32, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	ncols, nrows := int(ncols16), int(nrows32)
-	if ncols == 0 || ncols > maxCols {
-		return nil, fmt.Errorf("wal: rows record claims %d columns", ncols)
-	}
-	if nrows == 0 || nrows > maxRecordRows {
-		return nil, fmt.Errorf("wal: rows record claims %d rows", nrows)
-	}
-	// Every column needs its type byte and its NULL bitmap in the
-	// payload; reject claims the payload cannot possibly back before
-	// allocating.
-	if ncols*(1+(nrows+7)/8) > len(r.b)-r.off {
-		return nil, errShort
-	}
-	rec.Types = make([]storage.Type, ncols)
-	rec.Rows = make([][]storage.Value, nrows)
-	cells := make([]storage.Value, nrows*ncols)
-	for i := range rec.Rows {
-		rec.Rows[i] = cells[i*ncols : (i+1)*ncols]
-	}
-	bitmapLen := (nrows + 7) / 8
-	for ci := 0; ci < ncols; ci++ {
-		tb, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		typ := storage.Type(tb)
-		if typ != storage.Int64 && typ != storage.Float64 && typ != storage.String {
-			return nil, fmt.Errorf("wal: unknown column type %d", tb)
-		}
-		rec.Types[ci] = typ
-		bitmap, err := r.take(bitmapLen)
-		if err != nil {
-			return nil, err
-		}
-		isNull := func(i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
-		switch typ {
-		case storage.Int64:
-			body, err := r.take(nrows * 8)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < nrows; i++ {
-				if isNull(i) {
-					rec.Rows[i][ci] = storage.NullValue(typ)
-				} else {
-					rec.Rows[i][ci] = storage.IntValue(int64(binary.LittleEndian.Uint64(body[i*8:])))
-				}
-			}
-		case storage.Float64:
-			body, err := r.take(nrows * 8)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < nrows; i++ {
-				if isNull(i) {
-					rec.Rows[i][ci] = storage.NullValue(typ)
-				} else {
-					f := math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
-					if math.IsNaN(f) {
-						return nil, fmt.Errorf("wal: NaN in float column block")
-					}
-					rec.Rows[i][ci] = storage.FloatValue(f)
-				}
-			}
-		case storage.String:
-			for i := 0; i < nrows; i++ {
-				if isNull(i) {
-					rec.Rows[i][ci] = storage.NullValue(typ)
-					continue
-				}
-				n, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				b, err := r.take(int(n))
-				if err != nil {
-					return nil, err
-				}
-				rec.Rows[i][ci] = storage.StringValue(string(b))
-			}
-		}
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("wal: %d trailing bytes after rows record", len(r.b)-r.off)
-	}
-	return rec, nil
 }
 
 func decodeColumns(r *reader) (*Record, error) {
@@ -558,11 +448,8 @@ func decodeUpdate(r *reader) (*Record, error) {
 
 // NumRows returns how many rows the record adds on replay (0 for updates).
 func (rec *Record) NumRows() int {
-	switch {
-	case rec.Kind == KindColumns && len(rec.Blocks) > 0:
+	if rec.Kind == KindColumns && len(rec.Blocks) > 0 {
 		return rec.Blocks[0].Len()
-	case rec.Kind == KindRows:
-		return len(rec.Rows)
 	}
 	return 0
 }

@@ -98,7 +98,9 @@ type RecoveryStats struct {
 // that is the torn tail a kill mid-write leaves and is routine; anywhere
 // earlier it orphans the segments after it, which are deleted. A replay
 // callback error aborts Open: the caller's state is unknown and the log
-// must not accept appends on top of it.
+// must not accept appends on top of it. So does a row-major record of an
+// older release (ErrOldRowRecord): Open fails at it, and truncates or
+// deletes nothing from there on.
 func Open(opts Options, replay func(*Record) error) (*Log, RecoveryStats, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -294,7 +296,8 @@ func parseIndex(s string, out *uint64) bool {
 // is past the header), the number of records replayed, the offset of the
 // first bad byte and a human-readable reason when the segment ends in a
 // torn or corrupt record ("" for a clean tail), and a hard error only for
-// I/O or replay-callback failures. expectBase is the LSN the caller has
+// I/O or replay-callback failures and for an old row-major record
+// (ErrOldRowRecord), which is whole, not torn, and must not be truncated. expectBase is the LSN the caller has
 // recovered so far; a header whose base disagrees means the log skips or
 // repeats records and is treated as corruption at offset 0. expectBase < 0
 // (first surviving segment) accepts any base.
@@ -328,6 +331,9 @@ func replaySegment(s *segInfo, maxRecord int, expectBase int64, replay func(*Rec
 			return base, n, off, err.Error(), nil
 		}
 		rec, err := DecodePayload(payload)
+		if errors.Is(err, ErrOldRowRecord) {
+			return base, n, off, "", fmt.Errorf("wal: record %d of segment %d: %w", n+1, s.index, err)
+		}
 		if err != nil {
 			return base, n, off, fmt.Sprintf("undecodable record: %v", err), nil
 		}

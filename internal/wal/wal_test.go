@@ -58,7 +58,7 @@ func columnsRecord(table string, base uint64, types []storage.Type, rows [][]sto
 
 // TestRecordRoundTrip: every kind decodes to what was encoded — column
 // blocks byte for byte, sharded or not; the old row-major kinds, which
-// only a fixture writer still encodes, cell for cell.
+// only a fixture writer still encodes, decode to ErrOldRowRecord.
 func TestRecordRoundTrip(t *testing.T) {
 	mixed := [][]storage.Value{
 		{storage.NullValue(storage.Int64), storage.NullValue(storage.Float64), storage.NullValue(storage.String)},
@@ -72,19 +72,13 @@ func TestRecordRoundTrip(t *testing.T) {
 		rowsRecord("data", 17, 64),
 		columnsRecord("t", 3, testTypes, mixed),
 		sharded,
-		{Kind: KindRows, Table: "t", BaseRow: 3, Types: testTypes, Rows: mixed},
-		{Kind: KindRows, Table: "t", Shard: 4, BaseRow: 3, Types: testTypes, Rows: testRows(3, 9)},
 		{Kind: KindUpdate, Table: "data", Col: "v", Row: 42, Value: storage.IntValue(7)},
 		{Kind: KindUpdate, Table: "data", Col: "noise", Row: 0, Value: storage.FloatValue(-0.25)},
 		{Kind: KindUpdate, Table: "d", Col: "s", Row: 1 << 40, Value: storage.StringValue("x")},
 		{Kind: KindUpdate, Table: "d", Shard: 3, Col: "v", Row: 5, Value: storage.IntValue(-1)},
 	}
 	for i, rec := range recs {
-		encode := EncodePayload
-		if rec.Kind == KindRows {
-			encode = encodeLegacyRows
-		}
-		payload, err := encode(rec)
+		payload, err := EncodePayload(rec)
 		if err != nil {
 			t.Fatalf("record %d: encode: %v", i, err)
 		}
@@ -93,6 +87,18 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: decode: %v", i, err)
 		}
 		assertRecordEqual(t, i, got, rec)
+	}
+	for _, old := range []legacyRows{
+		{Table: "t", BaseRow: 3, Types: testTypes, Rows: mixed},
+		{Table: "t", Shard: 4, BaseRow: 3, Types: testTypes, Rows: testRows(3, 9)},
+	} {
+		payload, err := encodeLegacyRows(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := DecodePayload(payload); !errors.Is(err, ErrOldRowRecord) {
+			t.Errorf("old row-major record, shard %d: decoded to %+v, err %v; want ErrOldRowRecord", old.Shard, rec, err)
+		}
 	}
 }
 
@@ -110,17 +116,6 @@ func assertRecordEqual(t *testing.T, i int, got, want *Record) {
 			t.Fatalf("record %d column %d: block differs", i, ci)
 		}
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("record %d: %d rows, want %d", i, len(got.Rows), len(want.Rows))
-	}
-	for ri := range want.Rows {
-		for ci := range want.Rows[ri] {
-			g, w := got.Rows[ri][ci], want.Rows[ri][ci]
-			if g.IsNull() != w.IsNull() || (!w.IsNull() && g != w) {
-				t.Fatalf("record %d row %d col %d: got %v want %v", i, ri, ci, g, w)
-			}
-		}
-	}
 	if want.Kind == KindUpdate && got.Value != want.Value {
 		t.Fatalf("record %d: value %v, want %v", i, got.Value, want.Value)
 	}
@@ -134,7 +129,7 @@ func TestEncodeRejects(t *testing.T) {
 		rec  *Record
 	}{
 		{"unknown kind", &Record{Kind: 99}},
-		{"old row-major kind", &Record{Kind: KindRows, Types: testTypes, Rows: testRows(0, 1)}},
+		{"old row-major kind", &Record{Kind: kindRows}},
 		{"no columns", &Record{Kind: KindColumns}},
 		{"no rows", &Record{Kind: KindColumns, Blocks: []storage.Block{{}}}},
 		{"ragged columns", short},
@@ -662,10 +657,11 @@ func allocatedBy(fn func()) uint64 {
 // TestDecodeRefusesClaimsBeforeAllocating: a record's row and column
 // counts are checked against the bytes that follow before anything is
 // allocated for them. A 4,114-byte old-format payload that claims 4,096
-// columns of 4,096 rows (640 MB of cells) and a column-block record that
-// claims 4,096 columns of 2^24 rows are both errors, each for under 1 MB.
+// columns of 4,096 rows (640 MB of cells), refused by its kind, and a
+// column-block record that claims 4,096 columns of 2^24 rows are both
+// errors, each for under 1 MB.
 func TestDecodeRefusesClaimsBeforeAllocating(t *testing.T) {
-	rows := []byte{byte(KindRows), 0, 0}             // kind, empty table name
+	rows := []byte{byte(kindRows), 0, 0}             // kind, empty table name
 	rows = binary.LittleEndian.AppendUint64(rows, 0) // base row
 	rows = binary.LittleEndian.AppendUint16(rows, 4096)
 	rows = binary.LittleEndian.AppendUint32(rows, 4096)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/faultinject"
 	"adskip/internal/obs"
 	"adskip/internal/table"
@@ -90,49 +89,6 @@ func TestLoadTableCorruptionAtomic(t *testing.T) {
 		t.Fatalf("rows=%d", tab.NumRows())
 	}
 	if _, err := fresh.Exec("SELECT COUNT(*) FROM sales"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLoadSkippingCorruptionAtomic verifies Table.LoadSkipping is
-// failure-atomic: a corrupt zonemap snapshot is rejected with
-// ErrBadSnapshot and the previously installed skipper keeps serving.
-func TestLoadSkippingCorruptionAtomic(t *testing.T) {
-	db, tab := metricsDB(t)
-	var buf bytes.Buffer
-	if err := tab.SaveSkipping("v", &buf); err != nil {
-		t.Fatal(err)
-	}
-	snap := buf.Bytes()
-
-	check := func(label string, data []byte) {
-		t.Helper()
-		err := tab.LoadSkipping("v", bytes.NewReader(data))
-		if !errors.Is(err, adaptive.ErrBadSnapshot) {
-			t.Fatalf("%s: err=%v, want ErrBadSnapshot", label, err)
-		}
-		// Prior metadata survives the failed load.
-		info := tab.SkipperInfo()["v"]
-		if info.Kind != "adaptive" || info.Zones == 0 {
-			t.Fatalf("%s: skipper lost after failed load: %+v", label, info)
-		}
-		res, qerr := db.Exec("SELECT COUNT(*) FROM metrics WHERE v BETWEEN 100 AND 200")
-		if qerr != nil {
-			t.Fatalf("%s: %v", label, qerr)
-		}
-		if !res.Aggs[0].Equal(IntValue(8 * 101)) {
-			t.Fatalf("%s: count=%v", label, res.Aggs[0])
-		}
-	}
-
-	flipped := append([]byte(nil), snap...)
-	flipped[len(flipped)/2] ^= 0x08
-	check("bit flip", flipped)
-	check("truncated", snap[:len(snap)/2])
-	check("empty", nil)
-
-	// The pristine snapshot still round-trips.
-	if err := tab.LoadSkipping("v", bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
 }
