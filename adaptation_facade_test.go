@@ -137,7 +137,7 @@ func TestAdaptationThroughFacade(t *testing.T) {
 // metadata corruption quarantines the hot column, so a template that
 // skipped ~90% of its rows abruptly skips none — and watches the
 // adskip_adapt_skip_regression_ppm series rise above zero and fall back
-// to zero after the rebuild. Nothing but db.Metrics() is read: no
+// to zero once EnableSkipping rebuilds it. Nothing but db.Metrics() is read: no
 // telemetry server runs, and the gauge is computed when it is scraped.
 func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	db := Open(Options{
@@ -199,13 +199,13 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	restore()
 	waitFor("no regression after quarantine collapsed skipping",
 		func(ppm int64) bool { return ppm > 0 })
-	if len(tab.Quarantined()) == 0 {
-		t.Fatal("regression detected but the column was never quarantined")
+	if _, ok := tab.SkipperInfo()["v"]; ok {
+		t.Fatal("regression detected but the column's skipper was never dropped")
 	}
 
 	// Recover: rebuild the metadata and keep the template hot; the fast
 	// EWMA climbs back past the baseline and the gap closes.
-	if err := tab.RebuildSkipping(); err != nil {
+	if err := tab.EnableSkipping("v"); err != nil {
 		t.Fatal(err)
 	}
 	waitFor("regression never cleared after the rebuild",
@@ -233,7 +233,7 @@ func TestROIMatchesColumnCounters(t *testing.T) {
 				exec("SELECT COUNT(*) FROM data WHERE noise BETWEEN 400 AND 420")
 			}
 			exec("EXPLAIN SELECT COUNT(*) FROM data WHERE v BETWEEN 12000 AND 12100")
-			if err := tab.RebuildSkipping("v", "noise"); err != nil {
+			if err := tab.EnableSkipping("v", "noise"); err != nil {
 				t.Fatal(err)
 			}
 			exec("SELECT COUNT(*) FROM data WHERE v BETWEEN 1000 AND 1100")

@@ -110,8 +110,8 @@ type QueryTrace = obs.QueryTrace
 
 // AdaptationRecord is one adaptation-ledger entry: a structural or
 // arbitration change to a column's skipping metadata (zone split/merge,
-// skipping disabled/enabled, tail fold, widen, metadata built/loaded,
-// quarantine/rebuild) with full provenance — cause, the query template
+// skipping disabled/enabled, tail fold, widen, metadata built, skipper
+// quarantined) with full provenance — cause, the query template
 // whose feedback triggered it, the affected row window, and the
 // before/after zone counts and value-bound hulls. Retained in a bounded
 // ring; see DB.Adaptation and the telemetry /adaptation endpoint.
@@ -243,8 +243,6 @@ type executor interface {
 	Update(col string, row int, v storage.Value) error
 	EnableSkipping(cols ...string) error
 	SkipperMetadata() map[string]core.Metadata
-	Quarantined() map[string]error
-	RebuildSkipping(cols ...string) error
 	VerifySkipping(cols ...string) error
 	SetWAL(l *wal.Log)
 	ReplayRecord(rec *wal.Record) error
@@ -829,20 +827,9 @@ func (t *Table) QueryContext(ctx context.Context, q engine.Query) (*Result, erro
 	return t.db.query(ctx, t.eng, q)
 }
 
-// Quarantined reports columns whose skipping metadata was pulled from
-// service after a failure (panic or detected corruption), keyed to the
-// error that benched each one. Quarantined columns run full scans —
-// correct, just slower — until RebuildSkipping or EnableSkipping
-// reinstates metadata.
-func (t *Table) Quarantined() map[string]error { return t.eng.Quarantined() }
-
-// RebuildSkipping reconstructs skipping metadata from base column data on
-// the named columns (all quarantined columns when none are named),
-// clearing their quarantine.
-func (t *Table) RebuildSkipping(cols ...string) error { return t.eng.RebuildSkipping(cols...) }
-
 // VerifySkipping revalidates skipping metadata against column contents
-// (one O(rows) pass per column), quarantining any column that fails.
+// (one O(rows) pass per column), dropping the skipper of any column that
+// fails; EnableSkipping builds it afresh.
 func (t *Table) VerifySkipping(cols ...string) error { return t.eng.VerifySkipping(cols...) }
 
 // Engine exposes the underlying engine for advanced integration (the

@@ -37,9 +37,9 @@ const help = `\gen <dist> <rows>  create table "data" (v, seq, noise; dist: sort
 \skipping [col]     describe zone metadata (default v)
 \metrics            dump the DB's metrics (Prometheus text)
 \top                hottest query templates (calls, p95, cpu%) + per-column ROI
-\events [n]         show the last n adaptation events (default 20)
+\events [n]         show the last n adaptation events (default 20), quarantines included
+\rebuild [cols]     build fresh skipping metadata (default all), e.g. after a quarantine
 \timeout <dur|off>  cancel statements running longer than dur (e.g. 500ms)
-\quarantine         list quarantined columns    \rebuild [cols]  rebuild their metadata
 \policy             active policy          \quit         exit
 Each \gen, \load and \loadcsv starts a fresh DB: \metrics, \events and \top start over.
 SQL: SELECT [cols|aggs] FROM data [WHERE ...] [GROUP BY c] [ORDER BY c [DESC]] [LIMIT n]
@@ -58,7 +58,7 @@ var usage = map[string]string{
 // needsTable marks the meta-commands that read the loaded table or its DB.
 var needsTable = map[string]bool{
 	`\save`: true, `\skipping`: true, `\metrics`: true, `\events`: true,
-	`\top`: true, `\quarantine`: true, `\rebuild`: true,
+	`\top`: true, `\rebuild`: true,
 }
 
 type repl struct {
@@ -156,10 +156,8 @@ func (r *repl) meta(cmd string, args []string) bool {
 		r.events(n)
 	case `\top`:
 		r.top()
-	case `\quarantine`:
-		r.quarantine()
 	case `\rebuild`:
-		if err = r.tbl.RebuildSkipping(args...); err == nil {
+		if err = r.tbl.EnableSkipping(args...); err == nil {
 			fmt.Fprintln(r.out, "skipping metadata rebuilt")
 		}
 	default:
@@ -325,21 +323,6 @@ func (r *repl) top() {
 		fmt.Fprintf(r.out, "%-10s %-10s %7d %12d %12d %12d %8.1f%% %s\n",
 			c.Column, c.Kind, c.Zones, c.ZoneProbes, c.RowsSkipped, c.CandidateRows, 100*skip, state)
 	}
-	for col := range r.tbl.Quarantined() {
-		fmt.Fprintf(r.out, "%-10s quarantined\n", col)
-	}
-}
-
-func (r *repl) quarantine() {
-	q := r.tbl.Quarantined()
-	if len(q) == 0 {
-		fmt.Fprintln(r.out, "no quarantined columns")
-		return
-	}
-	for col, cause := range q {
-		fmt.Fprintf(r.out, "%-8s %v\n", col, cause)
-	}
-	fmt.Fprintln(r.out, `(quarantined columns run full scans; \rebuild restores metadata)`)
 }
 
 func (r *repl) query(line string) {

@@ -14,6 +14,11 @@
 //     skipping is disabled outright and only cheap periodic shadow probes
 //     remain, so adaptive skipping never durably underperforms a plain
 //     scan — the failure mode of static zonemaps the abstract calls out.
+//
+// A broken layout is a fault: the probe walk and the row lookup of Widen
+// and NoteNonNull check that the zones tile the indexed rows, and panic
+// with an error wrapping ErrCorrupt when they do not. The zonemap records
+// nothing; the engine drops it (see core.Skipper).
 package adaptive
 
 import (
@@ -32,10 +37,10 @@ import (
 )
 
 // ErrCorrupt marks detected metadata corruption: a violated structural
-// invariant noticed during a probe or bounds-maintenance call. A corrupt
-// zonemap permanently declines to prune (fail open to full scans, which
-// are always sound) and reports the cause via Health so the engine can
-// quarantine and rebuild it.
+// invariant noticed during a probe or bounds-maintenance call. The zonemap
+// panics with an error that wraps it rather than answer from a broken
+// layout; the engine recovers the panic and drops the zonemap, so the
+// column falls back to full scans, which are always sound.
 var ErrCorrupt = errors.New("adaptive: metadata corrupt")
 
 // Config tunes an adaptive zonemap. The zero value selects defaults
@@ -180,22 +185,7 @@ type Zonemap struct {
 	maintEvents int64
 	maintZones  int64
 
-	// health is non-nil once corruption has been detected; the zonemap
-	// then declines every probe and ignores maintenance calls.
-	health error
-
 	journal func(obs.LedgerRecord) // adaptation-journal sink; nil = no journal
-}
-
-// Health implements core.Skipper: non-nil once the zonemap has
-// detected internal corruption and stopped pruning.
-func (z *Zonemap) Health() error { return z.health }
-
-// setHealth records the first detected corruption.
-func (z *Zonemap) setHealth(err error) {
-	if z.health == nil {
-		z.health = err
-	}
 }
 
 // SetJournal implements core.Skipper: every structural and arbitration
@@ -320,13 +310,10 @@ func (z *Zonemap) Metadata() core.Metadata {
 // The probe walk doubles as a cheap corruption check: zones must tile
 // the indexed row space exactly, and the walk already visits every block
 // (and every zone of overlapping blocks), so verifying contiguity costs
-// one comparison per step. On a violation the zonemap declines — a full
-// scan is always sound — and latches the fault for quarantine (a probe's
-// one write), rather than emitting a candidate set with silent row gaps.
+// one comparison per step. On a violation the probe panics with
+// ErrCorrupt rather than emit a candidate set with silent row gaps; the
+// engine drops the zonemap and scans the column in full.
 func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
-	if z.health != nil {
-		return core.PruneResult{Enabled: false}
-	}
 	if r.Lo == nil {
 		r.Lo = noIntervals
 	}
@@ -346,7 +333,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 			// a skipped block are still sound to skip: its value bounds
 			// enclose every member row, wherever zone boundaries drifted.
 			if z.zones[zLo].lo != prev {
-				return z.corruptPrune(zLo, z.zones[zLo].lo, prev)
+				panic(badTiling(zLo, z.zones[zLo].lo, prev))
 			}
 			res.Emit(&core.CandidateZone{Lo: prev, Hi: z.zones[zHi-1].hi}, true)
 			prev = z.zones[zHi-1].hi
@@ -356,7 +343,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 		for i := zLo; i < zHi; i++ {
 			zn := &z.zones[i]
 			if zn.lo != prev || zn.hi <= zn.lo {
-				return z.corruptPrune(i, zn.lo, prev)
+				panic(badTiling(i, zn.lo, prev))
 			}
 			prev = zn.hi
 			m := c.Test(zn.hull)
@@ -403,8 +390,7 @@ func (zn *zone) pruned(m expr.Match) bool {
 // endProbe checks that the zones ended where the tail, a candidate, starts.
 func (z *Zonemap) endProbe(res core.PruneResult, prev int) core.PruneResult {
 	if prev != z.tailLo {
-		z.setHealth(fmt.Errorf("%w: zones end at %d, tailLo=%d", ErrCorrupt, prev, z.tailLo))
-		return core.PruneResult{Enabled: false}
+		panic(fmt.Errorf("%w: zones end at %d, tailLo=%d", ErrCorrupt, prev, z.tailLo))
 	}
 	if z.rows > z.tailLo {
 		res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: z.tailLo, Hi: z.rows})
@@ -412,10 +398,10 @@ func (z *Zonemap) endProbe(res core.PruneResult, prev int) core.PruneResult {
 	return res
 }
 
-// corruptPrune records a tiling violation found mid-probe and declines.
-func (z *Zonemap) corruptPrune(idx, got, want int) core.PruneResult {
-	z.setHealth(fmt.Errorf("%w: zone %d starts at %d, want %d (layout gap or overlap)", ErrCorrupt, idx, got, want))
-	return core.PruneResult{Enabled: false}
+// badTiling is the fault a probe raises on a zone that does not start
+// where the one before it ended.
+func badTiling(idx, got, want int) error {
+	return fmt.Errorf("%w: zone %d starts at %d, want %d (layout gap or overlap)", ErrCorrupt, idx, got, want)
 }
 
 // PruneNulls implements core.Skipper for IS NULL predicates: zones with no
@@ -424,15 +410,12 @@ func (z *Zonemap) corruptPrune(idx, got, want int) core.PruneResult {
 // unindexed tail as a candidate. Like Prune it writes nothing; its result
 // carries no Ranges, so Observe feeds it to the cost model alone.
 func (z *Zonemap) PruneNulls() core.PruneResult {
-	if z.health != nil {
-		return core.PruneResult{Enabled: false}
-	}
 	res := core.PruneResult{Enabled: true, ZonesProbed: len(z.zones)}
 	prev := 0
 	for i := range z.zones {
 		zn := &z.zones[i]
 		if zn.lo != prev || zn.hi <= zn.lo {
-			return z.corruptPrune(i, zn.lo, prev)
+			panic(badTiling(i, zn.lo, prev))
 		}
 		prev = zn.hi
 		res.Emit(&core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: zn.nonNull == 0}, zn.nonNull == zn.hi-zn.lo)
@@ -480,17 +463,14 @@ func (z *Zonemap) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
 
 // Widen implements core.Skipper: loosen the enclosing zone's bounds so an
 // in-place update can never be wrongly skipped. Rows in the tail need no
-// metadata maintenance. A row no zone covers marks the structure corrupt
-// (see zoneIndex) instead of widening anything; the zonemap then declines
-// all probes, so the missed widening can never cause a wrong skip.
+// metadata maintenance. A row no zone covers is a broken layout: zoneIndex
+// panics with ErrCorrupt, and the engine drops the zonemap, so the missed
+// widening can never cause a wrong skip.
 func (z *Zonemap) Widen(row int, code int64) {
 	if row >= z.tailLo {
 		return
 	}
 	i := z.zoneIndex(row)
-	if i < 0 {
-		return
-	}
 	zn := &z.zones[i]
 	z.blocks.Admit(zonemap.HullKind{}, i, code)
 	before := zn.hull
@@ -517,21 +497,16 @@ func (z *Zonemap) NoteNonNull(row int) {
 	if row >= z.tailLo {
 		return
 	}
-	if i := z.zoneIndex(row); i >= 0 {
-		z.zones[i].nonNull++
-	}
+	z.zones[z.zoneIndex(row)].nonNull++
 }
 
 // zoneIndex locates the zone containing row by binary search. A row the
-// zones do not cover means the layout invariant is violated; rather than
-// panic (which used to crash the whole process mid-query), the zonemap
-// records the corruption — permanently declining to prune — and returns
-// -1 so callers degrade to a no-op.
+// zones do not cover means the layout invariant is violated: it panics
+// with ErrCorrupt.
 func (z *Zonemap) zoneIndex(row int) int {
 	i := sort.Search(len(z.zones), func(i int) bool { return z.zones[i].hi > row })
 	if i == len(z.zones) || z.zones[i].lo > row {
-		z.setHealth(fmt.Errorf("%w: row %d not covered by zones (tailLo=%d)", ErrCorrupt, row, z.tailLo))
-		return -1
+		panic(fmt.Errorf("%w: row %d not covered by zones (tailLo=%d)", ErrCorrupt, row, z.tailLo))
 	}
 	return i
 }
@@ -541,12 +516,11 @@ func (z *Zonemap) zoneIndex(row int) int {
 // bounds enclose every non-null value, and non-null counts are exact or
 // conservative (Widen may leave counts stale low only via NoteNonNull
 // omission, which is a caller bug — here they must match exactly when
-// exact==true). Each zone's rows are read once, by the min/max kernel; only
-// a zone whose bounds fail is walked again, to name the row.
+// exact==true). The tiling is checked first, so a broken layout is named
+// by the row where it breaks. Each zone's rows are then read once, by the
+// min/max kernel; only a zone whose bounds fail is walked again, to name
+// the row.
 func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
-	if z.health != nil {
-		return z.health
-	}
 	prev := 0
 	for i, zn := range z.zones {
 		if zn.lo != prev {
@@ -556,6 +530,14 @@ func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact
 			return fmt.Errorf("adaptive: zone %d empty [%d,%d)", i, zn.lo, zn.hi)
 		}
 		prev = zn.hi
+	}
+	if prev != z.tailLo {
+		return fmt.Errorf("adaptive: zones end at %d, tailLo=%d", prev, z.tailLo)
+	}
+	if z.tailLo > z.rows {
+		return fmt.Errorf("adaptive: tailLo %d beyond rows %d", z.tailLo, z.rows)
+	}
+	for i, zn := range z.zones {
 		h, nonNull := scan.MinMax(codes, zn.lo, zn.hi, nulls, 0)
 		if !zn.hull.Encloses(h) {
 			return excludedRow(i, zn, codes, nulls)
@@ -566,12 +548,6 @@ func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact
 		if !exact && zn.nonNull > nonNull {
 			return fmt.Errorf("adaptive: zone %d nonNull=%d exceeds actual %d", i, zn.nonNull, nonNull)
 		}
-	}
-	if prev != z.tailLo {
-		return fmt.Errorf("adaptive: zones end at %d, tailLo=%d", prev, z.tailLo)
-	}
-	if z.tailLo > z.rows {
-		return fmt.Errorf("adaptive: tailLo %d beyond rows %d", z.tailLo, z.rows)
 	}
 	if err := z.blocks.Check(zonemap.HullKind{}, len(z.zones), func(i int) (expr.Hull, bool) {
 		return z.zones[i].hull, !z.zones[i].hull.Empty()
@@ -599,7 +575,8 @@ func excludedRow(i int, zn zone, codes storage.Vec, nulls *bitvec.BitVec) error 
 // corruptLayout deterministically breaks the zone tiling invariant — the
 // last multi-row zone's upper bound shrinks by one, leaving a row gap.
 // It exists only as the faultinject.InvariantFlip chaos hook: the next
-// probe must detect the gap, decline, and get the zonemap quarantined.
+// probe must detect the gap and panic with ErrCorrupt, and the engine
+// drops the zonemap.
 func (z *Zonemap) corruptLayout() {
 	for i := len(z.zones) - 1; i >= 0; i-- {
 		if z.zones[i].hi-z.zones[i].lo > 1 {

@@ -569,16 +569,11 @@ func clone(z *Zonemap) *Zonemap {
 	return &c
 }
 
-// readOnly runs probe on z and fails unless z is exactly as it was, apart
-// from health when the probe may latch corruption.
-func readOnly(t *testing.T, what string, z *Zonemap, mayLatch bool,
-	probe func() core.PruneResult) core.PruneResult {
+// readOnly runs probe on z and fails unless z is exactly as it was.
+func readOnly(t *testing.T, what string, z *Zonemap, probe func() core.PruneResult) core.PruneResult {
 	t.Helper()
 	before := clone(z)
 	res := probe()
-	if mayLatch {
-		before.health = z.health
-	}
 	if !reflect.DeepEqual(before, z) {
 		t.Fatalf("%s wrote to the zonemap", what)
 	}
@@ -588,8 +583,8 @@ func readOnly(t *testing.T, what string, z *Zonemap, mayLatch bool,
 // TestPruneIsReadOnly: Prune and PruneNulls read the zone directory and
 // write nothing the zonemap learns — not on a trained map whose probe
 // skips, covers and scans zones, not on a disabled one, not on the
-// re-probe query that will re-enable it. Only the corruption latch may
-// move, and only on a broken layout.
+// re-probe query that will re-enable it, not on a broken layout, where
+// they panic with ErrCorrupt and leave the zonemap as it was.
 func TestPruneIsReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// 500-row value bands: zones split, and stats backoff starts.
@@ -606,23 +601,27 @@ func TestPruneIsReadOnly(t *testing.T) {
 	prune := func(r expr.Ranges) func() core.PruneResult {
 		return func() core.PruneResult { return z.Prune(r) }
 	}
-	res := readOnly(t, "Prune", z, false, prune(oneRange(2000, 4300)))
+	res := readOnly(t, "Prune", z, prune(oneRange(2000, 4300)))
 	covers := slices.ContainsFunc(res.Zones, func(c core.CandidateZone) bool { return c.Covered })
 	if !res.Enabled || res.RowsSkipped == 0 || res.MissOverlap == 0 || !covers {
 		t.Fatalf("precondition: the probe should skip, cover and scan zones: %+v", res)
 	}
 	multi := expr.Ranges{Lo: []int64{100, 5000}, Hi: []int64{300, 5200}}
-	readOnly(t, "a multi-interval Prune", z, false, prune(multi))
-	readOnly(t, "PruneNulls", z, false, z.PruneNulls)
+	readOnly(t, "a multi-interval Prune", z, prune(multi))
+	readOnly(t, "PruneNulls", z, z.PruneNulls)
 
 	z.corruptLayout()
-	res = readOnly(t, "Prune on a broken layout", z, true, prune(oneRange(0, 12000)))
-	if res.Enabled || z.Health() == nil {
-		t.Fatal("Prune missed the broken layout")
-	}
-	z.health = nil
-	if readOnly(t, "PruneNulls on a broken layout", z, true, z.PruneNulls).Enabled || z.Health() == nil {
-		t.Fatal("PruneNulls missed the broken layout")
+	for _, c := range []struct {
+		what  string
+		probe func() core.PruneResult
+	}{
+		{"Prune on a broken layout", prune(oneRange(0, 12000))},
+		{"PruneNulls on a broken layout", z.PruneNulls},
+	} {
+		readOnly(t, c.what, z, func() core.PruneResult {
+			mustPanicCorrupt(t, c.what, func() { c.probe() })
+			return core.PruneResult{}
+		})
 	}
 
 	// Uniform data disables the map; an out-of-domain predicate would skip
@@ -642,16 +641,16 @@ func TestPruneIsReadOnly(t *testing.T) {
 		if q == 100 {
 			t.Fatal("precondition: the shadow probe never turned positive")
 		}
-		if readOnly(t, "Prune on a disabled map", z, false, prune(out)).Enabled {
+		if readOnly(t, "Prune on a disabled map", z, prune(out)).Enabled {
 			t.Fatal("a disabled map probed on a query that does not re-enable it")
 		}
 		execute(z, codes, nil, out)
 	}
-	res = readOnly(t, "the re-enabling Prune", z, false, prune(out))
+	res = readOnly(t, "the re-enabling Prune", z, prune(out))
 	if !res.Enabled || z.Enabled() {
 		t.Fatalf("the re-probe query should probe as enabled, leaving the map disabled: %+v", res)
 	}
-	readOnly(t, "PruneNulls on a disabled map", z, false, z.PruneNulls)
+	readOnly(t, "PruneNulls on a disabled map", z, z.PruneNulls)
 }
 
 // TestNullProbeOnDisabledMap: an IS NULL probe of a disabled column feeds

@@ -67,7 +67,7 @@ func observeReference(z *Zonemap, res core.PruneResult, stats []core.ZoneStats) 
 	z.cfg.DisableSplit, z.cfg.DisableMerge = true, true
 	z.Observe(res, nil)
 	z.cfg = cfg
-	if z.health != nil || !res.Enabled || !z.enabled {
+	if !res.Enabled || !z.enabled {
 		return
 	}
 	var plans []splitPlan

@@ -18,9 +18,6 @@ import (
 // are what the scan gathered for the candidates that asked, and drive splits.
 func (z *Zonemap) Observe(res core.PruneResult, stats []core.ZoneStats) {
 	z.queries++
-	if z.health != nil {
-		return // corrupt structure is frozen until rebuilt
-	}
 	if res.Ranges.Lo != nil {
 		if res.Enabled {
 			c := res.Ranges.Clause()

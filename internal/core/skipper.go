@@ -5,11 +5,12 @@
 // the adaptive policy, the paper's contribution, in package adaptive all
 // implement the same contract.
 //
-// The whole contract is Skipper: probe, observe, maintain, and the four
+// The whole contract is Skipper: probe, observe, maintain, and the three
 // cold-path duties every skipper answers (report structural change,
-// expose state, self-report corruption, re-verify against the column). A
-// structure with nothing to say answers with the zero value, so the
-// engine never asks a skipper which interfaces it has.
+// expose state, re-verify against the column). A structure with nothing
+// to say answers with the zero value, so the engine never asks a skipper
+// which interfaces it has. A skipper that finds its own metadata broken
+// panics; the engine drops it and the column runs full scans.
 //
 // The framework's shape follows the abstract: data skipping is a *policy*
 // layered on fast scans, fed back once per completed query with the probe's
@@ -104,12 +105,17 @@ type Metadata struct {
 // Skipper is the data-skipping contract. One Skipper instance serves one
 // column of one table. Implementations need not be safe for concurrent
 // mutation; the engine serializes Prune/Observe/Extend per column.
+//
+// A fault is a panic: a skipper that notices its metadata broken (a
+// violated structural invariant) panics rather than answer. The engine
+// makes every probe, feedback, maintenance and verification call under
+// recover and drops a skipper that panics, so a fault costs the column
+// full scans, never an answer.
 type Skipper interface {
 	// Prune probes metadata with the predicate's code intervals and emits
-	// the candidate row windows over the rows it covers. It writes nothing
-	// a skipper learns — that is Observe's — so a probe no query follows
-	// (EXPLAIN, a query that fails) leaves the skipper as it was; only a
-	// self-detected corruption (Health) may latch.
+	// the candidate row windows over the rows it covers. It writes
+	// nothing — what a skipper learns is Observe's — so a probe no query
+	// follows (EXPLAIN, a query that fails) leaves the skipper as it was.
 	Prune(r expr.Ranges) PruneResult
 	// PruneNulls emits candidate windows for IS NULL predicates: zones
 	// known null-free skip, all-NULL zones are covered. Implementations
@@ -134,18 +140,12 @@ type Skipper interface {
 	// Metadata reports current structure state.
 	Metadata() Metadata
 
-	// Health is non-nil once the skipper has detected corruption of its
-	// own metadata (e.g. a violated tiling invariant noticed during a
-	// probe or a bounds-maintenance call). Such a skipper must already
-	// have stopped pruning (fail open to full scans); the engine
-	// quarantines it on the next interaction.
-	Health() error
 	// CheckInvariants re-verifies the metadata against the column's
 	// physical state — codes are exactly the Rows() rows covered — in one
 	// O(rows) pass: summaries must admit every row's value, and equal the
 	// re-derived ones when exact (nothing has loosened them since they
 	// were built). The engine runs it for on-demand verification sweeps;
-	// a failure quarantines the skipper.
+	// a failure drops the skipper.
 	CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error
 	// SetJournal installs the sink for structural change (splits, merges,
 	// arbitration flips, tail folds, widens); structures that never
@@ -199,9 +199,6 @@ func (s *NoSkipper) Rows() int { return s.rows }
 
 // Metadata reports zero structure.
 func (s *NoSkipper) Metadata() Metadata { return Metadata{Kind: "none"} }
-
-// Health reports no corruption: there is no metadata to corrupt.
-func (s *NoSkipper) Health() error { return nil }
 
 // CheckInvariants has nothing to verify.
 func (s *NoSkipper) CheckInvariants(storage.Vec, *bitvec.BitVec, bool) error { return nil }

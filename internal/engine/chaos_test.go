@@ -55,10 +55,10 @@ func TestChaosQueryStream(t *testing.T) {
 		if got.Count != want.Count {
 			t.Fatalf("query %d (%s in [%d,..]): count=%d want %d", q, col, lo, got.Count, want.Count)
 		}
-		// Periodically repair quarantined columns so the stream keeps
+		// Periodically rebuild dropped skippers so the stream keeps
 		// exercising the skipping path, not just full-scan fallback.
-		if q%60 == 59 && len(chaotic.Quarantined()) > 0 {
-			if err := chaotic.RebuildSkipping(); err != nil {
+		if dropped := droppedOf(chaotic, "a", "b"); q%60 == 59 && len(dropped) > 0 {
+			if err := chaotic.EnableSkipping(dropped...); err != nil {
 				t.Fatalf("query %d rebuild: %v", q, err)
 			}
 			rebuilds++
@@ -66,6 +66,18 @@ func TestChaosQueryStream(t *testing.T) {
 	}
 	t.Logf("chaos stream done: %d quarantine events, %d rebuild rounds, %d retries, %d recovered panics",
 		quarantineEvents(chaotic), rebuilds, chaotic.m.retries.Load(), chaotic.m.panics.Load())
+}
+
+// droppedOf returns the columns among cols that have no skipper: their
+// skippers were dropped after a fault.
+func droppedOf(e *Engine, cols ...string) []string {
+	var out []string
+	for _, c := range cols {
+		if e.Skipper(c) == nil {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // TestChaosWithDeadlines mixes injected delays with tight deadlines:

@@ -142,8 +142,8 @@ func TestConcurrentCancellationAndMutations(t *testing.T) {
 
 // TestConcurrentQuarantineMidStream corrupts adaptive metadata while
 // concurrent readers and writers are active: the quarantine transition
-// must be atomic under -race, every completed query correct, and a
-// rebuild at the end restores skipping.
+// must be atomic under -race, every completed query correct, and
+// EnableSkipping at the end restores skipping.
 func TestConcurrentQuarantineMidStream(t *testing.T) {
 	tb := buildTable(t, 4000, 82)
 	e := newEngine(t, tb, PolicyAdaptive)
@@ -204,12 +204,12 @@ func TestConcurrentQuarantineMidStream(t *testing.T) {
 		}
 	}
 
-	if len(e.Quarantined()) > 0 {
-		if err := e.RebuildSkipping(); err != nil {
+	if dropped := droppedOf(e, "a"); len(dropped) > 0 {
+		if err := e.EnableSkipping(dropped...); err != nil {
 			t.Fatal(err)
 		}
-		if len(e.Quarantined()) != 0 {
-			t.Fatal("quarantine not cleared by rebuild")
+		if len(droppedOf(e, "a")) != 0 {
+			t.Fatal("EnableSkipping did not restore the skipper")
 		}
 	}
 	t.Logf("mid-stream quarantine events: %d", quarantineEvents(e))

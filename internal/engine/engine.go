@@ -88,8 +88,8 @@ type Options struct {
 	// metrics catalog-wide.
 	Metrics *obs.Registry
 	// Ledger receives the adaptation records: every structural change
-	// (split, merge, arbitration flip, fold, widen, build/load,
-	// quarantine/rebuild) with its cause, the fingerprint of the query
+	// (split, merge, arbitration flip, fold, widen, build, quarantine)
+	// with its cause, the fingerprint of the query
 	// that triggered it, and the before/after bounds. When nil, the
 	// engine creates a private ledger. Share one ledger across engines
 	// (the DB facade does) so /adaptation sees catalog-wide history;
@@ -99,8 +99,8 @@ type Options struct {
 	// limits). Enforced at cooperative checkpoints; see Limits.
 	Limits Limits
 	// Logger receives structured log events: quarantines (warn) and
-	// adaptation milestones — skipper built/loaded/rebuilt and
-	// arbitration flips at info, per-zone splits/merges at debug. Nil
+	// adaptation milestones — skipper built and arbitration flips at
+	// info, per-zone splits/merges at debug. Nil
 	// disables logging entirely.
 	Logger *slog.Logger
 	// Shard is this engine's 1-based shard number when it is one shard of
@@ -135,10 +135,6 @@ type Engine struct {
 	opts     Options
 	skippers map[string]core.Skipper
 
-	// quarantined names columns whose skippers failed (panic or detected
-	// corruption) and now fall back to full scans; see quarantineLocked.
-	quarantined map[string]quarantineRecord
-
 	// Observability: the registry and ledger may be shared across
 	// engines; metric handles are resolved once so the per-query cost is
 	// atomic adds only. trace is the in-flight query's trace and colM the
@@ -167,10 +163,9 @@ var (
 func New(tbl *table.Table, opts Options) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{
-		tbl:         tbl,
-		opts:        opts,
-		skippers:    make(map[string]core.Skipper),
-		quarantined: make(map[string]quarantineRecord),
+		tbl:      tbl,
+		opts:     opts,
+		skippers: make(map[string]core.Skipper),
 	}
 	e.reg = opts.Metrics
 	if e.reg == nil {
@@ -210,9 +205,10 @@ func (e *Engine) Metrics() *obs.Registry { return e.reg }
 func (e *Engine) Ledger() *obs.Ledger { return e.ledger }
 
 // EnableSkipping builds skipping metadata for the named columns (all
-// columns when none are named) according to the engine's policy. String
-// columns get their dictionaries sealed first so code order is value
-// order.
+// columns when none are named) according to the engine's policy, from the
+// columns' base data: a column whose skipper was dropped after a fault gets
+// a fresh one, and a skipper already in place is replaced. String columns
+// get their dictionaries sealed first so code order is value order.
 func (e *Engine) EnableSkipping(cols ...string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -222,7 +218,7 @@ func (e *Engine) EnableSkipping(cols ...string) error {
 		}
 	}
 	for _, name := range cols {
-		if err := e.buildSkipperLocked(name, obs.EventSkipperBuilt); err != nil {
+		if err := e.buildSkipperLocked(name); err != nil {
 			return err
 		}
 	}
@@ -230,8 +226,8 @@ func (e *Engine) EnableSkipping(cols ...string) error {
 }
 
 // buildSkipperLocked constructs fresh skipping metadata for one column
-// from its base data, clearing any quarantine. Caller holds e.mu.
-func (e *Engine) buildSkipperLocked(name string, kind obs.EventKind) error {
+// from its base data. Caller holds e.mu.
+func (e *Engine) buildSkipperLocked(name string) error {
 	col, err := e.tbl.Column(name)
 	if err != nil {
 		return err
@@ -251,35 +247,17 @@ func (e *Engine) buildSkipperLocked(name string, kind obs.EventKind) error {
 	default:
 		return fmt.Errorf("engine: unknown policy %d", e.opts.Policy)
 	}
-	delete(e.quarantined, name)
-	e.registerSkipper(name, kind)
-	return nil
-}
-
-// registerSkipper hooks a freshly installed skipper into the
-// observability layer: journal sink, lifecycle record, and the column's
-// counters and gauges.
-func (e *Engine) registerSkipper(name string, kind obs.EventKind) {
+	// Hook the skipper into the observability layer: journal sink,
+	// lifecycle record, and the column's counters and gauges.
 	s := e.skippers[name]
 	journal := e.journal(name)
 	s.SetJournal(journal)
 	journal(obs.LedgerRecord{
-		Kind: kind, Cause: lifecycleCause(kind),
+		Kind: obs.EventSkipperBuilt, Cause: "build",
 		ZonesAfter: s.Metadata().Zones, RowHi: s.Rows(),
 	})
 	e.colMetrics(name)
-}
-
-// lifecycleCause maps engine-level lifecycle kinds to ledger causes.
-func lifecycleCause(kind obs.EventKind) string {
-	switch kind {
-	case obs.EventSkipperBuilt:
-		return "build"
-	case obs.EventRebuild:
-		return "manual"
-	default:
-		return kind.String()
-	}
+	return nil
 }
 
 // Skipper returns the skipper for a column, or nil if none is registered.
@@ -529,18 +507,13 @@ func (e *Engine) applyUpdateLocked(col *storage.Column, colName string, row int,
 			return err
 		}
 		if row < s.Rows() {
-			if perr := func() (err error) {
-				defer recoverToError(&err)
+			e.guard(colName, func() error {
 				s.Widen(row, code)
 				if wasNull {
 					s.NoteNonNull(row)
 				}
 				return nil
-			}(); perr != nil {
-				e.quarantineLocked(colName, perr)
-			} else {
-				e.checkSkipperHealth(colName, s)
-			}
+			})
 		}
 	}
 	return nil
@@ -605,14 +578,9 @@ func (e *Engine) syncSkippers() {
 		if s.Rows() == col.Len() {
 			continue
 		}
-		if perr := func() (err error) {
-			defer recoverToError(&err)
+		e.guard(name, func() error {
 			s.Extend(col.Vec(), col.Nulls())
 			return nil
-		}(); perr != nil {
-			e.quarantineLocked(name, perr)
-			continue
-		}
-		e.checkSkipperHealth(name, s)
+		})
 	}
 }

@@ -87,9 +87,10 @@ func (e *Engine) Query(q Query) (*Result, error) {
 // QueryContext executes q under ctx's cancellation and the engine's
 // per-query resource limits. Cancellation is cooperative: scans check the
 // context at least once per checkpointRows rows, so an expired context
-// returns ErrCanceled within one checkpoint interval. A query whose
-// skipper panics or self-reports corruption quarantines that skipper and
-// retries once without it (full scan), preserving correctness.
+// returns ErrCanceled within one checkpoint interval. A skipper that
+// panics is dropped and its column scanned in full; a scan that panics on
+// the candidate windows of an active skipper drops that skipper and runs
+// once more without it. Either way the answer is the full scan's.
 func (e *Engine) QueryContext(ctx context.Context, q Query) (*Result, error) {
 	p, err := e.QueryPartial(ctx, q)
 	if err != nil {
@@ -137,7 +138,7 @@ func (e *Engine) QueryPartial(ctx context.Context, q Query) (*Partial, error) {
 
 // queryOnce runs one planning + execution attempt under the engine mutex.
 // A panic anywhere in execution is recovered here: skippers that were
-// actively pruning are quarantined (the metadata is the prime corruption
+// actively pruning are dropped (their candidate windows are the prime
 // suspect) and the error is marked retryable.
 func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Partial, err error) {
 	e.mu.Lock()
@@ -202,7 +203,7 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Partial, err erro
 	if err != nil {
 		// A worker panic surfaces here as an error (recovered in its own
 		// goroutine — panics cannot cross goroutines); treat it like an
-		// in-line panic: quarantine the active skippers and mark retryable.
+		// in-line panic: drop the active skippers and mark retryable.
 		var pe *panicError
 		if errors.As(err, &pe) {
 			return nil, e.handleExecPanic(plans, pe)
@@ -305,10 +306,10 @@ func (e *Engine) bind(q Query) (binding, error) {
 }
 
 // handleExecPanic records a recovered execution panic: every skipper that
-// was actively pruning for the query is quarantined (corrupt metadata is
-// the prime suspect for out-of-range candidate windows), and when at
-// least one was, the error is marked retryable — the retry runs without
-// them, as full scans. Caller holds e.mu.
+// was actively pruning for the query is dropped (corrupt metadata is the
+// prime suspect for out-of-range candidate windows), and when at least
+// one was, the error is marked retryable — the retry runs without them,
+// as full scans. Caller holds e.mu.
 func (e *Engine) handleExecPanic(plans []colPlan, pe *panicError) error {
 	e.m.panics.Inc()
 	quarantined := 0
@@ -324,50 +325,38 @@ func (e *Engine) handleExecPanic(plans []colPlan, pe *panicError) error {
 	return fmt.Errorf("engine: execution panicked: %w", pe)
 }
 
-// safeProbe probes a plan's skipper for candidate windows, converting
-// panics and self-reported corruption (Skipper.Health) into
-// quarantine + full-scan fallback. Caller holds e.mu.
-func (e *Engine) safeProbe(p *colPlan) {
+// probe probes a plan's skipper for candidate windows. A probe that
+// panics drops the skipper, and the column runs as a plain full scan.
+// Caller holds e.mu.
+func (e *Engine) probe(p *colPlan) {
 	if p.skipper == nil {
 		return
 	}
-	if perr := func() (err error) {
-		defer recoverToError(&err)
+	if e.guard(p.name, func() error {
 		if p.pred.NullOnly {
 			p.res = p.skipper.PruneNulls()
 		} else {
 			p.res = p.skipper.Prune(p.pred.R)
 		}
 		return nil
-	}(); perr != nil {
-		e.quarantineLocked(p.name, perr)
-		p.skipper, p.res, p.active = nil, core.PruneResult{}, false
-		return
-	}
-	if e.checkSkipperHealth(p.name, p.skipper) {
-		// The probe detected corruption and declined; the column now runs
-		// as a plain full scan.
-		p.skipper, p.res, p.active = nil, core.PruneResult{}, false
-		return
+	}) != nil {
+		p.skipper, p.res = nil, core.PruneResult{}
 	}
 	p.active = p.res.Enabled
 }
 
 // observe hands a plan's probe result and the statistics its scan gathered
-// back to its skipper. A panicking Observe quarantines the skipper: the
+// back to its skipper. An Observe that panics drops the skipper: the
 // query's result is already computed, so only the metadata is at stake.
 // Caller holds e.mu.
 func (e *Engine) observe(p *colPlan) {
 	if p.skipper == nil {
 		return
 	}
-	perr := func() (err error) {
-		defer recoverToError(&err)
+	if e.guard(p.name, func() error {
 		p.skipper.Observe(p.res, p.stats)
 		return nil
-	}()
-	if perr != nil {
-		e.quarantineLocked(p.name, perr)
+	}) != nil {
 		p.skipper = nil
 	}
 }
@@ -390,7 +379,7 @@ func (e *Engine) plan(where expr.Conj) ([]colPlan, bool, error) {
 		if cp.Empty() {
 			unsat = true
 		}
-		e.safeProbe(&p)
+		e.probe(&p)
 		plans = append(plans, p)
 	}
 	return plans, unsat, nil

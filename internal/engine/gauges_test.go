@@ -12,8 +12,8 @@ import (
 // TestSkipperGaugesReadLiveSkipper: a column's adskip_skipper_zones,
 // _bytes and _enabled series are read when the registry is exposed, from
 // the skipper the column has then — its metadata after EnableSkipping,
-// after queries that split its zones and after RebuildSkipping, and zeros
-// while it is quarantined — which is what the per-query refresh they
+// after queries that split its zones and after a second EnableSkipping,
+// and zeros while it is dropped after a fault — which is what the per-query refresh they
 // replace left in them.
 func TestSkipperGaugesReadLiveSkipper(t *testing.T) {
 	tb := buildTable(t, 4000, 21)
@@ -59,14 +59,14 @@ func TestSkipperGaugesReadLiveSkipper(t *testing.T) {
 	if _, err := e.Query(countQuery("a")); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Quarantined()) == 0 {
-		t.Fatal("the faulty skipper was not quarantined")
+	if e.Skipper("a") != nil {
+		t.Fatal("the faulty skipper was not dropped")
 	}
 	check("after a quarantine")
-	if err := e.RebuildSkipping(); err != nil {
+	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
 	}
-	if md := check("after RebuildSkipping"); md.Zones == 0 || !md.Enabled {
+	if md := check("after a second EnableSkipping"); md.Zones == 0 || !md.Enabled {
 		t.Fatalf("rebuilt skipper reads %+v", md)
 	}
 }

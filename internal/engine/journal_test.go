@@ -16,7 +16,7 @@ import (
 
 // TestOneJournal drives every kind of adaptation the system has — build,
 // splits, a merge sweep, an arbitration disable and re-enable, a tail
-// fold, an update widen, a quarantine and a rebuild — and checks the "one
+// fold, an update widen, a quarantine and a second build — and checks the "one
 // journal" invariant: each change is recorded exactly once, in the
 // ledger; the per-kind counter and both telemetry views are the same
 // records counted or projected, never a second log.
@@ -71,10 +71,10 @@ func TestOneJournal(t *testing.T) {
 	count("a", 1000, 1040)
 	restore()
 	count("a", 1000, 1040)
-	if len(e.Quarantined()) == 0 {
+	if e.Skipper("a") != nil {
 		t.Fatal("injected corruption was not quarantined")
 	}
-	if err := e.RebuildSkipping(); err != nil {
+	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,12 +91,12 @@ func TestOneJournal(t *testing.T) {
 	}
 	for _, k := range []obs.EventKind{obs.EventSkipperBuilt, obs.EventSplit, obs.EventMerge,
 		obs.EventDisable, obs.EventEnable, obs.EventTailFold, obs.EventWiden,
-		obs.EventQuarantine, obs.EventRebuild} {
+		obs.EventQuarantine} {
 		if perKind[k] == 0 {
 			t.Errorf("no %s record: the scenario never drove it (kinds seen: %v)", k, perKind)
 		}
 	}
-	if perKind[obs.EventSkipperBuilt] != 2 || perKind[obs.EventQuarantine] != 1 || perKind[obs.EventRebuild] != 1 ||
+	if perKind[obs.EventSkipperBuilt] != 3 || perKind[obs.EventQuarantine] != 1 ||
 		perKind[obs.EventDisable] != 1 || perKind[obs.EventEnable] != 1 || perKind[obs.EventWiden] != 1 {
 		t.Errorf("one-off changes recorded more or less than once: %v", perKind)
 	}

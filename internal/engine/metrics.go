@@ -91,7 +91,8 @@ type colMetrics struct {
 // colMetrics resolves (and caches) the handles for one column, and
 // registers its skipper gauges: each reads the column's live skipper under
 // the engine mutex when the registry is exposed (outside the registry's
-// own mutex), and reads zero while the column has none (quarantined).
+// own mutex), and reads zero while the column has none (dropped after a
+// fault).
 // Caller holds e.mu.
 func (e *Engine) colMetrics(name string) *colMetrics {
 	if cm, ok := e.colM[name]; ok {
@@ -184,7 +185,7 @@ func (e *Engine) journal(col string) func(obs.LedgerRecord) {
 		if e.log != nil {
 			lvl := slog.LevelDebug
 			switch rec.Kind {
-			case obs.EventDisable, obs.EventEnable, obs.EventSkipperBuilt, obs.EventRebuild:
+			case obs.EventDisable, obs.EventEnable, obs.EventSkipperBuilt:
 				lvl = slog.LevelInfo
 			case obs.EventQuarantine:
 				lvl = slog.LevelWarn

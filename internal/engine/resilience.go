@@ -9,16 +9,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adskip/internal/core"
+	"adskip/internal/adaptive"
 	"adskip/internal/faultinject"
 	"adskip/internal/obs"
 )
 
 // Resilience layer: cooperative cancellation, per-query resource budgets,
-// panic isolation, and skipper quarantine. The design constraint is that
-// the hot scan loop stays branch-free: kernels run in checkpointRows-sized
-// chunks and all checking happens between chunks, so a 4M-row scan pays
-// ~64 cheap checks rather than 4M.
+// panic isolation, and dropping a faulty skipper. The design constraint is
+// that the hot scan loop stays branch-free: kernels run in
+// checkpointRows-sized chunks and all checking happens between chunks, so
+// a 4M-row scan pays ~64 cheap checks rather than 4M.
 
 // Errors returned by the resilience layer.
 var (
@@ -161,14 +161,19 @@ func countChunks(tk *ticker, lo, hi int, kernel func(lo, hi int) int) (int, erro
 }
 
 // panicError is a panic recovered into an error, carrying the stack for
-// diagnostics. Panics attributable to skipper metadata quarantine the
-// column and retry the query without it.
+// diagnostics. It unwraps to the panic value when that is an error, so a
+// skipper's own fault (adaptive.ErrCorrupt) stays visible through it.
 type panicError struct {
 	val   any
 	stack []byte
 }
 
 func (p *panicError) Error() string { return fmt.Sprintf("recovered panic: %v", p.val) }
+
+func (p *panicError) Unwrap() error {
+	err, _ := p.val.(error)
+	return err
+}
 
 // recoverToError converts an in-flight panic into *errp. Use as
 // `defer recoverToError(&err)` at goroutine or call-boundary scope —
@@ -202,91 +207,53 @@ func firstWorkerError(errs []error) error {
 	return first
 }
 
-// quarantineRecord remembers why and when a column's skipper was pulled
-// from service.
-type quarantineRecord struct {
-	cause error
-	when  time.Time
+// guard runs call, a call into column col's skipper, under recover: the
+// one handler of skipper faults. A skipper reports a fault by panicking
+// (core.Skipper); call may also return one it found (VerifySkipping's
+// CheckInvariants). Either way the skipper is dropped and guard returns
+// the fault. call must not escape, so the closures passed here stay on
+// the stack. Caller holds e.mu.
+func (e *Engine) guard(col string, call func() error) (fault error) {
+	defer func() {
+		if fault != nil {
+			e.quarantineLocked(col, fault)
+		}
+	}()
+	defer recoverToError(&fault)
+	return call()
 }
 
-// quarantineLocked removes a column's skipper from service, recording the
-// cause. The column's queries fall back to full scans — skipping is
-// strictly an optimization, so correctness is preserved — until
-// RebuildSkipping (or EnableSkipping) reinstates metadata.
+// quarantineLocked drops a column's skipper after a fault. The column's
+// queries fall back to full scans — skipping is strictly an optimization,
+// so correctness is preserved — until EnableSkipping builds a fresh one.
+// The drop writes one quarantine record to the ledger, with cause
+// "corruption" when the skipper detected the fault itself (ErrCorrupt, or
+// a failed CheckInvariants) and "panic" otherwise, counts it in
+// adskip_skipper_quarantines_total and logs the fault at Error.
 // Caller holds e.mu.
-func (e *Engine) quarantineLocked(col string, cause error) {
+func (e *Engine) quarantineLocked(col string, fault error) {
 	s, ok := e.skippers[col]
 	if !ok {
 		return
 	}
 	delete(e.skippers, col)
-	e.quarantined[col] = quarantineRecord{cause: cause, when: time.Now()}
 	e.m.quarantines.Inc()
-	zones := 0
-	func() {
-		defer func() { recover() }() // metadata of a broken skipper may itself panic
-		zones = s.Metadata().Zones
-	}()
-	qcause := "corruption"
+	cause := "corruption"
 	var pe *panicError
-	if errors.As(cause, &pe) {
-		qcause = "panic"
+	if errors.As(fault, &pe) && !errors.Is(fault, adaptive.ErrCorrupt) {
+		cause = "panic"
 	}
-	e.journal(col)(obs.LedgerRecord{Kind: obs.EventQuarantine, Cause: qcause, ZonesBefore: zones})
+	e.journal(col)(obs.LedgerRecord{Kind: obs.EventQuarantine, Cause: cause, ZonesBefore: s.Metadata().Zones})
 	if e.log != nil {
 		e.log.Error("skipper quarantined: column falls back to full scans",
-			"table", e.tbl.Name(), "column", col, "cause", cause.Error())
+			"table", e.tbl.Name(), "column", col, "cause", fault.Error())
 	}
-}
-
-// checkSkipperHealth quarantines col when its skipper self-reports
-// corruption (Skipper.Health); reports whether it did. Caller holds e.mu.
-func (e *Engine) checkSkipperHealth(col string, s core.Skipper) bool {
-	err := s.Health()
-	if err == nil {
-		return false
-	}
-	e.quarantineLocked(col, err)
-	return true
-}
-
-// Quarantined reports the currently quarantined columns and the error
-// that benched each one.
-func (e *Engine) Quarantined() map[string]error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]error, len(e.quarantined))
-	for col, rec := range e.quarantined {
-		out[col] = rec.cause
-	}
-	return out
-}
-
-// RebuildSkipping reconstructs skipping metadata from base column data on
-// the named columns (all quarantined columns when none are named),
-// clearing their quarantine. Learned refinement is lost; soundness is
-// restored.
-func (e *Engine) RebuildSkipping(cols ...string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(cols) == 0 {
-		for col := range e.quarantined {
-			cols = append(cols, col)
-		}
-		sort.Strings(cols)
-	}
-	for _, name := range cols {
-		if err := e.buildSkipperLocked(name, obs.EventRebuild); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // VerifySkipping revalidates each named column's metadata (all skipping
 // columns when none are named) against the column's physical state — one
-// O(rows) pass per column. Failing columns are quarantined; their
-// failures are joined in the returned error.
+// O(rows) pass per column. Failing columns' skippers are dropped through
+// guard; their failures are joined in the returned error.
 func (e *Engine) VerifySkipping(cols ...string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -307,17 +274,14 @@ func (e *Engine) VerifySkipping(cols ...string) error {
 			errs = append(errs, err)
 			continue
 		}
-		checkErr := func() (err error) {
-			defer recoverToError(&err)
+		if err := e.guard(name, func() error {
 			rows := s.Rows()
 			if rows > col.Len() {
 				return fmt.Errorf("metadata covers %d rows, column has %d", rows, col.Len())
 			}
 			return s.CheckInvariants(col.Vec().Slice(0, rows), col.Nulls(), false)
-		}()
-		if checkErr != nil {
-			e.quarantineLocked(name, checkErr)
-			errs = append(errs, fmt.Errorf("column %q: %w", name, checkErr))
+		}); err != nil {
+			errs = append(errs, fmt.Errorf("column %q: %w", name, err))
 		}
 	}
 	return errors.Join(errs...)

@@ -206,13 +206,14 @@ func TestLimitsMaxResultRows(t *testing.T) {
 // faultySkipper lets tests fail specific skipper entry points, and counts
 // the feedback it receives.
 type faultySkipper struct {
-	rows        int
-	panicProbe  bool
-	panicObs    bool
-	badWindows  bool // emit candidate windows beyond the column end
-	healthErr   error
-	invariantOK bool
-	statParts   int // > 0: the one window asks for this many statistics parts
+	rows          int
+	panicProbe    bool // Prune and PruneNulls panic
+	panicObs      bool
+	panicExtend   bool
+	panicWiden    bool
+	badWindows    bool // emit candidate windows beyond the column end
+	badInvariants bool // CheckInvariants fails
+	statParts     int  // > 0: the one window asks for this many statistics parts
 
 	observed  int              // Observe calls
 	lastStats []core.ZoneStats // what the last Observe received
@@ -241,7 +242,12 @@ func (f *faultySkipper) Prune(expr.Ranges) core.PruneResult {
 	}}
 }
 
-func (f *faultySkipper) PruneNulls() core.PruneResult { return core.PruneResult{Enabled: false} }
+func (f *faultySkipper) PruneNulls() core.PruneResult {
+	if f.panicProbe {
+		panic("faultySkipper: probe panic")
+	}
+	return core.PruneResult{Enabled: false}
+}
 
 func (f *faultySkipper) Observe(_ core.PruneResult, stats []core.ZoneStats) {
 	f.observed++
@@ -251,17 +257,34 @@ func (f *faultySkipper) Observe(_ core.PruneResult, stats []core.ZoneStats) {
 	}
 }
 
-func (f *faultySkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) { f.rows = codes.Len() }
-func (f *faultySkipper) Widen(int, int64)                           {}
-func (f *faultySkipper) NoteNonNull(int)                            {}
-func (f *faultySkipper) Rows() int                                  { return f.rows }
+func (f *faultySkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) {
+	if f.panicExtend {
+		panic("faultySkipper: extend panic")
+	}
+	f.rows = codes.Len()
+}
+
+func (f *faultySkipper) Widen(int, int64) {
+	if f.panicWiden {
+		panic("faultySkipper: widen panic")
+	}
+}
+
+func (f *faultySkipper) NoteNonNull(int) {}
+func (f *faultySkipper) Rows() int       { return f.rows }
 func (f *faultySkipper) Metadata() core.Metadata {
 	return core.Metadata{Kind: "faulty", Zones: 1, Enabled: true}
 }
-func (f *faultySkipper) Health() error                                           { return f.healthErr }
-func (f *faultySkipper) CheckInvariants(storage.Vec, *bitvec.BitVec, bool) error { return nil }
-func (f *faultySkipper) SetJournal(func(obs.LedgerRecord))                       {}
-func (f *faultySkipper) Introspect() obs.SkipperSnapshot                         { return obs.SkipperSnapshot{} }
+
+func (f *faultySkipper) CheckInvariants(storage.Vec, *bitvec.BitVec, bool) error {
+	if f.badInvariants {
+		return errors.New("faultySkipper: bounds exclude a row")
+	}
+	return nil
+}
+
+func (f *faultySkipper) SetJournal(func(obs.LedgerRecord)) {}
+func (f *faultySkipper) Introspect() obs.SkipperSnapshot   { return obs.SkipperSnapshot{} }
 
 // install registers a faulty skipper on column "a" behind the engine's
 // back (tests only).
@@ -300,44 +323,118 @@ func naiveCountA(t *testing.T, tb *table.Table, lo, hi int64) int {
 	return want
 }
 
-func TestProbePanicQuarantines(t *testing.T) {
-	tb := buildTable(t, 1500, 11)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive()})
-	installFaulty(e, &faultySkipper{panicProbe: true})
+// TestSkipperFaultDropsSkipper drives a fault through every call the
+// engine makes into a skipper — Prune, PruneNulls, Observe, Extend (an
+// append, then a query), Widen (an Update), candidate windows the scan
+// cannot read at Parallelism 1 and 4, a failing CheckInvariants under
+// VerifySkipping, and a real adaptive zonemap whose layout an injected
+// InvariantFlip broke — and checks the one outcome: the answer is the
+// no-skipping reference's, the column's skipper is gone, exactly one
+// quarantine record names the right cause, adskip_skipper_quarantines_total
+// rises by one, and EnableSkipping brings a skipper back that answers
+// correctly.
+func TestSkipperFaultDropsSkipper(t *testing.T) {
+	count := []Agg{{Kind: CountStar}}
+	inA := countQuery("a")
+	isNull := Query{Where: expr.And(expr.MustPred("a", expr.IsNull)), Aggs: count}
+	query := func(q Query) func(*testing.T, *Engine) {
+		return func(t *testing.T, e *Engine) {
+			if _, err := e.Query(q); err != nil {
+				t.Fatalf("the faulting query failed: %v", err)
+			}
+		}
+	}
+	cases := []struct {
+		name        string
+		parallelism int
+		faulty      *faultySkipper // nil: the engine's own adaptive zonemap
+		fault       func(*testing.T, *Engine)
+		q           Query // checked against the reference after the fault
+		cause       string
+	}{
+		{"Prune", 1, &faultySkipper{panicProbe: true}, query(inA), inA, "panic"},
+		{"PruneNulls", 1, &faultySkipper{panicProbe: true}, query(isNull), isNull, "panic"},
+		{"Observe", 1, &faultySkipper{panicObs: true}, query(inA), inA, "panic"},
+		{"Extend", 1, &faultySkipper{panicExtend: true}, func(t *testing.T, e *Engine) {
+			if err := e.AppendRow(storage.IntValue(500), storage.IntValue(1),
+				storage.FloatValue(1), storage.StringValue("ant")); err != nil {
+				t.Fatal(err)
+			}
+		}, inA, "panic"},
+		{"Widen", 1, &faultySkipper{panicWiden: true}, func(t *testing.T, e *Engine) {
+			if err := e.Update("a", 5, storage.IntValue(1_000_000)); err != nil {
+				t.Fatal(err)
+			}
+		}, inA, "panic"},
+		{"bad windows at P=1", 1, &faultySkipper{badWindows: true}, query(inA), inA, "panic"},
+		{"bad windows at P=4", 4, &faultySkipper{badWindows: true}, query(inA), inA, "panic"},
+		{"CheckInvariants", 1, &faultySkipper{badInvariants: true}, func(t *testing.T, e *Engine) {
+			if err := e.VerifySkipping(); err == nil || !strings.Contains(err.Error(), "bounds exclude a row") {
+				t.Fatalf("VerifySkipping = %v, want the failed check", err)
+			}
+		}, inA, "corruption"},
+		{"broken adaptive layout", 1, nil, func(t *testing.T, e *Engine) {
+			restore := faultinject.Activate(faultinject.New(5).
+				Set(faultinject.InvariantFlip, faultinject.Rule{Every: 1, Limit: 1}))
+			defer restore()
+			query(inA)(t, e) // Observe breaks the layout; the next probe panics
+		}, inA, "corruption"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// The bad window spans four times the rows, enough for the
+			// parallel count to fan out across workers.
+			tb := buildTable(t, minRowsPerWorker/2+1000, 31)
+			e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive(), Parallelism: c.parallelism})
+			if err := e.EnableSkipping("a"); err != nil {
+				t.Fatal(err)
+			}
+			if c.faulty != nil {
+				installFaulty(e, c.faulty)
+			}
+			reference := New(tb, Options{Policy: PolicyNone})
+			check := func(stage string) {
+				t.Helper()
+				got, err := e.Query(c.q)
+				if err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
+				want, err := reference.Query(c.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Count != want.Count {
+					t.Fatalf("%s: count=%d, reference %d", stage, got.Count, want.Count)
+				}
+			}
+			before := e.m.quarantines.Load()
 
-	res, err := e.Query(countQuery("a"))
-	if err != nil {
-		t.Fatalf("query should fall back to a full scan, got %v", err)
-	}
-	if want := naiveCountA(t, tb, 10, 2000); res.Count != want {
-		t.Fatalf("count=%d want %d", res.Count, want)
-	}
-	q := e.Quarantined()
-	if _, ok := q["a"]; !ok {
-		t.Fatalf("column a not quarantined: %v", q)
-	}
-	if !strings.Contains(q["a"].Error(), "probe panic") {
-		t.Fatalf("quarantine cause %q does not name the panic", q["a"])
-	}
-	if quarantineEvents(e) == 0 {
-		t.Fatal("no quarantine event emitted")
-	}
-}
+			c.fault(t, e)
+			check("after the fault")
+			if e.Skipper("a") != nil {
+				t.Fatal("the faulty skipper is still installed")
+			}
+			var causes []string
+			for _, r := range e.Ledger().Records() {
+				if r.Kind == obs.EventQuarantine {
+					causes = append(causes, r.Column+":"+r.Cause)
+				}
+			}
+			if len(causes) != 1 || causes[0] != "a:"+c.cause {
+				t.Fatalf("quarantine records %v, want exactly [a:%s]", causes, c.cause)
+			}
+			if got := e.m.quarantines.Load() - before; got != 1 {
+				t.Fatalf("adskip_skipper_quarantines_total rose by %d, want 1", got)
+			}
 
-func TestObservePanicQuarantines(t *testing.T) {
-	tb := buildTable(t, 1500, 12)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive()})
-	installFaulty(e, &faultySkipper{panicObs: true})
-
-	res, err := e.Query(countQuery("a"))
-	if err != nil {
-		t.Fatalf("observe failures must not fail the query: %v", err)
-	}
-	if want := naiveCountA(t, tb, 10, 2000); res.Count != want {
-		t.Fatalf("count=%d want %d", res.Count, want)
-	}
-	if _, ok := e.Quarantined()["a"]; !ok {
-		t.Fatal("column a not quarantined after Observe panic")
+			if err := e.EnableSkipping("a"); err != nil {
+				t.Fatal(err)
+			}
+			if e.Skipper("a") == nil {
+				t.Fatal("EnableSkipping built no skipper")
+			}
+			check("after EnableSkipping")
+		})
 	}
 }
 
@@ -399,8 +496,8 @@ func TestObserveOncePerCompletedQuery(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := e.Quarantined()["a"]; ok {
-		t.Fatal("a counting skipper was quarantined")
+	if e.Skipper("a") != f {
+		t.Fatal("a counting skipper was dropped")
 	}
 
 	// Over the row budget, on the fast and the ordered path: no feedback.
@@ -439,31 +536,14 @@ func TestBadWindowsPanicRetries(t *testing.T) {
 	if want := naiveCountA(t, tb, 10, 2000); res.Count != want {
 		t.Fatalf("count=%d want %d", res.Count, want)
 	}
-	if _, ok := e.Quarantined()["a"]; !ok {
-		t.Fatal("column a not quarantined after kernel panic")
+	if e.Skipper("a") != nil {
+		t.Fatal("column a kept its skipper after a kernel panic")
 	}
 	if got := e.m.retries.Load(); got != 1 {
 		t.Fatalf("retries=%d want 1", got)
 	}
 	if got := e.m.panics.Load(); got == 0 {
 		t.Fatal("recovered panic not counted")
-	}
-}
-
-func TestHealthCheckQuarantines(t *testing.T) {
-	tb := buildTable(t, 1500, 14)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive()})
-	installFaulty(e, &faultySkipper{healthErr: errors.New("self-reported corruption")})
-
-	res, err := e.Query(countQuery("a"))
-	if err != nil {
-		t.Fatalf("health failures must degrade to full scan: %v", err)
-	}
-	if want := naiveCountA(t, tb, 10, 2000); res.Count != want {
-		t.Fatalf("count=%d want %d", res.Count, want)
-	}
-	if cause, ok := e.Quarantined()["a"]; !ok || !strings.Contains(cause.Error(), "self-reported") {
-		t.Fatalf("quarantine cause=%v", cause)
 	}
 }
 
@@ -496,58 +576,19 @@ func TestWorkerPanicInjection(t *testing.T) {
 	if res.Count != want {
 		t.Fatalf("count=%d want %d", res.Count, want)
 	}
-	if _, ok := e.Quarantined()["v"]; !ok {
-		t.Fatal("skipper not quarantined after worker panic")
+	if e.Skipper("v") != nil {
+		t.Fatal("skipper not dropped after worker panic")
 	}
 	if quarantineEvents(e) == 0 {
 		t.Fatal("no quarantine event emitted")
 	}
 }
 
-func TestRebuildSkippingRestores(t *testing.T) {
-	tb := buildTable(t, 1500, 15)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive()})
-	installFaulty(e, &faultySkipper{panicProbe: true})
-	if _, err := e.Query(countQuery("a")); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Quarantined()) == 0 {
-		t.Fatal("setup: nothing quarantined")
-	}
-
-	if err := e.RebuildSkipping(); err != nil {
-		t.Fatal(err)
-	}
-	if q := e.Quarantined(); len(q) != 0 {
-		t.Fatalf("still quarantined after rebuild: %v", q)
-	}
-	if e.Skipper("a") == nil {
-		t.Fatal("no skipper after rebuild")
-	}
-	rebuilds := 0
-	for _, ev := range e.Ledger().Records() {
-		if ev.Kind == obs.EventRebuild {
-			rebuilds++
-		}
-	}
-	if rebuilds == 0 {
-		t.Fatal("no rebuild event emitted")
-	}
-	// The rebuilt skipper serves queries correctly.
-	res, err := e.Query(countQuery("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := naiveCountA(t, tb, 10, 2000); res.Count != want {
-		t.Fatalf("count=%d want %d", res.Count, want)
-	}
-}
-
 // TestInvariantFlipChaos runs the full corruption lifecycle end to end
 // against real adaptive metadata: fault injection corrupts the zone
 // layout during Observe, the next probe's tiling check detects it and
-// declines, the engine quarantines the column, every answer stays
-// correct, and RebuildSkipping restores skipping service.
+// panics with ErrCorrupt, the engine drops the skipper, every answer
+// stays correct, and EnableSkipping restores skipping service.
 func TestInvariantFlipChaos(t *testing.T) {
 	tb := buildTable(t, 4000, 16)
 	e := newEngine(t, tb, PolicyAdaptive)
@@ -587,14 +628,14 @@ func TestInvariantFlipChaos(t *testing.T) {
 			t.Fatalf("query %d: count=%d want %d", q, res.Count, want)
 		}
 	}
-	if _, ok := e.Quarantined()["a"]; !ok {
-		t.Fatal("corrupted zonemap not quarantined")
+	if e.Skipper("a") != nil {
+		t.Fatal("corrupted zonemap not dropped")
 	}
 	if quarantineEvents(e) == 0 {
 		t.Fatal("no quarantine event emitted")
 	}
 
-	if err := e.RebuildSkipping(); err != nil {
+	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Query(countQuery("a"))
@@ -636,8 +677,8 @@ func TestVerifySkippingDetectsCorruption(t *testing.T) {
 	if err := e.VerifySkipping(); err == nil {
 		t.Fatal("verification passed on corrupted metadata")
 	}
-	if _, ok := e.Quarantined()["a"]; !ok {
-		t.Fatal("verification did not quarantine the corrupted column")
+	if e.Skipper("a") != nil {
+		t.Fatal("verification did not drop the corrupted column's skipper")
 	}
 }
 
@@ -691,21 +732,21 @@ func checkStaleMetadataCaught(t *testing.T, policy Policy, wide bool) {
 	if policy == PolicyAdaptive && !strings.Contains(err.Error(), "exclude row 10 code 3900") {
 		t.Fatalf("verification error %q does not name row 10 and its code", err)
 	}
-	if _, ok := e.Quarantined()["a"]; !ok {
-		t.Fatal("verification did not quarantine the stale column")
+	if e.Skipper("a") != nil {
+		t.Fatal("verification did not drop the stale column's skipper")
 	}
 	q := Query{Where: expr.And(intPred("a", expr.Between, 3000, 3999)), Aggs: []Agg{{Kind: CountStar}}}
 	if res, err := e.Query(q); err != nil || res.Count != 1001 {
 		t.Fatalf("quarantined count=%d err=%v, want 1001", res.Count, err)
 	}
-	if err := e.RebuildSkipping(); err != nil {
+	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
+	}
+	if e.Skipper("a") == nil {
+		t.Fatal("EnableSkipping built no skipper")
 	}
 	if err := e.VerifySkipping(); err != nil {
 		t.Fatalf("rebuilt metadata failed verification: %v", err)
-	}
-	if len(e.Quarantined()) != 0 {
-		t.Fatalf("rebuild left quarantine: %v", e.Quarantined())
 	}
 	if res, err := e.Query(q); err != nil || res.Count != 1001 {
 		t.Fatalf("rebuilt count=%d err=%v, want 1001", res.Count, err)

@@ -18,8 +18,7 @@ const (
 	EventEnable                        // shadow probe turned skipping back on
 	EventTailFold                      // append tail folded into zones
 	EventSkipperBuilt                  // skipping metadata built on a column
-	EventQuarantine                    // skipper failed (panic/corruption); column falls back to full scans
-	EventRebuild                       // quarantined metadata rebuilt from base data
+	EventQuarantine                    // skipper failed (panic/corruption) and was dropped; column falls back to full scans
 	EventWiden                         // a zone's value hull loosened in place by an append/update
 )
 
@@ -34,7 +33,6 @@ var eventKindNames = [...]string{
 	EventTailFold:     "tail-fold",
 	EventSkipperBuilt: "skipper-built",
 	EventQuarantine:   "quarantine",
-	EventRebuild:      "rebuild",
 	EventWiden:        "widen",
 }
 

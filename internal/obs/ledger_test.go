@@ -62,7 +62,7 @@ func TestLedgerTotalsFoldAtAppend(t *testing.T) {
 		Fingerprint: "q-template-1"})
 	l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventWiden, Cause: "append-fold"})
 	l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventSplit, Cause: "split-gain"})
-	l.Append(LedgerRecord{Table: "other", Column: "w", Kind: EventRebuild, Cause: "manual"})
+	l.Append(LedgerRecord{Table: "other", Column: "w", Kind: EventSkipperBuilt, Cause: "build"})
 
 	tot := l.Totals("data")
 	if tot.Events != 3 || tot.Splits != 2 {

@@ -30,11 +30,6 @@ func (m *Manager) EnableSkipping(cols ...string) error {
 	return m.eachShard(func(e *engine.Engine) error { return e.EnableSkipping(cols...) })
 }
 
-// RebuildSkipping reconstructs skipping metadata on every shard.
-func (m *Manager) RebuildSkipping(cols ...string) error {
-	return m.eachShard(func(e *engine.Engine) error { return e.RebuildSkipping(cols...) })
-}
-
 // VerifySkipping revalidates every shard's skipping metadata.
 func (m *Manager) VerifySkipping(cols ...string) error {
 	return m.eachShard(func(e *engine.Engine) error { return e.VerifySkipping(cols...) })
@@ -56,18 +51,6 @@ func (m *Manager) SkipperMetadata() map[string]core.Metadata {
 			agg.Bytes += md.Bytes
 			agg.Enabled = agg.Enabled || md.Enabled
 			out[col] = agg
-		}
-	}
-	return out
-}
-
-// Quarantined reports columns benched on any shard, the per-shard causes
-// joined per column.
-func (m *Manager) Quarantined() map[string]error {
-	out := make(map[string]error)
-	for _, s := range m.shards {
-		for col, err := range s.eng.Quarantined() {
-			out[col] = errors.Join(out[col], fmt.Errorf("shard %d: %w", s.id, err))
 		}
 	}
 	return out

@@ -34,7 +34,7 @@ func adaptationSource() Source {
 					Shard: 2, Kind: obs.EventWiden, Cause: "append-fold",
 					ZonesBefore: 5, ZonesAfter: 5},
 				{Seq: 4, Time: time.Unix(1700000020, 0).UTC(), Table: "aux", Column: "w",
-					Kind: obs.EventRebuild, Cause: "manual",
+					Kind: obs.EventSkipperBuilt, Cause: "build",
 					ZonesBefore: 2, ZonesAfter: 2},
 			},
 			ROI: []obs.ColumnROI{

@@ -56,7 +56,7 @@ type Kind[S, Q any] interface {
 
 // Grid is a fixed-granularity skipper over a column prefix of n rows:
 // zone i covers rows [i*zoneSize, min((i+1)*zoneSize, n)). It never
-// learns: Observe, the journal, Health and Introspect have nothing to do.
+// learns: Observe, the journal and Introspect have nothing to do.
 type Grid[S, Q any] struct {
 	kind     Kind[S, Q]
 	zoneSize int
@@ -270,10 +270,6 @@ func (bs Blocks[S, Q]) Check(kind Kind[S, Q], zones int, zone func(i int) (S, bo
 
 // Observe is a no-op: a fixed grid does not learn.
 func (g *Grid[S, Q]) Observe(core.PruneResult, []core.ZoneStats) {}
-
-// Health reports no corruption: the grid has no invariant it could notice
-// broken mid-probe.
-func (g *Grid[S, Q]) Health() error { return nil }
 
 // SetJournal ignores the sink: the grid never changes shape.
 func (g *Grid[S, Q]) SetJournal(func(obs.LedgerRecord)) {}

@@ -14,12 +14,15 @@ import (
 )
 
 // metricsDB builds a DB with one adaptive-skipped table big enough to
-// grow real zone metadata, and trains it with a short query stream.
-func metricsDB(t *testing.T) (*DB, *Table) {
+// grow real zone metadata, and trains it with a short query stream. With
+// shards > 1 the table is range-sharded on seq, so every shard holds every
+// value of v.
+func metricsDB(t *testing.T, shards int) (*DB, *Table) {
 	t.Helper()
 	db := Open(Options{
 		Policy:   Adaptive,
 		Adaptive: AdaptiveConfig{InitialZoneRows: 64, MinZoneRows: 8, SplitParts: 4},
+		Shards:   shards, ShardKey: "seq", ShardBy: "range",
 	})
 	tab, err := db.CreateTable("metrics", Col("v", Int64), Col("seq", Int64))
 	if err != nil {
@@ -94,7 +97,7 @@ func TestLoadTableCorruptionAtomic(t *testing.T) {
 }
 
 func TestExecContextCancellation(t *testing.T) {
-	db, _ := metricsDB(t)
+	db, _ := metricsDB(t, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := db.ExecContext(ctx, "SELECT COUNT(*) FROM metrics WHERE v > 10")
@@ -124,58 +127,89 @@ func TestLimitsThroughFacade(t *testing.T) {
 }
 
 // TestQuarantineLifecycleThroughFacade drives metadata corruption with
-// fault injection and checks the public surface end to end: queries stay
-// correct, Quarantined reports the benched column, the quarantine event
-// lands in AdaptationEvents, and RebuildSkipping restores service.
+// fault injection and checks the public surface end to end, on one table
+// and on a 2-shard range table: one injected InvariantFlip breaks one
+// (shard's) adaptive zonemap, the next probe drops that skipper, queries
+// stay exact, the one quarantine record in AdaptationEvents carries the
+// shard's stamp, the shard's adskip_skipper_zones reads 0 (SkipperInfo
+// loses the column when no shard keeps a skipper), and EnableSkipping
+// brings the zones back.
 func TestQuarantineLifecycleThroughFacade(t *testing.T) {
-	db, tab := metricsDB(t)
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, tab := metricsDB(t, shards)
+			exact := func(stage string) {
+				t.Helper()
+				res, err := db.Exec("SELECT COUNT(*) FROM metrics WHERE v BETWEEN 100 AND 200")
+				if err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
+				if !res.Aggs[0].Equal(IntValue(8 * 101)) {
+					t.Fatalf("%s: count=%v, want %d", stage, res.Aggs[0], 8*101)
+				}
+			}
+			// zones reads one shard's adskip_skipper_zones for v (shard 0:
+			// the unsharded table's series).
+			zones := func(shard int) int64 {
+				t.Helper()
+				labels := `column="v",`
+				if shard > 0 {
+					labels += fmt.Sprintf(`shard="%d",`, shard)
+				}
+				v, ok := seriesValue(scrape(t, db), `adskip_skipper_zones{`+labels+`table="metrics"}`)
+				if !ok {
+					t.Fatalf("no adskip_skipper_zones series for shard %d", shard)
+				}
+				return v
+			}
 
-	restore := faultinject.Activate(faultinject.New(5).
-		Set(faultinject.InvariantFlip, faultinject.Rule{Every: 1, Limit: 1}))
-	if _, err := db.Exec("SELECT COUNT(*) FROM metrics WHERE v BETWEEN 50 AND 150"); err != nil {
-		restore()
-		t.Fatal(err)
-	}
-	restore()
+			restore := faultinject.Activate(faultinject.New(5).
+				Set(faultinject.InvariantFlip, faultinject.Rule{Every: 1, Limit: 1}))
+			if _, err := db.Exec("SELECT COUNT(*) FROM metrics WHERE v BETWEEN 50 AND 150"); err != nil {
+				restore()
+				t.Fatal(err)
+			}
+			restore()
 
-	// Next queries detect the corruption, quarantine, and stay correct.
-	res, err := db.Exec("SELECT COUNT(*) FROM metrics WHERE v BETWEEN 100 AND 200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Aggs[0].Equal(IntValue(8 * 101)) {
-		t.Fatalf("count=%v", res.Aggs[0])
-	}
-	q := tab.Quarantined()
-	if _, ok := q["v"]; !ok {
-		t.Fatalf("quarantined=%v, want column v", q)
-	}
-	found := false
-	for _, ev := range db.AdaptationEvents() {
-		if ev.Kind == obs.EventQuarantine && ev.Column == "v" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no quarantine event in AdaptationEvents")
-	}
+			// The next query's probe detects the corruption and drops the
+			// skipper; the answer stays exact.
+			exact("the detecting query")
+			var quarantines []AdaptationRecord
+			for _, ev := range db.AdaptationEvents() {
+				if ev.Kind == obs.EventQuarantine {
+					quarantines = append(quarantines, ev)
+				}
+			}
+			if len(quarantines) != 1 || quarantines[0].Column != "v" || quarantines[0].Cause != "corruption" {
+				t.Fatalf("quarantine records %+v, want one on v with cause corruption", quarantines)
+			}
+			dropped := quarantines[0].Shard
+			if (shards == 0) != (dropped == 0) {
+				t.Fatalf("quarantine stamped shard %d on a table of %d shards", dropped, shards)
+			}
+			if got := zones(dropped); got != 0 {
+				t.Fatalf("the dropped skipper's shard still reads %d zones", got)
+			}
+			info, ok := tab.SkipperInfo()["v"]
+			if shards == 0 && ok {
+				t.Fatalf("SkipperInfo still lists v: %+v", info)
+			}
+			if shards > 0 && (!ok || int64(info.Zones) != zones(3-dropped)) {
+				t.Fatalf("SkipperInfo[v] = %+v, want the other shard's %d zones alone", info, zones(3-dropped))
+			}
+			exact("a full-scan query")
 
-	if err := tab.RebuildSkipping(); err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Quarantined()) != 0 {
-		t.Fatal("quarantine not cleared")
-	}
-	info := tab.SkipperInfo()["v"]
-	if info.Kind != "adaptive" || info.Zones == 0 {
-		t.Fatalf("skipper not rebuilt: %+v", info)
-	}
-	res, err = db.Exec("SELECT COUNT(*) FROM metrics WHERE v BETWEEN 100 AND 200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Aggs[0].Equal(IntValue(8 * 101)) {
-		t.Fatalf("post-rebuild count=%v", res.Aggs[0])
+			if err := tab.EnableSkipping("v"); err != nil {
+				t.Fatal(err)
+			}
+			if zones(dropped) == 0 {
+				t.Fatal("EnableSkipping left the shard without zones")
+			}
+			if info := tab.SkipperInfo()["v"]; info.Kind != "adaptive" || int64(info.Zones) < zones(dropped) {
+				t.Fatalf("skipper not rebuilt: %+v", info)
+			}
+			exact("after EnableSkipping")
+		})
 	}
 }
 
