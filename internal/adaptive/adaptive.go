@@ -3,10 +3,12 @@
 // a column's row space into zones carrying an expr.Hull and a non-null
 // count, tested as every zone is, and reshaped by per-query feedback:
 //
-//   - Split: a zone that keeps being scanned with low qualifying fractions
-//     is refined into sub-zones whose bounds were computed during a scan
-//     the query already had to perform (pay-as-you-go, in the spirit of
-//     database cracking).
+//   - Split: a zone a query had to scan is cut where the query's verdict
+//     changes across the parts of a fine summary of the column — hulls of
+//     MinZoneRows-row parts, each also cut where its values jump — that
+//     the zonemap builds with its zones in the same walk of the rows. A
+//     split reads no data: the summary fixes where a zone may be cut, the
+//     workload chooses which of those boundaries to expose.
 //   - Merge: adjacent zones whose metadata never prunes anything are
 //     coalesced, shedding probe cost and memory.
 //   - Arbitration: a per-column cost model tracks whether probing pays for
@@ -50,13 +52,11 @@ type Config struct {
 	// of folded append tails: the unindexed append tail folds into zones
 	// once it reaches this many rows. Default 65536.
 	InitialZoneRows int
-	// MinZoneRows is the floor of equal-width splits. A split's statistics
-	// may also cut a part where its values jump (scan.CountWithStats), which
-	// can leave a smaller zone: at most one extra per jump. Default 1024.
+	// MinZoneRows is the part size of the fine summary, and so the floor
+	// of a split: every zone boundary is a part boundary. The summary also
+	// cuts a part where its values jump (scan.Summarize), which can leave
+	// a smaller zone: at most one extra per jump. Default 1024.
 	MinZoneRows int
-	// SplitParts is the most equal-width parts a split cuts a zone into
-	// (bounded below by MinZoneRows), before cuts at jumps. Default 8.
-	SplitParts int
 	// DisableSplit, DisableMerge, and DisableArbitration switch off the
 	// corresponding adaptive mechanism. They exist for the ablation
 	// experiments; production use keeps all three on.
@@ -71,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinZoneRows <= 0 {
 		c.MinZoneRows = 1024
-	}
-	if c.SplitParts <= 0 {
-		c.SplitParts = 8
 	}
 	return c
 }
@@ -90,9 +87,6 @@ const (
 	// MergeHeat merges adjacent zones when both have usefulness below this
 	// threshold: nine straight misses from the initial heat of 0.5.
 	MergeHeat = 0.05
-	// MaxZoneRows caps how large merges may grow a zone, which bounds the
-	// work of one whole-zone statistics scan.
-	MaxZoneRows = 1 << 20
 	// MergeSweepEvery runs the O(zones) merge sweep every this many
 	// queries rather than after each one.
 	MergeSweepEvery = 8
@@ -115,7 +109,7 @@ const (
 // package's tests overwrite fields to explore other values on small
 // columns.
 type tuning struct {
-	maxZones, maxZoneRows, tailFoldRows      int
+	maxZones, tailFoldRows                   int
 	mergeSweepEvery, window, reprobeEvery    int
 	heatAlpha, mergeHeat, probeCost, rowCost float64
 }
@@ -124,29 +118,31 @@ type tuning struct {
 // defaults applied.
 func newTuning(cfg Config) tuning {
 	return tuning{
-		maxZones: MaxZones, maxZoneRows: MaxZoneRows, mergeSweepEvery: MergeSweepEvery,
+		maxZones: MaxZones, mergeSweepEvery: MergeSweepEvery,
 		window: Window, reprobeEvery: ReprobeEvery, tailFoldRows: cfg.InitialZoneRows,
 		heatAlpha: HeatAlpha, mergeHeat: MergeHeat, probeCost: ProbeCost, rowCost: RowCost,
 	}
 }
 
-// zone is one variable-width zone. Bounds are sound (enclose every
-// non-null value in the window) but may be loose after updates; they are
-// re-tightened by splits, which recompute exact sub-bounds.
+// zone is one variable-width zone, a run of whole parts of the summary.
+// Bounds are sound (enclose every non-null value in the window) but may be
+// loose after updates. A split does not re-tighten them: it reads no rows,
+// and its sub-zones take the hulls of their parts, which every update
+// widened along with the zone.
 type zone struct {
 	lo, hi  int
 	hull    expr.Hull // of the non-null rows: empty when there is none
 	nonNull int
 	heat    float64 // EWMA of probe usefulness in [0,1]
-	// statSkip/statFail back statistics gathering off exponentially: a
-	// zone whose stats failed to justify a split stops paying the piggyback
-	// cost for a while, so a converged structure scans at kernel speed.
-	statSkip uint16
-	statFail uint8
+	// first is the index of the zone's first summary part. Parts are only
+	// ever appended, so it stays valid; it lets a split walk the zone's
+	// parts without a search of the summary, which the scan that ran just
+	// before has pushed out of cache.
+	first int32
 	// widened marks a zone whose value hull was loosened by an in-place
-	// update since it was last (re)built, so a prune miss on it may be
-	// stale metadata rather than data distribution. Cleared when a split
-	// or fold recomputes exact bounds; merges inherit either side's flag.
+	// update since a tail fold built it, so a prune miss on it may be
+	// stale metadata rather than data distribution. Sub-zones of a split
+	// and merges inherit it.
 	widened bool
 }
 
@@ -164,9 +160,12 @@ type Stats struct {
 // Zonemap is an adaptive zonemap over one column. It implements
 // core.Skipper. Not safe for concurrent mutation.
 type Zonemap struct {
-	cfg    Config
-	tune   tuning
-	zones  []zone
+	cfg   Config
+	tune  tuning
+	zones []zone
+	// parts is the fine summary: it tiles [0, tailLo) too, and every zone
+	// boundary is a part boundary. Splits are planned from it alone.
+	parts  []scan.PartStat
 	rows   int // total rows, including unindexed tail
 	tailLo int // zones tile [0, tailLo); tail is [tailLo, rows)
 	// blocks is the coarse probe level, under the min/max hull.
@@ -226,7 +225,6 @@ func New(codes storage.Vec, nulls *bitvec.BitVec, cfg Config) *Zonemap {
 	z := &Zonemap{cfg: cfg, tune: newTuning(cfg), enabled: true}
 	z.rows = codes.Len()
 	z.appendZones(codes, nulls, 0, z.rows)
-	z.tailLo = z.rows
 	z.rebuildBlocks(0)
 	return z
 }
@@ -241,9 +239,9 @@ func (z *Zonemap) rebuildBlocks(from int) {
 }
 
 // maintCostRows is the assumed cost, in rows scanned, of one zone's worth
-// of maintenance (split bounds, merge bookkeeping, fold recompute): small,
-// since splits piggyback on scans the query paid for, but not free — zone
-// copies, the coarse-level rebuild, cache pollution. ROI debits it per
+// of maintenance (split planning, merge bookkeeping, fold recompute):
+// small, since splits read only the summary, but not free — zone copies,
+// the coarse-level rebuild, cache pollution. ROI debits it per
 // maintenance-touched zone.
 const maintCostRows = 64
 
@@ -267,15 +265,30 @@ func (z *Zonemap) Introspect() obs.SkipperSnapshot {
 	return snap
 }
 
-// appendZones builds InitialZoneRows-wide zones over rows [from, to) and
-// appends them.
+// appendZones summarizes rows [from, to), which start at tailLo, appends
+// the parts, and builds zones over them: each the union of the parts from
+// the first on until it holds InitialZoneRows rows, or the parts run out.
+// When MinZoneRows divides InitialZoneRows every zone but the last holds
+// exactly InitialZoneRows rows. It reads the rows once, through the
+// summary, and leaves tailLo at to.
 func (z *Zonemap) appendZones(codes storage.Vec, nulls *bitvec.BitVec, from, to int) {
-	for lo := from; lo < to; lo += z.cfg.InitialZoneRows {
-		hi := min(lo+z.cfg.InitialZoneRows, to)
-		nz := zone{lo: lo, hi: hi, heat: 0.5}
-		nz.hull, nz.nonNull = scan.MinMax(codes, lo, hi, nulls, 0)
-		z.zones = append(z.zones, nz)
+	first := len(z.parts)
+	z.parts = append(z.parts, scan.Summarize(codes, from, to, nulls, z.cfg.MinZoneRows)...)
+	for k := first; k < len(z.parts); k++ {
+		part := z.partZone(k)
+		if n := len(z.zones) - 1; k > first && z.zones[n].hi-z.zones[n].lo < z.cfg.InitialZoneRows {
+			z.zones[n] = mergeZones(z.zones[n], part)
+			continue
+		}
+		z.zones = append(z.zones, part)
 	}
+	z.tailLo = to
+}
+
+// partZone is summary part k as a zone of its own, at the initial heat.
+func (z *Zonemap) partZone(k int) zone {
+	p := &z.parts[k]
+	return zone{lo: p.Lo, hi: p.Hi, hull: p.Hull, nonNull: p.NonNull, heat: 0.5, first: int32(k)}
 }
 
 // Rows returns the rows covered (including the unindexed tail).
@@ -296,9 +309,11 @@ func (z *Zonemap) Stats() Stats {
 	}
 }
 
-// Metadata implements core.Skipper. Bytes includes both probe levels.
+// Metadata implements core.Skipper. Bytes includes both probe levels and
+// the summary.
 func (z *Zonemap) Metadata() core.Metadata {
-	bytes := len(z.zones)*int(unsafe.Sizeof(zone{})) + len(z.blocks)*int(unsafe.Sizeof(zonemap.Block[expr.Hull]{}))
+	bytes := len(z.zones)*int(unsafe.Sizeof(zone{})) + len(z.blocks)*int(unsafe.Sizeof(zonemap.Block[expr.Hull]{})) +
+		len(z.parts)*int(unsafe.Sizeof(scan.PartStat{}))
 	return core.Metadata{Kind: "adaptive", Zones: len(z.zones), Bytes: bytes, Enabled: z.enabled}
 }
 
@@ -351,7 +366,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 				res.Emit(&core.CandidateZone{Lo: zn.lo, Hi: zn.hi}, true)
 				continue
 			}
-			cand := core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: zn.pruned(m)}
+			cand := core.CandidateZone{Lo: zn.lo, Hi: zn.hi, Covered: zn.pruned(m)}
 			if !cand.Covered {
 				// Why not skipped: only NULL rows blocked the coverage
 				// proof, the hull was loosened (maybe stale metadata), or
@@ -363,11 +378,6 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 					res.MissWidened++
 				default:
 					res.MissOverlap++
-				}
-				if zn.statSkip == 0 {
-					if parts := z.statParts(zn); parts >= 2 {
-						cand.ID, cand.StatParts = i, parts
-					}
 				}
 			}
 			res.Emit(&cand, false)
@@ -393,7 +403,7 @@ func (z *Zonemap) endProbe(res core.PruneResult, prev int) core.PruneResult {
 		panic(fmt.Errorf("%w: zones end at %d, tailLo=%d", ErrCorrupt, prev, z.tailLo))
 	}
 	if z.rows > z.tailLo {
-		res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: z.tailLo, Hi: z.rows})
+		res.Zones = append(res.Zones, core.CandidateZone{Lo: z.tailLo, Hi: z.rows})
 	}
 	return res
 }
@@ -405,10 +415,10 @@ func badTiling(idx, got, want int) error {
 }
 
 // PruneNulls implements core.Skipper for IS NULL predicates: zones with no
-// NULL rows skip, all-NULL zones are covered. Null-seeking queries carry
-// no zone identity (the structure does not refine on them) and include the
-// unindexed tail as a candidate. Like Prune it writes nothing; its result
-// carries no Ranges, so Observe feeds it to the cost model alone.
+// NULL rows skip, all-NULL zones are covered. The structure does not
+// refine on null-seeking queries, and the unindexed tail is a candidate.
+// Like Prune it writes nothing; its result carries no Ranges, so Observe
+// feeds it to the cost model alone.
 func (z *Zonemap) PruneNulls() core.PruneResult {
 	res := core.PruneResult{Enabled: true, ZonesProbed: len(z.zones)}
 	prev := 0
@@ -418,15 +428,9 @@ func (z *Zonemap) PruneNulls() core.PruneResult {
 			panic(badTiling(i, zn.lo, prev))
 		}
 		prev = zn.hi
-		res.Emit(&core.CandidateZone{ID: core.NoZoneID, Lo: zn.lo, Hi: zn.hi, Covered: zn.nonNull == 0}, zn.nonNull == zn.hi-zn.lo)
+		res.Emit(&core.CandidateZone{Lo: zn.lo, Hi: zn.hi, Covered: zn.nonNull == 0}, zn.nonNull == zn.hi-zn.lo)
 	}
 	return z.endProbe(res, prev)
-}
-
-// statParts computes how many sub-partitions a scan of zn should report,
-// respecting the split floor. Returns <2 when the zone cannot be split.
-func (z *Zonemap) statParts(zn *zone) int {
-	return min((zn.hi-zn.lo)/z.cfg.MinZoneRows, z.cfg.SplitParts)
 }
 
 // Extend implements core.Skipper: appended rows enter the unindexed tail,
@@ -447,7 +451,6 @@ func (z *Zonemap) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
 	before := len(z.zones)
 	foldLo := z.tailLo
 	z.appendZones(codes, nulls, z.tailLo, z.rows)
-	z.tailLo = z.rows
 	z.rebuildBlocks(before)
 	z.maintZones += int64(len(z.zones) - before)
 	z.maintEvents++
@@ -461,17 +464,20 @@ func (z *Zonemap) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
 	})
 }
 
-// Widen implements core.Skipper: loosen the enclosing zone's bounds so an
-// in-place update can never be wrongly skipped. Rows in the tail need no
-// metadata maintenance. A row no zone covers is a broken layout: zoneIndex
-// panics with ErrCorrupt, and the engine drops the zonemap, so the missed
-// widening can never cause a wrong skip.
+// Widen implements core.Skipper: loosen the enclosing zone's bounds, and
+// its part's, so an in-place update can never be wrongly skipped, not even
+// by a zone a later split cuts from the part. Rows in the tail need no
+// metadata maintenance. A row no zone or part covers is a broken layout:
+// the lookup panics with ErrCorrupt, and the engine drops the zonemap, so
+// the missed widening can never cause a wrong skip.
 func (z *Zonemap) Widen(row int, code int64) {
 	if row >= z.tailLo {
 		return
 	}
 	i := z.zoneIndex(row)
 	zn := &z.zones[i]
+	p := &z.parts[z.partIndex(row)]
+	p.Hull = p.Hull.Admit(code)
 	z.blocks.Admit(zonemap.HullKind{}, i, code)
 	before := zn.hull
 	if zn.hull = before.Admit(code); before.Empty() || zn.hull == before {
@@ -492,12 +498,14 @@ func (z *Zonemap) Widen(row int, code int64) {
 	}
 }
 
-// NoteNonNull implements core.Skipper.
+// NoteNonNull implements core.Skipper: the row counts in its zone and in
+// its part.
 func (z *Zonemap) NoteNonNull(row int) {
 	if row >= z.tailLo {
 		return
 	}
 	z.zones[z.zoneIndex(row)].nonNull++
+	z.parts[z.partIndex(row)].NonNull++
 }
 
 // zoneIndex locates the zone containing row by binary search. A row the
@@ -511,42 +519,61 @@ func (z *Zonemap) zoneIndex(row int) int {
 	return i
 }
 
-// CheckInvariants verifies the structural invariants against the column's
-// physical state: zones are sorted, non-empty, tile [0, tailLo) exactly,
-// bounds enclose every non-null value, and non-null counts are exact or
-// conservative (Widen may leave counts stale low only via NoteNonNull
-// omission, which is a caller bug — here they must match exactly when
-// exact==true). The tiling is checked first, so a broken layout is named
-// by the row where it breaks. Each zone's rows are then read once, by the
-// min/max kernel; only a zone whose bounds fail is walked again, to name
-// the row.
-func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
-	prev := 0
-	for i, zn := range z.zones {
-		if zn.lo != prev {
-			return fmt.Errorf("adaptive: zone %d starts at %d, want %d (gap or overlap)", i, zn.lo, prev)
-		}
-		if zn.hi <= zn.lo {
-			return fmt.Errorf("adaptive: zone %d empty [%d,%d)", i, zn.lo, zn.hi)
-		}
-		prev = zn.hi
+// partIndex is zoneIndex over the summary's parts.
+func (z *Zonemap) partIndex(row int) int {
+	i := sort.Search(len(z.parts), func(i int) bool { return z.parts[i].Hi > row })
+	if i == len(z.parts) || z.parts[i].Lo > row {
+		panic(fmt.Errorf("%w: row %d not covered by parts (tailLo=%d)", ErrCorrupt, row, z.tailLo))
 	}
-	if prev != z.tailLo {
-		return fmt.Errorf("adaptive: zones end at %d, tailLo=%d", prev, z.tailLo)
+	return i
+}
+
+// CheckInvariants verifies the structural invariants against the column's
+// physical state: the zones and the summary's parts each tile [0, tailLo)
+// exactly with non-empty windows, every zone boundary is a part boundary,
+// each part's bounds enclose its rows' non-null values and each zone's
+// bounds its parts' bounds, and non-null counts are exact (when exact) or
+// never above the rows that hold a value (Widen without NoteNonNull leaves
+// them low, a caller bug exact reports). The tiling is checked first, so a
+// broken layout is named by the row where it breaks. Each part's rows are
+// then read once, by the min/max kernel; only a part whose bounds fail is
+// walked again, to name the row.
+func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
+	if err := tiles("zone", len(z.zones), func(i int) (int, int) { return z.zones[i].lo, z.zones[i].hi }, z.tailLo); err != nil {
+		return err
+	}
+	if err := tiles("part", len(z.parts), func(k int) (int, int) { return z.parts[k].Lo, z.parts[k].Hi }, z.tailLo); err != nil {
+		return err
 	}
 	if z.tailLo > z.rows {
 		return fmt.Errorf("adaptive: tailLo %d beyond rows %d", z.tailLo, z.rows)
 	}
+	k := 0 // the zone's first part
 	for i, zn := range z.zones {
-		h, nonNull := scan.MinMax(codes, zn.lo, zn.hi, nulls, 0)
-		if !zn.hull.Encloses(h) {
-			return excludedRow(i, zn, codes, nulls)
+		if int(zn.first) != k {
+			return fmt.Errorf("adaptive: zone %d names part %d as its first, want %d", i, zn.first, k)
 		}
-		if exact && nonNull != zn.nonNull {
-			return fmt.Errorf("adaptive: zone %d nonNull=%d, actual %d", i, zn.nonNull, nonNull)
+		partsHull, nonNull := expr.EmptyHull, 0
+		for ; k < len(z.parts) && z.parts[k].Hi <= zn.hi; k++ {
+			p := &z.parts[k]
+			h, n := scan.MinMax(codes, p.Lo, p.Hi, nulls, 0)
+			if !p.Hull.Encloses(h) {
+				return excludedRow(k, p, codes, nulls)
+			}
+			if err := checkNonNull("part", k, p.NonNull, n, exact); err != nil {
+				return err
+			}
+			partsHull, nonNull = partsHull.Union(p.Hull), nonNull+n
 		}
-		if !exact && zn.nonNull > nonNull {
-			return fmt.Errorf("adaptive: zone %d nonNull=%d exceeds actual %d", i, zn.nonNull, nonNull)
+		if k == 0 || z.parts[k-1].Hi != zn.hi {
+			return fmt.Errorf("adaptive: zone %d [%d,%d) ends inside part %d", i, zn.lo, zn.hi, k)
+		}
+		if !zn.hull.Encloses(partsHull) {
+			return fmt.Errorf("adaptive: zone %d bounds [%d,%d] do not enclose its parts' [%d,%d]",
+				i, zn.hull.Min, zn.hull.Max, partsHull.Min, partsHull.Max)
+		}
+		if err := checkNonNull("zone", i, zn.nonNull, nonNull, exact); err != nil {
+			return err
 		}
 	}
 	if err := z.blocks.Check(zonemap.HullKind{}, len(z.zones), func(i int) (expr.Hull, bool) {
@@ -557,19 +584,48 @@ func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact
 	return nil
 }
 
-// excludedRow names the first non-null row of zone i whose code its bounds
-// exclude; CheckInvariants calls it once the zone's min/max showed there is
+// tiles checks that the n windows window(i) are non-empty and tile
+// [0, end) in order; what names them in the error.
+func tiles(what string, n int, window func(i int) (lo, hi int), end int) error {
+	prev := 0
+	for i := 0; i < n; i++ {
+		lo, hi := window(i)
+		if lo != prev {
+			return fmt.Errorf("adaptive: %s %d starts at %d, want %d (gap or overlap)", what, i, lo, prev)
+		}
+		if hi <= lo {
+			return fmt.Errorf("adaptive: %s %d empty [%d,%d)", what, i, lo, hi)
+		}
+		prev = hi
+	}
+	if prev != end {
+		return fmt.Errorf("adaptive: %ss end at %d, tailLo=%d", what, prev, end)
+	}
+	return nil
+}
+
+// checkNonNull compares the non-null count zone or part i keeps with the
+// actual one.
+func checkNonNull(what string, i, kept, actual int, exact bool) error {
+	if exact && kept != actual || kept > actual {
+		return fmt.Errorf("adaptive: %s %d nonNull=%d, actual %d", what, i, kept, actual)
+	}
+	return nil
+}
+
+// excludedRow names the first non-null row of part k whose code its bounds
+// exclude; CheckInvariants calls it once the part's min/max showed there is
 // one.
-func excludedRow(i int, zn zone, codes storage.Vec, nulls *bitvec.BitVec) error {
-	for r := zn.lo; r < zn.hi; r++ {
+func excludedRow(k int, p *scan.PartStat, codes storage.Vec, nulls *bitvec.BitVec) error {
+	for r := p.Lo; r < p.Hi; r++ {
 		if nulls != nil && nulls.Get(r) {
 			continue
 		}
-		if c := codes.At(r); !zn.hull.Encloses(expr.Hull{Min: c, Max: c}) {
-			return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude row %d code %d", i, zn.hull.Min, zn.hull.Max, r, c)
+		if c := codes.At(r); !p.Hull.Encloses(expr.Hull{Min: c, Max: c}) {
+			return fmt.Errorf("adaptive: part %d bounds [%d,%d] exclude row %d code %d", k, p.Hull.Min, p.Hull.Max, r, c)
 		}
 	}
-	return fmt.Errorf("adaptive: zone %d bounds [%d,%d] exclude a row of [%d,%d)", i, zn.hull.Min, zn.hull.Max, zn.lo, zn.hi)
+	return fmt.Errorf("adaptive: part %d bounds [%d,%d] exclude a row of [%d,%d)", k, p.Hull.Min, p.Hull.Max, p.Lo, p.Hi)
 }
 
 // corruptLayout deterministically breaks the zone tiling invariant — the

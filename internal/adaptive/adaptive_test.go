@@ -22,44 +22,27 @@ func oneRange(lo, hi int64) expr.Ranges {
 }
 
 // execute simulates the engine's scan loop over a prune result: it scans
-// candidate windows with the kernels, honors covered short-circuits,
-// gathers requested statistics, and feeds them back. It returns the
-// matching row count.
+// candidate windows with the kernels, honors covered short-circuits, and
+// feeds the result back. It returns the matching row count.
 func execute(z *Zonemap, codes []int64, nulls *bitvec.BitVec, r expr.Ranges) int {
-	count, _ := executeVec(z, storage.Vec{W: codes}, nulls, r)
-	return count
+	return executeVec(z, storage.Vec{W: codes}, nulls, r)
 }
 
-// executeVec is execute over a view of either width. It also returns how
-// many of the parts the statistics came back in were cut at a value jump.
-func executeVec(z *Zonemap, codes storage.Vec, nulls *bitvec.BitVec, r expr.Ranges) (count, cuts int) {
+// executeVec is execute over a view of either width.
+func executeVec(z *Zonemap, codes storage.Vec, nulls *bitvec.BitVec, r expr.Ranges) (count int) {
 	res := z.Prune(r)
-	count, cuts, stats := scanCandidates(res, r, codes, nulls)
-	z.Observe(res, stats)
-	return count, cuts
-}
-
-// scanCandidates is the scan half of executeVec: the count of r over res's
-// windows (the whole column when the probe declined), the parts cut at a
-// value jump, and the statistics the candidates asked for, in ID order.
-func scanCandidates(res core.PruneResult, r expr.Ranges, codes storage.Vec, nulls *bitvec.BitVec) (count, cuts int, stats []core.ZoneStats) {
 	if !res.Enabled {
-		return scan.Count(codes, 0, codes.Len(), r, nulls, 0), 0, nil
+		count = scan.Count(codes, 0, codes.Len(), r, nulls, 0)
 	}
 	for _, c := range res.Zones {
-		switch {
-		case c.Covered:
+		if c.Covered {
 			count += c.Hi - c.Lo
-		case c.StatParts > 0:
-			m, parts := scan.CountStats(codes, c.Lo, c.Hi, r, nulls, 0, c.StatParts)
-			count += m
-			stats = append(stats, core.ZoneStats{ID: c.ID, Parts: parts})
-			cuts += len(parts) - c.StatParts
-		default:
+		} else {
 			count += scan.Count(codes, c.Lo, c.Hi, r, nulls, 0)
 		}
 	}
-	return count, cuts, stats
+	z.Observe(res)
+	return count
 }
 
 func seqCodes(n int, f func(i int) int64) []int64 {
@@ -74,7 +57,6 @@ func smallCfg() Config {
 	return Config{
 		InitialZoneRows: 100,
 		MinZoneRows:     10,
-		SplitParts:      5,
 	}
 }
 
@@ -117,22 +99,15 @@ func TestPruneSkipsAndCovers(t *testing.T) {
 	if res.RowsSkipped != 150 {
 		t.Fatalf("RowsSkipped=%d", res.RowsSkipped)
 	}
-	// Fully covering predicate -> covered candidate, no stats wanted.
+	// Fully covering predicate -> covered candidate.
 	res = z.Prune(oneRange(100, 199))
-	if len(res.Zones) != 1 || !res.Zones[0].Covered || res.Zones[0].StatParts > 0 {
+	if len(res.Zones) != 1 || !res.Zones[0].Covered {
 		t.Fatalf("covered prune: %v", res.Zones)
 	}
-	// Partially overlapping zone asks for stats.
+	// A partially overlapping zone is scanned, the one after it covered.
 	res = z.Prune(oneRange(150, 260))
-	var want []core.CandidateZone
-	for _, c := range res.Zones {
-		want = append(want, c)
-	}
-	if len(want) != 2 || want[0].StatParts != 5 {
-		t.Fatalf("stats request: %+v", want)
-	}
-	if !want[1].Covered {
-		t.Fatalf("third zone should be covered: %+v", want[1])
+	if len(res.Zones) != 2 || res.Zones[0].Covered || res.Zones[0].Lo != 100 || !res.Zones[1].Covered {
+		t.Fatalf("zones: %+v", res.Zones)
 	}
 }
 
@@ -171,7 +146,7 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 	if z.NumZones() != 1 {
 		t.Fatalf("zones=%d", z.NumZones())
 	}
-	execute(z, codes, nil, oneRange(0, 49)) // scans, piggybacks stats, splits
+	execute(z, codes, nil, oneRange(0, 49)) // scans the zone, splits it from its parts
 	if z.NumZones() <= 1 {
 		t.Fatal("no split happened")
 	}
@@ -191,12 +166,12 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 	cfg := smallCfg()
 	cfg.InitialZoneRows = 40
-	cfg.MinZoneRows = 25 // 40/25 < 2 -> no stats wanted, no splits possible
+	cfg.MinZoneRows = 40 // one part: no boundary inside the zone to split at
 	codes := seqCodes(40, func(i int) int64 { return int64(i) })
 	z := New(storage.Vec{W: codes}, nil, cfg)
-	res := z.Prune(oneRange(0, 5))
-	if res.Zones[0].StatParts > 0 {
-		t.Fatal("should not want stats below split floor")
+	execute(z, codes, nil, oneRange(0, 5))
+	if z.NumZones() != 1 {
+		t.Fatalf("split below the floor: %d zones", z.NumZones())
 	}
 	// Budget: MaxZones equal to current count forbids splits.
 	cfg2 := smallCfg()
@@ -230,21 +205,6 @@ func TestMergeCoalescesUselessZones(t *testing.T) {
 	}
 	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMergeRespectsMaxZoneRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(1000) })
-	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
-	z.tune.window = 1 << 30
-	z.tune.maxZoneRows = 250
-	for q := 0; q < 200; q++ {
-		execute(z, codes, nil, oneRange(0, 999))
-	}
-	// All zones cold -> merged, but never beyond 250 rows: at least 4 remain.
-	if z.NumZones() < 4 {
-		t.Fatalf("merge exceeded MaxZoneRows: %d zones", z.NumZones())
 	}
 }
 
@@ -446,12 +406,10 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 		cfg := Config{
 			InitialZoneRows: 20 + rng.Intn(100),
 			MinZoneRows:     2 + rng.Intn(10),
-			SplitParts:      2 + rng.Intn(6),
 		}
 		tune := newTuning(cfg.withDefaults())
 		tune.maxZones, tune.window = 50+rng.Intn(500), 4+rng.Intn(16)
 		tune.mergeSweepEvery, tune.reprobeEvery = 1+rng.Intn(8), 1+rng.Intn(8)
-		tune.maxZoneRows = 50 + rng.Intn(500)
 		n := 50 + rng.Intn(400)
 		codes := make([]int64, n)
 		for i := range codes {
@@ -494,7 +452,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.InitialZoneRows != 65536 || c.MinZoneRows != 1024 || c.SplitParts != 8 ||
+	if c.InitialZoneRows != 65536 || c.MinZoneRows != 1024 ||
 		c.DisableSplit || c.DisableMerge || c.DisableArbitration {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
@@ -565,7 +523,7 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 // are only DeepEqual when nil.
 func clone(z *Zonemap) *Zonemap {
 	c := *z
-	c.zones, c.blocks = slices.Clone(z.zones), slices.Clone(z.blocks)
+	c.zones, c.blocks, c.parts = slices.Clone(z.zones), slices.Clone(z.blocks), slices.Clone(z.parts)
 	return &c
 }
 
@@ -587,7 +545,7 @@ func readOnly(t *testing.T, what string, z *Zonemap, probe func() core.PruneResu
 // they panic with ErrCorrupt and leave the zonemap as it was.
 func TestPruneIsReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	// 500-row value bands: zones split, and stats backoff starts.
+	// 500-row value bands: zones split.
 	codes := seqCodes(6000, func(i int) int64 { return int64(i/500)*1000 + rng.Int63n(500) })
 	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
 	z.tune.window = 1 << 30 // keep arbitration from disabling
@@ -673,7 +631,7 @@ func TestNullProbeOnDisabledMap(t *testing.T) {
 	z.SetJournal(func(rec obs.LedgerRecord) { records = append(records, rec) })
 	disables, countdown := z.Stats().Disables, z.disabledQueries
 	for q := 0; q < 10; q++ {
-		z.Observe(z.PruneNulls(), nil)
+		z.Observe(z.PruneNulls())
 	}
 	if got := z.Stats().Disables; got != disables {
 		t.Errorf("null probes disabled the map again: %d disables, want %d", got, disables)
@@ -686,16 +644,101 @@ func TestNullProbeOnDisabledMap(t *testing.T) {
 	}
 }
 
-// TestProbeStructSizes pins the probe structs, which Metadata() counts with
-// unsafe.Sizeof. A change here moves the three adaptive.metadata_bytes lines
-// of scripts/bench_counters.golden (skip-clustered, scan-uniform and
-// ingest-mixed) and the "bytes" literals of the engine's
-// TestIntrospectDerivationsMatchParent.
+// TestProbeStructSizes pins the probe structs and the summary's part,
+// which Metadata() counts with unsafe.Sizeof. A change here moves the three
+// adaptive.metadata_bytes lines of scripts/bench_counters.golden
+// (skip-clustered, scan-uniform and ingest-mixed) and the "bytes" literals
+// of the engine's TestIntrospectDerivationsMatchParent.
 func TestProbeStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(zone{}); got != 56 {
 		t.Errorf("zone is %d bytes, want 56", got)
 	}
+	if got := unsafe.Sizeof(scan.PartStat{}); got != 40 {
+		t.Errorf("part is %d bytes, want 40", got)
+	}
 	if got := unsafe.Sizeof(zonemap.Block[expr.Hull]{}); got != 24 {
 		t.Errorf("block is %d bytes, want 24", got)
+	}
+}
+
+// handMap is a zonemap of one zone over 10-row parts with the given hulls
+// and non-null counts, as New would build it over rows that have them.
+func handMap(hulls []expr.Hull, nonNull []int) *Zonemap {
+	cfg := Config{MinZoneRows: 10}.withDefaults()
+	n := 10 * len(hulls)
+	z := &Zonemap{cfg: cfg, tune: newTuning(cfg), enabled: true, rows: n, tailLo: n}
+	whole := zone{lo: 0, hi: n, hull: expr.EmptyHull, heat: 0.5}
+	for k, h := range hulls {
+		p := scan.PartStat{Lo: 10 * k, Hi: 10*k + 10, Hull: h, NonNull: nonNull[k]}
+		z.parts = append(z.parts, p)
+		whole.hull, whole.nonNull = whole.hull.Union(h), whole.nonNull+p.NonNull
+	}
+	z.zones = []zone{whole}
+	z.rebuildBlocks(0)
+	return z
+}
+
+// One Observe splits the zone it had to scan exactly where the verdict
+// changes across its parts, and where neighbouring parts stop being alike:
+// a run grows while the next part has its verdict and compatible bounds,
+// and a pruned run only while its union is still pruned. With no pruned
+// run, or no room under MaxZones, nothing splits. Each sub-zone is the
+// union of its parts.
+func TestSplitAtVerdictChanges(t *testing.T) {
+	h := func(lo, hi int64) expr.Hull { return expr.Hull{Min: lo, Max: hi} }
+	bands := []expr.Hull{h(0, 9), h(0, 9), h(20, 29), h(30, 39), h(30, 39), h(40, 49), h(60, 69), h(60, 69)}
+	sorted := []expr.Hull{h(0, 9), h(10, 19), h(20, 29), h(30, 39), h(40, 49), h(50, 59), h(60, 69), h(70, 79)}
+	full := func(k int) []int {
+		n := make([]int, k)
+		for i := range n {
+			n[i] = 10
+		}
+		return n
+	}
+	for _, c := range []struct {
+		name     string
+		hulls    []expr.Hull
+		nonNull  []int
+		r        expr.Ranges
+		maxZones int   // 0: MaxZones
+		want     []int // the zones' first rows after the Observe
+	}{
+		{"skipped, straddled, covered, straddled, skipped", bands, full(8), oneRange(25, 44), 0, []int{0, 20, 30, 50, 60}},
+		{"skipped parts that are not alike", sorted, full(8), oneRange(25, 44), 0, []int{0, 10, 20, 30, 40, 50, 60, 70}},
+		{"alike skipped parts whose union straddles", []expr.Hull{h(0, 100), h(102, 150)}, full(2), oneRange(101, 101), 0, []int{0, 10}},
+		{"alike scanned parts join", []expr.Hull{h(0, 9), h(0, 9), h(100, 200), h(300, 400)}, full(4), oneRange(5, 150), 0, []int{0, 20, 30}},
+		{"alike covered parts join", []expr.Hull{h(0, 9), h(1, 10), h(40, 49)}, full(3), oneRange(0, 20), 0, []int{0, 20}},
+		{"NULLs keep a matching part scanned", []expr.Hull{h(0, 9), h(0, 9), h(0, 9), h(30, 39), h(60, 69), h(60, 69)},
+			[]int{10, 10, 10, 9, 10, 10}, oneRange(30, 39), 0, []int{0, 30, 40}},
+		{"no pruned run", []expr.Hull{h(0, 9), h(100, 200), h(0, 9)}, full(3), oneRange(5, 150), 0, []int{0}},
+		{"one part", sorted[:1], full(1), oneRange(5, 6), 0, []int{0}},
+		{"over the zone budget", bands, full(8), oneRange(25, 44), 4, []int{0}},
+		{"within the zone budget", bands, full(8), oneRange(25, 44), 5, []int{0, 20, 30, 50, 60}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			z := handMap(c.hulls, c.nonNull)
+			if c.maxZones > 0 {
+				z.tune.maxZones = c.maxZones
+			}
+			z.Observe(z.Prune(c.r))
+			var got []int
+			k := 0
+			for _, zn := range z.zones {
+				got = append(got, zn.lo)
+				union, nonNull := expr.EmptyHull, 0
+				for ; k < len(z.parts) && z.parts[k].Hi <= zn.hi; k++ {
+					union, nonNull = union.Union(z.parts[k].Hull), nonNull+z.parts[k].NonNull
+				}
+				if zn.hull != union || zn.nonNull != nonNull {
+					t.Fatalf("zone [%d,%d) hull %+v nonNull %d, its parts %+v %d", zn.lo, zn.hi, zn.hull, zn.nonNull, union, nonNull)
+				}
+			}
+			if !slices.Equal(got, c.want) {
+				t.Fatalf("zones start at %v, want %v", got, c.want)
+			}
+			if wantSplits := len(c.want) - 1; z.Stats().Splits != wantSplits {
+				t.Fatalf("%d splits, want %d", z.Stats().Splits, wantSplits)
+			}
+		})
 	}
 }

@@ -59,38 +59,30 @@ func blocksReference(z *Zonemap) {
 
 // observeReference is Observe with the directory edited the old way: the
 // probe's verdicts and arbitration run through Observe itself, with
-// splitting and merging switched off; the splits are then planned from
-// stats in any order, spliced by spliceReference, swept by sweepReference,
-// and every block is re-hulled.
-func observeReference(z *Zonemap, res core.PruneResult, stats []core.ZoneStats) {
+// splitting and merging switched off; the splits are then planned by a
+// walk of every zone, not of the blocks the probe looked inside, spliced
+// by spliceReference, swept by sweepReference, and every block is
+// re-hulled.
+func observeReference(z *Zonemap, res core.PruneResult) {
 	cfg := z.cfg
 	z.cfg.DisableSplit, z.cfg.DisableMerge = true, true
-	z.Observe(res, nil)
+	z.Observe(res)
 	z.cfg = cfg
-	if !res.Enabled || !z.enabled {
+	if !res.Enabled || !z.enabled || res.Ranges.Lo == nil {
 		return
 	}
 	var plans []splitPlan
+	c := res.Ranges.Clause()
 	budget := z.tune.maxZones - len(z.zones)
-	if z.cfg.DisableSplit {
-		stats = nil
-	}
-	for _, st := range stats {
-		n := len(st.Parts)
-		if st.ID < 0 || st.ID >= len(z.zones) || n < 2 ||
-			st.Parts[0].Lo != z.zones[st.ID].lo || st.Parts[n-1].Hi != z.zones[st.ID].hi {
+	for i := range z.zones {
+		zn := &z.zones[i]
+		if budget <= 0 || zn.pruned(c.Test(zn.hull)) || zn.heat < z.tune.mergeHeat {
 			continue
 		}
-		zn := &z.zones[st.ID]
-		if subs := z.planSplit(st.Parts, res.Ranges, budget); subs != nil {
+		if subs := z.planSplit(zn, &c, budget); subs != nil {
 			budget -= len(subs) - 1
-			plans = append(plans, splitPlan{idx: st.ID, subs: subs})
-			continue
+			plans = append(plans, splitPlan{idx: i, subs: subs})
 		}
-		if zn.statFail < 5 {
-			zn.statFail++
-		}
-		zn.statSkip = uint16(4) << zn.statFail
 	}
 	if len(plans) > 0 {
 		spliceReference(z, plans)
@@ -106,19 +98,22 @@ func observeReference(z *Zonemap, res core.PruneResult, stats []core.ZoneStats) 
 }
 
 // sameDirectory fails unless z and ref are in the same state — zones,
-// blocks, counters, arbitration — and journaled the same records.
+// blocks, parts, counters, arbitration — and journaled the same records.
 func sameDirectory(z, ref *Zonemap, recs, refRecs []obs.LedgerRecord) error {
 	switch {
 	case !slices.Equal(z.zones, ref.zones):
 		return fmt.Errorf("%d zones %+v, reference %d %+v", len(z.zones), z.zones, len(ref.zones), ref.zones)
 	case !slices.Equal(z.blocks, ref.blocks):
 		return fmt.Errorf("%d blocks %+v, reference %d %+v", len(z.blocks), z.blocks, len(ref.blocks), ref.blocks)
+	case !slices.Equal(z.parts, ref.parts):
+		return fmt.Errorf("%d parts %+v, reference %d %+v", len(z.parts), z.parts, len(ref.parts), ref.parts)
 	case !reflect.DeepEqual(recs, refRecs):
 		return fmt.Errorf("journal %+v, reference %+v", recs, refRecs)
 	}
 	// The rest by value; func values are DeepEqual only when nil.
 	a, b := *z, *ref
-	a.zones, a.blocks, a.journal, b.zones, b.blocks, b.journal = nil, nil, nil, nil, nil, nil
+	a.zones, a.blocks, a.parts, a.journal = nil, nil, nil, nil
+	b.zones, b.blocks, b.parts, b.journal = nil, nil, nil, nil
 	if !reflect.DeepEqual(a, b) {
 		return fmt.Errorf("state %+v, reference %+v", a, b)
 	}
@@ -142,7 +137,6 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 		cfg := Config{
 			InitialZoneRows: floor * (4 + rng.Intn(13)),
 			MinZoneRows:     floor,
-			SplitParts:      2 + rng.Intn(7),
 		}
 		n := 6000 + rng.Intn(6000)
 		codes, nulls, domain := propertyColumn(rng, shape, n, floor)
@@ -202,12 +196,10 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 				check("update of row", row)
 			default:
 				r := propertyRanges(rng, domain)
-				view := storage.Vec{W: codes[:loaded]}
 				res := z.Prune(r)
-				_, _, stats := scanCandidates(res, r, view, nulls)
 				splitsBefore, mergesBefore := z.splits, z.merges
-				z.Observe(res, stats)
-				observeReference(ref, res, stats)
+				z.Observe(res)
+				observeReference(ref, res)
 				splits += z.splits - splitsBefore
 				merges += z.merges - mergesBefore
 				check("query", r)
@@ -223,24 +215,27 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 	}
 }
 
-// Observe takes statistics in ascending ID order, at most one per zone
-// (core.ZoneStats). A repeated ID and an ID below the last one planned are
-// skipped, so a malformed slice cannot corrupt the splice: exactly the
-// in-order splits land.
+// Observe learns from the predicate the probe tested, re-derived against
+// the layout it finds, not from the windows the probe emitted. The engine
+// scans between a query's probe and its Observe, so two queries may both
+// probe before either observes: the second's result then describes a
+// layout the first has already split. It must teach the zonemap exactly
+// what the second query's own probe of the new layout would have, and
+// leave it sound.
 func TestObserveOrderContract(t *testing.T) {
 	codes := seqCodes(1000, func(i int) int64 { return int64(i) })
 	view := storage.Vec{W: codes}
-	r := expr.Ranges{Lo: []int64{150, 450, 750}, Hi: []int64{160, 460, 760}}
+	first := expr.Ranges{Lo: []int64{150, 450}, Hi: []int64{160, 460}}
+	second := oneRange(155, 575) // from inside a zone first splits to one it leaves whole
 	z, want := New(view, nil, smallCfg()), New(view, nil, smallCfg())
-	res := z.Prune(r)
-	_, _, stats := scanCandidates(res, r, view, nil)
-	if len(stats) != 3 || stats[0].ID != 1 || stats[1].ID != 4 || stats[2].ID != 7 {
-		t.Fatalf("precondition: statistics for zones 1, 4 and 7, got %+v", stats)
-	}
-	z.Observe(res, []core.ZoneStats{stats[0], stats[0], stats[2], stats[1]})
-	want.Observe(res, []core.ZoneStats{stats[0], stats[2]})
-	if want.splits == 0 || want.NumZones() == 10 {
-		t.Fatal("precondition: the in-order statistics split nothing")
+	stale := z.Prune(second)
+	z.Observe(z.Prune(first))
+	z.Observe(stale)
+	want.Observe(want.Prune(first))
+	splits := want.splits
+	want.Observe(want.Prune(second))
+	if splits == 0 || want.splits == splits {
+		t.Fatalf("precondition: each query should split (%d, then %d splits)", splits, want.splits)
 	}
 	if !slices.Equal(z.zones, want.zones) || z.splits != want.splits {
 		t.Fatalf("zones %+v (%d splits), want %+v (%d splits)", z.zones, z.splits, want.zones, want.splits)
@@ -272,11 +267,9 @@ func BenchmarkObserveSorted(b *testing.B) {
 				executeVec(z, view, nil, next())
 			}
 		}
-		r := next()
-		res := z.Prune(r)
-		_, _, stats := scanCandidates(res, r, view, nil)
+		res := z.Prune(next())
 		b.StartTimer()
-		z.Observe(res, stats)
+		z.Observe(res)
 		b.StopTimer()
 	}
 }

@@ -1,27 +1,30 @@
 package adaptive
 
 import (
+	"fmt"
 	"slices"
 
 	"adskip/internal/core"
 	"adskip/internal/expr"
 	"adskip/internal/faultinject"
 	"adskip/internal/obs"
-	"adskip/internal/scan"
 	"adskip/internal/zonemap"
 )
 
 // Observe implements core.Skipper, and is the one writer of what the
-// zonemap learns: the probe's per-zone verdicts (heat, statistics backoff),
-// a disabled zonemap's shadow-probe countdown, then arbitration, split and
-// merge. An IS NULL probe (nil res.Ranges) feeds arbitration alone; stats
-// are what the scan gathered for the candidates that asked, and drive splits.
-func (z *Zonemap) Observe(res core.PruneResult, stats []core.ZoneStats) {
+// zonemap learns: the probe's per-zone verdicts (heat) and the splits they
+// plan, a disabled zonemap's shadow-probe countdown, then arbitration, and
+// the planned splits and the merge sweep. An IS NULL probe (nil
+// res.Ranges) feeds arbitration alone. Everything it learns it re-derives
+// from res.Ranges against the current layout, so a result from a probe of
+// an older layout teaches it nothing false.
+func (z *Zonemap) Observe(res core.PruneResult) {
 	z.queries++
+	var plans []splitPlan
 	if res.Ranges.Lo != nil {
 		if res.Enabled {
 			c := res.Ranges.Clause()
-			z.learnProbe(&c)
+			plans = z.learnProbe(&c)
 		}
 		if !z.enabled {
 			z.disabledQueries++
@@ -57,34 +60,6 @@ func (z *Zonemap) Observe(res core.PruneResult, stats []core.ZoneStats) {
 		return // structure frozen while disabled
 	}
 
-	// ---- Split planning from the gathered statistics. ----
-	var plans []splitPlan
-	budget := z.tune.maxZones - len(z.zones)
-	if z.cfg.DisableSplit {
-		stats = nil
-	}
-	for _, st := range stats {
-		n := len(st.Parts)
-		if st.ID < 0 || st.ID >= len(z.zones) || n < 2 ||
-			st.Parts[0].Lo != z.zones[st.ID].lo || st.Parts[n-1].Hi != z.zones[st.ID].hi ||
-			len(plans) > 0 && st.ID <= plans[len(plans)-1].idx {
-			continue // not a zone of this layout, not scanned whole, or out of order
-		}
-		zn := &z.zones[st.ID]
-		subs := z.planSplit(st.Parts, res.Ranges, budget)
-		if subs != nil {
-			budget -= len(subs) - 1
-			plans = append(plans, splitPlan{idx: st.ID, subs: subs})
-			continue
-		}
-		// The gathered statistics could not justify a split: back off
-		// exponentially before paying for stats on this zone again.
-		if zn.statFail < 5 {
-			zn.statFail++
-		}
-		zn.statSkip = uint16(4) << zn.statFail
-	}
-
 	moved := len(z.zones) // the first zone a split or merge moved, if any
 	if len(plans) > 0 {
 		moved = z.applySplits(plans)
@@ -101,53 +76,48 @@ func (z *Zonemap) Observe(res core.PruneResult, stats []core.ZoneStats) {
 	}
 }
 
-// planSplit decides whether the piggybacked statistics justify refining
-// the zone and, if so, returns the replacement sub-zones. A split is
-// justified when at least one sub-zone's bounds would have let this query
-// skip or cover it — evidence that finer metadata has pruning power here.
-func (z *Zonemap) planSplit(parts []scan.PartStat, r expr.Ranges, budget int) []zone {
-	if budget < len(parts)-1 {
+// planSplit cuts zone zn, which the probe with clause c had to scan, where
+// the verdict changes across its parts, and returns the sub-zones, or nil
+// when the parts expose no boundary worth a split. Walking the parts in row
+// order, a run grows while the next part has its verdict and bounds
+// compatible with it (boundsCompatible, the merge test), and a pruned run
+// only while its union is still pruned: a value band's parts join into one
+// zone that ends on the band's edges, and two bands' parts stay apart even
+// when both are pruned, since their union would straddle a later query. A
+// split needs a pruned run — evidence, from this one query, that finer
+// metadata has pruning power here — and at most budget zones more than zn.
+func (z *Zonemap) planSplit(zn *zone, c *expr.Clause, budget int) []zone {
+	// Most scanned zones have no pruned part: find that out, and the
+	// zone's parts, in one cheap pass before building any run.
+	first, end, anyPruned := int(zn.first), 0, false
+	for end = first; end < len(z.parts) && z.parts[end].Hi <= zn.hi; end++ {
+		part := z.partZone(end)
+		anyPruned = anyPruned || part.pruned(c.Test(part.hull))
+	}
+	if first >= len(z.parts) || z.parts[first].Lo != zn.lo || end == first || z.parts[end-1].Hi != zn.hi {
+		panic(fmt.Errorf("%w: zone [%d,%d) is not a run of whole parts", ErrCorrupt, zn.lo, zn.hi))
+	}
+	if !anyPruned {
 		return nil
 	}
-	c := r.Clause()
-	usefulPart := make([]bool, len(parts))
-	anyUseful := false
-	for i, s := range parts {
-		part := zone{lo: s.Lo, hi: s.Hi, hull: s.Hull, nonNull: s.NonNull}
-		usefulPart[i] = part.pruned(c.Test(part.hull))
-		anyUseful = anyUseful || usefulPart[i]
-	}
-	if !anyUseful {
-		return nil
-	}
-	subs := make([]zone, len(parts))
-	for i, s := range parts {
-		subs[i] = zone{lo: s.Lo, hi: s.Hi, hull: s.Hull, nonNull: s.NonNull, heat: 0.5}
-	}
-	// The statistics cut a part where its values jump, at row precision
-	// (crack-like boundary placement), so each side of a value band's edge
-	// is a part of its own. Coalesce adjacent parts when BOTH were useless
-	// for this query AND their bounds are similar: a band's parts then
-	// join into one zone that ends on the band's edges. Parts that pruned
-	// for this query always stay separate — that is the evidence the split
-	// exists to preserve — and coalesced zones larger than the floor
-	// re-split later, at the edges the next query's statistics find.
-	out := subs[:1]
-	lastUseful := usefulPart[0]
-	for i, sub := range subs[1:] {
-		last := &out[len(out)-1]
-		if !lastUseful && !usefulPart[i+1] && boundsCompatible(last, &sub) {
-			*last = mergeZones(*last, sub)
-			last.heat = 0.5
-			continue
+	runs, lastPruned := make([]zone, 0, end-first), false
+	for k := first; k < end; k++ {
+		part := z.partZone(k)
+		part.widened = zn.widened
+		pruned := part.pruned(c.Test(part.hull))
+		if n := len(runs) - 1; n >= 0 && pruned == lastPruned && boundsCompatible(&runs[n], &part) {
+			if u := mergeZones(runs[n], part); !pruned || u.pruned(c.Test(u.hull)) {
+				runs[n] = u
+				continue
+			}
 		}
-		out = append(out, sub)
-		lastUseful = usefulPart[i+1]
+		runs = append(runs, part)
+		lastPruned = pruned
 	}
-	if len(out) < 2 {
-		return nil // no boundary worth materializing
+	if len(runs) < 2 || len(runs)-1 > budget {
+		return nil
 	}
-	return out
+	return runs
 }
 
 // applySplits splices the planned splits, in ascending zone order, into the
@@ -158,8 +128,8 @@ func (z *Zonemap) applySplits(plans []splitPlan) int {
 	added := 0
 	for _, p := range plans {
 		// One ledger record per refined zone: the parent's window and
-		// (possibly loosened) hull before, the children's exact hull
-		// after — the journal shows each split re-tightening metadata.
+		// hull before, the union of the children's hulls after — their
+		// parts' hulls, never wider than the parent's.
 		parent := &z.zones[p.idx]
 		minBefore, maxBefore := bounds(parent.hull)
 		minAfter, maxAfter := bounds(hullOf(p.subs))
@@ -193,8 +163,8 @@ type splitPlan struct {
 }
 
 // mergeSweep coalesces runs of adjacent cold zones (heat below MergeHeat)
-// whose union stays within MaxZoneRows, and returns the index of the first
-// zone it changed, or -1 when none merged. Merging a run of k zones removes
+// with compatible bounds, and returns the index of the first zone it
+// changed, or -1 when none merged. Merging a run of k zones removes
 // k−1 probes per future query and (k−1) zones of metadata; the union bounds
 // remain sound. The zones before the first mergeable pair stay where they
 // are, and a sweep that finds no such pair writes nothing.
@@ -240,11 +210,10 @@ func (z *Zonemap) mergeSweep() int {
 }
 
 // canMerge reports whether zone next joins the run of cold zones merged so
-// far into cur: both cold, the union within MaxZoneRows, compatible bounds.
+// far into cur: both cold, compatible bounds.
 func (z *Zonemap) canMerge(cur, next *zone) bool {
 	return cur.heat < z.tune.mergeHeat &&
 		next.heat < z.tune.mergeHeat &&
-		next.hi-cur.lo <= z.tune.maxZoneRows &&
 		boundsCompatible(cur, next)
 }
 
@@ -262,18 +231,22 @@ func boundsCompatible(a, b *zone) bool {
 // mergeZones returns the sound union of two adjacent zones.
 func mergeZones(a, b zone) zone {
 	m := zone{lo: a.lo, hi: b.hi, hull: a.hull.Union(b.hull), nonNull: a.nonNull + b.nonNull,
-		widened: a.widened || b.widened}
+		first: a.first, widened: a.widened || b.widened}
 	// The merged zone inherits the warmer heat so a recently useful
-	// neighbor is not dragged straight back into another merge cycle. Its
-	// bounds changed, so statistics gathering restarts immediately.
+	// neighbor is not dragged straight back into another merge cycle.
 	m.heat = max(a.heat, b.heat)
 	return m
 }
 
 // learnProbe applies a probe's per-zone verdicts, re-derived over the blocks
 // Prune looked inside: a skipped or covered zone heats up; a zone it had to
-// scan cools down and takes one step of its statistics backoff.
-func (z *Zonemap) learnProbe(c *expr.Clause) {
+// scan cools down and is planned for a split from its parts within the
+// MaxZones budget — unless splits are off, or the zone is now colder than
+// MergeHeat: the merge sweep is folding such a zone away, and splitting it
+// again on one query's evidence would only churn. It returns the plans in
+// zone order.
+func (z *Zonemap) learnProbe(c *expr.Clause) (plans []splitPlan) {
+	budget := z.tune.maxZones - len(z.zones)
 	for bi := range z.blocks {
 		if c.Test(z.blocks[bi].Sum) == expr.MatchNone {
 			continue
@@ -286,11 +259,16 @@ func (z *Zonemap) learnProbe(c *expr.Clause) {
 				continue
 			}
 			zn.heat -= z.tune.heatAlpha * zn.heat
-			if zn.statSkip > 0 {
-				zn.statSkip--
+			if z.cfg.DisableSplit || budget <= 0 || zn.heat < z.tune.mergeHeat {
+				continue
+			}
+			if subs := z.planSplit(zn, c, budget); subs != nil {
+				budget -= len(subs) - 1
+				plans = append(plans, splitPlan{idx: i, subs: subs})
 			}
 		}
 	}
+	return plans
 }
 
 // shadowBenefit is the arbitration EWMA after a shadow probe with r, which

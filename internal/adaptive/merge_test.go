@@ -23,7 +23,6 @@ func sweepReference(z *Zonemap) bool {
 		for j < len(z.zones) &&
 			cur.heat < z.tune.mergeHeat &&
 			z.zones[j].heat < z.tune.mergeHeat &&
-			z.zones[j].hi-cur.lo <= z.tune.maxZoneRows &&
 			boundsCompatible(&cur, &z.zones[j]) {
 			cur = mergeZones(cur, z.zones[j])
 			j++
@@ -62,7 +61,7 @@ func sweepZones(rng *rand.Rand, kind string, n int) []zone {
 	for i := range zones {
 		zones[i] = zone{lo: 100 * i, hi: 100 * (i + 1), hull: expr.Hull{Min: int64(1000 * i), Max: int64(1000*i + 10)}, nonNull: 100, heat: 0.5}
 	}
-	run := 2 + rng.Intn(2) // at most MaxZoneRows: one merged zone
+	run := 2 + rng.Intn(2)
 	var at int
 	switch kind {
 	case "none":
@@ -107,7 +106,6 @@ func TestMergeSweepMatchesReference(t *testing.T) {
 			build := func() (*Zonemap, *[]obs.LedgerRecord) {
 				cfg := Config{}.withDefaults()
 				z := &Zonemap{cfg: cfg, tune: newTuning(cfg), enabled: true, rows: 100 * n, tailLo: 100 * n}
-				z.tune.maxZoneRows = 350
 				z.zones = slices.Clone(zones)
 				z.rebuildBlocks(0)
 				recs := new([]obs.LedgerRecord)

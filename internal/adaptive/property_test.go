@@ -107,16 +107,55 @@ func checkPrune(res core.PruneResult, n int, match func(row int) bool) error {
 	return nil
 }
 
+// checkSummary fails unless z's parts tile [0, tailLo), each part's hull
+// and non-null count are its rows' own, every zone starts and ends on a
+// part boundary, and each zone's hull encloses the union of its parts'
+// hulls — checked row by row, apart from CheckInvariants.
+func checkSummary(z *Zonemap, codes []int64, nulls *bitvec.BitVec) error {
+	zi, prev := 0, 0
+	for k, p := range z.parts {
+		if p.Lo != prev || p.Hi <= p.Lo {
+			return fmt.Errorf("part %d [%d,%d) after row %d", k, p.Lo, p.Hi, prev)
+		}
+		prev = p.Hi
+		h, nonNull := expr.EmptyHull, 0
+		for i := p.Lo; i < p.Hi; i++ {
+			if nulls == nil || !nulls.Get(i) {
+				h, nonNull = h.Admit(codes[i]), nonNull+1
+			}
+		}
+		if p.Hull != h || p.NonNull != nonNull {
+			return fmt.Errorf("part %d %+v, its rows have hull %+v and %d values", k, p, h, nonNull)
+		}
+		for zi < len(z.zones) && z.zones[zi].hi <= p.Lo {
+			zi++
+		}
+		switch zn := &z.zones[zi]; {
+		case p.Lo < zn.lo || p.Hi > zn.hi:
+			return fmt.Errorf("part %d [%d,%d) straddles the edge of zone %d [%d,%d)", k, p.Lo, p.Hi, zi, zn.lo, zn.hi)
+		case !zn.hull.Encloses(p.Hull):
+			return fmt.Errorf("zone %d hull %+v does not enclose part %d's %+v", zi, zn.hull, k, p.Hull)
+		}
+	}
+	if prev != z.tailLo {
+		return fmt.Errorf("parts end at %d, tailLo=%d", prev, z.tailLo)
+	}
+	return nil
+}
+
 // The adaptive zonemap's contract, checked over random columns — value
 // bands that start off the MinZoneRows grid, sorted, semi-sorted and
 // uniform values; no NULLs, scattered NULLs and runs of them — at both
 // code widths, under a stream of random range sets. It is the one
 // structure that changes on reads, so after every ledger record (split,
 // merge, arbitration flip) the structure must hold exactly against the
-// column, and probing it with the query just run and with a fresh one must
-// give windows that hold every match, covered windows that hold nothing
-// else, and a RowsSkipped that counts the rest. Every count the stream
-// gets must be the true one, and both widths must end with the same zones.
+// column — the summary's parts too, and every zone a run of whole parts
+// whose hull encloses theirs — and probing it with the query just run and
+// with a fresh one must give windows that hold every match, covered
+// windows that hold nothing else, and a RowsSkipped that counts the rest.
+// Every count the stream gets must be the true one, and both widths must
+// end with the same zones. The banded columns must reach the summary's
+// cut at a value jump.
 func TestAdaptiveProperties(t *testing.T) {
 	shapes := []string{"banded", "sorted", "semi-sorted", "uniform"}
 	cuts, checks := 0, 0
@@ -127,7 +166,6 @@ func TestAdaptiveProperties(t *testing.T) {
 		cfg := Config{
 			InitialZoneRows: floor * (4 + rng.Intn(13)),
 			MinZoneRows:     floor,
-			SplitParts:      2 + rng.Intn(7),
 		}
 		tune := newTuning(cfg.withDefaults())
 		tune.maxZones, tune.window = 1000, 8+rng.Intn(25)
@@ -148,16 +186,16 @@ func TestAdaptiveProperties(t *testing.T) {
 		}
 
 		var zones [2][]zone
+		var parts [2][]scan.PartStat
 		for w, view := range []storage.Vec{{W: codes}, {N: narrow}} {
 			what := fmt.Sprintf("seed %d, %s, %d-byte codes", seed, shape, view.Width())
 			z := New(view, nulls, cfg)
 			z.tune = tune
+			cuts += len(z.parts) - (n+floor-1)/floor
 			records := 0
 			z.SetJournal(func(obs.LedgerRecord) { records++ })
 			for q, r := range queries {
-				got, c := executeVec(z, view, nulls, r)
-				cuts += c
-				if want := scan.Count(view, 0, n, r, nulls, 0); got != want {
+				if got, want := executeVec(z, view, nulls, r), scan.Count(view, 0, n, r, nulls, 0); got != want {
 					t.Fatalf("%s, query %d %v: count %d, want %d", what, q, r, got, want)
 				}
 				if records == 0 {
@@ -166,6 +204,9 @@ func TestAdaptiveProperties(t *testing.T) {
 				records = 0
 				checks++
 				if err := z.CheckInvariants(view, nulls, true); err != nil {
+					t.Fatalf("%s, after query %d %v: %v", what, q, r, err)
+				}
+				if err := checkSummary(z, codes, nulls); err != nil {
 					t.Fatalf("%s, after query %d %v: %v", what, q, r, err)
 				}
 				if !z.Enabled() {
@@ -177,9 +218,9 @@ func TestAdaptiveProperties(t *testing.T) {
 					}
 				}
 			}
-			zones[w] = z.zones
+			zones[w], parts[w] = z.zones, z.parts
 		}
-		if !reflect.DeepEqual(zones[0], zones[1]) {
+		if !reflect.DeepEqual(zones[0], zones[1]) || !reflect.DeepEqual(parts[0], parts[1]) {
 			t.Fatalf("seed %d, %s: zones over 8-byte codes %+v, over 4-byte codes %+v", seed, shape, zones[0], zones[1])
 		}
 	}

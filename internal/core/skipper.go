@@ -14,29 +14,29 @@
 //
 // The framework's shape follows the abstract: data skipping is a *policy*
 // layered on fast scans, fed back once per completed query with the probe's
-// result and the statistics its scan gathered, so that structures
-// can "respond to a vast array of data distributions and query workloads".
+// result, so that structures can "respond to a vast array of data
+// distributions and query workloads".
 package core
 
 import (
 	"adskip/internal/bitvec"
 	"adskip/internal/expr"
 	"adskip/internal/obs"
-	"adskip/internal/scan"
 	"adskip/internal/storage"
 )
 
 // CandidateZone is one contiguous row window the executor must scan, as
 // emitted by a Skipper's Prune.
 type CandidateZone struct {
-	ID        int  // skipper-private zone identity, set when StatParts > 0; NoZoneID otherwise
-	Lo, Hi    int  // row window [Lo, Hi)
-	Covered   bool // metadata proves every row in the window matches
-	StatParts int  // > 0: the skipper asks for this many sub-partition statistics if scanned
+	// ID is read by nothing: no skipper sets it and the engine ignores
+	// it. It remains, with NoZoneID, for code outside this module that
+	// still spells a window with it (the repository benchmark's ladder).
+	ID      int
+	Lo, Hi  int  // row window [Lo, Hi)
+	Covered bool // metadata proves every row in the window matches
 }
 
-// NoZoneID marks candidate windows that ask for no statistics, so feedback
-// never names them.
+// NoZoneID is the ID such code gives a window; see CandidateZone.ID.
 const NoZoneID = -1
 
 // PruneResult is the outcome of probing a skipper's metadata with a
@@ -67,30 +67,18 @@ type PruneResult struct {
 
 // Emit records a probe's verdict on candidate c's rows: skipped, they add
 // to RowsSkipped; scanned, c merges into the window before it when the two
-// touch, agree on Covered and neither asks for statistics — the executor
-// treats such windows alike, so a converged structure emits a handful of
-// windows whatever its zone count.
+// touch and agree on Covered — the executor treats such windows alike, so
+// a converged structure emits a handful of windows whatever its zone count.
 func (r *PruneResult) Emit(c *CandidateZone, skip bool) {
 	if skip {
 		r.RowsSkipped += c.Hi - c.Lo
 		return
 	}
-	if k := len(r.Zones) - 1; k >= 0 && c.StatParts == 0 && r.Zones[k].StatParts == 0 &&
-		r.Zones[k].Covered == c.Covered && r.Zones[k].Hi == c.Lo {
+	if k := len(r.Zones) - 1; k >= 0 && r.Zones[k].Covered == c.Covered && r.Zones[k].Hi == c.Lo {
 		r.Zones[k].Hi = c.Hi
 		return
 	}
 	r.Zones = append(r.Zones, *c)
-}
-
-// ZoneStats is the statistics a scan gathered for one candidate that asked
-// for them (StatParts > 0): the candidate's ID and its window's
-// sub-partitions, in row order. Observe takes them in ascending ID order,
-// at most one per zone; a learning skipper may ignore a ZoneStats whose ID
-// is not above the one before it.
-type ZoneStats struct {
-	ID    int
-	Parts []scan.PartStat
 }
 
 // Metadata summarizes a skipper's current state for introspection and the
@@ -122,11 +110,10 @@ type Skipper interface {
 	// that track no null counts may decline (Enabled=false).
 	PruneNulls() PruneResult
 	// Observe feeds a probe's result back once its query's scan has
-	// completed, with the statistics of every candidate that asked for
-	// them and was scanned whole; it is the one place a learning skipper
-	// updates what it learned. A query that fails never observes.
+	// completed; it is the one place a learning skipper updates what it
+	// learned, from the result alone. A query that fails never observes.
 	// Non-learning skippers ignore it.
-	Observe(res PruneResult, stats []ZoneStats)
+	Observe(res PruneResult)
 	// Extend informs the skipper that the column grew; codes/nulls are the
 	// column's full physical state.
 	Extend(codes storage.Vec, nulls *bitvec.BitVec)
@@ -183,7 +170,7 @@ func (s *NoSkipper) Prune(expr.Ranges) PruneResult { return PruneResult{Enabled:
 func (s *NoSkipper) PruneNulls() PruneResult { return PruneResult{Enabled: false} }
 
 // Observe is a no-op.
-func (s *NoSkipper) Observe(PruneResult, []ZoneStats) {}
+func (s *NoSkipper) Observe(PruneResult) {}
 
 // Extend tracks the row count.
 func (s *NoSkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) { s.rows = codes.Len() }

@@ -32,7 +32,7 @@ func TestNoSkipper(t *testing.T) {
 		t.Fatalf("metadata=%+v", md)
 	}
 	// No-ops must not panic, and the cold-path duties answer "nothing".
-	s.Observe(res, nil)
+	s.Observe(res)
 	s.Widen(3, 9)
 	s.NoteNonNull(3)
 	s.SetJournal(nil)
@@ -60,9 +60,6 @@ func TestStaticSkipper(t *testing.T) {
 	// boundaries prevent merging into one window.
 	if len(res.Zones) != 3 || res.Zones[0].Lo != 20 || res.Zones[2].Hi != 50 || !res.Zones[1].Covered {
 		t.Fatalf("zones=%v", res.Zones)
-	}
-	if res.Zones[0].ID != core.NoZoneID || res.Zones[0].StatParts > 0 {
-		t.Fatal("static zones should carry no identity and want no stats")
 	}
 	md := s.Metadata()
 	if md.Kind != "static" || md.Zones != 10 || !md.Enabled {
@@ -93,7 +90,7 @@ func TestStaticSkipper(t *testing.T) {
 	if !found {
 		t.Fatal("widened zone not a candidate")
 	}
-	s.Observe(res, nil) // no-op
+	s.Observe(res) // no-op
 }
 
 func TestStaticSkipperNulls(t *testing.T) {

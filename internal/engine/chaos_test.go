@@ -17,9 +17,12 @@ import (
 // checked against a no-skipping reference engine on the same table. The
 // process must not crash and no query may return a wrong answer — faults
 // may only cost performance (quarantine → full scan) or, for the delay
-// point, an ErrCanceled under a deadline.
+// point, an ErrCanceled under a deadline. The table is past
+// 2*minRowsPerWorker rows, so a scan of the unskippable column b fans out
+// to workers and the worker-panic point fires: at least one worker panic
+// must be recovered.
 func TestChaosQueryStream(t *testing.T) {
-	tb := buildTable(t, 6000, 21)
+	tb := buildTable(t, chaosRows, 21)
 	chaotic := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive(), Parallelism: 4})
 	if err := chaotic.EnableSkipping("a", "b"); err != nil {
 		t.Fatal(err)
@@ -66,7 +69,14 @@ func TestChaosQueryStream(t *testing.T) {
 	}
 	t.Logf("chaos stream done: %d quarantine events, %d rebuild rounds, %d retries, %d recovered panics",
 		quarantineEvents(chaotic), rebuilds, chaotic.m.retries.Load(), chaotic.m.panics.Load())
+	if chaotic.m.panics.Load() == 0 {
+		t.Fatal("no worker panic was recovered: the scans never fanned out")
+	}
 }
+
+// chaosRows sizes the chaos tables past 2*minRowsPerWorker, the smallest
+// scan the COUNT driver splits among workers.
+const chaosRows = 2*minRowsPerWorker + 8192
 
 // droppedOf returns the columns among cols that have no skipper: their
 // skippers were dropped after a fault.
@@ -82,14 +92,15 @@ func droppedOf(e *Engine, cols ...string) []string {
 
 // TestChaosWithDeadlines mixes injected delays with tight deadlines:
 // queries either succeed with the right answer or fail with ErrCanceled /
-// ErrBudget — never a wrong answer, never a crash.
+// ErrBudget — never a wrong answer, never a crash. It queries the
+// unskippable column b, whose scans fan out to workers.
 func TestChaosWithDeadlines(t *testing.T) {
-	tb := buildTable(t, 6000, 22)
+	tb := buildTable(t, chaosRows, 22)
 	e := New(tb, Options{
 		Policy: PolicyAdaptive, Adaptive: smallAdaptive(), Parallelism: 2,
 		Limits: Limits{MaxDuration: 50 * time.Millisecond},
 	})
-	if err := e.EnableSkipping("a"); err != nil {
+	if err := e.EnableSkipping("b"); err != nil {
 		t.Fatal(err)
 	}
 	reference := New(tb, Options{Policy: PolicyNone})
@@ -104,7 +115,7 @@ func TestChaosWithDeadlines(t *testing.T) {
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(900)
 		query := Query{
-			Where: expr.And(intPred("a", expr.Between, lo, lo+200)),
+			Where: expr.And(intPred("b", expr.Between, lo, lo+200)),
 			Aggs:  []Agg{{Kind: CountStar}},
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Intn(3000))*time.Microsecond)
@@ -126,5 +137,5 @@ func TestChaosWithDeadlines(t *testing.T) {
 			t.Fatalf("query %d: unexpected error %v", q, err)
 		}
 	}
-	t.Logf("deadline chaos: %d completed, %d cut off", ok, cut)
+	t.Logf("deadline chaos: %d completed, %d cut off, %d recovered panics", ok, cut, e.m.panics.Load())
 }

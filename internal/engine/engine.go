@@ -77,10 +77,11 @@ type Options struct {
 	// Parallelism is the number of goroutines used by the COUNT fast
 	// path's scans, full scans (one candidate) included: the candidates
 	// are cut into that many groups of about equal rows. Every other
-	// query runs serially. Default 1 (the experiment harness measures
-	// single-threaded behavior like the paper). Results are identical at
-	// any setting — counting is associative, and a candidate that asks
-	// for statistics is never cut, so one worker gathers them whole.
+	// query runs serially, and so does the one retry after a recovered
+	// panic. Default 1 (the experiment harness measures single-threaded
+	// behavior like the paper). Results and learning are identical at any
+	// setting: counting is associative, and a skipper learns from the
+	// probe's result alone.
 	Parallelism int
 	// Metrics receives the engine's instrumentation. Instrumentation is
 	// always on: when nil, the engine creates a private registry. Share

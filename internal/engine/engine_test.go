@@ -43,7 +43,7 @@ func buildTable(t testing.TB, n int, seed int64) *table.Table {
 }
 
 func smallAdaptive() adaptive.Config {
-	return adaptive.Config{InitialZoneRows: 64, MinZoneRows: 8, SplitParts: 4}
+	return adaptive.Config{InitialZoneRows: 64, MinZoneRows: 8}
 }
 
 func newEngine(t testing.TB, tb *table.Table, policy Policy) *Engine {

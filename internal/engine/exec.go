@@ -71,9 +71,6 @@ type colPlan struct {
 	skipper core.Skipper
 	res     core.PruneResult
 	active  bool // skipper participated (enabled)
-	// stats is what the fast COUNT path's scan gathered for the candidates
-	// that asked for statistics; Observe receives it after the scan.
-	stats []core.ZoneStats
 }
 
 // Query plans and executes q, returning the result and feeding the
@@ -88,9 +85,9 @@ func (e *Engine) Query(q Query) (*Result, error) {
 // per-query resource limits. Cancellation is cooperative: scans check the
 // context at least once per checkpointRows rows, so an expired context
 // returns ErrCanceled within one checkpoint interval. A skipper that
-// panics is dropped and its column scanned in full; a scan that panics on
-// the candidate windows of an active skipper drops that skipper and runs
-// once more without it. Either way the answer is the full scan's.
+// panics is dropped and its column scanned in full; a scan that panics
+// drops the active skippers and runs once more without them, on one
+// goroutine. Either way the answer is the full scan's.
 func (e *Engine) QueryContext(ctx context.Context, q Query) (*Result, error) {
 	p, err := e.QueryPartial(ctx, q)
 	if err != nil {
@@ -117,11 +114,11 @@ func (e *Engine) QueryPartial(ctx context.Context, q Query) (*Partial, error) {
 
 	retried := false
 	for {
-		p, err := e.queryOnce(ctx, q)
+		p, err := e.queryOnce(ctx, q, retried)
 		if err == nil {
 			return p, nil
 		}
-		if !retried && errors.Is(err, errQuarantineRetry) {
+		if pe := (*panicError)(nil); !retried && errors.As(err, &pe) {
 			retried = true
 			e.m.retries.Inc()
 			continue
@@ -139,8 +136,10 @@ func (e *Engine) QueryPartial(ctx context.Context, q Query) (*Partial, error) {
 // queryOnce runs one planning + execution attempt under the engine mutex.
 // A panic anywhere in execution is recovered here: skippers that were
 // actively pruning are dropped (their candidate windows are the prime
-// suspect) and the error is marked retryable.
-func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Partial, err error) {
+// suspect), and the caller retries once. The retry scans on the calling
+// goroutine alone, so it takes neither a dropped skipper's windows nor a
+// worker that panicked.
+func (e *Engine) queryOnce(ctx context.Context, q Query, retry bool) (out *Partial, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var plans []colPlan
@@ -150,6 +149,9 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Partial, err erro
 		}
 	}()
 	qc := e.newQctx(ctx)
+	if retry {
+		qc.workers = 1
+	}
 	tr := &obs.QueryTrace{Table: e.tbl.Name(), Start: time.Now(),
 		Session:     obs.SessionFromContext(ctx),
 		TraceID:     obs.TraceFromContext(ctx),
@@ -203,7 +205,7 @@ func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Partial, err erro
 	if err != nil {
 		// A worker panic surfaces here as an error (recovered in its own
 		// goroutine — panics cannot cross goroutines); treat it like an
-		// in-line panic: drop the active skippers and mark retryable.
+		// in-line panic: drop the active skippers.
 		var pe *panicError
 		if errors.As(err, &pe) {
 			return nil, e.handleExecPanic(plans, pe)
@@ -307,9 +309,8 @@ func (e *Engine) bind(q Query) (binding, error) {
 
 // handleExecPanic records a recovered execution panic: every skipper that
 // was actively pruning for the query is dropped (corrupt metadata is the
-// prime suspect for out-of-range candidate windows), and when at least
-// one was, the error is marked retryable — the retry runs without them,
-// as full scans. Caller holds e.mu.
+// prime suspect for out-of-range candidate windows), so the one retry
+// QueryPartial makes runs without them, as full scans. Caller holds e.mu.
 func (e *Engine) handleExecPanic(plans []colPlan, pe *panicError) error {
 	e.m.panics.Inc()
 	quarantined := 0
@@ -319,10 +320,7 @@ func (e *Engine) handleExecPanic(plans []colPlan, pe *panicError) error {
 			quarantined++
 		}
 	}
-	if quarantined > 0 {
-		return fmt.Errorf("%w: %w (quarantined %d skipper(s))", errQuarantineRetry, pe, quarantined)
-	}
-	return fmt.Errorf("engine: execution panicked: %w", pe)
+	return fmt.Errorf("engine: execution panicked (quarantined %d skipper(s)): %w", quarantined, pe)
 }
 
 // probe probes a plan's skipper for candidate windows. A probe that
@@ -345,16 +343,15 @@ func (e *Engine) probe(p *colPlan) {
 	p.active = p.res.Enabled
 }
 
-// observe hands a plan's probe result and the statistics its scan gathered
-// back to its skipper. An Observe that panics drops the skipper: the
-// query's result is already computed, so only the metadata is at stake.
-// Caller holds e.mu.
+// observe hands a plan's probe result back to its skipper. An Observe
+// that panics drops the skipper: the query's result is already computed,
+// so only the metadata is at stake. Caller holds e.mu.
 func (e *Engine) observe(p *colPlan) {
 	if p.skipper == nil {
 		return
 	}
 	if e.guard(p.name, func() error {
-		p.skipper.Observe(p.res, p.stats)
+		p.skipper.Observe(p.res)
 		return nil
 	}) != nil {
 		p.skipper = nil
@@ -396,23 +393,19 @@ func countOnly(accs []aggAcc) bool {
 }
 
 // execFastCount is the hot path: one predicate column, COUNT(*)-only.
-// A declined or disabled skipper's full scan is one plain candidate. The
-// scan runs candidate by candidate, so a candidate that asks for statistics
-// is scanned whole and its statistics are exact; they are left on the plan
-// for the feedback that follows a completed scan.
+// A declined or disabled skipper's full scan is one plain candidate.
 func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, n int) error {
 	zones := p.res.Zones
 	if !p.active {
-		zones = []core.CandidateZone{{ID: core.NoZoneID, Lo: 0, Hi: n}}
+		zones = []core.CandidateZone{{Lo: 0, Hi: n}}
 	}
-	w := e.parallelCountZones(qc, p, zones, e.opts.Parallelism)
+	w := e.parallelCountZones(qc, p, zones, qc.workers)
 	if w.err != nil {
 		return w.err
 	}
 	res.Count = w.count
 	scanned(&res.Stats, w.stats.RowsScanned, p.col)
 	res.Stats.RowsCovered += w.stats.RowsCovered
-	p.stats = w.zstats
 	return nil
 }
 

@@ -23,7 +23,7 @@ import (
 func TestOneJournal(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
 	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
-		InitialZoneRows: 512, MinZoneRows: 32, SplitParts: 4,
+		InitialZoneRows: 512, MinZoneRows: 32,
 	}})
 	if err := e.EnableSkipping("a", "b"); err != nil {
 		t.Fatal(err)
@@ -159,21 +159,27 @@ func getJSON(t *testing.T, url string, into any) {
 // column that never prunes — they must equal, byte for byte, what the
 // skipper's own SnapshotROI produced when the literals were recorded.
 // Figures that have moved on purpose since:
-//   - bytes_skipped charges column a's 4-byte codes (158464 rows x 4),
+//   - bytes_skipped charges column a's 4-byte codes (rows_skipped x 4),
 //     where every column used to be charged 8 bytes a row;
-//   - bytes counts the whole 56-byte zone and 24-byte block: 13 x 56 + 24 =
-//     752 for column a, 4 x 56 + 24 = 248 for b (it read 1072 and 352 with
-//     the per-zone hit/miss counters, 80 and 32 bytes);
-//   - rows_skipped and zone_probes are now the column's
-//     adskip_column_* counters rather than the skipper's own, and read the
-//     same 158464 / 441 and 0 / 50 here;
+//   - bytes counts the whole 56-byte zone and 24-byte block and, since
+//     splits read the summary, its 32 parts of 40 bytes: 18 x 56 + 24 +
+//     1280 = 2312 for column a, 4 x 56 + 24 + 1280 = 1528 for b (it read
+//     752 and 248 before the summary, 1072 and 352 with the per-zone
+//     hit/miss counters, 80 and 32 bytes);
+//   - column a's splits cut at the summary's part boundaries in one step,
+//     where they used to cut a zone into eighths and refine those later,
+//     so it ends with 18 zones, not 13, after 2 maintenance events over
+//     16 zones (4 over 14), and its probes tested 485 entries and skipped
+//     158848 rows (441 and 158464);
+//   - rows_skipped and zone_probes are the column's adskip_column_*
+//     counters rather than the skipper's own, and read the same figures;
 //   - a dead zone is one whose heat is below MergeHeat, and its detail
 //     carries that heat where it carried hits/misses: b's four zones missed
 //     ten probes each (0.5 x 0.75^10 = 0.028), and none of a's is cold.
 func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
 	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
-		InitialZoneRows: 1024, MinZoneRows: 128, SplitParts: 4,
+		InitialZoneRows: 1024, MinZoneRows: 128,
 		DisableArbitration: true,
 	}})
 	if err := e.EnableSkipping("a", "b"); err != nil {
@@ -200,10 +206,10 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	}
 
 	const wantROI = `[` +
-		`{"table":"t","column":"a","kind":"adaptive","zones":13,"bytes":752,` +
-		`"rows_skipped":158464,"rows_covered":0,"bytes_skipped":633856,"candidate_rows":9472,"zone_probes":441,` +
-		`"maintenance_events":4,"maintenance_zones":14,"net_benefit_rows":155804,"dead_zones":0},` +
-		`{"table":"t","column":"b","kind":"adaptive","zones":4,"bytes":248,` +
+		`{"table":"t","column":"a","kind":"adaptive","zones":18,"bytes":2312,` +
+		`"rows_skipped":158848,"rows_covered":0,"bytes_skipped":635392,"candidate_rows":9088,"zone_probes":485,` +
+		`"maintenance_events":2,"maintenance_zones":16,"net_benefit_rows":155884,"dead_zones":0},` +
+		`{"table":"t","column":"b","kind":"adaptive","zones":4,"bytes":1528,` +
 		`"rows_skipped":0,"rows_covered":0,"bytes_skipped":0,"candidate_rows":40960,"zone_probes":50,` +
 		`"maintenance_events":0,"maintenance_zones":0,"net_benefit_rows":-200,"dead_zones":4,` +
 		`"dead_zone_detail":[` +

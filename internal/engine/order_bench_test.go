@@ -38,9 +38,8 @@ func benchClustered(b *testing.B, n int) *Engine {
 }
 
 // benchRanges returns 64 1% ranges of v over e's n rows, after refining
-// e's zonemap with them: only COUNT(*) queries give the adaptive zonemap the
-// exact per-zone feedback it splits on, as the served mix's COUNT majority
-// does, and no other shape splits zones.
+// e's zonemap with them as COUNT(*) queries, as the served mix's COUNT
+// majority does, so every shape timed meets the same converged zones.
 func benchRanges(b *testing.B, e *Engine, n int) []expr.Conj {
 	b.Helper()
 	rng := rand.New(rand.NewSource(2))

@@ -11,12 +11,9 @@ import (
 // Parallel scan execution for the COUNT fast path. A full scan is one
 // candidate spanning the table. The candidates are partitioned into
 // contiguous groups of roughly equal row volume, one per worker: a group
-// boundary may cut a plain candidate in two, but a candidate that asks for
-// statistics goes whole to one worker. Each worker runs the same kernels
-// over its group and the partial counts and zone statistics merge
-// losslessly (counting is associative, statistics are per candidate and
-// kept in candidate order). Results are therefore bit-identical to the
-// serial path.
+// boundary may cut a candidate in two. Each worker runs the same kernels
+// over its group and the partial counts merge losslessly (counting is
+// associative). Results are therefore bit-identical to the serial path.
 //
 // Every worker goroutine recovers its own panics into an error — panics
 // cannot cross goroutines, so an unrecovered worker panic would kill the
@@ -30,16 +27,14 @@ const minRowsPerWorker = 1 << 16
 
 // zoneWork is one worker's slice of the candidate list.
 type zoneWork struct {
-	zones  []core.CandidateZone
-	count  int
-	zstats []core.ZoneStats
-	stats  ExecStats
-	err    error
+	zones []core.CandidateZone
+	count int
+	stats ExecStats
+	err   error
 }
 
 // parallelCountZones executes the candidate zones across workers and
-// returns the merged count and stats, and the statistics of the candidates
-// that asked for them, in candidate order.
+// returns the merged count and stats.
 func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.CandidateZone, workers int) (out zoneWork) {
 	totalRows := 0
 	for _, z := range zones {
@@ -67,7 +62,6 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 	for g, w := range groups {
 		errs[g] = w.err
 		out.count += w.count
-		out.zstats = append(out.zstats, w.zstats...)
 		out.stats.Add(w.stats)
 	}
 	if err := firstWorkerError(errs); err != nil {
@@ -78,9 +72,9 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 
 // partition cuts zones, which hold total rows, into at most workers
 // contiguous groups in candidate order, each closing once it holds its
-// share of the rows not yet handed out. A plain candidate that straddles a
-// share's end is cut there, into two pieces; a candidate with StatParts > 0
-// is never cut. The groups' zones are copies, so zones itself is not kept.
+// share of the rows not yet handed out. A candidate that straddles a
+// share's end is cut there, into two pieces. The groups' zones are copies,
+// so zones itself is not kept.
 func partition(zones []core.CandidateZone, total, workers int) []zoneWork {
 	pieces := make([]core.CandidateZone, 0, len(zones)+workers-1)
 	groups := make([]zoneWork, 0, workers)
@@ -90,7 +84,7 @@ func partition(zones []core.CandidateZone, total, workers int) []zoneWork {
 			left := workers - len(groups)
 			end := closed + (total-closed+left-1)/left // rows through the open group
 			piece := z
-			if cut := z.Lo + end - acc; z.StatParts == 0 && cut < z.Hi {
+			if cut := z.Lo + end - acc; cut < z.Hi {
 				piece.Hi = cut
 			}
 			pieces = append(pieces, piece)
@@ -113,10 +107,8 @@ func partition(zones []core.CandidateZone, total, workers int) []zoneWork {
 
 // scanZoneGroup runs the fast-count kernels over one group of candidate
 // zones, accumulating into w. (zones is a parameter, not read from w, so a
-// serial scan's candidate list stays off the heap.) Counting kernels are chunked at checkpoint
-// granularity; the statistics kernel runs whole-zone (its partitions must
-// be exact) and ticks afterward — merges never grow a zone past
-// adaptive.MaxZoneRows, so the overshoot is bounded too.
+// serial scan's candidate list stays off the heap.) The kernels are
+// chunked at checkpoint granularity.
 func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, zones []core.CandidateZone, w *zoneWork) {
 	codes := p.col.Vec()
 	nulls := p.col.Nulls()
@@ -136,15 +128,6 @@ func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, zones []core.CandidateZone,
 			}
 			w.count += m
 			w.stats.RowsScanned += c.Hi - c.Lo
-		case c.StatParts > 0:
-			m, parts := scan.CountStats(codes, c.Lo, c.Hi, p.pred.R, nulls, 0, c.StatParts)
-			if err := tk.tick(c.Hi - c.Lo); err != nil {
-				w.err = err
-				return
-			}
-			w.count += m
-			w.stats.RowsScanned += c.Hi - c.Lo
-			w.zstats = append(w.zstats, core.ZoneStats{ID: c.ID, Parts: parts})
 		default:
 			m, err := countChunks(tk, c.Lo, c.Hi, func(lo, hi int) int {
 				return scan.Count(codes, lo, hi, p.pred.R, nulls, 0)

@@ -58,6 +58,7 @@ type qctx struct {
 	deadline  time.Time // from Limits.MaxDuration; zero = none
 	maxRows   int64     // from Limits.MaxRowsScanned; 0 = none
 	maxResult int       // from Limits.MaxResultRows; 0 = none
+	workers   int       // goroutines the COUNT driver scans with: Options.Parallelism, 1 on a retry
 	rows      atomic.Int64
 	failure   atomic.Pointer[error]
 }
@@ -71,6 +72,7 @@ func (e *Engine) newQctx(ctx context.Context) *qctx {
 		done:      ctx.Done(),
 		maxRows:   lim.MaxRowsScanned,
 		maxResult: lim.MaxResultRows,
+		workers:   e.opts.Parallelism,
 	}
 	if lim.MaxDuration > 0 {
 		qc.deadline = time.Now().Add(lim.MaxDuration)
@@ -183,10 +185,6 @@ func recoverToError(errp *error) {
 		*errp = &panicError{val: r, stack: debug.Stack()}
 	}
 }
-
-// errQuarantineRetry marks an error whose cause was quarantined; one
-// retry — now falling back to full scans — can succeed.
-var errQuarantineRetry = errors.New("engine: retrying after quarantine")
 
 // firstWorkerError picks the error to surface from a fan-out: panics win
 // (they trigger quarantine) over cooperative cancellation.

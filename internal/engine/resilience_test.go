@@ -213,15 +213,9 @@ type faultySkipper struct {
 	panicWiden    bool
 	badWindows    bool // emit candidate windows beyond the column end
 	badInvariants bool // CheckInvariants fails
-	statParts     int  // > 0: the one window asks for this many statistics parts
 
-	observed  int              // Observe calls
-	lastStats []core.ZoneStats // what the last Observe received
+	observed int // Observe calls
 }
-
-// faultyZoneID is the identity the one window carries when it asks for
-// statistics.
-const faultyZoneID = 7
 
 func (f *faultySkipper) Prune(expr.Ranges) core.PruneResult {
 	if f.panicProbe {
@@ -229,17 +223,10 @@ func (f *faultySkipper) Prune(expr.Ranges) core.PruneResult {
 	}
 	if f.badWindows {
 		return core.PruneResult{Enabled: true, Zones: []core.CandidateZone{
-			{ID: core.NoZoneID, Lo: 0, Hi: f.rows * 4}, // way out of range
+			{Lo: 0, Hi: f.rows * 4}, // way out of range
 		}}
 	}
-	if f.statParts > 0 {
-		return core.PruneResult{Enabled: true, Zones: []core.CandidateZone{
-			{ID: faultyZoneID, Lo: 0, Hi: f.rows, StatParts: f.statParts},
-		}}
-	}
-	return core.PruneResult{Enabled: true, Zones: []core.CandidateZone{
-		{ID: core.NoZoneID, Lo: 0, Hi: f.rows},
-	}}
+	return core.PruneResult{Enabled: true, Zones: []core.CandidateZone{{Lo: 0, Hi: f.rows}}}
 }
 
 func (f *faultySkipper) PruneNulls() core.PruneResult {
@@ -249,9 +236,8 @@ func (f *faultySkipper) PruneNulls() core.PruneResult {
 	return core.PruneResult{Enabled: false}
 }
 
-func (f *faultySkipper) Observe(_ core.PruneResult, stats []core.ZoneStats) {
+func (f *faultySkipper) Observe(core.PruneResult) {
 	f.observed++
-	f.lastStats = stats
 	if f.panicObs {
 		panic("faultySkipper: observe panic")
 	}
@@ -440,8 +426,7 @@ func TestSkipperFaultDropsSkipper(t *testing.T) {
 
 // TestObserveOncePerCompletedQuery: every executor shape hands feedback to
 // a skipper exactly once, after its scan completed, and a query that fails
-// hands none. Statistics reach Observe only from the fast COUNT path, only
-// for the candidate that asked, and tile that candidate's window.
+// hands none.
 func TestObserveOncePerCompletedQuery(t *testing.T) {
 	const rows = 1500
 	tb := buildTable(t, rows, 21)
@@ -452,48 +437,25 @@ func TestObserveOncePerCompletedQuery(t *testing.T) {
 	inA := intPred("a", expr.Between, 10, 1200)
 	count := []Agg{{Kind: CountStar}}
 	cases := []struct {
-		name     string
-		q        Query
-		fastPath bool
+		name string
+		q    Query
 	}{
-		{"fast COUNT", Query{Where: expr.And(inA), Aggs: count}, true},
-		{"SUM", Query{Where: expr.And(inA), Aggs: []Agg{{Kind: Sum, Col: "b"}}}, false},
-		{"projection LIMIT", Query{Where: expr.And(inA), Select: []string{"a", "s"}, Limit: 5}, false},
-		{"ORDER BY LIMIT", Query{Where: expr.And(inA), Select: []string{"a"}, OrderBy: "b", OrderDesc: true, Limit: 3}, false},
-		{"GROUP BY", Query{Where: expr.And(inA), Aggs: count, GroupBy: "s"}, false},
-		{"unsatisfiable", Query{Where: expr.And(intPred("a", expr.GT, 10), intPred("a", expr.LT, 5)), Aggs: count}, false},
-		{"IS NULL", Query{Where: expr.And(expr.MustPred("a", expr.IsNull)), Aggs: count}, false},
-		{"two columns", Query{Where: expr.And(inA, intPred("b", expr.Between, 100, 600)), Aggs: count}, false},
+		{"fast COUNT", Query{Where: expr.And(inA), Aggs: count}},
+		{"SUM", Query{Where: expr.And(inA), Aggs: []Agg{{Kind: Sum, Col: "b"}}}},
+		{"projection LIMIT", Query{Where: expr.And(inA), Select: []string{"a", "s"}, Limit: 5}},
+		{"ORDER BY LIMIT", Query{Where: expr.And(inA), Select: []string{"a"}, OrderBy: "b", OrderDesc: true, Limit: 3}},
+		{"GROUP BY", Query{Where: expr.And(inA), Aggs: count, GroupBy: "s"}},
+		{"unsatisfiable", Query{Where: expr.And(intPred("a", expr.GT, 10), intPred("a", expr.LT, 5)), Aggs: count}},
+		{"IS NULL", Query{Where: expr.And(expr.MustPred("a", expr.IsNull)), Aggs: count}},
+		{"two columns", Query{Where: expr.And(inA, intPred("b", expr.Between, 100, 600)), Aggs: count}},
 	}
-	for _, parts := range []int{0, 4} {
-		f.statParts = parts
-		for _, c := range cases {
-			before := f.observed
-			if _, err := e.Query(c.q); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			if got := f.observed - before; got != 1 {
-				t.Errorf("statParts=%d %s: Observe ran %d times, want 1", parts, c.name, got)
-			}
-			if parts == 0 || !c.fastPath {
-				if f.lastStats != nil {
-					t.Errorf("statParts=%d %s: Observe got statistics %+v, want none", parts, c.name, f.lastStats)
-				}
-				continue
-			}
-			if len(f.lastStats) != 1 || f.lastStats[0].ID != faultyZoneID {
-				t.Fatalf("%s: Observe got %+v, want the asking candidate's statistics alone", c.name, f.lastStats)
-			}
-			next := 0
-			for _, p := range f.lastStats[0].Parts {
-				if p.Lo != next || p.Hi <= p.Lo {
-					t.Fatalf("%s: parts %+v do not tile [0, %d)", c.name, f.lastStats[0].Parts, rows)
-				}
-				next = p.Hi
-			}
-			if next != rows || len(f.lastStats[0].Parts) < parts {
-				t.Fatalf("%s: parts %+v do not tile [0, %d) in at least %d parts", c.name, f.lastStats[0].Parts, rows, parts)
-			}
+	for _, c := range cases {
+		before := f.observed
+		if _, err := e.Query(c.q); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := f.observed - before; got != 1 {
+			t.Errorf("%s: Observe ran %d times, want 1", c.name, got)
 		}
 	}
 	if e.Skipper("a") != f {
@@ -504,7 +466,7 @@ func TestObserveOncePerCompletedQuery(t *testing.T) {
 	tb = buildTable(t, 2*checkpointRows, 22)
 	e = New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive(),
 		Limits: Limits{MaxRowsScanned: checkpointRows}})
-	f = &faultySkipper{statParts: 4}
+	f = &faultySkipper{}
 	installFaulty(e, f)
 	wide := intPred("a", expr.Between, 0, 2*checkpointRows)
 	for _, q := range []Query{

@@ -297,7 +297,7 @@ func Fig5Drift(cfg Config) (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
-		"re-adaptation is nearly free by design: splits piggyback on the scans the first post-drift queries must do anyway,",
+		"re-adaptation is nearly free by design: splits read the zonemap's summary, not the rows the first post-drift queries scan,",
 		"so the latency spike is small and the split column shows the structural response directly")
 	return t, nil
 }

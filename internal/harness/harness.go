@@ -1,6 +1,6 @@
 // Package harness is the registry of the paper's reconstructed
 // evaluation — one Experiment per figure, table, ablation and extension
-// (fig1–7, tab1–3, abl1–2, ext1–3) — plus the machinery those entries
+// (fig1–7, tab1–3, abl1, ext1–3) — plus the machinery those entries
 // share: one engine builder (newEngine), one timed query loop (run), and
 // the Table they emit.
 // Each entry generates its workload, runs the policies, and returns the
@@ -160,7 +160,6 @@ func Experiments() []Experiment {
 		{"tab2", "Headline speedup summary", Tab2Summary},
 		{"tab3", "Multi-column predicate intersection", Tab3MultiColumn},
 		{"abl1", "Ablation: adaptive mechanisms", Abl1Mechanisms},
-		{"abl2", "Ablation: split fanout", Abl2SplitFanout},
 		{"ext1", "Extension: parallel scan scaling", Ext1Parallel},
 		{"ext2", "Extension: column imprints vs zonemaps on bimodal data", Ext2Imprints},
 		{"ext3", "Extension: sharded scatter-gather with shard pruning", Ext3Sharded},

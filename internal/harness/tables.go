@@ -219,37 +219,3 @@ func Abl1Mechanisms(cfg Config) (*Table, error) {
 		"no-split loses the clustered speedup; no-arbitration keeps probing uniform data every query (probes/query stays high)")
 	return t, nil
 }
-
-// Abl2SplitFanout reproduces the split-fanout ablation: how many sub-zones
-// each split produces trades convergence speed against metadata growth.
-func Abl2SplitFanout(cfg Config) (*Table, error) {
-	cfg = cfg.WithDefaults()
-	t := &Table{
-		ID:     "abl2",
-		Title:  fmt.Sprintf("split fanout sweep, clustered, N=%d, sel=1%%", cfg.Rows),
-		Header: []string{"fanout", "first-quarter avg", "steady avg", "zones", "metadata"},
-	}
-	vals := generate(cfg, workload.Clustered, 4096)
-	genSpec := workload.QuerySpec{
-		Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 11,
-	}
-	for _, fanout := range []int{2, 4, 8, 16, 32} {
-		opts := cfg.options(engine.PolicyAdaptive)
-		opts.Adaptive.SplitParts = fanout
-		e := newEngine(opts, vals)
-		sr, err := runStream(e, workload.NewGen(genSpec), cfg.Queries)
-		if err != nil {
-			return nil, err
-		}
-		md := e.Skipper("v").Metadata()
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", fanout),
-			fmtNs(sr.avgNs(0, cfg.Queries/4)),
-			fmtNs(sr.avgNs(cfg.Queries/2, cfg.Queries)),
-			fmt.Sprintf("%d", md.Zones),
-			fmtBytes(md.Bytes),
-		})
-	}
-	t.Notes = append(t.Notes, "higher fanout converges faster but holds more zones")
-	return t, nil
-}

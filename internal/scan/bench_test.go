@@ -138,55 +138,6 @@ func BenchmarkCountRanges3(b *testing.B) {
 	})
 }
 
-// BenchmarkCountWithStats times the learning scan in 16 parts: vector is
-// what CountStats runs where the CPU has AVX2 (the fused count + min/max
-// body), portable the portable bodies it falls back to, countDense and
-// then minMaxDense over each statBlock rows.
-func BenchmarkCountWithStats(b *testing.B) {
-	benchWidths(b, func(b *testing.B, codes storage.Vec) {
-		b.Run("vector", func(b *testing.B) {
-			if !useVector {
-				b.Skip("no AVX2 on this CPU")
-			}
-			benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
-				n, _ := CountStats(codes, 0, codes.Len(), oneRange(rlo, rhi), nil, 0, 16)
-				return n
-			})
-		})
-		b.Run("portable", func(b *testing.B) {
-			benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
-				base, span := offsetForm(rlo, rhi)
-				return portableStats(codes.W, base, span) + portableStats(codes.N, base, span)
-			})
-		})
-	})
-}
-
-// portableStats is partStats' fallback over all of codes with the portable
-// bodies: countDense, then minMaxDense, over each statBlock rows. It
-// returns the count plus the bounds, so that no fold is dead code.
-func portableStats[C storage.Code](codes []C, base, span uint64) (sum int) {
-	for len(codes) > 0 {
-		w := codes[:min(statBlock, len(codes))]
-		mn, mx := minMaxDense(w)
-		sum += countDense(w, base, span) + int(mn^mx)
-		codes = codes[len(w):]
-	}
-	return sum
-}
-
-// BenchmarkCountWithStatsNulls is the learning scan over a column with
-// NULLs, which has one body: the match-word count and minMaxNulls.
-func BenchmarkCountWithStatsNulls(b *testing.B) {
-	_, nulls := benchData()
-	benchWidths(b, func(b *testing.B, codes storage.Vec) {
-		benchPerPred(b, codes.Width(), func(rlo, rhi int64) int {
-			n, _ := CountStats(codes, 0, codes.Len(), oneRange(rlo, rhi), nulls, 0, 16)
-			return n
-		})
-	})
-}
-
 func BenchmarkFilterSel(b *testing.B) {
 	sel := bitvec.NewSelVec(benchRows)
 	benchWidths(b, func(b *testing.B, codes storage.Vec) {

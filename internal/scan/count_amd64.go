@@ -51,19 +51,6 @@ func minMaxBlocks32(codes []uint32) (mn, mx uint32)
 //go:noescape
 func minMaxBlocks64(codes []int64) (mn, mx int64)
 
-// countMinMaxBlocks32 is countBlocks32 and minMaxBlocks32 over one read of
-// the whole blocks.
-//
-//go:noescape
-func countMinMaxBlocks32(codes []uint32, base, span uint32) (n int, mn, mx uint32)
-
-// countMinMaxBlocks64 is countBlocks64 and minMaxBlocks64 over one read of
-// the whole blocks; base and span come with their sign bits flipped, as
-// countBlocks64 takes them.
-//
-//go:noescape
-func countMinMaxBlocks64(codes []int64, base, span uint64) (n int, mn, mx int64)
-
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv0 returns the low half of extended control register 0.

@@ -13,11 +13,3 @@ func countBlocks64([]int64, uint64, uint64) int { panic("scan: no vector kernel"
 func minMaxBlocks32([]uint32) (uint32, uint32) { panic("scan: no vector kernel") }
 
 func minMaxBlocks64([]int64) (int64, int64) { panic("scan: no vector kernel") }
-
-func countMinMaxBlocks32([]uint32, uint32, uint32) (int, uint32, uint32) {
-	panic("scan: no vector kernel")
-}
-
-func countMinMaxBlocks64([]int64, uint64, uint64) (int, int64, int64) {
-	panic("scan: no vector kernel")
-}

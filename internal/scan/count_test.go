@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"adskip/internal/expr"
 	"adskip/internal/storage"
 )
 
@@ -178,40 +177,6 @@ func TestMinMaxBodiesAgree(t *testing.T) {
 	t.Run("int64", func(t *testing.T) { checkMinMaxBodies(t, bodyPool64, vecBlock64, minMaxVector64) })
 	if !useVector {
 		t.Skip("no AVX2 on this CPU: compared the dispatcher with minMaxDense only")
-	}
-}
-
-// checkCountMinMaxBodies compares CountWithStats over one part and, where
-// the CPU runs it, the fused vector wrapper with countDense and minMaxDense
-// on every window of bodyColumns and every interval of vectorIntervals.
-func checkCountMinMaxBodies[C storage.Code](t *testing.T, pool []int64, block int, vector func([]C, int64, int64) (int, int64, int64)) {
-	checkBodyWindows(t, bodyColumns[C](rand.New(rand.NewSource(33)), pool), pool, func(w []C) string {
-		mn, mx := minMaxDense(w)
-		for _, iv := range vectorIntervals {
-			lo, hi := iv[0], iv[1]
-			if lo > hi {
-				continue // the bodies are only handed lo <= hi
-			}
-			want := countDense(w, uint64(lo), uint64(hi)-uint64(lo))
-			if total, stats := CountWithStats(w, 0, len(w), oneRange(lo, hi), nil, 0, 1); total != want ||
-				len(w) > 0 && stats[0] != (PartStat{Lo: 0, Hi: len(w), Hull: expr.Hull{Min: mn, Max: mx}, NonNull: len(w), Matched: want}) {
-				return fmt.Sprintf("[%d,%d]: CountWithStats = %d %+v want %d, bounds %d,%d", lo, hi, total, stats, want, mn, mx)
-			}
-			if useVector && len(w) >= block {
-				if n, vmn, vmx := vector(w, lo, hi); n != want || vmn != mn || vmx != mx {
-					return fmt.Sprintf("[%d,%d]: fused body = %d,%d,%d want %d,%d,%d", lo, hi, n, vmn, vmx, want, mn, mx)
-				}
-			}
-		}
-		return ""
-	})
-}
-
-func TestCountMinMaxBodiesAgree(t *testing.T) {
-	t.Run("uint32", func(t *testing.T) { checkCountMinMaxBodies(t, bodyPool32, vecBlock32, countMinMaxVector32) })
-	t.Run("int64", func(t *testing.T) { checkCountMinMaxBodies(t, bodyPool64, vecBlock64, countMinMaxVector64) })
-	if !useVector {
-		t.Skip("no AVX2 on this CPU: compared CountWithStats with countDense and minMaxDense only")
 	}
 }
 

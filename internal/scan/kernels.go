@@ -246,7 +246,7 @@ func RefineSel[C storage.Code](codes []C, r expr.Ranges, nulls *bitvec.BitVec, s
 
 // MinMaxRange returns the min and max code among the non-NULL rows of
 // codes[lo:hi] and how many such rows there are; the bounds are valid iff
-// nonNull > 0. Used by metadata builders and by CountWithStats. A dense
+// nonNull > 0. Used by metadata builders and by Summarize. A dense
 // window of at least one vector block goes through the vector body; a
 // shorter one (bestCut asks for windows down to one row) is folded by
 // minMaxDense directly.
@@ -286,32 +286,6 @@ func minMaxVector64(codes []int64) (mn, mx int64) {
 	bmn, bmx := minMaxBlocks64(codes)
 	mn, mx = minMaxDense(codes[len(codes)&^(vecBlock64-1):])
 	return min(mn, bmn), max(mx, bmx)
-}
-
-// countMinMaxVector32 is countVector32 and minMaxVector32 over one read of
-// codes, which holds at least one whole block. An interval that is empty
-// once cut to what a 32-bit code can be matches nothing, and the bounds are
-// still taken.
-func countMinMaxVector32(codes []uint32, lo, hi int64) (n int, mn, mx int64) {
-	lo, hi = max(lo, 0), min(hi, math.MaxUint32)
-	if lo > hi {
-		mn, mx = minMaxVector32(codes)
-		return 0, mn, mx
-	}
-	base, span := offsetForm(lo, hi)
-	bn, bmn, bmx := countMinMaxBlocks32(codes, uint32(base), uint32(span))
-	tail := codes[len(codes)&^(vecBlock32-1):]
-	mn, mx = minMaxDense(tail)
-	return bn + countDense(tail, base, span), min(mn, int64(bmn)), max(mx, int64(bmx))
-}
-
-// countMinMaxVector64 is countMinMaxVector32 for 64-bit codes.
-func countMinMaxVector64(codes []int64, lo, hi int64) (n int, mn, mx int64) {
-	base, span := offsetForm(lo, hi)
-	bn, bmn, bmx := countMinMaxBlocks64(codes, base^1<<63, span^1<<63)
-	tail := codes[len(codes)&^(vecBlock64-1):]
-	mn, mx = minMaxDense(tail)
-	return bn + countDense(tail, base, span), min(mn, bmn), max(mx, bmx)
 }
 
 // minMaxDense folds codes into two independent min/max pairs.

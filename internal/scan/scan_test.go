@@ -138,120 +138,110 @@ func TestMinMaxRange(t *testing.T) {
 	}
 }
 
-func TestCountWithStats(t *testing.T) {
+func TestSummarize(t *testing.T) {
 	codes := seq(100, func(i int) int64 { return int64(i) })
-	total, stats := CountWithStats(codes, 0, 100, oneRange(25, 74), nil, 0, 4)
-	if total != 50 {
-		t.Fatalf("total=%d want 50", total)
+	parts := Summarize(storage.Vec{W: codes}, 0, 100, nil, 25)
+	if len(parts) != 4 {
+		t.Fatalf("parts=%d want 4", len(parts))
 	}
-	if len(stats) != 4 {
-		t.Fatalf("parts=%d want 4", len(stats))
-	}
-	wantMatch := []int{0, 25, 25, 0}
-	for p, s := range stats {
+	for p, s := range parts {
 		if s.Lo != p*25 || s.Hi != (p+1)*25 {
 			t.Fatalf("part %d window [%d,%d)", p, s.Lo, s.Hi)
 		}
 		if s.Hull != (expr.Hull{Min: int64(p * 25), Max: int64(p*25 + 24)}) {
 			t.Fatalf("part %d bounds %+v", p, s.Hull)
 		}
-		if s.NonNull != 25 || s.Matched != wantMatch[p] {
-			t.Fatalf("part %d nonnull=%d matched=%d", p, s.NonNull, s.Matched)
+		if s.NonNull != 25 {
+			t.Fatalf("part %d nonnull=%d", p, s.NonNull)
 		}
 	}
 }
 
-func TestCountWithStatsEdges(t *testing.T) {
-	codes := seq(5, func(i int) int64 { return int64(i) })
-	// parts > n clamps to n.
-	total, stats := CountWithStats(codes, 0, 5, oneRange(0, 4), nil, 0, 99)
-	if total != 5 || len(stats) != 5 {
-		t.Fatalf("clamp: total=%d parts=%d", total, len(stats))
+func TestSummarizeEdges(t *testing.T) {
+	codes := storage.Vec{W: seq(5, func(int) int64 { return 7 })}
+	// A size that does not divide the rows leaves a shorter last part.
+	if parts := Summarize(codes, 0, 5, nil, 2); len(parts) != 3 || parts[2].Lo != 4 || parts[2].Hi != 5 {
+		t.Fatalf("size 2: %+v", parts)
 	}
-	// parts < 1 clamps to 1.
-	_, stats = CountWithStats(codes, 0, 5, oneRange(0, 4), nil, 0, 0)
-	if len(stats) != 1 {
-		t.Fatalf("min clamp: parts=%d", len(stats))
+	// A size beyond the rows is one part; a size below 1 is 1.
+	if parts := Summarize(codes, 0, 5, nil, 99); len(parts) != 1 || parts[0].Hi != 5 {
+		t.Fatalf("size 99: %+v", parts)
+	}
+	if parts := Summarize(codes, 0, 5, nil, 0); len(parts) != 5 {
+		t.Fatalf("size 0: %+v", parts)
 	}
 	// Empty window.
-	total, stats = CountWithStats(codes, 3, 3, oneRange(0, 4), nil, 0, 2)
-	if total != 0 || stats != nil {
-		t.Fatalf("empty window: total=%d stats=%v", total, stats)
+	if parts := Summarize(codes, 3, 3, nil, 2); parts != nil {
+		t.Fatalf("empty window: %+v", parts)
 	}
-	// Window offsets with base.
-	_, stats = CountWithStats(codes, 2, 5, oneRange(0, 4), nil, 1000, 1)
-	if stats[0].Lo != 1002 || stats[0].Hi != 1005 {
-		t.Fatalf("base window [%d,%d)", stats[0].Lo, stats[0].Hi)
+	// Parts start at lo and name rows of the column.
+	if parts := Summarize(codes, 2, 5, nil, 2); len(parts) != 2 || parts[0].Lo != 2 || parts[0].Hi != 4 ||
+		parts[0].Hull != (expr.Hull{Min: 7, Max: 7}) || parts[1].NonNull != 1 {
+		t.Fatalf("window [2,5): %+v", parts)
 	}
 }
 
-func TestCountWithStatsNulls(t *testing.T) {
+func TestSummarizeNulls(t *testing.T) {
 	codes := seq(10, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(10)
 	nulls.Set(0)
 	nulls.Set(9)
-	total, stats := CountWithStats(codes, 0, 10, oneRange(0, 100), nulls, 0, 2)
-	if total != 8 {
-		t.Fatalf("total=%d want 8", total)
+	parts := Summarize(storage.Vec{W: codes}, 0, 10, nulls, 5)
+	if parts[0].Hull.Min != 1 || parts[0].NonNull != 4 {
+		t.Fatalf("part0 min=%d nonnull=%d", parts[0].Hull.Min, parts[0].NonNull)
 	}
-	if stats[0].Hull.Min != 1 || stats[0].NonNull != 4 {
-		t.Fatalf("part0 min=%d nonnull=%d", stats[0].Hull.Min, stats[0].NonNull)
-	}
-	if stats[1].Hull.Max != 8 || stats[1].NonNull != 4 {
-		t.Fatalf("part1 max=%d nonnull=%d", stats[1].Hull.Max, stats[1].NonNull)
+	if parts[1].Hull.Max != 8 || parts[1].NonNull != 4 {
+		t.Fatalf("part1 max=%d nonnull=%d", parts[1].Hull.Max, parts[1].NonNull)
 	}
 }
 
 // naivePart is the PartStat of rows [lo, hi) of codes, computed row by row.
-func naivePart(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec) PartStat {
+func naivePart(codes []int64, lo, hi int, nulls *bitvec.BitVec) PartStat {
 	s := PartStat{Lo: lo, Hi: hi, Hull: expr.EmptyHull}
 	for i := lo; i < hi; i++ {
 		if naiveNull(nulls, i) {
 			continue
 		}
 		s.Hull, s.NonNull = s.Hull.Admit(codes[i]), s.NonNull+1
-		s.Matched += b2i(naiveMatch(codes[i], r))
 	}
 	return s
 }
 
-// naiveParts is what CountWithStats reports for all of codes in `parts`
-// equal-width parts when it cuts none.
-func naiveParts(codes []int64, r expr.Ranges, nulls *bitvec.BitVec, parts int) []PartStat {
-	n := len(codes)
-	out := make([]PartStat, parts)
-	for p := range out {
-		out[p] = naivePart(codes, p*n/parts, (p+1)*n/parts, r, nulls)
+// naiveParts is what Summarize reports for all of codes in parts of size
+// rows when it cuts none.
+func naiveParts(codes []int64, nulls *bitvec.BitVec, size int) []PartStat {
+	var out []PartStat
+	for lo := 0; lo < len(codes); lo += size {
+		out = append(out, naivePart(codes, lo, min(lo+size, len(codes)), nulls))
 	}
 	return out
 }
 
-// countStatsBothWidths runs CountStats over all of codes at 8 and at 4
-// bytes a code, fails unless the two agree, and returns the parts.
-func countStatsBothWidths(t *testing.T, codes []int64, r expr.Ranges, nulls *bitvec.BitVec, parts int) []PartStat {
+// summarizeBothWidths runs Summarize over all of codes at 8 and at 4 bytes
+// a code, fails unless the two agree, and returns the parts.
+func summarizeBothWidths(t *testing.T, codes []int64, nulls *bitvec.BitVec, size int) []PartStat {
 	t.Helper()
 	narrow := make([]uint32, len(codes))
 	for i, c := range codes {
 		narrow[i] = uint32(c)
 	}
-	total, stats := CountStats(storage.Vec{W: codes}, 0, len(codes), r, nulls, 0, parts)
-	ntotal, nstats := CountStats(storage.Vec{N: narrow}, 0, len(codes), r, nulls, 0, parts)
-	if ntotal != total || !slices.Equal(nstats, stats) {
-		t.Fatalf("4-byte codes: %d %+v, 8-byte codes: %d %+v", ntotal, nstats, total, stats)
+	parts := Summarize(storage.Vec{W: codes}, 0, len(codes), nulls, size)
+	if nparts := Summarize(storage.Vec{N: narrow}, 0, len(codes), nulls, size); !slices.Equal(nparts, parts) {
+		t.Fatalf("4-byte codes: %+v, 8-byte codes: %+v", nparts, parts)
 	}
-	return stats
+	return parts
 }
 
 // A part holding the meeting of two value bands is cut exactly where they
-// meet, wherever that is inside the part, with exact statistics either
-// side; the other parts, and every part of data without such a jump, come
-// back as the equal-width parts they were. Both at 8 and at 4 bytes a
-// code, with no NULLs, scattered NULLs and a run of NULLs at the meeting.
-func TestCountWithStatsCutsAtDiscontinuity(t *testing.T) {
+// meet, wherever that is inside the part, with exact hulls and counts
+// either side; the other parts, and every part of data without such a
+// jump — sorted, semi-sorted, uniform, constant, all NULL — come back as
+// the fixed-size parts they were. Both at 8 and at 4 bytes a code, with no
+// NULLs, scattered NULLs and a run of NULLs at the meeting.
+func TestSummarizeCutsAtDiscontinuity(t *testing.T) {
 	const part, parts = 200, 4 // more rows a part than bestCut's fan
 	n := part * parts
 	rng := rand.New(rand.NewSource(1))
-	r := oneRange(1005, 5003)
 	cuts := 0
 	for _, nullsAt := range []string{"none", "scattered", "at the meeting"} {
 		for x := part; x <= 2*part; x++ {
@@ -274,8 +264,8 @@ func TestCountWithStatsCutsAtDiscontinuity(t *testing.T) {
 					nulls.Set(i)
 				}
 			}
-			stats := countStatsBothWidths(t, codes, r, nulls, parts)
-			want := naiveParts(codes, r, nulls, parts)
+			stats := summarizeBothWidths(t, codes, nulls, part)
+			want := naiveParts(codes, nulls, part)
 			// Any cut in [cLo, cHi], the NULL rows around x, is as good as x.
 			cLo, cHi := x, x
 			for cLo > 0 && naiveNull(nulls, cLo-1) {
@@ -284,21 +274,21 @@ func TestCountWithStatsCutsAtDiscontinuity(t *testing.T) {
 			for cHi < n && naiveNull(nulls, cHi) {
 				cHi++
 			}
-			if naivePart(codes, part, cLo, r, nulls).NonNull == 0 || naivePart(codes, cHi, 2*part, r, nulls).NonNull == 0 {
+			if naivePart(codes, part, cLo, nulls).NonNull == 0 || naivePart(codes, cHi, 2*part, nulls).NonNull == 0 {
 				// Part 1 holds the values of one band only.
 				if !slices.Equal(stats, want) {
 					t.Fatalf("%s NULLs, bands meet at %d: %+v, want %+v", nullsAt, x, stats, want)
 				}
 				continue
 			}
-			if checkPartShape(t, stats, 0, n, parts) != 1 || len(stats) != parts+1 {
+			if checkPartShape(t, stats, 0, n, part) != 1 || len(stats) != parts+1 {
 				t.Fatalf("%s NULLs, bands meet at %d: %+v", nullsAt, x, stats)
 			}
 			if c := stats[1].Hi; c < cLo || c > cHi {
 				t.Fatalf("%s NULLs, bands meet at %d: cut at %d, want [%d, %d]", nullsAt, x, c, cLo, cHi)
 			}
 			cuts++
-			want = []PartStat{want[0], naivePart(codes, part, stats[1].Hi, r, nulls), naivePart(codes, stats[1].Hi, 2*part, r, nulls), want[2], want[3]}
+			want = []PartStat{want[0], naivePart(codes, part, stats[1].Hi, nulls), naivePart(codes, stats[1].Hi, 2*part, nulls), want[2], want[3]}
 			if !slices.Equal(stats, want) {
 				t.Fatalf("%s NULLs, bands meet at %d: %+v, want %+v", nullsAt, x, stats, want)
 			}
@@ -322,42 +312,36 @@ func TestCountWithStatsCutsAtDiscontinuity(t *testing.T) {
 			if name == "all-NULL" {
 				nulls = bitvec.NewSet(n)
 			}
-			r := oneRange(codes[n/3], codes[n/3]+100)
-			if stats, want := countStatsBothWidths(t, codes, r, nulls, p), naiveParts(codes, r, nulls, p); !slices.Equal(stats, want) {
+			size := (n + p - 1) / p
+			if stats, want := summarizeBothWidths(t, codes, nulls, size), naiveParts(codes, nulls, size); !slices.Equal(stats, want) {
 				t.Fatalf("%s, %d parts: %+v, want %+v", name, p, stats, want)
 			}
 		}
 	}
 }
 
-// checkPartShape fails unless stats are CountWithStats' parts of the rows
-// [lo, hi) asked for in `parts` equal-width parts: in row order, each
-// equal-width part either as it is or as the two sides of one cut strictly
-// inside it. It returns how many were cut.
-func checkPartShape(t *testing.T, stats []PartStat, lo, hi, parts int) (cuts int) {
+// checkPartShape fails unless parts are Summarize's parts of the rows
+// [lo, hi) in parts of size rows: in row order, each fixed-size part
+// either as it is or as the two sides of one cut strictly inside it. It
+// returns how many were cut.
+func checkPartShape(t *testing.T, parts []PartStat, lo, hi, size int) (cuts int) {
 	t.Helper()
-	n := hi - lo
-	if n > 0 {
-		parts = max(1, min(parts, n))
-	} else {
-		parts = 0
-	}
 	i := 0
-	for p := 0; p < parts; p++ {
-		pLo, pHi := lo+p*n/parts, lo+(p+1)*n/parts
+	for pLo := lo; pLo < hi; pLo += size {
+		pHi := min(pLo+size, hi)
 		switch {
-		case i < len(stats) && stats[i].Lo == pLo && stats[i].Hi == pHi:
+		case i < len(parts) && parts[i].Lo == pLo && parts[i].Hi == pHi:
 			i++
-		case i+1 < len(stats) && stats[i].Lo == pLo && stats[i].Hi == stats[i+1].Lo &&
-			stats[i].Hi > pLo && stats[i].Hi < pHi && stats[i+1].Hi == pHi:
+		case i+1 < len(parts) && parts[i].Lo == pLo && parts[i].Hi == parts[i+1].Lo &&
+			parts[i].Hi > pLo && parts[i].Hi < pHi && parts[i+1].Hi == pHi:
 			i += 2
 			cuts++
 		default:
-			t.Fatalf("equal-width part %d [%d,%d) of %d is neither whole nor cut once in %+v", p, pLo, pHi, parts, stats)
+			t.Fatalf("fixed-size part [%d,%d) of [%d,%d) is neither whole nor cut once in %+v", pLo, pHi, lo, hi, parts)
 		}
 	}
-	if i != len(stats) {
-		t.Fatalf("%d parts for %d equal-width parts of [%d,%d): %+v", len(stats), parts, lo, hi, stats)
+	if i != len(parts) {
+		t.Fatalf("%d parts for the %d-row parts of [%d,%d): %+v", len(parts), size, lo, hi, parts)
 	}
 	return cuts
 }
@@ -376,7 +360,7 @@ type kernelShape struct {
 
 // flavorBanded makes a shape's column runs of one pool code, of random
 // length and so starting at random rows, each row of a run flipping the
-// code's low bit one time in four: the value jumps CountWithStats cuts at.
+// code's low bit one time in four: the value jumps Summarize cuts at.
 const flavorBanded = 64
 
 // codePools are where codes and interval bounds are drawn from, so bounds
@@ -415,7 +399,7 @@ type kernelCase struct {
 	r            expr.Ranges
 	nulls        *bitvec.BitVec
 	naive        func(lo, hi int) kernelAnswer // over column rows [lo, hi)
-	parts        int
+	size         int                           // rows a part of Summarize
 	// subset is the selection the refine kernels are given; the rows of it
 	// that match, and the rows of it that are NULL.
 	subset, wantKept, wantKeptNull []uint32
@@ -424,7 +408,7 @@ type kernelCase struct {
 // checkKernelShape builds the case s describes and compares every kernel
 // with the naive reference: on the column's []int64 codes and, when they
 // all fit, on the same codes as []uint32. It returns how many cuts
-// CountStats made, over both views.
+// Summarize made, over both views.
 func checkKernelShape(t *testing.T, s kernelShape) (cuts int) {
 	t.Helper()
 	defer func() {
@@ -514,7 +498,8 @@ func checkKernelShape(t *testing.T, s kernelShape) (cuts int) {
 		}
 		return a
 	}
-	k.parts = 1 + rng.Intn(8)
+	parts := 1 + rng.Intn(8)
+	k.size = max(1, (int(s.winLen)+parts-1)/parts)
 	// A random subset of the window's rows, for the refine kernels.
 	for i := lo; i < hi; i++ {
 		if rng.Intn(3) == 0 {
@@ -540,9 +525,28 @@ func checkKernelShape(t *testing.T, s kernelShape) (cuts int) {
 	return cuts + checkKernels(t, storage.Vec{N: fits}, &k)
 }
 
+// checkSummary compares Summarize over the case's window, in parts of
+// k.size rows, with the naive reference. It returns how many cuts it made.
+func checkSummary(t *testing.T, codes storage.Vec, k *kernelCase) (cuts int) {
+	t.Helper()
+	parts := Summarize(codes, k.lo, k.hi, k.nulls, k.size)
+	cuts = checkPartShape(t, parts, k.lo, k.hi, k.size)
+	for _, st := range parts {
+		p := k.naive(st.Lo, st.Hi)
+		if st.NonNull != p.nonNull || (p.nonNull > 0 && st.Hull != (expr.Hull{Min: p.min, Max: p.max})) {
+			t.Fatalf("part %+v want bounds %d,%d nonnull %d", st, p.min, p.max, p.nonNull)
+		}
+		// The part's rows start and end anywhere relative to a vector block.
+		if h, nonNull := MinMax(codes, st.Lo, st.Hi, k.nulls, 0); nonNull != p.nonNull || h != (expr.Hull{Min: p.min, Max: p.max}) {
+			t.Fatalf("MinMax over part [%d,%d) = %+v,%d want %d,%d,%d", st.Lo, st.Hi, h, nonNull, p.min, p.max, p.nonNull)
+		}
+	}
+	return cuts
+}
+
 // checkKernels runs every kernel on one view of the case's column, through
 // the dispatchers the engine calls, and compares it with the naive
-// reference. It returns how many cuts CountStats made.
+// reference. It returns how many cuts Summarize made.
 func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) (cuts int) {
 	t.Helper()
 	defer func() {
@@ -574,39 +578,10 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) (cuts int) {
 		t.Fatalf("FilterNullSel=%d rows %v want %v", got, sel.Rows(), want.nullRows)
 	}
 
-	total, stats := CountStats(codes, lo, hi, r, nulls, base, k.parts)
-	if total != len(want.rows) {
-		t.Fatalf("CountStats total=%d want %d", total, len(want.rows))
-	}
-	cuts = checkPartShape(t, stats, base+lo, base+hi, k.parts)
-	next := base + lo
-	for _, st := range stats {
-		if st.Lo != next || st.Hi <= st.Lo {
-			t.Fatalf("part window [%d,%d) does not continue at %d", st.Lo, st.Hi, next)
-		}
-		next = st.Hi
-		p := k.naive(st.Lo-base, st.Hi-base)
-		if st.Matched != len(p.rows) || st.NonNull != p.nonNull || (p.nonNull > 0 && st.Hull != (expr.Hull{Min: p.min, Max: p.max})) {
-			t.Fatalf("part %+v want matched %d bounds %d,%d nonnull %d", st, len(p.rows), p.min, p.max, p.nonNull)
-		}
-		// The part's rows start and end anywhere relative to a vector block.
-		if h, nonNull := MinMax(codes, st.Lo-base, st.Hi-base, nulls, base); nonNull != p.nonNull || h != (expr.Hull{Min: p.min, Max: p.max}) {
-			t.Fatalf("MinMax over part [%d,%d) = %+v,%d want %d,%d,%d", st.Lo, st.Hi, h, nonNull, p.min, p.max, p.nonNull)
-		}
-	}
-	if len(stats) > 0 && next != base+hi {
-		t.Fatalf("parts end at %d want %d", next, base+hi)
-	}
-	// As one part, which has no neighbours to be cut against, the whole
-	// window is one pass of the fused count and min/max where it is dense.
-	if total, one := CountStats(codes, lo, hi, r, nulls, base, 1); total != len(want.rows) || hi > lo &&
-		(len(one) != 1 || one[0].Matched != total || one[0].NonNull != want.nonNull || (want.nonNull > 0 && one[0].Hull != (expr.Hull{Min: want.min, Max: want.max}))) {
-		t.Fatalf("CountStats in one part = %d %+v want %d, bounds %d,%d nonnull %d", total, one, len(want.rows), want.min, want.max, want.nonNull)
-	}
-
 	if base != 0 {
-		return cuts // the refine kernels index the column by row id
+		return 0 // Summarize and the refine kernels index the column by row id
 	}
+	cuts = checkSummary(t, codes, k)
 	// Refine the subset, in place.
 	load := func() {
 		sel.Reset()
@@ -629,7 +604,7 @@ func checkKernels(t *testing.T, codes storage.Vec, k *kernelCase) (cuts int) {
 // four shapes draws codes that fit 4 bytes and is scanned at both widths)
 // and every kind of null bitmap; then dense one-interval windows of three
 // and more vector blocks, which is what the vector count bodies take; then
-// banded columns, whose jumps CountWithStats cuts at, from every pool and
+// banded columns, whose jumps Summarize cuts at, from every pool and
 // with every kind of null bitmap. New shapes go at the end, so the fuzzer's
 // seed#N names keep their numbers.
 func kernelShapes() []kernelShape {
@@ -669,8 +644,8 @@ func TestQuickKernelsAgreeWithNaive(t *testing.T) {
 			cuts += checkKernelShape(t, s)
 		}
 	}
-	if cuts < 200 {
-		t.Fatalf("CountStats cut %d parts over the whole table", cuts)
+	if cuts < 150 {
+		t.Fatalf("Summarize cut %d parts over the whole table", cuts)
 	}
 }
 

@@ -18,14 +18,18 @@ func Count(v storage.Vec, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base 
 	return CountRanges(v.N, lo, hi, r, nulls, base)
 }
 
-// CountStats is CountWithStats over a view: at least min(parts, hi-lo)
-// parts that tile [lo, hi) in row order, each an equal-width part or one
-// side of a cut through one where its values jump.
-func CountStats(v storage.Vec, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base, parts int) (int, []PartStat) {
+// Summarize is the fine summary of rows [lo, hi) of a view: parts of size
+// rows from lo (the last one shorter when size does not divide hi-lo), each
+// with its hull and non-null count, and a part whose values jump cut once
+// more, at the row where they jump (see cutFactor). So the parts tile
+// [lo, hi) in row order, number at least ceil((hi-lo)/size), and every
+// multiple of size from lo is a part boundary. It reads the rows once, and
+// a part it searches for a cut about once more.
+func Summarize(v storage.Vec, lo, hi int, nulls *bitvec.BitVec, size int) []PartStat {
 	if v.W != nil {
-		return CountWithStats(v.W, lo, hi, r, nulls, base, parts)
+		return summarize(v.W, lo, hi, nulls, size)
 	}
-	return CountWithStats(v.N, lo, hi, r, nulls, base, parts)
+	return summarize(v.N, lo, hi, nulls, size)
 }
 
 // Filter is FilterSel over a view.

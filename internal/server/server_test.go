@@ -611,13 +611,31 @@ func settleGoroutines(want int) int {
 	}
 }
 
+// steadyGoroutines returns the process's goroutine count once it has held
+// for steadyPolls polls in a row, so that goroutines an earlier test left
+// exiting are gone from a baseline; after 2 s it returns the last count.
+func steadyGoroutines() int {
+	const steadyPolls = 10
+	deadline := time.Now().Add(2 * time.Second)
+	n, same := runtime.NumGoroutine(), 0
+	for same < steadyPolls && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
 // TestIdleSessionIsOneGoroutine pins the concurrency model: a connection
 // that has answered requests and is waiting for the next holds exactly one
 // goroutine — no reader beside it, no watcher left over from a request.
 func TestIdleSessionIsOneGoroutine(t *testing.T) {
 	db := testDB(t, 2000)
 	defer db.Close()
-	before := runtime.NumGoroutine()
+	before := steadyGoroutines()
 	srv := startServer(t, db, server.Options{})
 	const conns = 8
 	for i := 0; i < conns; i++ {

@@ -25,7 +25,7 @@ func PruneFlat[S, Q any](g *Grid[S, Q], r expr.Ranges) core.PruneResult {
 		case k > 0 && res.Zones[k-1].Hi == lo && res.Zones[k-1].Covered == covered:
 			res.Zones[k-1].Hi = hi
 		default:
-			res.Zones = append(res.Zones, core.CandidateZone{ID: core.NoZoneID, Lo: lo, Hi: hi, Covered: covered})
+			res.Zones = append(res.Zones, core.CandidateZone{Lo: lo, Hi: hi, Covered: covered})
 		}
 	}
 	return res

@@ -65,7 +65,7 @@ func checkWindows(t *testing.T, what string, res core.PruneResult, n int, match 
 	}
 	inCand, covered, prevHi := make([]bool, n), make([]bool, n), 0
 	for _, c := range res.Zones {
-		if c.Lo >= c.Hi || c.Lo < prevHi || c.Hi > n || c.ID != core.NoZoneID {
+		if c.Lo >= c.Hi || c.Lo < prevHi || c.Hi > n {
 			t.Fatalf("%s: window %+v after row %d of %d", what, c, prevHi, n)
 		}
 		prevHi = c.Hi

@@ -92,7 +92,7 @@ func (g *Grid[S, Q]) Metadata() core.Metadata {
 
 // span returns the row window of zones [lo, hi).
 func (g *Grid[S, Q]) span(lo, hi int) core.CandidateZone {
-	return core.CandidateZone{ID: core.NoZoneID, Lo: lo * g.zoneSize, Hi: min(hi*g.zoneSize, g.n)}
+	return core.CandidateZone{Lo: lo * g.zoneSize, Hi: min(hi*g.zoneSize, g.n)}
 }
 
 // zone is zone zi's summary, ok when the zone holds a value.
@@ -269,7 +269,7 @@ func (bs Blocks[S, Q]) Check(kind Kind[S, Q], zones int, zone func(i int) (S, bo
 }
 
 // Observe is a no-op: a fixed grid does not learn.
-func (g *Grid[S, Q]) Observe(core.PruneResult, []core.ZoneStats) {}
+func (g *Grid[S, Q]) Observe(core.PruneResult) {}
 
 // SetJournal ignores the sink: the grid never changes shape.
 func (g *Grid[S, Q]) SetJournal(func(obs.LedgerRecord)) {}

@@ -142,8 +142,7 @@ func TestPruneSkipAndCover(t *testing.T) {
 	m := Build(storage.Vec{W: codes}, nil, 10)
 	// Predicate [3,5]: zones 3,4,5 covered, others skipped.
 	res := m.Prune(oneRange(3, 5))
-	if cands := res.Zones; len(cands) != 1 || cands[0].Lo != 30 || cands[0].Hi != 60 || !cands[0].Covered ||
-		cands[0].ID != core.NoZoneID || cands[0].StatParts > 0 {
+	if cands := res.Zones; len(cands) != 1 || cands[0].Lo != 30 || cands[0].Hi != 60 || !cands[0].Covered {
 		t.Fatalf("cands=%v", cands)
 	}
 	skipped, covered := zoneCounts(m, res)

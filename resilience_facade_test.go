@@ -21,7 +21,7 @@ func metricsDB(t *testing.T, shards int) (*DB, *Table) {
 	t.Helper()
 	db := Open(Options{
 		Policy:   Adaptive,
-		Adaptive: AdaptiveConfig{InitialZoneRows: 64, MinZoneRows: 8, SplitParts: 4},
+		Adaptive: AdaptiveConfig{InitialZoneRows: 64, MinZoneRows: 8},
 		Shards:   shards, ShardKey: "seq", ShardBy: "range",
 	})
 	tab, err := db.CreateTable("metrics", Col("v", Int64), Col("seq", Int64))
