@@ -14,7 +14,6 @@ import (
 	"adskip/internal/obs"
 	"adskip/internal/scan"
 	"adskip/internal/storage"
-	"adskip/internal/zonemap"
 )
 
 func oneRange(lo, hi int64) expr.Ranges {
@@ -72,8 +71,8 @@ func small(z *Zonemap) *Zonemap {
 func TestNewBuildsCoarseZones(t *testing.T) {
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
 	z := New(storage.Vec{W: codes}, nil, smallCfg())
-	if z.NumZones() != 3 || z.Rows() != 250 || !z.Enabled() {
-		t.Fatalf("zones=%d rows=%d", z.NumZones(), z.Rows())
+	if len(z.Zones) != 3 || z.Rows() != 250 || !z.Enabled() {
+		t.Fatalf("zones=%d rows=%d", len(z.Zones), z.Rows())
 	}
 	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatal(err)
@@ -143,11 +142,11 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 	cfg.InitialZoneRows = 1000
 	codes := seqCodes(1000, func(i int) int64 { return int64(i) })
 	z := New(storage.Vec{W: codes}, nil, cfg)
-	if z.NumZones() != 1 {
-		t.Fatalf("zones=%d", z.NumZones())
+	if len(z.Zones) != 1 {
+		t.Fatalf("zones=%d", len(z.Zones))
 	}
 	execute(z, codes, nil, oneRange(0, 49)) // scans the zone, splits it from its parts
-	if z.NumZones() <= 1 {
+	if len(z.Zones) <= 1 {
 		t.Fatal("no split happened")
 	}
 	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
@@ -170,8 +169,8 @@ func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 	codes := seqCodes(40, func(i int) int64 { return int64(i) })
 	z := New(storage.Vec{W: codes}, nil, cfg)
 	execute(z, codes, nil, oneRange(0, 5))
-	if z.NumZones() != 1 {
-		t.Fatalf("split below the floor: %d zones", z.NumZones())
+	if len(z.Zones) != 1 {
+		t.Fatalf("split below the floor: %d zones", len(z.Zones))
 	}
 	// Budget: MaxZones equal to current count forbids splits.
 	cfg2 := smallCfg()
@@ -179,10 +178,10 @@ func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 	codes2 := seqCodes(1000, func(i int) int64 { return int64(i) })
 	z2 := New(storage.Vec{W: codes2}, nil, cfg2)
 	z2.tune.maxZones = 10 // 10 zones of 100 over 1000 rows; no headroom
-	before := z2.NumZones()
+	before := len(z2.Zones)
 	execute(z2, codes2, nil, oneRange(0, 10))
-	if z2.NumZones() != before {
-		t.Fatalf("split exceeded budget: %d -> %d", before, z2.NumZones())
+	if len(z2.Zones) != before {
+		t.Fatalf("split exceeded budget: %d -> %d", before, len(z2.Zones))
 	}
 }
 
@@ -193,12 +192,12 @@ func TestMergeCoalescesUselessZones(t *testing.T) {
 	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
 	// Keep arbitration from disabling during this test.
 	z.tune.window = 1 << 30
-	before := z.NumZones() // 10
+	before := len(z.Zones) // 10
 	for q := 0; q < 100; q++ {
 		execute(z, codes, nil, oneRange(400, 600))
 	}
-	if z.NumZones() >= before {
-		t.Fatalf("no merge: %d -> %d", before, z.NumZones())
+	if len(z.Zones) >= before {
+		t.Fatalf("no merge: %d -> %d", before, len(z.Zones))
 	}
 	if z.Stats().Merges == 0 {
 		t.Fatal("merge counter not incremented")
@@ -271,7 +270,6 @@ func TestShadowProbeReenables(t *testing.T) {
 func TestExtendAndTailFold(t *testing.T) {
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
 	z := New(storage.Vec{W: codes}, nil, smallCfg())
-	z.tune.tailFoldRows = 150
 	// Small append: goes to tail, still scanned, counts correct.
 	codes = append(codes, seqCodes(50, func(i int) int64 { return int64(1000 + i) })...)
 	z.Extend(storage.Vec{W: codes}, nil)
@@ -407,7 +405,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 			InitialZoneRows: 20 + rng.Intn(100),
 			MinZoneRows:     2 + rng.Intn(10),
 		}
-		tune := newTuning(cfg.withDefaults())
+		tune := defaultTuning
 		tune.maxZones, tune.window = 50+rng.Intn(500), 4+rng.Intn(16)
 		tune.mergeSweepEvery, tune.reprobeEvery = 1+rng.Intn(8), 1+rng.Intn(8)
 		n := 50 + rng.Intn(400)
@@ -457,12 +455,16 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	// The tail folds at InitialZoneRows, the default one or a custom one.
-	codes := storage.Vec{W: seqCodes(250, func(i int) int64 { return int64(i) })}
-	if tf := New(codes, nil, Config{}).tune.tailFoldRows; tf != 65536 {
-		t.Fatalf("tailFoldRows=%d", tf)
-	}
-	if tf := New(codes, nil, Config{InitialZoneRows: 100}).tune.tailFoldRows; tf != 100 {
-		t.Fatalf("tailFoldRows=%d", tf)
+	codes := storage.Vec{W: seqCodes(65536+250, func(i int) int64 { return int64(i) })}
+	for _, c := range []struct {
+		cfg          Config
+		append, tail int
+	}{{Config{}, 65535, 65535}, {Config{}, 65536, 0}, {Config{InitialZoneRows: 100}, 99, 99}, {Config{InitialZoneRows: 100}, 100, 0}} {
+		z := New(codes.Slice(0, 250), nil, c.cfg)
+		z.Extend(codes.Slice(0, 250+c.append), nil)
+		if got := z.Stats().TailRows; got != c.tail {
+			t.Fatalf("%+v, %d rows appended: tail %d, want %d", c.cfg, c.append, got, c.tail)
+		}
 	}
 }
 
@@ -501,16 +503,16 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 	if res := z.Prune(oneRange(39000, 39010)); res.RowsSkipped < 10000 {
 		t.Fatalf("the last probe skipped %d rows, want whole blocks", res.RowsSkipped)
 	}
-	zones, blocks := slices.Clone(z.zones), slices.Clone(z.blocks)
+	before := clone(z)
 	snap := z.Introspect()
-	if !reflect.DeepEqual(zones, z.zones) || !reflect.DeepEqual(blocks, z.blocks) {
+	if !reflect.DeepEqual(before, z) {
 		t.Fatal("Introspect wrote to the zonemap")
 	}
 	var dead []obs.ROIZone
-	for _, zn := range zones {
-		if zn.heat < z.tune.mergeHeat {
-			mn, mx := bounds(zn.hull)
-			dead = append(dead, obs.ROIZone{Lo: zn.lo, Hi: zn.hi, Min: mn, Max: mx, Heat: zn.heat})
+	for i, zn := range z.Zones {
+		if heat := z.learn[i].heat; heat < z.tune.mergeHeat {
+			mn, mx := bounds(zn.Sum)
+			dead = append(dead, obs.ROIZone{Lo: zn.Lo, Hi: zn.Hi, Min: mn, Max: mx, Heat: heat})
 		}
 	}
 	if len(dead) == 0 || !reflect.DeepEqual(snap.DeadZones, dead) {
@@ -523,7 +525,8 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 // are only DeepEqual when nil.
 func clone(z *Zonemap) *Zonemap {
 	c := *z
-	c.zones, c.blocks, c.parts = slices.Clone(z.zones), slices.Clone(z.blocks), slices.Clone(z.parts)
+	c.Zones, c.Blocks, c.Parts = slices.Clone(z.Zones), slices.Clone(z.Blocks), slices.Clone(z.Parts)
+	c.learn = slices.Clone(z.learn)
 	return &c
 }
 
@@ -644,37 +647,36 @@ func TestNullProbeOnDisabledMap(t *testing.T) {
 	}
 }
 
-// TestProbeStructSizes pins the probe structs and the summary's part,
-// which Metadata() counts with unsafe.Sizeof. A change here moves the three
+// TestProbeStructSizes pins the zone (a part is one too), its learner and
+// the block (a hull), which Metadata() counts with unsafe.Sizeof: 56 bytes
+// a zone with its learner. A change here moves the three
 // adaptive.metadata_bytes lines of scripts/bench_counters.golden
 // (skip-clustered, scan-uniform and ingest-mixed) and the "bytes" literals
 // of the engine's TestIntrospectDerivationsMatchParent.
 func TestProbeStructSizes(t *testing.T) {
-	if got := unsafe.Sizeof(zone{}); got != 56 {
-		t.Errorf("zone is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(zone{}); got != 40 {
+		t.Errorf("zone is %d bytes, want 40", got)
 	}
-	if got := unsafe.Sizeof(scan.PartStat{}); got != 40 {
-		t.Errorf("part is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(learner{}); got != 16 {
+		t.Errorf("learner is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(zonemap.Block[expr.Hull]{}); got != 24 {
-		t.Errorf("block is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(expr.Hull{}); got != 16 {
+		t.Errorf("block is %d bytes, want 16", got)
 	}
 }
 
 // handMap is a zonemap of one zone over 10-row parts with the given hulls
-// and non-null counts, as New would build it over rows that have them.
+// and non-null counts, as New would build it over rows that have them: it
+// is built over constant rows, then given those hulls and counts.
 func handMap(hulls []expr.Hull, nonNull []int) *Zonemap {
-	cfg := Config{MinZoneRows: 10}.withDefaults()
 	n := 10 * len(hulls)
-	z := &Zonemap{cfg: cfg, tune: newTuning(cfg), enabled: true, rows: n, tailLo: n}
-	whole := zone{lo: 0, hi: n, hull: expr.EmptyHull, heat: 0.5}
+	z := New(storage.Vec{W: make([]int64, n)}, nil, Config{InitialZoneRows: n, MinZoneRows: 10})
+	z.Zones[0].Sum, z.Zones[0].NonNull = expr.EmptyHull, 0
 	for k, h := range hulls {
-		p := scan.PartStat{Lo: 10 * k, Hi: 10*k + 10, Hull: h, NonNull: nonNull[k]}
-		z.parts = append(z.parts, p)
-		whole.hull, whole.nonNull = whole.hull.Union(h), whole.nonNull+p.NonNull
+		z.Parts[k].Sum, z.Parts[k].NonNull = h, nonNull[k]
+		z.Zones[0].Sum, z.Zones[0].NonNull = z.Zones[0].Sum.Union(h), z.Zones[0].NonNull+nonNull[k]
 	}
-	z.zones = []zone{whole}
-	z.rebuildBlocks(0)
+	z.Refold(0)
 	return z
 }
 
@@ -723,14 +725,14 @@ func TestSplitAtVerdictChanges(t *testing.T) {
 			z.Observe(z.Prune(c.r))
 			var got []int
 			k := 0
-			for _, zn := range z.zones {
-				got = append(got, zn.lo)
+			for _, zn := range z.Zones {
+				got = append(got, zn.Lo)
 				union, nonNull := expr.EmptyHull, 0
-				for ; k < len(z.parts) && z.parts[k].Hi <= zn.hi; k++ {
-					union, nonNull = union.Union(z.parts[k].Hull), nonNull+z.parts[k].NonNull
+				for ; k < len(z.Parts) && z.Parts[k].Hi <= zn.Hi; k++ {
+					union, nonNull = union.Union(z.Parts[k].Sum), nonNull+z.Parts[k].NonNull
 				}
-				if zn.hull != union || zn.nonNull != nonNull {
-					t.Fatalf("zone [%d,%d) hull %+v nonNull %d, its parts %+v %d", zn.lo, zn.hi, zn.hull, zn.nonNull, union, nonNull)
+				if zn.Sum != union || zn.NonNull != nonNull {
+					t.Fatalf("zone [%d,%d) hull %+v nonNull %d, its parts %+v %d", zn.Lo, zn.Hi, zn.Sum, zn.NonNull, union, nonNull)
 				}
 			}
 			if !slices.Equal(got, c.want) {

@@ -7,19 +7,20 @@ import (
 	"testing"
 
 	"adskip/internal/storage"
+	"adskip/internal/zonemap"
 )
 
 // gapRow finds the row left uncovered by corruptLayout's tiling break.
 func gapRow(t *testing.T, z *Zonemap) int {
 	t.Helper()
 	prev := 0
-	for _, zn := range z.zones {
-		if zn.lo != prev {
+	for _, zn := range z.Zones {
+		if zn.Lo != prev {
 			return prev
 		}
-		prev = zn.hi
+		prev = zn.Hi
 	}
-	if prev != z.tailLo {
+	if prev != z.Indexed() {
 		return prev
 	}
 	t.Fatal("layout not corrupted")
@@ -35,7 +36,7 @@ func mustPanicCorrupt(t *testing.T, what string, call func()) {
 		defer func() { got = recover() }()
 		call()
 	}()
-	if err, ok := got.(error); !ok || !errors.Is(err, ErrCorrupt) {
+	if err, ok := got.(error); !ok || !errors.Is(err, zonemap.ErrCorrupt) {
 		t.Fatalf("%s on a broken layout: recovered %v, want a panic wrapping ErrCorrupt", what, got)
 	}
 }
@@ -56,7 +57,7 @@ func TestPruneDetectsTilingGap(t *testing.T) {
 }
 
 // TestZoneIndexCorruptionNoPanic: a layout that leaves a row outside every
-// zone (the miss zoneIndex reports) must not crash the calls that inspect
+// zone (the miss the row lookup reports) must not crash the calls that inspect
 // a faulted zonemap. The engine's fault handler reads Metadata and Rows of
 // the zonemap it drops, and VerifySkipping runs CheckInvariants on it; a
 // panic there would escape the handler. CheckInvariants names the gap.
@@ -66,7 +67,7 @@ func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
 		t.Fatalf("fresh zonemap fails invariants: %v", err)
 	}
-	zones := z.NumZones()
+	zones := len(z.Zones)
 
 	z.corruptLayout()
 	gap := gapRow(t, z)

@@ -1,0 +1,278 @@
+package adaptive
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"adskip/internal/bitvec"
+	"adskip/internal/core"
+	"adskip/internal/imprint"
+	"adskip/internal/storage"
+	"adskip/internal/zonemap"
+)
+
+// directory is one skipper of the differential test with the handles on
+// its zone directory the test needs: the rows the zones tile, the zones'
+// windows, and a way to move a zone's (or, fine, a part's) bounds.
+type directory struct {
+	core.Skipper
+	indexed func() int
+	zones   func() [][2]int
+	move    func(fine bool, i, dLo, dHi int)
+}
+
+// handles returns the directory handles of grid g.
+func handles[S, Q any](sk core.Skipper, g *zonemap.Grid[S, Q]) directory {
+	return directory{
+		Skipper: sk,
+		indexed: g.Indexed,
+		zones: func() (ws [][2]int) {
+			for _, zn := range g.Zones {
+				ws = append(ws, [2]int{zn.Lo, zn.Hi})
+			}
+			return ws
+		},
+		move: func(fine bool, i, dLo, dHi int) {
+			ws := g.Zones
+			if fine {
+				ws = g.Parts
+			}
+			ws[i].Lo, ws[i].Hi = ws[i].Lo+dLo, ws[i].Hi+dHi
+		},
+	}
+}
+
+// nullsReference is PruneNulls as a walk of the rows: each zone's NULLs
+// counted row by row, a zone without one skipped, an all-NULL zone
+// covered, and the tail a candidate.
+func nullsReference(d directory, nulls *bitvec.BitVec) core.PruneResult {
+	ws := d.zones()
+	res := core.PruneResult{Enabled: true, ZonesProbed: len(ws)}
+	for _, w := range ws {
+		k := 0
+		for r := w[0]; r < w[1]; r++ {
+			if nulls.Get(r) {
+				k++
+			}
+		}
+		res.Emit(&core.CandidateZone{Lo: w[0], Hi: w[1], Covered: k == w[1]-w[0]}, k == 0)
+	}
+	if d.Rows() > d.indexed() {
+		res.Zones = append(res.Zones, core.CandidateZone{Lo: d.indexed(), Hi: d.Rows()})
+	}
+	return res
+}
+
+// splitAtRandom splits a random zone of z, one of two parts or more, at
+// random part boundaries through the zonemap's own splice, as a query's
+// split would.
+func splitAtRandom(rng *rand.Rand, z *Zonemap) bool {
+	for try := 0; try < 8 && len(z.Zones) > 0; try++ {
+		i := rng.Intn(len(z.Zones))
+		first, zn := int(z.learn[i].first), z.Zones[i]
+		end := first
+		for end < len(z.Parts) && z.Parts[end].Hi <= zn.Hi {
+			end++
+		}
+		if end-first < 2 {
+			continue
+		}
+		subs := []zone{z.Parts[first]}
+		for _, p := range z.Parts[first+1 : end] {
+			if n := len(subs) - 1; rng.Intn(2) == 0 {
+				subs[n] = join(subs[n], p)
+			} else {
+				subs = append(subs, p)
+			}
+		}
+		if len(subs) < 2 {
+			continue
+		}
+		z.Refold(z.applySplits([]splitPlan{{idx: i, subs: subs}}))
+		return true
+	}
+	return false
+}
+
+// mergeAtRandom cools a random run of two to four zones of z and runs the
+// zonemap's own merge sweep; it reports whether anything merged (bounds
+// that are not compatible keep zones apart).
+func mergeAtRandom(rng *rand.Rand, z *Zonemap) bool {
+	if len(z.Zones) < 2 {
+		return false
+	}
+	i := rng.Intn(len(z.Zones) - 1)
+	for j := i; j < min(len(z.Zones), i+2+rng.Intn(3)); j++ {
+		z.learn[j].heat = 0
+	}
+	first := z.mergeSweep()
+	if first >= 0 {
+		z.Refold(first)
+	}
+	return first >= 0
+}
+
+// The one zone directory, under each of its layouts — the static zonemap,
+// the imprint and the adaptive zonemap — runs the same seeded streams over
+// columns with NULLs: appends in random batches, up to two zones' worth,
+// so that they straddle fold boundaries; in-place updates as the engine
+// makes them, tail rows too (Widen, then NoteNonNull when the row was
+// NULL); and, on the
+// adaptive zonemap, splits at random part boundaries and merges of random
+// cooled runs through its own splice and sweep. After every step
+// CheckInvariants passes — exact until an update has written over a value
+// — PruneNulls equals a reference counted row by row, and a random probe
+// is sound. At the end of each stream three breaks each fail the check,
+// named in its error: a gap (the zone after it), an overlap (the zone that
+// starts inside its neighbour) and a row written under the metadata (the
+// row); on the adaptive zonemap a gap between parts names the part.
+func TestZoneDirectoryDifferential(t *testing.T) {
+	shapes := []string{"banded", "sorted", "semi-sorted", "uniform"}
+	var folds, updates, splits, merges, breaks int
+	for seed := int64(0); seed < 24; seed++ {
+		for _, layout := range []string{"static", "imprint", "adaptive"} {
+			rng := rand.New(rand.NewSource(seed))
+			shape := shapes[seed%int64(len(shapes))]
+			zoneRows, floor := 8+rng.Intn(57), 2+rng.Intn(7)
+			n := 1500 + rng.Intn(1500)
+			codes, nulls, domain := propertyColumn(rng, shape, n, floor)
+			if nulls == nil {
+				nulls = bitvec.New(n)
+			}
+			for k := 0; k < n/10; k++ {
+				nulls.Set(rng.Intn(n))
+			}
+			loaded := n / 3
+			view := func() storage.Vec { return storage.Vec{W: codes[:loaded]} }
+			var d directory
+			var z *Zonemap
+			switch layout {
+			case "static":
+				g := zonemap.Build(view(), nulls, zoneRows)
+				d = handles(g, g)
+			case "imprint":
+				bins := imprint.Learn(storage.Vec{W: codes}, nulls) // from the whole column, as a later build's
+				g := zonemap.NewGrid(bins, view(), nulls, zoneRows)
+				d = handles(g, g)
+			case "adaptive":
+				z = New(view(), nulls, Config{InitialZoneRows: zoneRows, MinZoneRows: floor})
+				d = handles(z, &z.Grid)
+			}
+			what := fmt.Sprintf("seed %d, %s, %s, %d-row zones", seed, shape, layout, zoneRows)
+			loosened := false // an update wrote over a value: summaries may be looser than exact
+			check := func(step int, op string) {
+				t.Helper()
+				if err := d.CheckInvariants(view(), nulls, !loosened); err != nil {
+					t.Fatalf("%s, step %d (%s): %v", what, step, op, err)
+				}
+				if got, want := d.PruneNulls(), nullsReference(d, nulls); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, step %d (%s): PruneNulls %+v, row by row %+v", what, step, op, got, want)
+				}
+				r := propertyRanges(rng, domain)
+				match := func(i int) bool { return !nulls.Get(i) && r.Contains(codes[i]) }
+				if err := checkPrune(d.Prune(r), loaded, match); err != nil {
+					t.Fatalf("%s, step %d (%s), probe %v: %v", what, step, op, r, err)
+				}
+			}
+			check(0, "build")
+			for step := 1; step <= 120; step++ {
+				switch k := rng.Intn(10); {
+				case k < 3 && loaded < n:
+					indexed := d.indexed()
+					loaded = min(n, loaded+1+rng.Intn(2*zoneRows))
+					d.Extend(view(), nulls)
+					if d.indexed() != indexed {
+						folds++
+					}
+					check(step, "append")
+				case k < 6:
+					row, code := rng.Intn(loaded), rng.Int63n(domain)
+					if tail := loaded - d.indexed(); tail > 0 && rng.Intn(2) == 0 {
+						row = loaded - 1 - rng.Intn(tail) // half the updates hit the tail
+					}
+					wasNull := nulls.Get(row)
+					loosened = loosened || !wasNull
+					codes[row] = code
+					nulls.Clear(row)
+					d.Widen(row, code)
+					if wasNull {
+						d.NoteNonNull(row)
+					}
+					updates++
+					check(step, "update")
+				case k < 8 && z != nil && splitAtRandom(rng, z):
+					splits++
+					check(step, "split")
+				case k < 10 && z != nil && mergeAtRandom(rng, z):
+					merges++
+					check(step, "merge")
+				}
+			}
+
+			// The breaks, each undone before the next.
+			mustFail := func(how, names string) {
+				t.Helper()
+				err := d.CheckInvariants(view(), nulls, false)
+				if err == nil || !strings.Contains(err.Error(), names) {
+					t.Fatalf("%s: %s: CheckInvariants says %v, want an error naming %q", what, how, err, names)
+				}
+				breaks++
+			}
+			ws := d.zones()
+			i := rng.Intn(len(ws))
+			for ws[i][1]-ws[i][0] < 2 || i+1 == len(ws) {
+				i = (i + 1) % len(ws)
+			}
+			d.move(false, i, 0, -1)
+			mustFail("a gap after zone "+fmt.Sprint(i), fmt.Sprintf("zone %d starts at %d, want %d", i+1, ws[i][1], ws[i][1]-1))
+			d.move(false, i, 0, 1)
+			d.move(false, i+1, -1, 0)
+			mustFail("zone "+fmt.Sprint(i+1)+" overlapping zone "+fmt.Sprint(i), fmt.Sprintf("zone %d starts at %d, want %d", i+1, ws[i][1]-1, ws[i][1]))
+			d.move(false, i+1, 1, 0)
+			if z != nil {
+				k := rng.Intn(len(z.Parts) - 1)
+				for z.Parts[k].Hi-z.Parts[k].Lo < 2 {
+					k = (k + 1) % (len(z.Parts) - 1)
+				}
+				d.move(true, k, 0, -1)
+				mustFail("a gap after part "+fmt.Sprint(k), fmt.Sprintf("part %d starts at", k+1))
+				d.move(true, k, 0, 1)
+			}
+			for try := 0; try < 64; try++ {
+				row := rng.Intn(loaded)
+				was := codes[row]
+				for _, c := range []int64{1 << 40, -1 << 40} {
+					codes[row] = c
+					if nulls.Get(row) || windowsHold(d.Prune(oneRange(c, c)), row) {
+						continue // the metadata admits c there: nothing is excluded
+					}
+					mustFail(fmt.Sprintf("%d written under the metadata at row %d", c, row), fmt.Sprintf("exclude row %d code %d", row, c))
+					try = 64
+					break
+				}
+				codes[row] = was
+			}
+			if err := d.CheckInvariants(view(), nulls, !loosened); err != nil {
+				t.Fatalf("%s: after the breaks were undone: %v", what, err)
+			}
+		}
+	}
+	t.Logf("%d folds, %d updates, %d splits, %d merges, %d breaks", folds, updates, splits, merges, breaks)
+	if folds < 1000 || updates < 2000 || splits < 400 || merges < 400 || breaks != 24*(3*3+1) {
+		t.Fatalf("the streams folded %d tails, made %d updates, %d splits and %d merges, and %d breaks",
+			folds, updates, splits, merges, breaks)
+	}
+}
+
+// windowsHold reports whether a window of res holds row.
+func windowsHold(res core.PruneResult, row int) bool {
+	for _, c := range res.Zones {
+		if c.Lo <= row && row < c.Hi {
+			return true
+		}
+	}
+	return false
+}

@@ -12,12 +12,11 @@ import (
 )
 
 // Observe implements core.Skipper, and is the one writer of what the
-// zonemap learns: the probe's per-zone verdicts (heat) and the splits they
-// plan, a disabled zonemap's shadow-probe countdown, then arbitration, and
-// the planned splits and the merge sweep. An IS NULL probe (nil
-// res.Ranges) feeds arbitration alone. Everything it learns it re-derives
-// from res.Ranges against the current layout, so a result from a probe of
-// an older layout teaches it nothing false.
+// zonemap learns: per-zone heat and the splits it plans, the shadow-probe
+// countdown, arbitration, then the splits and the merge sweep. An IS NULL
+// probe (nil res.Ranges) feeds arbitration alone. It re-derives every
+// verdict from res.Ranges against the current layout, so a result probed
+// on an older layout teaches it nothing false.
 func (z *Zonemap) Observe(res core.PruneResult) {
 	z.queries++
 	var plans []splitPlan
@@ -52,15 +51,15 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 		z.maintEvents++
 		z.record(obs.LedgerRecord{
 			Kind: obs.EventDisable, Cause: "net-benefit",
-			ZonesBefore: len(z.zones), ZonesAfter: len(z.zones),
-			RowLo: 0, RowHi: z.tailLo,
+			ZonesBefore: len(z.Zones), ZonesAfter: len(z.Zones),
+			RowLo: 0, RowHi: z.Indexed(),
 		})
 	}
 	if !z.enabled {
 		return // structure frozen while disabled
 	}
 
-	moved := len(z.zones) // the first zone a split or merge moved, if any
+	moved := len(z.Zones) // the first zone a split or merge moved, if any
 	if len(plans) > 0 {
 		moved = z.applySplits(plans)
 		z.maintEvents++
@@ -71,48 +70,43 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 			z.maintEvents++
 		}
 	}
-	if moved < len(z.zones) {
-		z.rebuildBlocks(moved)
+	if moved < len(z.Zones) {
+		z.Refold(moved)
 	}
 }
 
-// planSplit cuts zone zn, which the probe with clause c had to scan, where
-// the verdict changes across its parts, and returns the sub-zones, or nil
-// when the parts expose no boundary worth a split. Walking the parts in row
-// order, a run grows while the next part has its verdict and bounds
-// compatible with it (boundsCompatible, the merge test), and a pruned run
-// only while its union is still pruned: a value band's parts join into one
-// zone that ends on the band's edges, and two bands' parts stay apart even
-// when both are pruned, since their union would straddle a later query. A
-// split needs a pruned run — evidence, from this one query, that finer
-// metadata has pruning power here — and at most budget zones more than zn.
-func (z *Zonemap) planSplit(zn *zone, c *expr.Clause, budget int) []zone {
+// planSplit cuts zone i, which the probe with clause c had to scan, where
+// the verdict changes across its parts, and returns the sub-zones, or nil.
+// A run of parts grows while the next part has its verdict and compatible
+// bounds (the merge test), and a pruned run only while its union stays
+// pruned: a value band's parts join into one zone on the band's edges, and
+// two bands stay apart. A split needs a pruned run — this query's evidence
+// that finer metadata prunes here — and at most budget zones more.
+func (z *Zonemap) planSplit(i int, c *expr.Clause, budget int) []zone {
 	// Most scanned zones have no pruned part: find that out, and the
 	// zone's parts, in one cheap pass before building any run.
-	first, end, anyPruned := int(zn.first), 0, false
-	for end = first; end < len(z.parts) && z.parts[end].Hi <= zn.hi; end++ {
-		part := z.partZone(end)
-		anyPruned = anyPruned || part.pruned(c.Test(part.hull))
+	zn, first := &z.Zones[i], int(z.learn[i].first)
+	end, anyPruned := first, false
+	for ; end < len(z.Parts) && z.Parts[end].Hi <= zn.Hi; end++ {
+		anyPruned = anyPruned || pruned(&z.Parts[end], c.Test(z.Parts[end].Sum))
 	}
-	if first >= len(z.parts) || z.parts[first].Lo != zn.lo || end == first || z.parts[end-1].Hi != zn.hi {
-		panic(fmt.Errorf("%w: zone [%d,%d) is not a run of whole parts", ErrCorrupt, zn.lo, zn.hi))
+	if first >= len(z.Parts) || z.Parts[first].Lo != zn.Lo || end == first || z.Parts[end-1].Hi != zn.Hi {
+		panic(fmt.Errorf("%w: zone [%d,%d) is not a run of whole parts", zonemap.ErrCorrupt, zn.Lo, zn.Hi))
 	}
 	if !anyPruned {
 		return nil
 	}
 	runs, lastPruned := make([]zone, 0, end-first), false
-	for k := first; k < end; k++ {
-		part := z.partZone(k)
-		part.widened = zn.widened
-		pruned := part.pruned(c.Test(part.hull))
-		if n := len(runs) - 1; n >= 0 && pruned == lastPruned && boundsCompatible(&runs[n], &part) {
-			if u := mergeZones(runs[n], part); !pruned || u.pruned(c.Test(u.hull)) {
+	for _, part := range z.Parts[first:end] {
+		pr := pruned(&part, c.Test(part.Sum))
+		if n := len(runs) - 1; n >= 0 && pr == lastPruned && boundsCompatible(&runs[n], &part) {
+			if u := join(runs[n], part); !pr || pruned(&u, c.Test(u.Sum)) {
 				runs[n] = u
 				continue
 			}
 		}
 		runs = append(runs, part)
-		lastPruned = pruned
+		lastPruned = pr
 	}
 	if len(runs) < 2 || len(runs)-1 > budget {
 		return nil
@@ -120,23 +114,23 @@ func (z *Zonemap) planSplit(zn *zone, c *expr.Clause, budget int) []zone {
 	return runs
 }
 
-// applySplits splices the planned splits, in ascending zone order, into the
-// zone slice in place and returns the first zone that moved. A forward pass
-// journals them; one backward pass moves each untouched run once and copies
-// the sub-zones in. The zones ahead of the first plan stay where they are.
+// applySplits splices the plans, in zone order, into the zones and their
+// learners in place and returns the first zone that moved: a forward pass
+// journals them, one backward pass moves each untouched run once and
+// copies the sub-zones in, at the initial heat and the parent's widened.
 func (z *Zonemap) applySplits(plans []splitPlan) int {
 	added := 0
 	for _, p := range plans {
 		// One ledger record per refined zone: the parent's window and
 		// hull before, the union of the children's hulls after — their
 		// parts' hulls, never wider than the parent's.
-		parent := &z.zones[p.idx]
-		minBefore, maxBefore := bounds(parent.hull)
+		parent := &z.Zones[p.idx]
+		minBefore, maxBefore := bounds(parent.Sum)
 		minAfter, maxAfter := bounds(hullOf(p.subs))
 		z.record(obs.LedgerRecord{
 			Kind: obs.EventSplit, Cause: "split-gain",
 			ZonesBefore: 1, ZonesAfter: len(p.subs),
-			RowLo: parent.lo, RowHi: parent.hi,
+			RowLo: parent.Lo, RowHi: parent.Hi,
 			MinBefore: minBefore, MaxBefore: maxBefore,
 			MinAfter: minAfter, MaxAfter: maxAfter,
 		})
@@ -144,13 +138,23 @@ func (z *Zonemap) applySplits(plans []splitPlan) int {
 		z.maintZones += int64(len(p.subs))
 	}
 	z.splits += added
-	end := len(z.zones) // the untouched run after plan k ends here
-	z.zones = slices.Grow(z.zones, added)[:end+added]
+	end := len(z.Zones) // the untouched run after plan k ends here
+	z.Zones = slices.Grow(z.Zones, added)[:end+added]
+	z.learn = slices.Grow(z.learn, added)[:end+added]
 	for k := len(plans) - 1; k >= 0; k-- {
 		p := plans[k]
-		copy(z.zones[p.idx+1+added:], z.zones[p.idx+1:end])
+		copy(z.Zones[p.idx+1+added:], z.Zones[p.idx+1:end])
+		copy(z.learn[p.idx+1+added:], z.learn[p.idx+1:end])
 		added -= len(p.subs) - 1
-		copy(z.zones[p.idx+added:], p.subs)
+		l := learner{heat: 0.5, first: z.learn[p.idx].first, widened: z.learn[p.idx].widened}
+		copy(z.Zones[p.idx+added:], p.subs)
+		for j, sub := range p.subs {
+			z.learn[p.idx+added+j] = l
+			for z.Parts[l.first].Hi < sub.Hi {
+				l.first++
+			}
+			l.first++
+		}
 		end = p.idx
 	}
 	return plans[0].idx
@@ -163,106 +167,89 @@ type splitPlan struct {
 }
 
 // mergeSweep coalesces runs of adjacent cold zones (heat below MergeHeat)
-// with compatible bounds, and returns the index of the first zone it
-// changed, or -1 when none merged. Merging a run of k zones removes
-// k−1 probes per future query and (k−1) zones of metadata; the union bounds
-// remain sound. The zones before the first mergeable pair stay where they
-// are, and a sweep that finds no such pair writes nothing.
+// with compatible bounds, shedding a probe and a zone per merge, and
+// returns the first zone it changed, or -1 (having written nothing). A
+// merged zone keeps the warmer heat, so a recently useful neighbour is not
+// dragged straight back into another merge.
 func (z *Zonemap) mergeSweep() int {
+	cold := func(i int) bool { return z.learn[i].heat < z.tune.mergeHeat }
 	first := 0
-	for first+1 < len(z.zones) && !z.canMerge(&z.zones[first], &z.zones[first+1]) {
+	for first+1 < len(z.Zones) && !(cold(first) && cold(first+1) && boundsCompatible(&z.Zones[first], &z.Zones[first+1])) {
 		first++
 	}
-	if first+1 >= len(z.zones) {
+	if first+1 >= len(z.Zones) {
 		return -1
 	}
-	before := len(z.zones)
-	out := z.zones[:first]
+	before, w := len(z.Zones), first
 	var merged []zone // the coalesced zones, for the sweep's ledger record
-	for i := first; i < len(z.zones); {
-		cur := z.zones[i]
+	for i := first; i < before; w++ {
+		cur, l := z.Zones[i], z.learn[i]
 		j := i + 1
-		for j < len(z.zones) && z.canMerge(&cur, &z.zones[j]) {
-			cur = mergeZones(cur, z.zones[j])
-			j++
+		for ; j < before && cold(i) && cold(j) && boundsCompatible(&cur, &z.Zones[j]); j++ {
+			cur = join(cur, z.Zones[j])
+			l.heat, l.widened = max(l.heat, z.learn[j].heat), l.widened || z.learn[j].widened
 		}
 		if j-i > 1 {
 			merged = append(merged, cur)
 		}
 		z.merges += j - i - 1
-		out = append(out, cur)
+		z.Zones[w], z.learn[w] = cur, l
 		i = j
 	}
-	z.zones = out
+	z.Zones, z.learn = z.Zones[:w], z.learn[:w]
 	// One summary ledger record per sweep covering every coalesced run:
 	// the affected row span and the union hull of the merged zones (which
 	// merging leaves unchanged).
-	z.maintZones += int64(before - len(out))
+	z.maintZones += int64(before - w)
 	hullMin, hullMax := bounds(hullOf(merged))
 	z.record(obs.LedgerRecord{
 		Kind: obs.EventMerge, Cause: "merge-cold",
-		ZonesBefore: before, ZonesAfter: len(out),
-		RowLo: merged[0].lo, RowHi: merged[len(merged)-1].hi,
+		ZonesBefore: before, ZonesAfter: w,
+		RowLo: merged[0].Lo, RowHi: merged[len(merged)-1].Hi,
 		MinBefore: hullMin, MaxBefore: hullMax,
 		MinAfter: hullMin, MaxAfter: hullMax,
 	})
 	return first
 }
 
-// canMerge reports whether zone next joins the run of cold zones merged so
-// far into cur: both cold, compatible bounds.
-func (z *Zonemap) canMerge(cur, next *zone) bool {
-	return cur.heat < z.tune.mergeHeat &&
-		next.heat < z.tune.mergeHeat &&
-		boundsCompatible(cur, next)
-}
-
 // boundsCompatible reports whether merging a and b loses little pruning
-// power: the union's value span must not exceed 1.5x the wider of the two.
-// Without this gate, a narrow zone that keeps being scanned because its
-// rows genuinely match (hot-region zones) would go cold and merge with a
-// differently-valued neighbor, destroying exactly the metadata that made
-// it informative and triggering split/merge churn.
+// power: the union's span is at most 1.5x the wider one. Without it a
+// narrow zone scanned because its rows match would merge with a
+// differently-valued neighbour, then split again: churn.
 func boundsCompatible(a, b *zone) bool {
-	w := max(a.hull.Width(), b.hull.Width())
-	return a.hull.Union(b.hull).Width() <= w+w/2
+	w := max(a.Sum.Width(), b.Sum.Width())
+	return a.Sum.Union(b.Sum).Width() <= w+w/2
 }
 
-// mergeZones returns the sound union of two adjacent zones.
-func mergeZones(a, b zone) zone {
-	m := zone{lo: a.lo, hi: b.hi, hull: a.hull.Union(b.hull), nonNull: a.nonNull + b.nonNull,
-		first: a.first, widened: a.widened || b.widened}
-	// The merged zone inherits the warmer heat so a recently useful
-	// neighbor is not dragged straight back into another merge cycle.
-	m.heat = max(a.heat, b.heat)
-	return m
+// join returns the sound union of two adjacent zones: the grid's own join
+// goes through the Kind, this one inlines into the split and merge loops.
+func join(a, b zone) zone {
+	return zone{Lo: a.Lo, Hi: b.Hi, Sum: a.Sum.Union(b.Sum), NonNull: a.NonNull + b.NonNull}
 }
 
-// learnProbe applies a probe's per-zone verdicts, re-derived over the blocks
-// Prune looked inside: a skipped or covered zone heats up; a zone it had to
-// scan cools down and is planned for a split from its parts within the
-// MaxZones budget — unless splits are off, or the zone is now colder than
-// MergeHeat: the merge sweep is folding such a zone away, and splitting it
-// again on one query's evidence would only churn. It returns the plans in
-// zone order.
+// learnProbe applies a probe's verdicts, re-derived over the blocks Prune
+// looked inside: a pruned zone heats up; a scanned one cools and is
+// planned for a split within the MaxZones budget — unless splits are off
+// or it is colder than MergeHeat, which the merge sweep is folding away.
+// It returns the plans in zone order.
 func (z *Zonemap) learnProbe(c *expr.Clause) (plans []splitPlan) {
-	budget := z.tune.maxZones - len(z.zones)
-	for bi := range z.blocks {
-		if c.Test(z.blocks[bi].Sum) == expr.MatchNone {
+	budget := z.tune.maxZones - len(z.Zones)
+	for bi := range z.Blocks {
+		if c.Test(z.Blocks[bi]) == expr.MatchNone {
 			continue
 		}
-		lo, hi := zonemap.Members(bi, len(z.zones))
+		lo, hi := zonemap.Members(bi, len(z.Zones))
 		for i := lo; i < hi; i++ {
-			zn := &z.zones[i]
-			if zn.pruned(c.Test(zn.hull)) {
-				zn.heat += z.tune.heatAlpha * (1 - zn.heat)
+			l := &z.learn[i]
+			if pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)) {
+				l.heat += z.tune.heatAlpha * (1 - l.heat)
 				continue
 			}
-			zn.heat -= z.tune.heatAlpha * zn.heat
-			if z.cfg.DisableSplit || budget <= 0 || zn.heat < z.tune.mergeHeat {
+			l.heat -= z.tune.heatAlpha * l.heat
+			if z.cfg.DisableSplit || budget <= 0 || l.heat < z.tune.mergeHeat {
 				continue
 			}
-			if subs := z.planSplit(zn, c, budget); subs != nil {
+			if subs := z.planSplit(i, c, budget); subs != nil {
 				budget -= len(subs) - 1
 				plans = append(plans, splitPlan{idx: i, subs: subs})
 			}
@@ -276,12 +263,12 @@ func (z *Zonemap) learnProbe(c *expr.Clause) (plans []splitPlan) {
 func (z *Zonemap) shadowBenefit(r expr.Ranges) float64 {
 	c := r.Clause()
 	skipped := 0
-	for i := range z.zones {
-		if zn := &z.zones[i]; c.Test(zn.hull) == expr.MatchNone {
-			skipped += zn.hi - zn.lo
+	for i := range z.Zones {
+		if zn := &z.Zones[i]; c.Test(zn.Sum) == expr.MatchNone {
+			skipped += zn.Hi - zn.Lo
 		}
 	}
-	return z.stepBenefit(skipped, len(z.zones))
+	return z.stepBenefit(skipped, len(z.Zones))
 }
 
 // stepBenefit is the arbitration EWMA after a query skipped rows for probes.
@@ -302,8 +289,8 @@ func (z *Zonemap) shadowProbe(r expr.Ranges) {
 		z.maintEvents++
 		z.record(obs.LedgerRecord{
 			Kind: obs.EventEnable, Cause: "shadow-probe",
-			ZonesBefore: len(z.zones), ZonesAfter: len(z.zones),
-			RowLo: 0, RowHi: z.tailLo,
+			ZonesBefore: len(z.Zones), ZonesAfter: len(z.Zones),
+			RowLo: 0, RowHi: z.Indexed(),
 		})
 	}
 }

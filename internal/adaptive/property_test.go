@@ -113,7 +113,7 @@ func checkPrune(res core.PruneResult, n int, match func(row int) bool) error {
 // hulls — checked row by row, apart from CheckInvariants.
 func checkSummary(z *Zonemap, codes []int64, nulls *bitvec.BitVec) error {
 	zi, prev := 0, 0
-	for k, p := range z.parts {
+	for k, p := range z.Parts {
 		if p.Lo != prev || p.Hi <= p.Lo {
 			return fmt.Errorf("part %d [%d,%d) after row %d", k, p.Lo, p.Hi, prev)
 		}
@@ -124,21 +124,21 @@ func checkSummary(z *Zonemap, codes []int64, nulls *bitvec.BitVec) error {
 				h, nonNull = h.Admit(codes[i]), nonNull+1
 			}
 		}
-		if p.Hull != h || p.NonNull != nonNull {
+		if p.Sum != h || p.NonNull != nonNull {
 			return fmt.Errorf("part %d %+v, its rows have hull %+v and %d values", k, p, h, nonNull)
 		}
-		for zi < len(z.zones) && z.zones[zi].hi <= p.Lo {
+		for zi < len(z.Zones) && z.Zones[zi].Hi <= p.Lo {
 			zi++
 		}
-		switch zn := &z.zones[zi]; {
-		case p.Lo < zn.lo || p.Hi > zn.hi:
-			return fmt.Errorf("part %d [%d,%d) straddles the edge of zone %d [%d,%d)", k, p.Lo, p.Hi, zi, zn.lo, zn.hi)
-		case !zn.hull.Encloses(p.Hull):
-			return fmt.Errorf("zone %d hull %+v does not enclose part %d's %+v", zi, zn.hull, k, p.Hull)
+		switch zn := &z.Zones[zi]; {
+		case p.Lo < zn.Lo || p.Hi > zn.Hi:
+			return fmt.Errorf("part %d [%d,%d) straddles the edge of zone %d [%d,%d)", k, p.Lo, p.Hi, zi, zn.Lo, zn.Hi)
+		case !zn.Sum.Encloses(p.Sum):
+			return fmt.Errorf("zone %d hull %+v does not enclose part %d's %+v", zi, zn.Sum, k, p.Sum)
 		}
 	}
-	if prev != z.tailLo {
-		return fmt.Errorf("parts end at %d, tailLo=%d", prev, z.tailLo)
+	if prev != z.Indexed() {
+		return fmt.Errorf("parts end at %d, tailLo=%d", prev, z.Indexed())
 	}
 	return nil
 }
@@ -167,7 +167,7 @@ func TestAdaptiveProperties(t *testing.T) {
 			InitialZoneRows: floor * (4 + rng.Intn(13)),
 			MinZoneRows:     floor,
 		}
-		tune := newTuning(cfg.withDefaults())
+		tune := defaultTuning
 		tune.maxZones, tune.window = 1000, 8+rng.Intn(25)
 		tune.mergeSweepEvery, tune.reprobeEvery = 1+rng.Intn(8), 1+rng.Intn(8)
 		n := 500 + rng.Intn(2500)
@@ -186,12 +186,12 @@ func TestAdaptiveProperties(t *testing.T) {
 		}
 
 		var zones [2][]zone
-		var parts [2][]scan.PartStat
+		var parts [2][]zone
 		for w, view := range []storage.Vec{{W: codes}, {N: narrow}} {
 			what := fmt.Sprintf("seed %d, %s, %d-byte codes", seed, shape, view.Width())
 			z := New(view, nulls, cfg)
 			z.tune = tune
-			cuts += len(z.parts) - (n+floor-1)/floor
+			cuts += len(z.Parts) - (n+floor-1)/floor
 			records := 0
 			z.SetJournal(func(obs.LedgerRecord) { records++ })
 			for q, r := range queries {
@@ -218,7 +218,7 @@ func TestAdaptiveProperties(t *testing.T) {
 					}
 				}
 			}
-			zones[w], parts[w] = z.zones, z.parts
+			zones[w], parts[w] = z.Zones, z.Parts
 		}
 		if !reflect.DeepEqual(zones[0], zones[1]) || !reflect.DeepEqual(parts[0], parts[1]) {
 			t.Fatalf("seed %d, %s: zones over 8-byte codes %+v, over 4-byte codes %+v", seed, shape, zones[0], zones[1])

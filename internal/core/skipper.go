@@ -1,20 +1,17 @@
 // Package core defines the data-skipping framework of the paper: the
 // Skipper contract between metadata structures and the scan executor, and
-// the null policy (no skipping). The fixed-grid structures — static
-// zonemaps in package zonemap, column imprints in package imprint — and
-// the adaptive policy, the paper's contribution, in package adaptive all
-// implement the same contract.
+// the null policy (no skipping). Every other skipper is a layout of one
+// zone directory, package zonemap's Grid: the static zonemap and column
+// imprints keep fixed-size zones, the adaptive zonemap (package adaptive,
+// the paper's contribution) reshapes its zones from query feedback.
 //
-// The whole contract is Skipper: probe, observe, maintain, and the three
-// cold-path duties every skipper answers (report structural change,
-// expose state, re-verify against the column). A structure with nothing
-// to say answers with the zero value, so the engine never asks a skipper
-// which interfaces it has. A skipper that finds its own metadata broken
-// panics; the engine drops it and the column runs full scans.
-//
-// The framework's shape follows the abstract: data skipping is a *policy*
-// layered on fast scans, fed back once per completed query with the probe's
-// result, so that structures can "respond to a vast array of data
+// The whole contract is Skipper: probe, observe, maintain, and three
+// cold-path duties (report structural change, expose state, re-verify
+// against the column), which a structure with nothing to say answers with
+// the zero value. A skipper that finds its own metadata broken panics; the
+// engine drops it and the column runs full scans. As in the abstract,
+// skipping is a *policy* layered on fast scans, fed back once per
+// completed query so that structures can "respond to a vast array of data
 // distributions and query workloads".
 package core
 
@@ -154,9 +151,19 @@ type Skipper interface {
 // ---------------------------------------------------------------------------
 // Policy: no skipping.
 
+// Inert answers the feedback and cold-path duties of a structure that
+// never changes shape: Observe ignores the probe, SetJournal the sink, and
+// Introspect reports the zero snapshot.
+type Inert struct{}
+
+func (Inert) Observe(PruneResult)               {}
+func (Inert) SetJournal(func(obs.LedgerRecord)) {}
+func (Inert) Introspect() obs.SkipperSnapshot   { return obs.SkipperSnapshot{} }
+
 // NoSkipper is the null policy: every query scans everything. It is the
 // baseline the paper measures against on arbitrary data.
 type NoSkipper struct {
+	Inert
 	rows int
 }
 
@@ -168,9 +175,6 @@ func (s *NoSkipper) Prune(expr.Ranges) PruneResult { return PruneResult{Enabled:
 
 // PruneNulls declines likewise.
 func (s *NoSkipper) PruneNulls() PruneResult { return PruneResult{Enabled: false} }
-
-// Observe is a no-op.
-func (s *NoSkipper) Observe(PruneResult) {}
 
 // Extend tracks the row count.
 func (s *NoSkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) { s.rows = codes.Len() }
@@ -189,11 +193,5 @@ func (s *NoSkipper) Metadata() Metadata { return Metadata{Kind: "none"} }
 
 // CheckInvariants has nothing to verify.
 func (s *NoSkipper) CheckInvariants(storage.Vec, *bitvec.BitVec, bool) error { return nil }
-
-// SetJournal ignores the sink: the structure never changes.
-func (s *NoSkipper) SetJournal(func(obs.LedgerRecord)) {}
-
-// Introspect reports nothing.
-func (s *NoSkipper) Introspect() obs.SkipperSnapshot { return obs.SkipperSnapshot{} }
 
 var _ Skipper = (*NoSkipper)(nil)

@@ -161,10 +161,12 @@ func getJSON(t *testing.T, url string, into any) {
 // Figures that have moved on purpose since:
 //   - bytes_skipped charges column a's 4-byte codes (rows_skipped x 4),
 //     where every column used to be charged 8 bytes a row;
-//   - bytes counts the whole 56-byte zone and 24-byte block and, since
-//     splits read the summary, its 32 parts of 40 bytes: 18 x 56 + 24 +
-//     1280 = 2312 for column a, 4 x 56 + 24 + 1280 = 1528 for b (it read
-//     752 and 248 before the summary, 1072 and 352 with the per-zone
+//   - bytes counts the whole 56-byte zone (40 in the directory, 16 for
+//     what the zonemap learns of it), the 16-byte block (24 while a block
+//     carried a has-data flag beside its hull, 2312 and 1528 in all) and,
+//     since splits read the summary, its 32 parts of 40 bytes: 18 x 56 +
+//     16 + 1280 = 2304 for column a, 4 x 56 + 16 + 1280 = 1520 for b (it
+//     read 752 and 248 before the summary, 1072 and 352 with the per-zone
 //     hit/miss counters, 80 and 32 bytes);
 //   - column a's splits cut at the summary's part boundaries in one step,
 //     where they used to cut a zone into eighths and refine those later,
@@ -206,10 +208,10 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	}
 
 	const wantROI = `[` +
-		`{"table":"t","column":"a","kind":"adaptive","zones":18,"bytes":2312,` +
+		`{"table":"t","column":"a","kind":"adaptive","zones":18,"bytes":2304,` +
 		`"rows_skipped":158848,"rows_covered":0,"bytes_skipped":635392,"candidate_rows":9088,"zone_probes":485,` +
 		`"maintenance_events":2,"maintenance_zones":16,"net_benefit_rows":155884,"dead_zones":0},` +
-		`{"table":"t","column":"b","kind":"adaptive","zones":4,"bytes":1528,` +
+		`{"table":"t","column":"b","kind":"adaptive","zones":4,"bytes":1520,` +
 		`"rows_skipped":0,"rows_covered":0,"bytes_skipped":0,"candidate_rows":40960,"zone_probes":50,` +
 		`"maintenance_events":0,"maintenance_zones":0,"net_benefit_rows":-200,"dead_zones":4,` +
 		`"dead_zone_detail":[` +

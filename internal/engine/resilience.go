@@ -9,9 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/faultinject"
 	"adskip/internal/obs"
+	"adskip/internal/zonemap"
 )
 
 // Resilience layer: cooperative cancellation, per-query resource budgets,
@@ -164,7 +164,7 @@ func countChunks(tk *ticker, lo, hi int, kernel func(lo, hi int) int) (int, erro
 
 // panicError is a panic recovered into an error, carrying the stack for
 // diagnostics. It unwraps to the panic value when that is an error, so a
-// skipper's own fault (adaptive.ErrCorrupt) stays visible through it.
+// skipper's own fault (zonemap.ErrCorrupt) stays visible through it.
 type panicError struct {
 	val   any
 	stack []byte
@@ -238,7 +238,7 @@ func (e *Engine) quarantineLocked(col string, fault error) {
 	e.m.quarantines.Inc()
 	cause := "corruption"
 	var pe *panicError
-	if errors.As(fault, &pe) && !errors.Is(fault, adaptive.ErrCorrupt) {
+	if errors.As(fault, &pe) && !errors.Is(fault, zonemap.ErrCorrupt) {
 		cause = "panic"
 	}
 	e.journal(col)(obs.LedgerRecord{Kind: obs.EventQuarantine, Cause: cause, ZonesBefore: s.Metadata().Zones})

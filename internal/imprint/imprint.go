@@ -1,19 +1,12 @@
 // Package imprint implements column imprints (Sidirourgos & Kersten,
-// SIGMOD 2013) as a second summary kind of the fixed-grid skipper in
-// package zonemap — demonstrating the abstract's framing of adaptive data
-// skipping as "a framework for structures and techniques" rather than one
-// index: the grid, its block level, its maintenance and its probe loop
-// are the static zonemap's; only what a zone's summary is (a block's is
-// the OR of its zones' masks), and how a predicate is tested against it,
-// differs.
-//
-// An imprint summarizes each zone with a 64-bit mask of which value bins
-// (equi-depth histogram buckets, learned from a sample) occur in the
-// zone. Pruning intersects the zone's mask with the predicate's bin mask.
-// Where a min/max zonemap summarizes a zone by its value hull, an imprint
-// preserves multi-modality: a zone holding values {1, 10^6} has a hull
-// that overlaps every predicate but an imprint with only two bits set —
-// queries between the modes still skip.
+// SIGMOD 2013) as a second summary kind of package zonemap's directory —
+// the abstract's "framework for structures and techniques" rather than
+// one index. Zones, blocks, maintenance and probe are the static
+// zonemap's; only the summary and its test differ. An imprint summarises
+// a zone by a 64-bit mask of the value bins (equi-depth buckets learned
+// from a sample) its rows occupy, a block by the OR of its zones' masks.
+// Where a hull summarises values {1, 10^6} by a span every predicate
+// overlaps, the mask has two bits set: queries between the modes skip.
 package imprint
 
 import (
@@ -111,7 +104,7 @@ func (m *Bins) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (m
 }
 
 // Admit sets the bin bit of an updated value.
-func (m *Bins) Admit(mask uint64, _ bool, code int64) uint64 {
+func (m *Bins) Admit(mask uint64, code int64) uint64 {
 	return mask | 1<<uint(m.binOf(code))
 }
 

@@ -30,7 +30,7 @@ func TestBuildBasics(t *testing.T) {
 	if md.Kind != "imprint" || md.Zones != 10 || !md.Enabled || m.Rows() != 1000 {
 		t.Fatalf("metadata=%+v rows=%d", md, m.Rows())
 	}
-	if md.Bytes != 10*(8+4)+16+64*8 { // a mask and a count per zone, one block, the bin edges
+	if md.Bytes != 10*32+8+64*8 { // a Zone (row bounds, mask, count) per zone, one block (a mask), the bin edges
 		t.Fatalf("Bytes=%d", md.Bytes)
 	}
 }
@@ -145,8 +145,9 @@ func TestNullsAndPruneNulls(t *testing.T) {
 func TestExtendAndWiden(t *testing.T) {
 	codes := seq(150, func(i int) int64 { return int64(i) })
 	m := Build(storage.Vec{W: codes[:75]}, nil, 50)
+	// The 75 appended rows fold from row 75 on: [0,50) [50,75) [75,125) [125,150).
 	m.Extend(storage.Vec{W: codes}, nil)
-	if m.Rows() != 150 || m.Metadata().Zones != 3 {
+	if m.Rows() != 150 || m.Metadata().Zones != 4 {
 		t.Fatalf("rows=%d zones=%d", m.Rows(), m.Metadata().Zones)
 	}
 	// Update row 10 to a huge value: its bin bit must admit it.

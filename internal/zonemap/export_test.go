@@ -6,26 +6,29 @@ import (
 )
 
 // PruneFlat is Prune as the grid probed before it had a block level: every
-// zone tested in row order, its verdict coalesced by the flat walk's own
-// emitter. It is the reference the blocked Prune is checked against, which
-// must emit the same result apart from ZonesProbed.
+// zone, then the tail, tested in row order, its verdict coalesced by the
+// flat walk's own emitter. It is the reference the blocked Prune is checked
+// against, which must emit the same result apart from ZonesProbed.
 func PruneFlat[S, Q any](g *Grid[S, Q], r expr.Ranges) core.PruneResult {
 	q := g.kind.Lower(r)
-	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.sums)}
-	for zi, nn := range g.nonNull {
-		lo, hi := zi*g.zoneSize, min((zi+1)*g.zoneSize, g.n)
+	zones := g.Zones
+	if t := g.tail; t.Hi > t.Lo {
+		zones = append(zones[:len(zones):len(zones)], t)
+	}
+	res := core.PruneResult{Enabled: true, ZonesProbed: len(zones)}
+	for _, zn := range zones {
 		m := expr.MatchNone
-		if nn != 0 {
-			m = g.kind.Test(&q, g.sums[zi])
+		if zn.NonNull != 0 {
+			m = g.kind.Test(&q, zn.Sum)
 		}
-		skip, covered := m == expr.MatchNone, m == expr.MatchAll && int(nn) == hi-lo
+		skip, covered := m == expr.MatchNone, m == expr.MatchAll && zn.NonNull == zn.Hi-zn.Lo
 		switch k := len(res.Zones); {
 		case skip:
-			res.RowsSkipped += hi - lo
-		case k > 0 && res.Zones[k-1].Hi == lo && res.Zones[k-1].Covered == covered:
-			res.Zones[k-1].Hi = hi
+			res.RowsSkipped += zn.Hi - zn.Lo
+		case k > 0 && res.Zones[k-1].Hi == zn.Lo && res.Zones[k-1].Covered == covered:
+			res.Zones[k-1].Hi = zn.Hi
 		default:
-			res.Zones = append(res.Zones, core.CandidateZone{Lo: lo, Hi: hi, Covered: covered})
+			res.Zones = append(res.Zones, core.CandidateZone{Lo: zn.Lo, Hi: zn.Hi, Covered: covered})
 		}
 	}
 	return res

@@ -1,47 +1,57 @@
-// Package zonemap implements the fixed-grid skipper — zones of a fixed
-// number of consecutive rows, one summary and one non-null count per zone
-// — its classic summary kind, the static zonemap the adaptive zonemap is
-// measured against, and the coarse probe level every zone directory uses:
-// blocks of BlockZones zones, each summarised by the union of its members.
+// Package zonemap implements the zone directory every skipper keeps, and
+// the static zonemap. A directory (Grid) holds zones of consecutive rows,
+// each with a summary and a non-null count; blocks of BlockZones zones,
+// each summarised by the union of its members; and an append tail,
+// summarised as its rows arrive and folded into zones once it holds a
+// zone's worth of rows. What a summary is, and how a predicate tests it,
+// is a Kind: the min/max hull here (an expr.Hull, tested by
+// expr.Clause.Test as in every layer), the bin mask in package imprint.
 //
-// What a zone's summary is, and how a predicate is tested against it, is
-// a Kind: the min/max hull here (an expr.Hull, tested by expr.Clause.Test
-// as in every layer), the bin mask in package imprint. Everything else — zone layout, the block level, Extend,
-// PruneNulls, invariant re-derivation — is the Grid's, once. A probe tests
-// every block and the member zones of the blocks that may match, as the
-// adaptive zonemap's does; on arbitrary data distributions every block
-// overlaps and the probe costs a test per zone and per block, the overhead
-// the paper shows is unrecoverable there, motivating adaptivity.
+// The Grid owns, once for every layout, building and folding the tail,
+// the block level, the row lookup of Widen and NoteNonNull, the PruneNulls
+// walk and CheckInvariants. Without a Layout its zones have a fixed size
+// (the static zonemap, the imprint) and Grid.Prune is the range probe: it
+// tests every block, then the member zones of blocks that may match, then
+// the tail — on
+// arbitrary data every block overlaps, the overhead the paper shows
+// motivates adaptivity. With a Layout (the adaptive zonemap) it also keeps
+// a fine level of parts whose runs are the zones; the layout reshapes the
+// zones and brings its own range probe.
 package zonemap
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"unsafe"
 
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
 	"adskip/internal/expr"
-	"adskip/internal/obs"
 	"adskip/internal/scan"
 	"adskip/internal/storage"
 )
 
+// ErrCorrupt marks a broken layout: zones or parts that do not tile the
+// indexed rows. A walk or row lookup that finds one panics with an error
+// wrapping it; the engine drops the skipper and scans in full.
+var ErrCorrupt = errors.New("zonemap: metadata corrupt")
+
 // Kind is one way of summarising a zone: S is the per-zone summary (the
 // metadata type), Q the clause a predicate is lowered to once per query
-// and tested against each summary. A summary is meaningful only for a
-// zone holding at least one value; the Grid never tests or compares the
-// summary of an all-NULL zone.
+// and tested against each summary. The summary of rows holding no value
+// is the identity of Union, which Test finds matching nothing.
 type Kind[S, Q any] interface {
 	// Name is the Metadata kind.
 	Name() string
 	// Bytes is the footprint of the kind's own state, beside the grid's
-	// per-zone summaries.
+	// zones.
 	Bytes() int
 	// Summarize derives the summary and non-null count of rows [lo, hi).
 	Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (s S, nonNull int)
-	// Admit loosens s to hold code; empty says s holds no value yet.
-	Admit(s S, empty bool, code int64) S
+	// Admit loosens s to hold code.
+	Admit(s S, code int64) S
 	// Union summarises the values of two summaries together.
 	Union(a, b S) S
 	// Lower turns a predicate's code intervals into the clause.
@@ -54,228 +64,374 @@ type Kind[S, Q any] interface {
 	Holds(have, derived S, exact bool) bool
 }
 
-// Grid is a fixed-granularity skipper over a column prefix of n rows:
-// zone i covers rows [i*zoneSize, min((i+1)*zoneSize, n)). It never
-// learns: Observe, the journal and Introspect have nothing to do.
+// Zone is one entry of a directory, and of its fine level: rows [Lo, Hi),
+// the summary of their values, and how many of them hold one.
+type Zone[S any] struct {
+	Lo, Hi  int
+	Sum     S
+	NonNull int
+}
+
+// Layout is the owner of a grid that reshapes its zones. The grid keeps
+// the parts the layout cuts (Summarize appends those of rows [lo, hi)),
+// keeps every zone a run of whole parts, and tells the layout of its own
+// edits: a tail fold that appended the zones from zone and the parts from
+// part on, and a Widen that loosened zone zi's summary from before.
+// CheckZone fails unless the layout's state of zone zi, whose first part
+// is part, is sound.
+type Layout[S any] interface {
+	Summarize(parts []Zone[S], codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) []Zone[S]
+	Folded(zone, part int)
+	Loosened(zi int, before S)
+	CheckZone(zi, part int) error
+}
+
+// Grid is the zone directory of one column. Zones tile the indexed rows
+// [0, Indexed()) in row order; the rows appended since, up to Rows(), are
+// the tail. With a Layout, Parts tile the same rows too.
 type Grid[S, Q any] struct {
+	core.Inert // a grid does not learn; a Layout answers for itself
+
+	Zones  []Zone[S]
+	Blocks []S       // block bi summarises the zones Members(bi, len(Zones))
+	Parts  []Zone[S] // the fine level; nil without a Layout
+
 	kind     Kind[S, Q]
-	zoneSize int
-	n        int
-	sums     []S
-	nonNull  []int32 // rows carrying a value, per zone
-	blocks   Blocks[S, Q]
+	layout   Layout[S]
+	zoneRows int     // rows a built or folded zone holds; the tail folds at this many
+	tail     Zone[S] // the unindexed rows [Indexed(), Rows()), summarised as they arrive
+}
+
+// Directory returns an empty grid whose zones hold zoneRows rows
+// (positive) when built — runs of the parts layout cuts, when layout is
+// not nil. FoldTail fills it.
+func Directory[S, Q any](kind Kind[S, Q], zoneRows int, layout Layout[S]) Grid[S, Q] {
+	if zoneRows <= 0 {
+		panic(fmt.Sprintf("%s: zoneSize %d must be positive", kind.Name(), zoneRows))
+	}
+	return Grid[S, Q]{kind: kind, layout: layout, zoneRows: zoneRows}
 }
 
 // NewGrid summarises the codes.Len() rows of a column view in zones of
-// zoneSize rows (positive; a zone holds at most 2^31 rows). nulls may be
-// nil.
+// zoneSize rows (positive). nulls may be nil.
 func NewGrid[S, Q any](kind Kind[S, Q], codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) *Grid[S, Q] {
-	if zoneSize <= 0 {
-		panic(fmt.Sprintf("%s: zoneSize %d must be positive", kind.Name(), zoneSize))
-	}
-	g := &Grid[S, Q]{kind: kind, zoneSize: zoneSize}
-	g.Extend(codes, nulls)
-	return g
+	g := Directory(kind, zoneSize, nil)
+	g.FoldTail(codes, nulls)
+	return &g
 }
 
-// Rows returns the number of rows covered by metadata.
-func (g *Grid[S, Q]) Rows() int { return g.n }
+// Rows returns the number of rows covered, the unindexed tail included.
+func (g *Grid[S, Q]) Rows() int { return g.tail.Hi }
 
-// Metadata reports the grid's shape and what it holds: a summary and a
-// non-null count per zone, the block level, and the kind's own state.
+// Indexed returns the number of rows the zones tile; the tail follows.
+func (g *Grid[S, Q]) Indexed() int { return g.tail.Lo }
+
+// Metadata reports the grid's shape and what it holds: its zones, parts
+// and blocks, and the kind's own state.
 func (g *Grid[S, Q]) Metadata() core.Metadata {
-	var b Block[S]
-	bytes := len(g.sums)*int(unsafe.Sizeof(b.Sum)+unsafe.Sizeof(int32(0))) +
-		len(g.blocks)*int(unsafe.Sizeof(b)) + g.kind.Bytes()
-	return core.Metadata{Kind: g.kind.Name(), Zones: len(g.sums), Bytes: bytes, Enabled: true}
+	bytes := (len(g.Zones)+len(g.Parts))*int(unsafe.Sizeof(Zone[S]{})) +
+		len(g.Blocks)*int(unsafe.Sizeof(*new(S))) + g.kind.Bytes()
+	return core.Metadata{Kind: g.kind.Name(), Zones: len(g.Zones), Bytes: bytes, Enabled: true}
 }
 
-// span returns the row window of zones [lo, hi).
-func (g *Grid[S, Q]) span(lo, hi int) core.CandidateZone {
-	return core.CandidateZone{Lo: lo * g.zoneSize, Hi: min(hi*g.zoneSize, g.n)}
+// summarize is rows [lo, hi) as one zone.
+func (g *Grid[S, Q]) summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) Zone[S] {
+	s, n := g.kind.Summarize(codes, nulls, lo, hi)
+	return Zone[S]{Lo: lo, Hi: hi, Sum: s, NonNull: n}
 }
 
-// zone is zone zi's summary, ok when the zone holds a value.
-func (g *Grid[S, Q]) zone(zi int) (S, bool) { return g.sums[zi], g.nonNull[zi] > 0 }
-
-// fold is the block of zones [lo, hi): the union of their summaries.
-func (g *Grid[S, Q]) fold(lo, hi int) (b Block[S]) {
-	for zi := lo; zi < hi; zi++ {
-		if s, ok := g.zone(zi); ok && b.HasData {
-			b.Sum = g.kind.Union(b.Sum, s)
-		} else if ok {
-			b = Block[S]{s, true}
-		}
-	}
-	return b
+// join is the zone of adjacent zones a and b together.
+func (g *Grid[S, Q]) join(a, b Zone[S]) Zone[S] {
+	return Zone[S]{Lo: a.Lo, Hi: b.Hi, Sum: g.kind.Union(a.Sum, b.Sum), NonNull: a.NonNull + b.NonNull}
 }
 
-// Extend grows the grid to cover codes, which must be the column's full
-// code vector (the grid remembers how many rows it has already summarised
-// and only processes the suffix). The final, possibly partial, zone is
-// rebuilt when new rows land in it.
+// Extend takes in the rows appended up to codes.Len(); codes must be the
+// column's full code vector. They join the tail, whose summary reads only
+// them, and the tail is folded once it holds a zone's worth of rows.
 func (g *Grid[S, Q]) Extend(codes storage.Vec, nulls *bitvec.BitVec) {
-	total := codes.Len()
-	if total <= g.n {
+	switch n := codes.Len(); {
+	case n-g.tail.Lo >= g.zoneRows:
+		g.FoldTail(codes, nulls)
+	case n > g.tail.Hi && g.tail.Hi > g.tail.Lo:
+		g.tail = g.join(g.tail, g.summarize(codes, nulls, g.tail.Hi, n))
+	case n > g.tail.Hi:
+		g.tail = g.summarize(codes, nulls, g.tail.Lo, n)
+	}
+}
+
+// FoldTail indexes the tail up to codes.Len(), whatever its length, in one
+// read: zones of zoneRows rows (with a Layout, runs of parts until one
+// holds that many) from the tail's first row on, the last maybe shorter.
+func (g *Grid[S, Q]) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
+	lo, hi := g.tail.Lo, codes.Len()
+	if hi <= lo {
 		return
 	}
-	whole := g.n / g.zoneSize
-	g.sums, g.nonNull = g.sums[:whole], g.nonNull[:whole]
-	for lo := whole * g.zoneSize; lo < total; lo += g.zoneSize {
-		s, nn := g.kind.Summarize(codes, nulls, lo, min(lo+g.zoneSize, total))
-		g.sums = append(g.sums, s)
-		g.nonNull = append(g.nonNull, int32(nn))
+	zone, part := len(g.Zones), len(g.Parts)
+	if g.layout == nil {
+		for ; lo < hi; lo += g.zoneRows {
+			g.Zones = append(g.Zones, g.summarize(codes, nulls, lo, min(lo+g.zoneRows, hi)))
+		}
+	} else {
+		g.Parts = g.layout.Summarize(g.Parts, codes, nulls, lo, hi)
+		for _, p := range g.Parts[part:] {
+			if n := len(g.Zones) - 1; n >= zone && g.Zones[n].Hi-g.Zones[n].Lo < g.zoneRows {
+				g.Zones[n] = g.join(g.Zones[n], p)
+			} else {
+				g.Zones = append(g.Zones, p)
+			}
+		}
 	}
-	g.n = total
-	g.blocks.Refold(whole, len(g.sums), g.fold)
+	g.tail = Zone[S]{Lo: hi, Hi: hi}
+	g.Refold(zone)
+	if g.layout != nil {
+		g.layout.Folded(zone, part)
+	}
 }
 
-// Widen loosens the enclosing zone's summary, and its block's, to admit an
-// updated value at row: pruning stays sound at the cost of a looser
-// summary (re-tightening requires a rebuild). It leaves the non-null count
-// alone; callers must also call NoteNonNull when the write replaced a NULL.
+// find returns the index of the window of ws that holds row, and panics
+// with ErrCorrupt when none does.
+func find[S any](what string, ws []Zone[S], row int) int {
+	i := sort.Search(len(ws), func(i int) bool { return ws[i].Hi > row })
+	if i == len(ws) || ws[i].Lo > row {
+		panic(fmt.Errorf("%w: row %d not covered by %ss", ErrCorrupt, row, what))
+	}
+	return i
+}
+
+// Widen loosens the summaries of the zone, part and block holding row to
+// admit an updated value, so pruning stays sound — even for a zone a later
+// reshaping cuts from the part; a tail row loosens the tail. Callers also
+// call NoteNonNull when the write replaced a NULL. A row no zone or part
+// covers panics with ErrCorrupt.
 func (g *Grid[S, Q]) Widen(row int, code int64) {
-	zi := row / g.zoneSize
-	g.sums[zi] = g.kind.Admit(g.sums[zi], g.nonNull[zi] == 0, code)
-	g.blocks.Admit(g.kind, zi, code)
+	if row >= g.tail.Lo {
+		if row < g.tail.Hi {
+			g.tail.Sum = g.kind.Admit(g.tail.Sum, code)
+		}
+		return
+	}
+	zi := find("zone", g.Zones, row)
+	zn, b := &g.Zones[zi], &g.Blocks[zi/BlockZones]
+	before := zn.Sum
+	zn.Sum, *b = g.kind.Admit(zn.Sum, code), g.kind.Admit(*b, code)
+	if g.layout != nil {
+		p := &g.Parts[find("part", g.Parts, row)]
+		p.Sum = g.kind.Admit(p.Sum, code)
+		g.layout.Loosened(zi, before)
+	}
 }
 
-// NoteNonNull records that a formerly NULL row now holds a value.
-func (g *Grid[S, Q]) NoteNonNull(row int) { g.nonNull[row/g.zoneSize]++ }
+// NoteNonNull records that a formerly NULL row now holds a value: it
+// counts in its zone and its part, or in the tail.
+func (g *Grid[S, Q]) NoteNonNull(row int) {
+	if row >= g.tail.Lo {
+		if row < g.tail.Hi {
+			g.tail.NonNull++
+		}
+		return
+	}
+	g.Zones[find("zone", g.Zones, row)].NonNull++
+	if g.layout != nil {
+		g.Parts[find("part", g.Parts, row)].NonNull++
+	}
+}
 
 // Prune tests each block, then the member zones of each block that may
-// hold a match: a block that holds no value or cannot overlap the
-// predicate skips its rows whole; inside the others, all-NULL zones and
-// zones whose summary cannot hold a match are skipped, and null-free zones
-// whose every value matches are emitted as Covered — "covered" means every
-// row matches, the property multi-column intersection relies on — so the
-// executor can short-circuit counting. ZonesProbed counts block and member
+// hold a match: zones whose summary cannot hold one are skipped, and
+// null-free zones whose every value matches are emitted as Covered (every
+// row matches), so the executor can short-circuit counting. The tail is
+// tested last, as one more zone. ZonesProbed counts block, member and tail
 // entries.
 func (g *Grid[S, Q]) Prune(r expr.Ranges) core.PruneResult {
 	q := g.kind.Lower(r)
-	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.blocks)}
-	for bi, b := range g.blocks {
-		lo, hi := Members(bi, len(g.sums))
-		if c := g.span(lo, hi); !b.HasData || g.kind.Test(&q, b.Sum) == expr.MatchNone {
-			res.Emit(&c, true)
+	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.Blocks)}
+	for bi, b := range g.Blocks {
+		lo, hi := Members(bi, len(g.Zones))
+		if g.kind.Test(&q, b) == expr.MatchNone {
+			res.Emit(&core.CandidateZone{Lo: g.Zones[lo].Lo, Hi: g.Zones[hi-1].Hi}, true)
 			continue
 		}
 		res.ZonesProbed += hi - lo
-		for zi := lo; zi < hi; zi++ {
-			c, nn, m := g.span(zi, zi+1), int(g.nonNull[zi]), expr.MatchNone
-			if nn != 0 {
-				m = g.kind.Test(&q, g.sums[zi])
-			}
-			c.Covered = m == expr.MatchAll && nn == c.Hi-c.Lo
-			res.Emit(&c, m == expr.MatchNone)
+		for i := lo; i < hi; i++ {
+			zn := &g.Zones[i]
+			m := g.kind.Test(&q, zn.Sum)
+			res.Emit(&core.CandidateZone{Lo: zn.Lo, Hi: zn.Hi, Covered: m == expr.MatchAll && zn.NonNull == zn.Hi-zn.Lo},
+				m == expr.MatchNone)
 		}
+	}
+	if t := &g.tail; t.Hi > t.Lo {
+		res.ZonesProbed++
+		m := g.kind.Test(&q, t.Sum)
+		res.Emit(&core.CandidateZone{Lo: t.Lo, Hi: t.Hi, Covered: m == expr.MatchAll && t.NonNull == t.Hi-t.Lo}, m == expr.MatchNone)
 	}
 	return res
 }
 
 // PruneNulls emits candidates for IS NULL scans, zone by zone (blocks
-// carry no null counts): zones with no NULL rows are skipped; all-NULL
-// zones are covered (every row matches).
+// carry no null counts): zones with no NULL rows are skipped, all-NULL
+// zones are covered, and the tail is a candidate. It checks the tiling as
+// it walks, and panics with ErrCorrupt on a broken layout.
 func (g *Grid[S, Q]) PruneNulls() core.PruneResult {
-	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.sums)}
-	for zi, nn := range g.nonNull {
-		c := g.span(zi, zi+1)
-		c.Covered = nn == 0
-		res.Emit(&c, int(nn) == c.Hi-c.Lo)
+	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.Zones)}
+	prev := 0
+	for i := range g.Zones {
+		zn := &g.Zones[i]
+		if zn.Lo != prev || zn.Hi <= zn.Lo {
+			panic(BadTiling(i, zn.Lo, prev))
+		}
+		prev = zn.Hi
+		res.Emit(&core.CandidateZone{Lo: zn.Lo, Hi: zn.Hi, Covered: zn.NonNull == 0}, zn.NonNull == zn.Hi-zn.Lo)
+	}
+	return g.EndProbe(res, prev)
+}
+
+// EndProbe finishes a probe walk that ended at row prev: the zones must
+// end where the tail, a candidate, starts, or it panics with ErrCorrupt.
+func (g *Grid[S, Q]) EndProbe(res core.PruneResult, prev int) core.PruneResult {
+	if prev != g.tail.Lo {
+		panic(fmt.Errorf("%w: zones end at %d, tailLo=%d", ErrCorrupt, prev, g.tail.Lo))
+	}
+	if g.tail.Hi > g.tail.Lo {
+		res.Zones = append(res.Zones, core.CandidateZone{Lo: g.tail.Lo, Hi: g.tail.Hi})
 	}
 	return res
 }
 
-// CheckInvariants re-derives every zone from the column's physical state;
-// codes must be exactly the Rows() rows the grid covers. A zone's non-null
-// count must equal the column's (Prune's covered proof and PruneNulls read
-// it in both directions) and its summary must admit every value in its
-// rows — and equal the re-derived one when exact, i.e. when no Widen has
-// loosened the zone since it was built.
+// BadTiling is the fault a probe walk raises on zone idx, which starts at
+// row got instead of want.
+func BadTiling(idx, got, want int) error {
+	return fmt.Errorf("%w: zone %d starts at %d, want %d (layout gap or overlap)", ErrCorrupt, idx, got, want)
+}
+
+// CheckInvariants re-derives the directory from the column; codes must be
+// exactly the Rows() rows covered. Zones and parts must tile [0, Indexed())
+// — checked first, so a broken layout is named by the row where it breaks.
+// Each part's (without a Layout, each zone's) rows, and the tail's, are
+// read once: its non-null count must be exact (the covered proof and
+// PruneNulls read it both ways) and its summary must admit every value — and equal the
+// re-derived one when exact, i.e. nothing loosened it — or it is walked
+// again to name the row it excludes. Each zone must be a run of whole
+// parts, with their count and union; each block must admit its members.
 func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
-	name := g.kind.Name()
-	want := (g.n + g.zoneSize - 1) / g.zoneSize
-	if codes.Len() != g.n || len(g.sums) != want || len(g.nonNull) != want {
-		return fmt.Errorf("%s: %d summaries, %d counts over %d rows, want %d zones over the column's %d rows",
-			name, len(g.sums), len(g.nonNull), g.n, want, codes.Len())
+	parts, unit := g.Parts, "part"
+	if g.layout == nil {
+		parts, unit = g.Zones, "zone"
 	}
-	for zi, have := range g.sums {
-		w := g.span(zi, zi+1)
-		derived, nonNull := g.kind.Summarize(codes, nulls, w.Lo, w.Hi)
-		if nonNull != int(g.nonNull[zi]) {
-			return fmt.Errorf("%s: zone %d nonNull=%d, rows [%d,%d) hold %d", name, zi, g.nonNull[zi], w.Lo, w.Hi, nonNull)
+	if blocks := (len(g.Zones) + BlockZones - 1) / BlockZones; codes.Len() != g.tail.Hi || len(g.Blocks) != blocks {
+		return fmt.Errorf("zonemap: %d rows and %d blocks for a column of %d rows and %d zones, want %d blocks",
+			g.tail.Hi, len(g.Blocks), codes.Len(), len(g.Zones), blocks)
+	}
+	if err := tiles("zone", g.Zones, g.tail.Lo); err != nil {
+		return err
+	}
+	if err := tiles(unit, parts, g.tail.Lo); err != nil {
+		return err
+	}
+	k := 0 // the zone's first part
+	for zi := range g.Zones {
+		zn, first := &g.Zones[zi], k
+		if g.layout != nil {
+			if err := g.layout.CheckZone(zi, k); err != nil {
+				return err
+			}
 		}
-		if nonNull > 0 && !g.kind.Holds(have, derived, exact) {
-			return fmt.Errorf("%s: zone %d summary %#v, rows [%d,%d) derive %#v", name, zi, have, w.Lo, w.Hi, derived)
+		for ; k < len(parts) && parts[k].Hi <= zn.Hi; k++ {
+			if err := g.checkRows(unit, k, &parts[k], codes, nulls, exact); err != nil {
+				return err
+			}
+		}
+		if k == first || parts[k-1].Hi != zn.Hi {
+			return fmt.Errorf("zonemap: zone %d [%d,%d) ends inside part %d", zi, zn.Lo, zn.Hi, k)
+		}
+		union := parts[first]
+		for _, p := range parts[first+1 : k] {
+			union = g.join(union, p)
+		}
+		if union.NonNull != zn.NonNull || union.NonNull > 0 && !g.kind.Holds(zn.Sum, union.Sum, exact) {
+			return fmt.Errorf("zonemap: zone %d [%d,%d) summary %+v nonNull=%d, its parts' %+v nonNull=%d",
+				zi, zn.Lo, zn.Hi, zn.Sum, zn.NonNull, union.Sum, union.NonNull)
+		}
+		if b := g.Blocks[zi/BlockZones]; zn.NonNull > 0 && !g.kind.Holds(b, zn.Sum, false) {
+			return fmt.Errorf("zonemap: block %d %+v excludes zone %d %+v", zi/BlockZones, b, zi, zn.Sum)
 		}
 	}
-	if err := g.blocks.Check(g.kind, len(g.sums), g.zone); err != nil {
-		return fmt.Errorf("%s: %w", name, err)
+	if g.tail.Hi > g.tail.Lo {
+		return g.checkRows("tail", 0, &g.tail, codes, nulls, exact)
 	}
 	return nil
 }
 
+// checkRows re-derives window k, named unit, from its rows: its non-null
+// count must be exact and its summary must hold the derived one.
+func (g *Grid[S, Q]) checkRows(unit string, k int, p *Zone[S], codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
+	derived := g.summarize(codes, nulls, p.Lo, p.Hi)
+	if derived.NonNull != p.NonNull {
+		return fmt.Errorf("zonemap: %s %d [%d,%d) nonNull=%d, its rows hold %d", unit, k, p.Lo, p.Hi, p.NonNull, derived.NonNull)
+	}
+	if derived.NonNull > 0 && !g.kind.Holds(p.Sum, derived.Sum, exact) {
+		return g.excluded(unit, k, p, codes, nulls, derived.Sum)
+	}
+	return nil
+}
+
+// tiles checks that the windows ws, named what, are non-empty and tile
+// [0, end) in order.
+func tiles[S any](what string, ws []Zone[S], end int) error {
+	prev := 0
+	for i, w := range ws {
+		if w.Lo != prev {
+			return fmt.Errorf("zonemap: %s %d starts at %d, want %d (gap or overlap)", what, i, w.Lo, prev)
+		}
+		if w.Hi <= w.Lo {
+			return fmt.Errorf("zonemap: %s %d empty [%d,%d)", what, i, w.Lo, w.Hi)
+		}
+		prev = w.Hi
+	}
+	if prev != end {
+		return fmt.Errorf("zonemap: %ss end at %d, tailLo=%d", what, prev, end)
+	}
+	return nil
+}
+
+// excluded is the error for window k, named unit, whose summary does not
+// hold derived, the one its rows derive: the first row it excludes, or
+// the two summaries when it is only looser than exact allows.
+func (g *Grid[S, Q]) excluded(unit string, k int, p *Zone[S], codes storage.Vec, nulls *bitvec.BitVec, derived S) error {
+	for r := p.Lo; r < p.Hi; r++ {
+		if s, n := g.kind.Summarize(codes, nulls, r, r+1); n > 0 && !g.kind.Holds(p.Sum, s, false) {
+			return fmt.Errorf("zonemap: %s %d summary %+v would exclude row %d code %d", unit, k, p.Sum, r, codes.At(r))
+		}
+	}
+	return fmt.Errorf("zonemap: %s %d [%d,%d) summary %+v, its rows derive %+v", unit, k, p.Lo, p.Hi, p.Sum, derived)
+}
+
 // ---------------------------------------------------------------------------
-// The coarse probe level, which every zone directory uses.
+// The coarse probe level.
 
 // BlockZones is the fan-in of the coarse probe level: a probe tests each
 // block's summary first and the member zones of overlapping blocks only,
 // so tens of thousands of zones still cost O(zones/64 + hits) tests.
 const BlockZones = 64
 
-// Block summarises a run of consecutive zones by the union of the
-// summaries of its members that hold a value.
-type Block[S any] struct {
-	Sum     S
-	HasData bool // any member zone holds a value
-}
-
-// Blocks is the coarse level of a directory of zones summarised by a
-// Kind[S, Q]: block bi summarises the zones Members(bi, zones).
-type Blocks[S, Q any] []Block[S]
-
 // Members returns the zones [lo, hi) block bi summarises among zones zones.
 func Members(bi, zones int) (lo, hi int) { return bi * BlockZones, min((bi+1)*BlockZones, zones) }
 
-// Refold sizes the level to zones zones and refolds the blocks from the
-// one holding zone from — the first zone an edit moved or rebuilt — on;
-// fold(lo, hi) is the block of member zones [lo, hi).
-func (bs *Blocks[S, Q]) Refold(from, zones int, fold func(lo, hi int) Block[S]) {
-	n := (zones + BlockZones - 1) / BlockZones
-	*bs = slices.Grow(*bs, max(0, n-len(*bs)))[:n]
+// Refold sizes the block level to the zones and re-summarises the blocks
+// from the one holding zone from — the first zone an edit moved or
+// appended — on.
+func (g *Grid[S, Q]) Refold(from int) {
+	n := (len(g.Zones) + BlockZones - 1) / BlockZones
+	g.Blocks = slices.Grow(g.Blocks, max(0, n-len(g.Blocks)))[:n]
 	for bi := from / BlockZones; bi < n; bi++ {
-		(*bs)[bi] = fold(Members(bi, zones))
-	}
-}
-
-// Admit loosens the block holding zone zi to hold code, as Widen does the zone.
-func (bs Blocks[S, Q]) Admit(kind Kind[S, Q], zi int, code int64) {
-	b := &bs[zi/BlockZones]
-	b.Sum, b.HasData = kind.Admit(b.Sum, !b.HasData, code), true
-}
-
-// Check fails unless the level is sized to zones zones and every block
-// admits everything each of its members that holds a value does.
-func (bs Blocks[S, Q]) Check(kind Kind[S, Q], zones int, zone func(i int) (S, bool)) error {
-	if want := (zones + BlockZones - 1) / BlockZones; len(bs) != want {
-		return fmt.Errorf("%d blocks for %d zones, want %d", len(bs), zones, want)
-	}
-	for i := 0; i < zones; i++ {
-		if s, ok := zone(i); ok && (!bs[i/BlockZones].HasData || !kind.Holds(bs[i/BlockZones].Sum, s, false)) {
-			return fmt.Errorf("block %d %+v excludes zone %d %+v", i/BlockZones, bs[i/BlockZones], i, s)
+		lo, hi := Members(bi, len(g.Zones))
+		b := g.Zones[lo]
+		for _, zn := range g.Zones[lo+1 : hi] {
+			b = g.join(b, zn)
 		}
+		g.Blocks[bi] = b.Sum
 	}
-	return nil
 }
-
-// Observe is a no-op: a fixed grid does not learn.
-func (g *Grid[S, Q]) Observe(core.PruneResult) {}
-
-// SetJournal ignores the sink: the grid never changes shape.
-func (g *Grid[S, Q]) SetJournal(func(obs.LedgerRecord)) {}
-
-// Introspect reports nothing: the grid keeps no per-zone counters.
-func (g *Grid[S, Q]) Introspect() obs.SkipperSnapshot { return obs.SkipperSnapshot{} }
 
 // ---------------------------------------------------------------------------
 // Summary kind: the min/max hull (PolicyStatic).
@@ -283,7 +439,7 @@ func (g *Grid[S, Q]) Introspect() obs.SkipperSnapshot { return obs.SkipperSnapsh
 // HullKind summarises a zone by its expr.Hull and tests it with the
 // predicate's expr.Clause: a zone skips when no interval overlaps its hull
 // and is covered when one interval encloses it. The adaptive zonemap's
-// blocks are this kind's.
+// zones are this kind's.
 type HullKind struct{}
 
 func (HullKind) Name() string { return "static" }
@@ -293,17 +449,10 @@ func (HullKind) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (
 	return scan.MinMax(codes, lo, hi, nulls, 0)
 }
 
-func (HullKind) Admit(h expr.Hull, empty bool, code int64) expr.Hull {
-	if empty {
-		h = expr.EmptyHull
-	}
-	return h.Admit(code)
-}
-
+func (HullKind) Admit(h expr.Hull, code int64) expr.Hull     { return h.Admit(code) }
 func (HullKind) Union(a, b expr.Hull) expr.Hull              { return a.Union(b) }
 func (HullKind) Lower(r expr.Ranges) expr.Clause             { return r.Clause() }
 func (HullKind) Test(q *expr.Clause, h expr.Hull) expr.Match { return q.Test(h) }
-
 func (HullKind) Holds(have, derived expr.Hull, exact bool) bool {
 	return have == derived || !exact && have.Encloses(derived)
 }

@@ -18,18 +18,21 @@ type zone struct {
 }
 
 func zoneOf(m *Grid[expr.Hull, expr.Clause], zi int) zone {
-	return zone{m.sums[zi].Min, m.sums[zi].Max, int(m.nonNull[zi])}
+	return zone{m.Zones[zi].Sum.Min, m.Zones[zi].Sum.Max, m.Zones[zi].NonNull}
 }
 
 // zoneCounts recovers how many of m's zones a probe skipped and how many
 // it proved covered from the coalesced candidate windows.
 func zoneCounts(m *Grid[expr.Hull, expr.Clause], res core.PruneResult) (skipped, covered int) {
-	skipped = len(m.sums)
-	for _, c := range res.Zones {
-		zones := (c.Hi - c.Lo + m.zoneSize - 1) / m.zoneSize
-		skipped -= zones
-		if c.Covered {
-			covered += zones
+	skipped = len(m.Zones)
+	for _, zn := range m.Zones {
+		for _, c := range res.Zones {
+			if c.Lo <= zn.Lo && zn.Hi <= c.Hi {
+				skipped--
+				if c.Covered {
+					covered++
+				}
+			}
 		}
 	}
 	return skipped, covered
@@ -51,7 +54,7 @@ func TestBuildBasics(t *testing.T) {
 	codes := seq(100, func(i int) int64 { return int64(i) })
 	m := Build(storage.Vec{W: codes}, nil, 10)
 	md := m.Metadata()
-	if md.Kind != "static" || md.Zones != 10 || !md.Enabled || m.Rows() != 100 || m.zoneSize != 10 {
+	if md.Kind != "static" || md.Zones != 10 || !md.Enabled || m.Rows() != 100 || m.zoneRows != 10 {
 		t.Fatalf("metadata=%+v rows=%d", md, m.Rows())
 	}
 	for zi := 0; zi < 10; zi++ {
@@ -60,7 +63,7 @@ func TestBuildBasics(t *testing.T) {
 			t.Fatalf("zone %d = %+v", zi, z)
 		}
 	}
-	if md.Bytes != 10*(16+4)+24 { // a Hull and a count per zone, one block
+	if md.Bytes != 10*40+16 { // a Zone (row bounds, Hull, count) per zone, one block (a Hull)
 		t.Fatalf("Bytes=%d", md.Bytes)
 	}
 }
@@ -68,8 +71,8 @@ func TestBuildBasics(t *testing.T) {
 func TestBuildPartialLastZone(t *testing.T) {
 	codes := seq(25, func(i int) int64 { return int64(i) })
 	m := Build(storage.Vec{W: codes}, nil, 10)
-	if len(m.sums) != 3 {
-		t.Fatalf("zones=%d want 3", len(m.sums))
+	if len(m.Zones) != 3 {
+		t.Fatalf("zones=%d want 3", len(m.Zones))
 	}
 	z := zoneOf(m, 2)
 	if z.Min != 20 || z.Max != 24 || z.NonNull != 5 {
@@ -115,23 +118,43 @@ func TestBuildWithNulls(t *testing.T) {
 func TestExtendIncremental(t *testing.T) {
 	codes := seq(25, func(i int) int64 { return int64(i) })
 	m := Build(storage.Vec{W: codes[:7]}, nil, 10)
-	if len(m.sums) != 1 || zoneOf(m, 0).NonNull != 7 {
-		t.Fatalf("initial: zones=%d", len(m.sums))
+	if len(m.Zones) != 1 || zoneOf(m, 0).NonNull != 7 {
+		t.Fatalf("initial: zones=%d", len(m.Zones))
 	}
+	// Five appended rows wait in the tail, summarised as they arrive; a
+	// probe tests it as one more zone.
+	m.Extend(storage.Vec{W: codes[:12]}, nil)
+	if len(m.Zones) != 1 || m.Rows() != 12 || m.Indexed() != 7 {
+		t.Fatalf("tail: zones=%d rows=%d indexed=%d", len(m.Zones), m.Rows(), m.Indexed())
+	}
+	if err := m.CheckInvariants(storage.Vec{W: codes[:12]}, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	if res := m.Prune(oneRange(100, 200)); len(res.Zones) != 0 || res.RowsSkipped != 12 {
+		t.Fatalf("tail not skipped: %+v", res)
+	}
+	if res := m.Prune(oneRange(9, 200)); len(res.Zones) != 1 || res.Zones[0] != (core.CandidateZone{Lo: 7, Hi: 12}) {
+		t.Fatalf("tail not a candidate: %+v", res)
+	}
+	// Once the tail holds a zone's worth of rows, it folds into zones of 10
+	// rows from its first row on, each summarised as a fresh build would.
 	m.Extend(storage.Vec{W: codes}, nil)
-	if len(m.sums) != 3 || m.Rows() != 25 {
-		t.Fatalf("extended: zones=%d rows=%d", len(m.sums), m.Rows())
+	if len(m.Zones) != 3 || m.Rows() != 25 || m.Indexed() != 25 {
+		t.Fatalf("extended: zones=%d rows=%d indexed=%d", len(m.Zones), m.Rows(), m.Indexed())
 	}
-	// Must be identical to a fresh build.
-	fresh := Build(storage.Vec{W: codes}, nil, 10)
-	for zi := 0; zi < 3; zi++ {
-		if zoneOf(m, zi) != zoneOf(fresh, zi) {
-			t.Fatalf("zone %d: extend %+v vs fresh %+v", zi, zoneOf(m, zi), zoneOf(fresh, zi))
+	for zi, lo := range []int{0, 7, 17} {
+		zn := m.Zones[zi]
+		fresh := Build(storage.Vec{W: codes[lo:zn.Hi]}, nil, 10)
+		if zn.Lo != lo || zn.Sum != fresh.Zones[0].Sum || zn.NonNull != fresh.Zones[0].NonNull {
+			t.Fatalf("zone %d: extend %+v vs fresh %+v", zi, zn, fresh.Zones[0])
 		}
+	}
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+		t.Fatal(err)
 	}
 	// Extending with no new rows is a no-op.
 	m.Extend(storage.Vec{W: codes}, nil)
-	if len(m.sums) != 3 {
+	if len(m.Zones) != 3 {
 		t.Fatal("no-op extend changed zones")
 	}
 }
@@ -258,7 +281,10 @@ func TestQuickPruneSound(t *testing.T) {
 	}
 }
 
-// Property: Extend in random increments matches a fresh Build.
+// Property: Extend in random increments matches a fresh Build in every
+// answer — the rows a probe's windows hold that match are the rows that
+// match — and leaves a grid that passes the exact check, whichever of its
+// rows still wait in the tail.
 func TestQuickExtendMatchesBuild(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -273,12 +299,24 @@ func TestQuickExtendMatchesBuild(t *testing.T) {
 			next := m.Rows() + 1 + rng.Intn(n-m.Rows())
 			m.Extend(storage.Vec{W: codes[:next]}, nil)
 		}
-		fresh := Build(storage.Vec{W: codes}, nil, zoneSize)
-		if len(m.sums) != len(fresh.sums) {
+		if m.CheckInvariants(storage.Vec{W: codes}, nil, true) != nil {
 			return false
 		}
-		for zi := 0; zi < len(m.sums); zi++ {
-			if zoneOf(m, zi) != zoneOf(fresh, zi) {
+		fresh := Build(storage.Vec{W: codes}, nil, zoneSize)
+		count := func(res core.PruneResult, r expr.Ranges) (k int) {
+			for _, c := range res.Zones {
+				for i := c.Lo; i < c.Hi; i++ {
+					if r.Contains(codes[i]) {
+						k++
+					}
+				}
+			}
+			return k
+		}
+		for q := 0; q < 8; q++ {
+			lo := rng.Int63n(1000)
+			r := oneRange(lo, lo+rng.Int63n(200))
+			if count(m.Prune(r), r) != count(fresh.Prune(r), r) {
 				return false
 			}
 		}
