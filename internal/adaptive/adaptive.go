@@ -7,8 +7,8 @@
 //   - Split: a zone a query had to scan is cut where the query's verdict
 //     changes across its parts. A split reads no rows: the summary fixes
 //     where a zone may be cut, the workload chooses which cuts to expose.
-//   - Merge: adjacent zones whose metadata never prunes are coalesced,
-//     shedding probe cost and memory.
+//   - Merge: a run of adjacent zones whose metadata has stopped pruning is
+//     coalesced, shedding probe cost and memory, where a query looks.
 //   - Arbitration: a per-column cost model tracks whether probing pays for
 //     itself; when it persistently loses (arbitrary data distributions),
 //     skipping is disabled and only periodic shadow probes remain, so
@@ -79,9 +79,6 @@ const (
 	// MergeHeat merges adjacent zones when both have usefulness below this
 	// threshold: nine straight misses from the initial heat of 0.5.
 	MergeHeat = 0.05
-	// MergeSweepEvery runs the O(zones) merge sweep every this many
-	// queries rather than after each one.
-	MergeSweepEvery = 8
 	// Window is the effective query window of the arbitration EWMA: long
 	// enough that a few unlucky queries do not disable skipping.
 	Window = 32
@@ -100,14 +97,13 @@ const (
 // package's tests overwrite fields to explore other values on small
 // columns.
 type tuning struct {
-	maxZones                                 int
-	mergeSweepEvery, window, reprobeEvery    int
+	maxZones, window, reprobeEvery           int
 	heatAlpha, mergeHeat, probeCost, rowCost float64
 }
 
 // defaultTuning is the tuning every zonemap starts with.
 var defaultTuning = tuning{
-	maxZones: MaxZones, mergeSweepEvery: MergeSweepEvery, window: Window, reprobeEvery: ReprobeEvery,
+	maxZones: MaxZones, window: Window, reprobeEvery: ReprobeEvery,
 	heatAlpha: HeatAlpha, mergeHeat: MergeHeat, probeCost: ProbeCost, rowCost: RowCost,
 }
 
@@ -156,8 +152,8 @@ type Zonemap struct {
 
 	splits, merges, disables, enables int
 
-	// maintEvents counts structural/arbitration events (splitting
-	// Observes, merging sweeps, arbitration flips, tail folds);
+	// maintEvents counts structural/arbitration events (Observes that
+	// split or merge, arbitration flips, tail folds);
 	// maintZones counts the zones those events touched.
 	maintEvents int64
 	maintZones  int64
@@ -271,7 +267,7 @@ func (z *Zonemap) CheckZone(zi, part int) error {
 const maintCostRows = 64
 
 // Introspect implements core.Skipper: the dead zones in row order (heat
-// below MergeHeat, the test the merge sweep applies), the maintenance
+// below MergeHeat, the test a merge applies), the maintenance
 // counters, and the cost constants that weigh them. It writes nothing.
 func (z *Zonemap) Introspect() obs.SkipperSnapshot {
 	snap := obs.SkipperSnapshot{

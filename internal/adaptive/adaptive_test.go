@@ -60,11 +60,10 @@ func smallCfg() Config {
 }
 
 // small tunes z for the columns of a few hundred rows these tests build: a
-// 1000-zone budget, an 8-query arbitration window, and a merge sweep and a
-// shadow probe every 4 queries.
+// 1000-zone budget, an 8-query arbitration window, and a shadow probe every
+// 4 queries.
 func small(z *Zonemap) *Zonemap {
-	z.tune.maxZones, z.tune.window = 1000, 8
-	z.tune.mergeSweepEvery, z.tune.reprobeEvery = 4, 4
+	z.tune.maxZones, z.tune.window, z.tune.reprobeEvery = 1000, 8, 4
 	return z
 }
 
@@ -186,7 +185,7 @@ func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 }
 
 func TestMergeCoalescesUselessZones(t *testing.T) {
-	// Random data: zones never skip, heat decays, merge sweep coalesces.
+	// Random data: zones never skip, heat decays, cold runs coalesce.
 	rng := rand.New(rand.NewSource(3))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(1000) })
 	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
@@ -407,7 +406,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 		}
 		tune := defaultTuning
 		tune.maxZones, tune.window = 50+rng.Intn(500), 4+rng.Intn(16)
-		tune.mergeSweepEvery, tune.reprobeEvery = 1+rng.Intn(8), 1+rng.Intn(8)
+		tune.reprobeEvery = 1 + rng.Intn(8)
 		n := 50 + rng.Intn(400)
 		codes := make([]int64, n)
 		for i := range codes {
@@ -480,7 +479,7 @@ func TestDescribeZones(t *testing.T) {
 // TestIntrospectIsReadOnly: Introspect, the cold path behind /adaptation,
 // leaves the zones and the coarse level as it found them — after a stream
 // that split and merged, and a last probe that pruned whole blocks — and
-// reports as dead exactly the zones the merge sweep treats as cold.
+// reports as dead exactly the zones a merge treats as cold.
 func TestIntrospectIsReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// 2,000 uniform rows, whose zones never prune and go cold, then 18,000

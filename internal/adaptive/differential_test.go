@@ -91,28 +91,26 @@ func splitAtRandom(rng *rand.Rand, z *Zonemap) bool {
 		if len(subs) < 2 {
 			continue
 		}
-		z.Refold(z.applySplits([]splitPlan{{idx: i, subs: subs}}))
+		l := learner{heat: 0.5, first: z.learn[i].first, widened: z.learn[i].widened}
+		z.Refold(z.splice([]edit{{idx: i, n: 1, zones: subs, l: l}}))
 		return true
 	}
 	return false
 }
 
-// mergeAtRandom cools a random run of two to four zones of z and runs the
-// zonemap's own merge sweep; it reports whether anything merged (bounds
-// that are not compatible keep zones apart).
+// mergeAtRandom merges a random run of two to four zones of z into their
+// union through the zonemap's own splice, as a query's merge would.
 func mergeAtRandom(rng *rand.Rand, z *Zonemap) bool {
 	if len(z.Zones) < 2 {
 		return false
 	}
 	i := rng.Intn(len(z.Zones) - 1)
-	for j := i; j < min(len(z.Zones), i+2+rng.Intn(3)); j++ {
-		z.learn[j].heat = 0
+	e := edit{idx: i, n: min(len(z.Zones)-i, 2+rng.Intn(3)), zones: []zone{z.Zones[i]}, l: z.learn[i]}
+	for j := i + 1; j < i+e.n; j++ {
+		e.zones[0] = join(e.zones[0], z.Zones[j])
 	}
-	first := z.mergeSweep()
-	if first >= 0 {
-		z.Refold(first)
-	}
-	return first >= 0
+	z.Refold(z.splice([]edit{e}))
+	return true
 }
 
 // The one zone directory, under each of its layouts — the static zonemap,
@@ -122,7 +120,7 @@ func mergeAtRandom(rng *rand.Rand, z *Zonemap) bool {
 // makes them, tail rows too (Widen, then NoteNonNull when the row was
 // NULL); and, on the
 // adaptive zonemap, splits at random part boundaries and merges of random
-// cooled runs through its own splice and sweep. After every step
+// runs through its own splice. After every step
 // CheckInvariants passes — exact until an update has written over a value
 // — PruneNulls equals a reference counted row by row, and a random probe
 // is sound. At the end of each stream three breaks each fail the check,

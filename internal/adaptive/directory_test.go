@@ -14,40 +14,47 @@ import (
 	"adskip/internal/zonemap"
 )
 
-// spliceReference applies plans the way the zone directory was once
-// rebuilt: every zone is copied into a fresh slice, the planned ones looked
-// up in a map and replaced by their sub-zones, each learner found by a
-// search of the parts for the sub-zone's first row.
-func spliceReference(z *Zonemap, plans []splitPlan) {
-	byIdx := make(map[int][]zone, len(plans))
-	for _, p := range plans {
-		byIdx[p.idx] = p.subs
+// spliceReference applies edits the way the zone directory was once
+// rebuilt: every zone is copied into a fresh slice, the edited runs looked
+// up in a map and replaced by their new zones, each learner found by a
+// search of the parts for the new zone's first row.
+func spliceReference(z *Zonemap, edits []edit) {
+	byIdx := make(map[int]edit, len(edits))
+	for _, e := range edits {
+		byIdx[e.idx] = e
 	}
 	var out []zone
 	var learn []learner
-	for i := range z.Zones {
-		subs, ok := byIdx[i]
+	for i := 0; i < len(z.Zones); i++ {
+		e, ok := byIdx[i]
 		if !ok {
 			out, learn = append(out, z.Zones[i]), append(learn, z.learn[i])
 			continue
 		}
-		parent := &z.Zones[i]
-		minBefore, maxBefore := bounds(parent.Sum)
-		minAfter, maxAfter := bounds(hullOf(subs))
+		old := z.Zones[i : i+e.n]
+		minBefore, maxBefore := bounds(hullOf(old))
+		minAfter, maxAfter := bounds(hullOf(e.zones))
+		kind, cause := obs.EventSplit, "split-gain"
+		if len(e.zones) < e.n {
+			kind, cause = obs.EventMerge, "merge-cold"
+			z.merges += e.n - len(e.zones)
+		} else {
+			z.splits += len(e.zones) - e.n
+		}
 		z.record(obs.LedgerRecord{
-			Kind: obs.EventSplit, Cause: "split-gain",
-			ZonesBefore: 1, ZonesAfter: len(subs),
-			RowLo: parent.Lo, RowHi: parent.Hi,
+			Kind: kind, Cause: cause,
+			ZonesBefore: e.n, ZonesAfter: len(e.zones),
+			RowLo: old[0].Lo, RowHi: old[e.n-1].Hi,
 			MinBefore: minBefore, MaxBefore: maxBefore,
 			MinAfter: minAfter, MaxAfter: maxAfter,
 		})
-		for _, s := range subs {
+		for _, s := range e.zones {
 			first := slices.IndexFunc(z.Parts, func(p zone) bool { return p.Lo == s.Lo })
-			learn = append(learn, learner{heat: 0.5, first: int32(first), widened: z.learn[i].widened})
+			learn = append(learn, learner{heat: e.l.heat, first: int32(first), widened: e.l.widened})
 		}
-		out = append(out, subs...)
-		z.splits += len(subs) - 1
-		z.maintZones += int64(len(subs))
+		out = append(out, e.zones...)
+		z.maintZones += int64(max(e.n, len(e.zones)))
+		i += e.n - 1
 	}
 	z.Zones, z.learn = out, learn
 }
@@ -63,10 +70,11 @@ func blocksReference(z *Zonemap) {
 
 // observeReference is Observe with the directory edited the old way: the
 // probe's verdicts and arbitration run through Observe itself, with
-// splitting and merging switched off; the splits are then planned by a
-// walk of every zone, not of the blocks the probe looked inside, spliced
-// by spliceReference, swept by sweepReference, and every block is
-// re-hulled.
+// splitting and merging switched off; the edits are then planned by a walk
+// of every zone in a block whose hull, computed afresh, the probe does not
+// rule out — a split of each hot zone it scans, a merge of each run of
+// cold zones grown while the next is compatible with the run so far —
+// spliced by spliceReference, and every block is re-hulled.
 func observeReference(z *Zonemap, res core.PruneResult) {
 	cfg := z.cfg
 	z.cfg.DisableSplit, z.cfg.DisableMerge = true, true
@@ -75,28 +83,39 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 	if !res.Enabled || !z.enabled || res.Ranges.Lo == nil {
 		return
 	}
-	var plans []splitPlan
 	c := res.Ranges.Clause()
+	entered := func(i int) bool {
+		lo, hi := zonemap.Members(i/zonemap.BlockZones, len(z.Zones))
+		return c.Test(hullOf(z.Zones[lo:hi])) != expr.MatchNone
+	}
+	cold := func(i int) bool { return z.learn[i].heat < z.tune.mergeHeat }
+	var edits []edit
 	budget := z.tune.maxZones - len(z.Zones)
-	for i := range z.Zones {
-		if budget <= 0 || pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)) || z.learn[i].heat < z.tune.mergeHeat {
-			continue
+	for i := 0; i < len(z.Zones); i++ {
+		switch {
+		case !entered(i):
+		case cold(i) && !cfg.DisableMerge:
+			run, l, j := z.Zones[i], z.learn[i], i+1
+			for ; j < len(z.Zones) && entered(j) && cold(j) && boundsCompatible(&run, &z.Zones[j]); j++ {
+				run = zone{Lo: run.Lo, Hi: z.Zones[j].Hi, Sum: run.Sum.Union(z.Zones[j].Sum), NonNull: run.NonNull + z.Zones[j].NonNull}
+				l = learner{heat: max(l.heat, z.learn[j].heat), first: l.first, widened: l.widened || z.learn[j].widened}
+			}
+			if j-i > 1 {
+				edits = append(edits, edit{idx: i, n: j - i, zones: []zone{run}, l: l})
+			}
+			i = j - 1
+		case cold(i) || cfg.DisableSplit || budget <= 0 || pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)):
+		default:
+			if subs := z.planSplit(i, &c, budget); subs != nil {
+				budget -= len(subs) - 1
+				edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5, widened: z.learn[i].widened}})
+			}
 		}
-		if subs := z.planSplit(i, &c, budget); subs != nil {
-			budget -= len(subs) - 1
-			plans = append(plans, splitPlan{idx: i, subs: subs})
-		}
 	}
-	if len(plans) > 0 {
-		spliceReference(z, plans)
-		z.maintEvents++
-	}
-	merged := !z.cfg.DisableMerge && z.queries%z.tune.mergeSweepEvery == 0 && sweepReference(z)
-	if merged {
-		z.maintEvents++
-	}
-	if len(plans) > 0 || merged {
+	if len(edits) > 0 {
+		spliceReference(z, edits)
 		blocksReference(z)
+		z.maintEvents++
 	}
 }
 
@@ -129,16 +148,20 @@ func sameDirectory(z, ref *Zonemap, recs, refRecs []obs.LedgerRecord) error {
 	return nil
 }
 
-// The zone directory edited in place — splits spliced in one backward
-// pass, merges from the first mergeable pair, tail folds appended, and the
-// coarse level re-hulled from the block of the first zone that moved — is
-// the directory the old whole-slice rebuild produced. Seeded streams of
-// range queries, appends that fold the tail, and in-place updates that
-// widen zones run against both; after every Observe and fold the zonemaps
-// must be in the same state and have journaled the same records.
+// The zone directory edited in place — a query's splits and merges
+// planned in one walk of the blocks it entered and spliced by a forward
+// and a backward pass, tail folds appended, and the coarse level re-hulled
+// from the block of the first zone that moved — is the directory the old
+// whole-slice rebuild produced. Seeded streams of range queries, appends
+// that fold the tail, in-place updates that widen zones, and coolings of
+// a random run of zones (at the directory's first or last zone too) run
+// against both; after every Observe and fold the zonemaps must be in the
+// same state and have journaled the same records. The streams must merge
+// the directory's first and last zones, and edit with one query both
+// splits and merges.
 func TestDirectoryEditsMatchReference(t *testing.T) {
 	shapes := []string{"banded", "sorted", "semi-sorted", "uniform"}
-	var splits, merges, folds, widens, multiBlock int
+	var splits, merges, folds, widens, multiBlock, firstMerged, lastMerged, mixed int
 	for seed := int64(0); seed < 32; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[seed%int64(len(shapes))]
@@ -157,7 +180,7 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 		ref.SetJournal(func(r obs.LedgerRecord) { refRecs = append(refRecs, r) })
 		tune := defaultTuning
 		tune.maxZones, tune.window = 2000, 8+rng.Intn(25)
-		tune.mergeSweepEvery, tune.reprobeEvery = 1+rng.Intn(8), 1+rng.Intn(8)
+		tune.reprobeEvery = 1 + rng.Intn(8)
 		tune.mergeHeat = []float64{MergeHeat, 0.2, 0.4}[rng.Intn(3)]
 		z.tune, ref.tune = tune, tune
 		check := func(what string, arg any) {
@@ -204,6 +227,11 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 				}
 				widens++
 				check("update of row", row)
+			case k == 3 && len(z.Zones) > 1: // cool a run of zones, which the next query to enter it merges
+				lo := []int{0, len(z.Zones) - 2, rng.Intn(len(z.Zones) - 1)}[rng.Intn(3)]
+				for i := lo; i < min(len(z.Zones), lo+2+rng.Intn(3)); i++ {
+					z.learn[i].heat, ref.learn[i].heat = 0.01, 0.01
+				}
 			default:
 				r := propertyRanges(rng, domain)
 				res := z.Prune(r)
@@ -212,6 +240,17 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 				observeReference(ref, res)
 				splits += z.splits - splitsBefore
 				merges += z.merges - mergesBefore
+				if z.splits > splitsBefore && z.merges > mergesBefore {
+					mixed++
+				}
+				for _, rec := range recs {
+					if rec.Kind == obs.EventMerge && rec.RowLo == 0 {
+						firstMerged++
+					}
+					if rec.Kind == obs.EventMerge && rec.RowHi == z.Indexed() {
+						lastMerged++
+					}
+				}
 				check("query", r)
 			}
 		}
@@ -219,9 +258,11 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 			t.Fatalf("seed %d, %s: %v", seed, shape, err)
 		}
 	}
-	if splits < 4000 || merges < 200 || folds < 100 || widens < 200 || multiBlock < 4000 {
-		t.Fatalf("the streams split %d zones, merged %d, folded %d tails, widened %d times, checked %d multi-block directories",
-			splits, merges, folds, widens, multiBlock)
+	t.Logf("%d splits, %d merges (%d at the first zone, %d at the last), %d queries both, %d folds, %d widens, %d multi-block checks",
+		splits, merges, firstMerged, lastMerged, mixed, folds, widens, multiBlock)
+	if splits < 4000 || merges < 200 || folds < 100 || widens < 200 || multiBlock < 4000 || firstMerged == 0 || lastMerged == 0 || mixed == 0 {
+		t.Fatalf("the streams split %d zones, merged %d (%d at the first zone, %d at the last), %d queries both; folded %d tails, widened %d times, checked %d multi-block directories",
+			splits, merges, firstMerged, lastMerged, mixed, folds, widens, multiBlock)
 	}
 }
 

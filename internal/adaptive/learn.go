@@ -12,18 +12,18 @@ import (
 )
 
 // Observe implements core.Skipper, and is the one writer of what the
-// zonemap learns: per-zone heat and the splits it plans, the shadow-probe
-// countdown, arbitration, then the splits and the merge sweep. An IS NULL
-// probe (nil res.Ranges) feeds arbitration alone. It re-derives every
-// verdict from res.Ranges against the current layout, so a result probed
-// on an older layout teaches it nothing false.
+// zonemap learns: per-zone heat and the splits and merges it plans, the
+// shadow-probe countdown, arbitration, then one splice of the plans. An
+// IS NULL probe (nil res.Ranges) feeds arbitration alone. It re-derives
+// every verdict from res.Ranges against the current layout, so a result
+// probed on an older layout teaches it nothing false.
 func (z *Zonemap) Observe(res core.PruneResult) {
 	z.queries++
-	var plans []splitPlan
+	var edits []edit
 	if res.Ranges.Lo != nil {
 		if res.Enabled {
 			c := res.Ranges.Clause()
-			plans = z.learnProbe(&c)
+			edits = z.learnProbe(&c)
 		}
 		if !z.enabled {
 			z.disabledQueries++
@@ -55,23 +55,9 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 			RowLo: 0, RowHi: z.Indexed(),
 		})
 	}
-	if !z.enabled {
-		return // structure frozen while disabled
-	}
-
-	moved := len(z.Zones) // the first zone a split or merge moved, if any
-	if len(plans) > 0 {
-		moved = z.applySplits(plans)
+	if z.enabled && len(edits) > 0 { // structure frozen while disabled
+		z.Refold(z.splice(edits))
 		z.maintEvents++
-	}
-	if !z.cfg.DisableMerge && z.queries%z.tune.mergeSweepEvery == 0 {
-		if first := z.mergeSweep(); first >= 0 {
-			moved = min(moved, first)
-			z.maintEvents++
-		}
-	}
-	if moved < len(z.Zones) {
-		z.Refold(moved)
 	}
 }
 
@@ -114,102 +100,89 @@ func (z *Zonemap) planSplit(i int, c *expr.Clause, budget int) []zone {
 	return runs
 }
 
-// applySplits splices the plans, in zone order, into the zones and their
-// learners in place and returns the first zone that moved: a forward pass
-// journals them, one backward pass moves each untouched run once and
-// copies the sub-zones in, at the initial heat and the parent's widened.
-func (z *Zonemap) applySplits(plans []splitPlan) int {
-	added := 0
-	for _, p := range plans {
-		// One ledger record per refined zone: the parent's window and
-		// hull before, the union of the children's hulls after — their
-		// parts' hulls, never wider than the parent's.
-		parent := &z.Zones[p.idx]
-		minBefore, maxBefore := bounds(parent.Sum)
-		minAfter, maxAfter := bounds(hullOf(p.subs))
-		z.record(obs.LedgerRecord{
-			Kind: obs.EventSplit, Cause: "split-gain",
-			ZonesBefore: 1, ZonesAfter: len(p.subs),
-			RowLo: parent.Lo, RowHi: parent.Hi,
-			MinBefore: minBefore, MaxBefore: maxBefore,
-			MinAfter: minAfter, MaxAfter: maxAfter,
-		})
-		added += len(p.subs) - 1
-		z.maintZones += int64(len(p.subs))
+// edit is one planned change to the directory: the n zones from idx on
+// give way to zones. A split replaces one zone by its sub-zones at the
+// initial heat; a merge replaces a cold run by its union, which keeps the
+// run's warmer heat. Either way l is the first new zone's learner, and the
+// others differ from it only in their first part.
+type edit struct {
+	idx, n int
+	zones  []zone
+	l      learner
+}
+
+// splice applies the edits, in zone order, to the zones and their
+// learners in place, journals one record per edit, and returns the first
+// zone that moved. A forward pass closes the room each shrinking edit (a
+// merge) frees; a backward pass then opens the room each growing one (a
+// split) needs. Each pass moves an untouched zone at most once.
+func (z *Zonemap) splice(edits []edit) int {
+	first := edits[0].idx
+	for _, e := range edits {
+		// One ledger record per edit: the replaced zones' window and hull
+		// before, the new zones' hull after (a split's parts' hulls, never
+		// wider than its parent's; a merge's union, the same hull).
+		old := z.Zones[e.idx : e.idx+e.n]
+		rec := obs.LedgerRecord{
+			Kind: obs.EventSplit, Cause: "split-gain", ZonesBefore: e.n, ZonesAfter: len(e.zones),
+			RowLo: old[0].Lo, RowHi: old[e.n-1].Hi,
+		}
+		rec.MinBefore, rec.MaxBefore = bounds(hullOf(old))
+		rec.MinAfter, rec.MaxAfter = bounds(hullOf(e.zones))
+		if len(e.zones) < e.n {
+			rec.Kind, rec.Cause = obs.EventMerge, "merge-cold"
+		}
+		z.splits += max(len(e.zones)-e.n, 0)
+		z.merges += max(e.n-len(e.zones), 0)
+		z.maintZones += int64(max(e.n, len(e.zones)))
+		z.record(rec)
 	}
-	z.splits += added
-	end := len(z.Zones) // the untouched run after plan k ends here
-	z.Zones = slices.Grow(z.Zones, added)[:end+added]
-	z.learn = slices.Grow(z.learn, added)[:end+added]
-	for k := len(plans) - 1; k >= 0; k-- {
-		p := plans[k]
-		copy(z.Zones[p.idx+1+added:], z.Zones[p.idx+1:end])
-		copy(z.learn[p.idx+1+added:], z.learn[p.idx+1:end])
-		added -= len(p.subs) - 1
-		l := learner{heat: 0.5, first: z.learn[p.idx].first, widened: z.learn[p.idx].widened}
-		copy(z.Zones[p.idx+added:], p.subs)
-		for j, sub := range p.subs {
-			z.learn[p.idx+added+j] = l
-			for z.Parts[l.first].Hi < sub.Hi {
-				l.first++
-			}
+	// Forward: w writes, r reads; a growing edit moves whole, index and all.
+	w, r, grow, added := first, first, edits[:0], 0
+	for _, e := range edits {
+		w, r = z.move(w, r, e.idx), e.idx+e.n
+		if len(e.zones) > e.n {
+			e.idx, w = w, z.move(w, e.idx, r)
+			grow, added = append(grow, e), added+len(e.zones)-e.n
+		} else {
+			w = z.place(w, &e)
+		}
+	}
+	end := z.move(w, r, len(z.Zones)) // the untouched run after grow[k] ends here
+	z.Zones = slices.Grow(z.Zones[:end], added)[:end+added]
+	z.learn = slices.Grow(z.learn[:end], added)[:end+added]
+	for k := len(grow) - 1; k >= 0; k-- {
+		e := &grow[k]
+		z.move(e.idx+e.n+added, e.idx+e.n, end)
+		added -= len(e.zones) - e.n
+		z.place(e.idx+added, e)
+		end = e.idx
+	}
+	return first
+}
+
+// move copies zones [lo, hi) and their learners to dst, and returns where
+// they end there.
+func (z *Zonemap) move(dst, lo, hi int) int {
+	if dst != lo {
+		copy(z.Zones[dst:], z.Zones[lo:hi])
+		copy(z.learn[dst:], z.learn[lo:hi])
+	}
+	return dst + hi - lo
+}
+
+// place writes e's zones and their learners at at, each learner naming its
+// zone's first part, and returns where they end.
+func (z *Zonemap) place(at int, e *edit) int {
+	l := e.l
+	for j, zn := range e.zones {
+		z.Zones[at+j], z.learn[at+j] = zn, l
+		for z.Parts[l.first].Hi < zn.Hi {
 			l.first++
 		}
-		end = p.idx
+		l.first++
 	}
-	return plans[0].idx
-}
-
-// splitPlan is one planned refinement: a zone's index and its sub-zones.
-type splitPlan struct {
-	idx  int
-	subs []zone
-}
-
-// mergeSweep coalesces runs of adjacent cold zones (heat below MergeHeat)
-// with compatible bounds, shedding a probe and a zone per merge, and
-// returns the first zone it changed, or -1 (having written nothing). A
-// merged zone keeps the warmer heat, so a recently useful neighbour is not
-// dragged straight back into another merge.
-func (z *Zonemap) mergeSweep() int {
-	cold := func(i int) bool { return z.learn[i].heat < z.tune.mergeHeat }
-	first := 0
-	for first+1 < len(z.Zones) && !(cold(first) && cold(first+1) && boundsCompatible(&z.Zones[first], &z.Zones[first+1])) {
-		first++
-	}
-	if first+1 >= len(z.Zones) {
-		return -1
-	}
-	before, w := len(z.Zones), first
-	var merged []zone // the coalesced zones, for the sweep's ledger record
-	for i := first; i < before; w++ {
-		cur, l := z.Zones[i], z.learn[i]
-		j := i + 1
-		for ; j < before && cold(i) && cold(j) && boundsCompatible(&cur, &z.Zones[j]); j++ {
-			cur = join(cur, z.Zones[j])
-			l.heat, l.widened = max(l.heat, z.learn[j].heat), l.widened || z.learn[j].widened
-		}
-		if j-i > 1 {
-			merged = append(merged, cur)
-		}
-		z.merges += j - i - 1
-		z.Zones[w], z.learn[w] = cur, l
-		i = j
-	}
-	z.Zones, z.learn = z.Zones[:w], z.learn[:w]
-	// One summary ledger record per sweep covering every coalesced run:
-	// the affected row span and the union hull of the merged zones (which
-	// merging leaves unchanged).
-	z.maintZones += int64(before - w)
-	hullMin, hullMax := bounds(hullOf(merged))
-	z.record(obs.LedgerRecord{
-		Kind: obs.EventMerge, Cause: "merge-cold",
-		ZonesBefore: before, ZonesAfter: w,
-		RowLo: merged[0].Lo, RowHi: merged[len(merged)-1].Hi,
-		MinBefore: hullMin, MaxBefore: hullMax,
-		MinAfter: hullMin, MaxAfter: hullMax,
-	})
-	return first
+	return at + len(e.zones)
 }
 
 // boundsCompatible reports whether merging a and b loses little pruning
@@ -228,34 +201,55 @@ func join(a, b zone) zone {
 }
 
 // learnProbe applies a probe's verdicts, re-derived over the blocks Prune
-// looked inside: a pruned zone heats up; a scanned one cools and is
-// planned for a split within the MaxZones budget — unless splits are off
-// or it is colder than MergeHeat, which the merge sweep is folding away.
-// It returns the plans in zone order.
-func (z *Zonemap) learnProbe(c *expr.Clause) (plans []splitPlan) {
+// looked inside, and plans the edits there, in zone order: a pruned zone
+// heats up; a scanned one cools and is planned for a split within the
+// MaxZones budget. A zone colder than MergeHeat is never split: a run of
+// them, each compatible with the run so far, is planned for a merge. So
+// upkeep visits only the blocks the probe entered.
+func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
 	budget := z.tune.maxZones - len(z.Zones)
+	var run zone   // the cold run the walk grows: n zones from at,
+	var rl learner // their union and the learner it keeps
+	at, n := 0, 0
+	merge := func() {
+		if n > 1 {
+			edits = append(edits, edit{idx: at, n: n, zones: []zone{run}, l: rl})
+		}
+		n = 0
+	}
 	for bi := range z.Blocks {
 		if c.Test(z.Blocks[bi]) == expr.MatchNone {
 			continue
 		}
 		lo, hi := zonemap.Members(bi, len(z.Zones))
 		for i := lo; i < hi; i++ {
-			l := &z.learn[i]
-			if pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)) {
+			zn, l := &z.Zones[i], &z.learn[i]
+			scanned := !pruned(zn, c.Test(zn.Sum))
+			if scanned {
+				l.heat -= z.tune.heatAlpha * l.heat
+			} else {
 				l.heat += z.tune.heatAlpha * (1 - l.heat)
-				continue
 			}
-			l.heat -= z.tune.heatAlpha * l.heat
-			if z.cfg.DisableSplit || budget <= 0 || l.heat < z.tune.mergeHeat {
-				continue
-			}
-			if subs := z.planSplit(i, c, budget); subs != nil {
-				budget -= len(subs) - 1
-				plans = append(plans, splitPlan{idx: i, subs: subs})
+			switch {
+			case l.heat >= z.tune.mergeHeat:
+				merge()
+				if scanned && !z.cfg.DisableSplit && budget > 0 {
+					if subs := z.planSplit(i, c, budget); subs != nil {
+						budget -= len(subs) - 1
+						edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5, first: l.first, widened: l.widened}})
+					}
+				}
+			case z.cfg.DisableMerge: // a cold zone stays as it is
+			case n > 0 && at+n == i && boundsCompatible(&run, zn):
+				run, rl.heat, rl.widened, n = join(run, *zn), max(rl.heat, l.heat), rl.widened || l.widened, n+1
+			default:
+				merge()
+				run, rl, at, n = *zn, *l, i, 1
 			}
 		}
 	}
-	return plans
+	merge()
+	return edits
 }
 
 // shadowBenefit is the arbitration EWMA after a shadow probe with r, which

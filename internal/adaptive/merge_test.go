@@ -3,54 +3,68 @@ package adaptive
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
+	"adskip/internal/bitvec"
 	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/storage"
+	"adskip/internal/zonemap"
 )
 
-// sweepReference is the merge sweep as one pass that rewrites every zone,
-// whether or not any merges: the reference mergeSweep must agree with.
-func sweepReference(z *Zonemap) bool {
-	before := len(z.Zones)
-	var out []zone
-	var learn []learner
-	var merged []zone
-	for i := 0; i < len(z.Zones); {
-		cur, l := z.Zones[i], z.learn[i]
-		j := i + 1
-		for j < len(z.Zones) &&
-			l.heat < z.tune.mergeHeat &&
-			z.learn[j].heat < z.tune.mergeHeat &&
-			boundsCompatible(&cur, &z.Zones[j]) {
-			cur = zone{Lo: cur.Lo, Hi: z.Zones[j].Hi, Sum: cur.Sum.Union(z.Zones[j].Sum), NonNull: cur.NonNull + z.Zones[j].NonNull}
-			l = learner{heat: max(l.heat, z.learn[j].heat), first: l.first, widened: l.widened || z.learn[j].widened}
-			j++
+// A merge is decided where the query looks. Three blocks of 64 zones of
+// 100 rows: the first and the last hold values 0–9 in every zone, the
+// middle one 1,000–1,009. The first query, [3, 5], enters the outer blocks
+// and rules out the middle one by its hull alone. Each cold run of
+// compatible zones in an entered block merges on that query, into their
+// union at the warmer of their heats: one inside the first block, one at
+// its end and one at the start of the last block, which stay apart across
+// the middle. The middle block is all cold and compatible zones, which a
+// merge would coalesce if the walk read them: its zones and learners are
+// left exactly as they were.
+func TestMergeWhereTheQueryLooks(t *testing.T) {
+	const blocks, rows, bz = 3, 100, zonemap.BlockZones
+	codes := seqCodes(blocks*bz*rows, func(i int) int64 {
+		if i/(bz*rows) == 1 {
+			return 1000 + int64(i%10)
 		}
-		if j-i > 1 {
-			merged = append(merged, cur)
-		}
-		z.merges += j - i - 1
-		out, learn = append(out, cur), append(learn, l)
-		i = j
-	}
-	z.Zones, z.learn = out, learn
-	if len(merged) == 0 {
-		return false
-	}
-	z.maintZones += int64(before - len(out))
-	hullMin, hullMax := bounds(hullOf(merged))
-	z.record(obs.LedgerRecord{
-		Kind: obs.EventMerge, Cause: "merge-cold",
-		ZonesBefore: before, ZonesAfter: len(out),
-		RowLo: merged[0].Lo, RowHi: merged[len(merged)-1].Hi,
-		MinBefore: hullMin, MaxBefore: hullMax,
-		MinAfter: hullMin, MaxAfter: hullMax,
+		return int64(i % 10)
 	})
-	return true
+	z := small(New(storage.Vec{W: codes}, nil, Config{InitialZoneRows: rows, MinZoneRows: rows}))
+	if len(z.Zones) != blocks*bz || len(z.Blocks) != blocks {
+		t.Fatalf("precondition: %d zones in %d blocks", len(z.Zones), len(z.Blocks))
+	}
+	for _, i := range []int{10, 11, 12, bz - 2, bz - 1, 2 * bz, 2*bz + 1} {
+		z.learn[i].heat = 0.01
+	}
+	z.learn[11].heat = 0.04
+	for i := bz; i < 2*bz; i++ {
+		z.learn[i].heat = 0.01
+	}
+	middle := func(z *Zonemap, merged int) (zones []zone, learn []learner) {
+		return z.Zones[bz-merged : 2*bz-merged], z.learn[bz-merged : 2*bz-merged]
+	}
+	wantZones, wantLearn := middle(z, 0)
+	wantZones, wantLearn = slices.Clone(wantZones), slices.Clone(wantLearn)
+
+	z.Observe(z.Prune(oneRange(3, 5)))
+
+	if z.queries != 1 || z.Stats().Merges != 4 || len(z.Zones) != blocks*bz-4 {
+		t.Fatalf("query %d: %d merges, %d zones; want three runs merged on this query", z.queries, z.Stats().Merges, len(z.Zones))
+	}
+	for _, m := range []struct{ at, lo, hi int }{{10, 10, 13}, {bz - 4, bz - 2, bz}, {2*bz - 3, 2 * bz, 2*bz + 2}} {
+		zn, l := z.Zones[m.at], z.learn[m.at]
+		if zn.Lo != m.lo*rows || zn.Hi != m.hi*rows || int(l.first) != m.lo || l.heat >= MergeHeat || (m.at == 10) != (l.heat > 0.01) {
+			t.Fatalf("zone %d %+v, learner %+v: want zones %d–%d merged", m.at, zn, l, m.lo, m.hi-1)
+		}
+	}
+	if gotZones, gotLearn := middle(z, 3); !slices.Equal(gotZones, wantZones) || !slices.Equal(gotLearn, wantLearn) {
+		t.Fatal("the walk edited zones, or read or wrote learners, in the block the query ruled out")
+	}
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // sweepZones returns n 100-row zones tiling [0, 100n), and their learners,
@@ -58,7 +72,7 @@ func sweepReference(z *Zonemap) bool {
 // bounds far apart from their neighbours', except: "none" has every other
 // zone cold, still far apart; "start", "middle" and "end" have a run of two
 // or three cold zones with one set of bounds there; "random" draws heat,
-// bounds and all-NULL zones so that runs land anywhere.
+// cold ones unequal, bounds and all-NULL zones so that runs land anywhere.
 func sweepZones(rng *rand.Rand, kind string, n int) ([]zone, []learner) {
 	zones, learn := make([]zone, n), make([]learner, n)
 	for i := range zones {
@@ -82,7 +96,7 @@ func sweepZones(rng *rand.Rand, kind string, n int) ([]zone, []learner) {
 	case "random":
 		for i := range zones {
 			if rng.Intn(2) == 0 {
-				learn[i].heat = 0.02
+				learn[i].heat = []float64{0.01, 0.02, 0.04}[rng.Intn(3)]
 			}
 			zones[i].Sum.Min = int64(rng.Intn(3) * 5)
 			zones[i].Sum.Max = zones[i].Sum.Min + int64(rng.Intn(12))
@@ -98,50 +112,61 @@ func sweepZones(rng *rand.Rand, kind string, n int) ([]zone, []learner) {
 	return zones, learn
 }
 
-// The merge sweep that leaves the zones ahead of the first mergeable pair
-// in place, and returns at once when there is none, ends in the same zones,
-// learners, counters and ledger record as the sweep that rewrites every
-// zone, and reports the first zone that sweep changed.
+// A query's merges of cold runs — none, one at the directory's first zone,
+// in its middle or at its last zone, or anywhere in a random draw — end in
+// the same zones, learners, counters and ledger records as the reference
+// that merges by a walk of every zone and re-hulls every block. Each zone
+// holds the column sweepZones describes, with its last row NULL (or every
+// row, for an all-NULL zone), so a query over the whole domain scans every
+// zone with a value and cools it.
 func TestMergeSweepMatchesReference(t *testing.T) {
-	const n = 24
+	const n, rows = 24, 100
 	for _, kind := range []string{"none", "start", "middle", "end", "random"} {
 		for seed := int64(0); seed < 50; seed++ {
 			zones, learn := sweepZones(rand.New(rand.NewSource(seed)), kind, n)
+			codes, nulls := make([]int64, n*rows), bitvec.New(n*rows)
+			for i, zn := range zones {
+				for k := range rows {
+					if zn.NonNull == 0 || k == rows-1 {
+						nulls.Set(zn.Lo + k)
+						continue
+					}
+					codes[zn.Lo+k] = zn.Sum.Min + int64(k)%(zn.Sum.Max-zn.Sum.Min+1)
+				}
+				zones[i].NonNull = min(zn.NonNull, rows-1)
+			}
 			build := func() (*Zonemap, *[]obs.LedgerRecord) {
-				z := New(storage.Vec{W: make([]int64, 100*n)}, nil, Config{InitialZoneRows: 100, MinZoneRows: 100})
-				z.Zones, z.learn = slices.Clone(zones), slices.Clone(learn)
-				z.Refold(0)
+				z := New(storage.Vec{W: codes}, nulls, Config{InitialZoneRows: rows, MinZoneRows: rows})
+				if !slices.Equal(z.Zones, zones) {
+					t.Fatalf("precondition: built zones %+v, want %+v", z.Zones, zones)
+				}
+				z.learn = slices.Clone(learn)
 				recs := new([]obs.LedgerRecord)
 				z.SetJournal(func(r obs.LedgerRecord) { *recs = append(*recs, r) })
 				return z, recs
 			}
 			got, gotRecs := build()
 			want, wantRecs := build()
-			first, wantOK := got.mergeSweep(), sweepReference(want)
-			gotOK := first >= 0
+			res := got.Prune(oneRange(0, 1000*n))
+			got.Observe(res)
+			observeReference(want, res)
 			name := fmt.Sprintf("%s seed %d", kind, seed)
-			if gotOK != wantOK || !slices.Equal(got.Zones, want.Zones) || !slices.Equal(got.learn, want.learn) || got.merges != want.merges ||
-				got.maintZones != want.maintZones || !reflect.DeepEqual(*gotRecs, *wantRecs) {
-				t.Fatalf("%s: sweep = %v %+v merges %d maint %d %+v\nreference = %v %+v merges %d maint %d %+v", name,
-					gotOK, got.Zones, got.merges, got.maintZones, *gotRecs, wantOK, want.Zones, want.merges, want.maintZones, *wantRecs)
-			}
-			// The zone the sweep reports is the first one the reference changed.
-			moved := 0
-			for moved < len(want.Zones) && want.Zones[moved] == zones[moved] && want.learn[moved] == learn[moved] {
-				moved++
-			}
-			if wantOK && first != moved {
-				t.Fatalf("%s: sweep reports zone %d as the first it changed, the reference changed zone %d", name, first, moved)
+			if err := sameDirectory(got, want, *gotRecs, *wantRecs); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 			// Each case reaches what it is named for.
+			merged := len(*wantRecs) > 0
 			switch {
-			case kind == "none" && wantOK:
+			case kind == "none" && merged:
 				t.Fatalf("%s: merged", name)
-			case kind != "none" && kind != "random" && !wantOK:
+			case kind != "none" && kind != "random" && !merged:
 				t.Fatalf("%s: nothing merged", name)
-			case kind == "start" && (*wantRecs)[0].RowLo != 0, kind == "end" && (*wantRecs)[0].RowHi != 100*n,
-				kind == "middle" && ((*wantRecs)[0].RowLo == 0 || (*wantRecs)[0].RowHi == 100*n):
+			case kind == "start" && (*wantRecs)[0].RowLo != 0, kind == "end" && (*wantRecs)[0].RowHi != rows*n,
+				kind == "middle" && ((*wantRecs)[0].RowLo == 0 || (*wantRecs)[0].RowHi == rows*n):
 				t.Fatalf("%s: merged rows [%d,%d)", name, (*wantRecs)[0].RowLo, (*wantRecs)[0].RowHi)
+			}
+			if err := got.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
 	}

@@ -169,7 +169,7 @@ func TestAdaptiveProperties(t *testing.T) {
 		}
 		tune := defaultTuning
 		tune.maxZones, tune.window = 1000, 8+rng.Intn(25)
-		tune.mergeSweepEvery, tune.reprobeEvery = 1+rng.Intn(8), 1+rng.Intn(8)
+		tune.reprobeEvery = 1 + rng.Intn(8)
 		n := 500 + rng.Intn(2500)
 		codes, nulls, domain := propertyColumn(rng, shape, n, floor)
 		narrow := make([]uint32, n)

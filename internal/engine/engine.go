@@ -248,8 +248,8 @@ func (e *Engine) buildSkipperLocked(name string) error {
 	default:
 		return fmt.Errorf("engine: unknown policy %d", e.opts.Policy)
 	}
-	// Hook the skipper into the observability layer: journal sink,
-	// lifecycle record, and the column's counters and gauges.
+	// Hook the skipper into the observability layer: the journal sink (it
+	// resolves the column's counters and gauges) and the lifecycle record.
 	s := e.skippers[name]
 	journal := e.journal(name)
 	s.SetJournal(journal)
@@ -257,7 +257,6 @@ func (e *Engine) buildSkipperLocked(name string) error {
 		Kind: obs.EventSkipperBuilt, Cause: "build",
 		ZonesAfter: s.Metadata().Zones, RowHi: s.Rows(),
 	})
-	e.colMetrics(name)
 	return nil
 }
 

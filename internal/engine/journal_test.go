@@ -15,7 +15,7 @@ import (
 )
 
 // TestOneJournal drives every kind of adaptation the system has — build,
-// splits, a merge sweep, an arbitration disable and re-enable, a tail
+// splits, a merge, an arbitration disable and re-enable, a tail
 // fold, an update widen, a quarantine and a second build — and checks the "one
 // journal" invariant: each change is recorded exactly once, in the
 // ledger; the per-kind counter and both telemetry views are the same
@@ -176,8 +176,14 @@ func getJSON(t *testing.T, url string, into any) {
 //   - rows_skipped and zone_probes are the column's adskip_column_*
 //     counters rather than the skipper's own, and read the same figures;
 //   - a dead zone is one whose heat is below MergeHeat, and its detail
-//     carries that heat where it carried hits/misses: b's four zones missed
-//     ten probes each (0.5 x 0.75^10 = 0.028), and none of a's is cold.
+//     carries that heat where it carried hits/misses: b's zones missed ten
+//     probes each (0.5 x 0.75^10 = 0.028), and none of a's is cold;
+//   - a cold run merges on the query that finds it cold: b's four zones
+//     turn cold on its ninth query and merge into one there, where a sweep
+//     every 8th query never came round to them. So b ends with 1 zone of
+//     1352 bytes (1 x 56 + 16 + 1280), 1 maintenance event over 4 zones,
+//     47 entries probed (9 x 5 + 2; 50 as four zones) and a net of
+//     -4 x 47 - 64 x 4 = -444 rows (-200), and one dead zone, not four.
 func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
 	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
@@ -211,12 +217,11 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 		`{"table":"t","column":"a","kind":"adaptive","zones":18,"bytes":2304,` +
 		`"rows_skipped":158848,"rows_covered":0,"bytes_skipped":635392,"candidate_rows":9088,"zone_probes":485,` +
 		`"maintenance_events":2,"maintenance_zones":16,"net_benefit_rows":155884,"dead_zones":0},` +
-		`{"table":"t","column":"b","kind":"adaptive","zones":4,"bytes":1520,` +
-		`"rows_skipped":0,"rows_covered":0,"bytes_skipped":0,"candidate_rows":40960,"zone_probes":50,` +
-		`"maintenance_events":0,"maintenance_zones":0,"net_benefit_rows":-200,"dead_zones":4,` +
+		`{"table":"t","column":"b","kind":"adaptive","zones":1,"bytes":1352,` +
+		`"rows_skipped":0,"rows_covered":0,"bytes_skipped":0,"candidate_rows":40960,"zone_probes":47,` +
+		`"maintenance_events":1,"maintenance_zones":4,"net_benefit_rows":-444,"dead_zones":1,` +
 		`"dead_zone_detail":[` +
-		`{"lo":0,"hi":1024,"min":0,"max":998,"heat":0.028156757354736328},` +
-		`{"lo":1024,"hi":2048,"min":0,"max":999,"heat":0.028156757354736328}]}]`
+		`{"lo":0,"hi":4096,"min":0,"max":999,"heat":0.028156757354736328}]}]`
 
 	roi, err := json.Marshal(e.AdaptationROI(2))
 	if err != nil {
@@ -224,5 +229,30 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	}
 	if string(roi) != wantROI {
 		t.Errorf("AdaptationROI(2) drifted from the parent commit:\n got %s\nwant %s", roi, wantROI)
+	}
+}
+
+// The journal sink resolves each (column, kind) counter on the kind's
+// first record: once the ledger ring is full, recording one more adds to
+// a resolved counter and overwrites a slot, and allocates nothing.
+func TestJournalSinkAllocatesNothing(t *testing.T) {
+	e := New(buildTable(t, 4096, 1), Options{Policy: PolicyAdaptive, Ledger: obs.NewLedger(16)})
+	if err := e.EnableSkipping("a"); err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	sink := e.journal("a")
+	e.mu.Unlock()
+	rec := obs.LedgerRecord{Kind: obs.EventSplit, Cause: "split-gain", ZonesBefore: 1, ZonesAfter: 2}
+	for i := 0; i < 16; i++ {
+		sink(rec)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sink(rec) }); allocs != 0 {
+		t.Fatalf("one journal record allocates %v times", allocs)
+	}
+	series := e.Metrics().Counter("adskip_adapt_events_total", "",
+		obs.L("table", "t"), obs.L("column", "a"), obs.L("kind", "split"))
+	if got := series.Load(); got != 16+101 {
+		t.Fatalf("the split series counts %d records, want %d", got, 16+101)
 	}
 }

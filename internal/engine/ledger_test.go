@@ -172,7 +172,7 @@ func TestAdaptationROICreditsAndDebits(t *testing.T) {
 // TestAdaptationROIDeadZones: metadata that is probed but never prunes
 // is pure overhead, and the ROI row must surface it — count plus
 // bounded per-zone detail. A dead zone is one whose heat is below
-// MergeHeat: the zones the merge sweep would coalesce.
+// MergeHeat: the zones a merge would coalesce.
 func TestAdaptationROIDeadZones(t *testing.T) {
 	// Column "b" is uniform random, so every zone's hull spans nearly the
 	// whole domain: a narrow predicate overlaps every zone (no prune) yet

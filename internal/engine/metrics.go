@@ -86,6 +86,8 @@ type colMetrics struct {
 	rowsSkipped   *obs.Counter // prune hits: rows proven non-matching
 	candidateRows *obs.Counter // rows left inside candidate windows
 	coveredRows   *obs.Counter // candidate rows proven fully matching
+	// events counts adaptation records by kind, each resolved on its first.
+	events [obs.NumEventKinds]*obs.Counter
 }
 
 // colMetrics resolves (and caches) the handles for one column, and
@@ -172,15 +174,19 @@ func probeCost(p *colPlan) obs.Cost {
 // log line: milestones at info, quarantines at warn, chatty per-zone
 // structural churn at debug. Skippers emit only on structural change and
 // are called under the engine mutex, so reading e.trace here is safe.
+// Caller holds e.mu.
 func (e *Engine) journal(col string) func(obs.LedgerRecord) {
-	table, shard := e.tbl.Name(), e.opts.Shard
+	table, shard, cm := e.tbl.Name(), e.opts.Shard, e.colMetrics(col)
 	return func(rec obs.LedgerRecord) {
 		rec.Table, rec.Column, rec.Shard = table, col, shard
 		if rec.Fingerprint == "" && e.trace != nil {
 			rec.Fingerprint = e.trace.Fingerprint
 		}
-		e.reg.Counter("adskip_adapt_events_total", "Adaptation records by kind.",
-			metricLabels(table, shard, obs.L("column", col), obs.L("kind", rec.Kind.String()))...).Inc()
+		if cm.events[rec.Kind] == nil {
+			cm.events[rec.Kind] = e.reg.Counter("adskip_adapt_events_total", "Adaptation records by kind.",
+				metricLabels(table, shard, obs.L("column", col), obs.L("kind", rec.Kind.String()))...)
+		}
+		cm.events[rec.Kind].Inc()
 		e.ledger.Append(rec)
 		if e.log != nil {
 			lvl := slog.LevelDebug

@@ -12,7 +12,7 @@ type EventKind uint8
 // widen) come from the adaptive zonemaps; arbitration events (disable,
 // enable) from their cost model; lifecycle events from the engine.
 const (
-	EventSplit        EventKind = iota // zones refined from scan statistics
+	EventSplit        EventKind = iota // a zone cut where its summary parts' verdicts change
 	EventMerge                         // cold adjacent zones coalesced
 	EventDisable                       // arbitration turned skipping off
 	EventEnable                        // shadow probe turned skipping back on
@@ -35,6 +35,9 @@ var eventKindNames = [...]string{
 	EventQuarantine:   "quarantine",
 	EventWiden:        "widen",
 }
+
+// NumEventKinds is the length of an array indexed by EventKind.
+const NumEventKinds = len(eventKindNames)
 
 // String names the kind.
 func (k EventKind) String() string {
