@@ -12,12 +12,12 @@
 package harness
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/engine"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
@@ -50,23 +50,6 @@ func (c Config) WithDefaults() Config {
 		c.StaticZoneRows = 4096
 	}
 	return c
-}
-
-// adaptiveConfig scales adaptive zonemap parameters to the column size so
-// experiments behave consistently across Rows settings.
-func (c Config) adaptiveConfig() adaptive.Config {
-	initial := c.Rows / 256
-	if initial < 1024 {
-		initial = 1024
-	}
-	minZone := c.Rows / 65536
-	if minZone < 256 {
-		minZone = 256
-	}
-	return adaptive.Config{
-		InitialZoneRows: initial,
-		MinZoneRows:     minZone,
-	}
 }
 
 // Table is one reproduced figure/table: a titled grid of cells. Figures
@@ -121,22 +104,12 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// CSV renders the table as CSV (header + rows).
+// CSV renders the table as CSV (header + rows); a cell holding a comma,
+// such as tab2's "zipf, 256-row parts", is quoted.
 func (t *Table) CSV(w io.Writer) {
-	writeCSVRow(w, t.Header)
-	for _, row := range t.Rows {
-		writeCSVRow(w, row)
-	}
-}
-
-func writeCSVRow(w io.Writer, cells []string) {
-	for i, c := range cells {
-		if i > 0 {
-			fmt.Fprint(w, ",")
-		}
-		fmt.Fprint(w, c)
-	}
-	fmt.Fprintln(w)
+	cw := csv.NewWriter(w)
+	cw.Write(t.Header)
+	cw.WriteAll(t.Rows)
 }
 
 // Experiment is a registered experiment function.
@@ -186,12 +159,12 @@ type querier interface {
 }
 
 // options is the engine configuration every experiment starts from; an
-// experiment that varies a knob changes it on the returned value.
+// experiment that varies a knob changes it on the returned value. Adaptive
+// is left zero, so every experiment runs the shipped adaptive defaults.
 func (c Config) options(policy engine.Policy) engine.Options {
 	return engine.Options{
 		Policy:         policy,
 		StaticZoneSize: c.StaticZoneRows,
-		Adaptive:       c.adaptiveConfig(),
 	}
 }
 

@@ -95,10 +95,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Rows != 1<<21 || c.Queries != 512 || c.Seed != 42 || c.StaticZoneRows != 4096 {
 		t.Fatalf("defaults: %+v", c)
 	}
-	a := c.adaptiveConfig()
-	if a.InitialZoneRows != (1<<21)/256 || a.MinZoneRows < 256 {
-		t.Fatalf("adaptive scaling: %+v", a)
-	}
 }
 
 func TestSamplePoints(t *testing.T) {
