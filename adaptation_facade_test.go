@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"adskip/internal/adaptive"
 	"adskip/internal/faultinject"
 )
 
@@ -216,7 +217,9 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 // row is the adskip_column_* series with the same table, shard and column
 // labels, read off db.Metrics() — across queries, an EXPLAIN (which pays
 // for a probe) and a rebuild (which replaces the skipper but not the
-// column): every counter in a row covers the column's lifetime.
+// column): every counter in a row covers the column's lifetime. Its net
+// benefit is adaptive.Net of those counters, the charge arbitration
+// steps by.
 func TestROIMatchesColumnCounters(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -265,6 +268,10 @@ func TestROIMatchesColumnCounters(t *testing.T) {
 						t.Errorf("%s shard %d: ROI reads %d, %s{%s} reads %d (found %v)",
 							r.Column, r.Shard, c.got, c.series, labels, want, ok)
 					}
+				}
+				if want := adaptive.Net(r.RowsSkipped, r.ZoneProbes); r.NetRows != want {
+					t.Errorf("%s shard %d: net_benefit_rows %v, adaptive.Net of its counters %v",
+						r.Column, r.Shard, r.NetRows, want)
 				}
 				skipped += r.RowsSkipped
 			}

@@ -70,42 +70,43 @@ func (c Config) withDefaults() Config {
 // The tuning constants every zonemap runs at. None depends on the column:
 // the adaptive mechanisms are what fit the structure to the data.
 const (
-	// MaxZones caps metadata size (3.5 MiB of zones at the cap); splits
-	// stop at the cap until merges reclaim space.
-	MaxZones = 65536
 	// HeatAlpha is the EWMA step for per-zone usefulness: heat follows
 	// roughly the last 2/HeatAlpha-1 = 7 probes of a zone.
 	HeatAlpha = 0.25
 	// MergeHeat merges adjacent zones when both have usefulness below this
 	// threshold: nine straight misses from the initial heat of 0.5.
 	MergeHeat = 0.05
-	// Window is the effective query window of the arbitration EWMA: long
-	// enough that a few unlucky queries do not disable skipping.
-	Window = 32
-	// ProbeCost and RowCost are the relative cost-model constants: one
-	// zone probe vs one row of scan work avoided. Probing metadata touches
-	// scattered cache lines, scanning is sequential, so a probe must save
-	// several rows to break even.
+	// Horizon is arbitration's memory, in queries: the net-benefit EWMA
+	// follows roughly the last Horizon queries, a zonemap is not disabled
+	// before it has seen that many, so a few unlucky queries cannot switch
+	// it off, and a disabled one pays one shadow probe every Horizon
+	// queries to notice drift.
+	Horizon = 32
+	// ProbeCost is what one zone probe costs in the cost model's unit, a
+	// row of scan work avoided. Probing metadata touches scattered cache
+	// lines, scanning is sequential, so a probe must save several rows to
+	// break even.
 	ProbeCost = 4
-	RowCost   = 1
-	// ReprobeEvery is the shadow-probe period while disabled: a disabled
-	// column pays one probe every this many queries to notice drift.
-	ReprobeEvery = 32
 )
 
-// tuning is a zonemap's copy of the tuning constants. New fills it; this
-// package's tests overwrite fields to explore other values on small
-// columns.
+// Net is the cost model's one charge, in rows: what skipping rowsSkipped
+// rows earned, net of the probes that found them. Arbitration steps its
+// EWMA by it and /adaptation's ROI rows report it, so the two cannot
+// disagree about whether skipping pays.
+func Net(rowsSkipped, probes int64) float64 {
+	return float64(rowsSkipped) - ProbeCost*float64(probes)
+}
+
+// tuning is what a zonemap's tests vary of the constants above. New fills
+// it with the shipped values; this package's tests overwrite it to explore
+// other horizons and merge thresholds on small columns.
 type tuning struct {
-	maxZones, window, reprobeEvery           int
-	heatAlpha, mergeHeat, probeCost, rowCost float64
+	horizon   int
+	mergeHeat float64
 }
 
 // defaultTuning is the tuning every zonemap starts with.
-var defaultTuning = tuning{
-	maxZones: MaxZones, window: Window, reprobeEvery: ReprobeEvery,
-	heatAlpha: HeatAlpha, mergeHeat: MergeHeat, probeCost: ProbeCost, rowCost: RowCost,
-}
+var defaultTuning = tuning{horizon: Horizon, mergeHeat: MergeHeat}
 
 // zone is a zone of the directory, and a part of the summary. Its hull is
 // sound but may be loose after updates; a split's sub-zones take their
@@ -132,7 +133,7 @@ type Stats struct {
 	Merges     int // zones removed by merging
 	Disables   int
 	Enables    int
-	NetBenefit float64 // EWMA of (rows-skipped·RowCost − probes·ProbeCost)
+	NetBenefit float64 // EWMA of Net(rows skipped, entries probed) per query
 	TailRows   int
 }
 
@@ -261,29 +262,18 @@ func (z *Zonemap) CheckZone(zi, part int) error {
 	return nil
 }
 
-// maintCostRows is the assumed cost, in rows scanned, of maintaining one
-// zone (split planning, merge bookkeeping, fold, block refold): small,
-// since splits read only the summary. ROI debits it per zone touched.
-const maintCostRows = 64
-
 // Introspect implements core.Skipper: the dead zones in row order (heat
-// below MergeHeat, the test a merge applies), the maintenance
-// counters, and the cost constants that weigh them. It writes nothing.
-func (z *Zonemap) Introspect() obs.SkipperSnapshot {
-	snap := obs.SkipperSnapshot{
-		MaintEvents: z.maintEvents,
-		MaintZones:  z.maintZones,
-		RowCost:     z.tune.rowCost,
-		ProbeCost:   z.tune.probeCost,
-		MaintCost:   maintCostRows,
-	}
+// below MergeHeat, the test a merge applies) and the maintenance counters.
+// It writes nothing.
+func (z *Zonemap) Introspect() (obs.SkipperSnapshot, bool) {
+	snap := obs.SkipperSnapshot{MaintEvents: z.maintEvents, MaintZones: z.maintZones}
 	for i, l := range z.learn {
 		if zn := &z.Zones[i]; l.heat < z.tune.mergeHeat {
 			mn, mx := bounds(zn.Sum)
 			snap.DeadZones = append(snap.DeadZones, obs.ROIZone{Lo: zn.Lo, Hi: zn.Hi, Min: mn, Max: mx, Heat: l.heat})
 		}
 	}
-	return snap
+	return snap, true
 }
 
 // Enabled reports whether arbitration currently allows skipping.
@@ -318,7 +308,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 	}
 	// Disabled, a query probes only if it is the re-probe query and its
 	// shadow probe turns the cost model positive: Observe will re-enable.
-	if !z.enabled && ((z.disabledQueries+1)%z.tune.reprobeEvery != 0 || z.shadowBenefit(r) <= 0) {
+	if !z.enabled && ((z.disabledQueries+1)%z.tune.horizon != 0 || z.shadowBenefit(r) <= 0) {
 		return core.PruneResult{Enabled: false, Ranges: r}
 	}
 	res := core.PruneResult{Enabled: true, Ranges: r}

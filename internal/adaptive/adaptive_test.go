@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -59,12 +60,20 @@ func smallCfg() Config {
 	}
 }
 
-// small tunes z for the columns of a few hundred rows these tests build: a
-// 1000-zone budget, an 8-query arbitration window, and a shadow probe every
-// 4 queries.
+// small tunes z for the columns of a few hundred rows these tests build:
+// an 8-query horizon, so arbitration can disable after 8 queries and a
+// disabled map shadow-probes every 8th.
 func small(z *Zonemap) *Zonemap {
-	z.tune.maxZones, z.tune.window, z.tune.reprobeEvery = 1000, 8, 4
+	z.tune.horizon = 8
 	return z
+}
+
+// noArbitration is smallCfg with arbitration off, for tests that must
+// keep probing whatever the probes earn.
+func noArbitration() Config {
+	cfg := smallCfg()
+	cfg.DisableArbitration = true
+	return cfg
 }
 
 func TestNewBuildsCoarseZones(t *testing.T) {
@@ -106,6 +115,12 @@ func TestPruneSkipsAndCovers(t *testing.T) {
 	res = z.Prune(oneRange(150, 260))
 	if len(res.Zones) != 2 || res.Zones[0].Covered || res.Zones[0].Lo != 100 || !res.Zones[1].Covered {
 		t.Fatalf("zones: %+v", res.Zones)
+	}
+	// A predicate no value satisfies skips every row, and is still a
+	// range probe: its Ranges are not nil, as an IS NULL probe's are.
+	res = z.Prune(expr.Ranges{})
+	if !res.Enabled || len(res.Zones) != 0 || res.RowsSkipped != 250 || res.Ranges.Lo == nil {
+		t.Fatalf("empty predicate: %+v", res)
 	}
 }
 
@@ -161,7 +176,7 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 	}
 }
 
-func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
+func TestSplitRespectsMinZone(t *testing.T) {
 	cfg := smallCfg()
 	cfg.InitialZoneRows = 40
 	cfg.MinZoneRows = 40 // one part: no boundary inside the zone to split at
@@ -171,26 +186,13 @@ func TestSplitRespectsMinZoneAndBudget(t *testing.T) {
 	if len(z.Zones) != 1 {
 		t.Fatalf("split below the floor: %d zones", len(z.Zones))
 	}
-	// Budget: MaxZones equal to current count forbids splits.
-	cfg2 := smallCfg()
-	cfg2.InitialZoneRows = 100
-	codes2 := seqCodes(1000, func(i int) int64 { return int64(i) })
-	z2 := New(storage.Vec{W: codes2}, nil, cfg2)
-	z2.tune.maxZones = 10 // 10 zones of 100 over 1000 rows; no headroom
-	before := len(z2.Zones)
-	execute(z2, codes2, nil, oneRange(0, 10))
-	if len(z2.Zones) != before {
-		t.Fatalf("split exceeded budget: %d -> %d", before, len(z2.Zones))
-	}
 }
 
 func TestMergeCoalescesUselessZones(t *testing.T) {
 	// Random data: zones never skip, heat decays, cold runs coalesce.
 	rng := rand.New(rand.NewSource(3))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(1000) })
-	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
-	// Keep arbitration from disabling during this test.
-	z.tune.window = 1 << 30
+	z := small(New(storage.Vec{W: codes}, nil, noArbitration()))
 	before := len(z.Zones) // 10
 	for q := 0; q < 100; q++ {
 		execute(z, codes, nil, oneRange(400, 600))
@@ -211,7 +213,6 @@ func TestArbitrationDisablesOnAdversarialData(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
 	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
-	z.tune.probeCost = 100 // make the loss decisive quickly
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
@@ -238,9 +239,6 @@ func TestShadowProbeReenables(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
 	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
-	z.tune.probeCost = 50 // loses badly on unskippable queries, wins on skippable
-	z.tune.reprobeEvery = 2
-	z.tune.window = 4
 	// Disable with an unskippable workload.
 	for q := 0; q < 60; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
@@ -392,6 +390,10 @@ func TestAllNullZone(t *testing.T) {
 	if got != 100 {
 		t.Fatalf("count=%d want 100", got)
 	}
+	// A zone of no value reads [0, 0] wherever its bounds are written.
+	if s := z.DescribeZones(2); !strings.Contains(s, "bounds [0,0] nonNull=0") {
+		t.Fatalf("the all-NULL zone described as %q", s)
+	}
 }
 
 // Property: under random interleavings of queries, appends, and updates,
@@ -405,8 +407,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 			MinZoneRows:     2 + rng.Intn(10),
 		}
 		tune := defaultTuning
-		tune.maxZones, tune.window = 50+rng.Intn(500), 4+rng.Intn(16)
-		tune.reprobeEvery = 1 + rng.Intn(8)
+		tune.horizon = 1 + rng.Intn(20)
 		n := 50 + rng.Intn(400)
 		codes := make([]int64, n)
 		for i := range codes {
@@ -490,8 +491,7 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 		}
 		return int64(i/500)*1000 + rng.Int63n(500)
 	})
-	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
-	z.tune.window = 1 << 30 // keep arbitration from disabling during this test
+	z := small(New(storage.Vec{W: codes}, nil, noArbitration()))
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(40000)
 		execute(z, codes, nil, oneRange(lo, lo+300))
@@ -503,8 +503,8 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 		t.Fatalf("the last probe skipped %d rows, want whole blocks", res.RowsSkipped)
 	}
 	before := clone(z)
-	snap := z.Introspect()
-	if !reflect.DeepEqual(before, z) {
+	snap, ok := z.Introspect()
+	if !ok || !reflect.DeepEqual(before, z) {
 		t.Fatal("Introspect wrote to the zonemap")
 	}
 	var dead []obs.ROIZone
@@ -549,8 +549,7 @@ func TestPruneIsReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// 500-row value bands: zones split.
 	codes := seqCodes(6000, func(i int) int64 { return int64(i/500)*1000 + rng.Int63n(500) })
-	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
-	z.tune.window = 1 << 30 // keep arbitration from disabling
+	z := small(New(storage.Vec{W: codes}, nil, noArbitration()))
 	for q := 0; q < 100; q++ {
 		lo := rng.Int63n(12000)
 		execute(z, codes, nil, oneRange(lo, lo+700))
@@ -588,16 +587,14 @@ func TestPruneIsReadOnly(t *testing.T) {
 	// every zone, so its shadow probe re-enables.
 	codes = seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
 	z = small(New(storage.Vec{W: codes}, nil, smallCfg()))
-	z.tune.probeCost = 100
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
 	if z.Enabled() {
 		t.Fatal("precondition: should be disabled")
 	}
-	z.tune.probeCost = 1
 	out := oneRange(10_000, 20_000)
-	for q := 0; (z.disabledQueries+1)%z.tune.reprobeEvery != 0 || z.shadowBenefit(out) <= 0; q++ {
+	for q := 0; (z.disabledQueries+1)%z.tune.horizon != 0 || z.shadowBenefit(out) <= 0; q++ {
 		if q == 100 {
 			t.Fatal("precondition: the shadow probe never turned positive")
 		}
@@ -621,7 +618,6 @@ func TestNullProbeOnDisabledMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
 	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
-	z.tune.probeCost = 100
 	for q := 0; q < 50 && (z.Enabled() || z.disabledQueries == 0); q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
@@ -665,30 +661,37 @@ func TestProbeStructSizes(t *testing.T) {
 }
 
 // handMap is a zonemap of one zone over 10-row parts with the given hulls
-// and non-null counts, as New would build it over rows that have them: it
-// is built over constant rows, then given those hulls and counts.
-func handMap(hulls []expr.Hull, nonNull []int) *Zonemap {
+// and non-null counts, built over rows that have them: each part's
+// non-null rows climb from its hull's min to its max, the rest are NULL.
+// Monotone rows are never cut where they jump, so the parts are the
+// 10-row ones. It returns the rows too.
+func handMap(hulls []expr.Hull, nonNull []int) (*Zonemap, []int64, *bitvec.BitVec) {
 	n := 10 * len(hulls)
-	z := New(storage.Vec{W: make([]int64, n)}, nil, Config{InitialZoneRows: n, MinZoneRows: 10})
-	z.Zones[0].Sum, z.Zones[0].NonNull = expr.EmptyHull, 0
+	codes, nulls := make([]int64, n), bitvec.New(n)
 	for k, h := range hulls {
-		z.Parts[k].Sum, z.Parts[k].NonNull = h, nonNull[k]
-		z.Zones[0].Sum, z.Zones[0].NonNull = z.Zones[0].Sum.Union(h), z.Zones[0].NonNull+nonNull[k]
+		for j := 0; j < 10; j++ {
+			if nn := nonNull[k]; j < nn {
+				codes[10*k+j] = h.Min + (h.Max-h.Min)*int64(j)/int64(max(nn-1, 1))
+			} else {
+				nulls.Set(10*k + j)
+			}
+		}
 	}
-	z.Refold(0)
-	return z
+	return New(storage.Vec{W: codes}, nulls, Config{InitialZoneRows: n, MinZoneRows: 10}), codes, nulls
 }
 
 // One Observe splits the zone it had to scan exactly where the verdict
 // changes across its parts, and where neighbouring parts stop being alike:
 // a run grows while the next part has its verdict and compatible bounds,
 // and a pruned run only while its union is still pruned. With no pruned
-// run, or no room under MaxZones, nothing splits. Each sub-zone is the
-// union of its parts.
+// run nothing splits. Each sub-zone is the union of its parts, and a query
+// that exposes every part leaves as many zones as parts: the summary is
+// the directory's only bound.
 func TestSplitAtVerdictChanges(t *testing.T) {
 	h := func(lo, hi int64) expr.Hull { return expr.Hull{Min: lo, Max: hi} }
 	bands := []expr.Hull{h(0, 9), h(0, 9), h(20, 29), h(30, 39), h(30, 39), h(40, 49), h(60, 69), h(60, 69)}
 	sorted := []expr.Hull{h(0, 9), h(10, 19), h(20, 29), h(30, 39), h(40, 49), h(50, 59), h(60, 69), h(70, 79)}
+	alternating := []expr.Hull{h(0, 9), h(100, 109), h(0, 9), h(100, 109), h(0, 9), h(100, 109), h(0, 9), h(100, 109)}
 	full := func(k int) []int {
 		n := make([]int, k)
 		for i := range n {
@@ -697,29 +700,27 @@ func TestSplitAtVerdictChanges(t *testing.T) {
 		return n
 	}
 	for _, c := range []struct {
-		name     string
-		hulls    []expr.Hull
-		nonNull  []int
-		r        expr.Ranges
-		maxZones int   // 0: MaxZones
-		want     []int // the zones' first rows after the Observe
+		name    string
+		hulls   []expr.Hull
+		nonNull []int
+		r       expr.Ranges
+		want    []int // the zones' first rows after the Observe
 	}{
-		{"skipped, straddled, covered, straddled, skipped", bands, full(8), oneRange(25, 44), 0, []int{0, 20, 30, 50, 60}},
-		{"skipped parts that are not alike", sorted, full(8), oneRange(25, 44), 0, []int{0, 10, 20, 30, 40, 50, 60, 70}},
-		{"alike skipped parts whose union straddles", []expr.Hull{h(0, 100), h(102, 150)}, full(2), oneRange(101, 101), 0, []int{0, 10}},
-		{"alike scanned parts join", []expr.Hull{h(0, 9), h(0, 9), h(100, 200), h(300, 400)}, full(4), oneRange(5, 150), 0, []int{0, 20, 30}},
-		{"alike covered parts join", []expr.Hull{h(0, 9), h(1, 10), h(40, 49)}, full(3), oneRange(0, 20), 0, []int{0, 20}},
+		{"skipped, straddled, covered, straddled, skipped", bands, full(8), oneRange(25, 44), []int{0, 20, 30, 50, 60}},
+		{"skipped parts that are not alike", sorted, full(8), oneRange(25, 44), []int{0, 10, 20, 30, 40, 50, 60, 70}},
+		{"alike skipped parts whose union straddles", []expr.Hull{h(0, 100), h(102, 150)}, full(2), oneRange(101, 101), []int{0, 10}},
+		{"alike scanned parts join", []expr.Hull{h(0, 9), h(0, 9), h(100, 200), h(300, 400)}, full(4), oneRange(5, 150), []int{0, 20, 30}},
+		{"alike covered parts join", []expr.Hull{h(0, 9), h(1, 10), h(40, 49)}, full(3), oneRange(0, 20), []int{0, 20}},
 		{"NULLs keep a matching part scanned", []expr.Hull{h(0, 9), h(0, 9), h(0, 9), h(30, 39), h(60, 69), h(60, 69)},
-			[]int{10, 10, 10, 9, 10, 10}, oneRange(30, 39), 0, []int{0, 30, 40}},
-		{"no pruned run", []expr.Hull{h(0, 9), h(100, 200), h(0, 9)}, full(3), oneRange(5, 150), 0, []int{0}},
-		{"one part", sorted[:1], full(1), oneRange(5, 6), 0, []int{0}},
-		{"over the zone budget", bands, full(8), oneRange(25, 44), 4, []int{0}},
-		{"within the zone budget", bands, full(8), oneRange(25, 44), 5, []int{0, 20, 30, 50, 60}},
+			[]int{10, 10, 10, 9, 10, 10}, oneRange(30, 39), []int{0, 30, 40}},
+		{"no pruned run", []expr.Hull{h(0, 9), h(100, 200), h(0, 9)}, full(3), oneRange(5, 150), []int{0}},
+		{"one part", sorted[:1], full(1), oneRange(5, 6), []int{0}},
+		{"every part exposed", alternating, full(8), oneRange(0, 9), []int{0, 10, 20, 30, 40, 50, 60, 70}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			z := handMap(c.hulls, c.nonNull)
-			if c.maxZones > 0 {
-				z.tune.maxZones = c.maxZones
+			z, codes, nulls := handMap(c.hulls, c.nonNull)
+			if len(z.Zones) != 1 || len(z.Parts) != len(c.hulls) {
+				t.Fatalf("built %d zones over %d parts, want 1 over %d", len(z.Zones), len(z.Parts), len(c.hulls))
 			}
 			z.Observe(z.Prune(c.r))
 			var got []int
@@ -739,6 +740,9 @@ func TestSplitAtVerdictChanges(t *testing.T) {
 			}
 			if wantSplits := len(c.want) - 1; z.Stats().Splits != wantSplits {
 				t.Fatalf("%d splits, want %d", z.Stats().Splits, wantSplits)
+			}
+			if err := z.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -54,6 +54,15 @@ func TestPruneDetectsTilingGap(t *testing.T) {
 	mustPanicCorrupt(t, "PruneNulls", func() { z.PruneNulls() })
 	mustPanicCorrupt(t, "Widen", func() { z.Widen(gap, -1) })
 	mustPanicCorrupt(t, "NoteNonNull", func() { z.NoteNonNull(gap) })
+
+	// A gap between two blocks is found by the walk itself, whether it
+	// skips the block after the gap or looks inside it.
+	cfg := smallCfg()
+	cfg.InitialZoneRows = 16 // 128 zones: two blocks
+	z = New(storage.Vec{W: codes}, nil, cfg)
+	z.Zones[zonemap.BlockZones-1].Hi--
+	mustPanicCorrupt(t, "Prune entering the block after a gap", func() { z.Prune(oneRange(0, 96)) })
+	mustPanicCorrupt(t, "Prune skipping the block after a gap", func() { z.Prune(oneRange(1000, 2000)) })
 }
 
 // TestZoneIndexCorruptionNoPanic: a layout that leaves a row outside every
@@ -94,5 +103,12 @@ func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("want %d ", gap)) &&
 		!strings.Contains(msg, fmt.Sprintf("end at %d,", gap)) {
 		t.Fatalf("CheckInvariants error %q does not name the gap at row %d", msg, gap)
+	}
+
+	// A learner that names the wrong first part breaks the layout too.
+	z = New(storage.Vec{W: codes}, nil, smallCfg())
+	z.learn[3].first++
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err == nil || !strings.Contains(err.Error(), "zone 3 of") {
+		t.Fatalf("CheckInvariants on a learner off its first part: %v", err)
 	}
 }

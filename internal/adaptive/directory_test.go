@@ -90,7 +90,6 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 	}
 	cold := func(i int) bool { return z.learn[i].heat < z.tune.mergeHeat }
 	var edits []edit
-	budget := z.tune.maxZones - len(z.Zones)
 	for i := 0; i < len(z.Zones); i++ {
 		switch {
 		case !entered(i):
@@ -104,10 +103,9 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 				edits = append(edits, edit{idx: i, n: j - i, zones: []zone{run}, l: l})
 			}
 			i = j - 1
-		case cold(i) || cfg.DisableSplit || budget <= 0 || pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)):
+		case cold(i) || cfg.DisableSplit || pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)):
 		default:
-			if subs := z.planSplit(i, &c, budget); subs != nil {
-				budget -= len(subs) - 1
+			if subs := z.planSplit(i, &c); subs != nil {
 				edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5, widened: z.learn[i].widened}})
 			}
 		}
@@ -179,8 +177,7 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 		z.SetJournal(func(r obs.LedgerRecord) { recs = append(recs, r) })
 		ref.SetJournal(func(r obs.LedgerRecord) { refRecs = append(refRecs, r) })
 		tune := defaultTuning
-		tune.maxZones, tune.window = 2000, 8+rng.Intn(25)
-		tune.reprobeEvery = 1 + rng.Intn(8)
+		tune.horizon = 1 + rng.Intn(32)
 		tune.mergeHeat = []float64{MergeHeat, 0.2, 0.4}[rng.Intn(3)]
 		z.tune, ref.tune = tune, tune
 		check := func(what string, arg any) {

@@ -27,7 +27,7 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 		}
 		if !z.enabled {
 			z.disabledQueries++
-			if z.disabledQueries%z.tune.reprobeEvery == 0 {
+			if z.disabledQueries%z.tune.horizon == 0 {
 				z.shadowProbe(res.Ranges)
 			}
 		}
@@ -44,7 +44,7 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 
 	// ---- Arbitration: did this query's probing pay for itself? ----
 	z.netBenefit = z.stepBenefit(res.RowsSkipped, res.ZonesProbed)
-	if !z.cfg.DisableArbitration && z.enabled && z.queries > z.tune.window && z.netBenefit < 0 {
+	if !z.cfg.DisableArbitration && z.enabled && z.queries > z.tune.horizon && z.netBenefit < 0 {
 		z.enabled = false
 		z.disabledQueries = 0
 		z.disables++
@@ -66,9 +66,9 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 // A run of parts grows while the next part has its verdict and compatible
 // bounds (the merge test), and a pruned run only while its union stays
 // pruned: a value band's parts join into one zone on the band's edges, and
-// two bands stay apart. A split needs a pruned run — this query's evidence
-// that finer metadata prunes here — and at most budget zones more.
-func (z *Zonemap) planSplit(i int, c *expr.Clause, budget int) []zone {
+// two bands stay apart. A split needs a pruned run: this query's evidence
+// that finer metadata prunes here.
+func (z *Zonemap) planSplit(i int, c *expr.Clause) []zone {
 	// Most scanned zones have no pruned part: find that out, and the
 	// zone's parts, in one cheap pass before building any run.
 	zn, first := &z.Zones[i], int(z.learn[i].first)
@@ -94,7 +94,7 @@ func (z *Zonemap) planSplit(i int, c *expr.Clause, budget int) []zone {
 		runs = append(runs, part)
 		lastPruned = pr
 	}
-	if len(runs) < 2 || len(runs)-1 > budget {
+	if len(runs) < 2 {
 		return nil
 	}
 	return runs
@@ -202,12 +202,11 @@ func join(a, b zone) zone {
 
 // learnProbe applies a probe's verdicts, re-derived over the blocks Prune
 // looked inside, and plans the edits there, in zone order: a pruned zone
-// heats up; a scanned one cools and is planned for a split within the
-// MaxZones budget. A zone colder than MergeHeat is never split: a run of
-// them, each compatible with the run so far, is planned for a merge. So
-// upkeep visits only the blocks the probe entered.
+// heats up; a scanned one cools and is planned for a split. A zone colder
+// than MergeHeat is never split: a run of them, each compatible with the
+// run so far, is planned for a merge. So upkeep visits only the blocks the
+// probe entered.
 func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
-	budget := z.tune.maxZones - len(z.Zones)
 	var run zone   // the cold run the walk grows: n zones from at,
 	var rl learner // their union and the learner it keeps
 	at, n := 0, 0
@@ -226,16 +225,15 @@ func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
 			zn, l := &z.Zones[i], &z.learn[i]
 			scanned := !pruned(zn, c.Test(zn.Sum))
 			if scanned {
-				l.heat -= z.tune.heatAlpha * l.heat
+				l.heat -= HeatAlpha * l.heat
 			} else {
-				l.heat += z.tune.heatAlpha * (1 - l.heat)
+				l.heat += HeatAlpha * (1 - l.heat)
 			}
 			switch {
 			case l.heat >= z.tune.mergeHeat:
 				merge()
-				if scanned && !z.cfg.DisableSplit && budget > 0 {
-					if subs := z.planSplit(i, c, budget); subs != nil {
-						budget -= len(subs) - 1
+				if scanned && !z.cfg.DisableSplit {
+					if subs := z.planSplit(i, c); subs != nil {
 						edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5, first: l.first, widened: l.widened}})
 					}
 				}
@@ -265,14 +263,14 @@ func (z *Zonemap) shadowBenefit(r expr.Ranges) float64 {
 	return z.stepBenefit(skipped, len(z.Zones))
 }
 
-// stepBenefit is the arbitration EWMA after a query skipped rows for probes.
+// stepBenefit is the arbitration EWMA after a query skipped rows for
+// probes: it moves by Net over the horizon.
 func (z *Zonemap) stepBenefit(rows, probes int) float64 {
-	net := float64(rows)*z.tune.rowCost - float64(probes)*z.tune.probeCost
-	alpha := 2.0 / (float64(z.tune.window) + 1)
-	return z.netBenefit + alpha*(net-z.netBenefit)
+	alpha := 2.0 / (float64(z.tune.horizon) + 1)
+	return z.netBenefit + alpha*(Net(int64(rows), int64(probes))-z.netBenefit)
 }
 
-// shadowProbe, run on every ReprobeEvery-th query while disabled, steps
+// shadowProbe, run on every Horizon-th query while disabled, steps
 // the arbitration EWMA by the shadow probe's benefit and re-enables the
 // structure when the cost model turns positive (data or workload drift).
 func (z *Zonemap) shadowProbe(r expr.Ranges) {

@@ -168,8 +168,7 @@ func TestAdaptiveProperties(t *testing.T) {
 			MinZoneRows:     floor,
 		}
 		tune := defaultTuning
-		tune.maxZones, tune.window = 1000, 8+rng.Intn(25)
-		tune.reprobeEvery = 1 + rng.Intn(8)
+		tune.horizon = 1 + rng.Intn(32)
 		n := 500 + rng.Intn(2500)
 		codes, nulls, domain := propertyColumn(rng, shape, n, floor)
 		narrow := make([]uint32, n)

@@ -141,11 +141,11 @@ type Skipper interface {
 	// never per probe, so the sink stays off the scan hot path.
 	SetJournal(sink func(obs.LedgerRecord))
 	// Introspect copies, in one cold-path call that writes nothing, what
-	// the /adaptation ROI rows need from the skipper: its dead zones, its
-	// maintenance counters and its cost-model constants. The probe
-	// counters are the engine's own; a skipper that keeps none of this
-	// returns the zero snapshot.
-	Introspect() obs.SkipperSnapshot
+	// the /adaptation ROI rows need from the skipper: its dead zones and
+	// its maintenance counters. The probe counters are the engine's own; a
+	// skipper that keeps no such accounts returns false, and gets no ROI
+	// row.
+	Introspect() (obs.SkipperSnapshot, bool)
 }
 
 // ---------------------------------------------------------------------------
@@ -153,12 +153,12 @@ type Skipper interface {
 
 // Inert answers the feedback and cold-path duties of a structure that
 // never changes shape: Observe ignores the probe, SetJournal the sink, and
-// Introspect reports the zero snapshot.
+// Introspect reports that it keeps no accounts.
 type Inert struct{}
 
-func (Inert) Observe(PruneResult)               {}
-func (Inert) SetJournal(func(obs.LedgerRecord)) {}
-func (Inert) Introspect() obs.SkipperSnapshot   { return obs.SkipperSnapshot{} }
+func (Inert) Observe(PruneResult)                     {}
+func (Inert) SetJournal(func(obs.LedgerRecord))       {}
+func (Inert) Introspect() (obs.SkipperSnapshot, bool) { return obs.SkipperSnapshot{}, false }
 
 // NoSkipper is the null policy: every query scans everything. It is the
 // baseline the paper measures against on arbitrary data.

@@ -36,9 +36,9 @@ func TestNoSkipper(t *testing.T) {
 	s.Widen(3, 9)
 	s.NoteNonNull(3)
 	s.SetJournal(nil)
-	if snap := s.Introspect(); s.CheckInvariants(storage.Vec{}, nil, true) != nil ||
-		snap.DeadZones != nil || snap.RowCost != 0 {
-		t.Fatalf("snapshot=%+v", snap)
+	if snap, ok := s.Introspect(); s.CheckInvariants(storage.Vec{}, nil, true) != nil ||
+		snap.DeadZones != nil || ok {
+		t.Fatalf("snapshot=%+v, accounts kept: %v", snap, ok)
 	}
 }
 

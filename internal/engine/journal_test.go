@@ -41,12 +41,12 @@ func TestOneJournal(t *testing.T) {
 	}
 	// Merge, then disable: on the uniform column no zone ever prunes, so
 	// zones go cold and coalesce, and arbitration then turns probing off
-	// (it waits for more than adaptive.Window queries).
+	// (it waits for more than adaptive.Horizon queries).
 	for i := 0; i < 40; i++ {
 		count("b", 400, 420)
 	}
 	// Enable: a predicate outside the domain is one every shadow probe
-	// would have skipped entirely; one comes every adaptive.ReprobeEvery
+	// would have skipped entirely; one comes every adaptive.Horizon
 	// queries.
 	for i := 0; i < 32; i++ {
 		count("b", 5000, 6000)
@@ -183,7 +183,13 @@ func getJSON(t *testing.T, url string, into any) {
 //     every 8th query never came round to them. So b ends with 1 zone of
 //     1352 bytes (1 x 56 + 16 + 1280), 1 maintenance event over 4 zones,
 //     47 entries probed (9 x 5 + 2; 50 as four zones) and a net of
-//     -4 x 47 - 64 x 4 = -444 rows (-200), and one dead zone, not four.
+//     -4 x 47 = -188 rows (-200 as four zones), and one dead zone, not
+//     four;
+//   - net_benefit_rows is adaptive.Net(rows_skipped, zone_probes), the
+//     charge arbitration steps its EWMA by: 158848 - 4 x 485 = 156908 for
+//     column a. It also debited 64 rows per maintenance zone, a figure no
+//     decision read: 156908 - 64 x 16 = 155884 for a, -188 - 64 x 4 =
+//     -444 for b.
 func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
 	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
@@ -216,10 +222,10 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	const wantROI = `[` +
 		`{"table":"t","column":"a","kind":"adaptive","zones":18,"bytes":2304,` +
 		`"rows_skipped":158848,"rows_covered":0,"bytes_skipped":635392,"candidate_rows":9088,"zone_probes":485,` +
-		`"maintenance_events":2,"maintenance_zones":16,"net_benefit_rows":155884,"dead_zones":0},` +
+		`"maintenance_events":2,"maintenance_zones":16,"net_benefit_rows":156908,"dead_zones":0},` +
 		`{"table":"t","column":"b","kind":"adaptive","zones":1,"bytes":1352,` +
 		`"rows_skipped":0,"rows_covered":0,"bytes_skipped":0,"candidate_rows":40960,"zone_probes":47,` +
-		`"maintenance_events":1,"maintenance_zones":4,"net_benefit_rows":-444,"dead_zones":1,` +
+		`"maintenance_events":1,"maintenance_zones":4,"net_benefit_rows":-188,"dead_zones":1,` +
 		`"dead_zone_detail":[` +
 		`{"lo":0,"hi":4096,"min":0,"max":999,"heat":0.028156757354736328}]}]`
 

@@ -269,8 +269,8 @@ func (f *faultySkipper) CheckInvariants(storage.Vec, *bitvec.BitVec, bool) error
 	return nil
 }
 
-func (f *faultySkipper) SetJournal(func(obs.LedgerRecord)) {}
-func (f *faultySkipper) Introspect() obs.SkipperSnapshot   { return obs.SkipperSnapshot{} }
+func (f *faultySkipper) SetJournal(func(obs.LedgerRecord))       {}
+func (f *faultySkipper) Introspect() (obs.SkipperSnapshot, bool) { return obs.SkipperSnapshot{}, false }
 
 // install registers a faulty skipper on column "a" behind the engine's
 // back (tests only).

@@ -3,6 +3,7 @@ package engine
 import (
 	"sort"
 
+	"adskip/internal/adaptive"
 	"adskip/internal/obs"
 )
 
@@ -11,8 +12,8 @@ func (e *Engine) Shards() int { return 1 }
 
 // AdaptationROI assembles the table's per-column return-on-investment
 // rows for /adaptation: the column's lifetime credit (rows pruned) against
-// its debit (probe and maintenance work) in row-equivalents under the
-// skipper's own cost constants. The probe counters are the column's
+// its debit (probes) in row-equivalents, netted by adaptive.Net, the
+// charge arbitration steps by. The probe counters are the column's
 // adskip_column_* series, so every counter in a row covers one lifetime,
 // across rebuilds; the maintenance counters and dead zones — zones whose
 // heat is below the merge threshold — come from the skipper's snapshot.
@@ -31,9 +32,9 @@ func (e *Engine) AdaptationROI(maxDead int) []obs.ColumnROI {
 	var out []obs.ColumnROI
 	for _, name := range names {
 		s := e.skippers[name]
-		snap := s.Introspect()
-		if snap.RowCost == 0 {
-			continue // the zero snapshot: this skipper keeps no accounts
+		snap, ok := s.Introspect()
+		if !ok {
+			continue // this skipper keeps no accounts
 		}
 		col, err := e.tbl.Column(name)
 		if err != nil {
@@ -53,10 +54,8 @@ func (e *Engine) AdaptationROI(maxDead int) []obs.ColumnROI {
 			ZoneProbes:   probes,
 			MaintEvents:  snap.MaintEvents,
 			MaintZones:   snap.MaintZones,
-			NetRows: snap.RowCost*float64(skipped) -
-				snap.ProbeCost*float64(probes) -
-				snap.MaintCost*float64(snap.MaintZones),
-			DeadZones: len(snap.DeadZones),
+			NetRows:      adaptive.Net(skipped, probes),
+			DeadZones:    len(snap.DeadZones),
 		}
 		if maxDead > 0 && len(snap.DeadZones) > 0 {
 			roi.DeadZoneDetail = snap.DeadZones[:min(maxDead, len(snap.DeadZones))]

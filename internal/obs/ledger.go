@@ -166,27 +166,22 @@ type ROIZone struct {
 
 // SkipperSnapshot is what a skipper reports for ROI accounting, copied in
 // one cold-path call (core.Skipper's Introspect): its dead zones in row
-// order, its maintenance counters, and the cost-model constants that
-// weigh them. The probe counters come from the engine's per-column
-// series. A skipper that keeps no such accounts returns the zero value —
-// RowCost 0 — and gets no ROI row.
+// order and its maintenance counters. The probe counters come from the
+// engine's per-column series, and the cost model that nets them is
+// adaptive.Net.
 type SkipperSnapshot struct {
 	DeadZones []ROIZone
 
-	// Maintenance debits: structural/arbitration events, and the zones
-	// they touched.
+	// Maintenance: structural/arbitration events, and the zones they
+	// touched.
 	MaintEvents int64
 	MaintZones  int64
-
-	// Cost model, in row-equivalents: one row of scan work avoided, one
-	// zone probe, one zone's worth of maintenance work.
-	RowCost, ProbeCost, MaintCost float64
 }
 
 // ColumnROI is one column's adaptation return-on-investment: rows and
-// bytes the metadata pruned (credit) against the probe and maintenance
-// work it cost (debit), in row-equivalents under the adaptive cost
-// model. Every counter covers the column's lifetime, across rebuilds.
+// bytes the metadata pruned (credit) against the probes it cost (debit),
+// in row-equivalents under the adaptive cost model, beside the
+// maintenance it did. Every counter covers the column's lifetime, across rebuilds.
 // DeadZones counts zones the merge policy treats as cold — pure overhead
 // the next layout decision should reclaim.
 type ColumnROI struct {
@@ -203,13 +198,13 @@ type ColumnROI struct {
 	CandidateRows int64 `json:"candidate_rows"`
 	ZoneProbes    int64 `json:"zone_probes"`
 
-	// Maintenance debits: structural events on the column and the zones
-	// they touched, plus the arbitration model's own running verdict.
+	// Maintenance: structural events on the column and the zones they
+	// touched.
 	MaintEvents int64 `json:"maintenance_events"`
 	MaintZones  int64 `json:"maintenance_zones"`
-	// NetRows is credit minus debit in row-equivalents:
-	// row_cost·rows_skipped − probe_cost·zone_probes −
-	// maint_cost·maintenance_zones (costs from the skipper's config).
+	// NetRows is credit minus debit in row-equivalents,
+	// adaptive.Net(rows_skipped, zone_probes): the charge arbitration
+	// steps its EWMA by.
 	NetRows float64 `json:"net_benefit_rows"`
 
 	DeadZones      int       `json:"dead_zones"`

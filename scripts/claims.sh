@@ -15,9 +15,11 @@
 # turn, the first revision of the round moving on by one each round. Per
 # cell, keyed by the row's first cell and the column's header, it prints
 # each revision's median and [min-max], and "resolved" beside a revision
-# whose median differs from the previous revision's by more than the
-# previous revision's interquartile range, when that revision ran 4 rounds
-# or more (fewer have no quartiles); "-" where a revision lacks the cell.
+# that differs from the previous one by the rule in scripts/resolve.awk,
+# which scripts/paired.sh applies too: paired by round, it reads on one
+# side of the previous revision in at least 9 of 10 rounds, and the
+# medians are further apart than the previous revision's interquartile
+# range (4 rounds or more); "-" where a revision lacks the cell.
 # The counted columns (zones, splits+merges) repeat exactly, so a resolved
 # ratio beside unmoved counts is a change in time alone. Needs bash, git,
 # go, tar and awk.
@@ -52,13 +54,14 @@ for i in "${!revs[@]}"; do
 	(cd "$src" && go build -o "$tmp/bench$i" ./cmd/adskip-bench)
 done
 
-# Every run appends "revision <TAB> row <TAB> header <TAB> value" lines.
+# Every run appends "revision <TAB> round <TAB> row <TAB> header <TAB> value"
+# lines.
 : >"$tmp/cells"
 n=${#revs[@]}
 for ((r = 0; r < rounds; r++)); do
 	for ((k = 0; k < n; k++)); do
 		i=$(((r + k) % n))
-		"$tmp/bench$i" -experiment tab2 -csv -rows "$rows" | awk -v rev="$i" '
+		"$tmp/bench$i" -experiment tab2 -csv -rows "$rows" | awk -v rev="$i" -v round="$r" '
 		# split a CSV line into f[1..n]; a quoted cell may hold commas.
 		function split_csv(line, f,    n, c, i, q, cell) {
 			n = 0; q = 0; cell = ""
@@ -75,33 +78,21 @@ for ((r = 0; r < rounds; r++)); do
 		NR == 1 { nh = split_csv($0, head); next }
 		{
 			split_csv($0, f)
-			for (c = 2; c <= nh; c++) printf "%s\t%s\t%s\t%s\n", rev, f[1], head[c], f[c]
+			for (c = 2; c <= nh; c++) printf "%s\t%s\t%s\t%s\t%s\n", rev, round, f[1], head[c], f[c]
 		}' >>"$tmp/cells"
 	done
 	echo "round $((r + 1))/$rounds done" >&2
 done
 
 printf '%s\n' "${revs[@]}" >"$tmp/revs"
-awk -F '\t' -v nrev="$n" '
-function q(a, n, f) { return a[int(f * (n - 1) + 0.5)] }
-function med(a, n) { return n % 2 ? a[(n - 1) / 2] : (a[n / 2 - 1] + a[n / 2]) / 2 }
-# sorted copies the values of cell c at revision j into s[0..n-1], ascending.
-function sorted(c, j,    n, i, k, v) {
-	n = cnt[c, j]
-	for (i = 0; i < n; i++) {
-		v = val[c, j, i]
-		for (k = i; k > 0 && s[k - 1] > v; k--) s[k] = s[k - 1]
-		s[k] = v
-	}
-	return n
-}
+awk -F '\t' -v nrev="$n" -v rounds="$rounds" -f "$(dirname "$0")/resolve.awk" -f <(echo '
 function num(v) { return v == int(v) ? sprintf("%d", v) : sprintf("%.4g", v) }
 FNR == NR { name[NR - 1] = $0; next }
 {
-	c = $2 " | " $3
+	c = $3 " | " $4
 	if (!(($1, c) in seen)) { seen[$1, c] = 1; order[$1, ncell[$1]++] = c }
-	v = $4; sub(/x$/, "", v)
-	val[c, $1, cnt[c, $1]++] = v + 0
+	v = $5; sub(/x$/, "", v)
+	val[c, $1, $2] = v + 0
 }
 END {
 	for (j = 0; j < nrev; j++) printf "rev %d: %s\n", j + 1, name[j]
@@ -113,14 +104,20 @@ END {
 	for (i = 0; i < nout; i++) {
 		c = out[i]; line = sprintf("%-64s", c); havePrev = 0
 		for (j = 0; j < nrev; j++) {
-			n = sorted(c, j)
+			n = paired = lower = higher = 0
+			for (r = 0; r < rounds; r++) {
+				if (!((c, j, r) in val)) continue
+				s[n++] = v = val[c, j, r]
+				if (havePrev && (c, j - 1, r) in val) {
+					paired++; lower += v < val[c, j - 1, r]; higher += v > val[c, j - 1, r]
+				}
+			}
 			if (n == 0) { line = line sprintf("  %d: %-30s", j + 1, "-"); havePrev = 0; continue }
-			m = med(s, n)
-			verdict = ""
-			if (havePrev && pn >= 4 && (m - pm > piqr || pm - m > piqr)) verdict = " resolved"
+			sortv(s, n); m = median(s, n)
+			verdict = havePrev && resolved(pm, m, piqr, paired, lower, higher) ? " resolved" : ""
 			line = line sprintf("  %d: %-30s", j + 1, sprintf("%s [%s-%s]%s", num(m), num(s[0]), num(s[n - 1]), verdict))
-			pm = m; pn = n; piqr = q(s, n, 0.75) - q(s, n, 0.25); havePrev = 1
+			pm = m; piqr = quartile(s, n, 0.75) - quartile(s, n, 0.25); havePrev = 1
 		}
 		print line
 	}
-}' "$tmp/revs" "$tmp/cells"
+}') "$tmp/revs" "$tmp/cells"

@@ -14,9 +14,11 @@
 # even ones, each from its own package directory. Per benchmark and unit
 # (ns/op and every reported metric) it prints each side's median and
 # quartiles, the pairs in which the working tree read lower, and
-# "resolved" only when the medians differ by more than the base's
-# interquartile range; otherwise "unresolved". Needs bash, git, go, tar,
-# sort and awk.
+# "resolved" or "unresolved" by the rule in scripts/resolve.awk, which
+# scripts/claims.sh applies too: the working tree on one side of the base
+# in at least 9 of 10 pairs, and the medians further apart than the base's
+# interquartile range (4 pairs or more). Needs bash, git, go, tar, sort and
+# awk.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -62,22 +64,20 @@ if [ ! -s "$tmp/rows" ]; then
 fi
 
 # Group by benchmark and unit, each side's values in ascending order.
-sort -k3,3 -k4,4 -k1,1 -k5,5g "$tmp/rows" | awk -v pairs="$pairs" '
-function q(a, n, f,    k) { k = int(f * (n - 1) + 0.5); return a[k] }
-function med(a, n) { return n % 2 ? a[(n - 1) / 2] : (a[n / 2 - 1] + a[n / 2]) / 2 }
-function flush(    bm, hm, iqr, wins, p, verdict) {
+sort -k3,3 -k4,4 -k1,1 -k5,5g "$tmp/rows" | awk -f "$(dirname "$0")/resolve.awk" -f <(echo '
+function flush(    bm, hm, n, lower, higher, p) {
 	if (key == "" || nb == 0 || nh == 0) return
-	bm = med(b, nb); hm = med(h, nh); iqr = q(b, nb, 0.75) - q(b, nb, 0.25)
-	wins = 0
-	for (p in bp) if (p in hp && hp[p] < bp[p]) wins++
-	verdict = (hm - bm > iqr || bm - hm > iqr) ? "resolved" : "unresolved"
+	bm = median(b, nb); hm = median(h, nh)
+	n = lower = higher = 0
+	for (p in bp) if (p in hp) { n++; lower += hp[p] < bp[p]; higher += hp[p] > bp[p] }
 	printf "%-48s %-10s base %12.4g [%.4g, %.4g]  head %12.4g [%.4g, %.4g]  %+.1f%%  lower in %d/%d  %s\n",
-		name, unit, bm, q(b, nb, 0.25), q(b, nb, 0.75), hm, q(h, nh, 0.25), q(h, nh, 0.75),
-		bm ? 100 * (hm - bm) / bm : 0, wins, pairs, verdict
+		name, unit, bm, quartile(b, nb, 0.25), quartile(b, nb, 0.75), hm, quartile(h, nh, 0.25), quartile(h, nh, 0.75),
+		bm ? 100 * (hm - bm) / bm : 0, lower, n,
+		resolved(bm, hm, quartile(b, nb, 0.75) - quartile(b, nb, 0.25), n, lower, higher) ? "resolved" : "unresolved"
 }
 {
 	k = $3 SUBSEP $4
 	if (k != key) { flush(); key = k; name = $3; unit = $4; nb = nh = 0; delete bp; delete hp }
 	if ($1 == "base") { b[nb++] = $5; bp[$2] = $5 } else { h[nh++] = $5; hp[$2] = $5 }
 }
-END { flush() }'
+END { flush() }')
