@@ -17,14 +17,16 @@ import (
 // sorted (a hot range converges and splits pay off) while "noise" is
 // uniform pseudo-random (every zone's hull spans the domain, so its
 // metadata never prunes and its zones go cold — dead zones by
-// construction). Merging is off, so the cold zones stay where they are.
+// construction). Merging is off, so the cold zones stay where they are: the
+// facade exports no ablation switch, so the test sets it on the engine
+// options the DB holds between Open and CreateTable.
 func adaptationDB(t *testing.T, shards int) (*DB, *Table) {
 	t.Helper()
 	db := Open(Options{
-		Policy:   Adaptive,
-		Adaptive: AdaptiveConfig{InitialZoneRows: 4096, MinZoneRows: 64, DisableMerge: true},
-		Shards:   shards, ShardKey: "v",
+		Policy: Adaptive, ZoneSize: 4096, MinZoneRows: 64,
+		Shards: shards, ShardKey: "v",
 	})
+	db.engineOpts.Adaptive.DisableMerge = true
 	tab, err := db.CreateTable("data", Col("v", Int64), Col("noise", Int64))
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +143,7 @@ func TestAdaptationThroughFacade(t *testing.T) {
 // to zero once EnableSkipping rebuilds it. Nothing but db.Metrics() is read: no
 // telemetry server runs, and the gauge is computed when it is scraped.
 func TestSkipRegressionFlipThroughFacade(t *testing.T) {
-	db := Open(Options{
-		Policy:   Adaptive,
-		Adaptive: AdaptiveConfig{InitialZoneRows: 1024, MinZoneRows: 256},
-	})
+	db := Open(Options{Policy: Adaptive, ZoneSize: 1024, MinZoneRows: 256})
 	defer db.Close()
 	tab, err := db.CreateTable("data", Col("v", Int64))
 	if err != nil {

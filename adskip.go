@@ -86,9 +86,6 @@ const (
 // ParsePolicy maps a policy's name (Policy.String) back to the policy.
 var ParsePolicy = engine.ParsePolicy
 
-// AdaptiveConfig tunes the adaptive policy; the zero value uses defaults.
-type AdaptiveConfig = adaptive.Config
-
 // SkipperInfo describes a column's skipping metadata.
 type SkipperInfo = core.Metadata
 
@@ -168,11 +165,13 @@ var (
 type Options struct {
 	// Policy applies to columns on which EnableSkipping is called.
 	Policy Policy
-	// StaticZoneSize is the rows-per-zone for the Static policy
+	// ZoneSize is the rows-per-zone for every policy: a static zone or
+	// imprint, an adaptive map's initial zones, and a folded append tail
 	// (default 65536).
-	StaticZoneSize int
-	// Adaptive tunes the Adaptive policy.
-	Adaptive AdaptiveConfig
+	ZoneSize int
+	// MinZoneRows is the Adaptive policy's finest zone: the part size its
+	// zones split to (default 1024).
+	MinZoneRows int
 	// Parallelism sets the number of goroutines for count scans
 	// (default 1; results are identical at any setting).
 	Parallelism int
@@ -260,11 +259,15 @@ type executor interface {
 // observability plane (metrics registry, adaptation ledger, trace ring,
 // and an optional embedded telemetry server).
 type DB struct {
-	opts      Options
-	reg       *obs.Registry
-	ledger    *obs.Ledger
-	admission *admission
-	traces    *obs.TraceRing
+	opts Options
+	// engineOpts is every table's engine options: engines share the DB's
+	// registry and ledger; admission, workload attribution and trace
+	// retention are the front door's (door.go).
+	engineOpts engine.Options
+	reg        *obs.Registry
+	ledger     *obs.Ledger
+	admission  *admission
+	traces     *obs.TraceRing
 
 	// mu guards the catalog and the telemetry handle: the telemetry
 	// server's Adaptation/trace closures read engines concurrently with
@@ -296,11 +299,22 @@ var (
 // Open creates an empty database. It starts no goroutine: the telemetry
 // server starts with StartTelemetry.
 func Open(opts Options) *DB {
+	reg, ledger := obs.NewRegistry(), obs.NewLedger(0)
 	db := &DB{
-		opts:      opts,
+		opts: opts,
+		engineOpts: engine.Options{
+			Policy:      opts.Policy,
+			ZoneSize:    opts.ZoneSize,
+			Adaptive:    adaptive.Config{MinZoneRows: opts.MinZoneRows},
+			Parallelism: opts.Parallelism,
+			Metrics:     reg,
+			Ledger:      ledger,
+			Limits:      opts.Limits,
+			Logger:      opts.Logger,
+		},
 		engines:   make(map[string]executor),
-		reg:       obs.NewRegistry(),
-		ledger:    obs.NewLedger(0),
+		reg:       reg,
+		ledger:    ledger,
 		admission: newAdmission(opts.MaxConcurrentQueries),
 		traces:    obs.NewTraceRing(obs.DefaultTraceRingSize),
 	}
@@ -312,22 +326,6 @@ func Open(opts Options) *DB {
 	// and armed the engines.
 	db.recovering.Store(opts.Durability.Dir != "")
 	return db
-}
-
-// engineOptions maps DB options onto per-table engine options. Every
-// table's engines share the DB's registry and ledger; admission, workload
-// attribution and trace retention are the front door's (door.go).
-func (db *DB) engineOptions() engine.Options {
-	return engine.Options{
-		Policy:         db.opts.Policy,
-		StaticZoneSize: db.opts.StaticZoneSize,
-		Adaptive:       db.opts.Adaptive,
-		Parallelism:    db.opts.Parallelism,
-		Metrics:        db.reg,
-		Ledger:         db.ledger,
-		Limits:         db.opts.Limits,
-		Logger:         db.opts.Logger,
-	}
 }
 
 // Traces returns the most recent query traces across all tables,
@@ -630,7 +628,7 @@ func (db *DB) CreateTable(name string, cols ...ColumnDef) (*Table, error) {
 // table's rows across per-core engines and scatter-gathers queries.
 func (db *DB) newExecutor(tbl *table.Table) (executor, error) {
 	if db.opts.Shards <= 1 {
-		return engine.New(tbl, db.engineOptions()), nil
+		return engine.New(tbl, db.engineOpts), nil
 	}
 	mode, err := shard.ParseMode(db.opts.ShardBy)
 	if err != nil {
@@ -640,7 +638,7 @@ func (db *DB) newExecutor(tbl *table.Table) (executor, error) {
 		Shards: db.opts.Shards,
 		Key:    db.opts.ShardKey,
 		Mode:   mode,
-		Engine: db.engineOptions(),
+		Engine: db.engineOpts,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("adskip: %w", err)

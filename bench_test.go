@@ -59,7 +59,11 @@ func benchPolicyStream(b *testing.B, dist workload.Distribution) {
 					b.Fatal(err)
 				}
 			}
-			e := engine.New(tbl, engine.Options{Policy: policy, StaticZoneSize: 4096})
+			opts := engine.Options{Policy: policy}
+			if policy == engine.PolicyStatic {
+				opts.ZoneSize = 4096
+			}
+			e := engine.New(tbl, opts)
 			if err := e.EnableSkipping("v"); err != nil {
 				b.Fatal(err)
 			}

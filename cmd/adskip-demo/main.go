@@ -80,7 +80,7 @@ func main() {
 func run(in io.Reader, out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("adskip-demo", flag.ContinueOnError)
 	policy := fs.String("policy", "adaptive", "skipping policy: none|static|adaptive|imprint")
-	zone := fs.Int("static-zone", 65536, "zone size for static policy")
+	zone := fs.Int("zone", 0, "zone size for every policy (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -89,7 +89,7 @@ func run(in io.Reader, out io.Writer, args []string) error {
 		return err
 	}
 
-	r := &repl{out: bufio.NewWriter(out), opts: adskip.Options{Policy: p, StaticZoneSize: *zone}}
+	r := &repl{out: bufio.NewWriter(out), opts: adskip.Options{Policy: p, ZoneSize: *zone}}
 	defer r.out.Flush()
 	fmt.Fprintf(r.out, "adskip demo — policy=%s. Type \\help for commands.\n", p)
 	sc := bufio.NewScanner(in)

@@ -46,7 +46,7 @@ func main() {
 		dist      = flag.String("dist", "clustered", "distribution: sorted|semi-sorted|clustered|uniform|zipf|bimodal")
 		seed      = flag.Int64("seed", workload.DataSeed, "RNG seed for generated data")
 		policy    = flag.String("policy", "adaptive", "skipping policy: none|static|adaptive|imprint")
-		zone      = flag.Int("static-zone", 0, "zone size for the static policy (0 = default)")
+		zone      = flag.Int("zone", 0, "zone size for every policy (0 = default)")
 		par       = flag.Int("parallelism", 1, "scan parallelism")
 		maxConc   = flag.Int("max-concurrent", 0, "max in-flight queries across the DB (0 = unbounded)")
 		maxConns  = flag.Int("max-conns", 0, "max simultaneous connections (0 = server default)")
@@ -70,7 +70,7 @@ func main() {
 
 	logger := makeLogger(*logMode, *logLevel)
 	opts := adskip.Options{
-		StaticZoneSize:       *zone,
+		ZoneSize:             *zone,
 		Parallelism:          *par,
 		MaxConcurrentQueries: *maxConc,
 		Logger:               logger,

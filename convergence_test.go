@@ -23,8 +23,8 @@ func TestConvergenceOnFineClusters(t *testing.T) {
 	for _, v := range vals {
 		col.AppendInt(v)
 	}
-	e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive,
-		Adaptive: adaptive.Config{InitialZoneRows: rows / 256, MinZoneRows: 256}})
+	e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, ZoneSize: rows / 256,
+		Adaptive: adaptive.Config{MinZoneRows: 256}})
 	e.EnableSkipping("key")
 	rng := rand.New(rand.NewSource(2))
 	q := func() engine.Query {
@@ -76,7 +76,7 @@ func TestColdRestartReconverges(t *testing.T) {
 		zoneRows  = rows / 256
 		hotWindow = rows / 500
 	)
-	adaptiveOpts := Options{Policy: Adaptive, Adaptive: AdaptiveConfig{InitialZoneRows: zoneRows, MinZoneRows: rows / 8192}}
+	adaptiveOpts := Options{Policy: Adaptive, ZoneSize: zoneRows, MinZoneRows: rows / 8192}
 	warm := Open(adaptiveOpts)
 	tab, err := warm.CreateTable("events", Col("key", Int64))
 	if err != nil {
@@ -123,7 +123,7 @@ func TestColdRestartReconverges(t *testing.T) {
 		}
 		return db
 	}
-	cold, static := restart(adaptiveOpts), restart(Options{Policy: Static, StaticZoneSize: zoneRows})
+	cold, static := restart(adaptiveOpts), restart(Options{Policy: Static, ZoneSize: zoneRows})
 
 	work := func(c obs.Cost) float64 { return float64(c.RowsScanned) + adaptive.ProbeCost*float64(c.ZonesProbed) }
 	var coldWork, staticWork float64

@@ -28,8 +28,8 @@ const (
 // a band gets no zones of its own: the converged map ran 0.14–0.17 ms/q
 // there, and 0.05 ms/q on 256-row parts.
 var opts = adskip.Options{
-	Policy:   adskip.Adaptive,
-	Adaptive: adskip.AdaptiveConfig{MinZoneRows: 256},
+	Policy:      adskip.Adaptive,
+	MinZoneRows: 256,
 }
 
 // hotQueries runs n hot-range queries drawn from rng and returns their

@@ -38,12 +38,10 @@ import (
 )
 
 // Config tunes an adaptive zonemap. The zero value selects defaults
-// suitable for multi-million-row columns.
+// suitable for multi-million-row columns. The zone size, the rows of the
+// initial build's zones and of a folded append tail, is New's argument:
+// the engine's one zone size, shared with every other policy.
 type Config struct {
-	// InitialZoneRows is the granularity of the initial coarse build and
-	// of folded append tails: the unindexed append tail folds into zones
-	// once it reaches this many rows. Default 65536.
-	InitialZoneRows int
 	// MinZoneRows is the part size of the fine summary, and so the floor
 	// of a split: every zone boundary is a part boundary. The summary also
 	// cuts a part where its values jump (scan.Summarize), which can leave
@@ -58,9 +56,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.InitialZoneRows <= 0 {
-		c.InitialZoneRows = 65536
-	}
 	if c.MinZoneRows <= 0 {
 		c.MinZoneRows = 1024
 	}
@@ -192,11 +187,12 @@ func bounds(h expr.Hull) (lo, hi int64) {
 	return h.Min, h.Max
 }
 
-// New builds an adaptive zonemap over the column's current physical state.
-func New(codes storage.Vec, nulls *bitvec.BitVec, cfg Config) *Zonemap {
-	cfg = cfg.withDefaults()
-	z := &Zonemap{cfg: cfg, tune: defaultTuning, enabled: true}
-	z.Grid = zonemap.Directory[expr.Hull, expr.Clause](zonemap.HullKind{}, cfg.InitialZoneRows, z)
+// New builds an adaptive zonemap over the column's current physical state:
+// zones of zoneRows rows, each a run of whole parts, and the unindexed
+// append tail folds into zones once it reaches zoneRows rows.
+func New(codes storage.Vec, nulls *bitvec.BitVec, zoneRows int, cfg Config) *Zonemap {
+	z := &Zonemap{cfg: cfg.withDefaults(), tune: defaultTuning, enabled: true}
+	z.Grid = zonemap.Directory[expr.Hull, expr.Clause](zonemap.HullKind{}, zoneRows, z)
 	z.FoldTail(codes, nulls)
 	z.built = true
 	return z

@@ -53,11 +53,11 @@ func seqCodes(n int, f func(i int) int64) []int64 {
 	return out
 }
 
+// smallZone is the zone size of the maps smallCfg's tests build.
+const smallZone = 100
+
 func smallCfg() Config {
-	return Config{
-		InitialZoneRows: 100,
-		MinZoneRows:     10,
-	}
+	return Config{MinZoneRows: 10}
 }
 
 // small tunes z for the columns of a few hundred rows these tests build:
@@ -78,7 +78,7 @@ func noArbitration() Config {
 
 func TestNewBuildsCoarseZones(t *testing.T) {
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
 	if len(z.Zones) != 3 || z.Rows() != 250 || !z.Enabled() {
 		t.Fatalf("zones=%d rows=%d", len(z.Zones), z.Rows())
 	}
@@ -94,7 +94,7 @@ func TestNewBuildsCoarseZones(t *testing.T) {
 func TestPruneSkipsAndCovers(t *testing.T) {
 	// Three zones with values 0..99, 100..199, 200..249 (sorted data).
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
 	res := z.Prune(oneRange(120, 180))
 	// 1 block probe + 3 member zones (all zones fit in one block).
 	if !res.Enabled || res.ZonesProbed != 4 {
@@ -132,7 +132,7 @@ func TestCountsMatchNaiveOnEveryDistribution(t *testing.T) {
 	}
 	for name, f := range distros {
 		codes := seqCodes(1000, f)
-		z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+		z := small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
 		rng := rand.New(rand.NewSource(7))
 		for q := 0; q < 200; q++ {
 			lo := rng.Int63n(5200) - 100
@@ -152,10 +152,8 @@ func TestCountsMatchNaiveOnEveryDistribution(t *testing.T) {
 func TestSplitRefinesClusteredZone(t *testing.T) {
 	// One initial zone of 100 rows, values = i (sorted inside the zone):
 	// a narrow predicate should trigger a split that later prunes.
-	cfg := smallCfg()
-	cfg.InitialZoneRows = 1000
 	codes := seqCodes(1000, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, 1000, smallCfg())
 	if len(z.Zones) != 1 {
 		t.Fatalf("zones=%d", len(z.Zones))
 	}
@@ -178,10 +176,9 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 
 func TestSplitRespectsMinZone(t *testing.T) {
 	cfg := smallCfg()
-	cfg.InitialZoneRows = 40
 	cfg.MinZoneRows = 40 // one part: no boundary inside the zone to split at
 	codes := seqCodes(40, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, cfg)
+	z := New(storage.Vec{W: codes}, nil, 40, cfg)
 	execute(z, codes, nil, oneRange(0, 5))
 	if len(z.Zones) != 1 {
 		t.Fatalf("split below the floor: %d zones", len(z.Zones))
@@ -192,7 +189,7 @@ func TestMergeCoalescesUselessZones(t *testing.T) {
 	// Random data: zones never skip, heat decays, cold runs coalesce.
 	rng := rand.New(rand.NewSource(3))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(1000) })
-	z := small(New(storage.Vec{W: codes}, nil, noArbitration()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, noArbitration()))
 	before := len(z.Zones) // 10
 	for q := 0; q < 100; q++ {
 		execute(z, codes, nil, oneRange(400, 600))
@@ -212,7 +209,7 @@ func TestArbitrationDisablesOnAdversarialData(t *testing.T) {
 	// Uniform random data: no zone ever skips; probing is pure overhead.
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
@@ -238,7 +235,7 @@ func TestArbitrationDisablesOnAdversarialData(t *testing.T) {
 func TestShadowProbeReenables(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
 	// Disable with an unskippable workload.
 	for q := 0; q < 60; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
@@ -266,7 +263,7 @@ func TestShadowProbeReenables(t *testing.T) {
 
 func TestExtendAndTailFold(t *testing.T) {
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
 	// Small append: goes to tail, still scanned, counts correct.
 	codes = append(codes, seqCodes(50, func(i int) int64 { return int64(1000 + i) })...)
 	z.Extend(storage.Vec{W: codes}, nil)
@@ -304,10 +301,9 @@ func TestExtendAndTailFold(t *testing.T) {
 // not folded against a zero value (which reported min_after = 0 on
 // all-positive data).
 func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
-	cfg := smallCfg() // 100-row zones
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(100)
-	z := New(storage.Vec{W: codes}, nulls, cfg)
+	z := New(storage.Vec{W: codes}, nulls, smallZone, smallCfg()) // 100-row zones
 	var recs []obs.LedgerRecord
 	z.SetJournal(func(r obs.LedgerRecord) { recs = append(recs, r) })
 
@@ -339,7 +335,7 @@ func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
 
 func TestWidenKeepsPruningSound(t *testing.T) {
 	codes := seqCodes(200, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
 	// Update row 5 to a huge value; widen metadata accordingly.
 	codes[5] = 99999
 	z.Widen(5, 99999)
@@ -360,7 +356,7 @@ func TestNoteNonNull(t *testing.T) {
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(100)
 	nulls.Set(10)
-	z := New(storage.Vec{W: codes}, nulls, smallCfg())
+	z := New(storage.Vec{W: codes}, nulls, smallZone, smallCfg())
 	// Row 10 gains value 42.
 	nulls.Clear(10)
 	codes[10] = 42
@@ -380,7 +376,7 @@ func TestAllNullZone(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		codes[i] = int64(i)
 	}
-	z := New(storage.Vec{W: codes}, nulls, smallCfg())
+	z := New(storage.Vec{W: codes}, nulls, smallZone, smallCfg())
 	res := z.Prune(oneRange(-1_000_000, 1_000_000))
 	// All-null zone must be skipped even for an all-matching predicate.
 	if len(res.Zones) != 1 || res.Zones[0].Lo != 100 {
@@ -402,10 +398,8 @@ func TestAllNullZone(t *testing.T) {
 func TestQuickAdaptiveSoundness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := Config{
-			InitialZoneRows: 20 + rng.Intn(100),
-			MinZoneRows:     2 + rng.Intn(10),
-		}
+		zoneRows := 20 + rng.Intn(100)
+		cfg := Config{MinZoneRows: 2 + rng.Intn(10)}
 		tune := defaultTuning
 		tune.horizon = 1 + rng.Intn(20)
 		n := 50 + rng.Intn(400)
@@ -414,7 +408,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 			codes[i] = rng.Int63n(300)
 		}
 		var nulls *bitvec.BitVec
-		z := New(storage.Vec{W: codes}, nulls, cfg)
+		z := New(storage.Vec{W: codes}, nulls, zoneRows, cfg)
 		z.tune = tune
 		for step := 0; step < 120; step++ {
 			switch rng.Intn(10) {
@@ -450,27 +444,28 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.InitialZoneRows != 65536 || c.MinZoneRows != 1024 ||
+	if c.MinZoneRows != 1024 ||
 		c.DisableSplit || c.DisableMerge || c.DisableArbitration {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
-	// The tail folds at InitialZoneRows, the default one or a custom one.
+	// The tail folds at the zone size, the engine's default one or a
+	// custom one.
 	codes := storage.Vec{W: seqCodes(65536+250, func(i int) int64 { return int64(i) })}
 	for _, c := range []struct {
-		cfg          Config
+		zoneRows     int
 		append, tail int
-	}{{Config{}, 65535, 65535}, {Config{}, 65536, 0}, {Config{InitialZoneRows: 100}, 99, 99}, {Config{InitialZoneRows: 100}, 100, 0}} {
-		z := New(codes.Slice(0, 250), nil, c.cfg)
+	}{{65536, 65535, 65535}, {65536, 65536, 0}, {100, 99, 99}, {100, 100, 0}} {
+		z := New(codes.Slice(0, 250), nil, c.zoneRows, Config{})
 		z.Extend(codes.Slice(0, 250+c.append), nil)
 		if got := z.Stats().TailRows; got != c.tail {
-			t.Fatalf("%+v, %d rows appended: tail %d, want %d", c.cfg, c.append, got, c.tail)
+			t.Fatalf("%d-row zones, %d rows appended: tail %d, want %d", c.zoneRows, c.append, got, c.tail)
 		}
 	}
 }
 
 func TestDescribeZones(t *testing.T) {
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
 	s := z.DescribeZones(2)
 	if s == "" || len(s) < 20 {
 		t.Fatalf("DescribeZones: %q", s)
@@ -491,7 +486,7 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 		}
 		return int64(i/500)*1000 + rng.Int63n(500)
 	})
-	z := small(New(storage.Vec{W: codes}, nil, noArbitration()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, noArbitration()))
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(40000)
 		execute(z, codes, nil, oneRange(lo, lo+300))
@@ -549,7 +544,7 @@ func TestPruneIsReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// 500-row value bands: zones split.
 	codes := seqCodes(6000, func(i int) int64 { return int64(i/500)*1000 + rng.Int63n(500) })
-	z := small(New(storage.Vec{W: codes}, nil, noArbitration()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, noArbitration()))
 	for q := 0; q < 100; q++ {
 		lo := rng.Int63n(12000)
 		execute(z, codes, nil, oneRange(lo, lo+700))
@@ -586,7 +581,7 @@ func TestPruneIsReadOnly(t *testing.T) {
 	// Uniform data disables the map; an out-of-domain predicate would skip
 	// every zone, so its shadow probe re-enables.
 	codes = seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z = small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z = small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
@@ -617,7 +612,7 @@ func TestPruneIsReadOnly(t *testing.T) {
 func TestNullProbeOnDisabledMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := small(New(storage.Vec{W: codes}, nil, smallCfg()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
 	for q := 0; q < 50 && (z.Enabled() || z.disabledQueries == 0); q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
@@ -677,7 +672,7 @@ func handMap(hulls []expr.Hull, nonNull []int) (*Zonemap, []int64, *bitvec.BitVe
 			}
 		}
 	}
-	return New(storage.Vec{W: codes}, nulls, Config{InitialZoneRows: n, MinZoneRows: 10}), codes, nulls
+	return New(storage.Vec{W: codes}, nulls, n, Config{MinZoneRows: 10}), codes, nulls
 }
 
 // One Observe splits the zone it had to scan exactly where the verdict

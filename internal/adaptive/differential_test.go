@@ -156,7 +156,7 @@ func TestZoneDirectoryDifferential(t *testing.T) {
 				g := zonemap.NewGrid(bins, view(), nulls, zoneRows)
 				d = handles(g, g)
 			case "adaptive":
-				z = New(view(), nulls, Config{InitialZoneRows: zoneRows, MinZoneRows: floor})
+				z = New(view(), nulls, zoneRows, Config{MinZoneRows: floor})
 				d = handles(z, &z.Grid)
 			}
 			what := fmt.Sprintf("seed %d, %s, %s, %d-row zones", seed, shape, layout, zoneRows)

@@ -165,14 +165,12 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 		shape := shapes[seed%int64(len(shapes))]
 		loosened := false // an update wrote over a value: the summaries may be looser than exact
 		floor := 4 + rng.Intn(13)
-		cfg := Config{
-			InitialZoneRows: floor * (4 + rng.Intn(13)),
-			MinZoneRows:     floor,
-		}
+		zoneRows := floor * (4 + rng.Intn(13))
+		cfg := Config{MinZoneRows: floor}
 		n := 6000 + rng.Intn(6000)
 		codes, nulls, domain := propertyColumn(rng, shape, n, floor)
 		loaded := n / 2
-		z, ref := New(storage.Vec{W: codes[:loaded]}, nulls, cfg), New(storage.Vec{W: codes[:loaded]}, nulls, cfg)
+		z, ref := New(storage.Vec{W: codes[:loaded]}, nulls, zoneRows, cfg), New(storage.Vec{W: codes[:loaded]}, nulls, zoneRows, cfg)
 		var recs, refRecs []obs.LedgerRecord
 		z.SetJournal(func(r obs.LedgerRecord) { recs = append(recs, r) })
 		ref.SetJournal(func(r obs.LedgerRecord) { refRecs = append(refRecs, r) })
@@ -193,7 +191,7 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 		for q := 0; q < 300; q++ {
 			switch k := rng.Intn(20); {
 			case k == 0 && loaded < n: // append, and fold once the tail is long enough
-				loaded = min(n, loaded+1+rng.Intn(cfg.InitialZoneRows))
+				loaded = min(n, loaded+1+rng.Intn(zoneRows))
 				view, tailLo := storage.Vec{W: codes[:loaded]}, ref.Indexed()
 				z.Extend(view, nulls)
 				if ref.Extend(view, nulls); ref.Indexed() != tailLo {
@@ -275,7 +273,7 @@ func TestObserveOrderContract(t *testing.T) {
 	view := storage.Vec{W: codes}
 	first := expr.Ranges{Lo: []int64{150, 450}, Hi: []int64{160, 460}}
 	second := oneRange(155, 575) // from inside a zone first splits to one it leaves whole
-	z, want := New(view, nil, smallCfg()), New(view, nil, smallCfg())
+	z, want := New(view, nil, smallZone, smallCfg()), New(view, nil, smallZone, smallCfg())
 	stale := z.Prune(second)
 	z.Observe(z.Prune(first))
 	z.Observe(stale)
@@ -310,7 +308,7 @@ func BenchmarkObserveSorted(b *testing.B) {
 	var z *Zonemap
 	for i := 0; i < b.N; i++ {
 		if i%window == 0 {
-			z = New(view, nil, Config{})
+			z = New(view, nil, 65536, Config{})
 			for q := 0; q < warm; q++ {
 				executeVec(z, view, nil, next())
 			}

@@ -67,7 +67,9 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 // bounds (the merge test), and a pruned run only while its union stays
 // pruned: a value band's parts join into one zone on the band's edges, and
 // two bands stay apart. A split needs a pruned run: this query's evidence
-// that finer metadata prunes here.
+// that finer metadata prunes here. There are always two runs or more: one
+// run would be the zone, the union of its parts, pruned, and a pruned zone
+// is not scanned.
 func (z *Zonemap) planSplit(i int, c *expr.Clause) []zone {
 	// Most scanned zones have no pruned part: find that out, and the
 	// zone's parts, in one cheap pass before building any run.
@@ -93,9 +95,6 @@ func (z *Zonemap) planSplit(i int, c *expr.Clause) []zone {
 		}
 		runs = append(runs, part)
 		lastPruned = pr
-	}
-	if len(runs) < 2 {
-		return nil
 	}
 	return runs
 }

@@ -31,7 +31,7 @@ func TestMergeWhereTheQueryLooks(t *testing.T) {
 		}
 		return int64(i % 10)
 	})
-	z := small(New(storage.Vec{W: codes}, nil, Config{InitialZoneRows: rows, MinZoneRows: rows}))
+	z := small(New(storage.Vec{W: codes}, nil, rows, Config{MinZoneRows: rows}))
 	if len(z.Zones) != blocks*bz || len(z.Blocks) != blocks {
 		t.Fatalf("precondition: %d zones in %d blocks", len(z.Zones), len(z.Blocks))
 	}
@@ -136,7 +136,7 @@ func TestMergeSweepMatchesReference(t *testing.T) {
 				zones[i].NonNull = min(zn.NonNull, rows-1)
 			}
 			build := func() (*Zonemap, *[]obs.LedgerRecord) {
-				z := New(storage.Vec{W: codes}, nulls, Config{InitialZoneRows: rows, MinZoneRows: rows})
+				z := New(storage.Vec{W: codes}, nulls, rows, Config{MinZoneRows: rows})
 				if !slices.Equal(z.Zones, zones) {
 					t.Fatalf("precondition: built zones %+v, want %+v", z.Zones, zones)
 				}

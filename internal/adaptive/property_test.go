@@ -163,10 +163,8 @@ func TestAdaptiveProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[seed%int64(len(shapes))]
 		floor := 8 + rng.Intn(25)
-		cfg := Config{
-			InitialZoneRows: floor * (4 + rng.Intn(13)),
-			MinZoneRows:     floor,
-		}
+		zoneRows := floor * (4 + rng.Intn(13))
+		cfg := Config{MinZoneRows: floor}
 		tune := defaultTuning
 		tune.horizon = 1 + rng.Intn(32)
 		n := 500 + rng.Intn(2500)
@@ -188,7 +186,7 @@ func TestAdaptiveProperties(t *testing.T) {
 		var parts [2][]zone
 		for w, view := range []storage.Vec{{W: codes}, {N: narrow}} {
 			what := fmt.Sprintf("seed %d, %s, %d-byte codes", seed, shape, view.Width())
-			z := New(view, nulls, cfg)
+			z := New(view, nulls, zoneRows, cfg)
 			z.tune = tune
 			cuts += len(z.Parts) - (n+floor-1)/floor
 			records := 0

@@ -35,7 +35,7 @@ func sortedTable(t testing.TB, n int) *table.Table {
 // block, so the probe tests 17 entries: the block, then its zones.
 func TestExplainAnalyzeGoldenStatic(t *testing.T) {
 	tb := sortedTable(t, 1000)
-	e := New(tb, Options{Policy: PolicyStatic, StaticZoneSize: 64})
+	e := New(tb, Options{Policy: PolicyStatic, ZoneSize: 64})
 	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestExplainAnalyzeGoldenStatic(t *testing.T) {
 // cuts the zone it had to scan at the summary's part boundaries at once.
 func TestExplainAnalyzeIncreasingSkipped(t *testing.T) {
 	tb := sortedTable(t, 1<<14)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
-		InitialZoneRows: 4096, MinZoneRows: 64,
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 4096, Adaptive: adaptive.Config{
+		MinZoneRows: 64,
 	}})
 	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestResultTraceAttached(t *testing.T) {
 // EXPLAINs) and the all-windows-covered footer.
 func TestExplainLifetimeAndCoveredFooter(t *testing.T) {
 	tb := sortedTable(t, 1000)
-	e := New(tb, Options{Policy: PolicyStatic, StaticZoneSize: 64})
+	e := New(tb, Options{Policy: PolicyStatic, ZoneSize: 64})
 	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestExplainLifetimeAndCoveredFooter(t *testing.T) {
 func TestProbeOnlyPathsLeaveSkipperUnchanged(t *testing.T) {
 	// The row budget is enforced at checkpoints, one per checkpointRows.
 	tb := buildTable(t, 2*checkpointRows, 1)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive(),
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive(),
 		Limits: Limits{MaxRowsScanned: checkpointRows}})
 	if err := e.EnableSkipping("a", "b"); err != nil {
 		t.Fatal(err)

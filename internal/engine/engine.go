@@ -62,6 +62,9 @@ func ParsePolicy(name string) (Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q (want %s)", name, strings.Join(policyNames[:], "|"))
 }
 
+// DefaultZoneSize is every policy's zone size when Options.ZoneSize is 0.
+const DefaultZoneSize = 65536
+
 // Options configures an Engine. An engine executes queries and keeps its
 // own metrics; admitting a query, attributing it to a template and
 // retaining its trace belong to the adskip facade's front door, which does
@@ -70,9 +73,10 @@ type Options struct {
 	// Policy is the skipping policy for columns registered with
 	// EnableSkipping.
 	Policy Policy
-	// StaticZoneSize is the zone size for PolicyStatic. Default 65536.
-	StaticZoneSize int
-	// Adaptive configures PolicyAdaptive (zero value = defaults).
+	// ZoneSize is every policy's zone size: the rows of a static zone, an
+	// imprint, an adaptive map's initial zones and a folded append tail.
+	ZoneSize int
+	// Adaptive configures PolicyAdaptive's learning (zero value = defaults).
 	Adaptive adaptive.Config
 	// Parallelism is the number of goroutines used by the COUNT fast
 	// path's scans, full scans (one candidate) included: the candidates
@@ -114,8 +118,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.StaticZoneSize <= 0 {
-		o.StaticZoneSize = 65536
+	if o.ZoneSize <= 0 {
+		o.ZoneSize = DefaultZoneSize
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = 1
@@ -240,11 +244,11 @@ func (e *Engine) buildSkipperLocked(name string) error {
 	case PolicyNone:
 		e.skippers[name] = core.NewNoSkipper(col.Len())
 	case PolicyStatic:
-		e.skippers[name] = zonemap.Build(col.Vec(), col.Nulls(), e.opts.StaticZoneSize)
+		e.skippers[name] = zonemap.Build(col.Vec(), col.Nulls(), e.opts.ZoneSize)
 	case PolicyAdaptive:
-		e.skippers[name] = adaptive.New(col.Vec(), col.Nulls(), e.opts.Adaptive)
+		e.skippers[name] = adaptive.New(col.Vec(), col.Nulls(), e.opts.ZoneSize, e.opts.Adaptive)
 	case PolicyImprint:
-		e.skippers[name] = imprint.Build(col.Vec(), col.Nulls(), e.opts.StaticZoneSize)
+		e.skippers[name] = imprint.Build(col.Vec(), col.Nulls(), e.opts.ZoneSize)
 	default:
 		return fmt.Errorf("engine: unknown policy %d", e.opts.Policy)
 	}

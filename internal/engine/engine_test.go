@@ -42,13 +42,17 @@ func buildTable(t testing.TB, n int, seed int64) *table.Table {
 	return tb
 }
 
+// smallZone and smallAdaptive size the skippers of the small tables these
+// tests build: 64-row zones, and adaptive zones split to 8-row parts.
+const smallZone = 64
+
 func smallAdaptive() adaptive.Config {
-	return adaptive.Config{InitialZoneRows: 64, MinZoneRows: 8}
+	return adaptive.Config{MinZoneRows: 8}
 }
 
 func newEngine(t testing.TB, tb *table.Table, policy Policy) *Engine {
 	t.Helper()
-	e := New(tb, Options{Policy: policy, StaticZoneSize: 64, Adaptive: smallAdaptive()})
+	e := New(tb, Options{Policy: policy, ZoneSize: smallZone, Adaptive: smallAdaptive()})
 	if err := e.EnableSkipping(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ import (
 // records counted or projected, never a second log.
 func TestOneJournal(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
-		InitialZoneRows: 512, MinZoneRows: 32,
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 512, Adaptive: adaptive.Config{
+		MinZoneRows: 32,
 	}})
 	if err := e.EnableSkipping("a", "b"); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestOneJournal(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		count("b", 5000, 6000)
 	}
-	// Tail fold: append past InitialZoneRows; the next query syncs skippers.
+	// Tail fold: append past the zone size; the next query syncs skippers.
 	rows := make([][]storage.Value, 600)
 	for i := range rows {
 		rows[i] = []storage.Value{storage.IntValue(int64(4096 + i)), storage.IntValue(7),
@@ -192,8 +192,8 @@ func getJSON(t *testing.T, url string, into any) {
 //     -444 for b.
 func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{
-		InitialZoneRows: 1024, MinZoneRows: 128,
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 1024, Adaptive: adaptive.Config{
+		MinZoneRows:        128,
 		DisableArbitration: true,
 	}})
 	if err := e.EnableSkipping("a", "b"); err != nil {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/core"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
@@ -35,8 +34,13 @@ func TestParallelCountMatchesSerial(t *testing.T) {
 	const n = 1 << 18
 	for _, policy := range []Policy{PolicyNone, PolicyStatic, PolicyAdaptive} {
 		for _, dist := range []workload.Distribution{workload.Sorted, workload.Uniform, workload.Clustered} {
-			serialEng := New(bigTable(t, n, dist), Options{Policy: policy, StaticZoneSize: 2048})
-			parallelEng := New(bigTable(t, n, dist), Options{Policy: policy, StaticZoneSize: 2048, Parallelism: 8})
+			opts := Options{Policy: policy}
+			if policy == PolicyStatic {
+				opts.ZoneSize = 2048
+			}
+			serialEng := New(bigTable(t, n, dist), opts)
+			opts.Parallelism = 8
+			parallelEng := New(bigTable(t, n, dist), opts)
 			if err := serialEng.EnableSkipping("v"); err != nil {
 				t.Fatal(err)
 			}
@@ -69,8 +73,8 @@ func TestParallelCountMatchesSerial(t *testing.T) {
 	// table, and one that leaves covered candidates between scanned ones.
 	// Every worker count reports the serial Count and Stats.
 	full := New(bigTable(t, n, workload.Uniform), Options{Policy: PolicyNone})
-	spanning := New(bigTable(t, n, workload.Sorted), Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{InitialZoneRows: 4096}})
-	covering := New(bigTable(t, n, workload.Sorted), Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{InitialZoneRows: 4096}})
+	spanning := New(bigTable(t, n, workload.Sorted), Options{Policy: PolicyAdaptive, ZoneSize: 4096})
+	covering := New(bigTable(t, n, workload.Sorted), Options{Policy: PolicyAdaptive, ZoneSize: 4096})
 	for _, e := range []*Engine{full, spanning, covering} {
 		if err := e.EnableSkipping("v"); err != nil {
 			t.Fatal(err)

@@ -100,7 +100,7 @@ func TestCancelMidScan4M(t *testing.T) {
 func TestCancelCoveredAggregate(t *testing.T) {
 	n := 1 << 21
 	tb := buildIntTable(t, n)
-	e := New(tb, Options{Policy: PolicyStatic, StaticZoneSize: 4096})
+	e := New(tb, Options{Policy: PolicyStatic, ZoneSize: 4096})
 	if err := e.EnableSkipping("v"); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCancelCoveredAggregate(t *testing.T) {
 	}
 
 	// Covered aggregate rows also count against the row budget.
-	lim := New(tb, Options{Policy: PolicyStatic, StaticZoneSize: 4096,
+	lim := New(tb, Options{Policy: PolicyStatic, ZoneSize: 4096,
 		Limits: Limits{MaxRowsScanned: 200_000}})
 	if err := lim.EnableSkipping("v"); err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestSkipperFaultDropsSkipper(t *testing.T) {
 			// The bad window spans four times the rows, enough for the
 			// parallel count to fan out across workers.
 			tb := buildTable(t, minRowsPerWorker/2+1000, 31)
-			e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive(), Parallelism: c.parallelism})
+			e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive(), Parallelism: c.parallelism})
 			if err := e.EnableSkipping("a"); err != nil {
 				t.Fatal(err)
 			}
@@ -430,7 +430,7 @@ func TestSkipperFaultDropsSkipper(t *testing.T) {
 func TestObserveOncePerCompletedQuery(t *testing.T) {
 	const rows = 1500
 	tb := buildTable(t, rows, 21)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive()})
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive()})
 	f := &faultySkipper{}
 	installFaulty(e, f)
 
@@ -464,7 +464,7 @@ func TestObserveOncePerCompletedQuery(t *testing.T) {
 
 	// Over the row budget, on the fast and the ordered path: no feedback.
 	tb = buildTable(t, 2*checkpointRows, 22)
-	e = New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive(),
+	e = New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive(),
 		Limits: Limits{MaxRowsScanned: checkpointRows}})
 	f = &faultySkipper{}
 	installFaulty(e, f)
@@ -488,7 +488,7 @@ func TestObserveOncePerCompletedQuery(t *testing.T) {
 // the skipper, retries as a full scan, and returns the correct answer.
 func TestBadWindowsPanicRetries(t *testing.T) {
 	tb := buildTable(t, 1500, 13)
-	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive()})
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive()})
 	installFaulty(e, &faultySkipper{badWindows: true})
 
 	res, err := e.Query(countQuery("a"))

@@ -26,7 +26,7 @@ func TestQueryAllocsSameAtBothWidths(t *testing.T) {
 			rows = append(rows, []storage.Value{storage.IntValue(i * 7919 % 1000), storage.IntValue(i % 7)})
 		}
 		rows = append(rows, []storage.Value{storage.IntValue(last), storage.IntValue(last)})
-		e := New(tb, Options{Policy: PolicyStatic, StaticZoneSize: 1024})
+		e := New(tb, Options{Policy: PolicyStatic, ZoneSize: 1024})
 		if err := e.AppendRows(rows); err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestByteReportsFollowCodeWidth(t *testing.T) {
 				col.AppendInt(i)
 			}
 			col.AppendInt(tc.outlier)
-			e := New(tbl, Options{Policy: PolicyAdaptive, Adaptive: adaptive.Config{InitialZoneRows: 4096, MinZoneRows: 64}})
+			e := New(tbl, Options{Policy: PolicyAdaptive, ZoneSize: 4096, Adaptive: adaptive.Config{MinZoneRows: 64}})
 			if err := e.EnableSkipping("v"); err != nil {
 				t.Fatal(err)
 			}

@@ -88,7 +88,7 @@ func TestWorkloadAttribution(t *testing.T) {
 // result, so its workload sample can hold no row or zone totals — only
 // the call, the error and the latency. The engine counts it as canceled.
 func TestWorkloadErrorAttribution(t *testing.T) {
-	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, StaticZoneSize: 256})
+	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, ZoneSize: 256})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -108,7 +108,7 @@ func TestWorkloadErrorAttribution(t *testing.T) {
 // TestWorkloadCacheHitAttribution: the plan-cached context mark reaches
 // the trace, which is where the template's cache-hit counter is read.
 func TestWorkloadCacheHitAttribution(t *testing.T) {
-	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, StaticZoneSize: 256})
+	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, ZoneSize: 256})
 
 	fp := "SELECT COUNT(*) FROM t WHERE v < ?"
 	ctx := obs.WithTemplate(context.Background(), fp)

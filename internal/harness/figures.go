@@ -204,7 +204,7 @@ func Fig4Granularity(cfg Config) (*Table, error) {
 	}
 	for zs := 64; zs <= cfg.Rows; zs *= 4 {
 		opts := cfg.options(engine.PolicyStatic)
-		opts.StaticZoneSize = zs
+		opts.ZoneSize = zs
 		e := newEngine(opts, vals)
 		sr, err := runStream(e, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
@@ -336,7 +336,7 @@ func Fig6Adversarial(cfg Config) (*Table, error) {
 	for _, c := range confs {
 		opts := cfg.options(c.policy)
 		if c.zoneRows > 0 {
-			opts.StaticZoneSize = c.zoneRows
+			opts.ZoneSize = c.zoneRows
 		}
 		e := newEngine(opts, vals)
 		sr, err := runStream(e, workload.NewGen(genSpec), cfg.Queries)

@@ -160,12 +160,12 @@ type querier interface {
 
 // options is the engine configuration every experiment starts from; an
 // experiment that varies a knob changes it on the returned value. Adaptive
-// is left zero, so every experiment runs the shipped adaptive defaults.
+// runs the shipped defaults, the baselines StaticZoneRows-row zones.
 func (c Config) options(policy engine.Policy) engine.Options {
-	return engine.Options{
-		Policy:         policy,
-		StaticZoneSize: c.StaticZoneRows,
+	if policy == engine.PolicyAdaptive {
+		return engine.Options{Policy: policy}
 	}
+	return engine.Options{Policy: policy, ZoneSize: c.StaticZoneRows}
 }
 
 // generate draws cfg.Rows values of dist over the domain [0, cfg.Rows) from

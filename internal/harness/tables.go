@@ -37,7 +37,7 @@ func Tab1Metadata(cfg Config) (*Table, error) {
 		})
 	}
 	start := time.Now()
-	az := adaptive.New(storage.Vec{W: vals}, nil, adaptive.Config{})
+	az := adaptive.New(storage.Vec{W: vals}, nil, engine.DefaultZoneSize, adaptive.Config{})
 	build := time.Since(start)
 	md := az.Metadata()
 	e := newEngine(cfg.options(engine.PolicyAdaptive), vals)

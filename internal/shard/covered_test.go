@@ -35,10 +35,9 @@ func TestRowsCoveredEveryShape(t *testing.T) {
 		{"order by projection", engine.Query{Where: where, Select: []string{"v"}, OrderBy: "v", OrderDesc: true}},
 	}
 	for _, policy := range []engine.Policy{engine.PolicyStatic, engine.PolicyAdaptive} {
-		opts := engine.Options{
-			Policy:         policy,
-			StaticZoneSize: 512,
-			Adaptive:       adaptive.Config{InitialZoneRows: 1024, MinZoneRows: 256},
+		opts := engine.Options{Policy: policy, ZoneSize: 512}
+		if policy == engine.PolicyAdaptive {
+			opts.ZoneSize, opts.Adaptive = 1024, adaptive.Config{MinZoneRows: 256}
 		}
 		for _, shards := range []int{1, 2} {
 			open := func() interface {

@@ -44,7 +44,7 @@ func TestExecExplainAnalyzeSQL(t *testing.T) {
 		tb.AppendRow(storage.IntValue(i))
 	}
 	e := engine.New(tb, engine.Options{Policy: engine.PolicyAdaptive,
-		Adaptive: adaptive.Config{InitialZoneRows: 100, MinZoneRows: 10}})
+		ZoneSize: 100, Adaptive: adaptive.Config{MinZoneRows: 10}})
 	if err := e.EnableSkipping(); err != nil {
 		t.Fatal(err)
 	}

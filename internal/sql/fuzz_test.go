@@ -151,9 +151,9 @@ func FuzzExec(f *testing.F) {
 	oracle := fuzzEngine(f, engine.Options{Policy: engine.PolicyNone})
 	skipping := map[string]*engine.Engine{}
 	for _, opts := range []engine.Options{
-		{Policy: engine.PolicyStatic, StaticZoneSize: 32},
-		{Policy: engine.PolicyImprint, StaticZoneSize: 32},
-		{Policy: engine.PolicyAdaptive, Adaptive: adaptive.Config{InitialZoneRows: 64, MinZoneRows: 8}},
+		{Policy: engine.PolicyStatic, ZoneSize: 32},
+		{Policy: engine.PolicyImprint, ZoneSize: 32},
+		{Policy: engine.PolicyAdaptive, ZoneSize: 64, Adaptive: adaptive.Config{MinZoneRows: 8}},
 	} {
 		skipping[opts.Policy.String()] = fuzzEngine(f, opts)
 	}

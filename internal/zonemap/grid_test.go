@@ -159,7 +159,7 @@ func TestGridProperties(t *testing.T) {
 						t.Fatalf("seed %d: extended grid, %d-byte view: %v", seed, view.Width(), err)
 					}
 				}
-				az, anz := adaptive.New(wide, nulls, adaptive.Config{InitialZoneRows: zoneSize}), adaptive.New(narrow, nulls, adaptive.Config{InitialZoneRows: zoneSize})
+				az, anz := adaptive.New(wide, nulls, zoneSize, adaptive.Config{}), adaptive.New(narrow, nulls, zoneSize, adaptive.Config{})
 				if !reflect.DeepEqual(anz, az) {
 					t.Fatalf("seed %d: adaptive zonemap over the narrow view %+v, over the wide view %+v", seed, anz, az)
 				}

@@ -20,9 +20,8 @@ import (
 func metricsDB(t *testing.T, shards int) (*DB, *Table) {
 	t.Helper()
 	db := Open(Options{
-		Policy:   Adaptive,
-		Adaptive: AdaptiveConfig{InitialZoneRows: 64, MinZoneRows: 8},
-		Shards:   shards, ShardKey: "seq", ShardBy: "range",
+		Policy: Adaptive, ZoneSize: 64, MinZoneRows: 8,
+		Shards: shards, ShardKey: "seq", ShardBy: "range",
 	})
 	tab, err := db.CreateTable("metrics", Col("v", Int64), Col("seq", Int64))
 	if err != nil {

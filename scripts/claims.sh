@@ -4,10 +4,12 @@
 # falls on every revision alike.
 #
 #   bash scripts/claims.sh [-rows N] <rev>... [rounds]
-#   bash scripts/claims.sh HEAD~1 . 6
+#   bash scripts/claims.sh HEAD~1 . 10
 #
 # A revision is anything git archive takes, or "." for the working tree; a
-# last argument of digits only is the round count (default 6). Each
+# last argument of digits only is the round count (default 10: two
+# identical builds read 9 of 10 rounds on one side in about 2% of cells,
+# where 6 of 6 took about 3%). Each
 # revision is exported with git archive into a temporary directory (the
 # repository's .git is left as it was, even if the script is killed) and
 # its cmd/adskip-bench built there. Each round runs every revision's
@@ -30,7 +32,7 @@ if [ "${1:-}" = -rows ]; then
 	rows=$2
 	shift 2
 fi
-rounds=6
+rounds=10
 if [ $# -ge 2 ] && [[ ${!#} =~ ^[0-9]+$ ]]; then
 	rounds=${!#}
 	set -- "${@:1:$#-1}"

@@ -94,7 +94,7 @@ func TestWorkloadExplainAnalyzeFooter(t *testing.T) {
 func frontDoorDB(t testing.TB, shards int) (*DB, *Table) {
 	t.Helper()
 	db := Open(Options{Policy: Adaptive, Shards: shards, ShardKey: "v",
-		Adaptive: AdaptiveConfig{InitialZoneRows: 4096, MinZoneRows: 64}})
+		ZoneSize: 4096, MinZoneRows: 64})
 	tab, err := db.CreateTable("t", Col("v", Int64), Col("f", Float64))
 	if err != nil {
 		t.Fatal(err)

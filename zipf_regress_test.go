@@ -45,7 +45,7 @@ func TestZipfRegression(t *testing.T) {
 	const rows = zipfRows
 	vals := workload.Generate(workload.DataSpec{N: rows, Dist: workload.Zipf, Domain: rows, Seed: 42})
 	build := func(policy engine.Policy) *engine.Engine {
-		return zipfEngine(vals, engine.Options{Policy: policy, StaticZoneSize: 4096})
+		return zipfEngine(vals, engine.Options{Policy: policy})
 	}
 	// Both engines answer the same stream query by query, so a drift in the
 	// machine's speed lands on both sums alike: a shared box moves by ±20%
