@@ -107,7 +107,7 @@ type QueryTrace = obs.QueryTrace
 
 // AdaptationRecord is one adaptation-ledger entry: a structural or
 // arbitration change to a column's skipping metadata (zone split/merge,
-// skipping disabled/enabled, tail fold, widen, metadata built, skipper
+// skipping disabled/enabled, tail fold, metadata built, skipper
 // quarantined) with full provenance — cause, the query template
 // whose feedback triggered it, the affected row window, and the
 // before/after zone counts and value-bound hulls. Retained in a bounded

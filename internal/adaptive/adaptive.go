@@ -15,8 +15,9 @@
 //     adaptive skipping never durably underperforms a plain scan.
 //
 // The directory (zonemap.Grid) owns the zones, parts, blocks and append
-// tail, and what every layout shares: tail folds, Widen and NoteNonNull,
-// the PruneNulls walk and CheckInvariants. This package keeps what it
+// tail, and what every layout shares: tail folds, Refresh (an update
+// re-derives the part that holds the row, and its zone and block), the
+// PruneNulls walk and CheckInvariants. This package keeps what it
 // learns of each zone in an array parallel to the zones, and owns the
 // range probe walk (Prune, which also says why a zone did not prune),
 // Observe with its split and merge edits, and arbitration. A broken
@@ -104,8 +105,8 @@ type tuning struct {
 var defaultTuning = tuning{horizon: Horizon, mergeHeat: MergeHeat}
 
 // zone is a zone of the directory, and a part of the summary. Its hull is
-// sound but may be loose after updates; a split's sub-zones take their
-// parts' hulls, which every update widened along with the zone.
+// exactly its rows' own; a zone's is the union of its parts', so a split's
+// sub-zones take their parts' hulls.
 type zone = zonemap.Zone[expr.Hull]
 
 // learner is what the zonemap learns of one zone, kept beside the zones so
@@ -116,9 +117,6 @@ type learner struct {
 	// split walks its parts without searching a summary the scan has just
 	// pushed out of cache.
 	first int32
-	// widened: an update loosened the hull since a fold built the zone, so
-	// a miss may be stale metadata. Split and merged zones inherit it.
-	widened bool
 }
 
 // Stats exposes lifetime counters for experiments and introspection.
@@ -158,8 +156,8 @@ type Zonemap struct {
 	journal func(obs.LedgerRecord) // adaptation-journal sink; nil = no journal
 }
 
-// SetJournal implements core.Skipper: every split, merge, tail fold, first
-// widen, disable and enable is reported through sink — never a probe.
+// SetJournal implements core.Skipper: every split, merge, tail fold,
+// disable and enable is reported through sink — never a probe.
 func (z *Zonemap) SetJournal(sink func(obs.LedgerRecord)) { z.journal = sink }
 
 // record journals one lifecycle record if a sink is installed.
@@ -227,25 +225,6 @@ func (z *Zonemap) Folded(from, part int) {
 		ZonesBefore: from, ZonesAfter: len(z.Zones),
 		RowLo: z.Zones[from].Lo, RowHi: z.Indexed(),
 		MinAfter: minAfter, MaxAfter: maxAfter,
-	})
-}
-
-// Loosened implements zonemap.Layout. Only the first loosening of a zone
-// since its last rebuild is journaled: the flag is what the
-// why-not-skipped classifier reads, and one record per zone generation
-// bounds ledger churn under update floods.
-func (z *Zonemap) Loosened(zi int, before expr.Hull) {
-	zn, l := &z.Zones[zi], &z.learn[zi]
-	if before.Empty() || zn.Sum == before || l.widened {
-		return // a first value, or one inside the hull: nothing loosened
-	}
-	l.widened = true
-	z.record(obs.LedgerRecord{
-		Kind: obs.EventWiden, Cause: "update-widen",
-		ZonesBefore: len(z.Zones), ZonesAfter: len(z.Zones),
-		RowLo: zn.Lo, RowHi: zn.Hi,
-		MinBefore: before.Min, MaxBefore: before.Max,
-		MinAfter: zn.Sum.Min, MaxAfter: zn.Sum.Max,
 	})
 }
 
@@ -337,18 +316,14 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 				continue
 			}
 			cand := core.CandidateZone{Lo: zn.Lo, Hi: zn.Hi, Covered: pruned(zn, m)}
-			if !cand.Covered {
-				// Why not skipped: only NULL rows blocked the coverage
-				// proof, the hull was loosened (maybe stale metadata), or
-				// the bounds genuinely straddle the predicate.
-				switch {
-				case m == expr.MatchAll:
-					res.MissNullStraddle++
-				case z.learn[i].widened:
-					res.MissWidened++
-				default:
-					res.MissOverlap++
-				}
+			// Why not skipped: only NULL rows blocked the coverage proof,
+			// or the bounds straddle the predicate.
+			switch {
+			case cand.Covered:
+			case m == expr.MatchAll:
+				res.MissNullStraddle++
+			default:
+				res.MissOverlap++
 			}
 			res.Emit(&cand, false)
 		}

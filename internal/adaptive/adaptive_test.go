@@ -82,7 +82,7 @@ func TestNewBuildsCoarseZones(t *testing.T) {
 	if len(z.Zones) != 3 || z.Rows() != 250 || !z.Enabled() {
 		t.Fatalf("zones=%d rows=%d", len(z.Zones), z.Rows())
 	}
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatal(err)
 	}
 	md := z.Metadata()
@@ -142,7 +142,7 @@ func TestCountsMatchNaiveOnEveryDistribution(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s q%d: got %d want %d", name, q, got, want)
 			}
-			if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+			if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 				t.Fatalf("%s q%d: %v", name, q, err)
 			}
 		}
@@ -161,7 +161,7 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 	if len(z.Zones) <= 1 {
 		t.Fatal("no split happened")
 	}
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if z.Stats().Splits == 0 {
@@ -200,7 +200,7 @@ func TestMergeCoalescesUselessZones(t *testing.T) {
 	if z.Stats().Merges == 0 {
 		t.Fatal("merge counter not incremented")
 	}
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -280,7 +280,7 @@ func TestExtendAndTailFold(t *testing.T) {
 	if z.Stats().TailRows != 0 {
 		t.Fatalf("tail not folded: %d", z.Stats().TailRows)
 	}
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Folded zones participate in pruning.
@@ -290,7 +290,7 @@ func TestExtendAndTailFold(t *testing.T) {
 	}
 	// FoldTail on empty tail is a no-op.
 	z.FoldTail(storage.Vec{W: codes}, nil)
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -328,7 +328,7 @@ func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
 	if r.MinAfter != 5000 || r.MaxAfter != 7099 {
 		t.Fatalf("fold hull = [%d,%d], want [5000,7099]", r.MinAfter, r.MaxAfter)
 	}
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nulls); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -336,23 +336,33 @@ func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
 func TestWidenKeepsPruningSound(t *testing.T) {
 	codes := seqCodes(200, func(i int) int64 { return int64(i) })
 	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
-	// Update row 5 to a huge value; widen metadata accordingly.
+	// Update row 5 to a huge value; the metadata widens to hold it.
 	codes[5] = 99999
-	z.Widen(5, 99999)
+	z.Refresh(5, storage.Vec{W: codes}, nil)
 	got := execute(z, codes, nil, oneRange(99999, 99999))
 	if got != 1 {
 		t.Fatalf("updated row lost: count=%d", got)
 	}
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Widen in the tail region is a no-op and must not panic.
+	// Written back, the zone and its part narrow again; a tail row
+	// refreshes the tail.
+	codes[5] = 5
+	z.Refresh(5, storage.Vec{W: codes}, nil)
+	if z.Zones[0].Sum.Max == 99999 || z.Parts[0].Sum.Max == 99999 || z.Blocks[0].Max == 99999 {
+		t.Fatalf("the hull kept a value no row holds: zone %+v, part %+v, block %+v", z.Zones[0], z.Parts[0], z.Blocks[0])
+	}
 	codes = append(codes, 7)
 	z.Extend(storage.Vec{W: codes}, nil)
-	z.Widen(200, 7)
+	codes[200] = 8
+	z.Refresh(200, storage.Vec{W: codes}, nil)
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
-func TestNoteNonNull(t *testing.T) {
+func TestRefreshCountsNonNull(t *testing.T) {
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(100)
 	nulls.Set(10)
@@ -360,9 +370,8 @@ func TestNoteNonNull(t *testing.T) {
 	// Row 10 gains value 42.
 	nulls.Clear(10)
 	codes[10] = 42
-	z.Widen(10, 42)
-	z.NoteNonNull(10)
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
+	z.Refresh(10, storage.Vec{W: codes}, nulls)
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nulls); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -421,7 +430,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 				row := rng.Intn(len(codes))
 				v := rng.Int63n(600) - 150
 				codes[row] = v
-				z.Widen(row, v)
+				z.Refresh(row, storage.Vec{W: codes}, nulls)
 			default: // query
 				lo := rng.Int63n(400) - 50
 				r := oneRange(lo, lo+rng.Int63n(150))
@@ -431,7 +440,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 					return false
 				}
 			}
-			if err := z.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
+			if err := z.CheckInvariants(storage.Vec{W: codes}, nulls); err != nil {
 				return false
 			}
 		}
@@ -736,7 +745,7 @@ func TestSplitAtVerdictChanges(t *testing.T) {
 			if wantSplits := len(c.want) - 1; z.Stats().Splits != wantSplits {
 				t.Fatalf("%d splits, want %d", z.Stats().Splits, wantSplits)
 			}
-			if err := z.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
+			if err := z.CheckInvariants(storage.Vec{W: codes}, nulls); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -43,7 +43,7 @@ func mustPanicCorrupt(t *testing.T, what string, call func()) {
 
 // TestPruneDetectsTilingGap: on a broken layout, every entry point that
 // relies on the zones tiling the indexed rows — the probe walk of Prune
-// and PruneNulls, the row lookup of Widen and NoteNonNull — panics with an
+// and PruneNulls, Refresh's row lookup and re-union — panics with an
 // error wrapping ErrCorrupt instead of answering.
 func TestPruneDetectsTilingGap(t *testing.T) {
 	codes := seqCodes(2048, func(i int) int64 { return int64(i % 97) })
@@ -52,8 +52,10 @@ func TestPruneDetectsTilingGap(t *testing.T) {
 	gap := gapRow(t, z)
 	mustPanicCorrupt(t, "Prune", func() { z.Prune(oneRange(0, 96)) })
 	mustPanicCorrupt(t, "PruneNulls", func() { z.PruneNulls() })
-	mustPanicCorrupt(t, "Widen", func() { z.Widen(gap, -1) })
-	mustPanicCorrupt(t, "NoteNonNull", func() { z.NoteNonNull(gap) })
+	mustPanicCorrupt(t, "Refresh", func() { z.Refresh(gap, storage.Vec{W: codes}, nil) })
+	// The shrunk zone no longer ends on a part boundary: a refresh of its
+	// last row does not re-union it from its parts.
+	mustPanicCorrupt(t, "Refresh of the shrunk zone", func() { z.Refresh(gap-1, storage.Vec{W: codes}, nil) })
 
 	// A gap between two blocks is found by the walk itself, whether it
 	// skips the block after the gap or looks inside it.
@@ -71,7 +73,7 @@ func TestPruneDetectsTilingGap(t *testing.T) {
 func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 	codes := seqCodes(1024, func(i int) int64 { return int64(i) })
 	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatalf("fresh zonemap fails invariants: %v", err)
 	}
 	zones := len(z.Zones)
@@ -93,7 +95,7 @@ func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 		}
 		z.Introspect()
 		z.DescribeZones(4)
-		err = z.CheckInvariants(storage.Vec{W: codes}, nil, true)
+		err = z.CheckInvariants(storage.Vec{W: codes}, nil)
 	}()
 	if err == nil {
 		t.Fatal("CheckInvariants missed the tiling gap")
@@ -106,7 +108,7 @@ func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 	// A learner that names the wrong first part breaks the layout too.
 	z = New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
 	z.learn[3].first++
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err == nil || !strings.Contains(err.Error(), "zone 3 of") {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err == nil || !strings.Contains(err.Error(), "zone 3 of") {
 		t.Fatalf("CheckInvariants on a learner off its first part: %v", err)
 	}
 }

@@ -25,7 +25,7 @@ type directory struct {
 }
 
 // handles returns the directory handles of grid g.
-func handles[S, Q any](sk core.Skipper, g *zonemap.Grid[S, Q]) directory {
+func handles[S comparable, Q any](sk core.Skipper, g *zonemap.Grid[S, Q]) directory {
 	return directory{
 		Skipper: sk,
 		indexed: g.Indexed,
@@ -91,7 +91,7 @@ func splitAtRandom(rng *rand.Rand, z *Zonemap) bool {
 		if len(subs) < 2 {
 			continue
 		}
-		l := learner{heat: 0.5, first: z.learn[i].first, widened: z.learn[i].widened}
+		l := learner{heat: 0.5, first: z.learn[i].first}
 		z.Refold(z.splice([]edit{{idx: i, n: 1, zones: subs, l: l}}))
 		return true
 	}
@@ -117,13 +117,11 @@ func mergeAtRandom(rng *rand.Rand, z *Zonemap) bool {
 // the imprint and the adaptive zonemap — runs the same seeded streams over
 // columns with NULLs: appends in random batches, up to two zones' worth,
 // so that they straddle fold boundaries; in-place updates as the engine
-// makes them, tail rows too (Widen, then NoteNonNull when the row was
-// NULL); and, on the
-// adaptive zonemap, splits at random part boundaries and merges of random
-// runs through its own splice. After every step
-// CheckInvariants passes — exact until an update has written over a value
-// — PruneNulls equals a reference counted row by row, and a random probe
-// is sound. At the end of each stream three breaks each fail the check,
+// makes them, tail rows too (the column written, then Refresh); and, on
+// the adaptive zonemap, splits at random part boundaries and merges of
+// random runs through its own splice. After every step CheckInvariants
+// passes — every summary is the one its rows derive — PruneNulls equals a
+// reference counted row by row, and a random probe is sound. At the end of each stream three breaks each fail the check,
 // named in its error: a gap (the zone after it), an overlap (the zone that
 // starts inside its neighbour) and a row written under the metadata (the
 // row); on the adaptive zonemap a gap between parts names the part.
@@ -160,10 +158,9 @@ func TestZoneDirectoryDifferential(t *testing.T) {
 				d = handles(z, &z.Grid)
 			}
 			what := fmt.Sprintf("seed %d, %s, %s, %d-row zones", seed, shape, layout, zoneRows)
-			loosened := false // an update wrote over a value: summaries may be looser than exact
 			check := func(step int, op string) {
 				t.Helper()
-				if err := d.CheckInvariants(view(), nulls, !loosened); err != nil {
+				if err := d.CheckInvariants(view(), nulls); err != nil {
 					t.Fatalf("%s, step %d (%s): %v", what, step, op, err)
 				}
 				if got, want := d.PruneNulls(), nullsReference(d, nulls); !reflect.DeepEqual(got, want) {
@@ -191,14 +188,9 @@ func TestZoneDirectoryDifferential(t *testing.T) {
 					if tail := loaded - d.indexed(); tail > 0 && rng.Intn(2) == 0 {
 						row = loaded - 1 - rng.Intn(tail) // half the updates hit the tail
 					}
-					wasNull := nulls.Get(row)
-					loosened = loosened || !wasNull
 					codes[row] = code
 					nulls.Clear(row)
-					d.Widen(row, code)
-					if wasNull {
-						d.NoteNonNull(row)
-					}
+					d.Refresh(row, view(), nulls)
 					updates++
 					check(step, "update")
 				case k < 8 && z != nil && splitAtRandom(rng, z):
@@ -213,7 +205,7 @@ func TestZoneDirectoryDifferential(t *testing.T) {
 			// The breaks, each undone before the next.
 			mustFail := func(how, names string) {
 				t.Helper()
-				err := d.CheckInvariants(view(), nulls, false)
+				err := d.CheckInvariants(view(), nulls)
 				if err == nil || !strings.Contains(err.Error(), names) {
 					t.Fatalf("%s: %s: CheckInvariants says %v, want an error naming %q", what, how, err, names)
 				}
@@ -253,7 +245,7 @@ func TestZoneDirectoryDifferential(t *testing.T) {
 				}
 				codes[row] = was
 			}
-			if err := d.CheckInvariants(view(), nulls, !loosened); err != nil {
+			if err := d.CheckInvariants(view(), nulls); err != nil {
 				t.Fatalf("%s: after the breaks were undone: %v", what, err)
 			}
 		}

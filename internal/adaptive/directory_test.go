@@ -50,7 +50,7 @@ func spliceReference(z *Zonemap, edits []edit) {
 		})
 		for _, s := range e.zones {
 			first := slices.IndexFunc(z.Parts, func(p zone) bool { return p.Lo == s.Lo })
-			learn = append(learn, learner{heat: e.l.heat, first: int32(first), widened: e.l.widened})
+			learn = append(learn, learner{heat: e.l.heat, first: int32(first)})
 		}
 		out = append(out, e.zones...)
 		z.maintZones += int64(max(e.n, len(e.zones)))
@@ -97,7 +97,7 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 			run, l, j := z.Zones[i], z.learn[i], i+1
 			for ; j < len(z.Zones) && entered(j) && cold(j) && boundsCompatible(&run, &z.Zones[j]); j++ {
 				run = zone{Lo: run.Lo, Hi: z.Zones[j].Hi, Sum: run.Sum.Union(z.Zones[j].Sum), NonNull: run.NonNull + z.Zones[j].NonNull}
-				l = learner{heat: max(l.heat, z.learn[j].heat), first: l.first, widened: l.widened || z.learn[j].widened}
+				l = learner{heat: max(l.heat, z.learn[j].heat), first: l.first}
 			}
 			if j-i > 1 {
 				edits = append(edits, edit{idx: i, n: j - i, zones: []zone{run}, l: l})
@@ -106,7 +106,7 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 		case cold(i) || cfg.DisableSplit || pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)):
 		default:
 			if subs := z.planSplit(i, &c); subs != nil {
-				edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5, widened: z.learn[i].widened}})
+				edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5}})
 			}
 		}
 	}
@@ -151,19 +151,19 @@ func sameDirectory(z, ref *Zonemap, recs, refRecs []obs.LedgerRecord) error {
 // and a backward pass, tail folds appended, and the coarse level re-hulled
 // from the block of the first zone that moved — is the directory the old
 // whole-slice rebuild produced. Seeded streams of range queries, appends
-// that fold the tail, in-place updates that widen zones, and coolings of
-// a random run of zones (at the directory's first or last zone too) run
-// against both; after every Observe and fold the zonemaps must be in the
-// same state and have journaled the same records. The streams must merge
+// that fold the tail, in-place updates (after each, CheckInvariants must
+// find every summary exact) and coolings of a random run of zones (at the
+// directory's first or last zone too) run against both; after every
+// Observe, fold and update the zonemaps must be in the same state and
+// have journaled the same records. The streams must merge
 // the directory's first and last zones, and edit with one query both
 // splits and merges.
 func TestDirectoryEditsMatchReference(t *testing.T) {
 	shapes := []string{"banded", "sorted", "semi-sorted", "uniform"}
-	var splits, merges, folds, widens, multiBlock, firstMerged, lastMerged, mixed int
+	var splits, merges, folds, updates, multiBlock, firstMerged, lastMerged, mixed int
 	for seed := int64(0); seed < 32; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[seed%int64(len(shapes))]
-		loosened := false // an update wrote over a value: the summaries may be looser than exact
 		floor := 4 + rng.Intn(13)
 		zoneRows := floor * (4 + rng.Intn(13))
 		cfg := Config{MinZoneRows: floor}
@@ -208,19 +208,18 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 				check("fold at row", loaded)
 			case k == 2 && z.Indexed() > 0: // an in-place update, as the engine makes it
 				row, code := rng.Intn(z.Indexed()), rng.Int63n(domain)
-				wasNull := nulls != nil && nulls.Get(row)
-				loosened = loosened || !wasNull // the old value may have been an edge of the hull
 				codes[row] = code
-				if wasNull {
+				if nulls != nil {
 					nulls.Clear(row)
 				}
+				view := storage.Vec{W: codes[:loaded]}
 				for _, m := range []*Zonemap{z, ref} {
-					m.Widen(row, code)
-					if wasNull {
-						m.NoteNonNull(row)
-					}
+					m.Refresh(row, view, nulls)
 				}
-				widens++
+				if err := z.CheckInvariants(view, nulls); err != nil {
+					t.Fatalf("seed %d, %s, after the update of row %d: %v", seed, shape, row, err)
+				}
+				updates++
 				check("update of row", row)
 			case k == 3 && len(z.Zones) > 1: // cool a run of zones, which the next query to enter it merges
 				lo := []int{0, len(z.Zones) - 2, rng.Intn(len(z.Zones) - 1)}[rng.Intn(3)]
@@ -249,15 +248,15 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 				check("query", r)
 			}
 		}
-		if err := z.CheckInvariants(storage.Vec{W: codes[:loaded]}, nulls, !loosened); err != nil {
+		if err := z.CheckInvariants(storage.Vec{W: codes[:loaded]}, nulls); err != nil {
 			t.Fatalf("seed %d, %s: %v", seed, shape, err)
 		}
 	}
-	t.Logf("%d splits, %d merges (%d at the first zone, %d at the last), %d queries both, %d folds, %d widens, %d multi-block checks",
-		splits, merges, firstMerged, lastMerged, mixed, folds, widens, multiBlock)
-	if splits < 4000 || merges < 200 || folds < 100 || widens < 200 || multiBlock < 4000 || firstMerged == 0 || lastMerged == 0 || mixed == 0 {
-		t.Fatalf("the streams split %d zones, merged %d (%d at the first zone, %d at the last), %d queries both; folded %d tails, widened %d times, checked %d multi-block directories",
-			splits, merges, firstMerged, lastMerged, mixed, folds, widens, multiBlock)
+	t.Logf("%d splits, %d merges (%d at the first zone, %d at the last), %d queries both, %d folds, %d updates, %d multi-block checks",
+		splits, merges, firstMerged, lastMerged, mixed, folds, updates, multiBlock)
+	if splits < 4000 || merges < 200 || folds < 100 || updates < 200 || multiBlock < 4000 || firstMerged == 0 || lastMerged == 0 || mixed == 0 {
+		t.Fatalf("the streams split %d zones, merged %d (%d at the first zone, %d at the last), %d queries both; folded %d tails, made %d updates, checked %d multi-block directories",
+			splits, merges, firstMerged, lastMerged, mixed, folds, updates, multiBlock)
 	}
 }
 
@@ -286,7 +285,7 @@ func TestObserveOrderContract(t *testing.T) {
 	if !slices.Equal(z.Zones, want.Zones) || !slices.Equal(z.learn, want.learn) || z.splits != want.splits {
 		t.Fatalf("zones %+v (%d splits), want %+v (%d splits)", z.Zones, z.splits, want.Zones, want.splits)
 	}
-	if err := z.CheckInvariants(view, nil, true); err != nil {
+	if err := z.CheckInvariants(view, nil); err != nil {
 		t.Fatal(err)
 	}
 }

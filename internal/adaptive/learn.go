@@ -233,12 +233,12 @@ func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
 				merge()
 				if scanned && !z.cfg.DisableSplit {
 					if subs := z.planSplit(i, c); subs != nil {
-						edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5, first: l.first, widened: l.widened}})
+						edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5, first: l.first}})
 					}
 				}
 			case z.cfg.DisableMerge: // a cold zone stays as it is
 			case n > 0 && at+n == i && boundsCompatible(&run, zn):
-				run, rl.heat, rl.widened, n = join(run, *zn), max(rl.heat, l.heat), rl.widened || l.widened, n+1
+				run, rl.heat, n = join(run, *zn), max(rl.heat, l.heat), n+1
 			default:
 				merge()
 				run, rl, at, n = *zn, *l, i, 1

@@ -62,7 +62,7 @@ func TestMergeWhereTheQueryLooks(t *testing.T) {
 	if gotZones, gotLearn := middle(z, 3); !slices.Equal(gotZones, wantZones) || !slices.Equal(gotLearn, wantLearn) {
 		t.Fatal("the walk edited zones, or read or wrote learners, in the block the query ruled out")
 	}
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,7 +77,7 @@ func sweepZones(rng *rand.Rand, kind string, n int) ([]zone, []learner) {
 	zones, learn := make([]zone, n), make([]learner, n)
 	for i := range zones {
 		zones[i] = zone{Lo: 100 * i, Hi: 100 * (i + 1), Sum: expr.Hull{Min: int64(1000 * i), Max: int64(1000*i + 10)}, NonNull: 100}
-		learn[i] = learner{heat: 0.5, first: int32(i), widened: rng.Intn(4) == 0}
+		learn[i] = learner{heat: 0.5, first: int32(i)}
 	}
 	run := 2 + rng.Intn(2)
 	var at int
@@ -165,7 +165,7 @@ func TestMergeSweepMatchesReference(t *testing.T) {
 				kind == "middle" && ((*wantRecs)[0].RowLo == 0 || (*wantRecs)[0].RowHi == rows*n):
 				t.Fatalf("%s: merged rows [%d,%d)", name, (*wantRecs)[0].RowLo, (*wantRecs)[0].RowHi)
 			}
-			if err := got.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
+			if err := got.CheckInvariants(storage.Vec{W: codes}, nulls); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}

@@ -5,14 +5,15 @@
 // imprints keep fixed-size zones, the adaptive zonemap (package adaptive,
 // the paper's contribution) reshapes its zones from query feedback.
 //
-// The whole contract is Skipper: probe, observe, maintain, and three
-// cold-path duties (report structural change, expose state, re-verify
-// against the column), which a structure with nothing to say answers with
-// the zero value. A skipper that finds its own metadata broken panics; the
-// engine drops it and the column runs full scans. As in the abstract,
-// skipping is a *policy* layered on fast scans, fed back once per
-// completed query so that structures can "respond to a vast array of data
-// distributions and query workloads".
+// The whole contract is Skipper: probe, observe, maintain (after an append
+// or an in-place update every summary is again exactly what its rows
+// derive), and three cold-path duties (report structural change, expose
+// state, re-verify against the column), which a structure with nothing to
+// say answers with the zero value. A skipper that finds its own metadata
+// broken panics; the engine drops it and the column runs full scans. As in
+// the abstract, skipping is a *policy* layered on fast scans, fed back
+// once per completed query so that structures can "respond to a vast
+// array of data distributions and query workloads".
 package core
 
 import (
@@ -50,11 +51,10 @@ type PruneResult struct {
 	ZonesProbed int
 	RowsSkipped int
 	// Why zones this probe left as candidates did not prune (skippers
-	// that classify misses; zero otherwise): the value hull genuinely
-	// straddles the predicate, the hull was loosened by an in-place update
-	// since the zone was last rebuilt, or the predicate covers the hull
-	// and only NULL rows blocked the coverage proof.
-	MissOverlap, MissWidened, MissNullStraddle int
+	// that classify misses; zero otherwise): the value hull straddles the
+	// predicate, or the predicate covers the hull and only NULL rows
+	// blocked the coverage proof.
+	MissOverlap, MissNullStraddle int
 	// Ranges is the predicate the probe compared zone bounds with. A
 	// learning skipper sets it so that Observe can re-derive what the
 	// probe concluded zone by zone; a nil interval list marks an IS NULL
@@ -114,11 +114,10 @@ type Skipper interface {
 	// Extend informs the skipper that the column grew; codes/nulls are the
 	// column's full physical state.
 	Extend(codes storage.Vec, nulls *bitvec.BitVec)
-	// Widen informs the skipper of an in-place update at row with the new
-	// code, so zone bounds stay sound (they may become loose, never wrong).
-	Widen(row int, code int64)
-	// NoteNonNull informs the skipper that a NULL row gained a value.
-	NoteNonNull(row int)
+	// Refresh informs the skipper of an in-place update at row, after the
+	// write; codes/nulls are the column's full physical state. Summaries
+	// stay exactly what their rows derive. A row past Rows() is ignored.
+	Refresh(row int, codes storage.Vec, nulls *bitvec.BitVec)
 	// Rows returns the number of rows covered by the skipper's metadata.
 	Rows() int
 	// Metadata reports current structure state.
@@ -126,13 +125,12 @@ type Skipper interface {
 
 	// CheckInvariants re-verifies the metadata against the column's
 	// physical state — codes are exactly the Rows() rows covered — in one
-	// O(rows) pass: summaries must admit every row's value, and equal the
-	// re-derived ones when exact (nothing has loosened them since they
-	// were built). The engine runs it for on-demand verification sweeps;
-	// a failure drops the skipper.
-	CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error
+	// O(rows) pass: every summary must equal the one its rows derive. The
+	// engine runs it for on-demand verification sweeps; a failure drops
+	// the skipper.
+	CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec) error
 	// SetJournal installs the sink for structural change (splits, merges,
-	// arbitration flips, tail folds, widens); structures that never
+	// arbitration flips, tail folds); structures that never
 	// change shape ignore it. Each record carries the change's cause and
 	// the before/after shape of the affected metadata, and the engine
 	// stamps what the skipper cannot know — table/column/shard identity
@@ -179,11 +177,8 @@ func (s *NoSkipper) PruneNulls() PruneResult { return PruneResult{Enabled: false
 // Extend tracks the row count.
 func (s *NoSkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) { s.rows = codes.Len() }
 
-// Widen is a no-op.
-func (s *NoSkipper) Widen(int, int64) {}
-
-// NoteNonNull is a no-op.
-func (s *NoSkipper) NoteNonNull(int) {}
+// Refresh is a no-op.
+func (s *NoSkipper) Refresh(int, storage.Vec, *bitvec.BitVec) {}
 
 // Rows returns the tracked row count.
 func (s *NoSkipper) Rows() int { return s.rows }
@@ -192,6 +187,6 @@ func (s *NoSkipper) Rows() int { return s.rows }
 func (s *NoSkipper) Metadata() Metadata { return Metadata{Kind: "none"} }
 
 // CheckInvariants has nothing to verify.
-func (s *NoSkipper) CheckInvariants(storage.Vec, *bitvec.BitVec, bool) error { return nil }
+func (s *NoSkipper) CheckInvariants(storage.Vec, *bitvec.BitVec) error { return nil }
 
 var _ Skipper = (*NoSkipper)(nil)

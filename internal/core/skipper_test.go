@@ -33,10 +33,9 @@ func TestNoSkipper(t *testing.T) {
 	}
 	// No-ops must not panic, and the cold-path duties answer "nothing".
 	s.Observe(res)
-	s.Widen(3, 9)
-	s.NoteNonNull(3)
+	s.Refresh(3, storage.Vec{W: make([]int64, 150)}, nil)
 	s.SetJournal(nil)
-	if snap, ok := s.Introspect(); s.CheckInvariants(storage.Vec{}, nil, true) != nil ||
+	if snap, ok := s.Introspect(); s.CheckInvariants(storage.Vec{}, nil) != nil ||
 		snap.DeadZones != nil || ok {
 		t.Fatalf("snapshot=%+v, accounts kept: %v", snap, ok)
 	}
@@ -77,9 +76,9 @@ func TestStaticSkipper(t *testing.T) {
 		t.Fatalf("extended prune: %v", res.Zones)
 	}
 
-	// Widen keeps updated rows scannable.
+	// Refresh keeps updated rows scannable.
 	codes[5] = 5555
-	s.Widen(5, 5555)
+	s.Refresh(5, storage.Vec{W: codes}, nil)
 	res = s.Prune(oneRange(5555, 5555))
 	found := false
 	for _, z := range res.Zones {
@@ -107,5 +106,11 @@ func TestStaticSkipperNulls(t *testing.T) {
 	if len(res.Zones) != 1 || res.Zones[0].Lo != 10 {
 		t.Fatalf("all-null zone not skipped: %v", res.Zones)
 	}
-	s.NoteNonNull(3) // exercise pass-through
+	// A NULL row that gains a value makes its zone a candidate.
+	codes[3] = 7
+	nulls.Clear(3)
+	s.Refresh(3, storage.Vec{W: codes}, nulls)
+	if res := s.Prune(oneRange(7, 7)); len(res.Zones) != 1 || res.Zones[0] != (core.CandidateZone{Lo: 0, Hi: 10}) {
+		t.Fatalf("the zone that gained a value: %v", res.Zones)
+	}
 }

@@ -201,7 +201,7 @@ func TestExplainLifetimeAndCoveredFooter(t *testing.T) {
 // TestProbeOnlyPathsLeaveSkipperUnchanged: a probe that no Observe follows
 // teaches the adaptive zonemap nothing. A plain EXPLAIN and a query that
 // fails its row budget after probing leave every field of the zonemap —
-// each zone's bounds, heat, statistics backoff and widened mark, and the
+// each zone's bounds, heat and statistics backoff, and the
 // arbitration state — as it was, while EXPLAIN still counts toward the
 // column's probes.
 func TestProbeOnlyPathsLeaveSkipperUnchanged(t *testing.T) {

@@ -441,8 +441,8 @@ func (e *Engine) WAL() *wal.Log {
 	return e.wal
 }
 
-// Update overwrites a cell in place and keeps skipping metadata sound by
-// widening the enclosing zone's bounds. With a WAL armed the overwrite is
+// Update overwrites a cell in place, and the column's skipper re-derives
+// the summaries that hold the row. With a WAL armed the overwrite is
 // logged first and the call blocks until it is durable.
 func (e *Engine) Update(colName string, row int, v storage.Value) error {
 	e.mu.Lock()
@@ -457,7 +457,7 @@ func (e *Engine) Update(colName string, row int, v storage.Value) error {
 	}
 	if v.IsNull() {
 		e.mu.Unlock()
-		return errors.New("engine: updating a cell to NULL is unsupported (zone null counts would drift)")
+		return errors.New("engine: updating a cell to NULL is unsupported (no column setter writes one, and the WAL's update record refuses one)")
 	}
 	var commit wal.Commit
 	if e.wal != nil && updatableType(col.Type()) {
@@ -487,12 +487,11 @@ func updatableType(t storage.Type) bool {
 }
 
 // applyUpdateLocked performs the in-memory half of Update: the cell
-// overwrite plus the skipper widen. Caller holds e.mu and has validated
-// row bounds and non-NULL. A row that is still staged is overwritten like
-// any other: SetInt/SetFloat consolidate the column first, single-threaded
-// because e.mu is held.
+// overwrite, then the skipper's refresh of the row. Caller holds e.mu and
+// has validated row bounds and non-NULL. A row that is still staged is
+// overwritten like any other: SetInt/SetFloat consolidate the column
+// first, single-threaded because e.mu is held.
 func (e *Engine) applyUpdateLocked(col *storage.Column, colName string, row int, v storage.Value) error {
-	wasNull := col.IsNull(row)
 	switch col.Type() {
 	case storage.Int64:
 		if err := col.SetInt(row, v.Int()); err != nil {
@@ -506,19 +505,10 @@ func (e *Engine) applyUpdateLocked(col *storage.Column, colName string, row int,
 		return fmt.Errorf("engine: updates on %s columns are unsupported", col.Type())
 	}
 	if s, ok := e.skippers[colName]; ok {
-		code, _, err := col.EncodeValue(v)
-		if err != nil {
-			return err
-		}
-		if row < s.Rows() {
-			e.guard(colName, func() error {
-				s.Widen(row, code)
-				if wasNull {
-					s.NoteNonNull(row)
-				}
-				return nil
-			})
-		}
+		e.guard(colName, func() error {
+			s.Refresh(row, col.Vec(), col.Nulls())
+			return nil
+		})
 	}
 	return nil
 }

@@ -516,7 +516,7 @@ func TestRandomizedPolicyEquivalence(t *testing.T) {
 			v := storage.IntValue(rng.Int63n(5000))
 			col := []string{"a", "b"}[rng.Intn(2)]
 			for _, e := range engines {
-				// Updating a null b cell is fine; engine handles NoteNonNull.
+				// Updating a null b cell is fine: the skipper re-derives its count.
 				if err := e.Update(col, row, v); err != nil {
 					t.Fatal(err)
 				}

@@ -16,8 +16,8 @@ import (
 
 // TestOneJournal drives every kind of adaptation the system has — build,
 // splits, a merge, an arbitration disable and re-enable, a tail
-// fold, an update widen, a quarantine and a second build — and checks the "one
-// journal" invariant: each change is recorded exactly once, in the
+// fold, a quarantine and a second build — and checks the "one journal"
+// invariant: each change is recorded exactly once, in the
 // ledger; the per-kind counter and both telemetry views are the same
 // records counted or projected, never a second log.
 func TestOneJournal(t *testing.T) {
@@ -61,10 +61,6 @@ func TestOneJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	count("a", 1000, 1040)
-	// Widen: an in-place update outside its zone's hull.
-	if err := e.Update("a", 3000, storage.IntValue(1_000_000)); err != nil {
-		t.Fatal(err)
-	}
 	// Quarantine: one injected layout corruption, detected by the next probe.
 	restore := faultinject.Activate(faultinject.New(5).
 		Set(faultinject.InvariantFlip, faultinject.Rule{Every: 1, Limit: 1}))
@@ -90,14 +86,13 @@ func TestOneJournal(t *testing.T) {
 		perSeries[key{r.Column, r.Kind.String()}]++
 	}
 	for _, k := range []obs.EventKind{obs.EventSkipperBuilt, obs.EventSplit, obs.EventMerge,
-		obs.EventDisable, obs.EventEnable, obs.EventTailFold, obs.EventWiden,
-		obs.EventQuarantine} {
+		obs.EventDisable, obs.EventEnable, obs.EventTailFold, obs.EventQuarantine} {
 		if perKind[k] == 0 {
 			t.Errorf("no %s record: the scenario never drove it (kinds seen: %v)", k, perKind)
 		}
 	}
 	if perKind[obs.EventSkipperBuilt] != 3 || perKind[obs.EventQuarantine] != 1 ||
-		perKind[obs.EventDisable] != 1 || perKind[obs.EventEnable] != 1 || perKind[obs.EventWiden] != 1 {
+		perKind[obs.EventDisable] != 1 || perKind[obs.EventEnable] != 1 {
 		t.Errorf("one-off changes recorded more or less than once: %v", perKind)
 	}
 

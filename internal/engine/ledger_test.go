@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -103,28 +104,39 @@ func TestLedgerSplitProvenance(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeWhyNotSkipped: a predicate that straddles a zone
-// boundary leaves unpruned zones, and the trace classifies each miss —
-// rendered as the "not skipped" reason line.
+// TestExplainAnalyzeWhyNotSkipped: the trace classifies each zone a probe
+// left unpruned by its one of two reasons, and renders them as the "not
+// skipped" line: a predicate that straddles a zone boundary leaves zones
+// whose bounds overlap it; one that covers every zone's bounds leaves the
+// zones holding a NULL, whose coverage proof the NULL blocks.
 func TestExplainAnalyzeWhyNotSkipped(t *testing.T) {
-	e := adaptiveLedgerEngine(t, obs.NewLedger(0))
-	// Straddles the first 4096-row zone's upper bound mid-zone: the
-	// touched zones genuinely overlap the predicate boundary.
-	q := Query{
-		Where: expr.And(intPred("a", expr.Between, 3000, 5000)),
-		Aggs:  []Agg{{Kind: CountStar}},
-	}
-	_, res, err := e.ExplainAnalyze(q)
-	if err != nil {
+	nullable := New(buildTable(t, 4096, 1), Options{Policy: PolicyAdaptive, ZoneSize: 512})
+	if err := nullable.EnableSkipping("b"); err != nil {
 		t.Fatal(err)
 	}
-	p := res.Trace.Predicates[0]
-	if p.NotSkippedOverlap == 0 {
-		t.Fatalf("no overlap misses classified: %+v", p)
-	}
-	rendered := strings.Join(AnalyzeLines(res, false), "\n")
-	if !strings.Contains(rendered, "not skipped:") || !strings.Contains(rendered, "bounds-overlap") {
-		t.Fatalf("reason line missing from rendering:\n%s", rendered)
+	for _, c := range []struct {
+		e                     *Engine
+		pred                  expr.Pred
+		overlap, nullStraddle bool
+	}{
+		// Straddles the first 4096-row zone's upper bound mid-zone.
+		{adaptiveLedgerEngine(t, obs.NewLedger(0)), intPred("a", expr.Between, 3000, 5000), true, false},
+		// Covers b's whole domain; every 512-row zone holds a NULL.
+		{nullable, intPred("b", expr.Between, -1, 1000), false, true},
+	} {
+		_, res, err := c.e.ExplainAnalyze(Query{Where: expr.And(c.pred), Aggs: []Agg{{Kind: CountStar}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Trace.Predicates[0]
+		if (p.NotSkippedOverlap > 0) != c.overlap || (p.NotSkippedNullStraddle > 0) != c.nullStraddle {
+			t.Fatalf("%v: misses classified %+v, want overlap %v, null-straddle %v", c.pred, p, c.overlap, c.nullStraddle)
+		}
+		want := fmt.Sprintf("  not skipped: %d zones — %d bounds-overlap, %d null-straddle",
+			p.NotSkippedOverlap+p.NotSkippedNullStraddle, p.NotSkippedOverlap, p.NotSkippedNullStraddle)
+		if rendered := strings.Join(AnalyzeLines(res, false), "\n"); !strings.Contains(rendered, "\n"+want+"\n") {
+			t.Fatalf("%v: reason line %q missing from rendering:\n%s", c.pred, want, rendered)
+		}
 	}
 }
 

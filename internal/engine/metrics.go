@@ -151,7 +151,7 @@ func (cm *colMetrics) record(c *obs.Cost) {
 // left and why the zones among them were not skipped.
 func probeCost(p *colPlan) obs.Cost {
 	c := obs.Cost{ZonesProbed: p.res.ZonesProbed, RowsSkipped: p.res.RowsSkipped, Windows: len(p.res.Zones),
-		NotSkippedOverlap: p.res.MissOverlap, NotSkippedWidened: p.res.MissWidened, NotSkippedNullStraddle: p.res.MissNullStraddle}
+		NotSkippedOverlap: p.res.MissOverlap, NotSkippedNullStraddle: p.res.MissNullStraddle}
 	if p.active {
 		c.SkippersUsed = 1
 	}

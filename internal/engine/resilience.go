@@ -277,7 +277,7 @@ func (e *Engine) VerifySkipping(cols ...string) error {
 			if rows > col.Len() {
 				return fmt.Errorf("metadata covers %d rows, column has %d", rows, col.Len())
 			}
-			return s.CheckInvariants(col.Vec().Slice(0, rows), col.Nulls(), false)
+			return s.CheckInvariants(col.Vec().Slice(0, rows), col.Nulls())
 		}); err != nil {
 			errs = append(errs, fmt.Errorf("column %q: %w", name, err))
 		}

@@ -210,7 +210,7 @@ type faultySkipper struct {
 	panicProbe    bool // Prune and PruneNulls panic
 	panicObs      bool
 	panicExtend   bool
-	panicWiden    bool
+	panicRefresh  bool
 	badWindows    bool // emit candidate windows beyond the column end
 	badInvariants bool // CheckInvariants fails
 
@@ -250,19 +250,18 @@ func (f *faultySkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) {
 	f.rows = codes.Len()
 }
 
-func (f *faultySkipper) Widen(int, int64) {
-	if f.panicWiden {
-		panic("faultySkipper: widen panic")
+func (f *faultySkipper) Refresh(int, storage.Vec, *bitvec.BitVec) {
+	if f.panicRefresh {
+		panic("faultySkipper: refresh panic")
 	}
 }
 
-func (f *faultySkipper) NoteNonNull(int) {}
-func (f *faultySkipper) Rows() int       { return f.rows }
+func (f *faultySkipper) Rows() int { return f.rows }
 func (f *faultySkipper) Metadata() core.Metadata {
 	return core.Metadata{Kind: "faulty", Zones: 1, Enabled: true}
 }
 
-func (f *faultySkipper) CheckInvariants(storage.Vec, *bitvec.BitVec, bool) error {
+func (f *faultySkipper) CheckInvariants(storage.Vec, *bitvec.BitVec) error {
 	if f.badInvariants {
 		return errors.New("faultySkipper: bounds exclude a row")
 	}
@@ -311,7 +310,7 @@ func naiveCountA(t *testing.T, tb *table.Table, lo, hi int64) int {
 
 // TestSkipperFaultDropsSkipper drives a fault through every call the
 // engine makes into a skipper — Prune, PruneNulls, Observe, Extend (an
-// append, then a query), Widen (an Update), candidate windows the scan
+// append, then a query), Refresh (an Update), candidate windows the scan
 // cannot read at Parallelism 1 and 4, a failing CheckInvariants under
 // VerifySkipping, and a real adaptive zonemap whose layout an injected
 // InvariantFlip broke — and checks the one outcome: the answer is the
@@ -347,7 +346,7 @@ func TestSkipperFaultDropsSkipper(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, inA, "panic"},
-		{"Widen", 1, &faultySkipper{panicWiden: true}, func(t *testing.T, e *Engine) {
+		{"Refresh", 1, &faultySkipper{panicRefresh: true}, func(t *testing.T, e *Engine) {
 			if err := e.Update("a", 5, storage.IntValue(1_000_000)); err != nil {
 				t.Fatal(err)
 			}
@@ -645,7 +644,7 @@ func TestVerifySkippingDetectsCorruption(t *testing.T) {
 }
 
 // TestVerifySkippingDetectsStaleMetadata overwrites a cell underneath the
-// metadata — no Widen, as a bug in an update path would — under every
+// metadata — no Refresh, as a bug in an update path would — under every
 // skipping policy: the verification pass must notice, quarantine the
 // column (queries stay correct by scanning), and a rebuild must clear it.
 // Stale metadata is caught at both code widths: column a is []uint32 as

@@ -453,8 +453,8 @@ func TestClauseMatchesRanges(t *testing.T) {
 }
 
 // TestHull covers the hull's algebra at its edges: the empty hull is
-// Union's identity, has width 0 and is enclosed by every hull, and widths
-// are exact across the whole code space.
+// Union's identity and has width 0, and widths are exact across the whole
+// code space.
 func TestHull(t *testing.T) {
 	const lo, hi = math.MinInt64, math.MaxInt64
 	h := Hull{-3, 8}
@@ -464,14 +464,10 @@ func TestHull(t *testing.T) {
 	if EmptyHull.Union(h) != h || h.Union(EmptyHull) != h || EmptyHull.Union(EmptyHull) != EmptyHull {
 		t.Fatal("the empty hull is not Union's identity")
 	}
-	if h.Union(Hull{10, 12}) != (Hull{-3, 12}) || EmptyHull.Admit(4) != (Hull{4, 4}) || h.Admit(0) != h || h.Admit(lo) != (Hull{lo, 8}) {
-		t.Fatal("Union / Admit")
+	if h.Union(Hull{10, 12}) != (Hull{-3, 12}) || EmptyHull.Union(Hull{4, 4}) != (Hull{4, 4}) || h.Union(Hull{0, 0}) != h || h.Union(Hull{lo, lo}) != (Hull{lo, 8}) {
+		t.Fatal("Union")
 	}
 	if EmptyHull.Width() != 0 || (Hull{5, 5}).Width() != 0 || h.Width() != 11 || (Hull{lo, hi}).Width() != math.MaxUint64 {
 		t.Fatal("Width")
-	}
-	if !h.Encloses(EmptyHull) || !EmptyHull.Encloses(EmptyHull) || EmptyHull.Encloses(Hull{hi, hi}) ||
-		!h.Encloses(Hull{-3, -3}) || h.Encloses(Hull{-4, 0}) || h.Encloses(Hull{0, 9}) || !(Hull{lo, hi}).Encloses(h) {
-		t.Fatal("Encloses")
 	}
 }

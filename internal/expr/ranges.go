@@ -68,9 +68,6 @@ func (h Hull) Empty() bool { return h.Min > h.Max }
 // Union is the hull of the values of h and o together.
 func (h Hull) Union(o Hull) Hull { return Hull{min(h.Min, o.Min), max(h.Max, o.Max)} }
 
-// Admit is h loosened to hold code c.
-func (h Hull) Admit(c int64) Hull { return h.Union(Hull{c, c}) }
-
 // Width is Max − Min, exact over the whole code space; 0 when h is empty.
 func (h Hull) Width() uint64 {
 	if h.Empty() {
@@ -78,9 +75,6 @@ func (h Hull) Width() uint64 {
 	}
 	return uint64(h.Max) - uint64(h.Min)
 }
-
-// Encloses reports whether every value o holds is inside h.
-func (h Hull) Encloses(o Hull) bool { return o.Empty() || h.Min <= o.Min && o.Max <= h.Max }
 
 // Match is what a predicate's test concludes about a set of values.
 type Match uint8

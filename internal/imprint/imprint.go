@@ -103,11 +103,6 @@ func (m *Bins) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (m
 	return mask, nonNull
 }
 
-// Admit sets the bin bit of an updated value.
-func (m *Bins) Admit(mask uint64, code int64) uint64 {
-	return mask | 1<<uint(m.binOf(code))
-}
-
 // Union is the mask of the bins either mask has.
 func (m *Bins) Union(a, b uint64) uint64 { return a | b }
 
@@ -121,12 +116,6 @@ func (m *Bins) Test(q *Masks, mask uint64) expr.Match {
 		return expr.MatchAll
 	}
 	return expr.MatchSome
-}
-
-// Holds requires the stored mask to hold every bin present in the rows —
-// and no other when exact, i.e. when no Widen has set a bit since.
-func (m *Bins) Holds(have, derived uint64, exact bool) bool {
-	return derived&^have == 0 && (!exact || derived == have)
 }
 
 // Lower turns a predicate's code intervals into its two bin masks.

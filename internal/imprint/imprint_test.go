@@ -2,10 +2,13 @@ package imprint
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"adskip/internal/bitvec"
+	"adskip/internal/core"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
 	"adskip/internal/zonemap"
@@ -150,15 +153,32 @@ func TestExtendAndWiden(t *testing.T) {
 	if m.Rows() != 150 || m.Metadata().Zones != 4 {
 		t.Fatalf("rows=%d zones=%d", m.Rows(), m.Metadata().Zones)
 	}
-	// Update row 10 to a huge value: its bin bit must admit it.
-	codes[10] = 1 << 40
-	m.Widen(10, 1<<40)
-	// Zone 0 must be a candidate now.
-	if cands := m.Prune(oneRange(1<<39, 1<<41)).Zones; len(cands) == 0 || cands[0].Lo != 0 {
-		t.Fatalf("widened zone wrongly skipped: %v", cands)
+	// Update row 100 to a value below every other: zone [75,125) takes
+	// bin 0, which it was skipped for.
+	low := oneRange(-5, -1)
+	holds := func(res core.PruneResult) bool {
+		for _, c := range res.Zones {
+			if c.Lo <= 100 && 100 < c.Hi {
+				return true
+			}
+		}
+		return false
 	}
-	// NoteNonNull does not panic and bumps the counter.
-	m.NoteNonNull(10)
+	before := m.Prune(low)
+	codes[100] = -3
+	m.Refresh(100, storage.Vec{W: codes}, nil)
+	if after := m.Prune(low); holds(before) || !holds(after) {
+		t.Fatalf("the updated row's zone: candidates %v before the update, %v after", before.Zones, after.Zones)
+	}
+	// Written back, the zone's mask drops the bin again.
+	codes[100] = 100
+	m.Refresh(100, storage.Vec{W: codes}, nil)
+	if after := m.Prune(low); !reflect.DeepEqual(after, before) {
+		t.Fatalf("after the value was written back %+v, before the update %+v", after, before)
+	}
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAllNullColumn(t *testing.T) {
@@ -274,33 +294,33 @@ func TestCheckInvariants(t *testing.T) {
 	nulls := bitvec.New(950)
 	nulls.Set(7)
 	m := Build(storage.Vec{W: codes}, nulls, 100)
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls); err != nil {
 		t.Fatalf("fresh imprint: %v", err)
 	}
-	if err := m.CheckInvariants(storage.Vec{W: codes[:900]}, nulls, false); err == nil {
+	view := storage.Vec{W: codes}
+	if err := m.CheckInvariants(storage.Vec{W: codes[:900]}, nulls); err == nil {
 		t.Fatal("a slice shorter than Rows() passed")
-	}
-	// A widen sets a bin bit no row of the zone occupies: sound, not tight.
-	m.Widen(3, 900)
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
-		t.Fatalf("widened imprint, loose check: %v", err)
-	}
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, true); err == nil {
-		t.Fatal("widened imprint passed the exact check")
 	}
 	// A value written under the metadata lands in a bin the mask lacks.
 	codes[420] = 10
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err == nil {
-		t.Fatal("a code in a bin missing from its zone's mask passed")
+	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "exclude row 420 code 10") {
+		t.Fatalf("a code in a bin missing from its zone's mask: %v", err)
 	}
+	// Written back, the mask holds a bin no row occupies: the check names
+	// the two masks, and Refresh drops the bin.
+	m.Refresh(420, view, nulls)
 	codes[420] = 420
-	// A NULL overwritten without NoteNonNull leaves the count stale.
+	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "its rows derive") {
+		t.Fatalf("a mask with a bin no row occupies: %v", err)
+	}
+	m.Refresh(420, view, nulls)
+	// A NULL overwritten without Refresh leaves the count stale.
 	nulls.Clear(7)
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err == nil {
+	if err := m.CheckInvariants(view, nulls); err == nil {
 		t.Fatal("a stale non-null count passed")
 	}
-	m.NoteNonNull(7)
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
-		t.Fatalf("after NoteNonNull: %v", err)
+	m.Refresh(7, view, nulls)
+	if err := m.CheckInvariants(view, nulls); err != nil {
+		t.Fatalf("after Refresh: %v", err)
 	}
 }

@@ -46,15 +46,11 @@ type Cost struct {
 	// skipper during the probe. Only introspectable skippers (adaptive
 	// zonemaps) report them; all zero otherwise.
 	//
-	// NotSkippedOverlap: the zone's value hull genuinely straddles the
-	// predicate boundary — finer zones might help, wider ones won't.
-	// NotSkippedWidened: the hull was loosened by appends/updates since
-	// the zone was last rebuilt, so the miss may be stale metadata, not
-	// data distribution — a fold or split would re-tighten it.
+	// NotSkippedOverlap: the zone's value hull straddles the predicate
+	// boundary — finer zones might help, wider ones won't.
 	// NotSkippedNullStraddle: the hull is fully covered by the predicate
 	// but NULL rows inside the zone block the coverage proof.
 	NotSkippedOverlap      int `json:"-"`
-	NotSkippedWidened      int `json:"-"`
 	NotSkippedNullStraddle int `json:"-"`
 }
 
@@ -72,6 +68,5 @@ func (c *Cost) Add(o Cost) {
 	c.CoveredWindows += o.CoveredWindows
 	c.CandidateRows += o.CandidateRows
 	c.NotSkippedOverlap += o.NotSkippedOverlap
-	c.NotSkippedWidened += o.NotSkippedWidened
 	c.NotSkippedNullStraddle += o.NotSkippedNullStraddle
 }

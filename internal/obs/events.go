@@ -8,8 +8,8 @@ import (
 // EventKind classifies one adaptation record (see LedgerRecord).
 type EventKind uint8
 
-// Adaptation event kinds. Structural events (split, merge, tail fold,
-// widen) come from the adaptive zonemaps; arbitration events (disable,
+// Adaptation event kinds. Structural events (split, merge, tail fold)
+// come from the adaptive zonemaps; arbitration events (disable,
 // enable) from their cost model; lifecycle events from the engine.
 const (
 	EventSplit        EventKind = iota // a zone cut where its summary parts' verdicts change
@@ -19,7 +19,6 @@ const (
 	EventTailFold                      // append tail folded into zones
 	EventSkipperBuilt                  // skipping metadata built on a column
 	EventQuarantine                    // skipper failed (panic/corruption) and was dropped; column falls back to full scans
-	EventWiden                         // a zone's value hull loosened in place by an append/update
 )
 
 // eventKindNames is the one name table behind String, MarshalJSON and
@@ -33,7 +32,6 @@ var eventKindNames = [...]string{
 	EventTailFold:     "tail-fold",
 	EventSkipperBuilt: "skipper-built",
 	EventQuarantine:   "quarantine",
-	EventWiden:        "widen",
 }
 
 // NumEventKinds is the length of an array indexed by EventKind.

@@ -13,15 +13,14 @@ import (
 // that produced it; /adaptation and \events are projections of it, and
 // the per-table running totals feed the
 // EXPLAIN ANALYZE footer without a ring scan. Appends happen only on
-// change (split, merge, tail fold, first widen, arbitration flip,
-// skipper build, quarantine), never per probe or per scanned row, so the
+// change (split, merge, tail fold, arbitration flip, skipper build,
+// quarantine), never per probe or per scanned row, so the
 // journal costs the scan hot path nothing.
 
 // LedgerRecord is one zone-lifecycle event with provenance. Row bounds
 // ([RowLo,RowHi)) locate the affected region; Min/Max Before/After are
 // the value-bound hulls of that region before and after the change (for
-// a merge the hull is unchanged and the zone counts carry the story;
-// for a widen the loosened hull IS the story).
+// a merge the hull is unchanged and the zone counts carry the story).
 type LedgerRecord struct {
 	Seq    uint64    `json:"seq"`
 	Time   time.Time `json:"time"`
@@ -32,7 +31,7 @@ type LedgerRecord struct {
 	Kind  EventKind `json:"kind"`
 	// Cause is a short machine-readable reason: "split-gain",
 	// "merge-cold", "net-benefit", "shadow-probe", "append-fold",
-	// "update-widen", "panic", "corruption", "build".
+	// "panic", "corruption", "build".
 	Cause string `json:"cause"`
 	// Fingerprint is the literal-stripped template of the query whose
 	// feedback triggered the change; "" for changes outside a query

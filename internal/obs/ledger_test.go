@@ -12,8 +12,8 @@ func TestLedgerAppendStampsAndRetains(t *testing.T) {
 	l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventSplit,
 		Cause: "split-gain", Fingerprint: "select count(*) from data where v between ? and ?",
 		ZonesBefore: 4, ZonesAfter: 5, RowLo: 0, RowHi: 1024})
-	l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventWiden,
-		Cause: "update-widen", ZonesBefore: 5, ZonesAfter: 5,
+	l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventTailFold,
+		Cause: "append-fold", ZonesBefore: 5, ZonesAfter: 6,
 		MinBefore: 10, MaxBefore: 20, MinAfter: 10, MaxAfter: 99})
 
 	recs := l.Records()
@@ -60,7 +60,7 @@ func TestLedgerTotalsFoldAtAppend(t *testing.T) {
 	l := NewLedger(0)
 	l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventSplit, Cause: "split-gain",
 		Fingerprint: "q-template-1"})
-	l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventWiden, Cause: "append-fold"})
+	l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventTailFold, Cause: "append-fold"})
 	l.Append(LedgerRecord{Table: "data", Column: "v", Kind: EventSplit, Cause: "split-gain"})
 	l.Append(LedgerRecord{Table: "other", Column: "w", Kind: EventSkipperBuilt, Cause: "build"})
 

@@ -147,8 +147,8 @@ func TestGaugeFunc(t *testing.T) {
 // JSON round trip — String, MarshalJSON and UnmarshalJSON share one table,
 // so a kind added to it cannot render without also parsing.
 func TestEventKindStrings(t *testing.T) {
-	if len(eventKindNames) != int(EventWiden)+1 {
-		t.Fatalf("%d names for %d kinds", len(eventKindNames), int(EventWiden)+1)
+	if len(eventKindNames) != int(EventQuarantine)+1 {
+		t.Fatalf("%d names for %d kinds", len(eventKindNames), int(EventQuarantine)+1)
 	}
 	for i, want := range eventKindNames {
 		k := EventKind(i)

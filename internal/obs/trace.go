@@ -116,10 +116,9 @@ func (p PredicateTrace) MarshalJSON() ([]byte, error) {
 		EstRowsSkipped         int    `json:"est_rows_skipped"`
 		Matched                int    `json:"matched"`
 		NotSkippedOverlap      int    `json:"not_skipped_overlap,omitempty"`
-		NotSkippedWidened      int    `json:"not_skipped_widened,omitempty"`
 		NotSkippedNullStraddle int    `json:"not_skipped_null_straddle,omitempty"`
 	}{p.Column, p.Predicate, p.Skipper, p.SkippersUsed > 0, p.ZonesProbed, p.Windows, p.CoveredWindows,
-		p.CandidateRows, p.RowsSkipped, p.Matched, p.NotSkippedOverlap, p.NotSkippedWidened, p.NotSkippedNullStraddle})
+		p.CandidateRows, p.RowsSkipped, p.Matched, p.NotSkippedOverlap, p.NotSkippedNullStraddle})
 }
 
 // Lines renders the trace as aligned human-readable lines. Durations are
@@ -170,9 +169,9 @@ func (t *QueryTrace) Lines(withTimings bool) []string {
 			}
 		}
 		out = append(out, line)
-		if n := p.NotSkippedOverlap + p.NotSkippedWidened + p.NotSkippedNullStraddle; n > 0 {
-			out = append(out, fmt.Sprintf("  not skipped: %d zones — %d bounds-overlap, %d widened-by-recent-append, %d null-straddle",
-				n, p.NotSkippedOverlap, p.NotSkippedWidened, p.NotSkippedNullStraddle))
+		if n := p.NotSkippedOverlap + p.NotSkippedNullStraddle; n > 0 {
+			out = append(out, fmt.Sprintf("  not skipped: %d zones — %d bounds-overlap, %d null-straddle",
+				n, p.NotSkippedOverlap, p.NotSkippedNullStraddle))
 		}
 	}
 	return out

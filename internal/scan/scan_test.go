@@ -202,7 +202,7 @@ func naivePart(codes []int64, lo, hi int, nulls *bitvec.BitVec) PartStat {
 		if naiveNull(nulls, i) {
 			continue
 		}
-		s.Hull, s.NonNull = s.Hull.Admit(codes[i]), s.NonNull+1
+		s.Hull, s.NonNull = s.Hull.Union(expr.Hull{Min: codes[i], Max: codes[i]}), s.NonNull+1
 	}
 	return s
 }

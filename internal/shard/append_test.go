@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"adskip/internal/engine"
+	"adskip/internal/expr"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 	"adskip/internal/wal"
@@ -391,7 +392,8 @@ func TestConcurrentAppenders(t *testing.T) {
 				if col.IsNull(i) {
 					held.nulls++
 				} else {
-					held.keys = held.keys.Admit(col.Vec().At(i))
+					c := col.Vec().At(i)
+					held.keys = held.keys.Union(expr.Hull{Min: c, Max: c})
 				}
 			}
 			if s.observed != held {

@@ -92,13 +92,13 @@ func TestMergedTraceAddsShardTraces(t *testing.T) {
 			}
 			sum := checkTraceAddsShards(t, name, res.Trace, per)
 			id := sum[0]
-			notSkipped := id.NotSkippedOverlap + id.NotSkippedWidened + id.NotSkippedNullStraddle
-			first := per[0][0].NotSkippedOverlap + per[0][0].NotSkippedWidened + per[0][0].NotSkippedNullStraddle
+			notSkipped := id.NotSkippedOverlap + id.NotSkippedNullStraddle
+			first := per[0][0].NotSkippedOverlap + per[0][0].NotSkippedNullStraddle
 			if notSkipped <= first {
 				t.Fatalf("%s: %d zones not skipped over all shards, %d on the first: the query does not tell a sum from the first shard", name, notSkipped, first)
 			}
-			want := fmt.Sprintf("  not skipped: %d zones — %d bounds-overlap, %d widened-by-recent-append, %d null-straddle",
-				notSkipped, id.NotSkippedOverlap, id.NotSkippedWidened, id.NotSkippedNullStraddle)
+			want := fmt.Sprintf("  not skipped: %d zones — %d bounds-overlap, %d null-straddle",
+				notSkipped, id.NotSkippedOverlap, id.NotSkippedNullStraddle)
 			if joined := strings.Join(lines, "\n"); !strings.Contains(joined, "\n"+want+"\n") {
 				t.Errorf("%s: EXPLAIN ANALYZE lacks %q:\n%s", name, want, joined)
 			}

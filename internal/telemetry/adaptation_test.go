@@ -31,7 +31,7 @@ func adaptationSource() Source {
 					ZonesBefore: 4, ZonesAfter: 5, RowLo: 0, RowHi: 1024,
 					MinBefore: 1, MaxBefore: 99, MinAfter: 1, MaxAfter: 99},
 				{Seq: 3, Time: time.Unix(1700000010, 0).UTC(), Table: "data", Column: "v",
-					Shard: 2, Kind: obs.EventWiden, Cause: "append-fold",
+					Shard: 2, Kind: obs.EventTailFold, Cause: "append-fold",
 					ZonesBefore: 5, ZonesAfter: 5},
 				{Seq: 4, Time: time.Unix(1700000020, 0).UTC(), Table: "aux", Column: "w",
 					Kind: obs.EventSkipperBuilt, Cause: "build",
@@ -156,8 +156,8 @@ func TestAdaptationFilters(t *testing.T) {
 	}
 
 	byShard := decode("?shard=2")
-	if len(byShard.Events) != 1 || byShard.Events[0].Kind != obs.EventWiden {
-		t.Fatalf("shard=2 events = %+v, want just the widen", byShard.Events)
+	if len(byShard.Events) != 1 || byShard.Events[0].Kind != obs.EventTailFold {
+		t.Fatalf("shard=2 events = %+v, want just the tail fold", byShard.Events)
 	}
 	if len(byShard.ROI) != 1 || byShard.ROI[0].Shard != 2 {
 		t.Fatalf("shard=2 roi = %+v", byShard.ROI)

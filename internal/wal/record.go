@@ -241,12 +241,8 @@ func appendUpdate(b []byte, rec *Record) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, uint64(rec.Value.Int()))
 	case storage.Float64:
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.Value.Float()))
-	case storage.String:
-		s := rec.Value.Str()
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-		b = append(b, s...)
-	default:
-		return b, fmt.Errorf("wal: cannot encode value type %d", rec.Value.Type())
+	default: // the engine updates Int64 and Float64 columns only
+		return b, fmt.Errorf("wal: cannot encode an update of value type %d", rec.Value.Type())
 	}
 	return b, nil
 }
@@ -427,18 +423,8 @@ func decodeUpdate(r *reader) (*Record, error) {
 			return nil, fmt.Errorf("wal: NaN in update record")
 		}
 		rec.Value = storage.FloatValue(f)
-	case storage.String:
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		rec.Value = storage.StringValue(string(b))
-	default:
-		return nil, fmt.Errorf("wal: unknown value type %d", tb)
+	default: // a String update is never logged
+		return nil, fmt.Errorf("wal: update record of value type %d", tb)
 	}
 	if r.off != len(r.b) {
 		return nil, fmt.Errorf("wal: %d trailing bytes after update record", len(r.b)-r.off)

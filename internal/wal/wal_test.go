@@ -74,7 +74,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		sharded,
 		{Kind: KindUpdate, Table: "data", Col: "v", Row: 42, Value: storage.IntValue(7)},
 		{Kind: KindUpdate, Table: "data", Col: "noise", Row: 0, Value: storage.FloatValue(-0.25)},
-		{Kind: KindUpdate, Table: "d", Col: "s", Row: 1 << 40, Value: storage.StringValue("x")},
 		{Kind: KindUpdate, Table: "d", Shard: 3, Col: "v", Row: 5, Value: storage.IntValue(-1)},
 	}
 	for i, rec := range recs {
@@ -135,6 +134,8 @@ func TestEncodeRejects(t *testing.T) {
 		{"ragged columns", short},
 		{"null update", &Record{Kind: KindUpdate, Table: "t", Col: "c",
 			Value: storage.NullValue(storage.Int64)}},
+		{"string update", &Record{Kind: KindUpdate, Table: "d", Col: "s", Row: 1 << 40,
+			Value: storage.StringValue("x")}},
 	}
 	for _, tc := range cases {
 		if _, err := EncodePayload(tc.rec); err == nil {
@@ -164,6 +165,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"truncated", mutate(func(b []byte) []byte { return b[:len(b)/2] })},
 		{"trailing bytes", mutate(func(b []byte) []byte { return append(b, 0xFF) })},
 		{"shard-update with shard 0", []byte{byte(KindShardUpdate), 0, 0, 0, 0}},
+		// An update of String value "x", as the log once encoded one.
+		{"string update", []byte{byte(KindUpdate), 1, 0, 'd', 1, 0, 's', 0, 0, 0, 0, 0, 1, 0, 0,
+			byte(storage.String), 1, 0, 0, 0, 'x'}},
 		{"block of another width", mutate(func(b []byte) []byte { b[recordHead+1] = 8; return b })},
 		{"NULL list past the rows", mutate(func(b []byte) []byte { b[recordHead+2] = 9; return b })},
 	}

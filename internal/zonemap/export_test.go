@@ -9,7 +9,7 @@ import (
 // zone, then the tail, tested in row order, its verdict coalesced by the
 // flat walk's own emitter. It is the reference the blocked Prune is checked
 // against, which must emit the same result apart from ZonesProbed.
-func PruneFlat[S, Q any](g *Grid[S, Q], r expr.Ranges) core.PruneResult {
+func PruneFlat[S comparable, Q any](g *Grid[S, Q], r expr.Ranges) core.PruneResult {
 	q := g.kind.Lower(r)
 	zones := g.Zones
 	if t := g.tail; t.Hi > t.Lo {

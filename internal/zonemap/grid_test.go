@@ -93,17 +93,18 @@ func checkWindows(t *testing.T, what string, res core.PruneResult, n int, match 
 // nullable columns (empty included), zone sizes 1…n+1 and random range
 // sets: probes are sound, a grid extended in random increments (its tail
 // folded at a zone's worth of rows) is as exact and sound as a
-// from-scratch build, and CheckInvariants tells a tight grid from a
-// loosened one. Every column is summarised twice, from its 8-byte and from
-// its 4-byte view — by the grid kind and by the adaptive zonemap — and the
-// two must agree on every summary, candidate and verdict. The last 50
+// from-scratch build, an update's Refresh keeps it so, and CheckInvariants
+// tells a grid its column moved under from a refreshed one. Every column
+// is summarised twice, from its 8-byte and from its 4-byte view — by the
+// grid kind and by the adaptive zonemap — and the two must agree on every
+// summary, candidate and verdict. The last 50
 // columns have zones of 1–3 rows, so that a grid spans several blocks and
 // an Extend crosses block boundaries, and half of them NULL-only blocks.
 func TestGridProperties(t *testing.T) {
 	const columns = 200
 	for _, kind := range gridKinds {
 		t.Run(kind.name, func(t *testing.T) {
-			loosened := 0
+			stale := 0
 			for seed := int64(0); seed < columns; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				n := rng.Intn(300)
@@ -152,10 +153,10 @@ func TestGridProperties(t *testing.T) {
 					t.Fatalf("seed %d: grid over the narrow view %+v, over the wide view %+v", seed, ng, fresh)
 				}
 				for _, view := range []storage.Vec{wide, narrow} {
-					if err := fresh.CheckInvariants(view, nulls, true); err != nil {
+					if err := fresh.CheckInvariants(view, nulls); err != nil {
 						t.Fatalf("seed %d: fresh grid, %d-byte view: %v", seed, view.Width(), err)
 					}
-					if err := g.CheckInvariants(view, nulls, true); err != nil {
+					if err := g.CheckInvariants(view, nulls); err != nil {
 						t.Fatalf("seed %d: extended grid, %d-byte view: %v", seed, view.Width(), err)
 					}
 				}
@@ -192,78 +193,52 @@ func TestGridProperties(t *testing.T) {
 					was := codes[row]
 					codes[row], narrow.N[row] = 4_000_000_000, 4_000_000_000
 					for _, view := range []storage.Vec{wide, narrow} {
-						if az.CheckInvariants(view, nulls, false) == nil {
+						if az.CheckInvariants(view, nulls) == nil {
 							t.Fatalf("seed %d: row %d moved to 4e9 and a %d-byte view passed the adaptive zonemap's check", seed, row, view.Width())
 						}
 					}
-					if werr, nerr := g.CheckInvariants(wide, nulls, false), g.CheckInvariants(narrow, nulls, false); (werr == nil) != (nerr == nil) {
+					if werr, nerr := g.CheckInvariants(wide, nulls), g.CheckInvariants(narrow, nulls); (werr == nil) != (nerr == nil) {
 						t.Fatalf("seed %d: row %d moved to 4e9: wide view says %v, narrow view says %v", seed, row, werr, nerr)
 					}
 					codes[row], narrow.N[row] = was, uint32(was)
-					if err := az.CheckInvariants(narrow, nulls, true); err != nil {
+					if err := az.CheckInvariants(narrow, nulls); err != nil {
 						t.Fatalf("seed %d: adaptive zonemap, narrow view: %v", seed, err)
 					}
 					break
 				}
 
-				// A Widen that loosens a zone — admits a code the zone was
-				// skipped for, with the column left as it was — keeps the
-				// grid sound and no longer tight.
-				for try := 0; try < 8 && n > 0; try++ {
-					row, code := rng.Intn(n), rng.Int63n(2*domain)*int64(1+rng.Intn(2)*999_999)
-					point := expr.Ranges{Lo: []int64{code}, Hi: []int64{code}}
-					inWindow := func(res core.PruneResult) bool {
-						for _, c := range res.Zones {
-							if c.Lo <= row && row < c.Hi {
-								return true
-							}
-						}
-						return false
-					}
-					if isNull(row) || inWindow(g.Prune(point)) {
-						continue
-					}
-					g.Widen(row, code)
-					if !inWindow(g.Prune(point)) {
-						t.Fatalf("seed %d: row %d's zone still skipped for %d after Widen", seed, row, code)
-					}
-					for _, view := range []storage.Vec{wide, narrow} {
-						if err := g.CheckInvariants(view, nulls, false); err != nil {
-							t.Fatalf("seed %d: loosened grid, loose check, %d-byte view: %v", seed, view.Width(), err)
-						}
-						if err := g.CheckInvariants(view, nulls, true); err == nil {
-							t.Fatalf("seed %d: grid loosened at row %d by %d passed the exact check (%d-byte view)", seed, row, code, view.Width())
-						}
-					}
-					loosened++
-					break
-				}
-
-				// A NULL that gains a value — the column written, then
-				// Widen and NoteNonNull, as the engine makes the update —
-				// keeps the grid sound and its loose check passing.
-				for try := 0; try < 8 && nulls != nil && n > 0; try++ {
-					row, code := rng.Intn(n), rng.Int63n(domain)
-					if !isNull(row) {
-						continue
-					}
+				// Updates as the engine makes them — the column written,
+				// then Refresh — over a value or a NULL, tail rows too: the
+				// grid and the adaptive zonemap stay exact and sound,
+				// whether the summary that holds the row grew, shrank or
+				// stayed. Before its Refresh, an update that changed what
+				// the rows derive fails the check.
+				for k := 0; k < 4 && n > 0; k++ {
+					row, code := rng.Intn(n), rng.Int63n(2*domain)
 					codes[row], narrow.N[row] = code, uint32(code)
-					nulls.Clear(row)
-					g.Widen(row, code)
-					g.NoteNonNull(row)
+					if nulls != nil {
+						nulls.Clear(row)
+					}
+					if g.CheckInvariants(wide, nulls) != nil {
+						stale++
+					}
+					g.Refresh(row, wide, nulls)
+					az.Refresh(row, narrow, nulls)
 					point := expr.Ranges{Lo: []int64{code}, Hi: []int64{code}}
-					checkWindows(t, fmt.Sprintf("seed %d: %d written over the NULL at row %d", seed, code, row),
-						g.Prune(point), n, func(i int) bool { return !isNull(i) && codes[i] == code })
+					what := fmt.Sprintf("seed %d: %d written at row %d", seed, code, row)
+					checkWindows(t, what, g.Prune(point), n, func(i int) bool { return !isNull(i) && codes[i] == code })
 					for _, view := range []storage.Vec{wide, narrow} {
-						if err := g.CheckInvariants(view, nulls, false); err != nil {
-							t.Fatalf("seed %d: row %d gained a value, loose check, %d-byte view: %v", seed, row, view.Width(), err)
+						if err := g.CheckInvariants(view, nulls); err != nil {
+							t.Fatalf("%s, %d-byte view: %v", what, view.Width(), err)
+						}
+						if err := az.CheckInvariants(view, nulls); err != nil {
+							t.Fatalf("%s, adaptive zonemap, %d-byte view: %v", what, view.Width(), err)
 						}
 					}
-					break
 				}
 			}
-			if loosened < 50 {
-				t.Fatalf("only %d of %d columns found a loosening Widen", loosened, columns)
+			if stale < 100 {
+				t.Fatalf("only %d updates of %d columns changed what the rows derive", stale, columns)
 			}
 		})
 	}
@@ -291,7 +266,7 @@ func oneRange(lo, hi int64) expr.Ranges { return expr.Ranges{Lo: []int64{lo}, Hi
 // sameAsFlat fails unless the blocked probe of g emits what the flat walk
 // does for every predicate, ZonesProbed apart, and tests at least one
 // entry per block and at most one per block and per zone.
-func sameAsFlat[S, Q any](t *testing.T, what string, g *zonemap.Grid[S, Q], preds []expr.Ranges) {
+func sameAsFlat[S comparable, Q any](t *testing.T, what string, g *zonemap.Grid[S, Q], preds []expr.Ranges) {
 	t.Helper()
 	zones := g.Metadata().Zones
 	blocks := (zones + zonemap.BlockZones - 1) / zonemap.BlockZones
@@ -311,8 +286,8 @@ func sameAsFlat[S, Q any](t *testing.T, what string, g *zonemap.Grid[S, Q], pred
 // ZonesProbed: for both summary kinds and both code widths, over columns
 // of several blocks with NULL-only zones and NULL-only blocks, runs that
 // make zones covered, a partial last zone reached by Extend, and after
-// in-place updates (Widen) and NULLs that gain a value (NoteNonNull), at
-// every interval edge of the zone bounds.
+// in-place updates (Refresh), over values and over NULLs, at every
+// interval edge of the zone bounds.
 func TestBlockedPruneMatchesFlat(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -347,15 +322,20 @@ func TestBlockedPruneMatchesFlat(t *testing.T) {
 		preds := edgeRanges(rng, bounds, domain)
 		// Both kinds over both views, each built over a prefix and extended
 		// to the partial last zone; checks re-probes every grid.
-		var grids []core.Skipper
+		type viewed struct {
+			core.Skipper
+			view storage.Vec
+		}
+		var grids []viewed
 		var checks []func(what string)
-		for _, view := range []storage.Vec{{W: codes}, narrowView(codes)} {
+		narrow := narrowView(codes)
+		for _, view := range []storage.Vec{{W: codes}, narrow} {
 			what := fmt.Sprintf("seed %d, zone size %d, %d rows, %d-byte codes", seed, zoneSize, n, view.Width())
 			static := zonemap.Build(view.Slice(0, n/2), nulls, zoneSize)
 			imp := zonemap.NewGrid(bins, view.Slice(0, n/3), nulls, zoneSize)
 			static.Extend(view, nulls)
 			imp.Extend(view, nulls)
-			grids = append(grids, static, imp)
+			grids = append(grids, viewed{static, view}, viewed{imp, view})
 			checks = append(checks,
 				func(when string) { sameAsFlat(t, what+", static"+when, static, preds) },
 				func(when string) { sameAsFlat(t, what+", imprint"+when, imp, preds) })
@@ -364,10 +344,8 @@ func TestBlockedPruneMatchesFlat(t *testing.T) {
 			check("")
 		}
 		// Updates, as the engine makes them: a value written over a value
-		// or over a NULL (Widen, then NoteNonNull), half of them in the
-		// NULL-only block. Only the null map follows them, so that a row
-		// gains a value once: a grid sees an update through Widen and
-		// NoteNonNull alone.
+		// or over a NULL, then Refresh, half of them in the NULL-only
+		// block.
 		blockRows := zoneSize * zonemap.BlockZones
 		for k := 0; k < 12; k++ {
 			row := rng.Intn(n)
@@ -376,12 +354,10 @@ func TestBlockedPruneMatchesFlat(t *testing.T) {
 			}
 			code := rng.Int63n(2 * domain)
 			wasNull := nulls.Get(row)
+			codes[row], narrow.N[row] = code, uint32(code)
 			nulls.Clear(row)
 			for _, g := range grids {
-				g.Widen(row, code)
-				if wasNull {
-					g.NoteNonNull(row)
-				}
+				g.Refresh(row, g.view, nulls)
 			}
 			preds = append(preds, oneRange(code, code), oneRange(code-1, code+1))
 			for _, check := range checks {

@@ -7,9 +7,10 @@
 // is a Kind: the min/max hull here (an expr.Hull, tested by
 // expr.Clause.Test as in every layer), the bin mask in package imprint.
 //
-// The Grid owns, once for every layout, building and folding the tail,
-// the block level, the row lookup of Widen and NoteNonNull, the PruneNulls
-// walk and CheckInvariants. Without a Layout its zones have a fixed size
+// Every summary is exact: the one its rows derive. The Grid owns, once for
+// every layout, building and folding the tail, the block level, Refresh
+// (an update re-derives what holds the row), the PruneNulls walk and
+// CheckInvariants. Without a Layout its zones have a fixed size
 // (the static zonemap, the imprint) and Grid.Prune is the range probe: it
 // tests every block, then the member zones of blocks that may match, then
 // the tail — on
@@ -41,8 +42,10 @@ var ErrCorrupt = errors.New("zonemap: metadata corrupt")
 // Kind is one way of summarising a zone: S is the per-zone summary (the
 // metadata type), Q the clause a predicate is lowered to once per query
 // and tested against each summary. The summary of rows holding no value
-// is the identity of Union, which Test finds matching nothing.
-type Kind[S, Q any] interface {
+// is the identity of Union, which Test finds matching nothing. Summaries
+// are compared with ==: a stored summary is right when it equals the one
+// its rows derive.
+type Kind[S comparable, Q any] interface {
 	// Name is the Metadata kind.
 	Name() string
 	// Bytes is the footprint of the kind's own state, beside the grid's
@@ -50,8 +53,6 @@ type Kind[S, Q any] interface {
 	Bytes() int
 	// Summarize derives the summary and non-null count of rows [lo, hi).
 	Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (s S, nonNull int)
-	// Admit loosens s to hold code.
-	Admit(s S, code int64) S
 	// Union summarises the values of two summaries together.
 	Union(a, b S) S
 	// Lower turns a predicate's code intervals into the clause.
@@ -59,9 +60,6 @@ type Kind[S, Q any] interface {
 	// Test reports whether none, some or all of the values a zone
 	// summarised by s may hold match.
 	Test(q *Q, s S) expr.Match
-	// Holds reports whether the stored summary admits everything the
-	// re-derived one does — and nothing more when exact.
-	Holds(have, derived S, exact bool) bool
 }
 
 // Zone is one entry of a directory, and of its fine level: rows [Lo, Hi),
@@ -74,22 +72,20 @@ type Zone[S any] struct {
 
 // Layout is the owner of a grid that reshapes its zones. The grid keeps
 // the parts the layout cuts (Summarize appends those of rows [lo, hi)),
-// keeps every zone a run of whole parts, and tells the layout of its own
-// edits: a tail fold that appended the zones from zone and the parts from
-// part on, and a Widen that loosened zone zi's summary from before.
+// keeps every zone a run of whole parts, and tells the layout of a tail
+// fold that appended the zones from zone and the parts from part on.
 // CheckZone fails unless the layout's state of zone zi, whose first part
 // is part, is sound.
 type Layout[S any] interface {
 	Summarize(parts []Zone[S], codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) []Zone[S]
 	Folded(zone, part int)
-	Loosened(zi int, before S)
 	CheckZone(zi, part int) error
 }
 
 // Grid is the zone directory of one column. Zones tile the indexed rows
 // [0, Indexed()) in row order; the rows appended since, up to Rows(), are
 // the tail. With a Layout, Parts tile the same rows too.
-type Grid[S, Q any] struct {
+type Grid[S comparable, Q any] struct {
 	core.Inert // a grid does not learn; a Layout answers for itself
 
 	Zones  []Zone[S]
@@ -105,7 +101,7 @@ type Grid[S, Q any] struct {
 // Directory returns an empty grid whose zones hold zoneRows rows
 // (positive) when built — runs of the parts layout cuts, when layout is
 // not nil. FoldTail fills it.
-func Directory[S, Q any](kind Kind[S, Q], zoneRows int, layout Layout[S]) Grid[S, Q] {
+func Directory[S comparable, Q any](kind Kind[S, Q], zoneRows int, layout Layout[S]) Grid[S, Q] {
 	if zoneRows <= 0 {
 		panic(fmt.Sprintf("%s: zoneSize %d must be positive", kind.Name(), zoneRows))
 	}
@@ -114,7 +110,7 @@ func Directory[S, Q any](kind Kind[S, Q], zoneRows int, layout Layout[S]) Grid[S
 
 // NewGrid summarises the codes.Len() rows of a column view in zones of
 // zoneSize rows (positive). nulls may be nil.
-func NewGrid[S, Q any](kind Kind[S, Q], codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) *Grid[S, Q] {
+func NewGrid[S comparable, Q any](kind Kind[S, Q], codes storage.Vec, nulls *bitvec.BitVec, zoneSize int) *Grid[S, Q] {
 	g := Directory(kind, zoneSize, nil)
 	g.FoldTail(codes, nulls)
 	return &g
@@ -143,6 +139,15 @@ func (g *Grid[S, Q]) summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi i
 // join is the zone of adjacent zones a and b together.
 func (g *Grid[S, Q]) join(a, b Zone[S]) Zone[S] {
 	return Zone[S]{Lo: a.Lo, Hi: b.Hi, Sum: g.kind.Union(a.Sum, b.Sum), NonNull: a.NonNull + b.NonNull}
+}
+
+// union is the zone of the adjacent windows ws (one or more) together.
+func (g *Grid[S, Q]) union(ws []Zone[S]) Zone[S] {
+	u := ws[0]
+	for _, w := range ws[1:] {
+		u = g.join(u, w)
+	}
+	return u
 }
 
 // Extend takes in the rows appended up to codes.Len(); codes must be the
@@ -199,42 +204,35 @@ func find[S any](what string, ws []Zone[S], row int) int {
 	return i
 }
 
-// Widen loosens the summaries of the zone, part and block holding row to
-// admit an updated value, so pruning stays sound — even for a zone a later
-// reshaping cuts from the part; a tail row loosens the tail. Callers also
-// call NoteNonNull when the write replaced a NULL. A row no zone or part
-// covers panics with ErrCorrupt.
-func (g *Grid[S, Q]) Widen(row int, code int64) {
+// Refresh re-derives the summaries that hold row after an in-place
+// update; codes and nulls are the column's full state, as for Extend. The
+// window holding the row — its part with a Layout, else its zone, or the
+// tail — is summarised again from its rows, its zone becomes the union of
+// its parts and its block the union of its zones, so each stays exactly
+// what its rows derive: a summary or a non-null count may shrink as well
+// as grow. A row past Rows() is ignored; one no zone or part covers, or a
+// zone that is not a run of whole parts, panics with ErrCorrupt.
+func (g *Grid[S, Q]) Refresh(row int, codes storage.Vec, nulls *bitvec.BitVec) {
 	if row >= g.tail.Lo {
 		if row < g.tail.Hi {
-			g.tail.Sum = g.kind.Admit(g.tail.Sum, code)
+			g.tail = g.summarize(codes, nulls, g.tail.Lo, g.tail.Hi)
 		}
 		return
 	}
 	zi := find("zone", g.Zones, row)
-	zn, b := &g.Zones[zi], &g.Blocks[zi/BlockZones]
-	before := zn.Sum
-	zn.Sum, *b = g.kind.Admit(zn.Sum, code), g.kind.Admit(*b, code)
-	if g.layout != nil {
-		p := &g.Parts[find("part", g.Parts, row)]
-		p.Sum = g.kind.Admit(p.Sum, code)
-		g.layout.Loosened(zi, before)
-	}
-}
-
-// NoteNonNull records that a formerly NULL row now holds a value: it
-// counts in its zone and its part, or in the tail.
-func (g *Grid[S, Q]) NoteNonNull(row int) {
-	if row >= g.tail.Lo {
-		if row < g.tail.Hi {
-			g.tail.NonNull++
+	zn := &g.Zones[zi]
+	if g.layout == nil {
+		*zn = g.summarize(codes, nulls, zn.Lo, zn.Hi)
+	} else {
+		k := find("part", g.Parts, row)
+		g.Parts[k] = g.summarize(codes, nulls, g.Parts[k].Lo, g.Parts[k].Hi)
+		u := g.union(g.Parts[find("part", g.Parts, zn.Lo) : find("part", g.Parts, zn.Hi-1)+1])
+		if u.Lo != zn.Lo || u.Hi != zn.Hi {
+			panic(fmt.Errorf("%w: zone %d [%d,%d) is not a run of whole parts", ErrCorrupt, zi, zn.Lo, zn.Hi))
 		}
-		return
+		*zn = u
 	}
-	g.Zones[find("zone", g.Zones, row)].NonNull++
-	if g.layout != nil {
-		g.Parts[find("part", g.Parts, row)].NonNull++
-	}
+	g.reblock(zi / BlockZones)
 }
 
 // Prune tests each block, then the member zones of each block that may
@@ -308,12 +306,11 @@ func BadTiling(idx, got, want int) error {
 // exactly the Rows() rows covered. Zones and parts must tile [0, Indexed())
 // — checked first, so a broken layout is named by the row where it breaks.
 // Each part's (without a Layout, each zone's) rows, and the tail's, are
-// read once: its non-null count must be exact (the covered proof and
-// PruneNulls read it both ways) and its summary must admit every value — and equal the
-// re-derived one when exact, i.e. nothing loosened it — or it is walked
+// read once: its non-null count (the covered proof and PruneNulls read it
+// both ways) and its summary must be the ones they derive, or it is walked
 // again to name the row it excludes. Each zone must be a run of whole
-// parts, with their count and union; each block must admit its members.
-func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
+// parts, with their count and union; each block is its members' union.
+func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec) error {
 	parts, unit := g.Parts, "part"
 	if g.layout == nil {
 		parts, unit = g.Zones, "zone"
@@ -337,39 +334,38 @@ func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec, ex
 			}
 		}
 		for ; k < len(parts) && parts[k].Hi <= zn.Hi; k++ {
-			if err := g.checkRows(unit, k, &parts[k], codes, nulls, exact); err != nil {
+			if err := g.checkRows(unit, k, &parts[k], codes, nulls); err != nil {
 				return err
 			}
 		}
 		if k == first || parts[k-1].Hi != zn.Hi {
 			return fmt.Errorf("zonemap: zone %d [%d,%d) ends inside part %d", zi, zn.Lo, zn.Hi, k)
 		}
-		union := parts[first]
-		for _, p := range parts[first+1 : k] {
-			union = g.join(union, p)
-		}
-		if union.NonNull != zn.NonNull || union.NonNull > 0 && !g.kind.Holds(zn.Sum, union.Sum, exact) {
+		if union := g.union(parts[first:k]); union != *zn {
 			return fmt.Errorf("zonemap: zone %d [%d,%d) summary %+v nonNull=%d, its parts' %+v nonNull=%d",
 				zi, zn.Lo, zn.Hi, zn.Sum, zn.NonNull, union.Sum, union.NonNull)
 		}
-		if b := g.Blocks[zi/BlockZones]; zn.NonNull > 0 && !g.kind.Holds(b, zn.Sum, false) {
-			return fmt.Errorf("zonemap: block %d %+v excludes zone %d %+v", zi/BlockZones, b, zi, zn.Sum)
+	}
+	for bi, b := range g.Blocks {
+		lo, hi := Members(bi, len(g.Zones))
+		if union := g.union(g.Zones[lo:hi]).Sum; union != b {
+			return fmt.Errorf("zonemap: block %d %+v, its zones' union %+v", bi, b, union)
 		}
 	}
 	if g.tail.Hi > g.tail.Lo {
-		return g.checkRows("tail", 0, &g.tail, codes, nulls, exact)
+		return g.checkRows("tail", 0, &g.tail, codes, nulls)
 	}
 	return nil
 }
 
 // checkRows re-derives window k, named unit, from its rows: its non-null
-// count must be exact and its summary must hold the derived one.
-func (g *Grid[S, Q]) checkRows(unit string, k int, p *Zone[S], codes storage.Vec, nulls *bitvec.BitVec, exact bool) error {
+// count and its summary must be the derived ones.
+func (g *Grid[S, Q]) checkRows(unit string, k int, p *Zone[S], codes storage.Vec, nulls *bitvec.BitVec) error {
 	derived := g.summarize(codes, nulls, p.Lo, p.Hi)
 	if derived.NonNull != p.NonNull {
 		return fmt.Errorf("zonemap: %s %d [%d,%d) nonNull=%d, its rows hold %d", unit, k, p.Lo, p.Hi, p.NonNull, derived.NonNull)
 	}
-	if derived.NonNull > 0 && !g.kind.Holds(p.Sum, derived.Sum, exact) {
+	if derived.Sum != p.Sum {
 		return g.excluded(unit, k, p, codes, nulls, derived.Sum)
 	}
 	return nil
@@ -394,12 +390,14 @@ func tiles[S any](what string, ws []Zone[S], end int) error {
 	return nil
 }
 
-// excluded is the error for window k, named unit, whose summary does not
-// hold derived, the one its rows derive: the first row it excludes, or
-// the two summaries when it is only looser than exact allows.
+// excluded is the error for window k, named unit, whose summary differs
+// from derived, the one its rows derive: it names the first row the
+// summary excludes (one whose own summary a Union with it changes), or,
+// when it excludes none and so admits more than its rows hold, the two
+// summaries.
 func (g *Grid[S, Q]) excluded(unit string, k int, p *Zone[S], codes storage.Vec, nulls *bitvec.BitVec, derived S) error {
 	for r := p.Lo; r < p.Hi; r++ {
-		if s, n := g.kind.Summarize(codes, nulls, r, r+1); n > 0 && !g.kind.Holds(p.Sum, s, false) {
+		if s, n := g.kind.Summarize(codes, nulls, r, r+1); n > 0 && g.kind.Union(p.Sum, s) != p.Sum {
 			return fmt.Errorf("zonemap: %s %d summary %+v would exclude row %d code %d", unit, k, p.Sum, r, codes.At(r))
 		}
 	}
@@ -424,13 +422,14 @@ func (g *Grid[S, Q]) Refold(from int) {
 	n := (len(g.Zones) + BlockZones - 1) / BlockZones
 	g.Blocks = slices.Grow(g.Blocks, max(0, n-len(g.Blocks)))[:n]
 	for bi := from / BlockZones; bi < n; bi++ {
-		lo, hi := Members(bi, len(g.Zones))
-		b := g.Zones[lo]
-		for _, zn := range g.Zones[lo+1 : hi] {
-			b = g.join(b, zn)
-		}
-		g.Blocks[bi] = b.Sum
+		g.reblock(bi)
 	}
+}
+
+// reblock re-summarises block bi as the union of its member zones.
+func (g *Grid[S, Q]) reblock(bi int) {
+	lo, hi := Members(bi, len(g.Zones))
+	g.Blocks[bi] = g.union(g.Zones[lo:hi]).Sum
 }
 
 // ---------------------------------------------------------------------------
@@ -449,13 +448,9 @@ func (HullKind) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (
 	return scan.MinMax(codes, lo, hi, nulls, 0)
 }
 
-func (HullKind) Admit(h expr.Hull, code int64) expr.Hull     { return h.Admit(code) }
 func (HullKind) Union(a, b expr.Hull) expr.Hull              { return a.Union(b) }
 func (HullKind) Lower(r expr.Ranges) expr.Clause             { return r.Clause() }
 func (HullKind) Test(q *expr.Clause, h expr.Hull) expr.Match { return q.Test(h) }
-func (HullKind) Holds(have, derived expr.Hull, exact bool) bool {
-	return have == derived || !exact && have.Encloses(derived)
-}
 
 // Build constructs the static zonemap over a column view: the Grid under
 // the min/max hull.

@@ -2,6 +2,7 @@ package zonemap
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,7 +128,7 @@ func TestExtendIncremental(t *testing.T) {
 	if len(m.Zones) != 1 || m.Rows() != 12 || m.Indexed() != 7 {
 		t.Fatalf("tail: zones=%d rows=%d indexed=%d", len(m.Zones), m.Rows(), m.Indexed())
 	}
-	if err := m.CheckInvariants(storage.Vec{W: codes[:12]}, nil, true); err != nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes[:12]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res := m.Prune(oneRange(100, 200)); len(res.Zones) != 0 || res.RowsSkipped != 12 {
@@ -149,7 +150,7 @@ func TestExtendIncremental(t *testing.T) {
 			t.Fatalf("zone %d: extend %+v vs fresh %+v", zi, zn, fresh.Zones[0])
 		}
 	}
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nil, true); err != nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Extending with no new rows is a no-op.
@@ -198,27 +199,40 @@ func TestPruneMergesOnlySameCoverage(t *testing.T) {
 	}
 }
 
-func TestWidenAndNoteNonNull(t *testing.T) {
+// Refresh re-derives the zone that holds the updated row, and its block:
+// a value written outside the hull widens it, one written over the only
+// row holding the max narrows it, and a NULL that gains a value counts.
+func TestRefresh(t *testing.T) {
 	codes := seq(20, func(i int) int64 { return int64(i) })
 	m := Build(storage.Vec{W: codes}, nil, 10)
-	m.Widen(5, 1000)
-	z := zoneOf(m, 0)
-	if z.Min != 0 || z.Max != 1000 {
-		t.Fatalf("widened zone = %+v", z)
+	codes[5] = 1000
+	m.Refresh(5, storage.Vec{W: codes}, nil)
+	if z := zoneOf(m, 0); z != (zone{0, 1000, 10}) || m.Blocks[0] != (expr.Hull{Min: 0, Max: 1000}) {
+		t.Fatalf("widened zone = %+v, block %+v", z, m.Blocks[0])
 	}
-	// Widening an all-null zone initializes bounds.
+	codes[5] = 5
+	m.Refresh(5, storage.Vec{W: codes}, nil)
+	if z := zoneOf(m, 0); z != (zone{0, 9, 10}) || m.Blocks[0] != (expr.Hull{Min: 0, Max: 19}) {
+		t.Fatalf("narrowed zone = %+v, block %+v", z, m.Blocks[0])
+	}
+	if res := m.Prune(oneRange(1000, 1000)); len(res.Zones) != 0 {
+		t.Fatalf("a value no row holds is a candidate: %+v", res)
+	}
+	// A NULL row of an all-NULL zone that gains a value.
 	nulls := bitvec.New(10)
 	nulls.SetAll()
 	m2 := Build(storage.Vec{W: codes[:10]}, nulls, 10)
-	m2.Widen(3, 42)
-	m2.NoteNonNull(3)
-	z = zoneOf(m2, 0)
-	if z.Min != 42 || z.Max != 42 || z.NonNull != 1 {
-		t.Fatalf("null-zone widen = %+v", z)
+	codes[3] = 42
+	nulls.Clear(3)
+	m2.Refresh(3, storage.Vec{W: codes[:10]}, nulls)
+	if z := zoneOf(m2, 0); z != (zone{42, 42, 1}) {
+		t.Fatalf("null-zone refresh = %+v", z)
 	}
-	cands := m2.Prune(oneRange(42, 42)).Zones
-	if len(cands) != 1 {
-		t.Fatalf("widened null zone should now be a candidate: %v", cands)
+	if cands := m2.Prune(oneRange(42, 42)).Zones; len(cands) != 1 {
+		t.Fatalf("the zone that gained a value should now be a candidate: %v", cands)
+	}
+	if err := m2.CheckInvariants(storage.Vec{W: codes[:10]}, nulls); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -299,7 +313,7 @@ func TestQuickExtendMatchesBuild(t *testing.T) {
 			next := m.Rows() + 1 + rng.Intn(n-m.Rows())
 			m.Extend(storage.Vec{W: codes[:next]}, nil)
 		}
-		if m.CheckInvariants(storage.Vec{W: codes}, nil, true) != nil {
+		if m.CheckInvariants(storage.Vec{W: codes}, nil) != nil {
 			return false
 		}
 		fresh := Build(storage.Vec{W: codes}, nil, zoneSize)
@@ -384,33 +398,45 @@ func TestCheckInvariants(t *testing.T) {
 	nulls := bitvec.New(95)
 	nulls.Set(7)
 	m := Build(storage.Vec{W: codes}, nulls, 10)
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, true); err != nil {
+	view := storage.Vec{W: codes}
+	if err := m.CheckInvariants(view, nulls); err != nil {
 		t.Fatalf("fresh map: %v", err)
 	}
-	if err := m.CheckInvariants(storage.Vec{W: codes[:90]}, nulls, false); err == nil {
+	if err := m.CheckInvariants(storage.Vec{W: codes[:90]}, nulls); err == nil {
 		t.Fatal("a slice shorter than Rows() passed")
 	}
-	// A widen keeps the map sound but no longer tight.
-	m.Widen(3, 500)
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
-		t.Fatalf("widened map, loose check: %v", err)
-	}
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, true); err == nil {
-		t.Fatal("widened map passed the exact check")
-	}
-	// A value written under the metadata escapes its zone's hull.
+	// A value written under the metadata escapes its zone's hull, and is
+	// named; Refresh takes it in.
 	codes[42] = -1
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err == nil {
-		t.Fatal("a code outside its zone's bounds passed")
+	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "exclude row 42 code -1") {
+		t.Fatalf("a code outside its zone's bounds: %v", err)
 	}
-	codes[42] = 42
-	// A NULL overwritten without NoteNonNull leaves the count stale.
+	m.Refresh(42, view, nulls)
+	if err := m.CheckInvariants(view, nulls); err != nil {
+		t.Fatalf("after Refresh: %v", err)
+	}
+	// The only row holding a zone's max, written inside the hull: the
+	// stored hull admits more than the rows hold, and the check says so.
+	codes[49] = 45
+	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "its rows derive") {
+		t.Fatalf("a hull looser than its rows: %v", err)
+	}
+	m.Refresh(49, view, nulls)
+	if err := m.CheckInvariants(view, nulls); err != nil {
+		t.Fatalf("after Refresh: %v", err)
+	}
+	// A NULL overwritten without Refresh leaves the count stale.
 	nulls.Clear(7)
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err == nil {
+	if err := m.CheckInvariants(view, nulls); err == nil {
 		t.Fatal("a stale non-null count passed")
 	}
-	m.NoteNonNull(7)
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls, false); err != nil {
-		t.Fatalf("after NoteNonNull: %v", err)
+	m.Refresh(7, view, nulls)
+	if err := m.CheckInvariants(view, nulls); err != nil {
+		t.Fatalf("after Refresh: %v", err)
+	}
+	// A block that is not its zones' union.
+	m.Blocks[0].Max++
+	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "block 0") {
+		t.Fatalf("a loose block: %v", err)
 	}
 }
