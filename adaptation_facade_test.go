@@ -218,7 +218,8 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 // for a probe) and a rebuild (which replaces the skipper but not the
 // column): every counter in a row covers the column's lifetime. Its net
 // benefit is adaptive.Net of those counters, the charge arbitration
-// steps by.
+// steps by, and its maintenance events are the column's
+// adskip_adapt_events_total records of the skipper's own kinds.
 func TestROIMatchesColumnCounters(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -248,11 +249,12 @@ func TestROIMatchesColumnCounters(t *testing.T) {
 			}
 			var skipped int64
 			for _, r := range rois {
-				labels := `column="` + r.Column + `",` // the exposition sorts label keys
+				// The exposition sorts label keys: column, kind, shard, table.
+				column, rest := `column="`+r.Column+`",`, `table="data"`
 				if r.Shard > 0 {
-					labels += fmt.Sprintf(`shard="%d",`, r.Shard)
+					rest = fmt.Sprintf(`shard="%d",`, r.Shard) + rest
 				}
-				labels += `table="data"`
+				labels := column + rest
 				for _, c := range []struct {
 					series string
 					got    int64
@@ -267,6 +269,15 @@ func TestROIMatchesColumnCounters(t *testing.T) {
 						t.Errorf("%s shard %d: ROI reads %d, %s{%s} reads %d (found %v)",
 							r.Column, r.Shard, c.got, c.series, labels, want, ok)
 					}
+				}
+				var events int64
+				for _, kind := range []string{"split", "merge", "tail-fold", "disable", "enable"} {
+					n, _ := seriesValue(metrics, `adskip_adapt_events_total{`+column+`kind="`+kind+`",`+rest+"}")
+					events += n
+				}
+				if r.MaintEvents != events {
+					t.Errorf("%s shard %d: maintenance_events %d, the column's adaptation records %d",
+						r.Column, r.Shard, r.MaintEvents, events)
 				}
 				if want := adaptive.Net(r.RowsSkipped, r.ZoneProbes); r.NetRows != want {
 					t.Errorf("%s shard %d: net_benefit_rows %v, adaptive.Net of its counters %v",

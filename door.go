@@ -67,8 +67,8 @@ func (db *DB) query(ctx context.Context, e executor, q engine.Query) (*Result, e
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fp := obs.TemplateFromContext(ctx)
-	if fp == "" {
+	org := obs.OriginOf(ctx)
+	if org.Fingerprint == "" {
 		return db.admitted(ctx, e, q)
 	}
 	start := time.Now()
@@ -77,8 +77,8 @@ func (db *DB) query(ctx context.Context, e executor, q engine.Query) (*Result, e
 		err error
 	)
 	pprof.Do(ctx, pprof.Labels(
-		"query_template", fp,
-		"session", obs.SessionFromContext(ctx),
+		"query_template", org.Fingerprint,
+		"session", org.Session,
 	), func(ctx context.Context) {
 		res, err = db.admitted(ctx, e, q)
 	})
@@ -86,10 +86,10 @@ func (db *DB) query(ctx context.Context, e executor, q engine.Query) (*Result, e
 		// A failed query has no execution totals: only the call, the
 		// error and the latency aggregate.
 		db.stats.Record(stats.Sample{
-			Fingerprint: fp,
+			Fingerprint: org.Fingerprint,
 			Table:       e.Table().Name(),
 			Err:         true,
-			CacheHit:    obs.PlanCachedFromContext(ctx),
+			CacheHit:    org.PlanCached,
 			Latency:     time.Since(start),
 		})
 		return nil, err

@@ -146,12 +146,7 @@ type Zonemap struct {
 
 	splits, merges, disables, enables int
 
-	// maintEvents counts structural/arbitration events (Observes that
-	// split or merge, arbitration flips, tail folds);
-	// maintZones counts the zones those events touched.
-	maintEvents int64
-	maintZones  int64
-	built       bool // New has folded the initial rows: a later fold is maintenance
+	built bool // New has folded the initial rows: a later fold is journaled
 
 	journal func(obs.LedgerRecord) // adaptation-journal sink; nil = no journal
 }
@@ -217,8 +212,6 @@ func (z *Zonemap) Folded(from, part int) {
 	if !z.built {
 		return
 	}
-	z.maintZones += int64(len(z.Zones) - from)
-	z.maintEvents++
 	minAfter, maxAfter := bounds(hullOf(z.Zones[from:]))
 	z.record(obs.LedgerRecord{
 		Kind: obs.EventTailFold, Cause: "append-fold",
@@ -238,10 +231,9 @@ func (z *Zonemap) CheckZone(zi, part int) error {
 }
 
 // Introspect implements core.Skipper: the dead zones in row order (heat
-// below MergeHeat, the test a merge applies) and the maintenance counters.
-// It writes nothing.
+// below MergeHeat, the test a merge applies). It writes nothing.
 func (z *Zonemap) Introspect() (obs.SkipperSnapshot, bool) {
-	snap := obs.SkipperSnapshot{MaintEvents: z.maintEvents, MaintZones: z.maintZones}
+	var snap obs.SkipperSnapshot
 	for i, l := range z.learn {
 		if zn := &z.Zones[i]; l.heat < z.tune.mergeHeat {
 			mn, mx := bounds(zn.Sum)

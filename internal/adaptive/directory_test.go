@@ -53,7 +53,6 @@ func spliceReference(z *Zonemap, edits []edit) {
 			learn = append(learn, learner{heat: e.l.heat, first: int32(first)})
 		}
 		out = append(out, e.zones...)
-		z.maintZones += int64(max(e.n, len(e.zones)))
 		i += e.n - 1
 	}
 	z.Zones, z.learn = out, learn
@@ -113,7 +112,6 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 	if len(edits) > 0 {
 		spliceReference(z, edits)
 		blocksReference(z)
-		z.maintEvents++
 	}
 }
 

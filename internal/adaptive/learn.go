@@ -48,7 +48,6 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 		z.enabled = false
 		z.disabledQueries = 0
 		z.disables++
-		z.maintEvents++
 		z.record(obs.LedgerRecord{
 			Kind: obs.EventDisable, Cause: "net-benefit",
 			ZonesBefore: len(z.Zones), ZonesAfter: len(z.Zones),
@@ -57,7 +56,6 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 	}
 	if z.enabled && len(edits) > 0 { // structure frozen while disabled
 		z.Refold(z.splice(edits))
-		z.maintEvents++
 	}
 }
 
@@ -133,7 +131,6 @@ func (z *Zonemap) splice(edits []edit) int {
 		}
 		z.splits += max(len(e.zones)-e.n, 0)
 		z.merges += max(e.n-len(e.zones), 0)
-		z.maintZones += int64(max(e.n, len(e.zones)))
 		z.record(rec)
 	}
 	// Forward: w writes, r reads; a growing edit moves whole, index and all.
@@ -277,7 +274,6 @@ func (z *Zonemap) shadowProbe(r expr.Ranges) {
 	if z.netBenefit > 0 {
 		z.enabled = true
 		z.enables++
-		z.maintEvents++
 		z.record(obs.LedgerRecord{
 			Kind: obs.EventEnable, Cause: "shadow-probe",
 			ZonesBefore: len(z.Zones), ZonesAfter: len(z.Zones),

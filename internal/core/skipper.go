@@ -139,10 +139,9 @@ type Skipper interface {
 	// never per probe, so the sink stays off the scan hot path.
 	SetJournal(sink func(obs.LedgerRecord))
 	// Introspect copies, in one cold-path call that writes nothing, what
-	// the /adaptation ROI rows need from the skipper: its dead zones and
-	// its maintenance counters. The probe counters are the engine's own; a
-	// skipper that keeps no such accounts returns false, and gets no ROI
-	// row.
+	// the /adaptation ROI rows need from the skipper: its dead zones. The
+	// probe and maintenance counters are the engine's own; a skipper that
+	// keeps no such accounts returns false, and gets no ROI row.
 	Introspect() (obs.SkipperSnapshot, bool)
 }
 

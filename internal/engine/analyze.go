@@ -51,6 +51,6 @@ func AnalyzeLines(res *Result, withTimings bool) []string {
 func analyzeSummary(tr *obs.QueryTrace) string {
 	avoided := tr.RowsSkipped + tr.RowsCovered
 	return fmt.Sprintf("pruning: %d of %d rows avoided (%.1f%%): %d skipped, %d covered; %d scanned",
-		avoided, tr.RowsTotal, pct(avoided, tr.RowsTotal),
+		avoided, tr.RowsTotal, obs.Pct(avoided, tr.RowsTotal),
 		tr.RowsSkipped, tr.RowsCovered, tr.RowsScanned)
 }

@@ -60,7 +60,7 @@ func TestExplainAnalyzeGoldenStatic(t *testing.T) {
 		`EXPLAIN ANALYZE: table "t" (1000 rows), 128 rows matched`,
 		`probe: 17 zone probes`,
 		`scan: scanned 0, covered 128, skipped 872 rows`,
-		`predicate on "a": [128,255] — static skipper: est. 872 rows skippable (87.2%), 1 windows (1 covered, 128 candidate rows); actual matched 128`,
+		`predicate on "a": [128,255] — static skipper: 17 zone probes, est. 872 rows skippable (87.2%), 1 windows (1 covered, 128 candidate rows, 128 rows covered); actual matched 128`,
 		`pruning: 1000 of 1000 rows avoided (100.0%): 872 skipped, 128 covered; 0 scanned`,
 	}
 	if len(got) != len(want) {
@@ -195,6 +195,31 @@ func TestExplainLifetimeAndCoveredFooter(t *testing.T) {
 	}
 	if strings.Contains(strings.Join(part, "\n"), "all candidate windows covered") {
 		t.Errorf("covered footer wrongly emitted for partial range:\n%s", strings.Join(part, "\n"))
+	}
+
+	// Nor may a declined skipper: its column is evaluated in full. On the
+	// uniform column no zone prunes, so arbitration turns probing off.
+	ad := New(buildTable(t, 4096, 1), Options{Policy: PolicyAdaptive, ZoneSize: 512,
+		Adaptive: adaptive.Config{MinZoneRows: 32}})
+	if err := ad.EnableSkipping("b"); err != nil {
+		t.Fatal(err)
+	}
+	cold := Query{Where: expr.And(intPred("b", expr.Between, 400, 420)), Aggs: []Agg{{Kind: CountStar}}}
+	for i := 0; i < 100 && ad.Skipper("b").(*adaptive.Zonemap).Enabled(); i++ {
+		if _, err := ad.Query(cold); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ad.Skipper("b").(*adaptive.Zonemap).Enabled() {
+		t.Fatal("arbitration never disabled the uniform column")
+	}
+	declined, err := ad.Explain(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined = strings.Join(declined, "\n")
+	if !strings.Contains(joined, "declined") || strings.Contains(joined, "all candidate windows covered") {
+		t.Errorf("declined skipper: want a declined line and no covered footer:\n%s", joined)
 	}
 }
 

@@ -93,7 +93,7 @@ type Options struct {
 	// metrics catalog-wide.
 	Metrics *obs.Registry
 	// Ledger receives the adaptation records: every structural change
-	// (split, merge, arbitration flip, fold, widen, build, quarantine)
+	// (split, merge, arbitration flip, fold, build, quarantine)
 	// with its cause, the fingerprint of the query
 	// that triggered it, and the before/after bounds. When nil, the
 	// engine creates a private ledger. Share one ledger across engines

@@ -152,11 +152,7 @@ func (e *Engine) queryOnce(ctx context.Context, q Query, retry bool) (out *Parti
 	if retry {
 		qc.workers = 1
 	}
-	tr := &obs.QueryTrace{Table: e.tbl.Name(), Start: time.Now(),
-		Session:     obs.SessionFromContext(ctx),
-		TraceID:     obs.TraceFromContext(ctx),
-		Fingerprint: obs.TemplateFromContext(ctx),
-		PlanCached:  obs.PlanCachedFromContext(ctx)}
+	tr := &obs.QueryTrace{Table: e.tbl.Name(), Start: time.Now(), Origin: obs.OriginOf(ctx)}
 	e.trace = tr
 	defer func() { e.trace = nil }()
 	e.syncSkippers()

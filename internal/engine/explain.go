@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+
+	"adskip/internal/obs"
 )
 
 // Explain plans q without executing its scans and renders one line per
@@ -45,40 +47,24 @@ func (e *Engine) Explain(q Query) ([]string, error) {
 		out = append(out, "no predicates: full scan")
 		return out, nil
 	}
-	allCovered := len(plans) > 0
-	for i := range plans {
-		p := &plans[i]
-		var predDesc string
-		if p.pred.NullOnly {
-			predDesc = "IS NULL"
-		} else {
-			predDesc = p.pred.R.String()
-		}
-		line := fmt.Sprintf("predicate on %q: %s", p.name, predDesc)
-		if p.skipper == nil {
-			out = append(out, line+" — no skipper, full evaluation")
+	// EXPLAIN pays for a real probe, so tracePredicates charges it to the
+	// column's cumulative counters like any query's, though the skipper
+	// itself learns nothing from it.
+	var (
+		tr   obs.QueryTrace
+		cost ExecStats
+	)
+	e.tracePredicates(&tr, plans, &cost)
+	allCovered := true
+	for i := range tr.Predicates {
+		p := &tr.Predicates[i]
+		out = p.AppendLines(out, n)
+		if p.SkippersUsed == 0 {
 			allCovered = false
 			continue
 		}
-		// EXPLAIN pays for a real probe, so it counts toward the column's
-		// cumulative probe/prune counters like any query, though the
-		// skipper itself learns nothing from it.
-		c := probeCost(p)
-		e.colMetrics(p.name).record(&c)
-		md := p.skipper.Metadata()
-		if !p.active {
-			out = append(out, fmt.Sprintf("%s — %s skipper declined (disabled), full evaluation", line, md.Kind))
-			allCovered = false
-			continue
-		}
-		if c.CoveredWindows < c.Windows {
-			allCovered = false
-		}
-		out = append(out, fmt.Sprintf(
-			"%s — %s skipper: %d zones (%d probes), %d candidate windows (%d rows covered), %d rows skippable (%.1f%%)",
-			line, md.Kind, md.Zones, c.ZonesProbed, c.Windows, c.RowsCovered,
-			c.RowsSkipped, pct(c.RowsSkipped, n)))
-		out = append(out, "  "+e.lifetimeLine(p.name))
+		allCovered = allCovered && p.CoveredWindows == p.Windows
+		out = append(out, "  "+e.lifetimeLine(p.Column))
 	}
 	if unsat {
 		out = append(out, "predicates are unsatisfiable: no scan will run")
@@ -94,22 +80,13 @@ func (e *Engine) Explain(q Query) ([]string, error) {
 }
 
 // lifetimeLine renders a column's cumulative probe/prune counters from the
-// metrics registry, so repeated EXPLAINs expose adaptation progressing.
+// metrics registry, so repeated EXPLAINs expose adaptation progressing, and
+// the zones its skipper holds now. The column has a skipper.
 func (e *Engine) lifetimeLine(col string) string {
 	cm := e.colMetrics(col)
 	skipped := cm.rowsSkipped.Load()
 	cand := cm.candidateRows.Load()
-	hitRate := 0.0
-	if skipped+cand > 0 {
-		hitRate = float64(skipped) / float64(skipped+cand) * 100
-	}
-	return fmt.Sprintf("lifetime: %d probes (%d declined), %d zone probes, %d rows skipped / %d candidate (prune hit rate %.1f%%)",
-		cm.probeQueries.Load(), cm.declined.Load(), cm.zonesProbed.Load(), skipped, cand, hitRate)
-}
-
-func pct(part, whole int) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return float64(part) / float64(whole) * 100
+	return fmt.Sprintf("lifetime: %d probes (%d declined), %d zone probes, %d rows skipped / %d candidate (prune hit rate %.1f%%); %d zones now",
+		cm.probeQueries.Load(), cm.declined.Load(), cm.zonesProbed.Load(), skipped, cand,
+		obs.Pct(int(skipped), int(skipped+cand)), e.skippers[col].Metadata().Zones)
 }

@@ -150,7 +150,7 @@ func getJSON(t *testing.T, url string, into any) {
 
 // TestIntrospectDerivationsMatchParent is the differential check on
 // AdaptationROI's rows (net benefit, dead zones and their detail): on this
-// fixed seeded run — splits, a widen, a split of the widened zone, a
+// fixed seeded run — splits, an update, a split of the updated zone, a
 // column that never prunes — they must equal, byte for byte, what the
 // skipper's own SnapshotROI produced when the literals were recorded.
 // Figures that have moved on purpose since:
@@ -184,7 +184,13 @@ func getJSON(t *testing.T, url string, into any) {
 //     charge arbitration steps its EWMA by: 158848 - 4 x 485 = 156908 for
 //     column a. It also debited 64 rows per maintenance zone, a figure no
 //     decision read: 156908 - 64 x 16 = 155884 for a, -188 - 64 x 4 =
-//     -444 for b.
+//     -444 for b;
+//   - maintenance_events counts the column's split, merge, tail-fold,
+//     disable and enable records, one per edit, as adskip_adapt_events_total
+//     does, where the skipper counted the Observes that edited. Each
+//     editing Observe here made one edit: a's two splits of one zone into
+//     8 (2 events, 2 x 8 = 16 zones) and b's one merge of 4 zones into 1
+//     (1 event, 4 zones), so both columns read as before.
 func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
 	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 1024, Adaptive: adaptive.Config{

@@ -108,7 +108,8 @@ func TestLedgerSplitProvenance(t *testing.T) {
 // left unpruned by its one of two reasons, and renders them as the "not
 // skipped" line: a predicate that straddles a zone boundary leaves zones
 // whose bounds overlap it; one that covers every zone's bounds leaves the
-// zones holding a NULL, whose coverage proof the NULL blocks.
+// zones holding a NULL, whose coverage proof the NULL blocks. A plain
+// EXPLAIN, which probes the same metadata first, renders the same line.
 func TestExplainAnalyzeWhyNotSkipped(t *testing.T) {
 	nullable := New(buildTable(t, 4096, 1), Options{Policy: PolicyAdaptive, ZoneSize: 512})
 	if err := nullable.EnableSkipping("b"); err != nil {
@@ -124,7 +125,12 @@ func TestExplainAnalyzeWhyNotSkipped(t *testing.T) {
 		// Covers b's whole domain; every 512-row zone holds a NULL.
 		{nullable, intPred("b", expr.Between, -1, 1000), false, true},
 	} {
-		_, res, err := c.e.ExplainAnalyze(Query{Where: expr.And(c.pred), Aggs: []Agg{{Kind: CountStar}}})
+		q := Query{Where: expr.And(c.pred), Aggs: []Agg{{Kind: CountStar}}}
+		plan, err := c.e.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, res, err := c.e.ExplainAnalyze(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,15 +140,18 @@ func TestExplainAnalyzeWhyNotSkipped(t *testing.T) {
 		}
 		want := fmt.Sprintf("  not skipped: %d zones — %d bounds-overlap, %d null-straddle",
 			p.NotSkippedOverlap+p.NotSkippedNullStraddle, p.NotSkippedOverlap, p.NotSkippedNullStraddle)
-		if rendered := strings.Join(AnalyzeLines(res, false), "\n"); !strings.Contains(rendered, "\n"+want+"\n") {
-			t.Fatalf("%v: reason line %q missing from rendering:\n%s", c.pred, want, rendered)
+		for name, lines := range map[string][]string{"EXPLAIN ANALYZE": AnalyzeLines(res, false), "EXPLAIN": plan} {
+			if rendered := strings.Join(lines, "\n"); !strings.Contains(rendered, "\n"+want+"\n") {
+				t.Fatalf("%v: reason line %q missing from %s:\n%s", c.pred, want, name, rendered)
+			}
 		}
 	}
 }
 
 // TestAdaptationROICreditsAndDebits: after convergence the ROI row
 // credits the skipped rows, debits probes and maintenance, and nets out
-// positive for a well-behaved hot range.
+// positive for a well-behaved hot range; and a rebuild, which replaces the
+// skipper but not the column, leaves every lifetime counter where it was.
 func TestAdaptationROICreditsAndDebits(t *testing.T) {
 	e := adaptiveLedgerEngine(t, obs.NewLedger(0))
 	ctx := obs.WithTemplate(context.Background(), ledgerFP)
@@ -177,6 +186,15 @@ func TestAdaptationROICreditsAndDebits(t *testing.T) {
 	}
 	if r.CandidateRows == 0 {
 		t.Fatalf("candidate-row join from engine counters missing: %+v", r)
+	}
+
+	if err := e.EnableSkipping("a"); err != nil {
+		t.Fatal(err)
+	}
+	after := e.AdaptationROI(16)[0]
+	if after.RowsSkipped != r.RowsSkipped || after.ZoneProbes != r.ZoneProbes ||
+		after.MaintEvents != r.MaintEvents || after.MaintZones != r.MaintZones {
+		t.Fatalf("a rebuild moved the lifetime counters:\nbefore %+v\nafter  %+v", r, after)
 	}
 }
 

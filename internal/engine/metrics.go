@@ -88,6 +88,10 @@ type colMetrics struct {
 	coveredRows   *obs.Counter // candidate rows proven fully matching
 	// events counts adaptation records by kind, each resolved on its first.
 	events [obs.NumEventKinds]*obs.Counter
+	// maintZones is the zones the skipper's own records touched, the ROI
+	// row's maintenance beside its events[...] counts. Written by the
+	// journal sink and read by AdaptationROI, both under e.mu.
+	maintZones int64
 }
 
 // colMetrics resolves (and caches) the handles for one column, and
@@ -146,30 +150,12 @@ func (cm *colMetrics) record(c *obs.Cost) {
 	cm.coveredRows.Add(int64(c.RowsCovered))
 }
 
-// probeCost is a predicate column's probe outcome as a cost record: the
-// zones its skipper probed, the rows it skipped, the candidate windows it
-// left and why the zones among them were not skipped.
-func probeCost(p *colPlan) obs.Cost {
-	c := obs.Cost{ZonesProbed: p.res.ZonesProbed, RowsSkipped: p.res.RowsSkipped, Windows: len(p.res.Zones),
-		NotSkippedOverlap: p.res.MissOverlap, NotSkippedNullStraddle: p.res.MissNullStraddle}
-	if p.active {
-		c.SkippersUsed = 1
-	}
-	for _, z := range p.res.Zones {
-		c.CandidateRows += z.Hi - z.Lo
-		if z.Covered {
-			c.CoveredWindows++
-			c.RowsCovered += z.Hi - z.Lo
-		}
-	}
-	return c
-}
-
 // journal returns the one adaptation sink for a column: installed on the
 // column's skipper (Skipper.SetJournal) and called directly for the engine's
 // own lifecycle records. It stamps table/shard/column identity and — when
 // the record arrives mid-query — the fingerprint of the query whose
-// feedback triggered the change, bumps the per-kind counter, appends to
+// feedback triggered the change, bumps the per-kind counter and the
+// column's maintenance zones, appends to
 // the shared ledger, and (when a logger is configured) emits a structured
 // log line: milestones at info, quarantines at warn, chatty per-zone
 // structural churn at debug. Skippers emit only on structural change and
@@ -187,6 +173,12 @@ func (e *Engine) journal(col string) func(obs.LedgerRecord) {
 				metricLabels(table, shard, obs.L("column", col), obs.L("kind", rec.Kind.String()))...)
 		}
 		cm.events[rec.Kind].Inc()
+		switch rec.Kind {
+		case obs.EventSplit, obs.EventMerge:
+			cm.maintZones += int64(max(rec.ZonesBefore, rec.ZonesAfter))
+		case obs.EventTailFold:
+			cm.maintZones += int64(rec.ZonesAfter - rec.ZonesBefore)
+		}
 		e.ledger.Append(rec)
 		if e.log != nil {
 			lvl := slog.LevelDebug
@@ -204,8 +196,11 @@ func (e *Engine) journal(col string) func(obs.LedgerRecord) {
 }
 
 // tracePredicates fills the trace's per-predicate section from the probed
-// plans, adds each column's probe to the query's cost q and charges it to
-// the per-column counters.
+// plans — each probe's outcome as a cost record: the zones its skipper
+// probed, the rows it skipped, the candidate windows it left and why the
+// zones among them were not skipped — adds each column's probe to the
+// query's cost q and charges it to the per-column counters. A query and
+// an EXPLAIN both call it: both pay the probe.
 func (e *Engine) tracePredicates(tr *obs.QueryTrace, plans []colPlan, q *ExecStats) {
 	tr.Predicates = make([]obs.PredicateTrace, len(plans))
 	for i := range plans {
@@ -222,7 +217,18 @@ func (e *Engine) tracePredicates(tr *obs.QueryTrace, plans []colPlan, q *ExecSta
 			continue
 		}
 		pt.Skipper = p.skipper.Metadata().Kind
-		pt.Cost = probeCost(p)
+		pt.ZonesProbed, pt.RowsSkipped, pt.Windows = p.res.ZonesProbed, p.res.RowsSkipped, len(p.res.Zones)
+		pt.NotSkippedOverlap, pt.NotSkippedNullStraddle = p.res.MissOverlap, p.res.MissNullStraddle
+		if p.active {
+			pt.SkippersUsed = 1
+		}
+		for _, z := range p.res.Zones {
+			pt.CandidateRows += z.Hi - z.Lo
+			if z.Covered {
+				pt.CoveredWindows++
+				pt.RowsCovered += z.Hi - z.Lo
+			}
+		}
 		q.ZonesProbed += pt.ZonesProbed
 		q.RowsSkipped += pt.RowsSkipped
 		q.SkippersUsed += pt.SkippersUsed

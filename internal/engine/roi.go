@@ -10,13 +10,18 @@ import (
 // Shards is the number of shards an engine's table has: one.
 func (e *Engine) Shards() int { return 1 }
 
+// maintKinds are the records a skipper emits itself: its maintenance.
+var maintKinds = [...]obs.EventKind{obs.EventSplit, obs.EventMerge, obs.EventTailFold, obs.EventDisable, obs.EventEnable}
+
 // AdaptationROI assembles the table's per-column return-on-investment
 // rows for /adaptation: the column's lifetime credit (rows pruned) against
 // its debit (probes) in row-equivalents, netted by adaptive.Net, the
 // charge arbitration steps by. The probe counters are the column's
-// adskip_column_* series, so every counter in a row covers one lifetime,
-// across rebuilds; the maintenance counters and dead zones — zones whose
-// heat is below the merge threshold — come from the skipper's snapshot.
+// adskip_column_* series, the maintenance events its
+// adskip_adapt_events_total of the maintKinds, and the maintenance zones
+// are counted by its journal sink, so every counter in a row covers one
+// lifetime, across rebuilds; the dead zones — zones whose heat is below
+// the merge threshold — come from the skipper's snapshot.
 // Dead zones are counted, and detailed up to maxDead entries per column
 // (<= 0 omits the detail), so operators can see which row ranges carry
 // metadata that earns nothing. Taken under the engine mutex, so the view
@@ -43,6 +48,12 @@ func (e *Engine) AdaptationROI(maxDead int) []obs.ColumnROI {
 		md := s.Metadata()
 		cm := e.colMetrics(name)
 		skipped, probes := cm.rowsSkipped.Load(), cm.zonesProbed.Load()
+		var maint int64
+		for _, k := range maintKinds {
+			if c := cm.events[k]; c != nil {
+				maint += c.Load()
+			}
+		}
 		roi := obs.ColumnROI{
 			Table: e.tbl.Name(), Shard: e.opts.Shard, Column: name,
 			Kind: md.Kind, Zones: md.Zones, Bytes: md.Bytes,
@@ -52,8 +63,8 @@ func (e *Engine) AdaptationROI(maxDead int) []obs.ColumnROI {
 			// One code per row: the bytes a pruned scan never touched.
 			BytesSkipped: skipped * int64(col.Vec().Width()),
 			ZoneProbes:   probes,
-			MaintEvents:  snap.MaintEvents,
-			MaintZones:   snap.MaintZones,
+			MaintEvents:  maint,
+			MaintZones:   cm.maintZones,
 			NetRows:      adaptive.Net(skipped, probes),
 			DeadZones:    len(snap.DeadZones),
 		}

@@ -119,7 +119,7 @@ func TestWorkloadCacheHitAttribution(t *testing.T) {
 	if res.Trace.PlanCached {
 		t.Fatal("first execution marked plan-cached")
 	}
-	res, err = e.QueryContext(obs.WithPlanCached(ctx), rangeQuery(0, 200))
+	res, err = e.QueryContext(obs.WithOrigin(context.Background(), obs.Origin{Fingerprint: fp, PlanCached: true}), rangeQuery(0, 200))
 	if err != nil {
 		t.Fatal(err)
 	}

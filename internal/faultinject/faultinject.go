@@ -31,7 +31,7 @@ type Point uint8
 // Injection points wired into the engine.
 const (
 	// WorkerPanic makes a parallel scan worker panic mid-scan. The
-	// engine must recover it into an error, quarantine the skipper, and
+	// engine must recover it into an error, drop the skipper, and
 	// still answer the query correctly.
 	WorkerPanic Point = iota
 	// ScanDelay sleeps at a scan checkpoint, simulating a slow scan so
@@ -43,7 +43,7 @@ const (
 	CodecCorrupt
 	// InvariantFlip corrupts an adaptive zonemap's zone layout during
 	// feedback, violating the tiling invariant. The next probe must
-	// detect it, decline soundly, and let the engine quarantine.
+	// detect it, decline soundly, and let the engine drop the skipper.
 	InvariantFlip
 	// WALSyncErr makes a WAL fsync report an injected I/O error. The log
 	// must fail the waiting commits and go sticky-failed, never ack.

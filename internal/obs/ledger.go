@@ -165,16 +165,11 @@ type ROIZone struct {
 
 // SkipperSnapshot is what a skipper reports for ROI accounting, copied in
 // one cold-path call (core.Skipper's Introspect): its dead zones in row
-// order and its maintenance counters. The probe counters come from the
-// engine's per-column series, and the cost model that nets them is
-// adaptive.Net.
+// order. The probe and maintenance counters are the engine's per-column
+// accounts, which outlive a rebuilt skipper, and the cost model that nets
+// them is adaptive.Net.
 type SkipperSnapshot struct {
 	DeadZones []ROIZone
-
-	// Maintenance: structural/arbitration events, and the zones they
-	// touched.
-	MaintEvents int64
-	MaintZones  int64
 }
 
 // ColumnROI is one column's adaptation return-on-investment: rows and
@@ -197,8 +192,9 @@ type ColumnROI struct {
 	CandidateRows int64 `json:"candidate_rows"`
 	ZoneProbes    int64 `json:"zone_probes"`
 
-	// Maintenance: structural events on the column and the zones they
-	// touched.
+	// Maintenance: the skipper's split, merge, tail-fold, disable and
+	// enable records on the column, and the zones they touched (a split or
+	// merge its larger side, a fold the zones it added, a flip none).
 	MaintEvents int64 `json:"maintenance_events"`
 	MaintZones  int64 `json:"maintenance_zones"`
 	// NetRows is credit minus debit in row-equivalents,

@@ -180,7 +180,7 @@ func TestTraceLines(t *testing.T) {
 		Predicates: []PredicateTrace{{
 			Column: "v", Predicate: "[10, 20]", Skipper: "adaptive-zonemap",
 			Cost: Cost{SkippersUsed: 1, ZonesProbed: 16, Windows: 3, CoveredWindows: 1,
-				CandidateRows: 200, RowsSkipped: 800}, Matched: 42,
+				CandidateRows: 200, RowsCovered: 100, RowsSkipped: 800}, Matched: 42,
 		}},
 	}
 	lines := tr.Lines(false)
@@ -188,7 +188,7 @@ func TestTraceLines(t *testing.T) {
 		`trace: table "t", 1000 rows`,
 		`probe: 16 zone probes`,
 		`scan: scanned 100, covered 100, skipped 800 rows`,
-		`predicate on "v": [10, 20] — adaptive-zonemap skipper: est. 800 rows skippable (80.0%), 3 windows (1 covered, 200 candidate rows); actual matched 42`,
+		`predicate on "v": [10, 20] — adaptive-zonemap skipper: 16 zone probes, est. 800 rows skippable (80.0%), 3 windows (1 covered, 200 candidate rows, 100 rows covered); actual matched 42`,
 	}
 	if len(lines) != len(want) {
 		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), strings.Join(lines, "\n"))

@@ -18,23 +18,9 @@ type QueryTrace struct {
 	Table string    `json:"table"`
 	Start time.Time `json:"start"`
 
-	// Session identifies the network session/connection the query arrived
-	// on (see WithSession); "" for in-process queries.
-	Session string `json:"session,omitempty"`
-
-	// TraceID is the client-generated trace ID propagated over the wire
-	// (see WithTrace); "" when the client sent none. It lets a remote
-	// caller find this query's trace in /traces.
-	TraceID string `json:"trace_id,omitempty"`
-
-	// Fingerprint is the literal-stripped query template (see
-	// WithTemplate); "" for queries that bypassed a SQL frontend.
-	// Workload stats aggregate under it.
-	Fingerprint string `json:"fingerprint,omitempty"`
-
-	// PlanCached marks queries served from a statement cache (see
-	// WithPlanCached).
-	PlanCached bool `json:"plan_cached,omitempty"`
+	// Origin is where the query came from: session, client trace ID,
+	// template and plan-cache marker (see OriginOf).
+	Origin
 
 	// Phase timings. Feedback is the skipper.Observe calls that follow a
 	// completed scan, one per predicate column. ShardPrune is
@@ -153,26 +139,34 @@ func (t *QueryTrace) Lines(withTimings bool) []string {
 		)
 	}
 	for i := range t.Predicates {
-		p := &t.Predicates[i]
-		line := fmt.Sprintf("predicate on %q: %s", p.Column, p.Predicate)
-		switch {
-		case p.Skipper == "":
-			line += " — no skipper, full evaluation"
-		case p.SkippersUsed == 0:
-			line += fmt.Sprintf(" — %s skipper declined, full evaluation", p.Skipper)
-		default:
-			line += fmt.Sprintf(" — %s skipper: est. %d rows skippable (%.1f%%), %d windows (%d covered, %d candidate rows)",
-				p.Skipper, p.RowsSkipped, pct(p.RowsSkipped, t.RowsTotal),
-				p.Windows, p.CoveredWindows, p.CandidateRows)
-			if p.Matched >= 0 {
-				line += fmt.Sprintf("; actual matched %d", p.Matched)
-			}
+		out = t.Predicates[i].AppendLines(out, t.RowsTotal)
+	}
+	return out
+}
+
+// AppendLines renders the predicate's probe outcome, out of a table of
+// rowsTotal rows, onto out: one line, and a second that breaks down the
+// zones left unskipped when the skipper classified any. EXPLAIN ANALYZE
+// and EXPLAIN both render predicates with it.
+func (p *PredicateTrace) AppendLines(out []string, rowsTotal int) []string {
+	line := fmt.Sprintf("predicate on %q: %s", p.Column, p.Predicate)
+	switch {
+	case p.Skipper == "":
+		line += " — no skipper, full evaluation"
+	case p.SkippersUsed == 0:
+		line += fmt.Sprintf(" — %s skipper declined, full evaluation", p.Skipper)
+	default:
+		line += fmt.Sprintf(" — %s skipper: %d zone probes, est. %d rows skippable (%.1f%%), %d windows (%d covered, %d candidate rows, %d rows covered)",
+			p.Skipper, p.ZonesProbed, p.RowsSkipped, Pct(p.RowsSkipped, rowsTotal),
+			p.Windows, p.CoveredWindows, p.CandidateRows, p.RowsCovered)
+		if p.Matched >= 0 {
+			line += fmt.Sprintf("; actual matched %d", p.Matched)
 		}
-		out = append(out, line)
-		if n := p.NotSkippedOverlap + p.NotSkippedNullStraddle; n > 0 {
-			out = append(out, fmt.Sprintf("  not skipped: %d zones — %d bounds-overlap, %d null-straddle",
-				n, p.NotSkippedOverlap, p.NotSkippedNullStraddle))
-		}
+	}
+	out = append(out, line)
+	if n := p.NotSkippedOverlap + p.NotSkippedNullStraddle; n > 0 {
+		out = append(out, fmt.Sprintf("  not skipped: %d zones — %d bounds-overlap, %d null-straddle",
+			n, p.NotSkippedOverlap, p.NotSkippedNullStraddle))
 	}
 	return out
 }
@@ -180,7 +174,8 @@ func (t *QueryTrace) Lines(withTimings bool) []string {
 // String renders the trace with timings.
 func (t *QueryTrace) String() string { return strings.Join(t.Lines(true), "\n") }
 
-func pct(part, whole int) float64 {
+// Pct is part as a percentage of whole, 0 when whole is 0.
+func Pct(part, whole int) float64 {
 	if whole == 0 {
 		return 0
 	}

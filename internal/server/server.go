@@ -211,7 +211,8 @@ type session struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	ctx    context.Context // carries the session tag; canceled on disconnect
+	name   string          // "conn-<id>": the Session of its queries' origin
+	ctx    context.Context // canceled on disconnect
 	cancel context.CancelFunc
 	buf    []byte // request payloads land here: handle keeps none of it
 
@@ -236,7 +237,8 @@ func (s *Server) newSession(conn net.Conn) *session {
 		conn:    conn,
 		br:      bufio.NewReader(&countReader{r: conn, n: s.m.bytesRead}),
 		bw:      bufio.NewWriter(&countWriter{w: conn, n: s.m.bytesSent}),
-		ctx:     obs.WithSession(ctx, fmt.Sprintf("conn-%d", id)),
+		name:    fmt.Sprintf("conn-%d", id),
+		ctx:     ctx,
 		cancel:  cancel,
 		watched: make(chan struct{}, 1),
 	}
@@ -380,17 +382,11 @@ func (ss *session) handle(payload []byte, readAt time.Time) proto.Response {
 	if req.WantTiming {
 		tm = &proto.Timing{TraceID: req.TraceID, QueueUS: t0.Sub(readAt).Microseconds()}
 	}
-	ctx := ss.ctx
-	if req.TraceID != "" {
-		// Tag the query's trace with the client's trace ID so the
-		// client can find "its" queries in /traces.
-		ctx = obs.WithTrace(ctx, req.TraceID)
-	}
 	defer func() {
 		s.m.latency.Observe(time.Since(t0).Seconds())
 		s.m.inflight.Add(-1)
 	}()
-	resp := ss.dispatch(ctx, &req, tm)
+	resp := ss.dispatch(&req, tm)
 	if tm != nil {
 		tm.TotalUS = time.Since(readAt).Microseconds()
 		resp.Timing = tm
@@ -399,7 +395,7 @@ func (ss *session) handle(payload []byte, readAt time.Time) proto.Response {
 }
 
 // dispatch routes one decoded request to its operation.
-func (ss *session) dispatch(ctx context.Context, req *proto.Request, tm *proto.Timing) proto.Response {
+func (ss *session) dispatch(req *proto.Request, tm *proto.Timing) proto.Response {
 	s := ss.srv
 	switch req.Op {
 	case proto.OpPing:
@@ -410,7 +406,8 @@ func (ss *session) dispatch(ctx context.Context, req *proto.Request, tm *proto.T
 		if resp, refused := s.gate(); refused {
 			return resp
 		}
-		return ss.query(ctx, req.SQL, tm)
+		// The client's trace ID lets it find its queries in /traces.
+		return ss.query(obs.Origin{Session: ss.name, TraceID: req.TraceID}, req.SQL, tm)
 	case proto.OpInsert:
 		if resp, refused := s.gate(); refused {
 			return resp
@@ -524,12 +521,14 @@ func decodeCell(raw json.RawMessage, t storage.Type) (storage.Value, error) {
 // query executes SQL text. It is the statement cache's one way in: the
 // cache key is the SQL text, so a repeated text skips the parser and
 // planner entirely — a cache hit legitimately reports parse_us =
-// plan_us = 0.
-func (ss *session) query(ctx context.Context, sqlText string, tm *proto.Timing) proto.Response {
+// plan_us = 0. org is the request's origin, completed and stamped on
+// the session context once, where the query runs.
+func (ss *session) query(org obs.Origin, sqlText string, tm *proto.Timing) proto.Response {
 	s := ss.srv
 	if ent, ok := s.cache.get(sqlText); ok {
 		s.m.cacheHits.Inc()
-		return ss.exec(obs.WithPlanCached(ctx), ent, tm)
+		org.PlanCached = true
+		return ss.exec(org, ent, tm)
 	}
 	s.m.cacheMisses.Inc()
 	tParse := time.Now()
@@ -550,7 +549,7 @@ func (ss *session) query(ctx context.Context, sqlText string, tm *proto.Timing) 
 		// EXPLAIN goes through the DB's SQL route (it renders plan text,
 		// and EXPLAIN ANALYZE its workload and ledger footers) and is not
 		// worth caching.
-		res, err := s.db.ExecContext(ctx, sqlText)
+		res, err := s.db.ExecContext(obs.WithOrigin(ss.ctx, org), sqlText)
 		if err != nil {
 			return ss.execFailure(err)
 		}
@@ -567,19 +566,16 @@ func (ss *session) query(ctx context.Context, sqlText string, tm *proto.Timing) 
 	}
 	ent, evicted := s.cache.put(&stmtEntry{sqlText: sqlText, fp: sqlpkg.Fingerprint(stmt), tbl: tbl, q: q})
 	s.cacheAccount(evicted)
-	return ss.exec(ctx, ent, tm)
+	return ss.exec(org, ent, tm)
 }
 
-// exec runs a cached plan under the request context (derived from the
-// session context, so disconnects cancel it) and wire-encodes the
-// result. The entry's fingerprint is stamped on the context so the DB's
-// front door attributes the execution to its template — the statement
-// cache and the workload table thereby share keys.
-func (ss *session) exec(ctx context.Context, ent *stmtEntry, tm *proto.Timing) proto.Response {
-	if ent.fp != "" {
-		ctx = obs.WithTemplate(ctx, ent.fp)
-	}
-	res, err := ent.tbl.QueryContext(ctx, ent.q)
+// exec runs a cached plan under the session context, so disconnects
+// cancel it, and wire-encodes the result. The origin carries the entry's
+// fingerprint, so the DB's front door attributes the execution to its
+// template: the statement cache and the workload table share keys.
+func (ss *session) exec(org obs.Origin, ent *stmtEntry, tm *proto.Timing) proto.Response {
+	org.Fingerprint = ent.fp
+	res, err := ent.tbl.QueryContext(obs.WithOrigin(ss.ctx, org), ent.q)
 	if err != nil {
 		return ss.execFailure(err)
 	}

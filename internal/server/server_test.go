@@ -144,7 +144,9 @@ func TestRepeatedQueryHitsStmtCache(t *testing.T) {
 // TestServedQueryAccountedOnce: a query served over the wire enters the
 // DB's front door once, on an unsharded and a 2-shard table: each request
 // — the statement cache's miss and its hits alike — adds exactly one
-// workload sample and one retained trace, and a wire EXPLAIN ANALYZE still
+// workload sample and one retained trace, whose origin names the
+// connection, the client's trace ID when it sent one, the template and
+// whether the plan came from the cache; and a wire EXPLAIN ANALYZE still
 // carries its template's workload footer.
 func TestServedQueryAccountedOnce(t *testing.T) {
 	const q = "SELECT COUNT(*) FROM data WHERE v BETWEEN 3000 AND 3006"
@@ -156,8 +158,10 @@ func TestServedQueryAccountedOnce(t *testing.T) {
 			srv := startServer(t, db, server.Options{})
 			c := dial(t, srv)
 
+			// The first request sends no trace ID, the next two do.
+			traceIDs := []string{"", "t-2", "t-3"}
 			for i := 1; i <= 3; i++ {
-				if _, err := c.Query(q); err != nil {
+				if _, err := c.QueryTraced(q, traceIDs[i-1]); err != nil {
 					t.Fatal(err)
 				}
 				if got := db.Workload("", 0).Recorded; got != int64(i) {
@@ -170,6 +174,12 @@ func TestServedQueryAccountedOnce(t *testing.T) {
 			top := db.Workload("", 0).Templates
 			if len(top) != 1 || top[0].Calls != 3 || top[0].CacheHits != 2 {
 				t.Fatalf("templates %+v, want one with 3 calls, 2 of them cache hits", top)
+			}
+			for i, tr := range db.Traces() {
+				want := obs.Origin{Session: "conn-1", TraceID: traceIDs[i], Fingerprint: top[0].Fingerprint, PlanCached: i > 0}
+				if tr.Origin != want {
+					t.Errorf("trace %d: origin %+v, want %+v", i, tr.Origin, want)
+				}
 			}
 
 			res, err := c.Query("EXPLAIN ANALYZE " + q)

@@ -33,11 +33,7 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", engine.ErrCanceled, context.Cause(ctx))
 	}
-	tr := &obs.QueryTrace{Table: m.name, Start: time.Now(),
-		Session:     obs.SessionFromContext(ctx),
-		TraceID:     obs.TraceFromContext(ctx),
-		Fingerprint: obs.TemplateFromContext(ctx),
-		PlanCached:  obs.PlanCachedFromContext(ctx)}
+	tr := &obs.QueryTrace{Table: m.name, Start: time.Now(), Origin: obs.OriginOf(ctx)}
 
 	total := m.NumRows()
 	if err := q.Where.Validate(); err != nil {

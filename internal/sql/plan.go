@@ -125,7 +125,7 @@ func ExecParsedContext(ctx context.Context, e Executor, stmt Statement) (*engine
 	if err != nil {
 		return nil, err
 	}
-	if obs.TemplateFromContext(ctx) == "" {
+	if obs.OriginOf(ctx).Fingerprint == "" {
 		ctx = obs.WithTemplate(ctx, Fingerprint(stmt))
 	}
 	if stmt.Explain {

@@ -161,7 +161,7 @@ func TestWorkloadAttribution(t *testing.T) {
 		{"projection", "SELECT v FROM t WHERE v BETWEEN 9000 AND 9009",
 			context.Background(), 4, 10, false, []int{2}},
 		{"cache hit", "SELECT COUNT(*) FROM t WHERE v BETWEEN 5000 AND 5200",
-			obs.WithPlanCached(context.Background()), 4, 201, true, []int{1}},
+			obs.WithOrigin(context.Background(), obs.Origin{PlanCached: true}), 4, 201, true, []int{1}},
 		{"error", "SELECT COUNT(*) FROM t WHERE v BETWEEN 5000 AND 5200",
 			canceled, 0, 0, false, nil},
 	}
