@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"adskip/internal/adaptive"
+	"adskip/internal/engine"
 	"adskip/internal/faultinject"
+	"adskip/internal/shard"
 )
 
 // adaptationDB opens an adaptive DB over 16k rows, sharded on "v" when
@@ -17,16 +19,15 @@ import (
 // sorted (a hot range converges and splits pay off) while "noise" is
 // uniform pseudo-random (every zone's hull spans the domain, so its
 // metadata never prunes and its zones go cold — dead zones by
-// construction). Merging is off, so the cold zones stay where they are: the
-// facade exports no ablation switch, so the test sets it on the engine
-// options the DB holds between Open and CreateTable.
+// construction). Merging is off, so the cold zones stay where they are:
+// the facade exports no ablation switch, so the test ablates every
+// skipper it builds (noMerges).
 func adaptationDB(t *testing.T, shards int) (*DB, *Table) {
 	t.Helper()
 	db := Open(Options{
 		Policy: Adaptive, ZoneSize: 4096, MinZoneRows: 64,
 		Shards: shards, ShardKey: "v",
 	})
-	db.engineOpts.Adaptive.DisableMerge = true
 	tab, err := db.CreateTable("data", Col("v", Int64), Col("noise", Int64))
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +46,25 @@ func adaptationDB(t *testing.T, shards int) (*DB, *Table) {
 	if err := tab.EnableSkipping("v", "noise"); err != nil {
 		t.Fatal(err)
 	}
+	noMerges(tab)
 	return db, tab
+}
+
+// noMerges switches merging off in every skipper of tab's two columns, on
+// every shard. A rebuilt skipper merges again until this is called anew.
+func noMerges(tab *Table) {
+	engines := []*engine.Engine{tab.Engine()}
+	if m, ok := tab.eng.(*shard.Manager); ok {
+		engines = engines[:0]
+		for id := 1; id <= m.Shards(); id++ {
+			engines = append(engines, m.ShardEngine(id))
+		}
+	}
+	for _, e := range engines {
+		for _, col := range []string{"v", "noise"} {
+			e.Skipper(col).(*adaptive.Zonemap).Ablate(adaptive.Merge)
+		}
+	}
 }
 
 // TestAdaptationThroughFacade is the end-to-end acceptance check: a hot
@@ -239,6 +258,7 @@ func TestROIMatchesColumnCounters(t *testing.T) {
 			if err := tab.EnableSkipping("v", "noise"); err != nil {
 				t.Fatal(err)
 			}
+			noMerges(tab)
 			exec("SELECT COUNT(*) FROM data WHERE v BETWEEN 1000 AND 1100")
 			exec("SELECT COUNT(*) FROM data WHERE v BETWEEN 9000 AND 16383")
 

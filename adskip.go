@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/core"
 	"adskip/internal/engine"
 	"adskip/internal/obs"
@@ -305,7 +304,7 @@ func Open(opts Options) *DB {
 		engineOpts: engine.Options{
 			Policy:      opts.Policy,
 			ZoneSize:    opts.ZoneSize,
-			Adaptive:    adaptive.Config{MinZoneRows: opts.MinZoneRows},
+			MinZoneRows: opts.MinZoneRows,
 			Parallelism: opts.Parallelism,
 			Metrics:     reg,
 			Ledger:      ledger,
@@ -320,7 +319,7 @@ func Open(opts Options) *DB {
 	}
 	db.reg.GaugeFunc("adskip_admission_waiting",
 		"Queries waiting for an execution slot (MaxConcurrentQueries).", db.admission.queued)
-	db.stats = stats.New(stats.Options{Registry: db.reg})
+	db.stats = stats.New(db.reg)
 	// A durable DB starts in recovering state: mutations are not durable
 	// (and servers should refuse them) until Recover has replayed the log
 	// and armed the engines.

@@ -24,7 +24,7 @@ func TestConvergenceOnFineClusters(t *testing.T) {
 		col.AppendInt(v)
 	}
 	e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, ZoneSize: rows / 256,
-		Adaptive: adaptive.Config{MinZoneRows: 256}})
+		MinZoneRows: 256})
 	e.EnableSkipping("key")
 	rng := rand.New(rand.NewSource(2))
 	q := func() engine.Query {
@@ -37,8 +37,7 @@ func TestConvergenceOnFineClusters(t *testing.T) {
 	for i := 0; i < 800; i++ {
 		e.Query(q())
 	}
-	z := e.Skipper("key").(*adaptive.Zonemap)
-	if !z.Enabled() {
+	if !e.Skipper("key").Metadata().Enabled {
 		t.Fatal("arbitration disabled skipping on a skippable workload")
 	}
 	var scanned int
@@ -55,7 +54,7 @@ func TestConvergenceOnFineClusters(t *testing.T) {
 	// ~45% of the table forever; see learn.go planSplit coalescing).
 	if frac := float64(scanned) / rows; frac > 0.35 {
 		t.Fatalf("steady-state scan fraction %.0f%% (scanned %d rows/query, %d zones) — convergence regressed",
-			frac*100, scanned, len(z.Zones))
+			frac*100, scanned, e.Skipper("key").Metadata().Zones)
 	}
 }
 

@@ -38,30 +38,9 @@ import (
 	"adskip/internal/zonemap"
 )
 
-// Config tunes an adaptive zonemap. The zero value selects defaults
-// suitable for multi-million-row columns. The zone size, the rows of the
-// initial build's zones and of a folded append tail, is New's argument:
-// the engine's one zone size, shared with every other policy.
-type Config struct {
-	// MinZoneRows is the part size of the fine summary, and so the floor
-	// of a split: every zone boundary is a part boundary. The summary also
-	// cuts a part where its values jump (scan.Summarize), which can leave
-	// a smaller zone: at most one extra per jump. Default 1024.
-	MinZoneRows int
-	// DisableSplit, DisableMerge, and DisableArbitration switch off the
-	// corresponding adaptive mechanism. They exist for the ablation
-	// experiments; production use keeps all three on.
-	DisableSplit       bool
-	DisableMerge       bool
-	DisableArbitration bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinZoneRows <= 0 {
-		c.MinZoneRows = 1024
-	}
-	return c
-}
+// DefaultMinZoneRows is the part size of the fine summary the engine
+// builds with when its Options.MinZoneRows is 0.
+const DefaultMinZoneRows = 1024
 
 // The tuning constants every zonemap runs at. None depends on the column:
 // the adaptive mechanisms are what fit the structure to the data.
@@ -93,12 +72,25 @@ func Net(rowsSkipped, probes int64) float64 {
 	return float64(rowsSkipped) - ProbeCost*float64(probes)
 }
 
-// tuning is what a zonemap's tests vary of the constants above. New fills
-// it with the shipped values; this package's tests overwrite it to explore
-// other horizons and merge thresholds on small columns.
+// Mechanism is a set of the adaptive mechanisms, as Ablate switches them
+// off.
+type Mechanism uint8
+
+// The mechanisms: split, merge and arbitration.
+const (
+	Split Mechanism = 1 << iota
+	Merge
+	Arbitration
+)
+
+// tuning is what a zonemap's tests and the ablation experiment vary of the
+// shipped behaviour. New fills it with the shipped values and every
+// mechanism on; this package's tests overwrite it to explore other
+// horizons and merge thresholds on small columns.
 type tuning struct {
 	horizon   int
 	mergeHeat float64
+	off       Mechanism // the mechanisms Ablate switched off
 }
 
 // defaultTuning is the tuning every zonemap starts with.
@@ -136,8 +128,8 @@ type Zonemap struct {
 	zonemap.Grid[expr.Hull, expr.Clause]
 	learn []learner // one per zone
 
-	cfg  Config
-	tune tuning
+	partRows int // rows of a summary part, before a cut where values jump
+	tune     tuning
 
 	enabled         bool
 	netBenefit      float64
@@ -181,19 +173,31 @@ func bounds(h expr.Hull) (lo, hi int64) {
 }
 
 // New builds an adaptive zonemap over the column's current physical state:
-// zones of zoneRows rows, each a run of whole parts, and the unindexed
-// append tail folds into zones once it reaches zoneRows rows.
-func New(codes storage.Vec, nulls *bitvec.BitVec, zoneRows int, cfg Config) *Zonemap {
-	z := &Zonemap{cfg: cfg.withDefaults(), tune: defaultTuning, enabled: true}
+// zones of zoneRows rows, each a run of whole parts of partRows rows
+// (both positive), and the unindexed append tail folds into zones once it
+// reaches zoneRows rows. partRows is the floor of a split: every zone
+// boundary is a part boundary. The summary also cuts a part where its
+// values jump (scan.Summarize), which can leave a smaller zone: at most
+// one extra per jump.
+func New(codes storage.Vec, nulls *bitvec.BitVec, zoneRows, partRows int) *Zonemap {
+	z := &Zonemap{partRows: partRows, tune: defaultTuning, enabled: true}
 	z.Grid = zonemap.Directory[expr.Hull, expr.Clause](zonemap.HullKind{}, zoneRows, z)
 	z.FoldTail(codes, nulls)
 	z.built = true
 	return z
 }
 
+// Ablate switches off the mechanisms in off. Only the mechanism ablation
+// and tests call it; the engine runs every mechanism. Every mechanism acts
+// only in Observe, so a zonemap ablated after New and before its first
+// query behaves as one built without them. A rebuilt zonemap (a second
+// EnableSkipping, or the rebuild after a fault) is a new one, with every
+// mechanism on: ablate it again.
+func (z *Zonemap) Ablate(off Mechanism) { z.tune.off = off }
+
 // Summarize implements zonemap.Layout: the parts are scan.Summarize's.
 func (z *Zonemap) Summarize(parts []zone, codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) []zone {
-	for _, p := range scan.Summarize(codes, lo, hi, nulls, z.cfg.MinZoneRows) {
+	for _, p := range scan.Summarize(codes, lo, hi, nulls, z.partRows) {
 		parts = append(parts, zone{Lo: p.Lo, Hi: p.Hi, Sum: p.Hull, NonNull: p.NonNull})
 	}
 	return parts
@@ -242,9 +246,6 @@ func (z *Zonemap) Introspect() (obs.SkipperSnapshot, bool) {
 	}
 	return snap, true
 }
-
-// Enabled reports whether arbitration currently allows skipping.
-func (z *Zonemap) Enabled() bool { return z.enabled }
 
 // Stats returns lifetime counters.
 func (z *Zonemap) Stats() Stats {

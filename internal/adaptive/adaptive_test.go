@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 	"unsafe"
 
 	"adskip/internal/bitvec"
@@ -53,12 +52,9 @@ func seqCodes(n int, f func(i int) int64) []int64 {
 	return out
 }
 
-// smallZone is the zone size of the maps smallCfg's tests build.
-const smallZone = 100
-
-func smallCfg() Config {
-	return Config{MinZoneRows: 10}
-}
+// smallZone and smallParts size the maps of the small columns these tests
+// build: 100-row zones of 10-row parts.
+const smallZone, smallParts = 100, 10
 
 // small tunes z for the columns of a few hundred rows these tests build:
 // an 8-query horizon, so arbitration can disable after 8 queries and a
@@ -68,18 +64,10 @@ func small(z *Zonemap) *Zonemap {
 	return z
 }
 
-// noArbitration is smallCfg with arbitration off, for tests that must
-// keep probing whatever the probes earn.
-func noArbitration() Config {
-	cfg := smallCfg()
-	cfg.DisableArbitration = true
-	return cfg
-}
-
 func TestNewBuildsCoarseZones(t *testing.T) {
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
-	if len(z.Zones) != 3 || z.Rows() != 250 || !z.Enabled() {
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallParts)
+	if len(z.Zones) != 3 || z.Rows() != 250 {
 		t.Fatalf("zones=%d rows=%d", len(z.Zones), z.Rows())
 	}
 	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
@@ -94,7 +82,7 @@ func TestNewBuildsCoarseZones(t *testing.T) {
 func TestPruneSkipsAndCovers(t *testing.T) {
 	// Three zones with values 0..99, 100..199, 200..249 (sorted data).
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallParts)
 	res := z.Prune(oneRange(120, 180))
 	// 1 block probe + 3 member zones (all zones fit in one block).
 	if !res.Enabled || res.ZonesProbed != 4 {
@@ -132,7 +120,7 @@ func TestCountsMatchNaiveOnEveryDistribution(t *testing.T) {
 	}
 	for name, f := range distros {
 		codes := seqCodes(1000, f)
-		z := small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
+		z := small(New(storage.Vec{W: codes}, nil, smallZone, smallParts))
 		rng := rand.New(rand.NewSource(7))
 		for q := 0; q < 200; q++ {
 			lo := rng.Int63n(5200) - 100
@@ -153,7 +141,7 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 	// One initial zone of 100 rows, values = i (sorted inside the zone):
 	// a narrow predicate should trigger a split that later prunes.
 	codes := seqCodes(1000, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, 1000, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, 1000, smallParts)
 	if len(z.Zones) != 1 {
 		t.Fatalf("zones=%d", len(z.Zones))
 	}
@@ -175,10 +163,9 @@ func TestSplitRefinesClusteredZone(t *testing.T) {
 }
 
 func TestSplitRespectsMinZone(t *testing.T) {
-	cfg := smallCfg()
-	cfg.MinZoneRows = 40 // one part: no boundary inside the zone to split at
+	// One 40-row part: no boundary inside the zone to split at.
 	codes := seqCodes(40, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, 40, cfg)
+	z := New(storage.Vec{W: codes}, nil, 40, 40)
 	execute(z, codes, nil, oneRange(0, 5))
 	if len(z.Zones) != 1 {
 		t.Fatalf("split below the floor: %d zones", len(z.Zones))
@@ -189,7 +176,8 @@ func TestMergeCoalescesUselessZones(t *testing.T) {
 	// Random data: zones never skip, heat decays, cold runs coalesce.
 	rng := rand.New(rand.NewSource(3))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(1000) })
-	z := small(New(storage.Vec{W: codes}, nil, smallZone, noArbitration()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallParts))
+	z.Ablate(Arbitration)  // keep probing whatever the probes earn
 	before := len(z.Zones) // 10
 	for q := 0; q < 100; q++ {
 		execute(z, codes, nil, oneRange(400, 600))
@@ -209,11 +197,11 @@ func TestArbitrationDisablesOnAdversarialData(t *testing.T) {
 	// Uniform random data: no zone ever skips; probing is pure overhead.
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallParts))
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
-	if z.Enabled() {
+	if z.Metadata().Enabled {
 		t.Fatal("arbitration failed to disable on adversarial data")
 	}
 	if z.Stats().Disables == 0 {
@@ -235,17 +223,17 @@ func TestArbitrationDisablesOnAdversarialData(t *testing.T) {
 func TestShadowProbeReenables(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallParts))
 	// Disable with an unskippable workload.
 	for q := 0; q < 60; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
-	if z.Enabled() {
+	if z.Metadata().Enabled {
 		t.Fatal("precondition: should be disabled")
 	}
 	// Workload drifts to a predicate entirely outside the data domain:
 	// every zone would skip; shadow probes should re-enable.
-	for q := 0; q < 60 && !z.Enabled(); q++ {
+	for q := 0; q < 60 && !z.Metadata().Enabled; q++ {
 		enables := z.Stats().Enables
 		probe := z.Prune(oneRange(10_000, 20_000)) // the probe execute makes; Prune writes nothing
 		execute(z, codes, nil, oneRange(10_000, 20_000))
@@ -253,7 +241,7 @@ func TestShadowProbeReenables(t *testing.T) {
 			t.Fatal("the query that re-enabled the zonemap was not pruned")
 		}
 	}
-	if !z.Enabled() {
+	if !z.Metadata().Enabled {
 		t.Fatal("shadow probe never re-enabled")
 	}
 	if z.Stats().Enables == 0 {
@@ -263,7 +251,7 @@ func TestShadowProbeReenables(t *testing.T) {
 
 func TestExtendAndTailFold(t *testing.T) {
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallParts)
 	// Small append: goes to tail, still scanned, counts correct.
 	codes = append(codes, seqCodes(50, func(i int) int64 { return int64(1000 + i) })...)
 	z.Extend(storage.Vec{W: codes}, nil)
@@ -303,7 +291,7 @@ func TestExtendAndTailFold(t *testing.T) {
 func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(100)
-	z := New(storage.Vec{W: codes}, nulls, smallZone, smallCfg()) // 100-row zones
+	z := New(storage.Vec{W: codes}, nulls, smallZone, smallParts) // 100-row zones
 	var recs []obs.LedgerRecord
 	z.SetJournal(func(r obs.LedgerRecord) { recs = append(recs, r) })
 
@@ -333,40 +321,11 @@ func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
 	}
 }
 
-func TestWidenKeepsPruningSound(t *testing.T) {
-	codes := seqCodes(200, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
-	// Update row 5 to a huge value; the metadata widens to hold it.
-	codes[5] = 99999
-	z.Refresh(5, storage.Vec{W: codes}, nil)
-	got := execute(z, codes, nil, oneRange(99999, 99999))
-	if got != 1 {
-		t.Fatalf("updated row lost: count=%d", got)
-	}
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Written back, the zone and its part narrow again; a tail row
-	// refreshes the tail.
-	codes[5] = 5
-	z.Refresh(5, storage.Vec{W: codes}, nil)
-	if z.Zones[0].Sum.Max == 99999 || z.Parts[0].Sum.Max == 99999 || z.Blocks[0].Max == 99999 {
-		t.Fatalf("the hull kept a value no row holds: zone %+v, part %+v, block %+v", z.Zones[0], z.Parts[0], z.Blocks[0])
-	}
-	codes = append(codes, 7)
-	z.Extend(storage.Vec{W: codes}, nil)
-	codes[200] = 8
-	z.Refresh(200, storage.Vec{W: codes}, nil)
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRefreshCountsNonNull(t *testing.T) {
 	codes := seqCodes(100, func(i int) int64 { return int64(i) })
 	nulls := bitvec.New(100)
 	nulls.Set(10)
-	z := New(storage.Vec{W: codes}, nulls, smallZone, smallCfg())
+	z := New(storage.Vec{W: codes}, nulls, smallZone, smallParts)
 	// Row 10 gains value 42.
 	nulls.Clear(10)
 	codes[10] = 42
@@ -385,7 +344,7 @@ func TestAllNullZone(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		codes[i] = int64(i)
 	}
-	z := New(storage.Vec{W: codes}, nulls, smallZone, smallCfg())
+	z := New(storage.Vec{W: codes}, nulls, smallZone, smallParts)
 	res := z.Prune(oneRange(-1_000_000, 1_000_000))
 	// All-null zone must be skipped even for an all-matching predicate.
 	if len(res.Zones) != 1 || res.Zones[0].Lo != 100 {
@@ -401,80 +360,9 @@ func TestAllNullZone(t *testing.T) {
 	}
 }
 
-// Property: under random interleavings of queries, appends, and updates,
-// the adaptive zonemap stays structurally sound and always returns exact
-// counts.
-func TestQuickAdaptiveSoundness(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		zoneRows := 20 + rng.Intn(100)
-		cfg := Config{MinZoneRows: 2 + rng.Intn(10)}
-		tune := defaultTuning
-		tune.horizon = 1 + rng.Intn(20)
-		n := 50 + rng.Intn(400)
-		codes := make([]int64, n)
-		for i := range codes {
-			codes[i] = rng.Int63n(300)
-		}
-		var nulls *bitvec.BitVec
-		z := New(storage.Vec{W: codes}, nulls, zoneRows, cfg)
-		z.tune = tune
-		for step := 0; step < 120; step++ {
-			switch rng.Intn(10) {
-			case 0: // append
-				for k := 0; k < 1+rng.Intn(30); k++ {
-					codes = append(codes, rng.Int63n(300))
-				}
-				z.Extend(storage.Vec{W: codes}, nulls)
-			case 1: // in-place update
-				row := rng.Intn(len(codes))
-				v := rng.Int63n(600) - 150
-				codes[row] = v
-				z.Refresh(row, storage.Vec{W: codes}, nulls)
-			default: // query
-				lo := rng.Int63n(400) - 50
-				r := oneRange(lo, lo+rng.Int63n(150))
-				got := execute(z, codes, nulls, r)
-				want := scan.CountRanges(codes, 0, len(codes), r, nulls, 0)
-				if got != want {
-					return false
-				}
-			}
-			if err := z.CheckInvariants(storage.Vec{W: codes}, nulls); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.MinZoneRows != 1024 ||
-		c.DisableSplit || c.DisableMerge || c.DisableArbitration {
-		t.Fatalf("defaults wrong: %+v", c)
-	}
-	// The tail folds at the zone size, the engine's default one or a
-	// custom one.
-	codes := storage.Vec{W: seqCodes(65536+250, func(i int) int64 { return int64(i) })}
-	for _, c := range []struct {
-		zoneRows     int
-		append, tail int
-	}{{65536, 65535, 65535}, {65536, 65536, 0}, {100, 99, 99}, {100, 100, 0}} {
-		z := New(codes.Slice(0, 250), nil, c.zoneRows, Config{})
-		z.Extend(codes.Slice(0, 250+c.append), nil)
-		if got := z.Stats().TailRows; got != c.tail {
-			t.Fatalf("%d-row zones, %d rows appended: tail %d, want %d", c.zoneRows, c.append, got, c.tail)
-		}
-	}
-}
-
 func TestDescribeZones(t *testing.T) {
 	codes := seqCodes(250, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallParts)
 	s := z.DescribeZones(2)
 	if s == "" || len(s) < 20 {
 		t.Fatalf("DescribeZones: %q", s)
@@ -495,7 +383,8 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 		}
 		return int64(i/500)*1000 + rng.Int63n(500)
 	})
-	z := small(New(storage.Vec{W: codes}, nil, smallZone, noArbitration()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallParts))
+	z.Ablate(Arbitration) // keep probing whatever the probes earn
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(40000)
 		execute(z, codes, nil, oneRange(lo, lo+300))
@@ -553,7 +442,8 @@ func TestPruneIsReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// 500-row value bands: zones split.
 	codes := seqCodes(6000, func(i int) int64 { return int64(i/500)*1000 + rng.Int63n(500) })
-	z := small(New(storage.Vec{W: codes}, nil, smallZone, noArbitration()))
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallParts))
+	z.Ablate(Arbitration) // keep probing whatever the probes earn
 	for q := 0; q < 100; q++ {
 		lo := rng.Int63n(12000)
 		execute(z, codes, nil, oneRange(lo, lo+700))
@@ -590,11 +480,11 @@ func TestPruneIsReadOnly(t *testing.T) {
 	// Uniform data disables the map; an out-of-domain predicate would skip
 	// every zone, so its shadow probe re-enables.
 	codes = seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z = small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
+	z = small(New(storage.Vec{W: codes}, nil, smallZone, smallParts))
 	for q := 0; q < 50; q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
-	if z.Enabled() {
+	if z.Metadata().Enabled {
 		t.Fatal("precondition: should be disabled")
 	}
 	out := oneRange(10_000, 20_000)
@@ -608,7 +498,7 @@ func TestPruneIsReadOnly(t *testing.T) {
 		execute(z, codes, nil, out)
 	}
 	res = readOnly(t, "the re-enabling Prune", z, prune(out))
-	if !res.Enabled || z.Enabled() {
+	if !res.Enabled || z.Metadata().Enabled {
 		t.Fatalf("the re-probe query should probe as enabled, leaving the map disabled: %+v", res)
 	}
 	readOnly(t, "PruneNulls on a disabled map", z, z.PruneNulls)
@@ -621,13 +511,13 @@ func TestPruneIsReadOnly(t *testing.T) {
 func TestNullProbeOnDisabledMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := seqCodes(1000, func(i int) int64 { return rng.Int63n(100) })
-	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallCfg()))
-	for q := 0; q < 50 && (z.Enabled() || z.disabledQueries == 0); q++ {
+	z := small(New(storage.Vec{W: codes}, nil, smallZone, smallParts))
+	for q := 0; q < 50 && (z.Metadata().Enabled || z.disabledQueries == 0); q++ {
 		execute(z, codes, nil, oneRange(40, 60))
 	}
-	if z.Enabled() || z.disabledQueries == 0 {
+	if z.Metadata().Enabled || z.disabledQueries == 0 {
 		t.Fatalf("precondition: disabled and counting down, got enabled=%v countdown=%d",
-			z.Enabled(), z.disabledQueries)
+			z.Metadata().Enabled, z.disabledQueries)
 	}
 	var records []obs.LedgerRecord
 	z.SetJournal(func(rec obs.LedgerRecord) { records = append(records, rec) })
@@ -681,7 +571,7 @@ func handMap(hulls []expr.Hull, nonNull []int) (*Zonemap, []int64, *bitvec.BitVe
 			}
 		}
 	}
-	return New(storage.Vec{W: codes}, nulls, n, Config{MinZoneRows: 10}), codes, nulls
+	return New(storage.Vec{W: codes}, nulls, n, 10), codes, nulls
 }
 
 // One Observe splits the zone it had to scan exactly where the verdict

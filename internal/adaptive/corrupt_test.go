@@ -47,7 +47,7 @@ func mustPanicCorrupt(t *testing.T, what string, call func()) {
 // error wrapping ErrCorrupt instead of answering.
 func TestPruneDetectsTilingGap(t *testing.T) {
 	codes := seqCodes(2048, func(i int) int64 { return int64(i % 97) })
-	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallParts)
 	z.corruptLayout()
 	gap := gapRow(t, z)
 	mustPanicCorrupt(t, "Prune", func() { z.Prune(oneRange(0, 96)) })
@@ -59,7 +59,7 @@ func TestPruneDetectsTilingGap(t *testing.T) {
 
 	// A gap between two blocks is found by the walk itself, whether it
 	// skips the block after the gap or looks inside it.
-	z = New(storage.Vec{W: codes}, nil, 16, smallCfg()) // 128 zones: two blocks
+	z = New(storage.Vec{W: codes}, nil, 16, smallParts) // 128 zones: two blocks
 	z.Zones[zonemap.BlockZones-1].Hi--
 	mustPanicCorrupt(t, "Prune entering the block after a gap", func() { z.Prune(oneRange(0, 96)) })
 	mustPanicCorrupt(t, "Prune skipping the block after a gap", func() { z.Prune(oneRange(1000, 2000)) })
@@ -72,7 +72,7 @@ func TestPruneDetectsTilingGap(t *testing.T) {
 // panic there would escape the handler. CheckInvariants names the gap.
 func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 	codes := seqCodes(1024, func(i int) int64 { return int64(i) })
-	z := New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
+	z := New(storage.Vec{W: codes}, nil, smallZone, smallParts)
 	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
 		t.Fatalf("fresh zonemap fails invariants: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 	}
 
 	// A learner that names the wrong first part breaks the layout too.
-	z = New(storage.Vec{W: codes}, nil, smallZone, smallCfg())
+	z = New(storage.Vec{W: codes}, nil, smallZone, smallParts)
 	z.learn[3].first++
 	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err == nil || !strings.Contains(err.Error(), "zone 3 of") {
 		t.Fatalf("CheckInvariants on a learner off its first part: %v", err)

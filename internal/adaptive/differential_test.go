@@ -9,6 +9,7 @@ import (
 
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
+	"adskip/internal/expr"
 	"adskip/internal/imprint"
 	"adskip/internal/storage"
 	"adskip/internal/zonemap"
@@ -16,16 +17,20 @@ import (
 
 // directory is one skipper of the differential test with the handles on
 // its zone directory the test needs: the rows the zones tile, the zones'
-// windows, and a way to move a zone's (or, fine, a part's) bounds.
+// windows, a way to move a zone's (or, fine, a part's) bounds, and one to
+// spoil a summary, which returns its undo: the first block's is zeroed,
+// the first zone's (with parts, the first part's) loosened.
 type directory struct {
 	core.Skipper
 	indexed func() int
 	zones   func() [][2]int
 	move    func(fine bool, i, dLo, dHi int)
+	spoil   func(block bool) (undo func())
 }
 
-// handles returns the directory handles of grid g.
-func handles[S comparable, Q any](sk core.Skipper, g *zonemap.Grid[S, Q]) directory {
+// handles returns the directory handles of grid g, whose summaries loosen
+// widens to let through one more value.
+func handles[S comparable, Q any](sk core.Skipper, g *zonemap.Grid[S, Q], loosen func(S) S) directory {
 	return directory{
 		Skipper: sk,
 		indexed: g.Indexed,
@@ -41,6 +46,21 @@ func handles[S comparable, Q any](sk core.Skipper, g *zonemap.Grid[S, Q]) direct
 				ws = g.Parts
 			}
 			ws[i].Lo, ws[i].Hi = ws[i].Lo+dLo, ws[i].Hi+dHi
+		},
+		spoil: func(block bool) func() {
+			var to S
+			s := &g.Blocks[0]
+			if !block {
+				ws := g.Zones
+				if g.Parts != nil {
+					ws = g.Parts
+				}
+				s = &ws[0].Sum
+				to = loosen(*s)
+			}
+			was := *s
+			*s = to
+			return func() { *s = was }
 		},
 	}
 }
@@ -121,10 +141,14 @@ func mergeAtRandom(rng *rand.Rand, z *Zonemap) bool {
 // the adaptive zonemap, splits at random part boundaries and merges of
 // random runs through its own splice. After every step CheckInvariants
 // passes — every summary is the one its rows derive — PruneNulls equals a
-// reference counted row by row, and a random probe is sound. At the end of each stream three breaks each fail the check,
-// named in its error: a gap (the zone after it), an overlap (the zone that
-// starts inside its neighbour) and a row written under the metadata (the
-// row); on the adaptive zonemap a gap between parts names the part.
+// reference counted row by row, and a random probe is sound. At the end of
+// each stream seven breaks each fail the check, named in its error: a view
+// a row short of the rows covered (its length), a block that is not its
+// zones' union (the block), a summary that admits more than its rows hold
+// (the two summaries), a row set NULL under the metadata (the stale
+// count), a gap (the zone after it), an overlap (the zone that starts
+// inside its neighbour) and a row written under the metadata (the row); on
+// the adaptive zonemap a gap between parts names the part.
 func TestZoneDirectoryDifferential(t *testing.T) {
 	shapes := []string{"banded", "sorted", "semi-sorted", "uniform"}
 	var folds, updates, splits, merges, breaks int
@@ -148,14 +172,14 @@ func TestZoneDirectoryDifferential(t *testing.T) {
 			switch layout {
 			case "static":
 				g := zonemap.Build(view(), nulls, zoneRows)
-				d = handles(g, g)
+				d = handles(g, g, loosenHull)
 			case "imprint":
 				bins := imprint.Learn(storage.Vec{W: codes}, nulls) // from the whole column, as a later build's
 				g := zonemap.NewGrid(bins, view(), nulls, zoneRows)
-				d = handles(g, g)
+				d = handles(g, g, func(m uint64) uint64 { return m | ^m&(m+1) }) // the lowest bin it lacks
 			case "adaptive":
-				z = New(view(), nulls, zoneRows, Config{MinZoneRows: floor})
-				d = handles(z, &z.Grid)
+				z = New(view(), nulls, zoneRows, floor)
+				d = handles(z, &z.Grid, loosenHull)
 			}
 			what := fmt.Sprintf("seed %d, %s, %s, %d-row zones", seed, shape, layout, zoneRows)
 			check := func(step int, op string) {
@@ -203,14 +227,29 @@ func TestZoneDirectoryDifferential(t *testing.T) {
 			}
 
 			// The breaks, each undone before the next.
-			mustFail := func(how, names string) {
+			mustFailOn := func(v storage.Vec, how, names string) {
 				t.Helper()
-				err := d.CheckInvariants(view(), nulls)
+				breaks++
+				err := d.CheckInvariants(v, nulls)
 				if err == nil || !strings.Contains(err.Error(), names) {
 					t.Fatalf("%s: %s: CheckInvariants says %v, want an error naming %q", what, how, err, names)
 				}
-				breaks++
 			}
+			mustFail := func(how, names string) { t.Helper(); mustFailOn(view(), how, names) }
+			mustFailOn(storage.Vec{W: codes[:loaded-1]}, "a view a row short", fmt.Sprintf("for a column of %d rows", loaded-1))
+			undo := d.spoil(true)
+			mustFail("a block that is not its zones' union", "block 0")
+			undo()
+			undo = d.spoil(false)
+			mustFail("a summary looser than its rows derive", "its rows derive")
+			undo()
+			row := rng.Intn(loaded)
+			for nulls.Get(row) {
+				row = (row + 1) % loaded
+			}
+			nulls.Set(row)
+			mustFail(fmt.Sprintf("row %d set NULL under the metadata", row), "its rows hold")
+			nulls.Clear(row)
 			ws := d.zones()
 			i := rng.Intn(len(ws))
 			for ws[i][1]-ws[i][0] < 2 || i+1 == len(ws) {
@@ -251,11 +290,14 @@ func TestZoneDirectoryDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("%d folds, %d updates, %d splits, %d merges, %d breaks", folds, updates, splits, merges, breaks)
-	if folds < 1000 || updates < 2000 || splits < 400 || merges < 400 || breaks != 24*(3*3+1) {
+	if folds < 1000 || updates < 2000 || splits < 400 || merges < 400 || breaks != 24*(3*7+1) {
 		t.Fatalf("the streams folded %d tails, made %d updates, %d splits and %d merges, and %d breaks",
 			folds, updates, splits, merges, breaks)
 	}
 }
+
+// loosenHull lets one more value through h.
+func loosenHull(h expr.Hull) expr.Hull { h.Max++; return h }
 
 // windowsHold reports whether a window of res holds row.
 func windowsHold(res core.PruneResult, row int) bool {

@@ -75,10 +75,10 @@ func blocksReference(z *Zonemap) {
 // cold zones grown while the next is compatible with the run so far —
 // spliced by spliceReference, and every block is re-hulled.
 func observeReference(z *Zonemap, res core.PruneResult) {
-	cfg := z.cfg
-	z.cfg.DisableSplit, z.cfg.DisableMerge = true, true
+	off := z.tune.off
+	z.Ablate(off | Split | Merge)
 	z.Observe(res)
-	z.cfg = cfg
+	z.Ablate(off)
 	if !res.Enabled || !z.enabled || res.Ranges.Lo == nil {
 		return
 	}
@@ -92,7 +92,7 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 	for i := 0; i < len(z.Zones); i++ {
 		switch {
 		case !entered(i):
-		case cold(i) && !cfg.DisableMerge:
+		case cold(i) && off&Merge == 0:
 			run, l, j := z.Zones[i], z.learn[i], i+1
 			for ; j < len(z.Zones) && entered(j) && cold(j) && boundsCompatible(&run, &z.Zones[j]); j++ {
 				run = zone{Lo: run.Lo, Hi: z.Zones[j].Hi, Sum: run.Sum.Union(z.Zones[j].Sum), NonNull: run.NonNull + z.Zones[j].NonNull}
@@ -102,7 +102,7 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 				edits = append(edits, edit{idx: i, n: j - i, zones: []zone{run}, l: l})
 			}
 			i = j - 1
-		case cold(i) || cfg.DisableSplit || pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)):
+		case cold(i) || off&Split != 0 || pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)):
 		default:
 			if subs := z.planSplit(i, &c); subs != nil {
 				edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5}})
@@ -164,11 +164,10 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 		shape := shapes[seed%int64(len(shapes))]
 		floor := 4 + rng.Intn(13)
 		zoneRows := floor * (4 + rng.Intn(13))
-		cfg := Config{MinZoneRows: floor}
 		n := 6000 + rng.Intn(6000)
 		codes, nulls, domain := propertyColumn(rng, shape, n, floor)
 		loaded := n / 2
-		z, ref := New(storage.Vec{W: codes[:loaded]}, nulls, zoneRows, cfg), New(storage.Vec{W: codes[:loaded]}, nulls, zoneRows, cfg)
+		z, ref := New(storage.Vec{W: codes[:loaded]}, nulls, zoneRows, floor), New(storage.Vec{W: codes[:loaded]}, nulls, zoneRows, floor)
 		var recs, refRecs []obs.LedgerRecord
 		z.SetJournal(func(r obs.LedgerRecord) { recs = append(recs, r) })
 		ref.SetJournal(func(r obs.LedgerRecord) { refRecs = append(refRecs, r) })
@@ -270,7 +269,7 @@ func TestObserveOrderContract(t *testing.T) {
 	view := storage.Vec{W: codes}
 	first := expr.Ranges{Lo: []int64{150, 450}, Hi: []int64{160, 460}}
 	second := oneRange(155, 575) // from inside a zone first splits to one it leaves whole
-	z, want := New(view, nil, smallZone, smallCfg()), New(view, nil, smallZone, smallCfg())
+	z, want := New(view, nil, smallZone, smallParts), New(view, nil, smallZone, smallParts)
 	stale := z.Prune(second)
 	z.Observe(z.Prune(first))
 	z.Observe(stale)
@@ -305,7 +304,7 @@ func BenchmarkObserveSorted(b *testing.B) {
 	var z *Zonemap
 	for i := 0; i < b.N; i++ {
 		if i%window == 0 {
-			z = New(view, nil, 65536, Config{})
+			z = New(view, nil, 65536, DefaultMinZoneRows)
 			for q := 0; q < warm; q++ {
 				executeVec(z, view, nil, next())
 			}

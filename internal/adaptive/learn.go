@@ -44,7 +44,7 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 
 	// ---- Arbitration: did this query's probing pay for itself? ----
 	z.netBenefit = z.stepBenefit(res.RowsSkipped, res.ZonesProbed)
-	if !z.cfg.DisableArbitration && z.enabled && z.queries > z.tune.horizon && z.netBenefit < 0 {
+	if z.tune.off&Arbitration == 0 && z.enabled && z.queries > z.tune.horizon && z.netBenefit < 0 {
 		z.enabled = false
 		z.disabledQueries = 0
 		z.disables++
@@ -228,12 +228,12 @@ func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
 			switch {
 			case l.heat >= z.tune.mergeHeat:
 				merge()
-				if scanned && !z.cfg.DisableSplit {
+				if scanned && z.tune.off&Split == 0 {
 					if subs := z.planSplit(i, c); subs != nil {
 						edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5, first: l.first}})
 					}
 				}
-			case z.cfg.DisableMerge: // a cold zone stays as it is
+			case z.tune.off&Merge != 0: // a cold zone stays as it is
 			case n > 0 && at+n == i && boundsCompatible(&run, zn):
 				run, rl.heat, n = join(run, *zn), max(rl.heat, l.heat), n+1
 			default:

@@ -31,7 +31,7 @@ func TestMergeWhereTheQueryLooks(t *testing.T) {
 		}
 		return int64(i % 10)
 	})
-	z := small(New(storage.Vec{W: codes}, nil, rows, Config{MinZoneRows: rows}))
+	z := small(New(storage.Vec{W: codes}, nil, rows, rows))
 	if len(z.Zones) != blocks*bz || len(z.Blocks) != blocks {
 		t.Fatalf("precondition: %d zones in %d blocks", len(z.Zones), len(z.Blocks))
 	}
@@ -68,7 +68,7 @@ func TestMergeWhereTheQueryLooks(t *testing.T) {
 }
 
 // sweepZones returns n 100-row zones tiling [0, 100n), and their learners,
-// for one case of TestMergeSweepMatchesReference. Zones are hot, with
+// for one case of TestColdRunMergesMatchReference. Zones are hot, with
 // bounds far apart from their neighbours', except: "none" has every other
 // zone cold, still far apart; "start", "middle" and "end" have a run of two
 // or three cold zones with one set of bounds there; "random" draws heat,
@@ -119,7 +119,7 @@ func sweepZones(rng *rand.Rand, kind string, n int) ([]zone, []learner) {
 // holds the column sweepZones describes, with its last row NULL (or every
 // row, for an all-NULL zone), so a query over the whole domain scans every
 // zone with a value and cools it.
-func TestMergeSweepMatchesReference(t *testing.T) {
+func TestColdRunMergesMatchReference(t *testing.T) {
 	const n, rows = 24, 100
 	for _, kind := range []string{"none", "start", "middle", "end", "random"} {
 		for seed := int64(0); seed < 50; seed++ {
@@ -136,7 +136,7 @@ func TestMergeSweepMatchesReference(t *testing.T) {
 				zones[i].NonNull = min(zn.NonNull, rows-1)
 			}
 			build := func() (*Zonemap, *[]obs.LedgerRecord) {
-				z := New(storage.Vec{W: codes}, nulls, rows, Config{MinZoneRows: rows})
+				z := New(storage.Vec{W: codes}, nulls, rows, rows)
 				if !slices.Equal(z.Zones, zones) {
 					t.Fatalf("precondition: built zones %+v, want %+v", z.Zones, zones)
 				}

@@ -168,7 +168,6 @@ func TestAdaptiveProperties(t *testing.T) {
 		shape := shapes[seed%int64(len(shapes))]
 		floor := 8 + rng.Intn(25)
 		zoneRows := floor * (4 + rng.Intn(13))
-		cfg := Config{MinZoneRows: floor}
 		tune := defaultTuning
 		tune.horizon = 1 + rng.Intn(32)
 		n := 500 + rng.Intn(2500)
@@ -190,7 +189,7 @@ func TestAdaptiveProperties(t *testing.T) {
 		var parts [2][]zone
 		for w, view := range []storage.Vec{{W: codes}, {N: narrow}} {
 			what := fmt.Sprintf("seed %d, %s, %d-byte codes", seed, shape, view.Width())
-			z := New(view, nulls, zoneRows, cfg)
+			z := New(view, nulls, zoneRows, floor)
 			z.tune = tune
 			cuts += len(z.Parts) - (n+floor-1)/floor
 			records := 0
@@ -210,7 +209,7 @@ func TestAdaptiveProperties(t *testing.T) {
 				if err := checkSummary(z, codes, nulls); err != nil {
 					t.Fatalf("%s, after query %d %v: %v", what, q, r, err)
 				}
-				if !z.Enabled() {
+				if !z.Metadata().Enabled {
 					continue // a disabled probe declines; nothing to check
 				}
 				for _, probe := range []expr.Ranges{r, probes[q]} {

@@ -35,7 +35,7 @@ func BenchmarkPrune(b *testing.B) {
 		{"static-4096", func() core.Skipper { return zonemap.Build(view, nil, 4096) }},
 		{"adaptive", func() core.Skipper {
 			if adaptive == nil { // converge once: Prune leaves the map as it was
-				adaptive = New(view, nil, n/256, Config{MinZoneRows: 256})
+				adaptive = New(view, nil, n/256, 256)
 				for q, next := 0, stream(); q < warm; q++ {
 					executeVec(adaptive, view, nil, next())
 				}

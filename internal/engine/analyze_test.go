@@ -81,9 +81,7 @@ func TestExplainAnalyzeGoldenStatic(t *testing.T) {
 // cuts the zone it had to scan at the summary's part boundaries at once.
 func TestExplainAnalyzeIncreasingSkipped(t *testing.T) {
 	tb := sortedTable(t, 1<<14)
-	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 4096, Adaptive: adaptive.Config{
-		MinZoneRows: 64,
-	}})
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 4096, MinZoneRows: 64})
 	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -200,17 +198,17 @@ func TestExplainLifetimeAndCoveredFooter(t *testing.T) {
 	// Nor may a declined skipper: its column is evaluated in full. On the
 	// uniform column no zone prunes, so arbitration turns probing off.
 	ad := New(buildTable(t, 4096, 1), Options{Policy: PolicyAdaptive, ZoneSize: 512,
-		Adaptive: adaptive.Config{MinZoneRows: 32}})
+		MinZoneRows: 32})
 	if err := ad.EnableSkipping("b"); err != nil {
 		t.Fatal(err)
 	}
 	cold := Query{Where: expr.And(intPred("b", expr.Between, 400, 420)), Aggs: []Agg{{Kind: CountStar}}}
-	for i := 0; i < 100 && ad.Skipper("b").(*adaptive.Zonemap).Enabled(); i++ {
+	for i := 0; i < 100 && ad.Skipper("b").Metadata().Enabled; i++ {
 		if _, err := ad.Query(cold); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ad.Skipper("b").(*adaptive.Zonemap).Enabled() {
+	if ad.Skipper("b").Metadata().Enabled {
 		t.Fatal("arbitration never disabled the uniform column")
 	}
 	declined, err := ad.Explain(cold)
@@ -232,7 +230,7 @@ func TestExplainLifetimeAndCoveredFooter(t *testing.T) {
 func TestProbeOnlyPathsLeaveSkipperUnchanged(t *testing.T) {
 	// The row budget is enforced at checkpoints, one per checkpointRows.
 	tb := buildTable(t, 2*checkpointRows, 1)
-	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive(),
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, MinZoneRows: smallParts,
 		Limits: Limits{MaxRowsScanned: checkpointRows}})
 	if err := e.EnableSkipping("a", "b"); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 // must be recovered.
 func TestChaosQueryStream(t *testing.T) {
 	tb := buildTable(t, chaosRows, 21)
-	chaotic := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive(), Parallelism: 4})
+	chaotic := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, MinZoneRows: smallParts, Parallelism: 4})
 	if err := chaotic.EnableSkipping("a", "b"); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func droppedOf(e *Engine, cols ...string) []string {
 func TestChaosWithDeadlines(t *testing.T) {
 	tb := buildTable(t, chaosRows, 22)
 	e := New(tb, Options{
-		Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive(), Parallelism: 2,
+		Policy: PolicyAdaptive, ZoneSize: smallZone, MinZoneRows: smallParts, Parallelism: 2,
 		Limits: Limits{MaxDuration: 50 * time.Millisecond},
 	})
 	if err := e.EnableSkipping("b"); err != nil {

@@ -76,8 +76,10 @@ type Options struct {
 	// ZoneSize is every policy's zone size: the rows of a static zone, an
 	// imprint, an adaptive map's initial zones and a folded append tail.
 	ZoneSize int
-	// Adaptive configures PolicyAdaptive's learning (zero value = defaults).
-	Adaptive adaptive.Config
+	// MinZoneRows is PolicyAdaptive's part size: the rows of a part of
+	// its fine summary, and so the floor of a split. Default
+	// adaptive.DefaultMinZoneRows.
+	MinZoneRows int
 	// Parallelism is the number of goroutines used by the COUNT fast
 	// path's scans, full scans (one candidate) included: the candidates
 	// are cut into that many groups of about equal rows. Every other
@@ -120,6 +122,9 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.ZoneSize <= 0 {
 		o.ZoneSize = DefaultZoneSize
+	}
+	if o.MinZoneRows <= 0 {
+		o.MinZoneRows = adaptive.DefaultMinZoneRows
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = 1
@@ -246,7 +251,7 @@ func (e *Engine) buildSkipperLocked(name string) error {
 	case PolicyStatic:
 		e.skippers[name] = zonemap.Build(col.Vec(), col.Nulls(), e.opts.ZoneSize)
 	case PolicyAdaptive:
-		e.skippers[name] = adaptive.New(col.Vec(), col.Nulls(), e.opts.ZoneSize, e.opts.Adaptive)
+		e.skippers[name] = adaptive.New(col.Vec(), col.Nulls(), e.opts.ZoneSize, e.opts.MinZoneRows)
 	case PolicyImprint:
 		e.skippers[name] = imprint.Build(col.Vec(), col.Nulls(), e.opts.ZoneSize)
 	default:

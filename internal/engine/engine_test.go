@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -42,17 +41,13 @@ func buildTable(t testing.TB, n int, seed int64) *table.Table {
 	return tb
 }
 
-// smallZone and smallAdaptive size the skippers of the small tables these
+// smallZone and smallParts size the skippers of the small tables these
 // tests build: 64-row zones, and adaptive zones split to 8-row parts.
-const smallZone = 64
-
-func smallAdaptive() adaptive.Config {
-	return adaptive.Config{MinZoneRows: 8}
-}
+const smallZone, smallParts = 64, 8
 
 func newEngine(t testing.TB, tb *table.Table, policy Policy) *Engine {
 	t.Helper()
-	e := New(tb, Options{Policy: policy, ZoneSize: smallZone, Adaptive: smallAdaptive()})
+	e := New(tb, Options{Policy: policy, ZoneSize: smallZone, MinZoneRows: smallParts})
 	if err := e.EnableSkipping(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // replace left in them.
 func TestSkipperGaugesReadLiveSkipper(t *testing.T) {
 	tb := buildTable(t, 4000, 21)
-	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive()})
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, MinZoneRows: smallParts})
 	check := func(stage string) core.Metadata {
 		t.Helper()
 		var sb strings.Builder

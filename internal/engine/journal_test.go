@@ -22,9 +22,7 @@ import (
 // records counted or projected, never a second log.
 func TestOneJournal(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
-	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 512, Adaptive: adaptive.Config{
-		MinZoneRows: 32,
-	}})
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 512, MinZoneRows: 32})
 	if err := e.EnableSkipping("a", "b"); err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +191,12 @@ func getJSON(t *testing.T, url string, into any) {
 //     (1 event, 4 zones), so both columns read as before.
 func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	tb := buildTable(t, 4096, 1)
-	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 1024, Adaptive: adaptive.Config{
-		MinZoneRows:        128,
-		DisableArbitration: true,
-	}})
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 1024, MinZoneRows: 128})
 	if err := e.EnableSkipping("a", "b"); err != nil {
 		t.Fatal(err)
+	}
+	for _, col := range []string{"a", "b"} {
+		e.Skipper(col).(*adaptive.Zonemap).Ablate(adaptive.Arbitration)
 	}
 	rng := rand.New(rand.NewSource(7))
 	count := []Agg{{Kind: CountStar}}

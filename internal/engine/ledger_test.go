@@ -19,10 +19,10 @@ func adaptiveLedgerEngine(t *testing.T, ledger *obs.Ledger) *Engine {
 	t.Helper()
 	tb := sortedTable(t, 1<<14)
 	e := New(tb, Options{
-		Policy:   PolicyAdaptive,
-		ZoneSize: 4096,
-		Adaptive: adaptive.Config{MinZoneRows: 64},
-		Ledger:   ledger,
+		Policy:      PolicyAdaptive,
+		ZoneSize:    4096,
+		MinZoneRows: 64,
+		Ledger:      ledger,
 	})
 	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
@@ -210,12 +210,12 @@ func TestAdaptationROIDeadZones(t *testing.T) {
 	// ten queries, below MergeHeat 0.05. Merging is off, so the four cold
 	// zones stay four.
 	tb := buildTable(t, 4096, 1)
-	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 1024, Adaptive: adaptive.Config{
-		MinZoneRows: 1024, DisableMerge: true,
-	}, Ledger: obs.NewLedger(0)})
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: 1024, MinZoneRows: 1024,
+		Ledger: obs.NewLedger(0)})
 	if err := e.EnableSkipping("b"); err != nil {
 		t.Fatal(err)
 	}
+	e.Skipper("b").(*adaptive.Zonemap).Ablate(adaptive.Merge)
 	q := Query{
 		Where: expr.And(intPred("b", expr.Between, 400, 420)),
 		Aggs:  []Agg{{Kind: CountStar}},

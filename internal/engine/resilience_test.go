@@ -370,7 +370,7 @@ func TestSkipperFaultDropsSkipper(t *testing.T) {
 			// The bad window spans four times the rows, enough for the
 			// parallel count to fan out across workers.
 			tb := buildTable(t, minRowsPerWorker/2+1000, 31)
-			e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive(), Parallelism: c.parallelism})
+			e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, MinZoneRows: smallParts, Parallelism: c.parallelism})
 			if err := e.EnableSkipping("a"); err != nil {
 				t.Fatal(err)
 			}
@@ -429,7 +429,7 @@ func TestSkipperFaultDropsSkipper(t *testing.T) {
 func TestObserveOncePerCompletedQuery(t *testing.T) {
 	const rows = 1500
 	tb := buildTable(t, rows, 21)
-	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive()})
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, MinZoneRows: smallParts})
 	f := &faultySkipper{}
 	installFaulty(e, f)
 
@@ -463,7 +463,7 @@ func TestObserveOncePerCompletedQuery(t *testing.T) {
 
 	// Over the row budget, on the fast and the ordered path: no feedback.
 	tb = buildTable(t, 2*checkpointRows, 22)
-	e = New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive(),
+	e = New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, MinZoneRows: smallParts,
 		Limits: Limits{MaxRowsScanned: checkpointRows}})
 	f = &faultySkipper{}
 	installFaulty(e, f)
@@ -487,7 +487,7 @@ func TestObserveOncePerCompletedQuery(t *testing.T) {
 // the skipper, retries as a full scan, and returns the correct answer.
 func TestBadWindowsPanicRetries(t *testing.T) {
 	tb := buildTable(t, 1500, 13)
-	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, Adaptive: smallAdaptive()})
+	e := New(tb, Options{Policy: PolicyAdaptive, ZoneSize: smallZone, MinZoneRows: smallParts})
 	installFaulty(e, &faultySkipper{badWindows: true})
 
 	res, err := e.Query(countQuery("a"))

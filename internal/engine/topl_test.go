@@ -278,7 +278,7 @@ func toplTable(t testing.TB, n int, seed int64) *table.Table {
 
 func toplEngine(t testing.TB, tb *table.Table, policy Policy) *Engine {
 	t.Helper()
-	e := New(tb, Options{Policy: policy, ZoneSize: smallZone, Adaptive: smallAdaptive()})
+	e := New(tb, Options{Policy: policy, ZoneSize: smallZone, MinZoneRows: smallParts})
 	if err := e.EnableSkipping("a", "b", "f", "s", "g"); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -93,7 +92,7 @@ func TestByteReportsFollowCodeWidth(t *testing.T) {
 				col.AppendInt(i)
 			}
 			col.AppendInt(tc.outlier)
-			e := New(tbl, Options{Policy: PolicyAdaptive, ZoneSize: 4096, Adaptive: adaptive.Config{MinZoneRows: 64}})
+			e := New(tbl, Options{Policy: PolicyAdaptive, ZoneSize: 4096, MinZoneRows: 64})
 			if err := e.EnableSkipping("v"); err != nil {
 				t.Fatal(err)
 			}

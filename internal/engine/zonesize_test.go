@@ -12,7 +12,8 @@ import (
 // every policy on one column: static and adaptive both fold an appended
 // tail into zones once it reaches ZoneSize rows, and not a row before; and
 // at the zero-value options the adaptive map builds zones of
-// DefaultZoneSize = 65,536 rows: 32 of them on 2 Mi sorted rows.
+// DefaultZoneSize = 65,536 rows, 32 of them on 2 Mi sorted rows, each a
+// run of 64 parts of adaptive.DefaultMinZoneRows = 1,024 rows.
 func TestOneZoneSizeForEveryPolicy(t *testing.T) {
 	const zoneSize, base = 4096, 4 * 4096
 	// Below every value: the probe syncs the skipper and prunes every zone,
@@ -53,9 +54,13 @@ func TestOneZoneSizeForEveryPolicy(t *testing.T) {
 	if err := e.EnableSkipping("a"); err != nil {
 		t.Fatal(err)
 	}
-	zones := e.Skipper("a").(*adaptive.Zonemap).Zones
+	z := e.Skipper("a").(*adaptive.Zonemap)
+	zones := z.Zones
 	if len(zones) != rows/DefaultZoneSize || DefaultZoneSize != 65536 {
 		t.Fatalf("zero-value options: %d zones of a %d-row default, want 32 of 65536", len(zones), DefaultZoneSize)
+	}
+	if len(z.Parts) != rows/adaptive.DefaultMinZoneRows || adaptive.DefaultMinZoneRows != 1024 {
+		t.Fatalf("zero-value options: %d parts of a %d-row default, want 2048 of 1024", len(z.Parts), adaptive.DefaultMinZoneRows)
 	}
 	for i, zn := range zones {
 		if zn.Lo != i*65536 || zn.Hi != (i+1)*65536 {

@@ -37,7 +37,7 @@ func Tab1Metadata(cfg Config) (*Table, error) {
 		})
 	}
 	start := time.Now()
-	az := adaptive.New(storage.Vec{W: vals}, nil, engine.DefaultZoneSize, adaptive.Config{})
+	az := adaptive.New(storage.Vec{W: vals}, nil, engine.DefaultZoneSize, adaptive.DefaultMinZoneRows)
 	build := time.Since(start)
 	md := az.Metadata()
 	e := newEngine(cfg.options(engine.PolicyAdaptive), vals)
@@ -111,7 +111,7 @@ func Tab2Summary(cfg Config) (*Table, error) {
 		}
 		for _, parts := range d.parts {
 			opts := cfg.options(engine.PolicyAdaptive)
-			opts.Adaptive.MinZoneRows = parts
+			opts.MinZoneRows = parts
 			e := newEngine(opts, vals)
 			az := e.Skipper("v").(*adaptive.Zonemap)
 			var mark adaptive.Stats // at the start of the last quarter
@@ -219,15 +219,15 @@ func Abl1Mechanisms(cfg Config) (*Table, error) {
 	}
 	variants := []struct {
 		name string
-		mod  func(*adaptive.Config)
+		off  adaptive.Mechanism
 	}{
-		{"full adaptive", func(*adaptive.Config) {}},
-		{"no split", func(c *adaptive.Config) { c.DisableSplit = true }},
-		{"no merge", func(c *adaptive.Config) { c.DisableMerge = true }},
-		{"no arbitration", func(c *adaptive.Config) { c.DisableArbitration = true }},
+		{"full adaptive", 0},
+		{"no split", adaptive.Split},
+		{"no merge", adaptive.Merge},
+		{"no arbitration", adaptive.Arbitration},
 		// Merge and arbitration are redundant safety nets on hopeless
 		// data; disabling both isolates what either buys.
-		{"split only", func(c *adaptive.Config) { c.DisableMerge = true; c.DisableArbitration = true }},
+		{"split only", adaptive.Merge | adaptive.Arbitration},
 	}
 	clustered := generate(cfg, workload.Clustered, 4096)
 	uniform := generate(cfg, workload.Uniform, 0)
@@ -235,14 +235,17 @@ func Abl1Mechanisms(cfg Config) (*Table, error) {
 		Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 10,
 	}
 	for _, v := range variants {
-		opts := cfg.options(engine.PolicyAdaptive)
-		v.mod(&opts.Adaptive)
-		eClu := newEngine(opts, clustered)
+		ablated := func(vals []int64) *engine.Engine {
+			e := newEngine(cfg.options(engine.PolicyAdaptive), vals)
+			e.Skipper("v").(*adaptive.Zonemap).Ablate(v.off)
+			return e
+		}
+		eClu := ablated(clustered)
 		srClu, err := runStream(eClu, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
-		srUni, err := runStream(newEngine(opts, uniform), workload.NewGen(genSpec), cfg.Queries)
+		srUni, err := runStream(ablated(uniform), workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}

@@ -1,14 +1,9 @@
 package imprint
 
 import (
-	"math/rand"
-	"reflect"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"adskip/internal/bitvec"
-	"adskip/internal/core"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
 	"adskip/internal/zonemap"
@@ -145,42 +140,6 @@ func TestNullsAndPruneNulls(t *testing.T) {
 	}
 }
 
-func TestExtendAndWiden(t *testing.T) {
-	codes := seq(150, func(i int) int64 { return int64(i) })
-	m := Build(storage.Vec{W: codes[:75]}, nil, 50)
-	// The 75 appended rows fold from row 75 on: [0,50) [50,75) [75,125) [125,150).
-	m.Extend(storage.Vec{W: codes}, nil)
-	if m.Rows() != 150 || m.Metadata().Zones != 4 {
-		t.Fatalf("rows=%d zones=%d", m.Rows(), m.Metadata().Zones)
-	}
-	// Update row 100 to a value below every other: zone [75,125) takes
-	// bin 0, which it was skipped for.
-	low := oneRange(-5, -1)
-	holds := func(res core.PruneResult) bool {
-		for _, c := range res.Zones {
-			if c.Lo <= 100 && 100 < c.Hi {
-				return true
-			}
-		}
-		return false
-	}
-	before := m.Prune(low)
-	codes[100] = -3
-	m.Refresh(100, storage.Vec{W: codes}, nil)
-	if after := m.Prune(low); holds(before) || !holds(after) {
-		t.Fatalf("the updated row's zone: candidates %v before the update, %v after", before.Zones, after.Zones)
-	}
-	// Written back, the zone's mask drops the bin again.
-	codes[100] = 100
-	m.Refresh(100, storage.Vec{W: codes}, nil)
-	if after := m.Prune(low); !reflect.DeepEqual(after, before) {
-		t.Fatalf("after the value was written back %+v, before the update %+v", after, before)
-	}
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllNullColumn(t *testing.T) {
 	codes := make([]int64, 50)
 	nulls := bitvec.New(50)
@@ -189,138 +148,5 @@ func TestAllNullColumn(t *testing.T) {
 	st := m.Prune(oneRange(-1, 1))
 	if len(st.Zones) != 0 || st.RowsSkipped != 50 {
 		t.Fatalf("all-null column: %+v", st)
-	}
-}
-
-// Property: imprint pruning is sound on arbitrary data — every matching
-// row lies inside a candidate, and covered windows contain only matching
-// rows.
-func TestQuickImprintSound(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(500)
-		zoneSize := 1 + rng.Intn(40)
-		codes := make([]int64, n)
-		for i := range codes {
-			// Heavy-tailed values exercise uneven bins.
-			codes[i] = rng.Int63n(1000)
-			if rng.Intn(10) == 0 {
-				codes[i] *= 1_000_000
-			}
-		}
-		var nulls *bitvec.BitVec
-		if rng.Intn(2) == 0 {
-			nulls = bitvec.New(n)
-			for k := 0; k < n/8; k++ {
-				nulls.Set(rng.Intn(n))
-			}
-		}
-		m := Build(storage.Vec{W: codes}, nulls, zoneSize)
-		lo := rng.Int63n(2_000_000) - 1000
-		r := oneRange(lo, lo+rng.Int63n(500_000))
-		st := m.Prune(r)
-		cands := st.Zones
-		inCand := make([]bool, n)
-		covered := make([]bool, n)
-		prevHi := -1
-		for _, c := range cands {
-			if c.Lo >= c.Hi || c.Lo < prevHi {
-				return false
-			}
-			prevHi = c.Hi
-			for i := c.Lo; i < c.Hi; i++ {
-				inCand[i] = true
-				covered[i] = c.Covered
-			}
-		}
-		skipped := 0
-		for i := 0; i < n; i++ {
-			isNull := nulls != nil && nulls.Get(i)
-			matches := !isNull && r.Contains(codes[i])
-			if matches && !inCand[i] {
-				return false
-			}
-			if covered[i] && !matches {
-				return false
-			}
-			if !inCand[i] {
-				skipped++
-			}
-		}
-		return skipped == st.RowsSkipped
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Extend in increments matches a fresh build's pruning behavior
-// (bin edges are learned from the initial sample, so masks must agree for
-// the same edges; we compare prune outcomes on shared-edge maps).
-func TestQuickExtendSound(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 50 + rng.Intn(300)
-		zoneSize := 1 + rng.Intn(30)
-		codes := make([]int64, n)
-		for i := range codes {
-			codes[i] = rng.Int63n(10_000)
-		}
-		m := Build(storage.Vec{W: codes[:n/2]}, nil, zoneSize)
-		m.Extend(storage.Vec{W: codes}, nil)
-		lo := rng.Int63n(10_000)
-		r := oneRange(lo, lo+rng.Int63n(2000))
-		cands := m.Prune(r).Zones
-		inCand := make([]bool, n)
-		for _, c := range cands {
-			for i := c.Lo; i < c.Hi; i++ {
-				inCand[i] = true
-			}
-		}
-		for i := 0; i < n; i++ {
-			if r.Contains(codes[i]) && !inCand[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckInvariants(t *testing.T) {
-	codes := seq(950, func(i int) int64 { return int64(i) })
-	nulls := bitvec.New(950)
-	nulls.Set(7)
-	m := Build(storage.Vec{W: codes}, nulls, 100)
-	if err := m.CheckInvariants(storage.Vec{W: codes}, nulls); err != nil {
-		t.Fatalf("fresh imprint: %v", err)
-	}
-	view := storage.Vec{W: codes}
-	if err := m.CheckInvariants(storage.Vec{W: codes[:900]}, nulls); err == nil {
-		t.Fatal("a slice shorter than Rows() passed")
-	}
-	// A value written under the metadata lands in a bin the mask lacks.
-	codes[420] = 10
-	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "exclude row 420 code 10") {
-		t.Fatalf("a code in a bin missing from its zone's mask: %v", err)
-	}
-	// Written back, the mask holds a bin no row occupies: the check names
-	// the two masks, and Refresh drops the bin.
-	m.Refresh(420, view, nulls)
-	codes[420] = 420
-	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "its rows derive") {
-		t.Fatalf("a mask with a bin no row occupies: %v", err)
-	}
-	m.Refresh(420, view, nulls)
-	// A NULL overwritten without Refresh leaves the count stale.
-	nulls.Clear(7)
-	if err := m.CheckInvariants(view, nulls); err == nil {
-		t.Fatal("a stale non-null count passed")
-	}
-	m.Refresh(7, view, nulls)
-	if err := m.CheckInvariants(view, nulls); err != nil {
-		t.Fatalf("after Refresh: %v", err)
 	}
 }

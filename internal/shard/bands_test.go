@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/engine"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
@@ -34,7 +33,7 @@ func TestShardZonesFollowBands(t *testing.T) {
 		warmup  = 2048
 		measure = 512
 	)
-	cfg := engine.Options{Policy: engine.PolicyAdaptive, ZoneSize: 4096, Adaptive: adaptive.Config{MinZoneRows: 64}}
+	cfg := engine.Options{Policy: engine.PolicyAdaptive, ZoneSize: 4096, MinZoneRows: 64}
 	schema := table.Schema{{Name: "v", Type: storage.Int64}, {Name: "seq", Type: storage.Int64}}
 	v := workload.Generate(workload.DataSpec{N: rows, Dist: workload.Clustered, Domain: rows, Clusters: bands, Seed: 1})
 	row := func(i int) []storage.Value {

@@ -3,7 +3,6 @@ package shard
 import (
 	"testing"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/engine"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
@@ -37,7 +36,7 @@ func TestRowsCoveredEveryShape(t *testing.T) {
 	for _, policy := range []engine.Policy{engine.PolicyStatic, engine.PolicyAdaptive} {
 		opts := engine.Options{Policy: policy, ZoneSize: 512}
 		if policy == engine.PolicyAdaptive {
-			opts.ZoneSize, opts.Adaptive = 1024, adaptive.Config{MinZoneRows: 256}
+			opts.ZoneSize, opts.MinZoneRows = 1024, 256
 		}
 		for _, shards := range []int{1, 2} {
 			open := func() interface {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/engine"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -44,7 +43,7 @@ func TestExecExplainAnalyzeSQL(t *testing.T) {
 		tb.AppendRow(storage.IntValue(i))
 	}
 	e := engine.New(tb, engine.Options{Policy: engine.PolicyAdaptive,
-		ZoneSize: 100, Adaptive: adaptive.Config{MinZoneRows: 10}})
+		ZoneSize: 100, MinZoneRows: 10})
 	if err := e.EnableSkipping(); err != nil {
 		t.Fatal(err)
 	}

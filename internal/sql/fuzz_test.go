@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"adskip/internal/adaptive"
 	"adskip/internal/engine"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -153,7 +152,7 @@ func FuzzExec(f *testing.F) {
 	for _, opts := range []engine.Options{
 		{Policy: engine.PolicyStatic, ZoneSize: 32},
 		{Policy: engine.PolicyImprint, ZoneSize: 32},
-		{Policy: engine.PolicyAdaptive, ZoneSize: 64, Adaptive: adaptive.Config{MinZoneRows: 8}},
+		{Policy: engine.PolicyAdaptive, ZoneSize: 64, MinZoneRows: 8},
 	} {
 		skipping[opts.Policy.String()] = fuzzEngine(f, opts)
 	}

@@ -18,7 +18,7 @@ func skipSample(fp string, read, skipped int64) Sample {
 // A fresh template's first observation seeds both EWMAs, so it must not
 // report a gap no matter how bad its first skip rate is.
 func TestSkipRegressionWarmStart(t *testing.T) {
-	tb := New(Options{})
+	tb := New(nil)
 	tb.Record(skipSample("q1", 1000, 0)) // 0% skip, first sample
 	if gap := tb.RegressionGap(); gap != 0 {
 		t.Fatalf("RegressionGap after warm start = %v, want 0", gap)
@@ -34,7 +34,7 @@ func TestSkipRegressionWarmStart(t *testing.T) {
 // gap: the fast EWMA chases the collapse while the slow baseline
 // remembers what the template used to achieve.
 func TestSkipRegressionDetectsCollapse(t *testing.T) {
-	tb := New(Options{})
+	tb := New(nil)
 	for i := 0; i < 50; i++ {
 		tb.Record(skipSample("q1", 100, 900)) // steady 90% skip
 	}
@@ -66,7 +66,7 @@ func TestSkipRegressionDetectsCollapse(t *testing.T) {
 // The gap must close again once pruning recovers — the detector is a
 // hysteresis input, not a latch.
 func TestSkipRegressionRecovers(t *testing.T) {
-	tb := New(Options{})
+	tb := New(nil)
 	for i := 0; i < 50; i++ {
 		tb.Record(skipSample("q1", 100, 900))
 	}
@@ -87,7 +87,7 @@ func TestSkipRegressionRecovers(t *testing.T) {
 // A template that improves (fast above baseline) must not register as a
 // regression, and the worst template wins across the table.
 func TestSkipRegressionWorstTemplateWins(t *testing.T) {
-	tb := New(Options{})
+	tb := New(nil)
 	// q-up starts poor and improves: fast > base, gap clamped to 0.
 	tb.Record(skipSample("q-up", 1000, 0))
 	for i := 0; i < 20; i++ {
@@ -123,7 +123,7 @@ func TestSkipRegressionWorstTemplateWins(t *testing.T) {
 // RegressionGap first for /metrics to show the regression.
 func TestSkipRegressionGauge(t *testing.T) {
 	reg := obs.NewRegistry()
-	tb := New(Options{Registry: reg})
+	tb := New(reg)
 	for i := 0; i < 50; i++ {
 		tb.Record(skipSample("q1", 100, 900))
 	}

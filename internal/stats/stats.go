@@ -6,7 +6,7 @@
 // latency histograms and row/zone/byte counts.
 //
 // The table is LRU-bounded: when a workload carries more distinct
-// templates than MaxTemplates, the least-recently-called template is
+// templates than DefaultMaxTemplates, the least-recently-called template is
 // evicted (its history is lost and counted in EvictedTemplates).
 package stats
 
@@ -19,18 +19,9 @@ import (
 	"adskip/internal/obs"
 )
 
-// DefaultMaxTemplates is the Options.MaxTemplates zero value.
+// DefaultMaxTemplates bounds the number of distinct templates a table
+// tracks; the least-recently-called template is evicted beyond it.
 const DefaultMaxTemplates = 256
-
-// Options configures a stats table.
-type Options struct {
-	// MaxTemplates bounds the number of distinct templates tracked;
-	// the least-recently-called template is evicted beyond it.
-	// 0 means DefaultMaxTemplates.
-	MaxTemplates int
-	// Registry, when non-nil, receives adskip_stats_* metrics.
-	Registry *obs.Registry
-}
 
 // Skip-regression EWMA steps. The fast average converges in a few
 // queries (α=0.3 → ~5-query window) so a genuine regression is visible
@@ -93,7 +84,6 @@ type entry struct {
 // safe for concurrent use.
 type Table struct {
 	mu     sync.Mutex
-	opts   Options
 	byFP   map[string]*entry
 	order  *list.List // front = most recently called
 	bounds []float64  // shared latency bucket bounds
@@ -107,18 +97,15 @@ type Table struct {
 	mEvicted   *obs.Counter
 }
 
-// New builds a stats table. Options zero values take the default above.
-func New(opts Options) *Table {
-	if opts.MaxTemplates <= 0 {
-		opts.MaxTemplates = DefaultMaxTemplates
-	}
+// New builds a stats table. reg, when non-nil, receives the
+// adskip_stats_* metrics.
+func New(reg *obs.Registry) *Table {
 	t := &Table{
-		opts:   opts,
 		byFP:   make(map[string]*entry),
 		order:  list.New(),
 		bounds: obs.LatencyBuckets(),
 	}
-	if reg := opts.Registry; reg != nil {
+	if reg != nil {
 		t.mTemplates = reg.Gauge("adskip_stats_templates",
 			"Distinct query templates currently tracked by the workload stats table.")
 		t.mRecorded = reg.Counter("adskip_stats_recorded_total",
@@ -153,7 +140,7 @@ func (t *Table) Record(s Sample) {
 		}
 		e.elem = t.order.PushFront(e)
 		t.byFP[s.Fingerprint] = e
-		for t.order.Len() > t.opts.MaxTemplates {
+		for t.order.Len() > DefaultMaxTemplates {
 			lru := t.order.Back()
 			t.order.Remove(lru)
 			delete(t.byFP, lru.Value.(*entry).fp)

@@ -19,7 +19,7 @@ func sample(fp string, lat time.Duration) Sample {
 }
 
 func TestRecordAggregates(t *testing.T) {
-	tb := New(Options{})
+	tb := New(nil)
 	tb.Record(sample("SELECT COUNT(*) FROM data WHERE v < ?", time.Millisecond))
 	tb.Record(sample("SELECT COUNT(*) FROM data WHERE v < ?", 3*time.Millisecond))
 	s := Sample{Fingerprint: "SELECT COUNT(*) FROM data WHERE v < ?", Table: "data",
@@ -52,7 +52,7 @@ func TestRecordAggregates(t *testing.T) {
 }
 
 func TestRecordIgnoresEmptyFingerprint(t *testing.T) {
-	tb := New(Options{})
+	tb := New(nil)
 	tb.Record(Sample{Latency: time.Millisecond})
 	if tb.Len() != 0 {
 		t.Fatalf("unfingerprinted sample created a template")
@@ -65,16 +65,18 @@ func TestRecordIgnoresEmptyFingerprint(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	tb := New(Options{MaxTemplates: 4})
-	for i := 0; i < 8; i++ {
+	const bound = DefaultMaxTemplates
+	tb := New(nil)
+	for i := 0; i < bound+4; i++ { // T0–T3 evicted
 		tb.Record(sample(fmt.Sprintf("T%d", i), time.Millisecond))
 	}
 	// Re-touch T5 so it is MRU, then add one more: T4 is the LRU victim.
 	tb.Record(sample("T5", time.Millisecond))
-	tb.Record(sample("T8", time.Millisecond))
+	last := fmt.Sprintf("T%d", bound+4)
+	tb.Record(sample(last, time.Millisecond))
 	snap := tb.Snapshot(SortCalls, 0)
-	if snap.TotalTemplates != 4 {
-		t.Fatalf("want 4 tracked templates, got %d", snap.TotalTemplates)
+	if snap.TotalTemplates != bound {
+		t.Fatalf("want %d tracked templates, got %d", bound, snap.TotalTemplates)
 	}
 	if snap.Evicted != 5 {
 		t.Fatalf("want 5 evictions, got %d", snap.Evicted)
@@ -83,13 +85,13 @@ func TestLRUEviction(t *testing.T) {
 	for _, ts := range snap.Templates {
 		have[ts.Fingerprint] = true
 	}
-	if !have["T5"] || !have["T8"] || have["T4"] {
+	if !have["T5"] || !have[last] || have["T4"] {
 		t.Fatalf("LRU order wrong, tracked: %v", have)
 	}
 }
 
 func TestSnapshotSortOrders(t *testing.T) {
-	tb := New(Options{})
+	tb := New(nil)
 	for i := 0; i < 3; i++ {
 		tb.Record(Sample{Fingerprint: "hot", Latency: time.Millisecond, Cost: obs.Cost{BytesScanned: 10}})
 	}
@@ -114,7 +116,7 @@ func TestSnapshotSortOrders(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	tb := New(Options{})
+	tb := New(nil)
 	tb.Record(sample("SELECT COUNT(*) FROM data WHERE v < ?", time.Millisecond))
 	var buf bytes.Buffer
 	if err := tb.WriteCSV(&buf, "", 0); err != nil {
@@ -130,8 +132,8 @@ func TestWriteCSV(t *testing.T) {
 
 func TestMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
-	tb := New(Options{Registry: reg, MaxTemplates: 2})
-	for i := 0; i < 4; i++ {
+	tb := New(reg)
+	for i := 0; i < DefaultMaxTemplates+2; i++ {
 		tb.Record(sample(fmt.Sprintf("T%d", i), time.Millisecond))
 	}
 	var buf bytes.Buffer
@@ -140,8 +142,8 @@ func TestMetricsRegistered(t *testing.T) {
 	}
 	out := buf.String()
 	for _, needle := range []string{
-		"adskip_stats_templates 2",
-		"adskip_stats_recorded_total 4",
+		fmt.Sprintf("adskip_stats_templates %d", DefaultMaxTemplates),
+		fmt.Sprintf("adskip_stats_recorded_total %d", DefaultMaxTemplates+2),
 		"adskip_stats_evicted_total 2",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(needle)) {
@@ -154,7 +156,7 @@ func TestMetricsRegistered(t *testing.T) {
 // template pool larger than the LRU bound, so recording, snapshotting,
 // and eviction churn race. Run under -race in CI.
 func TestConcurrentChurn(t *testing.T) {
-	tb := New(Options{MaxTemplates: 8, Registry: obs.NewRegistry()})
+	tb := New(obs.NewRegistry())
 	const (
 		workers = 8
 		perW    = 500
@@ -165,7 +167,7 @@ func TestConcurrentChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				fp := fmt.Sprintf("T%d", (w*7+i)%32)
+				fp := fmt.Sprintf("T%d", (w*7+i)%(2*DefaultMaxTemplates))
 				s := sample(fp, time.Duration(i%5)*time.Millisecond)
 				s.Err = i%17 == 0
 				tb.Record(s)
@@ -183,8 +185,8 @@ func TestConcurrentChurn(t *testing.T) {
 	if snap.Recorded != workers*perW {
 		t.Fatalf("recorded %d samples, want %d", snap.Recorded, workers*perW)
 	}
-	if snap.TotalTemplates != 8 {
-		t.Fatalf("tracked %d templates, want 8 (LRU bound)", snap.TotalTemplates)
+	if snap.TotalTemplates != DefaultMaxTemplates {
+		t.Fatalf("tracked %d templates, want %d (LRU bound)", snap.TotalTemplates, DefaultMaxTemplates)
 	}
 	var calls int64
 	for _, ts := range snap.Templates {
@@ -198,7 +200,7 @@ func TestConcurrentChurn(t *testing.T) {
 // BenchmarkRecord is the overhead figure quoted in DESIGN §12: the cost
 // of attributing one query to its template.
 func BenchmarkRecord(b *testing.B) {
-	tb := New(Options{})
+	tb := New(nil)
 	s := sample("SELECT COUNT(*) FROM data WHERE v BETWEEN ? AND ?", 120*time.Microsecond)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -14,7 +14,7 @@ import (
 // whose two templates touched different shard sets.
 func shardedSource() Source {
 	src := testSource()
-	tbl := stats.New(stats.Options{})
+	tbl := stats.New(nil)
 	tbl.Record(stats.Sample{
 		Fingerprint: "SELECT COUNT(*) FROM t WHERE id < ?", Table: "t",
 		Latency: time.Millisecond, Cost: obs.Cost{RowsScanned: 100, ShardsScanned: 1, ShardsPruned: 2},

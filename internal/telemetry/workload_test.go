@@ -18,7 +18,7 @@ import (
 // bytes, "hot" dominates calls.
 func workloadSource() Source {
 	src := testSource()
-	tbl := stats.New(stats.Options{})
+	tbl := stats.New(nil)
 	tbl.Record(stats.Sample{
 		Fingerprint: "SELECT COUNT(*) FROM data WHERE v < ?", Table: "data",
 		Latency: 50 * time.Millisecond, RowsReturned: 10, ZonesRead: 4, ZonesPruned: 36,

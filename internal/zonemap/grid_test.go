@@ -160,7 +160,7 @@ func TestGridProperties(t *testing.T) {
 						t.Fatalf("seed %d: extended grid, %d-byte view: %v", seed, view.Width(), err)
 					}
 				}
-				az, anz := adaptive.New(wide, nulls, zoneSize, adaptive.Config{}), adaptive.New(narrow, nulls, zoneSize, adaptive.Config{})
+				az, anz := adaptive.New(wide, nulls, zoneSize, adaptive.DefaultMinZoneRows), adaptive.New(narrow, nulls, zoneSize, adaptive.DefaultMinZoneRows)
 				if !reflect.DeepEqual(anz, az) {
 					t.Fatalf("seed %d: adaptive zonemap over the narrow view %+v, over the wide view %+v", seed, anz, az)
 				}

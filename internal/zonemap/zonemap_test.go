@@ -1,10 +1,7 @@
 package zonemap
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
@@ -233,210 +230,5 @@ func TestRefresh(t *testing.T) {
 	}
 	if err := m2.CheckInvariants(storage.Vec{W: codes[:10]}, nulls); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: pruning is sound — every row whose code matches the predicate
-// lies inside some emitted candidate window — and candidates are disjoint,
-// ordered, and covered candidates contain only matching non-null rows.
-func TestQuickPruneSound(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(500)
-		zoneSize := 1 + rng.Intn(40)
-		codes := make([]int64, n)
-		for i := range codes {
-			codes[i] = rng.Int63n(100)
-		}
-		var nulls *bitvec.BitVec
-		if rng.Intn(2) == 0 {
-			nulls = bitvec.New(n)
-			for k := 0; k < n/8; k++ {
-				nulls.Set(rng.Intn(n))
-			}
-		}
-		m := Build(storage.Vec{W: codes}, nulls, zoneSize)
-		lo := rng.Int63n(120) - 10
-		r := oneRange(lo, lo+rng.Int63n(50))
-		res := m.Prune(r)
-		cands := res.Zones
-
-		inCand := make([]bool, n)
-		covered := make([]bool, n)
-		prevHi := -1
-		for _, c := range cands {
-			if c.Lo >= c.Hi || c.Lo < prevHi {
-				return false // unordered or empty window
-			}
-			prevHi = c.Hi
-			for i := c.Lo; i < c.Hi; i++ {
-				inCand[i] = true
-				covered[i] = c.Covered
-			}
-		}
-		skipped := 0
-		for i := 0; i < n; i++ {
-			isNull := nulls != nil && nulls.Get(i)
-			matches := !isNull && r.Contains(codes[i])
-			if matches && !inCand[i] {
-				return false // unsound skip
-			}
-			if covered[i] && !matches {
-				return false // covered implies every row (incl. non-null) matches
-			}
-			if !inCand[i] {
-				skipped++
-			}
-		}
-		return skipped == res.RowsSkipped
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Extend in random increments matches a fresh Build in every
-// answer — the rows a probe's windows hold that match are the rows that
-// match — and leaves a grid that passes the exact check, whichever of its
-// rows still wait in the tail.
-func TestQuickExtendMatchesBuild(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(300)
-		zoneSize := 1 + rng.Intn(30)
-		codes := make([]int64, n)
-		for i := range codes {
-			codes[i] = rng.Int63n(1000)
-		}
-		m := Build(storage.Vec{W: codes[:1+rng.Intn(n)]}, nil, zoneSize)
-		for m.Rows() < n {
-			next := m.Rows() + 1 + rng.Intn(n-m.Rows())
-			m.Extend(storage.Vec{W: codes[:next]}, nil)
-		}
-		if m.CheckInvariants(storage.Vec{W: codes}, nil) != nil {
-			return false
-		}
-		fresh := Build(storage.Vec{W: codes}, nil, zoneSize)
-		count := func(res core.PruneResult, r expr.Ranges) (k int) {
-			for _, c := range res.Zones {
-				for i := c.Lo; i < c.Hi; i++ {
-					if r.Contains(codes[i]) {
-						k++
-					}
-				}
-			}
-			return k
-		}
-		for q := 0; q < 8; q++ {
-			lo := rng.Int63n(1000)
-			r := oneRange(lo, lo+rng.Int63n(200))
-			if count(m.Prune(r), r) != count(fresh.Prune(r), r) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: PruneNulls is sound — every NULL row lies inside an emitted
-// candidate window, covered windows contain only NULL rows, and null-free
-// zones are skipped.
-func TestQuickPruneNullsSound(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(400)
-		zoneSize := 1 + rng.Intn(30)
-		codes := make([]int64, n)
-		nulls := bitvec.New(n)
-		for i := range codes {
-			codes[i] = rng.Int63n(50)
-			if rng.Intn(4) == 0 {
-				nulls.Set(i)
-			}
-		}
-		m := Build(storage.Vec{W: codes}, nulls, zoneSize)
-		res := m.PruneNulls()
-		cands := res.Zones
-		inCand := make([]bool, n)
-		covered := make([]bool, n)
-		prevHi := -1
-		for _, c := range cands {
-			if c.Lo >= c.Hi || c.Lo < prevHi {
-				return false
-			}
-			prevHi = c.Hi
-			for i := c.Lo; i < c.Hi; i++ {
-				inCand[i] = true
-				covered[i] = c.Covered
-			}
-		}
-		skipped := 0
-		for i := 0; i < n; i++ {
-			isNull := nulls.Get(i)
-			if isNull && !inCand[i] {
-				return false // a NULL row was wrongly skipped
-			}
-			if covered[i] && !isNull {
-				return false // covered window with a non-NULL row
-			}
-			if !inCand[i] {
-				skipped++
-			}
-		}
-		return skipped == res.RowsSkipped
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckInvariants(t *testing.T) {
-	codes := seq(95, func(i int) int64 { return int64(i) })
-	nulls := bitvec.New(95)
-	nulls.Set(7)
-	m := Build(storage.Vec{W: codes}, nulls, 10)
-	view := storage.Vec{W: codes}
-	if err := m.CheckInvariants(view, nulls); err != nil {
-		t.Fatalf("fresh map: %v", err)
-	}
-	if err := m.CheckInvariants(storage.Vec{W: codes[:90]}, nulls); err == nil {
-		t.Fatal("a slice shorter than Rows() passed")
-	}
-	// A value written under the metadata escapes its zone's hull, and is
-	// named; Refresh takes it in.
-	codes[42] = -1
-	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "exclude row 42 code -1") {
-		t.Fatalf("a code outside its zone's bounds: %v", err)
-	}
-	m.Refresh(42, view, nulls)
-	if err := m.CheckInvariants(view, nulls); err != nil {
-		t.Fatalf("after Refresh: %v", err)
-	}
-	// The only row holding a zone's max, written inside the hull: the
-	// stored hull admits more than the rows hold, and the check says so.
-	codes[49] = 45
-	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "its rows derive") {
-		t.Fatalf("a hull looser than its rows: %v", err)
-	}
-	m.Refresh(49, view, nulls)
-	if err := m.CheckInvariants(view, nulls); err != nil {
-		t.Fatalf("after Refresh: %v", err)
-	}
-	// A NULL overwritten without Refresh leaves the count stale.
-	nulls.Clear(7)
-	if err := m.CheckInvariants(view, nulls); err == nil {
-		t.Fatal("a stale non-null count passed")
-	}
-	m.Refresh(7, view, nulls)
-	if err := m.CheckInvariants(view, nulls); err != nil {
-		t.Fatalf("after Refresh: %v", err)
-	}
-	// A block that is not its zones' union.
-	m.Blocks[0].Max++
-	if err := m.CheckInvariants(view, nulls); err == nil || !strings.Contains(err.Error(), "block 0") {
-		t.Fatalf("a loose block: %v", err)
 	}
 }

@@ -91,14 +91,14 @@ func TestZipfStructuralEvents(t *testing.T) {
 	const total, last = zipfWarm + zipfSteadyQ, (zipfWarm + zipfSteadyQ) / 4
 	vals := workload.Generate(workload.DataSpec{N: zipfRows, Dist: workload.Zipf, Domain: zipfRows, Seed: 42})
 	for _, tc := range []struct {
-		name string
-		cfg  adaptive.Config
-		max  int // splits + merges over the last quarter
+		name  string
+		parts int // MinZoneRows
+		max   int // splits + merges over the last quarter
 	}{
-		{"defaults", adaptive.Config{}, last * 5 / 100},
-		{"256-row parts", adaptive.Config{MinZoneRows: 256}, 7540},
+		{"defaults", 0, last * 5 / 100},
+		{"256-row parts", 256, 7540},
 	} {
-		e := zipfEngine(vals, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: tc.cfg})
+		e := zipfEngine(vals, engine.Options{Policy: engine.PolicyAdaptive, MinZoneRows: tc.parts})
 		z := e.Skipper("v").(*adaptive.Zonemap)
 		next := zipfQueries()
 		var mark adaptive.Stats
