@@ -448,8 +448,13 @@ func (e *Engine) WAL() *wal.Log {
 
 // Update overwrites a cell in place, and the column's skipper re-derives
 // the summaries that hold the row. With a WAL armed the overwrite is
-// logged first and the call blocks until it is durable.
+// logged first and the call blocks until it is durable. A shard engine
+// refuses, as its sharded table does: a global row index routes to no
+// one shard.
 func (e *Engine) Update(colName string, row int, v storage.Value) error {
+	if e.opts.Shard > 0 {
+		return fmt.Errorf("engine: shard %d refuses updates, as its sharded table does", e.opts.Shard)
+	}
 	e.mu.Lock()
 	col, err := e.tbl.Column(colName)
 	if err != nil {
@@ -467,7 +472,7 @@ func (e *Engine) Update(colName string, row int, v storage.Value) error {
 	var commit wal.Commit
 	if e.wal != nil && updatableType(col.Type()) {
 		c, err := e.wal.Append(&wal.Record{
-			Kind: wal.KindUpdate, Table: e.tbl.Name(), Shard: uint32(e.opts.Shard),
+			Kind: wal.KindUpdate, Table: e.tbl.Name(),
 			Col: colName, Row: uint64(row), Value: v,
 		})
 		if err != nil {

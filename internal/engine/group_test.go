@@ -72,26 +72,6 @@ func TestGroupByString(t *testing.T) {
 	}
 }
 
-func TestGroupByWithWhere(t *testing.T) {
-	tb := groupTable(t)
-	e := newEngine(t, tb, PolicyAdaptive)
-	res, err := e.Query(Query{
-		Where:   expr.And(intPred("a", expr.GE, 3)),
-		GroupBy: "s",
-		Aggs:    []Agg{{Kind: CountStar}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rows 3..6: x(3,5) y(4) z(6).
-	if len(res.Rows) != 3 || res.Rows[0][1].Int() != 2 || res.Rows[1][1].Int() != 1 || res.Rows[2][1].Int() != 1 {
-		t.Fatalf("rows=%v", res.Rows)
-	}
-	if res.Count != 4 {
-		t.Fatalf("count=%d", res.Count)
-	}
-}
-
 func TestGroupByNullKeysLast(t *testing.T) {
 	tb := groupTable(t)
 	e := newEngine(t, tb, PolicyStatic)

@@ -90,6 +90,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t WHERE a IN ()",
 		"SELECT a FROM t LIMIT x",
 		"SELECT COUNT(* FROM t",
+		"SELECT COUNT FROM t",
 		"SELECT a FROM t extra junk",
 		"INSERT INTO t VALUES (1)",
 	}
@@ -106,6 +107,7 @@ func TestStatementStringRoundTrip(t *testing.T) {
 		"SELECT a, b FROM t WHERE a = 1 LIMIT 3",
 		"SELECT COUNT(*), SUM(b) FROM t WHERE a BETWEEN 1 AND 5 AND s IN ('x', 'y')",
 		"SELECT MIN(f) FROM t WHERE f > -2.5",
+		"SELECT COUNT(*) FROM t WHERE (a < 10)",
 	}
 	for _, c := range cases {
 		s1, err := Parse(c)
@@ -205,6 +207,14 @@ func TestExecPlanningErrors(t *testing.T) {
 	}
 	if _, err := Exec(e, "SELECT SUM(city) FROM sales"); !errors.Is(err, engine.ErrUnsupportedAgg) {
 		t.Fatalf("sum string: %v", err)
+	}
+	if _, err := Exec(e, "SELECT COUNT(*) FROM sales WHERE (id < 1 OR price = 2)"); err == nil {
+		t.Fatal("cross-column OR accepted")
+	}
+	for _, q := range []string{"SELECT * FROM sales GROUP BY city", "SELECT FROM sales"} {
+		if _, err := Exec(e, q); !errors.Is(err, ErrSyntax) {
+			t.Fatalf("%q: %v", q, err)
+		}
 	}
 }
 

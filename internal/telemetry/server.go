@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/metrics"
+	"slices"
 	"strconv"
 	"time"
 
@@ -257,10 +258,17 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	snap := s.src.Workload.Snapshot(sortBy, k)
+	// The shard filter runs before the top-K cut: cut first, it would
+	// answer an empty list whenever the top k templates never scanned the
+	// shard and a lesser one did.
+	cut := k
 	if hasShard {
-		// MaxShard is computed over every tracked template before top-K
-		// truncation, so the range check is stable across k values.
+		cut = 0
+	}
+	snap := s.src.Workload.Snapshot(sortBy, cut)
+	if hasShard {
+		// MaxShard is computed over every tracked template, so the range
+		// check is stable across k values.
 		if shard < 1 || shard > snap.MaxShard {
 			http.Error(w, fmt.Sprintf("shard %d out of range (workload has shards 1..%d)", shard, snap.MaxShard),
 				http.StatusBadRequest)
@@ -268,12 +276,12 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		}
 		kept := snap.Templates[:0]
 		for _, ts := range snap.Templates {
-			for _, sh := range ts.Shards {
-				if sh == shard {
-					kept = append(kept, ts)
-					break
-				}
+			if slices.Contains(ts.Shards, shard) {
+				kept = append(kept, ts)
 			}
+		}
+		if k > 0 && len(kept) > k {
+			kept = kept[:k]
 		}
 		snap.Templates = kept
 	}

@@ -11,13 +11,14 @@ import (
 )
 
 // shardedSource builds a server source for a 3-shard table: a workload
-// whose two templates touched different shard sets.
+// whose two templates touched different shard sets. The costlier one by
+// time scanned shard 1 only.
 func shardedSource() Source {
 	src := testSource()
 	tbl := stats.New(nil)
 	tbl.Record(stats.Sample{
 		Fingerprint: "SELECT COUNT(*) FROM t WHERE id < ?", Table: "t",
-		Latency: time.Millisecond, Cost: obs.Cost{RowsScanned: 100, ShardsScanned: 1, ShardsPruned: 2},
+		Latency: 5 * time.Millisecond, Cost: obs.Cost{RowsScanned: 100, ShardsScanned: 1, ShardsPruned: 2},
 		Shards: []int{1},
 	})
 	tbl.Record(stats.Sample{
@@ -64,6 +65,11 @@ func TestWorkloadShardFilter(t *testing.T) {
 	// Shard 1 was scanned by both.
 	if one := decode("?shard=1"); len(one.Templates) != 2 {
 		t.Fatalf("shard=1 returned %d templates, want 2", len(one.Templates))
+	}
+	// The filter runs before the top-K cut: the costliest template never
+	// scanned shard 2, and the one that did is still returned.
+	if top := decode("?shard=2&k=1"); len(top.Templates) != 1 || top.Templates[0].Fingerprint != "SELECT COUNT(*) FROM t" {
+		t.Fatalf("shard=2&k=1 templates = %+v", top.Templates)
 	}
 
 	for _, q := range []string{"?shard=abc", "?shard=0", "?shard=-1", "?shard=4", "?shard=1.5"} {

@@ -26,13 +26,10 @@ import (
 type Kind uint8
 
 const (
-	// KindUpdate is one in-place cell overwrite; KindShardUpdate its
-	// sharded wire form (a u32 shard number, never 0, precedes the body),
-	// normalized to KindUpdate with Record.Shard set. The encoder picks
-	// the wire kind from Record.Shard, so unsharded updates keep the
-	// legacy bytes.
-	KindUpdate      Kind = 2
-	KindShardUpdate Kind = 4
+	// KindUpdate is one in-place cell overwrite. It carries no shard
+	// number: a sharded table refuses updates, so only an unsharded
+	// engine logs one.
+	KindUpdate Kind = 2
 	// KindColumns is an append batch as one column block per column (see
 	// storage.Block). It always carries the shard number, 0 when
 	// unsharded.
@@ -55,8 +52,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindUpdate:
 		return "update"
-	case KindShardUpdate:
-		return "shard-update"
 	case KindColumns:
 		return "columns"
 	default:
@@ -75,7 +70,8 @@ type Record struct {
 
 	// Shard is the 1-based shard number of the engine that logged the
 	// record, or 0 for an unsharded table. Recovery routes the record to
-	// the same shard. BaseRow and Row are shard-local on a sharded record.
+	// the same shard. BaseRow is shard-local on a sharded record. An
+	// update carries none: a sharded table refuses updates.
 	Shard uint32
 
 	// KindColumns fields: BaseRow, and the batch as one block per column
@@ -180,7 +176,7 @@ func appendPayload(dst []byte, rec *Record) ([]byte, error) {
 	switch rec.Kind {
 	case KindColumns:
 		return appendColumns(dst, rec)
-	case KindUpdate, KindShardUpdate:
+	case KindUpdate:
 		return appendUpdate(dst, rec)
 	default:
 		return dst, fmt.Errorf("wal: cannot encode record kind %s", rec.Kind)
@@ -227,11 +223,9 @@ func appendUpdate(b []byte, rec *Record) ([]byte, error) {
 		return b, fmt.Errorf("wal: update record with NULL value")
 	}
 	if rec.Shard > 0 {
-		b = append(b, byte(KindShardUpdate))
-		b = binary.LittleEndian.AppendUint32(b, rec.Shard)
-	} else {
-		b = append(b, byte(KindUpdate))
+		return b, fmt.Errorf("wal: update record for shard %d (a sharded table refuses updates)", rec.Shard)
 	}
+	b = append(b, byte(KindUpdate))
 	b = appendString16(b, rec.Table)
 	b = appendString16(b, rec.Col)
 	b = binary.LittleEndian.AppendUint64(b, rec.Row)
@@ -326,22 +320,6 @@ func DecodePayload(payload []byte) (*Record, error) {
 		return decodeUpdate(r)
 	case kindRows, kindShardRows:
 		return nil, ErrOldRowRecord
-	case KindShardUpdate:
-		shard, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if shard == 0 {
-			// Shard 0 must use KindUpdate; rejecting it keeps the
-			// encoding canonical (one byte form per logical record).
-			return nil, fmt.Errorf("wal: sharded record with shard 0")
-		}
-		rec, err := decodeUpdate(r)
-		if err != nil {
-			return nil, err
-		}
-		rec.Shard = shard
-		return rec, nil
 	default:
 		return nil, fmt.Errorf("wal: unknown record kind %d", kind)
 	}

@@ -74,7 +74,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		sharded,
 		{Kind: KindUpdate, Table: "data", Col: "v", Row: 42, Value: storage.IntValue(7)},
 		{Kind: KindUpdate, Table: "data", Col: "noise", Row: 0, Value: storage.FloatValue(-0.25)},
-		{Kind: KindUpdate, Table: "d", Shard: 3, Col: "v", Row: 5, Value: storage.IntValue(-1)},
 	}
 	for i, rec := range recs {
 		payload, err := EncodePayload(rec)
@@ -136,6 +135,9 @@ func TestEncodeRejects(t *testing.T) {
 			Value: storage.NullValue(storage.Int64)}},
 		{"string update", &Record{Kind: KindUpdate, Table: "d", Col: "s", Row: 1 << 40,
 			Value: storage.StringValue("x")}},
+		// A sharded table refuses updates, so no update carries a shard.
+		{"sharded update", &Record{Kind: KindUpdate, Table: "d", Shard: 3, Col: "v", Row: 5,
+			Value: storage.IntValue(-1)}},
 	}
 	for _, tc := range cases {
 		if _, err := EncodePayload(tc.rec); err == nil {
@@ -164,7 +166,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown kind", mutate(func(b []byte) []byte { b[0] = 99; return b })},
 		{"truncated", mutate(func(b []byte) []byte { return b[:len(b)/2] })},
 		{"trailing bytes", mutate(func(b []byte) []byte { return append(b, 0xFF) })},
-		{"shard-update with shard 0", []byte{byte(KindShardUpdate), 0, 0, 0, 0}},
+		// Kind 4 was the sharded update, which no release writes now.
+		{"kind 4", []byte{4, 3, 0, 0, 0, 1, 0, 'd', 1, 0, 'v', 5, 0, 0, 0, 0, 0, 0, 0,
+			byte(storage.Int64), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
 		// An update of String value "x", as the log once encoded one.
 		{"string update", []byte{byte(KindUpdate), 1, 0, 'd', 1, 0, 's', 0, 0, 0, 0, 0, 1, 0, 0,
 			byte(storage.String), 1, 0, 0, 0, 'x'}},

@@ -16,12 +16,10 @@ const (
 	// DriftingHot: like HotRange, but the hot sub-domain jumps to a new
 	// location every ShiftEvery queries — the workload-drift experiment.
 	DriftingHot
-	// Point: equality predicates at uniformly random values.
-	Point
 )
 
 var queryKindNames = [...]string{
-	UniformRange: "uniform-range", HotRange: "hot-range", DriftingHot: "drifting-hot", Point: "point",
+	UniformRange: "uniform-range", HotRange: "hot-range", DriftingHot: "drifting-hot",
 }
 
 // String names the query kind.
@@ -103,9 +101,6 @@ func (g *Gen) Next() Range {
 		width = 1
 	}
 	switch g.spec.Kind {
-	case Point:
-		v := g.rng.Int63n(g.spec.Domain)
-		return Range{Lo: v, Hi: v}
 	case UniformRange:
 		lo := g.pos(g.spec.Domain - width)
 		return Range{Lo: lo, Hi: lo + width - 1}

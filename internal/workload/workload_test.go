@@ -123,7 +123,7 @@ func TestGenerateUnknownDistPanics(t *testing.T) {
 
 func TestQueryKindNames(t *testing.T) {
 	if UniformRange.String() != "uniform-range" || DriftingHot.String() != "drifting-hot" ||
-		HotRange.String() != "hot-range" || Point.String() != "point" {
+		HotRange.String() != "hot-range" {
 		t.Fatal("names wrong")
 	}
 	if QueryKind(9).String() == "" {
@@ -141,16 +141,6 @@ func TestUniformRangeSelectivity(t *testing.T) {
 		}
 		if r.Lo < 0 || r.Hi >= 1_000_000 {
 			t.Fatalf("range [%d,%d] out of domain", r.Lo, r.Hi)
-		}
-	}
-}
-
-func TestPointQueries(t *testing.T) {
-	g := NewGen(QuerySpec{Kind: Point, Domain: 100, Seed: 2})
-	for i := 0; i < 50; i++ {
-		r := g.Next()
-		if r.Lo != r.Hi || r.Lo < 0 || r.Lo >= 100 {
-			t.Fatalf("point query [%d,%d]", r.Lo, r.Hi)
 		}
 	}
 }
@@ -199,7 +189,7 @@ func TestDriftingHotMoves(t *testing.T) {
 // arbitrary spec parameters.
 func TestQuickQueryRangesValid(t *testing.T) {
 	f := func(seed int64, selMil uint16, kindRaw uint8) bool {
-		kind := QueryKind(int(kindRaw) % 4)
+		kind := QueryKind(int(kindRaw) % len(queryKindNames))
 		sel := float64(selMil%1000)/1000 + 0.0001
 		g := NewGen(QuerySpec{Kind: kind, Domain: 100000, Selectivity: sel, Seed: seed, ShiftEvery: 7})
 		for i := 0; i < 50; i++ {
