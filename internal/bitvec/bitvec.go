@@ -30,13 +30,6 @@ func New(n int) *BitVec {
 	return &BitVec{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// NewSet returns a BitVec of n bits, all one.
-func NewSet(n int) *BitVec {
-	v := New(n)
-	v.SetAll()
-	return v
-}
-
 // Len returns the number of bits in the vector.
 func (v *BitVec) Len() int { return v.n }
 

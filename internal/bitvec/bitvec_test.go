@@ -190,7 +190,8 @@ func TestSelVecBasics(t *testing.T) {
 }
 
 func BenchmarkCount(b *testing.B) {
-	v := NewSet(1 << 20)
+	v := New(1 << 20)
+	v.SetAll()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if v.Count() != 1<<20 {

@@ -187,8 +187,8 @@ func TestAppendRejectsWholeBatch(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					if tc.sealed {
-						tbl.SealDicts()
+					if s, _ := tbl.Column("s"); tc.sealed {
+						s.SealDict()
 					}
 					e := New(tbl, Options{})
 					var reg *obs.Registry
@@ -602,5 +602,33 @@ func TestSealOrderSurvivesReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSkippingOnEmptyTableAcceptsStrings: skipping enabled on an empty
+// table leaves the empty dictionary open, so appends carrying strings are
+// accepted; the first query seals it and rebuilds the column's skipper
+// over the re-coded rows, which then prunes by value.
+func TestSkippingOnEmptyTableAcceptsStrings(t *testing.T) {
+	tbl := table.MustNew("t", table.Schema{{Name: "k", Type: storage.Int64}, {Name: "s", Type: storage.String}})
+	e := New(tbl, Options{Policy: PolicyStatic, ZoneSize: 4})
+	if err := e.EnableSkipping(); err != nil {
+		t.Fatal(err)
+	}
+	words := []string{"oak", "ash", "pine", "elm"}
+	for i := range 16 {
+		if err := e.AppendRow(storage.IntValue(int64(i)), storage.StringValue(words[i/4])); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	res, err := e.Query(Query{Where: expr.And(expr.MustPred("s", expr.EQ, storage.StringValue("elm")))})
+	if err != nil || res.Count != 4 || res.Stats.RowsSkipped != 12 {
+		t.Fatalf("s = 'elm': %v, count %d, stats %+v; want 4 rows and 12 skipped", err, res.Count, res.Stats)
+	}
+	if col, _ := tbl.Column("s"); !col.DictSorted() {
+		t.Fatal("the dictionary is still open after a query")
+	}
+	if err := e.VerifySkipping(); err != nil {
+		t.Fatal(err)
 	}
 }

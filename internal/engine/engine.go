@@ -218,7 +218,8 @@ func (e *Engine) Ledger() *obs.Ledger { return e.ledger }
 // columns when none are named) according to the engine's policy, from the
 // columns' base data: a column whose skipper was dropped after a fault gets
 // a fresh one, and a skipper already in place is replaced. String columns
-// get their dictionaries sealed first so code order is value order.
+// get their dictionaries sealed first so code order is value order; an
+// empty dictionary stays open until rows bring it values (syncSkippers).
 func (e *Engine) EnableSkipping(cols ...string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -242,7 +243,7 @@ func (e *Engine) buildSkipperLocked(name string) error {
 	if err != nil {
 		return err
 	}
-	if col.Type() == storage.String {
+	if col.Type() == storage.String && col.Dict().Len() > 0 {
 		col.SealDict()
 	}
 	switch e.opts.Policy {
@@ -572,7 +573,9 @@ func (e *Engine) readColumn(name string) (*storage.Column, error) {
 // syncSkippers brings every skipper up to date with appended rows. Called
 // at the start of each query so bulk appends amortize metadata
 // maintenance (Vec consolidates the column: a skipper's column is copied
-// once per run of appends, here).
+// once per run of appends, here). A dictionary left open because it was
+// empty when skipping was enabled is sealed once it holds values, which
+// re-codes the column, so that column's skipper is rebuilt instead.
 func (e *Engine) syncSkippers() {
 	for name, s := range e.skippers {
 		col, err := e.tbl.Column(name)
@@ -583,6 +586,9 @@ func (e *Engine) syncSkippers() {
 			continue
 		}
 		e.guard(name, func() error {
+			if !col.DictSorted() && col.Dict().Len() > 0 {
+				return e.buildSkipperLocked(name)
+			}
 			s.Extend(col.Vec(), col.Nulls())
 			return nil
 		})

@@ -92,63 +92,6 @@ func TestSkippingActuallySkips(t *testing.T) {
 	}
 }
 
-func TestAggregates(t *testing.T) {
-	tb := table.MustNew("t", testSchema())
-	rows := []struct {
-		a int64
-		b interface{} // int64 or nil
-		f float64
-		s string
-	}{
-		{1, int64(10), 1.5, "x"},
-		{2, nil, 2.5, "y"},
-		{3, int64(30), 3.5, "z"},
-		{4, int64(20), -1.0, "x"},
-		{5, int64(50), 0.0, "a"},
-	}
-	for _, r := range rows {
-		b := storage.NullValue(storage.Int64)
-		if r.b != nil {
-			b = storage.IntValue(r.b.(int64))
-		}
-		if err := tb.AppendRow(storage.IntValue(r.a), b, storage.FloatValue(r.f), storage.StringValue(r.s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := newEngine(t, tb, PolicyAdaptive)
-	res, err := e.Query(Query{
-		Where: expr.And(intPred("a", expr.GE, 2)),
-		Aggs: []Agg{
-			{Kind: CountStar},
-			{Kind: CountCol, Col: "b"},
-			{Kind: Sum, Col: "b"},
-			{Kind: Avg, Col: "b"},
-			{Kind: Min, Col: "f"},
-			{Kind: Max, Col: "f"},
-			{Kind: Min, Col: "s"},
-			{Kind: Sum, Col: "f"},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []storage.Value{
-		storage.IntValue(4),                 // COUNT(*)
-		storage.IntValue(3),                 // COUNT(b): null excluded
-		storage.IntValue(100),               // SUM(b)=30+20+50
-		storage.FloatValue(100.0 / 3.0),     // AVG(b)
-		storage.FloatValue(-1.0),            // MIN(f)
-		storage.FloatValue(3.5),             // MAX(f)
-		storage.StringValue("a"),            // MIN(s)
-		storage.FloatValue(2.5 + 3.5 - 1.0), // SUM(f)
-	}
-	for i, w := range want {
-		if !res.Aggs[i].Equal(w) {
-			t.Fatalf("agg %d: got %v want %v", i, res.Aggs[i], w)
-		}
-	}
-}
-
 func TestAggregatesEmptyResult(t *testing.T) {
 	tb := buildTable(t, 100, 4)
 	e := newEngine(t, tb, PolicyStatic)

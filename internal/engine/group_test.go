@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"adskip/internal/expr"
@@ -68,28 +67,6 @@ func TestGroupByString(t *testing.T) {
 			if res.Rows[i][2].Float() != wantSums[i] {
 				t.Fatalf("row %d sum=%v", i, res.Rows[i][2])
 			}
-		}
-	}
-}
-
-func TestGroupByNullKeysLast(t *testing.T) {
-	tb := groupTable(t)
-	e := newEngine(t, tb, PolicyStatic)
-	res, err := e.Query(Query{
-		GroupBy: "b",
-		Aggs:    []Agg{{Kind: CountStar}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := res.Rows[len(res.Rows)-1]
-	if !last[0].IsNull() || last[1].Int() != 1 {
-		t.Fatalf("null group=%v", last)
-	}
-	// Non-null keys ascend.
-	for i := 1; i < len(res.Rows)-1; i++ {
-		if res.Rows[i-1][0].Int() >= res.Rows[i][0].Int() {
-			t.Fatalf("keys not ascending: %v", res.Rows)
 		}
 	}
 }
@@ -168,37 +145,5 @@ func TestGroupByIntKeyLargeTable(t *testing.T) {
 		if total != 1000 {
 			t.Fatalf("%v: group counts sum to %d", policy, total)
 		}
-	}
-}
-
-// TestMinMaxUnsealedStrings: a string column nobody enabled skipping on
-// keeps its dictionary in insertion order, so its codes do not order its
-// values; MIN and MAX, plain or per group, still answer by value.
-func TestMinMaxUnsealedStrings(t *testing.T) {
-	tb := table.MustNew("t", testSchema())
-	for i, s := range []string{"m", "b", "z", "a", "", "q"} {
-		v := storage.StringValue(s)
-		if s == "" {
-			v = storage.NullValue(storage.String)
-		}
-		if err := tb.AppendRow(storage.IntValue(int64(i%2)), storage.IntValue(0), storage.FloatValue(0), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := New(tb, Options{})
-	aggs := []Agg{{Kind: Min, Col: "s"}, {Kind: Max, Col: "s"}}
-	res, err := e.Query(Query{Aggs: aggs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(res.Aggs); got != "[a z]" {
-		t.Errorf("MIN, MAX = %s, want [a z]", got)
-	}
-	res, err = e.Query(Query{GroupBy: "a", Aggs: aggs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(res.Rows); got != "[[0 m z] [1 a q]]" {
-		t.Errorf("grouped MIN, MAX = %s, want [[0 m z] [1 a q]]", got)
 	}
 }

@@ -50,6 +50,18 @@ func TestIsNullAcrossPolicies(t *testing.T) {
 		if res.Count == 0 || res.Stats.RowsSkipped == 0 {
 			t.Fatalf("%v: IS NULL counted %d, pruned nothing: %+v", policy, res.Count, res.Stats)
 		}
+		// IS NULL also refines another column's selection.
+		split := 0
+		for _, op := range []expr.Op{expr.LT, expr.GE} {
+			part, err := e.Query(Query{Where: expr.And(intPred("a", op, 1000), expr.MustPred("b", expr.IsNull))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			split += part.Count
+		}
+		if split != res.Count {
+			t.Fatalf("%v: IS NULL split by a counts %d, whole %d", policy, split, res.Count)
+		}
 	}
 }
 

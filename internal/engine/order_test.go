@@ -5,7 +5,6 @@ import (
 
 	"adskip/internal/expr"
 	"adskip/internal/storage"
-	"adskip/internal/table"
 )
 
 func TestOrderByStringColumn(t *testing.T) {
@@ -57,48 +56,6 @@ func TestOrderBySQLRoundTrip(t *testing.T) {
 	for i := 1; i < len(res.Rows); i++ {
 		if res.Rows[i-1][0].Int() < res.Rows[i][0].Int() {
 			t.Fatal("not descending")
-		}
-	}
-}
-
-func TestOrderByUnsealedStringDict(t *testing.T) {
-	// Without EnableSkipping the dictionary stays insertion-ordered;
-	// ordering must still be by string value.
-	tb := table.MustNew("t", table.Schema{{Name: "s", Type: storage.String}})
-	for _, w := range []string{"pear", "apple", "zebra", "mango"} {
-		if err := tb.AppendRow(storage.StringValue(w)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := New(tb, Options{Policy: PolicyNone})
-	res, err := e.Query(Query{Select: []string{"s"}, OrderBy: "s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"apple", "mango", "pear", "zebra"}
-	for i, w := range want {
-		if res.Rows[i][0].Str() != w {
-			t.Fatalf("rows=%v", res.Rows)
-		}
-	}
-}
-
-func TestGroupByUnsealedStringDict(t *testing.T) {
-	tb := table.MustNew("t", table.Schema{{Name: "s", Type: storage.String}})
-	for _, w := range []string{"pear", "apple", "pear", "mango"} {
-		if err := tb.AppendRow(storage.StringValue(w)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := New(tb, Options{Policy: PolicyNone})
-	res, err := e.Query(Query{GroupBy: "s", Aggs: []Agg{{Kind: CountStar}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"apple", "mango", "pear"}
-	for i, w := range want {
-		if res.Rows[i][0].Str() != w {
-			t.Fatalf("rows=%v", res.Rows)
 		}
 	}
 }

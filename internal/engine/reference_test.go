@@ -3,7 +3,6 @@ package engine
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"adskip/internal/expr"
 	"adskip/internal/storage"
@@ -177,135 +176,5 @@ func randomPred(rng *rand.Rand) expr.Pred {
 		return expr.MustPred("a", expr.Op(rng.Intn(6)), iv())
 	default:
 		return expr.MustPred("s", expr.NE, storage.StringValue(words[rng.Intn(len(words))]))
-	}
-}
-
-// TestQuickEngineMatchesReference is the randomized end-to-end oracle: for
-// random conjunctions of every predicate shape, across all three policies,
-// counts and projected row sets must match a naive per-row evaluation —
-// while adaptive metadata keeps reshaping between queries.
-func TestQuickEngineMatchesReference(t *testing.T) {
-	tb := buildRefTable(t, 800, 60)
-	engines := map[string]*Engine{
-		"none":     newEngine(t, tb, PolicyNone),
-		"static":   newEngine(t, tb, PolicyStatic),
-		"adaptive": newEngine(t, tb, PolicyAdaptive),
-		"imprint":  newEngine(t, tb, PolicyImprint),
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var where expr.Conj
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			where.Preds = append(where.Preds, randomPred(rng))
-		}
-		want := referenceEval(t, tb, where)
-		for name, e := range engines {
-			res, err := e.Query(Query{Where: where, Aggs: []Agg{{Kind: CountStar}}})
-			if err != nil {
-				t.Logf("%s: %v (where=%s)", name, err, where)
-				return false
-			}
-			if res.Count != len(want) {
-				t.Logf("%s: count=%d want %d (where=%s)", name, res.Count, len(want), where)
-				return false
-			}
-			// Projection returns exactly the reference rows, in order.
-			proj, err := e.Query(Query{Where: where, Select: []string{"a"}})
-			if err != nil {
-				t.Logf("%s proj: %v", name, err)
-				return false
-			}
-			if len(proj.Rows) != len(want) {
-				t.Logf("%s proj rows=%d want %d", name, len(proj.Rows), len(want))
-				return false
-			}
-			colA, _ := tb.Column("a")
-			for i, r := range want {
-				wantV := colA.Value(r)
-				if !proj.Rows[i][0].Equal(wantV) {
-					t.Logf("%s proj row %d: %v want %v", name, i, proj.Rows[i][0], wantV)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickGroupByMatchesReference checks GROUP BY output against naive
-// group computation for random predicates.
-func TestQuickGroupByMatchesReference(t *testing.T) {
-	tb := buildRefTable(t, 600, 61)
-	e := newEngine(t, tb, PolicyAdaptive)
-	colS, _ := tb.Column("s")
-	colB, _ := tb.Column("b")
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		where := expr.And(randomPred(rng))
-		want := referenceEval(t, tb, where)
-		res, err := e.Query(Query{
-			Where:   where,
-			GroupBy: "s",
-			Aggs:    []Agg{{Kind: CountStar}, {Kind: Sum, Col: "b"}},
-		})
-		if err != nil {
-			t.Logf("err: %v", err)
-			return false
-		}
-		// Naive groups.
-		counts := map[string]int64{}
-		sums := map[string]int64{}
-		for _, r := range want {
-			k := colS.Value(r).Str()
-			counts[k]++
-			if !colB.IsNull(r) {
-				sums[k] += colB.Value(r).Int()
-			}
-		}
-		if len(res.Rows) != len(counts) {
-			t.Logf("groups=%d want %d", len(res.Rows), len(counts))
-			return false
-		}
-		prev := ""
-		for i, row := range res.Rows {
-			k := row[0].Str()
-			if i > 0 && k <= prev {
-				t.Logf("keys not ascending")
-				return false
-			}
-			prev = k
-			if row[1].Int() != counts[k] {
-				t.Logf("group %q count=%v want %d", k, row[1], counts[k])
-				return false
-			}
-			wantSum := storage.Value(storage.IntValue(sums[k]))
-			if _, hasSum := sums[k], true; !hasSum {
-				wantSum = storage.NullValue(storage.Int64)
-			}
-			// A group whose every b is NULL yields SUM NULL.
-			allNull := true
-			for _, r := range want {
-				if colS.Value(r).Str() == k && !colB.IsNull(r) {
-					allNull = false
-					break
-				}
-			}
-			if allNull {
-				if !row[2].IsNull() {
-					t.Logf("group %q sum=%v want NULL", k, row[2])
-					return false
-				}
-			} else if !row[2].Equal(wantSum) {
-				t.Logf("group %q sum=%v want %v", k, row[2], wantSum)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -169,25 +169,53 @@ func (p Pred) Validate() error {
 
 // String renders the predicate in SQL syntax.
 func (p Pred) String() string {
-	switch p.Op {
-	case Or:
-		parts := make([]string, len(p.Sub))
+	var sb strings.Builder
+	p.write(&sb, false)
+	return sb.String()
+}
+
+// write renders the predicate in SQL syntax, or with mask as its
+// template: every literal "?" and an IN list one "?".
+func (p Pred) write(sb *strings.Builder, mask bool) {
+	arg := func(i int) string {
+		if mask {
+			return "?"
+		}
+		return lit(p.Args[i])
+	}
+	if p.Op == Or {
+		sb.WriteByte('(')
 		for i, sub := range p.Sub {
-			parts[i] = sub.String()
+			if i > 0 {
+				sb.WriteString(" OR ")
+			}
+			sub.write(sb, mask)
 		}
-		return "(" + strings.Join(parts, " OR ") + ")"
+		sb.WriteByte(')')
+		return
+	}
+	sb.WriteString(p.Col)
+	sb.WriteByte(' ')
+	sb.WriteString(p.Op.String())
+	switch p.Op {
 	case IsNull, IsNotNull:
-		return fmt.Sprintf("%s %s", p.Col, p.Op)
 	case Between:
-		return fmt.Sprintf("%s BETWEEN %s AND %s", p.Col, lit(p.Args[0]), lit(p.Args[1]))
+		sb.WriteString(" " + arg(0) + " AND " + arg(1))
 	case In:
-		parts := make([]string, len(p.Args))
-		for i, a := range p.Args {
-			parts[i] = lit(a)
+		n := len(p.Args)
+		if mask {
+			n = 1
 		}
-		return fmt.Sprintf("%s IN (%s)", p.Col, strings.Join(parts, ", "))
+		sb.WriteString(" (")
+		for i := range n {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(arg(i))
+		}
+		sb.WriteByte(')')
 	default:
-		return fmt.Sprintf("%s %s %s", p.Col, p.Op, lit(p.Args[0]))
+		sb.WriteString(" " + arg(0))
 	}
 }
 
@@ -239,13 +267,22 @@ preds:
 }
 
 // String renders the conjunction in SQL syntax ("TRUE" when empty).
-func (c Conj) String() string {
+func (c Conj) String() string { return c.write(false) }
+
+// Template renders the conjunction as its template, the form a statement
+// fingerprint keys on: every literal "?" and an IN list one "?".
+func (c Conj) Template() string { return c.write(true) }
+
+func (c Conj) write(mask bool) string {
 	if len(c.Preds) == 0 {
 		return "TRUE"
 	}
-	parts := make([]string, len(c.Preds))
+	var sb strings.Builder
 	for i, p := range c.Preds {
-		parts[i] = p.String()
+		if i > 0 {
+			sb.WriteString(" AND ")
+		}
+		p.write(&sb, mask)
 	}
-	return strings.Join(parts, " AND ")
+	return sb.String()
 }

@@ -207,9 +207,6 @@ func Activate(in *Injector) func() {
 	return func() { active.CompareAndSwap(in, nil) }
 }
 
-// Deactivate removes any installed injector.
-func Deactivate() { active.Store(nil) }
-
 // Enabled reports whether any injector is active. Hot paths may use it to
 // skip trigger bookkeeping entirely.
 func Enabled() bool { return active.Load() != nil }

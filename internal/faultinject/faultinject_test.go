@@ -7,7 +7,6 @@ import (
 )
 
 func TestDisabledByDefault(t *testing.T) {
-	Deactivate()
 	if Enabled() {
 		t.Fatal("injector active with none installed")
 	}

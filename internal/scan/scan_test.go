@@ -310,7 +310,8 @@ func TestSummarizeCutsAtDiscontinuity(t *testing.T) {
 			codes := seq(n+8, f)[8:] // semi-sorted jitter keeps codes >= 0
 			var nulls *bitvec.BitVec
 			if name == "all-NULL" {
-				nulls = bitvec.NewSet(n)
+				nulls = bitvec.New(n)
+				nulls.SetAll()
 			}
 			size := (n + p - 1) / p
 			if stats, want := summarizeBothWidths(t, codes, nulls, size), naiveParts(codes, nulls, size); !slices.Equal(stats, want) {
@@ -464,7 +465,8 @@ func checkKernelShape(t *testing.T, s kernelShape) (cuts int) {
 			k.nulls.Set(rng.Intn(k.nulls.Len()))
 		}
 	case 3: // every row
-		k.nulls = bitvec.NewSet(base + n)
+		k.nulls = bitvec.New(base + n)
+		k.nulls.SetAll()
 	}
 	nulls := k.nulls
 

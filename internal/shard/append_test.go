@@ -96,7 +96,8 @@ func checkGatherMatchesStage(t *testing.T, mode Mode, shards int, key string, sc
 				t.Fatal(err)
 			}
 			for _, ref := range refs {
-				ref.SealDicts()
+				city, _ := ref.Column("city")
+				city.SealDict()
 			}
 		}
 		if len(batch) == 0 {

@@ -26,9 +26,13 @@ type Statement struct {
 }
 
 // String renders the statement back to SQL (canonical form).
-func (s Statement) String() string {
+func (s Statement) String() string { return s.render(false) }
+
+// render writes the statement in canonical form, or with mask as its
+// template (see Fingerprint).
+func (s Statement) render(mask bool) string {
 	var sb strings.Builder
-	if s.Explain {
+	if s.Explain && !mask {
 		sb.WriteString("EXPLAIN ")
 		if s.Analyze {
 			sb.WriteString("ANALYZE ")
@@ -50,9 +54,11 @@ func (s Statement) String() string {
 	}
 	sb.WriteString(" FROM ")
 	sb.WriteString(s.Table)
-	if len(s.Where.Preds) > 0 {
-		sb.WriteString(" WHERE ")
-		sb.WriteString(s.Where.String())
+	switch {
+	case len(s.Where.Preds) > 0 && mask:
+		sb.WriteString(" WHERE " + s.Where.Template())
+	case len(s.Where.Preds) > 0:
+		sb.WriteString(" WHERE " + s.Where.String())
 	}
 	if s.GroupBy != "" {
 		sb.WriteString(" GROUP BY ")
@@ -65,7 +71,10 @@ func (s Statement) String() string {
 			sb.WriteString(" DESC")
 		}
 	}
-	if s.Limit > 0 {
+	switch {
+	case s.Limit > 0 && mask:
+		sb.WriteString(" LIMIT ?")
+	case s.Limit > 0:
 		fmt.Fprintf(&sb, " LIMIT %d", s.Limit)
 	}
 	return sb.String()

@@ -92,6 +92,13 @@ func TestParseErrors(t *testing.T) {
 		"SELECT COUNT(* FROM t",
 		"SELECT COUNT FROM t",
 		"SELECT a FROM t extra junk",
+		"SELECT a FROM t GROUP a",
+		"SELECT SUM() FROM t",
+		"SELECT a FROM t WHERE (a < 1 OR a ~ 2)",
+		"SELECT a FROM t WHERE (a < 1 OR a > 2",
+		"SELECT a FROM t WHERE a BETWEEN 1 AND",
+		"SELECT a FROM t WHERE a IN 1",
+		"SELECT a FROM t WHERE a IN (1, 2",
 		"INSERT INTO t VALUES (1)",
 	}
 	for _, c := range cases {

@@ -381,7 +381,7 @@ const (
 	readCodes              // every column's code vector: the full comparison
 	readValue              // Value of the newest row, one column only
 	readSet                // SetInt and SetFloat on the newest row
-	readSeal               // SealDicts, later batches draw strings from the dictionary
+	readSeal               // sealDicts, later batches draw strings from the dictionary
 	readNulls              // Len, NullCount, IsNull of new rows: no consolidation
 	readRows               // Rows across the boundary between old and new rows
 	readReject             // a batch with an outlier and then a bad cell: refused whole, nothing staged or widened
@@ -431,8 +431,7 @@ func appendDifferential(t *testing.T, seed int64, sizes, reads []int) {
 			requireSameTable(t, got, want)
 			requireSameTable(t, naive, want)
 		case read == readSeal:
-			got.SealDicts()
-			naive.SealDicts()
+			sealDicts(got, naive)
 			want.seal()
 			sealed = true
 		case read == readNulls:
@@ -710,9 +709,7 @@ func rejectWholeBatch(t *testing.T, n, at, more int, read, sealed bool, badRow [
 	}
 	load(randomBatch(rng, base))
 	if sealed {
-		got.SealDicts()
-		twin.SealDicts()
-		naive.SealDicts()
+		sealDicts(got, twin, naive)
 		want.seal()
 	}
 	readAll := func() {

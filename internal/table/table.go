@@ -423,15 +423,6 @@ func (t *Table) Row(i int) ([]storage.Value, error) {
 	return out, nil
 }
 
-// SealDicts seals every string column's dictionary (order-preserving
-// codes). Call after bulk load, before building skippers on string
-// columns.
-func (t *Table) SealDicts() {
-	for _, c := range t.columns {
-		c.SealDict()
-	}
-}
-
 // CheckInvariants verifies that all columns have equal length; the engine
 // calls this in tests and after bulk mutations.
 func (t *Table) CheckInvariants() error {
