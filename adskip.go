@@ -184,9 +184,9 @@ type Options struct {
 	// quarantines at warn, adaptation milestones at info, per-zone
 	// structural churn at debug. Nil disables logging.
 	Logger *slog.Logger
-	// Durability, when Dir is set, arms a write-ahead log: appends and
-	// updates are group-committed to disk before they are acknowledged,
-	// and DB.Recover replays them after a crash. A DB opened with
+	// Durability, when Dir is set, arms a write-ahead log: appends are
+	// group-committed to disk before they are acknowledged, and
+	// DB.Recover replays them after a crash. A DB opened with
 	// durability starts in recovering state — load the deterministic base
 	// data (CreateTable/LoadTable + bulk load), then call Recover before
 	// serving mutations.
@@ -238,7 +238,6 @@ type executor interface {
 	NumRows() int
 	AppendRow(vals ...storage.Value) error
 	AppendRows(rows [][]storage.Value) error
-	Update(col string, row int, v storage.Value) error
 	EnableSkipping(cols ...string) error
 	SkipperMetadata() map[string]core.Metadata
 	VerifySkipping(cols ...string) error
@@ -494,8 +493,8 @@ func (db *DB) Recovering() bool { return db.recovering.Load() }
 
 // Recover replays the write-ahead log at Options.Durability.Dir into the
 // catalog's tables, verifies every table's skipping metadata against the
-// recovered contents, then arms the WAL so subsequent appends and updates
-// are durable. Call it exactly once, after the deterministic base data is
+// recovered contents, then arms the WAL so subsequent appends are
+// durable. Call it exactly once, after the deterministic base data is
 // loaded (replay routes records by table name and errors on unknown
 // tables) and before serving mutations. On a fresh directory it succeeds
 // with zero records — Recover is how a durable DB arms its WAL, crash or
@@ -788,20 +787,6 @@ func (t *Table) Append(vals ...interface{}) error {
 // queries. On a durable DB the whole batch is one WAL record and one
 // group-commit wait, so batching is the high-throughput ingest path.
 func (t *Table) AppendBatch(rows [][]Value) error { return t.eng.AppendRows(rows) }
-
-// Update overwrites one cell in place (BIGINT and DOUBLE columns).
-func (t *Table) Update(col string, row int, v interface{}) error {
-	tbl := t.eng.Table()
-	c, err := tbl.Column(col)
-	if err != nil {
-		return err
-	}
-	cv, err := toValue(v, c.Type())
-	if err != nil {
-		return err
-	}
-	return t.eng.Update(col, row, cv)
-}
 
 // EnableSkipping builds skipping metadata on the named columns (all when
 // none given) using the database's policy.

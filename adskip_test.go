@@ -92,23 +92,6 @@ func TestAppendConversions(t *testing.T) {
 	}
 }
 
-func TestUpdateThroughFacade(t *testing.T) {
-	db, tab := demoDB(t, Static)
-	if err := tab.Update("id", 0, 100); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Exec("SELECT COUNT(*) FROM sales WHERE id = 100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Aggs[0].Equal(IntValue(1)) {
-		t.Fatalf("count=%v", res.Aggs[0])
-	}
-	if err := tab.Update("missing", 0, 1); err == nil {
-		t.Fatal("missing column accepted")
-	}
-}
-
 func TestCatalogErrors(t *testing.T) {
 	db, _ := demoDB(t, None)
 	if _, err := db.CreateTable("sales", Col("x", Int64)); !errors.Is(err, ErrTableExists) {

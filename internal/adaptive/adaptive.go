@@ -15,14 +15,12 @@
 //     adaptive skipping never durably underperforms a plain scan.
 //
 // The directory (zonemap.Grid) owns the zones, parts, blocks and append
-// tail, and what every layout shares: tail folds, Refresh (an update
-// re-derives the part that holds the row, and its zone and block), the
-// PruneNulls walk and CheckInvariants. This package keeps what it
-// learns of each zone in an array parallel to the zones, and owns the
-// range probe walk (Prune, which also says why a zone did not prune),
-// Observe with its split and merge edits, and arbitration. A broken
-// layout is a fault: the walks and row lookups panic with an error
-// wrapping zonemap.ErrCorrupt, and the engine drops the zonemap.
+// tail, and what every layout shares: tail folds, the PruneNulls walk and
+// CheckInvariants. This package keeps what it learns of each zone in an
+// array parallel to the zones, and owns the range probe walk (Prune, which
+// also says why a zone did not prune), Observe with its split and merge
+// edits, and arbitration. A broken layout is a fault: the walks panic with
+// an error wrapping zonemap.ErrCorrupt, and the engine drops the zonemap.
 package adaptive
 
 import (

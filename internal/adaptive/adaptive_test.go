@@ -321,20 +321,6 @@ func TestFoldTailJournalsHullPastAllNullZone(t *testing.T) {
 	}
 }
 
-func TestRefreshCountsNonNull(t *testing.T) {
-	codes := seqCodes(100, func(i int) int64 { return int64(i) })
-	nulls := bitvec.New(100)
-	nulls.Set(10)
-	z := New(storage.Vec{W: codes}, nulls, smallZone, smallParts)
-	// Row 10 gains value 42.
-	nulls.Clear(10)
-	codes[10] = 42
-	z.Refresh(10, storage.Vec{W: codes}, nulls)
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nulls); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllNullZone(t *testing.T) {
 	codes := make([]int64, 200)
 	nulls := bitvec.New(200)

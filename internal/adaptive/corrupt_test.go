@@ -43,19 +43,14 @@ func mustPanicCorrupt(t *testing.T, what string, call func()) {
 
 // TestPruneDetectsTilingGap: on a broken layout, every entry point that
 // relies on the zones tiling the indexed rows — the probe walk of Prune
-// and PruneNulls, Refresh's row lookup and re-union — panics with an
-// error wrapping ErrCorrupt instead of answering.
+// and PruneNulls — panics with an error wrapping ErrCorrupt instead of
+// answering.
 func TestPruneDetectsTilingGap(t *testing.T) {
 	codes := seqCodes(2048, func(i int) int64 { return int64(i % 97) })
 	z := New(storage.Vec{W: codes}, nil, smallZone, smallParts)
 	z.corruptLayout()
-	gap := gapRow(t, z)
 	mustPanicCorrupt(t, "Prune", func() { z.Prune(oneRange(0, 96)) })
 	mustPanicCorrupt(t, "PruneNulls", func() { z.PruneNulls() })
-	mustPanicCorrupt(t, "Refresh", func() { z.Refresh(gap, storage.Vec{W: codes}, nil) })
-	// The shrunk zone no longer ends on a part boundary: a refresh of its
-	// last row does not re-union it from its parts.
-	mustPanicCorrupt(t, "Refresh of the shrunk zone", func() { z.Refresh(gap-1, storage.Vec{W: codes}, nil) })
 
 	// A gap between two blocks is found by the walk itself, whether it
 	// skips the block after the gap or looks inside it.
@@ -66,7 +61,7 @@ func TestPruneDetectsTilingGap(t *testing.T) {
 }
 
 // TestZoneIndexCorruptionNoPanic: a layout that leaves a row outside every
-// zone (the miss the row lookup reports) must not crash the calls that inspect
+// zone must not crash the calls that inspect
 // a faulted zonemap. The engine's fault handler reads Metadata and Rows of
 // the zonemap it drops, and VerifySkipping runs CheckInvariants on it; a
 // panic there would escape the handler. CheckInvariants names the gap.

@@ -6,14 +6,14 @@
 // the paper's contribution) reshapes its zones from query feedback.
 //
 // The whole contract is Skipper: probe, observe, maintain (after an append
-// or an in-place update every summary is again exactly what its rows
-// derive), and three cold-path duties (report structural change, expose
-// state, re-verify against the column), which a structure with nothing to
-// say answers with the zero value. A skipper that finds its own metadata
-// broken panics; the engine drops it and the column runs full scans. As in
-// the abstract, skipping is a *policy* layered on fast scans, fed back
-// once per completed query so that structures can "respond to a vast
-// array of data distributions and query workloads".
+// every summary is again exactly what its rows derive), and three cold-path
+// duties (report structural change, expose state, re-verify against the
+// column), which a structure with nothing to say answers with the zero
+// value. A skipper that finds its own metadata broken panics; the engine
+// drops it and the column runs full scans. As in the abstract, skipping is
+// a *policy* layered on fast scans, fed back once per completed query so
+// that structures can "respond to a vast array of data distributions and
+// query workloads".
 package core
 
 import (
@@ -114,10 +114,6 @@ type Skipper interface {
 	// Extend informs the skipper that the column grew; codes/nulls are the
 	// column's full physical state.
 	Extend(codes storage.Vec, nulls *bitvec.BitVec)
-	// Refresh informs the skipper of an in-place update at row, after the
-	// write; codes/nulls are the column's full physical state. Summaries
-	// stay exactly what their rows derive. A row past Rows() is ignored.
-	Refresh(row int, codes storage.Vec, nulls *bitvec.BitVec)
 	// Rows returns the number of rows covered by the skipper's metadata.
 	Rows() int
 	// Metadata reports current structure state.
@@ -175,9 +171,6 @@ func (s *NoSkipper) PruneNulls() PruneResult { return PruneResult{Enabled: false
 
 // Extend tracks the row count.
 func (s *NoSkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) { s.rows = codes.Len() }
-
-// Refresh is a no-op.
-func (s *NoSkipper) Refresh(int, storage.Vec, *bitvec.BitVec) {}
 
 // Rows returns the tracked row count.
 func (s *NoSkipper) Rows() int { return s.rows }

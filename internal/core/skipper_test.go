@@ -33,7 +33,6 @@ func TestNoSkipper(t *testing.T) {
 	}
 	// No-ops must not panic, and the cold-path duties answer "nothing".
 	s.Observe(res)
-	s.Refresh(3, storage.Vec{W: make([]int64, 150)}, nil)
 	s.SetJournal(nil)
 	if snap, ok := s.Introspect(); s.CheckInvariants(storage.Vec{}, nil) != nil ||
 		snap.DeadZones != nil || ok {
@@ -54,12 +53,5 @@ func TestStaticSkipperNulls(t *testing.T) {
 	res := s.Prune(oneRange(-1000, 1000))
 	if len(res.Zones) != 1 || res.Zones[0].Lo != 10 {
 		t.Fatalf("all-null zone not skipped: %v", res.Zones)
-	}
-	// A NULL row that gains a value makes its zone a candidate.
-	codes[3] = 7
-	nulls.Clear(3)
-	s.Refresh(3, storage.Vec{W: codes}, nulls)
-	if res := s.Prune(oneRange(7, 7)); len(res.Zones) != 1 || res.Zones[0] != (core.CandidateZone{Lo: 0, Hi: 10}) {
-		t.Fatalf("the zone that gained a value: %v", res.Zones)
 	}
 }

@@ -156,9 +156,9 @@ type Engine struct {
 	trace  *obs.QueryTrace
 	log    *slog.Logger
 
-	// wal, when armed via SetWAL, makes appends and updates durable:
-	// mutations are logged (group-committed) before they touch the
-	// columns. Guarded by mu.
+	// wal, when armed via SetWAL, makes appends durable: batches are
+	// logged (group-committed) before they touch the columns. Guarded by
+	// mu.
 	wal *wal.Log
 }
 
@@ -432,8 +432,8 @@ func (g *Gathered) Commit() ([]wal.Commit, error) {
 }
 
 // SetWAL arms (or, with nil, disarms) write-ahead logging on the append
-// and update paths. The facade arms engines only after recovery has
-// replayed the existing log, so replayed mutations are never re-logged.
+// path. The facade arms engines only after recovery has replayed the
+// existing log, so replayed batches are never re-logged.
 func (e *Engine) SetWAL(l *wal.Log) {
 	e.mu.Lock()
 	e.wal = l
@@ -447,112 +447,23 @@ func (e *Engine) WAL() *wal.Log {
 	return e.wal
 }
 
-// Update overwrites a cell in place, and the column's skipper re-derives
-// the summaries that hold the row. With a WAL armed the overwrite is
-// logged first and the call blocks until it is durable. A shard engine
-// refuses, as its sharded table does: a global row index routes to no
-// one shard.
-func (e *Engine) Update(colName string, row int, v storage.Value) error {
-	if e.opts.Shard > 0 {
-		return fmt.Errorf("engine: shard %d refuses updates, as its sharded table does", e.opts.Shard)
-	}
-	e.mu.Lock()
-	col, err := e.tbl.Column(colName)
-	if err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	if row < 0 || row >= col.Len() {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %d of %d", table.ErrOutOfRange, row, col.Len())
-	}
-	if v.IsNull() {
-		e.mu.Unlock()
-		return errors.New("engine: updating a cell to NULL is unsupported (no column setter writes one, and the WAL's update record refuses one)")
-	}
-	var commit wal.Commit
-	if e.wal != nil && updatableType(col.Type()) {
-		c, err := e.wal.Append(&wal.Record{
-			Kind: wal.KindUpdate, Table: e.tbl.Name(),
-			Col: colName, Row: uint64(row), Value: v,
-		})
-		if err != nil {
-			e.mu.Unlock()
-			return fmt.Errorf("engine: durable update: %w", err)
-		}
-		commit = c
-	}
-	if err := e.applyUpdateLocked(col, colName, row, v); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	faultinject.Crash(faultinject.CrashWALAfterApply)
-	e.mu.Unlock()
-	return commit.Wait()
-}
-
-// updatableType reports whether Update supports the column type (the WAL
-// only logs updates the apply path can perform).
-func updatableType(t storage.Type) bool {
-	return t == storage.Int64 || t == storage.Float64
-}
-
-// applyUpdateLocked performs the in-memory half of Update: the cell
-// overwrite, then the skipper's refresh of the row. Caller holds e.mu and
-// has validated row bounds and non-NULL. A row that is still staged is
-// overwritten like any other: SetInt/SetFloat consolidate the column
-// first, single-threaded because e.mu is held.
-func (e *Engine) applyUpdateLocked(col *storage.Column, colName string, row int, v storage.Value) error {
-	switch col.Type() {
-	case storage.Int64:
-		if err := col.SetInt(row, v.Int()); err != nil {
-			return err
-		}
-	case storage.Float64:
-		if err := col.SetFloat(row, v.Float()); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("engine: updates on %s columns are unsupported", col.Type())
-	}
-	if s, ok := e.skippers[colName]; ok {
-		e.guard(colName, func() error {
-			s.Refresh(row, col.Vec(), col.Nulls())
-			return nil
-		})
-	}
-	return nil
-}
-
 // ReplayRecord applies one recovered WAL record, bypassing the log.
 // Replay is idempotent over the BaseRow chain (see table.Replay, which a
 // snapshot load runs too): a record whose rows are already present is
 // skipped, a partially present record appends only the missing suffix,
 // and a record that would leave a gap errors out. Replayed batches are
-// staged like any append (recovery copies no column); the first query, or
-// an update record's SetInt, consolidates under e.mu.
+// staged like any append (recovery copies no column); the first query
+// consolidates under e.mu.
 func (e *Engine) ReplayRecord(rec *wal.Record) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	switch rec.Kind {
-	case wal.KindColumns:
-		if err := e.tbl.Replay(rec); err != nil {
-			return fmt.Errorf("engine: replay append: %w", err)
-		}
-		return nil
-	case wal.KindUpdate:
-		col, err := e.tbl.Column(rec.Col)
-		if err != nil {
-			return err
-		}
-		if rec.Row >= uint64(col.Len()) {
-			return fmt.Errorf("engine: replay update on %q.%q: row %d of %d",
-				e.tbl.Name(), rec.Col, rec.Row, col.Len())
-		}
-		return e.applyUpdateLocked(col, rec.Col, int(rec.Row), rec.Value)
-	default:
+	if rec.Kind != wal.KindColumns {
 		return fmt.Errorf("engine: replay: unknown record kind %d", rec.Kind)
 	}
+	if err := e.tbl.Replay(rec); err != nil {
+		return fmt.Errorf("engine: replay append: %w", err)
+	}
+	return nil
 }
 
 // readColumn resolves a column a query is about to read and consolidates

@@ -146,26 +146,6 @@ func TestAppendRowTypeError(t *testing.T) {
 	}
 }
 
-func TestUpdateErrors(t *testing.T) {
-	tb := buildTable(t, 10, 12)
-	e := newEngine(t, tb, PolicyStatic)
-	if err := e.Update("nope", 0, storage.IntValue(1)); !errors.Is(err, table.ErrNoSuchColumn) {
-		t.Fatalf("missing column: %v", err)
-	}
-	if err := e.Update("a", 99, storage.IntValue(1)); !errors.Is(err, table.ErrOutOfRange) {
-		t.Fatalf("out of range: %v", err)
-	}
-	if err := e.Update("a", 0, storage.NullValue(storage.Int64)); err == nil {
-		t.Fatal("NULL update accepted")
-	}
-	if err := e.Update("s", 0, storage.StringValue("x")); err == nil {
-		t.Fatal("string update accepted")
-	}
-	if err := New(tb, Options{Shard: 1}).Update("a", 0, storage.IntValue(1)); err == nil {
-		t.Fatal("a shard engine accepted an update")
-	}
-}
-
 func TestQueryValidationErrors(t *testing.T) {
 	tb := buildTable(t, 10, 13)
 	e := newEngine(t, tb, PolicyStatic)

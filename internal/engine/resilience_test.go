@@ -210,7 +210,6 @@ type faultySkipper struct {
 	panicProbe    bool // Prune and PruneNulls panic
 	panicObs      bool
 	panicExtend   bool
-	panicRefresh  bool
 	badWindows    bool // emit candidate windows beyond the column end
 	badInvariants bool // CheckInvariants fails
 
@@ -248,12 +247,6 @@ func (f *faultySkipper) Extend(codes storage.Vec, _ *bitvec.BitVec) {
 		panic("faultySkipper: extend panic")
 	}
 	f.rows = codes.Len()
-}
-
-func (f *faultySkipper) Refresh(int, storage.Vec, *bitvec.BitVec) {
-	if f.panicRefresh {
-		panic("faultySkipper: refresh panic")
-	}
 }
 
 func (f *faultySkipper) Rows() int { return f.rows }
@@ -310,7 +303,7 @@ func naiveCountA(t *testing.T, tb *table.Table, lo, hi int64) int {
 
 // TestSkipperFaultDropsSkipper drives a fault through every call the
 // engine makes into a skipper — Prune, PruneNulls, Observe, Extend (an
-// append, then a query), Refresh (an Update), candidate windows the scan
+// append, then a query), candidate windows the scan
 // cannot read at Parallelism 1 and 4, a failing CheckInvariants under
 // VerifySkipping, and a real adaptive zonemap whose layout an injected
 // InvariantFlip broke — and checks the one outcome: the answer is the
@@ -343,11 +336,6 @@ func TestSkipperFaultDropsSkipper(t *testing.T) {
 		{"Extend", 1, &faultySkipper{panicExtend: true}, func(t *testing.T, e *Engine) {
 			if err := e.AppendRow(storage.IntValue(500), storage.IntValue(1),
 				storage.FloatValue(1), storage.StringValue("ant")); err != nil {
-				t.Fatal(err)
-			}
-		}, inA, "panic"},
-		{"Refresh", 1, &faultySkipper{panicRefresh: true}, func(t *testing.T, e *Engine) {
-			if err := e.Update("a", 5, storage.IntValue(1_000_000)); err != nil {
 				t.Fatal(err)
 			}
 		}, inA, "panic"},
@@ -644,11 +632,11 @@ func TestVerifySkippingDetectsCorruption(t *testing.T) {
 }
 
 // TestVerifySkippingDetectsStaleMetadata overwrites a cell underneath the
-// metadata — no Refresh, as a bug in an update path would — under every
-// skipping policy: the verification pass must notice, quarantine the
-// column (queries stay correct by scanning), and a rebuild must clear it.
-// Stale metadata is caught at both code widths: column a is []uint32 as
-// built, []int64 once a code below zero has escalated it. The adaptive
+// metadata, through the column's own code slice, under every skipping
+// policy: the verification pass must notice, quarantine the column
+// (queries stay correct by scanning), and a rebuild must clear it. Stale
+// metadata is caught at both code widths: column a is []uint32 as built,
+// []int64 once a value past 2^32 has escalated it. The adaptive
 // zonemap's error names the row and its code, which the kernel's min/max
 // alone cannot, so the check walks the failing zone again.
 func TestVerifySkippingDetectsStaleMetadata(t *testing.T) {
@@ -666,11 +654,9 @@ func checkStaleMetadataCaught(t *testing.T, policy Policy, wide bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wide { // escalate, then put the row back
-		if err := col.SetInt(0, -1); err != nil {
-			t.Fatal(err)
-		}
-		if err := col.SetInt(0, 0); err != nil {
+	if wide { // one row past every query below escalates the column
+		if err := tb.AppendRow(storage.IntValue(1<<32), storage.IntValue(1),
+			storage.FloatValue(1), storage.StringValue("ant")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -682,9 +668,12 @@ func checkStaleMetadataCaught(t *testing.T, policy Policy, wide bool) {
 		t.Fatalf("clean metadata failed verification: %v", err)
 	}
 	// Column a is sorted 0..3999: 3900 lies outside row 10's zone hull
-	// and in a histogram bin the zone never held.
-	if err := col.SetInt(10, 3900); err != nil {
-		t.Fatal(err)
+	// and in a histogram bin the zone never held. The code slices share
+	// the column's storage, so the write lands under the metadata.
+	if v := col.Vec(); wide {
+		v.W[10] = 3900
+	} else {
+		v.N[10] = 3900
 	}
 	err = e.VerifySkipping()
 	if err == nil {

@@ -60,7 +60,7 @@ const (
 	// CrashWALAfterSync SIGKILLs after fsync but before waiters are
 	// notified: the records are durable yet unacknowledged.
 	CrashWALAfterSync
-	// CrashWALAfterApply SIGKILLs after a logged mutation was applied to
+	// CrashWALAfterApply SIGKILLs after a logged batch was applied to
 	// the in-memory table but (typically) before its fsync completed.
 	CrashWALAfterApply
 	numPoints

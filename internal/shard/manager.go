@@ -545,13 +545,6 @@ func (m *Manager) AppendRows(rows [][]storage.Value) error {
 	return nil
 }
 
-// Update is unsupported on sharded tables: the global-row-to-shard
-// mapping depends on append interleaving and is not stable across
-// restarts, so a global row index cannot be routed reliably.
-func (m *Manager) Update(colName string, row int, v storage.Value) error {
-	return fmt.Errorf("shard: UPDATE by global row index is unsupported on sharded tables (query by key and rewrite instead)")
-}
-
 // SetWAL arms every shard engine with the same log; each shard stamps
 // its shard number into the records it writes, so recovery can route
 // them back (see ReplayRecord).

@@ -326,9 +326,6 @@ func TestManagerValidation(t *testing.T) {
 	if m.Key() != "id" {
 		t.Errorf("default key = %q, want id", m.Key())
 	}
-	if err := m.Update("price", 0, storage.FloatValue(1)); err == nil {
-		t.Error("Update accepted on sharded table; want error")
-	}
 }
 
 func TestExplainShowsShardPrune(t *testing.T) {

@@ -162,8 +162,8 @@ func grow[T Code](s []T, n int) []T {
 }
 
 // escalate rewrites the consolidated, narrow vector as int64 codes, exactly
-// as long as it is, and makes the column wide: what SetInt and AppendInt do
-// once, at the first code that does not fit.
+// as long as it is, and makes the column wide: what appendCode does once,
+// at the first code that does not fit.
 func (c *Column) escalate() {
 	c.vec, c.wide = c.vec.widened(c.vec.Len()), true
 }
@@ -522,40 +522,6 @@ func growLadder[T Code](s []T, n int) []T {
 	return s[:n]
 }
 
-// SetInt overwrites row i with v (Int64 columns). Used by the update path;
-// the caller (engine) is responsible for informing skippers so zone bounds
-// stay sound.
-func (c *Column) SetInt(i int, v int64) error {
-	if c.typ != Int64 {
-		return fmt.Errorf("%w: SetInt on %s column %q", ErrTypeMismatch, c.typ, c.name)
-	}
-	c.Consolidate()
-	c.clearNull(i)
-	if !c.wide && !fits[uint32](v) {
-		c.escalate()
-	}
-	if c.wide {
-		c.vec.W[i] = v
-	} else {
-		c.vec.N[i] = uint32(v)
-	}
-	return nil
-}
-
-// SetFloat overwrites row i with v (Float64 columns).
-func (c *Column) SetFloat(i int, v float64) error {
-	if c.typ != Float64 {
-		return fmt.Errorf("%w: SetFloat on %s column %q", ErrTypeMismatch, c.typ, c.name)
-	}
-	if math.IsNaN(v) {
-		return ErrNaN
-	}
-	c.Consolidate()
-	c.clearNull(i)
-	c.vec.W[i] = EncodeFloat64(v)
-	return nil
-}
-
 // Value materializes row i as a dynamic Value.
 func (c *Column) Value(i int) Value {
 	if c.IsNull(i) {
@@ -668,11 +634,4 @@ func (c *Column) setNull(row int) {
 	c.nulls.Grow(row + 1)
 	c.nulls.Set(row)
 	c.nNull++
-}
-
-func (c *Column) clearNull(i int) {
-	if c.nulls != nil && i < c.nulls.Len() && c.nulls.Get(i) {
-		c.nulls.Clear(i)
-		c.nNull--
-	}
 }

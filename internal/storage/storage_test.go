@@ -135,9 +135,6 @@ func TestTypeMismatchErrors(t *testing.T) {
 	if err := f.AppendFloat(math.NaN()); !errors.Is(err, ErrNaN) {
 		t.Fatalf("NaN append: %v", err)
 	}
-	if err := f.SetFloat(0, math.NaN()); !errors.Is(err, ErrNaN) {
-		t.Fatalf("NaN set: %v", err)
-	}
 }
 
 func TestFloatColumnOrderedCodes(t *testing.T) {
@@ -221,16 +218,6 @@ func TestNulls(t *testing.T) {
 	nulls := c.Nulls()
 	if nulls == nil || nulls.Count() != 2 {
 		t.Fatal("Nulls bitmap wrong")
-	}
-	// Overwriting a null row clears the flag.
-	if err := c.SetInt(1, 42); err != nil {
-		t.Fatal(err)
-	}
-	if c.IsNull(1) || c.NullCount() != 1 {
-		t.Fatal("SetInt did not clear null")
-	}
-	if got := c.Value(1); got.Int() != 42 {
-		t.Fatalf("Value(1)=%v", got)
 	}
 }
 
@@ -460,7 +447,7 @@ func TestCapacityAllocationAmortised(t *testing.T) {
 // TestEscalation: an Int64 column stores 4-byte codes until one value does
 // not fit, is rewritten as 8-byte codes exactly once — wherever that value
 // arrives: first, middle or last in a staged batch, in a batch that lands
-// on the vector's spare tail, through SetInt, through AppendInt — and keeps
+// on the vector's spare tail, through AppendInt — and keeps
 // every earlier row, NULLs included. The rewritten vector is exactly as
 // long as its rows (AppendInt then grows it by append's own rung).
 func TestEscalation(t *testing.T) {
@@ -475,13 +462,6 @@ func TestEscalation(t *testing.T) {
 			{"chunk mid", false, func(c *Column, b [][]Value) { b[n/2][0] = IntValue(outlier); c.AppendRows(b, 0) }},
 			{"chunk last", false, func(c *Column, b [][]Value) { b[n-1][0] = IntValue(outlier); c.AppendRows(b, 0) }},
 			{"tail mid", true, func(c *Column, b [][]Value) { b[n/2][0] = IntValue(outlier); c.AppendRows(b, 0) }},
-			{"SetInt", true, func(c *Column, b [][]Value) {
-				c.AppendRows(b, 0)
-				b[n/2][0] = IntValue(outlier)
-				if err := c.SetInt(base+n/2, outlier); err != nil {
-					t.Fatal(err)
-				}
-			}},
 			{"AppendInt", true, func(c *Column, b [][]Value) {
 				b[n-1][0] = IntValue(outlier)
 				c.AppendRows(b[:n-1], 0)

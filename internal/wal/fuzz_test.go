@@ -13,7 +13,7 @@ import (
 
 // fuzzSeedSegment renders a small valid segment image (header + a few
 // framed records) the fuzzer mutates from: column-block records, sharded
-// or not, with a String column and NULLs; an update.
+// or not, with a String column and NULLs.
 func fuzzSeedSegment() []byte {
 	b := append([]byte(nil), segMagic[:]...)
 	b = binary.LittleEndian.AppendUint64(b, 1) // segment index
@@ -25,12 +25,6 @@ func fuzzSeedSegment() []byte {
 		if b, err = AppendRecord(b, rec); err != nil {
 			panic(err)
 		}
-	}
-	b, err = AppendRecord(b, &Record{
-		Kind: KindUpdate, Table: "data", Col: "v", Row: 1, Value: storage.IntValue(9),
-	})
-	if err != nil {
-		panic(err)
 	}
 	return b
 }
@@ -45,18 +39,23 @@ func fuzzRows(i int) [][]storage.Value {
 	}
 }
 
-// withOldRecord returns seg with a row-major record of an older release
-// framed at its end.
-func withOldRecord(seg []byte, shard uint32) []byte {
-	payload, err := encodeLegacyRows(legacyRows{Table: "data", Shard: shard, BaseRow: 9, Types: fuzzTypes, Rows: fuzzRows(3)})
-	if err != nil {
-		panic(err)
+// withOldRecord returns seg with a record of a retired kind framed at its
+// end: a row-major append, or (update) an in-place update, sharded when
+// shard > 0.
+func withOldRecord(seg []byte, shard uint32, update bool) []byte {
+	payload := encodeLegacyUpdate(shard, "data", "v", 1, 9)
+	if !update {
+		var err error
+		payload, err = encodeLegacyRows(legacyRows{Table: "data", Shard: shard, BaseRow: 9, Types: fuzzTypes, Rows: fuzzRows(3)})
+		if err != nil {
+			panic(err)
+		}
 	}
 	return AppendFrame(slices.Clone(seg), payload)
 }
 
 // reachesOldRecord reports whether replay of data, segment 1's image, meets
-// a whole row-major record before any bad frame, header or payload.
+// a whole record of a retired kind before any bad frame, header or payload.
 func reachesOldRecord(data []byte) bool {
 	if len(data) < segHeaderLen || [8]byte(data[:8]) != segMagic || binary.LittleEndian.Uint64(data[8:16]) != 1 {
 		return false
@@ -67,7 +66,7 @@ func reachesOldRecord(data []byte) bool {
 			return false
 		}
 		if _, err := DecodePayload(payload); err != nil {
-			return errors.Is(err, ErrOldRowRecord)
+			return errors.Is(err, ErrRetiredKind)
 		}
 		rest = next
 	}
@@ -80,8 +79,8 @@ const fuzzMaxRecord = 1 << 20
 // fuzz: never panic, never replay a record whose checksum or structure is
 // bad (every record that reaches the callback re-encodes to a payload
 // matching its claimed checksum), and always leave an appendable log —
-// unless replay meets a whole row-major record of an older release, which
-// Open refuses with ErrOldRowRecord, leaving the segment as it was.
+// unless replay meets a whole record of a retired kind, which Open refuses
+// with ErrRetiredKind, leaving the segment as it was.
 func FuzzReplay(f *testing.F) {
 	seed := fuzzSeedSegment()
 	f.Add(seed)
@@ -94,9 +93,12 @@ func FuzzReplay(f *testing.F) {
 		m[off] ^= 0xFF
 		f.Add(m)
 	}
-	// Old row-major records, unsharded and sharded: refused.
-	f.Add(withOldRecord(seed, 0))
-	f.Add(withOldRecord(seed[:segHeaderLen], 2))
+	// Records of retired kinds, unsharded and sharded: refused, also where
+	// a columns record follows.
+	f.Add(withOldRecord(seed, 0, false))
+	f.Add(withOldRecord(seed[:segHeaderLen], 2, false))
+	f.Add(withOldRecord(seed, 0, true))
+	f.Add(append(withOldRecord(seed[:segHeaderLen], 2, true), seed[segHeaderLen:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return // keep per-case replay cost bounded
@@ -114,7 +116,7 @@ func FuzzReplay(f *testing.F) {
 			}
 			return nil
 		})
-		if refused := errors.Is(err, ErrOldRowRecord); refused != reachesOldRecord(data) {
+		if refused := errors.Is(err, ErrRetiredKind); refused != reachesOldRecord(data) {
 			t.Fatalf("Open: err = %v, want a refusal: %v", err, !refused)
 		} else if refused {
 			if after, rerr := os.ReadFile(segPath(dir, 1)); rerr != nil || !bytes.Equal(after, data) {

@@ -7,44 +7,74 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"adskip/internal/storage"
 )
 
-// TestOldRowRecordsRefused: a log whose first segment holds row-major
-// append records, the form older releases wrote (kind 1, or 3 with a
-// shard number), is refused with ErrOldRowRecord. Its frames pass their
-// checksums, so recovery must not read them as a torn tail: Open calls
-// the replay callback for none of them and leaves every segment, the
-// later column-block one too, byte for byte as it was.
+// TestOldRowRecordsRefused: a log that holds a whole record of a retired
+// kind, followed by a column-block record, is refused with ErrRetiredKind
+// and an error that names the kind. The retired records are the row-major
+// appends of older releases (kind 1, or 3 with a shard number), filling
+// the first segment before a column-block segment, and the in-place update
+// (kind 2, or 4 with a shard number), followed in its segment by a
+// column-block record. Their frames pass their checksums, so recovery must
+// not read them as a torn tail: Open calls the replay callback for no
+// record and leaves every segment byte for byte as it was.
 func TestOldRowRecordsRefused(t *testing.T) {
 	types := []storage.Type{storage.Int64, storage.Float64, storage.String}
-	for _, shard := range []uint32{0, 2} {
-		t.Run(fmt.Sprintf("shard=%d", shard), func(t *testing.T) {
+	// segment returns segment index's image: its header, then frames.
+	segment := func(index, baseLSN uint64, frames ...[]byte) []byte {
+		b := append([]byte(nil), segMagic[:]...)
+		b = binary.LittleEndian.AppendUint64(b, index)
+		b = binary.LittleEndian.AppendUint64(b, baseLSN)
+		for _, f := range frames {
+			b = append(b, f...)
+		}
+		return b
+	}
+	columns := func(shard uint32, base uint64, n int) []byte {
+		rec := columnsRecord("t", base, types, testRows(base, n))
+		rec.Shard = shard
+		f, err := AppendRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		name, kind string
+		shard      uint32
+		rowMajor   bool
+	}{
+		{"shard=0", "kind 1", 0, true},
+		{"shard=2", "kind 3", 2, true},
+		{"kind=2", "kind 2", 0, false},
+		{"kind=4", "kind 4", 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			var old []legacyRows
-			var base uint64
-			for _, n := range []int{5, 300, 1} {
-				rows := testRows(base, n)
-				rows[0][1] = storage.NullValue(storage.Float64)
-				old = append(old, legacyRows{Table: "t", Shard: shard, BaseRow: base, Types: types, Rows: rows})
-				base += uint64(n)
-			}
-			if err := writeLegacySegment(dir, old...); err != nil {
-				t.Fatal(err)
-			}
-			seg2 := append([]byte(nil), segMagic[:]...)
-			seg2 = binary.LittleEndian.AppendUint64(seg2, 2)
-			seg2 = binary.LittleEndian.AppendUint64(seg2, uint64(len(old))) // base LSN
-			rec := columnsRecord("t", base, types, testRows(base, 7))
-			rec.Shard = shard
-			seg2, err := AppendRecord(seg2, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(segPath(dir, 2), seg2, 0o644); err != nil {
-				t.Fatal(err)
+			if tc.rowMajor {
+				var old []legacyRows
+				var base uint64
+				for _, n := range []int{5, 300, 1} {
+					rows := testRows(base, n)
+					rows[0][1] = storage.NullValue(storage.Float64)
+					old = append(old, legacyRows{Table: "t", Shard: tc.shard, BaseRow: base, Types: types, Rows: rows})
+					base += uint64(n)
+				}
+				if err := writeLegacySegment(dir, old...); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(segPath(dir, 2), segment(2, uint64(len(old)), columns(tc.shard, base, 7)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				update := AppendFrame(nil, encodeLegacyUpdate(tc.shard, "t", "c0", 3, -1))
+				if err := os.WriteFile(segPath(dir, 1), segment(1, 0, update, columns(tc.shard, 0, 7)), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			before := readFiles(t, dir)
@@ -53,8 +83,8 @@ func TestOldRowRecordsRefused(t *testing.T) {
 			if l != nil {
 				l.Close()
 			}
-			if !errors.Is(err, ErrOldRowRecord) {
-				t.Errorf("Open: err = %v, want ErrOldRowRecord", err)
+			if !errors.Is(err, ErrRetiredKind) || !strings.Contains(fmt.Sprint(err), tc.kind) {
+				t.Errorf("Open: err = %v, want ErrRetiredKind naming %s", err, tc.kind)
 			}
 			if calls != 0 {
 				t.Errorf("replay callback called %d times, want 0", calls)

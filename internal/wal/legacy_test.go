@@ -9,10 +9,11 @@ import (
 	"adskip/internal/storage"
 )
 
-// This file is the writer of old-format fixtures: the row-major append
-// record of older releases (kind 1, or 3 with a shard number), values at 8
-// bytes a cell with a NULL bitmap per column, which the log no longer
-// writes and refuses to replay.
+// This file is the writer of old-format fixtures, records of the kinds
+// older releases logged and this one refuses to replay: the row-major
+// append record (kind 1, or 3 with a shard number), values at 8 bytes a
+// cell with a NULL bitmap per column, and the in-place update of one cell
+// (kind 2, or 4 with a shard number).
 
 // legacyRows is one old-format append record.
 type legacyRows struct {
@@ -108,4 +109,20 @@ func encodeLegacyRows(rec legacyRows) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// encodeLegacyUpdate is the old in-place update of one Int64 cell:
+//
+//	u8 kind | [u32 shard, kind 4 only] | u16 table length, table |
+//	u16 column length, column | u64 row | u8 value type | u64 value
+func encodeLegacyUpdate(shard uint32, table, col string, row uint64, v int64) []byte {
+	b := []byte{byte(kindUpdate)}
+	if shard > 0 {
+		b = binary.LittleEndian.AppendUint32([]byte{byte(kindShardUpdate)}, shard)
+	}
+	b = appendString16(b, table)
+	b = appendString16(b, col)
+	b = binary.LittleEndian.AppendUint64(b, row)
+	b = append(b, byte(storage.Int64))
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }

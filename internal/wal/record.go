@@ -1,8 +1,7 @@
-// Package wal implements a write-ahead log for the engine's mutation
-// path: append batches and in-place updates are logged as length-prefixed
-// CRC32C-checksummed records before they touch the in-memory columns, so
-// a process killed at any instant can replay its way back to exactly the
-// acknowledged state.
+// Package wal implements a write-ahead log for the engine's append path:
+// batches are logged as length-prefixed CRC32C-checksummed records before
+// they touch the in-memory columns, so a process killed at any instant can
+// replay its way back to exactly the acknowledged state.
 //
 // An append is logged as the column blocks its stage already encoded (one
 // storage.Block per column, codes at the column's width, NULL rows as a
@@ -25,43 +24,47 @@ import (
 // Kind discriminates record payloads.
 type Kind uint8
 
-const (
-	// KindUpdate is one in-place cell overwrite. It carries no shard
-	// number: a sharded table refuses updates, so only an unsharded
-	// engine logs one.
-	KindUpdate Kind = 2
-	// KindColumns is an append batch as one column block per column (see
-	// storage.Block). It always carries the shard number, 0 when
-	// unsharded.
-	KindColumns Kind = 5
+// KindColumns is an append batch as one column block per column (see
+// storage.Block). It always carries the shard number, 0 when unsharded.
+// It is the one kind this release writes and reads.
+const KindColumns Kind = 5
 
-	// kindRows and kindShardRows are reserved: older releases logged an
-	// append batch as row-major values under them. DecodePayload refuses
-	// both with ErrOldRowRecord.
-	kindRows      Kind = 1
-	kindShardRows Kind = 3
+// Kinds 1 to 4 are retired: older releases logged an append batch as
+// row-major values (kind 1, or 3 with a shard number) and an in-place
+// cell update (kind 2, or 4 with a shard number). DecodePayload refuses
+// each with ErrRetiredKind.
+const (
+	kindRows        Kind = 1
+	kindUpdate      Kind = 2
+	kindShardRows   Kind = 3
+	kindShardUpdate Kind = 4
 )
 
-// ErrOldRowRecord is the error for a row-major append record, the form
-// older releases logged. Recovery refuses a log holding one: its frame's
-// checksum held, so it is a whole old record, not a torn tail.
-var ErrOldRowRecord = errors.New("wal: row-major append record (kind 1 or 3) is the old log format, which this release no longer reads (it reads column-block records)")
+// ErrRetiredKind is the error for a record of a retired kind. Recovery
+// refuses a log holding one: its frame's checksum held, so it is a whole
+// record of an older release, not a torn tail.
+var ErrRetiredKind = errors.New("wal: retired record kind")
 
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindUpdate:
-		return "update"
 	case KindColumns:
 		return "columns"
+	case kindRows:
+		return "row-major append"
+	case kindUpdate:
+		return "update"
+	case kindShardRows:
+		return "sharded row-major append"
+	case kindShardUpdate:
+		return "sharded update"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
 
-// Record is one logical WAL entry. KindColumns carries an append batch as
-// column blocks; KindUpdate carries a single cell overwrite. BaseRow (the
-// table's row count when the mutation was logged) makes replay
+// Record is one logical WAL entry: an append batch as column blocks.
+// BaseRow (the table's row count when the batch was logged) makes replay
 // idempotent: a record whose rows are already present is skipped, and a
 // record that would leave a gap is an error.
 type Record struct {
@@ -70,19 +73,12 @@ type Record struct {
 
 	// Shard is the 1-based shard number of the engine that logged the
 	// record, or 0 for an unsharded table. Recovery routes the record to
-	// the same shard. BaseRow is shard-local on a sharded record. An
-	// update carries none: a sharded table refuses updates.
+	// the same shard. BaseRow is shard-local on a sharded record.
 	Shard uint32
 
-	// KindColumns fields: BaseRow, and the batch as one block per column
-	// in schema order.
+	// BaseRow, and the batch as one block per column in schema order.
 	BaseRow uint64
 	Blocks  []storage.Block
-
-	// KindUpdate fields.
-	Col   string
-	Row   uint64
-	Value storage.Value
 }
 
 // On-disk framing: each record is
@@ -176,8 +172,6 @@ func appendPayload(dst []byte, rec *Record) ([]byte, error) {
 	switch rec.Kind {
 	case KindColumns:
 		return appendColumns(dst, rec)
-	case KindUpdate:
-		return appendUpdate(dst, rec)
 	default:
 		return dst, fmt.Errorf("wal: cannot encode record kind %s", rec.Kind)
 	}
@@ -213,32 +207,6 @@ func appendColumns(dst []byte, rec *Record) ([]byte, error) {
 		dst = append(dst, rec.Blocks[ci].Bytes()...)
 	}
 	return dst, nil
-}
-
-func appendUpdate(b []byte, rec *Record) ([]byte, error) {
-	if len(rec.Table) > math.MaxUint16 || len(rec.Col) > math.MaxUint16 {
-		return b, fmt.Errorf("wal: name too long")
-	}
-	if rec.Value.IsNull() {
-		return b, fmt.Errorf("wal: update record with NULL value")
-	}
-	if rec.Shard > 0 {
-		return b, fmt.Errorf("wal: update record for shard %d (a sharded table refuses updates)", rec.Shard)
-	}
-	b = append(b, byte(KindUpdate))
-	b = appendString16(b, rec.Table)
-	b = appendString16(b, rec.Col)
-	b = binary.LittleEndian.AppendUint64(b, rec.Row)
-	b = append(b, byte(rec.Value.Type()))
-	switch rec.Value.Type() {
-	case storage.Int64:
-		b = binary.LittleEndian.AppendUint64(b, uint64(rec.Value.Int()))
-	case storage.Float64:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.Value.Float()))
-	default: // the engine updates Int64 and Float64 columns only
-		return b, fmt.Errorf("wal: cannot encode an update of value type %d", rec.Value.Type())
-	}
-	return b, nil
 }
 
 // reader is a bounds-checked cursor over a payload; every take reports
@@ -313,13 +281,11 @@ func DecodePayload(payload []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch Kind(kind) {
+	switch k := Kind(kind); k {
 	case KindColumns:
 		return decodeColumns(r)
-	case KindUpdate:
-		return decodeUpdate(r)
-	case kindRows, kindShardRows:
-		return nil, ErrOldRowRecord
+	case kindRows, kindUpdate, kindShardRows, kindShardUpdate:
+		return nil, fmt.Errorf("%w %d (%s): this release reads only column-block records", ErrRetiredKind, k, k)
 	default:
 		return nil, fmt.Errorf("wal: unknown record kind %d", kind)
 	}
@@ -368,51 +334,9 @@ func decodeColumns(r *reader) (*Record, error) {
 	return rec, nil
 }
 
-func decodeUpdate(r *reader) (*Record, error) {
-	rec := &Record{Kind: KindUpdate}
-	var err error
-	if rec.Table, err = r.string16(); err != nil {
-		return nil, err
-	}
-	if rec.Col, err = r.string16(); err != nil {
-		return nil, err
-	}
-	if rec.Row, err = r.u64(); err != nil {
-		return nil, err
-	}
-	tb, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	switch storage.Type(tb) {
-	case storage.Int64:
-		u, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		rec.Value = storage.IntValue(int64(u))
-	case storage.Float64:
-		u, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		f := math.Float64frombits(u)
-		if math.IsNaN(f) {
-			return nil, fmt.Errorf("wal: NaN in update record")
-		}
-		rec.Value = storage.FloatValue(f)
-	default: // a String update is never logged
-		return nil, fmt.Errorf("wal: update record of value type %d", tb)
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("wal: %d trailing bytes after update record", len(r.b)-r.off)
-	}
-	return rec, nil
-}
-
-// NumRows returns how many rows the record adds on replay (0 for updates).
+// NumRows returns how many rows the record adds on replay.
 func (rec *Record) NumRows() int {
-	if rec.Kind == KindColumns && len(rec.Blocks) > 0 {
+	if len(rec.Blocks) > 0 {
 		return rec.Blocks[0].Len()
 	}
 	return 0

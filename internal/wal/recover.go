@@ -72,7 +72,6 @@ type RecoveryStats struct {
 	Segments int    `json:"segments"`
 	Records  uint64 `json:"records"`
 	Rows     int64  `json:"rows"`
-	Updates  int64  `json:"updates"`
 	Bytes    int64  `json:"bytes"`
 	// TornTail reports that the final records were cut mid-write (the
 	// expected signature of a crash) and truncated away.
@@ -98,9 +97,9 @@ type RecoveryStats struct {
 // that is the torn tail a kill mid-write leaves and is routine; anywhere
 // earlier it orphans the segments after it, which are deleted. A replay
 // callback error aborts Open: the caller's state is unknown and the log
-// must not accept appends on top of it. So does a row-major record of an
-// older release (ErrOldRowRecord): Open fails at it, and truncates or
-// deletes nothing from there on.
+// must not accept appends on top of it. So does a whole record of a
+// retired kind (ErrRetiredKind, naming the kind): Open fails at it, and
+// truncates or deletes nothing.
 func Open(opts Options, replay func(*Record) error) (*Log, RecoveryStats, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -232,7 +231,7 @@ func Open(opts Options, replay func(*Record) error) (*Log, RecoveryStats, error)
 	if opts.Logger != nil {
 		opts.Logger.Info("wal recovered",
 			"segments", stats.Segments, "records", stats.Records,
-			"rows", stats.Rows, "updates", stats.Updates,
+			"rows", stats.Rows,
 			"torn_tail", stats.TornTail, "elapsed", stats.Elapsed)
 	}
 
@@ -296,11 +295,12 @@ func parseIndex(s string, out *uint64) bool {
 // is past the header), the number of records replayed, the offset of the
 // first bad byte and a human-readable reason when the segment ends in a
 // torn or corrupt record ("" for a clean tail), and a hard error only for
-// I/O or replay-callback failures and for an old row-major record
-// (ErrOldRowRecord), which is whole, not torn, and must not be truncated. expectBase is the LSN the caller has
-// recovered so far; a header whose base disagrees means the log skips or
-// repeats records and is treated as corruption at offset 0. expectBase < 0
-// (first surviving segment) accepts any base.
+// I/O or replay-callback failures and for a record of a retired kind
+// (ErrRetiredKind), which is whole, not torn, and must not be truncated.
+// expectBase is the LSN the caller has recovered so far; a header whose
+// base disagrees means the log skips or repeats records and is treated as
+// corruption at offset 0. expectBase < 0 (first surviving segment)
+// accepts any base.
 func replaySegment(s *segInfo, maxRecord int, expectBase int64, replay func(*Record) error, stats *RecoveryStats) (uint64, uint64, int64, string, error) {
 	data, err := os.ReadFile(s.path)
 	if err != nil {
@@ -331,7 +331,7 @@ func replaySegment(s *segInfo, maxRecord int, expectBase int64, replay func(*Rec
 			return base, n, off, err.Error(), nil
 		}
 		rec, err := DecodePayload(payload)
-		if errors.Is(err, ErrOldRowRecord) {
+		if errors.Is(err, ErrRetiredKind) {
 			return base, n, off, "", fmt.Errorf("wal: record %d of segment %d: %w", n+1, s.index, err)
 		}
 		if err != nil {
@@ -341,9 +341,6 @@ func replaySegment(s *segInfo, maxRecord int, expectBase int64, replay func(*Rec
 			if err := replay(rec); err != nil {
 				return base, n, off, "", fmt.Errorf("wal: replay record %d of segment %d: %w", n+1, s.index, err)
 			}
-		}
-		if rec.Kind == KindUpdate {
-			stats.Updates++
 		}
 		stats.Rows += int64(rec.NumRows())
 		n++

@@ -56,9 +56,10 @@ func columnsRecord(table string, base uint64, types []storage.Type, rows [][]sto
 	return rec
 }
 
-// TestRecordRoundTrip: every kind decodes to what was encoded — column
-// blocks byte for byte, sharded or not; the old row-major kinds, which
-// only a fixture writer still encodes, decode to ErrOldRowRecord.
+// TestRecordRoundTrip: a columns record decodes to what was encoded —
+// column blocks byte for byte, sharded or not; the retired kinds, which
+// only a fixture writer still encodes, decode to ErrRetiredKind, naming
+// the kind.
 func TestRecordRoundTrip(t *testing.T) {
 	mixed := [][]storage.Value{
 		{storage.NullValue(storage.Int64), storage.NullValue(storage.Float64), storage.NullValue(storage.String)},
@@ -72,8 +73,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		rowsRecord("data", 17, 64),
 		columnsRecord("t", 3, testTypes, mixed),
 		sharded,
-		{Kind: KindUpdate, Table: "data", Col: "v", Row: 42, Value: storage.IntValue(7)},
-		{Kind: KindUpdate, Table: "data", Col: "noise", Row: 0, Value: storage.FloatValue(-0.25)},
 	}
 	for i, rec := range recs {
 		payload, err := EncodePayload(rec)
@@ -86,6 +85,10 @@ func TestRecordRoundTrip(t *testing.T) {
 		}
 		assertRecordEqual(t, i, got, rec)
 	}
+	retired := map[string][]byte{
+		"kind 2 (update)":         encodeLegacyUpdate(0, "data", "v", 42, 7),
+		"kind 4 (sharded update)": encodeLegacyUpdate(3, "data", "v", 5, -1),
+	}
 	for _, old := range []legacyRows{
 		{Table: "t", BaseRow: 3, Types: testTypes, Rows: mixed},
 		{Table: "t", Shard: 4, BaseRow: 3, Types: testTypes, Rows: testRows(3, 9)},
@@ -94,8 +97,11 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec, err := DecodePayload(payload); !errors.Is(err, ErrOldRowRecord) {
-			t.Errorf("old row-major record, shard %d: decoded to %+v, err %v; want ErrOldRowRecord", old.Shard, rec, err)
+		retired[fmt.Sprintf("kind %d (%s)", payload[0], Kind(payload[0]))] = payload
+	}
+	for kind, payload := range retired {
+		if rec, err := DecodePayload(payload); !errors.Is(err, ErrRetiredKind) || !strings.Contains(err.Error(), kind) {
+			t.Errorf("%s: decoded to %+v, err %v; want ErrRetiredKind naming the kind", kind, rec, err)
 		}
 	}
 }
@@ -103,7 +109,7 @@ func TestRecordRoundTrip(t *testing.T) {
 func assertRecordEqual(t *testing.T, i int, got, want *Record) {
 	t.Helper()
 	if got.Kind != want.Kind || got.Table != want.Table || got.Shard != want.Shard || got.BaseRow != want.BaseRow ||
-		got.Col != want.Col || got.Row != want.Row || got.NumRows() != want.NumRows() {
+		got.NumRows() != want.NumRows() {
 		t.Fatalf("record %d: header mismatch: got %+v want %+v", i, got, want)
 	}
 	if len(got.Blocks) != len(want.Blocks) {
@@ -113,9 +119,6 @@ func assertRecordEqual(t *testing.T, i int, got, want *Record) {
 		if !bytes.Equal(got.Blocks[ci].Bytes(), want.Blocks[ci].Bytes()) {
 			t.Fatalf("record %d column %d: block differs", i, ci)
 		}
-	}
-	if want.Kind == KindUpdate && got.Value != want.Value {
-		t.Fatalf("record %d: value %v, want %v", i, got.Value, want.Value)
 	}
 }
 
@@ -127,17 +130,10 @@ func TestEncodeRejects(t *testing.T) {
 		rec  *Record
 	}{
 		{"unknown kind", &Record{Kind: 99}},
-		{"old row-major kind", &Record{Kind: kindRows}},
+		{"retired kind", &Record{Kind: kindUpdate}},
 		{"no columns", &Record{Kind: KindColumns}},
 		{"no rows", &Record{Kind: KindColumns, Blocks: []storage.Block{{}}}},
 		{"ragged columns", short},
-		{"null update", &Record{Kind: KindUpdate, Table: "t", Col: "c",
-			Value: storage.NullValue(storage.Int64)}},
-		{"string update", &Record{Kind: KindUpdate, Table: "d", Col: "s", Row: 1 << 40,
-			Value: storage.StringValue("x")}},
-		// A sharded table refuses updates, so no update carries a shard.
-		{"sharded update", &Record{Kind: KindUpdate, Table: "d", Shard: 3, Col: "v", Row: 5,
-			Value: storage.IntValue(-1)}},
 	}
 	for _, tc := range cases {
 		if _, err := EncodePayload(tc.rec); err == nil {
@@ -166,12 +162,6 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown kind", mutate(func(b []byte) []byte { b[0] = 99; return b })},
 		{"truncated", mutate(func(b []byte) []byte { return b[:len(b)/2] })},
 		{"trailing bytes", mutate(func(b []byte) []byte { return append(b, 0xFF) })},
-		// Kind 4 was the sharded update, which no release writes now.
-		{"kind 4", []byte{4, 3, 0, 0, 0, 1, 0, 'd', 1, 0, 'v', 5, 0, 0, 0, 0, 0, 0, 0,
-			byte(storage.Int64), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
-		// An update of String value "x", as the log once encoded one.
-		{"string update", []byte{byte(KindUpdate), 1, 0, 'd', 1, 0, 's', 0, 0, 0, 0, 0, 1, 0, 0,
-			byte(storage.String), 1, 0, 0, 0, 'x'}},
 		{"block of another width", mutate(func(b []byte) []byte { b[recordHead+1] = 8; return b })},
 		{"NULL list past the rows", mutate(func(b []byte) []byte { b[recordHead+2] = 9; return b })},
 	}
@@ -216,13 +206,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	upd := &Record{Kind: KindUpdate, Table: "data", Col: "v", Row: 3, Value: storage.IntValue(-1)}
-	want = append(want, upd)
-	if c, err := l.Append(upd); err != nil || c.Wait() != nil {
-		t.Fatalf("append update: %v", err)
-	}
-	if got := l.SyncedLSN(); got != 11 {
-		t.Fatalf("SyncedLSN = %d, want 11", got)
+	if got := l.SyncedLSN(); got != 10 {
+		t.Fatalf("SyncedLSN = %d, want 10", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -234,7 +219,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		return nil
 	})
 	defer l2.Close()
-	if stats.Records != 11 || stats.Rows != 40 || stats.Updates != 1 || stats.TornTail {
+	if stats.Records != 10 || stats.Rows != 40 || stats.TornTail {
 		t.Fatalf("recovery stats %+v", stats)
 	}
 	if len(got) != len(want) {
@@ -248,8 +233,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.LSN() != 12 {
-		t.Fatalf("post-recovery LSN = %d, want 12", c.LSN())
+	if c.LSN() != 11 {
+		t.Fatalf("post-recovery LSN = %d, want 11", c.LSN())
 	}
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)

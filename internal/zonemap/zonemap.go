@@ -8,23 +8,20 @@
 // expr.Clause.Test as in every layer), the bin mask in package imprint.
 //
 // Every summary is exact: the one its rows derive. The Grid owns, once for
-// every layout, building and folding the tail, the block level, Refresh
-// (an update re-derives what holds the row), the PruneNulls walk and
-// CheckInvariants. Without a Layout its zones have a fixed size
-// (the static zonemap, the imprint) and Grid.Prune is the range probe: it
-// tests every block, then the member zones of blocks that may match, then
-// the tail — on
-// arbitrary data every block overlaps, the overhead the paper shows
-// motivates adaptivity. With a Layout (the adaptive zonemap) it also keeps
-// a fine level of parts whose runs are the zones; the layout reshapes the
-// zones and brings its own range probe.
+// every layout, building and folding the tail, the block level, the
+// PruneNulls walk and CheckInvariants. Without a Layout its zones have a
+// fixed size (the static zonemap, the imprint) and Grid.Prune is the range
+// probe: it tests every block, then the member zones of blocks that may
+// match, then the tail — on arbitrary data every block overlaps, the
+// overhead the paper shows motivates adaptivity. With a Layout (the
+// adaptive zonemap) it also keeps a fine level of parts whose runs are the
+// zones; the layout reshapes the zones and brings its own range probe.
 package zonemap
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"adskip/internal/bitvec"
@@ -35,8 +32,8 @@ import (
 )
 
 // ErrCorrupt marks a broken layout: zones or parts that do not tile the
-// indexed rows. A walk or row lookup that finds one panics with an error
-// wrapping it; the engine drops the skipper and scans in full.
+// indexed rows. A walk that finds one panics with an error wrapping it;
+// the engine drops the skipper and scans in full.
 var ErrCorrupt = errors.New("zonemap: metadata corrupt")
 
 // Kind is one way of summarising a zone: S is the per-zone summary (the
@@ -192,47 +189,6 @@ func (g *Grid[S, Q]) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
 	if g.layout != nil {
 		g.layout.Folded(zone, part)
 	}
-}
-
-// find returns the index of the window of ws that holds row, and panics
-// with ErrCorrupt when none does.
-func find[S any](what string, ws []Zone[S], row int) int {
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].Hi > row })
-	if i == len(ws) || ws[i].Lo > row {
-		panic(fmt.Errorf("%w: row %d not covered by %ss", ErrCorrupt, row, what))
-	}
-	return i
-}
-
-// Refresh re-derives the summaries that hold row after an in-place
-// update; codes and nulls are the column's full state, as for Extend. The
-// window holding the row — its part with a Layout, else its zone, or the
-// tail — is summarised again from its rows, its zone becomes the union of
-// its parts and its block the union of its zones, so each stays exactly
-// what its rows derive: a summary or a non-null count may shrink as well
-// as grow. A row past Rows() is ignored; one no zone or part covers, or a
-// zone that is not a run of whole parts, panics with ErrCorrupt.
-func (g *Grid[S, Q]) Refresh(row int, codes storage.Vec, nulls *bitvec.BitVec) {
-	if row >= g.tail.Lo {
-		if row < g.tail.Hi {
-			g.tail = g.summarize(codes, nulls, g.tail.Lo, g.tail.Hi)
-		}
-		return
-	}
-	zi := find("zone", g.Zones, row)
-	zn := &g.Zones[zi]
-	if g.layout == nil {
-		*zn = g.summarize(codes, nulls, zn.Lo, zn.Hi)
-	} else {
-		k := find("part", g.Parts, row)
-		g.Parts[k] = g.summarize(codes, nulls, g.Parts[k].Lo, g.Parts[k].Hi)
-		u := g.union(g.Parts[find("part", g.Parts, zn.Lo) : find("part", g.Parts, zn.Hi-1)+1])
-		if u.Lo != zn.Lo || u.Hi != zn.Hi {
-			panic(fmt.Errorf("%w: zone %d [%d,%d) is not a run of whole parts", ErrCorrupt, zi, zn.Lo, zn.Hi))
-		}
-		*zn = u
-	}
-	g.reblock(zi / BlockZones)
 }
 
 // Prune tests each block, then the member zones of each block that may

@@ -195,40 +195,3 @@ func TestPruneMergesOnlySameCoverage(t *testing.T) {
 		t.Fatalf("windows wrong: %v", cands)
 	}
 }
-
-// Refresh re-derives the zone that holds the updated row, and its block:
-// a value written outside the hull widens it, one written over the only
-// row holding the max narrows it, and a NULL that gains a value counts.
-func TestRefresh(t *testing.T) {
-	codes := seq(20, func(i int) int64 { return int64(i) })
-	m := Build(storage.Vec{W: codes}, nil, 10)
-	codes[5] = 1000
-	m.Refresh(5, storage.Vec{W: codes}, nil)
-	if z := zoneOf(m, 0); z != (zone{0, 1000, 10}) || m.Blocks[0] != (expr.Hull{Min: 0, Max: 1000}) {
-		t.Fatalf("widened zone = %+v, block %+v", z, m.Blocks[0])
-	}
-	codes[5] = 5
-	m.Refresh(5, storage.Vec{W: codes}, nil)
-	if z := zoneOf(m, 0); z != (zone{0, 9, 10}) || m.Blocks[0] != (expr.Hull{Min: 0, Max: 19}) {
-		t.Fatalf("narrowed zone = %+v, block %+v", z, m.Blocks[0])
-	}
-	if res := m.Prune(oneRange(1000, 1000)); len(res.Zones) != 0 {
-		t.Fatalf("a value no row holds is a candidate: %+v", res)
-	}
-	// A NULL row of an all-NULL zone that gains a value.
-	nulls := bitvec.New(10)
-	nulls.SetAll()
-	m2 := Build(storage.Vec{W: codes[:10]}, nulls, 10)
-	codes[3] = 42
-	nulls.Clear(3)
-	m2.Refresh(3, storage.Vec{W: codes[:10]}, nulls)
-	if z := zoneOf(m2, 0); z != (zone{42, 42, 1}) {
-		t.Fatalf("null-zone refresh = %+v", z)
-	}
-	if cands := m2.Prune(oneRange(42, 42)).Zones; len(cands) != 1 {
-		t.Fatalf("the zone that gained a value should now be a candidate: %v", cands)
-	}
-	if err := m2.CheckInvariants(storage.Vec{W: codes[:10]}, nulls); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -8,7 +8,7 @@ package adskip
 // shares no code with the engine, the predicate layer, the SQL front end
 // or the storage encodings, so a defect that every configuration shares
 // fails it too. Families: Eval on fresh tables, Error on statements and
-// mutations all must refuse, Lifecycle after each step of a table's
+// appends all must refuse, Lifecycle after each step of a table's
 // life, Concurrency under a writer. Subtests are named seed=N, and a
 // failure names the seed, the step, the configuration and the SQL.
 
@@ -90,6 +90,9 @@ type tortureDB struct {
 	tab  *Table
 	dir  string // WAL directory, "" when not durable
 	base []byte // the snapshot t was loaded from; nil: created empty
+	// loose marks a DB that returns rows in shard order, not row order: a
+	// sharded one, or one loaded from a sharded table's snapshot.
+	loose bool
 }
 
 // openTorture opens a DB for cfg holding table t — empty, or loaded from
@@ -106,7 +109,7 @@ func openTorture(t *testing.T, cfg tortureConfig, dir string, base []byte, skip 
 	if dir != "" {
 		o.Durability = Durability{Dir: dir, GroupWindow: -1, DisableFsync: true}
 	}
-	d := &tortureDB{cfg: cfg, db: Open(o), dir: dir, base: base}
+	d := &tortureDB{cfg: cfg, db: Open(o), dir: dir, base: base, loose: cfg.shards > 0}
 	t.Cleanup(func() { d.db.Close() })
 	var err error
 	if base == nil {
@@ -126,12 +129,10 @@ func openTorture(t *testing.T, cfg tortureConfig, dir string, base []byte, skip 
 	return d
 }
 
-// lane is a model of the rows and the subjects that hold them. The
-// sharded subjects have a lane of their own: they refuse the updates the
-// unsharded ones apply, and return rows in shard order.
-type lane struct {
+// model is the table's rows in row order, which every subject holds, and
+// the subjects.
+type model struct {
 	rows     [][]Value
-	sharded  bool
 	subjects []*tortureDB
 }
 
@@ -720,102 +721,92 @@ func diffResult(q *query, want *answer, got, shape *Result, exact bool) string {
 }
 
 // compare runs qs on every subject and holds each answer to the
-// evaluator's over its lane's rows, and its columns to the first
-// subject's.
-func compare(t *testing.T, step string, lanes []*lane, qs []query) {
+// evaluator's over the model's rows, and its columns to the first
+// subject's. A query with a WHERE and no LIMIT is held to its cost too:
+// every row it matches was scanned or covered, no covered row fails the
+// predicate, and Policy None skips nothing.
+func compare(t *testing.T, step string, m *model, qs []query) {
 	t.Helper()
 	for _, q := range qs {
 		var shape *Result
-		var want *answer
-		for i, l := range lanes {
-			if i == 0 || !sameRows(l.rows, lanes[i-1].rows) {
-				want = eval(l.rows, &q)
+		want := eval(m.rows, &q)
+		for _, s := range m.subjects {
+			got, err := s.db.Exec(q.sql)
+			if err != nil {
+				t.Fatalf("%s, %s: %q: %v", step, s.cfg.name, q.sql, err)
 			}
-			for _, s := range l.subjects {
-				got, err := s.db.Exec(q.sql)
-				if err != nil {
-					t.Fatalf("%s, %s: %q: %v", step, s.cfg.name, q.sql, err)
-				}
-				if shape == nil {
-					shape = got
-				}
-				if d := diffResult(&q, want, got, shape, !l.sharded && s.cfg.shards == 0); d != "" {
-					t.Fatalf("%s, %s: %q: %s", step, s.cfg.name, q.sql, d)
-				}
+			if shape == nil {
+				shape = got
+			}
+			if d := diffResult(&q, want, got, shape, !s.loose); d != "" {
+				t.Fatalf("%s, %s: %q: %s", step, s.cfg.name, q.sql, d)
+			}
+			if st := got.Stats; q.where != nil && q.limit == 0 &&
+				(want.count > st.RowsScanned+st.RowsCovered || st.RowsCovered > want.count ||
+					s.cfg.policy == None && st.RowsSkipped != 0) {
+				t.Fatalf("%s, %s: %q: %d rows match, but it scanned %d, covered %d and skipped %d",
+					step, s.cfg.name, q.sql, want.count, st.RowsScanned, st.RowsCovered, st.RowsSkipped)
 			}
 		}
 	}
-}
-
-// sameRows reports whether two models hold the same rows: lanes share
-// them until an update.
-func sameRows(a, b [][]Value) bool {
-	return slices.EqualFunc(a, b, func(x, y []Value) bool { return &x[0] == &y[0] })
 }
 
 // checkStep compares qs, then runs VerifySkipping on every subject and
-// holds its row count to its lane's.
-func checkStep(t *testing.T, step string, lanes []*lane, qs []query) {
+// holds its row count to the model's.
+func checkStep(t *testing.T, step string, m *model, qs []query) {
 	t.Helper()
-	compare(t, step, lanes, qs)
-	for _, l := range lanes {
-		for _, s := range l.subjects {
-			if err := s.tab.VerifySkipping(); err != nil {
-				t.Fatalf("%s, %s: VerifySkipping: %v", step, s.cfg.name, err)
-			}
-			if got := s.tab.NumRows(); got != len(l.rows) {
-				t.Fatalf("%s, %s: %d rows, the model has %d", step, s.cfg.name, got, len(l.rows))
-			}
+	compare(t, step, m, qs)
+	for _, s := range m.subjects {
+		if err := s.tab.VerifySkipping(); err != nil {
+			t.Fatalf("%s, %s: VerifySkipping: %v", step, s.cfg.name, err)
+		}
+		if got := s.tab.NumRows(); got != len(m.rows) {
+			t.Fatalf("%s, %s: %d rows, the model has %d", step, s.cfg.name, got, len(m.rows))
 		}
 	}
 }
 
-// appendAll appends rows, in batches of the given sizes, to every lane's
-// model and subjects.
-func appendAll(t *testing.T, step string, lanes []*lane, rows [][]Value, sizes ...int) {
+// appendAll appends rows, in batches of the given sizes, to the model and
+// every subject.
+func appendAll(t *testing.T, step string, m *model, rows [][]Value, sizes ...int) {
 	t.Helper()
-	for _, l := range lanes {
-		l.rows = append(l.rows, rows...)
-		for _, d := range l.subjects {
-			rest := rows
-			for _, n := range sizes {
-				if err := d.tab.AppendBatch(rest[:n]); err != nil {
-					t.Fatalf("%s, %s: append: %v", step, d.cfg.name, err)
-				}
-				rest = rest[n:]
+	m.rows = append(m.rows, rows...)
+	for _, d := range m.subjects {
+		rest := rows
+		for _, n := range sizes {
+			if err := d.tab.AppendBatch(rest[:n]); err != nil {
+				t.Fatalf("%s, %s: append: %v", step, d.cfg.name, err)
 			}
+			rest = rest[n:]
 		}
 	}
 }
 
-// newLanes loads the base rows into every subject, compares the first
+// newModel loads the base rows into every subject, compares the first
 // unskipped generated queries while no column has a skipper and every
 // dictionary is open, then enables skipping. durable subjects log to a
 // WAL directory of their own.
-func newLanes(t *testing.T, g *tortureGen, durable bool, unskipped int) []*lane {
+func newModel(t *testing.T, g *tortureGen, durable bool, unskipped int) *model {
 	t.Helper()
-	lanes := []*lane{{}, {sharded: true}}
+	m := &model{}
 	for _, cfg := range tortureConfigs() {
 		dir := ""
 		if durable {
 			dir = t.TempDir()
 		}
-		l := lanes[min(cfg.shards, 1)]
-		l.subjects = append(l.subjects, openTorture(t, cfg, dir, nil, false))
+		m.subjects = append(m.subjects, openTorture(t, cfg, dir, nil, false))
 	}
 	rows := g.batch(tortureBaseRows, -1)
-	appendAll(t, "load", lanes, rows, len(rows))
+	appendAll(t, "load", m, rows, len(rows))
 	g.open = true
-	compare(t, "before skipping", lanes, g.queries(unskipped))
+	compare(t, "before skipping", m, g.queries(unskipped))
 	g.open = false
-	for _, l := range lanes {
-		for _, d := range l.subjects {
-			if err := d.tab.EnableSkipping(); err != nil {
-				t.Fatalf("%s: EnableSkipping: %v", d.cfg.name, err)
-			}
+	for _, d := range m.subjects {
+		if err := d.tab.EnableSkipping(); err != nil {
+			t.Fatalf("%s: EnableSkipping: %v", d.cfg.name, err)
 		}
 	}
-	return lanes
+	return m
 }
 
 // forSeeds runs fn as subtests seed=1..tortureSeeds.
@@ -833,9 +824,9 @@ func forSeeds(t *testing.T, fn func(t *testing.T, seed int, g *tortureGen)) {
 // off as the later rounds teach them.
 func TestTorture_Eval_GeneratedQueries(t *testing.T) {
 	forSeeds(t, func(t *testing.T, seed int, g *tortureGen) {
-		lanes := newLanes(t, g, false, tortureBatch)
+		m := newModel(t, g, false, tortureBatch)
 		for round := 2; round <= tortureRounds; round++ {
-			checkStep(t, fmt.Sprintf("seed %d round %d", seed, round), lanes, g.queries(tortureBatch))
+			checkStep(t, fmt.Sprintf("seed %d round %d", seed, round), m, g.queries(tortureBatch))
 		}
 	})
 }
@@ -862,137 +853,96 @@ var tortureRefusals = []string{
 }
 
 // TestTorture_Error_Refusals holds every configuration to the first
-// subject's refusals of statements, and every DB to refusing mutations —
-// a batch with a bad row or a word the sealed dictionary lacks, a short
-// row, an update of a VARCHAR cell, to NULL or past the last row — after
-// which the answers still agree: a refused mutation leaves every table as
-// it was.
+// subject's refusals of statements, and every DB to refusing appends — a
+// batch with a bad row or a word the sealed dictionary lacks, a short row
+// — after which the answers still agree: a refused append leaves every
+// table as it was.
 func TestTorture_Error_Refusals(t *testing.T) {
 	forSeeds(t, func(t *testing.T, seed int, g *tortureGen) {
-		lanes := newLanes(t, g, false, 0)
+		m := newModel(t, g, false, 0)
 		step := fmt.Sprintf("seed %d", seed)
 		for _, i := range g.rng.Perm(len(tortureRefusals)) {
 			sql := fmt.Sprintf(tortureRefusals[i], g.rng.Int63n(g.kMax()))
 			var want error
-			for _, l := range lanes {
-				for _, s := range l.subjects {
-					_, err := s.db.Exec(sql)
-					if want == nil {
-						want = err
-					}
-					if err == nil || err.Error() != want.Error() {
-						t.Fatalf("%s, %s: %q: error %v, the first subject's %v", step, s.cfg.name, sql, err, want)
-					}
+			for _, s := range m.subjects {
+				_, err := s.db.Exec(sql)
+				if want == nil {
+					want = err
+				}
+				if err == nil || err.Error() != want.Error() {
+					t.Fatalf("%s, %s: %q: error %v, the first subject's %v", step, s.cfg.name, sql, err, want)
 				}
 			}
 		}
 		bad, unsealed := g.batch(1+g.rng.Intn(200), -1), g.batch(1+g.rng.Intn(200), -1)
 		bad[g.rng.Intn(len(bad))][g.rng.Intn(3)] = StringValue("x")
 		unsealed[g.rng.Intn(len(unsealed))][3] = StringValue("yew")
-		row := g.rng.Intn(tortureBaseRows)
-		for _, l := range lanes {
-			for _, d := range l.subjects {
-				for i, err := range []error{d.tab.AppendBatch(bad), d.tab.AppendBatch(unsealed), d.tab.Append(1, 2, 3.5),
-					d.tab.Update("s", row, "oak"), d.tab.Update("f", row, nil), d.tab.Update("k", d.tab.NumRows(), 7)} {
-					if err == nil {
-						t.Fatalf("%s, %s: refusable mutation %d was accepted", step, d.cfg.name, i)
-					}
+		for _, d := range m.subjects {
+			for i, err := range []error{d.tab.AppendBatch(bad), d.tab.AppendBatch(unsealed), d.tab.Append(1, 2, 3.5)} {
+				if err == nil {
+					t.Fatalf("%s, %s: refusable append %d was accepted", step, d.cfg.name, i)
 				}
 			}
 		}
-		checkStep(t, step+", after the refused mutations", lanes, g.queries(tortureBatch))
+		checkStep(t, step+", after the refused appends", m, g.queries(tortureBatch))
 	})
 }
 
 // lifecycleSteps are the Lifecycle family's steps, each applied to the
-// lanes. Each seed runs every step once, in its own order, then more
+// model. Each seed runs every step once, in its own order, then more
 // chosen at random.
 var lifecycleSteps = []struct {
 	name string
-	run  func(t *testing.T, step string, g *tortureGen, lanes []*lane)
+	run  func(t *testing.T, step string, g *tortureGen, m *model)
 }{
-	{"refine", func(t *testing.T, step string, g *tortureGen, lanes []*lane) {
-		compare(t, step, lanes, g.queries(tortureBatch))
+	{"refine", func(t *testing.T, step string, g *tortureGen, m *model) {
+		compare(t, step, m, g.queries(tortureBatch))
 	}},
-	{"append a staged chunk", func(t *testing.T, step string, g *tortureGen, lanes []*lane) {
+	{"append a staged chunk", func(t *testing.T, step string, g *tortureGen, m *model) {
 		// Two batches with no query between them: the second lands in a
 		// chunk beside the first, and the next reader consolidates both.
 		a, b := 1+g.rng.Intn(300), 1+g.rng.Intn(300)
-		appendAll(t, step, lanes, g.batch(a+b, -1), a, b)
+		appendAll(t, step, m, g.batch(a+b, -1), a, b)
 	}},
-	{"append escalating u past 2^32", func(t *testing.T, step string, g *tortureGen, lanes []*lane) {
+	{"append escalating u past 2^32", func(t *testing.T, step string, g *tortureGen, m *model) {
 		n := 2 + g.rng.Intn(200)
-		appendAll(t, step, lanes, g.batch(n, 1+g.rng.Intn(n-1)), n)
+		appendAll(t, step, m, g.batch(n, 1+g.rng.Intn(n-1)), n)
 	}},
-	{"append single rows", func(t *testing.T, step string, g *tortureGen, lanes []*lane) {
+	{"append single rows", func(t *testing.T, step string, g *tortureGen, m *model) {
 		// One-row batches fill the tail slot's spare room and close it.
 		for range 1 + g.rng.Intn(40) {
-			appendAll(t, step, lanes, g.batch(1, -1), 1)
+			appendAll(t, step, m, g.batch(1, -1), 1)
 		}
 	}},
-	{"update in place", func(t *testing.T, step string, g *tortureGen, lanes []*lane) {
-		// A batch first, so that some updates meet rows still staged.
-		n := 1 + g.rng.Intn(100)
-		appendAll(t, step, lanes, g.batch(n, -1), n)
-		rows := len(lanes[0].rows)
-		for range 1 + g.rng.Intn(30) {
-			row := rows - 1 - g.rng.Intn(n)
-			if g.rng.Intn(2) == 0 {
-				row = g.rng.Intn(rows)
-			}
-			col, v := 0, IntValue(g.rng.Int63n(2*g.kMax())-100)
-			switch g.rng.Intn(3) {
-			case 0:
-				col, v = 1, IntValue(g.rng.Int63n(1_000_000)+g.rng.Int63n(2)<<32)
-			case 1:
-				col, v = 2, FloatValue(g.rng.Float64()*float64(g.kMax())/4)
-			}
-			for _, l := range lanes {
-				if !l.sharded {
-					// Lanes share their rows: the updated one is copied.
-					l.rows[row] = slices.Clone(l.rows[row])
-					l.rows[row][col] = v
-				}
-				for _, d := range l.subjects {
-					if err := d.tab.Update(name(col), row, v); (err == nil) == l.sharded {
-						t.Fatalf("%s, %s: update %s[%d] = %v: %v (refused only when sharded)", step, d.cfg.name, name(col), row, v, err)
-					}
-				}
-			}
-		}
-	}},
-	{"save and cold load", func(t *testing.T, step string, g *tortureGen, lanes []*lane) {
-		replace(t, step, lanes, func(s *tortureDB) *tortureDB {
+	{"save and cold load", func(t *testing.T, step string, g *tortureGen, m *model) {
+		replace(t, step, m, func(s *tortureDB) *tortureDB {
 			return openTorture(t, s.cfg, t.TempDir(), saved(t, step, s), true)
 		})
 	}},
-	{"load a snapshot into another layout", func(t *testing.T, step string, g *tortureGen, lanes []*lane) {
+	{"load a snapshot into another layout", func(t *testing.T, step string, g *tortureGen, m *model) {
 		// Each subject's snapshot loads into a DB of the same policy in
 		// another layout — unsharded, 4-range, 4-hash — which is checked
-		// against the subject's lane, then closed. A snapshot of a sharded
-		// table holds its rows in shard order, so a lane of sharded
-		// subjects stays loosely compared.
+		// against the model, then closed. A snapshot of a sharded table
+		// holds its rows in shard order, so a DB loaded from one is
+		// loosely compared.
 		shift := 1 + g.rng.Intn(2)
-		moved := make([]*lane, len(lanes))
-		for i, l := range lanes {
-			moved[i] = &lane{rows: l.rows, sharded: l.sharded}
-			for _, s := range l.subjects {
-				cfg := newTortureConfig(s.cfg.policy, tortureLayouts[(slices.Index(tortureLayouts, s.cfg.by)+shift)%3], s.cfg.par)
-				cfg.name += " loaded from " + s.cfg.name
-				moved[i].subjects = append(moved[i].subjects, openTorture(t, cfg, "", saved(t, step, s), true))
-			}
+		moved := &model{rows: m.rows}
+		for _, s := range m.subjects {
+			cfg := newTortureConfig(s.cfg.policy, tortureLayouts[(slices.Index(tortureLayouts, s.cfg.by)+shift)%3], s.cfg.par)
+			cfg.name += " loaded from " + s.cfg.name
+			d := openTorture(t, cfg, "", saved(t, step, s), true)
+			d.loose = d.loose || s.loose
+			moved.subjects = append(moved.subjects, d)
 		}
 		checkStep(t, step, moved, g.queries(tortureBatch))
-		for _, l := range moved {
-			for _, d := range l.subjects {
-				d.db.Close()
-			}
+		for _, d := range moved.subjects {
+			d.db.Close()
 		}
 	}},
-	{"recover a copy of the WAL", func(t *testing.T, step string, g *tortureGen, lanes []*lane) {
+	{"recover a copy of the WAL", func(t *testing.T, step string, g *tortureGen, m *model) {
 		// The copy is what a kill -9 after the last acknowledged append
 		// leaves; internal/crashtest keeps the real kill.
-		replace(t, step, lanes, func(s *tortureDB) *tortureDB {
+		replace(t, step, m, func(s *tortureDB) *tortureDB {
 			dir := t.TempDir()
 			files, err := os.ReadDir(s.dir)
 			for i := 0; err == nil && i < len(files); i++ {
@@ -1008,34 +958,30 @@ var lifecycleSteps = []struct {
 			return openTorture(t, s.cfg, dir, s.base, true)
 		})
 	}},
-	{"drop a skipper and rebuild it", func(t *testing.T, step string, g *tortureGen, lanes []*lane) {
+	{"drop a skipper and rebuild it", func(t *testing.T, step string, g *tortureGen, m *model) {
 		// The flip corrupts an adaptive map's layout as the first query
 		// teaches it; the second query's probe finds the corruption and
 		// drops the skipper, and its answer must still be exact.
 		lo, hi := g.span(0)
 		q := countQuery([]tpred{{col: 0, op: "BETWEEN", args: []Value{lo, hi}}})
-		for _, l := range lanes {
-			for _, s := range l.subjects {
-				restore := faultinject.Activate(faultinject.New(1).
-					Set(faultinject.InvariantFlip, faultinject.Rule{Every: 1, Limit: 1}))
-				_, err := s.db.Exec(q.sql)
-				restore()
-				if err != nil {
-					t.Fatalf("%s, %s: %q: %v", step, s.cfg.name, q.sql, err)
-				}
+		for _, s := range m.subjects {
+			restore := faultinject.Activate(faultinject.New(1).
+				Set(faultinject.InvariantFlip, faultinject.Rule{Every: 1, Limit: 1}))
+			_, err := s.db.Exec(q.sql)
+			restore()
+			if err != nil {
+				t.Fatalf("%s, %s: %q: %v", step, s.cfg.name, q.sql, err)
 			}
 		}
-		compare(t, step, lanes, []query{q})
-		for _, s := range lanes[0].subjects {
-			if _, ok := s.tab.SkipperInfo()["k"]; ok == (s.cfg.policy == Adaptive) {
+		compare(t, step, m, []query{q})
+		for _, s := range m.subjects {
+			if _, ok := s.tab.SkipperInfo()["k"]; s.cfg.shards == 0 && ok == (s.cfg.policy == Adaptive) {
 				t.Fatalf("%s, %s: k's skipper listed %v after the flip", step, s.cfg.name, ok)
 			}
 		}
-		for _, l := range lanes {
-			for _, s := range l.subjects {
-				if err := s.tab.EnableSkipping(); err != nil {
-					t.Fatalf("%s, %s: EnableSkipping: %v", step, s.cfg.name, err)
-				}
+		for _, s := range m.subjects {
+			if err := s.tab.EnableSkipping(); err != nil {
+				t.Fatalf("%s, %s: EnableSkipping: %v", step, s.cfg.name, err)
 			}
 		}
 	}},
@@ -1051,13 +997,11 @@ func saved(t *testing.T, step string, s *tortureDB) []byte {
 }
 
 // replace swaps every subject for the DB open builds from it.
-func replace(t *testing.T, step string, lanes []*lane, open func(*tortureDB) *tortureDB) {
-	for _, l := range lanes {
-		for i, s := range l.subjects {
-			l.subjects[i] = open(s)
-			if err := s.db.Close(); err != nil {
-				t.Fatalf("%s, %s: close: %v", step, s.cfg.name, err)
-			}
+func replace(t *testing.T, step string, m *model, open func(*tortureDB) *tortureDB) {
+	for i, s := range m.subjects {
+		m.subjects[i] = open(s)
+		if err := s.db.Close(); err != nil {
+			t.Fatalf("%s, %s: close: %v", step, s.cfg.name, err)
 		}
 	}
 }
@@ -1066,15 +1010,15 @@ func replace(t *testing.T, step string, lanes []*lane, open func(*tortureDB) *to
 // subjects, each followed by a batch of queries and VerifySkipping.
 func TestTorture_Lifecycle_Steps(t *testing.T) {
 	forSeeds(t, func(t *testing.T, seed int, g *tortureGen) {
-		lanes := newLanes(t, g, true, 0)
+		m := newModel(t, g, true, 0)
 		order := g.rng.Perm(len(lifecycleSteps))
 		for len(order) < tortureSteps {
 			order = append(order, g.rng.Intn(len(lifecycleSteps)))
 		}
 		for i, s := range order {
 			step := fmt.Sprintf("seed %d step %d (%s)", seed, i+1, lifecycleSteps[s].name)
-			lifecycleSteps[s].run(t, step, g, lanes)
-			checkStep(t, step, lanes, g.queries(tortureBatch))
+			lifecycleSteps[s].run(t, step, g, m)
+			checkStep(t, step, m, g.queries(tortureBatch))
 		}
 	})
 }
@@ -1086,7 +1030,7 @@ func TestTorture_Lifecycle_Steps(t *testing.T) {
 func TestTorture_Concurrency_AppendUnderReaders(t *testing.T) {
 	const readers, reads, batches, size = 3, 12, 8, 50
 	forSeeds(t, func(t *testing.T, seed int, g *tortureGen) {
-		lanes := newLanes(t, g, false, 0)
+		m := newModel(t, g, false, 0)
 		counts := make([]query, readers*reads)
 		for i := range counts {
 			counts[i] = countQuery(g.where())
@@ -1094,44 +1038,42 @@ func TestTorture_Concurrency_AppendUnderReaders(t *testing.T) {
 		rows := g.batch(batches*size, batches*size-20)
 		before, after := make([]int64, len(counts)), make([]int64, len(counts))
 		for i := range counts {
-			before[i] = int64(eval(lanes[0].rows, &counts[i]).count)
+			before[i] = int64(eval(m.rows, &counts[i]).count)
 			after[i] = before[i] + int64(eval(rows, &counts[i]).count)
 		}
-		for _, l := range lanes {
-			for _, s := range l.subjects {
-				var wg sync.WaitGroup
-				wg.Add(1 + readers)
+		for _, s := range m.subjects {
+			var wg sync.WaitGroup
+			wg.Add(1 + readers)
+			go func() {
+				defer wg.Done()
+				for b := range batches {
+					if err := s.tab.AppendBatch(rows[b*size : (b+1)*size]); err != nil {
+						t.Errorf("seed %d, %s: append: %v", seed, s.cfg.name, err)
+						return
+					}
+				}
+			}()
+			for r := range readers {
 				go func() {
 					defer wg.Done()
-					for b := range batches {
-						if err := s.tab.AppendBatch(rows[b*size : (b+1)*size]); err != nil {
-							t.Errorf("seed %d, %s: append: %v", seed, s.cfg.name, err)
+					for i := r * reads; i < (r+1)*reads; i++ {
+						res, err := s.db.Exec(counts[i].sql)
+						if err == nil && (res.Aggs[0].Int() < before[i] || res.Aggs[0].Int() > after[i]) {
+							err = fmt.Errorf("counts %v under the writer, outside [%d, %d]", res.Aggs[0], before[i], after[i])
+						}
+						if err != nil {
+							t.Errorf("seed %d, %s: %q: %v", seed, s.cfg.name, counts[i].sql, err)
 							return
 						}
 					}
 				}()
-				for r := range readers {
-					go func() {
-						defer wg.Done()
-						for i := r * reads; i < (r+1)*reads; i++ {
-							res, err := s.db.Exec(counts[i].sql)
-							if err == nil && (res.Aggs[0].Int() < before[i] || res.Aggs[0].Int() > after[i]) {
-								err = fmt.Errorf("counts %v under the writer, outside [%d, %d]", res.Aggs[0], before[i], after[i])
-							}
-							if err != nil {
-								t.Errorf("seed %d, %s: %q: %v", seed, s.cfg.name, counts[i].sql, err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				if t.Failed() {
-					t.FailNow()
-				}
 			}
-			l.rows = append(l.rows, rows...)
+			wg.Wait()
+			if t.Failed() {
+				t.FailNow()
+			}
 		}
-		checkStep(t, fmt.Sprintf("seed %d, after the writer", seed), lanes, g.queries(tortureBatch))
+		m.rows = append(m.rows, rows...)
+		checkStep(t, fmt.Sprintf("seed %d, after the writer", seed), m, g.queries(tortureBatch))
 	})
 }

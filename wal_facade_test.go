@@ -2,8 +2,11 @@ package adskip
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adskip/internal/engine"
@@ -137,4 +140,60 @@ func TestCompactWALThroughFacade(t *testing.T) {
 	if files[0] >= files[1] {
 		t.Fatalf("%d segment files after compaction, %d in the twin that never compacted", files[0], files[1])
 	}
+}
+
+// TestRecoverRefusesRetiredRecord: a log whose first segment ends in a
+// whole record of a retired kind — the in-place update older releases
+// logged (kind 2), or its sharded form (kind 4) — with a column-block
+// record in the segment after it fails DB.Recover with an error naming
+// the kind, and leaves every segment byte for byte as it was: it is not a
+// torn tail, and the acknowledged rows after it are not dropped.
+func TestRecoverRefusesRetiredRecord(t *testing.T) {
+	// An update of t.k's row 3 to 9: kind, [shard,] table, column, row,
+	// value type, value.
+	update := []byte{2, 1, 0, 't', 1, 0, 'k', 3, 0, 0, 0, 0, 0, 0, 0, byte(Int64), 9, 0, 0, 0, 0, 0, 0, 0}
+	sharded := append([]byte{4, 2, 0, 0, 0}, update[1:]...)
+	for kind, payload := range map[string][]byte{"kind 2": update, "kind 4": sharded} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			seedWAL(t, dir, 2000)
+			segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+			if err != nil || len(segs) < 2 {
+				t.Fatalf("%d segments (%v), want 2 or more", len(segs), err)
+			}
+			first, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(segs[0], wal.AppendFrame(first, payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := readSegments(t, segs)
+
+			db := Open(Options{Durability: Durability{Dir: dir}})
+			defer db.Close()
+			walTable(t, db)
+			_, err = db.Recover()
+			if !errors.Is(err, wal.ErrRetiredKind) || !strings.Contains(err.Error(), kind) {
+				t.Fatalf("Recover: %v, want wal.ErrRetiredKind naming %s", err, kind)
+			}
+			if after := readSegments(t, segs); !reflect.DeepEqual(after, before) {
+				t.Fatal("Recover changed the log")
+			}
+		})
+	}
+}
+
+// readSegments returns the bytes of every file in segs.
+func readSegments(t *testing.T, segs []string) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(segs))
+	for i, path := range segs {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
 }
