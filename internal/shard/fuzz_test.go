@@ -9,16 +9,15 @@ import (
 	"adskip/internal/storage"
 )
 
-// FuzzShardedMatchesUnsharded: a sharded table answers every result shape
-// as one engine over the same rows does. The fuzzer picks the shape, the
-// predicate's bounds, the limit, the row count, the shard count and the
-// partitioning; results compare under checkEqual's rules. An unordered
-// projection with a limit keeps whichever LIMIT matches its shards reach
-// first, so its rows are held to the whole match set instead. The merged
-// trace's per-predicate costs are the sums of a twin's shard partials'.
-// And the same rows appended in two batches, cut where the limit says,
-// leave each shard's columns and log records as staging its own rows
-// would (checkGatherMatchesStage).
+// FuzzShardedMatchesUnsharded holds what a sharded table does beyond its
+// answers, which the torture oracle holds (FuzzTorture and the
+// TestTorture_* families in the adskip package). The fuzzer picks the
+// result shape, the predicate's bounds, the limit, the row count, the
+// shard count and the partitioning. The merged trace's per-predicate
+// costs are the sums of a twin's shard partials'. And the same rows
+// appended in two batches, cut where the limit says, leave each shard's
+// columns and log records as staging its own rows would
+// (checkGatherMatchesStage).
 func FuzzShardedMatchesUnsharded(f *testing.F) {
 	for shape := uint8(0); shape < 8; shape++ {
 		f.Add(shape, int16(100), int16(700), uint8(40), uint8(10), uint16(1000), uint8(shape%3), shape%2 == 0, shape%4 < 2)
@@ -30,13 +29,12 @@ func FuzzShardedMatchesUnsharded(f *testing.F) {
 		if hash {
 			mode = ModeHash
 		}
-		rows := 1 + int(n%2000)
-		ref, m := pair(t, mode, 2+int(shards%3), rows)
-		twin := newManager(t, mode, m.Shards(), testRows(rows))
+		all := testRows(1 + int(n%2000))
+		m := newManager(t, mode, 2+int(shards%3), all)
+		twin := newManager(t, mode, m.Shards(), all)
 		q := engine.Query{Limit: int(limit % 64), OrderDesc: desc, Where: expr.And(
 			expr.MustPred("id", expr.Between, storage.IntValue(int64(lo)), storage.IntValue(int64(hi))),
 			expr.MustPred("price", expr.GE, storage.FloatValue(float64(price)/2.5)))}
-		ordered := true
 		switch shape % 8 {
 		case 0:
 			q.Limit = 0
@@ -49,45 +47,19 @@ func FuzzShardedMatchesUnsharded(f *testing.F) {
 		case 4:
 			q.Select, q.OrderBy = []string{"id", "price", "city"}, "id"
 		case 5:
-			// Prices repeat: project only the order column, so which rows
-			// of a tie a limit keeps does not show.
 			q.Select, q.OrderBy = []string{"price"}, "price"
 		case 6:
-			q.Select, ordered = []string{"id", "city"}, false
+			q.Select = []string{"id", "city"}
 		case 7:
-			q.Select, q.Aggs, ordered = []string{"id", "city"}, everyAgg, false
+			q.Select, q.Aggs = []string{"id", "city"}, everyAgg
 		}
 		name := fmt.Sprintf("%v %d shards %+v", mode, m.Shards(), q)
-		want, err := ref.Query(q)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
-		}
 		got, err := m.Query(q)
 		if err != nil {
 			t.Fatalf("%s: sharded: %v", name, err)
 		}
 		checkTraceAddsShards(t, name, got.Trace, shardCosts(t, twin, q))
-		all := testRows(rows)
 		cut := int(limit) * len(all) / 256
 		checkGatherMatchesStage(t, mode, m.Shards(), "id", testSchema(), [][][]storage.Value{all[:cut], all[cut:]}, -1)
-		if !ordered && q.Limit > 0 {
-			all := q
-			all.Limit = 0
-			every, err := ref.Query(all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			left := map[string]int{}
-			for _, r := range renderRows(every.Rows) {
-				left[r]++
-			}
-			for _, r := range renderRows(got.Rows) {
-				if left[r]--; left[r] < 0 {
-					t.Fatalf("%s: row %q is not a match, or is one too many times", name, r)
-				}
-			}
-			want.Rows, got.Rows = nil, nil
-		}
-		checkEqual(t, name, want, got, ordered)
 	})
 }

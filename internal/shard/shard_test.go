@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -49,29 +48,8 @@ func testRows(n int) [][]storage.Value {
 	return rows
 }
 
-// pair builds an unsharded reference engine and a Manager over the same
-// rows, both with skipping enabled.
-func pair(t *testing.T, mode Mode, shards, n int) (*engine.Engine, *Manager) {
-	t.Helper()
-	rows := testRows(n)
-
-	tbl, err := table.New("sales", testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive})
-	if err := ref.AppendRows(rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.EnableSkipping("id", "price"); err != nil {
-		t.Fatal(err)
-	}
-
-	return ref, newManager(t, mode, shards, rows)
-}
-
 // newManager builds an adaptive Manager sharded on "id" over rows, with
-// skipping enabled as pair's reference has it. Two built from the same
+// skipping enabled on "id" and "price". Two built from the same
 // rows are twins: the same query history leaves them the same.
 func newManager(t *testing.T, mode Mode, shards int, rows [][]storage.Value) *Manager {
 	t.Helper()
@@ -93,10 +71,8 @@ func newManager(t *testing.T, mode Mode, shards int, rows [][]storage.Value) *Ma
 	return m
 }
 
-// renderRow formats a row for comparison. Float64 cells round to 6
-// significant digits: SUM/AVG accumulate in per-shard order, so the
-// merged value may differ from the single-engine value in the last few
-// ULPs — floating-point associativity, not a merge bug.
+// renderRow formats a row for comparison, Float64 cells to 6
+// significant digits.
 func renderRow(row []storage.Value) string {
 	parts := make([]string, len(row))
 	for i, v := range row {
@@ -118,80 +94,6 @@ func renderRows(rows [][]storage.Value) []string {
 		out[i] = renderRow(r)
 	}
 	return out
-}
-
-// valuesClose is Value equality with a relative epsilon on floats (the
-// merged SUM/AVG adds partials in shard order; see renderRow).
-func valuesClose(a, b storage.Value) bool {
-	if a.Type() == storage.Float64 && b.Type() == storage.Float64 &&
-		!a.IsNull() && !b.IsNull() {
-		av, bv := a.Float(), b.Float()
-		diff := av - bv
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := 1.0
-		if s := av; s < 0 {
-			s = -s
-			if s > scale {
-				scale = s
-			}
-		} else if av > scale {
-			scale = av
-		}
-		return diff <= 1e-9*scale
-	}
-	return a.Equal(b)
-}
-
-// checkEqual compares a sharded result against the unsharded reference.
-// ordered demands identical row order; otherwise rows compare as
-// multisets (shard concat order is a different, equally valid order).
-func checkEqual(t *testing.T, name string, want, got *engine.Result, ordered bool) {
-	t.Helper()
-	if got.Count != want.Count {
-		t.Errorf("%s: Count = %d, want %d", name, got.Count, want.Count)
-	}
-	if len(got.Aggs) != len(want.Aggs) {
-		t.Fatalf("%s: %d aggs, want %d", name, len(got.Aggs), len(want.Aggs))
-	}
-	for i := range want.Aggs {
-		if !valuesClose(got.Aggs[i], want.Aggs[i]) {
-			t.Errorf("%s: agg[%d] = %v, want %v", name, i, got.Aggs[i], want.Aggs[i])
-		}
-	}
-	if fmt.Sprint(got.Columns) != fmt.Sprint(want.Columns) {
-		t.Errorf("%s: Columns = %v, want %v", name, got.Columns, want.Columns)
-	}
-	if fmt.Sprint(got.Types) != fmt.Sprint(want.Types) {
-		t.Errorf("%s: Types = %v, want %v", name, got.Types, want.Types)
-	}
-	wr, gr := renderRows(want.Rows), renderRows(got.Rows)
-	if len(wr) != len(gr) {
-		t.Fatalf("%s: %d rows, want %d", name, len(gr), len(wr))
-	}
-	if !ordered {
-		// Unordered rows are projected cells, exact: compare renderings.
-		sort.Strings(wr)
-		sort.Strings(gr)
-		for i := range wr {
-			if wr[i] != gr[i] {
-				t.Errorf("%s: row %d = %q, want %q", name, i, gr[i], wr[i])
-				break
-			}
-		}
-		return
-	}
-	// Ordered rows may carry grouped SUM/AVG cells: compare values, floats
-	// to a relative epsilon (a rounded rendering can straddle a digit).
-	for i := range want.Rows {
-		for c := range want.Rows[i] {
-			if !valuesClose(got.Rows[i][c], want.Rows[i][c]) {
-				t.Errorf("%s: row %d = %q, want %q", name, i, gr[i], wr[i])
-				return
-			}
-		}
-	}
 }
 
 // everyAgg is one of each aggregate over each column type it accepts.
@@ -275,7 +177,7 @@ func TestShardedMatchesUnshardedFromTable(t *testing.T) {
 // TestShardPruning checks that range partitioning actually eliminates
 // shards on key-range predicates and keeps the scanned+pruned invariant.
 func TestShardPruning(t *testing.T) {
-	_, m := pair(t, ModeRange, 4, 1000)
+	m := newManager(t, ModeRange, 4, testRows(1000))
 	res, err := m.Query(engine.Query{Where: expr.And(
 		expr.MustPred("id", expr.Between, storage.IntValue(0), storage.IntValue(120)))})
 	if err != nil {
@@ -329,7 +231,7 @@ func TestManagerValidation(t *testing.T) {
 }
 
 func TestExplainShowsShardPrune(t *testing.T) {
-	_, m := pair(t, ModeRange, 4, 1000)
+	m := newManager(t, ModeRange, 4, testRows(1000))
 	lines, err := m.Explain(engine.Query{Where: expr.And(
 		expr.MustPred("id", expr.LT, storage.IntValue(100)))})
 	if err != nil {
@@ -392,7 +294,7 @@ func TestShardEnginesRetainNoTraces(t *testing.T) {
 }
 
 func TestExplainAnalyzeShardPhase(t *testing.T) {
-	_, m := pair(t, ModeRange, 4, 1000)
+	m := newManager(t, ModeRange, 4, testRows(1000))
 	lines, res, err := m.ExplainAnalyze(engine.Query{Where: expr.And(
 		expr.MustPred("id", expr.LT, storage.IntValue(100)))})
 	if err != nil {

@@ -30,9 +30,9 @@ func segPath(dir string, index uint64) string {
 }
 
 // createSegment creates (or truncates) a segment file and writes its
-// header. The header is synced immediately so a crash right after
-// rotation cannot leave a headerless active segment.
-func createSegment(path string, index, baseLSN uint64) (*os.File, error) {
+// header. With sync the header is synced immediately so a crash right
+// after rotation cannot leave a headerless active segment.
+func createSegment(path string, index, baseLSN uint64, sync bool) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
@@ -45,9 +45,11 @@ func createSegment(path string, index, baseLSN uint64) (*os.File, error) {
 		f.Close()
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
+	if sync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	return f, nil
 }
@@ -202,7 +204,7 @@ func Open(opts Options, replay func(*Record) error) (*Log, RecoveryStats, error)
 		// corrupt header truncated to zero): rewrite it in place. Its
 		// records (if any) were unreadable, so its base is the last
 		// recovered LSN.
-		f, err := createSegment(tail.path, tail.index, lsn)
+		f, err := createSegment(tail.path, tail.index, lsn, !opts.NoSync)
 		if err != nil {
 			return nil, stats, err
 		}

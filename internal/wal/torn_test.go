@@ -239,6 +239,55 @@ func TestBadSegmentHeader(t *testing.T) {
 	}
 }
 
+// TestEmptyNewestSegment: a newest segment of zero bytes — what NoSync
+// can leave when the OS crashes after a rotation created the file but
+// before its header reached the disk — costs no record of the earlier
+// segments. It is rewritten in place, and what is appended to it
+// recovers too.
+func TestEmptyNewestSegment(t *testing.T) {
+	const records = 12
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 1, GroupWindow: -1, NoSync: true}
+	l, _ := openT(t, dir, opts, nil)
+	for i := range records {
+		c, err := l.Append(rowsRecord("data", uint64(i*8), 8))
+		if err == nil {
+			err = c.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	nsegs := l.Status().Segments
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segPath(dir, uint64(nsegs+1)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var n uint64
+	l2, stats := openT(t, dir, opts, func(*Record) error { n++; return nil })
+	if n != records || stats.Records != records || stats.DroppedBytes != 0 || stats.DroppedSegments != 0 {
+		t.Fatalf("replayed %d of %d records: %+v", n, records, stats)
+	}
+	c, err := l2.Append(rowsRecord("data", records*8, 8))
+	if err == nil {
+		err = c.Wait()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l3, stats := openT(t, dir, opts, nil)
+	defer l3.Close()
+	if stats.Records != records+1 || stats.Truncated != "" {
+		t.Fatalf("after appending to the rewritten segment: %+v", stats)
+	}
+}
+
 func truncateTo(t *testing.T, path string, size int64) {
 	t.Helper()
 	if err := os.Truncate(path, size); err != nil {

@@ -24,8 +24,14 @@ type Options struct {
 	// SegmentBytes is the rotation threshold (soft: a batch never splits
 	// across segments). Default 64 MiB, minimum 4 KiB.
 	SegmentBytes int64
-	// NoSync skips fsync (group commit still batches writes). For
-	// benchmarks isolating fsync cost; provides no crash durability.
+	// NoSync skips every fsync that makes appended bytes durable: a
+	// batch's, a sealed segment's, a new segment's header and the
+	// directory entry of a new segment (group commit still batches
+	// writes). For benchmarks and tests isolating fsync cost; provides no
+	// crash durability. A directory is still synced after segments are
+	// deleted (Compact, and recovery dropping orphaned segments): a
+	// compacted segment that came back after a crash would replay rows a
+	// snapshot already holds, duplicating them.
 	NoSync bool
 	// MaxRecordBytes bounds one record payload on both encode and replay.
 	// Default DefaultMaxRecordBytes.
@@ -507,13 +513,15 @@ func (l *Log) rotateLocked() error {
 	path := segPath(l.opts.Dir, next)
 	// The new segment's base LSN is the last record written before it;
 	// rotation happens before a batch's write, so that is l.written.
-	f, err := createSegment(path, next, l.written)
+	f, err := createSegment(path, next, l.written, !l.opts.NoSync)
 	if err != nil {
 		return err
 	}
-	if err := syncDir(l.opts.Dir); err != nil {
-		f.Close()
-		return err
+	if !l.opts.NoSync {
+		if err := syncDir(l.opts.Dir); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	l.f = f
 	l.segOff = segHeaderLen

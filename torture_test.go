@@ -11,6 +11,12 @@ package adskip
 // appends all must refuse, Lifecycle after each step of a table's
 // life, Concurrency under a writer. Subtests are named seed=N, and a
 // failure names the seed, the step, the configuration and the SQL.
+// FuzzTorture runs one small lifecycle under go test -fuzz, drawing every
+// choice from the fuzzer's plan bytes and then from its seed; the corpus
+// in testdata/fuzz/FuzzTorture replays under plain go test, one case with
+// go test -run 'FuzzTorture/<name>' . Answers are checked here only: the
+// sql and shard fuzz targets keep what this generator cannot reach
+// (arbitrary SQL text, merged traces, gather against stage).
 
 import (
 	"bytes"
@@ -71,11 +77,13 @@ func newTortureConfig(p Policy, by string, par int) tortureConfig {
 	return c
 }
 
+var torturePolicies = []Policy{None, Static, Imprint, Adaptive}
+
 // tortureConfigs is every subject: four policies in every layout, every
 // other one at Parallelism 2. The first is unsharded None.
 func tortureConfigs() []tortureConfig {
 	var out []tortureConfig
-	for _, p := range []Policy{None, Static, Imprint, Adaptive} {
+	for _, p := range torturePolicies {
 		for _, by := range tortureLayouts {
 			out = append(out, newTortureConfig(p, by, 1+len(out)%2))
 		}
@@ -134,14 +142,40 @@ func openTorture(t *testing.T, cfg tortureConfig, dir string, base []byte, skip 
 type model struct {
 	rows     [][]Value
 	subjects []*tortureDB
+	batch    int // queries in a lifecycle step's batch
 }
 
 // tortureGen generates the table's rows and the queries over them, from
-// one seed.
+// one stream of draws.
 type tortureGen struct {
 	rng  *rand.Rand
 	rows int  // rows generated so far
 	open bool // s's dictionary is open, so only point predicates on s plan
+}
+
+// newTortureGen draws from plan, then from seed (planSource).
+func newTortureGen(seed int64, plan []byte) *tortureGen {
+	return &tortureGen{rng: rand.New(&planSource{plan, rand.NewSource(seed)})}
+}
+
+// planSource is a rand.Source that takes its draws from plan, a byte a
+// draw, and from the embedded seeded source once plan runs out; with an
+// empty plan its stream is the seeded one. Byte b draws the Int63 every
+// byte of which is b, shifted right by one: 0 makes every Intn choice
+// its first and every Float64 0, and as b grows the bits Intn masks and
+// reduces and the fraction Float64 takes all vary.
+type planSource struct {
+	plan []byte
+	rand.Source
+}
+
+func (s *planSource) Int63() int64 {
+	if len(s.plan) == 0 {
+		return s.Source.Int63()
+	}
+	b := s.plan[0]
+	s.plan = s.plan[1:]
+	return int64(uint64(b) * 0x0101010101010101 >> 1)
 }
 
 // row generates the next row: k clustered in bands of 50 rows with NULLs,
@@ -782,22 +816,22 @@ func appendAll(t *testing.T, step string, m *model, rows [][]Value, sizes ...int
 	}
 }
 
-// newModel loads the base rows into every subject, compares the first
-// unskipped generated queries while no column has a skipper and every
-// dictionary is open, then enables skipping. durable subjects log to a
-// WAL directory of their own.
-func newModel(t *testing.T, g *tortureGen, durable bool, unskipped int) *model {
+// newModel opens a subject for each of cfgs, loads the base rows into
+// every one, compares the first unskipped generated queries while no
+// column has a skipper and every dictionary is open, then enables
+// skipping. durable subjects log to a WAL directory of their own. A
+// lifecycle step's batch is tortureBatch queries.
+func newModel(t *testing.T, g *tortureGen, cfgs []tortureConfig, base [][]Value, durable bool, unskipped int) *model {
 	t.Helper()
-	m := &model{}
-	for _, cfg := range tortureConfigs() {
+	m := &model{batch: tortureBatch}
+	for _, cfg := range cfgs {
 		dir := ""
 		if durable {
 			dir = t.TempDir()
 		}
 		m.subjects = append(m.subjects, openTorture(t, cfg, dir, nil, false))
 	}
-	rows := g.batch(tortureBaseRows, -1)
-	appendAll(t, "load", m, rows, len(rows))
+	appendAll(t, "load", m, base, len(base))
 	g.open = true
 	compare(t, "before skipping", m, g.queries(unskipped))
 	g.open = false
@@ -813,7 +847,7 @@ func newModel(t *testing.T, g *tortureGen, durable bool, unskipped int) *model {
 func forSeeds(t *testing.T, fn func(t *testing.T, seed int, g *tortureGen)) {
 	for seed := 1; seed <= tortureSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			fn(t, seed, &tortureGen{rng: rand.New(rand.NewSource(int64(seed)))})
+			fn(t, seed, newTortureGen(int64(seed), nil))
 		})
 	}
 }
@@ -824,7 +858,7 @@ func forSeeds(t *testing.T, fn func(t *testing.T, seed int, g *tortureGen)) {
 // off as the later rounds teach them.
 func TestTorture_Eval_GeneratedQueries(t *testing.T) {
 	forSeeds(t, func(t *testing.T, seed int, g *tortureGen) {
-		m := newModel(t, g, false, tortureBatch)
+		m := newModel(t, g, tortureConfigs(), g.batch(tortureBaseRows, -1), false, tortureBatch)
 		for round := 2; round <= tortureRounds; round++ {
 			checkStep(t, fmt.Sprintf("seed %d round %d", seed, round), m, g.queries(tortureBatch))
 		}
@@ -859,7 +893,7 @@ var tortureRefusals = []string{
 // table as it was.
 func TestTorture_Error_Refusals(t *testing.T) {
 	forSeeds(t, func(t *testing.T, seed int, g *tortureGen) {
-		m := newModel(t, g, false, 0)
+		m := newModel(t, g, tortureConfigs(), g.batch(tortureBaseRows, -1), false, 0)
 		step := fmt.Sprintf("seed %d", seed)
 		for _, i := range g.rng.Perm(len(tortureRefusals)) {
 			sql := fmt.Sprintf(tortureRefusals[i], g.rng.Int63n(g.kMax()))
@@ -896,7 +930,7 @@ var lifecycleSteps = []struct {
 	run  func(t *testing.T, step string, g *tortureGen, m *model)
 }{
 	{"refine", func(t *testing.T, step string, g *tortureGen, m *model) {
-		compare(t, step, m, g.queries(tortureBatch))
+		compare(t, step, m, g.queries(m.batch))
 	}},
 	{"append a staged chunk", func(t *testing.T, step string, g *tortureGen, m *model) {
 		// Two batches with no query between them: the second lands in a
@@ -934,7 +968,7 @@ var lifecycleSteps = []struct {
 			d.loose = d.loose || s.loose
 			moved.subjects = append(moved.subjects, d)
 		}
-		checkStep(t, step, moved, g.queries(tortureBatch))
+		checkStep(t, step, moved, g.queries(m.batch))
 		for _, d := range moved.subjects {
 			d.db.Close()
 		}
@@ -1010,7 +1044,7 @@ func replace(t *testing.T, step string, m *model, open func(*tortureDB) *torture
 // subjects, each followed by a batch of queries and VerifySkipping.
 func TestTorture_Lifecycle_Steps(t *testing.T) {
 	forSeeds(t, func(t *testing.T, seed int, g *tortureGen) {
-		m := newModel(t, g, true, 0)
+		m := newModel(t, g, tortureConfigs(), g.batch(tortureBaseRows, -1), true, 0)
 		order := g.rng.Perm(len(lifecycleSteps))
 		for len(order) < tortureSteps {
 			order = append(order, g.rng.Intn(len(lifecycleSteps)))
@@ -1023,6 +1057,58 @@ func TestTorture_Lifecycle_Steps(t *testing.T) {
 	})
 }
 
+// FuzzTorture runs one small lifecycle with every choice drawn from plan,
+// then from seed (planSource), so the fuzzer mutates choices rather than
+// SQL text, and its minimiser shrinks a failing plan to the fewest bytes
+// that still fail. An execution holds the unsharded None subject and one
+// or two subjects the plan picks to the evaluator, on durable DBs: a base
+// of 400 to tortureBaseRows rows, a query before skipping, then one to
+// three lifecycle steps, each drawing a query at most and followed by one
+// and VerifySkipping, so seven queries at most. The first eight rows of
+// every 50-row band of the base hold the eight words: EnableSkipping
+// seals each shard's dictionary, which then refuses a word it lacks.
+func FuzzTorture(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, plan []byte) {
+		g := newTortureGen(seed, plan)
+		cfgs := []tortureConfig{newTortureConfig(None, "", 1)}
+		for range 1 + g.rng.Intn(2) {
+			p, by := torturePolicies[g.rng.Intn(len(torturePolicies))], tortureLayouts[g.rng.Intn(len(tortureLayouts))]
+			cfgs = append(cfgs, newTortureConfig(p, by, 1+g.rng.Intn(2)))
+		}
+		base := g.batch(400+g.rng.Intn(tortureBaseRows-399), -1)
+		for i := range base {
+			if i%50 < len(tortureWords) {
+				base[i][3] = StringValue(tortureWords[i%50])
+			}
+		}
+		m := newModel(t, g, cfgs, base, true, 1)
+		m.batch = 1
+		for i := range 1 + g.rng.Intn(3) {
+			s := g.rng.Intn(len(lifecycleSteps))
+			step := fmt.Sprintf("step %d (%s)", i+1, lifecycleSteps[s].name)
+			lifecycleSteps[s].run(t, step, g, m)
+			checkStep(t, step, m, g.queries(m.batch))
+		}
+	})
+}
+
+// TestTorturePlanThenSeed: the generator takes its draws from a plan,
+// where a zero byte is the first choice, then from the seeded stream; so
+// FuzzTorture(N, nil) draws what forSeeds' seed=N does.
+func TestTorturePlanThenSeed(t *testing.T) {
+	for _, plan := range [][]byte{nil, {0, 0}} {
+		g, seeded := newTortureGen(2, plan), rand.New(rand.NewSource(2))
+		if plan != nil && (g.rng.Intn(7) != 0 || g.rng.Float64() != 0) {
+			t.Fatalf("plan %v: a zero byte drew other than the first choice", plan)
+		}
+		for i := range 1000 {
+			if got, want := g.rng.Int63(), seeded.Int63(); got != want {
+				t.Fatalf("plan %v: seeded draw %d = %#x, want %#x", plan, i, got, want)
+			}
+		}
+	}
+}
+
 // TestTorture_Concurrency_AppendUnderReaders runs, on each configuration,
 // one writer appending while readers count. A count under the writer lies
 // between the model's before and after it; once the writer stops, a final
@@ -1030,7 +1116,7 @@ func TestTorture_Lifecycle_Steps(t *testing.T) {
 func TestTorture_Concurrency_AppendUnderReaders(t *testing.T) {
 	const readers, reads, batches, size = 3, 12, 8, 50
 	forSeeds(t, func(t *testing.T, seed int, g *tortureGen) {
-		m := newModel(t, g, false, 0)
+		m := newModel(t, g, tortureConfigs(), g.batch(tortureBaseRows, -1), false, 0)
 		counts := make([]query, readers*reads)
 		for i := range counts {
 			counts[i] = countQuery(g.where())
