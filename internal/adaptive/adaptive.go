@@ -25,6 +25,7 @@ package adaptive
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"adskip/internal/bitvec"
@@ -100,13 +101,10 @@ var defaultTuning = tuning{horizon: Horizon, mergeHeat: MergeHeat}
 type zone = zonemap.Zone[expr.Hull]
 
 // learner is what the zonemap learns of one zone, kept beside the zones so
-// that a probe reads only bounds, hull and count.
+// that a probe reads only bounds, hull and count. The zone's first part,
+// which a split walks from, is the zone's own First.
 type learner struct {
 	heat float64 // EWMA of probe usefulness in [0,1]
-	// first is the zone's first part (parts are only ever appended), so a
-	// split walks its parts without searching a summary the scan has just
-	// pushed out of cache.
-	first int32
 }
 
 // Stats exposes lifetime counters for experiments and introspection.
@@ -195,8 +193,10 @@ func (z *Zonemap) Ablate(off Mechanism) { z.tune.off = off }
 
 // Summarize implements zonemap.Layout: the parts are scan.Summarize's.
 func (z *Zonemap) Summarize(parts []zone, codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) []zone {
-	for _, p := range scan.Summarize(codes, lo, hi, nulls, z.partRows) {
-		parts = append(parts, zone{Lo: p.Lo, Hi: p.Hi, Sum: p.Hull, NonNull: p.NonNull})
+	stats := scan.Summarize(codes, lo, hi, nulls, z.partRows)
+	parts = slices.Grow(parts, len(stats))
+	for _, p := range stats {
+		parts = append(parts, zone{Lo: uint32(p.Lo), Hi: uint32(p.Hi), Sum: p.Hull, NonNull: uint32(p.NonNull)})
 	}
 	return parts
 }
@@ -204,12 +204,10 @@ func (z *Zonemap) Summarize(parts []zone, codes storage.Vec, nulls *bitvec.BitVe
 // Folded implements zonemap.Layout: the folded zones start at the initial
 // heat, and the fold is journaled with the folded rows' hull. The build
 // is neither maintenance nor journaled.
-func (z *Zonemap) Folded(from, part int) {
-	for _, zn := range z.Zones[from:] {
-		z.learn = append(z.learn, learner{heat: 0.5, first: int32(part)})
-		for part < len(z.Parts) && z.Parts[part].Hi <= zn.Hi {
-			part++
-		}
+func (z *Zonemap) Folded(from int) {
+	z.learn = slices.Grow(z.learn, len(z.Zones)-from)
+	for range z.Zones[from:] {
+		z.learn = append(z.learn, learner{heat: 0.5})
 	}
 	if !z.built {
 		return
@@ -218,18 +216,18 @@ func (z *Zonemap) Folded(from, part int) {
 	z.record(obs.LedgerRecord{
 		Kind: obs.EventTailFold, Cause: "append-fold",
 		ZonesBefore: from, ZonesAfter: len(z.Zones),
-		RowLo: z.Zones[from].Lo, RowHi: z.Indexed(),
+		RowLo: int(z.Zones[from].Lo), RowHi: z.Indexed(),
 		MinAfter: minAfter, MaxAfter: maxAfter,
 	})
 }
 
-// CheckZone implements zonemap.Layout: zone zi has a learner, and it names
-// the zone's first part.
-func (z *Zonemap) CheckZone(zi, part int) error {
-	if len(z.learn) != len(z.Zones) || int(z.learn[zi].first) != part {
-		return fmt.Errorf("adaptive: zone %d of %d, %d learners, does not name part %d as its first", zi, len(z.Zones), len(z.learn), part)
+// CheckInvariants implements core.Skipper: every zone has a learner, and
+// the directory is sound (zonemap.Grid.CheckInvariants).
+func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec) error {
+	if len(z.learn) != len(z.Zones) {
+		return fmt.Errorf("%w: %d zones, %d learners", zonemap.ErrCorrupt, len(z.Zones), len(z.learn))
 	}
-	return nil
+	return z.Grid.CheckInvariants(codes, nulls)
 }
 
 // Introspect implements core.Skipper: the dead zones in row order (heat
@@ -239,7 +237,8 @@ func (z *Zonemap) Introspect() (obs.SkipperSnapshot, bool) {
 	for i, l := range z.learn {
 		if zn := &z.Zones[i]; l.heat < z.tune.mergeHeat {
 			mn, mx := bounds(zn.Sum)
-			snap.DeadZones = append(snap.DeadZones, obs.ROIZone{Lo: zn.Lo, Hi: zn.Hi, Min: mn, Max: mx, Heat: l.heat})
+			lo, hi := zn.Rows()
+			snap.DeadZones = append(snap.DeadZones, obs.ROIZone{Lo: lo, Hi: hi, Min: mn, Max: mx, Heat: l.heat})
 		}
 	}
 	return snap, true
@@ -254,12 +253,12 @@ func (z *Zonemap) Stats() Stats {
 	}
 }
 
-// Metadata implements core.Skipper. Bytes counts the directory's zones,
-// blocks and parts, and the learners beside the zones.
+// Metadata implements core.Skipper. Bytes counts the heap the directory's
+// zones, blocks and parts take, and the learners beside the zones.
 func (z *Zonemap) Metadata() core.Metadata {
 	md := z.Grid.Metadata()
 	md.Kind, md.Enabled = "adaptive", z.enabled
-	md.Bytes += len(z.learn) * int(unsafe.Sizeof(learner{}))
+	md.Bytes += cap(z.learn) * int(unsafe.Sizeof(learner{}))
 	return md
 }
 
@@ -279,7 +278,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 	}
 	res := core.PruneResult{Enabled: true, Ranges: r}
 	c := r.Clause()
-	prev := 0 // row where the next zone must start (tiling check)
+	prev := uint32(0) // row where the next zone must start (tiling check)
 	for bi := range z.Blocks {
 		zLo, zHi := zonemap.Members(bi, len(z.Zones))
 		res.ZonesProbed++ // the block probe
@@ -290,7 +289,7 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 			if z.Zones[zLo].Lo != prev {
 				panic(zonemap.BadTiling(zLo, z.Zones[zLo].Lo, prev))
 			}
-			res.Emit(&core.CandidateZone{Lo: prev, Hi: z.Zones[zHi-1].Hi}, true)
+			res.Emit(&core.CandidateZone{Lo: int(prev), Hi: int(z.Zones[zHi-1].Hi)}, true)
 			prev = z.Zones[zHi-1].Hi
 			continue
 		}
@@ -303,10 +302,10 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 			prev = zn.Hi
 			m := c.Test(zn.Sum)
 			if m == expr.MatchNone {
-				res.Emit(&core.CandidateZone{Lo: zn.Lo, Hi: zn.Hi}, true)
+				res.Emit(&core.CandidateZone{Lo: int(zn.Lo), Hi: int(zn.Hi)}, true)
 				continue
 			}
-			cand := core.CandidateZone{Lo: zn.Lo, Hi: zn.Hi, Covered: pruned(zn, m)}
+			cand := core.CandidateZone{Lo: int(zn.Lo), Hi: int(zn.Hi), Covered: pruned(zn, m)}
 			// Why not skipped: only NULL rows blocked the coverage proof,
 			// or the bounds straddle the predicate.
 			switch {

@@ -14,6 +14,7 @@ import (
 	"adskip/internal/obs"
 	"adskip/internal/scan"
 	"adskip/internal/storage"
+	"adskip/internal/zonemap"
 )
 
 func oneRange(lo, hi int64) expr.Ranges {
@@ -390,7 +391,8 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 	for i, zn := range z.Zones {
 		if heat := z.learn[i].heat; heat < z.tune.mergeHeat {
 			mn, mx := bounds(zn.Sum)
-			dead = append(dead, obs.ROIZone{Lo: zn.Lo, Hi: zn.Hi, Min: mn, Max: mx, Heat: heat})
+			lo, hi := zn.Rows()
+			dead = append(dead, obs.ROIZone{Lo: lo, Hi: hi, Min: mn, Max: mx, Heat: heat})
 		}
 	}
 	if len(dead) == 0 || !reflect.DeepEqual(snap.DeadZones, dead) {
@@ -522,18 +524,22 @@ func TestNullProbeOnDisabledMap(t *testing.T) {
 	}
 }
 
-// TestProbeStructSizes pins the zone (a part is one too), its learner and
-// the block (a hull), which Metadata() counts with unsafe.Sizeof: 56 bytes
-// a zone with its learner. A change here moves the three
+// TestProbeStructSizes pins the min/max zone (a part, and a static
+// zonemap's zone, are one too), its learner, the block (a hull) and the
+// imprint's zone, which Metadata() counts with unsafe.Sizeof: 40 bytes an
+// adaptive zone with its learner. A change here moves the three
 // adaptive.metadata_bytes lines of scripts/bench_counters.golden
 // (skip-clustered, scan-uniform and ingest-mixed) and the "bytes" literals
 // of the engine's TestIntrospectDerivationsMatchParent.
 func TestProbeStructSizes(t *testing.T) {
-	if got := unsafe.Sizeof(zone{}); got != 40 {
-		t.Errorf("zone is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(zone{}); got != 32 {
+		t.Errorf("min/max zone is %d bytes, want 32", got)
 	}
-	if got := unsafe.Sizeof(learner{}); got != 16 {
-		t.Errorf("learner is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(zonemap.Zone[uint64]{}); got != 24 {
+		t.Errorf("imprint zone is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(learner{}); got != 8 {
+		t.Errorf("learner is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(expr.Hull{}); got != 16 {
 		t.Errorf("block is %d bytes, want 16", got)
@@ -606,8 +612,8 @@ func TestSplitAtVerdictChanges(t *testing.T) {
 			var got []int
 			k := 0
 			for _, zn := range z.Zones {
-				got = append(got, zn.Lo)
-				union, nonNull := expr.EmptyHull, 0
+				got = append(got, int(zn.Lo))
+				union, nonNull := expr.EmptyHull, uint32(0)
 				for ; k < len(z.Parts) && z.Parts[k].Hi <= zn.Hi; k++ {
 					union, nonNull = union.Union(z.Parts[k].Sum), nonNull+z.Parts[k].NonNull
 				}

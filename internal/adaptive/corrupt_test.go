@@ -15,10 +15,10 @@ func gapRow(t *testing.T, z *Zonemap) int {
 	t.Helper()
 	prev := 0
 	for _, zn := range z.Zones {
-		if zn.Lo != prev {
+		if int(zn.Lo) != prev {
 			return prev
 		}
-		prev = zn.Hi
+		prev = int(zn.Hi)
 	}
 	if prev != z.Indexed() {
 		return prev
@@ -99,11 +99,31 @@ func TestZoneIndexCorruptionNoPanic(t *testing.T) {
 		!strings.Contains(msg, fmt.Sprintf("end at %d,", gap)) {
 		t.Fatalf("CheckInvariants error %q does not name the gap at row %d", msg, gap)
 	}
+}
 
-	// A learner that names the wrong first part breaks the layout too.
-	z = New(storage.Vec{W: codes}, nil, smallZone, smallParts)
-	z.learn[3].first++
-	if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err == nil || !strings.Contains(err.Error(), "zone 3 of") {
-		t.Fatalf("CheckInvariants on a learner off its first part: %v", err)
+// TestFirstPartCorruption: a zone names its first part, where a split
+// starts walking its parts. A zone that names the wrong one, whose bounds,
+// summary and parts are all still sound, fails CheckInvariants with
+// ErrCorrupt, and so does a zone without its learner.
+func TestFirstPartCorruption(t *testing.T) {
+	codes := seqCodes(1024, func(i int) int64 { return int64(i) })
+	for _, c := range []struct {
+		name  string
+		spoil func(z *Zonemap)
+		want  string
+	}{
+		{"first part one late", func(z *Zonemap) { z.Zones[3].First++ }, "zone 3 [300,400) names part 31 as its first, not part 30"},
+		{"first part one early", func(z *Zonemap) { z.Zones[3].First-- }, "names part 29 as its first, not part 30"},
+		{"learner missing", func(z *Zonemap) { z.learn = z.learn[:len(z.learn)-1] }, "11 zones, 10 learners"},
+	} {
+		z := New(storage.Vec{W: codes}, nil, smallZone, smallParts)
+		if err := z.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
+			t.Fatalf("%s: fresh zonemap fails invariants: %v", c.name, err)
+		}
+		c.spoil(z)
+		err := z.CheckInvariants(storage.Vec{W: codes}, nil)
+		if !errors.Is(err, zonemap.ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckInvariants = %v, want ErrCorrupt naming %q", c.name, err, c.want)
+		}
 	}
 }

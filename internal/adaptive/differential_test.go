@@ -36,7 +36,8 @@ func handles[S comparable, Q any](sk core.Skipper, g *zonemap.Grid[S, Q], loosen
 		indexed: g.Indexed,
 		zones: func() (ws [][2]int) {
 			for _, zn := range g.Zones {
-				ws = append(ws, [2]int{zn.Lo, zn.Hi})
+				lo, hi := zn.Rows()
+				ws = append(ws, [2]int{lo, hi})
 			}
 			return ws
 		},
@@ -45,7 +46,7 @@ func handles[S comparable, Q any](sk core.Skipper, g *zonemap.Grid[S, Q], loosen
 			if fine {
 				ws = g.Parts
 			}
-			ws[i].Lo, ws[i].Hi = ws[i].Lo+dLo, ws[i].Hi+dHi
+			ws[i].Lo, ws[i].Hi = uint32(int(ws[i].Lo)+dLo), uint32(int(ws[i].Hi)+dHi)
 		},
 		spoil: func(block bool) func() {
 			var to S
@@ -92,8 +93,8 @@ func nullsReference(d directory, nulls *bitvec.BitVec) core.PruneResult {
 func splitAtRandom(rng *rand.Rand, z *Zonemap) bool {
 	for try := 0; try < 8 && len(z.Zones) > 0; try++ {
 		i := rng.Intn(len(z.Zones))
-		first, zn := int(z.learn[i].first), z.Zones[i]
-		end := first
+		zn := z.Zones[i]
+		first, end := int(zn.First), int(zn.First)
 		for end < len(z.Parts) && z.Parts[end].Hi <= zn.Hi {
 			end++
 		}
@@ -101,18 +102,19 @@ func splitAtRandom(rng *rand.Rand, z *Zonemap) bool {
 			continue
 		}
 		subs := []zone{z.Parts[first]}
-		for _, p := range z.Parts[first+1 : end] {
-			if n := len(subs) - 1; rng.Intn(2) == 0 {
+		subs[0].First = zn.First
+		for k := first + 1; k < end; k++ {
+			if n, p := len(subs)-1, z.Parts[k]; rng.Intn(2) == 0 {
 				subs[n] = join(subs[n], p)
 			} else {
+				p.First = uint32(k)
 				subs = append(subs, p)
 			}
 		}
 		if len(subs) < 2 {
 			continue
 		}
-		l := learner{heat: 0.5, first: z.learn[i].first}
-		z.Refold(z.splice([]edit{{idx: i, n: 1, zones: subs, l: l}}))
+		z.Refold(z.splice([]edit{{idx: i, n: 1, zones: subs, l: learner{heat: 0.5}}}))
 		return true
 	}
 	return false

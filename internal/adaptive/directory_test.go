@@ -16,8 +16,8 @@ import (
 
 // spliceReference applies edits the way the zone directory was once
 // rebuilt: every zone is copied into a fresh slice, the edited runs looked
-// up in a map and replaced by their new zones, each learner found by a
-// search of the parts for the new zone's first row.
+// up in a map and replaced by their new zones, each naming the first part
+// a search of the parts for its first row finds.
 func spliceReference(z *Zonemap, edits []edit) {
 	byIdx := make(map[int]edit, len(edits))
 	for _, e := range edits {
@@ -44,15 +44,14 @@ func spliceReference(z *Zonemap, edits []edit) {
 		z.record(obs.LedgerRecord{
 			Kind: kind, Cause: cause,
 			ZonesBefore: e.n, ZonesAfter: len(e.zones),
-			RowLo: old[0].Lo, RowHi: old[e.n-1].Hi,
+			RowLo: int(old[0].Lo), RowHi: int(old[e.n-1].Hi),
 			MinBefore: minBefore, MaxBefore: maxBefore,
 			MinAfter: minAfter, MaxAfter: maxAfter,
 		})
 		for _, s := range e.zones {
-			first := slices.IndexFunc(z.Parts, func(p zone) bool { return p.Lo == s.Lo })
-			learn = append(learn, learner{heat: e.l.heat, first: int32(first)})
+			s.First = uint32(slices.IndexFunc(z.Parts, func(p zone) bool { return p.Lo == s.Lo }))
+			out, learn = append(out, s), append(learn, e.l)
 		}
-		out = append(out, e.zones...)
 		i += e.n - 1
 	}
 	z.Zones, z.learn = out, learn
@@ -96,7 +95,7 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 			run, l, j := z.Zones[i], z.learn[i], i+1
 			for ; j < len(z.Zones) && entered(j) && cold(j) && boundsCompatible(&run, &z.Zones[j]); j++ {
 				run = zone{Lo: run.Lo, Hi: z.Zones[j].Hi, Sum: run.Sum.Union(z.Zones[j].Sum), NonNull: run.NonNull + z.Zones[j].NonNull}
-				l = learner{heat: max(l.heat, z.learn[j].heat), first: l.first}
+				l = learner{heat: max(l.heat, z.learn[j].heat)}
 			}
 			if j-i > 1 {
 				edits = append(edits, edit{idx: i, n: j - i, zones: []zone{run}, l: l})

@@ -64,14 +64,15 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 // A run of parts grows while the next part has its verdict and compatible
 // bounds (the merge test), and a pruned run only while its union stays
 // pruned: a value band's parts join into one zone on the band's edges, and
-// two bands stay apart. A split needs a pruned run: this query's evidence
-// that finer metadata prunes here. There are always two runs or more: one
-// run would be the zone, the union of its parts, pruned, and a pruned zone
-// is not scanned.
+// two bands stay apart. Each sub-zone names its first part. A split needs
+// a pruned run: this query's evidence that finer metadata prunes here.
+// There are always two runs or more: one run would be the zone, the union
+// of its parts, pruned, and a pruned zone is not scanned.
 func (z *Zonemap) planSplit(i int, c *expr.Clause) []zone {
 	// Most scanned zones have no pruned part: find that out, and the
 	// zone's parts, in one cheap pass before building any run.
-	zn, first := &z.Zones[i], int(z.learn[i].first)
+	zn := &z.Zones[i]
+	first := int(zn.First)
 	end, anyPruned := first, false
 	for ; end < len(z.Parts) && z.Parts[end].Hi <= zn.Hi; end++ {
 		anyPruned = anyPruned || pruned(&z.Parts[end], c.Test(z.Parts[end].Sum))
@@ -83,7 +84,8 @@ func (z *Zonemap) planSplit(i int, c *expr.Clause) []zone {
 		return nil
 	}
 	runs, lastPruned := make([]zone, 0, end-first), false
-	for _, part := range z.Parts[first:end] {
+	for k := first; k < end; k++ {
+		part := z.Parts[k]
 		pr := pruned(&part, c.Test(part.Sum))
 		if n := len(runs) - 1; n >= 0 && pr == lastPruned && boundsCompatible(&runs[n], &part) {
 			if u := join(runs[n], part); !pr || pruned(&u, c.Test(u.Sum)) {
@@ -91,6 +93,7 @@ func (z *Zonemap) planSplit(i int, c *expr.Clause) []zone {
 				continue
 			}
 		}
+		part.First = uint32(k)
 		runs = append(runs, part)
 		lastPruned = pr
 	}
@@ -98,10 +101,10 @@ func (z *Zonemap) planSplit(i int, c *expr.Clause) []zone {
 }
 
 // edit is one planned change to the directory: the n zones from idx on
-// give way to zones. A split replaces one zone by its sub-zones at the
-// initial heat; a merge replaces a cold run by its union, which keeps the
-// run's warmer heat. Either way l is the first new zone's learner, and the
-// others differ from it only in their first part.
+// give way to zones, each naming its first part. A split replaces one zone
+// by its sub-zones at the initial heat; a merge replaces a cold run by its
+// union, which keeps the run's warmer heat. Either way l is every new
+// zone's learner.
 type edit struct {
 	idx, n int
 	zones  []zone
@@ -122,7 +125,7 @@ func (z *Zonemap) splice(edits []edit) int {
 		old := z.Zones[e.idx : e.idx+e.n]
 		rec := obs.LedgerRecord{
 			Kind: obs.EventSplit, Cause: "split-gain", ZonesBefore: e.n, ZonesAfter: len(e.zones),
-			RowLo: old[0].Lo, RowHi: old[e.n-1].Hi,
+			RowLo: int(old[0].Lo), RowHi: int(old[e.n-1].Hi),
 		}
 		rec.MinBefore, rec.MaxBefore = bounds(hullOf(old))
 		rec.MinAfter, rec.MaxAfter = bounds(hullOf(e.zones))
@@ -167,16 +170,12 @@ func (z *Zonemap) move(dst, lo, hi int) int {
 	return dst + hi - lo
 }
 
-// place writes e's zones and their learners at at, each learner naming its
-// zone's first part, and returns where they end.
+// place writes e's zones and their learners at at, and returns where they
+// end.
 func (z *Zonemap) place(at int, e *edit) int {
-	l := e.l
-	for j, zn := range e.zones {
-		z.Zones[at+j], z.learn[at+j] = zn, l
-		for z.Parts[l.first].Hi < zn.Hi {
-			l.first++
-		}
-		l.first++
+	copy(z.Zones[at:], e.zones)
+	for j := range e.zones {
+		z.learn[at+j] = e.l
 	}
 	return at + len(e.zones)
 }
@@ -190,10 +189,11 @@ func boundsCompatible(a, b *zone) bool {
 	return a.Sum.Union(b.Sum).Width() <= w+w/2
 }
 
-// join returns the sound union of two adjacent zones: the grid's own join
-// goes through the Kind, this one inlines into the split and merge loops.
+// join returns the sound union of two adjacent zones, which starts at a's
+// first part: the grid's own join goes through the Kind, this one inlines
+// into the split and merge loops.
 func join(a, b zone) zone {
-	return zone{Lo: a.Lo, Hi: b.Hi, Sum: a.Sum.Union(b.Sum), NonNull: a.NonNull + b.NonNull}
+	return zone{Lo: a.Lo, Hi: b.Hi, Sum: a.Sum.Union(b.Sum), NonNull: a.NonNull + b.NonNull, First: a.First}
 }
 
 // learnProbe applies a probe's verdicts, re-derived over the blocks Prune
@@ -230,7 +230,7 @@ func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
 				merge()
 				if scanned && z.tune.off&Split == 0 {
 					if subs := z.planSplit(i, c); subs != nil {
-						edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5, first: l.first}})
+						edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5}})
 					}
 				}
 			case z.tune.off&Merge != 0: // a cold zone stays as it is
@@ -253,7 +253,7 @@ func (z *Zonemap) shadowBenefit(r expr.Ranges) float64 {
 	skipped := 0
 	for i := range z.Zones {
 		if zn := &z.Zones[i]; c.Test(zn.Sum) == expr.MatchNone {
-			skipped += zn.Hi - zn.Lo
+			skipped += int(zn.Hi - zn.Lo)
 		}
 	}
 	return z.stepBenefit(skipped, len(z.Zones))

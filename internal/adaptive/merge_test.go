@@ -55,7 +55,7 @@ func TestMergeWhereTheQueryLooks(t *testing.T) {
 	}
 	for _, m := range []struct{ at, lo, hi int }{{10, 10, 13}, {bz - 4, bz - 2, bz}, {2*bz - 3, 2 * bz, 2*bz + 2}} {
 		zn, l := z.Zones[m.at], z.learn[m.at]
-		if zn.Lo != m.lo*rows || zn.Hi != m.hi*rows || int(l.first) != m.lo || l.heat >= MergeHeat || (m.at == 10) != (l.heat > 0.01) {
+		if lo, hi := zn.Rows(); lo != m.lo*rows || hi != m.hi*rows || int(zn.First) != m.lo || l.heat >= MergeHeat || (m.at == 10) != (l.heat > 0.01) {
 			t.Fatalf("zone %d %+v, learner %+v: want zones %d–%d merged", m.at, zn, l, m.lo, m.hi-1)
 		}
 	}
@@ -76,8 +76,8 @@ func TestMergeWhereTheQueryLooks(t *testing.T) {
 func sweepZones(rng *rand.Rand, kind string, n int) ([]zone, []learner) {
 	zones, learn := make([]zone, n), make([]learner, n)
 	for i := range zones {
-		zones[i] = zone{Lo: 100 * i, Hi: 100 * (i + 1), Sum: expr.Hull{Min: int64(1000 * i), Max: int64(1000*i + 10)}, NonNull: 100}
-		learn[i] = learner{heat: 0.5, first: int32(i)}
+		zones[i] = zone{Lo: uint32(100 * i), Hi: uint32(100 * (i + 1)), Sum: expr.Hull{Min: int64(1000 * i), Max: int64(1000*i + 10)}, NonNull: 100, First: uint32(i)}
+		learn[i] = learner{heat: 0.5}
 	}
 	run := 2 + rng.Intn(2)
 	var at int
@@ -128,10 +128,10 @@ func TestColdRunMergesMatchReference(t *testing.T) {
 			for i, zn := range zones {
 				for k := range rows {
 					if zn.NonNull == 0 || k == rows-1 {
-						nulls.Set(zn.Lo + k)
+						nulls.Set(int(zn.Lo) + k)
 						continue
 					}
-					codes[zn.Lo+k] = zn.Sum.Min + int64(k)%(zn.Sum.Max-zn.Sum.Min+1)
+					codes[int(zn.Lo)+k] = zn.Sum.Min + int64(k)%(zn.Sum.Max-zn.Sum.Min+1)
 				}
 				zones[i].NonNull = min(zn.NonNull, rows-1)
 			}

@@ -109,17 +109,19 @@ func checkPrune(res core.PruneResult, n int, match func(row int) bool) error {
 
 // checkSummary fails unless z's parts tile [0, tailLo), each part's hull
 // and non-null count are its rows' own, every zone starts and ends on a
-// part boundary, and each zone's hull is the union of its parts' hulls —
-// checked row by row, apart from CheckInvariants.
+// part boundary and names the part it starts at, and each zone's hull is
+// the union of its parts' hulls — checked row by row, apart from
+// CheckInvariants.
 func checkSummary(z *Zonemap, codes []int64, nulls *bitvec.BitVec) error {
-	zi, prev, union := 0, 0, expr.EmptyHull
+	zi, prev, union := 0, uint32(0), expr.EmptyHull
 	for k, p := range z.Parts {
 		if p.Lo != prev || p.Hi <= p.Lo {
 			return fmt.Errorf("part %d [%d,%d) after row %d", k, p.Lo, p.Hi, prev)
 		}
 		prev = p.Hi
-		h, nonNull := expr.EmptyHull, 0
-		for i := p.Lo; i < p.Hi; i++ {
+		h, nonNull := expr.EmptyHull, uint32(0)
+		lo, hi := p.Rows()
+		for i := lo; i < hi; i++ {
 			if nulls == nil || !nulls.Get(i) {
 				h, nonNull = h.Union(expr.Hull{Min: codes[i], Max: codes[i]}), nonNull+1
 			}
@@ -135,13 +137,16 @@ func checkSummary(z *Zonemap, codes []int64, nulls *bitvec.BitVec) error {
 			return fmt.Errorf("part %d [%d,%d) straddles the edge of zone %d [%d,%d)", k, p.Lo, p.Hi, zi, zn.Lo, zn.Hi)
 		}
 		if p.Lo == zn.Lo {
+			if int(zn.First) != k {
+				return fmt.Errorf("zone %d [%d,%d) names part %d as its first, not part %d", zi, zn.Lo, zn.Hi, zn.First, k)
+			}
 			union = expr.EmptyHull
 		}
 		if union = union.Union(p.Sum); p.Hi == zn.Hi && union != zn.Sum {
 			return fmt.Errorf("zone %d hull %+v, the union of its parts' %+v", zi, zn.Sum, union)
 		}
 	}
-	if prev != z.Indexed() {
+	if int(prev) != z.Indexed() {
 		return fmt.Errorf("parts end at %d, tailLo=%d", prev, z.Indexed())
 	}
 	return nil

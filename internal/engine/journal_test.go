@@ -216,10 +216,10 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	}
 
 	const wantROI = `[` +
-		`{"table":"t","column":"a","kind":"adaptive","zones":18,"bytes":2304,` +
+		`{"table":"t","column":"a","kind":"adaptive","zones":18,"bytes":1936,` +
 		`"rows_skipped":158848,"rows_covered":0,"bytes_skipped":635392,"candidate_rows":9088,"zone_probes":485,` +
 		`"maintenance_events":2,"maintenance_zones":16,"net_benefit_rows":156908,"dead_zones":0},` +
-		`{"table":"t","column":"b","kind":"adaptive","zones":1,"bytes":1352,` +
+		`{"table":"t","column":"b","kind":"adaptive","zones":1,"bytes":1200,` +
 		`"rows_skipped":0,"rows_covered":0,"bytes_skipped":0,"candidate_rows":40960,"zone_probes":47,` +
 		`"maintenance_events":1,"maintenance_zones":4,"net_benefit_rows":-188,"dead_zones":1,` +
 		`"dead_zone_detail":[` +

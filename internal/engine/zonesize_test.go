@@ -63,7 +63,7 @@ func TestOneZoneSizeForEveryPolicy(t *testing.T) {
 		t.Fatalf("zero-value options: %d parts of a %d-row default, want 2048 of 1024", len(z.Parts), adaptive.DefaultMinZoneRows)
 	}
 	for i, zn := range zones {
-		if zn.Lo != i*65536 || zn.Hi != (i+1)*65536 {
+		if lo, hi := zn.Rows(); lo != i*65536 || hi != (i+1)*65536 {
 			t.Fatalf("zone %d spans [%d,%d), want [%d,%d)", i, zn.Lo, zn.Hi, i*65536, (i+1)*65536)
 		}
 	}

@@ -28,7 +28,7 @@ func TestBuildBasics(t *testing.T) {
 	if md.Kind != "imprint" || md.Zones != 10 || !md.Enabled || m.Rows() != 1000 {
 		t.Fatalf("metadata=%+v rows=%d", md, m.Rows())
 	}
-	if md.Bytes != 10*32+8+64*8 { // a Zone (row bounds, mask, count) per zone, one block (a mask), the bin edges
+	if md.Bytes != 10*24+8+64*8 { // a Zone (row bounds, mask, count, first part) per zone, one block (a mask), the bin edges
 		t.Fatalf("Bytes=%d", md.Bytes)
 	}
 }

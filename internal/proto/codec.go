@@ -32,10 +32,10 @@ type Decoded struct {
 
 // DecodeResponse decodes one response frame. Cells come back as
 // json.Number (lossless for BIGINT), string, or nil for NULL. The frames a
-// server writes for a successful query, insert or ping are
-// parsed by hand out of one string copy of payload, cells being slices of
-// it; error envelopes, "tables", "timing", escaped or non-ASCII strings and
-// everything else take the UseNumber decoder.
+// server writes for a successful query, insert or ping, with or without a
+// "timing" block, are parsed by hand out of one string copy of payload,
+// cells being slices of it; error envelopes, "tables", escaped or
+// non-ASCII strings and everything else take the UseNumber decoder.
 func DecodeResponse(payload []byte) (Decoded, error) {
 	if d, ok := decodeResponseFast(payload); ok {
 		return d, nil
@@ -66,10 +66,11 @@ func DecodeRequest(payload []byte) (Request, error) {
 // Key sets of the objects the parsers know, in wire order. A key's index
 // here is what cursor.object hands to its callback.
 var (
-	envelopeKeys = []string{"ok", "result", "inserted"}
+	envelopeKeys = []string{"ok", "result", "inserted", "timing"}
 	resultKeys   = []string{"count", "columns", "rows", "aggs", "stats"}
 	columnKeys   = []string{"name", "type"}
 	statsKeys    = []string{"rows_scanned", "rows_skipped", "rows_covered", "zones_probed", "skippers_used", "shards_scanned", "shards_pruned"}
+	timingKeys   = []string{"trace_id", "queue_us", "parse_us", "plan_us", "shardprune_us", "prune_us", "scan_us", "serialize_us", "total_us", "rows_skipped"}
 	requestKeys  = []string{"op", "sql", "trace", "timing"}
 )
 
@@ -85,9 +86,12 @@ func decodeResponseFast(payload []byte) (Decoded, bool) {
 		case 1:
 			d.Result = new(Result)
 			return c.result(d.Result)
-		default:
+		case 2:
 			n, ok = c.uint()
 			d.Inserted = int(n)
+		default:
+			d.Timing = new(Timing)
+			return c.timing(d.Timing)
 		}
 		return ok
 	})
@@ -263,6 +267,21 @@ func (c *cursor) cells(flat []any) ([]any, bool) {
 		return ok
 	})
 	return flat, ok
+}
+
+// timing consumes a Timing block into t: its trace id and its durations,
+// which a server never writes negative (a negative one fails here).
+func (c *cursor) timing(t *Timing) bool {
+	us := [...]*int64{&t.QueueUS, &t.ParseUS, &t.PlanUS, &t.ShardPruneUS, &t.PruneUS, &t.ScanUS, &t.SerializeUS, &t.TotalUS, &t.RowsSkipped}
+	return c.object(timingKeys, func(k int) (ok bool) {
+		if k == 0 {
+			t.TraceID, ok = c.str()
+			return ok
+		}
+		n, ok := c.uint()
+		*us[k-1] = int64(n)
+		return ok
+	})
 }
 
 // result consumes a wire-encoded engine.Result into res.

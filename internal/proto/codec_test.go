@@ -78,7 +78,12 @@ func responseCases(t testing.TB) []codecCase {
 		{"VARCHAR with invalid UTF-8", served(t, oneString("bad\xff\xfe"), Response{}), false},
 		{"VARCHAR with a control byte", served(t, oneString("tab\there"), Response{}), false},
 		{"column name with a quote", served(t, &engine.Result{Columns: []string{`na"me`}, Types: bigint}, Response{}), false},
-		{"result beside timing", served(t, rows(1), Response{Timing: &Timing{TraceID: "t-1", QueueUS: 1, TotalUS: 9}}), false},
+		{"result beside timing", served(t, rows(1), Response{Timing: &Timing{TraceID: "t-1", QueueUS: 1, TotalUS: 9}}), true},
+		{"every timing field", served(t, rows(3), Response{Timing: &Timing{TraceID: "conn-7/q-12", QueueUS: 1, ParseUS: 2, PlanUS: 3,
+			ShardPruneUS: 4, PruneUS: 5, ScanUS: 6, SerializeUS: 7, TotalUS: 41, RowsSkipped: 1 << 40}}), true},
+		{"timing without shardprune_us or trace id", served(t, rows(2), Response{Timing: &Timing{QueueUS: 12, ParseUS: 30, PlanUS: 9,
+			PruneUS: 4, ScanUS: 250, SerializeUS: 8, TotalUS: 320}}), true},
+		{"timing with a non-ASCII trace id", served(t, rows(1), Response{Timing: &Timing{TraceID: "tß", TotalUS: 9}}), false},
 		{"result beside tables", served(t, rows(1), Response{Tables: []string{"a"}}), false},
 	}
 	return append(cases, []codecCase{
@@ -91,6 +96,17 @@ func responseCases(t testing.TB) []codecCase {
 		{"leading zero in inserted", `{"ok":true,"inserted":07}`, false},
 		{"retired stmt key", `{"ok":true,"stmt":42}`, false},
 		{"catalog", `{"ok":true,"tables":["a","b"]}`, false},
+		{"timed ping", `{"ok":true,"timing":{"trace_id":"p","queue_us":0,"parse_us":0,"plan_us":0,"prune_us":0,"scan_us":0,"serialize_us":0,"total_us":3,"rows_skipped":0}}`, true},
+		{"timing first", `{"timing":{"total_us":3},"ok":true,"result":{"count":1}}`, true},
+		{"empty timing", `{"ok":true,"timing":{}}`, true},
+		{"null timing", `{"ok":true,"timing":null}`, false},
+		{"negative timing", `{"ok":true,"timing":{"queue_us":-1,"total_us":3}}`, false},
+		{"fractional timing", `{"ok":true,"timing":{"total_us":3.5}}`, false},
+		{"timing beyond int64", `{"ok":true,"timing":{"total_us":9223372036854775808}}`, false},
+		{"unknown timing key", `{"ok":true,"timing":{"total_us":3,"wait_us":1}}`, false},
+		{"duplicate timing key", `{"ok":true,"timing":{"total_us":3,"total_us":4}}`, false},
+		{"duplicate timing", `{"ok":true,"timing":{"total_us":3},"timing":{"scan_us":4}}`, false},
+		{"timing on a failure", `{"ok":false,"error":"boom","timing":{"total_us":3}}`, false},
 		{"error", `{"ok":false,"error":"syntax error near \"FORM\"","error_kind":"syntax"}`, false},
 		{"bare failure", `{"ok":false}`, false},
 		{"empty envelope", `{}`, false},

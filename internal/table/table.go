@@ -6,6 +6,7 @@ package table
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,14 @@ var (
 	ErrRowArity     = errors.New("table: row arity does not match schema")
 	ErrLengthSkew   = errors.New("table: column lengths differ")
 	ErrOutOfRange   = errors.New("table: row index out of range")
+	ErrTooManyRows  = errors.New("table: row limit reached")
 )
+
+// MaxRows is the most rows a table holds: 2^32-1, so that every row id and
+// every exclusive row bound (a zone's end, a table's length) fits the
+// uint32 the selection vectors, the top-k heap and the zone entries keep
+// it in. An append past it is refused whole.
+const MaxRows = math.MaxUint32
 
 // ColumnSpec describes one column of a schema.
 type ColumnSpec struct {
@@ -221,8 +229,11 @@ type batch struct {
 }
 
 // stage has every column stage the batch's n rows into the table's
-// staging buffer.
+// staging buffer, unless they would take it past MaxRows.
 func (t *Table) stage(n int, b *batch) (Staged, error) {
+	if have := uint64(t.NumRows()); uint64(n) > MaxRows-have {
+		return Staged{}, fmt.Errorf("%w: table %q holds %d rows, %d more would pass the limit of %d", ErrTooManyRows, t.name, have, n, uint64(MaxRows))
+	}
 	if t.staged == nil {
 		t.staged = make([]storage.StagedRows, len(t.columns))
 	}

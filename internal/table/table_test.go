@@ -3,7 +3,9 @@ package table
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +87,32 @@ func TestAppendRowErrors(t *testing.T) {
 	}
 	if c, _ := tb.Column("city"); tb.NumRows() != 0 || c.Dict().Len() != 0 || tb.ColumnAt(1).NullCount() != 0 {
 		t.Fatalf("Stage without Commit changed the table: %d rows, %d strings, %d NULLs", tb.NumRows(), c.Dict().Len(), tb.ColumnAt(1).NullCount())
+	}
+}
+
+// TestRowLimit: a batch that would take a table past MaxRows rows is
+// refused whole, by the check every append path, Replay and StageGather
+// share, with an error naming the limit; one that reaches it exactly
+// passes. stage takes the batch's row count from its caller, so the
+// boundary is tested with empty batches, without allocating the rows.
+func TestRowLimit(t *testing.T) {
+	if math.MaxInt < MaxRows {
+		t.Skip("an int counts fewer rows than MaxRows")
+	}
+	limit := uint64(MaxRows)
+	tb := MustNew("t", demoSchema())
+	if err := tb.AppendRow(storage.IntValue(1), storage.FloatValue(2), storage.StringValue("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.stage(int(limit-1), &batch{}); err != nil {
+		t.Fatalf("a batch that fills the table to %d rows: %v", limit, err)
+	}
+	_, err := tb.stage(int(limit), &batch{})
+	if !errors.Is(err, ErrTooManyRows) || !strings.Contains(err.Error(), "limit of 4294967295") {
+		t.Fatalf("a batch one row past the limit: %v, want ErrTooManyRows naming the limit", err)
+	}
+	if tb.NumRows() != 1 {
+		t.Fatalf("the refused batch changed the table: %d rows", tb.NumRows())
 	}
 }
 

@@ -22,13 +22,14 @@ func PruneFlat[S comparable, Q any](g *Grid[S, Q], r expr.Ranges) core.PruneResu
 			m = g.kind.Test(&q, zn.Sum)
 		}
 		skip, covered := m == expr.MatchNone, m == expr.MatchAll && zn.NonNull == zn.Hi-zn.Lo
+		lo, hi := zn.Rows()
 		switch k := len(res.Zones); {
 		case skip:
-			res.RowsSkipped += zn.Hi - zn.Lo
-		case k > 0 && res.Zones[k-1].Hi == zn.Lo && res.Zones[k-1].Covered == covered:
-			res.Zones[k-1].Hi = zn.Hi
+			res.RowsSkipped += hi - lo
+		case k > 0 && res.Zones[k-1].Hi == lo && res.Zones[k-1].Covered == covered:
+			res.Zones[k-1].Hi = hi
 		default:
-			res.Zones = append(res.Zones, core.CandidateZone{Lo: zn.Lo, Hi: zn.Hi, Covered: covered})
+			res.Zones = append(res.Zones, core.CandidateZone{Lo: lo, Hi: hi, Covered: covered})
 		}
 	}
 	return res

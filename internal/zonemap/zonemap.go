@@ -60,23 +60,27 @@ type Kind[S comparable, Q any] interface {
 }
 
 // Zone is one entry of a directory, and of its fine level: rows [Lo, Hi),
-// the summary of their values, and how many of them hold one.
+// the summary of their values, and how many of them hold one. In a grid
+// with a Layout, First is the index of the zone's first part; it is 0 in a
+// part and in a grid without one. Row numbers are uint32, as every row id
+// is (a table holds at most table.MaxRows rows), so a hull's entry is 32
+// bytes and a bin mask's 24.
 type Zone[S any] struct {
-	Lo, Hi  int
-	Sum     S
-	NonNull int
+	Lo, Hi         uint32
+	Sum            S
+	NonNull, First uint32
 }
+
+// Rows returns the zone's row bounds as ints.
+func (zn *Zone[S]) Rows() (lo, hi int) { return int(zn.Lo), int(zn.Hi) }
 
 // Layout is the owner of a grid that reshapes its zones. The grid keeps
 // the parts the layout cuts (Summarize appends those of rows [lo, hi)),
-// keeps every zone a run of whole parts, and tells the layout of a tail
-// fold that appended the zones from zone and the parts from part on.
-// CheckZone fails unless the layout's state of zone zi, whose first part
-// is part, is sound.
+// keeps every zone a run of whole parts that names its first, and tells
+// the layout of a tail fold that appended the zones from zone on.
 type Layout[S any] interface {
 	Summarize(parts []Zone[S], codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) []Zone[S]
-	Folded(zone, part int)
-	CheckZone(zi, part int) error
+	Folded(zone int)
 }
 
 // Grid is the zone directory of one column. Zones tile the indexed rows
@@ -114,28 +118,30 @@ func NewGrid[S comparable, Q any](kind Kind[S, Q], codes storage.Vec, nulls *bit
 }
 
 // Rows returns the number of rows covered, the unindexed tail included.
-func (g *Grid[S, Q]) Rows() int { return g.tail.Hi }
+func (g *Grid[S, Q]) Rows() int { return int(g.tail.Hi) }
 
 // Indexed returns the number of rows the zones tile; the tail follows.
-func (g *Grid[S, Q]) Indexed() int { return g.tail.Lo }
+func (g *Grid[S, Q]) Indexed() int { return int(g.tail.Lo) }
 
-// Metadata reports the grid's shape and what it holds: its zones, parts
-// and blocks, and the kind's own state.
+// Metadata reports the grid's shape and what it holds: the heap its zone,
+// part and block slices take (their capacity, not their length), and the
+// kind's own state.
 func (g *Grid[S, Q]) Metadata() core.Metadata {
-	bytes := (len(g.Zones)+len(g.Parts))*int(unsafe.Sizeof(Zone[S]{})) +
-		len(g.Blocks)*int(unsafe.Sizeof(*new(S))) + g.kind.Bytes()
+	bytes := (cap(g.Zones)+cap(g.Parts))*int(unsafe.Sizeof(Zone[S]{})) +
+		cap(g.Blocks)*int(unsafe.Sizeof(*new(S))) + g.kind.Bytes()
 	return core.Metadata{Kind: g.kind.Name(), Zones: len(g.Zones), Bytes: bytes, Enabled: true}
 }
 
 // summarize is rows [lo, hi) as one zone.
 func (g *Grid[S, Q]) summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) Zone[S] {
 	s, n := g.kind.Summarize(codes, nulls, lo, hi)
-	return Zone[S]{Lo: lo, Hi: hi, Sum: s, NonNull: n}
+	return Zone[S]{Lo: uint32(lo), Hi: uint32(hi), Sum: s, NonNull: uint32(n)}
 }
 
-// join is the zone of adjacent zones a and b together.
+// join is the zone of adjacent zones a and b together, which starts at
+// a's first part.
 func (g *Grid[S, Q]) join(a, b Zone[S]) Zone[S] {
-	return Zone[S]{Lo: a.Lo, Hi: b.Hi, Sum: g.kind.Union(a.Sum, b.Sum), NonNull: a.NonNull + b.NonNull}
+	return Zone[S]{Lo: a.Lo, Hi: b.Hi, Sum: g.kind.Union(a.Sum, b.Sum), NonNull: a.NonNull + b.NonNull, First: a.First}
 }
 
 // union is the zone of the adjacent windows ws (one or more) together.
@@ -151,43 +157,49 @@ func (g *Grid[S, Q]) union(ws []Zone[S]) Zone[S] {
 // column's full code vector. They join the tail, whose summary reads only
 // them, and the tail is folded once it holds a zone's worth of rows.
 func (g *Grid[S, Q]) Extend(codes storage.Vec, nulls *bitvec.BitVec) {
-	switch n := codes.Len(); {
-	case n-g.tail.Lo >= g.zoneRows:
+	switch n, lo, hi := codes.Len(), g.Indexed(), g.Rows(); {
+	case n-lo >= g.zoneRows:
 		g.FoldTail(codes, nulls)
-	case n > g.tail.Hi && g.tail.Hi > g.tail.Lo:
-		g.tail = g.join(g.tail, g.summarize(codes, nulls, g.tail.Hi, n))
-	case n > g.tail.Hi:
-		g.tail = g.summarize(codes, nulls, g.tail.Lo, n)
+	case n > hi && hi > lo:
+		g.tail = g.join(g.tail, g.summarize(codes, nulls, hi, n))
+	case n > hi:
+		g.tail = g.summarize(codes, nulls, lo, n)
 	}
 }
 
 // FoldTail indexes the tail up to codes.Len(), whatever its length, in one
 // read: zones of zoneRows rows (with a Layout, runs of parts until one
-// holds that many) from the tail's first row on, the last maybe shorter.
+// holds that many, each naming its first part) from the tail's first row
+// on, the last maybe shorter.
 func (g *Grid[S, Q]) FoldTail(codes storage.Vec, nulls *bitvec.BitVec) {
-	lo, hi := g.tail.Lo, codes.Len()
+	lo, hi := g.Indexed(), codes.Len()
 	if hi <= lo {
 		return
 	}
+	// Every zone but the last holds zoneRows rows or more: a build sizes
+	// the zones exactly, or nearly, and a fold grows them as append does.
 	zone, part := len(g.Zones), len(g.Parts)
+	g.Zones = slices.Grow(g.Zones, (hi-lo+g.zoneRows-1)/g.zoneRows)
 	if g.layout == nil {
 		for ; lo < hi; lo += g.zoneRows {
 			g.Zones = append(g.Zones, g.summarize(codes, nulls, lo, min(lo+g.zoneRows, hi)))
 		}
 	} else {
 		g.Parts = g.layout.Summarize(g.Parts, codes, nulls, lo, hi)
-		for _, p := range g.Parts[part:] {
-			if n := len(g.Zones) - 1; n >= zone && g.Zones[n].Hi-g.Zones[n].Lo < g.zoneRows {
+		for k := part; k < len(g.Parts); k++ {
+			p := g.Parts[k]
+			if n := len(g.Zones) - 1; n >= zone && int(g.Zones[n].Hi-g.Zones[n].Lo) < g.zoneRows {
 				g.Zones[n] = g.join(g.Zones[n], p)
 			} else {
+				p.First = uint32(k)
 				g.Zones = append(g.Zones, p)
 			}
 		}
 	}
-	g.tail = Zone[S]{Lo: hi, Hi: hi}
+	g.tail = Zone[S]{Lo: uint32(hi), Hi: uint32(hi)}
 	g.Refold(zone)
 	if g.layout != nil {
-		g.layout.Folded(zone, part)
+		g.layout.Folded(zone)
 	}
 }
 
@@ -203,21 +215,21 @@ func (g *Grid[S, Q]) Prune(r expr.Ranges) core.PruneResult {
 	for bi, b := range g.Blocks {
 		lo, hi := Members(bi, len(g.Zones))
 		if g.kind.Test(&q, b) == expr.MatchNone {
-			res.Emit(&core.CandidateZone{Lo: g.Zones[lo].Lo, Hi: g.Zones[hi-1].Hi}, true)
+			res.Emit(&core.CandidateZone{Lo: int(g.Zones[lo].Lo), Hi: int(g.Zones[hi-1].Hi)}, true)
 			continue
 		}
 		res.ZonesProbed += hi - lo
 		for i := lo; i < hi; i++ {
 			zn := &g.Zones[i]
 			m := g.kind.Test(&q, zn.Sum)
-			res.Emit(&core.CandidateZone{Lo: zn.Lo, Hi: zn.Hi, Covered: m == expr.MatchAll && zn.NonNull == zn.Hi-zn.Lo},
+			res.Emit(&core.CandidateZone{Lo: int(zn.Lo), Hi: int(zn.Hi), Covered: m == expr.MatchAll && zn.NonNull == zn.Hi-zn.Lo},
 				m == expr.MatchNone)
 		}
 	}
 	if t := &g.tail; t.Hi > t.Lo {
 		res.ZonesProbed++
 		m := g.kind.Test(&q, t.Sum)
-		res.Emit(&core.CandidateZone{Lo: t.Lo, Hi: t.Hi, Covered: m == expr.MatchAll && t.NonNull == t.Hi-t.Lo}, m == expr.MatchNone)
+		res.Emit(&core.CandidateZone{Lo: int(t.Lo), Hi: int(t.Hi), Covered: m == expr.MatchAll && t.NonNull == t.Hi-t.Lo}, m == expr.MatchNone)
 	}
 	return res
 }
@@ -228,33 +240,33 @@ func (g *Grid[S, Q]) Prune(r expr.Ranges) core.PruneResult {
 // it walks, and panics with ErrCorrupt on a broken layout.
 func (g *Grid[S, Q]) PruneNulls() core.PruneResult {
 	res := core.PruneResult{Enabled: true, ZonesProbed: len(g.Zones)}
-	prev := 0
+	prev := uint32(0)
 	for i := range g.Zones {
 		zn := &g.Zones[i]
 		if zn.Lo != prev || zn.Hi <= zn.Lo {
 			panic(BadTiling(i, zn.Lo, prev))
 		}
 		prev = zn.Hi
-		res.Emit(&core.CandidateZone{Lo: zn.Lo, Hi: zn.Hi, Covered: zn.NonNull == 0}, zn.NonNull == zn.Hi-zn.Lo)
+		res.Emit(&core.CandidateZone{Lo: int(zn.Lo), Hi: int(zn.Hi), Covered: zn.NonNull == 0}, zn.NonNull == zn.Hi-zn.Lo)
 	}
 	return g.EndProbe(res, prev)
 }
 
 // EndProbe finishes a probe walk that ended at row prev: the zones must
 // end where the tail, a candidate, starts, or it panics with ErrCorrupt.
-func (g *Grid[S, Q]) EndProbe(res core.PruneResult, prev int) core.PruneResult {
+func (g *Grid[S, Q]) EndProbe(res core.PruneResult, prev uint32) core.PruneResult {
 	if prev != g.tail.Lo {
 		panic(fmt.Errorf("%w: zones end at %d, tailLo=%d", ErrCorrupt, prev, g.tail.Lo))
 	}
 	if g.tail.Hi > g.tail.Lo {
-		res.Zones = append(res.Zones, core.CandidateZone{Lo: g.tail.Lo, Hi: g.tail.Hi})
+		res.Zones = append(res.Zones, core.CandidateZone{Lo: int(g.tail.Lo), Hi: int(g.tail.Hi)})
 	}
 	return res
 }
 
 // BadTiling is the fault a probe walk raises on zone idx, which starts at
 // row got instead of want.
-func BadTiling(idx, got, want int) error {
+func BadTiling(idx int, got, want uint32) error {
 	return fmt.Errorf("%w: zone %d starts at %d, want %d (layout gap or overlap)", ErrCorrupt, idx, got, want)
 }
 
@@ -265,13 +277,15 @@ func BadTiling(idx, got, want int) error {
 // read once: its non-null count (the covered proof and PruneNulls read it
 // both ways) and its summary must be the ones they derive, or it is walked
 // again to name the row it excludes. Each zone must be a run of whole
-// parts, with their count and union; each block is its members' union.
+// parts that names its first (a zone that names another is corrupt: a
+// split would walk the wrong parts), with their count and union; each
+// block is its members' union.
 func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec) error {
 	parts, unit := g.Parts, "part"
 	if g.layout == nil {
 		parts, unit = g.Zones, "zone"
 	}
-	if blocks := (len(g.Zones) + BlockZones - 1) / BlockZones; codes.Len() != g.tail.Hi || len(g.Blocks) != blocks {
+	if blocks := (len(g.Zones) + BlockZones - 1) / BlockZones; codes.Len() != g.Rows() || len(g.Blocks) != blocks {
 		return fmt.Errorf("zonemap: %d rows and %d blocks for a column of %d rows and %d zones, want %d blocks",
 			g.tail.Hi, len(g.Blocks), codes.Len(), len(g.Zones), blocks)
 	}
@@ -284,10 +298,8 @@ func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec) er
 	k := 0 // the zone's first part
 	for zi := range g.Zones {
 		zn, first := &g.Zones[zi], k
-		if g.layout != nil {
-			if err := g.layout.CheckZone(zi, k); err != nil {
-				return err
-			}
+		if g.layout != nil && int(zn.First) != first {
+			return fmt.Errorf("%w: zone %d [%d,%d) names part %d as its first, not part %d", ErrCorrupt, zi, zn.Lo, zn.Hi, zn.First, first)
 		}
 		for ; k < len(parts) && parts[k].Hi <= zn.Hi; k++ {
 			if err := g.checkRows(unit, k, &parts[k], codes, nulls); err != nil {
@@ -297,7 +309,7 @@ func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec) er
 		if k == first || parts[k-1].Hi != zn.Hi {
 			return fmt.Errorf("zonemap: zone %d [%d,%d) ends inside part %d", zi, zn.Lo, zn.Hi, k)
 		}
-		if union := g.union(parts[first:k]); union != *zn {
+		if union := g.union(parts[first:k]); union.Sum != zn.Sum || union.NonNull != zn.NonNull {
 			return fmt.Errorf("zonemap: zone %d [%d,%d) summary %+v nonNull=%d, its parts' %+v nonNull=%d",
 				zi, zn.Lo, zn.Hi, zn.Sum, zn.NonNull, union.Sum, union.NonNull)
 		}
@@ -317,7 +329,8 @@ func (g *Grid[S, Q]) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec) er
 // checkRows re-derives window k, named unit, from its rows: its non-null
 // count and its summary must be the derived ones.
 func (g *Grid[S, Q]) checkRows(unit string, k int, p *Zone[S], codes storage.Vec, nulls *bitvec.BitVec) error {
-	derived := g.summarize(codes, nulls, p.Lo, p.Hi)
+	lo, hi := p.Rows()
+	derived := g.summarize(codes, nulls, lo, hi)
 	if derived.NonNull != p.NonNull {
 		return fmt.Errorf("zonemap: %s %d [%d,%d) nonNull=%d, its rows hold %d", unit, k, p.Lo, p.Hi, p.NonNull, derived.NonNull)
 	}
@@ -329,8 +342,8 @@ func (g *Grid[S, Q]) checkRows(unit string, k int, p *Zone[S], codes storage.Vec
 
 // tiles checks that the windows ws, named what, are non-empty and tile
 // [0, end) in order.
-func tiles[S any](what string, ws []Zone[S], end int) error {
-	prev := 0
+func tiles[S any](what string, ws []Zone[S], end uint32) error {
+	prev := uint32(0)
 	for i, w := range ws {
 		if w.Lo != prev {
 			return fmt.Errorf("zonemap: %s %d starts at %d, want %d (gap or overlap)", what, i, w.Lo, prev)
@@ -352,7 +365,8 @@ func tiles[S any](what string, ws []Zone[S], end int) error {
 // when it excludes none and so admits more than its rows hold, the two
 // summaries.
 func (g *Grid[S, Q]) excluded(unit string, k int, p *Zone[S], codes storage.Vec, nulls *bitvec.BitVec, derived S) error {
-	for r := p.Lo; r < p.Hi; r++ {
+	lo, hi := p.Rows()
+	for r := lo; r < hi; r++ {
 		if s, n := g.kind.Summarize(codes, nulls, r, r+1); n > 0 && g.kind.Union(p.Sum, s) != p.Sum {
 			return fmt.Errorf("zonemap: %s %d summary %+v would exclude row %d code %d", unit, k, p.Sum, r, codes.At(r))
 		}
