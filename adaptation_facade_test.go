@@ -157,10 +157,12 @@ func TestAdaptationThroughFacade(t *testing.T) {
 
 // TestSkipRegressionFlipThroughFacade induces a real skip regression —
 // metadata corruption quarantines the hot column, so a template that
-// skipped ~90% of its rows abruptly skips none — and watches the
-// adskip_adapt_skip_regression_ppm series rise above zero and fall back
-// to zero once EnableSkipping rebuilds it. Nothing but db.Metrics() is read: no
-// telemetry server runs, and the gauge is computed when it is scraped.
+// skipped most of its rows abruptly skips none — and reads it the way an
+// alert rule does: the table's skip fraction over a window, the change in
+// adskip_rows_skipped_total over the change in it plus
+// adskip_rows_scanned_total between two scrapes. The fraction falls to
+// zero after the quarantine and recovers once EnableSkipping rebuilds the
+// skipper. Nothing but db.Metrics() is read: no telemetry server runs.
 func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	db := Open(Options{Policy: Adaptive, ZoneSize: 1024, MinZoneRows: 256})
 	defer db.Close()
@@ -176,13 +178,15 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 	if err := tab.EnableSkipping("v"); err != nil {
 		t.Fatal(err)
 	}
-	ppm := func() int64 {
+	counters := func() (skipped, scanned int64) {
 		t.Helper()
-		v, ok := seriesValue(scrape(t, db), "adskip_adapt_skip_regression_ppm")
-		if !ok {
-			t.Fatal("no adskip_adapt_skip_regression_ppm series")
+		body := scrape(t, db)
+		skipped, ok1 := seriesValue(body, `adskip_rows_skipped_total{table="data"}`)
+		scanned, ok2 := seriesValue(body, `adskip_rows_scanned_total{table="data"}`)
+		if !ok1 || !ok2 {
+			t.Fatalf("no adskip_rows_{skipped,scanned}_total series for data:\n%s", body)
 		}
-		return v
+		return skipped, scanned
 	}
 
 	const hot = "SELECT COUNT(*) FROM data WHERE v BETWEEN 4000 AND 4100"
@@ -192,23 +196,30 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// waitFor runs the hot template until cond holds on a fresh scrape.
-	waitFor := func(what string, cond func(ppm int64) bool) {
+	// window runs the hot template 20 times between two scrapes and
+	// returns the table's skip fraction over them.
+	window := func() float64 {
 		t.Helper()
-		for i := 0; !cond(ppm()); i++ {
-			if i == 500 {
-				t.Fatalf("%s: gauge %d ppm after %d queries", what, ppm(), i)
-			}
+		skipped0, scanned0 := counters()
+		for i := 0; i < 20; i++ {
 			exec()
 		}
+		skipped1, scanned1 := counters()
+		skipped, scanned := skipped1-skipped0, scanned1-scanned0
+		if skipped+scanned == 0 {
+			t.Fatal("a window of queries moved neither row counter")
+		}
+		return float64(skipped) / float64(skipped+scanned)
 	}
 
-	// Learn the baseline: the sorted column prunes ~7 of 8 zones, and a
-	// template that only gets better never opens a gap.
+	// Learn: the sorted column prunes at least 7 of its 8 zones.
 	for i := 0; i < 40; i++ {
 		exec()
 	}
-	waitFor("gap during healthy learning", func(ppm int64) bool { return ppm == 0 })
+	healthy := window()
+	if healthy < 0.8 {
+		t.Fatalf("healthy skip fraction %.3f, want >= 0.8", healthy)
+	}
 
 	// Induce: one injected invariant flip corrupts the zonemap; the next
 	// probe detects it and quarantines the column — skipping collapses.
@@ -216,19 +227,21 @@ func TestSkipRegressionFlipThroughFacade(t *testing.T) {
 		Set(faultinject.InvariantFlip, faultinject.Rule{Every: 1, Limit: 1}))
 	exec()
 	restore()
-	waitFor("no regression after quarantine collapsed skipping",
-		func(ppm int64) bool { return ppm > 0 })
+	exec()
 	if _, ok := tab.SkipperInfo()["v"]; ok {
-		t.Fatal("regression detected but the column's skipper was never dropped")
+		t.Fatal("the injected corruption never dropped the column's skipper")
+	}
+	if quarantined := window(); quarantined != 0 {
+		t.Fatalf("skip fraction %.3f with the skipper dropped, want 0 (healthy %.3f)", quarantined, healthy)
 	}
 
-	// Recover: rebuild the metadata and keep the template hot; the fast
-	// EWMA climbs back past the baseline and the gap closes.
+	// Recover: rebuild the metadata and keep the template hot.
 	if err := tab.EnableSkipping("v"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor("regression never cleared after the rebuild",
-		func(ppm int64) bool { return ppm == 0 })
+	if recovered := window(); recovered < 0.8 {
+		t.Fatalf("skip fraction %.3f after the rebuild, want >= 0.8 (healthy %.3f)", recovered, healthy)
+	}
 }
 
 // TestROIMatchesColumnCounters: every probe counter of an /adaptation ROI

@@ -130,14 +130,15 @@ type RecoveryStats = wal.RecoveryStats
 type WALStatus = wal.Status
 
 // Limits bounds each query's resource consumption (rows scanned, result
-// rows, wall-clock time). The zero value imposes no limits; enforcement
-// happens at cooperative checkpoints, so overshoot is bounded by one
-// checkpoint interval (65536 rows).
+// rows). The zero value imposes no limits; enforcement happens at
+// cooperative checkpoints, so overshoot is bounded by one checkpoint
+// interval (65536 rows). A deadline is the context's: pass one to
+// DB.ExecContext or Table.QueryContext.
 type Limits = engine.Limits
 
 // WorkloadSnapshot is the point-in-time workload-analytics view returned
 // by DB.Workload and served by the telemetry /workload endpoint: per-
-// template call counts, latency quantiles and row/zone/byte totals.
+// template call counts, latency quantiles and row/byte totals.
 type WorkloadSnapshot = stats.WorkloadSnapshot
 
 // TemplateStats is one query template's aggregate inside a
@@ -435,11 +436,6 @@ func (db *DB) Close() error {
 // Metrics returns the database's metrics registry, shared by all tables.
 // Use WritePrometheus on it for exposition.
 func (db *DB) Metrics() *Metrics { return db.reg }
-
-// AdaptationEvents returns a chronological copy of the retained
-// adaptation records across all tables (bounded ring; oldest drop
-// first): the Events of DB.Adaptation without the ROI rows.
-func (db *DB) AdaptationEvents() []AdaptationRecord { return db.ledger.Records() }
 
 // ExplainAnalyze parses and executes a SQL SELECT, returning the rendered
 // EXPLAIN ANALYZE plan (phase timings, per-predicate estimated vs actual

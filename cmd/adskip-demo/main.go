@@ -279,7 +279,7 @@ func (r *repl) skipping(col string) {
 
 // events prints the last n adaptation-ledger records: the events of /adaptation.
 func (r *repl) events(n int) {
-	evs := r.db.AdaptationEvents()
+	evs := r.db.Adaptation(0).Events
 	if len(evs) == 0 {
 		fmt.Fprintln(r.out, "no adaptation events yet")
 	}

@@ -94,7 +94,16 @@ func (db *DB) query(ctx context.Context, e executor, q engine.Query) (*Result, e
 		})
 		return nil, err
 	}
-	db.stats.Record(workloadSample(res))
+	tr := res.Trace
+	db.stats.Record(stats.Sample{
+		Fingerprint:  tr.Fingerprint,
+		Table:        tr.Table,
+		CacheHit:     tr.PlanCached,
+		Latency:      tr.Total,
+		Cost:         tr.Cost,
+		RowsReturned: int64(res.Count),
+		Shards:       tr.Shards,
+	})
 	return res, nil
 }
 
@@ -114,30 +123,6 @@ func (db *DB) admitted(ctx context.Context, e executor, q engine.Query) (*Result
 	}
 	db.traces.Append(res.Trace)
 	return res, nil
-}
-
-// workloadSample is a completed query's workload sample, read from its
-// trace: its cost, and the zones read — the candidate windows of the
-// predicates whose skipper took part — and the zones pruned, the rest of
-// the zones probed. An unsharded trace names no shard.
-func workloadSample(res *Result) stats.Sample {
-	tr := res.Trace
-	s := stats.Sample{
-		Fingerprint:  tr.Fingerprint,
-		Table:        tr.Table,
-		CacheHit:     tr.PlanCached,
-		Latency:      tr.Total,
-		Cost:         tr.Cost,
-		RowsReturned: int64(res.Count),
-		Shards:       tr.Shards,
-	}
-	for i := range tr.Predicates {
-		if tr.Predicates[i].SkippersUsed > 0 {
-			s.ZonesRead += int64(tr.Predicates[i].Windows)
-		}
-	}
-	s.ZonesPruned = max(int64(tr.ZonesProbed)-s.ZonesRead, 0)
-	return s
 }
 
 // workloadLine renders the EXPLAIN ANALYZE footer of a template: its

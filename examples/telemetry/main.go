@@ -93,7 +93,7 @@ func main() {
 	fmt.Printf("\nfinal ts metadata: %d zones, %d bytes over %d rows (%.4f bytes/row)\n",
 		info.Zones, info.Bytes, tab.NumRows(), float64(info.Bytes)/float64(tab.NumRows()))
 
-	if evs := db.AdaptationEvents(); len(evs) > 0 {
+	if evs := db.Adaptation(0).Events; len(evs) > 0 {
 		fmt.Printf("\nadaptation events: %d (last: %s)\n", len(evs), evs[len(evs)-1])
 	}
 

@@ -151,10 +151,9 @@ func TestResultTraceAttached(t *testing.T) {
 	}
 }
 
-// TestExplainLifetimeAndCoveredFooter checks the two Explain upgrades: the
-// cumulative lifetime counters line (which must advance across repeated
-// EXPLAINs) and the all-windows-covered footer.
-func TestExplainLifetimeAndCoveredFooter(t *testing.T) {
+// TestExplainCoveredFooter checks the all-windows-covered footer, and
+// that a repeated EXPLAIN renders the same plan: it carries no counters.
+func TestExplainCoveredFooter(t *testing.T) {
 	tb := sortedTable(t, 1000)
 	e := New(tb, Options{Policy: PolicyStatic, ZoneSize: 64})
 	if err := e.EnableSkipping("a"); err != nil {
@@ -172,15 +171,12 @@ func TestExplainLifetimeAndCoveredFooter(t *testing.T) {
 	if !strings.Contains(joined, "all candidate windows covered: no residual predicate evaluation needed") {
 		t.Errorf("covered footer missing:\n%s", joined)
 	}
-	if !strings.Contains(joined, "lifetime: 1 probes (0 declined)") {
-		t.Errorf("lifetime counters missing or wrong:\n%s", joined)
-	}
 	second, err := e.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(second, "\n"), "lifetime: 2 probes (0 declined)") {
-		t.Errorf("repeated EXPLAIN did not advance lifetime counters:\n%s", strings.Join(second, "\n"))
+	if again := strings.Join(second, "\n"); again != joined {
+		t.Errorf("repeated EXPLAIN changed the plan:\n%s\nthen\n%s", joined, again)
 	}
 
 	// A partially-covered range must not claim the footer.

@@ -65,13 +65,12 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 
 // TestConcurrentCancellationAndMutations adds the resilience layer to the
 // concurrency hammer: appenders race against queries issued
-// with very short deadlines. Queries may complete or report ErrCanceled /
-// ErrBudget — any other error, any wrong quiesced count, or any race
+// with very short context deadlines. Queries may complete or report
+// ErrCanceled — any other error, any wrong quiesced count, or any race
 // (under -race) fails the test.
 func TestConcurrentCancellationAndMutations(t *testing.T) {
 	tb := buildTable(t, 2000, 81)
 	e := newEngine(t, tb, PolicyAdaptive)
-	e.opts.Limits = Limits{MaxDuration: 20 * time.Millisecond}
 
 	restore := faultinject.Activate(faultinject.New(6).
 		Set(faultinject.ScanDelay, faultinject.Rule{Prob: 0.05, Delay: 200 * time.Microsecond}))

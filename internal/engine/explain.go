@@ -59,12 +59,7 @@ func (e *Engine) Explain(q Query) ([]string, error) {
 	for i := range tr.Predicates {
 		p := &tr.Predicates[i]
 		out = p.AppendLines(out, n)
-		if p.SkippersUsed == 0 {
-			allCovered = false
-			continue
-		}
-		allCovered = allCovered && p.CoveredWindows == p.Windows
-		out = append(out, "  "+e.lifetimeLine(p.Column))
+		allCovered = allCovered && p.SkippersUsed > 0 && p.CoveredWindows == p.Windows
 	}
 	if unsat {
 		out = append(out, "predicates are unsatisfiable: no scan will run")
@@ -77,16 +72,4 @@ func (e *Engine) Explain(q Query) ([]string, error) {
 		out = append(out, "all candidate windows covered: no residual predicate evaluation needed")
 	}
 	return out, nil
-}
-
-// lifetimeLine renders a column's cumulative probe/prune counters from the
-// metrics registry, so repeated EXPLAINs expose adaptation progressing, and
-// the zones its skipper holds now. The column has a skipper.
-func (e *Engine) lifetimeLine(col string) string {
-	cm := e.colMetrics(col)
-	skipped := cm.rowsSkipped.Load()
-	cand := cm.candidateRows.Load()
-	return fmt.Sprintf("lifetime: %d probes (%d declined), %d zone probes, %d rows skipped / %d candidate (prune hit rate %.1f%%); %d zones now",
-		cm.probeQueries.Load(), cm.declined.Load(), cm.zonesProbed.Load(), skipped, cand,
-		obs.Pct(int(skipped), int(skipped+cand)), e.skippers[col].Metadata().Zones)
 }

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"adskip/internal/faultinject"
 	"adskip/internal/obs"
@@ -26,13 +25,14 @@ var (
 	// deadline expired before execution finished.
 	ErrCanceled = errors.New("engine: query canceled")
 	// ErrBudget reports that the query exceeded one of its resource
-	// limits (rows scanned, result rows, or wall-clock duration).
+	// limits (rows scanned or result rows).
 	ErrBudget = errors.New("engine: query exceeded resource budget")
 )
 
 // Limits bounds one query's resource consumption. The zero value imposes
 // no limits. Limits are enforced at cooperative checkpoints, so overshoot
-// is bounded by one checkpoint interval (checkpointRows rows).
+// is bounded by one checkpoint interval (checkpointRows rows). A deadline
+// is the query's context's.
 type Limits struct {
 	// MaxRowsScanned caps rows whose codes a kernel reads. Rows pruned by
 	// metadata are free — budgets reward skipping.
@@ -40,9 +40,6 @@ type Limits struct {
 	// MaxResultRows caps materialized result rows (projection rows, or
 	// groups for GROUP BY).
 	MaxResultRows int
-	// MaxDuration caps wall-clock execution time, independent of any
-	// context deadline.
-	MaxDuration time.Duration
 }
 
 // checkpointRows is the cooperative checkpoint interval: scans check for
@@ -55,10 +52,9 @@ const checkpointRows = 1 << 16
 type qctx struct {
 	ctx       context.Context
 	done      <-chan struct{}
-	deadline  time.Time // from Limits.MaxDuration; zero = none
-	maxRows   int64     // from Limits.MaxRowsScanned; 0 = none
-	maxResult int       // from Limits.MaxResultRows; 0 = none
-	workers   int       // goroutines the COUNT driver scans with: Options.Parallelism, 1 on a retry
+	maxRows   int64 // from Limits.MaxRowsScanned; 0 = none
+	maxResult int   // from Limits.MaxResultRows; 0 = none
+	workers   int   // goroutines the COUNT driver scans with: Options.Parallelism, 1 on a retry
 	rows      atomic.Int64
 	failure   atomic.Pointer[error]
 }
@@ -67,17 +63,13 @@ type qctx struct {
 // configured limits.
 func (e *Engine) newQctx(ctx context.Context) *qctx {
 	lim := e.opts.Limits
-	qc := &qctx{
+	return &qctx{
 		ctx:       ctx,
 		done:      ctx.Done(),
 		maxRows:   lim.MaxRowsScanned,
 		maxResult: lim.MaxResultRows,
 		workers:   e.opts.Parallelism,
 	}
-	if lim.MaxDuration > 0 {
-		qc.deadline = time.Now().Add(lim.MaxDuration)
-	}
-	return qc
 }
 
 // fail latches the first failure and returns the winning error.
@@ -108,9 +100,6 @@ func (qc *qctx) check(rows int64) error {
 	case <-qc.done:
 		return qc.fail(fmt.Errorf("%w: %v", ErrCanceled, context.Cause(qc.ctx)))
 	default:
-	}
-	if !qc.deadline.IsZero() && time.Now().After(qc.deadline) {
-		return qc.fail(fmt.Errorf("%w: ran longer than the configured MaxDuration", ErrBudget))
 	}
 	return nil
 }

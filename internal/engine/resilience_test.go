@@ -154,18 +154,6 @@ func TestLimitsMaxRowsScanned(t *testing.T) {
 	}
 }
 
-func TestLimitsMaxDuration(t *testing.T) {
-	tb := buildIntTable(t, 1<<20)
-	e := New(tb, Options{Policy: PolicyNone, Limits: Limits{MaxDuration: time.Millisecond}})
-	restore := faultinject.Activate(faultinject.New(7).
-		Set(faultinject.ScanDelay, faultinject.Rule{Every: 1, Delay: 2 * time.Millisecond}))
-	defer restore()
-	_, err := e.Query(countQuery("v"))
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("err=%v, want ErrBudget", err)
-	}
-}
-
 func TestLimitsMaxResultRows(t *testing.T) {
 	tb := buildTable(t, 2000, 5)
 	e := New(tb, Options{Policy: PolicyNone, Limits: Limits{MaxResultRows: 50}})

@@ -1,17 +1,13 @@
 package stats
 
 import (
-	"encoding/csv"
-	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"adskip/internal/obs"
 )
 
-// Sort keys accepted by Snapshot and WriteCSV.
+// Sort keys accepted by Snapshot.
 const (
 	SortTime  = "time"  // total execution time, descending (default)
 	SortCalls = "calls" // call count, descending
@@ -30,7 +26,11 @@ func ValidSort(key string) bool {
 
 // TemplateSnapshot is the exported aggregate for one query template.
 // The JSON field set is the /workload wire schema — golden-locked by
-// telemetry tests; additions are fine, renames and removals are not.
+// telemetry tests; a rename or removal is a schema change. This version
+// removed zones_read and zones_pruned (they summed coalesced candidate
+// windows, not zones) and the skip-regression view skip_fast, skip_base
+// and skip_regression: the per-template signal is the change in
+// rows_skipped and rows_read between two polls.
 type TemplateSnapshot struct {
 	Fingerprint string `json:"fingerprint"`
 	Table       string `json:"table"`
@@ -47,16 +47,7 @@ type TemplateSnapshot struct {
 	RowsReturned int64   `json:"rows_returned"`
 	RowsSkipped  int64   `json:"rows_skipped"`
 	SkipRatio    float64 `json:"skip_ratio"`
-	ZonesRead    int64   `json:"zones_read"`
-	ZonesPruned  int64   `json:"zones_pruned"`
 	BytesScanned int64   `json:"bytes_scanned"`
-
-	// Skip-regression detector view: the fast EWMA and slow learned
-	// baseline of this template's per-query skip rate, and their positive
-	// gap (0 when the template prunes at or above its own history).
-	SkipFast       float64 `json:"skip_fast"`
-	SkipBase       float64 `json:"skip_base"`
-	SkipRegression float64 `json:"skip_regression"`
 
 	// Shard scatter-gather attribution (sharded tables only, all omitted
 	// otherwise): cumulative shards scanned vs pruned, and the sorted
@@ -148,8 +139,6 @@ func (t *Table) snapshotEntryLocked(e *entry) TemplateSnapshot {
 		RowsRead:      int64(e.cost.RowsScanned),
 		RowsReturned:  e.rowsReturned,
 		RowsSkipped:   int64(e.cost.RowsSkipped),
-		ZonesRead:     e.zonesRead,
-		ZonesPruned:   e.zonesPruned,
 		BytesScanned:  int64(e.cost.BytesScanned),
 		ShardsScanned: int64(e.cost.ShardsScanned),
 		ShardsPruned:  int64(e.cost.ShardsPruned),
@@ -169,10 +158,6 @@ func (t *Table) snapshotEntryLocked(e *entry) TemplateSnapshot {
 	if denom := ts.RowsSkipped + ts.RowsRead; denom > 0 {
 		ts.SkipRatio = float64(ts.RowsSkipped) / float64(denom)
 	}
-	ts.SkipFast, ts.SkipBase = e.skipFast, e.skipBase
-	if gap := e.skipBase - e.skipFast; gap > 0 {
-		ts.SkipRegression = gap
-	}
 	return ts
 }
 
@@ -189,60 +174,4 @@ func (t *Table) Template(fingerprint string) (TemplateSnapshot, bool) {
 		return TemplateSnapshot{}, false
 	}
 	return t.snapshotEntryLocked(e), true
-}
-
-// WriteCSV writes the snapshot as CSV: one header row, one row per
-// template.
-func (t *Table) WriteCSV(w io.Writer, sortBy string, k int) error {
-	return WriteSnapshotCSV(w, t.Snapshot(sortBy, k))
-}
-
-// WriteSnapshotCSV writes an already-taken snapshot as CSV — the
-// filter-then-export path (e.g. the telemetry server's ?shard=N view).
-func WriteSnapshotCSV(w io.Writer, snap WorkloadSnapshot) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"fingerprint", "table", "calls", "errors", "cache_hits",
-		"total_seconds", "mean_us", "p50_us", "p95_us",
-		"rows_read", "rows_returned", "rows_skipped", "skip_ratio",
-		"zones_read", "zones_pruned", "bytes_scanned",
-		"shards_scanned", "shards_pruned", "shards",
-	}); err != nil {
-		return err
-	}
-	for _, ts := range snap.Templates {
-		rec := []string{
-			ts.Fingerprint, ts.Table,
-			strconv.FormatInt(ts.Calls, 10),
-			strconv.FormatInt(ts.Errors, 10),
-			strconv.FormatInt(ts.CacheHits, 10),
-			strconv.FormatFloat(ts.TotalSeconds, 'f', 6, 64),
-			strconv.FormatFloat(ts.MeanUS, 'f', 1, 64),
-			strconv.FormatFloat(ts.P50US, 'f', 1, 64),
-			strconv.FormatFloat(ts.P95US, 'f', 1, 64),
-			strconv.FormatInt(ts.RowsRead, 10),
-			strconv.FormatInt(ts.RowsReturned, 10),
-			strconv.FormatInt(ts.RowsSkipped, 10),
-			strconv.FormatFloat(ts.SkipRatio, 'f', 4, 64),
-			strconv.FormatInt(ts.ZonesRead, 10),
-			strconv.FormatInt(ts.ZonesPruned, 10),
-			strconv.FormatInt(ts.BytesScanned, 10),
-			strconv.FormatInt(ts.ShardsScanned, 10),
-			strconv.FormatInt(ts.ShardsPruned, 10),
-			strings.Join(shardList(ts.Shards), " "),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func shardList(shards []int) []string {
-	out := make([]string, len(shards))
-	for i, sh := range shards {
-		out[i] = strconv.Itoa(sh)
-	}
-	return out
 }

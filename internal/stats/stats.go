@@ -3,7 +3,7 @@
 // pg_stat_statements. The adskip facade records one Sample per logical
 // query under the query's fingerprint (the literal-stripped template
 // rendered by internal/sql); this package aggregates calls, errors,
-// latency histograms and row/zone/byte counts.
+// latency histograms and row/byte counts.
 //
 // The table is LRU-bounded: when a workload carries more distinct
 // templates than DefaultMaxTemplates, the least-recently-called template is
@@ -23,16 +23,6 @@ import (
 // tracks; the least-recently-called template is evicted beyond it.
 const DefaultMaxTemplates = 256
 
-// Skip-regression EWMA steps. The fast average converges in a few
-// queries (α=0.3 → ~5-query window) so a genuine regression is visible
-// quickly; the baseline moves two orders slower (α=0.02 → ~100-query
-// window) so it remembers what the template achieved before the drop
-// instead of chasing it down.
-const (
-	skipFastAlpha = 0.3
-	skipBaseAlpha = 0.02
-)
-
 // Sample is one executed (or failed) query, already attributed to a
 // template by the caller.
 type Sample struct {
@@ -46,8 +36,6 @@ type Sample struct {
 	// scanned and pruned.
 	Cost         obs.Cost
 	RowsReturned int64 // rows (or groups) in the result
-	ZonesRead    int64 // candidate zones scanned
-	ZonesPruned  int64 // zones eliminated by metadata probes
 	// Shards lists the 1-based shard numbers a sharded query actually
 	// scanned, for the /workload?shard=N filter.
 	Shards []int
@@ -63,19 +51,9 @@ type entry struct {
 	totalSeconds             float64
 	latBuckets               []int64 // on the shared obs latency bounds
 
-	cost                   obs.Cost // summed over successful calls
-	rowsReturned           int64
-	zonesRead, zonesPruned int64
-	shards                 map[int]struct{} // 1-based shard numbers ever scanned
-
-	// Skip-regression detector state: two EWMAs of the template's
-	// per-query skip rate. skipFast tracks recent behavior; skipBase is
-	// the slow learned baseline of what the template used to achieve.
-	// A positive (base − fast) gap means pruning has degraded — stale
-	// metadata after appends, merged-away zones, or arbitration flips —
-	// and surfaces as adskip_adapt_skip_regression_ppm via RegressionGap.
-	skipFast, skipBase float64
-	skipSeen           bool
+	cost         obs.Cost // summed over successful calls
+	rowsReturned int64
+	shards       map[int]struct{} // 1-based shard numbers ever scanned
 
 	firstSeen, lastSeen time.Time
 }
@@ -114,9 +92,6 @@ func New(reg *obs.Registry) *Table {
 			"Failed queries recorded into the workload stats table.")
 		t.mEvicted = reg.Counter("adskip_stats_evicted_total",
 			"Templates evicted from the workload stats table (LRU bound).")
-		reg.GaugeFunc("adskip_adapt_skip_regression_ppm",
-			"Worst per-template skip-rate regression (baseline minus fast EWMA), parts per million.",
-			func() int64 { return int64(t.RegressionGap() * 1e6) })
 	}
 	return t
 }
@@ -166,19 +141,6 @@ func (t *Table) Record(s Sample) {
 		}
 		e.cost.Add(s.Cost)
 		e.rowsReturned += s.RowsReturned
-		e.zonesRead += s.ZonesRead
-		e.zonesPruned += s.ZonesPruned
-		if denom := s.Cost.RowsSkipped + s.Cost.RowsScanned; denom > 0 {
-			rate := float64(s.Cost.RowsSkipped) / float64(denom)
-			if !e.skipSeen {
-				// Warm start: the first observation seeds both averages so
-				// a fresh template never reports a spurious gap.
-				e.skipFast, e.skipBase, e.skipSeen = rate, rate, true
-			} else {
-				e.skipFast += skipFastAlpha * (rate - e.skipFast)
-				e.skipBase += skipBaseAlpha * (rate - e.skipBase)
-			}
-		}
 		for _, sh := range s.Shards {
 			if sh <= 0 {
 				continue
@@ -203,36 +165,4 @@ func (t *Table) Record(s Sample) {
 			t.mEvicted.Add(evictedNow)
 		}
 	}
-}
-
-// RegressionGap returns the worst per-template skip-rate regression
-// currently tracked: max over templates of (learned baseline − fast
-// EWMA), clamped at 0. Zero means no template prunes worse than its own
-// history. A /metrics scrape reads it as adskip_adapt_skip_regression_ppm.
-func (t *Table) RegressionGap() float64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	worst := 0.0
-	for _, e := range t.byFP {
-		if !e.skipSeen {
-			continue
-		}
-		if gap := e.skipBase - e.skipFast; gap > worst {
-			worst = gap
-		}
-	}
-	t.mu.Unlock()
-	return worst
-}
-
-// Len reports how many templates are currently tracked.
-func (t *Table) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.order.Len()
 }

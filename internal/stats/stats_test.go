@@ -14,7 +14,7 @@ func sample(fp string, lat time.Duration) Sample {
 	return Sample{
 		Fingerprint: fp, Table: "data", Latency: lat,
 		Cost:         obs.Cost{RowsScanned: 100, RowsSkipped: 900, BytesScanned: 800},
-		RowsReturned: 1, ZonesRead: 2, ZonesPruned: 18,
+		RowsReturned: 1,
 	}
 }
 
@@ -34,8 +34,8 @@ func TestRecordAggregates(t *testing.T) {
 	if ts.Calls != 3 || ts.Errors != 1 {
 		t.Fatalf("calls=%d errors=%d, want 3/1", ts.Calls, ts.Errors)
 	}
-	if ts.RowsRead != 200 || ts.RowsSkipped != 1800 || ts.ZonesRead != 4 || ts.ZonesPruned != 36 {
-		t.Fatalf("row/zone totals wrong: %+v", ts)
+	if ts.RowsRead != 200 || ts.RowsSkipped != 1800 {
+		t.Fatalf("row totals wrong: %+v", ts)
 	}
 	if ts.BytesScanned != 1600 {
 		t.Fatalf("bytes_scanned=%d, want 1600", ts.BytesScanned)
@@ -54,7 +54,7 @@ func TestRecordAggregates(t *testing.T) {
 func TestRecordIgnoresEmptyFingerprint(t *testing.T) {
 	tb := New(nil)
 	tb.Record(Sample{Latency: time.Millisecond})
-	if tb.Len() != 0 {
+	if tb.Snapshot("", 0).TotalTemplates != 0 {
 		t.Fatalf("unfingerprinted sample created a template")
 	}
 	var nilTable *Table
@@ -115,21 +115,6 @@ func TestSnapshotSortOrders(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	tb := New(nil)
-	tb.Record(sample("SELECT COUNT(*) FROM data WHERE v < ?", time.Millisecond))
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf, "", 0); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, needle := range []string{"fingerprint,table,calls", "SELECT COUNT(*) FROM data WHERE v < ?", ",2,18,800,"} {
-		if !bytes.Contains(buf.Bytes(), []byte(needle)) {
-			t.Fatalf("CSV missing %q:\n%s", needle, out)
-		}
-	}
-}
-
 func TestMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
 	tb := New(reg)
@@ -175,7 +160,7 @@ func TestConcurrentChurn(t *testing.T) {
 					_ = tb.Snapshot(SortCalls, 5)
 				}
 				if i%101 == 0 {
-					_ = tb.WriteCSV(&bytes.Buffer{}, SortBytes, 3)
+					_ = tb.Snapshot(SortBytes, 3)
 				}
 			}
 		}(w)

@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -196,38 +194,6 @@ func TestAdaptationBadParams(t *testing.T) {
 		if code, body := get(t, srv.URL()+"/adaptation"+q); code != http.StatusBadRequest {
 			t.Errorf("/adaptation%s = %d, want 400\n%s", q, code, body)
 		}
-	}
-}
-
-// TestAdaptationCSV golden-locks the CSV header and checks one data row.
-func TestAdaptationCSV(t *testing.T) {
-	srv, err := Start("", adaptationSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	code, body := get(t, srv.URL()+"/adaptation?format=csv")
-	if code != http.StatusOK {
-		t.Fatalf("/adaptation?format=csv = %d\n%s", code, body)
-	}
-	rows, err := csv.NewReader(strings.NewReader(body)).ReadAll()
-	if err != nil {
-		t.Fatalf("CSV parse: %v\n%s", err, body)
-	}
-	wantHeader := "table,shard,column,kind,zones,bytes," +
-		"rows_skipped,rows_covered,bytes_skipped,candidate_rows," +
-		"zone_probes,maintenance_events,maintenance_zones,net_benefit_rows,dead_zones"
-	if got := strings.Join(rows[0], ","); got != wantHeader {
-		t.Fatalf("CSV header drifted:\n got %s\nwant %s", got, wantHeader)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("CSV rows = %d, want header + 3 ROI rows", len(rows))
-	}
-	// data/shard1: the fully-populated row.
-	want := []string{"data", "1", "v", "adaptive", "5", "160",
-		"9000", "100", "72000", "10000", "50", "2", "3", "8758.0", "1"}
-	if got := strings.Join(rows[2], ","); got != strings.Join(want, ",") {
-		t.Fatalf("CSV row drifted:\n got %s\nwant %s", got, strings.Join(want, ","))
 	}
 }
 

@@ -13,10 +13,8 @@ package telemetry
 
 import (
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -147,8 +145,8 @@ func (s *Server) endpoints() []endpoint {
 		{"/metrics", "Prometheus exposition", s.handleMetrics},
 		{"/traces", "recent query traces", s.handleTraces},
 		{"/health", "readiness probe (503 while the write-ahead log replays)", s.handleHealth},
-		{"/workload", "per-template workload stats (add <code>?sort=time|calls|bytes</code>, <code>?k=N</code>, <code>?format=csv</code>)", s.handleWorkload},
-		{"/adaptation", "adaptation ledger: zone-lifecycle provenance + per-column skip ROI (add <code>?table=</code>, <code>?shard=N</code>, <code>?dead=N</code>, <code>?format=csv</code>)", s.handleAdaptation},
+		{"/workload", "per-template workload stats (add <code>?sort=time|calls|bytes</code>, <code>?k=N</code>, <code>?shard=N</code>)", s.handleWorkload},
+		{"/adaptation", "adaptation ledger: zone-lifecycle provenance + per-column skip ROI (add <code>?table=</code>, <code>?shard=N</code>, <code>?dead=N</code>)", s.handleAdaptation},
 		{"/debug/pprof/", "pprof profiles", pprof.Index},
 	}
 }
@@ -235,8 +233,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // handleWorkload serves the per-template workload stats, top-K by the
 // requested sort order. ?sort=time|calls|bytes (default time),
 // ?k=N caps the template list (default 50; k=0 returns every template),
-// ?format=csv switches to a downloadable CSV, ?shard=N keeps only
-// templates that have scanned that shard (400 when out of range).
+// ?shard=N keeps only templates that have scanned that shard (400 when
+// out of range).
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	sortBy := q.Get("sort")
@@ -285,12 +283,6 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		}
 		snap.Templates = kept
 	}
-	if q.Get("format") == "csv" {
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		w.Header().Set("Content-Disposition", `attachment; filename="adskip-workload.csv"`)
-		_ = stats.WriteSnapshotCSV(w, snap)
-		return
-	}
 	writeJSON(w, snap)
 }
 
@@ -299,8 +291,8 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 // ?table= narrows to one table (unknown tables are a 400), ?shard=N to
 // one 1-based shard (out of range is a 400), ?dead=N caps per-column
 // dead-zone detail (default 16; dead=0 keeps the counts but omits the
-// detail), ?format=csv downloads the ROI rows as CSV. Total/Dropped
-// always report the whole ledger, not the filtered view.
+// detail). Total/Dropped always report the whole ledger, not the
+// filtered view.
 func (s *Server) handleAdaptation(w http.ResponseWriter, r *http.Request) {
 	if s.src.Adaptation == nil {
 		writeJSON(w, obs.AdaptationSnapshot{Events: []obs.LedgerRecord{}, ROI: []obs.ColumnROI{}})
@@ -395,53 +387,7 @@ func (s *Server) handleAdaptation(w http.ResponseWriter, r *http.Request) {
 		}
 		snap.ROI = roi
 	}
-	if q.Get("format") == "csv" {
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		w.Header().Set("Content-Disposition", `attachment; filename="adskip-adaptation.csv"`)
-		_ = writeAdaptationCSV(w, snap)
-		return
-	}
 	writeJSON(w, snap)
-}
-
-// writeAdaptationCSV writes the snapshot's ROI rows as CSV — the tabular
-// half of /adaptation (the event journal stays JSON-only). The header is
-// golden-locked by telemetry tests; appending columns is fine, renaming
-// or removing them is not.
-func writeAdaptationCSV(w io.Writer, snap obs.AdaptationSnapshot) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"table", "shard", "column", "kind", "zones", "bytes",
-		"rows_skipped", "rows_covered", "bytes_skipped", "candidate_rows",
-		"zone_probes", "maintenance_events", "maintenance_zones",
-		"net_benefit_rows", "dead_zones",
-	}); err != nil {
-		return err
-	}
-	for _, row := range snap.ROI {
-		rec := []string{
-			row.Table,
-			strconv.Itoa(row.Shard),
-			row.Column,
-			row.Kind,
-			strconv.Itoa(row.Zones),
-			strconv.Itoa(row.Bytes),
-			strconv.FormatInt(row.RowsSkipped, 10),
-			strconv.FormatInt(row.RowsCovered, 10),
-			strconv.FormatInt(row.BytesSkipped, 10),
-			strconv.FormatInt(row.CandidateRows, 10),
-			strconv.FormatInt(row.ZoneProbes, 10),
-			strconv.FormatInt(row.MaintEvents, 10),
-			strconv.FormatInt(row.MaintZones, 10),
-			strconv.FormatFloat(row.NetRows, 'f', 1, 64),
-			strconv.Itoa(row.DeadZones),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // writeJSON writes v as indented JSON.

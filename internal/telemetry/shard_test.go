@@ -77,12 +77,6 @@ func TestWorkloadShardFilter(t *testing.T) {
 			t.Errorf("/workload%s = %d, want 400\n%s", q, code, body)
 		}
 	}
-
-	// The filter composes with CSV export.
-	code, body := get(t, srv.URL()+"/workload?shard=2&format=csv")
-	if code != http.StatusOK {
-		t.Fatalf("shard CSV = %d\n%s", code, body)
-	}
 }
 
 // TestWorkloadShardFilterUnsharded: no shard has been recorded, so any

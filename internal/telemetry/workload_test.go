@@ -1,11 +1,9 @@
 package telemetry
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +19,7 @@ func workloadSource() Source {
 	tbl := stats.New(nil)
 	tbl.Record(stats.Sample{
 		Fingerprint: "SELECT COUNT(*) FROM data WHERE v < ?", Table: "data",
-		Latency: 50 * time.Millisecond, RowsReturned: 10, ZonesRead: 4, ZonesPruned: 36,
+		Latency: 50 * time.Millisecond, RowsReturned: 10,
 		Cost: obs.Cost{RowsScanned: 1000, RowsSkipped: 9000, BytesScanned: 8000},
 	})
 	for i := 0; i < 3; i++ {
@@ -68,9 +66,8 @@ func TestWorkloadEndpointSchema(t *testing.T) {
 	wantTemplate := []string{
 		"bytes_scanned", "cache_hits", "calls", "errors", "fingerprint",
 		"first_seen", "last_seen", "mean_us", "p50_us", "p95_us",
-		"rows_read", "rows_returned", "rows_skipped", "skip_base",
-		"skip_fast", "skip_ratio", "skip_regression",
-		"table", "total_seconds", "zones_pruned", "zones_read",
+		"rows_read", "rows_returned", "rows_skipped", "skip_ratio",
+		"table", "total_seconds",
 	}
 	if got := sortedKeys(templates[0]); !equalStrings(got, wantTemplate) {
 		t.Fatalf("template keys = %v, want %v (schema is golden-locked)", got, wantTemplate)
@@ -157,38 +154,9 @@ func TestWorkloadBadParams(t *testing.T) {
 	}
 }
 
-// TestWorkloadCSV: ?format=csv is a downloadable spreadsheet with one
-// row per template.
-func TestWorkloadCSV(t *testing.T) {
-	srv, err := Start("", workloadSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL() + "/workload?format=csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/csv") {
-		t.Fatalf("Content-Type = %q, want text/csv", ct)
-	}
-	recs, err := csv.NewReader(resp.Body).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 { // header + 2 templates
-		t.Fatalf("CSV rows = %d, want 3", len(recs))
-	}
-	if recs[0][0] != "fingerprint" {
-		t.Fatalf("CSV header starts %q, want fingerprint", recs[0][0])
-	}
-}
-
 // TestWorkloadNilSource: a server without a stats table still answers
-// /workload with an empty, well-formed snapshot (and header-only CSV) —
-// dashboards degrade instead of erroring.
+// /workload with an empty, well-formed snapshot — dashboards degrade
+// instead of erroring.
 func TestWorkloadNilSource(t *testing.T) {
 	srv, err := Start("", testSource())
 	if err != nil {
@@ -206,9 +174,5 @@ func TestWorkloadNilSource(t *testing.T) {
 	}
 	if len(snap.Templates) != 0 || snap.TotalTemplates != 0 {
 		t.Fatalf("empty server: %+v", snap)
-	}
-	code, body = get(t, srv.URL()+"/workload?format=csv")
-	if code != http.StatusOK || !strings.HasPrefix(body, "fingerprint,") {
-		t.Fatalf("empty CSV = %d:\n%s", code, body)
 	}
 }

@@ -35,8 +35,8 @@ func scrape(t *testing.T, db *DB) string {
 // bounded DB that has run queries carries every signal an operator reads
 // off the process — query and row totals, slow and failed queries, the
 // latency histogram, adaptation events, per-column skipping state, queue
-// depth, skip regression, WAL lag and the Go runtime — with the
-// instantaneous ones read at scrape time.
+// depth, WAL lag and the Go runtime — with the instantaneous ones read at
+// scrape time.
 func TestMetricsCarryEverySignal(t *testing.T) {
 	db := seededDB(t, Options{Policy: Adaptive, MaxConcurrentQueries: 2,
 		Durability: Durability{Dir: t.TempDir()}})
@@ -75,7 +75,6 @@ func TestMetricsCarryEverySignal(t *testing.T) {
 		"adskip_queries_over_budget_total" + tbl,
 		"adskip_panics_recovered_total" + tbl,
 		"adskip_admission_waiting",
-		"adskip_adapt_skip_regression_ppm",
 		"adskip_wal_lag_us",
 	}
 	for _, series := range positive {
@@ -127,7 +126,7 @@ func TestMetricsThroughFacade(t *testing.T) {
 	}
 
 	// Enabling skipping emitted lifecycle events for all three columns.
-	evs := db.AdaptationEvents()
+	evs := db.Adaptation(0).Events
 	if len(evs) < 3 {
 		t.Fatalf("adaptation events = %d, want >= 3 (skipper-built per column)", len(evs))
 	}

@@ -129,7 +129,7 @@ func TestLimitsThroughFacade(t *testing.T) {
 // fault injection and checks the public surface end to end, on one table
 // and on a 2-shard range table: one injected InvariantFlip breaks one
 // (shard's) adaptive zonemap, the next probe drops that skipper, queries
-// stay exact, the one quarantine record in AdaptationEvents carries the
+// stay exact, the one quarantine record in Adaptation(0).Events carries the
 // shard's stamp, the shard's adskip_skipper_zones reads 0 (SkipperInfo
 // loses the column when no shard keeps a skipper), and EnableSkipping
 // brings the zones back.
@@ -174,7 +174,7 @@ func TestQuarantineLifecycleThroughFacade(t *testing.T) {
 			// skipper; the answer stays exact.
 			exact("the detecting query")
 			var quarantines []AdaptationRecord
-			for _, ev := range db.AdaptationEvents() {
+			for _, ev := range db.Adaptation(0).Events {
 				if ev.Kind == obs.EventQuarantine {
 					quarantines = append(quarantines, ev)
 				}

@@ -758,7 +758,9 @@ func diffResult(q *query, want *answer, got, shape *Result, exact bool) string {
 // evaluator's over the model's rows, and its columns to the first
 // subject's. A query with a WHERE and no LIMIT is held to its cost too:
 // every row it matches was scanned or covered, no covered row fails the
-// predicate, and Policy None skips nothing.
+// predicate, and Policy None skips nothing. On an unsharded subject, each
+// predicate column whose skipper took part accounts for every row once:
+// its rows skipped and its candidate rows sum to the table's rows.
 func compare(t *testing.T, step string, m *model, qs []query) {
 	t.Helper()
 	for _, q := range qs {
@@ -780,6 +782,15 @@ func compare(t *testing.T, step string, m *model, qs []query) {
 					s.cfg.policy == None && st.RowsSkipped != 0) {
 				t.Fatalf("%s, %s: %q: %d rows match, but it scanned %d, covered %d and skipped %d",
 					step, s.cfg.name, q.sql, want.count, st.RowsScanned, st.RowsCovered, st.RowsSkipped)
+			}
+			if s.cfg.shards > 0 {
+				continue // a merged trace sums only the shards it scanned
+			}
+			for _, p := range got.Trace.Predicates {
+				if p.SkippersUsed == 1 && p.RowsSkipped+p.CandidateRows != got.Trace.RowsTotal {
+					t.Fatalf("%s, %s: %q: column %s skipped %d and kept %d candidate rows of %d",
+						step, s.cfg.name, q.sql, p.Column, p.RowsSkipped, p.CandidateRows, got.Trace.RowsTotal)
+				}
 			}
 		}
 	}
