@@ -15,12 +15,12 @@
 //     adaptive skipping never durably underperforms a plain scan.
 //
 // The directory (zonemap.Grid) owns the zones, parts, blocks and append
-// tail, and what every layout shares: tail folds, the PruneNulls walk and
-// CheckInvariants. This package keeps what it learns of each zone in an
-// array parallel to the zones, and owns the range probe walk (Prune, which
-// also says why a zone did not prune), Observe with its split and merge
-// edits, and arbitration. A broken layout is a fault: the walks panic with
-// an error wrapping zonemap.ErrCorrupt, and the engine drops the zonemap.
+// tail, and what every layout shares: tail folds, the probe and PruneNulls
+// walks and CheckInvariants. This package keeps what it learns of each
+// zone in an array parallel to the zones, and owns Observe with its split
+// and merge edits, and arbitration. A broken layout is a fault: the walks
+// panic with an error wrapping zonemap.ErrCorrupt, and the engine drops
+// the zonemap.
 package adaptive
 
 import (
@@ -95,10 +95,10 @@ type tuning struct {
 // defaultTuning is the tuning every zonemap starts with.
 var defaultTuning = tuning{horizon: Horizon, mergeHeat: MergeHeat}
 
-// zone is a zone of the directory, and a part of the summary. Its hull is
-// exactly its rows' own; a zone's is the union of its parts', so a split's
-// sub-zones take their parts' hulls.
-type zone = zonemap.Zone[expr.Hull]
+// zone is a zone of the directory, or a part of the summary, with its
+// hull. A part's hull is exactly its rows' own; a zone's is the union of
+// its parts', so a split's sub-zones take their parts' hulls.
+type zone = zonemap.Entry[expr.Hull]
 
 // learner is what the zonemap learns of one zone, kept beside the zones so
 // that a probe reads only bounds, hull and count. The zone's first part,
@@ -121,7 +121,7 @@ type Stats struct {
 // Zonemap is an adaptive zonemap over one column. It implements
 // core.Skipper. Not safe for concurrent mutation.
 type Zonemap struct {
-	zonemap.Grid[expr.Hull, expr.Clause]
+	zonemap.Grid[expr.Hull, zonemap.Clause]
 	learn []learner // one per zone
 
 	partRows int // rows of a summary part, before a cut where values jump
@@ -177,7 +177,7 @@ func bounds(h expr.Hull) (lo, hi int64) {
 // one extra per jump.
 func New(codes storage.Vec, nulls *bitvec.BitVec, zoneRows, partRows int) *Zonemap {
 	z := &Zonemap{partRows: partRows, tune: defaultTuning, enabled: true}
-	z.Grid = zonemap.Directory[expr.Hull, expr.Clause](zonemap.HullKind{}, zoneRows, z)
+	z.Grid = zonemap.Directory[expr.Hull, zonemap.Clause](zonemap.HullKind{}, zoneRows, z)
 	z.FoldTail(codes, nulls)
 	z.built = true
 	return z
@@ -191,14 +191,11 @@ func New(codes storage.Vec, nulls *bitvec.BitVec, zoneRows, partRows int) *Zonem
 // mechanism on: ablate it again.
 func (z *Zonemap) Ablate(off Mechanism) { z.tune.off = off }
 
-// Summarize implements zonemap.Layout: the parts are scan.Summarize's.
-func (z *Zonemap) Summarize(parts []zone, codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) []zone {
-	stats := scan.Summarize(codes, lo, hi, nulls, z.partRows)
-	parts = slices.Grow(parts, len(stats))
-	for _, p := range stats {
-		parts = append(parts, zone{Lo: uint32(p.Lo), Hi: uint32(p.Hi), Sum: p.Hull, NonNull: uint32(p.NonNull)})
+// Cut implements zonemap.Layout: the parts are scan.Summarize's.
+func (z *Zonemap) Cut(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int, part func(hi, nonNull int, h expr.Hull)) {
+	for _, p := range scan.Summarize(codes, lo, hi, nulls, z.partRows) {
+		part(p.Hi, p.NonNull, p.Hull)
 	}
-	return parts
 }
 
 // Folded implements zonemap.Layout: the folded zones start at the initial
@@ -212,7 +209,7 @@ func (z *Zonemap) Folded(from int) {
 	if !z.built {
 		return
 	}
-	minAfter, maxAfter := bounds(hullOf(z.Zones[from:]))
+	minAfter, maxAfter := bounds(z.Union(from, len(z.Zones)).Sum)
 	z.record(obs.LedgerRecord{
 		Kind: obs.EventTailFold, Cause: "append-fold",
 		ZonesBefore: from, ZonesAfter: len(z.Zones),
@@ -235,7 +232,7 @@ func (z *Zonemap) CheckInvariants(codes storage.Vec, nulls *bitvec.BitVec) error
 func (z *Zonemap) Introspect() (obs.SkipperSnapshot, bool) {
 	var snap obs.SkipperSnapshot
 	for i, l := range z.learn {
-		if zn := &z.Zones[i]; l.heat < z.tune.mergeHeat {
+		if zn := z.Zone(i); l.heat < z.tune.mergeHeat {
 			mn, mx := bounds(zn.Sum)
 			lo, hi := zn.Rows()
 			snap.DeadZones = append(snap.DeadZones, obs.ROIZone{Lo: lo, Hi: hi, Min: mn, Max: mx, Heat: l.heat})
@@ -262,11 +259,11 @@ func (z *Zonemap) Metadata() core.Metadata {
 	return md
 }
 
-// Prune implements core.Skipper. It only reads: Observe learns from what
-// the probe concluded. While disabled it costs nothing, except on the
-// query whose shadow probe would re-enable the zonemap, which probes as
-// enabled. The walk checks, one comparison a step, that the zones tile the
-// rows, and panics with zonemap.ErrCorrupt rather than skip a gap.
+// Prune implements core.Skipper: the directory's Probe, which also says
+// why a zone did not prune and checks that the zones tile the rows. It
+// only reads: Observe learns from what the probe concluded. While disabled
+// it costs nothing, except on the query whose shadow probe would re-enable
+// the zonemap, which probes as enabled.
 func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 	if r.Lo == nil {
 		r.Lo = noIntervals
@@ -277,57 +274,16 @@ func (z *Zonemap) Prune(r expr.Ranges) core.PruneResult {
 		return core.PruneResult{Enabled: false, Ranges: r}
 	}
 	res := core.PruneResult{Enabled: true, Ranges: r}
-	c := r.Clause()
-	prev := uint32(0) // row where the next zone must start (tiling check)
-	for bi := range z.Blocks {
-		zLo, zHi := zonemap.Members(bi, len(z.Zones))
-		res.ZonesProbed++ // the block probe
-		if c.Test(z.Blocks[bi]) == expr.MatchNone {
-			// One comparison skipped the whole run of zones. Gaps inside
-			// a skipped block are still sound to skip: its value bounds
-			// enclose every member row, wherever zone boundaries drifted.
-			if z.Zones[zLo].Lo != prev {
-				panic(zonemap.BadTiling(zLo, z.Zones[zLo].Lo, prev))
-			}
-			res.Emit(&core.CandidateZone{Lo: int(prev), Hi: int(z.Zones[zHi-1].Hi)}, true)
-			prev = z.Zones[zHi-1].Hi
-			continue
-		}
-		res.ZonesProbed += zHi - zLo
-		for i := zLo; i < zHi; i++ {
-			zn := &z.Zones[i]
-			if zn.Lo != prev || zn.Hi <= zn.Lo {
-				panic(zonemap.BadTiling(i, zn.Lo, prev))
-			}
-			prev = zn.Hi
-			m := c.Test(zn.Sum)
-			if m == expr.MatchNone {
-				res.Emit(&core.CandidateZone{Lo: int(zn.Lo), Hi: int(zn.Hi)}, true)
-				continue
-			}
-			cand := core.CandidateZone{Lo: int(zn.Lo), Hi: int(zn.Hi), Covered: pruned(zn, m)}
-			// Why not skipped: only NULL rows blocked the coverage proof,
-			// or the bounds straddle the predicate.
-			switch {
-			case cand.Covered:
-			case m == expr.MatchAll:
-				res.MissNullStraddle++
-			default:
-				res.MissOverlap++
-			}
-			res.Emit(&cand, false)
-		}
-	}
-	return z.EndProbe(res, prev)
+	return z.EndProbe(res, z.Probe(zonemap.HullKind{}.Lower(r), &res, true))
 }
 
 // noIntervals stands in for an empty predicate's nil list (PruneResult.Ranges).
 var noIntervals = []int64{}
 
-// pruned reports whether a probe whose clause tested zn's hull m spares
-// the zone its scan: no value matches, so it is skipped, or every value
-// matches and no row is NULL, so it is counted as covered. Prune emits
-// candidates by it and Observe learns by it, so the two cannot disagree.
+// pruned reports whether a clause whose test of zn's hull found m spares
+// the zone its scan: no value matches, or every value matches and no row
+// is NULL. It is the probe's verdict on a hull no level stores, the union
+// a split weighs.
 func pruned(zn *zone, m expr.Match) bool {
 	return m == expr.MatchNone || m == expr.MatchAll && zn.NonNull == zn.Hi-zn.Lo
 }
@@ -347,7 +303,8 @@ func (z *Zonemap) corruptLayout() {
 func (z *Zonemap) DescribeZones(max int) string {
 	s := fmt.Sprintf("adaptive zonemap: %d zones over %d rows (tail %d), enabled=%v\n",
 		len(z.Zones), z.Rows(), z.Rows()-z.Indexed(), z.enabled)
-	for i, zn := range z.Zones {
+	for i := range z.Zones {
+		zn := z.Zone(i)
 		if i >= max {
 			s += fmt.Sprintf("  ... %d more zones\n", len(z.Zones)-max)
 			break

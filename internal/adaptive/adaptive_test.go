@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -388,8 +389,8 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 		t.Fatal("Introspect wrote to the zonemap")
 	}
 	var dead []obs.ROIZone
-	for i, zn := range z.Zones {
-		if heat := z.learn[i].heat; heat < z.tune.mergeHeat {
+	for i := range z.Zones {
+		if zn, heat := z.Zone(i), z.learn[i].heat; heat < z.tune.mergeHeat {
 			mn, mx := bounds(zn.Sum)
 			lo, hi := zn.Rows()
 			dead = append(dead, obs.ROIZone{Lo: lo, Hi: hi, Min: mn, Max: mx, Heat: heat})
@@ -405,9 +406,21 @@ func TestIntrospectIsReadOnly(t *testing.T) {
 // are only DeepEqual when nil.
 func clone(z *Zonemap) *Zonemap {
 	c := *z
-	c.Zones, c.Blocks, c.Parts = slices.Clone(z.Zones), slices.Clone(z.Blocks), slices.Clone(z.Parts)
+	c.Zones, c.Parts = slices.Clone(z.Zones), slices.Clone(z.Parts)
+	c.ZoneSums, c.Blocks, c.PartSums = cloneHulls(z.ZoneSums), cloneHulls(z.Blocks), cloneHulls(z.PartSums)
 	c.learn = slices.Clone(z.learn)
 	return &c
+}
+
+// cloneHulls deep-copies a level of hulls.
+func cloneHulls(l zonemap.Level[expr.Hull, zonemap.Clause]) zonemap.Level[expr.Hull, zonemap.Clause] {
+	switch h := l.(type) {
+	case *zonemap.Hulls[uint32]:
+		return &zonemap.Hulls[uint32]{Min: slices.Clone(h.Min), Max: slices.Clone(h.Max)}
+	case *zonemap.Hulls[int64]:
+		return &zonemap.Hulls[int64]{Min: slices.Clone(h.Min), Max: slices.Clone(h.Max)}
+	}
+	panic(fmt.Sprintf("cloneHulls: %T", l))
 }
 
 // readOnly runs probe on z and fails unless z is exactly as it was.
@@ -524,25 +537,30 @@ func TestNullProbeOnDisabledMap(t *testing.T) {
 	}
 }
 
-// TestProbeStructSizes pins the min/max zone (a part, and a static
-// zonemap's zone, are one too), its learner, the block (a hull) and the
-// imprint's zone, which Metadata() counts with unsafe.Sizeof: 40 bytes an
-// adaptive zone with its learner. A change here moves the three
+// TestProbeStructSizes pins the directory's entries, which Metadata()
+// counts with unsafe.Sizeof: a zone's row entry (bounds, count, first
+// part) and a part's (end, count), each beside its hull at the column's
+// code width — 8 bytes on a 4-byte column, 16 on an 8-byte one, and a
+// block is one hull too — or an imprint's 8-byte mask; and the zone's
+// learner. On a 4-byte column a zone is 24 bytes and a part 16, 32 with
+// its learner an adaptive zone. A change here moves the three
 // adaptive.metadata_bytes lines of scripts/bench_counters.golden
 // (skip-clustered, scan-uniform and ingest-mixed) and the "bytes" literals
 // of the engine's TestIntrospectDerivationsMatchParent.
 func TestProbeStructSizes(t *testing.T) {
-	if got := unsafe.Sizeof(zone{}); got != 32 {
-		t.Errorf("min/max zone is %d bytes, want 32", got)
-	}
-	if got := unsafe.Sizeof(zonemap.Zone[uint64]{}); got != 24 {
-		t.Errorf("imprint zone is %d bytes, want 24", got)
-	}
-	if got := unsafe.Sizeof(learner{}); got != 8 {
-		t.Errorf("learner is %d bytes, want 8", got)
-	}
-	if got := unsafe.Sizeof(expr.Hull{}); got != 16 {
-		t.Errorf("block is %d bytes, want 16", got)
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"zone", unsafe.Sizeof(zonemap.Zone{}), 16},
+		{"part", unsafe.Sizeof(zonemap.Part{}), 8},
+		{"narrow hull", 2 * unsafe.Sizeof(uint32(0)), 8},
+		{"wide hull", 2 * unsafe.Sizeof(int64(0)), 16},
+		{"learner", unsafe.Sizeof(learner{}), 8},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.what, c.got, c.want)
+		}
 	}
 }
 
@@ -611,11 +629,12 @@ func TestSplitAtVerdictChanges(t *testing.T) {
 			z.Observe(z.Prune(c.r))
 			var got []int
 			k := 0
-			for _, zn := range z.Zones {
+			for i := range z.Zones {
+				zn := z.Zone(i)
 				got = append(got, int(zn.Lo))
 				union, nonNull := expr.EmptyHull, uint32(0)
 				for ; k < len(z.Parts) && z.Parts[k].Hi <= zn.Hi; k++ {
-					union, nonNull = union.Union(z.Parts[k].Sum), nonNull+z.Parts[k].NonNull
+					union, nonNull = union.Union(z.Part(k).Sum), nonNull+z.Parts[k].NonNull
 				}
 				if zn.Sum != union || zn.NonNull != nonNull {
 					t.Fatalf("zone [%d,%d) hull %+v nonNull %d, its parts %+v %d", zn.Lo, zn.Hi, zn.Sum, zn.NonNull, union, nonNull)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,26 +43,25 @@ func handles[S comparable, Q any](sk core.Skipper, g *zonemap.Grid[S, Q], loosen
 			return ws
 		},
 		move: func(fine bool, i, dLo, dHi int) {
-			ws := g.Zones
-			if fine {
-				ws = g.Parts
+			if fine { // a part starts where the one before ends
+				g.Parts[i].Hi = uint32(int(g.Parts[i].Hi) + dHi)
+				return
 			}
-			ws[i].Lo, ws[i].Hi = uint32(int(ws[i].Lo)+dLo), uint32(int(ws[i].Hi)+dHi)
+			g.Zones[i].Lo, g.Zones[i].Hi = uint32(int(g.Zones[i].Lo)+dLo), uint32(int(g.Zones[i].Hi)+dHi)
 		},
 		spoil: func(block bool) func() {
 			var to S
-			s := &g.Blocks[0]
+			l := g.Blocks
 			if !block {
-				ws := g.Zones
+				l = g.ZoneSums
 				if g.Parts != nil {
-					ws = g.Parts
+					l = g.PartSums
 				}
-				s = &ws[0].Sum
-				to = loosen(*s)
+				to = loosen(l.At(0))
 			}
-			was := *s
-			*s = to
-			return func() { *s = was }
+			was := l.At(0)
+			l.Set(0, to)
+			return func() { l.Set(0, was) }
 		},
 	}
 }
@@ -101,13 +101,11 @@ func splitAtRandom(rng *rand.Rand, z *Zonemap) bool {
 		if end-first < 2 {
 			continue
 		}
-		subs := []zone{z.Parts[first]}
-		subs[0].First = zn.First
+		subs := []zone{z.Part(first)}
 		for k := first + 1; k < end; k++ {
-			if n, p := len(subs)-1, z.Parts[k]; rng.Intn(2) == 0 {
+			if n, p := len(subs)-1, z.Part(k); rng.Intn(2) == 0 {
 				subs[n] = join(subs[n], p)
 			} else {
-				p.First = uint32(k)
 				subs = append(subs, p)
 			}
 		}
@@ -127,9 +125,9 @@ func mergeAtRandom(rng *rand.Rand, z *Zonemap) bool {
 		return false
 	}
 	i := rng.Intn(len(z.Zones) - 1)
-	e := edit{idx: i, n: min(len(z.Zones)-i, 2+rng.Intn(3)), zones: []zone{z.Zones[i]}, l: z.learn[i]}
+	e := edit{idx: i, n: min(len(z.Zones)-i, 2+rng.Intn(3)), zones: []zone{z.Zone(i)}, l: z.learn[i]}
 	for j := i + 1; j < i+e.n; j++ {
-		e.zones[0] = join(e.zones[0], z.Zones[j])
+		e.zones[0] = join(e.zones[0], z.Zone(j))
 	}
 	z.Refold(z.splice([]edit{e}))
 	return true
@@ -252,13 +250,15 @@ func TestZoneDirectoryDifferential(t *testing.T) {
 			d.move(false, i+1, -1, 0)
 			mustFail("zone "+fmt.Sprint(i+1)+" overlapping zone "+fmt.Sprint(i), fmt.Sprintf("zone %d starts at %d, want %d", i+1, ws[i][1]-1, ws[i][1]))
 			d.move(false, i+1, 1, 0)
-			if z != nil {
-				k := rng.Intn(len(z.Parts) - 1)
-				for z.Parts[k].Hi-z.Parts[k].Lo < 2 {
-					k = (k + 1) % (len(z.Parts) - 1)
+			if z != nil { // the last part of a zone, not the last, ends a row short of it
+				zi, k := rng.Intn(len(z.Zones)-1), 0
+				for ; ; zi = (zi + 1) % (len(z.Zones) - 1) {
+					if k = int(z.Zones[zi+1].First) - 1; z.Parts[k].Hi-z.Part(k).Lo >= 2 {
+						break
+					}
 				}
 				d.move(true, k, 0, -1)
-				mustFail("a gap after part "+fmt.Sprint(k), fmt.Sprintf("part %d starts at", k+1))
+				mustFail(fmt.Sprintf("part %d a row short of zone %d", k, zi), fmt.Sprintf("zone %d [%d,%d) ends inside part %d", zi, z.Zones[zi].Lo, z.Zones[zi].Hi, k+1))
 				d.move(true, k, 0, 1)
 			}
 			for try := 0; try < 64; try++ {
@@ -298,4 +298,114 @@ func windowsHold(res core.PruneResult, row int) bool {
 		}
 	}
 	return false
+}
+
+// The directory widens in place on the append that escalates its column.
+// Static, imprint and adaptive directories are built over a column's
+// 4-byte view, and twins over its 8-byte view; the adaptive pair learns
+// from the same queries. Three rows holding a code of 2^40 and a negative
+// one then escalate the column and wait in the tail, and a batch that
+// folds follows; every directory takes each in from the widened column.
+// After each, every directory passes CheckInvariants, stores its hulls at
+// 8 bytes (the imprint's masks have no width), and probes as its twin does
+// — at the end the static and the imprint also as a fresh build over the
+// widened column — on a fixed set of predicates; and the adaptive zonemap
+// has kept the zones, hulls and learners it had learned.
+func TestDirectoryEscalation(t *testing.T) {
+	const zoneRows, floor, n0 = 32, 4, 32 * 40
+	rng := rand.New(rand.NewSource(3))
+	codes, _, domain := propertyColumn(rng, "banded", n0, floor)
+	batch := []int64{7, 1 << 40, -3}
+	for len(batch) < 2*zoneRows+5 {
+		batch = append(batch, rng.Int63n(domain))
+	}
+	all := append(slices.Clone(codes), batch...)
+	narrow, nulls := make([]uint32, n0), bitvec.New(len(all))
+	for i, c := range codes {
+		narrow[i] = uint32(c)
+		if rng.Intn(9) == 0 || i/zoneRows == 5 {
+			nulls.Set(i) // scattered NULLs and a NULL-only zone
+		}
+	}
+	wide := storage.Vec{W: all}
+	bins := imprint.Learn(wide, nulls)
+	preds := []expr.Ranges{oneRange(-5, -1), oneRange(1<<40, 1<<40), oneRange(0, domain/3), expr.Full(), {},
+		expr.Ranges{Lo: []int64{-3, 100, domain / 2}, Hi: []int64{-3, domain / 4, 1 << 41}}}
+	for k := 0; k < 8; k++ {
+		preds = append(preds, propertyRanges(rng, domain))
+	}
+	type pair struct {
+		name               string
+		grown, twin, fresh core.Skipper
+		hulls              func(core.Skipper) []zonemap.Level[expr.Hull, zonemap.Clause]
+	}
+	levels := func(g *zonemap.Grid[expr.Hull, zonemap.Clause]) []zonemap.Level[expr.Hull, zonemap.Clause] {
+		return []zonemap.Level[expr.Hull, zonemap.Clause]{g.ZoneSums, g.Blocks, g.PartSums}
+	}
+	az, atwin := New(storage.Vec{N: narrow}, nulls, zoneRows, floor), New(storage.Vec{W: codes}, nulls, zoneRows, floor)
+	az.Ablate(Arbitration) // probing, whatever the queries earn
+	atwin.Ablate(Arbitration)
+	for q := 0; q < 200; q++ {
+		r := propertyRanges(rng, domain)
+		az.Observe(az.Prune(r))
+		atwin.Observe(atwin.Prune(r))
+	}
+	zones, learn := zonesOf(az), slices.Clone(az.learn)
+	if st := az.Stats(); st.Splits == 0 {
+		t.Fatalf("the queries taught the zonemap nothing: %+v", st)
+	}
+	for _, p := range []pair{
+		{name: "static", grown: zonemap.Build(storage.Vec{N: narrow}, nulls, zoneRows), twin: zonemap.Build(storage.Vec{W: codes}, nulls, zoneRows),
+			fresh: zonemap.Build(wide, nulls, zoneRows),
+			hulls: func(sk core.Skipper) []zonemap.Level[expr.Hull, zonemap.Clause] {
+				return levels(sk.(*zonemap.Grid[expr.Hull, zonemap.Clause]))
+			}},
+		{name: "imprint", grown: zonemap.NewGrid(bins, storage.Vec{N: narrow}, nulls, zoneRows), twin: zonemap.NewGrid(bins, storage.Vec{W: codes}, nulls, zoneRows),
+			fresh: zonemap.NewGrid(bins, wide, nulls, zoneRows)},
+		{name: "adaptive", grown: az, twin: atwin,
+			hulls: func(sk core.Skipper) []zonemap.Level[expr.Hull, zonemap.Clause] { return levels(&sk.(*Zonemap).Grid) }},
+	} {
+		if p.hulls != nil {
+			for _, l := range p.hulls(p.grown) {
+				if _, ok := l.(*zonemap.Hulls[uint32]); !ok {
+					t.Fatalf("%s over the 4-byte view: a level is %T", p.name, l)
+				}
+			}
+		}
+		// First the three rows that escalate the column, which wait in the
+		// tail, then the rest, which fold.
+		for _, rows := range []int{n0 + 3, len(all)} {
+			view := storage.Vec{W: all[:rows]}
+			p.grown.Extend(view, nulls)
+			p.twin.Extend(view, nulls)
+			if err := p.grown.CheckInvariants(view, nulls); err != nil {
+				t.Fatalf("%s after the escalating append, %d rows: %v", p.name, rows, err)
+			}
+			if p.hulls != nil {
+				for _, l := range p.hulls(p.grown) {
+					if _, ok := l.(*zonemap.Hulls[int64]); !ok {
+						t.Fatalf("%s after the escalating append, %d rows: a level is %T", p.name, rows, l)
+					}
+				}
+			}
+			for _, r := range preds {
+				got := p.grown.Prune(r)
+				if want := p.twin.Prune(r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, %d rows, %v: escalated %+v, built wide %+v", p.name, rows, r, got, want)
+				}
+				if p.fresh != nil && rows == len(all) {
+					if want := p.fresh.Prune(r); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, %v: escalated %+v, fresh build %+v", p.name, r, got, want)
+					}
+				}
+				match := func(i int) bool { return !nulls.Get(i) && r.Contains(all[i]) }
+				if err := checkPrune(got, rows, match); err != nil {
+					t.Fatalf("%s, %d rows, %v: %v", p.name, rows, r, err)
+				}
+			}
+		}
+	}
+	if got := zonesOf(az)[:len(zones)]; !slices.Equal(got, zones) || !slices.Equal(az.learn[:len(learn)], learn) {
+		t.Fatalf("the widening lost learned zones or learners: %+v, was %+v", got, zones)
+	}
 }

@@ -14,6 +14,27 @@ import (
 	"adskip/internal/zonemap"
 )
 
+// zonesOf returns z's zones with their hulls.
+func zonesOf(z *Zonemap) []zone {
+	out := make([]zone, len(z.Zones))
+	for i := range out {
+		out[i] = z.Zone(i)
+	}
+	return out
+}
+
+// hullsIn returns the n hulls level l holds, whatever its width.
+func hullsIn(l zonemap.Level[expr.Hull, zonemap.Clause], n int) []expr.Hull {
+	out := make([]expr.Hull, n)
+	for i := range out {
+		out[i] = l.At(i)
+	}
+	return out
+}
+
+// blocksOf is the number of blocks of z's zones.
+func blocksOf(z *Zonemap) int { return (len(z.Zones) + zonemap.BlockZones - 1) / zonemap.BlockZones }
+
 // spliceReference applies edits the way the zone directory was once
 // rebuilt: every zone is copied into a fresh slice, the edited runs looked
 // up in a map and replaced by their new zones, each naming the first part
@@ -23,15 +44,16 @@ func spliceReference(z *Zonemap, edits []edit) {
 	for _, e := range edits {
 		byIdx[e.idx] = e
 	}
+	zones := zonesOf(z)
 	var out []zone
 	var learn []learner
-	for i := 0; i < len(z.Zones); i++ {
+	for i := 0; i < len(zones); i++ {
 		e, ok := byIdx[i]
 		if !ok {
-			out, learn = append(out, z.Zones[i]), append(learn, z.learn[i])
+			out, learn = append(out, zones[i]), append(learn, z.learn[i])
 			continue
 		}
-		old := z.Zones[i : i+e.n]
+		old := zones[i : i+e.n]
 		minBefore, maxBefore := bounds(hullOf(old))
 		minAfter, maxAfter := bounds(hullOf(e.zones))
 		kind, cause := obs.EventSplit, "split-gain"
@@ -49,20 +71,25 @@ func spliceReference(z *Zonemap, edits []edit) {
 			MinAfter: minAfter, MaxAfter: maxAfter,
 		})
 		for _, s := range e.zones {
-			s.First = uint32(slices.IndexFunc(z.Parts, func(p zone) bool { return p.Lo == s.Lo }))
+			s.First = uint32(slices.IndexFunc(z.Parts, func(p zonemap.Part) bool { return p.Hi > s.Lo }))
 			out, learn = append(out, s), append(learn, e.l)
 		}
 		i += e.n - 1
 	}
-	z.Zones, z.learn = out, learn
+	z.Zones, z.learn = z.Zones[:0], learn
+	z.ZoneSums.Resize(0)
+	for i, s := range out {
+		z.SetZone(i, s)
+	}
 }
 
 // blocksReference recomputes the whole coarse level from the zone slice.
 func blocksReference(z *Zonemap) {
-	z.Blocks = make([]expr.Hull, (len(z.Zones)+zonemap.BlockZones-1)/zonemap.BlockZones)
-	for bi := range z.Blocks {
-		lo, hi := zonemap.Members(bi, len(z.Zones))
-		z.Blocks[bi] = hullOf(z.Zones[lo:hi])
+	zones := zonesOf(z)
+	z.Blocks.Resize(blocksOf(z))
+	for bi := range blocksOf(z) {
+		lo, hi := zonemap.Members(bi, len(zones))
+		z.Blocks.Set(bi, hullOf(zones[lo:hi]))
 	}
 }
 
@@ -82,28 +109,29 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 		return
 	}
 	c := res.Ranges.Clause()
+	zones := zonesOf(z)
 	entered := func(i int) bool {
-		lo, hi := zonemap.Members(i/zonemap.BlockZones, len(z.Zones))
-		return c.Test(hullOf(z.Zones[lo:hi])) != expr.MatchNone
+		lo, hi := zonemap.Members(i/zonemap.BlockZones, len(zones))
+		return c.Test(hullOf(zones[lo:hi])) != expr.MatchNone
 	}
 	cold := func(i int) bool { return z.learn[i].heat < z.tune.mergeHeat }
 	var edits []edit
-	for i := 0; i < len(z.Zones); i++ {
+	for i := 0; i < len(zones); i++ {
 		switch {
 		case !entered(i):
 		case cold(i) && off&Merge == 0:
-			run, l, j := z.Zones[i], z.learn[i], i+1
-			for ; j < len(z.Zones) && entered(j) && cold(j) && boundsCompatible(&run, &z.Zones[j]); j++ {
-				run = zone{Lo: run.Lo, Hi: z.Zones[j].Hi, Sum: run.Sum.Union(z.Zones[j].Sum), NonNull: run.NonNull + z.Zones[j].NonNull}
+			run, l, j := zones[i], z.learn[i], i+1
+			for ; j < len(zones) && entered(j) && cold(j) && boundsCompatible(&run, &zones[j]); j++ {
+				run = zone{Zone: zonemap.Zone{Lo: run.Lo, Hi: zones[j].Hi, NonNull: run.NonNull + zones[j].NonNull}, Sum: run.Sum.Union(zones[j].Sum)}
 				l = learner{heat: max(l.heat, z.learn[j].heat)}
 			}
 			if j-i > 1 {
 				edits = append(edits, edit{idx: i, n: j - i, zones: []zone{run}, l: l})
 			}
 			i = j - 1
-		case cold(i) || off&Split != 0 || pruned(&z.Zones[i], c.Test(z.Zones[i].Sum)):
+		case cold(i) || off&Split != 0 || pruned(&zones[i], c.Test(zones[i].Sum)):
 		default:
-			if subs := z.planSplit(i, &c); subs != nil {
+			if subs := z.planSplit(i, zonemap.HullKind{}.Lower(res.Ranges)); subs != nil {
 				edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5}})
 			}
 		}
@@ -118,14 +146,14 @@ func observeReference(z *Zonemap, res core.PruneResult) {
 // their learners, blocks, parts, tail, counters, arbitration — and
 // journaled the same records.
 func sameDirectory(z, ref *Zonemap, recs, refRecs []obs.LedgerRecord) error {
-	switch {
-	case !slices.Equal(z.Zones, ref.Zones):
-		return fmt.Errorf("%d zones %+v, reference %d %+v", len(z.Zones), z.Zones, len(ref.Zones), ref.Zones)
+	switch zs, refZs := zonesOf(z), zonesOf(ref); {
+	case !slices.Equal(zs, refZs):
+		return fmt.Errorf("%d zones %+v, reference %d %+v", len(zs), zs, len(refZs), refZs)
 	case !slices.Equal(z.learn, ref.learn):
 		return fmt.Errorf("learners %+v, reference %+v", z.learn, ref.learn)
-	case !slices.Equal(z.Blocks, ref.Blocks):
-		return fmt.Errorf("%d blocks %+v, reference %d %+v", len(z.Blocks), z.Blocks, len(ref.Blocks), ref.Blocks)
-	case !slices.Equal(z.Parts, ref.Parts):
+	case !slices.Equal(hullsIn(z.Blocks, blocksOf(z)), hullsIn(ref.Blocks, blocksOf(ref))):
+		return fmt.Errorf("blocks %+v, reference %+v", hullsIn(z.Blocks, blocksOf(z)), hullsIn(ref.Blocks, blocksOf(ref)))
+	case !slices.Equal(z.Parts, ref.Parts) || !slices.Equal(hullsIn(z.PartSums, len(z.Parts)), hullsIn(ref.PartSums, len(ref.Parts))):
 		return fmt.Errorf("%d parts %+v, reference %d %+v", len(z.Parts), z.Parts, len(ref.Parts), ref.Parts)
 	case z.Rows() != ref.Rows() || z.Indexed() != ref.Indexed():
 		return fmt.Errorf("rows %d indexed %d, reference %d %d", z.Rows(), z.Indexed(), ref.Rows(), ref.Indexed())
@@ -135,8 +163,8 @@ func sameDirectory(z, ref *Zonemap, recs, refRecs []obs.LedgerRecord) error {
 	// The rest by value; func values are DeepEqual only when nil, and the
 	// grid names its zonemap as its layout.
 	a, b := *z, *ref
-	a.Grid, a.learn, a.journal = zonemap.Grid[expr.Hull, expr.Clause]{}, nil, nil
-	b.Grid, b.learn, b.journal = zonemap.Grid[expr.Hull, expr.Clause]{}, nil, nil
+	a.Grid, a.learn, a.journal = zonemap.Grid[expr.Hull, zonemap.Clause]{}, nil, nil
+	b.Grid, b.learn, b.journal = zonemap.Grid[expr.Hull, zonemap.Clause]{}, nil, nil
 	if !reflect.DeepEqual(a, b) {
 		return fmt.Errorf("state %+v, reference %+v", a, b)
 	}
@@ -178,7 +206,7 @@ func TestDirectoryEditsMatchReference(t *testing.T) {
 				t.Fatalf("seed %d, %s, after %s %v: %v", seed, shape, what, arg, err)
 			}
 			recs, refRecs = recs[:0], refRecs[:0]
-			if len(z.Blocks) > 1 {
+			if blocksOf(z) > 1 {
 				multiBlock++
 			}
 		}

@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"adskip/internal/core"
@@ -22,8 +23,7 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 	var edits []edit
 	if res.Ranges.Lo != nil {
 		if res.Enabled {
-			c := res.Ranges.Clause()
-			edits = z.learnProbe(&c)
+			edits = z.learnProbe(zonemap.HullKind{}.Lower(res.Ranges))
 		}
 		if !z.enabled {
 			z.disabledQueries++
@@ -59,7 +59,7 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 	}
 }
 
-// planSplit cuts zone i, which the probe with clause c had to scan, where
+// planSplit cuts zone i, which the probe with clause q had to scan, where
 // the verdict changes across its parts, and returns the sub-zones, or nil.
 // A run of parts grows while the next part has its verdict and compatible
 // bounds (the merge test), and a pruned run only while its union stays
@@ -68,36 +68,54 @@ func (z *Zonemap) Observe(res core.PruneResult) {
 // a pruned run: this query's evidence that finer metadata prunes here.
 // There are always two runs or more: one run would be the zone, the union
 // of its parts, pruned, and a pruned zone is not scanned.
-func (z *Zonemap) planSplit(i int, c *expr.Clause) []zone {
+func (z *Zonemap) planSplit(i int, q zonemap.Clause) []zone {
 	// Most scanned zones have no pruned part: find that out, and the
 	// zone's parts, in one cheap pass before building any run.
 	zn := &z.Zones[i]
 	first := int(zn.First)
-	end, anyPruned := first, false
-	for ; end < len(z.Parts) && z.Parts[end].Hi <= zn.Hi; end++ {
-		anyPruned = anyPruned || pruned(&z.Parts[end], c.Test(z.Parts[end].Sum))
+	end := first
+	for end < len(z.Parts) && z.Parts[end].Hi <= zn.Hi {
+		end++
 	}
-	if first >= len(z.Parts) || z.Parts[first].Lo != zn.Lo || end == first || z.Parts[end-1].Hi != zn.Hi {
+	if first >= len(z.Parts) || z.Part(first).Lo != zn.Lo || end == first || z.Parts[end-1].Hi != zn.Hi {
 		panic(fmt.Errorf("%w: zone [%d,%d) is not a run of whole parts", zonemap.ErrCorrupt, zn.Lo, zn.Hi))
+	}
+	anyPruned := false
+	for k := first; k < end && !anyPruned; k += zonemap.BlockZones {
+		anyPruned = z.prunedParts(q, k, end) != 0
 	}
 	if !anyPruned {
 		return nil
 	}
-	runs, lastPruned := make([]zone, 0, end-first), false
+	runs, lastPruned, mask := make([]zone, 0, end-first), false, uint64(0)
 	for k := first; k < end; k++ {
-		part := z.Parts[k]
-		pr := pruned(&part, c.Test(part.Sum))
+		j := (k - first) % zonemap.BlockZones
+		if j == 0 {
+			mask = z.prunedParts(q, k, end)
+		}
+		part, pr := z.Part(k), mask>>j&1 != 0
 		if n := len(runs) - 1; n >= 0 && pr == lastPruned && boundsCompatible(&runs[n], &part) {
-			if u := join(runs[n], part); !pr || pruned(&u, c.Test(u.Sum)) {
+			if u := join(runs[n], part); !pr || pruned(&u, q.Test(u.Sum)) {
 				runs[n] = u
 				continue
 			}
 		}
-		part.First = uint32(k)
 		runs = append(runs, part)
 		lastPruned = pr
 	}
 	return runs
+}
+
+// prunedParts is the parts among [k, min(k+BlockZones, end)) that the
+// probe spares, part k+j at bit j: skipped, or covered and NULL-free.
+func (z *Zonemap) prunedParts(q zonemap.Clause, k, end int) uint64 {
+	none, all := z.PartSums.Probe(q, k, min(k+zonemap.BlockZones, end))
+	for ; all != 0; all &= all - 1 {
+		if p := z.Part(k + bits.TrailingZeros64(all)); p.NonNull == p.Hi-p.Lo {
+			none |= all & -all
+		}
+	}
+	return none
 }
 
 // edit is one planned change to the directory: the n zones from idx on
@@ -122,12 +140,11 @@ func (z *Zonemap) splice(edits []edit) int {
 		// One ledger record per edit: the replaced zones' window and hull
 		// before, the new zones' hull after (a split's parts' hulls, never
 		// wider than its parent's; a merge's union, the same hull).
-		old := z.Zones[e.idx : e.idx+e.n]
 		rec := obs.LedgerRecord{
 			Kind: obs.EventSplit, Cause: "split-gain", ZonesBefore: e.n, ZonesAfter: len(e.zones),
-			RowLo: int(old[0].Lo), RowHi: int(old[e.n-1].Hi),
+			RowLo: int(z.Zones[e.idx].Lo), RowHi: int(z.Zones[e.idx+e.n-1].Hi),
 		}
-		rec.MinBefore, rec.MaxBefore = bounds(hullOf(old))
+		rec.MinBefore, rec.MaxBefore = bounds(z.Union(e.idx, e.idx+e.n).Sum)
 		rec.MinAfter, rec.MaxAfter = bounds(hullOf(e.zones))
 		if len(e.zones) < e.n {
 			rec.Kind, rec.Cause = obs.EventMerge, "merge-cold"
@@ -149,6 +166,7 @@ func (z *Zonemap) splice(edits []edit) int {
 	}
 	end := z.move(w, r, len(z.Zones)) // the untouched run after grow[k] ends here
 	z.Zones = slices.Grow(z.Zones[:end], added)[:end+added]
+	z.ZoneSums.Resize(end + added)
 	z.learn = slices.Grow(z.learn[:end], added)[:end+added]
 	for k := len(grow) - 1; k >= 0; k-- {
 		e := &grow[k]
@@ -160,11 +178,12 @@ func (z *Zonemap) splice(edits []edit) int {
 	return first
 }
 
-// move copies zones [lo, hi) and their learners to dst, and returns where
-// they end there.
+// move copies zones [lo, hi), their hulls and their learners to dst, and
+// returns where they end there.
 func (z *Zonemap) move(dst, lo, hi int) int {
 	if dst != lo {
 		copy(z.Zones[dst:], z.Zones[lo:hi])
+		z.ZoneSums.Copy(dst, lo, hi)
 		copy(z.learn[dst:], z.learn[lo:hi])
 	}
 	return dst + hi - lo
@@ -173,8 +192,8 @@ func (z *Zonemap) move(dst, lo, hi int) int {
 // place writes e's zones and their learners at at, and returns where they
 // end.
 func (z *Zonemap) place(at int, e *edit) int {
-	copy(z.Zones[at:], e.zones)
 	for j := range e.zones {
+		z.SetZone(at+j, e.zones[j])
 		z.learn[at+j] = e.l
 	}
 	return at + len(e.zones)
@@ -193,7 +212,7 @@ func boundsCompatible(a, b *zone) bool {
 // first part: the grid's own join goes through the Kind, this one inlines
 // into the split and merge loops.
 func join(a, b zone) zone {
-	return zone{Lo: a.Lo, Hi: b.Hi, Sum: a.Sum.Union(b.Sum), NonNull: a.NonNull + b.NonNull, First: a.First}
+	return zone{Zone: zonemap.Zone{Lo: a.Lo, Hi: b.Hi, NonNull: a.NonNull + b.NonNull, First: a.First}, Sum: a.Sum.Union(b.Sum)}
 }
 
 // learnProbe applies a probe's verdicts, re-derived over the blocks Prune
@@ -202,7 +221,7 @@ func join(a, b zone) zone {
 // than MergeHeat is never split: a run of them, each compatible with the
 // run so far, is planned for a merge. So upkeep visits only the blocks the
 // probe entered.
-func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
+func (z *Zonemap) learnProbe(q zonemap.Clause) (edits []edit) {
 	var run zone   // the cold run the walk grows: n zones from at,
 	var rl learner // their union and the learner it keeps
 	at, n := 0, 0
@@ -212,14 +231,12 @@ func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
 		}
 		n = 0
 	}
-	for bi := range z.Blocks {
-		if c.Test(z.Blocks[bi]) == expr.MatchNone {
-			continue
-		}
-		lo, hi := zonemap.Members(bi, len(z.Zones))
+	z.Walk(q, func(int, int) {}, func(lo, hi int, none, all uint64) {
+		covered, _ := z.Covered(lo, hi, z.Zones[lo].Lo, all)
+		pr := none | covered
 		for i := lo; i < hi; i++ {
-			zn, l := &z.Zones[i], &z.learn[i]
-			scanned := !pruned(zn, c.Test(zn.Sum))
+			l := &z.learn[i]
+			scanned := pr>>(i-lo)&1 == 0
 			if scanned {
 				l.heat -= HeatAlpha * l.heat
 			} else {
@@ -229,19 +246,21 @@ func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
 			case l.heat >= z.tune.mergeHeat:
 				merge()
 				if scanned && z.tune.off&Split == 0 {
-					if subs := z.planSplit(i, c); subs != nil {
+					if subs := z.planSplit(i, q); subs != nil {
 						edits = append(edits, edit{idx: i, n: 1, zones: subs, l: learner{heat: 0.5}})
 					}
 				}
 			case z.tune.off&Merge != 0: // a cold zone stays as it is
-			case n > 0 && at+n == i && boundsCompatible(&run, zn):
-				run, rl.heat, n = join(run, *zn), max(rl.heat, l.heat), n+1
 			default:
-				merge()
-				run, rl, at, n = *zn, *l, i, 1
+				if zn := z.Zone(i); n > 0 && at+n == i && boundsCompatible(&run, &zn) {
+					run, rl.heat, n = join(run, zn), max(rl.heat, l.heat), n+1
+				} else {
+					merge()
+					run, rl, at, n = zn, *l, i, 1
+				}
 			}
 		}
-	}
+	})
 	merge()
 	return edits
 }
@@ -249,14 +268,9 @@ func (z *Zonemap) learnProbe(c *expr.Clause) (edits []edit) {
 // shadowBenefit is the arbitration EWMA after a shadow probe with r, which
 // measures what skipping would have saved without any scan work.
 func (z *Zonemap) shadowBenefit(r expr.Ranges) float64 {
-	c := r.Clause()
-	skipped := 0
-	for i := range z.Zones {
-		if zn := &z.Zones[i]; c.Test(zn.Sum) == expr.MatchNone {
-			skipped += int(zn.Hi - zn.Lo)
-		}
-	}
-	return z.stepBenefit(skipped, len(z.Zones))
+	var res core.PruneResult
+	z.Probe(zonemap.HullKind{}.Lower(r), &res, false)
+	return z.stepBenefit(res.RowsSkipped, len(z.Zones))
 }
 
 // stepBenefit is the arbitration EWMA after a query skipped rows for

@@ -32,8 +32,8 @@ func TestMergeWhereTheQueryLooks(t *testing.T) {
 		return int64(i % 10)
 	})
 	z := small(New(storage.Vec{W: codes}, nil, rows, rows))
-	if len(z.Zones) != blocks*bz || len(z.Blocks) != blocks {
-		t.Fatalf("precondition: %d zones in %d blocks", len(z.Zones), len(z.Blocks))
+	if len(z.Zones) != blocks*bz || blocksOf(z) != blocks {
+		t.Fatalf("precondition: %d zones in %d blocks", len(z.Zones), blocksOf(z))
 	}
 	for _, i := range []int{10, 11, 12, bz - 2, bz - 1, 2 * bz, 2*bz + 1} {
 		z.learn[i].heat = 0.01
@@ -43,7 +43,7 @@ func TestMergeWhereTheQueryLooks(t *testing.T) {
 		z.learn[i].heat = 0.01
 	}
 	middle := func(z *Zonemap, merged int) (zones []zone, learn []learner) {
-		return z.Zones[bz-merged : 2*bz-merged], z.learn[bz-merged : 2*bz-merged]
+		return zonesOf(z)[bz-merged : 2*bz-merged], z.learn[bz-merged : 2*bz-merged]
 	}
 	wantZones, wantLearn := middle(z, 0)
 	wantZones, wantLearn = slices.Clone(wantZones), slices.Clone(wantLearn)
@@ -76,7 +76,7 @@ func TestMergeWhereTheQueryLooks(t *testing.T) {
 func sweepZones(rng *rand.Rand, kind string, n int) ([]zone, []learner) {
 	zones, learn := make([]zone, n), make([]learner, n)
 	for i := range zones {
-		zones[i] = zone{Lo: uint32(100 * i), Hi: uint32(100 * (i + 1)), Sum: expr.Hull{Min: int64(1000 * i), Max: int64(1000*i + 10)}, NonNull: 100, First: uint32(i)}
+		zones[i] = zone{Zone: zonemap.Zone{Lo: uint32(100 * i), Hi: uint32(100 * (i + 1)), NonNull: 100, First: uint32(i)}, Sum: expr.Hull{Min: int64(1000 * i), Max: int64(1000*i + 10)}}
 		learn[i] = learner{heat: 0.5}
 	}
 	run := 2 + rng.Intn(2)
@@ -137,8 +137,8 @@ func TestColdRunMergesMatchReference(t *testing.T) {
 			}
 			build := func() (*Zonemap, *[]obs.LedgerRecord) {
 				z := New(storage.Vec{W: codes}, nulls, rows, rows)
-				if !slices.Equal(z.Zones, zones) {
-					t.Fatalf("precondition: built zones %+v, want %+v", z.Zones, zones)
+				if !slices.Equal(zonesOf(z), zones) {
+					t.Fatalf("precondition: built zones %+v, want %+v", zonesOf(z), zones)
 				}
 				z.learn = slices.Clone(learn)
 				recs := new([]obs.LedgerRecord)

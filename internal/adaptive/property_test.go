@@ -114,7 +114,8 @@ func checkPrune(res core.PruneResult, n int, match func(row int) bool) error {
 // CheckInvariants.
 func checkSummary(z *Zonemap, codes []int64, nulls *bitvec.BitVec) error {
 	zi, prev, union := 0, uint32(0), expr.EmptyHull
-	for k, p := range z.Parts {
+	for k := range z.Parts {
+		p := z.Part(k)
 		if p.Lo != prev || p.Hi <= p.Lo {
 			return fmt.Errorf("part %d [%d,%d) after row %d", k, p.Lo, p.Hi, prev)
 		}
@@ -132,7 +133,7 @@ func checkSummary(z *Zonemap, codes []int64, nulls *bitvec.BitVec) error {
 		for zi < len(z.Zones) && z.Zones[zi].Hi <= p.Lo {
 			zi++
 		}
-		zn := &z.Zones[zi]
+		zn := z.Zone(zi)
 		if p.Lo < zn.Lo || p.Hi > zn.Hi {
 			return fmt.Errorf("part %d [%d,%d) straddles the edge of zone %d [%d,%d)", k, p.Lo, p.Hi, zi, zn.Lo, zn.Hi)
 		}
@@ -223,7 +224,10 @@ func TestAdaptiveProperties(t *testing.T) {
 					}
 				}
 			}
-			zones[w], parts[w] = z.Zones, z.Parts
+			zones[w] = zonesOf(z)
+			for k := range z.Parts {
+				parts[w] = append(parts[w], z.Part(k))
+			}
 		}
 		if !reflect.DeepEqual(zones[0], zones[1]) || !reflect.DeepEqual(parts[0], parts[1]) {
 			t.Fatalf("seed %d, %s: zones over 8-byte codes %+v, over 4-byte codes %+v", seed, shape, zones[0], zones[1])

@@ -154,13 +154,18 @@ func getJSON(t *testing.T, url string, into any) {
 // Figures that have moved on purpose since:
 //   - bytes_skipped charges column a's 4-byte codes (rows_skipped x 4),
 //     where every column used to be charged 8 bytes a row;
-//   - bytes counts the whole 56-byte zone (40 in the directory, 16 for
-//     what the zonemap learns of it), the 16-byte block (24 while a block
-//     carried a has-data flag beside its hull, 2312 and 1528 in all) and,
-//     since splits read the summary, its 32 parts of 40 bytes: 18 x 56 +
-//     16 + 1280 = 2304 for column a, 4 x 56 + 16 + 1280 = 1520 for b (it
-//     read 752 and 248 before the summary, 1072 and 352 with the per-zone
-//     hit/miss counters, 80 and 32 bytes);
+//   - bytes counts each level by its capacity, hulls at these 4-byte
+//     columns' code width: a zone's 16-byte row entry, its 8-byte hull and
+//     its 8-byte learner; a part's 8-byte end and count and its hull; the
+//     block's and the tail's hull, whose 4-byte bounds the allocator rounds
+//     up to room for two, 16 bytes each. Column a has room for 22 zone
+//     entries and 24 hulls and learners beside its 32 parts, 22 x 16 + 24
+//     x 16 + 16 + 16 + 32 x 16 = 1280 bytes; b for 4 zones, 4 x 32 + 16 +
+//     16 + 512 = 672.
+//     They read 1936 and 1200 while zones and parts were 32-byte entries
+//     with 8-byte hull bounds and the tail took no heap; 2304 and 1520
+//     with 56-byte zones and 40-byte parts; 752 and 248 before the
+//     summary, 1072 and 352 with the per-zone hit/miss counters;
 //   - column a's splits cut at the summary's part boundaries in one step,
 //     where they used to cut a zone into eighths and refine those later,
 //     so it ends with 18 zones, not 13, after 2 maintenance events over
@@ -216,10 +221,10 @@ func TestIntrospectDerivationsMatchParent(t *testing.T) {
 	}
 
 	const wantROI = `[` +
-		`{"table":"t","column":"a","kind":"adaptive","zones":18,"bytes":1936,` +
+		`{"table":"t","column":"a","kind":"adaptive","zones":18,"bytes":1280,` +
 		`"rows_skipped":158848,"rows_covered":0,"bytes_skipped":635392,"candidate_rows":9088,"zone_probes":485,` +
 		`"maintenance_events":2,"maintenance_zones":16,"net_benefit_rows":156908,"dead_zones":0},` +
-		`{"table":"t","column":"b","kind":"adaptive","zones":1,"bytes":1200,` +
+		`{"table":"t","column":"b","kind":"adaptive","zones":1,"bytes":672,` +
 		`"rows_skipped":0,"rows_covered":0,"bytes_skipped":0,"candidate_rows":40960,"zone_probes":47,` +
 		`"maintenance_events":1,"maintenance_zones":4,"net_benefit_rows":-188,"dead_zones":1,` +
 		`"dead_zone_detail":[` +

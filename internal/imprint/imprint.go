@@ -106,16 +106,31 @@ func (m *Bins) Summarize(codes storage.Vec, nulls *bitvec.BitVec, lo, hi int) (m
 // Union is the mask of the bins either mask has.
 func (m *Bins) Union(a, b uint64) uint64 { return a | b }
 
-// Test skips a zone when its mask ∩ touched = ∅ and proves it covered
-// when its mask ⊆ covered.
-func (m *Bins) Test(q *Masks, mask uint64) expr.Match {
-	switch {
-	case mask&q.Touched == 0:
-		return expr.MatchNone
-	case mask&^q.Covered == 0:
-		return expr.MatchAll
+// Level implements zonemap.Kind: masks are the same at every code width.
+func (m *Bins) Level() zonemap.Level[uint64, Masks] { return &masks{} }
+
+// masks is the imprint's zonemap.Level.
+type masks []uint64
+
+func (l *masks) At(i int) uint64                     { return (*l)[i] }
+func (l *masks) Set(i int, s uint64)                 { (*l)[i] = s }
+func (l *masks) Copy(dst, lo, hi int)                { copy((*l)[dst:], (*l)[lo:hi]) }
+func (l *masks) Bytes() int                          { return cap(*l) * 8 }
+func (l *masks) Widen() zonemap.Level[uint64, Masks] { return l }
+func (l *masks) Resize(n int) {
+	*l = append((*l)[:min(n, len(*l))], make([]uint64, max(n-len(*l), 0))...)
+}
+
+// Probe skips a zone when its mask ∩ touched = ∅ and proves it covered
+// when its mask ⊆ covered; (x|-x)>>63 is 1 when x has a bit set.
+func (l *masks) Probe(q Masks, lo, hi int) (none, all uint64) {
+	for i, m := range (*l)[lo:hi] {
+		t, u := m&q.Touched, m&^q.Covered
+		out := (t|-t)>>63 ^ 1
+		none |= out << (i & 63)
+		all |= ((u|-u)>>63 ^ 1) &^ out << (i & 63)
 	}
-	return expr.MatchSome
+	return none, all
 }
 
 // Lower turns a predicate's code intervals into its two bin masks.

@@ -51,6 +51,15 @@ func minMaxBlocks32(codes []uint32) (mn, mx uint32)
 //go:noescape
 func minMaxBlocks64(codes []int64) (mn, mx int64)
 
+// probeBlocks32 tests the hulls [mins[i], maxs[i]] of the whole
+// eight-hull blocks of mins against [lo, hi]: bit i of in is set when hull
+// i holds a value inside it, of all when it holds some and all of them are
+// inside. Hulls past the last whole block are not read; maxs is as long as
+// mins.
+//
+//go:noescape
+func probeBlocks32(mins, maxs []uint32, lo, hi uint32) (in, all uint64)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv0 returns the low half of extended control register 0.

@@ -3,7 +3,8 @@
 // The vector bodies of the dense single-interval count and of the dense
 // min/max (see kernels.go): the same offset-form range test as countDense
 // and the same folds as minMaxDense, eight 32-bit or four 64-bit lanes at
-// a time, four independent accumulators deep. Each has one guard for an
+// a time, four independent accumulators deep; and of the zone probe's hull
+// test (probeDense), four 32-bit hulls at a time. Each has one guard for an
 // input shorter than a block and one loop edge; no jump depends on a code
 // (scripts/check_kernels.sh counts them).
 
@@ -303,4 +304,58 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	XORL CX, CX
 	XGETBV
 	MOVL AX, ret+0(FP)
+	RET
+
+// func probeBlocks32(mins, maxs []uint32, lo, hi uint32) (in, all uint64)
+//
+// The vector body of the zone probe's kernel (probeDense): eight hulls,
+// their mins in one 256-bit register and their maxs in another. A hull
+// [min, max] holds a value inside [lo, hi] iff max(min, lo) <= min(max,
+// hi) — which also fails for an empty hull, min > max — and holds only
+// such values iff max(min, lo) == min and min(max, hi) == max as well.
+// AVX2 compares unsigned <= as max(a, b) == b. VMOVMSKPS reads a lane's
+// sign: one bit per hull.
+TEXT ·probeBlocks32(SB), NOSPLIT, $0-72
+	MOVQ mins_base+0(FP), SI
+	MOVQ mins_len+8(FP), DX
+	MOVQ maxs_base+24(FP), DI
+	MOVL lo+48(FP), AX
+	MOVL hi+52(FP), BX
+	VMOVD AX, X14
+	VMOVD BX, X15
+	VPBROADCASTD X14, Y14 // lo
+	VPBROADCASTD X15, Y15 // hi
+	XORQ R8, R8   // in
+	XORQ R9, R9   // all
+	XORQ CX, CX   // bit of the next hull
+	SHRQ $3, DX   // eight hulls per iteration
+	JZ   done
+
+loop:
+	VMOVDQU   0(SI), Y0
+	VMOVDQU   0(DI), Y1
+	VPMAXUD   Y14, Y0, Y2 // max(min, lo)
+	VPMINUD   Y15, Y1, Y3 // min(max, hi)
+	VPMAXUD   Y2, Y3, Y4
+	VPCMPEQD  Y3, Y4, Y4 // in
+	VPCMPEQD  Y0, Y2, Y5 // min >= lo
+	VPCMPEQD  Y1, Y3, Y6 // max <= hi
+	VPAND     Y5, Y6, Y5
+	VPAND     Y4, Y5, Y5 // all
+	VMOVMSKPS Y4, AX
+	VMOVMSKPS Y5, BX
+	SHLQ      CX, AX
+	SHLQ      CX, BX
+	ORQ       AX, R8
+	ORQ       BX, R9
+	ADDQ      $8, CX
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	DECQ      DX
+	JNZ       loop
+
+done:
+	VZEROUPPER
+	MOVQ R8, in+56(FP)
+	MOVQ R9, all+64(FP)
 	RET

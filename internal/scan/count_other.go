@@ -13,3 +13,7 @@ func countBlocks64([]int64, uint64, uint64) int { panic("scan: no vector kernel"
 func minMaxBlocks32([]uint32) (uint32, uint32) { panic("scan: no vector kernel") }
 
 func minMaxBlocks64([]int64) (int64, int64) { panic("scan: no vector kernel") }
+
+func probeBlocks32([]uint32, []uint32, uint32, uint32) (uint64, uint64) {
+	panic("scan: no vector kernel")
+}

@@ -201,3 +201,34 @@ func TestCountVectorAllMatch(t *testing.T) {
 		t.Fatalf("countVector64 inner rows = %d want %d", got, n-200)
 	}
 }
+
+// The hull kernel's vector body agrees with its portable body: for every
+// batch length up to 64 at the 4-byte width, over hulls drawn near 0,
+// across 2^31 (where a signed compare would order them wrongly) and near
+// 2^32, empty ones included, against intervals with the same edges.
+func TestProbeHullsBodiesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bases := []uint32{0, 1<<31 - 16, math.MaxUint32 - 40}
+	for trial := 0; trial < 400; trial++ {
+		base := bases[trial%len(bases)]
+		n := trial % 65
+		mins, maxs := make([]uint32, n), make([]uint32, n)
+		for i := range mins {
+			mins[i] = base + uint32(rng.Intn(30))
+			maxs[i] = mins[i] + uint32(rng.Intn(10))
+			if rng.Intn(5) == 0 {
+				mins[i], maxs[i] = 1, 0 // a hull of no value
+			}
+		}
+		lo := base + uint32(rng.Intn(35))
+		hi := lo + uint32(rng.Intn(int(min(20, math.MaxUint32-uint64(lo))+1)))
+		none, all := ProbeHulls(mins, maxs, lo, hi)
+		wantNone, wantAll := probeDense(mins, maxs, lo, hi)
+		if none != wantNone || all != wantAll {
+			t.Fatalf("%d hulls from %d, [%d,%d]: none %b all %b, portable body %b %b", n, base, lo, hi, none, all, wantNone, wantAll)
+		}
+	}
+	if !useVector {
+		t.Skip("no AVX2 on this CPU: compared the portable body with itself")
+	}
+}

@@ -303,3 +303,44 @@ func minMaxDense[C storage.Code](codes []C) (mn, mx int64) {
 	}
 	return min(mn, mn1), max(mx, mx1)
 }
+
+// ProbeHulls is the zone probe's kernel over at most 64 hulls [mins[i],
+// maxs[i]] (min > max when a hull holds no value): bit i of none is set
+// when hull i holds no value inside [lo, hi], bit i of all when it holds
+// some and all of them are inside. At the 4-byte width the whole
+// eight-hull blocks go through the vector body.
+func ProbeHulls[C storage.Code](mins, maxs []C, lo, hi C) (none, all uint64) {
+	if mn, ok := any(mins).([]uint32); ok && useVector {
+		n := len(mn) &^ 7
+		in, vAll := probeBlocks32(mn[:n], any(maxs).([]uint32)[:n], uint32(lo), uint32(hi))
+		tn, ta := probeDense(mins[n:], maxs[n:], lo, hi)
+		return ^in&(1<<n-1) | tn<<n, vAll | ta<<n
+	}
+	return probeDense(mins, maxs, lo, hi)
+}
+
+// probeDense is ProbeHulls' portable body, its vector body's tail and
+// oracle. Every compare is a flag, not a branch. It is compiled where
+// ProbeHulls is instantiated, and kept out of line there so that
+// scripts/check_kernels.sh finds it.
+//
+//go:noinline
+func probeDense[C storage.Code](mins, maxs []C, lo, hi C) (none, all uint64) {
+	if len(maxs) != len(mins) {
+		panic("scan: hulls of unequal bounds")
+	}
+	for i := len(mins) - 1; i >= 0; i-- { // bit 0 last
+		mn, mx := mins[i], maxs[i]
+		out := b2u(mx < lo) | b2u(mn > hi) | b2u(mn > mx)
+		none = none<<1 | out
+		all = all<<1 | b2u(lo <= mn)&b2u(mx <= hi)&^out
+	}
+	return none, all
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -32,6 +32,47 @@ var gridKinds = []struct {
 	}},
 }
 
+// directory is a skipper over a zonemap.Grid: the static zonemap, the
+// imprint, the adaptive zonemap.
+type directory[S comparable] interface {
+	Zone(i int) zonemap.Entry[S]
+	Part(k int) zonemap.Entry[S]
+	Rows() int
+	Indexed() int
+	Metadata() core.Metadata
+}
+
+// view is a directory as its entries read, whatever width its levels store
+// them at: its zones and parts with their summaries, and its row counts.
+type view[S any] struct {
+	Zones, Parts  []zonemap.Entry[S]
+	Rows, Indexed int
+}
+
+// logical returns sk's view; sk must be one of the directories.
+func logical(sk core.Skipper) any {
+	switch g := sk.(type) {
+	case *zonemap.Grid[expr.Hull, zonemap.Clause]:
+		return viewOf[expr.Hull](g, len(g.Zones), len(g.Parts))
+	case *zonemap.Grid[uint64, imprint.Masks]:
+		return viewOf[uint64](g, len(g.Zones), len(g.Parts))
+	case *adaptive.Zonemap:
+		return viewOf[expr.Hull](g, len(g.Zones), len(g.Parts))
+	}
+	panic(fmt.Sprintf("logical: %T", sk))
+}
+
+func viewOf[S comparable](d directory[S], zones, parts int) view[S] {
+	v := view[S]{Rows: d.Rows(), Indexed: d.Indexed()}
+	for i := range zones {
+		v.Zones = append(v.Zones, d.Zone(i))
+	}
+	for k := range parts {
+		v.Parts = append(v.Parts, d.Part(k))
+	}
+	return v
+}
+
 // narrowView returns codes, all in [0, 2^32), as the 4-byte view a column
 // holding them would hand out.
 func narrowView(codes []int64) storage.Vec {
@@ -148,8 +189,8 @@ func TestGridProperties(t *testing.T) {
 				// The 4-byte view of the same column: the same grid, and
 				// either grid holds against either view.
 				ng := kind.learn(narrow, nulls, zoneSize)(n)
-				if !reflect.DeepEqual(ng, fresh) {
-					t.Fatalf("seed %d: grid over the narrow view %+v, over the wide view %+v", seed, ng, fresh)
+				if !reflect.DeepEqual(logical(ng), logical(fresh)) {
+					t.Fatalf("seed %d: grid over the narrow view %+v, over the wide view %+v", seed, logical(ng), logical(fresh))
 				}
 				for _, view := range []storage.Vec{wide, narrow} {
 					if err := fresh.CheckInvariants(view, nulls); err != nil {
@@ -160,8 +201,8 @@ func TestGridProperties(t *testing.T) {
 					}
 				}
 				az, anz := adaptive.New(wide, nulls, zoneSize, adaptive.DefaultMinZoneRows), adaptive.New(narrow, nulls, zoneSize, adaptive.DefaultMinZoneRows)
-				if !reflect.DeepEqual(anz, az) {
-					t.Fatalf("seed %d: adaptive zonemap over the narrow view %+v, over the wide view %+v", seed, anz, az)
+				if !reflect.DeepEqual(logical(anz), logical(az)) {
+					t.Fatalf("seed %d: adaptive zonemap over the narrow view %+v, over the wide view %+v", seed, logical(anz), logical(az))
 				}
 
 				// Probes are sound, and do not depend on the view.
@@ -232,12 +273,12 @@ func oneRange(lo, hi int64) expr.Ranges { return expr.Ranges{Lo: []int64{lo}, Hi
 // sameAsFlat fails unless the blocked probe of g emits what the flat walk
 // does for every predicate, ZonesProbed apart, and tests at least one
 // entry per block and at most one per block and per zone.
-func sameAsFlat[S comparable, Q any](t *testing.T, what string, g *zonemap.Grid[S, Q], preds []expr.Ranges) {
+func sameAsFlat[S comparable, Q any](t *testing.T, what string, g *zonemap.Grid[S, Q], test func(expr.Ranges) func(S) expr.Match, preds []expr.Ranges) {
 	t.Helper()
 	zones := g.Metadata().Zones
 	blocks := (zones + zonemap.BlockZones - 1) / zonemap.BlockZones
 	for _, r := range preds {
-		got, want := g.Prune(r), zonemap.PruneFlat(g, r)
+		got, want := g.Prune(r), zonemap.PruneFlat(g, test(r))
 		if got.ZonesProbed < blocks || got.ZonesProbed > blocks+zones {
 			t.Fatalf("%s, %v: %d entries probed, %d blocks over %d zones", what, r, got.ZonesProbed, blocks, zones)
 		}
@@ -293,8 +334,131 @@ func TestBlockedPruneMatchesFlat(t *testing.T) {
 			imp := zonemap.NewGrid(bins, view.Slice(0, n/3), nulls, zoneSize)
 			static.Extend(view, nulls)
 			imp.Extend(view, nulls)
-			sameAsFlat(t, what+", static", static, preds)
-			sameAsFlat(t, what+", imprint", imp, preds)
+			sameAsFlat(t, what+", static", static, hullTest, preds)
+			sameAsFlat(t, what+", imprint", imp, binsTest(bins), preds)
+		}
+	}
+}
+
+// hullTest is the per-entry test of a hull: expr.Clause.Test.
+func hullTest(r expr.Ranges) func(expr.Hull) expr.Match {
+	c := r.Clause()
+	return c.Test
+}
+
+// binsTest is the per-entry test of a bin mask, as the imprint defines it:
+// none when the mask touches no bin the predicate does, all when every bin
+// it holds lies inside one interval.
+func binsTest(bins *imprint.Bins) func(expr.Ranges) func(uint64) expr.Match {
+	return func(r expr.Ranges) func(uint64) expr.Match {
+		q := bins.Lower(r)
+		return func(mask uint64) expr.Match {
+			switch {
+			case mask&q.Touched == 0:
+				return expr.MatchNone
+			case mask&^q.Covered == 0:
+				return expr.MatchAll
+			}
+			return expr.MatchSome
+		}
+	}
+}
+
+// kernelHulls returns n hulls over a small domain, with empty hulls (a
+// NULL-only zone's), points and ones that sit on one another's edges, so
+// that an interval edge at any hull bound skips, covers or straddles it.
+func kernelHulls(rng *rand.Rand, n int) []expr.Hull {
+	hs := make([]expr.Hull, n)
+	for i := range hs {
+		lo := rng.Int63n(60)
+		switch rng.Intn(6) {
+		case 0:
+			hs[i] = expr.EmptyHull
+		case 1:
+			hs[i] = expr.Hull{Min: lo, Max: lo}
+		default:
+			hs[i] = expr.Hull{Min: lo, Max: lo + rng.Int63n(20)}
+		}
+	}
+	return hs
+}
+
+// The probe kernel is the per-entry test it replaced: at both code widths,
+// over every batch of a 130-entry level (every offset, every length up to
+// BlockZones, none included) and for predicates whose edges sit on, inside
+// and outside each hull bound — one interval or several, none, and ones
+// reaching below 0 and past 2^32 — its skip and all masks are those
+// expr.Clause.Test finds entry by entry (ProbeFlat). And for grids of 0 to
+// 130 zones of either width, with NULL-only, covered and straddling zones,
+// Prune emits what the per-entry walk does (PruneFlat).
+func TestProbeKernelMatchesClauseTest(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 130
+	hs := kernelHulls(rng, n)
+	var preds []expr.Ranges
+	for _, r := range edgeRanges(rng, []int64{0, 5, 17, 30, 59, 79}, 80) {
+		preds = append(preds, r)
+	}
+	preds = append(preds, expr.Full(), oneRange(-5, 10), oneRange(70, 1<<33), oneRange(-9, -1), oneRange(1<<32, 1<<33),
+		expr.Ranges{Lo: []int64{3, 20, 41}, Hi: []int64{9, 20, 70}})
+	narrow, wide := zonemap.HullKind{}.Level(), zonemap.HullKind{}.Level().Widen()
+	for _, l := range []zonemap.Level[expr.Hull, zonemap.Clause]{narrow, wide} {
+		l.Resize(n)
+		for i, h := range hs {
+			l.Set(i, h)
+		}
+	}
+	if _, ok := wide.(*zonemap.Hulls[int64]); !ok {
+		t.Fatalf("a widened level is %T", wide)
+	}
+	batches := 0
+	for _, r := range preds {
+		q, c := zonemap.HullKind{}.Lower(r), r.Clause()
+		for lo := 0; lo <= n; lo++ {
+			for hi := lo; hi <= min(lo+zonemap.BlockZones, n); hi++ {
+				wantNone, wantAll := zonemap.ProbeFlat(narrow, lo, hi, c.Test)
+				for _, l := range []zonemap.Level[expr.Hull, zonemap.Clause]{narrow, wide} {
+					if none, all := l.Probe(q, lo, hi); none != wantNone || all != wantAll {
+						t.Fatalf("%v, %T [%d,%d): kernel none %b all %b, per entry %b %b", r, l, lo, hi, none, all, wantNone, wantAll)
+					}
+				}
+				batches++
+			}
+		}
+	}
+	for zones := 0; zones <= n; zones++ {
+		codes, nulls := make([]int64, 2*zones), bitvec.New(2*zones)
+		for i := range codes {
+			codes[i] = rng.Int63n(60)
+			switch h := hs[i/2]; {
+			case h.Empty():
+				nulls.Set(i) // a NULL-only zone
+			case rng.Intn(4) == 0:
+				codes[i] = codes[i-i%2] // a point: covered where it matches
+			}
+		}
+		for _, view := range []storage.Vec{{W: codes}, narrowView(codes)} {
+			sameAsFlat(t, fmt.Sprintf("%d zones, %d-byte codes", zones, view.Width()), zonemap.Build(view, nulls, 2), hullTest, preds)
+		}
+	}
+	t.Logf("%d batches of %d predicates", batches, len(preds))
+}
+
+// The static probe allocates only the windows it emits: none for a
+// predicate that skips every zone, and one slice for one that leaves a
+// window, where its clause once moved to the heap too.
+func TestStaticProbeAllocatesOnlyWindows(t *testing.T) {
+	codes := make([]int64, 64*256)
+	for i := range codes {
+		codes[i] = int64(i)
+	}
+	g := zonemap.Build(narrowView(codes), nil, 256)
+	for _, c := range []struct {
+		r    expr.Ranges
+		want float64
+	}{{oneRange(-10, -1), 0}, {oneRange(1<<40, 1<<41), 0}, {oneRange(1000, 1100), 1}} {
+		if got := testing.AllocsPerRun(100, func() { g.Prune(c.r) }); got != c.want {
+			t.Errorf("Prune(%v) allocates %v times, want %v", c.r, got, c.want)
 		}
 	}
 }

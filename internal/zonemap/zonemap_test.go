@@ -15,13 +15,14 @@ type zone struct {
 	NonNull  int
 }
 
-func zoneOf(m *Grid[expr.Hull, expr.Clause], zi int) zone {
-	return zone{m.Zones[zi].Sum.Min, m.Zones[zi].Sum.Max, int(m.Zones[zi].NonNull)}
+func zoneOf(m *Grid[expr.Hull, Clause], zi int) zone {
+	zn := m.Zone(zi)
+	return zone{zn.Sum.Min, zn.Sum.Max, int(zn.NonNull)}
 }
 
 // zoneCounts recovers how many of m's zones a probe skipped and how many
 // it proved covered from the coalesced candidate windows.
-func zoneCounts(m *Grid[expr.Hull, expr.Clause], res core.PruneResult) (skipped, covered int) {
+func zoneCounts(m *Grid[expr.Hull, Clause], res core.PruneResult) (skipped, covered int) {
 	skipped = len(m.Zones)
 	for _, zn := range m.Zones {
 		lo, hi := zn.Rows()
@@ -62,7 +63,7 @@ func TestBuildBasics(t *testing.T) {
 			t.Fatalf("zone %d = %+v", zi, z)
 		}
 	}
-	if md.Bytes != 10*32+16 { // a Zone (row bounds, Hull, count, first part) per zone, one block (a Hull)
+	if md.Bytes != 10*(16+16)+16+16 { // a Zone (row bounds, count, first part) and its bounds per zone, one block and the tail (a Hull each)
 		t.Fatalf("Bytes=%d", md.Bytes)
 	}
 }
@@ -142,10 +143,10 @@ func TestExtendIncremental(t *testing.T) {
 		t.Fatalf("extended: zones=%d rows=%d indexed=%d", len(m.Zones), m.Rows(), m.Indexed())
 	}
 	for zi, lo := range []int{0, 7, 17} {
-		zn := m.Zones[zi]
+		zn := m.Zone(zi)
 		fresh := Build(storage.Vec{W: codes[lo:zn.Hi]}, nil, 10)
-		if int(zn.Lo) != lo || zn.Sum != fresh.Zones[0].Sum || zn.NonNull != fresh.Zones[0].NonNull {
-			t.Fatalf("zone %d: extend %+v vs fresh %+v", zi, zn, fresh.Zones[0])
+		if int(zn.Lo) != lo || zn.Sum != fresh.Zone(0).Sum || zn.NonNull != fresh.Zones[0].NonNull {
+			t.Fatalf("zone %d: extend %+v vs fresh %+v", zi, zn, fresh.Zone(0))
 		}
 	}
 	if err := m.CheckInvariants(storage.Vec{W: codes}, nil); err != nil {
